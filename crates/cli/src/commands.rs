@@ -7,8 +7,8 @@
 
 use crate::args::Args;
 use aeetes_core::{
-    extract_segment_scratched, extract_top_k_with, load_sharded, save_engine, save_sharded, suppress_overlaps, Aeetes, AeetesConfig, BatchOptions,
-    EditIndex, ExtractBackend, ExtractLimits, ExtractScratch, ExtractStats, Match, Stage, StageSlots, Strategy,
+    extract_segment_scratched, extract_top_k_with, suppress_overlaps, Aeetes, AeetesConfig, BatchOptions, EditIndex, ExtractBackend, ExtractLimits,
+    ExtractScratch, ExtractStats, FrozenParts, Match, ShardedParts, Stage, StageSlots, Strategy,
 };
 use aeetes_pool::{extract_batch_with, Pool};
 use aeetes_rules::{DeriveConfig, RuleSet};
@@ -32,13 +32,13 @@ aeetes — approximate entity extraction with synonyms (EDBT 2019)
 
 USAGE:
     aeetes build    --dict FILE --rules FILE --out ENGINE [--max-derived N]
-                    [--shards N] [--frozen]
+                    [--shards N]
     aeetes extract  --engine ENGINE --docs FILE [--tau F] [--metric NAME]
                     [--edit K] [--threads N] [--best] [--top-k K]
                     [--format tsv|jsonl] [--timeout SECS]
                     [--max-candidates N] [--max-matches N]
     aeetes extract  --engine ENGINE --stream [--tau F] [--format tsv|jsonl]
-    aeetes serve    --engine ENGINE [--shards N] [--frozen] [--listen ADDR:PORT]
+    aeetes serve    --engine ENGINE [--shards N] [--listen ADDR:PORT]
                     [--metrics-listen ADDR:PORT] [--workers N | --threads N] [--queue N]
                     [--max-doc-bytes N] [--timeout-ceiling SECS]
                     [--max-matches N] [--max-candidates N] [--drain SECS]
@@ -71,17 +71,17 @@ It always runs the sharded engine: --shards N fans extraction over N shards
 and a `{\"type\":\"reload\"}` request applies a dictionary delta as a new
 generation without dropping in-flight requests.
 
-`build --shards N` writes a sharded artifact (N = 0 picks the machine's
-available parallelism); without the flag a v2 single-engine artifact is
-written. `build --frozen` instead writes a format v5 *frozen* artifact:
-the built indexes laid out as flat little-endian arenas, so a server can
-memory-map the file and answer its first request without deserializing
-anything — N serve processes share one page cache. Every command
-auto-detects the artifact format; `serve --frozen` additionally *requires*
-a v5 artifact (it fails fast instead of silently paying a v4 rebuild).
-`aeetes dict info FILE` prints any artifact's version, generation,
-entity/rule/token counts and (for v5) per-section sizes without building
-the engine.
+ARTIFACT FORMAT: `build` writes, and every other command opens, one
+format — AEET v5, the *frozen* layout: the built indexes laid out as flat
+little-endian arenas behind a whole-file CRC-32, so a server memory-maps
+the file and answers its first request without deserializing anything, and
+N serve processes share one page cache. `build --shards N` only sets how
+many segments the artifact carries (default 1; 0 = available parallelism);
+`serve`/`fleet` adopt those segments as their shards, or re-partition them
+under `--shards N`. `aeetes dict info FILE` prints an artifact's
+generation, entity/rule/token counts and per-section sizes without
+building the engine. A file of any other format version is refused with a
+message saying to rebuild it.
 
 `extract --top-k K` returns only the K best-scoring matches per document,
 ordered by score, using bound-pruned search: the running k-th best score
@@ -112,9 +112,7 @@ coordinator additionally compacts the log into a fresh artifact every
 --compact-threshold deltas (needs --engine). `aeetes wal inspect` reports
 a log's committed state (repairing any torn tail, exactly as recovery
 would); `aeetes wal compact --wal FILE --engine ENGINE` folds the log into
-the artifact offline and resets it. Compaction preserves the artifact's
-format: a frozen (v5) engine is rewritten frozen, anything older stays
-v4. See README \"Durability\".
+the artifact offline and resets it. See README \"Durability\".
 
 `profile` runs all four candidate-generation strategies over the same
 documents and prints a per-stage timing table (tokenize, remap,
@@ -137,7 +135,7 @@ fn read_lines(path: &str) -> Result<Vec<String>, String> {
 
 /// `aeetes build`
 pub fn build(argv: &[String]) -> Result<i32, String> {
-    let args = Args::parse(argv, &["frozen"], &["dict", "rules", "out", "max-derived", "shards"])?;
+    let args = Args::parse(argv, &[], &["dict", "rules", "out", "max-derived", "shards"])?;
     let dict_path = args.required("dict")?;
     let rules_path = args.required("rules")?;
     let out_path = args.required("out")?;
@@ -174,57 +172,19 @@ pub fn build(argv: &[String]) -> Result<i32, String> {
         ..AeetesConfig::default()
     };
 
-    // --frozen: build the sharded engine, then persist it as a format v5
-    // frozen artifact — the *built* indexes as flat mmap-able arenas, not
-    // the rebuild-on-load source data of v3/v4.
-    if args.switch("frozen") {
-        let n: usize = match args.optional("shards") {
-            Some(sh) => sh.parse().map_err(|e| format!("--shards: {e}"))?,
-            None => 1,
-        };
-        let engine = ShardedEngine::build(dict, &rules, &interner, config, n);
-        let generation = engine.snapshot();
-        let bytes = engine.freeze();
-        atomic_write(out_path, &bytes)?;
-        eprintln!(
-            "built frozen engine (v5): {} entities, {} rules, {} derived variants, {} shards → {out_path} ({} bytes)",
-            generation.dictionary().len(),
-            rules.len(),
-            generation.variants(),
-            generation.shard_count(),
-            bytes.len()
-        );
-        return Ok(EXIT_OK);
-    }
-
-    // --shards: build the sharded engine (per-shard derivation + indexing in
-    // parallel) and persist it as a format v3 segmented artifact.
-    if let Some(sh) = args.optional("shards") {
-        let n: usize = sh.parse().map_err(|e| format!("--shards: {e}"))?;
-        let engine = ShardedEngine::build(dict, &rules, &interner, config, n);
-        let generation = engine.snapshot();
-        let bytes = save_sharded(&engine.to_parts());
-        atomic_write(out_path, &bytes)?;
-        eprintln!(
-            "built sharded engine: {} entities, {} rules, {} derived variants, {} shards → {out_path} ({} bytes)",
-            generation.dictionary().len(),
-            rules.len(),
-            generation.variants(),
-            generation.shard_count(),
-            bytes.len()
-        );
-        return Ok(EXIT_OK);
-    }
-
-    let engine = Aeetes::build(dict, &rules, &interner, config);
-    let bytes = save_engine(&engine, &interner);
+    // Per-shard derivation and indexing run in parallel; the artifact is the
+    // built generation frozen as-is.
+    let shards: usize = args.parse_or("shards", 1)?;
+    let engine = ShardedEngine::build(dict, &rules, &interner, config, shards);
+    let generation = engine.snapshot();
+    let bytes = generation.freeze();
     atomic_write(out_path, &bytes)?;
     eprintln!(
-        "built engine: {} entities, {} rules, {} derived variants, {} index entries → {out_path} ({} bytes)",
-        engine.dictionary().len(),
+        "built engine: {} entities, {} rules, {} derived variants, {} shard(s) → {out_path} ({} bytes)",
+        generation.dictionary().len(),
         rules.len(),
-        engine.derived().len(),
-        engine.index().total_entries(),
+        generation.variants(),
+        generation.shard_count(),
         bytes.len()
     );
     Ok(EXIT_OK)
@@ -238,63 +198,23 @@ fn atomic_write(path: &str, bytes: &[u8]) -> Result<(), String> {
     aeetes_core::atomic_replace(std::path::Path::new(path), bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Reads the artifact's format version from the 8-byte header prefix —
-/// enough to pick a load path without touching the rest of the file.
-fn sniff_version(path: &str) -> Result<u32, String> {
-    use std::io::Read;
-    let mut f = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut head = [0u8; 8];
-    f.read_exact(&mut head).map_err(|e| format!("{path}: reading artifact header: {e}"))?;
-    if &head[..4] != b"AEET" {
-        return Err(format!("{path}: not an AEET engine artifact (bad magic)"));
-    }
-    Ok(u32::from_le_bytes(head[4..8].try_into().expect("4-byte version")))
+/// Opens the engine artifact (memory-mapped where the platform allows).
+/// Every command that reads an engine goes through here, so a corrupt file
+/// or one of another format version fails the same way everywhere.
+fn open_artifact(path: &str) -> Result<FrozenParts, String> {
+    aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Loads any artifact format as a sharded engine: v5 is opened frozen
-/// (memory-mapped, indexes adopted zero-copy when the shard count allows),
-/// v1–v4 deserialize and rebuild as before.
-fn load_any(path: &str, shards: Option<usize>) -> Result<ShardedEngine, String> {
-    if sniff_version(path)? == 5 {
-        let parts = aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        ShardedEngine::from_frozen(parts, shards).map_err(|e| format!("{path}: {e}"))
-    } else {
-        let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-        let parts = load_sharded(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        ShardedEngine::from_parts(parts, shards).map_err(|e| format!("{path}: {e}"))
-    }
+/// Opens the artifact as a sharded engine: its segments are adopted
+/// zero-copy as shards unless `shards` asks for a different count.
+fn open_sharded(path: &str, shards: Option<usize>) -> Result<ShardedEngine, String> {
+    ShardedEngine::from_frozen(open_artifact(path)?, shards).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Loads any artifact format as [`aeetes_core::ShardedParts`] — the common
-/// currency of the inspection commands (`stats`, `profile`, `extract`'s
-/// monolithic path), which merge segments rather than serve them.
-fn load_parts_any(path: &str) -> Result<aeetes_core::ShardedParts, String> {
-    if sniff_version(path)? == 5 {
-        let parts = aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        Ok(frozen_to_parts(parts))
-    } else {
-        let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-        load_sharded(&bytes).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Downgrades opened frozen parts to the v3/v4 parts shape (indexes
-/// dropped; they rebuild on demand). Used where a command needs the
-/// merge-to-monolithic path that `ShardedParts` provides.
-fn frozen_to_parts(parts: aeetes_core::FrozenParts) -> aeetes_core::ShardedParts {
-    aeetes_core::ShardedParts {
-        interner: parts.interner,
-        dict: parts.dict,
-        removed: parts.removed,
-        rules: parts.rules,
-        config: parts.config,
-        segments: parts.segments.into_iter().map(|s| s.dd).collect(),
-        generation: parts.generation,
-    }
-}
-
-fn load(path: &str) -> Result<(Aeetes, Interner), String> {
-    load_parts_any(path)?.into_single().map_err(|e| format!("{path}: {e}"))
+/// Opens the artifact and merges its segments into one monolithic engine
+/// (`extract`, `profile`).
+fn open_single(path: &str) -> Result<(Aeetes, Interner), String> {
+    ShardedParts::from(open_artifact(path)?).into_single().map_err(|e| format!("{path}: {e}"))
 }
 
 /// `aeetes extract`
@@ -390,12 +310,12 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
             }
         }
         let format = args.optional("format").unwrap_or("tsv");
-        let (engine, mut interner) = load(engine_path)?;
+        let (engine, mut interner) = open_single(engine_path)?;
         return extract_stream(&engine, &mut interner, tau, format);
     }
 
     let docs_path = args.required("docs")?;
-    let (engine, mut interner) = load(engine_path)?;
+    let (engine, mut interner) = open_single(engine_path)?;
     let tokenizer = Tokenizer::default();
     let docs: Vec<Document> = read_lines(docs_path)?.iter().map(|l| Document::parse(l, &tokenizer, &mut interner)).collect();
 
@@ -562,6 +482,9 @@ pub fn serve_cmd(argv: &[String]) -> Result<i32, String> {
     use crate::serve::{serve, ServeOptions};
     let args = Args::parse(
         argv,
+        // `--frozen` is parsed and ignored (here and in `fleet`) only because
+        // the benchmark harness, which this repository may not edit, still
+        // passes it; every artifact is frozen.
         &["frozen"],
         &[
             "engine",
@@ -621,17 +544,7 @@ pub fn serve_cmd(argv: &[String]) -> Result<i32, String> {
         max_conns: args.parse_or("max-conns", defaults.max_conns)?,
         wal: args.optional("wal").map(std::path::PathBuf::from),
     };
-    // --frozen asserts the artifact is the v5 mmap format (zero-copy start);
-    // without the flag serve auto-detects and loads whatever it is given.
-    if args.switch("frozen") {
-        let version = sniff_version(engine_path)?;
-        if version != 5 {
-            return Err(format!(
-                "{engine_path}: --frozen needs a v5 frozen artifact, this file is v{version} (build one with `aeetes build --frozen`)"
-            ));
-        }
-    }
-    let engine = load_any(engine_path, shards)?;
+    let engine = open_sharded(engine_path, shards)?;
     serve(engine, &opts)?;
     Ok(EXIT_OK)
 }
@@ -725,9 +638,6 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
                 child_args.push(v.to_string());
             }
         }
-        if args.switch("frozen") {
-            child_args.push("--frozen".to_string());
-        }
         for _ in 0..spawn_count {
             replicas.push(ReplicaSpec::Spawn { program: program.clone(), args: child_args.clone() });
         }
@@ -780,10 +690,7 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
 /// and by `aeetes wal compact`. Delta `i` of `deltas` takes generation
 /// `base + i` to `base + i + 1`.
 fn compact_artifact(engine_path: &str, deltas: &[serde_json::Value], base: u64, target: u64) -> Result<(), String> {
-    // Compaction is format-preserving: a frozen (v5) source is rewritten
-    // frozen, anything older is rewritten at the current v4.
-    let frozen = sniff_version(engine_path)? == 5;
-    let engine = load_any(engine_path, None)?;
+    let engine = open_sharded(engine_path, None)?;
     let tokenizer = Tokenizer::default();
     let artifact_gen = engine.generation_id();
     if artifact_gen < base || artifact_gen > target {
@@ -804,8 +711,7 @@ fn compact_artifact(engine_path: &str, deltas: &[serde_json::Value], base: u64, 
     if engine.generation_id() != target {
         return Err(format!("{engine_path}: compaction ended at generation {}, wanted {target}", engine.generation_id()));
     }
-    let bytes = if frozen { engine.freeze() } else { save_sharded(&engine.to_parts()) };
-    atomic_write(engine_path, &bytes)
+    atomic_write(engine_path, &engine.freeze())
 }
 
 /// `aeetes wal`: inspect or compact a delta write-ahead log offline.
@@ -918,10 +824,7 @@ fn wal_compact(argv: &[String]) -> Result<i32, String> {
 pub fn stats(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &[], &["engine"])?;
     let path = args.required("engine")?;
-    // v3+ artifacts carry segments + tombstones + rules; v1/v2 load as one
-    // segment and v5 is opened frozen then downgraded to parts, so a single
-    // code path reports every layout.
-    let parts = load_parts_any(path)?;
+    let parts = ShardedParts::from(open_artifact(path)?);
     let segment_variants: Vec<usize> = parts.segments.iter().map(aeetes_rules::DerivedDictionary::len).collect();
     let tombstones = parts.removed.len();
     let persisted_rules = parts.rules.len();
@@ -951,9 +854,8 @@ pub fn dict_cmd(argv: &[String]) -> Result<i32, String> {
 }
 
 /// `aeetes dict info FILE`: headline artifact facts — version, generation,
-/// entity/rule/token counts, section sizes — straight from the header,
-/// without building an engine (v5 is answered from the section table; v1–v4
-/// are skip-scanned).
+/// entity/rule/token counts, section sizes — straight from the header and
+/// section table, without building an engine.
 fn dict_info(argv: &[String]) -> Result<i32, String> {
     let (positional, flags): (Vec<&String>, Vec<&String>) = argv.iter().partition(|a| !a.starts_with("--"));
     let flags: Vec<String> = flags.into_iter().cloned().collect();
@@ -974,7 +876,6 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
         let out = serde_json::json!({
             "path": path,
             "version": info.version,
-            "frozen": info.version == 5,
             "generation": info.generation,
             "entities": info.entities,
             "rules": info.rules,
@@ -986,28 +887,21 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
         println!("{out}");
         return Ok(EXIT_OK);
     }
-    let kind = match info.version {
-        5 => " (frozen, mmap-able)",
-        3 | 4 => " (sharded)",
-        _ => " (single engine)",
-    };
     println!("artifact            {path}");
-    println!("format version      {}{kind}", info.version);
+    println!("format version      {} (frozen, mmap-able)", info.version);
     println!("generation          {}", info.generation);
     println!("entities            {}", info.entities);
     println!("rules               {}", info.rules);
     println!("tokens              {}", info.tokens);
     println!("segments            {}", info.segments);
     println!("file size (bytes)   {}", info.file_len);
-    if !info.sections.is_empty() {
-        println!("sections:");
-        for s in &info.sections {
-            let owner = match s.seg {
-                None => "global".to_string(),
-                Some(i) => format!("seg {i}"),
-            };
-            println!("  {:<16} {:<8} {:>12} bytes", s.kind, owner, s.len);
-        }
+    println!("sections:");
+    for s in &info.sections {
+        let owner = match s.seg {
+            None => "global".to_string(),
+            Some(i) => format!("seg {i}"),
+        };
+        println!("  {:<16} {:<8} {:>12} bytes", s.kind, owner, s.len);
     }
     Ok(EXIT_OK)
 }
@@ -1076,8 +970,7 @@ pub fn profile_cmd(argv: &[String]) -> Result<i32, String> {
         // A built artifact plus a document file (one document per line).
         Some(engine_path) => {
             let doc_path = args.required("doc")?;
-            let parts = load_parts_any(engine_path)?;
-            let (engine, interner) = parts.into_single().map_err(|e| format!("{engine_path}: {e}"))?;
+            let (engine, interner) = open_single(engine_path)?;
             (engine, interner, read_lines(doc_path)?, format!("{engine_path} on {doc_path}"))
         }
         // No engine: a synthetic corpus, deterministic under --seed, so the

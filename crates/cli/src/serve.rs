@@ -396,9 +396,7 @@ fn respond(sink: &Sink, line: &str) {
         Ok(w) => w,
         Err(poisoned) => poisoned.into_inner(), // a panicked writer still has a usable fd
     };
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
+    let _ = aeetes_cluster::write_line(&mut **w, line);
 }
 
 /// A queued unit of extraction work.
@@ -1368,9 +1366,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(mut stream) = conn else { continue }; // transient accept errors (e.g. ECONNABORTED)
-                                                     // The conns gauge is the live handler count: incremented here (not
-                                                     // in the handler, which would race the next accept past the cap)
-                                                     // and decremented when `handle_connection` returns.
+        let _ = stream.set_nodelay(true); // replies are small and latency-bound; never batch them
+
+        // The conns gauge is the live handler count: incremented here (not
+        // in the handler, which would race the next accept past the cap)
+        // and decremented when `handle_connection` returns.
         if shared.metrics.conns.value() >= shared.max_conns as i64 {
             shared.metrics.conns_rejected.inc(1);
             let reject = Reject {
@@ -1378,8 +1378,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 code: ErrorCode::Shedding,
                 message: format!("connection limit ({}) reached", shared.max_conns),
             };
-            let _ = stream.write_all(error_line(&reject).as_bytes());
-            let _ = stream.write_all(b"\n");
+            let _ = aeetes_cluster::write_line(&mut stream, &error_line(&reject));
             continue; // dropping the stream closes it
         }
         shared.metrics.conns.add(1);

@@ -40,8 +40,9 @@ fn build_stats_extract_round_trip() {
         engine.display().to_string(),
     ]))
     .expect("build succeeds");
-    assert!(engine.exists());
-    assert!(fs::metadata(&engine).unwrap().len() > 32);
+    // No flag but the three paths: the artifact is the one format, one segment.
+    let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
+    assert_eq!((info.version, info.segments), (5, 1));
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -281,15 +282,8 @@ fn malformed_rules_file_reports_line() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Format version from an artifact's 8-byte header prefix.
-fn artifact_version(path: &PathBuf) -> u32 {
-    let bytes = fs::read(path).unwrap();
-    assert_eq!(&bytes[..4], b"AEET");
-    u32::from_le_bytes(bytes[4..8].try_into().unwrap())
-}
-
 #[test]
-fn frozen_build_info_extract_and_compaction_round_trip() {
+fn sharded_build_info_extract_and_compaction_round_trip() {
     let dir = workdir("frozen");
     let dict = dir.join("dict.txt");
     let rules = dir.join("rules.tsv");
@@ -299,8 +293,8 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
     fs::write(&rules, "UQ\tUniversity of Queensland\nAU\tAustralia\nMIT\tMassachusetts Institute of Technology\t0.95\n").unwrap();
     fs::write(&docs, "she visited purdue university usa then mit\nuniversity of queensland australia\n").unwrap();
 
-    // build --frozen writes a v5 artifact.
-    commands::build(&argv(&[
+    // --shards changes the segment count and nothing else about the format.
+    let build_args = [
         s("--dict"),
         dict.display().to_string(),
         s("--rules"),
@@ -309,17 +303,21 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
         engine.display().to_string(),
         s("--shards"),
         s("2"),
-        s("--frozen"),
-    ]))
-    .expect("frozen build succeeds");
-    assert_eq!(artifact_version(&engine), 5);
+    ];
+    commands::build(&argv(&build_args)).expect("sharded build succeeds");
+    let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
+    assert_eq!((info.version, info.segments), (5, 2));
+    // The retired format switch is an unknown flag, not a silent no-op.
+    let mut with_frozen = build_args.to_vec();
+    with_frozen.push(s("--frozen"));
+    assert!(commands::build(&argv(&with_frozen)).unwrap_err().contains("unknown flag --frozen"));
 
     // dict info reads it from the header (both renderings).
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string()])).expect("dict info succeeds");
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string(), s("--json")])).expect("dict info --json succeeds");
 
-    // stats and extract auto-detect the frozen format.
-    commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats over frozen succeeds");
+    // stats and extract merge the two segments back into one engine.
+    commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats over two segments succeeds");
     let code = commands::extract(&argv(&[
         s("--engine"),
         engine.display().to_string(),
@@ -328,11 +326,11 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
         s("--tau"),
         s("0.8"),
     ]))
-    .expect("extract over frozen succeeds");
+    .expect("extract over two segments succeeds");
     assert_eq!(code, commands::EXIT_OK);
 
-    // WAL compaction over a frozen source rewrites the artifact *frozen*
-    // at the log's last generation, then resets the log.
+    // WAL compaction rewrites the artifact at the log's last generation,
+    // then resets the log.
     let wal = dir.join("deltas.wal");
     let mut log = aeetes_core::Wal::create(&wal, 1).expect("create wal");
     let delta = aeetes_cli::protocol::delta_value(&aeetes_shard::DictDelta {
@@ -345,41 +343,61 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
     drop(log);
 
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
-        .expect("wal compact over frozen succeeds");
-    assert_eq!(artifact_version(&engine), 5, "compaction must preserve the frozen format");
-    let bytes = fs::read(&engine).unwrap();
-    let generation = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    assert_eq!(generation, 2, "compacted artifact must carry the log's last generation");
+        .expect("wal compact succeeds");
+    let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
+    assert_eq!((info.version, info.segments), (5, 2));
+    assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
-    // The compacted frozen artifact still serves extraction.
+    // The compacted artifact still serves extraction.
     assert_eq!(
         commands::extract(&argv(&[s("--engine"), engine.display().to_string(), s("--docs"), docs.display().to_string(),]))
-            .expect("extract over compacted frozen artifact"),
+            .expect("extract over compacted artifact"),
         commands::EXIT_OK
     );
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A file with the AEET magic but a format version this build does not read
+/// — the retired v1–v4 layouts, or a future one — fails every command that
+/// opens an engine the same way: an error (exit 1 in `main`) naming the
+/// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
-fn serve_frozen_flag_rejects_legacy_artifacts() {
-    let dir = workdir("frozen-flag");
-    let dict = dir.join("dict.txt");
-    let rules = dir.join("rules.tsv");
-    let engine = dir.join("engine.aeet");
-    fs::write(&dict, "a b\n").unwrap();
-    fs::write(&rules, "a\talpha\n").unwrap();
-    commands::build(&argv(&[
-        s("--dict"),
-        dict.display().to_string(),
-        s("--rules"),
-        rules.display().to_string(),
-        s("--out"),
-        engine.display().to_string(),
-    ]))
-    .unwrap();
-    assert_eq!(artifact_version(&engine), 2);
-    let err =
-        commands::serve_cmd(&argv(&[s("--engine"), engine.display().to_string(), s("--frozen")])).expect_err("--frozen must reject a v2 artifact");
-    assert!(err.contains("v5") && err.contains("v2"), "error names both versions: {err}");
+fn other_format_versions_fail_clean_on_every_verb() {
+    let dir = workdir("legacy");
+    let docs = dir.join("docs.txt");
+    fs::write(&docs, "purdue university usa\n").unwrap();
+    // `wal compact` only opens the artifact when the log has a record to fold.
+    let wal = dir.join("deltas.wal");
+    let mut log = aeetes_core::Wal::create(&wal, 1).expect("create wal");
+    log.append(2, br#"{"add_entities":["x y"]}"#).expect("append delta");
+    log.sync().expect("sync wal");
+    drop(log);
+
+    for version in [1u32, 2, 3, 4, 6] {
+        let engine = dir.join(format!("v{version}.aeet"));
+        let mut bytes = b"AEET".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        fs::write(&engine, &bytes).unwrap();
+        let e = engine.display().to_string();
+        let d = docs.display().to_string();
+        type Verb = (&'static str, fn(&[String]) -> Result<i32, String>, Vec<String>);
+        let verbs: [Verb; 6] = [
+            ("serve", commands::serve_cmd, vec![s("--engine"), e.clone()]),
+            ("extract", commands::extract, vec![s("--engine"), e.clone(), s("--docs"), d.clone()]),
+            ("stats", commands::stats, vec![s("--engine"), e.clone()]),
+            ("profile", commands::profile_cmd, vec![s("--engine"), e.clone(), s("--doc"), d.clone()]),
+            ("dict info", commands::dict_cmd, vec![s("info"), e.clone()]),
+            ("wal compact", commands::wal_cmd, vec![s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), e.clone()]),
+        ];
+        for (verb, run, args) in verbs {
+            let err = run(&args).expect_err(&format!("{verb} must refuse a v{version} file"));
+            assert!(
+                err.contains(&format!("format version {version} ")) && err.contains("rebuild") && err.contains("aeetes build"),
+                "{verb} on v{version}: {err}"
+            );
+        }
+        assert_eq!(fs::read(&engine).unwrap(), bytes, "a refused artifact must be left untouched");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aeetes_core::{save_engine, Aeetes, AeetesConfig};
+use aeetes_core::AeetesConfig;
 use aeetes_rules::RuleSet;
+use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
 use serde_json::Value;
 
@@ -37,8 +38,7 @@ fn engine_file(tag: &str) -> PathBuf {
     for (lhs, rhs) in [("uq", "university of queensland"), ("usa", "united states"), ("au", "australia")] {
         rules.push_str(lhs, rhs, &tokenizer, &mut interner).unwrap();
     }
-    let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
-    let bytes = save_engine(&engine, &interner);
+    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).freeze();
     let path = std::env::temp_dir().join(format!("aeetes-fleet-chaos-{}-{tag}.bin", std::process::id()));
     std::fs::write(&path, bytes).expect("write engine file");
     path

@@ -14,8 +14,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use aeetes_core::{save_engine, Aeetes, AeetesConfig};
+use aeetes_core::AeetesConfig;
 use aeetes_rules::RuleSet;
+use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
 
 /// Builds a small engine file and returns its path (unique per test).
@@ -30,8 +31,7 @@ fn engine_file(tag: &str) -> PathBuf {
     for (lhs, rhs) in [("uq", "university of queensland"), ("usa", "united states"), ("au", "australia")] {
         rules.push_str(lhs, rhs, &tokenizer, &mut interner).unwrap();
     }
-    let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
-    let bytes = save_engine(&engine, &interner);
+    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).freeze();
     let path = std::env::temp_dir().join(format!("aeetes-serve-chaos-{}-{tag}.bin", std::process::id()));
     std::fs::write(&path, bytes).expect("write engine file");
     path
@@ -373,7 +373,7 @@ fn reload_under_load_answers_every_request_once() {
     use std::sync::Arc;
 
     let engine = engine_file("reload");
-    // --shards 3 re-partitions the single-segment v2 artifact on load, so
+    // --shards 3 re-partitions the single-segment artifact on load, so
     // the swap exercises real multi-shard rebuilds.
     let server = Server::spawn(&engine, &["--shards", "3", "--workers", "4", "--queue", "256", "--drain", "15"]);
 
@@ -511,6 +511,41 @@ fn stats_latency_quantiles_are_null_until_two_samples() {
     assert_eq!(field_u64(&stats, "latency_samples"), 2, "{stats}");
     assert!(!stats.contains("\"latency_p50_us\":null"), "{stats}");
     assert!(!stats.contains("\"latency_p99_us\":null"), "{stats}");
+
+    let bye = server.round_trip(r#"{"type":"shutdown"}"#);
+    assert!(bye.contains("\"draining\":true"), "{bye}");
+    server.wait_for_clean_exit(Duration::from_secs(30));
+    let _ = std::fs::remove_file(&engine);
+}
+
+/// A lockstep client on one connection pays no delayed-ACK stall per reply:
+/// the server writes each response line and its newline as one segment,
+/// with Nagle off. Written as two writes the newline waits for the client's
+/// delayed ACK of the line — ~40 ms on every round trip over loopback.
+#[test]
+fn lockstep_round_trips_are_not_stalled_by_delayed_acks() {
+    let engine = engine_file("lockstep");
+    let server = Server::spawn(&engine, &["--workers", "1"]);
+    let mut writer = server.connect();
+    writer.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|i| {
+            // One write per request, so the client side cannot stall either.
+            let request = format!("{{\"id\":{i},\"type\":\"extract\",\"doc\":\"purdue university united states\",\"tau\":0.8}}\n");
+            let sent = Instant::now();
+            writer.write_all(request.as_bytes()).unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read response");
+            let took = sent.elapsed();
+            assert_eq!(status_of(&resp), "ok", "{resp}");
+            took
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(20), "median lockstep round trip {median:?} (all: {round_trips:?})");
 
     let bye = server.round_trip(r#"{"type":"shutdown"}"#);
     assert!(bye.contains("\"draining\":true"), "{bye}");

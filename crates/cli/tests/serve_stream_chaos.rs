@@ -12,8 +12,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use aeetes_core::{save_engine, Aeetes, AeetesConfig};
+use aeetes_core::AeetesConfig;
 use aeetes_rules::RuleSet;
+use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
 
 /// Builds a small engine file and returns its path (unique per test).
@@ -28,8 +29,7 @@ fn engine_file(tag: &str) -> PathBuf {
     for (lhs, rhs) in [("uq", "university of queensland"), ("usa", "united states"), ("au", "australia")] {
         rules.push_str(lhs, rhs, &tokenizer, &mut interner).unwrap();
     }
-    let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
-    let bytes = save_engine(&engine, &interner);
+    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).freeze();
     let path = std::env::temp_dir().join(format!("aeetes-stream-chaos-{}-{tag}.bin", std::process::id()));
     std::fs::write(&path, bytes).expect("write engine file");
     path

@@ -278,9 +278,7 @@ impl Fleet {
 /// never take the coordinator down).
 fn respond(sink: &Sink, line: &str) {
     let mut w = sink.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
+    let _ = crate::write_line(&mut *w, line);
 }
 
 /// Sets (or replaces) one field of a JSON object; no-op on non-objects.
@@ -1047,6 +1045,7 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
 }
 
 fn handle_client(fleet: &Arc<Fleet>, stream: TcpStream) -> bool {
+    let _ = stream.set_nodelay(true); // replies are small and latency-bound; never batch them
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let Ok(write_half) = stream.try_clone() else { return false };
     let sink: Sink = Arc::new(Mutex::new(write_half));

@@ -54,6 +54,18 @@ pub fn retryable_code(code: &str) -> bool {
     matches!(code, "timeout" | "shedding")
 }
 
+/// Writes one NDJSON line — `line` plus its terminating newline — with a
+/// single `write_all`, then flushes. One write, not two: on a socket with
+/// Nagle's algorithm on, a separate one-byte `\n` write is held back until
+/// the peer's delayed ACK of the line before it, a ~40 ms stall per reply.
+pub fn write_line<W: std::io::Write + ?Sized>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@
 
 use serde_json::Value;
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -103,11 +103,7 @@ impl Replica {
     pub fn send_line(&self, line: &str) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let Some(writer) = state.writer.as_mut() else { return false };
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok()
+        crate::write_line(writer, line).is_ok()
     }
 
     pub fn track_inflight(&self, rid: u64) {
@@ -169,6 +165,7 @@ impl Replica {
             ReplicaSpec::Spawn { program, args } => self.spawn_child(program, args, handshake_timeout)?,
         };
         let mut stream = TcpStream::connect(&addr).map_err(|e| format!("replica {}: connect {addr}: {e}", self.id))?;
+        stream.set_nodelay(true).map_err(|e| format!("replica {}: {e}", self.id))?;
         stream.set_read_timeout(Some(handshake_timeout)).map_err(|e| format!("replica {}: {e}", self.id))?;
         let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("replica {}: {e}", self.id))?);
         let hello =
@@ -294,11 +291,7 @@ impl Replica {
 /// (handshake and resync replay). The stream's read timeout bounds the
 /// wait; blank or non-JSON lines are skipped.
 pub fn sync_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<Value, String> {
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("write: {e}"))?;
+    crate::write_line(writer, line).map_err(|e| format!("write: {e}"))?;
     loop {
         let mut response = String::new();
         match reader.read_line(&mut response) {

@@ -1,23 +1,24 @@
-//! Frozen AEET v5: a flat, mmap-able immutable engine image.
+//! Frozen AEET v5: a flat, mmap-able immutable engine image — the one
+//! artifact format Aeetes writes and opens.
 //!
-//! Formats v1–v4 ([`crate::persist`]) deserialize the artifact into heap
-//! structures and then *rebuild the clustered index from scratch* — cheap to
-//! encode, but an engine restart pays seconds of CPU and every serve process
-//! holds its own copy of the index. The v5 layout trades encoder simplicity
-//! for zero-copy starts: every large structure (interner string table,
-//! global order, derived dictionary, clustered index) is laid out as flat
-//! little-endian arrays at 16-byte-aligned offsets, so an engine can
-//! `mmap` the file, validate it, and serve its first request in
-//! milliseconds — and N serve processes on one host share a single page
-//! cache image instead of N private heaps.
+//! The off-line product (derived dictionary + clustered index, paper §3/§5)
+//! is built once and shipped; a format that had to *rebuild* the index on
+//! load would make every restart pay seconds of CPU and every serve process
+//! hold a private copy. The v5 layout instead lays every large structure
+//! (interner string table, global order, derived dictionary, clustered
+//! index) out as flat little-endian arrays at 16-byte-aligned offsets, so
+//! an engine can `mmap` the file, validate it, and serve its first request
+//! in milliseconds — and N serve processes on one host share a single page
+//! cache image instead of N private heaps. Files carrying any other version
+//! word (the retired v1–v4 layouts, or a future one) are refused with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
 //! [ 4.. 8)  version u32 = 5
-//! [ 8..16)  generation u64            (same offset as v4's, so
-//!                                      `peek_generation` is format-blind)
+//! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
 //! [24..24+S·24)  section table: per section
@@ -54,7 +55,7 @@
 
 use crate::config::AeetesConfig;
 use crate::failpoint;
-use crate::persist::{self, crc32, PersistError, Reader};
+use crate::persist::{self, crc32, PersistError, Reader, ShardedParts};
 use aeetes_frozen::{FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
 use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet};
@@ -241,6 +242,23 @@ pub struct FrozenParts {
     pub mmapped: bool,
 }
 
+/// Moves an opened artifact into the heap-owned parts shape, dropping the
+/// prebuilt indexes — for callers that re-bucket or merge the segments
+/// rather than adopt them.
+impl From<FrozenParts> for ShardedParts {
+    fn from(parts: FrozenParts) -> Self {
+        ShardedParts {
+            interner: parts.interner,
+            dict: parts.dict,
+            removed: parts.removed,
+            rules: parts.rules,
+            config: parts.config,
+            segments: parts.segments.into_iter().map(|s| s.dd).collect(),
+            generation: parts.generation,
+        }
+    }
+}
+
 // ---------------------------------------------------------------- writer --
 
 struct SectionWriter {
@@ -336,11 +354,11 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
             w.push_u32s(SEC_DD_RULES, s, rules.iter().map(|r| r.0));
             w.push_u32s(SEC_DD_RULEOFF, s, rule_off.iter().copied());
         } else {
-            // Engines loaded from v2 artifacts carry rule provenance ids
-            // without a rule table (v2 never persisted one). A frozen
-            // artifact must be self-consistent — the opener rejects
-            // dangling cross-references — so unresolvable ids are dropped
-            // here. They were already unresolvable in memory.
+            // The derived dictionary carries rule provenance ids the
+            // supplied rule table cannot resolve (frozen with a different
+            // or empty table). A frozen artifact must be self-consistent —
+            // the opener rejects dangling cross-references — so
+            // unresolvable ids are dropped here.
             let mut kept: Vec<u32> = Vec::with_capacity(rules.len());
             let mut offs: Vec<u32> = Vec::with_capacity(rule_off.len());
             offs.push(0);
@@ -421,19 +439,27 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
     PersistError::Corrupt(msg.into())
 }
 
+/// Checks the magic and the version word. The opener runs this *before* the
+/// CRC so that a file of another format version — a retired v1–v4 artifact,
+/// whose footer (if any) means something else — is named as such instead of
+/// being reported as corruption.
+fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
+    let mut r = Reader { buf: bytes };
+    if r.take(4, "magic")? != persist::MAGIC {
+        return Err(PersistError::BadMagic);
+    }
+    match r.u32("version")? {
+        persist::VERSION_FROZEN => Ok(()),
+        other => Err(PersistError::UnsupportedVersion(other)),
+    }
+}
+
 /// Parses and bounds-checks the header and section table of `bytes`
 /// (which must already be CRC-verified). Rejects out-of-bounds, overlappingly
 /// duplicated, or misaligned sections and missing kinds.
 fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != persist::MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if version != persist::VERSION_FROZEN {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
+    check_header(bytes)?;
+    let mut r = Reader { buf: &bytes[8..] };
     let generation = r.u64("generation")?;
     if generation == 0 {
         return Err(corrupt("generation 0 is invalid (generations start at 1)"));
@@ -538,6 +564,7 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         return Err(corrupt("frozen v5 artifacts require a little-endian host"));
     }
     let bytes = buf.as_bytes();
+    check_header(bytes)?;
     if bytes.len() < HEADER_FIXED + 4 {
         return Err(PersistError::Truncated("frozen header"));
     }
@@ -747,25 +774,25 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (1–5).
+    /// Format version (always 5: other versions are refused).
     pub version: u32,
-    /// Generation number (1 for pre-v4 artifacts).
+    /// Generation number.
     pub generation: u64,
     /// Origin entity count.
     pub entities: usize,
-    /// Synonym rule count (0 for v1/v2, which don't persist rules).
+    /// Synonym rule count.
     pub rules: usize,
     /// Interned token count.
     pub tokens: usize,
-    /// Shard segment count (1 for v1/v2).
+    /// Shard segment count.
     pub segments: usize,
     /// Total artifact size in bytes.
     pub file_len: usize,
-    /// Per-section sizes (v5 only; empty for older formats).
+    /// Per-section sizes.
     pub sections: Vec<SectionInfo>,
 }
 
-/// One v5 section's identity and size.
+/// One section's identity and size.
 #[derive(Debug, Clone)]
 pub struct SectionInfo {
     /// Section kind name (see [`section_kind_name`]).
@@ -777,25 +804,11 @@ pub struct SectionInfo {
 }
 
 /// Reads an artifact's headline facts — version, generation, entity/rule/
-/// token counts, section sizes — without building an engine: v5 artifacts
-/// are answered from the header, section table and the META counts; v1–v4
-/// artifacts are skip-scanned (lengths walked, nothing decoded). No CRC is
-/// verified — this is a diagnostic peek, not a load.
+/// token counts, section sizes — from the header, section table and the
+/// META counts, without building an engine. No CRC is verified — this is a
+/// diagnostic peek, not a load.
 pub fn peek_info(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != persist::MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    match version {
-        persist::VERSION_FROZEN => peek_info_v5(bytes),
-        1..=4 => peek_info_legacy(bytes, version),
-        other => Err(PersistError::UnsupportedVersion(other)),
-    }
-}
-
-fn peek_info_v5(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
+    check_header(bytes)?;
     if bytes.len() < HEADER_FIXED + 4 {
         return Err(PersistError::Truncated("frozen header"));
     }
@@ -825,54 +838,6 @@ fn peek_info_v5(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
         segments: table.segments,
         file_len: bytes.len(),
         sections,
-    })
-}
-
-/// Skip-scans a v1–v4 artifact: every variable-length field is walked by
-/// its length prefix; strings, variants and segments are never decoded.
-fn peek_info_legacy(bytes: &[u8], version: u32) -> Result<ArtifactInfo, PersistError> {
-    let mut r = Reader { buf: &bytes[8..] };
-    let generation = if version >= 4 { r.u64("generation")? } else { 1 };
-    let tokens = r.u32("interner size")? as usize;
-    r.check_count(tokens, 4, "interner size")?;
-    for _ in 0..tokens {
-        let n = r.u32("interner string")? as usize;
-        r.take(n, "interner string")?;
-    }
-    let entities = r.u32("dictionary size")? as usize;
-    r.check_count(entities, 8, "dictionary size")?;
-    for _ in 0..entities {
-        let n = r.u32("entity raw")? as usize;
-        r.take(n, "entity raw")?;
-        let t = r.u32("entity tokens")? as usize;
-        r.take(t.checked_mul(4).ok_or(PersistError::Truncated("entity tokens"))?, "entity tokens")?;
-    }
-    let (rules, segments) = if version >= 3 {
-        let n_removed = r.u32("removed size")? as usize;
-        r.take(n_removed.checked_mul(4).ok_or(PersistError::Truncated("removed ids"))?, "removed ids")?;
-        let n_rules = r.u32("rules size")? as usize;
-        r.check_count(n_rules, 16, "rules size")?;
-        for _ in 0..n_rules {
-            for side in ["rule lhs", "rule rhs"] {
-                let n = r.u32(side)? as usize;
-                r.take(n.checked_mul(4).ok_or(PersistError::Truncated("rule side"))?, side)?;
-            }
-            r.take(8, "rule weight")?;
-        }
-        r.take(10, "config")?; // u8 strategy + u8 metric + u64 max_derived
-        (n_rules, r.u32("segment count")? as usize)
-    } else {
-        (0, 1)
-    };
-    Ok(ArtifactInfo {
-        version,
-        generation,
-        entities,
-        rules,
-        tokens,
-        segments,
-        file_len: bytes.len(),
-        sections: Vec::new(),
     })
 }
 
@@ -958,20 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_bitflips_never_panic() {
-        let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 2);
-        for cut in 0..bytes.len() {
-            assert!(open_frozen_bytes(&bytes[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-        for i in (0..bytes.len()).step_by(7) {
-            let mut b = bytes.clone();
-            b[i] ^= 0xFF;
-            assert!(open_frozen_bytes(&b).is_err(), "bit flip at {i} accepted (CRC must catch everything)");
-        }
-    }
-
-    #[test]
     fn misaligned_section_offset_rejected() {
         let (engine, int, _, rules) = sample();
         let mut bytes = freeze_sample(&engine, &int, &rules, 2);
@@ -1047,7 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_info_reports_v5_and_legacy() {
+    fn peek_info_reports_header_facts() {
         let (engine, int, _, rules) = sample();
         let v5 = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&v5).expect("peek v5");
@@ -1060,30 +1011,27 @@ mod tests {
         assert_eq!(info.file_len, v5.len());
         assert!(!info.sections.is_empty());
         assert!(info.sections.iter().any(|s| s.kind == "ix.entries"));
-
-        let v2 = crate::save_engine(&engine, &int);
-        let info = peek_info(&v2).expect("peek v2");
-        assert_eq!(info.version, 2);
-        assert_eq!(info.generation, 1);
-        assert_eq!(info.entities, 3);
-        assert_eq!(info.rules, 0, "v2 doesn't persist rules");
-        assert_eq!(info.tokens, int.len());
-        assert_eq!(info.segments, 1);
-        assert!(info.sections.is_empty());
     }
 
     #[test]
-    fn peek_generation_reads_v5_header() {
+    fn other_format_versions_are_named_not_called_corrupt() {
+        // A valid magic with any version but 5 — the retired v1–v4 layouts
+        // or a future one — is refused by version, whatever follows it (no
+        // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 42);
-        assert_eq!(crate::peek_generation(&bytes).unwrap(), 42);
-    }
-
-    #[test]
-    fn load_sharded_rejects_v5() {
-        let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 1);
-        assert!(matches!(crate::load_sharded(&bytes), Err(PersistError::UnsupportedVersion(5))));
+        let v5 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 6, 99] {
+            let mut whole = v5.clone();
+            whole[4..8].copy_from_slice(&version.to_le_bytes());
+            let mut bare = b"AEET".to_vec();
+            bare.extend_from_slice(&version.to_le_bytes());
+            for bytes in [&whole, &bare] {
+                assert!(matches!(open_frozen_bytes(bytes), Err(PersistError::UnsupportedVersion(v)) if v == version), "open v{version}");
+                assert!(matches!(peek_info(bytes), Err(PersistError::UnsupportedVersion(v)) if v == version), "peek v{version}");
+            }
+        }
+        assert!(matches!(open_frozen_bytes(b"NOPE1234"), Err(PersistError::BadMagic)));
+        assert!(matches!(open_frozen_bytes(b"AE"), Err(PersistError::Truncated(_))));
     }
 
     #[test]

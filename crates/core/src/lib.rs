@@ -81,7 +81,7 @@ pub use frozen::{
 pub use limits::{CancelToken, ExtractLimits, ExtractOutcome};
 pub use matches::Match;
 pub use nms::suppress_overlaps;
-pub use persist::{load_engine, load_sharded, peek_generation, save_engine, save_sharded, PersistError, ShardedParts};
+pub use persist::{PersistError, ShardedParts};
 pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};

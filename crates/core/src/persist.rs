@@ -1,103 +1,45 @@
-//! Binary persistence of the off-line artifacts.
+//! The shared pieces of the on-disk artifact: error type, checksum and the
+//! little-endian byte codec.
 //!
-//! The derived dictionary is the expensive part of preprocessing (rule
-//! application over the whole entity table), so production deployments
-//! build once and ship the artifact. [`save_engine`] serializes the
-//! interner, the origin dictionary, the derived dictionary and the engine
-//! configuration into a compact little-endian format; [`load_engine`]
-//! restores them and rebuilds the clustered index (which is derived state —
-//! rebuilding keeps the format small and version-stable).
+//! Aeetes writes and reads exactly one artifact format — the frozen AEET v5
+//! layout of [`crate::frozen`]. This module holds what that format (and the
+//! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
+//! every integrity check uses, the `put_*` encoders and the bounds-checked
+//! [`Reader`] for the small decoded-on-open META blob, and
+//! [`ShardedParts`], the heap-owned in-memory shape an opened artifact is
+//! re-bucketed through when it cannot be adopted as-is.
 //!
-//! Format (version 2, the single-engine layout [`save_engine`] writes):
-//!
-//! ```text
-//! magic  "AEET"            4 bytes
-//! version u32
-//! interner: u32 count, then per string: u32 byte-len + UTF-8 bytes
-//! dictionary: u32 count, per entity: u32 raw-len + bytes, u32 n + n×u32 ids
-//! derived: u32 count, per variant:
-//!     u32 origin, u32 n + n×u32 token ids, u32 r + r×u32 rule ids, f64 weight
-//! derive stats: 6×u64
-//! config: u8 strategy, u8 metric, u64 max_derived
-//! checksum: u32 CRC-32 (IEEE) of every preceding byte   (version ≥ 2 only)
-//! ```
-//!
-//! Format version 3 ([`save_sharded`]) carries a sharded engine: the derived
-//! dictionary is split into per-shard *segments*, each independently
-//! CRC-guarded, and the artifact additionally records the synonym rule table
-//! (needed to re-derive affected shards on a dictionary delta) and removal
-//! tombstones:
-//!
-//! ```text
-//! magic "AEET", version u32 = 3
-//! interner, dictionary            (as v2)
-//! removed: u32 count + n×u32 origin-entity ids (tombstones)
-//! rules: u32 count, per rule: u32 l + l×u32 ids, u32 r + r×u32 ids, f64 w
-//! config: u8 strategy, u8 metric, u64 max_derived
-//! segments: u32 count, per segment:
-//!     u32 payload-len, payload (u32 derived count + variants + 6×u64 stats),
-//!     u32 CRC-32 of the payload
-//! checksum: u32 CRC-32 of every preceding byte
-//! ```
-//!
-//! Format version 4 is v3 plus one field: the engine's generation number,
-//! a `u64` immediately after the version word. Persisting it lets a
-//! restarted server (or a WAL compaction) resume the generation sequence
-//! exactly where the saved engine left off instead of renumbering from 1:
-//!
-//! ```text
-//! magic "AEET", version u32 = 4
-//! generation u64                  (the saved engine's generation id)
-//! ...rest identical to v3...
-//! ```
-//!
-//! Version 1 files are identical to v2 minus the checksum footer and still
-//! load (they simply don't get integrity verification); [`load_engine`]
-//! accepts v1–v4 (merging v3/v4 segments back into one derived dictionary),
-//! and [`load_sharded`] accepts the same versions (wrapping v1/v2 as one
-//! segment with generation 1). The loader is hardened against hostile
-//! input: the checksum is
-//! verified before any field is parsed, every length field is validated
-//! against the bytes actually remaining before allocation, and all
-//! cross-references (token ids, origins, weights, enum tags) are
-//! range-checked. A corrupt or truncated buffer yields a [`PersistError`],
-//! never a panic or an outsized allocation.
+//! The reader is hardened against hostile input: every length field is
+//! validated against the bytes actually remaining before allocation and
+//! cross-references (token ids, enum tags) are range-checked, so a corrupt
+//! buffer yields a [`PersistError`], never a panic or an outsized
+//! allocation.
 
 use crate::config::AeetesConfig;
 use crate::extractor::Aeetes;
 use crate::strategy::Strategy;
-use aeetes_rules::{DeriveConfig, DeriveStats, DerivedDictionary, DerivedEntity, RuleId, RuleSet};
+use aeetes_rules::{DeriveConfig, DeriveStats, DerivedDictionary, DerivedEntity, RuleSet};
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::fmt;
 
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
-const VERSION: u32 = 2;
-/// First sharded format version (no generation field).
-const VERSION_SHARDED: u32 = 3;
-/// Current sharded format version ([`save_sharded`]): v3 + generation id.
-const VERSION_SHARDED_GEN: u32 = 4;
-/// The flat, mmap-able frozen format ([`crate::frozen`]). Not a
-/// [`load_sharded`] format: the v5 layout is opened zero-copy by
-/// [`crate::frozen::open_frozen`] instead of deserialized here.
+/// The one format version written and opened: the flat, mmap-able frozen
+/// layout of [`crate::frozen`].
 pub(crate) const VERSION_FROZEN: u32 = 5;
-/// Oldest format version [`load_engine`] still accepts.
-const MIN_VERSION: u32 = 1;
 /// A token list longer than this could not be indexed anyway: the clustered
 /// index addresses positions within a variant's sorted token set with `u16`.
 const MAX_VARIANT_TOKENS: usize = u16::MAX as usize;
-/// Smallest possible encoding of one derived variant (origin + two zero
-/// counts + weight); used to cap pre-allocation against the bytes remaining.
-const MIN_VARIANT_BYTES: usize = 4 + 4 + 4 + 8;
 
-/// Errors raised while loading a persisted engine.
+/// Errors raised while opening a persisted engine.
 #[derive(Debug)]
 pub enum PersistError {
     /// The buffer does not start with the `AEET` magic.
     BadMagic,
-    /// The format version is newer than this library understands.
+    /// The file is an AEET artifact of a format version this build does not
+    /// read (anything but 5): rebuild it from its sources.
     UnsupportedVersion(u32),
-    /// The checksum footer does not match the payload (version ≥ 2).
+    /// The checksum footer does not match the payload.
     ChecksumMismatch {
         /// CRC-32 recorded in the file footer.
         expected: u32,
@@ -116,7 +58,10 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::BadMagic => write!(f, "not an Aeetes engine file (bad magic)"),
-            PersistError::UnsupportedVersion(v) => write!(f, "unsupported engine format version {v}"),
+            PersistError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported engine format version {v} (this build reads only version {VERSION_FROZEN}); rebuild the artifact with `aeetes build`"
+            ),
             PersistError::ChecksumMismatch { expected, actual } => {
                 write!(f, "engine file checksum mismatch (expected {expected:#010x}, got {actual:#010x})")
             }
@@ -376,43 +321,10 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
 pub(crate) fn put_ids(buf: &mut Vec<u8>, ids: &[TokenId]) {
     put_u32(buf, ids.len() as u32);
     for t in ids {
         put_u32(buf, t.0);
-    }
-}
-
-fn put_interner(buf: &mut Vec<u8>, interner: &Interner) {
-    put_u32(buf, interner.len() as u32);
-    for s in interner.iter_strings() {
-        put_str(buf, s);
-    }
-}
-
-pub(crate) fn put_dict(buf: &mut Vec<u8>, dict: &Dictionary) {
-    put_u32(buf, dict.len() as u32);
-    for (_, e) in dict.iter() {
-        put_str(buf, e.raw);
-        put_ids(buf, e.tokens);
-    }
-}
-
-fn put_variants(buf: &mut Vec<u8>, dd: &DerivedDictionary) {
-    put_u32(buf, dd.len() as u32);
-    for (_, d) in dd.iter() {
-        put_u32(buf, d.origin.0);
-        put_ids(buf, d.tokens);
-        put_u32(buf, d.rules.len() as u32);
-        for r in d.rules {
-            put_u32(buf, r.0);
-        }
-        buf.extend_from_slice(&d.weight.to_le_bytes());
     }
 }
 
@@ -445,30 +357,17 @@ pub(crate) fn put_config(buf: &mut Vec<u8>, config: &AeetesConfig) {
     put_u64(buf, config.derive.max_derived as u64);
 }
 
-/// Serializes `engine` (and the interner its token ids refer to) into a
-/// standalone byte buffer, ending with a CRC-32 integrity footer.
-pub fn save_engine(engine: &Aeetes, interner: &Interner) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 << 16);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION);
-    put_interner(&mut buf, interner);
-    put_dict(&mut buf, engine.dictionary());
-    put_variants(&mut buf, engine.derived());
-    put_stats(&mut buf, engine.derived().stats());
-    put_config(&mut buf, engine.config());
-    let checksum = crc32(&buf);
-    put_u32(&mut buf, checksum);
-    buf
-}
-
-/// The engine-neutral contents of a sharded (format v3) artifact: the shared
-/// sections plus one derived-dictionary segment per shard. `aeetes-core`
-/// stays ignorant of shard routing — it only guarantees that every origin's
-/// variants live in exactly one segment, which is what lets
-/// [`ShardedParts::into_single`] merge them back with a stable sort.
+/// The heap-owned contents of an engine in shard-segmented form: the shared
+/// sections plus one derived dictionary per shard. This is the shape an
+/// opened artifact takes (`From<FrozenParts>`) when its segments cannot be
+/// adopted zero-copy — a shard-count override re-buckets them, the CLI's
+/// inspection commands merge them with [`ShardedParts::into_single`].
+/// `aeetes-core` stays ignorant of shard routing — it only relies on every
+/// origin's variants living in exactly one segment, which is what lets
+/// `into_single` merge them back with a stable sort.
 #[derive(Debug, Clone)]
 pub struct ShardedParts {
-    /// Token interner every id in the artifact refers into.
+    /// Token interner every id in the engine refers into.
     pub interner: Interner,
     /// The origin dictionary, over the *full* entity id space (removed
     /// entities keep their slot so ids stay stable across generations).
@@ -476,7 +375,7 @@ pub struct ShardedParts {
     /// Tombstones: origin ids whose variants have been dropped from every
     /// segment but whose dictionary slots remain reserved.
     pub removed: Vec<EntityId>,
-    /// The synonym rule table, persisted so a dictionary delta can re-derive
+    /// The synonym rule table, carried so a dictionary delta can re-derive
     /// affected shards without the original rule source.
     pub rules: RuleSet,
     /// Engine configuration (strategy, metric, derive cap).
@@ -485,9 +384,9 @@ pub struct ShardedParts {
     /// (non-resident origins have empty variant ranges), and no origin has
     /// variants in more than one segment.
     pub segments: Vec<DerivedDictionary>,
-    /// The saved engine's generation number (v4; 1 for older artifacts).
-    /// A loader resuming from this artifact continues numbering from here,
-    /// which is what keeps WAL record generations aligned across restarts.
+    /// The engine's generation number. An engine resuming from these parts
+    /// continues numbering from here, which is what keeps WAL record
+    /// generations aligned across restarts.
     pub generation: u64,
 }
 
@@ -514,54 +413,6 @@ impl ShardedParts {
         let dd = DerivedDictionary::from_parts(derived, dict.len(), stats).map_err(PersistError::Corrupt)?;
         Ok((Aeetes::from_parts(dict, dd, &interner, config), interner))
     }
-}
-
-/// Serializes a sharded engine's parts into a format v4 artifact: the
-/// generation number, shared sections once, then each shard's derived
-/// dictionary as an independently CRC-guarded segment, then the whole-file
-/// CRC-32 footer.
-pub fn save_sharded(parts: &ShardedParts) -> Vec<u8> {
-    save_sharded_versioned(parts, VERSION_SHARDED_GEN)
-}
-
-/// Writer parameterized on format version (v3 drops the generation field);
-/// kept internal so the version-compatibility tests can produce genuine
-/// old-format fixtures with the same encoder.
-#[doc(hidden)]
-pub fn save_sharded_versioned(parts: &ShardedParts, version: u32) -> Vec<u8> {
-    debug_assert!((VERSION_SHARDED..=VERSION_SHARDED_GEN).contains(&version));
-    let mut buf = Vec::with_capacity(1 << 16);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, version);
-    if version >= VERSION_SHARDED_GEN {
-        put_u64(&mut buf, parts.generation);
-    }
-    put_interner(&mut buf, &parts.interner);
-    put_dict(&mut buf, &parts.dict);
-    put_u32(&mut buf, parts.removed.len() as u32);
-    for e in &parts.removed {
-        put_u32(&mut buf, e.0);
-    }
-    put_u32(&mut buf, parts.rules.len() as u32);
-    for (_, rule) in parts.rules.iter() {
-        put_ids(&mut buf, &rule.lhs);
-        put_ids(&mut buf, &rule.rhs);
-        buf.extend_from_slice(&rule.weight.to_le_bytes());
-    }
-    put_config(&mut buf, &parts.config);
-    put_u32(&mut buf, parts.segments.len() as u32);
-    let mut payload = Vec::new();
-    for dd in &parts.segments {
-        payload.clear();
-        put_variants(&mut payload, dd);
-        put_stats(&mut payload, dd.stats());
-        put_u32(&mut buf, payload.len() as u32);
-        buf.extend_from_slice(&payload);
-        put_u32(&mut buf, crc32(&payload));
-    }
-    let checksum = crc32(&buf);
-    put_u32(&mut buf, checksum);
-    buf
 }
 
 pub(crate) struct Reader<'a> {
@@ -603,16 +454,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, PersistError> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8-byte slice")))
     }
-    pub(crate) fn str(&mut self, what: &'static str) -> Result<String, PersistError> {
-        Ok(self.str_ref(what)?.to_string())
-    }
-    /// Borrowed form of [`Reader::str`] — no allocation; the `&str` views
-    /// the underlying buffer.
-    pub(crate) fn str_ref(&mut self, what: &'static str) -> Result<&'a str, PersistError> {
-        let n = self.u32(what)? as usize;
-        let raw = self.take(n, what)?;
-        std::str::from_utf8(raw).map_err(|_| PersistError::Corrupt(format!("invalid UTF-8 in {what}")))
-    }
     /// Reads a `u32` count followed by that many range-checked token ids.
     /// The count is validated against the remaining bytes (4 per id) before
     /// any allocation, so a forged length can't trigger an outsized
@@ -633,112 +474,6 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
-    /// Like [`Reader::ids`], but yields a validated borrowed iterator
-    /// instead of allocating a `Vec` — the dictionary bulk-load path calls
-    /// this once per entity, so per-call allocations add up.
-    pub(crate) fn ids_ref(&mut self, max: u32, what: &'static str) -> Result<impl ExactSizeIterator<Item = TokenId> + 'a, PersistError> {
-        let n = self.u32(what)? as usize;
-        if n > MAX_VARIANT_TOKENS {
-            return Err(PersistError::Corrupt(format!("{what}: token list of {n} exceeds the index limit of {MAX_VARIANT_TOKENS}")));
-        }
-        let raw = self.take(n.checked_mul(4).ok_or(PersistError::Truncated(what))?, what)?;
-        let decode = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
-        if let Some(id) = raw.chunks_exact(4).map(decode).find(|&id| id >= max) {
-            return Err(PersistError::Corrupt(format!("token id {id} out of range {max} in {what}")));
-        }
-        Ok(raw.chunks_exact(4).map(move |c| TokenId(decode(c))))
-    }
-}
-
-/// Parses the header, validates the version against `MIN_VERSION..=`
-/// [`VERSION_SHARDED_GEN`], and — for checksummed versions — verifies the
-/// whole-file CRC-32 footer before any field is trusted. Returns the version
-/// and a reader over the payload (header stripped, footer dropped).
-fn open(bytes: &[u8]) -> Result<(u32, Reader<'_>), PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if !(MIN_VERSION..=VERSION_SHARDED_GEN).contains(&version) {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    if version >= 2 {
-        // Verify integrity before trusting any length or id field.
-        let payload_len = bytes.len().checked_sub(4).ok_or(PersistError::Truncated("checksum"))?;
-        if payload_len < 8 {
-            return Err(PersistError::Truncated("checksum"));
-        }
-        let expected = u32::from_le_bytes(bytes[payload_len..].try_into().expect("4-byte footer"));
-        let actual = crc32(&bytes[..payload_len]);
-        if expected != actual {
-            return Err(PersistError::ChecksumMismatch { expected, actual });
-        }
-        // Drop the footer from the reader's view of the payload.
-        r.buf = &bytes[8..payload_len];
-    }
-    Ok((version, r))
-}
-
-fn read_interner(r: &mut Reader<'_>) -> Result<Interner, PersistError> {
-    let mut interner = Interner::new();
-    let n_tokens = r.u32("interner size")?;
-    // Each interned string takes at least its 4-byte length prefix.
-    r.check_count(n_tokens as usize, 4, "interner size")?;
-    for _ in 0..n_tokens {
-        let s = r.str("interner string")?;
-        interner.intern(&s);
-    }
-    Ok(interner)
-}
-
-pub(crate) fn read_dict(r: &mut Reader<'_>, n_tokens: u32) -> Result<Dictionary, PersistError> {
-    let mut dict = Dictionary::new();
-    let n_entities = r.u32("dictionary size")?;
-    // Each entity takes at least its two 4-byte length prefixes.
-    r.check_count(n_entities as usize, 8, "dictionary size")?;
-    dict.reserve(n_entities as usize, 4, 24);
-    for _ in 0..n_entities {
-        let raw = r.str_ref("entity raw")?;
-        let tokens = r.ids_ref(n_tokens, "entity tokens")?;
-        dict.push_from(raw, tokens);
-    }
-    Ok(dict)
-}
-
-/// Reads a variant table. `max_rule` bounds rule-id cross-references when
-/// the artifact carries a rule table (v3); v1/v2 artifacts don't, so their
-/// rule ids are provenance-only and pass through unchecked.
-fn read_variants(r: &mut Reader<'_>, n_tokens: u32, n_entities: u32, max_rule: Option<u32>) -> Result<Vec<DerivedEntity>, PersistError> {
-    let n_derived = r.u32("derived size")? as usize;
-    r.check_count(n_derived, MIN_VARIANT_BYTES, "derived size")?;
-    let mut derived = Vec::with_capacity(n_derived);
-    for _ in 0..n_derived {
-        let origin = r.u32("variant origin")?;
-        if origin >= n_entities {
-            return Err(PersistError::Corrupt(format!("origin {origin} out of range {n_entities}")));
-        }
-        let tokens = r.ids(n_tokens, "variant tokens")?;
-        let n_rules = r.u32("variant rules")? as usize;
-        let raw_rules = r.take(n_rules.checked_mul(4).ok_or(PersistError::Truncated("variant rules"))?, "variant rule id")?;
-        let mut rules = Vec::with_capacity(n_rules);
-        for c in raw_rules.chunks_exact(4) {
-            let id = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
-            if let Some(max) = max_rule {
-                if id >= max {
-                    return Err(PersistError::Corrupt(format!("variant rule id {id} out of range {max}")));
-                }
-            }
-            rules.push(RuleId(id));
-        }
-        let weight = r.f64("variant weight")?;
-        if !(weight > 0.0 && weight <= 1.0) {
-            return Err(PersistError::Corrupt(format!("variant weight {weight} outside (0, 1]")));
-        }
-        derived.push(DerivedEntity { origin: EntityId(origin), tokens, rules, weight });
-    }
-    Ok(derived)
 }
 
 pub(crate) fn read_stats(r: &mut Reader<'_>) -> Result<DeriveStats, PersistError> {
@@ -776,296 +511,16 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<AeetesConfig, PersistErr
     })
 }
 
-/// Restores the parts of a persisted engine in shard-segmented form.
-/// Accepts format versions 1–3; v1/v2 single-engine artifacts come back as
-/// one segment with an empty rule table and no tombstones. Every segment's
-/// CRC is verified and each origin is checked to own variants in at most
-/// one segment.
-pub fn load_sharded(bytes: &[u8]) -> Result<ShardedParts, PersistError> {
-    let (version, mut r) = open(bytes)?;
-    let generation = if version >= VERSION_SHARDED_GEN {
-        let g = r.u64("generation")?;
-        if g == 0 {
-            return Err(PersistError::Corrupt("generation 0 is invalid (generations start at 1)".into()));
-        }
-        g
-    } else {
-        1
-    };
-    let interner = read_interner(&mut r)?;
-    let n_tokens = interner.len() as u32;
-    let dict = read_dict(&mut r, n_tokens)?;
-    let n_entities = dict.len() as u32;
-
-    if version < VERSION_SHARDED {
-        // v1/v2 single-engine layout: derived, stats, config.
-        let derived = read_variants(&mut r, n_tokens, n_entities, None)?;
-        let stats = read_stats(&mut r)?;
-        let config = read_config(&mut r)?;
-        if !r.buf.is_empty() {
-            return Err(PersistError::Corrupt(format!("{} trailing bytes after engine data", r.buf.len())));
-        }
-        let dd = DerivedDictionary::from_parts(derived, dict.len(), stats).map_err(PersistError::Corrupt)?;
-        return Ok(ShardedParts {
-            interner,
-            dict,
-            removed: Vec::new(),
-            rules: RuleSet::new(),
-            config,
-            segments: vec![dd],
-            generation,
-        });
-    }
-
-    let n_removed = r.u32("removed size")? as usize;
-    r.check_count(n_removed, 4, "removed size")?;
-    let mut removed = Vec::with_capacity(n_removed);
-    for _ in 0..n_removed {
-        let id = r.u32("removed id")?;
-        if id >= n_entities {
-            return Err(PersistError::Corrupt(format!("removed id {id} out of range {n_entities}")));
-        }
-        removed.push(EntityId(id));
-    }
-
-    let n_rules = r.u32("rules size")? as usize;
-    // Each rule takes at least two 4-byte counts plus the 8-byte weight.
-    r.check_count(n_rules, 16, "rules size")?;
-    let mut rules = RuleSet::new();
-    rules.reserve(n_rules);
-    for _ in 0..n_rules {
-        let lhs = r.ids(n_tokens, "rule lhs")?;
-        let rhs = r.ids(n_tokens, "rule rhs")?;
-        let weight = r.f64("rule weight")?;
-        rules
-            .push_tokens(lhs, rhs, weight)
-            .map_err(|e| PersistError::Corrupt(format!("invalid persisted rule: {e}")))?;
-    }
-
-    let config = read_config(&mut r)?;
-
-    let n_segments = r.u32("segment count")? as usize;
-    // Each segment takes at least its length prefix, an empty variant
-    // table, the stats block and its CRC.
-    r.check_count(n_segments, 4 + 4 + 48 + 4, "segment count")?;
-    let mut segments = Vec::with_capacity(n_segments);
-    let mut claimed = vec![false; dict.len()];
-    for _ in 0..n_segments {
-        let len = r.u32("segment length")? as usize;
-        let payload = r.take(len, "segment payload")?;
-        let expected = r.u32("segment checksum")?;
-        let actual = crc32(payload);
-        if expected != actual {
-            return Err(PersistError::ChecksumMismatch { expected, actual });
-        }
-        let mut sr = Reader { buf: payload };
-        let derived = read_variants(&mut sr, n_tokens, n_entities, Some(n_rules as u32))?;
-        let stats = read_stats(&mut sr)?;
-        if !sr.buf.is_empty() {
-            return Err(PersistError::Corrupt(format!("{} trailing bytes in segment payload", sr.buf.len())));
-        }
-        let dd = DerivedDictionary::from_parts(derived, dict.len(), stats).map_err(PersistError::Corrupt)?;
-        // `from_parts` guarantees grouped-ascending origins within the
-        // segment; across segments each origin may appear only once, or the
-        // merge in `into_single` would interleave variants of one origin.
-        let mut prev = None;
-        for (_, d) in dd.iter() {
-            if prev == Some(d.origin) {
-                continue;
-            }
-            prev = Some(d.origin);
-            let o = d.origin.0 as usize;
-            if claimed[o] {
-                return Err(PersistError::Corrupt(format!("origin {} has variants in multiple segments", d.origin.0)));
-            }
-            claimed[o] = true;
-        }
-        segments.push(dd);
-    }
-    if !r.buf.is_empty() {
-        return Err(PersistError::Corrupt(format!("{} trailing bytes after engine data", r.buf.len())));
-    }
-    Ok(ShardedParts { interner, dict, removed, rules, config, segments, generation })
-}
-
-/// Reads just enough of an artifact header to report its generation number
-/// without parsing (or integrity-checking) the body: v4 and the frozen v5
-/// format both store it right after the version word; older versions are
-/// generation 1 by definition. Used by the fleet coordinator to align its
-/// WAL base with an artifact cheaply.
-pub fn peek_generation(bytes: &[u8]) -> Result<u64, PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if !(MIN_VERSION..=VERSION_FROZEN).contains(&version) {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    if version >= VERSION_SHARDED_GEN {
-        let g = r.u64("generation")?;
-        if g == 0 {
-            return Err(PersistError::Corrupt("generation 0 is invalid (generations start at 1)".into()));
-        }
-        Ok(g)
-    } else {
-        Ok(1)
-    }
-}
-
-/// Restores an engine (and its interner) previously written by
-/// [`save_engine`] or [`save_sharded`]. The clustered index is rebuilt from
-/// the derived dictionary. Accepts format versions 1 (no checksum), 2, and
-/// 3 (whose segments are merged back into one derived dictionary).
-pub fn load_engine(bytes: &[u8]) -> Result<(Aeetes, Interner), PersistError> {
-    load_sharded(bytes)?.into_single()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_rules::RuleSet;
     use aeetes_text::{Document, Tokenizer};
 
-    fn sample_engine() -> (Aeetes, Interner, Tokenizer) {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let mut dict = Dictionary::new();
-        dict.push("Purdue University USA", &tok, &mut int);
-        dict.push("UQ AU", &tok, &mut int);
-        let mut rules = RuleSet::new();
-        rules.push_str("UQ", "University of Queensland", &tok, &mut int).unwrap();
-        rules.push_weighted_str("AU", "Australia", 0.9, &tok, &mut int).unwrap();
-        let engine = Aeetes::build(dict, &rules, &int, AeetesConfig::default());
-        (engine, int, tok)
-    }
-
+    /// Two segments — even-id origins in segment 0, odd-id origins in
+    /// segment 1 — merge back into an engine that extracts exactly what the
+    /// monolithic build does.
     #[test]
-    fn round_trip_preserves_results() {
-        let (engine, mut int, tok) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        let (loaded, mut loaded_int) = load_engine(&bytes).expect("load");
-
-        let doc_text = "she left UQ Australia for Purdue University USA";
-        let doc_a = Document::parse(doc_text, &tok, &mut int);
-        let doc_b = Document::parse(doc_text, &tok, &mut loaded_int);
-        for tau in [0.7, 0.9] {
-            let a = engine.extract(&doc_a, tau);
-            let b = loaded.extract(&doc_b, tau);
-            assert_eq!(a, b, "tau={tau}");
-        }
-        assert_eq!(loaded.dictionary().len(), engine.dictionary().len());
-        assert_eq!(loaded.derived().len(), engine.derived().len());
-        assert_eq!(loaded.derived().stats(), engine.derived().stats());
-        assert_eq!(loaded.config().strategy, engine.config().strategy);
-    }
-
-    #[test]
-    fn round_trip_preserves_interner() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        let (_, loaded_int) = load_engine(&bytes).unwrap();
-        assert_eq!(loaded_int.len(), int.len());
-        for (a, b) in int.iter_strings().zip(loaded_int.iter_strings()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert!(matches!(load_engine(b"NOPE1234"), Err(PersistError::BadMagic)));
-        assert!(matches!(load_engine(b"AE"), Err(PersistError::Truncated(_))));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let (engine, int, _) = sample_engine();
-        let mut bytes = save_engine(&engine, &int);
-        bytes[4] = 99;
-        assert!(matches!(load_engine(&bytes), Err(PersistError::UnsupportedVersion(99))));
-    }
-
-    #[test]
-    fn version_one_without_checksum_still_loads() {
-        // A v1 file is the v2 payload minus the footer, with the version
-        // field rewritten — exactly what pre-checksum builds produced.
-        let (engine, int, _) = sample_engine();
-        let mut bytes = save_engine(&engine, &int);
-        bytes.truncate(bytes.len() - 4);
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let (loaded, _) = load_engine(&bytes).expect("v1 file must load");
-        assert_eq!(loaded.derived().len(), engine.derived().len());
-    }
-
-    #[test]
-    fn checksum_detects_payload_corruption() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        // Flip one payload byte: the checksum must catch it up front.
-        let mut b = bytes.clone();
-        let mid = b.len() / 2;
-        b[mid] ^= 0x01;
-        assert!(
-            matches!(load_engine(&b), Err(PersistError::ChecksumMismatch { .. })),
-            "single-bit payload corruption must fail the checksum"
-        );
-        // Flip a footer byte: same outcome (expected != actual).
-        let mut b = bytes.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0x01;
-        assert!(matches!(load_engine(&b), Err(PersistError::ChecksumMismatch { .. })));
-    }
-
-    #[test]
-    fn truncation_rejected_everywhere() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        // Every strict prefix must fail cleanly, never panic.
-        for cut in 0..bytes.len() {
-            assert!(load_engine(&bytes[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let (engine, int, _) = sample_engine();
-        let mut bytes = save_engine(&engine, &int);
-        bytes.extend_from_slice(b"junk");
-        assert!(load_engine(&bytes).is_err(), "trailing bytes accepted");
-    }
-
-    #[test]
-    fn corrupt_token_id_rejected() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        // Flip a byte anywhere and require "no panic" (error OR a
-        // still-consistent engine; with the v2 checksum it is always an
-        // error).
-        for i in 8..bytes.len() {
-            let mut b = bytes.clone();
-            b[i] ^= 0xFF;
-            let _ = load_engine(&b); // must not panic
-        }
-    }
-
-    #[test]
-    fn oversized_length_fields_fail_without_allocating() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        // Overwrite each 4-byte window with u32::MAX. Whatever field that
-        // lands on (counts, lengths, ids), the loader must neither panic
-        // nor reserve memory proportional to the forged value.
-        for i in (8..bytes.len().saturating_sub(4)).step_by(2) {
-            let mut b = bytes.clone();
-            b[i..i + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let _ = load_engine(&b); // must not panic or OOM
-        }
-    }
-
-    /// A two-segment sharded fixture: even-id origins in segment 0, odd-id
-    /// origins in segment 1, sharing one interner/dictionary/rule table.
-    fn sample_sharded() -> (ShardedParts, Aeetes, Interner, Tokenizer) {
+    fn segments_merge_into_a_single_engine() {
         let mut int = Interner::new();
         let tok = Tokenizer::default();
         let mut dict = Dictionary::new();
@@ -1090,188 +545,14 @@ mod tests {
             segments,
             generation: 5,
         };
-        (parts, engine, int, tok)
-    }
-
-    #[test]
-    fn sharded_round_trip_preserves_parts() {
-        let (parts, _, _, _) = sample_sharded();
-        let bytes = save_sharded(&parts);
-        let loaded = load_sharded(&bytes).expect("v4 round trip");
-        assert_eq!(loaded.generation, parts.generation);
-        assert_eq!(loaded.segments.len(), 2);
-        assert_eq!(loaded.dict.len(), parts.dict.len());
-        assert_eq!(loaded.rules.len(), parts.rules.len());
-        assert_eq!(loaded.removed, parts.removed);
-        assert_eq!(loaded.interner.len(), parts.interner.len());
-        for (a, b) in loaded.segments.iter().zip(parts.segments.iter()) {
-            assert_eq!(a.len(), b.len());
-            // `from_parts` renormalizes `origins` to the full id space, so
-            // compare the fields that genuinely round-trip.
-            assert_eq!(a.stats().derived, b.stats().derived);
-            assert_eq!(a.stats().applicable_total, b.stats().applicable_total);
-            assert_eq!(a.stats().selected_total, b.stats().selected_total);
-        }
-        for ((_, a), (_, b)) in loaded.rules.iter().zip(parts.rules.iter()) {
-            assert_eq!(a.lhs, b.lhs);
-            assert_eq!(a.rhs, b.rhs);
-            assert_eq!(a.weight, b.weight);
-        }
-    }
-
-    #[test]
-    fn sharded_artifact_loads_as_single_engine() {
-        let (parts, engine, mut int, tok) = sample_sharded();
-        let bytes = save_sharded(&parts);
-        let (merged, mut loaded_int) = load_engine(&bytes).expect("v3 merges into a single engine");
+        let (merged, mut merged_int) = parts.into_single().expect("disjoint segments merge");
         let doc_text = "she left UQ Australia for Purdue University USA near RMIT AU";
         let doc_a = Document::parse(doc_text, &tok, &mut int);
-        let doc_b = Document::parse(doc_text, &tok, &mut loaded_int);
+        let doc_b = Document::parse(doc_text, &tok, &mut merged_int);
         for tau in [0.7, 0.9] {
             assert_eq!(engine.extract(&doc_a, tau), merged.extract(&doc_b, tau), "tau={tau}");
         }
         assert_eq!(merged.derived().len(), engine.derived().len());
-    }
-
-    #[test]
-    fn v2_artifact_loads_as_one_segment() {
-        let (engine, int, _) = sample_engine();
-        let bytes = save_engine(&engine, &int);
-        let parts = load_sharded(&bytes).expect("v2 loads as sharded parts");
-        assert_eq!(parts.segments.len(), 1);
-        assert!(parts.removed.is_empty());
-        assert!(parts.rules.is_empty());
-        assert_eq!(parts.segments[0].len(), engine.derived().len());
-    }
-
-    #[test]
-    fn segment_crc_detects_corruption_behind_a_valid_footer() {
-        let (parts, _, _, _) = sample_sharded();
-        let mut bytes = save_sharded(&parts);
-        // Flip a byte inside the last segment's payload (weights sit right
-        // before the segment CRC + footer), then recompute the whole-file
-        // footer so only the per-segment CRC can catch the damage.
-        let idx = bytes.len() - 20;
-        bytes[idx] ^= 0x01;
-        let len = bytes.len();
-        let footer = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&footer.to_le_bytes());
-        assert!(
-            matches!(load_sharded(&bytes), Err(PersistError::ChecksumMismatch { .. })),
-            "segment corruption must fail the per-segment CRC"
-        );
-    }
-
-    #[test]
-    fn sharded_truncation_and_bitflips_never_panic() {
-        let (parts, _, _, _) = sample_sharded();
-        let bytes = save_sharded(&parts);
-        for cut in 0..bytes.len() {
-            assert!(load_sharded(&bytes[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-        for i in 8..bytes.len() {
-            let mut b = bytes.clone();
-            b[i] ^= 0xFF;
-            let _ = load_sharded(&b); // must not panic
-        }
-    }
-
-    #[test]
-    fn duplicate_origin_across_segments_rejected() {
-        let (mut parts, _, _, _) = sample_sharded();
-        // Both segments carry the full derived dictionary → every origin is
-        // claimed twice.
-        let full = DerivedDictionary::build_filtered(&parts.dict, &parts.rules, &parts.config.derive, |_| true);
-        parts.segments = vec![full.clone(), full];
-        let bytes = save_sharded(&parts);
-        let err = load_sharded(&bytes).expect_err("duplicated origins must be rejected");
-        assert!(err.to_string().contains("multiple segments"), "unexpected error: {err}");
-    }
-
-    /// One fixture per supported format version, produced by the real
-    /// encoders (v1 is the v2 payload with the version word rewritten and
-    /// the footer dropped — byte-identical to what pre-checksum builds
-    /// wrote; v3 comes from the versioned writer without the generation
-    /// field).
-    fn version_fixtures() -> Vec<(u32, Vec<u8>)> {
-        let (engine, int, _) = sample_engine();
-        let v2 = save_engine(&engine, &int);
-        let mut v1 = v2.clone();
-        v1.truncate(v1.len() - 4);
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let (parts, _, _, _) = sample_sharded();
-        let v3 = save_sharded_versioned(&parts, VERSION_SHARDED);
-        let v4 = save_sharded_versioned(&parts, VERSION_SHARDED_GEN);
-        vec![(1, v1), (2, v2), (3, v3), (4, v4)]
-    }
-
-    #[test]
-    fn version_matrix_loads_every_supported_format() {
-        for (version, bytes) in version_fixtures() {
-            let parts = load_sharded(&bytes).unwrap_or_else(|e| panic!("v{version} fixture must load: {e}"));
-            assert_eq!(parts.generation, if version >= 4 { 5 } else { 1 }, "v{version} generation");
-            assert_eq!(peek_generation(&bytes).unwrap(), parts.generation, "v{version} peek");
-            let (engine, _) = load_engine(&bytes).unwrap_or_else(|e| panic!("v{version} must merge to a single engine: {e}"));
-            assert!(!engine.derived().is_empty(), "v{version} produced an empty engine");
-        }
-    }
-
-    #[test]
-    fn version_matrix_truncation_never_panics() {
-        // Every strict prefix of every version — including each cut through
-        // the footer and (for v4) the generation field — must fail with a
-        // structured error, never a panic. v1 has no checksum, so a prefix
-        // may parse if it happens to be self-consistent; it must still
-        // never panic.
-        for (version, bytes) in version_fixtures() {
-            for cut in 0..bytes.len() {
-                let r = load_sharded(&bytes[..cut]);
-                if version >= 2 {
-                    assert!(r.is_err(), "v{version} prefix of {cut} bytes accepted");
-                }
-                let _ = peek_generation(&bytes[..cut]); // must not panic either
-            }
-        }
-    }
-
-    #[test]
-    fn version_matrix_bitflips_never_panic() {
-        for (_version, bytes) in version_fixtures() {
-            for i in (0..bytes.len()).step_by(3) {
-                let mut b = bytes.clone();
-                b[i] ^= 0xFF;
-                let _ = load_sharded(&b); // structured error or consistent load, never a panic
-            }
-        }
-    }
-
-    #[test]
-    fn unsupported_future_version_rejected() {
-        let (parts, _, _, _) = sample_sharded();
-        // v5 names the frozen layout: `load_sharded` must refuse it (it is
-        // opened by the frozen module), while `peek_generation` can read its
-        // header (the generation sits at the same offset as v4's).
-        let mut bytes = save_sharded(&parts);
-        bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
-        let len = bytes.len();
-        let footer = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&footer.to_le_bytes());
-        assert!(matches!(load_sharded(&bytes), Err(PersistError::UnsupportedVersion(5))));
-        assert_eq!(peek_generation(&bytes).unwrap(), parts.generation);
-        // A genuinely unknown future version is rejected by both.
-        bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
-        let footer = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&footer.to_le_bytes());
-        assert!(matches!(load_sharded(&bytes), Err(PersistError::UnsupportedVersion(6))));
-        assert!(matches!(peek_generation(&bytes), Err(PersistError::UnsupportedVersion(6))));
-    }
-
-    #[test]
-    fn zero_generation_rejected() {
-        let (mut parts, _, _, _) = sample_sharded();
-        parts.generation = 0;
-        let bytes = save_sharded(&parts);
-        assert!(matches!(load_sharded(&bytes), Err(PersistError::Corrupt(_))));
     }
 
     #[test]
@@ -1330,7 +611,8 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(PersistError::BadMagic.to_string().contains("magic"));
-        assert!(PersistError::UnsupportedVersion(7).to_string().contains('7'));
+        let unsupported = PersistError::UnsupportedVersion(7).to_string();
+        assert!(unsupported.contains('7') && unsupported.contains("aeetes build"), "{unsupported}");
         assert!(PersistError::Truncated("x").to_string().contains('x'));
         assert!(PersistError::Corrupt("y".into()).to_string().contains('y'));
         assert!(PersistError::ChecksumMismatch { expected: 1, actual: 2 }.to_string().contains("checksum"));

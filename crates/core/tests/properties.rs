@@ -3,7 +3,10 @@
 //! extraction properties live in the `aeetes-pool` crate with the
 //! executor.)
 
-use aeetes_core::{load_engine, save_engine, suppress_overlaps, Aeetes, AeetesConfig, WindowState};
+use aeetes_core::{
+    extract_segment, freeze_to_bytes, open_frozen_bytes, suppress_overlaps, Aeetes, AeetesConfig, ExtractLimits, FreezeSegment, FreezeSource,
+    WindowState,
+};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use proptest::prelude::*;
@@ -97,8 +100,8 @@ proptest! {
         }
     }
 
-    /// Persistence round-trips arbitrary dictionaries and rules: the loaded
-    /// engine extracts identically on arbitrary documents.
+    /// The artifact round-trips arbitrary dictionaries and rules: the
+    /// reopened (frozen) engine extracts identically on arbitrary documents.
     #[test]
     fn persistence_round_trip(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..5),
                               rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..4),
@@ -114,12 +117,24 @@ proptest! {
             let _ = rules.push_str(l, r, &tokenizer, &mut interner);
         }
         let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
-        let bytes = save_engine(&engine, &interner);
-        let (loaded, mut loaded_interner) = load_engine(&bytes).expect("round trip");
+        let bytes = freeze_to_bytes(&FreezeSource {
+            interner: &interner,
+            dict: engine.dictionary(),
+            removed: &[],
+            rules: &rules,
+            config: engine.config(),
+            generation: 1,
+            order: engine.index().order(),
+            segments: vec![FreezeSegment { dd: engine.derived(), index: engine.index() }],
+        });
+        let opened = open_frozen_bytes(&bytes).expect("round trip");
+        let seg = &opened.segments[0];
         let doc_a = Document::parse(&doc_text, &tokenizer, &mut interner);
-        let doc_b = Document::parse(&doc_text, &tokenizer, &mut loaded_interner);
+        let doc_b = Document::parse(&doc_text, &tokenizer, &mut opened.interner.clone());
         for tau in [0.7, 0.9, 1.0] {
-            prop_assert_eq!(engine.extract(&doc_a, tau), loaded.extract(&doc_b, tau), "tau={}", tau);
+            let config = &opened.config;
+            let reopened = extract_segment(&seg.index, &seg.dd, &doc_b, tau, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
+            prop_assert_eq!(engine.extract(&doc_a, tau), reopened.matches, "tau={}", tau);
         }
     }
 }

@@ -263,28 +263,11 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Snapshots the current generation into persistable parts
-    /// (`AEET` format v4 via [`aeetes_core::save_sharded`]). The snapshot
-    /// carries the generation number, so an engine restored from it (or a
-    /// WAL replayed over it) continues the same generation sequence.
-    pub fn to_parts(&self) -> ShardedParts {
-        let g = self.snapshot();
-        ShardedParts {
-            interner: g.interner.clone(),
-            dict: g.dict.clone(),
-            removed: g.removed.clone(),
-            rules: g.rules.clone(),
-            config: g.config.clone(),
-            segments: g.shards.iter().map(|s| s.dd.clone()).collect(),
-            generation: g.id(),
-        }
-    }
-
-    /// Serializes the current generation as a frozen (format v5) artifact —
-    /// see [`Generation::freeze`]. Unlike [`ShardedEngine::to_parts`] +
-    /// `save_sharded` (v4), the artifact carries the built indexes, so an
-    /// engine opened from it ([`ShardedEngine::from_frozen`]) serves without
-    /// any derive or index work.
+    /// Serializes the current generation as the frozen (format v5) artifact
+    /// — see [`Generation::freeze`]. The artifact carries the generation
+    /// number and the built indexes, so an engine opened from it
+    /// ([`ShardedEngine::from_frozen`]) continues the same generation
+    /// sequence and serves without any derive or index work.
     pub fn freeze(&self) -> Vec<u8> {
         self.snapshot().freeze()
     }
@@ -383,14 +366,14 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Reconstructs an engine from persisted parts, resuming at the
-    /// artifact's recorded generation number (1 for pre-v4 artifacts).
+    /// Reconstructs an engine from heap-owned parts, resuming at their
+    /// generation number.
     ///
-    /// `shards` overrides the shard count (`None` keeps the artifact's
-    /// segment count, `Some(0)` means available parallelism). When the
-    /// stored segments already match this engine's routing they are adopted
-    /// as-is; otherwise the variants are re-partitioned — no re-derivation
-    /// either way, so loading stays cheap.
+    /// `shards` overrides the shard count (`None` keeps the parts' segment
+    /// count, `Some(0)` means available parallelism). When the segments
+    /// already match this engine's routing they are adopted as-is;
+    /// otherwise the variants are re-partitioned — no re-derivation either
+    /// way, only the indexes are rebuilt.
     pub fn from_parts(parts: ShardedParts, shards: Option<usize>) -> Result<Self, String> {
         let ShardedParts { interner, dict, removed, rules, config, segments, generation } = parts;
         let generation = generation.max(1);
@@ -452,19 +435,17 @@ impl ShardedEngine {
     /// affected shards, onto the heap, while untouched shards keep serving
     /// straight from the mapping.
     pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {
-        let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
-        let generation = generation.max(1);
         let n = match shards {
-            None => segments.len().clamp(1, MAX_SHARDS),
+            None => parts.segments.len().clamp(1, MAX_SHARDS),
             Some(req) => resolve_shards(req),
         };
-        let tombstoned: BTreeSet<u32> = removed.iter().map(|e| e.0).collect();
+        let tombstoned: BTreeSet<u32> = parts.removed.iter().map(|e| e.0).collect();
         // The `by_origin` prefix array alone decides adoptability: frozen
         // validation already proved every variant sits in its origin's
         // bucket, so it suffices to check each *populated* bucket's entity —
         // one hash per origin rather than one per variant.
-        let adoptable = n == segments.len()
-            && segments.iter().enumerate().all(|(i, s)| {
+        let adoptable = n == parts.segments.len()
+            && parts.segments.iter().enumerate().all(|(i, s)| {
                 let (_, _, _, _, _, _, by_origin) = s.dd.raw_arenas();
                 by_origin
                     .windows(2)
@@ -472,8 +453,9 @@ impl ShardedEngine {
                     .all(|(e, w)| w[0] == w[1] || (shard_of(EntityId(e as u32), n) == i && !tombstoned.contains(&(e as u32))))
             });
         if adoptable {
+            let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
             let built: Vec<Arc<Shard>> = segments.into_iter().map(|s| Arc::new(Shard::from_prebuilt(s.dd, s.index))).collect();
-            let generation = Generation::assemble(generation, interner, dict, removed, rules, config, order, built);
+            let generation = Generation::assemble(generation.max(1), interner, dict, removed, rules, config, order, built);
             return Ok(ShardedEngine {
                 current: RwLock::new(Arc::new(generation)),
                 update_lock: Mutex::new(()),
@@ -482,25 +464,14 @@ impl ShardedEngine {
         }
         // Re-bucket through the ShardedParts path: the frozen derived
         // dictionaries are merged (copied to the heap) and indexes rebuilt.
-        Self::from_parts(
-            ShardedParts {
-                interner,
-                dict,
-                removed,
-                rules,
-                config,
-                segments: segments.into_iter().map(|s| s.dd).collect(),
-                generation,
-            },
-            Some(n),
-        )
+        Self::from_parts(parts.into(), Some(n))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_core::{save_sharded, Aeetes, ExtractBackend, ExtractLimits};
+    use aeetes_core::{Aeetes, ExtractBackend, ExtractLimits};
     use aeetes_text::Document;
 
     fn fixture() -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -640,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn persistence_round_trips_through_v3() {
+    fn updated_engine_round_trips_through_the_artifact() {
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 3);
         engine
@@ -653,12 +624,13 @@ mod tests {
                 &tok,
             )
             .expect("update");
-        let bytes = save_sharded(&engine.to_parts());
-        let loaded = aeetes_core::load_sharded(&bytes).expect("load");
+        let bytes = engine.freeze();
         for &override_n in &[None, Some(1), Some(5)] {
-            let restored = ShardedEngine::from_parts(loaded.clone(), override_n).expect("from_parts");
+            let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open");
+            let restored = ShardedEngine::from_frozen(parts, override_n).expect("from_frozen");
             let g1 = engine.snapshot();
             let g2 = restored.snapshot();
+            assert_eq!(g2.id(), g1.id());
             assert_eq!(g2.removed(), g1.removed());
             assert_eq!(g2.variants(), g1.variants());
             let mut int2 = g1.interner().clone();

@@ -1,13 +1,13 @@
 //! Frozen (v5) artifact suite: the mmap-able format is observationally
 //! identical to the monolithic heap engine across all four strategies and
 //! all four similarity metrics, on both the mmap and heap-fallback open
-//! paths; every legacy format (v2 single, v4 sharded) migrates to v5 and
-//! the migrated artifact refreezes bit-identically; and the corruption
-//! matrix — truncation at every section boundary, bit-flips through
-//! header/table/payload/footer, misaligned section offsets — always yields
-//! a clean error, never a panic or out-of-bounds access.
+//! paths; freeze → open → refreeze is bit-identical at 1 and 4 shards; and
+//! truncated files through the mmap path and misaligned section offsets
+//! behind a valid CRC yield a clean error, never a panic or out-of-bounds
+//! access. (The byte-level corruption walk — every truncation, every bit
+//! flip — is `aeetes-core`'s `fault_injection` suite.)
 
-use aeetes_core::{load_sharded, open_frozen, open_frozen_bytes, save_engine, save_sharded, Aeetes, AeetesConfig, ExtractBackend, Strategy};
+use aeetes_core::{open_frozen, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_shard::ShardedEngine;
 use aeetes_sim::Metric;
@@ -99,39 +99,22 @@ fn frozen_equals_monolithic_across_strategies_and_metrics() {
     }
 }
 
-/// A legacy artifact (v2 single-engine, v4 sharded) migrates to v5:
-/// load → freeze → open → refreeze is bit-identical, and the migrated
-/// engine extracts exactly what the legacy engine did.
+/// freeze → open → refreeze is bit-identical at 1 and 4 shards: the opened
+/// arenas describe exactly what was written, so an adopted engine re-frozen
+/// (as WAL compaction does) reproduces its artifact. The comparison starts
+/// from an opened engine because opening normalises one statistic a fresh
+/// multi-shard build records per shard (`DeriveStats::origins`, widened to
+/// the full id space); from there on the bytes are a fixed point.
 #[test]
-fn legacy_artifacts_migrate_to_v5_bit_identically() {
-    let (dict, rules, interner, tokenizer) = corpus();
-    let config = AeetesConfig::default();
-    let mono = Aeetes::build(dict.clone(), &rules, &interner, config.clone());
-
-    let v2 = save_engine(&mono, &interner);
-    let sharded = ShardedEngine::build(dict.clone(), &rules, &interner, config, 4);
-    let v4 = save_sharded(&sharded.to_parts());
-
-    for (label, legacy_bytes) in [("v2", v2), ("v4", v4)] {
-        let parts = load_sharded(&legacy_bytes).expect("load legacy");
-        let engine = ShardedEngine::from_parts(parts, None).expect("legacy engine");
-        let legacy_gen = engine.snapshot();
-
-        let v5 = engine.freeze();
-        let reopened = ShardedEngine::from_frozen(open_frozen_bytes(&v5).expect("open v5"), None).expect("adopt v5");
-        let refrozen = reopened.freeze();
-        assert_eq!(v5, refrozen, "{label}: migrated artifact must refreeze bit-identically");
-
-        let frozen_gen = reopened.snapshot();
-        for text in DOCS {
-            let mut legacy_int = legacy_gen.interner().clone();
-            let legacy_doc = Document::parse(text, &tokenizer, &mut legacy_int);
-            let mut frozen_int = frozen_gen.interner().clone();
-            let frozen_doc = Document::parse(text, &tokenizer, &mut frozen_int);
-            for tau in [0.6, 0.8, 1.0] {
-                assert_eq!(frozen_gen.extract_all(&frozen_doc, tau), legacy_gen.extract_all(&legacy_doc, tau), "{label} tau={tau} doc={text:?}");
-            }
-        }
+fn freeze_open_refreeze_is_bit_identical() {
+    let (dict, rules, interner, _) = corpus();
+    let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open v5"), None).expect("adopt v5");
+    for shards in [1, 4] {
+        let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), shards);
+        let v5 = adopt(&built.freeze()).freeze();
+        let reopened = adopt(&v5);
+        assert_eq!(reopened.shard_count(), shards);
+        assert_eq!(v5, reopened.freeze(), "shards={shards}: artifact must refreeze bit-identically");
     }
 }
 
@@ -164,10 +147,11 @@ fn recrc(bytes: &mut [u8]) {
     bytes[len - 4..].copy_from_slice(&(!crc).to_le_bytes());
 }
 
-/// Truncation at (and one byte around) every section boundary is a clean
-/// error on both open paths — bytes and mmap — never a panic or OOB read.
+/// A file truncated at (and one byte around) every section boundary is a
+/// clean error through the mmap open path — never a panic or OOB read of
+/// the mapping.
 #[test]
-fn truncation_at_every_section_boundary_is_a_clean_error() {
+fn truncated_files_are_a_clean_error_on_the_mmap_path() {
     let (dict, rules, interner, _) = corpus();
     let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 2);
     let bytes = engine.freeze();
@@ -181,39 +165,12 @@ fn truncation_at_every_section_boundary_is_a_clean_error() {
     cuts.sort_unstable();
     cuts.dedup();
 
+    let path = tmp_path("trunc");
     for &cut in &cuts {
-        assert!(open_frozen_bytes(&bytes[..cut]).is_err(), "heap open accepted a {cut}-byte prefix of {}", bytes.len());
-    }
-    // The mmap path validates the same way; spot-check a spread of cuts
-    // through real files rather than writing one file per boundary.
-    for &cut in cuts.iter().step_by(cuts.len().div_ceil(8).max(1)) {
-        let path = tmp_path("trunc");
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        assert!(open_frozen(&path).is_err(), "mmap open accepted a {cut}-byte prefix");
-        std::fs::remove_file(&path).ok();
+        assert!(open_frozen(&path).is_err(), "mmap open accepted a {cut}-byte prefix of {}", bytes.len());
     }
-}
-
-/// Bit-flips anywhere — header, section table, payload, CRC footer — are
-/// rejected. The whole-file checksum is verified before any decoding, so a
-/// flipped length or offset can never steer a read out of bounds.
-#[test]
-fn bitflips_everywhere_are_rejected() {
-    let (dict, rules, interner, _) = corpus();
-    let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 2);
-    let bytes = engine.freeze();
-    let table_end = 24 + section_spans(&bytes).len() * 24;
-
-    // Exhaustive over header + section table (the bytes that steer all
-    // later reads), sampled through the payload, exhaustive over footer.
-    let mut targets: Vec<usize> = (0..table_end).collect();
-    targets.extend((table_end..bytes.len() - 4).step_by(13));
-    targets.extend(bytes.len() - 4..bytes.len());
-    for i in targets {
-        let mut b = bytes.clone();
-        b[i] ^= 0x40;
-        assert!(open_frozen_bytes(&b).is_err(), "bit flip at byte {i} accepted");
-    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A misaligned section offset is rejected even when the CRC is patched to

@@ -2,10 +2,10 @@
 //! monolithic engine — same matches, same scores, same variant ids — for
 //! random dictionaries, rules and documents, across all four filtering
 //! strategies and shard counts {1, 2, 7, 16}; updates applied as deltas
-//! equal a fresh rebuild of the updated dictionary; persistence through the
-//! v3 sharded format round-trips.
+//! equal a fresh rebuild of the updated dictionary; the frozen artifact
+//! round-trips.
 
-use aeetes_core::{load_sharded, save_sharded, Aeetes, AeetesConfig, ExtractBackend, Strategy};
+use aeetes_core::{open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, ShardedParts, Strategy};
 use aeetes_rules::{DerivedDictionary, RuleSet};
 use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Tokenizer};
@@ -103,29 +103,29 @@ proptest! {
         }
     }
 
-    /// save_sharded/load_sharded round-trips the engine: reloading at the
-    /// stored shard count, resharded, and collapsed to a single engine all
-    /// extract identically.
+    /// The frozen artifact round-trips the engine: reopened at the stored
+    /// shard count, resharded, and collapsed to a single engine all extract
+    /// identically.
     #[test]
     fn sharded_persistence_round_trip(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..6),
                                       rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..3),
                                       doc_text in "[a-h]( [a-h]){0,25}") {
         let (dict, rules, interner, tokenizer) = corpus(&entities, &rule_pairs);
         let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 4);
-        let bytes = save_sharded(&engine.to_parts());
-        let parts = load_sharded(&bytes).expect("load");
+        let bytes = engine.freeze();
+        let open = || open_frozen_bytes(&bytes).expect("open");
         let generation = engine.snapshot();
         let mut doc_int = generation.interner().clone();
         let doc = Document::parse(&doc_text, &tokenizer, &mut doc_int);
         let expected = generation.extract_all(&doc, 0.7);
 
-        let same = ShardedEngine::from_parts(parts.clone(), None).expect("same count");
+        let same = ShardedEngine::from_frozen(open(), None).expect("same count");
         prop_assert_eq!(same.snapshot().extract_all(&doc, 0.7), expected.clone());
 
-        let resharded = ShardedEngine::from_parts(parts.clone(), Some(9)).expect("resharded");
+        let resharded = ShardedEngine::from_frozen(open(), Some(9)).expect("resharded");
         prop_assert_eq!(resharded.snapshot().extract_all(&doc, 0.7), expected.clone());
 
-        let (single, mut single_int) = parts.into_single().expect("collapse");
+        let (single, mut single_int) = ShardedParts::from(open()).into_single().expect("collapse");
         let doc2 = Document::parse(&doc_text, &tokenizer, &mut single_int);
         prop_assert_eq!(single.extract(&doc2, 0.7), expected);
     }

@@ -69,8 +69,8 @@ pub use aeetes_text as text;
 
 pub use aeetes_cluster::{run_fleet, FleetOptions, FleetSummary, ReplicaSpec};
 pub use aeetes_core::{
-    extract_fuzzy, extract_top_k, extract_top_k_with, load_engine, mention_report, save_engine, select_top_k, suppress_overlaps, Aeetes,
-    AeetesConfig, EditIndex, EditMatch, ExtractStats, FuzzyConfig, Match, MentionReport, PersistError, Strategy,
+    extract_fuzzy, extract_top_k, extract_top_k_with, freeze_to_bytes, mention_report, open_frozen, open_frozen_bytes, select_top_k,
+    suppress_overlaps, Aeetes, AeetesConfig, EditIndex, EditMatch, ExtractStats, FuzzyConfig, Match, MentionReport, PersistError, Strategy,
 };
 pub use aeetes_pool::{extract_batch, extract_batch_with, Pool};
 pub use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};

@@ -2,8 +2,9 @@
 //! agree exactly, and every exact or synonym-rewritten gold mention must be
 //! recovered with a perfect score.
 
+use aeetes::core::{ExtractBackend, FreezeSegment, FreezeSource};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
-use aeetes::{Aeetes, AeetesConfig, Strategy};
+use aeetes::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ShardedEngine, Strategy};
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -16,9 +17,26 @@ fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
         .collect()
 }
 
+/// The engine written as the artifact, reopened, and adopted zero-copy: the
+/// path every `serve` process takes.
+fn through_the_artifact(engine: &Aeetes, data: &aeetes::datagen::Dataset) -> ShardedEngine {
+    let bytes = freeze_to_bytes(&FreezeSource {
+        interner: &data.interner,
+        dict: engine.dictionary(),
+        removed: &[],
+        rules: &data.rules,
+        config: engine.config(),
+        generation: 1,
+        order: engine.index().order(),
+        segments: vec![FreezeSegment { dd: engine.derived(), index: engine.index() }],
+    });
+    ShardedEngine::from_frozen(open_frozen_bytes(&bytes).expect("reopen artifact"), None).expect("adopt artifact")
+}
+
 #[test]
 fn all_strategies_agree_on_every_corpus() {
     for (engine, data) in engines() {
+        let frozen = through_the_artifact(&engine, &data).snapshot();
         for doc in &data.documents {
             for tau in [0.7, 0.8, 0.9, 1.0] {
                 let baseline = engine.extract_with(doc, tau, Strategy::Simple).0;
@@ -26,6 +44,7 @@ fn all_strategies_agree_on_every_corpus() {
                     let got = engine.extract_with(doc, tau, strategy).0;
                     assert_eq!(baseline, got, "{}: strategy {strategy} at tau={tau}", data.name);
                 }
+                assert_eq!(baseline, frozen.extract_all(doc, tau), "{}: frozen artifact at tau={tau}", data.name);
             }
         }
     }
