@@ -2,7 +2,7 @@
 //! state versus the pre-refactor `BTreeMap` window representation.
 //!
 //! The baseline is a bench-local, faithful reimplementation of the old
-//! `Dynamic` strategy: one `BTreeMap<u64, u32>` window per candidate
+//! `Dynamic` strategy: one `BTreeMap<u32, u32>` window per candidate
 //! length, cloned along the Window Extend chain, prefixes collected into a
 //! fresh `Vec` per substring, and a per-length scan cache storing owned
 //! `Vec<EntityId>` scan results. The measured side is the production
@@ -18,7 +18,7 @@
 use aeetes_bench::{BENCH_SCALE, BENCH_SEED};
 use aeetes_core::{generate_candidates, ExtractScratch, Strategy};
 use aeetes_datagen::{generate, DatasetProfile};
-use aeetes_index::{metric_window_bounds, ClusteredIndex};
+use aeetes_index::{metric_window_bounds, ClusteredIndex, VALID_BIT};
 use aeetes_rules::{DeriveConfig, DerivedDictionary};
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
@@ -41,7 +41,7 @@ fn time_median<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// The old scan: clustered skips, but a fresh `Vec` + `HashSet` per scan.
-fn scan_origins(index: &ClusteredIndex, key: u64, s_len: usize, tau: f64, metric: Metric) -> Vec<EntityId> {
+fn scan_origins(index: &ClusteredIndex, key: u32, s_len: usize, tau: f64, metric: Metric) -> Vec<EntityId> {
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     let t = index.order().token_of(key);
@@ -57,8 +57,8 @@ fn scan_origins(index: &ClusteredIndex, key: u64, s_len: usize, tau: f64, metric
             if seen.contains(&og.origin) {
                 continue;
             }
-            for e in og.entries {
-                if (e.pos as usize) < plen {
+            for &pos in og.positions {
+                if (pos as usize) < plen {
                     seen.insert(og.origin);
                     out.push(og.origin);
                     break;
@@ -79,10 +79,10 @@ fn baseline_dynamic(index: &ClusteredIndex, doc: &Document, tau: f64, metric: Me
     };
     let order = index.order();
     let n = doc.len();
-    let keys: Vec<u64> = doc.tokens().iter().map(|&t| order.key(t)).collect();
+    let keys: Vec<u32> = doc.tokens().iter().map(|&t| order.key(t)).collect();
     let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-    let mut states: Vec<BTreeMap<u64, u32>> = Vec::new();
-    let mut caches: Vec<HashMap<(u64, usize), Vec<EntityId>>> = Vec::new();
+    let mut states: Vec<BTreeMap<u32, u32>> = Vec::new();
+    let mut caches: Vec<HashMap<(u32, usize), Vec<EntityId>>> = Vec::new();
     for p in 0..n {
         let lmax = bounds.max.min(n - p);
         if bounds.min > lmax {
@@ -90,7 +90,7 @@ fn baseline_dynamic(index: &ClusteredIndex, doc: &Document, tau: f64, metric: Me
         }
         let fit = lmax - bounds.min + 1;
         if p == 0 {
-            let mut w: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut w: BTreeMap<u32, u32> = BTreeMap::new();
             for &key in &keys[..bounds.min.min(n)] {
                 *w.entry(key).or_insert(0) += 1;
             }
@@ -121,11 +121,11 @@ fn baseline_dynamic(index: &ClusteredIndex, doc: &Document, tau: f64, metric: Me
             let span = Span::new(p, l);
             let s_len = w.len();
             let k = metric.prefix_len(s_len, tau);
-            let prefix: Vec<u64> = w.keys().take(k).copied().collect();
+            let prefix: Vec<u32> = w.keys().take(k).copied().collect();
             let cache = &mut caches[i];
             cache.retain(|&(key, _), _| prefix.binary_search(&key).is_ok());
             for &key in &prefix {
-                if key >> 32 == 0 {
+                if key & VALID_BIT == 0 {
                     continue; // invalid token: empty posting list
                 }
                 let origins = cache.entry((key, s_len)).or_insert_with(|| scan_origins(index, key, s_len, tau, metric));

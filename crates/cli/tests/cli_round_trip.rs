@@ -42,7 +42,7 @@ fn build_stats_extract_round_trip() {
     .expect("build succeeds");
     // No flag but the three paths: the artifact is the one format, one segment.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (5, 1));
+    assert_eq!((info.version, info.segments), (6, 1));
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -306,7 +306,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("sharded build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (5, 2));
+    assert_eq!((info.version, info.segments), (6, 2));
     // The retired format switch is an unknown flag, not a silent no-op.
     let mut with_frozen = build_args.to_vec();
     with_frozen.push(s("--frozen"));
@@ -345,7 +345,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!((info.version, info.segments), (5, 2));
+    assert_eq!((info.version, info.segments), (6, 2));
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -358,7 +358,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
 }
 
 /// A file with the AEET magic but a format version this build does not read
-/// — the retired v1–v4 layouts, or a future one — fails every command that
+/// — the retired v1–v5 layouts, or a future one — fails every command that
 /// opens an engine the same way: an error (exit 1 in `main`) naming the
 /// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
@@ -373,7 +373,7 @@ fn other_format_versions_fail_clean_on_every_verb() {
     log.sync().expect("sync wal");
     drop(log);
 
-    for version in [1u32, 2, 3, 4, 6] {
+    for version in [1u32, 2, 3, 4, 5, 7] {
         let engine = dir.join(format!("v{version}.aeet"));
         let mut bytes = b"AEET".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());

@@ -64,9 +64,9 @@ pub(crate) fn scan_flat(
         let in_range = len >= lo && len <= hi;
         let plen = metric.prefix_len(len, tau);
         for og in g.origins() {
-            for e in og.entries {
+            for &pos in og.positions {
                 stats.accessed_entries += 1;
-                if in_range && (e.pos as usize) < plen {
+                if in_range && (pos as usize) < plen {
                     sink.push(span, og.origin);
                 }
             }
@@ -102,9 +102,9 @@ pub(crate) fn scan_clustered(
             if sink.contains(span, og.origin) {
                 continue; // batch skip: L_e^l[t] skipped wholesale
             }
-            for e in og.entries {
+            for &pos in og.positions {
                 stats.accessed_entries += 1;
-                if (e.pos as usize) < plen {
+                if (pos as usize) < plen {
                     sink.push(span, og.origin);
                     break; // rest of the origin group is now skippable
                 }
@@ -148,9 +148,9 @@ pub(crate) fn scan_token_origins_into(
             if seen.contains(&og.origin) {
                 continue;
             }
-            for e in og.entries {
+            for &pos in og.positions {
                 stats.accessed_entries += 1;
-                if (e.pos as usize) < plen {
+                if (pos as usize) < plen {
                     seen.insert(og.origin);
                     arena.push(og.origin);
                     break;

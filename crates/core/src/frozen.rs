@@ -1,23 +1,23 @@
-//! Frozen AEET v5: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v6: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (derived dictionary + clustered index, paper §3/§5)
 //! is built once and shipped; a format that had to *rebuild* the index on
 //! load would make every restart pay seconds of CPU and every serve process
-//! hold a private copy. The v5 layout instead lays every large structure
+//! hold a private copy. The frozen layout instead lays every large structure
 //! (interner string table, global order, derived dictionary, clustered
 //! index) out as flat little-endian arrays at 16-byte-aligned offsets, so
 //! an engine can `mmap` the file, validate it, and serve its first request
 //! in milliseconds — and N serve processes on one host share a single page
 //! cache image instead of N private heaps. Files carrying any other version
-//! word (the retired v1–v4 layouts, or a future one) are refused with
+//! word (the retired v1–v5 layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 5
+//! [ 4.. 8)  version u32 = 6
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -28,8 +28,9 @@
 //! ```
 //!
 //! All integers are little-endian; the in-memory structures reinterpret the
-//! mapped bytes directly, so v5 artifacts are only opened on little-endian
-//! hosts (the opener refuses elsewhere rather than misread).
+//! mapped bytes directly (and the writer copies them out the same way), so
+//! artifacts are only written and opened on little-endian hosts (both ends
+//! refuse elsewhere rather than misread).
 //!
 //! Section *kinds* are fixed small integers (see the `SEC_*` constants):
 //! the global sections carry the META blob (rules, config, counts — small,
@@ -45,6 +46,67 @@
 //! truncated or bit-flipped artifact yields a clean [`PersistError`],
 //! never a panic or an out-of-bounds read.
 //!
+//! ## Sections
+//!
+//! Every section is one array of one element type; its length is `count ×
+//! width`. Bytes below are what `aeetes dict info` prints (per-segment
+//! sections summed) for `aeetes generate --seed 12` dictionaries built with
+//! `aeetes build`: pubmed and dbworld at scale 1.0 in one segment, usjob at
+//! scale 0.25 in two. `a → b` is v5 → v6; everything else is unchanged.
+//!
+//! ```text
+//! section             element width                     pubmed                 dbworld                     usjob
+//! meta                bytes                            150 406                 249 714                   246 126
+//! dict.raws           u8      1                        573 989                 250 832                   490 521
+//! dict.raw_off        u32     4                         80 004                  48 004                    30 004
+//! dict.tokens         u32     4                        240 632                 105 284                   206 468
+//! dict.tok_off        u32     4                         80 004                  48 004                    30 004
+//! strings.bytes       u8      1                         97 273                  47 071                    36 101
+//! strings.offsets     u32     4                         36 560                  18 280                    14 168
+//! strings.table       u32     4                        131 072                  65 536                    32 768
+//! order.freq          u32     4                         36 556                  18 276                    14 164
+//! order.key           u32     4                         36 556                  18 276                    14 164
+//! order.untie         u32     4                         36 348                  18 276                    14 164
+//! dd.origin           u32     4                        293 160                 295 996                 1 674 080
+//! dd.weight           f64     8                        586 320                 591 992                 3 348 160
+//! dd.tokens           u32     4                        992 536               1 068 840                12 419 848
+//! dd.tok_off          u32     4                        293 164                 296 000                 1 674 088
+//! dd.rules            u32     4                        248 940                 373 140                 2 765 220
+//! dd.rule_off         u32     4                        293 164                 296 000                 1 674 088
+//! dd.by_origin        u32     4                         80 004                  48 004                    60 008
+//! ix.tok_groups       u32     4                         36 560                  18 280                    28 336
+//! ix.group_len        u16     2                         50 534                  32 592                    60 894
+//! ix.group_origins    u32     4                        101 072                  65 188                   121 796
+//! ix.origin_entity    u32     4                        733 768                 603 584                 2 263 208
+//! ix.origin_entries   u32     4                        733 772                 603 588                 2 263 216
+//! ix.positions        u16     8 → 2        1 984 928 → 496 232     2 136 568 → 534 142    24 823 880 → 6 205 970
+//! ix.set_data         u32     8 → 4        1 984 928 → 992 464   2 136 568 → 1 068 284   24 823 880 → 12 411 940
+//! ix.set_offsets      u32     4                        293 164                 296 000                 1 674 088
+//! ix.variants_by_len  u32     4                        293 160                 295 996                 1 674 080
+//! ix.origin_offsets   u32     4                         80 004                  48 004                    60 008
+//! whole file                            10 579 432 → 8 098 280  10 094 792 → 7 424 072   82 538 920 → 51 509 080
+//! ```
+//!
+//! What v6 changed is the two index arenas that were three fifths of a
+//! large artifact:
+//!
+//! * **`ix.positions`** (v5 `ix.entries`): a posting is the token's position
+//!   in its variant's ordered set and nothing else. v5 also stored the
+//!   variant's derived id (and two bytes of padding); nothing read it —
+//!   candidate generation compares the position with the prefix length, and
+//!   verification enumerates a candidate origin's variants through
+//!   `ix.variants_by_len`, not through postings.
+//! * **`ix.set_data`** and **`order.key`** (v5 `order.tie`): a key is a `u32`.
+//!   A valid token — one occurring in some derived entity — keys as
+//!   [`aeetes_index::VALID_BIT`] `| rank`, its dense rank in ascending
+//!   `(frequency, string)` order; `order.untie` maps ranks back to tokens.
+//!   Any other token keys as its own id, which is why token ids stop at 2³¹
+//!   ([`TokenId::LIMIT`]): every invalid key sorts below every valid one. A
+//!   dictionary delta leaves existing keys as they are and ranks tokens it
+//!   makes valid after all existing ones, until the next full build. v5
+//!   packed `frequency << 32 | string rank` into a `u64`; the order of keys
+//!   from a full build is the same.
+//!
 //! ## Mmap vs heap fallback
 //!
 //! [`open_frozen`] maps the file read-only when the platform allows and
@@ -56,10 +118,10 @@
 use crate::config::AeetesConfig;
 use crate::failpoint;
 use crate::persist::{self, crc32, PersistError, Reader, ShardedParts};
-use aeetes_frozen::{FrozenBuf, FrozenSlice, Pod};
+use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
 use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet};
-use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, TokenId};
+use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -80,7 +142,7 @@ const MAX_SECTIONS: usize = 1 << 16;
 // Global section kinds.
 const SEC_META: u32 = 0;
 const SEC_ORD_FREQ: u32 = 1;
-const SEC_ORD_TIE: u32 = 2;
+const SEC_ORD_KEY: u32 = 2;
 const SEC_ORD_UNTIE: u32 = 3;
 const SEC_STR_BYTES: u32 = 4;
 const SEC_STR_OFF: u32 = 5;
@@ -104,7 +166,7 @@ const SEC_IX_GROUPLEN: u32 = 21;
 const SEC_IX_GROUPORIG: u32 = 22;
 const SEC_IX_ORIGENT: u32 = 23;
 const SEC_IX_ORIGENTRIES: u32 = 24;
-const SEC_IX_ENTRIES: u32 = 25;
+const SEC_IX_POSITIONS: u32 = 25;
 const SEC_IX_SETDATA: u32 = 26;
 const SEC_IX_SETOFF: u32 = 27;
 const SEC_IX_VARBYLEN: u32 = 28;
@@ -113,7 +175,7 @@ const SEC_IX_ORIGOFF: u32 = 29;
 const GLOBAL_KINDS: [u32; 11] = [
     SEC_META,
     SEC_ORD_FREQ,
-    SEC_ORD_TIE,
+    SEC_ORD_KEY,
     SEC_ORD_UNTIE,
     SEC_STR_BYTES,
     SEC_STR_OFF,
@@ -136,7 +198,7 @@ const SEGMENT_KINDS: [u32; 17] = [
     SEC_IX_GROUPORIG,
     SEC_IX_ORIGENT,
     SEC_IX_ORIGENTRIES,
-    SEC_IX_ENTRIES,
+    SEC_IX_POSITIONS,
     SEC_IX_SETDATA,
     SEC_IX_SETOFF,
     SEC_IX_VARBYLEN,
@@ -148,7 +210,7 @@ pub fn section_kind_name(kind: u32) -> &'static str {
     match kind {
         SEC_META => "meta",
         SEC_ORD_FREQ => "order.freq",
-        SEC_ORD_TIE => "order.tie",
+        SEC_ORD_KEY => "order.key",
         SEC_ORD_UNTIE => "order.untie",
         SEC_STR_BYTES => "strings.bytes",
         SEC_STR_OFF => "strings.offsets",
@@ -169,7 +231,7 @@ pub fn section_kind_name(kind: u32) -> &'static str {
         SEC_IX_GROUPORIG => "ix.group_origins",
         SEC_IX_ORIGENT => "ix.origin_entity",
         SEC_IX_ORIGENTRIES => "ix.origin_entries",
-        SEC_IX_ENTRIES => "ix.entries",
+        SEC_IX_POSITIONS => "ix.positions",
         SEC_IX_SETDATA => "ix.set_data",
         SEC_IX_SETOFF => "ix.set_offsets",
         SEC_IX_VARBYLEN => "ix.variants_by_len",
@@ -187,7 +249,7 @@ pub struct FreezeSegment<'a> {
     pub index: &'a ClusteredIndex,
 }
 
-/// Everything the v5 writer serializes. Borrowed: freezing never mutates or
+/// Everything the writer serializes. Borrowed: freezing never mutates or
 /// copies the engine it snapshots (beyond the output buffer).
 pub struct FreezeSource<'a> {
     /// The interner every token id refers into.
@@ -217,7 +279,7 @@ pub struct FrozenSegmentParts {
     pub index: ClusteredIndex,
 }
 
-/// A validated, opened v5 artifact. The heavy structures borrow the mapped
+/// A validated, opened artifact. The heavy structures borrow the mapped
 /// (or heap-loaded) file image through their arenas; only the small META
 /// structures (dictionary, rules, config) are decoded onto the heap.
 pub struct FrozenParts {
@@ -261,47 +323,9 @@ impl From<FrozenParts> for ShardedParts {
 
 // ---------------------------------------------------------------- writer --
 
-struct SectionWriter {
-    sections: Vec<(u32, u32, Vec<u8>)>,
-}
-
-impl SectionWriter {
-    fn push(&mut self, kind: u32, seg: u32, bytes: Vec<u8>) {
-        self.sections.push((kind, seg, bytes));
-    }
-
-    fn push_u32s(&mut self, kind: u32, seg: u32, it: impl Iterator<Item = u32>) {
-        let mut out = Vec::new();
-        for v in it {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        self.push(kind, seg, out);
-    }
-
-    fn push_u64s(&mut self, kind: u32, seg: u32, it: impl Iterator<Item = u64>) {
-        let mut out = Vec::new();
-        for v in it {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        self.push(kind, seg, out);
-    }
-
-    fn push_f64s(&mut self, kind: u32, seg: u32, it: impl Iterator<Item = f64>) {
-        let mut out = Vec::new();
-        for v in it {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        self.push(kind, seg, out);
-    }
-}
-
-/// Serializes `src` into a standalone v5 byte buffer (see the module docs
-/// for the layout). The inverse of [`open_frozen_bytes`].
-pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
-    let mut w = SectionWriter { sections: Vec::new() };
-
-    // META: the small decoded-on-open blob. Leading counts let
-    // `peek_frozen_info` report an artifact without decoding the rest.
+/// META: the small decoded-on-open blob. Leading counts let [`peek_info`]
+/// report an artifact without decoding the rest.
+fn encode_meta(src: &FreezeSource<'_>) -> Vec<u8> {
     let mut meta = Vec::new();
     persist::put_u32(&mut meta, src.segments.len() as u32);
     persist::put_u32(&mut meta, src.dict.len() as u32);
@@ -319,112 +343,122 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     for seg in &src.segments {
         persist::put_stats(&mut meta, seg.dd.stats());
     }
-    w.push(SEC_META, GLOBAL_SEG, meta);
+    meta
+}
+
+/// A segment's rule provenance restricted to ids the rule table resolves,
+/// or `None` when every id already does (the arenas are written as they
+/// stand). The derived dictionary can carry ids the supplied table cannot
+/// resolve (frozen with a different or empty table); a frozen artifact must
+/// be self-consistent — the opener rejects dangling cross-references — so
+/// those are dropped.
+fn resolvable_rules(dd: &DerivedDictionary, n_rules: u32) -> Option<(Vec<RuleId>, Vec<u32>)> {
+    let (_, _, _, _, rules, rule_off, _) = dd.raw_arenas();
+    if rules.iter().all(|r| r.0 < n_rules) {
+        return None;
+    }
+    let mut kept: Vec<RuleId> = Vec::with_capacity(rules.len());
+    let mut offs: Vec<u32> = Vec::with_capacity(rule_off.len());
+    offs.push(0);
+    for win in rule_off.windows(2) {
+        kept.extend(rules[win[0] as usize..win[1] as usize].iter().filter(|r| r.0 < n_rules));
+        offs.push(kept.len() as u32);
+    }
+    Some((kept, offs))
+}
+
+/// Serializes `src` into a standalone artifact (see the module docs for the
+/// layout). The inverse of [`open_frozen_bytes`].
+///
+/// Every section is some arena's bytes as they stand in memory, so the
+/// section table is laid out first, the buffer allocated once at its exact
+/// final size, and each arena copied straight to its aligned offset.
+///
+/// # Panics
+/// Panics on a big-endian host: the format stores little-endian arrays and
+/// is written by reinterpreting the in-memory ones ([`open_frozen`] refuses
+/// such hosts for the same reason).
+pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
+    if cfg!(target_endian = "big") {
+        panic!("frozen artifacts are written on little-endian hosts only");
+    }
+    let meta = encode_meta(src);
+    // Interner: canonical frozen string table over the full id space.
+    let strings = FrozenStrings::from_strings(src.interner.iter_strings());
+    let n_rules = src.rules.len() as u32;
+    let filtered: Vec<Option<(Vec<RuleId>, Vec<u32>)>> = src.segments.iter().map(|seg| resolvable_rules(seg.dd, n_rules)).collect();
 
     // Origin dictionary: its four arenas verbatim, so the opener can
     // validate them with linear scans and adopt them with four copies
     // instead of a per-entity parse.
     let (raws, raw_off, ent_tokens, ent_tok_off) = src.dict.raw_arenas();
-    w.push(SEC_DICT_RAWS, GLOBAL_SEG, raws.as_bytes().to_vec());
-    w.push_u32s(SEC_DICT_RAWOFF, GLOBAL_SEG, raw_off.iter().copied());
-    w.push_u32s(SEC_DICT_TOKENS, GLOBAL_SEG, ent_tokens.iter().map(|t| t.0));
-    w.push_u32s(SEC_DICT_TOKOFF, GLOBAL_SEG, ent_tok_off.iter().copied());
-
-    // Interner: canonical frozen string table over the full id space.
-    let strings = FrozenStrings::from_strings(src.interner.iter_strings());
-    w.push(SEC_STR_BYTES, GLOBAL_SEG, strings.raw_bytes().to_vec());
-    w.push_u32s(SEC_STR_OFF, GLOBAL_SEG, strings.raw_offsets().iter().copied());
-    w.push_u32s(SEC_STR_TABLE, GLOBAL_SEG, strings.raw_table().iter().copied());
-
-    // Global order.
-    let (freq, tie, untie) = src.order.raw_parts();
-    w.push_u32s(SEC_ORD_FREQ, GLOBAL_SEG, freq.iter().copied());
-    w.push_u32s(SEC_ORD_TIE, GLOBAL_SEG, tie.iter().copied());
-    w.push_u32s(SEC_ORD_UNTIE, GLOBAL_SEG, untie.iter().map(|t| t.0));
-
-    for (i, seg) in src.segments.iter().enumerate() {
+    let (freq, key, untie) = src.order.raw_parts();
+    let mut sections: Vec<(u32, u32, &[u8])> = vec![
+        (SEC_META, GLOBAL_SEG, &meta),
+        (SEC_DICT_RAWS, GLOBAL_SEG, raws.as_bytes()),
+        (SEC_DICT_RAWOFF, GLOBAL_SEG, pod_bytes(raw_off)),
+        (SEC_DICT_TOKENS, GLOBAL_SEG, pod_bytes(ent_tokens)),
+        (SEC_DICT_TOKOFF, GLOBAL_SEG, pod_bytes(ent_tok_off)),
+        (SEC_STR_BYTES, GLOBAL_SEG, strings.raw_bytes()),
+        (SEC_STR_OFF, GLOBAL_SEG, pod_bytes(strings.raw_offsets())),
+        (SEC_STR_TABLE, GLOBAL_SEG, pod_bytes(strings.raw_table())),
+        (SEC_ORD_FREQ, GLOBAL_SEG, pod_bytes(freq)),
+        (SEC_ORD_KEY, GLOBAL_SEG, pod_bytes(key)),
+        (SEC_ORD_UNTIE, GLOBAL_SEG, pod_bytes(untie)),
+    ];
+    for (i, (seg, filtered)) in src.segments.iter().zip(&filtered).enumerate() {
         let s = i as u32;
         let (origin, weight, tokens, tok_off, rules, rule_off, by_origin) = seg.dd.raw_arenas();
-        w.push_u32s(SEC_DD_ORIGIN, s, origin.iter().map(|e| e.0));
-        w.push_f64s(SEC_DD_WEIGHT, s, weight.iter().copied());
-        w.push_u32s(SEC_DD_TOKENS, s, tokens.iter().map(|t| t.0));
-        w.push_u32s(SEC_DD_TOKOFF, s, tok_off.iter().copied());
-        let n_rules = src.rules.len() as u32;
-        if rules.iter().all(|r| r.0 < n_rules) {
-            w.push_u32s(SEC_DD_RULES, s, rules.iter().map(|r| r.0));
-            w.push_u32s(SEC_DD_RULEOFF, s, rule_off.iter().copied());
-        } else {
-            // The derived dictionary carries rule provenance ids the
-            // supplied rule table cannot resolve (frozen with a different
-            // or empty table). A frozen artifact must be self-consistent —
-            // the opener rejects dangling cross-references — so
-            // unresolvable ids are dropped here.
-            let mut kept: Vec<u32> = Vec::with_capacity(rules.len());
-            let mut offs: Vec<u32> = Vec::with_capacity(rule_off.len());
-            offs.push(0);
-            for win in rule_off.windows(2) {
-                let (a, b) = (win[0] as usize, win[1] as usize);
-                kept.extend(rules[a..b].iter().map(|r| r.0).filter(|&r| r < n_rules));
-                offs.push(kept.len() as u32);
-            }
-            w.push_u32s(SEC_DD_RULES, s, kept.into_iter());
-            w.push_u32s(SEC_DD_RULEOFF, s, offs.into_iter());
-        }
-        w.push_u32s(SEC_DD_BYORIGIN, s, by_origin.iter().copied());
-
+        let (rules, rule_off) = filtered.as_ref().map_or((rules, rule_off), |(kept, offs)| (kept, offs));
         let ix = seg.index.raw_parts();
-        w.push_u32s(SEC_IX_TOKGROUPS, s, ix.tok_groups.iter().copied());
-        // u16 group lengths: written raw, padded to the element count.
-        let mut gl = Vec::with_capacity(ix.group_len.len() * 2);
-        for &l in ix.group_len {
-            gl.extend_from_slice(&l.to_le_bytes());
-        }
-        w.push(SEC_IX_GROUPLEN, s, gl);
-        w.push_u32s(SEC_IX_GROUPORIG, s, ix.group_origins.iter().copied());
-        w.push_u32s(SEC_IX_ORIGENT, s, ix.origin_entity.iter().map(|e| e.0));
-        w.push_u32s(SEC_IX_ORIGENTRIES, s, ix.origin_entries.iter().copied());
-        // Posting entries: fields + explicit zero padding (never a memcpy of
-        // the in-memory struct, whose padding bytes are unspecified).
-        let mut en = Vec::with_capacity(ix.entries.len() * 8);
-        for e in ix.entries {
-            en.extend_from_slice(&e.derived.0.to_le_bytes());
-            en.extend_from_slice(&e.pos.to_le_bytes());
-            en.extend_from_slice(&[0u8; 2]);
-        }
-        w.push(SEC_IX_ENTRIES, s, en);
-        w.push_u64s(SEC_IX_SETDATA, s, ix.set_data.iter().copied());
-        w.push_u32s(SEC_IX_SETOFF, s, ix.set_offsets.iter().copied());
-        w.push_u32s(SEC_IX_VARBYLEN, s, ix.variants_by_len.iter().map(|d| d.0));
-        w.push_u32s(SEC_IX_ORIGOFF, s, ix.origin_offsets.iter().copied());
+        sections.extend([
+            (SEC_DD_ORIGIN, s, pod_bytes(origin)),
+            (SEC_DD_WEIGHT, s, pod_bytes(weight)),
+            (SEC_DD_TOKENS, s, pod_bytes(tokens)),
+            (SEC_DD_TOKOFF, s, pod_bytes(tok_off)),
+            (SEC_DD_RULES, s, pod_bytes(rules)),
+            (SEC_DD_RULEOFF, s, pod_bytes(rule_off)),
+            (SEC_DD_BYORIGIN, s, pod_bytes(by_origin)),
+            (SEC_IX_TOKGROUPS, s, pod_bytes(ix.tok_groups)),
+            (SEC_IX_GROUPLEN, s, pod_bytes(ix.group_len)),
+            (SEC_IX_GROUPORIG, s, pod_bytes(ix.group_origins)),
+            (SEC_IX_ORIGENT, s, pod_bytes(ix.origin_entity)),
+            (SEC_IX_ORIGENTRIES, s, pod_bytes(ix.origin_entries)),
+            (SEC_IX_POSITIONS, s, pod_bytes(ix.positions)),
+            (SEC_IX_SETDATA, s, pod_bytes(ix.set_data)),
+            (SEC_IX_SETOFF, s, pod_bytes(ix.set_offsets)),
+            (SEC_IX_VARBYLEN, s, pod_bytes(ix.variants_by_len)),
+            (SEC_IX_ORIGOFF, s, pod_bytes(ix.origin_offsets)),
+        ]);
     }
 
     // Lay out: header, table, aligned sections, CRC footer.
-    let s_count = w.sections.len();
-    let table_end = HEADER_FIXED + s_count * ENTRY_BYTES;
-    let mut buf = Vec::with_capacity(table_end + w.sections.iter().map(|(_, _, b)| b.len() + SECTION_ALIGN).sum::<usize>() + 4);
-    buf.extend_from_slice(persist::MAGIC);
-    persist::put_u32(&mut buf, persist::VERSION_FROZEN);
-    persist::put_u64(&mut buf, src.generation);
-    persist::put_u32(&mut buf, s_count as u32);
-    persist::put_u32(&mut buf, 0); // reserved
-                                   // Placeholder table, patched below once offsets are known.
-    buf.resize(table_end, 0);
-    let mut offsets = Vec::with_capacity(s_count);
-    for (_, _, bytes) in &w.sections {
-        let pad = (SECTION_ALIGN - buf.len() % SECTION_ALIGN) % SECTION_ALIGN;
-        buf.resize(buf.len() + pad, 0);
-        offsets.push((buf.len() as u64, bytes.len() as u64));
-        buf.extend_from_slice(bytes);
-    }
-    for (i, ((kind, seg, _), (off, len))) in w.sections.iter().zip(offsets).enumerate() {
+    let table_end = HEADER_FIXED + sections.len() * ENTRY_BYTES;
+    let mut end = table_end;
+    let offsets: Vec<usize> = sections
+        .iter()
+        .map(|(_, _, bytes)| {
+            let off = end.next_multiple_of(SECTION_ALIGN);
+            end = off + bytes.len();
+            off
+        })
+        .collect();
+    let mut buf = vec![0u8; end + 4];
+    buf[..4].copy_from_slice(persist::MAGIC);
+    buf[4..8].copy_from_slice(&persist::VERSION_FROZEN.to_le_bytes());
+    buf[8..16].copy_from_slice(&src.generation.to_le_bytes());
+    buf[16..20].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+    // [20..24) reserved, zero.
+    for (i, (&(kind, seg, bytes), &off)) in sections.iter().zip(&offsets).enumerate() {
         let at = HEADER_FIXED + i * ENTRY_BYTES;
         buf[at..at + 4].copy_from_slice(&kind.to_le_bytes());
         buf[at + 4..at + 8].copy_from_slice(&seg.to_le_bytes());
-        buf[at + 8..at + 16].copy_from_slice(&off.to_le_bytes());
-        buf[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
+        buf[at + 8..at + 16].copy_from_slice(&(off as u64).to_le_bytes());
+        buf[at + 16..at + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        buf[off..off + bytes.len()].copy_from_slice(bytes);
     }
-    let footer = crc32(&buf);
-    persist::put_u32(&mut buf, footer);
+    let footer = crc32(&buf[..end]);
+    buf[end..].copy_from_slice(&footer.to_le_bytes());
     buf
 }
 
@@ -529,7 +563,7 @@ impl SectionTable {
     }
 }
 
-/// Opens a v5 artifact file, preferring a read-only memory map and falling
+/// Opens an artifact file, preferring a read-only memory map and falling
 /// back to a heap read when mapping is unavailable. See [`open_frozen_bytes`]
 /// for the byte-buffer variant; validation and results are identical.
 pub fn open_frozen(path: &Path) -> Result<FrozenParts, PersistError> {
@@ -553,7 +587,7 @@ pub fn open_frozen(path: &Path) -> Result<FrozenParts, PersistError> {
     open_frozen_buf(Arc::new(buf))
 }
 
-/// Opens a v5 artifact from an in-memory byte buffer (the bytes are copied
+/// Opens an artifact from an in-memory byte buffer (the bytes are copied
 /// into an aligned heap arena; no mapping is involved).
 pub fn open_frozen_bytes(bytes: &[u8]) -> Result<FrozenParts, PersistError> {
     open_frozen_buf(Arc::new(FrozenBuf::heap_from_bytes(bytes)))
@@ -561,7 +595,7 @@ pub fn open_frozen_bytes(bytes: &[u8]) -> Result<FrozenParts, PersistError> {
 
 fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
     if cfg!(target_endian = "big") {
-        return Err(corrupt("frozen v5 artifacts require a little-endian host"));
+        return Err(corrupt("frozen artifacts require a little-endian host"));
     }
     let bytes = buf.as_bytes();
     check_header(bytes)?;
@@ -588,13 +622,16 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         table.slice::<u32>(&buf, SEC_STR_TABLE, GLOBAL_SEG)?.into(),
     )
     .map_err(|e| corrupt(format!("string table: {e}")))?;
+    if strings.len() > TokenId::LIMIT as usize {
+        return Err(corrupt(format!("string table holds {} tokens, the id space ends at {}", strings.len(), TokenId::LIMIT)));
+    }
     let interner = Interner::with_base(Arc::new(strings));
     let n_tokens = interner.len() as u32;
 
     // Global order.
     let order = GlobalOrder::from_raw_parts(
         table.slice::<u32>(&buf, SEC_ORD_FREQ, GLOBAL_SEG)?.into(),
-        table.slice::<u32>(&buf, SEC_ORD_TIE, GLOBAL_SEG)?.into(),
+        table.slice::<u32>(&buf, SEC_ORD_KEY, GLOBAL_SEG)?.into(),
         table.slice::<TokenId>(&buf, SEC_ORD_UNTIE, GLOBAL_SEG)?.into(),
     )
     .map_err(|e| corrupt(format!("global order: {e}")))?;
@@ -720,7 +757,14 @@ fn open_segment(
     // Range checks over the large arenas run branchless (fold, then one
     // test) so they vectorize; the offending element is only hunted down
     // on the already-failed path.
-    let (_, weights, tokens, _, rule_ids, _, _) = dd.raw_arenas();
+    let (_, weights, tokens, tok_off, rule_ids, _, _) = dd.raw_arenas();
+    // The index addresses positions inside a variant's distinct set with
+    // u16, so no variant may be longer than that — else re-bucketing this
+    // artifact would ask the index build for a set it cannot address.
+    if tok_off.windows(2).map(|w| w[1] - w[0]).max().is_some_and(|m| m > u32::from(u16::MAX)) {
+        let i = tok_off.windows(2).position(|w| w[1] - w[0] > u32::from(u16::MAX)).expect("max out of range");
+        return Err(corrupt(format!("segment {s} variant {i} holds more than {} tokens", u16::MAX)));
+    }
     if tokens.iter().map(|t| t.0).max().is_some_and(|m| m >= n_tokens) {
         let t = tokens.iter().map(|t| t.0).find(|&t| t >= n_tokens).expect("max out of range");
         return Err(corrupt(format!("segment {s} references token {t} outside the interner ({n_tokens})")));
@@ -741,8 +785,8 @@ fn open_segment(
             group_origins: table.slice::<u32>(buf, SEC_IX_GROUPORIG, s)?.into(),
             origin_entity: table.slice::<EntityId>(buf, SEC_IX_ORIGENT, s)?.into(),
             origin_entries: table.slice::<u32>(buf, SEC_IX_ORIGENTRIES, s)?.into(),
-            entries: table.slice::<aeetes_index::PostingEntry>(buf, SEC_IX_ENTRIES, s)?.into(),
-            set_data: table.slice::<u64>(buf, SEC_IX_SETDATA, s)?.into(),
+            positions: table.slice::<u16>(buf, SEC_IX_POSITIONS, s)?.into(),
+            set_data: table.slice::<u32>(buf, SEC_IX_SETDATA, s)?.into(),
             set_offsets: table.slice::<u32>(buf, SEC_IX_SETOFF, s)?.into(),
             variants_by_len: table.slice::<DerivedId>(buf, SEC_IX_VARBYLEN, s)?.into(),
             origin_offsets: table.slice::<u32>(buf, SEC_IX_ORIGOFF, s)?.into(),
@@ -774,7 +818,7 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 5: other versions are refused).
+    /// Format version (always 6: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -1000,28 +1044,30 @@ mod tests {
     #[test]
     fn peek_info_reports_header_facts() {
         let (engine, int, _, rules) = sample();
-        let v5 = freeze_sample(&engine, &int, &rules, 9);
-        let info = peek_info(&v5).expect("peek v5");
-        assert_eq!(info.version, 5);
+        let bytes = freeze_sample(&engine, &int, &rules, 9);
+        let info = peek_info(&bytes).expect("peek");
+        assert_eq!(info.version, 6);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
         assert_eq!(info.tokens, int.len());
         assert_eq!(info.segments, 1);
-        assert_eq!(info.file_len, v5.len());
+        assert_eq!(info.file_len, bytes.len());
         assert!(!info.sections.is_empty());
-        assert!(info.sections.iter().any(|s| s.kind == "ix.entries"));
+        for kind in ["ix.positions", "order.key"] {
+            assert!(info.sections.iter().any(|s| s.kind == kind), "{kind} listed");
+        }
     }
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 5 — the retired v1–v4 layouts
+        // A valid magic with any version but 6 — the retired v1–v5 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v5 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 6, 99] {
-            let mut whole = v5.clone();
+        let v6 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 7, 99] {
+            let mut whole = v6.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1032,6 +1078,34 @@ mod tests {
         }
         assert!(matches!(open_frozen_bytes(b"NOPE1234"), Err(PersistError::BadMagic)));
         assert!(matches!(open_frozen_bytes(b"AE"), Err(PersistError::Truncated(_))));
+    }
+
+    #[test]
+    fn variant_longer_than_the_index_can_address_is_refused() {
+        // 65 536 copies of one token: the index builds (one distinct key),
+        // but re-bucketing an opened artifact rebuilds indexes from variant
+        // tokens, and the opener bounds what that build can be handed.
+        let (engine, int, _, rules) = sample();
+        let long = DerivedEntity {
+            origin: EntityId(0),
+            tokens: vec![TokenId(0); 1 << 16],
+            rules: Vec::new(),
+            weight: 1.0,
+        };
+        let dd = DerivedDictionary::from_parts(vec![long], engine.dictionary().len(), DeriveStats::default()).unwrap();
+        let index = ClusteredIndex::build(&dd, &int);
+        let bytes = freeze_to_bytes(&FreezeSource {
+            interner: &int,
+            dict: engine.dictionary(),
+            removed: &[],
+            rules: &rules,
+            config: engine.config(),
+            generation: 1,
+            order: index.order(),
+            segments: vec![FreezeSegment { dd: &dd, index: &index }],
+        });
+        let err = open_frozen_bytes(&bytes).err().expect("over-long variant must be refused").to_string();
+        assert!(err.contains("variant 0 holds more than 65535 tokens"), "unexpected error: {err}");
     }
 
     #[test]

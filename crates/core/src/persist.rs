@@ -1,7 +1,7 @@
 //! The shared pieces of the on-disk artifact: error type, checksum and the
 //! little-endian byte codec.
 //!
-//! Aeetes writes and reads exactly one artifact format — the frozen AEET v5
+//! Aeetes writes and reads exactly one artifact format — the frozen AEET v6
 //! layout of [`crate::frozen`]. This module holds what that format (and the
 //! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
 //! every integrity check uses, the `put_*` encoders and the bounds-checked
@@ -26,7 +26,7 @@ use std::fmt;
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
 /// The one format version written and opened: the flat, mmap-able frozen
 /// layout of [`crate::frozen`].
-pub(crate) const VERSION_FROZEN: u32 = 5;
+pub(crate) const VERSION_FROZEN: u32 = 6;
 /// A token list longer than this could not be indexed anyway: the clustered
 /// index addresses positions within a variant's sorted token set with `u16`.
 const MAX_VARIANT_TOKENS: usize = u16::MAX as usize;
@@ -76,7 +76,7 @@ impl std::error::Error for PersistError {}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the same checksum as gzip.
 ///
-/// The frozen (v5) open path checksums the whole artifact before trusting
+/// The frozen open path checksums the whole artifact before trusting
 /// a single offset, which puts this function on the cold-start critical
 /// path for multi-megabyte indexes. Large inputs are therefore split
 /// across threads and the per-chunk CRCs merged with the standard GF(2)

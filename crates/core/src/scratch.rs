@@ -79,7 +79,7 @@ pub struct SegmentScratch {
     /// Naive per-substring sorted-rank buffer.
     pub(crate) buf: Vec<u32>,
     /// Verification: sorted distinct key set of the current span.
-    pub(crate) s_keys: Vec<u64>,
+    pub(crate) s_keys: Vec<u32>,
     /// Sorted matches of the most recent run.
     pub(crate) matches: Vec<Match>,
     /// Per-stage timing slots of the most recent run: scratch-resident so

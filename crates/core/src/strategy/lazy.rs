@@ -186,9 +186,9 @@ pub(crate) fn generate(
                 // One pass over the origin group: stop at the first entry
                 // inside the entity prefix.
                 let mut hit = false;
-                for e in og.entries {
+                for &pos in og.positions {
                     stats.accessed_entries += 1;
-                    if (e.pos as usize) < plen {
+                    if (pos as usize) < plen {
                         hit = true;
                         break;
                     }

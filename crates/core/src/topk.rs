@@ -111,7 +111,7 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
     let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
     let mut sink = crate::candidates::CandidateSink::default();
     let mut buf: Vec<u32> = Vec::new();
-    let mut s_keys: Vec<u64> = Vec::new();
+    let mut s_keys: Vec<u32> = Vec::new();
     let mut verified: Vec<Match> = Vec::new();
     let mut budget = Budget::start(&ExtractLimits::UNLIMITED);
 

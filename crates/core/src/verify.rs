@@ -9,10 +9,10 @@ use aeetes_rules::{DerivedDictionary, DerivedId};
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
 
-/// Intersection size of two sorted distinct `u64` key slices, aborting as
+/// Intersection size of two sorted distinct key slices, aborting as
 /// soon as the remaining elements cannot reach `required` overlaps.
 /// Returns `None` on abort (the overlap is `< required`).
-fn intersect_keys_at_least(a: &[u64], b: &[u64], required: usize) -> Option<usize> {
+fn intersect_keys_at_least(a: &[u32], b: &[u32], required: usize) -> Option<usize> {
     let mut i = 0;
     let mut j = 0;
     let mut n = 0;
@@ -34,7 +34,7 @@ fn intersect_keys_at_least(a: &[u64], b: &[u64], required: usize) -> Option<usiz
 }
 
 /// Whether two short sorted slices share an element (prefix-filter check).
-fn prefixes_overlap(a: &[u64], b: &[u64]) -> bool {
+fn prefixes_overlap(a: &[u32], b: &[u32]) -> bool {
     let mut i = 0;
     let mut j = 0;
     while i < a.len() && j < b.len() {
@@ -64,7 +64,7 @@ pub(crate) fn verify_candidates(
     stats: &mut ExtractStats,
     weighted: bool,
     budget: &mut Budget,
-    s_keys: &mut Vec<u64>,
+    s_keys: &mut Vec<u32>,
     out: &mut Vec<Match>,
 ) {
     out.clear();

@@ -16,17 +16,19 @@
 //! documents of warmup every rebuild runs inside previously acquired
 //! capacity.
 
+use aeetes_index::VALID_BIT;
+
 /// Per-document dense remap of global-order keys onto ranks `0..universe`.
 #[derive(Debug, Clone, Default)]
 pub struct DenseRemap {
     /// Sorted distinct keys of the document; the index of a key is its rank.
-    ranks: Vec<u64>,
+    ranks: Vec<u32>,
     /// Document position → rank of the token at that position.
     doc_ranks: Vec<u32>,
     /// Keys in position order (build-time staging, kept for capacity reuse).
-    key_buf: Vec<u64>,
-    /// Ranks below this carry invalid tokens (zero-frequency keys, which
-    /// have no postings and sort before every valid key).
+    key_buf: Vec<u32>,
+    /// Ranks below this carry invalid tokens (keys without `VALID_BIT`,
+    /// which have no postings and sort before every valid key).
     first_valid: u32,
 }
 
@@ -38,14 +40,14 @@ impl DenseRemap {
 
     /// Rebuilds the remap from the document's global-order key sequence (in
     /// position order). Previously acquired capacity is reused.
-    pub fn build<I: IntoIterator<Item = u64>>(&mut self, keys: I) {
+    pub fn build<I: IntoIterator<Item = u32>>(&mut self, keys: I) {
         self.key_buf.clear();
         self.key_buf.extend(keys);
         self.ranks.clear();
         self.ranks.extend_from_slice(&self.key_buf);
         self.ranks.sort_unstable();
         self.ranks.dedup();
-        self.first_valid = self.ranks.partition_point(|&k| k >> 32 == 0) as u32;
+        self.first_valid = self.ranks.partition_point(|&k| k & VALID_BIT == 0) as u32;
         self.doc_ranks.clear();
         let ranks = &self.ranks;
         self.doc_ranks
@@ -63,7 +65,7 @@ impl DenseRemap {
     }
 
     /// The global-order key a rank stands for.
-    pub fn key_of(&self, rank: u32) -> u64 {
+    pub fn key_of(&self, rank: u32) -> u32 {
         self.ranks[rank as usize]
     }
 
@@ -251,19 +253,19 @@ mod tests {
     #[test]
     fn remap_assigns_dense_sorted_ranks() {
         let mut r = DenseRemap::new();
-        // Two invalid keys (< 1<<32) and three valid ones, with repeats.
-        let k = |f: u64, s: u64| (f << 32) | s;
-        r.build([k(2, 7), 5, k(1, 3), 9, k(2, 7), 5]);
+        // Two invalid keys (below VALID_BIT) and two valid ones, with repeats.
+        let k = |rank: u32| VALID_BIT | rank;
+        r.build([k(7), 5, k(3), 9, k(7), 5]);
         assert_eq!(r.universe(), 4);
-        // Sorted order: 5, 9 (invalid), then k(1,3), k(2,7).
+        // Sorted order: 5, 9 (invalid), then k(3), k(7).
         assert_eq!(r.doc_ranks(), &[3, 0, 2, 1, 3, 0]);
         assert!(!r.is_valid_rank(0));
         assert!(!r.is_valid_rank(1));
         assert!(r.is_valid_rank(2));
         assert!(r.is_valid_rank(3));
-        assert_eq!(r.key_of(2), k(1, 3));
+        assert_eq!(r.key_of(2), k(3));
         // Rebuild with different content reuses the buffers.
-        r.build([k(4, 1), k(4, 1)]);
+        r.build([k(1), k(1)]);
         assert_eq!(r.universe(), 1);
         assert_eq!(r.doc_ranks(), &[0, 0]);
         assert!(r.is_valid_rank(0));

@@ -1,6 +1,6 @@
-//! Zero-copy arena substrate for the frozen AEET v5 format.
+//! Zero-copy arena substrate for the frozen AEET format.
 //!
-//! The v5 artifact lays every heavy structure (interner strings, global
+//! The artifact lays every heavy structure (interner strings, global
 //! order, derived dictionary, clustered postings) out as flat little-endian
 //! arrays so an engine can memory-map the file and index into it directly.
 //! This crate provides the three building blocks the data-structure crates
@@ -18,8 +18,9 @@
 //!   (opened from disk, the zero-copy path). Both deref to `&[T]`, so all
 //!   read paths are written once against plain slices.
 //!
-//! Only [`Pod`] types may live in an arena: fixed layout, any bit pattern
-//! valid, alignment at most 8 (the buffer's guaranteed alignment).
+//! Only [`Pod`] types may live in an arena: fixed layout without padding,
+//! any bit pattern valid, alignment at most 8 (the buffer's guaranteed
+//! alignment).
 
 use std::fmt;
 use std::fs::File;
@@ -30,10 +31,19 @@ use std::sync::Arc;
 /// Marker for types that can be reinterpreted from raw little-endian bytes.
 ///
 /// # Safety
-/// Implementors must guarantee: `#[repr(C)]`/`#[repr(transparent)]` layout,
-/// every bit pattern is a valid value (padding bytes are never read as
-/// typed data), and `align_of::<Self>() <= 8`.
+/// Implementors must guarantee: `#[repr(C)]`/`#[repr(transparent)]` layout
+/// with no padding bytes, every bit pattern is a valid value, and
+/// `align_of::<Self>() <= 8`.
 pub unsafe trait Pod: Copy + 'static {}
+
+/// The in-memory bytes of a [`Pod`] slice — on a little-endian host, exactly
+/// the bytes the frozen format stores for it.
+#[inline]
+pub fn pod_bytes<T: Pod>(values: &[T]) -> &[u8] {
+    // SAFETY: `Pod` types have no padding, so every byte of the slice is
+    // initialized; `u8` has alignment 1 and the length is the slice's size.
+    unsafe { std::slice::from_raw_parts(values.as_ptr() as *const u8, std::mem::size_of_val(values)) }
+}
 
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u16 {}
@@ -228,8 +238,7 @@ impl<T: Pod> Deref for FrozenSlice<T> {
     #[inline]
     fn deref(&self) -> &[T] {
         // SAFETY: construction validated bounds, divisibility and alignment;
-        // Pod guarantees every bit pattern (including padding we never read
-        // as typed data) is valid.
+        // Pod guarantees every bit pattern is valid.
         unsafe { std::slice::from_raw_parts(self.buf.as_bytes().as_ptr().add(self.off) as *const T, self.len) }
     }
 }
@@ -386,6 +395,15 @@ mod tests {
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let buf = Arc::new(FrozenBuf::heap_from_bytes(&bytes));
         let s = FrozenSlice::<u32>::new(buf, 0, bytes.len()).unwrap();
+        assert_eq!(&*s, &values[..]);
+    }
+
+    #[test]
+    fn pod_bytes_are_what_a_frozen_slice_reads_back() {
+        let values: Vec<u16> = vec![0x0102, 0xFFFE, 7];
+        let bytes = pod_bytes(&values);
+        assert_eq!(bytes.len(), 6);
+        let s = FrozenSlice::<u16>::new(Arc::new(FrozenBuf::heap_from_bytes(bytes)), 0, bytes.len()).unwrap();
         assert_eq!(&*s, &values[..]);
     }
 

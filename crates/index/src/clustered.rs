@@ -1,7 +1,12 @@
 //! The clustered inverted index (paper §3.2, Algorithm 2, Figures 3–4).
 //!
-//! For every token `t` the index stores the postings `(derived entity,
-//! position of t in the entity's globally-ordered distinct token set)`.
+//! For every token `t` the index stores one posting per derived entity
+//! containing `t`: the position of `t` in that entity's globally-ordered
+//! distinct token set. The paper's posting also names the derived entity;
+//! here that id is implied rather than stored — candidate generation only
+//! ever asks "is the position inside the τ-prefix?", and verification
+//! enumerates the candidate origin's variants through
+//! [`ClusteredIndex::variants_sorted`], never through postings.
 //! Postings are clustered twice:
 //!
 //! 1. by derived-entity **length** — so a scan can batch-skip whole groups
@@ -13,35 +18,16 @@
 //! Storage is *globally* flattened (PR 8): because tokens are laid out one
 //! after another, their length groups tile the group arrays and the groups'
 //! origin clusters tile the origin arrays, so the whole index is six flat
-//! prefix-linked arrays (`tok_groups → group_* → origin_* → entries`) held
-//! in [`Arena`]s. Built in memory they are plain vectors; opened from a
-//! frozen v5 artifact they are zero-copy windows into the file image, and
+//! prefix-linked arrays (`tok_groups → group_* → origin_* → positions`)
+//! held in [`Arena`]s. Built in memory they are plain vectors; opened from
+//! a frozen artifact they are zero-copy windows into the file image, and
 //! every lookup below works identically on both.
 
-use crate::order::GlobalOrder;
+use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
 use aeetes_rules::{DerivedDictionary, DerivedId};
 use aeetes_text::{EntityId, Interner, TokenId};
 use std::sync::Arc;
-
-/// One posting: a derived entity containing the token, and the token's
-/// position inside the entity's globally-ordered distinct token set.
-///
-/// `repr(C)` pins the serialized layout: `derived` at byte 0, `pos` at
-/// byte 4, two trailing padding bytes (zeroed by the v5 writer).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PostingEntry {
-    /// The derived entity.
-    pub derived: DerivedId,
-    /// Position of the token in the ordered entity (0-based); the prefix
-    /// filter discards entries with `pos ≥ prefix_len(len, τ)`.
-    pub pos: u16,
-}
-
-// SAFETY: repr(C) with Pod fields; every bit pattern is valid and the
-// trailing padding is never read as typed data.
-unsafe impl aeetes_frozen::Pod for PostingEntry {}
 
 /// The inverted list of one token (the paper's `L[t]`): a borrowed window
 /// over the index's group range for that token.
@@ -66,8 +52,11 @@ pub struct LengthGroup<'a> {
 pub struct OriginGroup<'a> {
     /// The origin entity all these derived entities stem from.
     pub origin: EntityId,
-    /// Postings of this origin's variants with the group's length.
-    pub entries: &'a [PostingEntry],
+    /// One posting per variant of this origin with the group's length, in
+    /// ascending derived-id order: the token's position in the variant's
+    /// ordered set (0-based). The prefix filter discards positions
+    /// `≥ prefix_len(len, τ)`.
+    pub positions: &'a [u16],
 }
 
 impl<'a> TokenPostings<'a> {
@@ -128,7 +117,7 @@ impl<'a> LengthGroup<'a> {
         let oe = ix.group_origins[self.g as usize + 1];
         (os..oe).map(move |o| OriginGroup {
             origin: ix.origin_entity[o as usize],
-            entries: &ix.entries[ix.origin_entries[o as usize] as usize..ix.origin_entries[o as usize + 1] as usize],
+            positions: &ix.positions[ix.origin_entries[o as usize] as usize..ix.origin_entries[o as usize + 1] as usize],
         })
     }
 
@@ -138,7 +127,7 @@ impl<'a> LengthGroup<'a> {
     }
 }
 
-/// The raw flat arrays of a [`ClusteredIndex`], for the v5 writer.
+/// The raw flat arrays of a [`ClusteredIndex`], for the frozen writer.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexArenasRef<'a> {
     /// Token → first global group index (`T+1` prefix entries).
@@ -149,12 +138,12 @@ pub struct IndexArenasRef<'a> {
     pub group_origins: &'a [u32],
     /// Origin cluster → origin entity (`O` entries).
     pub origin_entity: &'a [EntityId],
-    /// Origin cluster → first entry index (`O+1` prefix entries).
+    /// Origin cluster → first posting index (`O+1` prefix entries).
     pub origin_entries: &'a [u32],
     /// All postings (`E` entries).
-    pub entries: &'a [PostingEntry],
+    pub positions: &'a [u16],
     /// Rank-key arena of all derived entities' distinct sets.
-    pub set_data: &'a [u64],
+    pub set_data: &'a [u32],
     /// Derived entity → set range (`D+1` prefix entries).
     pub set_offsets: &'a [u32],
     /// Derived ids grouped by origin, sorted by ascending set length.
@@ -172,8 +161,8 @@ pub struct IndexArenas {
     pub group_origins: Arena<u32>,
     pub origin_entity: Arena<EntityId>,
     pub origin_entries: Arena<u32>,
-    pub entries: Arena<PostingEntry>,
-    pub set_data: Arena<u64>,
+    pub positions: Arena<u16>,
+    pub set_data: Arena<u32>,
     pub set_offsets: Arena<u32>,
     pub variants_by_len: Arena<DerivedId>,
     pub origin_offsets: Arena<u32>,
@@ -194,13 +183,13 @@ pub struct ClusteredIndex {
     group_origins: Arena<u32>,
     origin_entity: Arena<EntityId>,
     origin_entries: Arena<u32>,
-    entries: Arena<PostingEntry>,
+    positions: Arena<u16>,
     /// Rank-key-sorted distinct token sets of all derived entities,
     /// flattened into one arena (`set_offsets[i]..set_offsets[i+1]` is the
     /// set of derived entity `i`). One contiguous allocation keeps the
     /// verification loop cache-friendly across hundreds of thousands of
     /// variants.
-    set_data: Arena<u64>,
+    set_data: Arena<u32>,
     set_offsets: Arena<u32>,
     /// Derived ids grouped by origin, each group sorted by ascending
     /// distinct-set length — so verification can binary-search the variants
@@ -224,10 +213,10 @@ impl ClusteredIndex {
     /// Every token occurring in `dd` must be valid in `order`.
     pub fn build_with_order(dd: &DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
         // Globally-ordered distinct key set per derived entity, flattened.
-        let mut set_data: Vec<u64> = Vec::new();
+        let mut set_data: Vec<u32> = Vec::new();
         let mut set_offsets: Vec<u32> = Vec::with_capacity(dd.len() + 1);
         set_offsets.push(0);
-        let mut keys: Vec<u64> = Vec::new();
+        let mut keys: Vec<u32> = Vec::new();
         let mut min_len: Option<usize> = None;
         let mut max_len: Option<usize> = None;
         for (_, d) in dd.iter() {
@@ -242,60 +231,15 @@ impl ClusteredIndex {
             set_data.extend_from_slice(&keys);
             set_offsets.push(set_data.len() as u32);
         }
+        // Positions are u16, so a variant of more than 65 535 distinct
+        // tokens cannot be indexed. Dictionary entities are short phrases
+        // (the paper's datasets average 2–7 tokens), so this is an
+        // assertion on absurd input, not a runtime error path; the frozen
+        // opener refuses an artifact carrying such a variant, so a
+        // dictionary read from disk never reaches it.
+        assert!(max_len.unwrap_or(0) <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
 
-        // Raw postings per token: (len, origin, derived, pos).
-        let num_tokens = dd.iter().flat_map(|(_, d)| d.tokens.iter()).map(|t| t.idx() + 1).max().unwrap_or(0);
-        let mut raw: Vec<Vec<(u16, EntityId, DerivedId, u16)>> = vec![Vec::new(); num_tokens];
-        for (id, d) in dd.iter() {
-            let set = &set_data[set_offsets[id.idx()] as usize..set_offsets[id.idx() + 1] as usize];
-            // Posting entries address positions with u16, so a variant of
-            // more than 65 535 distinct tokens cannot be indexed. Dictionary
-            // entities are short phrases (the paper's datasets average 2–7
-            // tokens), so this is a build-time assertion on absurd input,
-            // not a runtime error path; engines loaded from disk are
-            // additionally capped by `persist::MAX_VARIANT_TOKENS` before
-            // they reach this code.
-            let len = u16::try_from(set.len()).expect("entity set larger than u16::MAX tokens");
-            for (pos, &key) in set.iter().enumerate() {
-                let t = order.token_of(key);
-                raw[t.idx()].push((len, d.origin, id, pos as u16));
-            }
-        }
-
-        // Cluster: sort each token's postings by (len, origin, derived),
-        // then flatten the whole forest into the global prefix-linked
-        // arrays — tokens tile the group arrays, groups tile the origin
-        // arrays, origins tile the entry arena.
-        let mut tok_groups: Vec<u32> = Vec::with_capacity(num_tokens + 1);
-        let mut group_len: Vec<u16> = Vec::new();
-        let mut group_origins: Vec<u32> = Vec::new();
-        let mut origin_entity: Vec<EntityId> = Vec::new();
-        let mut origin_entries: Vec<u32> = Vec::new();
-        let mut entries: Vec<PostingEntry> = Vec::new();
-        for mut raw_entries in raw {
-            raw_entries.sort_unstable_by_key(|&(len, origin, derived, _)| (len, origin, derived));
-            tok_groups.push(group_len.len() as u32);
-            let mut cur_len: Option<u16> = None;
-            let mut cur_origin: Option<EntityId> = None;
-            for (len, origin, derived, pos) in raw_entries {
-                if cur_len != Some(len) {
-                    group_len.push(len);
-                    group_origins.push(origin_entity.len() as u32);
-                    cur_len = Some(len);
-                    cur_origin = None;
-                }
-                if cur_origin != Some(origin) {
-                    origin_entity.push(origin);
-                    origin_entries.push(entries.len() as u32);
-                    cur_origin = Some(origin);
-                }
-                entries.push(PostingEntry { derived, pos });
-            }
-        }
-        // Close the prefix arrays with their final sentinels.
-        tok_groups.push(group_len.len() as u32);
-        group_origins.push(origin_entity.len() as u32);
-        origin_entries.push(entries.len() as u32);
+        let postings = cluster_postings(dd, &order, &set_data, &set_offsets);
 
         // Per-origin variant ids sorted by set length (stable within equal
         // lengths, preserving derivation order).
@@ -313,12 +257,12 @@ impl ClusteredIndex {
 
         Self {
             order,
-            tok_groups: tok_groups.into(),
-            group_len: group_len.into(),
-            group_origins: group_origins.into(),
-            origin_entity: origin_entity.into(),
-            origin_entries: origin_entries.into(),
-            entries: entries.into(),
+            tok_groups: postings.tok_groups.into(),
+            group_len: postings.group_len.into(),
+            group_origins: postings.group_origins.into(),
+            origin_entity: postings.origin_entity.into(),
+            origin_entries: postings.origin_entries.into(),
+            positions: postings.positions.into(),
             set_data: set_data.into(),
             set_offsets: set_offsets.into(),
             variants_by_len: variants_by_len.into(),
@@ -337,9 +281,13 @@ impl ClusteredIndex {
     /// - group lengths are strictly ascending within each token and origin
     ///   entities strictly ascending within each group (the batch-skip
     ///   scans rely on both);
-    /// - every posting references an in-range derived id with an in-range
-    ///   set position; every variant id in the by-length table is in range
-    ///   and sorted by ascending set length within its origin.
+    /// - every derived set is strictly ascending and holds only valid keys
+    ///   whose rank the order handed out (the merge intersections of
+    ///   verification silently under-count on anything else);
+    /// - every posting's position is below its group's set length — the
+    ///   length of every set a posting of that group can belong to;
+    /// - every variant id in the by-length table is in range and sorted by
+    ///   ascending set length within its origin.
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
         let groups = a.group_len.len();
         let origins = a.origin_entity.len();
@@ -351,7 +299,7 @@ impl ClusteredIndex {
         if a.origin_entries.len() != origins + 1 {
             return Err(format!("origin entry offsets hold {} entries, expected {}", a.origin_entries.len(), origins + 1));
         }
-        check_prefix("origin entry offsets", &a.origin_entries, a.entries.len())?;
+        check_prefix("origin entry offsets", &a.origin_entries, a.positions.len())?;
         check_prefix("set offsets", &a.set_offsets, a.set_data.len())?;
         let num_derived = a.set_offsets.len() - 1;
         check_prefix("variant offsets", &a.origin_offsets, a.variants_by_len.len())?;
@@ -365,7 +313,9 @@ impl ClusteredIndex {
         let group_len: &[u16] = &a.group_len;
         let group_origins: &[u32] = &a.group_origins;
         let origin_entity: &[EntityId] = &a.origin_entity;
-        let entries: &[PostingEntry] = &a.entries;
+        let origin_entries: &[u32] = &a.origin_entries;
+        let positions: &[u16] = &a.positions;
+        let set_data: &[u32] = &a.set_data;
         let set_offsets: &[u32] = &a.set_offsets;
         let variants_by_len: &[DerivedId] = &a.variants_by_len;
         let origin_offsets: &[u32] = &a.origin_offsets;
@@ -399,9 +349,36 @@ impl ClusteredIndex {
                 .expect("pass found a non-ascending origin range");
             return Err(format!("group {g}'s origin clusters are not strictly ascending"));
         }
-        // `set_len` is kept as u32 (not usize) so the posting and variant
-        // scans below gather from a table half the size — these two loops
-        // are the hottest part of a frozen open.
+        // Sets: one pass for "valid bit set, rank handed out" (a single
+        // unsigned compare per key), one for strict ascent inside each set.
+        let ranks = order.ranks() as u32;
+        let key_ok = |k: u32| k.wrapping_sub(VALID_BIT) < ranks;
+        let set_of = |i: usize| set_offsets.partition_point(|&o| o as usize <= i) - 1;
+        if !set_data.iter().fold(true, |ok, &k| ok & key_ok(k)) {
+            let i = set_data.iter().position(|&k| !key_ok(k)).expect("fold found a bad key");
+            let (d, k) = (set_of(i), set_data[i]);
+            return Err(if k & VALID_BIT == 0 {
+                format!("set {d} holds key {k:#x} without the valid bit")
+            } else {
+                format!("set {d} holds rank {} but the order hands out only {ranks}", k & !VALID_BIT)
+            });
+        }
+        if !ascending_within(|i| set_data[i - 1] < set_data[i], set_offsets, set_data.len()) {
+            let d = (0..set_offsets.len() - 1)
+                .find(|&d| set_data[set_offsets[d] as usize..set_offsets[d + 1] as usize].windows(2).any(|w| w[0] >= w[1]))
+                .expect("pass found a non-ascending set");
+            return Err(format!("set {d}'s keys are not strictly ascending"));
+        }
+        // Postings: each group's run of positions against the group length.
+        let group_postings = |g: usize| origin_entries[group_origins[g] as usize] as usize..origin_entries[group_origins[g + 1] as usize] as usize;
+        let positions_ok = |g: usize| positions[group_postings(g)].iter().fold(true, |ok, &p| ok & (p < group_len[g]));
+        if !(0..groups).fold(true, |ok, g| ok & positions_ok(g)) {
+            let g = (0..groups).find(|&g| !positions_ok(g)).expect("fold found a bad group");
+            let i = group_postings(g).find(|&i| positions[i] >= group_len[g]).expect("group holds a bad posting");
+            return Err(format!("posting {i} position {} outside its group's sets of {}", positions[i], group_len[g]));
+        }
+        // `set_len` is kept as u32 (not usize) so the variant scan below
+        // gathers from a table half the size.
         let mut set_len: Vec<u32> = Vec::with_capacity(num_derived);
         let mut min_len: Option<usize> = None;
         let mut max_len: Option<usize> = None;
@@ -413,14 +390,6 @@ impl ClusteredIndex {
                 max_len = Some(max_len.map_or(l, |m| m.max(l)));
             }
             set_len.push(l);
-        }
-        let posting_ok = |e: &PostingEntry| set_len.get(e.derived.idx()).is_some_and(|&l| (e.pos as u32) < l);
-        if !entries.iter().fold(true, |ok, e| ok & posting_ok(e)) {
-            let (i, e) = entries.iter().enumerate().find(|(_, e)| !posting_ok(e)).expect("fold found a bad posting");
-            if e.derived.idx() >= num_derived {
-                return Err(format!("posting {i} references derived id {:?} out of {num_derived}", e.derived));
-            }
-            return Err(format!("posting {i} position {} outside its entity's set of {}", e.pos, set_len[e.derived.idx()]));
         }
         if variants_by_len.iter().map(|d| d.idx()).max().is_some_and(|m| m >= num_derived) {
             let id = variants_by_len.iter().find(|d| d.idx() >= num_derived).expect("max out of range");
@@ -461,7 +430,7 @@ impl ClusteredIndex {
             group_origins: a.group_origins,
             origin_entity: a.origin_entity,
             origin_entries: a.origin_entries,
-            entries: a.entries,
+            positions: a.positions,
             set_data: a.set_data,
             set_offsets: a.set_offsets,
             variants_by_len: a.variants_by_len,
@@ -471,7 +440,7 @@ impl ClusteredIndex {
         })
     }
 
-    /// Raw views of the flat arrays (the v5 writer serializes these).
+    /// Raw views of the flat arrays (the frozen writer serializes these).
     pub fn raw_parts(&self) -> IndexArenasRef<'_> {
         IndexArenasRef {
             tok_groups: &self.tok_groups,
@@ -479,7 +448,7 @@ impl ClusteredIndex {
             group_origins: &self.group_origins,
             origin_entity: &self.origin_entity,
             origin_entries: &self.origin_entries,
-            entries: &self.entries,
+            positions: &self.positions,
             set_data: &self.set_data,
             set_offsets: &self.set_offsets,
             variants_by_len: &self.variants_by_len,
@@ -489,7 +458,7 @@ impl ClusteredIndex {
 
     /// Whether the storage borrows a frozen artifact (zero-copy).
     pub fn is_frozen(&self) -> bool {
-        self.entries.is_frozen()
+        self.positions.is_frozen()
     }
 
     /// The variants of origin `e`, sorted by ascending distinct-set length.
@@ -526,7 +495,7 @@ impl ClusteredIndex {
 
     /// The globally-ordered distinct key set of a derived entity.
     #[inline]
-    pub fn derived_set(&self, id: DerivedId) -> &[u64] {
+    pub fn derived_set(&self, id: DerivedId) -> &[u32] {
         &self.set_data[self.set_offsets[id.idx()] as usize..self.set_offsets[id.idx() + 1] as usize]
     }
 
@@ -548,7 +517,7 @@ impl ClusteredIndex {
 
     /// Total postings across all tokens.
     pub fn total_entries(&self) -> usize {
-        self.entries.len()
+        self.positions.len()
     }
 
     /// Approximate size of the index in bytes (for the paper's §6.3
@@ -561,12 +530,94 @@ impl ClusteredIndex {
             + self.group_origins.len() * size_of::<u32>()
             + self.origin_entity.len() * size_of::<EntityId>()
             + self.origin_entries.len() * size_of::<u32>()
-            + self.entries.len() * size_of::<PostingEntry>()
-            + self.set_data.len() * size_of::<u64>()
+            + self.positions.len() * size_of::<u16>()
+            + self.set_data.len() * size_of::<u32>()
             + self.set_offsets.len() * size_of::<u32>()
             + self.variants_by_len.len() * size_of::<DerivedId>()
             + self.origin_offsets.len() * size_of::<u32>()
     }
+}
+
+/// The six posting arrays of an index under construction.
+#[derive(Debug, PartialEq, Eq)]
+struct ClusteredPostings {
+    tok_groups: Vec<u32>,
+    group_len: Vec<u16>,
+    group_origins: Vec<u32>,
+    origin_entity: Vec<EntityId>,
+    origin_entries: Vec<u32>,
+    positions: Vec<u16>,
+}
+
+/// Clusters the postings of every derived set (paper Algorithm 2): one
+/// counting pass sizes each token's list, a second fills a single
+/// exact-capacity buffer, each token's range is sorted by `(len, origin,
+/// derived)` in place, and the forest is flattened into the global
+/// prefix-linked arrays — tokens tile the group arrays, groups tile the
+/// origin arrays, origins tile the position arena.
+///
+/// A posting waits for its sort as one `u64`, `len << 48 | derived << 16 |
+/// pos`: variants sit in origin order in a derived dictionary, so ordering
+/// by derived id orders by origin too and the origin need not be carried.
+fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32], set_offsets: &[u32]) -> ClusteredPostings {
+    let num_tokens = set_data.iter().map(|&key| order.token_of(key).idx() + 1).max().unwrap_or(0);
+    // `starts[t]` is where token `t`'s postings begin; while filling,
+    // `cursor[t]` is where its next posting goes.
+    let mut starts = vec![0u32; num_tokens + 1];
+    for &key in set_data {
+        starts[order.token_of(key).idx() + 1] += 1;
+    }
+    for t in 0..num_tokens {
+        starts[t + 1] += starts[t];
+    }
+    let mut cursor = starts[..num_tokens].to_vec();
+    let mut raw = vec![0u64; set_data.len()];
+    for (id, w) in set_offsets.windows(2).enumerate() {
+        let set = &set_data[w[0] as usize..w[1] as usize];
+        let len_and_id = (set.len() as u64) << 48 | (id as u64) << 16;
+        for (pos, &key) in set.iter().enumerate() {
+            let at = &mut cursor[order.token_of(key).idx()];
+            raw[*at as usize] = len_and_id | pos as u64;
+            *at += 1;
+        }
+    }
+
+    let (origin_of, ..) = dd.raw_arenas();
+    let mut out = ClusteredPostings {
+        tok_groups: Vec::with_capacity(num_tokens + 1),
+        group_len: Vec::new(),
+        group_origins: Vec::new(),
+        origin_entity: Vec::new(),
+        origin_entries: Vec::new(),
+        positions: Vec::with_capacity(raw.len()),
+    };
+    for w in starts.windows(2) {
+        let list = &mut raw[w[0] as usize..w[1] as usize];
+        list.sort_unstable();
+        out.tok_groups.push(out.group_len.len() as u32);
+        let mut cur_len: Option<u16> = None;
+        let mut cur_origin: Option<EntityId> = None;
+        for &posting in list.iter() {
+            let (len, origin) = ((posting >> 48) as u16, origin_of[(posting >> 16) as u32 as usize]);
+            if cur_len != Some(len) {
+                out.group_len.push(len);
+                out.group_origins.push(out.origin_entity.len() as u32);
+                cur_len = Some(len);
+                cur_origin = None;
+            }
+            if cur_origin != Some(origin) {
+                out.origin_entity.push(origin);
+                out.origin_entries.push(out.positions.len() as u32);
+                cur_origin = Some(origin);
+            }
+            out.positions.push(posting as u16);
+        }
+    }
+    // Close the prefix arrays with their final sentinels.
+    out.tok_groups.push(out.group_len.len() as u32);
+    out.group_origins.push(out.origin_entity.len() as u32);
+    out.origin_entries.push(out.positions.len() as u32);
+    out
 }
 
 /// Validates a prefix array: non-empty, starts at 0, monotonic, ends at
@@ -645,7 +696,7 @@ mod tests {
         for w in origins.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert_eq!(g4.entry_count(), g4.origins().map(|o| o.entries.len()).sum::<usize>());
+        assert_eq!(g4.entry_count(), g4.origins().map(|o| o.positions.len()).sum::<usize>());
     }
 
     #[test]
@@ -672,13 +723,11 @@ mod tests {
         let tp = f.index.postings(of).unwrap();
         for g in tp.groups() {
             for og in g.origins() {
-                for e in og.entries {
-                    // "of" is the most frequent token → last position (2 of 0..3).
-                    assert_eq!(e.pos, 2);
-                    // cross-check against the stored set
-                    let set = f.index.derived_set(e.derived);
-                    assert_eq!(f.index.order().token_of(set[e.pos as usize]), of);
-                }
+                // "of" is the most frequent token → last position (2 of 0..3).
+                assert_eq!(og.positions, [2]);
+                // cross-check against the stored set of the origin's one variant
+                let set = f.index.derived_set(f.index.variants_sorted(og.origin)[0]);
+                assert_eq!(f.index.order().token_of(set[2]), of);
             }
         }
     }
@@ -737,7 +786,7 @@ mod tests {
             group_origins: r.group_origins.to_vec().into(),
             origin_entity: r.origin_entity.to_vec().into(),
             origin_entries: r.origin_entries.to_vec().into(),
-            entries: r.entries.to_vec().into(),
+            positions: r.positions.to_vec().into(),
             set_data: r.set_data.to_vec().into(),
             set_offsets: r.set_offsets.to_vec().into(),
             variants_by_len: r.variants_by_len.to_vec().into(),
@@ -764,8 +813,8 @@ mod tests {
                     assert_eq!(a.group_count(), b.group_count());
                     for (ga, gb) in a.groups().zip(b.groups()) {
                         assert_eq!(ga.len(), gb.len());
-                        let oa: Vec<_> = ga.origins().map(|o| (o.origin, o.entries.to_vec())).collect();
-                        let ob: Vec<_> = gb.origins().map(|o| (o.origin, o.entries.to_vec())).collect();
+                        let oa: Vec<_> = ga.origins().map(|o| (o.origin, o.positions)).collect();
+                        let ob: Vec<_> = gb.origins().map(|o| (o.origin, o.positions)).collect();
                         assert_eq!(oa, ob);
                     }
                 }
@@ -791,20 +840,108 @@ mod tests {
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "prefix past arena");
 
         let mut bad = ok.clone();
-        if let Some(e) = bad.entries.as_mut_vec().first_mut() {
-            e.derived = DerivedId(u32::MAX);
-        }
-        assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "derived id out of range");
-
-        let mut bad = ok.clone();
-        if let Some(e) = bad.entries.as_mut_vec().first_mut() {
-            e.pos = u16::MAX;
-        }
-        assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "position outside set");
-
-        let mut bad = ok.clone();
         // Token "a" occurs in both entities → its two groups sit first.
         bad.group_len.as_mut_vec().swap(0, 1);
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "group lengths unsorted");
+    }
+
+    /// A structurally sound image whose sets or positions are wrong used to
+    /// be adopted and then under-count matches; each is now named and refused.
+    #[test]
+    fn raw_validation_rejects_wrong_sets_and_positions() {
+        let f = fixture(&["a b c", "a d"], &[]);
+        let ok = owned_arenas(&f.index);
+        let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| {
+            let mut bad = ok.clone();
+            mutate(&mut bad);
+            let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err(what);
+            assert!(err.contains(expect), "{what}: unexpected message `{err}`");
+        };
+        // Set 0 is "a b c" (3 keys), set 1 is "a d" (2 keys).
+        reject("two keys swapped", &|a| a.set_data.as_mut_vec().swap(3, 4), "set 1's keys are not strictly ascending");
+        reject("a key repeated", &|a| a.set_data.as_mut_vec()[1] = ok.set_data[0], "set 0's keys are not strictly ascending");
+        reject("valid bit cleared", &|a| a.set_data.as_mut_vec()[4] &= !VALID_BIT, "set 1 holds key");
+        reject(
+            "rank out of range",
+            &|a| a.set_data.as_mut_vec()[2] = VALID_BIT | 4,
+            "set 0 holds rank 4 but the order hands out only 4",
+        );
+        // Token "a" is id 0: its first posting sits in the length-2 group.
+        assert_eq!(ok.group_len[0], 2);
+        reject("position = group length", &|a| a.positions.as_mut_vec()[0] = 2, "posting 0 position 2 outside its group's sets of 2");
+    }
+
+    /// The retired build: one growing `Vec` of postings per token, each
+    /// sorted and flattened in turn. Kept as the oracle for the counting
+    /// build, whose six arrays must equal these element for element.
+    fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32], set_offsets: &[u32]) -> ClusteredPostings {
+        let num_tokens = dd.iter().flat_map(|(_, d)| d.tokens.iter()).map(|t| t.idx() + 1).max().unwrap_or(0);
+        let mut raw: Vec<Vec<(u16, EntityId, DerivedId, u16)>> = vec![Vec::new(); num_tokens];
+        for (id, d) in dd.iter() {
+            let set = &set_data[set_offsets[id.idx()] as usize..set_offsets[id.idx() + 1] as usize];
+            for (pos, &key) in set.iter().enumerate() {
+                raw[order.token_of(key).idx()].push((set.len() as u16, d.origin, id, pos as u16));
+            }
+        }
+        let mut out = ClusteredPostings {
+            tok_groups: Vec::new(),
+            group_len: Vec::new(),
+            group_origins: Vec::new(),
+            origin_entity: Vec::new(),
+            origin_entries: Vec::new(),
+            positions: Vec::new(),
+        };
+        for mut raw_entries in raw {
+            raw_entries.sort_unstable_by_key(|&(len, origin, derived, _)| (len, origin, derived));
+            out.tok_groups.push(out.group_len.len() as u32);
+            let mut cur_len: Option<u16> = None;
+            let mut cur_origin: Option<EntityId> = None;
+            for (len, origin, _, pos) in raw_entries {
+                if cur_len != Some(len) {
+                    out.group_len.push(len);
+                    out.group_origins.push(out.origin_entity.len() as u32);
+                    cur_len = Some(len);
+                    cur_origin = None;
+                }
+                if cur_origin != Some(origin) {
+                    out.origin_entity.push(origin);
+                    out.origin_entries.push(out.positions.len() as u32);
+                    cur_origin = Some(origin);
+                }
+                out.positions.push(pos);
+            }
+        }
+        out.tok_groups.push(out.group_len.len() as u32);
+        out.group_origins.push(out.origin_entity.len() as u32);
+        out.origin_entries.push(out.positions.len() as u32);
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn counting_build_equals_per_token_vec_build(
+            entities in proptest::collection::vec(proptest::collection::vec(0u8..12, 1..=6), 1..8),
+            rules in proptest::collection::vec((proptest::collection::vec(0u8..12, 1..=2), proptest::collection::vec(0u8..12, 1..=3)), 0..4),
+        ) {
+            let mut int = Interner::new();
+            // Interned back to front, so ids and strings disagree on order.
+            let ids: Vec<TokenId> = (0..12).rev().map(|i| int.intern(&format!("tok{i:02}"))).collect();
+            let tokens = |v: &[u8]| v.iter().map(|&i| ids[i as usize]).collect::<Vec<_>>();
+            let mut dict = Dictionary::new();
+            for e in &entities {
+                dict.push_tokens(format!("{e:?}"), tokens(e));
+            }
+            let mut rs = RuleSet::new();
+            for (l, r) in &rules {
+                let _ = rs.push_tokens(tokens(l), tokens(r), 1.0);
+            }
+            let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
+            let index = ClusteredIndex::build(&dd, &int);
+            let r = index.raw_parts();
+            let built = cluster_postings(&dd, index.order(), r.set_data, r.set_offsets);
+            proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order(), r.set_data, r.set_offsets));
+            proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
+            proptest::prop_assert_eq!(r.positions, &built.positions[..]);
+        }
     }
 }

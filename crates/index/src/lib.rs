@@ -6,14 +6,14 @@
 //! * [`prefix_len`] / window bound helpers — the length- and prefix-filter
 //!   arithmetic of §3.1.
 //! * [`ClusteredIndex`] — the clustered inverted index: for each token, the
-//!   postings `(derived entity, position)` grouped first by derived-entity
-//!   length and, inside each length group, by origin entity, enabling the
-//!   batch skips of §3.2.
+//!   positions of the token inside the derived entities' ordered sets,
+//!   grouped first by derived-entity length and, inside each length group,
+//!   by origin entity, enabling the batch skips of §3.2.
 
 mod clustered;
 mod filters;
 mod order;
 
-pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, LengthGroup, OriginGroup, PostingEntry, TokenPostings};
+pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, LengthGroup, OriginGroup, TokenPostings};
 pub use filters::{metric_window_bounds, prefix_len, window_bounds, WindowBounds};
-pub use order::GlobalOrder;
+pub use order::{GlobalOrder, VALID_BIT};

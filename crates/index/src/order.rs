@@ -4,18 +4,25 @@ use aeetes_frozen::Arena;
 use aeetes_rules::DerivedDictionary;
 use aeetes_text::{Interner, TokenId};
 
+/// Bit 31 of a key: set exactly when the token is valid (occurs in some
+/// derived entity). The low 31 bits of a valid key are the token's rank;
+/// an invalid token keys as its own id, which [`TokenId::LIMIT`] keeps
+/// below this bit — so every invalid key sorts before every valid one.
+pub const VALID_BIT: u32 = TokenId::LIMIT;
+
 /// Ascending-frequency global order over tokens.
 ///
 /// A token's *frequency* is the number of derived entities whose distinct
-/// token set contains it. Tokens are compared by `(frequency, token string)`,
-/// packed into a single `u64` key: smaller key ⇒ rarer ⇒ earlier in every
-/// sorted prefix. Equal-frequency tokens tie-break by their *string* rather
-/// than their interner id, so two builds that intern the same vocabulary in
-/// different insertion orders (e.g. a single-engine build vs. per-shard
-/// builds) still produce identical prefixes. Tokens that appear in no derived
-/// entity (the paper's *invalid* tokens, including tokens interned after the
-/// index was built) get frequency 0 and therefore sort before all valid
-/// tokens — harmless, because their posting lists are empty.
+/// token set contains it. Valid tokens are ranked densely in ascending
+/// `(frequency, token string)` order and keyed `VALID_BIT | rank`: smaller
+/// key ⇒ rarer ⇒ earlier in every sorted prefix. Equal-frequency tokens
+/// tie-break by their *string* rather than their interner id, so two builds
+/// that intern the same vocabulary in different insertion orders (e.g. a
+/// single-engine build vs. per-shard builds) still produce identical
+/// prefixes. Tokens that appear in no derived entity (the paper's *invalid*
+/// tokens, including tokens interned after the index was built) key as
+/// their own id and therefore sort before all valid tokens — harmless,
+/// because their posting lists are empty.
 ///
 /// The three arrays live in [`Arena`]s: heap vectors when built in memory,
 /// zero-copy windows into the file image when opened from a frozen artifact.
@@ -23,11 +30,42 @@ use aeetes_text::{Interner, TokenId};
 pub struct GlobalOrder {
     /// token idx → number of derived entities containing it (0 = invalid).
     freq: Arena<u32>,
-    /// token idx → rank of the token's string among all valid tokens.
-    /// Only meaningful where `freq > 0`.
-    tie: Arena<u32>,
-    /// string rank → token, inverse of `tie` (valid tokens only).
+    /// token idx → key: `VALID_BIT | rank` where `freq > 0`, the token's
+    /// own id elsewhere.
+    key: Arena<u32>,
+    /// rank → token, inverse of `key` (valid tokens only).
     untie: Arena<TokenId>,
+}
+
+/// Per-token count of the derived entities of `parts` whose distinct set
+/// contains the token, over ids `0..max(len, largest id + 1)`.
+///
+/// # Panics
+/// Panics when a token id reaches [`TokenId::LIMIT`] — such an id cannot
+/// come from an [`Interner`], and its key would collide with `VALID_BIT`.
+fn count_frequencies(parts: &[&DerivedDictionary], len: usize) -> Vec<u32> {
+    let max_id = parts
+        .iter()
+        .flat_map(|dd| dd.iter())
+        .flat_map(|(_, d)| d.tokens.iter())
+        .map(|t| t.idx())
+        .max()
+        .map_or(0, |m| m + 1);
+    assert!(max_id <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", max_id - 1);
+    let mut freq = vec![0u32; max_id.max(len)];
+    let mut seen: Vec<TokenId> = Vec::new();
+    for dd in parts {
+        for (_, d) in dd.iter() {
+            seen.clear();
+            seen.extend_from_slice(d.tokens);
+            seen.sort_unstable();
+            seen.dedup();
+            for t in &seen {
+                freq[t.idx()] += 1;
+            }
+        }
+    }
+    freq
 }
 
 impl GlobalOrder {
@@ -43,31 +81,12 @@ impl GlobalOrder {
     /// sees the same key for the same token regardless of how the entity
     /// space was partitioned.
     pub fn build_many(parts: &[&DerivedDictionary], interner: &Interner) -> Self {
-        let max_id = parts
-            .iter()
-            .flat_map(|dd| dd.iter())
-            .flat_map(|(_, d)| d.tokens.iter())
-            .map(|t| t.idx())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut freq = vec![0u32; max_id];
-        let mut seen: Vec<TokenId> = Vec::new();
-        for dd in parts {
-            for (_, d) in dd.iter() {
-                seen.clear();
-                seen.extend_from_slice(d.tokens);
-                seen.sort_unstable();
-                seen.dedup();
-                for t in &seen {
-                    freq[t.idx()] += 1;
-                }
-            }
-        }
-        let fresh: Vec<TokenId> = (0..max_id as u32).map(TokenId).filter(|t| freq[t.idx()] > 0).collect();
-        let mut tie = vec![0u32; max_id];
-        let mut untie = Vec::new();
-        assign_ranks(&mut tie, &mut untie, fresh, interner);
-        Self { freq: freq.into(), tie: tie.into(), untie: untie.into() }
+        let freq = count_frequencies(parts, 0);
+        let fresh: Vec<TokenId> = (0..freq.len() as u32).map(TokenId).filter(|t| freq[t.idx()] > 0).collect();
+        let mut key: Vec<u32> = (0..freq.len() as u32).collect();
+        let mut untie = Vec::with_capacity(fresh.len());
+        assign_ranks(&freq, &mut key, &mut untie, fresh, interner);
+        Self { freq: freq.into(), key: key.into(), untie: untie.into() }
     }
 
     /// Extends the order with tokens that first appear in `parts`, keeping
@@ -75,40 +94,21 @@ impl GlobalOrder {
     ///
     /// This is the delta path: a generation update must not re-key tokens
     /// that unaffected shards already indexed, so existing frequencies and
-    /// tie ranks are left untouched and only previously-invalid tokens are
-    /// admitted (with their frequency counted over `parts` and string ranks
-    /// appended after all existing ranks). The resulting order can drift
-    /// from the true corpus frequencies — that affects prefix sizes
-    /// (performance), never correctness; a full rebuild re-keys everything.
-    /// The result is always heap-owned, even when `self` is frozen —
-    /// this is the copy-on-write step of a frozen deployment's update path.
+    /// keys are left untouched and only previously-invalid tokens are
+    /// admitted, with their frequency counted over `parts` and their ranks
+    /// appended after all existing ones — new vocabulary sorts last until
+    /// the next full build. The resulting order drifts from the true corpus
+    /// frequencies — that affects prefix sizes (performance), never
+    /// correctness; a full rebuild re-keys everything. The result is always
+    /// heap-owned, even when `self` is frozen — this is the copy-on-write
+    /// step of a frozen deployment's update path.
     pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Self {
-        let max_id = parts
-            .iter()
-            .flat_map(|dd| dd.iter())
-            .flat_map(|(_, d)| d.tokens.iter())
-            .map(|t| t.idx())
-            .max()
-            .map_or(0, |m| m + 1)
-            .max(self.freq.len());
+        let delta = count_frequencies(parts, self.freq.len());
         let mut freq = self.freq.to_vec();
-        let mut tie = self.tie.to_vec();
+        let mut key = self.key.to_vec();
         let mut untie = self.untie.to_vec();
-        freq.resize(max_id, 0);
-        tie.resize(max_id, 0);
-        let mut delta = vec![0u32; max_id];
-        let mut seen: Vec<TokenId> = Vec::new();
-        for dd in parts {
-            for (_, d) in dd.iter() {
-                seen.clear();
-                seen.extend_from_slice(d.tokens);
-                seen.sort_unstable();
-                seen.dedup();
-                for t in &seen {
-                    delta[t.idx()] += 1;
-                }
-            }
-        }
+        freq.resize(delta.len(), 0);
+        key.extend(self.key.len() as u32..delta.len() as u32);
         let mut fresh: Vec<TokenId> = Vec::new();
         for (i, &d) in delta.iter().enumerate() {
             if d > 0 && freq[i] == 0 {
@@ -116,19 +116,23 @@ impl GlobalOrder {
                 fresh.push(TokenId(i as u32));
             }
         }
-        assign_ranks(&mut tie, &mut untie, fresh, interner);
-        Self { freq: freq.into(), tie: tie.into(), untie: untie.into() }
+        assign_ranks(&freq, &mut key, &mut untie, fresh, interner);
+        Self { freq: freq.into(), key: key.into(), untie: untie.into() }
     }
 
     /// Reassembles an order from raw (possibly frozen) arenas, validating
-    /// the rank permutation: `untie` must hold exactly the valid tokens,
-    /// each in range, with `tie` as its inverse.
+    /// the key space: at most 2³¹ tokens, `untie` holding exactly the valid
+    /// tokens, each in range, with `key` as its `VALID_BIT`-tagged inverse,
+    /// and every invalid token keyed as its own id.
     ///
     /// # Errors
     /// Returns a message describing the first violated invariant.
-    pub fn from_raw_parts(freq: Arena<u32>, tie: Arena<u32>, untie: Arena<TokenId>) -> Result<Self, String> {
-        if tie.len() != freq.len() {
-            return Err(format!("tie array holds {} entries, freq holds {}", tie.len(), freq.len()));
+    pub fn from_raw_parts(freq: Arena<u32>, key: Arena<u32>, untie: Arena<TokenId>) -> Result<Self, String> {
+        if key.len() != freq.len() {
+            return Err(format!("key array holds {} entries, freq holds {}", key.len(), freq.len()));
+        }
+        if freq.len() > TokenId::LIMIT as usize {
+            return Err(format!("order covers {} tokens, the id space ends at {}", freq.len(), TokenId::LIMIT));
         }
         let valid = freq.iter().filter(|&&f| f > 0).count();
         if untie.len() != valid {
@@ -141,17 +145,22 @@ impl GlobalOrder {
             if freq[t.idx()] == 0 {
                 return Err(format!("untie rank {rank} names invalid token {t:?}"));
             }
-            if tie[t.idx()] as usize != rank {
-                return Err(format!("tie/untie disagree at rank {rank}: tie[{t:?}] = {}", tie[t.idx()]));
+            if key[t.idx()] != VALID_BIT | rank as u32 {
+                return Err(format!("key/untie disagree at rank {rank}: key[{t:?}] = {:#x}", key[t.idx()]));
             }
         }
-        Ok(Self { freq, tie, untie })
+        // The loop above pinned every valid token's key (the ranks name
+        // `valid` distinct valid tokens); what is left are the invalid ones.
+        if let Some(t) = (0..freq.len()).find(|&t| freq[t] == 0 && key[t] as usize != t) {
+            return Err(format!("invalid token {t} is keyed {:#x}, not as its own id", key[t]));
+        }
+        Ok(Self { freq, key, untie })
     }
 
-    /// Raw arena views in [`GlobalOrder::from_raw_parts`] order (the v5
+    /// Raw arena views in [`GlobalOrder::from_raw_parts`] order (the frozen
     /// writer serializes exactly these three arrays).
     pub fn raw_parts(&self) -> (&[u32], &[u32], &[TokenId]) {
-        (&self.freq, &self.tie, &self.untie)
+        (&self.freq, &self.key, &self.untie)
     }
 
     /// The frequency of `t` in the derived dictionary (0 for invalid tokens).
@@ -166,28 +175,29 @@ impl GlobalOrder {
         self.freq(t) > 0
     }
 
-    /// The total-order key of `t`: `(frequency, string rank)` packed as
-    /// `freq << 32 | rank`. Smaller key = rarer token = earlier in prefixes.
-    /// Invalid tokens key as their raw id below `1 << 32`, i.e. before every
-    /// valid token.
+    /// The total-order key of `t`: `VALID_BIT | rank` for a valid token
+    /// (smaller rank = rarer token = earlier in prefixes), the token's own
+    /// id — below `VALID_BIT`, i.e. before every valid token — otherwise,
+    /// including for tokens interned after the order was built.
     #[inline]
-    pub fn key(&self, t: TokenId) -> u64 {
-        let f = self.freq(t);
-        if f == 0 {
-            t.0 as u64
-        } else {
-            ((f as u64) << 32) | self.tie[t.idx()] as u64
-        }
+    pub fn key(&self, t: TokenId) -> u32 {
+        self.key.get(t.idx()).copied().unwrap_or(t.0)
     }
 
     /// Recovers the token id from a key produced by [`GlobalOrder::key`].
     #[inline]
-    pub fn token_of(&self, key: u64) -> TokenId {
-        if key >> 32 == 0 {
-            TokenId(key as u32)
+    pub fn token_of(&self, key: u32) -> TokenId {
+        if key & VALID_BIT == 0 {
+            TokenId(key)
         } else {
-            self.untie[(key & 0xFFFF_FFFF) as usize]
+            self.untie[(key & !VALID_BIT) as usize]
         }
+    }
+
+    /// Number of ranks handed out: every valid key's rank is below this.
+    #[inline]
+    pub fn ranks(&self) -> usize {
+        self.untie.len()
     }
 
     /// Sorts `tokens` in place by the global order and removes duplicates.
@@ -197,13 +207,13 @@ impl GlobalOrder {
     }
 }
 
-/// Sorts `fresh` tokens by string and appends their tie ranks after all
-/// existing ones. The interner never stores the same string twice, so
-/// the string order is total and rank assignment is deterministic.
-fn assign_ranks(tie: &mut [u32], untie: &mut Vec<TokenId>, mut fresh: Vec<TokenId>, interner: &Interner) {
-    fresh.sort_unstable_by_key(|&t| interner.resolve(t));
+/// Sorts `fresh` tokens by `(frequency, string)` and appends their ranks
+/// after all existing ones. The interner never stores the same string
+/// twice, so the order is total and rank assignment is deterministic.
+fn assign_ranks(freq: &[u32], key: &mut [u32], untie: &mut Vec<TokenId>, mut fresh: Vec<TokenId>, interner: &Interner) {
+    fresh.sort_unstable_by_key(|&t| (freq[t.idx()], interner.resolve(t)));
     for t in fresh {
-        tie[t.idx()] = untie.len() as u32;
+        key[t.idx()] = VALID_BIT | untie.len() as u32;
         untie.push(t);
     }
 }
@@ -322,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_freezes_existing_keys_and_appends_new_tokens() {
+    fn extend_freezes_existing_keys_and_ranks_new_tokens_last() {
         let tok = Tokenizer::default();
         let mut int = Interner::new();
         let dict = Dictionary::from_strings(["a b", "a c"], &tok, &mut int);
@@ -330,45 +340,77 @@ mod tests {
         let cfg = DeriveConfig::default();
         let base = GlobalOrder::build(&DerivedDictionary::build(&dict, &rs, &cfg), &int);
         let a = int.intern("a");
-        let b = int.intern("b");
-        let key_a = base.key(a);
-        let key_b = base.key(b);
-        // Delta introduces "a z": `a` gains real frequency, `z` is new.
+        // The delta introduces "a z y" twice over: `a` gains real frequency
+        // (ignored — its key is frozen), `z` and `y` are new vocabulary, and
+        // "unseen" is interned but stays invalid.
+        let (z, y) = (int.intern("z"), int.intern("y"));
+        let unseen = int.intern("unseen");
         let mut dict2 = dict.clone();
-        dict2.push_tokens("a z".to_string(), vec![a, int.intern("z")]);
-        let delta = DerivedDictionary::build_filtered(&dict2, &rs, &cfg, |e| e.0 == 2);
+        dict2.push_tokens("a z y".to_string(), vec![a, z, y]);
+        dict2.push_tokens("a z".to_string(), vec![a, z]);
+        let delta = DerivedDictionary::build_filtered(&dict2, &rs, &cfg, |e| e.0 >= 2);
         let ext = base.extend(&[&delta], &int);
-        assert_eq!(ext.key(a), key_a, "existing keys are frozen");
-        assert_eq!(ext.key(b), key_b);
-        let z = int.intern("z");
-        assert!(ext.is_valid(z), "new token becomes valid");
-        assert_eq!(ext.token_of(ext.key(z)), z);
+        let old_tokens = base.raw_parts().0.len() as u32;
+        for t in (0..old_tokens).map(TokenId) {
+            assert_eq!(ext.key(t), base.key(t), "existing key of {t:?} is frozen");
+            assert_eq!(ext.freq(t), base.freq(t));
+        }
+        // Rarer first among the new tokens (y: 1, z: 2), all of them after
+        // every key the base order handed out.
+        let last_old = (0..old_tokens).map(|t| base.key(TokenId(t))).max().unwrap();
+        assert!(last_old < ext.key(y) && ext.key(y) < ext.key(z));
+        assert!(ext.is_valid(z) && ext.is_valid(y) && !ext.is_valid(unseen));
+        assert_eq!(ext.key(unseen), unseen.0);
+        for t in [a, z, y, unseen] {
+            assert_eq!(ext.token_of(ext.key(t)), t);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2^31 id space")]
+    fn token_ids_past_the_valid_bit_are_refused() {
+        // Such an id cannot come from an interner (it stops minting at
+        // 2^31); a hand-built dictionary carrying one must not be keyed.
+        let big = aeetes_rules::DerivedEntity {
+            origin: aeetes_text::EntityId(0),
+            tokens: vec![TokenId(VALID_BIT)],
+            rules: Vec::new(),
+            weight: 1.0,
+        };
+        let dd = DerivedDictionary::from_parts(vec![big], 1, Default::default()).unwrap();
+        GlobalOrder::build(&dd, &Interner::new());
     }
 
     #[test]
     fn raw_round_trip_and_validation() {
-        let (o, _) = build(&["university of washington", "school of rock"], &[]);
-        let (freq, tie, untie) = o.raw_parts();
-        let re = GlobalOrder::from_raw_parts(freq.to_vec().into(), tie.to_vec().into(), untie.to_vec().into()).unwrap();
+        // Token 0 is interned but occurs in no entity, so the own-id rule
+        // has a subject inside the order's range.
+        let mut int = Interner::new();
+        let unused = int.intern("unused");
+        let dict = Dictionary::from_strings(["university of washington", "school of rock"], &Tokenizer::default(), &mut int);
+        let o = GlobalOrder::build(&DerivedDictionary::build(&dict, &RuleSet::new(), &DeriveConfig::default()), &int);
+        let (freq, key, untie) = o.raw_parts();
+        let open = |freq: &[u32], key: &[u32], untie: &[TokenId]| {
+            GlobalOrder::from_raw_parts(freq.to_vec().into(), key.to_vec().into(), untie.to_vec().into())
+        };
+        let re = open(freq, key, untie).unwrap();
         for t in 0..freq.len() as u32 {
             assert_eq!(re.key(TokenId(t)), o.key(TokenId(t)));
         }
         // Corruptions must be rejected.
-        assert!(
-            GlobalOrder::from_raw_parts(freq.to_vec().into(), tie[1..].to_vec().into(), untie.to_vec().into()).is_err(),
-            "length mismatch"
-        );
-        assert!(
-            GlobalOrder::from_raw_parts(freq.to_vec().into(), tie.to_vec().into(), untie[1..].to_vec().into()).is_err(),
-            "missing rank"
-        );
+        assert!(open(freq, &key[1..], untie).is_err(), "length mismatch");
+        assert!(open(freq, key, &untie[1..]).is_err(), "missing rank");
         let mut bad = untie.to_vec();
         bad[0] = TokenId(u32::MAX);
-        assert!(GlobalOrder::from_raw_parts(freq.to_vec().into(), tie.to_vec().into(), bad.into()).is_err(), "rank out of range");
-        let mut bad_tie = tie.to_vec();
-        if let Some(&t) = untie.first() {
-            bad_tie[t.idx()] ^= 1;
-            assert!(GlobalOrder::from_raw_parts(freq.to_vec().into(), bad_tie.into(), untie.to_vec().into()).is_err(), "inverse broken");
-        }
+        assert!(open(freq, key, &bad).is_err(), "rank out of range");
+        let mut bad_key = key.to_vec();
+        bad_key[untie[0].idx()] ^= 1;
+        assert!(open(freq, &bad_key, untie).is_err(), "inverse broken");
+        let mut bad_key = key.to_vec();
+        bad_key[untie[0].idx()] &= !VALID_BIT;
+        assert!(open(freq, &bad_key, untie).is_err(), "valid token without the valid bit");
+        let mut bad_key = key.to_vec();
+        bad_key[unused.idx()] = key[untie[0].idx()];
+        assert!(open(freq, &bad_key, untie).unwrap_err().contains("own id"), "invalid token borrowing a valid key");
     }
 }

@@ -3,7 +3,7 @@
 
 use aeetes_index::ClusteredIndex;
 use aeetes_rules::{DeriveConfig, DerivedDictionary, DerivedId, RuleSet};
-use aeetes_text::{Dictionary, Interner, TokenId};
+use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -40,40 +40,46 @@ fn build(inst: &Instance) -> (DerivedDictionary, ClusteredIndex) {
 
 proptest! {
     /// Every token of every derived set appears exactly once in the index,
-    /// under the right token, length group and origin group, with the
-    /// position matching the globally-ordered set.
+    /// under the right token, length group and origin cluster. Postings carry
+    /// no derived id, so the cross-check runs from the sets: the positions a
+    /// `(token, |set|, origin)` cluster must hold are those of the origin's
+    /// variants of that length containing the token, in ascending derived-id
+    /// order — and the cluster holds exactly that sequence.
     #[test]
     fn postings_cover_derived_sets_exactly(inst in instance()) {
         let (dd, index) = build(&inst);
-        // Count postings per (token, derived).
-        let mut found: HashMap<(u32, u32), u32> = HashMap::new();
-        let max_token = 64u32;
-        for t in 0..max_token {
-            let Some(tp) = index.postings(TokenId(t)) else { continue };
+        let mut expected: HashMap<(TokenId, usize, EntityId), Vec<u16>> = HashMap::new();
+        for (id, d) in dd.iter() {
+            let set = index.derived_set(id);
+            for (pos, &key) in set.iter().enumerate() {
+                expected.entry((index.order().token_of(key), set.len(), d.origin)).or_default().push(pos as u16);
+            }
+        }
+        let mut clusters = 0usize;
+        let mut postings = 0usize;
+        for t in (0..64).map(TokenId) {
+            let Some(tp) = index.postings(t) else { continue };
             for g in tp.groups() {
                 for og in g.origins() {
-                    for e in og.entries {
-                        *found.entry((t, e.derived.0)).or_insert(0) += 1;
-                        // cross-checks
-                        prop_assert_eq!(index.set_len(e.derived), g.len());
-                        prop_assert_eq!(dd.derived(e.derived).origin, og.origin);
-                        let set = index.derived_set(e.derived);
-                        prop_assert_eq!(index.order().token_of(set[e.pos as usize]), TokenId(t));
+                    clusters += 1;
+                    postings += og.positions.len();
+                    prop_assert_eq!(Some(og.positions), expected.get(&(t, g.len(), og.origin)).map(Vec::as_slice),
+                        "cluster ({:?}, {}, {:?})", t, g.len(), og.origin);
+                    // Each position names `t` in some variant of this origin
+                    // with this set length.
+                    for &pos in og.positions {
+                        let hit = index.variants_sorted(og.origin).iter().any(|&v| {
+                            let set = index.derived_set(v);
+                            set.len() == g.len() && index.order().token_of(set[pos as usize]) == t
+                        });
+                        prop_assert!(hit, "position {} of cluster ({:?}, {}, {:?}) names no variant", pos, t, g.len(), og.origin);
                     }
                 }
             }
         }
-        let mut expected = 0usize;
-        for (id, _) in dd.iter() {
-            let set = index.derived_set(id);
-            expected += set.len();
-            for &key in set {
-                let t = index.order().token_of(key);
-                prop_assert_eq!(found.get(&(t.0, id.0)).copied(), Some(1),
-                    "token {:?} of derived {:?} indexed wrong number of times", t, id);
-            }
-        }
-        prop_assert_eq!(index.total_entries(), expected);
+        prop_assert_eq!(clusters, expected.len(), "a cluster the sets call for is missing");
+        prop_assert_eq!(postings, dd.iter().map(|(id, _)| index.set_len(id)).sum::<usize>());
+        prop_assert_eq!(index.total_entries(), postings);
     }
 
     /// Structural invariants: length groups ascending, origins ascending
@@ -91,14 +97,14 @@ proptest! {
             }
             for g in tp.groups() {
                 prop_assert!(g.entry_count() > 0);
-                let n: usize = g.origins().map(|o| o.entries.len()).sum();
+                let n: usize = g.origins().map(|o| o.positions.len()).sum();
                 prop_assert_eq!(n, g.entry_count());
                 let origins: Vec<_> = g.origins().map(|o| o.origin).collect();
                 for w in origins.windows(2) {
                     prop_assert!(w[0] < w[1]);
                 }
                 for og in g.origins() {
-                    prop_assert!(!og.entries.is_empty());
+                    prop_assert!(!og.positions.is_empty());
                 }
             }
             // binary search helper consistency

@@ -463,7 +463,7 @@ impl DerivedDictionary {
     }
 
     /// Raw arena views, in [`DerivedDictionary::from_raw_arenas`] order —
-    /// the v5 writer serializes exactly these seven arrays.
+    /// the frozen writer serializes exactly these seven arrays.
     #[allow(clippy::type_complexity)]
     pub fn raw_arenas(&self) -> (&[EntityId], &[f64], &[TokenId], &[u32], &[RuleId], &[u32], &[u32]) {
         (&self.origin, &self.weight, &self.tokens, &self.tok_off, &self.rules, &self.rule_off, &self.by_origin)

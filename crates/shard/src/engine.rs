@@ -263,7 +263,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v5) artifact
+    /// Serializes the current generation as the frozen (format v6) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -420,7 +420,7 @@ impl ShardedEngine {
         })
     }
 
-    /// Builds an engine from an opened frozen (v5) artifact.
+    /// Builds an engine from an opened frozen (v6) artifact.
     ///
     /// The fast path — `shards` is `None` or names the artifact's own
     /// segment count, and every segment's origins route to its slot under

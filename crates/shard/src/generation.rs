@@ -237,7 +237,7 @@ impl Generation {
         self.id
     }
 
-    /// Serializes this generation as a frozen (format v5) artifact: every
+    /// Serializes this generation as a frozen (format v6) artifact: every
     /// shard's derived dictionary and clustered index laid out as flat
     /// arenas a future engine can mmap and serve without rebuilding. The
     /// shared global order is written once; shards predating an append-only

@@ -1,4 +1,4 @@
-//! Frozen (v5) artifact suite: the mmap-able format is observationally
+//! Frozen (v6) artifact suite: the mmap-able format is observationally
 //! identical to the monolithic heap engine across all four strategies and
 //! all four similarity metrics, on both the mmap and heap-fallback open
 //! paths; freeze → open → refreeze is bit-identical at 1 and 4 shards; and
@@ -108,17 +108,17 @@ fn frozen_equals_monolithic_across_strategies_and_metrics() {
 #[test]
 fn freeze_open_refreeze_is_bit_identical() {
     let (dict, rules, interner, _) = corpus();
-    let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open v5"), None).expect("adopt v5");
+    let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open"), None).expect("adopt");
     for shards in [1, 4] {
         let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), shards);
-        let v5 = adopt(&built.freeze()).freeze();
-        let reopened = adopt(&v5);
+        let frozen = adopt(&built.freeze()).freeze();
+        let reopened = adopt(&frozen);
         assert_eq!(reopened.shard_count(), shards);
-        assert_eq!(v5, reopened.freeze(), "shards={shards}: artifact must refreeze bit-identically");
+        assert_eq!(frozen, reopened.freeze(), "shards={shards}: artifact must refreeze bit-identically");
     }
 }
 
-/// Parses the v5 section table straight from the bytes: `(offset, len)` per
+/// Parses the section table straight from the bytes: `(offset, len)` per
 /// section, in table order. Kept independent of the library's parser so the
 /// corruption matrix targets the format, not the implementation.
 fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {

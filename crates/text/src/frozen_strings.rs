@@ -3,7 +3,7 @@
 //! Layout: one UTF-8 byte arena holding every string back to back, a
 //! `u32` prefix-offset array (`len + 1` entries), and an open-addressing
 //! FNV-1a hash table for the string → id direction. All three live in
-//! [`Arena`]s, so an engine opened from a v5 artifact resolves token
+//! [`Arena`]s, so an engine opened from a frozen artifact resolves token
 //! strings straight out of the file image with no per-string allocation.
 //!
 //! The hash table stores `id + 1` per slot (0 = empty) in a power-of-two

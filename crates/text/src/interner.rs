@@ -16,6 +16,12 @@ pub struct TokenId(pub u32);
 unsafe impl aeetes_frozen::Pod for TokenId {}
 
 impl TokenId {
+    /// Ids are minted strictly below this bound (2³¹). The global token
+    /// order packs "valid token" into bit 31 of its `u32` keys and keys an
+    /// unindexed token as its own id, so the top bit of an id must stay
+    /// clear; [`Interner::intern`] refuses to mint past it.
+    pub const LIMIT: u32 = 1 << 31;
+
     /// The id as a usize, for indexing side tables.
     #[inline]
     pub fn idx(self) -> usize {
@@ -74,7 +80,10 @@ impl Interner {
     /// `0..base.len()` resolve from the base; fresh strings are assigned ids
     /// starting at `base.len()`.
     pub fn with_base(base: Arc<dyn StringTable>) -> Self {
-        let base_len = u32::try_from(base.len()).expect("base string table overflows u32 ids");
+        let base_len = u32::try_from(base.len())
+            .ok()
+            .filter(|&n| n <= TokenId::LIMIT)
+            .expect("base string table overflows the token id space");
         Self { base: Some(base), base_len, map: HashMap::new(), strings: Vec::new() }
     }
 
@@ -89,7 +98,8 @@ impl Interner {
         let next = (self.base_len as usize)
             .checked_add(self.strings.len())
             .and_then(|n| u32::try_from(n).ok())
-            .expect("interner overflow: more than u32::MAX distinct tokens");
+            .filter(|&n| n < TokenId::LIMIT)
+            .expect("interner overflow: more than 2^31 distinct tokens");
         let id = TokenId(next);
         let boxed: Box<str> = s.into();
         self.strings.push(boxed.clone());
