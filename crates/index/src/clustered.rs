@@ -25,7 +25,7 @@
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
-use aeetes_rules::{DerivedDictionary, DerivedId};
+use aeetes_rules::{rebased, splice_runs, DerivedDictionary, DerivedId};
 use aeetes_text::{EntityId, Interner, TokenId};
 use std::sync::Arc;
 
@@ -257,6 +257,86 @@ impl ClusteredIndex {
 
         Self {
             order,
+            tok_groups: postings.tok_groups.into(),
+            group_len: postings.group_len.into(),
+            group_origins: postings.group_origins.into(),
+            origin_entity: postings.origin_entity.into(),
+            origin_entries: postings.origin_entries.into(),
+            positions: postings.positions.into(),
+            set_data: set_data.into(),
+            set_offsets: set_offsets.into(),
+            variants_by_len: variants_by_len.into(),
+            origin_offsets: origin_offsets.into(),
+            min_len,
+            max_len,
+        }
+    }
+
+    /// The index a delta leaves behind, merged instead of rebuilt: `old`
+    /// with every posting, set and variant entry of a `changed` origin cut
+    /// out and `small`'s entries for those origins put in.
+    ///
+    /// `old` and `small` index the two sides of
+    /// [`DerivedDictionary::splice`] — `small` against the (possibly
+    /// extended) order the result is to carry, `changed` over the post-delta
+    /// origin space. Extending an order never re-keys a token, so every set
+    /// and position `old` stores is what a rebuild under `small`'s order
+    /// would compute again; and postings are clustered token → set length →
+    /// ascending origin, so a token's list after the delta is its old list
+    /// without the changed origins' clusters, merged by `(length, origin)`
+    /// with its small list. The result equals
+    /// [`ClusteredIndex::build_with_order`] over the spliced dictionary
+    /// array for array; every array is written once, the five whose size
+    /// depends on which groups empty out or coincide (and which trailing
+    /// tokens go with them) at a capacity that exceeds it by at most
+    /// `small`'s size plus what was cut.
+    ///
+    /// # Panics
+    /// Panics under the conditions of [`DerivedDictionary::splice`].
+    pub fn splice(old: &Self, small: &Self, changed: &[bool]) -> Self {
+        let sides = [old.raw_parts(), small.raw_parts()];
+        let origins = |ix: &IndexArenasRef<'_>| ix.origin_offsets.len() - 1;
+        assert_eq!(changed.len(), origins(&sides[1]), "the changed flags must span the post-delta origin space");
+        let old_origins = origins(&sides[0]);
+        assert!(old_origins <= changed.len(), "a delta never shrinks the origin space");
+
+        // Per-variant arrays: laid out by ascending origin like the derived
+        // dictionary, so they splice run by run with rebased offsets and ids.
+        let (mut variants, mut keys) = (0usize, 0usize);
+        for (from_small, run) in splice_runs(changed, old_origins) {
+            let ix = &sides[usize::from(from_small)];
+            let (v0, v1) = (ix.origin_offsets[run.start] as usize, ix.origin_offsets[run.end] as usize);
+            variants += v1 - v0;
+            keys += (ix.set_offsets[v1] - ix.set_offsets[v0]) as usize;
+        }
+        u32::try_from(keys).expect("derived set arena overflows u32 offsets");
+        let mut set_data: Vec<u32> = Vec::with_capacity(keys);
+        let mut set_offsets: Vec<u32> = Vec::with_capacity(variants + 1);
+        let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(variants);
+        let mut origin_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
+        set_offsets.push(0);
+        origin_offsets.push(0);
+        for (from_small, run) in splice_runs(changed, old_origins) {
+            let ix = &sides[usize::from(from_small)];
+            let (v0, v1) = (ix.origin_offsets[run.start] as usize, ix.origin_offsets[run.end] as usize);
+            let base = variants_by_len.len() as u32;
+            // Origins no run covered hold nothing.
+            origin_offsets.resize(run.start + 1, base);
+            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0 as u32, base));
+            set_offsets.extend(rebased(&ix.set_offsets[v0 + 1..=v1], ix.set_offsets[v0], set_data.len() as u32));
+            variants_by_len.extend(ix.variants_by_len[v0..v1].iter().map(|d| DerivedId(d.0 - v0 as u32 + base)));
+            set_data.extend_from_slice(&ix.set_data[ix.set_offsets[v0] as usize..ix.set_offsets[v1] as usize]);
+        }
+        origin_offsets.resize(changed.len() + 1, variants_by_len.len() as u32);
+        let (mut min_len, mut max_len) = (None, None);
+        for len in set_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).filter(|&len| len > 0) {
+            min_len = Some(min_len.map_or(len, |m: usize| m.min(len)));
+            max_len = Some(max_len.map_or(len, |m: usize| m.max(len)));
+        }
+
+        let postings = splice_postings(&sides[0], &sides[1], changed, keys);
+        Self {
+            order: small.shared_order(),
             tok_groups: postings.tok_groups.into(),
             group_len: postings.group_len.into(),
             group_origins: postings.group_origins.into(),
@@ -617,6 +697,107 @@ fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32
     out.tok_groups.push(out.group_len.len() as u32);
     out.group_origins.push(out.origin_entity.len() as u32);
     out.origin_entries.push(out.positions.len() as u32);
+    out
+}
+
+impl ClusteredPostings {
+    /// Appends `src`'s origin clusters `clusters` — origins, rebased posting
+    /// offsets, positions — behind whatever the current group holds.
+    fn push_clusters(&mut self, src: &IndexArenasRef<'_>, clusters: std::ops::Range<usize>) {
+        let (p0, p1) = (src.origin_entries[clusters.start], src.origin_entries[clusters.end]);
+        self.origin_entries
+            .extend(rebased(&src.origin_entries[clusters.clone()], p0, self.positions.len() as u32));
+        self.origin_entity.extend_from_slice(&src.origin_entity[clusters]);
+        self.positions.extend_from_slice(&src.positions[p0 as usize..p1 as usize]);
+    }
+
+    /// Appends the clusters of `old`'s range `clusters` whose origin is not
+    /// `changed`, one copy per unbroken stretch.
+    fn push_unchanged(&mut self, old: &IndexArenasRef<'_>, clusters: std::ops::Range<usize>, changed: &[bool]) {
+        let mut stretch = clusters.start;
+        for c in clusters.clone() {
+            if changed[old.origin_entity[c].idx()] {
+                if stretch < c {
+                    self.push_clusters(old, stretch..c);
+                }
+                stretch = c + 1;
+            }
+        }
+        if stretch < clusters.end {
+            self.push_clusters(old, stretch..clusters.end);
+        }
+    }
+}
+
+/// The six posting arrays of [`ClusteredIndex::splice`]: token by token,
+/// `old`'s length groups and `small`'s are merged by length; where both
+/// have a group of one length its origin clusters are merged by origin
+/// (`small` holds changed origins only, `old`'s changed clusters are
+/// dropped, so no origin comes from both); a group left without clusters
+/// is not written, and trailing tokens left without groups are cut as a
+/// build over the surviving sets would never have counted them.
+/// `postings` is the exact number of positions the result holds.
+fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed: &[bool], postings: usize) -> ClusteredPostings {
+    let tokens = old.tok_groups.len().max(small.tok_groups.len()) - 1;
+    let groups = old.group_len.len() + small.group_len.len();
+    let clusters = old.origin_entity.len() + small.origin_entity.len();
+    let mut out = ClusteredPostings {
+        tok_groups: Vec::with_capacity(tokens + 1),
+        group_len: Vec::with_capacity(groups),
+        group_origins: Vec::with_capacity(groups + 1),
+        origin_entity: Vec::with_capacity(clusters),
+        origin_entries: Vec::with_capacity(clusters + 1),
+        positions: Vec::with_capacity(postings),
+    };
+    // A token's group range on one side, empty past that side's last token.
+    let groups_of = |ix: &IndexArenasRef<'_>, t: usize| match ix.tok_groups.get(t + 1) {
+        Some(&end) => (ix.tok_groups[t] as usize, end as usize),
+        None => (0, 0),
+    };
+    let clusters_of = |ix: &IndexArenasRef<'_>, g: usize| ix.group_origins[g] as usize..ix.group_origins[g + 1] as usize;
+    for t in 0..tokens {
+        out.tok_groups.push(out.group_len.len() as u32);
+        let ((mut og, og_end), (mut sg, sg_end)) = (groups_of(old, t), groups_of(small, t));
+        loop {
+            let old_len = (og < og_end).then(|| old.group_len[og]);
+            let small_len = (sg < sg_end).then(|| small.group_len[sg]);
+            let Some(len) = old_len.into_iter().chain(small_len).min() else { break };
+            let (mut oc, mut sc) = (0..0, 0..0);
+            if old_len == Some(len) {
+                oc = clusters_of(old, og);
+                og += 1;
+            }
+            if small_len == Some(len) {
+                sc = clusters_of(small, sg);
+                sg += 1;
+            }
+            let first = out.origin_entity.len();
+            for c in sc {
+                // Old clusters below this small origin go first; one *at* it
+                // is changed and falls to the next `push_unchanged`.
+                let below = oc.start + old.origin_entity[oc.clone()].partition_point(|&e| e < small.origin_entity[c]);
+                out.push_unchanged(old, oc.start..below, changed);
+                oc.start = below;
+                out.push_clusters(small, c..c + 1);
+            }
+            out.push_unchanged(old, oc, changed);
+            if out.origin_entity.len() > first {
+                out.group_len.push(len);
+                out.group_origins.push(first as u32);
+            }
+        }
+    }
+    while out.tok_groups.last() == Some(&(out.group_len.len() as u32)) {
+        out.tok_groups.pop();
+    }
+    out.tok_groups.push(out.group_len.len() as u32);
+    out.group_origins.push(out.origin_entity.len() as u32);
+    out.origin_entries.push(out.positions.len() as u32);
+    out.tok_groups.shrink_to_fit();
+    out.group_len.shrink_to_fit();
+    out.group_origins.shrink_to_fit();
+    out.origin_entity.shrink_to_fit();
+    out.origin_entries.shrink_to_fit();
     out
 }
 

@@ -99,25 +99,28 @@ impl GlobalOrder {
     /// appended after all existing ones — new vocabulary sorts last until
     /// the next full build. The resulting order drifts from the true corpus
     /// frequencies — that affects prefix sizes (performance), never
-    /// correctness; a full rebuild re-keys everything. The result is always
+    /// correctness; a full rebuild re-keys everything.
+    ///
+    /// Returns `None` when `parts` admit no token: the order is unchanged
+    /// and the caller keeps sharing `self`. Otherwise the result is
     /// heap-owned, even when `self` is frozen — this is the copy-on-write
     /// step of a frozen deployment's update path.
-    pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Self {
+    pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Option<Self> {
         let delta = count_frequencies(parts, self.freq.len());
+        let fresh: Vec<TokenId> = (0..delta.len() as u32).map(TokenId).filter(|&t| delta[t.idx()] > 0 && !self.is_valid(t)).collect();
+        if fresh.is_empty() {
+            return None;
+        }
         let mut freq = self.freq.to_vec();
         let mut key = self.key.to_vec();
         let mut untie = self.untie.to_vec();
         freq.resize(delta.len(), 0);
         key.extend(self.key.len() as u32..delta.len() as u32);
-        let mut fresh: Vec<TokenId> = Vec::new();
-        for (i, &d) in delta.iter().enumerate() {
-            if d > 0 && freq[i] == 0 {
-                freq[i] = d;
-                fresh.push(TokenId(i as u32));
-            }
+        for &t in &fresh {
+            freq[t.idx()] = delta[t.idx()];
         }
         assign_ranks(&freq, &mut key, &mut untie, fresh, interner);
-        Self { freq: freq.into(), key: key.into(), untie: untie.into() }
+        Some(Self { freq: freq.into(), key: key.into(), untie: untie.into() })
     }
 
     /// Reassembles an order from raw (possibly frozen) arenas, validating
@@ -349,7 +352,7 @@ mod tests {
         dict2.push_tokens("a z y".to_string(), vec![a, z, y]);
         dict2.push_tokens("a z".to_string(), vec![a, z]);
         let delta = DerivedDictionary::build_filtered(&dict2, &rs, &cfg, |e| e.0 >= 2);
-        let ext = base.extend(&[&delta], &int);
+        let ext = base.extend(&[&delta], &int).expect("z and y are admitted");
         let old_tokens = base.raw_parts().0.len() as u32;
         for t in (0..old_tokens).map(TokenId) {
             assert_eq!(ext.key(t), base.key(t), "existing key of {t:?} is frozen");
@@ -364,6 +367,9 @@ mod tests {
         for t in [a, z, y, unseen] {
             assert_eq!(ext.token_of(ext.key(t)), t);
         }
+        // Nothing left to admit: the caller keeps sharing the order it has.
+        assert!(ext.extend(&[&delta], &int).is_none());
+        assert!(ext.extend(&[], &int).is_none());
     }
 
     #[test]

@@ -164,22 +164,25 @@ impl ConflictGraph {
 /// the applications of the greedy clique, grouped per vertex
 /// (each inner `Vec` holds the alternative rewrites of one span).
 pub fn select_non_conflict(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
-    select_with(entity, rules, ConflictGraph::greedy_clique)
+    group_non_conflict(&find_applications(entity, rules), false)
 }
 
 /// Like [`select_non_conflict`] but with the *exact* maximum-weight
 /// selection (weighted interval scheduling over the span-interval graph).
 pub fn select_non_conflict_exact(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
-    select_with(entity, rules, ConflictGraph::exact_clique)
+    group_non_conflict(&find_applications(entity, rules), true)
 }
 
-fn select_with(entity: &[TokenId], rules: &RuleSet, clique: impl Fn(&ConflictGraph) -> Vec<usize>) -> Vec<Vec<Application>> {
-    let apps = find_applications(entity, rules);
+/// Groups an already-found applicable set `Ac(e)` into `A(e)`: the clique's
+/// vertices in ascending span order (so the groups' spans are disjoint and
+/// their starts ascend), each holding the alternative rewrites of its span.
+pub(crate) fn group_non_conflict(apps: &[Application], exact: bool) -> Vec<Vec<Application>> {
     if apps.is_empty() {
         return Vec::new();
     }
-    let graph = ConflictGraph::build(&apps);
-    clique(&graph).into_iter().map(|v| graph.vertices[v].iter().map(|&i| apps[i]).collect()).collect()
+    let graph = ConflictGraph::build(apps);
+    let clique = if exact { graph.exact_clique() } else { graph.greedy_clique() };
+    clique.into_iter().map(|v| graph.vertices[v].iter().map(|&i| apps[i]).collect()).collect()
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Off-line derived-dictionary generation (`E = ⋃_{e ∈ E0} D(e)`).
 
-use crate::apply::{find_applications, select_non_conflict, select_non_conflict_exact, Application};
+use crate::apply::{find_applications, group_non_conflict, Application};
 use crate::rule::{RuleId, RuleSet};
 use aeetes_frozen::Arena;
 use aeetes_text::{Dictionary, EntityId, TokenId};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of a derived entity in a [`DerivedDictionary`].
 #[repr(transparent)]
@@ -179,6 +180,58 @@ impl DeriveStats {
             self.applicable_total as f64 / self.origins as f64
         }
     }
+
+    /// These totals with the `departing` origins' share taken out and the
+    /// `arriving` origins' share put in. The subtraction saturates: a
+    /// dictionary reassembled by [`DerivedDictionary::from_parts`] may carry
+    /// zeroed totals that its origins' real shares exceed.
+    fn replaced(&self, departing: &DeriveStats, arriving: &DeriveStats) -> DeriveStats {
+        let swap = |total: usize, out: usize, inn: usize| total.saturating_sub(out) + inn;
+        DeriveStats {
+            origins: swap(self.origins, departing.origins, arriving.origins),
+            derived: swap(self.derived, departing.derived, arriving.derived),
+            applicable_total: swap(self.applicable_total, departing.applicable_total, arriving.applicable_total),
+            selected_total: swap(self.selected_total, departing.selected_total, arriving.selected_total),
+            truncated_entities: swap(self.truncated_entities, departing.truncated_entities, arriving.truncated_entities),
+            duplicates_dropped: swap(self.duplicates_dropped, departing.duplicates_dropped, arriving.duplicates_dropped),
+        }
+    }
+}
+
+/// Buffers [`DerivedDictionary::expand_entity`] reuses from one entity to
+/// the next.
+#[derive(Default)]
+struct ExpandScratch {
+    /// Mixed-radix counter over the span groups.
+    digits: Vec<usize>,
+    /// The applications the counter currently selects, in span order.
+    chosen: Vec<Application>,
+    /// Token sequences already produced for the current entity.
+    seen: HashSet<Vec<TokenId>>,
+}
+
+/// The plan of a splice: `changed`'s maximal runs of consecutive origins
+/// that all come from the same side, as `(from the small side, origins)`.
+/// An unchanged run ends where the old side's `old_origins` end — a shard
+/// that predates a dictionary-growing delta holds nothing of the origins
+/// past its own id space — so a run may be cut short or left out.
+pub fn splice_runs(changed: &[bool], old_origins: usize) -> impl Iterator<Item = (bool, Range<usize>)> + '_ {
+    let mut next = 0;
+    std::iter::from_fn(move || loop {
+        let start = next;
+        let &from_small = changed.get(start)?;
+        next += changed[start..].iter().position(|&c| c != from_small).unwrap_or(changed.len() - start);
+        let end = if from_small { next } else { next.min(old_origins) };
+        if start < end {
+            return Some((from_small, start..end));
+        }
+    })
+}
+
+/// `offsets` shifted so that the value `from` lands on `to` (the copy of a
+/// prefix-offset range into an arena that holds `to` elements so far).
+pub fn rebased(offsets: &[u32], from: u32, to: u32) -> impl Iterator<Item = u32> + '_ {
+    offsets.iter().map(move |&o| o - from + to)
 }
 
 /// The derived dictionary: every entity's variants, grouped contiguously by
@@ -240,10 +293,11 @@ impl DerivedDictionary {
     pub fn build_filtered(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
         let mut out = Self::default();
         out.by_origin.as_mut_vec().reserve(dict.len());
+        let mut scratch = ExpandScratch::default();
         for (eid, ent) in dict.iter() {
             if keep(eid) {
                 if !ent.tokens.is_empty() {
-                    out.expand_entity(eid, ent.tokens, rules, config);
+                    out.expand_entity(eid, ent.tokens, rules, config, &mut scratch);
                 }
                 out.stats.origins += 1;
             }
@@ -252,6 +306,75 @@ impl DerivedDictionary {
         }
         out.stats.derived = out.origin.len();
         out
+    }
+
+    /// The dictionary a delta leaves behind, merged instead of re-derived:
+    /// `old` with the variant run of every `changed` origin replaced by that
+    /// origin's (possibly empty) run in `small`.
+    ///
+    /// `small` is `build_filtered` over the post-delta dictionary and rules
+    /// with exactly the changed, still-live origins kept; `changed` flags
+    /// every origin whose derivation the delta can have altered (added,
+    /// tombstoned, or reached by a new rule) over the post-delta id space;
+    /// `departing` is the statistics of the changed origins as `old` derived
+    /// them. Variants sit in ascending origin order on both sides, so the
+    /// result is a run-by-run concatenation with every prefix offset moved
+    /// by the running shift — array for array what `build_filtered` over the
+    /// whole post-delta dictionary produces, each written once at its final
+    /// size.
+    ///
+    /// # Panics
+    /// Panics when `changed` does not span `small`'s origins or `old` covers
+    /// more origins than that.
+    pub fn splice(old: &Self, small: &Self, changed: &[bool], departing: &DeriveStats) -> Self {
+        assert_eq!(changed.len(), small.origins(), "the changed flags must span the post-delta origin space");
+        assert!(old.origins() <= changed.len(), "a delta never shrinks the origin space");
+        let sides = [old.raw_arenas(), small.raw_arenas()];
+        let (mut variants, mut tokens, mut rules) = (0usize, 0usize, 0usize);
+        for (from_small, run) in splice_runs(changed, old.origins()) {
+            let (_, _, _, tok_off, _, rule_off, by_origin) = sides[usize::from(from_small)];
+            let (v0, v1) = (by_origin[run.start] as usize, by_origin[run.end] as usize);
+            variants += v1 - v0;
+            tokens += (tok_off[v1] - tok_off[v0]) as usize;
+            rules += (rule_off[v1] - rule_off[v0]) as usize;
+        }
+        u32::try_from(tokens).expect("derived token arena overflows u32 offsets");
+        u32::try_from(rules).expect("derived rule arena overflows u32 offsets");
+
+        let mut out_origin: Vec<EntityId> = Vec::with_capacity(variants);
+        let mut out_weight: Vec<f64> = Vec::with_capacity(variants);
+        let mut out_tokens: Vec<TokenId> = Vec::with_capacity(tokens);
+        let mut out_tok_off: Vec<u32> = Vec::with_capacity(variants + 1);
+        let mut out_rules: Vec<RuleId> = Vec::with_capacity(rules);
+        let mut out_rule_off: Vec<u32> = Vec::with_capacity(variants + 1);
+        let mut out_by_origin: Vec<u32> = Vec::with_capacity(changed.len() + 1);
+        out_tok_off.push(0);
+        out_rule_off.push(0);
+        out_by_origin.push(0);
+        for (from_small, run) in splice_runs(changed, old.origins()) {
+            let (origin, weight, toks, tok_off, rls, rule_off, by_origin) = sides[usize::from(from_small)];
+            let (v0, v1) = (by_origin[run.start] as usize, by_origin[run.end] as usize);
+            // Origins no run covered hold nothing.
+            out_by_origin.resize(run.start + 1, out_origin.len() as u32);
+            out_by_origin.extend(rebased(&by_origin[run.start + 1..=run.end], v0 as u32, out_origin.len() as u32));
+            out_tok_off.extend(rebased(&tok_off[v0 + 1..=v1], tok_off[v0], out_tokens.len() as u32));
+            out_rule_off.extend(rebased(&rule_off[v0 + 1..=v1], rule_off[v0], out_rules.len() as u32));
+            out_origin.extend_from_slice(&origin[v0..v1]);
+            out_weight.extend_from_slice(&weight[v0..v1]);
+            out_tokens.extend_from_slice(&toks[tok_off[v0] as usize..tok_off[v1] as usize]);
+            out_rules.extend_from_slice(&rls[rule_off[v0] as usize..rule_off[v1] as usize]);
+        }
+        out_by_origin.resize(changed.len() + 1, out_origin.len() as u32);
+        Self {
+            origin: out_origin.into(),
+            weight: out_weight.into(),
+            tokens: out_tokens.into(),
+            tok_off: out_tok_off.into(),
+            rules: out_rules.into(),
+            rule_off: out_rule_off.into(),
+            by_origin: out_by_origin.into(),
+            stats: old.stats.replaced(departing, &small.stats),
+        }
     }
 
     /// Appends one variant's flat records (build/deserialize path only).
@@ -266,31 +389,32 @@ impl DerivedDictionary {
         self.rule_off.as_mut_vec().push(r_end);
     }
 
-    fn expand_entity(&mut self, eid: EntityId, tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig) {
-        self.stats.applicable_total += find_applications(tokens, rules).len();
-        let groups = if config.exact_selection {
-            select_non_conflict_exact(tokens, rules)
-        } else {
-            select_non_conflict(tokens, rules)
-        };
+    fn expand_entity(&mut self, eid: EntityId, tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch) {
+        let apps = find_applications(tokens, rules);
+        self.stats.applicable_total += apps.len();
+        let groups = group_non_conflict(&apps, config.exact_selection);
         self.stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
 
         // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
-        let mut digits = vec![0usize; groups.len()];
-        let mut seen: HashMap<Vec<TokenId>, ()> = HashMap::new();
+        let ExpandScratch { digits, chosen, seen } = scratch;
+        digits.clear();
+        digits.resize(groups.len(), 0);
+        seen.clear();
         let mut produced = 0usize;
         loop {
             if produced >= config.max_derived {
                 self.stats.truncated_entities += 1;
                 break;
             }
-            let chosen: Vec<&Application> = digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| &g[i])).collect();
-            let (new_tokens, applied, weight) = rewrite(tokens, &chosen, rules);
-            if seen.insert(new_tokens.clone(), ()).is_none() {
-                self.push_variant(eid, &new_tokens, &applied, weight);
-                produced += 1;
-            } else {
+            chosen.clear();
+            chosen.extend(digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| g[i])));
+            let (new_tokens, applied, weight) = rewrite(tokens, chosen, rules);
+            if seen.contains(&new_tokens) {
                 self.stats.duplicates_dropped += 1;
+            } else {
+                self.push_variant(eid, &new_tokens, &applied, weight);
+                seen.insert(new_tokens);
+                produced += 1;
             }
             // Increment mixed-radix counter.
             let mut g = 0;
@@ -352,6 +476,9 @@ impl DerivedDictionary {
     /// arenas, validating every structural invariant: array lengths agree,
     /// prefix-offset arrays are monotonic and end at their arena lengths,
     /// and each origin's variant range really holds variants of that origin.
+    /// `stats` is kept as given — a later [`DerivedDictionary::splice`]
+    /// subtracts from it — except that `derived` is set from the arenas and
+    /// `origins` may not exceed the id space.
     ///
     /// # Errors
     /// Returns a message describing the first violated invariant; a
@@ -386,8 +513,10 @@ impl DerivedDictionary {
                 return Err(format!("variant {i} claims origin {:?} but sits in origin {e}'s range", origin_s[i]));
             }
         }
+        if stats.origins > o {
+            return Err(format!("statistics count {} derived origins, the id space holds {o}", stats.origins));
+        }
         let mut stats = stats;
-        stats.origins = o;
         stats.derived = d;
         Ok(Self { origin, weight, tokens, tok_off, rules, rule_off, by_origin, stats })
     }
@@ -490,16 +619,16 @@ fn check_prefix(what: &str, off: &[u32], n: usize, total: usize) -> Result<(), S
     Ok(())
 }
 
-/// Applies `chosen` (span-disjoint, any order) to `tokens`, returning the
-/// rewritten sequence, the rule ids applied, and the weight product.
-fn rewrite(tokens: &[TokenId], chosen: &[&Application], rules: &RuleSet) -> (Vec<TokenId>, Vec<RuleId>, f64) {
-    let mut by_start: Vec<&Application> = chosen.to_vec();
-    by_start.sort_by_key(|a| a.start);
+/// Applies `chosen` (span-disjoint, ascending by start — the order the
+/// selected groups come in) to `tokens`, returning the rewritten sequence,
+/// the rule ids applied, and the weight product.
+fn rewrite(tokens: &[TokenId], chosen: &[Application], rules: &RuleSet) -> (Vec<TokenId>, Vec<RuleId>, f64) {
+    debug_assert!(chosen.windows(2).all(|w| w[0].end() <= w[1].start), "chosen applications overlap or are out of order");
     let mut out = Vec::with_capacity(tokens.len());
-    let mut applied = Vec::with_capacity(by_start.len());
+    let mut applied = Vec::with_capacity(chosen.len());
     let mut weight = 1.0;
     let mut pos = 0usize;
-    for app in by_start {
+    for app in chosen {
         out.extend_from_slice(&tokens[pos..app.start as usize]);
         out.extend_from_slice(rules.other_side(app.rule, app.side));
         applied.push(app.rule);
@@ -766,5 +895,19 @@ mod tests {
             .is_err(),
             "wrong offset count"
         );
+        let with_stats = |stats: DeriveStats| {
+            DerivedDictionary::from_raw_arenas(
+                origin.to_vec().into(),
+                weight.to_vec().into(),
+                tokens.to_vec().into(),
+                tok_off.to_vec().into(),
+                rules.to_vec().into(),
+                rule_off.to_vec().into(),
+                by_origin.to_vec().into(),
+                stats,
+            )
+        };
+        assert_eq!(with_stats(dd.stats().clone()).unwrap().stats(), dd.stats(), "statistics survive as written");
+        assert!(with_stats(DeriveStats { origins: 3, ..dd.stats().clone() }).is_err(), "more derived origins than ids");
     }
 }

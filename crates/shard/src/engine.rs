@@ -1,5 +1,5 @@
 //! The mutable shell around immutable generations: parallel build, delta
-//! updates with affected-shard rebuild, atomic epoch swap, persistence.
+//! updates spliced into the affected shards, atomic epoch swap, persistence.
 
 use crate::generation::{shard_of, Generation, Shard};
 use aeetes_core::{AeetesConfig, ShardedParts};
@@ -10,8 +10,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Upper bound on the shard count: the fan-out spawns one thread per shard
-/// per extraction, so an absurd count must not be able to exhaust threads.
+/// Upper bound on the shard count: a build or an update runs one thread per
+/// shard it touches and every extraction visits every shard, so an absurd
+/// count must not be able to exhaust threads or bury requests in per-shard
+/// overhead.
 const MAX_SHARDS: usize = 64;
 
 /// A batch of dictionary/rule changes applied as one new generation.
@@ -23,7 +25,7 @@ pub struct DictDelta {
     /// slots stay reserved so surviving ids never shift.
     pub remove_entities: Vec<EntityId>,
     /// Synonym rules to append. Existing derivations only change where a
-    /// new rule is applicable (those origins' shards are rebuilt).
+    /// new rule is applicable (those origins are re-derived).
     pub add_rules: Vec<RuleDelta>,
 }
 
@@ -101,8 +103,8 @@ impl std::error::Error for ActivateError {}
 /// Readers call [`ShardedEngine::snapshot`] and extract against the
 /// returned `Arc<Generation>`; they are never blocked by an update (the
 /// epoch pointer swap is the only write they can observe). Updates build
-/// the next generation off to the side — rebuilding only affected shards —
-/// and swap when fully constructed.
+/// the next generation off to the side — splicing the changed origins into
+/// the shards that own them — and swap when fully constructed.
 ///
 /// Updates come in two flavors: [`ShardedEngine::apply_update`] builds and
 /// swaps in one step, and the [`ShardedEngine::prepare_update`] /
@@ -131,35 +133,25 @@ fn resolve_shards(requested: usize) -> usize {
     n.clamp(1, MAX_SHARDS)
 }
 
-/// Derives each shard's slice of the dictionary in parallel. `keep` further
-/// filters origins (tombstones); the slices keep the full origin id space.
-fn derive_shards(
-    dict: &Dictionary,
-    rules: &RuleSet,
-    config: &AeetesConfig,
-    n: usize,
-    keep: &(impl Fn(EntityId) -> bool + Sync),
-) -> Vec<DerivedDictionary> {
+/// Runs `f` over `items`, each on a thread of its own, and returns the
+/// results in item order.
+fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| s.spawn(move || DerivedDictionary::build_filtered(dict, rules, &config.derive, |e| shard_of(e, n) == i && keep(e))))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard derivation panicked")).collect()
+        let handles: Vec<_> = items.into_iter().map(|item| s.spawn(move || f(item))).collect();
+        handles.into_iter().map(|h| h.join().expect("shard build panicked")).collect()
     })
+}
+
+/// Derives each shard's slice of the dictionary in parallel; the slices
+/// keep the full origin id space.
+fn derive_shards(dict: &Dictionary, rules: &RuleSet, config: &AeetesConfig, n: usize) -> Vec<DerivedDictionary> {
+    in_parallel(0..n, |i| DerivedDictionary::build_filtered(dict, rules, &config.derive, |e| shard_of(e, n) == i))
 }
 
 /// Builds clustered indexes for `dds` in parallel against one shared order.
 fn index_shards(dds: Vec<DerivedDictionary>, order: &Arc<GlobalOrder>) -> Vec<Arc<Shard>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = dds
-            .into_iter()
-            .map(|dd| {
-                let order = Arc::clone(order);
-                s.spawn(move || Arc::new(Shard::build(dd, order)))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard index build panicked")).collect()
-    })
+    in_parallel(dds, |dd| Arc::new(Shard::build(dd, Arc::clone(order))))
 }
 
 impl ShardedEngine {
@@ -168,7 +160,7 @@ impl ShardedEngine {
     /// `shards == 0` uses the machine's available parallelism.
     pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig, shards: usize) -> Self {
         let n = resolve_shards(shards);
-        let dds = derive_shards(&dict, rules, &config, n, &|_| true);
+        let dds = derive_shards(&dict, rules, &config, n);
         let refs: Vec<&DerivedDictionary> = dds.iter().collect();
         let order = Arc::new(GlobalOrder::build_many(&refs, interner));
         let shards = index_shards(dds, &order);
@@ -199,10 +191,11 @@ impl ShardedEngine {
 
     /// Applies a delta as a new generation and returns it.
     ///
-    /// Only the shards owning an added, removed, or rule-affected origin
-    /// are re-derived and re-indexed; the rest are reused by reference. The
-    /// global order is extended append-only (existing keys frozen), so the
-    /// reused indexes remain correct next to the rebuilt ones. The swap is
+    /// Only the added, removed and rule-affected origins are re-derived and
+    /// re-indexed; each shard owning one is copied once with those origins'
+    /// runs exchanged, the rest are reused by reference. The global order
+    /// is extended append-only (existing keys frozen), so the reused
+    /// indexes remain correct next to the spliced ones. The swap is
     /// atomic; concurrent extractions see either the old or the new
     /// generation, never a mixture.
     pub fn apply_update(&self, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
@@ -273,12 +266,22 @@ impl ShardedEngine {
     }
 }
 
-/// Builds `cur + delta` as a fully-assembled next generation, rebuilding
-/// only the shards owning an added, removed, or rule-affected origin; the
-/// rest are reused by reference. The global order is extended append-only
-/// (existing keys frozen), so the reused indexes remain correct next to
-/// the rebuilt ones. Pure with respect to the engine: callers decide
-/// whether (and when) the result becomes current.
+/// Builds `cur + delta` as a fully-assembled next generation at a cost
+/// proportional to the delta plus one copy of each shard it touches.
+///
+/// An origin is *changed* when the delta can have altered its variants: it
+/// is added, newly tombstoned, or a new rule is applicable to its tokens
+/// (rules rewrite an origin's own tokens only, and appending a rule moves
+/// no existing rule id, so every other origin derives exactly as before).
+/// Only the changed origins are derived and indexed; each shard owning one
+/// is then copied once with those origins' runs cut out and the fresh ones
+/// merged in ([`Shard::splice`]), which leaves the arrays a whole-shard
+/// rebuild would. Shards owning none are reused by reference. The global
+/// order is extended append-only (existing keys frozen) over the fresh
+/// variants — a token that only now becomes valid occurs nowhere else — so
+/// reused and spliced indexes agree on every key they can look up. Pure
+/// with respect to the engine: callers decide whether (and when) the result
+/// becomes current.
 fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
     let n = cur.shard_count();
 
@@ -306,56 +309,53 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
             .map_err(UpdateError::Rule)?;
     }
 
-    let first_new = dict.len() as u32;
+    let first_new = dict.len();
     for raw in &delta.add_entities {
         dict.push(raw, tokenizer, &mut interner);
     }
 
-    let mut affected = vec![false; n];
+    let mut changed = vec![false; dict.len()];
     for e in &delta.remove_entities {
         if removed.insert(e.0) {
-            affected[shard_of(*e, n)] = true;
+            changed[e.idx()] = true;
         }
     }
-    for id in first_new..dict.len() as u32 {
-        affected[shard_of(EntityId(id), n)] = true;
-    }
+    changed[first_new..].fill(true);
     if !fresh_rules.is_empty() {
-        for (e, ent) in dict.iter() {
-            if removed.contains(&e.0) || affected[shard_of(e, n)] {
-                continue;
-            }
-            if !find_applications(ent.tokens, &fresh_rules).is_empty() {
-                affected[shard_of(e, n)] = true;
+        for (e, ent) in dict.iter().take(first_new) {
+            if !removed.contains(&e.0) && !find_applications(ent.tokens, &fresh_rules).is_empty() {
+                changed[e.idx()] = true;
             }
         }
     }
+    let mut affected = vec![false; n];
+    for e in (0..dict.len() as u32).map(EntityId).filter(|e| changed[e.idx()]) {
+        affected[shard_of(e, n)] = true;
+    }
+    let affected: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
 
-    let affected_ids: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
-    let keep = |e: EntityId| !removed.contains(&e.0);
-    let new_dds: Vec<DerivedDictionary> = std::thread::scope(|s| {
-        let dict = &dict;
-        let rules = &rules;
-        let config = &cur.config;
-        let keep = &keep;
-        let handles: Vec<_> = affected_ids
-            .iter()
-            .map(|&i| s.spawn(move || DerivedDictionary::build_filtered(dict, rules, &config.derive, |e| shard_of(e, n) == i && keep(e))))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard derivation panicked")).collect()
+    // Per affected shard: its changed origins as they derive now, and what
+    // the ones that were live contributed to the statistics before.
+    let derive = &cur.config.derive;
+    let fresh: Vec<(DerivedDictionary, DeriveStats)> = in_parallel(affected.iter(), |&i| {
+        let mine = |e: EntityId| changed[e.idx()] && shard_of(e, n) == i;
+        let small = DerivedDictionary::build_filtered(&dict, &rules, derive, |e| mine(e) && !removed.contains(&e.0));
+        let departing = DerivedDictionary::build_filtered(&cur.dict, &cur.rules, derive, |e| mine(e) && cur.removed.binary_search(&e).is_err());
+        (small, departing.stats().clone())
     });
 
     // Freeze existing token keys; only genuinely new tokens get keys,
-    // placed after every existing one. Unaffected shards' indexes keep
-    // their old `Arc<GlobalOrder>`, which agrees on every key they can
-    // ever look up.
-    let refs: Vec<&DerivedDictionary> = new_dds.iter().collect();
-    let order = Arc::new(cur.order.extend(&refs, &interner));
+    // placed after every existing one. Shards not touched keep their old
+    // `Arc<GlobalOrder>`, which agrees on every key they can ever look up;
+    // a delta admitting no token keeps sharing the current order.
+    let smalls: Vec<&DerivedDictionary> = fresh.iter().map(|(small, _)| small).collect();
+    let order = cur.order.extend(&smalls, &interner).map_or_else(|| Arc::clone(&cur.order), Arc::new);
 
-    let rebuilt = index_shards(new_dds, &order);
+    let spliced = in_parallel(affected.iter().zip(&fresh), |(&i, (small, departing))| {
+        Arc::new(cur.shards[i].splice(small, &changed, departing, Arc::clone(&order)))
+    });
     let mut shards = cur.shards.clone();
-    for (&i, shard) in affected_ids.iter().zip(rebuilt) {
-        shard.inherit_counters(&cur.shards[i]);
+    for (&i, shard) in affected.iter().zip(spliced) {
         shards[i] = shard;
     }
 
@@ -431,7 +431,7 @@ impl ShardedEngine {
     /// the variants onto the heap and rebuilding the indexes — correct for
     /// any artifact, just not zero-copy.
     ///
-    /// Later updates copy-on-write: `apply_update` rebuilds only the
+    /// Later updates copy-on-write: `apply_update` splices only the
     /// affected shards, onto the heap, while untouched shards keep serving
     /// straight from the mapping.
     pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {

@@ -6,7 +6,7 @@ use aeetes_core::{
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_pool::Pool;
-use aeetes_rules::{DerivedDictionary, DerivedId, RuleSet};
+use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleSet};
 use aeetes_text::{Dictionary, Document, EntityId, Interner};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,9 +61,7 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn build(dd: DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
-        let start = std::time::Instant::now();
-        let index = ClusteredIndex::build_with_order(&dd, order);
+    fn new(dd: DerivedDictionary, index: ClusteredIndex, build_nanos: u64) -> Self {
         // Count populated origin buckets off the prefix array — walking
         // `dd.iter()` would materialize a DerivedRef per variant.
         let by_origin = dd.raw_arenas().6;
@@ -74,9 +72,15 @@ impl Shard {
             resident,
             served: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
-            build_nanos: start.elapsed().as_nanos() as u64,
+            build_nanos,
             extract_nanos: AtomicU64::new(0),
         }
+    }
+
+    pub(crate) fn build(dd: DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
+        let start = std::time::Instant::now();
+        let index = ClusteredIndex::build_with_order(&dd, order);
+        Self::new(dd, index, start.elapsed().as_nanos() as u64)
     }
 
     /// Wraps an already-built derived dictionary + index pair (the frozen
@@ -84,28 +88,28 @@ impl Shard {
     /// build). Counters start at zero; `build_nanos` is 0 by definition —
     /// nothing was built.
     pub(crate) fn from_prebuilt(dd: DerivedDictionary, index: ClusteredIndex) -> Self {
-        // Count populated origin buckets off the prefix array — walking
-        // `dd.iter()` would materialize a DerivedRef per variant.
-        let by_origin = dd.raw_arenas().6;
-        let resident = by_origin.windows(2).filter(|w| w[0] < w[1]).count();
-        Shard {
-            dd,
-            index,
-            resident,
-            served: AtomicU64::new(0),
-            candidates: AtomicU64::new(0),
-            build_nanos: 0,
-            extract_nanos: AtomicU64::new(0),
-        }
+        Self::new(dd, index, 0)
     }
 
-    /// Carries the cumulative counters of the shard this one replaces, so
-    /// per-shard serving totals survive a rebuild. The build time is not
-    /// inherited: it describes this shard's own build.
-    pub(crate) fn inherit_counters(&self, old: &Shard) {
-        self.served.store(old.served.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.candidates.store(old.candidates.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.extract_nanos.store(old.extract_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
+    /// The shard a delta leaves behind: `small` — the `changed` origins of
+    /// this shard that are still live, derived under the post-delta rules —
+    /// is indexed against `order` and merged into this shard's arenas (heap
+    /// or mapped alike) in place of those origins' old runs. `departing` is
+    /// what the changed origins contributed to this shard's derivation
+    /// statistics. The result equals [`Shard::build`] over a fresh
+    /// derivation of the shard's post-delta origins, byte for byte, and
+    /// carries this shard's cumulative serving counters on; the build time
+    /// is its own.
+    pub(crate) fn splice(&self, small: &DerivedDictionary, changed: &[bool], departing: &DeriveStats, order: Arc<GlobalOrder>) -> Self {
+        let start = std::time::Instant::now();
+        let small_index = ClusteredIndex::build_with_order(small, order);
+        let dd = DerivedDictionary::splice(&self.dd, small, changed, departing);
+        let index = ClusteredIndex::splice(&self.index, &small_index, changed);
+        let next = Self::new(dd, index, start.elapsed().as_nanos() as u64);
+        next.served.store(self.served.load(Ordering::Relaxed), Ordering::Relaxed);
+        next.candidates.store(self.candidates.load(Ordering::Relaxed), Ordering::Relaxed);
+        next.extract_nanos.store(self.extract_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
+        next
     }
 
     /// Number of derived variants resident in this shard.

@@ -101,17 +101,15 @@ fn frozen_equals_monolithic_across_strategies_and_metrics() {
 
 /// freeze → open → refreeze is bit-identical at 1 and 4 shards: the opened
 /// arenas describe exactly what was written, so an adopted engine re-frozen
-/// (as WAL compaction does) reproduces its artifact. The comparison starts
-/// from an opened engine because opening normalises one statistic a fresh
-/// multi-shard build records per shard (`DeriveStats::origins`, widened to
-/// the full id space); from there on the bytes are a fixed point.
+/// (as WAL compaction does) reproduces its artifact — the per-shard
+/// derivation statistics included, which opening checks but does not touch.
 #[test]
 fn freeze_open_refreeze_is_bit_identical() {
     let (dict, rules, interner, _) = corpus();
     let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open"), None).expect("adopt");
     for shards in [1, 4] {
         let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), shards);
-        let frozen = adopt(&built.freeze()).freeze();
+        let frozen = built.freeze();
         let reopened = adopt(&frozen);
         assert_eq!(reopened.shard_count(), shards);
         assert_eq!(frozen, reopened.freeze(), "shards={shards}: artifact must refreeze bit-identically");

@@ -2,14 +2,17 @@
 //! monolithic engine — same matches, same scores, same variant ids — for
 //! random dictionaries, rules and documents, across all four filtering
 //! strategies and shard counts {1, 2, 7, 16}; updates applied as deltas
-//! equal a fresh rebuild of the updated dictionary; the frozen artifact
-//! round-trips.
+//! equal a fresh rebuild of the updated dictionary — in what they extract,
+//! and byte for byte in what they store; the frozen artifact round-trips.
 
-use aeetes_core::{open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, ShardedParts, Strategy};
-use aeetes_rules::{DerivedDictionary, RuleSet};
-use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
+use aeetes_core::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, FreezeSegment, FreezeSource, ShardedParts, Strategy};
+use aeetes_index::{ClusteredIndex, GlobalOrder};
+use aeetes_rules::{find_applications, DerivedDictionary, RuleSet};
+use aeetes_shard::{shard_of, DictDelta, RuleDelta, ShardedEngine};
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Tokenizer};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
@@ -28,7 +31,162 @@ fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, 
     (dict, rules, interner, tokenizer)
 }
 
+/// The retired update path, kept as the oracle of the splice: every shard
+/// owning an added, removed or rule-affected origin is re-derived whole
+/// under the post-delta rules, the order is extended over those whole
+/// shards, and each is re-indexed from nothing. Built from public parts
+/// only, so it shares no code with `build_next`.
+struct Rebuilt {
+    interner: Interner,
+    dict: Dictionary,
+    rules: RuleSet,
+    removed: BTreeSet<u32>,
+    config: AeetesConfig,
+    generation: u64,
+    order: Arc<GlobalOrder>,
+    shards: Vec<(DerivedDictionary, ClusteredIndex)>,
+}
+
+impl Rebuilt {
+    fn build(dict: Dictionary, rules: RuleSet, interner: Interner, n: usize) -> Self {
+        let config = AeetesConfig::default();
+        let dds: Vec<DerivedDictionary> = (0..n)
+            .map(|i| DerivedDictionary::build_filtered(&dict, &rules, &config.derive, |e| shard_of(e, n) == i))
+            .collect();
+        let order = Arc::new(GlobalOrder::build_many(&dds.iter().collect::<Vec<_>>(), &interner));
+        let shards = dds
+            .into_iter()
+            .map(|dd| {
+                let index = ClusteredIndex::build_with_order(&dd, Arc::clone(&order));
+                (dd, index)
+            })
+            .collect();
+        Rebuilt {
+            interner,
+            dict,
+            rules,
+            removed: BTreeSet::new(),
+            config,
+            generation: 1,
+            order,
+            shards,
+        }
+    }
+
+    fn apply(&mut self, delta: &DictDelta, tokenizer: &Tokenizer) {
+        let n = self.shards.len();
+        let mut fresh_rules = RuleSet::new();
+        for r in &delta.add_rules {
+            let id = self
+                .rules
+                .push_weighted_str(&r.lhs, &r.rhs, r.weight, tokenizer, &mut self.interner)
+                .expect("generated rules are valid");
+            let rule = self.rules.rule(id);
+            fresh_rules.push_tokens(rule.lhs.clone(), rule.rhs.clone(), rule.weight).expect("valid");
+        }
+        let first_new = self.dict.len() as u32;
+        for raw in &delta.add_entities {
+            self.dict.push(raw, tokenizer, &mut self.interner);
+        }
+        let mut affected = vec![false; n];
+        for e in &delta.remove_entities {
+            if self.removed.insert(e.0) {
+                affected[shard_of(*e, n)] = true;
+            }
+        }
+        for id in first_new..self.dict.len() as u32 {
+            affected[shard_of(EntityId(id), n)] = true;
+        }
+        for (e, ent) in self.dict.iter() {
+            if !self.removed.contains(&e.0) && !find_applications(ent.tokens, &fresh_rules).is_empty() {
+                affected[shard_of(e, n)] = true;
+            }
+        }
+        let affected: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
+        let dds: Vec<DerivedDictionary> = affected
+            .iter()
+            .map(|&i| {
+                DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| {
+                    shard_of(e, n) == i && !self.removed.contains(&e.0)
+                })
+            })
+            .collect();
+        if let Some(extended) = self.order.extend(&dds.iter().collect::<Vec<_>>(), &self.interner) {
+            self.order = Arc::new(extended);
+        }
+        for (i, dd) in affected.into_iter().zip(dds) {
+            let index = ClusteredIndex::build_with_order(&dd, Arc::clone(&self.order));
+            self.shards[i] = (dd, index);
+        }
+        self.generation += 1;
+    }
+
+    /// Everything a generation stores — all seven derived-dictionary arenas,
+    /// all ten index arenas and the derivation statistics of every shard,
+    /// the order, dictionary, rules, tombstones and strings — as the bytes
+    /// `Generation::freeze` lays them out in.
+    fn freeze(&self) -> Vec<u8> {
+        let removed: Vec<EntityId> = self.removed.iter().copied().map(EntityId).collect();
+        freeze_to_bytes(&FreezeSource {
+            interner: &self.interner,
+            dict: &self.dict,
+            removed: &removed,
+            rules: &self.rules,
+            config: &self.config,
+            generation: self.generation,
+            order: &self.order,
+            segments: self.shards.iter().map(|(dd, index)| FreezeSegment { dd, index }).collect(),
+        })
+    }
+
+    /// The set-length range the artifact does not carry.
+    fn set_len_range(&self) -> Option<(usize, usize)> {
+        let lens: Vec<usize> = self.shards.iter().flat_map(|(_, ix)| [ix.min_set_len(), ix.max_set_len()]).flatten().collect();
+        Some((*lens.iter().min()?, *lens.iter().max()?))
+    }
+}
+
 proptest! {
+    /// Random delta sequences — adds (some tokenizing to nothing), removals
+    /// of live, added and already-removed ids, weighted rules that reach
+    /// existing origins, deltas that touch no, one or every shard — leave
+    /// every spliced shard byte-identical to the retired whole-shard
+    /// rebuild, whether the shard it was spliced from was built on the heap
+    /// or adopted from a frozen image.
+    #[test]
+    fn spliced_generation_equals_rebuilt_generation(
+        entities in proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 1..8),
+        rule_pairs in proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}"), 0..3),
+        steps in proptest::collection::vec((
+            proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 0..3),
+            proptest::collection::vec(0usize..64, 0..3),
+            proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}", 1u8..3), 0..2),
+        ), 1..5),
+    ) {
+        let (dict, rules, interner, tokenizer) = corpus(&entities, &rule_pairs);
+        for n in [1, 2, 7] {
+            let mut oracle = Rebuilt::build(dict.clone(), rules.clone(), interner.clone(), n);
+            let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
+            prop_assert_eq!(&built.freeze(), &oracle.freeze(), "shards={} fresh build", n);
+            let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
+            for (step, (adds, removes, new_rules)) in steps.iter().enumerate() {
+                let live = oracle.dict.len();
+                let delta = DictDelta {
+                    add_entities: adds.clone(),
+                    remove_entities: removes.iter().map(|r| EntityId((r % live) as u32)).collect(),
+                    add_rules: new_rules.iter().map(|(l, r, w)| RuleDelta { lhs: l.clone(), rhs: r.clone(), weight: 1.0 / f64::from(*w) }).collect(),
+                };
+                oracle.apply(&delta, &tokenizer);
+                let expected = oracle.freeze();
+                for (engine, origin) in [(&built, "heap-built"), (&adopted, "frozen-adopted")] {
+                    let generation = engine.apply_update(&delta, &tokenizer).expect("delta applies");
+                    prop_assert!(generation.freeze() == expected, "shards={} step={} {}: {:?}", n, step, origin, delta);
+                    prop_assert_eq!(generation.set_len_range(), oracle.set_len_range(), "shards={} step={} {}", n, step, origin);
+                }
+            }
+        }
+    }
+
     /// The sharded engine returns bit-identical match sets to the single
     /// engine for every strategy and shard count.
     #[test]

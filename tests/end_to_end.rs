@@ -4,7 +4,7 @@
 
 use aeetes::core::{peek_info, ExtractBackend, ExtractLimits, ExtractStats, FreezeSegment, FreezeSource};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
-use aeetes::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ShardedEngine, Strategy};
+use aeetes::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ShardedEngine, Strategy};
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -182,6 +182,77 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
         }
         for (engine, t) in ["heap", "frozen 1-shard", "frozen 2-shard"].into_iter().zip(totals) {
             assert_eq!([t.accessed_entries, t.candidates, t.verifications, t.matches], golden, "{strategy} on the {engine} engine");
+        }
+    }
+}
+
+/// Churn shaped like the benchmark's: each delta adds 32 entities (the head
+/// of one dictionary entity on the tail of another — no new vocabulary, the
+/// same rule applicability) and tombstones the 32 the previous delta added.
+/// After every delta the spliced generation must answer each document —
+/// the corpus's own, and one naming some of the entities just added and
+/// just removed — exactly as a monolithic engine derived from nothing over the
+/// live dictionary does, under all four strategies at 1 and 2 shards; and
+/// the updated engine written, reopened and adopted writes the same bytes
+/// again.
+#[test]
+fn churned_engines_match_a_fresh_build_and_refreeze_bit_identically() {
+    const CHURN: usize = 32;
+    let tau = 0.8;
+    for (_, data) in engines() {
+        let configs = || Strategy::ALL.into_iter().map(|strategy| AeetesConfig { strategy, ..AeetesConfig::default() });
+        let updated: Vec<(usize, ShardedEngine)> = [1, 2]
+            .into_iter()
+            .flat_map(|shards| configs().map(move |config| (shards, config)))
+            .map(|(shards, config)| (shards, ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config, shards)))
+            .collect();
+        let n = data.dictionary.len();
+        let (mut dict, mut interner) = (data.dictionary.clone(), data.interner.clone());
+        let mut tombstoned: Vec<EntityId> = Vec::new();
+        let mut previous: Vec<EntityId> = Vec::new();
+        for round in 0..3 {
+            let adds: Vec<String> = (round * CHURN..(round + 1) * CHURN)
+                .map(|k| {
+                    let (a, b) = (dict.entity(EntityId((k * 7 % n) as u32)), dict.entity(EntityId(((k * 13 + 5) % n) as u32)));
+                    interner.render(&[&a[..a.len().div_ceil(2)], &b[b.len() / 2..]].concat())
+                })
+                .collect();
+            let delta = DictDelta {
+                add_entities: adds.clone(),
+                remove_entities: previous.clone(),
+                add_rules: Vec::new(),
+            };
+            tombstoned.extend(&previous);
+            previous = (dict.len()..dict.len() + CHURN).map(|id| EntityId(id as u32)).collect();
+            for raw in &adds {
+                dict.push(raw, &data.tokenizer, &mut interner);
+            }
+            let config = AeetesConfig::default();
+            let live = DerivedDictionary::build_filtered(&dict, &data.rules, &config.derive, |e| !tombstoned.contains(&e));
+            let fresh = Aeetes::from_parts(dict.clone(), live, &interner, config);
+            let mut churn_text = adds[..4].join(" ; ");
+            for e in delta.remove_entities.iter().take(4) {
+                churn_text.push_str(" ; ");
+                churn_text.push_str(&interner.render(dict.entity(*e)));
+            }
+            let churn_doc = Document::parse(&churn_text, &data.tokenizer, &mut interner);
+            assert_eq!(interner.len(), data.interner.len(), "churn must not mint vocabulary");
+            let docs: Vec<&Document> = data.documents.iter().chain([&churn_doc]).collect();
+            let expected: Vec<_> = docs.iter().map(|doc| fresh.extract(doc, tau)).collect();
+            assert!(!expected[docs.len() - 1].is_empty(), "{}: the added entities are found", data.name);
+            for (shards, engine) in &updated {
+                let generation = engine.apply_update(&delta, &data.tokenizer).expect("delta applies");
+                let strategy = generation.config().strategy;
+                for (doc, want) in docs.iter().zip(&expected) {
+                    assert_eq!(&generation.extract_all(doc, tau), want, "{}: round {round}, {strategy} at {shards} shard(s)", data.name);
+                }
+            }
+        }
+        for (shards, engine) in &updated {
+            let written = engine.freeze();
+            let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&written).expect("reopen"), None).expect("adopt");
+            assert_eq!(adopted.shard_count(), *shards);
+            assert!(written == adopted.freeze(), "{}: {shards}-shard artifact must refreeze bit-identically", data.name);
         }
     }
 }
