@@ -245,6 +245,9 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
         Pool::configure_global(threads);
     }
     let format = args.optional("format").unwrap_or("tsv");
+    if !matches!(format, "tsv" | "jsonl") {
+        return Err(format!("unknown format `{format}` (tsv|jsonl)"));
+    }
     let metric = match args.optional("metric").unwrap_or("jaccard") {
         "jaccard" => Metric::Jaccard,
         "dice" => Metric::Dice,
@@ -309,7 +312,6 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
                 return Err(format!("--stream reads one document from stdin and emits matches incrementally; {flag} does not apply"));
             }
         }
-        let format = args.optional("format").unwrap_or("tsv");
         let (engine, mut interner) = open_single(engine_path)?;
         return extract_stream(&engine, &mut interner, tau, format);
     }
@@ -389,11 +391,10 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
                     });
                     writeln!(out, "{row}").map_err(|e| e.to_string())?;
                 }
-                "tsv" => {
+                _ => {
                     writeln!(out, "{doc_id}\t{}\t{}\t{:.4}\t{}\t{}", m.span.start, m.span.len, m.score, entity_raw, text)
                         .map_err(|e| e.to_string())?;
                 }
-                other => return Err(format!("unknown format `{other}` (tsv|jsonl)")),
             }
         }
     }
@@ -415,9 +416,6 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
 /// not retained.
 fn extract_stream(engine: &Aeetes, interner: &mut Interner, tau: f64, format: &str) -> Result<i32, String> {
     use std::io::Read;
-    if format != "tsv" && format != "jsonl" {
-        return Err(format!("unknown format `{format}` (tsv|jsonl)"));
-    }
     let tokenizer = Tokenizer::default();
     let mut stream = StreamExtractor::new(engine, tau);
     let stdin = std::io::stdin();

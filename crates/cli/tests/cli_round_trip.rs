@@ -113,6 +113,20 @@ fn metric_flag_accepted_and_validated() {
     ]))
     .unwrap_err();
     assert!(err.contains("--tau"));
+    // A bad --format is refused before a document is read: also when no
+    // document holds a match, which used to end in "0 match(es)" and exit 0.
+    let quiet = dir.join("quiet.txt");
+    fs::write(&quiet, "nothing to see here\n").unwrap();
+    let err = commands::extract(&argv(&[
+        s("--engine"),
+        engine.display().to_string(),
+        s("--docs"),
+        quiet.display().to_string(),
+        s("--format"),
+        s("xml"),
+    ]))
+    .unwrap_err();
+    assert!(err.contains("unknown format `xml`"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
 

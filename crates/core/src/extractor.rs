@@ -110,11 +110,6 @@ impl Aeetes {
         self.run(doc, tau, self.config.strategy, self.config.metric, false, limits, None)
     }
 
-    /// [`Aeetes::extract_with_limits`] under an explicit token-set metric.
-    pub fn extract_with_limits_metric(&self, doc: &Document, tau: f64, metric: Metric, limits: &ExtractLimits) -> ExtractOutcome {
-        self.run(doc, tau, self.config.strategy, metric, false, limits, None)
-    }
-
     /// [`Aeetes::extract_with_limits`] that additionally stops — at the
     /// same window-advance / verification boundaries the deadline uses —
     /// when `cancel` fires, reporting `truncated = true`. This is what lets

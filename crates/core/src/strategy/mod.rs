@@ -90,8 +90,8 @@ pub(crate) fn generate(
 
 /// Runs candidate generation alone — no verification — into `scratch`,
 /// returning the deduplicated candidate pairs in discovery order plus the
-/// work counters. This is the hot path measured by `bench_hot_path`; the
-/// returned slice borrows the scratch and is valid until its next use.
+/// work counters. The returned slice borrows the scratch and is valid until
+/// its next use.
 ///
 /// # Panics
 /// Panics when `tau` is not in `(0, 1]`.

@@ -108,8 +108,7 @@ pub fn time_ms<F: FnOnce()>(f: F) -> f64 {
 }
 
 /// Best-of-`reps` milliseconds for `f` (min over repetitions removes
-/// allocator/scheduler noise from the small harness runs; criterion is used
-/// for statistically rigorous numbers).
+/// allocator/scheduler noise from the small harness runs).
 pub fn time_ms_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     (0..reps.max(1)).map(|_| time_ms(&mut f)).fold(f64::INFINITY, f64::min)
 }

@@ -181,34 +181,24 @@ where
         .collect()
 }
 
-/// Batch extraction on an explicit pool: `results[i]` = matches of
-/// `docs[i]`, with the engine's configured limits. If any document
-/// panics, the rest of the batch still completes and the first panic (in
-/// input order) is then re-raised on the caller's thread — the
-/// pre-fault-isolation contract. Use [`extract_batch_with_on`] for
-/// per-document errors instead.
-pub fn extract_batch_on<E>(pool: &Pool, engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
+/// Batch extraction over the process-wide [`Pool::global`] pool:
+/// `results[i]` = matches of `docs[i]`, with the engine's configured
+/// limits. If any document panics, the rest of the batch still completes
+/// and the first panic (in input order) is then re-raised on the caller's
+/// thread — the pre-fault-isolation contract. Use [`extract_batch_with`]
+/// for per-document errors instead.
+pub fn extract_batch<E>(engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
 where
     E: ExtractBackend + ?Sized,
 {
     let opts = BatchOptions { threads, limits: engine.config().limits, ..BatchOptions::default() };
-    extract_batch_with_on(pool, engine, docs, tau, &opts)
+    extract_batch_with(engine, docs, tau, &opts)
         .into_iter()
         .map(|r| match r {
             Ok(out) => out.matches,
             Err(e) => panic!("{e}"),
         })
         .collect()
-}
-
-/// [`extract_batch_on`] over the process-wide [`Pool::global`] pool —
-/// the drop-in replacement for the scoped-thread `extract_batch` the core
-/// crate used to export.
-pub fn extract_batch<E>(engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
-where
-    E: ExtractBackend + ?Sized,
-{
-    extract_batch_on(Pool::global(), engine, docs, tau, threads)
 }
 
 /// [`extract_batch_with_on`] over the process-wide [`Pool::global`] pool.

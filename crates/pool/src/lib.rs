@@ -5,7 +5,7 @@
 //! `std::thread::scope` per call, the sharded engine spawned one thread per
 //! shard per *request*, and the server ran its own pump threads. At
 //! realistic document sizes the spawn + join cost swamps the extraction
-//! work itself (the old `bench_shard_scaling` measured *negative* scaling).
+//! work itself.
 //!
 //! A [`Pool`] owns N persistent worker threads, created once per
 //! engine/fleet lifetime. Each worker owns a long-lived
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 mod batch;
 
-pub use batch::{extract_batch, extract_batch_into, extract_batch_on, extract_batch_with, extract_batch_with_on, run_batch, BatchBuf, BatchSlot};
+pub use batch::{extract_batch, extract_batch_into, extract_batch_with, extract_batch_with_on, run_batch, BatchBuf, BatchSlot};
 
 thread_local! {
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };

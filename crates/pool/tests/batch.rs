@@ -169,6 +169,76 @@ fn fired_token_cancels_remaining_items() {
     }
 }
 
+/// What the retired batch-scaling gate existed to catch, asserted without a
+/// clock: batch extraction starting threads per call (a `thread::scope`
+/// around every batch once made 8 workers 0.13x as fast as one). Every
+/// document of 100 batches on one persistent pool must run on a thread
+/// `/proc/self/task` listed before the first of them. The check sits inside
+/// the work because scoped threads are joined — gone from the listing — by
+/// the time a call returns, and compares ids, not counts, because sibling
+/// tests of this binary start and stop threads of their own meanwhile.
+#[cfg(target_os = "linux")]
+mod no_thread_per_batch {
+    use super::*;
+    use aeetes_core::{ExtractBackend, ExtractOutcome};
+    use aeetes_pool::{extract_batch_into, BatchBuf};
+    use std::collections::BTreeSet;
+    use std::ffi::OsString;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts the extractions that ran on a thread not in `known`.
+    struct OnKnownThreads<'a> {
+        engine: &'a Aeetes,
+        known: BTreeSet<OsString>,
+        strangers: AtomicUsize,
+    }
+
+    impl ExtractBackend for OnKnownThreads<'_> {
+        fn dictionary(&self) -> &Dictionary {
+            self.engine.dictionary()
+        }
+
+        fn config(&self) -> &AeetesConfig {
+            self.engine.config()
+        }
+
+        fn set_len_range(&self) -> Option<(usize, usize)> {
+            self.engine.set_len_range()
+        }
+
+        fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome {
+            // `/proc/thread-self` -> `<pid>/task/<tid>`
+            let me = std::fs::read_link("/proc/thread-self").expect("procfs");
+            if !self.known.contains(me.file_name().expect("tid")) {
+                self.strangers.fetch_add(1, Ordering::Relaxed);
+            }
+            self.engine.extract_limited(doc, tau, limits, cancel)
+        }
+    }
+
+    #[test]
+    fn batches_start_no_thread() {
+        let (engine, mut int, tok) = sample_engine(AeetesConfig::default());
+        let docs = sample_docs(&mut int, &tok);
+        let want: Vec<_> = docs.iter().map(|d| engine.extract(d, 0.8)).collect();
+        let pool = Pool::new(2);
+        let opts = BatchOptions { threads: 2, ..BatchOptions::default() };
+        let mut buf = BatchBuf::new();
+        extract_batch_into(&pool, &engine, &docs, 0.8, &opts, &mut buf);
+        let known = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .map(|e| e.expect("task entry").file_name())
+            .collect();
+        let watched = OnKnownThreads { engine: &engine, known, strangers: AtomicUsize::new(0) };
+        for _ in 0..100 {
+            extract_batch_into(&pool, &watched, &docs, 0.8, &opts, &mut buf);
+            assert!(buf.slots().iter().map(|s| &s.matches).eq(&want));
+        }
+        let strangers = watched.strangers.into_inner();
+        assert_eq!(strangers, 0, "{strangers} of {} extractions ran on a thread started after warm-up", 100 * docs.len());
+    }
+}
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
 
