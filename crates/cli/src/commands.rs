@@ -7,12 +7,12 @@
 
 use crate::args::Args;
 use aeetes_core::{
-    extract_segment_scratched, extract_top_k_with, suppress_overlaps, Aeetes, AeetesConfig, BatchOptions, EditIndex, ExtractBackend, ExtractLimits,
-    ExtractScratch, ExtractStats, FrozenParts, Match, ShardedParts, Stage, StageSlots, Strategy,
+    suppress_overlaps, AeetesConfig, BatchOptions, ExtractBackend, ExtractLimits, ExtractRequest, ExtractScratch, ExtractStats, Stage, StageSlots,
+    Strategy,
 };
 use aeetes_pool::{extract_batch_with, Pool};
 use aeetes_rules::{DeriveConfig, RuleSet};
-use aeetes_shard::ShardedEngine;
+use aeetes_shard::{Generation, ShardedEngine};
 use aeetes_sim::Metric;
 use aeetes_stream::{StreamExtractor, StreamMatch};
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
@@ -34,11 +34,11 @@ USAGE:
     aeetes build    --dict FILE --rules FILE --out ENGINE [--max-derived N]
                     [--shards N]
     aeetes extract  --engine ENGINE --docs FILE [--tau F] [--metric NAME]
-                    [--edit K] [--threads N] [--best] [--top-k K]
+                    [--threads N] [--best] [--top-k K]
                     [--format tsv|jsonl] [--timeout SECS]
                     [--max-candidates N] [--max-matches N]
     aeetes extract  --engine ENGINE --stream [--tau F] [--format tsv|jsonl]
-    aeetes serve    --engine ENGINE [--shards N] [--listen ADDR:PORT]
+    aeetes serve    --engine ENGINE [--listen ADDR:PORT]
                     [--metrics-listen ADDR:PORT] [--workers N | --threads N] [--queue N]
                     [--max-doc-bytes N] [--timeout-ceiling SECS]
                     [--max-matches N] [--max-candidates N] [--drain SECS]
@@ -66,19 +66,19 @@ FILES:
 
 `serve` answers newline-delimited JSON requests (one per line) on stdin or,
 with --listen, per TCP connection; see README \"Serving\" for the protocol.
-It always runs the sharded engine: --shards N fans extraction over N shards
-(0 = available parallelism; omitted = the artifact's stored segment count),
-and a `{\"type\":\"reload\"}` request applies a dictionary delta as a new
-generation without dropping in-flight requests.
+Its shards are the artifact's segments, and a `{\"type\":\"reload\"}` request
+applies a dictionary delta as a new generation without dropping in-flight
+requests.
 
 ARTIFACT FORMAT: `build` writes, and every other command opens, one
 format — AEET v6, the *frozen* layout: the built indexes laid out as flat
 little-endian arenas behind a whole-file CRC-32, so a server memory-maps
 the file and answers its first request without deserializing anything, and
-N serve processes share one page cache. `build --shards N` only sets how
-many segments the artifact carries (default 1; 0 = available parallelism);
-`serve`/`fleet` adopt those segments as their shards, or re-partition them
-under `--shards N`. `aeetes dict info FILE` prints an artifact's
+N serve processes share one page cache. `build --shards N` sets how many
+segments the artifact carries (default 1; 0 = available parallelism), and
+every command that opens it adopts those segments as its shards: the
+partition is fixed at build time, so to change it, rebuild. `aeetes dict
+info FILE` prints an artifact's
 generation, entity/rule/token counts and per-section sizes without
 building the engine. A file of any other format version is refused with a
 message saying to rebuild it.
@@ -198,23 +198,13 @@ fn atomic_write(path: &str, bytes: &[u8]) -> Result<(), String> {
     aeetes_core::atomic_replace(std::path::Path::new(path), bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Opens the engine artifact (memory-mapped where the platform allows).
-/// Every command that reads an engine goes through here, so a corrupt file
-/// or one of another format version fails the same way everywhere.
-fn open_artifact(path: &str) -> Result<FrozenParts, String> {
-    aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Opens the artifact as a sharded engine: its segments are adopted
-/// zero-copy as shards unless `shards` asks for a different count.
-fn open_sharded(path: &str, shards: Option<usize>) -> Result<ShardedEngine, String> {
-    ShardedEngine::from_frozen(open_artifact(path)?, shards).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Opens the artifact and merges its segments into one monolithic engine
-/// (`extract`, `profile`).
-fn open_single(path: &str) -> Result<(Aeetes, Interner), String> {
-    ShardedParts::from(open_artifact(path)?).into_single().map_err(|e| format!("{path}: {e}"))
+/// Opens the engine artifact (memory-mapped where the platform allows) and
+/// adopts its segments as the engine's shards. Every command that reads an
+/// engine goes through here, so a corrupt file, one of another format
+/// version or one partitioned some other way fails the same way everywhere.
+fn open_engine(path: &str) -> Result<ShardedEngine, String> {
+    let parts = aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    ShardedEngine::from_frozen(parts, None).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `aeetes extract`
@@ -232,7 +222,6 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
             "timeout",
             "max-candidates",
             "max-matches",
-            "edit",
             "top-k",
         ],
     )?;
@@ -248,12 +237,13 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
     if !matches!(format, "tsv" | "jsonl") {
         return Err(format!("unknown format `{format}` (tsv|jsonl)"));
     }
-    let metric = match args.optional("metric").unwrap_or("jaccard") {
-        "jaccard" => Metric::Jaccard,
-        "dice" => Metric::Dice,
-        "cosine" => Metric::Cosine,
-        "overlap" => Metric::Overlap,
-        other => return Err(format!("unknown metric `{other}` (jaccard|dice|cosine|overlap)")),
+    let metric = match args.optional("metric") {
+        None => None,
+        Some("jaccard") => Some(Metric::Jaccard),
+        Some("dice") => Some(Metric::Dice),
+        Some("cosine") => Some(Metric::Cosine),
+        Some("overlap") => Some(Metric::Overlap),
+        Some(other) => return Err(format!("unknown metric `{other}` (jaccard|dice|cosine|overlap)")),
     };
     if !(tau > 0.0 && tau <= 1.0) {
         return Err(format!("--tau must be in (0, 1], got {tau}"));
@@ -286,9 +276,6 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
             if k == 0 {
                 return Err("--top-k must be at least 1".into());
             }
-            if args.optional("edit").is_some() {
-                return Err("--top-k and --edit are incompatible (edit-distance mode has no similarity score to rank)".into());
-            }
             if args.switch("best") {
                 return Err("--top-k and --best are incompatible on the CLI; use the serve protocol to compose them".into());
             }
@@ -304,70 +291,36 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
         for (flag, present) in [
             ("--docs", args.optional("docs").is_some()),
             ("--top-k", top_k.is_some()),
-            ("--edit", args.optional("edit").is_some()),
             ("--best", args.switch("best")),
-            ("--metric", args.optional("metric").is_some()),
+            ("--metric", metric.is_some()),
+            ("--timeout", timeout.is_some()),
+            ("--max-candidates", limits.max_candidates.is_some()),
+            ("--max-matches", limits.max_matches.is_some()),
+            ("--threads", args.optional("threads").is_some()),
         ] {
             if present {
                 return Err(format!("--stream reads one document from stdin and emits matches incrementally; {flag} does not apply"));
             }
         }
-        let (engine, mut interner) = open_single(engine_path)?;
-        return extract_stream(&engine, &mut interner, tau, format);
+        return extract_stream(&open_engine(engine_path)?.snapshot(), tau, format);
     }
 
     let docs_path = args.required("docs")?;
-    let (engine, mut interner) = open_single(engine_path)?;
+    let engine = open_engine(engine_path)?.snapshot();
+    let mut interner = engine.interner().clone();
     let tokenizer = Tokenizer::default();
     let docs: Vec<Document> = read_lines(docs_path)?.iter().map(|l| Document::parse(l, &tokenizer, &mut interner)).collect();
 
-    // Edit-distance mode (--edit K): character-level ED-AR extraction.
-    if let Some(k) = args.optional("edit") {
-        let k: usize = k.parse().map_err(|e| format!("--edit: {e}"))?;
-        let index = EditIndex::build(&engine, &interner, 2);
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        let mut total = 0usize;
-        for (doc_id, doc) in docs.iter().enumerate() {
-            for m in index.extract(&engine, doc, &interner, k) {
-                total += 1;
-                let entity_raw = &engine.dictionary().record(m.entity).raw;
-                let text = doc.text_of(m.span).unwrap_or_default();
-                writeln!(out, "{doc_id}\t{}\t{}\ted={}\t{}\t{}", m.span.start, m.span.len, m.distance, entity_raw, text)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-        eprintln!("{total} match(es) within edit distance {k}");
-        return Ok(EXIT_OK);
-    }
-
-    // Metric override re-runs extraction per doc (the batch helper is
-    // config-metric driven); with the default metric we use the
-    // fault-isolated batch path. Both paths honour the limits.
+    // One fault-isolated batch answers every request shape; `--top-k` rows
+    // come back ordered by score (best first) instead of by span.
+    let opts = BatchOptions { threads, metric, top_k, limits, ..BatchOptions::default() };
     let mut truncated_docs = 0usize;
-    let results: Vec<Vec<Match>> = if let Some(k) = top_k {
-        // Bound-pruned top-k: exact, budget-free, and ordered by score
-        // (best first) instead of by span.
-        docs.iter().map(|d| extract_top_k_with(&engine, d, k, tau, metric).0).collect()
-    } else if metric == Metric::Jaccard {
-        let opts = BatchOptions { threads, limits, ..BatchOptions::default() };
-        let mut out = Vec::with_capacity(docs.len());
-        for (i, r) in extract_batch_with(&engine, &docs, tau, &opts).into_iter().enumerate() {
-            let outcome = r.map_err(|e| format!("document {i}: {e}"))?;
-            truncated_docs += outcome.truncated as usize;
-            out.push(outcome.matches);
-        }
-        out
-    } else {
-        let mut scratch = ExtractScratch::new();
-        docs.iter()
-            .map(|d| {
-                let outcome = engine.extract_scratched_metric(d, tau, metric, &limits, None, &mut scratch);
-                truncated_docs += outcome.truncated as usize;
-                outcome.matches.to_vec()
-            })
-            .collect()
-    };
+    let mut results = Vec::with_capacity(docs.len());
+    for (i, r) in extract_batch_with(&*engine, &docs, tau, &opts).into_iter().enumerate() {
+        let outcome = r.map_err(|e| format!("document {i}: {e}"))?;
+        truncated_docs += outcome.truncated as usize;
+        results.push(outcome.matches);
+    }
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -398,7 +351,7 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
             }
         }
     }
-    eprintln!("{total} match(es) at τ = {tau} ({metric})");
+    eprintln!("{total} match(es) at τ = {tau} ({})", metric.unwrap_or(engine.config().metric));
     if truncated_docs > 0 {
         eprintln!("warning: {truncated_docs} document(s) hit a resource budget; results are partial");
         return Ok(EXIT_PARTIAL);
@@ -414,9 +367,10 @@ pub fn extract(argv: &[String]) -> Result<i32, String> {
 /// long before EOF; the final flush emits the tail. Match rows carry byte
 /// offsets into the stream instead of the matched text — the stream is
 /// not retained.
-fn extract_stream(engine: &Aeetes, interner: &mut Interner, tau: f64, format: &str) -> Result<i32, String> {
+fn extract_stream(engine: &Generation, tau: f64, format: &str) -> Result<i32, String> {
     use std::io::Read;
     let tokenizer = Tokenizer::default();
+    let interner = &mut engine.interner().clone();
     let mut stream = StreamExtractor::new(engine, tau);
     let stdin = std::io::stdin();
     let mut input = stdin.lock();
@@ -446,7 +400,7 @@ fn extract_stream(engine: &Aeetes, interner: &mut Interner, tau: f64, format: &s
 
 /// Prints one batch of settled stream matches and flushes, so a consumer
 /// piping the output sees matches as they settle, not at EOF.
-fn write_stream_matches(out: &mut impl Write, engine: &Aeetes, matches: &[StreamMatch], format: &str) -> Result<(), String> {
+fn write_stream_matches(out: &mut impl Write, engine: &Generation, matches: &[StreamMatch], format: &str) -> Result<(), String> {
     for m in matches {
         let entity_raw = &engine.dictionary().record(m.entity).raw;
         match format {
@@ -486,7 +440,6 @@ pub fn serve_cmd(argv: &[String]) -> Result<i32, String> {
         &["frozen"],
         &[
             "engine",
-            "shards",
             "listen",
             "metrics-listen",
             "workers",
@@ -503,10 +456,6 @@ pub fn serve_cmd(argv: &[String]) -> Result<i32, String> {
         ],
     )?;
     let engine_path = args.required("engine")?;
-    let shards: Option<usize> = match args.optional("shards") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|e| format!("--shards: {e}"))?),
-    };
     let defaults = ServeOptions::default();
     let timeout_ceiling: f64 = args.parse_or("timeout-ceiling", defaults.ceilings.max_timeout.as_secs_f64())?;
     let drain: f64 = args.parse_or("drain", defaults.drain.as_secs_f64())?;
@@ -542,8 +491,7 @@ pub fn serve_cmd(argv: &[String]) -> Result<i32, String> {
         max_conns: args.parse_or("max-conns", defaults.max_conns)?,
         wal: args.optional("wal").map(std::path::PathBuf::from),
     };
-    let engine = open_sharded(engine_path, shards)?;
-    serve(engine, &opts)?;
+    serve(open_engine(engine_path)?, &opts)?;
     Ok(EXIT_OK)
 }
 
@@ -568,7 +516,6 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
             "wal",
             "compact-threshold",
             // Serve flags forwarded verbatim to spawned replicas.
-            "shards",
             "workers",
             "threads",
             "queue",
@@ -621,7 +568,6 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
             "0".to_string(),
         ];
         for flag in [
-            "shards",
             "workers",
             "threads",
             "queue",
@@ -688,7 +634,7 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
 /// and by `aeetes wal compact`. Delta `i` of `deltas` takes generation
 /// `base + i` to `base + i + 1`.
 fn compact_artifact(engine_path: &str, deltas: &[serde_json::Value], base: u64, target: u64) -> Result<(), String> {
-    let engine = open_sharded(engine_path, None)?;
+    let engine = open_engine(engine_path)?;
     let tokenizer = Tokenizer::default();
     let artifact_gen = engine.generation_id();
     if artifact_gen < base || artifact_gen > target {
@@ -822,23 +768,21 @@ fn wal_compact(argv: &[String]) -> Result<i32, String> {
 pub fn stats(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &[], &["engine"])?;
     let path = args.required("engine")?;
-    let parts = ShardedParts::from(open_artifact(path)?);
-    let segment_variants: Vec<usize> = parts.segments.iter().map(aeetes_rules::DerivedDictionary::len).collect();
-    let tombstones = parts.removed.len();
-    let persisted_rules = parts.rules.len();
-    let (engine, interner) = parts.into_single().map_err(|e| format!("{path}: {e}"))?;
-    let st = engine.derived().stats();
+    let engine = open_engine(path)?.snapshot();
+    let st = engine.derive_stats();
+    let segment_variants: Vec<usize> = engine.shard_stats().iter().map(|s| s.variants).collect();
+    let range = engine.set_len_range();
     println!("entities            {}", engine.dictionary().len());
-    println!("derived variants    {}", engine.derived().len());
-    println!("interned tokens     {}", interner.len());
-    println!("index entries       {}", engine.index().total_entries());
-    println!("index size (bytes)  {}", engine.index().size_bytes());
+    println!("derived variants    {}", engine.variants());
+    println!("interned tokens     {}", engine.interner().len());
+    println!("index entries       {}", engine.index_entries());
+    println!("index size (bytes)  {}", engine.index_size_bytes());
     println!("avg |A(e)|          {:.2}", st.avg_selected());
     println!("truncated entities  {}", st.truncated_entities);
-    println!("min/max entity set  {:?} / {:?}", engine.index().min_set_len(), engine.index().max_set_len());
+    println!("min/max entity set  {:?} / {:?}", range.map(|r| r.0), range.map(|r| r.1));
     println!("segments            {} {:?}", segment_variants.len(), segment_variants);
-    println!("tombstoned origins  {tombstones}");
-    println!("persisted rules     {persisted_rules}");
+    println!("tombstoned origins  {}", engine.removed().len());
+    println!("persisted rules     {}", engine.rules().len());
     Ok(EXIT_OK)
 }
 
@@ -964,12 +908,11 @@ pub fn profile_cmd(argv: &[String]) -> Result<i32, String> {
     }
 
     let tokenizer = Tokenizer::default();
-    let (engine, mut interner, doc_texts, source) = match args.optional("engine") {
+    let (engine, doc_texts, source) = match args.optional("engine") {
         // A built artifact plus a document file (one document per line).
         Some(engine_path) => {
             let doc_path = args.required("doc")?;
-            let (engine, interner) = open_single(engine_path)?;
-            (engine, interner, read_lines(doc_path)?, format!("{engine_path} on {doc_path}"))
+            (open_engine(engine_path)?.snapshot(), read_lines(doc_path)?, format!("{engine_path} on {doc_path}"))
         }
         // No engine: a synthetic corpus, deterministic under --seed, so the
         // same invocation profiles the same workload run after run.
@@ -991,16 +934,16 @@ pub fn profile_cmd(argv: &[String]) -> Result<i32, String> {
             // Synthetic documents carry interned tokens, not raw text;
             // render them back so the tokenize stage has real work to time.
             let texts: Vec<String> = data.documents.iter().map(|d| data.interner.render(d.tokens())).collect();
-            let engine = Aeetes::build(data.dictionary, &data.rules, &data.interner, AeetesConfig::default());
-            (engine, data.interner, texts, format!("synthetic {profile_name} (scale {scale}, seed {seed})"))
+            let engine = ShardedEngine::build(data.dictionary, &data.rules, &data.interner, AeetesConfig::default(), 1);
+            (engine.snapshot(), texts, format!("synthetic {profile_name} (scale {scale}, seed {seed})"))
         }
     };
+    let mut interner = engine.interner().clone();
     let texts: Vec<&String> = doc_texts.iter().take(max_docs).collect();
     if texts.is_empty() {
         return Err("no documents to profile".into());
     }
 
-    let limits = ExtractLimits::UNLIMITED;
     let mut scratch = ExtractScratch::new();
     let mut table: Vec<(Strategy, StageSlots, u64, ExtractStats)> = Vec::new();
     for strategy in Strategy::ALL {
@@ -1013,29 +956,21 @@ pub fn profile_cmd(argv: &[String]) -> Result<i32, String> {
                 let started = std::time::Instant::now();
                 let doc = Document::parse(text, &tokenizer, &mut interner);
                 let tokenize_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let seg = scratch.segment(0);
-                let (_truncated, stats) = extract_segment_scratched(
-                    engine.index(),
-                    engine.derived(),
-                    &doc,
-                    tau,
-                    strategy,
-                    Metric::Jaccard,
-                    false,
-                    None,
-                    &limits,
-                    None,
-                    seg,
-                );
+                let request = ExtractRequest {
+                    strategy: Some(strategy),
+                    metric: Some(Metric::Jaccard),
+                    ..ExtractRequest::new(tau)
+                };
+                let out = engine.extract_request(&doc, &request, &mut scratch);
                 if measured {
                     // The engine clears the scratch slots per document, so
                     // tokenize (timed out here, around the parse) and the
                     // engine-recorded slots merge into a command-local
                     // aggregate instead.
-                    agg.merge(seg.stages());
+                    agg.merge(&out.stages);
                     agg.record(Stage::Tokenize, tokenize_nanos);
                     wall_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    totals += stats;
+                    totals += out.stats;
                 }
             }
         }
@@ -1102,7 +1037,7 @@ pub fn demo() -> Result<i32, String> {
     ] {
         rules.push_str(l, r, &tokenizer, &mut interner).expect("valid demo rule");
     }
-    let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
+    let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).snapshot();
     let doc = Document::parse(
         "PC members: Alice (UW Madison), Bob (Purdue University United States), \
          Carol (Purdue University USA), Dan (University of Queensland Australia).",
@@ -1110,7 +1045,7 @@ pub fn demo() -> Result<i32, String> {
         &mut interner,
     );
     println!("document: {}\n", doc.raw);
-    for m in suppress_overlaps(engine.extract(&doc, 0.9)) {
+    for m in suppress_overlaps(engine.extract_all(&doc, 0.9)) {
         println!("  {:5.3}  \"{}\"  →  {}", m.score, doc.text_of(m.span).unwrap_or("<span>"), engine.dictionary().record(m.entity).raw);
     }
     Ok(EXIT_OK)

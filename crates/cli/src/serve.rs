@@ -42,6 +42,7 @@ use crate::protocol::{
     delta_value, error_line, ok_line, parse_delta, parse_request, Ceilings, ErrorCode, ExtractRequest, Reject, ReloadRequest, Request, StreamRequest,
     StreamVerb,
 };
+use aeetes_cluster::{LineRead, LineReader};
 use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractLimits, ExtractScratch, Match, Stage, Wal};
 use aeetes_obs::{Counter, ExtractCounts, ExtractMetrics, Gauge, Histogram, MetricRegistry, StreamMetrics, WalMetrics};
 use aeetes_pool::Pool;
@@ -804,94 +805,6 @@ impl Drop for ConnStreams {
     }
 }
 
-/// Outcome of reading one protocol line from a connection.
-#[derive(Debug)]
-enum LineRead {
-    /// A complete line (without the trailing newline).
-    Line(Vec<u8>),
-    /// A line longer than the cap; the remainder was discarded up to the
-    /// next newline so the stream stays in sync.
-    Oversized,
-    /// End of stream.
-    Eof,
-}
-
-/// Incremental capped line reader. Never buffers more than `cap` bytes, so
-/// a client streaming an endless line cannot balloon server memory, and
-/// keeps partial-line progress across calls — a read timeout mid-line (the
-/// drain poll on TCP connections) resumes exactly where it stopped instead
-/// of corrupting the stream.
-struct LineReader {
-    cap: usize,
-    buf: Vec<u8>,
-    /// Inside an over-cap line, discarding bytes until the next newline.
-    discarding: bool,
-}
-
-impl LineReader {
-    fn new(cap: usize) -> Self {
-        LineReader { cap, buf: Vec::new(), discarding: false }
-    }
-
-    /// Reads the next line. A final unterminated fragment (truncated line
-    /// before EOF) is returned as a line so it still gets a (likely
-    /// `bad_request`) response. `Err(TimedOut | WouldBlock)` is resumable.
-    fn next_line(&mut self, reader: &mut impl BufRead) -> std::io::Result<LineRead> {
-        loop {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                return Ok(if self.buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(std::mem::take(&mut self.buf))
-                });
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(pos) => {
-                        reader.consume(pos + 1);
-                        self.discarding = false;
-                        return Ok(LineRead::Oversized);
-                    }
-                    None => {
-                        let n = buf.len();
-                        reader.consume(n);
-                    }
-                }
-                continue;
-            }
-            match newline {
-                Some(pos) => {
-                    if self.buf.len() + pos <= self.cap {
-                        self.buf.extend_from_slice(&buf[..pos]);
-                        reader.consume(pos + 1);
-                        return Ok(LineRead::Line(std::mem::take(&mut self.buf)));
-                    }
-                    reader.consume(pos + 1);
-                    self.buf.clear();
-                    return Ok(LineRead::Oversized);
-                }
-                None => {
-                    let n = buf.len();
-                    if self.buf.len() + n <= self.cap {
-                        self.buf.extend_from_slice(buf);
-                        reader.consume(n);
-                    } else {
-                        reader.consume(n);
-                        self.buf.clear();
-                        self.discarding = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Serves one protocol stream (a TCP connection or stdin): parses each
 /// line, answers control requests inline, and hands extract requests to
 /// the worker pool under the bounded admission counter. Returns `true`
@@ -1431,88 +1344,5 @@ fn drain(shared: &Arc<Shared>, deadline: Duration) {
             shared.cancel.cancel();
         }
         std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lines_of(bytes: &[u8], cap: usize) -> Vec<String> {
-        let mut reader = BufReader::new(bytes);
-        let mut lr = LineReader::new(cap);
-        let mut out = Vec::new();
-        loop {
-            match lr.next_line(&mut reader).unwrap() {
-                LineRead::Eof => return out,
-                LineRead::Oversized => out.push("<oversized>".into()),
-                LineRead::Line(l) => out.push(String::from_utf8(l).unwrap()),
-            }
-        }
-    }
-
-    #[test]
-    fn capped_line_reader_splits_lines() {
-        assert_eq!(lines_of(b"one\ntwo\n", 100), ["one", "two"]);
-    }
-
-    #[test]
-    fn capped_line_reader_returns_final_unterminated_fragment() {
-        assert_eq!(lines_of(b"complete\ntruncat", 100), ["complete", "truncat"]);
-    }
-
-    #[test]
-    fn capped_line_reader_discards_oversized_and_resyncs() {
-        let mut input = vec![b'x'; 1000];
-        input.push(b'\n');
-        input.extend_from_slice(b"ok\n");
-        assert_eq!(lines_of(&input, 10), ["<oversized>", "ok"]);
-    }
-
-    #[test]
-    fn capped_line_reader_oversized_at_eof_without_newline() {
-        assert_eq!(lines_of(&vec![b'y'; 1000], 10), ["<oversized>"]);
-    }
-
-    #[test]
-    fn capped_line_reader_exact_cap_fits() {
-        assert_eq!(lines_of(b"12345\n", 5), ["12345"]);
-    }
-
-    #[test]
-    fn capped_line_reader_over_cap_by_one_is_oversized() {
-        assert_eq!(lines_of(b"123456\nok\n", 5), ["<oversized>", "ok"]);
-    }
-
-    /// A timeout mid-line must not lose the partial prefix: simulate with a
-    /// reader that errors between two chunks of one line.
-    #[test]
-    fn partial_line_survives_interrupted_read() {
-        struct Interrupting {
-            chunks: Vec<&'static [u8]>,
-            next: usize,
-            erred: bool,
-        }
-        impl std::io::Read for Interrupting {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.next == 1 && !self.erred {
-                    self.erred = true;
-                    return Err(std::io::Error::new(ErrorKind::WouldBlock, "poll"));
-                }
-                if self.next >= self.chunks.len() {
-                    return Ok(0);
-                }
-                let chunk = self.chunks[self.next];
-                self.next += 1;
-                buf[..chunk.len()].copy_from_slice(chunk);
-                Ok(chunk.len())
-            }
-        }
-        let mut reader = BufReader::new(Interrupting { chunks: vec![b"hel", b"lo\n"], next: 0, erred: false });
-        let mut lr = LineReader::new(100);
-        let first = lr.next_line(&mut reader);
-        assert!(matches!(first, Err(ref e) if e.kind() == ErrorKind::WouldBlock), "{first:?}");
-        let second = lr.next_line(&mut reader).unwrap();
-        assert!(matches!(second, LineRead::Line(ref l) if l == b"hello"), "partial prefix must survive the interruption");
     }
 }

@@ -178,9 +178,18 @@ fn top_k_and_stream_flags_parse_and_validate() {
     args.extend([s("--top-k"), s("2"), s("--max-matches"), s("5")]);
     assert!(commands::extract(&argv(&args)).unwrap_err().contains("--top-k"));
 
-    // --stream reads one document from stdin: batch-shaped flags are
-    // rejected up front (before any stdin read).
-    for extra in [vec![s("--docs"), docs.display().to_string()], vec![s("--top-k"), s("2")], vec![s("--best")]] {
+    // --stream reads one document from stdin: batch-shaped flags — and the
+    // budgets and worker count a stream never applies — are rejected up
+    // front (before any stdin read).
+    for extra in [
+        vec![s("--docs"), docs.display().to_string()],
+        vec![s("--top-k"), s("2")],
+        vec![s("--best")],
+        vec![s("--timeout"), s("5")],
+        vec![s("--max-candidates"), s("9")],
+        vec![s("--max-matches"), s("1")],
+        vec![s("--threads"), s("2")],
+    ] {
         let mut args = vec![s("--engine"), engine.display().to_string(), s("--stream")];
         args.extend(extra.clone());
         let err = commands::extract(&argv(&args)).unwrap_err();
@@ -262,7 +271,7 @@ fn budget_flags_yield_partial_exit_code() {
     let mut strangled = base.to_vec();
     strangled.extend([s("--max-candidates"), s("0")]);
     assert_eq!(commands::extract(&argv(&strangled)).unwrap(), commands::EXIT_PARTIAL);
-    // Same through the per-document metric-override path.
+    // Same under a metric override.
     let mut strangled_dice = base.to_vec();
     strangled_dice.extend([s("--max-candidates"), s("0"), s("--metric"), s("dice")]);
     assert_eq!(commands::extract(&argv(&strangled_dice)).unwrap(), commands::EXIT_PARTIAL);
@@ -330,18 +339,39 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string()])).expect("dict info succeeds");
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string(), s("--json")])).expect("dict info --json succeeds");
 
-    // stats and extract merge the two segments back into one engine.
-    commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats over two segments succeeds");
-    let code = commands::extract(&argv(&[
-        s("--engine"),
-        engine.display().to_string(),
-        s("--docs"),
-        docs.display().to_string(),
-        s("--tau"),
-        s("0.8"),
-    ]))
-    .expect("extract over two segments succeeds");
-    assert_eq!(code, commands::EXIT_OK);
+    // Every reading command adopts the two segments as two shards, and
+    // answers what the one-segment build of the same dictionary answers.
+    let single = dir.join("single.aeet");
+    let mut single_args = build_args[..6].to_vec();
+    single_args[5] = single.display().to_string();
+    commands::build(&argv(&single_args)).expect("one-segment build succeeds");
+    let e = engine.display().to_string();
+    let d = docs.display().to_string();
+    commands::stats(&argv(&[s("--engine"), e.clone()])).expect("stats over two segments succeeds");
+    commands::profile_cmd(&argv(&[s("--engine"), e.clone(), s("--doc"), d.clone(), s("--runs"), s("1"), s("--warmup"), s("0")]))
+        .expect("profile over two segments succeeds");
+    for flags in [vec![], vec!["--metric", "dice", "--threads", "2"], vec!["--top-k", "2"]] {
+        let rows = |artifact: &PathBuf| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes"))
+                .args(["extract", "--docs", &d, "--tau", "0.7", "--engine"])
+                .arg(artifact)
+                .args(&flags)
+                .output()
+                .expect("run aeetes extract");
+            assert!(out.status.success(), "{flags:?} on {}: {}", artifact.display(), String::from_utf8_lossy(&out.stderr));
+            String::from_utf8(out.stdout).expect("utf-8 rows")
+        };
+        let two = rows(&engine);
+        assert!(!two.is_empty(), "{flags:?}: the fixture documents hold matches");
+        assert_eq!(two, rows(&single), "{flags:?}");
+    }
+    // The flags that selected the retired paths are gone, not ignored.
+    assert!(commands::serve_cmd(&argv(&[s("--engine"), e.clone(), s("--shards"), s("3")]))
+        .unwrap_err()
+        .contains("unknown flag --shards"));
+    assert!(commands::extract(&argv(&[s("--engine"), e, s("--docs"), d, s("--edit"), s("1")]))
+        .unwrap_err()
+        .contains("unknown flag --edit"));
 
     // WAL compaction rewrites the artifact at the log's last generation,
     // then resets the log.

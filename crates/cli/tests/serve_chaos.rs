@@ -19,8 +19,14 @@ use aeetes_rules::RuleSet;
 use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
 
-/// Builds a small engine file and returns its path (unique per test).
+/// Builds a small one-segment engine file and returns its path (unique per
+/// test).
 fn engine_file(tag: &str) -> PathBuf {
+    sharded_engine_file(tag, 1)
+}
+
+/// [`engine_file`] with the dictionary partitioned into `shards` segments.
+fn sharded_engine_file(tag: &str, shards: usize) -> PathBuf {
     let mut interner = Interner::new();
     let tokenizer = Tokenizer::default();
     let mut dict = Dictionary::new();
@@ -31,7 +37,7 @@ fn engine_file(tag: &str) -> PathBuf {
     for (lhs, rhs) in [("uq", "university of queensland"), ("usa", "united states"), ("au", "australia")] {
         rules.push_str(lhs, rhs, &tokenizer, &mut interner).unwrap();
     }
-    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).freeze();
+    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), shards).freeze();
     let path = std::env::temp_dir().join(format!("aeetes-serve-chaos-{}-{tag}.bin", std::process::id()));
     std::fs::write(&path, bytes).expect("write engine file");
     path
@@ -372,10 +378,10 @@ fn reload_under_load_answers_every_request_once() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let engine = engine_file("reload");
-    // --shards 3 re-partitions the single-segment artifact on load, so
-    // the swap exercises real multi-shard rebuilds.
-    let server = Server::spawn(&engine, &["--shards", "3", "--workers", "4", "--queue", "256", "--drain", "15"]);
+    // A three-segment artifact, so the swap exercises real multi-shard
+    // splices.
+    let engine = sharded_engine_file("reload", 3);
+    let server = Server::spawn(&engine, &["--workers", "4", "--queue", "256", "--drain", "15"]);
 
     // Generation 1 sanity: the entity and rule arriving via reload are
     // unknown, the one being tombstoned still matches.

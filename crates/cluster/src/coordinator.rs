@@ -37,7 +37,7 @@
 use crate::backoff::Backoff;
 use crate::pending::{FailOutcome, PendingTable};
 use crate::replica::{sync_request, Handshake, Replica, ReplicaSpec};
-use crate::retryable_code;
+use crate::{retryable_code, LineRead, LineReader};
 use aeetes_core::{Wal, WalError};
 use aeetes_obs::{FleetMetrics, MetricRegistry, ReplicaMetrics, WalMetrics};
 use serde_json::{json, Map, Value};
@@ -473,82 +473,6 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
 // ---------------------------------------------------------------------------
 // Replica reader
 // ---------------------------------------------------------------------------
-
-/// Resumable capped line reader (same contract as the serve-side one): a
-/// read timeout mid-line keeps the partial prefix, and a line over the cap
-/// is discarded without desyncing the stream.
-struct LineReader {
-    cap: usize,
-    buf: Vec<u8>,
-    discarding: bool,
-}
-
-enum LineRead {
-    Line(Vec<u8>),
-    Oversized,
-    Eof,
-}
-
-impl LineReader {
-    fn new(cap: usize) -> Self {
-        LineReader { cap, buf: Vec::new(), discarding: false }
-    }
-
-    fn next_line(&mut self, reader: &mut impl BufRead) -> std::io::Result<LineRead> {
-        loop {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                return Ok(if self.buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(std::mem::take(&mut self.buf))
-                });
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(pos) => {
-                        reader.consume(pos + 1);
-                        self.discarding = false;
-                        return Ok(LineRead::Oversized);
-                    }
-                    None => {
-                        let n = buf.len();
-                        reader.consume(n);
-                    }
-                }
-                continue;
-            }
-            match newline {
-                Some(pos) => {
-                    if self.buf.len() + pos <= self.cap {
-                        self.buf.extend_from_slice(&buf[..pos]);
-                        reader.consume(pos + 1);
-                        return Ok(LineRead::Line(std::mem::take(&mut self.buf)));
-                    }
-                    reader.consume(pos + 1);
-                    self.buf.clear();
-                    return Ok(LineRead::Oversized);
-                }
-                None => {
-                    let n = buf.len();
-                    if self.buf.len() + n <= self.cap {
-                        self.buf.extend_from_slice(buf);
-                        reader.consume(n);
-                    } else {
-                        reader.consume(n);
-                        self.buf.clear();
-                        self.discarding = true;
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Lines (requests or responses) larger than this are dropped.
 const LINE_CAP: usize = 32 << 20;

@@ -1,12 +1,15 @@
 //! The extraction backend abstraction.
 //!
-//! [`extract_segment`] is the single code path that runs the paper's
-//! generate → verify pipeline over one clustered index + derived dictionary
-//! pair. The monolithic [`Aeetes`] engine runs it over its only segment; the
-//! sharded engine (crate `aeetes-shard`) runs it once per shard and merges.
-//! [`ExtractBackend`] is the object-safe surface callers (batch extraction,
-//! the CLI, the server) program against so either engine can sit behind
-//! them.
+//! [`ExtractRequest`] is everything that can differ between two extractions
+//! over the same engine, and [`ExtractBackend::extract_request`] — one
+//! method, running inside a caller-owned scratch — is how every engine
+//! answers it. [`extract_segment_scratched`] is the single code path
+//! underneath: the paper's generate → verify pipeline (or the bound-pruned
+//! top-k scan) over one clustered index + derived dictionary pair. The
+//! monolithic [`Aeetes`] engine runs it over its only segment; a sharded
+//! generation (crate `aeetes-shard`) runs it once per shard and merges.
+//! Everything else that extracts — [`Aeetes::extract`], batches, streams,
+//! the CLI, the server — is a wrapper that fills in a request.
 
 use crate::config::AeetesConfig;
 use crate::extractor::Aeetes;
@@ -16,24 +19,67 @@ use crate::scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
 use crate::strategy::{generate, Strategy};
+use crate::topk::top_k_segment;
 use crate::verify::verify_candidates;
 use aeetes_index::ClusteredIndex;
 use aeetes_rules::DerivedDictionary;
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document};
 
-/// Runs one generate → verify pass over a single index segment, sorting the
-/// matches into the stable `(span, entity)` order. The budget derived from
-/// `limits`/`cancel` is checked at the same window-advance and verification
-/// boundaries as in the monolithic engine, so deadlines and cancellation
-/// land mid-document within a segment too.
-///
-/// `set_len_bounds` overrides the `(min, max)` distinct-set length range
-/// that bounds window enumeration. A monolithic engine passes `None` (use
-/// the index's own range); a sharded engine passes the dictionary-global
-/// range, because a shard's local range is tighter and would skip window
-/// lengths that other variants of the same dictionary admit — breaking
-/// bit-identity with the single-engine result.
+/// One extraction request. Build it with [`ExtractRequest::new`] and
+/// struct-update syntax:
+/// `ExtractRequest { metric: Some(Metric::Dice), ..ExtractRequest::new(0.8) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct ExtractRequest<'a> {
+    /// Similarity threshold in `(0, 1]`: every reported pair scores at
+    /// least this.
+    pub tau: f64,
+    /// Candidate-generation strategy; `None` uses the engine's configured
+    /// one. All four return identical matches (paper Fig. 10/11 ablation).
+    pub strategy: Option<Strategy>,
+    /// Token-set metric (paper §2.2 extension): `max over variants of
+    /// metric(variant, substring) ≥ tau`. `None` uses the engine's
+    /// configured one.
+    pub metric: Option<Metric>,
+    /// Weighted-rule scoring (paper §8 extension): a variant produced by
+    /// rules with weight product `w` contributes `w · score`. With all-1.0
+    /// weights this changes nothing.
+    pub weighted: bool,
+    /// Only the `k` best-scoring pairs, in canonical top-k order (score
+    /// descending, ties by `(span, entity)`) instead of `(span, entity)`
+    /// order. Found by a bound-pruned scan — the running k-th best score
+    /// ratchets the threshold up from `tau` — that returns exactly what
+    /// extracting everything at `tau` and keeping the best `k` would; the
+    /// scan is its own strategy, so `strategy` is not consulted.
+    pub top_k: Option<usize>,
+    /// Resource budgets; a spent budget yields a partial (still exact)
+    /// result with `truncated` set.
+    pub limits: ExtractLimits,
+    /// Stops the run — at the same window-advance / verification
+    /// boundaries the deadline uses — when the token fires, reporting
+    /// `truncated`. This is what lets a draining server or a watchdog stop
+    /// a long extraction *mid-document*.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl ExtractRequest<'_> {
+    /// Everything at `tau` with the engine's configured strategy and
+    /// metric, unweighted, unlimited, not cancellable.
+    pub fn new(tau: f64) -> Self {
+        ExtractRequest {
+            tau,
+            strategy: None,
+            metric: None,
+            weighted: false,
+            top_k: None,
+            limits: ExtractLimits::UNLIMITED,
+            cancel: None,
+        }
+    }
+}
+
+/// [`extract_segment_scratched`] with the request spelled positionally and
+/// an owned result.
 ///
 /// # Panics
 /// Panics when `tau` is not in `(0, 1]`.
@@ -50,51 +96,70 @@ pub fn extract_segment(
     limits: &ExtractLimits,
     cancel: Option<&CancelToken>,
 ) -> ExtractOutcome {
+    let req = ExtractRequest {
+        strategy: Some(strategy),
+        metric: Some(metric),
+        weighted,
+        limits: *limits,
+        cancel,
+        ..ExtractRequest::new(tau)
+    };
     let mut seg = SegmentScratch::default();
-    let (truncated, stats) = extract_segment_scratched(index, dd, doc, tau, strategy, metric, weighted, set_len_bounds, limits, cancel, &mut seg);
+    let (truncated, stats) = extract_segment_scratched(index, dd, doc, &req, &AeetesConfig::default(), set_len_bounds, &mut seg);
     ExtractOutcome { matches: std::mem::take(&mut seg.matches), truncated, stats, stages: seg.stages }
 }
 
-/// [`extract_segment`] running entirely inside `seg`'s reusable buffers:
-/// the sorted matches land in [`SegmentScratch::matches`] and, once the
-/// scratch has reached its high-water capacity, the pass performs no heap
-/// allocation. This is the per-shard unit of the sharded fan-out and the
-/// engine behind every `*_scratched` extraction API.
+/// Answers `req` over a single index segment, entirely inside `seg`'s
+/// reusable buffers: the matches land in [`SegmentScratch::matches`] —
+/// sorted by `(span, entity)`, or in top-k order for a `top_k` request —
+/// and, once the scratch has reached its high-water capacity, a
+/// thresholded pass performs no heap allocation. This is the per-shard
+/// unit of the sharded engine and the pass behind every extraction API.
+/// The budget derived from `req.limits`/`req.cancel` is checked at
+/// window-advance and verification boundaries, so deadlines and
+/// cancellation land mid-document.
+///
+/// `config` supplies the strategy and metric the request leaves unset.
+///
+/// `set_len_bounds` overrides the `(min, max)` distinct-set length range
+/// that bounds window enumeration. A monolithic engine passes `None` (use
+/// the index's own range); a sharded engine passes the dictionary-global
+/// range, because a shard's local range is tighter and would skip window
+/// lengths that other variants of the same dictionary admit — breaking
+/// bit-identity with the single-engine result.
 ///
 /// # Panics
-/// Panics when `tau` is not in `(0, 1]`.
-#[allow(clippy::too_many_arguments)]
+/// Panics when `req.tau` is not in `(0, 1]`.
 pub fn extract_segment_scratched(
     index: &ClusteredIndex,
     dd: &DerivedDictionary,
     doc: &Document,
-    tau: f64,
-    strategy: Strategy,
-    metric: Metric,
-    weighted: bool,
+    req: &ExtractRequest<'_>,
+    config: &AeetesConfig,
     set_len_bounds: Option<(usize, usize)>,
-    limits: &ExtractLimits,
-    cancel: Option<&CancelToken>,
     seg: &mut SegmentScratch,
 ) -> (bool, ExtractStats) {
+    let tau = req.tau;
     assert!(tau > 0.0 && tau <= 1.0, "similarity threshold must be in (0, 1], got {tau}");
+    let metric = req.metric.unwrap_or(config.metric);
     let set_bounds = match set_len_bounds {
         Some((lo, hi)) => (Some(lo), Some(hi)),
         None => (index.min_set_len(), index.max_set_len()),
     };
     let mut stats = ExtractStats::default();
-    let mut budget = match cancel {
-        Some(token) => Budget::start_cancellable(limits, token),
-        None => Budget::start(limits),
-    };
-    generate(index, doc, tau, metric, strategy, set_bounds, seg, &mut stats, &mut budget);
-    // Weighted scores are ≤ unweighted scores (weights ≤ 1), so the
-    // unweighted candidate filters remain sound for the weighted verify.
-    let SegmentScratch { sink, s_keys, matches, stages, .. } = seg;
-    let clk = SpanClock::always();
-    verify_candidates(index, dd, doc, tau, metric, &mut sink.pairs, &mut stats, weighted, &mut budget, s_keys, matches);
-    matches.sort_unstable_by_key(Match::sort_key);
-    clk.stop(Stage::Verify, stages);
+    let mut budget = Budget::start(&req.limits, req.cancel);
+    if let Some(k) = req.top_k {
+        top_k_segment(index, dd, doc, k, tau, metric, req.weighted, set_bounds, seg, &mut stats, &mut budget);
+    } else {
+        generate(index, doc, tau, metric, req.strategy.unwrap_or(config.strategy), set_bounds, seg, &mut stats, &mut budget);
+        // Weighted scores are ≤ unweighted scores (weights ≤ 1), so the
+        // unweighted candidate filters remain sound for the weighted verify.
+        let SegmentScratch { sink, s_keys, matches, stages, .. } = seg;
+        let clk = SpanClock::always();
+        verify_candidates(index, dd, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, matches);
+        matches.sort_unstable_by_key(Match::sort_key);
+        clk.stop(Stage::Verify, stages);
+    }
     // Mirror the outcome into the scratch so fan-out executors can read
     // per-segment results back without a result channel.
     seg.truncated = budget.truncated();
@@ -117,29 +182,25 @@ pub trait ExtractBackend: Send + Sync {
     /// bounds window enumeration; streaming extraction derives its tail
     /// retention from it. A sharded engine reports the dictionary-global
     /// range (not a shard-local one) for the same reason
-    /// [`extract_segment`] takes the global override.
+    /// [`extract_segment_scratched`] takes the global override.
     fn set_len_range(&self) -> Option<(usize, usize)>;
 
-    /// Extracts under explicit limits and an optional cancellation token,
-    /// with the backend's configured strategy/metric. Matches are sorted by
-    /// `(span, entity)`; `truncated` reports whether any budget (or the
-    /// token) cut the run short.
+    /// Answers `req` on `doc` inside the caller-owned `scratch`, returning
+    /// the matches as a slice borrowing it (valid until the scratch is used
+    /// again). Matches are sorted by `(span, entity)` — or in top-k order
+    /// for a `top_k` request; `truncated` reports whether any budget (or
+    /// the token) cut the run short. A caller that keeps one scratch per
+    /// worker and feeds it document after document gets a steady-state hot
+    /// path with zero heap allocations (every buffer retains its
+    /// high-water capacity between calls).
     ///
     /// # Panics
-    /// Panics when `tau` is not in `(0, 1]`.
-    fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome;
+    /// Panics when `req.tau` is not in `(0, 1]`.
+    fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s>;
 
-    /// Convenience: unlimited extraction, matches only.
-    fn extract_all(&self, doc: &Document, tau: f64) -> Vec<Match> {
-        self.extract_limited(doc, tau, &ExtractLimits::UNLIMITED, None).matches
-    }
-
-    /// Like [`ExtractBackend::extract_limited`], but runs inside the
-    /// caller-owned `scratch`, returning matches as a borrowed slice. A
-    /// caller that keeps one scratch per worker and reuses it across
-    /// documents gets a steady-state extraction pass with zero heap
-    /// allocations. The default implementation merely copies the owned
-    /// result into the scratch; real engines override it to run in place.
+    /// [`ExtractBackend::extract_request`] for the common request: the
+    /// configured strategy and metric under explicit limits and an optional
+    /// cancellation token.
     fn extract_scratched<'s>(
         &self,
         doc: &Document,
@@ -148,15 +209,12 @@ pub trait ExtractBackend: Send + Sync {
         cancel: Option<&CancelToken>,
         scratch: &'s mut ExtractScratch,
     ) -> ScratchOutcome<'s> {
-        let out = self.extract_limited(doc, tau, limits, cancel);
-        scratch.merged.clear();
-        scratch.merged.extend_from_slice(&out.matches);
-        ScratchOutcome {
-            matches: &scratch.merged,
-            truncated: out.truncated,
-            stats: out.stats,
-            stages: out.stages,
-        }
+        self.extract_request(doc, &ExtractRequest { limits: *limits, cancel, ..ExtractRequest::new(tau) }, scratch)
+    }
+
+    /// Convenience: unlimited extraction into a fresh scratch, matches only.
+    fn extract_all(&self, doc: &Document, tau: f64) -> Vec<Match> {
+        self.extract_request(doc, &ExtractRequest::new(tau), &mut ExtractScratch::new()).matches.to_vec()
     }
 }
 
@@ -173,22 +231,10 @@ impl ExtractBackend for Aeetes {
         self.index().min_set_len().zip(self.index().max_set_len())
     }
 
-    fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome {
-        match cancel {
-            Some(token) => self.extract_with_limits_cancellable(doc, tau, limits, token),
-            None => self.extract_with_limits(doc, tau, limits),
-        }
-    }
-
-    fn extract_scratched<'s>(
-        &self,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        scratch: &'s mut ExtractScratch,
-    ) -> ScratchOutcome<'s> {
-        Aeetes::extract_scratched(self, doc, tau, limits, cancel, scratch)
+    fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
+        let seg = scratch.segment(0);
+        let (truncated, stats) = extract_segment_scratched(self.index(), self.derived(), doc, req, self.config(), None, seg);
+        ScratchOutcome { matches: seg.matches(), truncated, stats, stages: seg.stages }
     }
 }
 
@@ -237,8 +283,27 @@ mod tests {
         let got = backend.extract_all(&doc, 0.9);
         assert_eq!(got, engine.extract(&doc, 0.9));
         assert_eq!(backend.dictionary().len(), 2);
-        let out = backend.extract_limited(&doc, 0.9, &ExtractLimits::UNLIMITED, None);
+        let mut scratch = ExtractScratch::new();
+        let out = backend.extract_scratched(&doc, 0.9, &ExtractLimits::UNLIMITED, None, &mut scratch);
         assert_eq!(out.matches, got);
+    }
+
+    #[test]
+    fn unset_request_fields_mean_the_engine_config() {
+        let (engine, mut int, tok) = engine();
+        let doc = Document::parse("purdue university then uq au", &tok, &mut int);
+        let mut scratch = ExtractScratch::new();
+        let plain = engine.extract_request(&doc, &ExtractRequest::new(0.6), &mut scratch).to_outcome();
+        let spelled = ExtractRequest {
+            strategy: Some(engine.config().strategy),
+            metric: Some(engine.config().metric),
+            ..ExtractRequest::new(0.6)
+        };
+        assert_eq!(engine.extract_request(&doc, &spelled, &mut scratch).matches, plain.matches);
+        assert_eq!(plain.matches, engine.extract(&doc, 0.6));
+        // An explicit metric is honoured: overlap scores the partial mention 1.0.
+        let overlap = ExtractRequest { metric: Some(Metric::Overlap), ..ExtractRequest::new(1.0) };
+        assert!(engine.extract_request(&doc, &overlap, &mut scratch).matches.len() > engine.extract(&doc, 1.0).len());
     }
 
     #[test]
@@ -247,8 +312,12 @@ mod tests {
         let doc = Document::parse("purdue university usa", &tok, &mut int);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let out = engine.extract_limited(&doc, 0.8, &ExtractLimits::UNLIMITED, Some(&cancel));
-        assert!(out.truncated);
-        assert!(out.matches.is_empty());
+        let mut scratch = ExtractScratch::new();
+        for top_k in [None, Some(2)] {
+            let req = ExtractRequest { top_k, cancel: Some(&cancel), ..ExtractRequest::new(0.8) };
+            let out = engine.extract_request(&doc, &req, &mut scratch);
+            assert!(out.truncated, "top_k={top_k:?}");
+            assert!(out.matches.is_empty());
+        }
     }
 }

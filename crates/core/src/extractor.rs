@@ -1,15 +1,12 @@
 //! The end-to-end Aeetes engine (paper Algorithm 1, Figure 2).
 
-use crate::backend::{extract_segment, extract_segment_scratched};
+use crate::backend::extract_segment;
 use crate::config::AeetesConfig;
-use crate::limits::{CancelToken, ExtractLimits, ExtractOutcome};
 use crate::matches::Match;
-use crate::scratch::{ExtractScratch, ScratchOutcome};
 use crate::stats::ExtractStats;
 use crate::strategy::Strategy;
 use aeetes_index::ClusteredIndex;
 use aeetes_rules::{DerivedDictionary, RuleSet};
-use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, Interner};
 
 /// The Aeetes extraction engine.
@@ -67,8 +64,11 @@ impl Aeetes {
 
     /// Extracts all `(entity, substring)` pairs with `JaccAR ≥ tau` using
     /// the configured strategy (and the configured limits; the default
-    /// [`ExtractLimits::UNLIMITED`] never truncates). Results are sorted by
-    /// `(span, entity)`.
+    /// [`crate::ExtractLimits::UNLIMITED`] never truncates). Results are
+    /// sorted by `(span, entity)`. Anything else — another metric, weighted
+    /// rules, top-k, explicit limits, cancellation — is a
+    /// [`crate::ExtractRequest`] through
+    /// [`crate::ExtractBackend::extract_request`].
     ///
     /// # Panics
     /// Panics when `tau` is not in `(0, 1]`.
@@ -79,106 +79,28 @@ impl Aeetes {
     /// Extracts with an explicit strategy, returning the statistics used by
     /// the paper's ablation figures.
     pub fn extract_with(&self, doc: &Document, tau: f64, strategy: Strategy) -> (Vec<Match>, ExtractStats) {
-        let out = self.run(doc, tau, strategy, self.config.metric, false, &self.config.limits, None);
+        let out = extract_segment(&self.index, &self.dd, doc, tau, strategy, self.config.metric, false, None, &self.config.limits, None);
         (out.matches, out.stats)
-    }
-
-    /// Extracts under an explicit token-set metric (paper §2.2 extension):
-    /// `max over variants of metric(variant, substring) ≥ tau`. With
-    /// [`Metric::Jaccard`] this is exactly [`Aeetes::extract`].
-    pub fn extract_with_metric(&self, doc: &Document, tau: f64, metric: Metric) -> (Vec<Match>, ExtractStats) {
-        let out = self.run(doc, tau, self.config.strategy, metric, false, &self.config.limits, None);
-        (out.matches, out.stats)
-    }
-
-    /// Weighted-rule extraction (paper §8 extension): a variant produced by
-    /// rules with weight product `w` contributes `w · Jaccard` instead of
-    /// `Jaccard`. With all-1.0 weights this equals [`Aeetes::extract`].
-    pub fn extract_weighted(&self, doc: &Document, tau: f64) -> (Vec<Match>, ExtractStats) {
-        let out = self.run(doc, tau, self.config.strategy, self.config.metric, true, &self.config.limits, None);
-        (out.matches, out.stats)
-    }
-
-    /// Extracts under explicit resource limits (overriding the configured
-    /// ones), reporting whether any budget cut the run short. Every match
-    /// in a truncated outcome is still exact and verified; truncation only
-    /// means the result may be incomplete.
-    ///
-    /// # Panics
-    /// Panics when `tau` is not in `(0, 1]`.
-    pub fn extract_with_limits(&self, doc: &Document, tau: f64, limits: &ExtractLimits) -> ExtractOutcome {
-        self.run(doc, tau, self.config.strategy, self.config.metric, false, limits, None)
-    }
-
-    /// [`Aeetes::extract_with_limits`] that additionally stops — at the
-    /// same window-advance / verification boundaries the deadline uses —
-    /// when `cancel` fires, reporting `truncated = true`. This is what lets
-    /// a draining server or a watchdog stop a long extraction
-    /// *mid-document* rather than waiting it out.
-    pub fn extract_with_limits_cancellable(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: &CancelToken) -> ExtractOutcome {
-        self.run(doc, tau, self.config.strategy, self.config.metric, false, limits, Some(cancel))
-    }
-
-    /// [`Aeetes::extract_with_limits`] running entirely inside the
-    /// caller-owned `scratch`. The matches are returned as a slice borrowing
-    /// the scratch; they stay valid until the scratch is used again. A
-    /// caller that keeps one scratch per worker and feeds it document after
-    /// document gets a steady-state hot path with zero heap allocations
-    /// (every buffer retains its high-water capacity between calls).
-    ///
-    /// # Panics
-    /// Panics when `tau` is not in `(0, 1]`.
-    pub fn extract_scratched<'s>(
-        &self,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        scratch: &'s mut ExtractScratch,
-    ) -> ScratchOutcome<'s> {
-        self.extract_scratched_metric(doc, tau, self.config.metric, limits, cancel, scratch)
-    }
-
-    /// [`Aeetes::extract_scratched`] under an explicit token-set metric.
-    pub fn extract_scratched_metric<'s>(
-        &self,
-        doc: &Document,
-        tau: f64,
-        metric: Metric,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        scratch: &'s mut ExtractScratch,
-    ) -> ScratchOutcome<'s> {
-        let seg = scratch.segment(0);
-        let (truncated, stats) =
-            extract_segment_scratched(&self.index, &self.dd, doc, tau, self.config.strategy, metric, false, None, limits, cancel, seg);
-        ScratchOutcome { matches: seg.matches(), truncated, stats, stages: seg.stages }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        doc: &Document,
-        tau: f64,
-        strategy: Strategy,
-        metric: Metric,
-        weighted: bool,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-    ) -> ExtractOutcome {
-        extract_segment(&self.index, &self.dd, doc, tau, strategy, metric, weighted, None, limits, cancel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExtractBackend;
+    use crate::limits::{ExtractLimits, ExtractOutcome};
+    use crate::scratch::ExtractScratch;
     use aeetes_text::{Interner, Span, Tokenizer};
 
     struct Fix {
         int: Interner,
         tok: Tokenizer,
         engine: Aeetes,
+    }
+
+    /// The engine's configured request under explicit `limits`, owned.
+    fn limited(engine: &Aeetes, doc: &Document, tau: f64, limits: &ExtractLimits) -> ExtractOutcome {
+        engine.extract_scratched(doc, tau, limits, None, &mut ExtractScratch::new()).to_outcome()
     }
 
     /// The paper's Figure 1 scenario: institutions dictionary + rules.
@@ -315,7 +237,7 @@ mod tests {
             &mut f.int,
         );
         let plain = f.engine.extract(&doc, 0.8);
-        let out = f.engine.extract_with_limits(&doc, 0.8, &ExtractLimits::UNLIMITED);
+        let out = limited(&f.engine, &doc, 0.8, &ExtractLimits::UNLIMITED);
         assert!(!out.truncated);
         assert_eq!(out.matches, plain);
         assert_eq!(out.stats.matches as usize, plain.len());
@@ -327,7 +249,7 @@ mod tests {
         let limits = ExtractLimits { max_candidates: Some(0), ..ExtractLimits::UNLIMITED };
         for text in ["purdue university usa and uq au", ""] {
             let doc = Document::parse(text, &f.tok, &mut f.int);
-            let out = f.engine.extract_with_limits(&doc, 0.8, &limits);
+            let out = limited(&f.engine, &doc, 0.8, &limits);
             assert!(out.truncated, "zero budget must report truncation on {text:?}");
             assert!(out.matches.is_empty());
         }
@@ -340,7 +262,7 @@ mod tests {
         let full = f.engine.extract(&doc, 0.8);
         assert!(full.len() >= 3, "fixture should produce several matches, got {}", full.len());
         let limits = ExtractLimits { max_matches: Some(1), ..ExtractLimits::UNLIMITED };
-        let out = f.engine.extract_with_limits(&doc, 0.8, &limits);
+        let out = limited(&f.engine, &doc, 0.8, &limits);
         assert!(out.truncated);
         assert_eq!(out.matches.len(), 1);
         // The surviving match is exact: it appears verbatim in the full run.
@@ -352,7 +274,7 @@ mod tests {
         let mut f = figure1();
         let doc = Document::parse("purdue university usa and uq au", &f.tok, &mut f.int);
         let limits = ExtractLimits { deadline: Some(std::time::Duration::ZERO), ..ExtractLimits::UNLIMITED };
-        let out = f.engine.extract_with_limits(&doc, 0.8, &limits);
+        let out = limited(&f.engine, &doc, 0.8, &limits);
         assert!(out.truncated);
         assert!(out.matches.is_empty());
     }
@@ -362,7 +284,7 @@ mod tests {
         let mut f = figure1();
         let doc = Document::parse("purdue university usa and uq au", &f.tok, &mut f.int);
         let limits = ExtractLimits { max_matches: Some(0), ..ExtractLimits::UNLIMITED };
-        let out = f.engine.extract_with_limits(&doc, 0.8, &limits);
+        let out = limited(&f.engine, &doc, 0.8, &limits);
         assert!(out.truncated, "a zero match cap on a matching document must report truncation");
         assert!(out.matches.is_empty());
     }
@@ -393,7 +315,7 @@ mod tests {
             for text in ["purdue university usa and uq au", ""] {
                 let doc = Document::parse(text, &tok, &mut int);
                 for limits in &degenerate {
-                    let out = engine.extract_with_limits(&doc, 0.8, limits);
+                    let out = limited(&engine, &doc, 0.8, limits);
                     assert!(out.matches.is_empty(), "strategy {strategy} with {limits:?} on {text:?} produced matches");
                     // Truncation must be flagged whenever results were
                     // actually withheld; an empty document legitimately
@@ -416,7 +338,7 @@ mod tests {
             max_matches: Some(1_000_000),
             ..ExtractLimits::UNLIMITED
         };
-        let out = f.engine.extract_with_limits(&doc, 0.8, &limits);
+        let out = limited(&f.engine, &doc, 0.8, &limits);
         assert!(!out.truncated);
         assert_eq!(out.matches, f.engine.extract(&doc, 0.8));
     }
@@ -454,7 +376,7 @@ mod tests {
         let mut scratch = ExtractScratch::new();
         for text in texts {
             let doc = Document::parse(text, &f.tok, &mut f.int);
-            let owned = f.engine.extract_with_limits(&doc, 0.8, &ExtractLimits::UNLIMITED);
+            let owned = limited(&f.engine, &doc, 0.8, &ExtractLimits::UNLIMITED);
             let scratched = f.engine.extract_scratched(&doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
             assert_eq!(scratched.matches, owned.matches.as_slice(), "on {text:?}");
             assert_eq!(scratched.truncated, owned.truncated);
@@ -475,7 +397,7 @@ mod tests {
             dict.push("uq au", &tok, &mut int);
             let engine = Aeetes::build(dict, &RuleSet::new(), &int, config);
             let d = Document::parse("purdue university usa then uq au then purdue university usa", &tok, &mut int);
-            let out = engine.extract_with_limits(&d, 0.8, &limits);
+            let out = limited(&engine, &d, 0.8, &limits);
             assert!(out.truncated, "strategy {strategy} must hit the 2-candidate cap");
             // Partial results stay exact: every match also occurs unbudgeted.
             let full = engine.extract(&d, 0.8);

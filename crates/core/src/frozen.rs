@@ -117,7 +117,7 @@
 
 use crate::config::AeetesConfig;
 use crate::failpoint;
-use crate::persist::{self, crc32, PersistError, Reader, ShardedParts};
+use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
 use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet};
@@ -302,23 +302,6 @@ pub struct FrozenParts {
     pub segments: Vec<FrozenSegmentParts>,
     /// Whether the backing storage is an mmap (false: heap fallback).
     pub mmapped: bool,
-}
-
-/// Moves an opened artifact into the heap-owned parts shape, dropping the
-/// prebuilt indexes — for callers that re-bucket or merge the segments
-/// rather than adopt them.
-impl From<FrozenParts> for ShardedParts {
-    fn from(parts: FrozenParts) -> Self {
-        ShardedParts {
-            interner: parts.interner,
-            dict: parts.dict,
-            removed: parts.removed,
-            rules: parts.rules,
-            config: parts.config,
-            segments: parts.segments.into_iter().map(|s| s.dd).collect(),
-            generation: parts.generation,
-        }
-    }
 }
 
 // ---------------------------------------------------------------- writer --

@@ -6,10 +6,16 @@
 //! 1. **Off-line** ([`Aeetes::build`]): apply synonym rules to every
 //!    dictionary entity ([`aeetes_rules::DerivedDictionary`]), then build the
 //!    clustered inverted index ([`aeetes_index::ClusteredIndex`]).
-//! 2. **On-line** ([`Aeetes::extract`]): slide windows over the document,
-//!    generate candidate `(substring, origin entity)` pairs with one of four
-//!    filtering [`Strategy`]s, then verify each candidate's exact JaccAR
-//!    score.
+//! 2. **On-line** ([`ExtractBackend::extract_request`]): slide windows over
+//!    the document, generate candidate `(substring, origin entity)` pairs
+//!    with one of four filtering [`Strategy`]s, then verify each candidate's
+//!    exact JaccAR score. One [`ExtractRequest`] names everything a call can
+//!    vary — threshold, strategy, metric, weighted rules, top-k, limits,
+//!    cancellation — and one method answers it, on the monolithic [`Aeetes`]
+//!    engine and on a sharded generation (crate `aeetes-shard`, what every
+//!    artifact opens into) alike; [`Aeetes::extract`],
+//!    [`ExtractBackend::extract_scratched`], [`extract_top_k_with`] and the
+//!    batch and stream crates are wrappers that fill one in.
 //!
 //! The four strategies reproduce the paper's Figure 10/11 ablation:
 //!
@@ -49,7 +55,6 @@ mod batch;
 mod candidates;
 mod config;
 pub mod durable;
-mod edit_extract;
 mod extractor;
 pub mod failpoint;
 pub mod frozen;
@@ -63,16 +68,14 @@ mod stage;
 mod stats;
 mod strategy;
 mod topk;
-mod typo;
 mod verify;
 pub mod wal;
 mod window;
 
-pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend};
+pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend, ExtractRequest};
 pub use batch::{panic_message, BatchOptions, DocError};
 pub use config::AeetesConfig;
 pub use durable::{atomic_replace, fsync_dir};
-pub use edit_extract::{EditIndex, EditMatch};
 pub use extractor::Aeetes;
 pub use frozen::{
     freeze_to_bytes, open_frozen, open_frozen_bytes, peek_info, ArtifactInfo, FreezeSegment, FreezeSource, FrozenParts, FrozenSegmentParts,
@@ -81,13 +84,12 @@ pub use frozen::{
 pub use limits::{CancelToken, ExtractLimits, ExtractOutcome};
 pub use matches::Match;
 pub use nms::suppress_overlaps;
-pub use persist::{PersistError, ShardedParts};
+pub use persist::PersistError;
 pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
 pub use stats::{ExtractStats, LatencyRing};
 pub use strategy::{generate_candidates, Strategy};
-pub use topk::{extract_top_k, extract_top_k_with, select_top_k};
-pub use typo::{extract_fuzzy, FuzzyConfig};
+pub use topk::{extract_top_k_with, select_top_k};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};
 pub use window::{DenseRemap, WindowState};

@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 ///
 /// Clones share the flag; `cancel()` from any clone (e.g. a signal-handler,
 /// watchdog thread, or a draining server) stops cooperating work. Batch
-/// extraction consults it between documents, and a cancellable extraction
-/// ([`crate::Aeetes::extract_with_limits_cancellable`]) additionally checks
+/// extraction consults it between documents, and an extraction whose
+/// request carries it ([`crate::ExtractRequest::cancel`]) additionally checks
 /// it at window-advance and verification boundaries — so cancellation stops
 /// a long extraction *mid-document*, reporting `truncated = true` with the
 /// exact matches found so far.
@@ -78,7 +78,8 @@ impl ExtractLimits {
     }
 }
 
-/// Result of a budgeted extraction ([`crate::Aeetes::extract_with_limits`]).
+/// An owned extraction result ([`crate::ScratchOutcome::to_outcome`], batch
+/// extraction).
 #[derive(Debug, Clone)]
 pub struct ExtractOutcome {
     /// Matches found before any budget ran out, sorted by `(span, entity)`.
@@ -89,8 +90,7 @@ pub struct ExtractOutcome {
     pub truncated: bool,
     /// Work counters for the (possibly partial) run.
     pub stats: ExtractStats,
-    /// Per-stage timing slots of the run (all-zero without the `obs`
-    /// feature).
+    /// Per-stage timing slots of the run.
     pub stages: crate::stage::StageSlots,
 }
 
@@ -110,25 +110,21 @@ impl Budget {
     /// A budget that never trips (test fixtures only).
     #[cfg(test)]
     pub(crate) fn unlimited() -> Self {
-        Self::start(&ExtractLimits::UNLIMITED)
+        Self::start(&ExtractLimits::UNLIMITED, None)
     }
 
-    /// Starts the clock on `limits` now.
-    pub(crate) fn start(limits: &ExtractLimits) -> Self {
+    /// Starts the clock on `limits` now. With a `cancel` token the budget
+    /// additionally trips (permanently, as truncation) as soon as the token
+    /// fires — checked at the same window-advance / verification boundaries
+    /// as the deadline.
+    pub(crate) fn start(limits: &ExtractLimits, cancel: Option<&CancelToken>) -> Self {
         Budget {
             deadline: limits.deadline.map(|d| Instant::now() + d),
             max_candidates: limits.max_candidates.unwrap_or(usize::MAX),
             max_matches: limits.max_matches.unwrap_or(usize::MAX),
-            cancel: None,
+            cancel: cancel.cloned(),
             truncated: false,
         }
-    }
-
-    /// Starts the clock on `limits` and additionally trips (permanently, as
-    /// truncation) as soon as `cancel` fires — checked at the same
-    /// window-advance / verification boundaries as the deadline.
-    pub(crate) fn start_cancellable(limits: &ExtractLimits, cancel: &CancelToken) -> Self {
-        Budget { cancel: Some(cancel.clone()), ..Self::start(limits) }
     }
 
     /// Budget check at a window-advance boundary (or other unit of
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn candidate_cap_trips_permanently() {
-        let mut b = Budget::start(&ExtractLimits { max_candidates: Some(10), ..Default::default() });
+        let mut b = Budget::start(&ExtractLimits { max_candidates: Some(10), ..Default::default() }, None);
         assert!(b.keep_generating(9));
         assert!(!b.keep_generating(10));
         assert!(b.truncated());
@@ -196,21 +192,21 @@ mod tests {
 
     #[test]
     fn zero_candidate_budget_trips_immediately() {
-        let mut b = Budget::start(&ExtractLimits { max_candidates: Some(0), ..Default::default() });
+        let mut b = Budget::start(&ExtractLimits { max_candidates: Some(0), ..Default::default() }, None);
         assert!(!b.keep_generating(0));
         assert!(b.truncated());
     }
 
     #[test]
     fn expired_deadline_trips() {
-        let mut b = Budget::start(&ExtractLimits { deadline: Some(Duration::ZERO), ..Default::default() });
+        let mut b = Budget::start(&ExtractLimits { deadline: Some(Duration::ZERO), ..Default::default() }, None);
         assert!(!b.keep_generating(0));
         assert!(b.truncated());
     }
 
     #[test]
     fn match_cap_only_affects_verification() {
-        let mut b = Budget::start(&ExtractLimits { max_matches: Some(3), ..Default::default() });
+        let mut b = Budget::start(&ExtractLimits { max_matches: Some(3), ..Default::default() }, None);
         assert!(b.keep_generating(1_000_000));
         assert!(b.keep_verifying(2));
         assert!(!b.keep_verifying(3));
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn cancellation_trips_mid_run() {
         let token = CancelToken::new();
-        let mut b = Budget::start_cancellable(&ExtractLimits::UNLIMITED, &token);
+        let mut b = Budget::start(&ExtractLimits::UNLIMITED, Some(&token));
         assert!(b.keep_generating(100));
         assert!(b.keep_verifying(100));
         token.cancel();
@@ -231,7 +227,7 @@ mod tests {
     #[test]
     fn uncancelled_token_changes_nothing() {
         let token = CancelToken::new();
-        let mut b = Budget::start_cancellable(&ExtractLimits::UNLIMITED, &token);
+        let mut b = Budget::start(&ExtractLimits::UNLIMITED, Some(&token));
         assert!(b.keep_generating(usize::MAX - 1));
         assert!(b.keep_verifying(usize::MAX - 1));
         assert!(!b.truncated());

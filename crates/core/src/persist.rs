@@ -4,10 +4,8 @@
 //! Aeetes writes and reads exactly one artifact format — the frozen AEET v6
 //! layout of [`crate::frozen`]. This module holds what that format (and the
 //! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
-//! every integrity check uses, the `put_*` encoders and the bounds-checked
-//! [`Reader`] for the small decoded-on-open META blob, and
-//! [`ShardedParts`], the heap-owned in-memory shape an opened artifact is
-//! re-bucketed through when it cannot be adopted as-is.
+//! every integrity check uses, and the `put_*` encoders and bounds-checked
+//! [`Reader`] for the small decoded-on-open META blob.
 //!
 //! The reader is hardened against hostile input: every length field is
 //! validated against the bytes actually remaining before allocation and
@@ -16,11 +14,10 @@
 //! allocation.
 
 use crate::config::AeetesConfig;
-use crate::extractor::Aeetes;
 use crate::strategy::Strategy;
-use aeetes_rules::{DeriveConfig, DeriveStats, DerivedDictionary, DerivedEntity, RuleSet};
+use aeetes_rules::{DeriveConfig, DeriveStats};
 use aeetes_sim::Metric;
-use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
+use aeetes_text::TokenId;
 use std::fmt;
 
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
@@ -357,64 +354,6 @@ pub(crate) fn put_config(buf: &mut Vec<u8>, config: &AeetesConfig) {
     put_u64(buf, config.derive.max_derived as u64);
 }
 
-/// The heap-owned contents of an engine in shard-segmented form: the shared
-/// sections plus one derived dictionary per shard. This is the shape an
-/// opened artifact takes (`From<FrozenParts>`) when its segments cannot be
-/// adopted zero-copy — a shard-count override re-buckets them, the CLI's
-/// inspection commands merge them with [`ShardedParts::into_single`].
-/// `aeetes-core` stays ignorant of shard routing — it only relies on every
-/// origin's variants living in exactly one segment, which is what lets
-/// `into_single` merge them back with a stable sort.
-#[derive(Debug, Clone)]
-pub struct ShardedParts {
-    /// Token interner every id in the engine refers into.
-    pub interner: Interner,
-    /// The origin dictionary, over the *full* entity id space (removed
-    /// entities keep their slot so ids stay stable across generations).
-    pub dict: Dictionary,
-    /// Tombstones: origin ids whose variants have been dropped from every
-    /// segment but whose dictionary slots remain reserved.
-    pub removed: Vec<EntityId>,
-    /// The synonym rule table, carried so a dictionary delta can re-derive
-    /// affected shards without the original rule source.
-    pub rules: RuleSet,
-    /// Engine configuration (strategy, metric, derive cap).
-    pub config: AeetesConfig,
-    /// One derived dictionary per shard. Each spans the full origin id space
-    /// (non-resident origins have empty variant ranges), and no origin has
-    /// variants in more than one segment.
-    pub segments: Vec<DerivedDictionary>,
-    /// The engine's generation number. An engine resuming from these parts
-    /// continues numbering from here, which is what keeps WAL record
-    /// generations aligned across restarts.
-    pub generation: u64,
-}
-
-impl ShardedParts {
-    /// Merges every segment back into one monolithic engine. Origins are
-    /// disjoint across segments, so a stable sort by origin restores the
-    /// grouped-ascending order `DerivedDictionary` requires while keeping
-    /// each origin's variants in their original relative order.
-    pub fn into_single(self) -> Result<(Aeetes, Interner), PersistError> {
-        let ShardedParts { interner, dict, config, segments, .. } = self;
-        let mut derived: Vec<DerivedEntity> = Vec::new();
-        let mut stats = DeriveStats::default();
-        for dd in &segments {
-            derived.extend(dd.iter().map(|(_, d)| d.to_owned()));
-            let st = dd.stats();
-            stats.origins += st.origins;
-            stats.derived += st.derived;
-            stats.applicable_total += st.applicable_total;
-            stats.selected_total += st.selected_total;
-            stats.truncated_entities += st.truncated_entities;
-            stats.duplicates_dropped += st.duplicates_dropped;
-        }
-        derived.sort_by_key(|d| d.origin.0);
-        let dd = DerivedDictionary::from_parts(derived, dict.len(), stats).map_err(PersistError::Corrupt)?;
-        Ok((Aeetes::from_parts(dict, dd, &interner, config), interner))
-    }
-}
-
 pub(crate) struct Reader<'a> {
     pub(crate) buf: &'a [u8],
 }
@@ -514,46 +453,6 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<AeetesConfig, PersistErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_text::{Document, Tokenizer};
-
-    /// Two segments — even-id origins in segment 0, odd-id origins in
-    /// segment 1 — merge back into an engine that extracts exactly what the
-    /// monolithic build does.
-    #[test]
-    fn segments_merge_into_a_single_engine() {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let mut dict = Dictionary::new();
-        dict.push("Purdue University USA", &tok, &mut int);
-        dict.push("UQ AU", &tok, &mut int);
-        dict.push("RMIT AU", &tok, &mut int);
-        let mut rules = RuleSet::new();
-        rules.push_str("UQ", "University of Queensland", &tok, &mut int).unwrap();
-        rules.push_weighted_str("AU", "Australia", 0.9, &tok, &mut int).unwrap();
-        let config = AeetesConfig::default();
-        let engine = Aeetes::build(dict.clone(), &rules, &int, config.clone());
-        let segments = vec![
-            DerivedDictionary::build_filtered(&dict, &rules, &config.derive, |e| e.0 % 2 == 0),
-            DerivedDictionary::build_filtered(&dict, &rules, &config.derive, |e| e.0 % 2 == 1),
-        ];
-        let parts = ShardedParts {
-            interner: int.clone(),
-            dict,
-            removed: vec![],
-            rules,
-            config,
-            segments,
-            generation: 5,
-        };
-        let (merged, mut merged_int) = parts.into_single().expect("disjoint segments merge");
-        let doc_text = "she left UQ Australia for Purdue University USA near RMIT AU";
-        let doc_a = Document::parse(doc_text, &tok, &mut int);
-        let doc_b = Document::parse(doc_text, &tok, &mut merged_int);
-        for tau in [0.7, 0.9] {
-            assert_eq!(engine.extract(&doc_a, tau), merged.extract(&doc_b, tau), "tau={tau}");
-        }
-        assert_eq!(merged.derived().len(), engine.derived().len());
-    }
 
     #[test]
     fn crc32_matches_known_vectors() {

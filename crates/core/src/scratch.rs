@@ -83,8 +83,7 @@ pub struct SegmentScratch {
     /// Sorted matches of the most recent run.
     pub(crate) matches: Vec<Match>,
     /// Per-stage timing slots of the most recent run: scratch-resident so
-    /// recording stays allocation-free (zero-sized without the `obs`
-    /// feature).
+    /// recording stays allocation-free.
     pub(crate) stages: StageSlots,
     /// Whether the most recent run was cut short by a budget.
     pub(crate) truncated: bool,
@@ -96,7 +95,7 @@ pub struct SegmentScratch {
 
 impl SegmentScratch {
     /// Matches of the most recent extraction into this scratch, sorted by
-    /// `(span, entity)`.
+    /// `(span, entity)` (a `top_k` request: by score, best first).
     pub fn matches(&self) -> &[Match] {
         &self.matches
     }
@@ -156,15 +155,15 @@ impl ExtractScratch {
 /// owning a fresh allocation. Valid until the scratch is used again.
 #[derive(Debug)]
 pub struct ScratchOutcome<'a> {
-    /// Matches sorted by `(span, entity)`; a sound (exact, verified) prefix
-    /// of the full result when `truncated` is set.
+    /// Matches sorted by `(span, entity)` (a `top_k` request: by score,
+    /// best first); a sound (exact, verified) part of the full result when
+    /// `truncated` is set.
     pub matches: &'a [Match],
     /// Whether any budget cut the run short.
     pub truncated: bool,
     /// Work counters for the (possibly partial) run.
     pub stats: ExtractStats,
-    /// Per-stage timing slots (merged across shards on the fan-out path;
-    /// all-zero without the `obs` feature).
+    /// Per-stage timing slots (merged across shards).
     pub stages: StageSlots,
 }
 

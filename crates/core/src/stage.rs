@@ -1,11 +1,8 @@
 //! Stage-timing glue between the hot path and `aeetes-obs`.
 //!
-//! With the `obs` feature on (the default), [`Stage`] and [`StageSlots`]
-//! are the real `aeetes-obs` types and [`SpanClock`] reads the monotonic
-//! clock. With the feature off, all three compile to zero-sized no-ops with
-//! the same API, so the strategies contain **no** `cfg` noise and the
-//! instrumented code paths vanish entirely from the build — the property
-//! `cargo test --no-default-features -p aeetes-core` guards.
+//! [`Stage`] and [`StageSlots`] are the `aeetes-obs` types; [`SpanClock`]
+//! reads the monotonic clock into them, so the strategies contain no timing
+//! arithmetic of their own.
 //!
 //! Inner-loop stages are sampled: [`SpanClock::sampled`] only arms the
 //! clock on one window position in [`SAMPLE_MASK`]` + 1`. Un-armed laps do
@@ -14,21 +11,16 @@
 //! in bulk after its loop via [`StageSlots::account_spans`], which is what
 //! lets [`StageSlots::estimated_nanos`] scale the measured time back up.
 
-#[cfg(feature = "obs")]
 pub use aeetes_obs::{Stage, StageSlots, SAMPLE_MASK};
 
-#[cfg(feature = "obs")]
 use std::time::Instant;
 
 /// A possibly-armed span clock. `lap` records the time since the previous
 /// lap into a stage slot and re-arms; on an un-armed clock it does nothing
-/// at all (callers bulk-account untimed spans after their loops). All
-/// methods compile to nothing without the `obs` feature.
-#[cfg(feature = "obs")]
+/// at all (callers bulk-account untimed spans after their loops).
 #[derive(Debug)]
 pub(crate) struct SpanClock(Option<Instant>);
 
-#[cfg(feature = "obs")]
 impl SpanClock {
     /// An armed clock: every lap is timed.
     #[inline]
@@ -66,114 +58,6 @@ impl SpanClock {
     }
 }
 
-// ---- feature-off stand-ins: same API, zero size, no clock reads ----
-
-/// Sampling mask (mirrors `aeetes_obs::SAMPLE_MASK`).
-#[cfg(not(feature = "obs"))]
-pub const SAMPLE_MASK: usize = 63;
-
-/// One stage of the extraction pipeline (no-op stand-in; see `aeetes-obs`
-/// for the instrumented version's documentation).
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum Stage {
-    Tokenize,
-    Remap,
-    PrefixBuild,
-    PrefixUpdate,
-    WindowSlide,
-    CandidateGen,
-    Verify,
-}
-
-#[cfg(not(feature = "obs"))]
-impl Stage {
-    /// Number of stages.
-    pub const COUNT: usize = 7;
-    /// All stages, in execution order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Tokenize,
-        Stage::Remap,
-        Stage::PrefixBuild,
-        Stage::PrefixUpdate,
-        Stage::WindowSlide,
-        Stage::CandidateGen,
-        Stage::Verify,
-    ];
-
-    /// The stable stage label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Tokenize => "tokenize",
-            Stage::Remap => "remap",
-            Stage::PrefixBuild => "prefix_build",
-            Stage::PrefixUpdate => "prefix_update",
-            Stage::WindowSlide => "window_slide",
-            Stage::CandidateGen => "candidate_gen",
-            Stage::Verify => "verify",
-        }
-    }
-}
-
-/// Zero-sized stand-in for `aeetes_obs::StageSlots`: every recording method
-/// is a no-op and every read returns zero.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageSlots;
-
-#[cfg(not(feature = "obs"))]
-#[allow(missing_docs)]
-impl StageSlots {
-    #[inline]
-    pub fn clear(&mut self) {}
-    #[inline]
-    pub fn record(&mut self, _stage: Stage, _nanos: u64) {}
-    #[inline]
-    pub fn skip(&mut self, _stage: Stage) {}
-    #[inline]
-    pub fn account_spans(&mut self, _stage: Stage, _total: u64) {}
-    #[inline]
-    pub fn merge(&mut self, _other: &StageSlots) {}
-    #[inline]
-    pub fn nanos(&self, _stage: Stage) -> u64 {
-        0
-    }
-    #[inline]
-    pub fn timed(&self, _stage: Stage) -> u64 {
-        0
-    }
-    #[inline]
-    pub fn spans(&self, _stage: Stage) -> u64 {
-        0
-    }
-    #[inline]
-    pub fn estimated_nanos(&self, _stage: Stage) -> u64 {
-        0
-    }
-}
-
-/// Zero-sized stand-in for the span clock: no `Instant` reads at all.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug)]
-pub(crate) struct SpanClock;
-
-#[cfg(not(feature = "obs"))]
-impl SpanClock {
-    #[inline]
-    pub fn always() -> Self {
-        SpanClock
-    }
-    #[inline]
-    pub fn sampled(_i: usize) -> Self {
-        SpanClock
-    }
-    #[inline]
-    pub fn lap(&mut self, _stage: Stage, _slots: &mut StageSlots) {}
-    #[inline]
-    pub fn stop(self, _stage: Stage, _slots: &mut StageSlots) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +72,8 @@ mod tests {
         // Sampled-out positions touch nothing; the loop's span total is
         // accounted in bulk afterwards, exactly like the strategies do.
         slots.account_spans(Stage::PrefixUpdate, 128);
-        #[cfg(feature = "obs")]
-        {
-            assert_eq!(slots.spans(Stage::PrefixUpdate), 128);
-            assert_eq!(slots.timed(Stage::PrefixUpdate), 2, "positions 0 and 64 are on the grid");
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            assert_eq!(slots.spans(Stage::PrefixUpdate), 0, "no-op stand-in records nothing");
-        }
+        assert_eq!(slots.spans(Stage::PrefixUpdate), 128);
+        assert_eq!(slots.timed(Stage::PrefixUpdate), 2, "positions 0 and 64 are on the grid");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn generate_candidates<'s>(
     assert!(tau > 0.0 && tau <= 1.0, "similarity threshold must be in (0, 1], got {tau}");
     let set_bounds = (index.min_set_len(), index.max_set_len());
     let mut stats = ExtractStats::default();
-    let mut budget = Budget::start(&ExtractLimits::UNLIMITED);
+    let mut budget = Budget::start(&ExtractLimits::UNLIMITED, None);
     let seg = scratch.segment(0);
     generate(index, doc, tau, metric, strategy, set_bounds, seg, &mut stats, &mut budget);
     (&seg.sink.pairs, stats)

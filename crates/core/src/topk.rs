@@ -1,13 +1,16 @@
 //! Top-k extraction (extension): the k best-scoring pairs above a floor.
 //!
-//! [`extract_top_k`] no longer extracts everything at the floor and
-//! truncates. It runs a *bound-pruned* scan: a max-size-k heap keeps the
-//! best matches seen so far, and the effective threshold τ ratchets up from
-//! `tau_floor` to the k-th best score as the heap fills. Every per-metric
-//! filter bound ([`Metric::prefix_len`], [`Metric::length_bounds`],
-//! [`metric_window_bounds`]) is re-derived at the ratcheted τ, so whole
-//! window lengths — and eventually whole document suffixes — are skipped
-//! once they cannot beat the current k-th best score.
+//! A `top_k` request ([`crate::ExtractRequest::top_k`]) does not extract
+//! everything at the floor and truncate. It runs a *bound-pruned* scan: a
+//! max-size-k heap keeps the best matches seen so far, and the effective
+//! threshold τ ratchets up from `tau_floor` to the k-th best score as the
+//! heap fills. The per-metric filter bounds ([`Metric::prefix_len`],
+//! [`Metric::length_bounds`]) are re-derived at the ratcheted τ, so windows
+//! of too many distinct tokens — and eventually whole document suffixes —
+//! are skipped once they cannot beat the current k-th best score. Which
+//! token lengths are windows at all stays what [`metric_window_bounds`]
+//! says at `tau_floor`, because that is what the thresholded answer
+//! enumerates.
 //!
 //! Soundness: the heap's k-th best score is always ≤ the true k-th best
 //! score, so any pair that belongs in the final top-k scores ≥ the ratcheted
@@ -19,14 +22,22 @@
 //! at `tau_floor`, sort by (score desc, span, entity), truncate to k" — the
 //! naive oracle kept in the test module — while examining strictly fewer
 //! candidates whenever the ratchet rises above the floor.
+//!
+//! Over a partitioned dictionary the scan runs per segment under the
+//! dictionary-global set-length range: a pair of the global top-k is beaten
+//! by fewer than k pairs anywhere, so it is in its own segment's top-k, and
+//! [`select_top_k`] over the union of the per-segment results is exact.
 
+use crate::backend::{ExtractBackend, ExtractRequest};
 use crate::candidates::scan_clustered;
 use crate::extractor::Aeetes;
-use crate::limits::{Budget, ExtractLimits};
+use crate::limits::Budget;
 use crate::matches::Match;
+use crate::scratch::{ExtractScratch, SegmentScratch};
 use crate::stats::ExtractStats;
 use crate::verify::verify_candidates;
-use aeetes_index::metric_window_bounds;
+use aeetes_index::{metric_window_bounds, ClusteredIndex};
+use aeetes_rules::DerivedDictionary;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, Span};
 use std::collections::BinaryHeap;
@@ -74,46 +85,60 @@ pub fn select_top_k(matches: &mut Vec<Match>, k: usize) {
     matches.truncate(k);
 }
 
-/// Returns the `k` highest-scoring `(entity, substring)` pairs with
-/// `score ≥ tau_floor` under the engine's configured metric, ties broken by
-/// `(span, entity)` for determinism. Equivalent to extracting everything at
-/// `tau_floor` and keeping the best `k`, but bound-pruned: the effective
-/// threshold ratchets up to the current k-th best score, shrinking the
-/// window-length and prefix filters as the scan proceeds.
-///
-/// # Panics
-/// Panics when `tau_floor` is not in `(0, 1]`.
-pub fn extract_top_k(engine: &Aeetes, doc: &Document, k: usize, tau_floor: f64) -> Vec<Match> {
-    extract_top_k_with(engine, doc, k, tau_floor, engine.config().metric).0
-}
-
-/// [`extract_top_k`] under an explicit metric, also returning the work
-/// counters of the pruned scan (the bench harness counter-asserts these
-/// against a full extraction).
+/// The `k` highest-scoring `(entity, substring)` pairs of `engine` with
+/// `score ≥ tau_floor` under `metric`, plus the work counters of the pruned
+/// scan: a `top_k` [`ExtractRequest`] spelled positionally, with an owned
+/// result.
 ///
 /// # Panics
 /// Panics when `tau_floor` is not in `(0, 1]`.
 pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: f64, metric: Metric) -> (Vec<Match>, ExtractStats) {
-    assert!(tau_floor > 0.0 && tau_floor <= 1.0, "similarity threshold must be in (0, 1], got {tau_floor}");
-    let mut stats = ExtractStats::default();
+    let req = ExtractRequest { metric: Some(metric), top_k: Some(k), ..ExtractRequest::new(tau_floor) };
+    let mut scratch = ExtractScratch::new();
+    let out = engine.extract_request(doc, &req, &mut scratch);
+    (out.matches.to_vec(), out.stats)
+}
+
+/// The pruned scan over one index segment: leaves the `k` best pairs
+/// scoring ≥ `tau_floor` in `seg.matches`, in [`select_top_k`] order.
+/// `set_bounds` is the window-bounding set-length range, as for
+/// [`crate::strategy::generate`]. A spent `budget` stops the scan with the
+/// best of what was examined.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn top_k_segment(
+    index: &ClusteredIndex,
+    dd: &DerivedDictionary,
+    doc: &Document,
+    k: usize,
+    tau_floor: f64,
+    metric: Metric,
+    weighted: bool,
+    set_bounds: (Option<usize>, Option<usize>),
+    seg: &mut SegmentScratch,
+    stats: &mut ExtractStats,
+    budget: &mut Budget,
+) {
+    // `matches` holds one position's verified pairs during the scan and the
+    // result after it.
+    let SegmentScratch { remap, sink, buf, s_keys, matches, stages, .. } = seg;
+    matches.clear();
+    stages.clear();
     if k == 0 {
-        return (Vec::new(), stats);
+        return;
     }
-    let index = engine.index();
-    let dd = engine.derived();
-    let set_bounds = (index.min_set_len(), index.max_set_len());
+    // Which windows exist is the floor's decision: the thresholded answer at
+    // `tau_floor` enumerates token lengths up to the floor's bound, and a
+    // window with repeated tokens can be longer than the ratcheted bound
+    // yet hold few enough *distinct* tokens to beat the ratcheted τ.
+    let (Some(floor), Some(min_set), Some(max_set)) =
+        (metric_window_bounds(set_bounds.0, set_bounds.1, tau_floor, metric), set_bounds.0, set_bounds.1)
+    else {
+        return; // empty dictionary
+    };
     let order = index.order();
     let n = doc.len();
-
-    let mut remap = crate::window::DenseRemap::new();
     remap.build(doc.tokens().iter().map(|&t| order.key(t)));
-
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
-    let mut sink = crate::candidates::CandidateSink::default();
-    let mut buf: Vec<u32> = Vec::new();
-    let mut s_keys: Vec<u32> = Vec::new();
-    let mut verified: Vec<Match> = Vec::new();
-    let mut budget = Budget::start(&ExtractLimits::UNLIMITED);
+    let mut heap: BinaryHeap<Worst> = BinaryHeap::new();
 
     for p in 0..n {
         // The ratcheted threshold: once the heap holds k matches, nothing
@@ -125,19 +150,20 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
             Some(worst) if heap.len() == k => tau_floor.max(worst.0.score),
             _ => tau_floor,
         };
-        // Window bounds tighten as τ rises: `min` only grows and `max` only
-        // shrinks, so once the shortest admissible window no longer fits in
-        // the remaining suffix, no later position can produce a match.
-        let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau_cur, metric) else {
-            break;
-        };
-        let lmax = bounds.max.min(n - p);
-        if bounds.min > lmax {
+        // The shortest admissible window only grows as τ rises, so once it
+        // no longer fits in the remaining suffix, no later position can
+        // produce a match.
+        let lmin = metric.length_bounds(min_set, tau_cur, usize::MAX).0;
+        let lmax = floor.max.min(n - p);
+        if lmin > lmax || !budget.keep_generating(stats.candidates as usize) {
             break;
         }
+        // No window of more distinct tokens than this can reach the
+        // ratcheted τ against any entity.
+        let distinct_max = metric.length_bounds(max_set, tau_cur, usize::MAX).1;
         stats.windows += 1;
         sink.clear();
-        for l in bounds.min..=lmax {
+        for l in lmin..=lmax {
             stats.substrings += 1;
             stats.prefix_builds += 1;
             buf.clear();
@@ -145,6 +171,9 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
             buf.sort_unstable();
             buf.dedup();
             let s_len = buf.len();
+            if s_len > distinct_max {
+                break; // the distinct size only grows with the window
+            }
             let plen = metric.prefix_len(s_len, tau_cur);
             let span = Span::new(p, l);
             for &r in &buf[..plen] {
@@ -152,13 +181,15 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
                     continue; // invalid token: empty posting list
                 }
                 let t = order.token_of(remap.key_of(r));
-                scan_clustered(index, t, span, s_len, tau_cur, metric, &mut sink, &mut stats);
+                scan_clustered(index, t, span, s_len, tau_cur, metric, sink, stats);
             }
         }
         // Verify this position's candidates immediately so the ratchet can
-        // rise before the next position is scanned.
-        verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, &mut stats, false, &mut budget, &mut s_keys, &mut verified);
-        for &m in &verified {
+        // rise before the next position is scanned. Weighted scores are ≤
+        // unweighted ones, so the unweighted filters at the ratcheted τ
+        // stay sound for them.
+        verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, matches);
+        for &m in matches.iter() {
             if heap.len() < k {
                 heap.push(Worst(m));
             } else if let Some(worst) = heap.peek() {
@@ -170,9 +201,9 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
         }
     }
 
-    let mut out: Vec<Match> = heap.into_iter().map(|w| w.0).collect();
-    select_top_k(&mut out, k);
-    (out, stats)
+    matches.clear();
+    matches.extend(heap.into_iter().map(|w| w.0));
+    select_top_k(matches, k);
 }
 
 #[cfg(test)]
@@ -183,6 +214,11 @@ mod tests {
     use aeetes_rules::RuleSet;
     use aeetes_text::{Dictionary, Interner, Tokenizer};
     use proptest::prelude::*;
+
+    /// The pruned scan under the engine's configured metric, matches only.
+    fn extract_top_k(engine: &Aeetes, doc: &Document, k: usize, tau_floor: f64) -> Vec<Match> {
+        extract_top_k_with(engine, doc, k, tau_floor, engine.config().metric).0
+    }
 
     /// The pre-pruning implementation, kept verbatim as the equivalence
     /// oracle: extract everything at the floor, sort, truncate.
@@ -237,6 +273,17 @@ mod tests {
                 assert_eq!(extract_top_k(&e, &doc, k, tau), naive_top_k(&e, &doc, k, tau), "k={k} tau={tau}");
             }
         }
+    }
+
+    /// A window longer than the ratcheted bound admits can still beat the
+    /// ratcheted τ when it repeats tokens: here "machine systems systems
+    /// learning systems" (5 tokens, 3 distinct) scores 1.0 after two weaker
+    /// matches have already filled the heap.
+    #[test]
+    fn pruned_keeps_long_windows_of_repeated_tokens() {
+        let (e, mut int, tok) = engine();
+        let doc = Document::parse("other machine systems systems learning systems", &tok, &mut int);
+        assert_eq!(extract_top_k(&e, &doc, 2, 0.5), naive_top_k(&e, &doc, 2, 0.5));
     }
 
     #[test]

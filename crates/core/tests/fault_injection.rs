@@ -4,8 +4,8 @@
 //! isolation is tested in the `aeetes-pool` crate with the executor.)
 
 use aeetes_core::{
-    extract_segment, freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ExtractLimits, FreezeSegment, FreezeSource, FrozenParts, Match,
-    Strategy,
+    extract_segment, freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch, FreezeSegment,
+    FreezeSource, FrozenParts, Match, Strategy,
 };
 use aeetes_index::ClusteredIndex;
 use aeetes_rules::{DerivedDictionary, RuleSet};
@@ -178,7 +178,7 @@ fn zero_budget_returns_immediately_truncated() {
         let tok = Tokenizer::default();
         for text in ["purdue university usa and uq au", ""] {
             let doc = Document::parse(text, &tok, &mut int);
-            let out = engine.extract_with_limits(&doc, 0.8, &limits);
+            let out = engine.extract_scratched(&doc, 0.8, &limits, None, &mut ExtractScratch::new()).to_outcome();
             assert!(out.truncated, "{strategy} on {text:?}");
             assert!(out.matches.is_empty());
         }
@@ -197,7 +197,7 @@ fn budgeted_results_are_subsets_of_full_results() {
         let full = engine.extract(&doc, 0.8);
         for cap in 0..=full.len() + 1 {
             let limits = ExtractLimits { max_matches: Some(cap), ..ExtractLimits::UNLIMITED };
-            let out = engine.extract_with_limits(&doc, 0.8, &limits);
+            let out = engine.extract_scratched(&doc, 0.8, &limits, None, &mut ExtractScratch::new()).to_outcome();
             assert!(out.matches.len() <= cap.max(full.len()), "{strategy} cap={cap}");
             for m in &out.matches {
                 assert!(full.contains(m), "{strategy} cap={cap} invented {m:?}");

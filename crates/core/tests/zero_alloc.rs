@@ -8,18 +8,17 @@
 //! rounds assert the counter does not move. This file holds exactly one
 //! test so no concurrent test can perturb the counter.
 //!
-//! With the `obs` feature on (the default), every steady-state outcome is
-//! additionally flushed into a registered [`aeetes_obs::ExtractMetrics`]
-//! bundle — stage histograms and work counters — proving the observability
-//! layer rides the hot path without adding a single allocation. Handle
-//! registration happens before the warm-up, exactly like a long-running
-//! server does it.
+//! Every steady-state outcome is additionally flushed into a registered
+//! [`aeetes_obs::ExtractMetrics`] bundle — stage histograms and work
+//! counters — proving the observability layer rides the hot path without
+//! adding a single allocation. Handle registration happens before the
+//! warm-up, exactly like a long-running server does it.
 //!
 //! The document-parallel batch path has the same guarantee over the
 //! persistent pool; see `aeetes-pool/tests/zero_alloc_batch.rs` (its own
 //! binary, for the same one-test-per-allocator reason).
 
-use aeetes_core::{Aeetes, AeetesConfig, ExtractLimits, ExtractScratch, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,7 +56,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Flushes an outcome's stats and stage slots into the metric bundle the
 /// way serve/batch workers do; must stay allocation-free.
-#[cfg(feature = "obs")]
 fn flush_obs(metrics: &aeetes_obs::ExtractMetrics, out: &aeetes_core::ScratchOutcome<'_>) {
     let counts = aeetes_obs::ExtractCounts {
         accessed_entries: out.stats.accessed_entries,
@@ -70,9 +68,7 @@ fn flush_obs(metrics: &aeetes_obs::ExtractMetrics, out: &aeetes_core::ScratchOut
 
 #[test]
 fn steady_state_extraction_allocates_nothing() {
-    #[cfg(feature = "obs")]
     let registry = aeetes_obs::MetricRegistry::new();
-    #[cfg(feature = "obs")]
     let metrics = aeetes_obs::ExtractMetrics::register(&registry);
     for strategy in [Strategy::Dynamic, Strategy::Lazy] {
         let mut int = Interner::new();
@@ -105,7 +101,6 @@ fn steady_state_extraction_allocates_nothing() {
             for doc in &docs {
                 let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
                 warm_matches += out.matches.len();
-                #[cfg(feature = "obs")]
                 flush_obs(&metrics, &out);
             }
         }
@@ -117,7 +112,6 @@ fn steady_state_extraction_allocates_nothing() {
             for doc in &docs {
                 let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
                 steady_matches += out.matches.len();
-                #[cfg(feature = "obs")]
                 flush_obs(&metrics, &out);
             }
         }

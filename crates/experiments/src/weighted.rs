@@ -10,7 +10,7 @@
 //! below τ.
 
 use crate::common::{Config, PrfCounts};
-use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig};
+use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_rules::RuleSet;
 use aeetes_text::EntityId;
@@ -60,10 +60,13 @@ pub fn run(config: &Config) {
             let engine = Aeetes::build(data.dictionary.clone(), &rules, &data.interner, AeetesConfig::default());
             let mut plain = PrfCounts::default();
             let mut weighted = PrfCounts::default();
+            let weighted_request = ExtractRequest { weighted: true, ..ExtractRequest::new(tau) };
+            let mut scratch = ExtractScratch::new();
             for (doc_id, doc) in docs.iter().enumerate() {
                 let gold: Vec<_> = data.gold_for(doc_id).map(|g| (g.entity, g.span)).collect();
                 plain.tally(&suppress_overlaps(engine.extract(doc, tau)), &gold);
-                weighted.tally(&suppress_overlaps(engine.extract_weighted(doc, tau).0), &gold);
+                let found = engine.extract_request(doc, &weighted_request, &mut scratch).matches.to_vec();
+                weighted.tally(&suppress_overlaps(found), &gold);
             }
             let fmt = |c: &PrfCounts| format!("{:6.3} {:6.3} {:6.3}", c.precision(), c.recall(), c.f1());
             println!("{:<10} {:>7} | {:>26} | {:>26}", data.name, injected, fmt(&plain), fmt(&weighted));

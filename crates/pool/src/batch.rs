@@ -9,9 +9,8 @@
 //! across calls ([`extract_batch_into`]), so a steady-state batch over a
 //! warmed pool performs *zero* heap allocations end to end — queue
 //! capacity, worker scratches and result vectors are all at their
-//! high-water mark. The owning convenience wrappers ([`extract_batch`],
-//! [`extract_batch_with`]) keep the exact signatures the core crate used
-//! to export.
+//! high-water mark. [`extract_batch_with`] is the owning convenience over
+//! the process-wide pool.
 
 use crate::{on_pool_worker, Pool};
 use aeetes_core::{panic_message, BatchOptions, CancelToken, DocError, ExtractBackend, ExtractOutcome, ExtractScratch, ExtractStats, Match};
@@ -47,14 +46,15 @@ impl<T> SlotsPtr<T> {
 /// Per-document result buffer, reused across batches.
 #[derive(Debug, Default)]
 pub struct BatchSlot {
-    /// Matches of the document, sorted by `(span, entity)`; empty when
-    /// `error` is set.
+    /// Matches of the document, sorted by `(span, entity)` (under
+    /// `BatchOptions::top_k`: by score, best first); empty when `error` is
+    /// set.
     pub matches: Vec<Match>,
     /// Whether any budget cut the document short.
     pub truncated: bool,
     /// Work counters of the (possibly partial) run.
     pub stats: ExtractStats,
-    /// Per-stage timing slots (all-zero without the `obs` feature).
+    /// Per-stage timing slots.
     pub stages: aeetes_core::StageSlots,
     /// Why the document produced no result, if it didn't.
     pub error: Option<DocError>,
@@ -98,7 +98,7 @@ where
     // resets at the start of every pass — a caught panic cannot leak
     // broken state into the worker's next document.
     let r = catch_unwind(AssertUnwindSafe(|| {
-        let out = engine.extract_scratched(doc, tau, &opts.limits, Some(&opts.cancel), scratch);
+        let out = engine.extract_request(doc, &opts.request(tau), scratch);
         slot.matches.extend_from_slice(out.matches);
         slot.truncated = out.truncated;
         slot.stats = out.stats;
@@ -154,18 +154,18 @@ where
     });
 }
 
-/// Fault-isolated batch extraction on an explicit pool: `results[i]` is
-/// the outcome of `docs[i]`, or a [`DocError`] if that document panicked
-/// or the batch was cancelled before it started. `opts.cancel` is
-/// honoured *mid-document*: a document in flight when the token fires
-/// stops at the next window boundary with a truncated (partial but exact)
-/// outcome.
-pub fn extract_batch_with_on<E>(pool: &Pool, engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
+/// Fault-isolated batch extraction over the process-wide [`Pool::global`]
+/// pool: `results[i]` is the outcome of `docs[i]`, or a [`DocError`] if
+/// that document panicked or the batch was cancelled before it started.
+/// `opts.cancel` is honoured *mid-document*: a document in flight when the
+/// token fires stops at the next window boundary with a truncated (partial
+/// but exact) outcome.
+pub fn extract_batch_with<E>(engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
 where
     E: ExtractBackend + ?Sized,
 {
     let mut buf = BatchBuf::new();
-    extract_batch_into(pool, engine, docs, tau, opts, &mut buf);
+    extract_batch_into(Pool::global(), engine, docs, tau, opts, &mut buf);
     buf.slots
         .into_iter()
         .take(docs.len())
@@ -179,34 +179,6 @@ where
             }),
         })
         .collect()
-}
-
-/// Batch extraction over the process-wide [`Pool::global`] pool:
-/// `results[i]` = matches of `docs[i]`, with the engine's configured
-/// limits. If any document panics, the rest of the batch still completes
-/// and the first panic (in input order) is then re-raised on the caller's
-/// thread — the pre-fault-isolation contract. Use [`extract_batch_with`]
-/// for per-document errors instead.
-pub fn extract_batch<E>(engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
-where
-    E: ExtractBackend + ?Sized,
-{
-    let opts = BatchOptions { threads, limits: engine.config().limits, ..BatchOptions::default() };
-    extract_batch_with(engine, docs, tau, &opts)
-        .into_iter()
-        .map(|r| match r {
-            Ok(out) => out.matches,
-            Err(e) => panic!("{e}"),
-        })
-        .collect()
-}
-
-/// [`extract_batch_with_on`] over the process-wide [`Pool::global`] pool.
-pub fn extract_batch_with<E>(engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
-where
-    E: ExtractBackend + ?Sized,
-{
-    extract_batch_with_on(Pool::global(), engine, docs, tau, opts)
 }
 
 /// Runs `f(i, scratch)` for every `i < len` on up to `threads` pool

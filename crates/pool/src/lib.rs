@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 mod batch;
 
-pub use batch::{extract_batch, extract_batch_into, extract_batch_with, extract_batch_with_on, run_batch, BatchBuf, BatchSlot};
+pub use batch::{extract_batch_into, extract_batch_with, run_batch, BatchBuf, BatchSlot};
 
 thread_local! {
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };

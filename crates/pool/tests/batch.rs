@@ -3,9 +3,12 @@
 //! cancellation. These tests migrated here from `aeetes-core` when the
 //! executor moved out of that crate.
 
-use aeetes_core::{Aeetes, AeetesConfig, BatchOptions, CancelToken, DocError, ExtractLimits, Strategy};
-use aeetes_pool::{extract_batch, extract_batch_with, run_batch, Pool};
+use aeetes_core::{
+    Aeetes, AeetesConfig, BatchOptions, CancelToken, DocError, ExtractBackend, ExtractLimits, ExtractRequest, ExtractScratch, Match, Strategy,
+};
+use aeetes_pool::{extract_batch_with, run_batch, Pool};
 use aeetes_rules::RuleSet;
+use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, Interner, TokenId, Tokenizer};
 use proptest::prelude::*;
 
@@ -33,6 +36,15 @@ fn sample_docs(int: &mut Interner, tok: &Tokenizer) -> Vec<Document> {
     .iter()
     .map(|t| Document::parse(t, tok, int))
     .collect()
+}
+
+/// The matches of a default-request batch on `threads` workers.
+fn extract_batch(engine: &Aeetes, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>> {
+    let opts = BatchOptions { threads, ..BatchOptions::default() };
+    extract_batch_with(engine, docs, tau, &opts)
+        .into_iter()
+        .map(|r| r.expect("healthy batch").matches)
+        .collect()
 }
 
 #[test]
@@ -71,6 +83,21 @@ fn extract_batch_with_matches_plain_extract() {
         let out = r.as_ref().expect("healthy batch");
         assert!(!out.truncated);
         assert_eq!(out.matches, engine.extract(doc, 0.8));
+    }
+}
+
+/// A batch answers every document under the request its options carry.
+#[test]
+fn batch_carries_metric_and_top_k() {
+    let (engine, mut int, tok) = sample_engine(AeetesConfig::default());
+    let docs = sample_docs(&mut int, &tok);
+    let mut scratch = ExtractScratch::new();
+    for (metric, top_k) in [(Some(Metric::Dice), None), (None, Some(1)), (Some(Metric::Overlap), Some(2))] {
+        let opts = BatchOptions { threads: 2, metric, top_k, ..BatchOptions::default() };
+        let req = ExtractRequest { metric, top_k, ..ExtractRequest::new(0.6) };
+        for (doc, r) in docs.iter().zip(extract_batch_with(&engine, &docs, 0.6, &opts)) {
+            assert_eq!(r.expect("healthy batch").matches, engine.extract_request(doc, &req, &mut scratch).matches, "{metric:?} {top_k:?}");
+        }
     }
 }
 
@@ -180,7 +207,7 @@ fn fired_token_cancels_remaining_items() {
 #[cfg(target_os = "linux")]
 mod no_thread_per_batch {
     use super::*;
-    use aeetes_core::{ExtractBackend, ExtractOutcome};
+    use aeetes_core::ScratchOutcome;
     use aeetes_pool::{extract_batch_into, BatchBuf};
     use std::collections::BTreeSet;
     use std::ffi::OsString;
@@ -206,13 +233,13 @@ mod no_thread_per_batch {
             self.engine.set_len_range()
         }
 
-        fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome {
+        fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
             // `/proc/thread-self` -> `<pid>/task/<tid>`
             let me = std::fs::read_link("/proc/thread-self").expect("procfs");
             if !self.known.contains(me.file_name().expect("tid")) {
                 self.strangers.fetch_add(1, Ordering::Relaxed);
             }
-            self.engine.extract_limited(doc, tau, limits, cancel)
+            self.engine.extract_request(doc, req, scratch)
         }
     }
 

@@ -11,7 +11,7 @@
 //! claim order can touch a cold buffer. This file holds exactly one test
 //! so no concurrent test can perturb the counting allocator.
 
-use aeetes_core::{Aeetes, AeetesConfig, BatchOptions, ExtractLimits, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, BatchOptions, ExtractBackend, ExtractLimits, Strategy};
 use aeetes_pool::{extract_batch_into, BatchBuf, Pool};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};

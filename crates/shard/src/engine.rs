@@ -2,9 +2,9 @@
 //! updates spliced into the affected shards, atomic epoch swap, persistence.
 
 use crate::generation::{shard_of, Generation, Shard};
-use aeetes_core::{AeetesConfig, ShardedParts};
+use aeetes_core::AeetesConfig;
 use aeetes_index::GlobalOrder;
-use aeetes_rules::{find_applications, DeriveStats, DerivedDictionary, DerivedEntity, RuleError, RuleSet};
+use aeetes_rules::{find_applications, DeriveStats, DerivedDictionary, RuleError, RuleSet};
 use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -366,112 +366,69 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Reconstructs an engine from heap-owned parts, resuming at their
-    /// generation number.
+    /// Adopts an opened frozen (v6) artifact: its segments become this
+    /// engine's shards as they are — zero derive work, zero index builds,
+    /// arenas still backed by the mapped file.
     ///
-    /// `shards` overrides the shard count (`None` keeps the parts' segment
-    /// count, `Some(0)` means available parallelism). When the segments
-    /// already match this engine's routing they are adopted as-is;
-    /// otherwise the variants are re-partitioned — no re-derivation either
-    /// way, only the indexes are rebuilt.
-    pub fn from_parts(parts: ShardedParts, shards: Option<usize>) -> Result<Self, String> {
-        let ShardedParts { interner, dict, removed, rules, config, segments, generation } = parts;
-        let generation = generation.max(1);
-        let n = match shards {
-            None => resolve_shards(segments.len()),
-            Some(req) => resolve_shards(req),
-        };
-        let tombstoned: BTreeSet<u32> = removed.iter().map(|e| e.0).collect();
-        let routed = n == segments.len()
-            && segments
-                .iter()
-                .enumerate()
-                .all(|(i, dd)| dd.iter().all(|(_, d)| shard_of(d.origin, n) == i && !tombstoned.contains(&d.origin.0)));
-        let dds: Vec<DerivedDictionary> = if routed {
-            segments
-        } else {
-            // Merge every segment, then split the variant stream along this
-            // engine's routing. Stable sort keeps intra-origin variant order.
-            let mut all: Vec<DerivedEntity> = segments
-                .into_iter()
-                .flat_map(|dd| dd.iter().map(|(_, d)| d.to_owned()).collect::<Vec<_>>())
-                .collect();
-            all.sort_by_key(|d| d.origin.0);
-            let mut buckets: Vec<Vec<DerivedEntity>> = (0..n).map(|_| Vec::new()).collect();
-            for d in all {
-                if tombstoned.contains(&d.origin.0) {
-                    continue;
+    /// The dictionary partition is fixed when the artifact is built, so an
+    /// artifact is adopted or refused, never rebuilt: `shards` naming
+    /// anything but the artifact's own segment count, a segment holding an
+    /// origin that this engine's hashing routes elsewhere, or a tombstoned
+    /// origin that still owns variants is an `Err` saying how to rebuild
+    /// the artifact.
+    ///
+    /// Later updates copy-on-write: `apply_update` splices only the
+    /// affected shards, onto the heap, while untouched shards keep serving
+    /// straight from the mapping.
+    pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {
+        let n = parts.segments.len();
+        if let Some(requested) = shards.filter(|&requested| requested != n) {
+            return Err(format!(
+                "the artifact holds {n} segment(s), not {requested}: the partition is fixed at build time; rebuild it with `aeetes build --shards {requested}`"
+            ));
+        }
+        if !(1..=MAX_SHARDS).contains(&n) {
+            return Err(format!("the artifact holds {n} segments, outside 1..={MAX_SHARDS}; rebuild it with `aeetes build --shards N`"));
+        }
+        let tombstoned: BTreeSet<u32> = parts.removed.iter().map(|e| e.0).collect();
+        // The `by_origin` prefix array alone decides adoptability: frozen
+        // validation already proved every variant sits in its origin's
+        // bucket, so it suffices to check each *populated* bucket's entity —
+        // one hash per origin rather than one per variant.
+        for (i, segment) in parts.segments.iter().enumerate() {
+            let by_origin = segment.dd.raw_arenas().6;
+            for e in (0..by_origin.len().saturating_sub(1)).filter(|&e| by_origin[e] < by_origin[e + 1]) {
+                let e = EntityId(e as u32);
+                let home = shard_of(e, n);
+                if home != i {
+                    return Err(format!(
+                        "segment {i} holds origin {}, which routes to shard {home} of {n}: the artifact was not partitioned by this engine; rebuild it with `aeetes build --shards {n}`",
+                        e.0
+                    ));
                 }
-                buckets[shard_of(d.origin, n)].push(d);
+                if tombstoned.contains(&e.0) {
+                    return Err(format!(
+                        "origin {} is tombstoned but still owns variants in segment {i}; rebuild the artifact with `aeetes build --shards {n}`",
+                        e.0
+                    ));
+                }
             }
-            buckets
-                .into_iter()
-                .map(|b| DerivedDictionary::from_parts(b, dict.len(), DeriveStats::default()))
-                .collect::<Result<_, _>>()?
-        };
-        let refs: Vec<&DerivedDictionary> = dds.iter().collect();
-        let order = Arc::new(GlobalOrder::build_many(&refs, &interner));
-        let built = index_shards(dds, &order);
-        let generation = Generation::assemble(generation, interner, dict, removed, rules, config, order, built);
+        }
+        let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
+        let built: Vec<Arc<Shard>> = segments.into_iter().map(|s| Arc::new(Shard::from_prebuilt(s.dd, s.index))).collect();
+        let generation = Generation::assemble(generation.max(1), interner, dict, removed, rules, config, order, built);
         Ok(ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
             pending: Mutex::new(None),
         })
     }
-
-    /// Builds an engine from an opened frozen (v6) artifact.
-    ///
-    /// The fast path — `shards` is `None` or names the artifact's own
-    /// segment count, and every segment's origins route to its slot under
-    /// this engine's hashing — adopts the frozen derived dictionaries and
-    /// indexes as-is: zero derive work, zero index builds, arenas still
-    /// backed by the mapped file. Any mismatch (shard-count override,
-    /// foreign routing, un-dropped tombstones) falls back to re-bucketing
-    /// the variants onto the heap and rebuilding the indexes — correct for
-    /// any artifact, just not zero-copy.
-    ///
-    /// Later updates copy-on-write: `apply_update` splices only the
-    /// affected shards, onto the heap, while untouched shards keep serving
-    /// straight from the mapping.
-    pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {
-        let n = match shards {
-            None => parts.segments.len().clamp(1, MAX_SHARDS),
-            Some(req) => resolve_shards(req),
-        };
-        let tombstoned: BTreeSet<u32> = parts.removed.iter().map(|e| e.0).collect();
-        // The `by_origin` prefix array alone decides adoptability: frozen
-        // validation already proved every variant sits in its origin's
-        // bucket, so it suffices to check each *populated* bucket's entity —
-        // one hash per origin rather than one per variant.
-        let adoptable = n == parts.segments.len()
-            && parts.segments.iter().enumerate().all(|(i, s)| {
-                let (_, _, _, _, _, _, by_origin) = s.dd.raw_arenas();
-                by_origin
-                    .windows(2)
-                    .enumerate()
-                    .all(|(e, w)| w[0] == w[1] || (shard_of(EntityId(e as u32), n) == i && !tombstoned.contains(&(e as u32))))
-            });
-        if adoptable {
-            let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
-            let built: Vec<Arc<Shard>> = segments.into_iter().map(|s| Arc::new(Shard::from_prebuilt(s.dd, s.index))).collect();
-            let generation = Generation::assemble(generation.max(1), interner, dict, removed, rules, config, order, built);
-            return Ok(ShardedEngine {
-                current: RwLock::new(Arc::new(generation)),
-                update_lock: Mutex::new(()),
-                pending: Mutex::new(None),
-            });
-        }
-        // Re-bucket through the ShardedParts path: the frozen derived
-        // dictionaries are merged (copied to the heap) and indexes rebuilt.
-        Self::from_parts(parts.into(), Some(n))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_core::{Aeetes, ExtractBackend, ExtractLimits};
+    use aeetes_core::{Aeetes, ExtractBackend, FreezeSegment, FreezeSource};
     use aeetes_text::Document;
 
     fn fixture() -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -625,7 +582,7 @@ mod tests {
             )
             .expect("update");
         let bytes = engine.freeze();
-        for &override_n in &[None, Some(1), Some(5)] {
+        for &override_n in &[None, Some(3)] {
             let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open");
             let restored = ShardedEngine::from_frozen(parts, override_n).expect("from_frozen");
             let g1 = engine.snapshot();
@@ -648,7 +605,7 @@ mod tests {
         let generation = engine.snapshot();
         let mut int2 = generation.interner().clone();
         let doc = Document::parse("purdue university united states", &tok, &mut int2);
-        let _ = generation.extract_limited(&doc, 0.8, &ExtractLimits::UNLIMITED, None);
+        let _ = generation.extract_all(&doc, 0.8);
         let stats = generation.shard_stats();
         assert_eq!(stats.len(), 4);
         assert!(stats.iter().all(|s| s.served == 1), "every shard answers every request: {stats:?}");
@@ -773,20 +730,45 @@ mod tests {
         }
     }
 
+    /// An artifact is adopted or refused, never rebuilt: a shard count the
+    /// artifact does not hold, a segment this engine's routing would not
+    /// have produced, and a tombstone whose variants were not dropped each
+    /// come back as an error that says how to rebuild the artifact.
     #[test]
-    fn frozen_with_shard_override_rebuckets() {
-        let (dict, rules, int, tok) = fixture();
-        let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 4);
-        let bytes = engine.freeze();
-        let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open frozen");
-        let restored = ShardedEngine::from_frozen(parts, Some(2)).expect("from_frozen override");
-        assert_eq!(restored.shard_count(), 2);
-        let g = restored.snapshot();
-        assert!(g.shards.iter().all(|s| !s.dd.is_frozen()), "re-bucketed shards live on the heap");
-        let mut int2 = g.interner().clone();
-        for doc in docs(&mut int2, &tok) {
-            assert_eq!(g.extract_all(&doc, 0.7), engine.snapshot().extract_all(&doc, 0.7));
+    fn from_frozen_refuses_what_it_cannot_adopt() {
+        let (dict, rules, int, _) = fixture();
+        let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 2);
+        let g = engine.snapshot();
+        let refused = |bytes: &[u8], shards: Option<usize>| {
+            let parts = aeetes_core::open_frozen_bytes(bytes).expect("the artifact itself is valid");
+            ShardedEngine::from_frozen(parts, shards).err().expect("must be refused")
+        };
+        let freeze = |removed: &[EntityId], segments: Vec<FreezeSegment<'_>>| {
+            aeetes_core::freeze_to_bytes(&FreezeSource {
+                interner: &g.interner,
+                dict: &g.dict,
+                removed,
+                rules: &g.rules,
+                config: &g.config,
+                generation: g.id,
+                order: &g.order,
+                segments,
+            })
+        };
+        let segment = |i: usize| FreezeSegment { dd: &g.shards[i].dd, index: &g.shards[i].index };
+
+        let as_built = freeze(&[], vec![segment(0), segment(1)]);
+        assert!(ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&as_built).expect("open"), Some(2)).is_ok());
+        for requested in [0, 1, 3] {
+            let err = refused(&as_built, Some(requested));
+            assert!(err.contains("holds 2 segment(s)") && err.contains(&format!("aeetes build --shards {requested}")), "{err}");
         }
+        let misrouted = refused(&freeze(&[], vec![segment(1), segment(0)]), None);
+        assert!(misrouted.contains("routes to shard") && misrouted.contains("aeetes build --shards 2"), "{misrouted}");
+        let undropped = refused(&freeze(&[EntityId(0)], vec![segment(0), segment(1)]), None);
+        assert!(undropped.contains("origin 0 is tombstoned") && undropped.contains("aeetes build --shards 2"), "{undropped}");
+        let no_segments = refused(&freeze(&[], Vec::new()), None);
+        assert!(no_segments.contains("holds 0 segments"), "{no_segments}");
     }
 
     #[test]

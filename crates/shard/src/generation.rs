@@ -1,8 +1,8 @@
 //! Immutable generations: one fully-built sharded engine state.
 
 use aeetes_core::{
-    extract_segment_scratched, AeetesConfig, CancelToken, ExtractBackend, ExtractLimits, ExtractOutcome, ExtractScratch, ExtractStats, Match,
-    ScratchOutcome, SegmentScratch,
+    extract_segment_scratched, select_top_k, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, ScratchOutcome,
+    SegmentScratch,
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_pool::Pool;
@@ -297,6 +297,32 @@ impl Generation {
         self.shards.iter().map(|s| s.dd.len()).sum()
     }
 
+    /// Total postings across the shards' indexes.
+    pub fn index_entries(&self) -> usize {
+        self.shards.iter().map(|s| s.index.total_entries()).sum()
+    }
+
+    /// Summed size of the shards' indexes in bytes (for adopted shards: of
+    /// the artifact sections they borrow).
+    pub fn index_size_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.index.size_bytes()).sum()
+    }
+
+    /// Derivation statistics over the whole dictionary: origins are
+    /// disjoint across shards, so every total is the sum of the shards'.
+    pub fn derive_stats(&self) -> DeriveStats {
+        let mut total = DeriveStats::default();
+        for st in self.shards.iter().map(|s| s.dd.stats()) {
+            total.origins += st.origins;
+            total.derived += st.derived;
+            total.applicable_total += st.applicable_total;
+            total.selected_total += st.selected_total;
+            total.truncated_entities += st.truncated_entities;
+            total.duplicates_dropped += st.duplicates_dropped;
+        }
+        total
+    }
+
     /// Per-shard serving statistics, indexed by shard id.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
@@ -312,29 +338,9 @@ impl Generation {
             .collect()
     }
 
-    fn run_shard_into(
-        &self,
-        shard: &Shard,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        seg: &mut SegmentScratch,
-    ) -> (bool, ExtractStats) {
+    fn run_shard_into(&self, shard: &Shard, doc: &Document, req: &ExtractRequest<'_>, seg: &mut SegmentScratch) -> (bool, ExtractStats) {
         let start = std::time::Instant::now();
-        let (truncated, stats) = extract_segment_scratched(
-            &shard.index,
-            &shard.dd,
-            doc,
-            tau,
-            self.config.strategy,
-            self.config.metric,
-            false,
-            self.set_len_bounds,
-            limits,
-            cancel,
-            seg,
-        );
+        let (truncated, stats) = extract_segment_scratched(&shard.index, &shard.dd, doc, req, &self.config, self.set_len_bounds, seg);
         shard.extract_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shard.served.fetch_add(1, Ordering::Relaxed);
         shard.candidates.fetch_add(stats.candidates, Ordering::Relaxed);
@@ -355,23 +361,12 @@ impl ExtractBackend for Generation {
         self.set_len_bounds
     }
 
-    fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome {
-        self.extract_scratched(doc, tau, limits, cancel, &mut ExtractScratch::new()).to_outcome()
-    }
-
-    fn extract_scratched<'s>(
-        &self,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        scratch: &'s mut ExtractScratch,
-    ) -> ScratchOutcome<'s> {
+    fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
         if self.shards.len() == 1 {
             // A single shard carries the full derivation: local variant ids
             // coincide with global ones, so no merge pass is needed.
             let seg = scratch.segment(0);
-            let (truncated, stats) = self.run_shard_into(&self.shards[0], doc, tau, limits, cancel, seg);
+            let (truncated, stats) = self.run_shard_into(&self.shards[0], doc, req, seg);
             return ScratchOutcome { matches: seg.matches(), truncated, stats, stages: *seg.stages() };
         }
         let n = self.shards.len();
@@ -383,12 +378,12 @@ impl ExtractBackend for Generation {
         // bit-identical either way (the shard property suite is the
         // oracle); only the parallelism differs.
         let cost = doc.tokens().len() as u64 * self.live_shards as u64;
-        let threshold = limits.fanout_threshold.unwrap_or(DEFAULT_FANOUT_THRESHOLD);
+        let threshold = req.limits.fanout_threshold.unwrap_or(DEFAULT_FANOUT_THRESHOLD);
         let pool = Pool::global();
         if pool.workers() <= 1 || cost < threshold {
             self.routing.sequential.fetch_add(1, Ordering::Relaxed);
             for (shard, seg) in self.shards.iter().zip(segs.iter_mut()) {
-                self.run_shard_into(shard, doc, tau, limits, cancel, seg);
+                self.run_shard_into(shard, doc, req, seg);
             }
         } else {
             self.routing.fanout.fetch_add(1, Ordering::Relaxed);
@@ -409,17 +404,16 @@ impl ExtractBackend for Generation {
             let base = SegPtr(segs.as_mut_ptr());
             let panicked = pool.fan_out(n, |i| {
                 let seg = unsafe { &mut *base.seg(i) };
-                self.run_shard_into(&self.shards[i], doc, tau, limits, cancel, seg);
+                self.run_shard_into(&self.shards[i], doc, req, seg);
             });
             assert!(!panicked, "shard extraction panicked");
         }
         // Merge per-shard results: remap variant ids into the global derived
-        // space, restore the stable `(span, entity)` order, re-apply the
-        // match cap across the union (each shard only capped its own
-        // stream). Origins are disjoint across shards, so no deduplication
-        // is needed and sort keys never tie across shards. Each shard's
-        // outcome is read back from its segment scratch — no result
-        // channel on either routing path.
+        // space, then restore the request's order over the union. Origins
+        // are disjoint across shards, so no deduplication is needed and sort
+        // keys never tie across shards. Each shard's outcome is read back
+        // from its segment scratch — no result channel on either routing
+        // path.
         merged.clear();
         let mut truncated = false;
         let mut stats = ExtractStats::default();
@@ -435,14 +429,21 @@ impl ExtractBackend for Generation {
                 merged.push(m);
             }
         }
-        merged.sort_unstable_by_key(Match::sort_key);
-        if let Some(cap) = limits.max_matches {
-            if merged.len() > cap {
-                merged.truncate(cap);
-                truncated = true;
+        match req.top_k {
+            // Each shard kept its own k best, which hold every pair of the
+            // dictionary-wide k best.
+            Some(k) => select_top_k(merged, k),
+            None => {
+                merged.sort_unstable_by_key(Match::sort_key);
+                // Each shard only capped its own stream: re-apply the match
+                // cap across the union.
+                if let Some(cap) = req.limits.max_matches.filter(|&cap| merged.len() > cap) {
+                    merged.truncate(cap);
+                    truncated = true;
+                    stats.matches = cap as u64;
+                }
             }
         }
-        stats.matches = merged.len() as u64;
         ScratchOutcome { matches: merged, truncated, stats, stages }
     }
 }

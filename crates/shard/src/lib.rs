@@ -5,15 +5,22 @@
 //! shard **against a single shared global token order** (so every shard
 //! sorts token sets identically — the invariant that makes per-shard prefix
 //! filtering equivalent to whole-dictionary prefix filtering), and answers
-//! `extract` by fanning the document out to all shards on a scoped thread
-//! pool and merging the per-shard match streams into the engine's stable
-//! `(span, entity)` order.
+//! an [`aeetes_core::ExtractRequest`] by running it over every shard —
+//! sequentially, or fanned out over the worker pool when the document is
+//! large enough — and merging the per-shard match streams into the
+//! request's order.
 //!
 //! Because the entity partition is disjoint, every `(entity, span)` match
 //! is produced by exactly one shard; the merged result is *bit-identical*
 //! to the monolithic [`aeetes_core::Aeetes`] engine over the same
-//! dictionary (per-shard variant ids are remapped back to the global
+//! dictionary for every request shape — strategy, metric, weighted rules,
+//! top-k — (per-shard variant ids are remapped back to the global
 //! derived-id space during the merge).
+//!
+//! The partition is fixed when the dictionary is built. A frozen artifact
+//! carries it as one segment per shard, and [`ShardedEngine::from_frozen`]
+//! — the one way from an artifact to an engine — adopts those segments in
+//! place or refuses the artifact; it never re-partitions on load.
 //!
 //! # Generations
 //!

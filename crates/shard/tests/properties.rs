@@ -1,21 +1,26 @@
 //! Property tests: the sharded engine is observationally identical to the
 //! monolithic engine — same matches, same scores, same variant ids — for
-//! random dictionaries, rules and documents, across all four filtering
-//! strategies and shard counts {1, 2, 7, 16}; updates applied as deltas
+//! random dictionaries, rules and documents, across every request shape
+//! (strategy × metric × weighted × top-k) and shard counts {1, 2, 3, 16},
+//! heap-built and frozen-adopted; updates applied as deltas
 //! equal a fresh rebuild of the updated dictionary — in what they extract,
 //! and byte for byte in what they store; the frozen artifact round-trips.
 
-use aeetes_core::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, FreezeSegment, FreezeSource, ShardedParts, Strategy};
+use aeetes_core::{
+    freeze_to_bytes, open_frozen_bytes, select_top_k, Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, FreezeSegment,
+    FreezeSource, Strategy,
+};
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_rules::{find_applications, DerivedDictionary, RuleSet};
 use aeetes_shard::{shard_of, DictDelta, RuleDelta, ShardedEngine};
+use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Tokenizer};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
-const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 16];
+const METRICS: [Metric; 4] = [Metric::Jaccard, Metric::Dice, Metric::Cosine, Metric::Overlap];
 
 fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, RuleSet, Interner, Tokenizer) {
     let mut interner = Interner::new();
@@ -187,25 +192,48 @@ proptest! {
         }
     }
 
-    /// The sharded engine returns bit-identical match sets to the single
-    /// engine for every strategy and shard count.
+    /// A generation — built on the heap or adopted from its own frozen
+    /// image, at every shard count — answers every request shape with the
+    /// matches, scores and variant ids the single engine returns; and a
+    /// top-k request returns what keeping the k best of the thresholded
+    /// answer would.
     #[test]
     fn sharded_equals_monolithic(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..8),
-                                 rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..4),
-                                 doc_text in "[a-h]( [a-h]){0,25}") {
-        let (dict, rules, mut interner, tokenizer) = corpus(&entities, &rule_pairs);
+                                 rule_triples in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}", 1u8..3), 0..4),
+                                 doc_text in "[a-h]( [a-h]){0,25}",
+                                 tau_idx in 0usize..3) {
+        let (dict, mut rules, mut interner, tokenizer) = corpus(&entities, &[]);
+        for (l, r, w) in &rule_triples {
+            let _ = rules.push_weighted_str(l, r, 1.0 / f64::from(*w), &tokenizer, &mut interner);
+        }
         let doc = Document::parse(&doc_text, &tokenizer, &mut interner);
-        for strategy in STRATEGIES {
-            let config = AeetesConfig { strategy, ..AeetesConfig::default() };
-            let mono = Aeetes::build(dict.clone(), &rules, &interner, config.clone());
-            for n in SHARD_COUNTS {
-                let sharded = ShardedEngine::build(dict.clone(), &rules, &interner, config.clone(), n);
-                let generation = sharded.snapshot();
-                for tau in [0.6, 0.8, 1.0] {
+        let tau = [0.6, 0.8, 1.0][tau_idx];
+        let mono = Aeetes::build(dict.clone(), &rules, &interner, AeetesConfig::default());
+        let generations: Vec<_> = SHARD_COUNTS
+            .iter()
+            .flat_map(|&n| {
+                let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
+                let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
+                [(n, "heap-built", built.snapshot()), (n, "frozen-adopted", adopted.snapshot())]
+            })
+            .collect();
+        let mut scratch = ExtractScratch::new();
+        let shapes = METRICS.iter().flat_map(|&metric| Strategy::ALL.map(|strategy| (metric, strategy)));
+        for ((metric, strategy), weighted) in shapes.flat_map(|shape| [(shape, false), (shape, true)]) {
+            let all = ExtractRequest { strategy: Some(strategy), metric: Some(metric), weighted, ..ExtractRequest::new(tau) };
+            let everything = mono.extract_request(&doc, &all, &mut scratch).matches.to_vec();
+            for top_k in [None, Some(1), Some(3)] {
+                let request = ExtractRequest { top_k, ..all };
+                let expected = mono.extract_request(&doc, &request, &mut scratch).matches.to_vec();
+                if let Some(k) = top_k {
+                    let mut naive = everything.clone();
+                    select_top_k(&mut naive, k);
+                    prop_assert_eq!(&expected, &naive, "pruned != naive: {:?}", request);
+                }
+                for (n, origin, generation) in &generations {
                     prop_assert_eq!(
-                        generation.extract_all(&doc, tau),
-                        mono.extract(&doc, tau),
-                        "strategy={:?} shards={} tau={}", strategy, n, tau
+                        generation.extract_request(&doc, &request, &mut scratch).matches, expected.as_slice(),
+                        "shards={} {} {:?}", n, origin, request
                     );
                 }
             }
@@ -261,8 +289,7 @@ proptest! {
         }
     }
 
-    /// The frozen artifact round-trips the engine: reopened at the stored
-    /// shard count, resharded, and collapsed to a single engine all extract
+    /// The frozen artifact round-trips the engine: reopened, it extracts
     /// identically.
     #[test]
     fn sharded_persistence_round_trip(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..6),
@@ -271,20 +298,12 @@ proptest! {
         let (dict, rules, interner, tokenizer) = corpus(&entities, &rule_pairs);
         let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 4);
         let bytes = engine.freeze();
-        let open = || open_frozen_bytes(&bytes).expect("open");
         let generation = engine.snapshot();
         let mut doc_int = generation.interner().clone();
         let doc = Document::parse(&doc_text, &tokenizer, &mut doc_int);
         let expected = generation.extract_all(&doc, 0.7);
 
-        let same = ShardedEngine::from_frozen(open(), None).expect("same count");
-        prop_assert_eq!(same.snapshot().extract_all(&doc, 0.7), expected.clone());
-
-        let resharded = ShardedEngine::from_frozen(open(), Some(9)).expect("resharded");
-        prop_assert_eq!(resharded.snapshot().extract_all(&doc, 0.7), expected.clone());
-
-        let (single, mut single_int) = ShardedParts::from(open()).into_single().expect("collapse");
-        let doc2 = Document::parse(&doc_text, &tokenizer, &mut single_int);
-        prop_assert_eq!(single.extract(&doc2, 0.7), expected);
+        let reopened = ShardedEngine::from_frozen(open_frozen_bytes(&bytes).expect("open"), None).expect("same count");
+        prop_assert_eq!(reopened.snapshot().extract_all(&doc, 0.7), expected);
     }
 }

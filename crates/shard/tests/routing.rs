@@ -7,7 +7,7 @@
 //! branch is reachable even on a single-core runner (first use wins, so
 //! all tests in this binary must agree on the count).
 
-use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractRequest, ExtractScratch, Strategy};
 use aeetes_pool::Pool;
 use aeetes_rules::RuleSet;
 use aeetes_shard::{DictDelta, ShardedEngine};
@@ -50,12 +50,13 @@ fn threshold_routes_by_cost_and_counts() {
     let fan_out = ExtractLimits { fanout_threshold: Some(0), ..ExtractLimits::UNLIMITED };
     let sequential = ExtractLimits { fanout_threshold: Some(u64::MAX), ..ExtractLimits::UNLIMITED };
 
+    let mut scratch = ExtractScratch::new();
     let (seq0, fan0) = generation.routing_stats();
-    assert_eq!(generation.extract_limited(&doc, 0.7, &fan_out, None).matches, expected);
+    assert_eq!(generation.extract_scratched(&doc, 0.7, &fan_out, None, &mut scratch).matches, expected);
     let (seq1, fan1) = generation.routing_stats();
     assert_eq!((seq1, fan1), (seq0, fan0 + 1), "threshold 0 must fan out");
 
-    assert_eq!(generation.extract_limited(&doc, 0.7, &sequential, None).matches, expected);
+    assert_eq!(generation.extract_scratched(&doc, 0.7, &sequential, None, &mut scratch).matches, expected);
     let (seq2, fan2) = generation.routing_stats();
     assert_eq!((seq2, fan2), (seq1 + 1, fan1), "threshold MAX must stay sequential");
 }
@@ -69,7 +70,7 @@ fn routing_counters_survive_generation_turnover() {
 
     let limits = ExtractLimits { fanout_threshold: Some(u64::MAX), ..ExtractLimits::UNLIMITED };
     let before = engine.snapshot();
-    before.extract_limited(&doc, 0.7, &limits, None);
+    before.extract_scratched(&doc, 0.7, &limits, None, &mut ExtractScratch::new());
     let (seq_before, _) = before.routing_stats();
     assert!(seq_before >= 1);
 
@@ -82,13 +83,15 @@ fn routing_counters_survive_generation_turnover() {
 proptest! {
     /// Routing is invisible in the output: for every threshold (always
     /// fan out, never, default cost rule) the sharded result is
-    /// bit-identical to the monolithic engine across strategies.
+    /// bit-identical to the monolithic engine across strategies, for
+    /// thresholded and top-k requests alike.
     #[test]
     fn routing_is_bit_identical(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..8),
                                 rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..4),
                                 doc_text in "[a-h]( [a-h]){0,25}",
                                 strategy_idx in 0usize..4,
-                                shards_idx in 0usize..3) {
+                                shards_idx in 0usize..3,
+                                top_k in 0usize..4) {
         let _ = pool();
         let shards = [2, 4, 7][shards_idx];
         let strategy = STRATEGIES[strategy_idx];
@@ -98,14 +101,17 @@ proptest! {
         let mono = Aeetes::build(dict.clone(), &rules, &interner, config.clone());
         let sharded = ShardedEngine::build(dict, &rules, &interner, config, shards);
         let generation = sharded.snapshot();
+        let top_k = (top_k > 0).then_some(top_k);
+        let mut scratch = ExtractScratch::new();
         for tau in [0.6, 0.8, 1.0] {
-            let expected = mono.extract_limited(&doc, tau, &ExtractLimits::UNLIMITED, None);
+            let request = ExtractRequest { top_k, ..ExtractRequest::new(tau) };
+            let expected = mono.extract_request(&doc, &request, &mut scratch).to_outcome();
             for threshold in THRESHOLDS {
                 let limits = ExtractLimits { fanout_threshold: threshold, ..ExtractLimits::UNLIMITED };
-                let got = generation.extract_limited(&doc, tau, &limits, None);
+                let got = generation.extract_request(&doc, &ExtractRequest { limits, ..request }, &mut scratch);
                 prop_assert_eq!(
-                    &got.matches, &expected.matches,
-                    "strategy={:?} shards={} tau={} threshold={:?}", strategy, shards, tau, threshold
+                    got.matches, expected.matches.as_slice(),
+                    "strategy={:?} shards={} tau={} top_k={:?} threshold={:?}", strategy, shards, tau, top_k, threshold
                 );
                 prop_assert_eq!(got.truncated, expected.truncated);
             }

@@ -1,12 +1,10 @@
 //! Biomedical-style extraction on a synthetic PubMed-like corpus: measures
-//! how much recall the synonym rules buy over purely syntactic matching,
-//! and how fuzzy verification additionally recovers typo'd mentions —
+//! how much recall the synonym rules buy over purely syntactic matching —
 //! the paper's §1 motivation ("Mitochondrial Disease" vs "Oxidative
 //! Phosphorylation Deficiency") at corpus scale.
 //!
 //! Run with: `cargo run --example biomedical --release`
 
-use aeetes::core::{extract_fuzzy, FuzzyConfig};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
 use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, RuleSet};
 
@@ -28,8 +26,6 @@ fn main() {
 
     let mut recall_with = Recall::default();
     let mut recall_without = Recall::default();
-    let mut fuzzy_hits = 0usize;
-    let mut typo_gold = 0usize;
 
     for (doc_id, doc) in data.documents.iter().enumerate() {
         let found_with = suppress_overlaps(with_rules.extract(doc, tau));
@@ -38,16 +34,6 @@ fn main() {
             recall_with.tally(g.form, found_with.iter().any(|m| m.entity == g.entity && m.span == g.span));
             recall_without.tally(g.form, found_without.iter().any(|m| m.entity == g.entity && m.span == g.span));
         }
-        // Fuzzy pass over typo'd gold only (expensive: run on a sample).
-        if doc_id < 10 {
-            let fuzzy = extract_fuzzy(&with_rules, doc, &data.interner, FuzzyConfig { delta: 0.8, tau });
-            for g in data.gold_for(doc_id).filter(|g| g.form == MentionForm::Typo) {
-                typo_gold += 1;
-                if fuzzy.iter().any(|m| m.entity == g.entity && m.span == g.span) {
-                    fuzzy_hits += 1;
-                }
-            }
-        }
     }
 
     println!("\nrecall of gold mentions at τ = {tau}:");
@@ -55,7 +41,6 @@ fn main() {
     for form in [MentionForm::Exact, MentionForm::Synonym, MentionForm::Noisy] {
         println!("  {:8} {:>10.3} {:>14.3}", format!("{form:?}"), recall_with.rate(form), recall_without.rate(form));
     }
-    println!("\nfuzzy verification recovered {fuzzy_hits}/{typo_gold} typo'd mentions (first 10 docs)");
 
     // The headline claim: synonym rules rescue the synonym-form mentions.
     assert!(recall_with.rate(MentionForm::Exact) > 0.95);

@@ -9,9 +9,17 @@
 
 use aeetes::core::mention_report;
 use aeetes::datagen::{generate, DatasetProfile};
-use aeetes::extract_batch;
-use aeetes::{Aeetes, AeetesConfig};
+use aeetes::{extract_batch_with, Aeetes, AeetesConfig, BatchOptions, Document, Match};
 use std::time::Instant;
+
+/// The matches of every document, extracted on `threads` pool workers.
+fn batch(engine: &Aeetes, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>> {
+    let opts = BatchOptions { threads, ..BatchOptions::default() };
+    extract_batch_with(engine, docs, tau, &opts)
+        .into_iter()
+        .map(|doc| doc.expect("no document panics or is cancelled").matches)
+        .collect()
+}
 
 fn main() {
     let data = generate(&DatasetProfile::usjob_like().scaled(0.05), 7);
@@ -39,10 +47,10 @@ fn main() {
 
     // --- The same extraction fanned out over worker threads. ---
     let t = Instant::now();
-    let serial = extract_batch(&engine, &data.documents, tau, 1);
+    let serial = batch(&engine, &data.documents, tau, 1);
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let parallel = extract_batch(&engine, &data.documents, tau, 4);
+    let parallel = batch(&engine, &data.documents, tau, 4);
     let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(serial, parallel, "parallel batch must match serial results");
     println!(

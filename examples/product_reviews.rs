@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --example product_reviews`
 
-use aeetes::core::extract_top_k;
-use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, Document, Interner, RuleSet, Tokenizer};
+use aeetes::{
+    suppress_overlaps, Aeetes, AeetesConfig, Dictionary, Document, ExtractBackend, ExtractRequest, ExtractScratch, Interner, RuleSet, Tokenizer,
+};
 
 fn main() {
     let mut interner = Interner::new();
@@ -68,9 +69,11 @@ fn main() {
 
     // Top-k: the single most confident mention in a noisy review.
     let doc = Document::parse("torn between the galaxy s24 ultra the pixel 8 pro and honestly the macbook pro 14 inch", &tokenizer, &mut interner);
-    let top = extract_top_k(&engine, &doc, 3, 0.6);
+    let top_3 = ExtractRequest { top_k: Some(3), ..ExtractRequest::new(0.6) };
+    let mut scratch = ExtractScratch::new();
+    let top = engine.extract_request(&doc, &top_3, &mut scratch).matches;
     println!("top-3 mentions in the comparison review:");
-    for m in &top {
+    for m in top {
         println!("    {:5.3}  \"{}\"  →  {}", m.score, doc.text_of(m.span).unwrap_or("<span>"), engine.dictionary().record(m.entity).raw,);
     }
     assert_eq!(top.len(), 3);

@@ -69,10 +69,10 @@ pub use aeetes_text as text;
 
 pub use aeetes_cluster::{run_fleet, FleetOptions, FleetSummary, ReplicaSpec};
 pub use aeetes_core::{
-    extract_fuzzy, extract_top_k, extract_top_k_with, freeze_to_bytes, mention_report, open_frozen, open_frozen_bytes, select_top_k,
-    suppress_overlaps, Aeetes, AeetesConfig, EditIndex, EditMatch, ExtractStats, FuzzyConfig, Match, MentionReport, PersistError, Strategy,
+    extract_top_k_with, freeze_to_bytes, mention_report, open_frozen, open_frozen_bytes, select_top_k, suppress_overlaps, Aeetes, AeetesConfig,
+    BatchOptions, ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, MentionReport, PersistError, Strategy,
 };
-pub use aeetes_pool::{extract_batch, extract_batch_with, Pool};
+pub use aeetes_pool::{extract_batch_with, Pool};
 pub use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
 pub use aeetes_shard::{ActivateError, DictDelta, RuleDelta, ShardedEngine};
 pub use aeetes_sim::Metric;

@@ -2,9 +2,12 @@
 //! agree exactly, and every exact or synonym-rewritten gold mention must be
 //! recovered with a perfect score.
 
-use aeetes::core::{peek_info, ExtractBackend, ExtractLimits, ExtractStats, FreezeSegment, FreezeSource};
+use aeetes::core::{peek_info, ExtractLimits, ExtractStats, FreezeSegment, FreezeSource};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
-use aeetes::{freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ShardedEngine, Strategy};
+use aeetes::{
+    freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ExtractBackend, ExtractRequest,
+    ExtractScratch, ShardedEngine, Strategy,
+};
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -137,7 +140,9 @@ fn weighted_defaults_to_unweighted_with_unit_weights() {
     for (engine, data) in engines() {
         let doc = &data.documents[0];
         let plain = engine.extract(doc, 0.8);
-        let (weighted, _) = engine.extract_weighted(doc, 0.8);
+        let request = ExtractRequest { weighted: true, ..ExtractRequest::new(0.8) };
+        let mut scratch = ExtractScratch::new();
+        let weighted = engine.extract_request(doc, &request, &mut scratch).matches;
         assert_eq!(plain, weighted, "{}: all generated rules have weight 1.0", data.name);
     }
 }
@@ -171,11 +176,12 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
         };
         let (one, two) = (adopted(1), adopted(2));
         let mut totals = [ExtractStats::default(); 3];
+        let mut scratch = ExtractScratch::new();
         for doc in &data.documents {
             let (want, stats) = heap.extract_with(doc, tau, strategy);
             totals[0] += stats;
             for (slot, generation) in [&one, &two].into_iter().enumerate() {
-                let out = generation.extract_limited(doc, tau, &ExtractLimits::UNLIMITED, None);
+                let out = generation.extract_scratched(doc, tau, &ExtractLimits::UNLIMITED, None, &mut scratch);
                 assert_eq!(out.matches, want, "{strategy}: frozen-adopted {}-shard engine", slot + 1);
                 totals[slot + 1] += out.stats;
             }

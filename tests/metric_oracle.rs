@@ -6,7 +6,7 @@
 use aeetes::rules::{DeriveConfig, DerivedDictionary, RuleSet};
 use aeetes::sim::{sorted_set, Metric};
 use aeetes::text::{Dictionary, Document, Interner, TokenId};
-use aeetes::{Aeetes, AeetesConfig};
+use aeetes::{Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -93,10 +93,11 @@ proptest! {
         let engine = Aeetes::build(dict.clone(), &rules, &_int, AeetesConfig::default());
         for metric in Metric::ALL {
             let expected = brute_force(&dict, &dd, &doc, tau, metric);
+            let request = ExtractRequest { metric: Some(metric), ..ExtractRequest::new(tau) };
             let got: Vec<(u32, u32, u32, f64)> = engine
-                .extract_with_metric(&doc, tau, metric)
-                .0
-                .into_iter()
+                .extract_request(&doc, &request, &mut ExtractScratch::new())
+                .matches
+                .iter()
                 .map(|m| (m.span.start, m.span.len, m.entity.0, m.score))
                 .collect();
             prop_assert_eq!(got.len(), expected.len(), "{} tau {}: {:?} vs {:?}", metric, tau, got, expected);
