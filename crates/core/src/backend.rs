@@ -5,7 +5,7 @@
 //! method, running inside a caller-owned scratch — is how every engine
 //! answers it. [`extract_segment_scratched`] is the single code path
 //! underneath: the paper's generate → verify pipeline (or the bound-pruned
-//! top-k scan) over one clustered index + derived dictionary pair. The
+//! top-k scan) over one clustered index + variant table pair. The
 //! monolithic [`Aeetes`] engine runs it over its only segment; a sharded
 //! generation (crate `aeetes-shard`) runs it once per shard and merges.
 //! Everything else that extracts — [`Aeetes::extract`], batches, streams,
@@ -22,7 +22,7 @@ use crate::strategy::{generate, Strategy};
 use crate::topk::top_k_segment;
 use crate::verify::verify_candidates;
 use aeetes_index::ClusteredIndex;
-use aeetes_rules::DerivedDictionary;
+use aeetes_rules::VariantTable;
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document};
 
@@ -86,7 +86,7 @@ impl ExtractRequest<'_> {
 #[allow(clippy::too_many_arguments)]
 pub fn extract_segment(
     index: &ClusteredIndex,
-    dd: &DerivedDictionary,
+    dd: &VariantTable,
     doc: &Document,
     tau: f64,
     strategy: Strategy,
@@ -132,7 +132,7 @@ pub fn extract_segment(
 /// Panics when `req.tau` is not in `(0, 1]`.
 pub fn extract_segment_scratched(
     index: &ClusteredIndex,
-    dd: &DerivedDictionary,
+    dd: &VariantTable,
     doc: &Document,
     req: &ExtractRequest<'_>,
     config: &AeetesConfig,

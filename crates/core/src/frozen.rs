@@ -1,23 +1,23 @@
-//! Frozen AEET v6: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v7: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
-//! The off-line product (derived dictionary + clustered index, paper §3/§5)
-//! is built once and shipped; a format that had to *rebuild* the index on
-//! load would make every restart pay seconds of CPU and every serve process
-//! hold a private copy. The frozen layout instead lays every large structure
-//! (interner string table, global order, derived dictionary, clustered
-//! index) out as flat little-endian arrays at 16-byte-aligned offsets, so
-//! an engine can `mmap` the file, validate it, and serve its first request
-//! in milliseconds — and N serve processes on one host share a single page
-//! cache image instead of N private heaps. Files carrying any other version
-//! word (the retired v1–v5 layouts, or a future one) are refused with
+//! The off-line product (clustered index, paper §3/§5) is built once and
+//! shipped; a format that had to *rebuild* the index on load would make
+//! every restart pay seconds of CPU and every serve process hold a private
+//! copy. The frozen layout instead lays every large structure (interner
+//! string table, global order, clustered index) out as flat little-endian
+//! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
+//! validate it, and serve its first request in milliseconds — and N serve
+//! processes on one host share a single page cache image instead of N
+//! private heaps. Files carrying any other version word (the retired v1–v6
+//! layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 6
+//! [ 4.. 8)  version u32 = 7
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -36,15 +36,14 @@
 //! the global sections carry the META blob (rules, config, counts — small,
 //! decoded once), the origin dictionary's four arenas, the interner's
 //! string arena/offsets/hash table and the global order's three arrays;
-//! each shard segment carries the seven flat arrays of its derived
-//! dictionary and the ten of its clustered index. Offsets are validated
-//! against the file bounds and the 16-byte alignment rule, every prefix
-//! array is re-validated structurally on open
-//! ([`Dictionary::from_raw_arenas`], [`DerivedDictionary::from_raw_arenas`],
-//! [`ClusteredIndex::from_raw_parts`], [`GlobalOrder::from_raw_parts`],
-//! `FrozenStrings::new`), and the whole-file CRC is checked first — a
-//! truncated or bit-flipped artifact yields a clean [`PersistError`],
-//! never a panic or an out-of-bounds read.
+//! each shard segment carries the ten flat arrays of its clustered index
+//! and the two of its variant table. Offsets are validated against the file
+//! bounds and the 16-byte alignment rule, every prefix array is
+//! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
+//! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
+//! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`), and the
+//! whole-file CRC is checked first — a truncated or bit-flipped artifact
+//! yields a clean [`PersistError`], never a panic or an out-of-bounds read.
 //!
 //! ## Sections
 //!
@@ -52,7 +51,8 @@
 //! width`. Bytes below are what `aeetes dict info` prints (per-segment
 //! sections summed) for `aeetes generate --seed 12` dictionaries built with
 //! `aeetes build`: pubmed and dbworld at scale 1.0 in one segment, usjob at
-//! scale 0.25 in two. `a → b` is v5 → v6; everything else is unchanged.
+//! scale 0.25 in two. `a → b` is v6 → v7 (`–`: the section is gone);
+//! everything else is unchanged.
 //!
 //! ```text
 //! section             element width                     pubmed                 dbworld                     usjob
@@ -67,45 +67,57 @@
 //! order.freq          u32     4                         36 556                  18 276                    14 164
 //! order.key           u32     4                         36 556                  18 276                    14 164
 //! order.untie         u32     4                         36 348                  18 276                    14 164
-//! dd.origin           u32     4                        293 160                 295 996                 1 674 080
-//! dd.weight           f64     8                        586 320                 591 992                 3 348 160
-//! dd.tokens           u32     4                        992 536               1 068 840                12 419 848
-//! dd.tok_off          u32     4                        293 164                 296 000                 1 674 088
-//! dd.rules            u32     4                        248 940                 373 140                 2 765 220
-//! dd.rule_off         u32     4                        293 164                 296 000                 1 674 088
+//! dd.origin           u32     4                    293 160 → –             295 996 → –             1 674 080 → –
+//! dd.weight           f64     8                    586 320 → 0             591 992 → 0             3 348 160 → 0
+//! dd.tokens           u32     4                    992 536 → –           1 068 840 → –            12 419 848 → –
+//! dd.tok_off          u32     4                    293 164 → –             296 000 → –             1 674 088 → –
+//! dd.rules            u32     4                    248 940 → –             373 140 → –             2 765 220 → –
+//! dd.rule_off         u32     4                    293 164 → –             296 000 → –             1 674 088 → –
 //! dd.by_origin        u32     4                         80 004                  48 004                    60 008
 //! ix.tok_groups       u32     4                         36 560                  18 280                    28 336
 //! ix.group_len        u16     2                         50 534                  32 592                    60 894
 //! ix.group_origins    u32     4                        101 072                  65 188                   121 796
 //! ix.origin_entity    u32     4                        733 768                 603 584                 2 263 208
 //! ix.origin_entries   u32     4                        733 772                 603 588                 2 263 216
-//! ix.positions        u16     8 → 2        1 984 928 → 496 232     2 136 568 → 534 142    24 823 880 → 6 205 970
-//! ix.set_data         u32     8 → 4        1 984 928 → 992 464   2 136 568 → 1 068 284   24 823 880 → 12 411 940
+//! ix.positions        u16     2                        496 232                 534 142                 6 205 970
+//! ix.set_data         u32     4                        992 464               1 068 284                12 411 940
 //! ix.set_offsets      u32     4                        293 164                 296 000                 1 674 088
 //! ix.variants_by_len  u32     4                        293 160                 295 996                 1 674 080
 //! ix.origin_offsets   u32     4                         80 004                  48 004                    60 008
-//! whole file                            10 579 432 → 8 098 280  10 094 792 → 7 424 072   82 538 920 → 51 509 080
+//! whole file                             8 098 280 → 5 390 840   7 424 072 → 4 501 944   51 509 080 → 27 953 304
 //! ```
 //!
-//! What v6 changed is the two index arenas that were three fifths of a
-//! large artifact:
+//! What v7 dropped is the derive output the index was built from. Candidate
+//! generation reads `ix.*`, verification merges a window against
+//! `ix.set_data`; of a variant's derivation, extraction reads only which
+//! origin owns its id (`dd.by_origin`, checked on open to equal
+//! `ix.origin_offsets` element for element) and, for weighted requests, its
+//! weight:
 //!
-//! * **`ix.positions`** (v5 `ix.entries`): a posting is the token's position
-//!   in its variant's ordered set and nothing else. v5 also stored the
-//!   variant's derived id (and two bytes of padding); nothing read it —
-//!   candidate generation compares the position with the prefix length, and
-//!   verification enumerates a candidate origin's variants through
-//!   `ix.variants_by_len`, not through postings.
-//! * **`ix.set_data`** and **`order.key`** (v5 `order.tie`): a key is a `u32`.
-//!   A valid token — one occurring in some derived entity — keys as
-//!   [`aeetes_index::VALID_BIT`] `| rank`, its dense rank in ascending
-//!   `(frequency, string)` order; `order.untie` maps ranks back to tokens.
-//!   Any other token keys as its own id, which is why token ids stop at 2³¹
-//!   ([`TokenId::LIMIT`]): every invalid key sorts below every valid one. A
-//!   dictionary delta leaves existing keys as they are and ranks tokens it
-//!   makes valid after all existing ones, until the next full build. v5
-//!   packed `frequency << 32 | string rank` into a `u64`; the order of keys
-//!   from a full build is the same.
+//! * **`dd.weight`** holds one `f64` per variant in a segment where some
+//!   variant weighs other than `1.0`, and nothing otherwise — a function of
+//!   the segment's variants alone, so a delta's splice and a rebuild agree
+//!   on it. The generated corpora carry unit weights throughout.
+//! * **`dd.tokens`/`dd.tok_off`** were the sequences `ix.set_data` stores as
+//!   ordered key sets; **`dd.rules`/`dd.rule_off`** and **`dd.origin`** had
+//!   no reader once the index was built. All of it is a pure function of
+//!   (origin tokens, rule table, derive config) — `dict.*` and META carry
+//!   those — so re-deriving one origin
+//!   ([`aeetes_rules::DerivedDictionary::build_filtered`], at most 256
+//!   variants) reproduces its variants in id order on any generation.
+//!
+//! A key in **`ix.set_data`** and **`order.key`** is a `u32`. A valid token
+//! — one occurring in some derived entity — keys as
+//! [`aeetes_index::VALID_BIT`] `| rank`, its dense rank in ascending
+//! `(frequency, string)` order; `order.untie` maps ranks back to tokens. Any
+//! other token keys as its own id, which is why token ids stop at 2³¹
+//! ([`TokenId::LIMIT`]): every invalid key sorts below every valid one. A
+//! dictionary delta leaves existing keys as they are and ranks tokens it
+//! makes valid after all existing ones, until the next full build. A posting
+//! in **`ix.positions`** is the token's position in its variant's ordered
+//! set and nothing else: candidate generation compares it with the prefix
+//! length, and verification enumerates a candidate origin's variants
+//! through `ix.variants_by_len`, not through postings.
 //!
 //! ## Mmap vs heap fallback
 //!
@@ -120,7 +132,7 @@ use crate::failpoint;
 use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
-use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet};
+use aeetes_rules::{DeriveStats, DerivedId, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
 use std::collections::HashMap;
 use std::path::Path;
@@ -136,7 +148,7 @@ const SECTION_ALIGN: usize = 16;
 /// `seg` value marking a global (non-per-segment) section.
 const GLOBAL_SEG: u32 = u32::MAX;
 /// Backstop against forged section counts (a real artifact has
-/// `11 + 17 × shards` sections and shards are capped at 64).
+/// `11 + 12 × shards` sections and shards are capped at 64).
 const MAX_SECTIONS: usize = 1 << 16;
 
 // Global section kinds.
@@ -152,13 +164,8 @@ const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
 const SEC_DICT_TOKENS: u32 = 32;
 const SEC_DICT_TOKOFF: u32 = 33;
-// Per-segment derived-dictionary sections.
-const SEC_DD_ORIGIN: u32 = 10;
+// Per-segment variant-table sections (mirror `VariantTable::raw_arenas`).
 const SEC_DD_WEIGHT: u32 = 11;
-const SEC_DD_TOKENS: u32 = 12;
-const SEC_DD_TOKOFF: u32 = 13;
-const SEC_DD_RULES: u32 = 14;
-const SEC_DD_RULEOFF: u32 = 15;
 const SEC_DD_BYORIGIN: u32 = 16;
 // Per-segment clustered-index sections.
 const SEC_IX_TOKGROUPS: u32 = 20;
@@ -185,13 +192,8 @@ const GLOBAL_KINDS: [u32; 11] = [
     SEC_DICT_TOKENS,
     SEC_DICT_TOKOFF,
 ];
-const SEGMENT_KINDS: [u32; 17] = [
-    SEC_DD_ORIGIN,
+const SEGMENT_KINDS: [u32; 12] = [
     SEC_DD_WEIGHT,
-    SEC_DD_TOKENS,
-    SEC_DD_TOKOFF,
-    SEC_DD_RULES,
-    SEC_DD_RULEOFF,
     SEC_DD_BYORIGIN,
     SEC_IX_TOKGROUPS,
     SEC_IX_GROUPLEN,
@@ -219,12 +221,7 @@ pub fn section_kind_name(kind: u32) -> &'static str {
         SEC_DICT_RAWOFF => "dict.raw_off",
         SEC_DICT_TOKENS => "dict.tokens",
         SEC_DICT_TOKOFF => "dict.tok_off",
-        SEC_DD_ORIGIN => "dd.origin",
         SEC_DD_WEIGHT => "dd.weight",
-        SEC_DD_TOKENS => "dd.tokens",
-        SEC_DD_TOKOFF => "dd.tok_off",
-        SEC_DD_RULES => "dd.rules",
-        SEC_DD_RULEOFF => "dd.rule_off",
         SEC_DD_BYORIGIN => "dd.by_origin",
         SEC_IX_TOKGROUPS => "ix.tok_groups",
         SEC_IX_GROUPLEN => "ix.group_len",
@@ -240,11 +237,11 @@ pub fn section_kind_name(kind: u32) -> &'static str {
     }
 }
 
-/// One shard segment to freeze: its derived dictionary and index (built
-/// against the [`FreezeSource::order`]).
+/// One shard segment to freeze: its variant table and index (built against
+/// the [`FreezeSource::order`]). A `&DerivedDictionary` coerces to its table.
 pub struct FreezeSegment<'a> {
-    /// The segment's derived dictionary.
-    pub dd: &'a DerivedDictionary,
+    /// The segment's variant table.
+    pub dd: &'a VariantTable,
     /// The segment's clustered index.
     pub index: &'a ClusteredIndex,
 }
@@ -270,11 +267,11 @@ pub struct FreezeSource<'a> {
     pub segments: Vec<FreezeSegment<'a>>,
 }
 
-/// One decoded shard segment of an opened artifact: the derived dictionary
-/// and clustered index, their arenas borrowing the file image.
+/// One decoded shard segment of an opened artifact: the variant table and
+/// clustered index, their arenas borrowing the file image.
 pub struct FrozenSegmentParts {
-    /// The segment's derived dictionary (frozen arenas).
-    pub dd: DerivedDictionary,
+    /// The segment's variant table (frozen arenas).
+    pub dd: VariantTable,
     /// The segment's clustered index (frozen arenas).
     pub index: ClusteredIndex,
 }
@@ -329,27 +326,6 @@ fn encode_meta(src: &FreezeSource<'_>) -> Vec<u8> {
     meta
 }
 
-/// A segment's rule provenance restricted to ids the rule table resolves,
-/// or `None` when every id already does (the arenas are written as they
-/// stand). The derived dictionary can carry ids the supplied table cannot
-/// resolve (frozen with a different or empty table); a frozen artifact must
-/// be self-consistent — the opener rejects dangling cross-references — so
-/// those are dropped.
-fn resolvable_rules(dd: &DerivedDictionary, n_rules: u32) -> Option<(Vec<RuleId>, Vec<u32>)> {
-    let (_, _, _, _, rules, rule_off, _) = dd.raw_arenas();
-    if rules.iter().all(|r| r.0 < n_rules) {
-        return None;
-    }
-    let mut kept: Vec<RuleId> = Vec::with_capacity(rules.len());
-    let mut offs: Vec<u32> = Vec::with_capacity(rule_off.len());
-    offs.push(0);
-    for win in rule_off.windows(2) {
-        kept.extend(rules[win[0] as usize..win[1] as usize].iter().filter(|r| r.0 < n_rules));
-        offs.push(kept.len() as u32);
-    }
-    Some((kept, offs))
-}
-
 /// Serializes `src` into a standalone artifact (see the module docs for the
 /// layout). The inverse of [`open_frozen_bytes`].
 ///
@@ -368,8 +344,6 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let meta = encode_meta(src);
     // Interner: canonical frozen string table over the full id space.
     let strings = FrozenStrings::from_strings(src.interner.iter_strings());
-    let n_rules = src.rules.len() as u32;
-    let filtered: Vec<Option<(Vec<RuleId>, Vec<u32>)>> = src.segments.iter().map(|seg| resolvable_rules(seg.dd, n_rules)).collect();
 
     // Origin dictionary: its four arenas verbatim, so the opener can
     // validate them with linear scans and adopt them with four copies
@@ -389,19 +363,13 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         (SEC_ORD_KEY, GLOBAL_SEG, pod_bytes(key)),
         (SEC_ORD_UNTIE, GLOBAL_SEG, pod_bytes(untie)),
     ];
-    for (i, (seg, filtered)) in src.segments.iter().zip(&filtered).enumerate() {
+    for (i, seg) in src.segments.iter().enumerate() {
         let s = i as u32;
-        let (origin, weight, tokens, tok_off, rules, rule_off, by_origin) = seg.dd.raw_arenas();
-        let (rules, rule_off) = filtered.as_ref().map_or((rules, rule_off), |(kept, offs)| (kept, offs));
+        let (by_origin, weight) = seg.dd.raw_arenas();
         let ix = seg.index.raw_parts();
         sections.extend([
-            (SEC_DD_ORIGIN, s, pod_bytes(origin)),
-            (SEC_DD_WEIGHT, s, pod_bytes(weight)),
-            (SEC_DD_TOKENS, s, pod_bytes(tokens)),
-            (SEC_DD_TOKOFF, s, pod_bytes(tok_off)),
-            (SEC_DD_RULES, s, pod_bytes(rules)),
-            (SEC_DD_RULEOFF, s, pod_bytes(rule_off)),
             (SEC_DD_BYORIGIN, s, pod_bytes(by_origin)),
+            (SEC_DD_WEIGHT, s, pod_bytes(weight)),
             (SEC_IX_TOKGROUPS, s, pod_bytes(ix.tok_groups)),
             (SEC_IX_GROUPLEN, s, pod_bytes(ix.group_len)),
             (SEC_IX_GROUPORIG, s, pod_bytes(ix.group_origins)),
@@ -457,7 +425,7 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
 }
 
 /// Checks the magic and the version word. The opener runs this *before* the
-/// CRC so that a file of another format version — a retired v1–v4 artifact,
+/// CRC so that a file of another format version — a retired v1–v6 artifact,
 /// whose footer (if any) means something else — is named as such instead of
 /// being reported as corruption.
 fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
@@ -672,12 +640,11 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         return Err(corrupt(format!("{} trailing bytes in meta section", r.buf.len())));
     }
 
-    // Segments: reassemble each derived dictionary + index from its arenas,
+    // Segments: reassemble each variant table + index from its arenas,
     // with full structural validation, then cross-check the pieces agree.
     // Segments are independent, and the validation scans are the bulk of a
     // large artifact's open cost, so they run on scoped threads; errors are
     // surfaced in segment order to keep failures deterministic.
-    let n_rules = rules.len() as u32;
     let dict_len = dict.len();
     let parallel = table.segments > 1 && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
     let seg_results: Vec<Result<FrozenSegmentParts, PersistError>> = if parallel {
@@ -687,7 +654,7 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
                 .enumerate()
                 .map(|(s, st)| {
                     let (buf, table, order) = (&buf, &table, &order);
-                    sc.spawn(move || open_segment(buf, table, order, s as u32, st, n_tokens, dict_len, n_rules))
+                    sc.spawn(move || open_segment(buf, table, order, s as u32, st, dict_len))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("segment validation worker")).collect()
@@ -696,7 +663,7 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         stats
             .into_iter()
             .enumerate()
-            .map(|(s, st)| open_segment(&buf, &table, &order, s as u32, st, n_tokens, dict_len, n_rules))
+            .map(|(s, st)| open_segment(&buf, &table, &order, s as u32, st, dict_len))
             .collect()
     };
     let mut segments = Vec::with_capacity(table.segments);
@@ -709,56 +676,22 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 }
 
 /// Reassembles and validates one frozen segment (see [`open_frozen_buf`]).
-#[allow(clippy::too_many_arguments)]
 fn open_segment(
     buf: &Arc<FrozenBuf>,
     table: &SectionTable,
     order: &Arc<GlobalOrder>,
     s: u32,
     st: DeriveStats,
-    n_tokens: u32,
     dict_len: usize,
-    n_rules: u32,
 ) -> Result<FrozenSegmentParts, PersistError> {
-    let dd = DerivedDictionary::from_raw_arenas(
-        table.slice::<EntityId>(buf, SEC_DD_ORIGIN, s)?.into(),
-        table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(),
-        table.slice::<TokenId>(buf, SEC_DD_TOKENS, s)?.into(),
-        table.slice::<u32>(buf, SEC_DD_TOKOFF, s)?.into(),
-        table.slice::<RuleId>(buf, SEC_DD_RULES, s)?.into(),
-        table.slice::<u32>(buf, SEC_DD_RULEOFF, s)?.into(),
-        table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?.into(),
-        st,
-    )
-    .map_err(|e| corrupt(format!("segment {s} derived dictionary: {e}")))?;
+    let dd =
+        VariantTable::from_raw_arenas(table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?.into(), table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(), st)
+            .map_err(|e| corrupt(format!("segment {s} variant table: {e}")))?;
     // A segment predating a dictionary-growing delta legitimately spans
     // a shorter origin space (origins beyond it have no variants there);
     // spanning more origins than the dictionary is always corruption.
     if dd.origins() > dict_len {
         return Err(corrupt(format!("segment {s} spans {} origins, dictionary holds only {dict_len}", dd.origins())));
-    }
-    // Range checks over the large arenas run branchless (fold, then one
-    // test) so they vectorize; the offending element is only hunted down
-    // on the already-failed path.
-    let (_, weights, tokens, tok_off, rule_ids, _, _) = dd.raw_arenas();
-    // The index addresses positions inside a variant's distinct set with
-    // u16, so no variant may be longer than that — else re-bucketing this
-    // artifact would ask the index build for a set it cannot address.
-    if tok_off.windows(2).map(|w| w[1] - w[0]).max().is_some_and(|m| m > u32::from(u16::MAX)) {
-        let i = tok_off.windows(2).position(|w| w[1] - w[0] > u32::from(u16::MAX)).expect("max out of range");
-        return Err(corrupt(format!("segment {s} variant {i} holds more than {} tokens", u16::MAX)));
-    }
-    if tokens.iter().map(|t| t.0).max().is_some_and(|m| m >= n_tokens) {
-        let t = tokens.iter().map(|t| t.0).find(|&t| t >= n_tokens).expect("max out of range");
-        return Err(corrupt(format!("segment {s} references token {t} outside the interner ({n_tokens})")));
-    }
-    if !weights.iter().fold(true, |ok, &w| ok & (w > 0.0) & (w <= 1.0)) {
-        let (i, w) = weights.iter().enumerate().find(|(_, &w)| !(w > 0.0 && w <= 1.0)).expect("weight out of range");
-        return Err(corrupt(format!("segment {s} variant {i} weight {w} outside (0, 1]")));
-    }
-    if rule_ids.iter().map(|r| r.0).max().is_some_and(|m| m >= n_rules) {
-        let r = rule_ids.iter().map(|r| r.0).find(|&r| r >= n_rules).expect("max out of range");
-        return Err(corrupt(format!("segment {s} references rule {r} outside the rule table ({n_rules})")));
     }
     let index = ClusteredIndex::from_raw_parts(
         Arc::clone(order),
@@ -776,21 +709,20 @@ fn open_segment(
         },
     )
     .map_err(|e| corrupt(format!("segment {s} index: {e}")))?;
-    // Cross-structure agreement: the index must describe exactly this
-    // segment's derived space and the dictionary's origin space.
-    if index.raw_parts().set_offsets.len() != dd.len() + 1 {
-        return Err(corrupt(format!(
-            "segment {s} index covers {} derived entities, dictionary holds {}",
-            index.raw_parts().set_offsets.len().saturating_sub(1),
-            dd.len()
-        )));
-    }
-    if index.raw_parts().origin_offsets.len() != dd.origins() + 1 {
-        return Err(corrupt(format!(
-            "segment {s} variant table covers {} origins, its dictionary segment spans {}",
-            index.raw_parts().origin_offsets.len().saturating_sub(1),
-            dd.origins()
-        )));
+    // Cross-structure agreement: the two views of which variant ids an
+    // origin owns must be one — a shard merge takes a range start from the
+    // table and subtracts it from an id drawn through the index.
+    let (by_origin, ix_origins) = (dd.raw_arenas().0, index.raw_parts().origin_offsets);
+    if by_origin != ix_origins {
+        return Err(corrupt(match by_origin.iter().zip(ix_origins).position(|(a, b)| a != b) {
+            Some(i) => format!(
+                "segment {s} origin {}'s variants end at {} in dd.by_origin but at {} in ix.origin_offsets",
+                i - 1,
+                by_origin[i],
+                ix_origins[i]
+            ),
+            None => format!("segment {s} index covers {} origins, its variant table spans {}", ix_origins.len() - 1, dd.origins()),
+        }));
     }
     Ok(FrozenSegmentParts { dd, index })
 }
@@ -801,7 +733,7 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 6: other versions are refused).
+    /// Format version (always 7: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -873,7 +805,7 @@ mod tests {
     use super::*;
     use crate::backend::extract_segment;
     use crate::limits::ExtractLimits;
-    use aeetes_rules::DerivedEntity;
+    use aeetes_rules::DerivedDictionary;
     use aeetes_text::{Document, Tokenizer};
 
     fn sample() -> (crate::Aeetes, Interner, Tokenizer, RuleSet) {
@@ -902,6 +834,13 @@ mod tests {
             order: engine.index().order(),
             segments: vec![FreezeSegment { dd: engine.derived(), index: engine.index() }],
         })
+    }
+
+    /// Re-seals `bytes` after a patch, so that it reaches validation.
+    fn recrc(bytes: &mut [u8]) {
+        let end = bytes.len() - 4;
+        let footer = crc32(&bytes[..end]);
+        bytes[end..].copy_from_slice(&footer.to_le_bytes());
     }
 
     fn extract_frozen(parts: &FrozenParts, doc: &Document, tau: f64) -> Vec<crate::Match> {
@@ -957,9 +896,7 @@ mod tests {
         let at = HEADER_FIXED + 8;
         let off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         bytes[at..at + 8].copy_from_slice(&(off + 1).to_le_bytes());
-        let len = bytes.len();
-        let footer = crc32(&bytes[..len - 4]);
-        bytes[len - 4..].copy_from_slice(&footer.to_le_bytes());
+        recrc(&mut bytes);
         let err = match open_frozen_bytes(&bytes) {
             Ok(_) => panic!("misaligned offset must be rejected"),
             Err(e) => e,
@@ -1029,7 +966,7 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 6);
+        assert_eq!(info.version, 7);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
@@ -1037,20 +974,20 @@ mod tests {
         assert_eq!(info.segments, 1);
         assert_eq!(info.file_len, bytes.len());
         assert!(!info.sections.is_empty());
-        for kind in ["ix.positions", "order.key"] {
-            assert!(info.sections.iter().any(|s| s.kind == kind), "{kind} listed");
-        }
+        let segment: Vec<&str> = info.sections.iter().filter(|s| s.seg == Some(0)).map(|s| s.kind).collect();
+        assert_eq!(segment.len(), SEGMENT_KINDS.len());
+        assert_eq!(segment.iter().filter(|k| k.starts_with("dd.")).collect::<Vec<_>>(), [&"dd.by_origin", &"dd.weight"]);
     }
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 6 — the retired v1–v5 layouts
+        // A valid magic with any version but 7 — the retired v1–v6 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v6 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 7, 99] {
-            let mut whole = v6.clone();
+        let v7 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99] {
+            let mut whole = v7.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1063,45 +1000,49 @@ mod tests {
         assert!(matches!(open_frozen_bytes(b"AE"), Err(PersistError::Truncated(_))));
     }
 
+    /// CRC-valid images no writer produces: each is refused by name, none
+    /// reaches a lookup that would trust it.
     #[test]
-    fn variant_longer_than_the_index_can_address_is_refused() {
-        // 65 536 copies of one token: the index builds (one distinct key),
-        // but re-bucketing an opened artifact rebuilds indexes from variant
-        // tokens, and the opener bounds what that build can be handed.
+    fn hostile_segments_are_refused() {
         let (engine, int, _, rules) = sample();
-        let long = DerivedEntity {
-            origin: EntityId(0),
-            tokens: vec![TokenId(0); 1 << 16],
-            rules: Vec::new(),
-            weight: 1.0,
-        };
-        let dd = DerivedDictionary::from_parts(vec![long], engine.dictionary().len(), DeriveStats::default()).unwrap();
-        let index = ClusteredIndex::build(&dd, &int);
-        let bytes = freeze_to_bytes(&FreezeSource {
+        let good = freeze_sample(&engine, &int, &rules, 1);
+        let (by_origin, weight) = engine.derived().raw_arenas();
+        assert_eq!((by_origin, weight.len()), (&[0, 2, 6, 7][..], 7));
+        // Same lengths, same total, another owner for variant 2: a shard
+        // merge would subtract origin 1's start, 3, from its variant id 2.
+        let shifted = VariantTable::from_raw_arenas(vec![0, 3, 6, 7].into(), weight.to_vec().into(), engine.derived().stats().clone()).unwrap();
+        let prefixes_disagree = freeze_to_bytes(&FreezeSource {
             interner: &int,
             dict: engine.dictionary(),
             removed: &[],
             rules: &rules,
             config: engine.config(),
             generation: 1,
-            order: index.order(),
-            segments: vec![FreezeSegment { dd: &dd, index: &index }],
+            order: engine.index().order(),
+            segments: vec![FreezeSegment { dd: &shifted, index: engine.index() }],
         });
-        let err = open_frozen_bytes(&bytes).err().expect("over-long variant must be refused").to_string();
-        assert!(err.contains("variant 0 holds more than 65535 tokens"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn updates_over_frozen_parts_copy_on_write() {
-        // The derived dictionary's owned conversion is the COW seam a
-        // delta path uses; a frozen dd must convert cleanly.
-        let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 1);
-        let parts = open_frozen_bytes(&bytes).expect("open");
-        let seg = &parts.segments[0];
-        let owned: Vec<DerivedEntity> = seg.dd.iter().map(|(_, d)| d.to_owned()).collect();
-        let rebuilt = DerivedDictionary::from_parts(owned, parts.dict.len(), seg.dd.stats().clone()).expect("rebuild");
-        assert_eq!(rebuilt.len(), seg.dd.len());
-        assert!(!rebuilt.is_frozen());
+        let (w_off, w_len) = parse_table(&good).unwrap().entries[&(SEC_DD_WEIGHT, 0)];
+        let w_entry = (0..)
+            .map(|i| HEADER_FIXED + i * ENTRY_BYTES)
+            .find(|&at| good[at..at + 4] == SEC_DD_WEIGHT.to_le_bytes())
+            .unwrap();
+        let patched = |at: usize, with: [u8; 8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&with);
+            recrc(&mut bytes);
+            bytes
+        };
+        for (bytes, expect) in [
+            (prefixes_disagree, "segment 0 origin 0's variants end at 3 in dd.by_origin but at 2 in ix.origin_offsets"),
+            (patched(w_off + 8, 0f64.to_le_bytes()), "segment 0 variant table: variant 1 weight 0 outside (0, 1]"),
+            (patched(w_off + 16, 1.5f64.to_le_bytes()), "segment 0 variant table: variant 2 weight 1.5 outside (0, 1]"),
+            (patched(w_entry + 16, (w_len as u64 - 8).to_le_bytes()), "variant weight array holds 6 entries, expected none or 7"),
+        ] {
+            let err = open_frozen_bytes(&bytes).err().expect(expect).to_string();
+            assert!(err.contains(expect), "expected `{expect}` in `{err}`");
+        }
+        // An empty weight section is the other legal length: unit weights.
+        let unweighted = open_frozen_bytes(&patched(w_entry + 16, 0u64.to_le_bytes())).expect("len 0 is legal");
+        assert_eq!(unweighted.segments[0].dd.weight_of(DerivedId(3)), 1.0);
     }
 }

@@ -37,7 +37,7 @@ use crate::scratch::{ExtractScratch, SegmentScratch};
 use crate::stats::ExtractStats;
 use crate::verify::verify_candidates;
 use aeetes_index::{metric_window_bounds, ClusteredIndex};
-use aeetes_rules::DerivedDictionary;
+use aeetes_rules::VariantTable;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, Span};
 use std::collections::BinaryHeap;
@@ -107,7 +107,7 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn top_k_segment(
     index: &ClusteredIndex,
-    dd: &DerivedDictionary,
+    dd: &VariantTable,
     doc: &Document,
     k: usize,
     tau_floor: f64,

@@ -5,7 +5,7 @@ use crate::limits::Budget;
 use crate::matches::Match;
 use crate::stats::ExtractStats;
 use aeetes_index::ClusteredIndex;
-use aeetes_rules::{DerivedDictionary, DerivedId};
+use aeetes_rules::{DerivedId, VariantTable};
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
 
@@ -56,7 +56,7 @@ fn prefixes_overlap(a: &[u32], b: &[u32]) -> bool {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates(
     index: &ClusteredIndex,
-    dd: &DerivedDictionary,
+    dd: &VariantTable,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -116,7 +116,7 @@ pub(crate) fn verify_candidates(
             };
             let mut score = metric.score(set.len(), s_keys.len(), inter);
             if weighted {
-                score *= dd.derived(id).weight;
+                score *= dd.weight_of(id);
             }
             if score > best_score {
                 best_score = score;
@@ -138,7 +138,7 @@ pub(crate) fn verify_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_rules::{DeriveConfig, RuleSet};
+    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
     use aeetes_text::{Dictionary, Interner, Tokenizer};
 
     struct Fix {

@@ -234,9 +234,8 @@ impl ClusteredIndex {
         // Positions are u16, so a variant of more than 65 535 distinct
         // tokens cannot be indexed. Dictionary entities are short phrases
         // (the paper's datasets average 2–7 tokens), so this is an
-        // assertion on absurd input, not a runtime error path; the frozen
-        // opener refuses an artifact carrying such a variant, so a
-        // dictionary read from disk never reaches it.
+        // assertion on absurd input, not a runtime error path (an artifact
+        // carries built indexes, so nothing read from disk reaches it).
         assert!(max_len.unwrap_or(0) <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
 
         let postings = cluster_postings(dd, &order, &set_data, &set_offsets);
@@ -277,7 +276,7 @@ impl ClusteredIndex {
     /// out and `small`'s entries for those origins put in.
     ///
     /// `old` and `small` index the two sides of
-    /// [`DerivedDictionary::splice`] — `small` against the (possibly
+    /// [`aeetes_rules::VariantTable::splice`] — `small` against the (possibly
     /// extended) order the result is to carry, `changed` over the post-delta
     /// origin space. Extending an order never re-keys a token, so every set
     /// and position `old` stores is what a rebuild under `small`'s order
@@ -292,7 +291,7 @@ impl ClusteredIndex {
     /// `small`'s size plus what was cut.
     ///
     /// # Panics
-    /// Panics under the conditions of [`DerivedDictionary::splice`].
+    /// Panics under the conditions of [`aeetes_rules::VariantTable::splice`].
     pub fn splice(old: &Self, small: &Self, changed: &[bool]) -> Self {
         let sides = [old.raw_parts(), small.raw_parts()];
         let origins = |ix: &IndexArenasRef<'_>| ix.origin_offsets.len() - 1;
@@ -364,10 +363,11 @@ impl ClusteredIndex {
     /// - every derived set is strictly ascending and holds only valid keys
     ///   whose rank the order handed out (the merge intersections of
     ///   verification silently under-count on anything else);
+    /// - every origin cluster names an origin of the variant table;
     /// - every posting's position is below its group's set length — the
     ///   length of every set a posting of that group can belong to;
-    /// - every variant id in the by-length table is in range and sorted by
-    ///   ascending set length within its origin.
+    /// - every variant id in the by-length table lies in its origin's own
+    ///   range and is sorted by ascending set length within it.
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
         let groups = a.group_len.len();
         let origins = a.origin_entity.len();
@@ -429,6 +429,12 @@ impl ClusteredIndex {
                 .expect("pass found a non-ascending origin range");
             return Err(format!("group {g}'s origin clusters are not strictly ascending"));
         }
+        // A cluster's origin is looked up in the variant table next.
+        let origin_space = origin_offsets.len() - 1;
+        if origin_entity.iter().map(|e| e.idx()).max().is_some_and(|m| m >= origin_space) {
+            let c = origin_entity.iter().position(|e| e.idx() >= origin_space).expect("max out of range");
+            return Err(format!("origin cluster {c} names origin {:?} out of {origin_space}", origin_entity[c]));
+        }
         // Sets: one pass for "valid bit set, rank handed out" (a single
         // unsigned compare per key), one for strict ascent inside each set.
         let ranks = order.ranks() as u32;
@@ -471,9 +477,18 @@ impl ClusteredIndex {
             }
             set_len.push(l);
         }
-        if variants_by_len.iter().map(|d| d.idx()).max().is_some_and(|m| m >= num_derived) {
-            let id = variants_by_len.iter().find(|d| d.idx() >= num_derived).expect("max out of range");
-            return Err(format!("variant table references derived id {id:?} out of {num_derived}"));
+        // An origin's slots hold ids of its own range — the ids are one
+        // origin-ordered space, and a shard merge subtracts the range start
+        // from whichever id verification picked.
+        let own_ids = |e: usize| {
+            let (lo, hi) = (origin_offsets[e], origin_offsets[e + 1]);
+            variants_by_len[lo as usize..hi as usize]
+                .iter()
+                .fold(true, |ok, d| ok & (d.0.wrapping_sub(lo) < hi - lo))
+        };
+        if !(0..origin_space).fold(true, |ok, e| ok & own_ids(e)) {
+            let e = (0..origin_space).find(|&e| !own_ids(e)).expect("fold found a bad origin");
+            return Err(format!("origin {e}'s variant table holds an id outside its range {}..{}", origin_offsets[e], origin_offsets[e + 1]));
         }
         // Per-origin sortedness by set length, as one sequential pass with
         // a boundary bitmap: each variant's length is gathered exactly once
@@ -662,7 +677,6 @@ fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32
         }
     }
 
-    let (origin_of, ..) = dd.raw_arenas();
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(num_tokens + 1),
         group_len: Vec::new(),
@@ -678,7 +692,7 @@ fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32
         let mut cur_len: Option<u16> = None;
         let mut cur_origin: Option<EntityId> = None;
         for &posting in list.iter() {
-            let (len, origin) = ((posting >> 48) as u16, origin_of[(posting >> 16) as u32 as usize]);
+            let (len, origin) = ((posting >> 48) as u16, dd.origin_of(DerivedId((posting >> 16) as u32)));
             if cur_len != Some(len) {
                 out.group_len.push(len);
                 out.group_origins.push(out.origin_entity.len() as u32);
@@ -1050,6 +1064,16 @@ mod tests {
         // Token "a" is id 0: its first posting sits in the length-2 group.
         assert_eq!(ok.group_len[0], 2);
         reject("position = group length", &|a| a.positions.as_mut_vec()[0] = 2, "posting 0 position 2 outside its group's sets of 2");
+        reject(
+            "a cluster of no origin",
+            &|a| a.origin_entity.as_mut_vec()[1] = EntityId(2),
+            "origin cluster 1 names origin e2 out of 2",
+        );
+        reject(
+            "another origin's variant",
+            &|a| a.variants_by_len.as_mut_vec()[1] = DerivedId(0),
+            "origin 1's variant table holds an id outside its range 1..2",
+        );
     }
 
     /// The retired build: one growing `Vec` of postings per token, each

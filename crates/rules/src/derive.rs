@@ -234,44 +234,214 @@ pub fn rebased(offsets: &[u32], from: u32, to: u32) -> impl Iterator<Item = u32>
     offsets.iter().map(move |&o| o - from + to)
 }
 
-/// The derived dictionary: every entity's variants, grouped contiguously by
-/// origin so `D(e)` is a contiguous id range.
-///
-/// Storage is fully flat (PR 8): per-variant scalars plus prefix-offset
-/// arrays into shared token/rule arenas, each held in an
-/// [`Arena`] so a frozen artifact can back the whole structure zero-copy.
+/// What extraction reads of a derived dictionary once its index is built:
+/// which variant ids belong to which origin, and — for weighted requests —
+/// what each variant weighs. This is all a shard, a copy-on-write generation
+/// and a frozen segment keep; token sequences and rule provenance exist only
+/// in the full [`DerivedDictionary`] (which derefs to its table) and are
+/// recomputable by re-deriving the one origin.
 #[derive(Debug, Clone)]
-pub struct DerivedDictionary {
-    /// Variant → origin entity (`D` entries).
-    origin: Arena<EntityId>,
-    /// Variant → weight product (`D` entries).
-    weight: Arena<f64>,
-    /// All variants' tokens, back to back.
-    tokens: Arena<TokenId>,
-    /// `tok_off[i]..tok_off[i+1]` is variant `i`'s token range (`D+1`).
-    tok_off: Arena<u32>,
-    /// All variants' applied rules, back to back.
-    rules: Arena<RuleId>,
-    /// `rule_off[i]..rule_off[i+1]` is variant `i`'s rule range (`D+1`).
-    rule_off: Arena<u32>,
+pub struct VariantTable {
     /// `by_origin[e]..by_origin[e+1]` is origin `e`'s variant id range
     /// (`origins + 1` entries, a prefix-sum over the origin id space).
     by_origin: Arena<u32>,
+    /// Variant → weight product: `D` entries, or none when every variant
+    /// weighs `1.0`.
+    weight: Arena<f64>,
     stats: DeriveStats,
+}
+
+impl Default for VariantTable {
+    fn default() -> Self {
+        Self { by_origin: vec![0].into(), weight: Arena::new(), stats: DeriveStats::default() }
+    }
+}
+
+/// The derived dictionary: every entity's variants, grouped contiguously by
+/// origin so `D(e)` is a contiguous id range.
+///
+/// Storage is fully flat: per-variant scalars plus prefix-offset arrays into
+/// shared token/rule arenas. The part extraction reads is the embedded
+/// [`VariantTable`]; the rest is the input of the order and index builds and
+/// of the reference verifiers.
+#[derive(Debug, Clone)]
+pub struct DerivedDictionary {
+    table: VariantTable,
+    /// Variant → origin entity (`D` entries).
+    origin: Vec<EntityId>,
+    /// All variants' tokens, back to back.
+    tokens: Vec<TokenId>,
+    /// `tok_off[i]..tok_off[i+1]` is variant `i`'s token range (`D+1`).
+    tok_off: Vec<u32>,
+    /// All variants' applied rules, back to back.
+    rules: Vec<RuleId>,
+    /// `rule_off[i]..rule_off[i+1]` is variant `i`'s rule range (`D+1`).
+    rule_off: Vec<u32>,
 }
 
 impl Default for DerivedDictionary {
     fn default() -> Self {
         Self {
-            origin: Arena::new(),
-            weight: Arena::new(),
-            tokens: Arena::new(),
-            tok_off: vec![0].into(),
-            rules: Arena::new(),
-            rule_off: vec![0].into(),
-            by_origin: vec![0].into(),
-            stats: DeriveStats::default(),
+            table: VariantTable::default(),
+            origin: Vec::new(),
+            tokens: Vec::new(),
+            tok_off: vec![0],
+            rules: Vec::new(),
+            rule_off: vec![0],
         }
+    }
+}
+
+impl std::ops::Deref for DerivedDictionary {
+    type Target = VariantTable;
+    fn deref(&self) -> &VariantTable {
+        &self.table
+    }
+}
+
+impl From<DerivedDictionary> for VariantTable {
+    /// Releases the sequences and provenance, keeping what extraction reads.
+    fn from(dd: DerivedDictionary) -> Self {
+        dd.table
+    }
+}
+
+impl VariantTable {
+    /// The table a delta leaves behind, merged instead of re-derived: `old`
+    /// with the variant run of every `changed` origin replaced by that
+    /// origin's (possibly empty) run in `small`.
+    ///
+    /// `small` is [`DerivedDictionary::build_filtered`] over the post-delta
+    /// dictionary and rules with exactly the changed, still-live origins
+    /// kept; `changed` flags every origin whose derivation the delta can
+    /// have altered (added, tombstoned, or reached by a new rule) over the
+    /// post-delta id space; `departing` is the statistics of the changed
+    /// origins as `old` derived them. Variants sit in ascending origin order
+    /// on both sides, so the result is a run-by-run concatenation with the
+    /// prefix moved by the running shift — array for array the table of
+    /// `build_filtered` over the whole post-delta dictionary, weights
+    /// included: they are stored exactly when one of the result's variants
+    /// weighs other than `1.0`.
+    ///
+    /// # Panics
+    /// Panics when `changed` does not span `small`'s origins or `old` covers
+    /// more origins than that.
+    pub fn splice(old: &Self, small: &Self, changed: &[bool], departing: &DeriveStats) -> Self {
+        assert_eq!(changed.len(), small.origins(), "the changed flags must span the post-delta origin space");
+        assert!(old.origins() <= changed.len(), "a delta never shrinks the origin space");
+        let sides = [old, small];
+        // Weights are carried when either side stores them, every run of a
+        // side that does not counting as ones.
+        let weighted = !(old.weight.is_empty() && small.weight.is_empty());
+        let mut weight: Vec<f64> = Vec::with_capacity(if weighted { old.len() + small.len() } else { 0 });
+        let mut by_origin: Vec<u32> = Vec::with_capacity(changed.len() + 1);
+        by_origin.push(0);
+        let mut variants = 0u32;
+        for (from_small, run) in splice_runs(changed, old.origins()) {
+            let side = sides[usize::from(from_small)];
+            let (v0, v1) = (side.by_origin[run.start], side.by_origin[run.end]);
+            // Origins no run covered hold nothing.
+            by_origin.resize(run.start + 1, variants);
+            by_origin.extend(rebased(&side.by_origin[run.start + 1..=run.end], v0, variants));
+            variants += v1 - v0;
+            if !side.weight.is_empty() {
+                weight.extend_from_slice(&side.weight[v0 as usize..v1 as usize]);
+            } else if weighted {
+                weight.resize(variants as usize, 1.0);
+            }
+        }
+        by_origin.resize(changed.len() + 1, variants);
+        if weight.iter().all(|&w| w == 1.0) {
+            weight = Vec::new();
+        }
+        Self {
+            by_origin: by_origin.into(),
+            weight: weight.into(),
+            stats: old.stats.replaced(departing, &small.stats),
+        }
+    }
+
+    /// Reassembles a table from raw (possibly frozen) arenas, validating
+    /// every structural invariant: the origin prefix starts at 0 and is
+    /// monotonic, and the weights — none, or one per variant — lie in
+    /// `(0, 1]`. `stats` is kept as given — a later [`VariantTable::splice`]
+    /// subtracts from it — except that `derived` is set from the prefix and
+    /// `origins` may not exceed the id space.
+    ///
+    /// # Errors
+    /// Returns a message describing the first violated invariant; a
+    /// corrupted artifact yields a clean error here, never a panic later.
+    pub fn from_raw_arenas(by_origin: Arena<u32>, weight: Arena<f64>, stats: DeriveStats) -> Result<Self, String> {
+        let (&d, prefix) = by_origin.split_last().ok_or("origin prefix array empty")?;
+        if by_origin[0] != 0 {
+            return Err("origin prefix does not start at 0".into());
+        }
+        // Branchless folds so the scans vectorize (this runs on the
+        // frozen-open critical path); the offender is hunted down on failure.
+        if !by_origin.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1])) {
+            return Err("origin prefix not monotonic".into());
+        }
+        if !weight.is_empty() && weight.len() != d as usize {
+            return Err(format!("variant weight array holds {} entries, expected none or {d}", weight.len()));
+        }
+        if !weight.iter().fold(true, |ok, &w| ok & (w > 0.0) & (w <= 1.0)) {
+            let (i, w) = weight.iter().enumerate().find(|(_, &w)| !(w > 0.0 && w <= 1.0)).expect("fold found a bad weight");
+            return Err(format!("variant {i} weight {w} outside (0, 1]"));
+        }
+        if stats.origins > prefix.len() {
+            return Err(format!("statistics count {} derived origins, the id space holds {}", stats.origins, prefix.len()));
+        }
+        let stats = DeriveStats { derived: d as usize, ..stats };
+        Ok(Self { by_origin, weight, stats })
+    }
+
+    /// The weight product of variant `id`: `1.0` throughout a table that
+    /// stores no weights.
+    #[inline]
+    pub fn weight_of(&self, id: DerivedId) -> f64 {
+        if self.weight.is_empty() {
+            1.0
+        } else {
+            self.weight[id.idx()]
+        }
+    }
+
+    /// The contiguous range of global [`DerivedId`]s holding `e`'s variants.
+    pub fn variant_range(&self, e: EntityId) -> Range<u32> {
+        self.by_origin[e.idx()]..self.by_origin[e.idx() + 1]
+    }
+
+    /// Total number of derived entities.
+    pub fn len(&self) -> usize {
+        self.by_origin[self.origins()] as usize
+    }
+
+    /// Whether no derived entities exist.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of origin entities.
+    pub fn origins(&self) -> usize {
+        self.by_origin.len() - 1
+    }
+
+    /// Generation statistics.
+    pub fn stats(&self) -> &DeriveStats {
+        &self.stats
+    }
+
+    /// Whether the storage borrows a frozen artifact (zero-copy) rather
+    /// than owning heap arrays.
+    pub fn is_frozen(&self) -> bool {
+        self.by_origin.is_frozen()
+    }
+
+    /// Raw arena views, in [`VariantTable::from_raw_arenas`] order: the
+    /// origin prefix and the weights (empty when every variant weighs
+    /// `1.0`) — the frozen writer serializes exactly these.
+    pub fn raw_arenas(&self) -> (&[u32], &[f64]) {
+        (&self.by_origin, &self.weight)
     }
 }
 
@@ -292,108 +462,47 @@ impl DerivedDictionary {
     /// only kept origins; `build` is `build_filtered(.., |_| true)`.
     pub fn build_filtered(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
         let mut out = Self::default();
-        out.by_origin.as_mut_vec().reserve(dict.len());
+        out.table.by_origin.as_mut_vec().reserve(dict.len());
         let mut scratch = ExpandScratch::default();
         for (eid, ent) in dict.iter() {
             if keep(eid) {
                 if !ent.tokens.is_empty() {
                     out.expand_entity(eid, ent.tokens, rules, config, &mut scratch);
                 }
-                out.stats.origins += 1;
+                out.table.stats.origins += 1;
             }
             let end = out.origin.len() as u32;
-            out.by_origin.as_mut_vec().push(end);
+            out.table.by_origin.as_mut_vec().push(end);
         }
-        out.stats.derived = out.origin.len();
+        out.table.stats.derived = out.origin.len();
         out
     }
 
-    /// The dictionary a delta leaves behind, merged instead of re-derived:
-    /// `old` with the variant run of every `changed` origin replaced by that
-    /// origin's (possibly empty) run in `small`.
-    ///
-    /// `small` is `build_filtered` over the post-delta dictionary and rules
-    /// with exactly the changed, still-live origins kept; `changed` flags
-    /// every origin whose derivation the delta can have altered (added,
-    /// tombstoned, or reached by a new rule) over the post-delta id space;
-    /// `departing` is the statistics of the changed origins as `old` derived
-    /// them. Variants sit in ascending origin order on both sides, so the
-    /// result is a run-by-run concatenation with every prefix offset moved
-    /// by the running shift — array for array what `build_filtered` over the
-    /// whole post-delta dictionary produces, each written once at its final
-    /// size.
-    ///
-    /// # Panics
-    /// Panics when `changed` does not span `small`'s origins or `old` covers
-    /// more origins than that.
-    pub fn splice(old: &Self, small: &Self, changed: &[bool], departing: &DeriveStats) -> Self {
-        assert_eq!(changed.len(), small.origins(), "the changed flags must span the post-delta origin space");
-        assert!(old.origins() <= changed.len(), "a delta never shrinks the origin space");
-        let sides = [old.raw_arenas(), small.raw_arenas()];
-        let (mut variants, mut tokens, mut rules) = (0usize, 0usize, 0usize);
-        for (from_small, run) in splice_runs(changed, old.origins()) {
-            let (_, _, _, tok_off, _, rule_off, by_origin) = sides[usize::from(from_small)];
-            let (v0, v1) = (by_origin[run.start] as usize, by_origin[run.end] as usize);
-            variants += v1 - v0;
-            tokens += (tok_off[v1] - tok_off[v0]) as usize;
-            rules += (rule_off[v1] - rule_off[v0]) as usize;
-        }
-        u32::try_from(tokens).expect("derived token arena overflows u32 offsets");
-        u32::try_from(rules).expect("derived rule arena overflows u32 offsets");
-
-        let mut out_origin: Vec<EntityId> = Vec::with_capacity(variants);
-        let mut out_weight: Vec<f64> = Vec::with_capacity(variants);
-        let mut out_tokens: Vec<TokenId> = Vec::with_capacity(tokens);
-        let mut out_tok_off: Vec<u32> = Vec::with_capacity(variants + 1);
-        let mut out_rules: Vec<RuleId> = Vec::with_capacity(rules);
-        let mut out_rule_off: Vec<u32> = Vec::with_capacity(variants + 1);
-        let mut out_by_origin: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        out_tok_off.push(0);
-        out_rule_off.push(0);
-        out_by_origin.push(0);
-        for (from_small, run) in splice_runs(changed, old.origins()) {
-            let (origin, weight, toks, tok_off, rls, rule_off, by_origin) = sides[usize::from(from_small)];
-            let (v0, v1) = (by_origin[run.start] as usize, by_origin[run.end] as usize);
-            // Origins no run covered hold nothing.
-            out_by_origin.resize(run.start + 1, out_origin.len() as u32);
-            out_by_origin.extend(rebased(&by_origin[run.start + 1..=run.end], v0 as u32, out_origin.len() as u32));
-            out_tok_off.extend(rebased(&tok_off[v0 + 1..=v1], tok_off[v0], out_tokens.len() as u32));
-            out_rule_off.extend(rebased(&rule_off[v0 + 1..=v1], rule_off[v0], out_rules.len() as u32));
-            out_origin.extend_from_slice(&origin[v0..v1]);
-            out_weight.extend_from_slice(&weight[v0..v1]);
-            out_tokens.extend_from_slice(&toks[tok_off[v0] as usize..tok_off[v1] as usize]);
-            out_rules.extend_from_slice(&rls[rule_off[v0] as usize..rule_off[v1] as usize]);
-        }
-        out_by_origin.resize(changed.len() + 1, out_origin.len() as u32);
-        Self {
-            origin: out_origin.into(),
-            weight: out_weight.into(),
-            tokens: out_tokens.into(),
-            tok_off: out_tok_off.into(),
-            rules: out_rules.into(),
-            rule_off: out_rule_off.into(),
-            by_origin: out_by_origin.into(),
-            stats: old.stats.replaced(departing, &small.stats),
-        }
-    }
-
     /// Appends one variant's flat records (build/deserialize path only).
+    /// The weight array comes into being with the first weight other than
+    /// `1.0`, so an unweighted dictionary never allocates one.
     fn push_variant(&mut self, origin: EntityId, tokens: &[TokenId], rules: &[RuleId], weight: f64) {
-        self.origin.as_mut_vec().push(origin);
-        self.weight.as_mut_vec().push(weight);
-        self.tokens.as_mut_vec().extend_from_slice(tokens);
+        let weights = self.table.weight.as_mut_vec();
+        if weight != 1.0 && weights.is_empty() {
+            weights.resize(self.origin.len(), 1.0);
+        }
+        if weight != 1.0 || !weights.is_empty() {
+            weights.push(weight);
+        }
+        self.origin.push(origin);
+        self.tokens.extend_from_slice(tokens);
         let t_end = u32::try_from(self.tokens.len()).expect("derived token arena overflows u32 offsets");
-        self.tok_off.as_mut_vec().push(t_end);
-        self.rules.as_mut_vec().extend_from_slice(rules);
+        self.tok_off.push(t_end);
+        self.rules.extend_from_slice(rules);
         let r_end = u32::try_from(self.rules.len()).expect("derived rule arena overflows u32 offsets");
-        self.rule_off.as_mut_vec().push(r_end);
+        self.rule_off.push(r_end);
     }
 
     fn expand_entity(&mut self, eid: EntityId, tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch) {
         let apps = find_applications(tokens, rules);
-        self.stats.applicable_total += apps.len();
+        self.table.stats.applicable_total += apps.len();
         let groups = group_non_conflict(&apps, config.exact_selection);
-        self.stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
+        self.table.stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
 
         // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
         let ExpandScratch { digits, chosen, seen } = scratch;
@@ -403,14 +512,14 @@ impl DerivedDictionary {
         let mut produced = 0usize;
         loop {
             if produced >= config.max_derived {
-                self.stats.truncated_entities += 1;
+                self.table.stats.truncated_entities += 1;
                 break;
             }
             chosen.clear();
             chosen.extend(digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| g[i])));
             let (new_tokens, applied, weight) = rewrite(tokens, chosen, rules);
             if seen.contains(&new_tokens) {
-                self.stats.duplicates_dropped += 1;
+                self.table.stats.duplicates_dropped += 1;
             } else {
                 self.push_variant(eid, &new_tokens, &applied, weight);
                 seen.insert(new_tokens);
@@ -442,7 +551,8 @@ impl DerivedDictionary {
     /// Returns a message when an origin id is out of range or the grouping
     /// is not contiguous/ascending.
     pub fn from_parts(derived: Vec<DerivedEntity>, num_origins: usize, stats: DeriveStats) -> Result<Self, String> {
-        let mut out = Self { stats, ..Self::default() };
+        let mut out = Self::default();
+        out.table.stats = stats;
         let mut prev: Option<u32> = None;
         for (i, d) in derived.iter().enumerate() {
             if d.origin.idx() >= num_origins {
@@ -457,7 +567,7 @@ impl DerivedDictionary {
             out.push_variant(d.origin, &d.tokens, &d.rules, d.weight);
         }
         // Rebuild the origin prefix over the full id space.
-        let by_origin = out.by_origin.as_mut_vec();
+        let by_origin = out.table.by_origin.as_mut_vec();
         by_origin.clear();
         by_origin.push(0);
         let mut i = 0usize;
@@ -467,58 +577,9 @@ impl DerivedDictionary {
             }
             by_origin.push(i as u32);
         }
-        out.stats.origins = num_origins;
-        out.stats.derived = derived.len();
+        out.table.stats.origins = num_origins;
+        out.table.stats.derived = derived.len();
         Ok(out)
-    }
-
-    /// Reassembles a derived dictionary directly from raw (possibly frozen)
-    /// arenas, validating every structural invariant: array lengths agree,
-    /// prefix-offset arrays are monotonic and end at their arena lengths,
-    /// and each origin's variant range really holds variants of that origin.
-    /// `stats` is kept as given — a later [`DerivedDictionary::splice`]
-    /// subtracts from it — except that `derived` is set from the arenas and
-    /// `origins` may not exceed the id space.
-    ///
-    /// # Errors
-    /// Returns a message describing the first violated invariant; a
-    /// corrupted artifact yields a clean error here, never a panic later.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_arenas(
-        origin: Arena<EntityId>,
-        weight: Arena<f64>,
-        tokens: Arena<TokenId>,
-        tok_off: Arena<u32>,
-        rules: Arena<RuleId>,
-        rule_off: Arena<u32>,
-        by_origin: Arena<u32>,
-        stats: DeriveStats,
-    ) -> Result<Self, String> {
-        let d = origin.len();
-        if weight.len() != d {
-            return Err(format!("derived weight array holds {} entries, expected {d}", weight.len()));
-        }
-        check_prefix("derived token offsets", &tok_off, d, tokens.len())?;
-        check_prefix("derived rule offsets", &rule_off, d, rules.len())?;
-        let o = by_origin.len().checked_sub(1).ok_or("origin prefix array empty")?;
-        check_prefix("origin prefix", &by_origin, o, d)?;
-        // Hoist plain slices: an Arena access is a match plus a pointer
-        // rebuild, which matters over every variant on the open path.
-        let by_origin_s: &[u32] = &by_origin;
-        let origin_s: &[EntityId] = &origin;
-        for e in 0..o {
-            let (lo, hi) = (by_origin_s[e] as usize, by_origin_s[e + 1] as usize);
-            if let Some(j) = origin_s[lo..hi].iter().position(|org| org.idx() != e) {
-                let i = lo + j;
-                return Err(format!("variant {i} claims origin {:?} but sits in origin {e}'s range", origin_s[i]));
-            }
-        }
-        if stats.origins > o {
-            return Err(format!("statistics count {} derived origins, the id space holds {o}", stats.origins));
-        }
-        let mut stats = stats;
-        stats.derived = d;
-        Ok(Self { origin, weight, tokens, tok_off, rules, rule_off, by_origin, stats })
     }
 
     /// The derived entity with id `id` (borrowed view).
@@ -529,94 +590,26 @@ impl DerivedDictionary {
             origin: self.origin[i],
             tokens: &self.tokens[self.tok_off[i] as usize..self.tok_off[i + 1] as usize],
             rules: &self.rules[self.rule_off[i] as usize..self.rule_off[i + 1] as usize],
-            weight: self.weight[i],
+            weight: self.table.weight_of(id),
         }
     }
 
-    /// The weight of variant `id` without materializing the full view
-    /// (the verification hot path reads only this field).
+    /// The origin entity variant `id` was derived from.
     #[inline]
-    pub fn weight_of(&self, id: DerivedId) -> f64 {
-        self.weight[id.idx()]
+    pub fn origin_of(&self, id: DerivedId) -> EntityId {
+        self.origin[id.idx()]
     }
 
     /// All variants of origin entity `e` (includes the unmodified origin).
     pub fn variants(&self, e: EntityId) -> Variants<'_> {
-        Variants { dd: self, start: self.by_origin[e.idx()], end: self.by_origin[e.idx() + 1] }
-    }
-
-    /// The contiguous range of global [`DerivedId`]s holding `e`'s variants.
-    pub fn variant_range(&self, e: EntityId) -> std::ops::Range<u32> {
-        self.by_origin[e.idx()]..self.by_origin[e.idx() + 1]
-    }
-
-    /// Total number of derived entities.
-    pub fn len(&self) -> usize {
-        self.origin.len()
-    }
-
-    /// Whether no derived entities exist.
-    pub fn is_empty(&self) -> bool {
-        self.origin.is_empty()
-    }
-
-    /// Number of origin entities.
-    pub fn origins(&self) -> usize {
-        self.by_origin.len() - 1
+        let Range { start, end } = self.table.variant_range(e);
+        Variants { dd: self, start, end }
     }
 
     /// Iterates over `(id, derived entity)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (DerivedId, DerivedRef<'_>)> {
         (0..self.origin.len() as u32).map(move |i| (DerivedId(i), self.derived(DerivedId(i))))
     }
-
-    /// Generation statistics.
-    pub fn stats(&self) -> &DeriveStats {
-        &self.stats
-    }
-
-    /// Minimum derived-entity token length (`|e|⊥`), or `None` when empty.
-    pub fn min_len(&self) -> Option<usize> {
-        self.tok_off.windows(2).map(|w| (w[1] - w[0]) as usize).min()
-    }
-
-    /// Maximum derived-entity token length (`|e|⊤`), or `None` when empty.
-    pub fn max_len(&self) -> Option<usize> {
-        self.tok_off.windows(2).map(|w| (w[1] - w[0]) as usize).max()
-    }
-
-    /// Whether the storage borrows a frozen artifact (zero-copy) rather
-    /// than owning heap arrays.
-    pub fn is_frozen(&self) -> bool {
-        self.origin.is_frozen()
-    }
-
-    /// Raw arena views, in [`DerivedDictionary::from_raw_arenas`] order —
-    /// the frozen writer serializes exactly these seven arrays.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_arenas(&self) -> (&[EntityId], &[f64], &[TokenId], &[u32], &[RuleId], &[u32], &[u32]) {
-        (&self.origin, &self.weight, &self.tokens, &self.tok_off, &self.rules, &self.rule_off, &self.by_origin)
-    }
-}
-
-/// Validates a prefix-offset array: `n + 1` entries, starts at 0, is
-/// monotonic and ends exactly at `total`.
-fn check_prefix(what: &str, off: &[u32], n: usize, total: usize) -> Result<(), String> {
-    if off.len() != n + 1 {
-        return Err(format!("{what} holds {} entries, expected {}", off.len(), n + 1));
-    }
-    if off[0] != 0 {
-        return Err(format!("{what} does not start at 0"));
-    }
-    // Branchless fold so the monotonicity scan vectorizes (this runs on
-    // the frozen-open critical path).
-    if !off.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1])) {
-        return Err(format!("{what} not monotonic"));
-    }
-    if off[n] as usize != total {
-        return Err(format!("{what} ends at {} but the arena holds {total}", off[n]));
-    }
-    Ok(())
 }
 
 /// Applies `chosen` (span-disjoint, ascending by start — the order the
@@ -813,8 +806,6 @@ mod tests {
         assert_eq!(s.origins, 2);
         assert_eq!(s.selected_total, 2);
         assert_eq!(s.avg_selected(), 1.0);
-        assert_eq!(dd.min_len(), Some(2));
-        assert_eq!(dd.max_len(), Some(4));
     }
 
     #[test]
@@ -865,49 +856,59 @@ mod tests {
         let mut c = Ctx::new();
         c.entity("UQ AU");
         c.entity("plain words");
-        c.rule("UQ", "University of Queensland");
+        c.rules
+            .push_weighted_str("UQ", "University of Queensland", 0.5, &c.tok.clone(), &mut c.int)
+            .unwrap();
         let dd = c.build();
-        let (origin, weight, tokens, tok_off, rules, rule_off, by_origin) = dd.raw_arenas();
-        let rebuild = |f: &dyn Fn(&mut Vec<u32>)| {
-            let mut t = tok_off.to_vec();
-            f(&mut t);
-            DerivedDictionary::from_raw_arenas(
-                origin.to_vec().into(),
-                weight.to_vec().into(),
-                tokens.to_vec().into(),
-                t.into(),
-                rules.to_vec().into(),
-                rule_off.to_vec().into(),
-                by_origin.to_vec().into(),
-                DeriveStats::default(),
-            )
+        let (by_origin, weight) = dd.raw_arenas();
+        assert_eq!((by_origin, weight), (&[0, 2, 3][..], &[1.0, 0.5, 1.0][..]));
+        let rebuild = |by_origin: &[u32], weight: &[f64], stats: DeriveStats| {
+            VariantTable::from_raw_arenas(by_origin.to_vec().into(), weight.to_vec().into(), stats)
         };
-        let ok = rebuild(&|_| {}).unwrap();
-        assert_eq!(ok.len(), dd.len());
-        assert_eq!(ok.variants(EntityId(0)).len(), dd.variants(EntityId(0)).len());
-        assert!(rebuild(&|t| t[0] = 1).is_err(), "offset not starting at 0");
-        assert!(rebuild(&|t| t.swap(1, 2)).is_err(), "non-monotonic offsets");
-        assert!(rebuild(&|t| *t.last_mut().unwrap() += 1).is_err(), "offsets past arena");
-        assert!(
-            rebuild(&|t| {
-                t.pop();
-            })
-            .is_err(),
-            "wrong offset count"
-        );
-        let with_stats = |stats: DeriveStats| {
-            DerivedDictionary::from_raw_arenas(
-                origin.to_vec().into(),
-                weight.to_vec().into(),
-                tokens.to_vec().into(),
-                tok_off.to_vec().into(),
-                rules.to_vec().into(),
-                rule_off.to_vec().into(),
-                by_origin.to_vec().into(),
-                stats,
-            )
-        };
-        assert_eq!(with_stats(dd.stats().clone()).unwrap().stats(), dd.stats(), "statistics survive as written");
-        assert!(with_stats(DeriveStats { origins: 3, ..dd.stats().clone() }).is_err(), "more derived origins than ids");
+        let ok = rebuild(by_origin, weight, dd.stats().clone()).unwrap();
+        assert_eq!((ok.len(), ok.origins(), ok.stats()), (3, 2, dd.stats()), "statistics survive as written");
+        assert_eq!(ok.variant_range(EntityId(0)), dd.variant_range(EntityId(0)));
+        assert_eq!((0..3).map(|i| ok.weight_of(DerivedId(i))).collect::<Vec<_>>(), weight);
+        let unweighted = rebuild(by_origin, &[], DeriveStats::default()).unwrap();
+        assert_eq!(unweighted.weight_of(DerivedId(1)), 1.0, "no stored weights means unit weights");
+        for (bad, why) in [
+            (rebuild(&[], weight, DeriveStats::default()), "empty"),
+            (rebuild(&[1, 2, 3], weight, DeriveStats::default()), "does not start at 0"),
+            (rebuild(&[0, 3, 2], &[], DeriveStats::default()), "not monotonic"),
+            (rebuild(by_origin, &weight[..2], DeriveStats::default()), "holds 2 entries, expected none or 3"),
+            (rebuild(by_origin, &[1.0, 0.0, 1.0], DeriveStats::default()), "variant 1 weight 0 outside (0, 1]"),
+            (rebuild(by_origin, &[1.0, 1.0, f64::NAN], DeriveStats::default()), "variant 2 weight NaN outside (0, 1]"),
+            (rebuild(by_origin, weight, DeriveStats { origins: 3, ..dd.stats().clone() }), "3 derived origins, the id space holds 2"),
+        ] {
+            let err = bad.expect_err(why);
+            assert!(err.contains(why), "expected `{why}` in `{err}`");
+        }
+    }
+
+    /// The weight array exists exactly while some variant weighs other than
+    /// 1.0: built that way, and kept that way by every splice.
+    #[test]
+    fn weights_are_stored_only_while_some_variant_has_one() {
+        let mut c = Ctx::new();
+        c.entity("UQ AU");
+        c.entity("plain words");
+        c.rule("AU", "Australia");
+        let unweighted = c.build();
+        assert!(unweighted.raw_arenas().1.is_empty());
+        c.rules
+            .push_weighted_str("UQ", "University of Queensland", 0.5, &c.tok.clone(), &mut c.int)
+            .unwrap();
+        let whole = c.build();
+        assert_eq!(whole.raw_arenas().1, [1.0, 0.5, 1.0, 0.5, 1.0]);
+
+        // The weighted rule arrives as a delta reaching origin 0 ...
+        let small = DerivedDictionary::build_filtered(&c.dict, &c.rules, &DeriveConfig::default(), |e| e.0 == 0);
+        let departing = DerivedDictionary::build_filtered(&c.dict, &RuleSet::new(), &DeriveConfig::default(), |e| e.0 == 0);
+        let spliced = VariantTable::splice(&unweighted, &small, &[true, false], departing.stats());
+        assert_eq!(spliced.raw_arenas(), whole.raw_arenas());
+        // ... and leaves with the origin it reached.
+        let gone = DerivedDictionary::build_filtered(&c.dict, &c.rules, &DeriveConfig::default(), |_| false);
+        let left = VariantTable::splice(&spliced, &gone, &[true, false], small.stats());
+        assert_eq!(left.raw_arenas(), (&[0, 0, 1][..], &[][..]));
     }
 }

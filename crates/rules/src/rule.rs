@@ -9,9 +9,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
-// SAFETY: repr(transparent) over u32 — fixed layout, any bit pattern valid.
-unsafe impl aeetes_frozen::Pod for RuleId {}
-
 impl RuleId {
     /// The id as a usize, for indexing side tables.
     #[inline]

@@ -256,7 +256,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v6) artifact
+    /// Serializes the current generation as the frozen (format v7) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -366,7 +366,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v6) artifact: its segments become this
+    /// Adopts an opened frozen (v7) artifact: its segments become this
     /// engine's shards as they are — zero derive work, zero index builds,
     /// arenas still backed by the mapped file.
     ///
@@ -392,11 +392,11 @@ impl ShardedEngine {
         }
         let tombstoned: BTreeSet<u32> = parts.removed.iter().map(|e| e.0).collect();
         // The `by_origin` prefix array alone decides adoptability: frozen
-        // validation already proved every variant sits in its origin's
-        // bucket, so it suffices to check each *populated* bucket's entity —
+        // validation already proved it is the index's own origin → variant
+        // table, so it suffices to check each *populated* bucket's entity —
         // one hash per origin rather than one per variant.
         for (i, segment) in parts.segments.iter().enumerate() {
-            let by_origin = segment.dd.raw_arenas().6;
+            let by_origin = segment.dd.raw_arenas().0;
             for e in (0..by_origin.len().saturating_sub(1)).filter(|&e| by_origin[e] < by_origin[e + 1]) {
                 let e = EntityId(e as u32);
                 let home = shard_of(e, n);

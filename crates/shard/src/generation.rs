@@ -6,7 +6,7 @@ use aeetes_core::{
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_pool::Pool;
-use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleSet};
+use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, Document, EntityId, Interner};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,12 +43,15 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard: the derived variants of its resident origins plus their
-/// clustered index, built against the generation's shared global order.
-/// Serving counters are cumulative and carried forward when a generation
-/// update reuses the shard unchanged.
+/// One shard: the clustered index over the derived variants of its resident
+/// origins, built against the generation's shared global order, and the
+/// table of which variant ids each origin owns. Built on the heap, adopted
+/// from an artifact or spliced by a delta, it holds these same arrays and
+/// nothing else of the derivation — a variant's tokens, rules and weight
+/// are what re-deriving its origin yields. Serving counters are cumulative
+/// and carried forward when a generation update reuses the shard unchanged.
 pub struct Shard {
-    pub(crate) dd: DerivedDictionary,
+    pub(crate) dd: VariantTable,
     pub(crate) index: ClusteredIndex,
     /// Resident origins (those with at least one variant here).
     resident: usize,
@@ -61,11 +64,8 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(dd: DerivedDictionary, index: ClusteredIndex, build_nanos: u64) -> Self {
-        // Count populated origin buckets off the prefix array — walking
-        // `dd.iter()` would materialize a DerivedRef per variant.
-        let by_origin = dd.raw_arenas().6;
-        let resident = by_origin.windows(2).filter(|w| w[0] < w[1]).count();
+    fn new(dd: VariantTable, index: ClusteredIndex, build_nanos: u64) -> Self {
+        let resident = dd.raw_arenas().0.windows(2).filter(|w| w[0] < w[1]).count();
         Shard {
             dd,
             index,
@@ -77,17 +77,18 @@ impl Shard {
         }
     }
 
+    /// Indexes `dd` and lets go of everything the index was built from.
     pub(crate) fn build(dd: DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
         let index = ClusteredIndex::build_with_order(&dd, order);
-        Self::new(dd, index, start.elapsed().as_nanos() as u64)
+        Self::new(dd.into(), index, start.elapsed().as_nanos() as u64)
     }
 
-    /// Wraps an already-built derived dictionary + index pair (the frozen
-    /// open path, where the index comes off the artifact instead of a
-    /// build). Counters start at zero; `build_nanos` is 0 by definition —
-    /// nothing was built.
-    pub(crate) fn from_prebuilt(dd: DerivedDictionary, index: ClusteredIndex) -> Self {
+    /// Wraps an already-built variant table + index pair (the frozen open
+    /// path, where the index comes off the artifact instead of a build).
+    /// Counters start at zero; `build_nanos` is 0 by definition — nothing
+    /// was built.
+    pub(crate) fn from_prebuilt(dd: VariantTable, index: ClusteredIndex) -> Self {
         Self::new(dd, index, 0)
     }
 
@@ -103,7 +104,7 @@ impl Shard {
     pub(crate) fn splice(&self, small: &DerivedDictionary, changed: &[bool], departing: &DeriveStats, order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
         let small_index = ClusteredIndex::build_with_order(small, order);
-        let dd = DerivedDictionary::splice(&self.dd, small, changed, departing);
+        let dd = VariantTable::splice(&self.dd, small, changed, departing);
         let index = ClusteredIndex::splice(&self.index, &small_index, changed);
         let next = Self::new(dd, index, start.elapsed().as_nanos() as u64);
         next.served.store(self.served.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -185,7 +186,7 @@ impl Generation {
         let n = shards.len();
         // Hoist each shard's origin prefix array once — the loop below runs
         // per dictionary entity on the frozen open path.
-        let prefixes: Vec<&[u32]> = shards.iter().map(|s| s.dd.raw_arenas().6).collect();
+        let prefixes: Vec<&[u32]> = shards.iter().map(|s| s.dd.raw_arenas().0).collect();
         let mut global_base = vec![0u32; dict.len()];
         let mut cum = 0u32;
         for (i, base) in global_base.iter_mut().enumerate() {
@@ -241,9 +242,9 @@ impl Generation {
         self.id
     }
 
-    /// Serializes this generation as a frozen (format v6) artifact: every
-    /// shard's derived dictionary and clustered index laid out as flat
-    /// arenas a future engine can mmap and serve without rebuilding. The
+    /// Serializes this generation as a frozen (format v7) artifact: every
+    /// shard's variant table and clustered index laid out as flat arenas a
+    /// future engine can mmap and serve without rebuilding. The
     /// shared global order is written once; shards predating an append-only
     /// order extension stay valid against it (extension never changes an
     /// existing key).

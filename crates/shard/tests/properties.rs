@@ -126,9 +126,9 @@ impl Rebuilt {
         self.generation += 1;
     }
 
-    /// Everything a generation stores — all seven derived-dictionary arenas,
-    /// all ten index arenas and the derivation statistics of every shard,
-    /// the order, dictionary, rules, tombstones and strings — as the bytes
+    /// Everything a generation stores — the variant table, all ten index
+    /// arenas and the derivation statistics of every shard, the order,
+    /// dictionary, rules, tombstones and strings — as the bytes
     /// `Generation::freeze` lays them out in.
     fn freeze(&self) -> Vec<u8> {
         let removed: Vec<EntityId> = self.removed.iter().copied().map(EntityId).collect();

@@ -6,7 +6,7 @@
 //! structures; everything else an update allocates — the changed origins'
 //! derivations and their index, the flags — is sized by the delta. The
 //! whole-shard rebuild this replaced also held a sort record per posting
-//! (8 bytes against the ~17 a posting costs at rest) and dictionary arenas
+//! (8 bytes against the ~9 a posting costs at rest) and dictionary arenas
 //! grown by doubling, and peaked half a generation above what it kept.
 //!
 //! The proof is a `#[global_allocator]` that tracks live bytes and their

@@ -6,7 +6,7 @@ use aeetes::core::{peek_info, ExtractLimits, ExtractStats, FreezeSegment, Freeze
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
 use aeetes::{
     freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ExtractBackend, ExtractRequest,
-    ExtractScratch, ShardedEngine, Strategy,
+    ExtractScratch, Match, RuleDelta, RuleSet, ShardedEngine, Strategy,
 };
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
@@ -34,11 +34,14 @@ fn through_the_artifact_bytes(engine: &Aeetes, data: &aeetes::datagen::Dataset) 
     })
 }
 
-/// The artifact reopened and adopted zero-copy: the path every `serve`
+/// An artifact reopened and adopted zero-copy: the path every `serve`
 /// process takes.
+fn adopt(bytes: &[u8]) -> ShardedEngine {
+    ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("reopen artifact"), None).expect("adopt artifact")
+}
+
 fn through_the_artifact(engine: &Aeetes, data: &aeetes::datagen::Dataset) -> ShardedEngine {
-    let bytes = through_the_artifact_bytes(engine, data);
-    ShardedEngine::from_frozen(open_frozen_bytes(&bytes).expect("reopen artifact"), None).expect("adopt artifact")
+    adopt(&through_the_artifact_bytes(engine, data))
 }
 
 #[test]
@@ -169,10 +172,7 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
         let config = AeetesConfig { strategy, ..AeetesConfig::default() };
         let heap = Aeetes::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone());
         let adopted = |shards: usize| {
-            let bytes = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), shards).freeze();
-            ShardedEngine::from_frozen(open_frozen_bytes(&bytes).expect("reopen artifact"), None)
-                .expect("adopt artifact")
-                .snapshot()
+            adopt(&ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), shards).freeze()).snapshot()
         };
         let (one, two) = (adopted(1), adopted(2));
         let mut totals = [ExtractStats::default(); 3];
@@ -256,7 +256,7 @@ fn churned_engines_match_a_fresh_build_and_refreeze_bit_identically() {
         }
         for (shards, engine) in &updated {
             let written = engine.freeze();
-            let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&written).expect("reopen"), None).expect("adopt");
+            let adopted = adopt(&written);
             assert_eq!(adopted.shard_count(), *shards);
             assert!(written == adopted.freeze(), "{}: {shards}-shard artifact must refreeze bit-identically", data.name);
         }
@@ -267,13 +267,13 @@ fn churned_engines_match_a_fresh_build_and_refreeze_bit_identically() {
 /// benchmark: on a seeded usjob-like dictionary (~23 rules per entity, the
 /// profile whose artifact is mostly index) the whole artifact costs at most
 /// `CEILING` bytes per posting, and the index reports as its size exactly
-/// the bytes of its ten `ix.*` sections. A v6 build of this corpus measures
-/// 16.89 bytes per posting (5 269 352 over 312 016), and the ceiling leaves
-/// 5 % above that; the v5 layout (8-byte postings, 8-byte set keys) cost ten
-/// bytes per posting more, 26.89, and exceeded it.
+/// the bytes of its ten `ix.*` sections. A v7 build of this corpus measures
+/// 9.17 bytes per posting (2 862 248 over 312 016), and the ceiling leaves
+/// 5 % above that; the v6 layout, which also stored every variant's token
+/// sequence, rule list, origin and weight, cost 16.89 and exceeded it.
 #[test]
 fn artifact_stays_inside_its_bytes_per_posting_budget() {
-    const CEILING: f64 = 17.75;
+    const CEILING: f64 = 9.63;
     let data = generate(&DatasetProfile::usjob_like().scaled(0.02).with_docs(1), 12);
     let engine = Aeetes::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default());
     let bytes = through_the_artifact_bytes(&engine, &data);
@@ -289,4 +289,134 @@ fn artifact_stays_inside_its_bytes_per_posting_budget() {
     let ix_sections: Vec<_> = info.sections.iter().filter(|s| s.kind.starts_with("ix.")).collect();
     assert_eq!(ix_sections.len(), 10);
     assert_eq!(engine.index().size_bytes(), ix_sections.iter().map(|s| s.len).sum::<usize>());
+}
+
+/// The bytes of each segment's `dd.weight` section, in segment order.
+fn weight_section_bytes(artifact: &[u8]) -> Vec<usize> {
+    let info = peek_info(artifact).expect("peek artifact");
+    info.sections.iter().filter(|s| s.kind == "dd.weight").map(|s| s.len).collect()
+}
+
+/// A shard holds the same arrays however it came to be — built on the heap,
+/// adopted from an artifact, spliced by a delta from either — so a
+/// heap-built engine and the engine adopted from its artifact freeze to the
+/// same bytes at every generation of the same delta sequence: entities
+/// added and tombstoned, an unweighted and then a weighted rule reaching
+/// existing origins. Each image, adopted in turn, writes itself again.
+#[test]
+fn heap_built_and_adopted_generations_freeze_to_the_same_bytes() {
+    for (_, data) in engines() {
+        let n = data.dictionary.len() as u32;
+        let head = |e: u32| data.interner.render(&data.dictionary.entity(EntityId(e % n))[..1]);
+        let deltas = [
+            DictDelta {
+                add_entities: vec![format!("{} {}", head(3), head(11)), "wholly new words".into()],
+                remove_entities: vec![EntityId(1), EntityId(n / 2)],
+                add_rules: Vec::new(),
+            },
+            DictDelta {
+                add_rules: vec![RuleDelta { lhs: head(5), rhs: "plain synonym".into(), weight: 1.0 }],
+                ..Default::default()
+            },
+            DictDelta {
+                remove_entities: vec![EntityId(n)],
+                add_rules: vec![RuleDelta { lhs: head(7), rhs: "half trusted synonym".into(), weight: 0.5 }],
+                ..Default::default()
+            },
+            DictDelta { add_entities: vec![format!("{} again", head(7))], ..Default::default() },
+        ];
+        for shards in [1, 2] {
+            let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), shards);
+            let adopted = adopt(&built.freeze());
+            assert!(built.freeze() == adopted.freeze(), "{}: {shards}-shard generation 1", data.name);
+            assert!(weight_section_bytes(&built.freeze()).iter().all(|&len| len == 0), "{}: the corpus rules all weigh 1.0", data.name);
+            for delta in &deltas {
+                let (a, b) =
+                    (built.apply_update(delta, &data.tokenizer).expect("delta"), adopted.apply_update(delta, &data.tokenizer).expect("delta"));
+                assert_eq!(a.id(), b.id());
+                let image = a.freeze();
+                assert!(image == b.freeze(), "{}: {shards}-shard generation {} differs between heap-built and adopted", data.name, a.id());
+                assert!(image == adopt(&image).freeze(), "{}: {shards}-shard generation {} must refreeze bit-identically", data.name, a.id());
+            }
+            assert!(weight_section_bytes(&built.freeze()).iter().any(|&len| len > 0), "{}: the 0.5 rule reached an origin", data.name);
+        }
+    }
+}
+
+/// Weighted dictionaries survive the cut: with every third rule at 0.5 the
+/// weight section is written, and weighted extraction over the adopted
+/// generation — and over the generation a delta splices from it — equals the
+/// monolithic engine's, match for match; a delta that brings the first
+/// weighted rule to an unweighted generation brings the array with it.
+#[test]
+fn weighted_dictionaries_round_trip_and_splice() {
+    let data = generate(&DatasetProfile::pubmed_like().scaled(0.01).with_docs(6), 7);
+    let config = AeetesConfig::default();
+    let weighted = ExtractRequest { weighted: true, ..ExtractRequest::new(0.6) };
+    let answers = |engine: &dyn ExtractBackend, request: &ExtractRequest<'_>, docs: &[Document]| -> Vec<Vec<Match>> {
+        let mut scratch = ExtractScratch::new();
+        docs.iter().map(|doc| engine.extract_request(doc, request, &mut scratch).matches.to_vec()).collect()
+    };
+    let mut rules = RuleSet::new();
+    for (id, rule) in data.rules.iter() {
+        rules
+            .push_tokens(rule.lhs.clone(), rule.rhs.clone(), if id.0 % 3 == 0 { 0.5 } else { 1.0 })
+            .expect("valid rule");
+    }
+    let mono = Aeetes::build(data.dictionary.clone(), &rules, &data.interner, config.clone());
+    let expected = answers(&mono, &weighted, &data.documents);
+    assert_ne!(expected, answers(&mono, &ExtractRequest::new(0.6), &data.documents), "the weights decide some answer");
+
+    // The delta: two entities go, one arrives that the rules reach.
+    let (mut dict, mut interner) = (data.dictionary.clone(), data.interner.clone());
+    let arriving = interner.render(dict.entity(EntityId(4)));
+    let delta = DictDelta {
+        add_entities: vec![format!("{arriving} annex")],
+        remove_entities: vec![EntityId(0), EntityId(9)],
+        add_rules: Vec::new(),
+    };
+    dict.push(&delta.add_entities[0], &data.tokenizer, &mut interner);
+    let live = DerivedDictionary::build_filtered(&dict, &rules, &config.derive, |e| !delta.remove_entities.contains(&e));
+    let mono_after = Aeetes::from_parts(dict, live, &interner, config.clone());
+    let mut docs_after = data.documents.clone();
+    docs_after.push(Document::parse(&format!("the {arriving} annex"), &data.tokenizer, &mut interner));
+    let expected_after = answers(&mono_after, &weighted, &docs_after);
+
+    for shards in [1, 2] {
+        let image = ShardedEngine::build(data.dictionary.clone(), &rules, &data.interner, config.clone(), shards).freeze();
+        let sections = weight_section_bytes(&image);
+        assert_eq!(sections.len(), shards);
+        assert!(sections.iter().all(|&len| len > 0), "{shards} shard(s): weights written, {sections:?}");
+        let engine = adopt(&image);
+        assert_eq!(answers(&*engine.snapshot(), &weighted, &data.documents), expected, "{shards} shard(s), adopted");
+        let spliced = engine.apply_update(&delta, &data.tokenizer).expect("delta applies");
+        assert_eq!(answers(&*spliced, &weighted, &docs_after), expected_after, "{shards} shard(s), spliced");
+        assert!(spliced.freeze() == adopt(&spliced.freeze()).freeze(), "{shards} shard(s): spliced weights refreeze bit-identically");
+    }
+
+    // The first weighted rule: only the shard owning an origin it reaches
+    // starts to store weights — the other is shared with the old generation.
+    let engine = adopt(&ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), 2).freeze());
+    assert_eq!(weight_section_bytes(&engine.freeze()), [0, 0]);
+    let lhs = data.interner.render(&data.dictionary.entity(EntityId(4))[..1]);
+    let first = DictDelta {
+        add_rules: vec![RuleDelta { lhs, rhs: "doubtful synonym".into(), weight: 0.5 }],
+        ..Default::default()
+    };
+    let spliced = engine.apply_update(&first, &data.tokenizer).expect("delta applies");
+    assert!(weight_section_bytes(&spliced.freeze()).iter().any(|&len| len > 0), "the array is materialised");
+    let mut interner = spliced.interner().clone();
+    let rewritten = [interner.intern("doubtful"), interner.intern("synonym")]
+        .into_iter()
+        .chain(data.dictionary.entity(EntityId(4))[1..].iter().copied());
+    let doc = Document::from_tokens(rewritten.collect());
+    let mono = Aeetes::build(data.dictionary.clone(), spliced.rules(), &interner, config);
+    let request = ExtractRequest { weighted: true, ..ExtractRequest::new(0.4) };
+    let expected = answers(&mono, &request, std::slice::from_ref(&doc));
+    assert_ne!(
+        expected,
+        answers(&mono, &ExtractRequest::new(0.4), std::slice::from_ref(&doc)),
+        "the new rule's weight decides the answer"
+    );
+    assert_eq!(answers(&*spliced, &request, std::slice::from_ref(&doc)), expected);
 }
