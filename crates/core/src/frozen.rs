@@ -1,4 +1,4 @@
-//! Frozen AEET v7: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v8: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -9,7 +9,7 @@
 //! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
 //! validate it, and serve its first request in milliseconds — and N serve
 //! processes on one host share a single page cache image instead of N
-//! private heaps. Files carrying any other version word (the retired v1–v6
+//! private heaps. Files carrying any other version word (the retired v1–v7
 //! layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 7
+//! [ 4.. 8)  version u32 = 8
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -36,9 +36,10 @@
 //! the global sections carry the META blob (rules, config, counts — small,
 //! decoded once), the origin dictionary's four arenas, the interner's
 //! string arena/offsets/hash table and the global order's three arrays;
-//! each shard segment carries the ten flat arrays of its clustered index
-//! and the two of its variant table. Offsets are validated against the file
-//! bounds and the 16-byte alignment rule, every prefix array is
+//! each shard segment carries the nine flat arrays of its clustered index,
+//! its variants' weights, and the origin → variant-range prefix that its
+//! variant table and its index both read. Offsets are validated against the
+//! file bounds and the 16-byte alignment rule, every prefix array is
 //! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
 //! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`), and the
@@ -51,8 +52,8 @@
 //! width`. Bytes below are what `aeetes dict info` prints (per-segment
 //! sections summed) for `aeetes generate --seed 12` dictionaries built with
 //! `aeetes build`: pubmed and dbworld at scale 1.0 in one segment, usjob at
-//! scale 0.25 in two. `a → b` is v6 → v7 (`–`: the section is gone);
-//! everything else is unchanged.
+//! scale 0.25 in two. `a → b` is v7 → v8 (`–`: no such section); everything
+//! else is unchanged.
 //!
 //! ```text
 //! section             element width                     pubmed                 dbworld                     usjob
@@ -67,12 +68,7 @@
 //! order.freq          u32     4                         36 556                  18 276                    14 164
 //! order.key           u32     4                         36 556                  18 276                    14 164
 //! order.untie         u32     4                         36 348                  18 276                    14 164
-//! dd.origin           u32     4                    293 160 → –             295 996 → –             1 674 080 → –
-//! dd.weight           f64     8                    586 320 → 0             591 992 → 0             3 348 160 → 0
-//! dd.tokens           u32     4                    992 536 → –           1 068 840 → –            12 419 848 → –
-//! dd.tok_off          u32     4                    293 164 → –             296 000 → –             1 674 088 → –
-//! dd.rules            u32     4                    248 940 → –             373 140 → –             2 765 220 → –
-//! dd.rule_off         u32     4                    293 164 → –             296 000 → –             1 674 088 → –
+//! dd.weight           f64     8                              0                       0                         0
 //! dd.by_origin        u32     4                         80 004                  48 004                    60 008
 //! ix.tok_groups       u32     4                         36 560                  18 280                    28 336
 //! ix.group_len        u16     2                         50 534                  32 592                    60 894
@@ -80,33 +76,58 @@
 //! ix.origin_entity    u32     4                        733 768                 603 584                 2 263 208
 //! ix.origin_entries   u32     4                        733 772                 603 588                 2 263 216
 //! ix.positions        u16     2                        496 232                 534 142                 6 205 970
-//! ix.set_data         u32     4                        992 464               1 068 284                12 411 940
-//! ix.set_offsets      u32     4                        293 164                 296 000                 1 674 088
+//! ix.set_data         u32     4                    992 464 → –           1 068 284 → –            12 411 940 → –
+//! ix.set_offsets      u32     4                    293 164 → –             296 000 → –             1 674 088 → –
+//! ix.blocks           u32     4                  – → 1 039 416             – → 753 148             – → 5 926 140
+//! ix.block_offsets    u32     4                     – → 80 004              – → 48 004                – → 60 008
 //! ix.variants_by_len  u32     4                        293 160                 295 996                 1 674 080
-//! ix.origin_offsets   u32     4                         80 004                  48 004                    60 008
-//! whole file                             8 098 280 → 5 390 840   7 424 072 → 4 501 944   51 509 080 → 27 953 304
+//! ix.origin_offsets   u32     4                     80 004 → –              48 004 → –                60 008 → –
+//! whole file                             5 390 840 → 5 144 620   4 501 944 → 3 890 800   27 953 304 → 19 793 372
 //! ```
 //!
-//! What v7 dropped is the derive output the index was built from. Candidate
-//! generation reads `ix.*`, verification merges a window against
-//! `ix.set_data`; of a variant's derivation, extraction reads only which
-//! origin owns its id (`dd.by_origin`, checked on open to equal
-//! `ix.origin_offsets` element for element) and, for weighted requests, its
-//! weight:
+//! What v8 changed is how a segment stores its variants' key sets. v7 kept
+//! one sorted key array per variant (`ix.set_data`, cut by `ix.set_offsets`),
+//! although the variants of one origin are the same few tokens recombined:
+//! usjob's 418 520 variants stored 3 102 985 keys, of which 312 580 are
+//! distinct within their origin. **`ix.blocks`** stores those once. It is one
+//! `u32` arena holding one *block* per origin, found through the prefix
+//! **`ix.block_offsets`** (origins + 1 entries):
 //!
-//! * **`dd.weight`** holds one `f64` per variant in a segment where some
-//!   variant weighs other than `1.0`, and nothing otherwise — a function of
-//!   the segment's variants alone, so a delta's splice and a rebuild agree
-//!   on it. The generated corpora carry unit weights throughout.
-//! * **`dd.tokens`/`dd.tok_off`** were the sequences `ix.set_data` stores as
-//!   ordered key sets; **`dd.rules`/`dd.rule_off`** and **`dd.origin`** had
-//!   no reader once the index was built. All of it is a pure function of
-//!   (origin tokens, rule table, derive config) — `dict.*` and META carry
-//!   those — so re-deriving one origin
-//!   ([`aeetes_rules::DerivedDictionary::build_filtered`], at most 256
-//!   variants) reproduces its variants in id order on any generation.
+//! ```text
+//! [ P | the P distinct keys of all the origin's variants, ascending | one ⌈P/32⌉-word mask per variant ]
+//! ```
 //!
-//! A key in **`ix.set_data`** and **`order.key`** is a `u32`. A valid token
+//! The keys are the origin's *pool*; bit `b` of a variant's mask says pool
+//! key `b` is in its set, and the masks stand in the order of the origin's
+//! slots in `ix.variants_by_len` (ascending set length). An origin without
+//! variants in the segment has no block. A set's length is its mask's
+//! popcount, a key's position in its set the popcount of the mask's lower
+//! bits, and verification (`core::verify`) merges a window against the
+//! pool once instead of against every variant. A block names no variant id
+//! and no offset, so a delta's splice copies unchanged origins' blocks as
+//! they stand. Mask words are `u32` because the sizing rules the others out:
+//! with `u64` words pubmed's 3.7 variants of 3.4 keys per origin take more
+//! bytes than the sets they replace, and `u16` words would need an arena of
+//! their own beside the `u32` keys.
+//!
+//! **`dd.by_origin`** — which variant ids an origin owns — is the one prefix
+//! [`VariantTable`] and [`ClusteredIndex`] both read (a shard merge takes a
+//! range start from the first and subtracts it from an id drawn through the
+//! second). v7 stored it twice, the second time as `ix.origin_offsets`, and
+//! compared the copies on open; v8 stores it once and hands both a view.
+//!
+//! Of a variant's derivation, extraction reads only that prefix and, for
+//! weighted requests, its weight: **`dd.weight`** holds one `f64` per variant
+//! in a segment where some variant weighs other than `1.0`, and nothing
+//! otherwise — a function of the segment's variants alone, so a delta's
+//! splice and a rebuild agree on it. The generated corpora carry unit
+//! weights throughout. Token sequences and rule provenance are a pure
+//! function of (origin tokens, rule table, derive config) — `dict.*` and
+//! META carry those — so re-deriving one origin
+//! ([`aeetes_rules::DerivedDictionary::build_filtered`], at most 256
+//! variants) reproduces its variants in id order on any generation.
+//!
+//! A key in **`ix.blocks`** and **`order.key`** is a `u32`. A valid token
 //! — one occurring in some derived entity — keys as
 //! [`aeetes_index::VALID_BIT`] `| rank`, its dense rank in ascending
 //! `(frequency, string)` order; `order.untie` maps ranks back to tokens. Any
@@ -117,7 +138,7 @@
 //! in **`ix.positions`** is the token's position in its variant's ordered
 //! set and nothing else: candidate generation compares it with the prefix
 //! length, and verification enumerates a candidate origin's variants
-//! through `ix.variants_by_len`, not through postings.
+//! through its block, not through postings.
 //!
 //! ## Mmap vs heap fallback
 //!
@@ -148,7 +169,7 @@ const SECTION_ALIGN: usize = 16;
 /// `seg` value marking a global (non-per-segment) section.
 const GLOBAL_SEG: u32 = u32::MAX;
 /// Backstop against forged section counts (a real artifact has
-/// `11 + 12 × shards` sections and shards are capped at 64).
+/// `11 + 11 × shards` sections and shards are capped at 64).
 const MAX_SECTIONS: usize = 1 << 16;
 
 // Global section kinds.
@@ -174,10 +195,9 @@ const SEC_IX_GROUPORIG: u32 = 22;
 const SEC_IX_ORIGENT: u32 = 23;
 const SEC_IX_ORIGENTRIES: u32 = 24;
 const SEC_IX_POSITIONS: u32 = 25;
-const SEC_IX_SETDATA: u32 = 26;
-const SEC_IX_SETOFF: u32 = 27;
+const SEC_IX_BLOCKS: u32 = 26;
+const SEC_IX_BLOCKOFF: u32 = 27;
 const SEC_IX_VARBYLEN: u32 = 28;
-const SEC_IX_ORIGOFF: u32 = 29;
 
 const GLOBAL_KINDS: [u32; 11] = [
     SEC_META,
@@ -192,7 +212,7 @@ const GLOBAL_KINDS: [u32; 11] = [
     SEC_DICT_TOKENS,
     SEC_DICT_TOKOFF,
 ];
-const SEGMENT_KINDS: [u32; 12] = [
+const SEGMENT_KINDS: [u32; 11] = [
     SEC_DD_WEIGHT,
     SEC_DD_BYORIGIN,
     SEC_IX_TOKGROUPS,
@@ -201,10 +221,9 @@ const SEGMENT_KINDS: [u32; 12] = [
     SEC_IX_ORIGENT,
     SEC_IX_ORIGENTRIES,
     SEC_IX_POSITIONS,
-    SEC_IX_SETDATA,
-    SEC_IX_SETOFF,
+    SEC_IX_BLOCKS,
+    SEC_IX_BLOCKOFF,
     SEC_IX_VARBYLEN,
-    SEC_IX_ORIGOFF,
 ];
 
 /// Human-readable name of a section kind (for `aeetes dict info`).
@@ -229,16 +248,17 @@ pub fn section_kind_name(kind: u32) -> &'static str {
         SEC_IX_ORIGENT => "ix.origin_entity",
         SEC_IX_ORIGENTRIES => "ix.origin_entries",
         SEC_IX_POSITIONS => "ix.positions",
-        SEC_IX_SETDATA => "ix.set_data",
-        SEC_IX_SETOFF => "ix.set_offsets",
+        SEC_IX_BLOCKS => "ix.blocks",
+        SEC_IX_BLOCKOFF => "ix.block_offsets",
         SEC_IX_VARBYLEN => "ix.variants_by_len",
-        SEC_IX_ORIGOFF => "ix.origin_offsets",
         _ => "unknown",
     }
 }
 
 /// One shard segment to freeze: its variant table and index (built against
 /// the [`FreezeSource::order`]). A `&DerivedDictionary` coerces to its table.
+/// The origin → variant-range prefix both hold is written once, from the
+/// table.
 pub struct FreezeSegment<'a> {
     /// The segment's variant table.
     pub dd: &'a VariantTable,
@@ -376,10 +396,9 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
             (SEC_IX_ORIGENT, s, pod_bytes(ix.origin_entity)),
             (SEC_IX_ORIGENTRIES, s, pod_bytes(ix.origin_entries)),
             (SEC_IX_POSITIONS, s, pod_bytes(ix.positions)),
-            (SEC_IX_SETDATA, s, pod_bytes(ix.set_data)),
-            (SEC_IX_SETOFF, s, pod_bytes(ix.set_offsets)),
+            (SEC_IX_BLOCKS, s, pod_bytes(ix.blocks)),
+            (SEC_IX_BLOCKOFF, s, pod_bytes(ix.block_offsets)),
             (SEC_IX_VARBYLEN, s, pod_bytes(ix.variants_by_len)),
-            (SEC_IX_ORIGOFF, s, pod_bytes(ix.origin_offsets)),
         ]);
     }
 
@@ -684,9 +703,12 @@ fn open_segment(
     st: DeriveStats,
     dict_len: usize,
 ) -> Result<FrozenSegmentParts, PersistError> {
-    let dd =
-        VariantTable::from_raw_arenas(table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?.into(), table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(), st)
-            .map_err(|e| corrupt(format!("segment {s} variant table: {e}")))?;
+    // One prefix says which variant ids an origin owns; the table and the
+    // index each hold a view of it, so a shard merge that takes a range start
+    // from one and an id through the other cannot be handed two answers.
+    let by_origin = table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?;
+    let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(), st)
+        .map_err(|e| corrupt(format!("segment {s} variant table: {e}")))?;
     // A segment predating a dictionary-growing delta legitimately spans
     // a shorter origin space (origins beyond it have no variants there);
     // spanning more origins than the dictionary is always corruption.
@@ -702,28 +724,13 @@ fn open_segment(
             origin_entity: table.slice::<EntityId>(buf, SEC_IX_ORIGENT, s)?.into(),
             origin_entries: table.slice::<u32>(buf, SEC_IX_ORIGENTRIES, s)?.into(),
             positions: table.slice::<u16>(buf, SEC_IX_POSITIONS, s)?.into(),
-            set_data: table.slice::<u32>(buf, SEC_IX_SETDATA, s)?.into(),
-            set_offsets: table.slice::<u32>(buf, SEC_IX_SETOFF, s)?.into(),
+            blocks: table.slice::<u32>(buf, SEC_IX_BLOCKS, s)?.into(),
+            block_offsets: table.slice::<u32>(buf, SEC_IX_BLOCKOFF, s)?.into(),
             variants_by_len: table.slice::<DerivedId>(buf, SEC_IX_VARBYLEN, s)?.into(),
-            origin_offsets: table.slice::<u32>(buf, SEC_IX_ORIGOFF, s)?.into(),
+            origin_offsets: by_origin.into(),
         },
     )
     .map_err(|e| corrupt(format!("segment {s} index: {e}")))?;
-    // Cross-structure agreement: the two views of which variant ids an
-    // origin owns must be one — a shard merge takes a range start from the
-    // table and subtracts it from an id drawn through the index.
-    let (by_origin, ix_origins) = (dd.raw_arenas().0, index.raw_parts().origin_offsets);
-    if by_origin != ix_origins {
-        return Err(corrupt(match by_origin.iter().zip(ix_origins).position(|(a, b)| a != b) {
-            Some(i) => format!(
-                "segment {s} origin {}'s variants end at {} in dd.by_origin but at {} in ix.origin_offsets",
-                i - 1,
-                by_origin[i],
-                ix_origins[i]
-            ),
-            None => format!("segment {s} index covers {} origins, its variant table spans {}", ix_origins.len() - 1, dd.origins()),
-        }));
-    }
     Ok(FrozenSegmentParts { dd, index })
 }
 
@@ -733,7 +740,7 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 7: other versions are refused).
+    /// Format version (always 8: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -966,7 +973,7 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 7);
+        assert_eq!(info.version, 8);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
@@ -981,13 +988,13 @@ mod tests {
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 7 — the retired v1–v6 layouts
+        // A valid magic with any version but 8 — the retired v1–v7 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v7 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99] {
-            let mut whole = v7.clone();
+        let v8 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 9, 99] {
+            let mut whole = v8.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1008,10 +1015,12 @@ mod tests {
         let good = freeze_sample(&engine, &int, &rules, 1);
         let (by_origin, weight) = engine.derived().raw_arenas();
         assert_eq!((by_origin, weight.len()), (&[0, 2, 6, 7][..], 7));
-        // Same lengths, same total, another owner for variant 2: a shard
-        // merge would subtract origin 1's start, 3, from its variant id 2.
+        // The origin prefix is written once, from the table, and the index
+        // reads that copy: a table that gives origin 0 a third variant cannot
+        // disagree with the index over it, only with the index's own blocks,
+        // where origin 0 has two masks.
         let shifted = VariantTable::from_raw_arenas(vec![0, 3, 6, 7].into(), weight.to_vec().into(), engine.derived().stats().clone()).unwrap();
-        let prefixes_disagree = freeze_to_bytes(&FreezeSource {
+        let another_prefix = freeze_to_bytes(&FreezeSource {
             interner: &int,
             dict: engine.dictionary(),
             removed: &[],
@@ -1021,28 +1030,56 @@ mod tests {
             order: engine.index().order(),
             segments: vec![FreezeSegment { dd: &shifted, index: engine.index() }],
         });
-        let (w_off, w_len) = parse_table(&good).unwrap().entries[&(SEC_DD_WEIGHT, 0)];
+        let table = parse_table(&good).unwrap();
+        let (w_off, w_len) = table.entries[&(SEC_DD_WEIGHT, 0)];
         let w_entry = (0..)
             .map(|i| HEADER_FIXED + i * ENTRY_BYTES)
             .find(|&at| good[at..at + 4] == SEC_DD_WEIGHT.to_le_bytes())
             .unwrap();
-        let patched = |at: usize, with: [u8; 8]| {
+        let patched = |at: usize, with: &[u8]| {
             let mut bytes = good.clone();
-            bytes[at..at + 8].copy_from_slice(&with);
+            bytes[at..at + with.len()].copy_from_slice(with);
             recrc(&mut bytes);
             bytes
         };
+        // Blocks: origin 0 is [5 | 5 keys | 3-key mask | 4-key mask], origin
+        // 1 [6 | 6 keys | 4 masks], origin 2 [4 | 4 keys | 1 mask].
+        let ix = engine.index().raw_parts();
+        assert_eq!((ix.block_offsets, ix.blocks[0], ix.blocks[6].count_ones(), ix.blocks[7].count_ones()), (&[0, 8, 19, 25][..], 5, 3, 4));
+        let (b_off, _) = table.entries[&(SEC_IX_BLOCKS, 0)];
+        let (o_off, _) = table.entries[&(SEC_DD_BYORIGIN, 0)];
+        let block_word = |i: usize, with: u32| patched(b_off + 4 * i, &with.to_le_bytes());
+        let ranks = engine.index().order().ranks() as u32;
         for (bytes, expect) in [
-            (prefixes_disagree, "segment 0 origin 0's variants end at 3 in dd.by_origin but at 2 in ix.origin_offsets"),
-            (patched(w_off + 8, 0f64.to_le_bytes()), "segment 0 variant table: variant 1 weight 0 outside (0, 1]"),
-            (patched(w_off + 16, 1.5f64.to_le_bytes()), "segment 0 variant table: variant 2 weight 1.5 outside (0, 1]"),
-            (patched(w_entry + 16, (w_len as u64 - 8).to_le_bytes()), "variant weight array holds 6 entries, expected none or 7"),
+            (another_prefix, "segment 0 index: origin 0's block holds 8 words, not 1 + 5 keys + 3 masks of 1"),
+            (patched(w_off + 8, &0f64.to_le_bytes()), "segment 0 variant table: variant 1 weight 0 outside (0, 1]"),
+            (patched(w_off + 16, &1.5f64.to_le_bytes()), "segment 0 variant table: variant 2 weight 1.5 outside (0, 1]"),
+            (patched(w_entry + 16, &(w_len as u64 - 8).to_le_bytes()), "variant weight array holds 6 entries, expected none or 7"),
+            (block_word(0, 99), "segment 0 index: origin 0's pool of 99 keys exceeds its block of 8 words"),
+            (block_word(0, 4), "segment 0 index: origin 0's block holds 8 words, not 1 + 4 keys + 2 masks of 1"),
+            (block_word(2, ix.blocks[1]), "segment 0 index: origin 0's pool keys are not strictly ascending"),
+            (block_word(9, ix.blocks[9] & !aeetes_index::VALID_BIT), "segment 0 index: origin 1's pool holds key"),
+            (
+                block_word(5, aeetes_index::VALID_BIT | ranks),
+                &format!("segment 0 index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}"),
+            ),
+            (block_word(6, ix.blocks[6] | 1 << 5), "segment 0 index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
+            (
+                patched(b_off + 4 * 6, &[ix.blocks[7].to_le_bytes(), ix.blocks[6].to_le_bytes()].concat()),
+                "segment 0 index: origin 0's variants are not sorted by set length",
+            ),
+            (
+                block_word(24, ix.blocks[24] & (ix.blocks[24] - 1)),
+                "segment 0 index: the variants' sets hold 22 keys in all, the index 23 postings",
+            ),
+            // Origin 1 left without variants (they pass to origin 2) keeps its block.
+            (patched(o_off + 8, &2u32.to_le_bytes()), "segment 0 index: origin 1 has no variants but a block of 11 words"),
         ] {
             let err = open_frozen_bytes(&bytes).err().expect(expect).to_string();
             assert!(err.contains(expect), "expected `{expect}` in `{err}`");
         }
         // An empty weight section is the other legal length: unit weights.
-        let unweighted = open_frozen_bytes(&patched(w_entry + 16, 0u64.to_le_bytes())).expect("len 0 is legal");
+        let unweighted = open_frozen_bytes(&patched(w_entry + 16, &0u64.to_le_bytes())).expect("len 0 is legal");
         assert_eq!(unweighted.segments[0].dd.weight_of(DerivedId(3)), 1.0);
     }
 }

@@ -80,6 +80,9 @@ pub struct SegmentScratch {
     pub(crate) buf: Vec<u32>,
     /// Verification: sorted distinct key set of the current span.
     pub(crate) s_keys: Vec<u32>,
+    /// Verification: which keys of the current candidate's pool the span
+    /// holds, as masks over the pool.
+    pub(crate) hits: Vec<u32>,
     /// Sorted matches of the most recent run.
     pub(crate) matches: Vec<Match>,
     /// Per-stage timing slots of the most recent run: scratch-resident so

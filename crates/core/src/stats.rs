@@ -11,7 +11,12 @@ pub struct ExtractStats {
     pub accessed_entries: u64,
     /// Candidate `(substring, entity)` pairs sent to verification.
     pub candidates: u64,
-    /// Derived-entity Jaccard computations performed during verification.
+    /// Derived-entity similarity computations performed during verification:
+    /// one per variant whose overlap with the window was computed. A
+    /// candidate's variants past the length and prefix filters count, unless
+    /// the candidate was settled for its whole origin at once — all its
+    /// variants' keys together share too few with the window — and none was
+    /// looked at.
     pub verifications: u64,
     /// Result pairs with `JaccAR ≥ τ`.
     pub matches: u64,

@@ -120,7 +120,7 @@ pub(crate) fn top_k_segment(
 ) {
     // `matches` holds one position's verified pairs during the scan and the
     // result after it.
-    let SegmentScratch { remap, sink, buf, s_keys, matches, stages, .. } = seg;
+    let SegmentScratch { remap, sink, buf, s_keys, hits, matches, stages, .. } = seg;
     matches.clear();
     stages.clear();
     if k == 0 {
@@ -188,7 +188,7 @@ pub(crate) fn top_k_segment(
         // rise before the next position is scanned. Weighted scores are ≤
         // unweighted ones, so the unweighted filters at the ratcheted τ
         // stay sound for them.
-        verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, matches);
+        verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, hits, matches);
         for &m in matches.iter() {
             if heap.len() < k {
                 heap.push(Worst(m));

@@ -6,7 +6,7 @@
 //! here that id is implied rather than stored — candidate generation only
 //! ever asks "is the position inside the τ-prefix?", and verification
 //! enumerates the candidate origin's variants through
-//! [`ClusteredIndex::variants_sorted`], never through postings.
+//! [`ClusteredIndex::block`], never through postings.
 //! Postings are clustered twice:
 //!
 //! 1. by derived-entity **length** — so a scan can batch-skip whole groups
@@ -22,6 +22,21 @@
 //! held in [`Arena`]s. Built in memory they are plain vectors; opened from
 //! a frozen artifact they are zero-copy windows into the file image, and
 //! every lookup below works identically on both.
+//!
+//! The variants' token sets are stored **per origin**, not per variant: all
+//! variants of one origin are the same few tokens recombined, so an origin
+//! keeps the distinct keys of all of them once (its *pool*) and each variant
+//! is a bit mask over that pool. One `u32` arena holds one block per origin,
+//!
+//! ```text
+//! [ P | the P pool keys, ascending | one ⌈P/32⌉-word mask per variant ]
+//! ```
+//!
+//! the masks in the slot order of the by-length variant table (bit `b` of a
+//! mask ⇔ pool key `b` is in the variant's set), and nothing at all for an
+//! origin without variants. A variant's set length is a popcount, a key's
+//! position in its set the popcount of the lower bits. A block names no
+//! variant id, so [`ClusteredIndex::splice`] copies blocks run by run.
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
@@ -127,6 +142,124 @@ impl<'a> LengthGroup<'a> {
     }
 }
 
+/// Borrowed view of one origin's block: its variants' token sets as bit
+/// masks over the origin's key pool (see the module docs). Empty throughout
+/// for an origin without variants.
+#[derive(Clone, Copy)]
+pub struct OriginBlock<'a> {
+    /// The origin's variants, one per slot, by ascending set length.
+    pub ids: &'a [DerivedId],
+    /// The distinct keys of all the origin's variants, ascending.
+    pub pool: &'a [u32],
+    /// One [`OriginBlock::words`]-word mask per slot, back to back.
+    masks: &'a [u32],
+}
+
+/// Mask words a pool of `keys` keys takes.
+#[inline]
+fn mask_words(keys: usize) -> usize {
+    keys.div_ceil(32)
+}
+
+/// Keys a mask selects.
+#[inline]
+fn mask_len(mask: &[u32]) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+impl<'a> OriginBlock<'a> {
+    /// The view of a stored `block` — `[P | P keys | masks]`, or nothing —
+    /// whose slots hold `ids`.
+    #[inline]
+    fn new(ids: &'a [DerivedId], block: &'a [u32]) -> Self {
+        match block {
+            [] => Self { ids, pool: &[], masks: &[] },
+            [keys, rest @ ..] => {
+                let (pool, masks) = rest.split_at(*keys as usize);
+                Self { ids, pool, masks }
+            }
+        }
+    }
+
+    /// Words per variant mask: `⌈|pool| / 32⌉`.
+    #[inline]
+    pub fn words(&self) -> usize {
+        mask_words(self.pool.len())
+    }
+
+    /// The mask of the variant in `slot`: bit `b` ⇔ `pool[b]` is in its set.
+    #[inline]
+    pub fn mask(&self, slot: usize) -> &'a [u32] {
+        let words = self.words();
+        &self.masks[slot * words..(slot + 1) * words]
+    }
+
+    /// Distinct-set size of the variant in `slot`.
+    #[inline]
+    pub fn set_len(&self, slot: usize) -> usize {
+        mask_len(self.mask(slot))
+    }
+
+    /// First slot whose set holds at least `lo` keys (binary search: slots
+    /// ascend by set length).
+    pub fn first_slot_at_least(&self, lo: usize) -> usize {
+        let (mut from, mut to) = (0, self.ids.len());
+        while from < to {
+            let mid = (from + to) / 2;
+            if self.set_len(mid) < lo {
+                from = mid + 1;
+            } else {
+                to = mid;
+            }
+        }
+        from
+    }
+
+    /// The globally-ordered distinct key set of the variant in `slot`.
+    pub fn keys(&self, slot: usize) -> impl Iterator<Item = u32> + 'a {
+        let mask = self.mask(slot);
+        let selected = move |bit: usize| mask[bit / 32] >> (bit % 32) & 1 != 0;
+        self.pool.iter().enumerate().filter(move |&(bit, _)| selected(bit)).map(|(_, &key)| key)
+    }
+}
+
+/// The four per-origin arrays of an index.
+#[derive(Debug, Clone)]
+struct OriginBlocks {
+    /// The origins' blocks back to back
+    /// (`block_offsets[e]..block_offsets[e+1]` is origin `e`'s): everything
+    /// verification reads of a candidate sits in one contiguous run.
+    blocks: Arena<u32>,
+    block_offsets: Arena<u32>,
+    /// Derived ids grouped by origin, each group sorted by ascending
+    /// distinct-set length — so verification can binary-search the variants
+    /// admitted by the length filter (paper §8 future-work item (i)).
+    variants_by_len: Arena<DerivedId>,
+    origin_offsets: Arena<u32>,
+}
+
+impl OriginBlocks {
+    fn origins(&self) -> usize {
+        self.origin_offsets.len() - 1
+    }
+
+    /// Origin `e`'s block. Relies on the block invariants
+    /// [`ClusteredIndex::from_raw_parts`] validates.
+    #[inline]
+    fn block(&self, e: usize) -> OriginBlock<'_> {
+        OriginBlock::new(
+            &self.variants_by_len[self.origin_offsets[e] as usize..self.origin_offsets[e + 1] as usize],
+            &self.blocks[self.block_offsets[e] as usize..self.block_offsets[e + 1] as usize],
+        )
+    }
+}
+
+/// `(|e|⊥, |e|⊤)`, the extreme non-empty set lengths: every non-empty set
+/// has its postings in groups of its length, and no group is empty.
+fn set_len_range(group_len: &[u16]) -> (Option<usize>, Option<usize>) {
+    (group_len.iter().min().map(|&len| len.into()), group_len.iter().max().map(|&len| len.into()))
+}
+
 /// The raw flat arrays of a [`ClusteredIndex`], for the frozen writer.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexArenasRef<'a> {
@@ -142,13 +275,14 @@ pub struct IndexArenasRef<'a> {
     pub origin_entries: &'a [u32],
     /// All postings (`E` entries).
     pub positions: &'a [u16],
-    /// Rank-key arena of all derived entities' distinct sets.
-    pub set_data: &'a [u32],
-    /// Derived entity → set range (`D+1` prefix entries).
-    pub set_offsets: &'a [u32],
+    /// One block per origin: key pool plus one mask per variant.
+    pub blocks: &'a [u32],
+    /// Origin → block range (`origins+1` prefix entries).
+    pub block_offsets: &'a [u32],
     /// Derived ids grouped by origin, sorted by ascending set length.
     pub variants_by_len: &'a [DerivedId],
-    /// Origin → variants range (`origins+1` prefix entries).
+    /// Origin → variants range (`origins+1` prefix entries): the variant
+    /// table's own prefix, which an artifact stores once for both.
     pub origin_offsets: &'a [u32],
 }
 
@@ -162,16 +296,16 @@ pub struct IndexArenas {
     pub origin_entity: Arena<EntityId>,
     pub origin_entries: Arena<u32>,
     pub positions: Arena<u16>,
-    pub set_data: Arena<u32>,
-    pub set_offsets: Arena<u32>,
+    pub blocks: Arena<u32>,
+    pub block_offsets: Arena<u32>,
     pub variants_by_len: Arena<DerivedId>,
     pub origin_offsets: Arena<u32>,
 }
 
 /// The clustered inverted index over a derived dictionary.
 ///
-/// Also owns the [`GlobalOrder`] and, for verification, the globally-ordered
-/// distinct token-key set of every derived entity.
+/// Also owns the [`GlobalOrder`] and, for verification, every origin's
+/// [`OriginBlock`].
 #[derive(Debug, Clone)]
 pub struct ClusteredIndex {
     /// Shared so sharded builds can point every per-shard index at one
@@ -184,18 +318,8 @@ pub struct ClusteredIndex {
     origin_entity: Arena<EntityId>,
     origin_entries: Arena<u32>,
     positions: Arena<u16>,
-    /// Rank-key-sorted distinct token sets of all derived entities,
-    /// flattened into one arena (`set_offsets[i]..set_offsets[i+1]` is the
-    /// set of derived entity `i`). One contiguous allocation keeps the
-    /// verification loop cache-friendly across hundreds of thousands of
-    /// variants.
-    set_data: Arena<u32>,
-    set_offsets: Arena<u32>,
-    /// Derived ids grouped by origin, each group sorted by ascending
-    /// distinct-set length — so verification can binary-search the variants
-    /// admitted by the length filter (paper §8 future-work item (i)).
-    variants_by_len: Arena<DerivedId>,
-    origin_offsets: Arena<u32>,
+    /// The variants' sets, origin by origin.
+    sets: OriginBlocks,
     min_len: Option<usize>,
     max_len: Option<usize>,
 }
@@ -212,48 +336,13 @@ impl ClusteredIndex {
     /// (the shard build path: one order shared by every shard's index).
     /// Every token occurring in `dd` must be valid in `order`.
     pub fn build_with_order(dd: &DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
-        // Globally-ordered distinct key set per derived entity, flattened.
-        let mut set_data: Vec<u32> = Vec::new();
-        let mut set_offsets: Vec<u32> = Vec::with_capacity(dd.len() + 1);
-        set_offsets.push(0);
-        let mut keys: Vec<u32> = Vec::new();
-        let mut min_len: Option<usize> = None;
-        let mut max_len: Option<usize> = None;
-        for (_, d) in dd.iter() {
-            keys.clear();
-            keys.extend(d.tokens.iter().map(|&t| order.key(t)));
-            keys.sort_unstable();
-            keys.dedup();
-            if !keys.is_empty() {
-                min_len = Some(min_len.map_or(keys.len(), |m| m.min(keys.len())));
-                max_len = Some(max_len.map_or(keys.len(), |m| m.max(keys.len())));
-            }
-            set_data.extend_from_slice(&keys);
-            set_offsets.push(set_data.len() as u32);
-        }
-        // Positions are u16, so a variant of more than 65 535 distinct
-        // tokens cannot be indexed. Dictionary entities are short phrases
-        // (the paper's datasets average 2–7 tokens), so this is an
-        // assertion on absurd input, not a runtime error path (an artifact
-        // carries built indexes, so nothing read from disk reaches it).
-        assert!(max_len.unwrap_or(0) <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
+        let sets = build_blocks(dd, &order);
+        let postings = cluster_postings(dd, &order, &sets);
+        Self::assemble(order, postings, sets)
+    }
 
-        let postings = cluster_postings(dd, &order, &set_data, &set_offsets);
-
-        // Per-origin variant ids sorted by set length (stable within equal
-        // lengths, preserving derivation order).
-        let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(dd.len());
-        let mut origin_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
-        origin_offsets.push(0);
-        for e in 0..dd.origins() {
-            let range = dd.variant_range(EntityId(e as u32));
-            let start = variants_by_len.len();
-            variants_by_len.extend(range.map(DerivedId));
-            let set_len = |id: &DerivedId| set_offsets[id.idx() + 1] - set_offsets[id.idx()];
-            variants_by_len[start..].sort_by_key(set_len);
-            origin_offsets.push(variants_by_len.len() as u32);
-        }
-
+    fn assemble(order: Arc<GlobalOrder>, postings: ClusteredPostings, sets: OriginBlocks) -> Self {
+        let (min_len, max_len) = set_len_range(&postings.group_len);
         Self {
             order,
             tok_groups: postings.tok_groups.into(),
@@ -262,10 +351,7 @@ impl ClusteredIndex {
             origin_entity: postings.origin_entity.into(),
             origin_entries: postings.origin_entries.into(),
             positions: postings.positions.into(),
-            set_data: set_data.into(),
-            set_offsets: set_offsets.into(),
-            variants_by_len: variants_by_len.into(),
-            origin_offsets: origin_offsets.into(),
+            sets,
             min_len,
             max_len,
         }
@@ -293,62 +379,58 @@ impl ClusteredIndex {
     /// # Panics
     /// Panics under the conditions of [`aeetes_rules::VariantTable::splice`].
     pub fn splice(old: &Self, small: &Self, changed: &[bool]) -> Self {
-        let sides = [old.raw_parts(), small.raw_parts()];
-        let origins = |ix: &IndexArenasRef<'_>| ix.origin_offsets.len() - 1;
-        assert_eq!(changed.len(), origins(&sides[1]), "the changed flags must span the post-delta origin space");
-        let old_origins = origins(&sides[0]);
+        let sides = [&old.sets, &small.sets];
+        assert_eq!(changed.len(), small.sets.origins(), "the changed flags must span the post-delta origin space");
+        let old_origins = old.sets.origins();
         assert!(old_origins <= changed.len(), "a delta never shrinks the origin space");
 
-        // Per-variant arrays: laid out by ascending origin like the derived
+        // Per-origin arrays: laid out by ascending origin like the derived
         // dictionary, so they splice run by run with rebased offsets and ids.
-        let (mut variants, mut keys) = (0usize, 0usize);
+        let (mut variants, mut words) = (0usize, 0usize);
         for (from_small, run) in splice_runs(changed, old_origins) {
-            let ix = &sides[usize::from(from_small)];
-            let (v0, v1) = (ix.origin_offsets[run.start] as usize, ix.origin_offsets[run.end] as usize);
-            variants += v1 - v0;
-            keys += (ix.set_offsets[v1] - ix.set_offsets[v0]) as usize;
+            let ix = sides[usize::from(from_small)];
+            variants += (ix.origin_offsets[run.end] - ix.origin_offsets[run.start]) as usize;
+            words += (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize;
         }
-        u32::try_from(keys).expect("derived set arena overflows u32 offsets");
-        let mut set_data: Vec<u32> = Vec::with_capacity(keys);
-        let mut set_offsets: Vec<u32> = Vec::with_capacity(variants + 1);
+        u32::try_from(words).expect("origin block arena overflows u32 offsets");
+        let mut blocks: Vec<u32> = Vec::with_capacity(words);
+        let mut block_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
         let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(variants);
         let mut origin_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        set_offsets.push(0);
+        block_offsets.push(0);
         origin_offsets.push(0);
         for (from_small, run) in splice_runs(changed, old_origins) {
-            let ix = &sides[usize::from(from_small)];
+            let ix = sides[usize::from(from_small)];
             let (v0, v1) = (ix.origin_offsets[run.start] as usize, ix.origin_offsets[run.end] as usize);
-            let base = variants_by_len.len() as u32;
+            let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
+            let (variant_base, block_base) = (variants_by_len.len() as u32, blocks.len() as u32);
             // Origins no run covered hold nothing.
-            origin_offsets.resize(run.start + 1, base);
-            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0 as u32, base));
-            set_offsets.extend(rebased(&ix.set_offsets[v0 + 1..=v1], ix.set_offsets[v0], set_data.len() as u32));
-            variants_by_len.extend(ix.variants_by_len[v0..v1].iter().map(|d| DerivedId(d.0 - v0 as u32 + base)));
-            set_data.extend_from_slice(&ix.set_data[ix.set_offsets[v0] as usize..ix.set_offsets[v1] as usize]);
+            origin_offsets.resize(run.start + 1, variant_base);
+            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0 as u32, variant_base));
+            block_offsets.resize(run.start + 1, block_base);
+            block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
+            variants_by_len.extend(ix.variants_by_len[v0..v1].iter().map(|d| DerivedId(d.0 - v0 as u32 + variant_base)));
+            blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
         }
         origin_offsets.resize(changed.len() + 1, variants_by_len.len() as u32);
-        let (mut min_len, mut max_len) = (None, None);
-        for len in set_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).filter(|&len| len > 0) {
-            min_len = Some(min_len.map_or(len, |m: usize| m.min(len)));
-            max_len = Some(max_len.map_or(len, |m: usize| m.max(len)));
-        }
-
-        let postings = splice_postings(&sides[0], &sides[1], changed, keys);
-        Self {
-            order: small.shared_order(),
-            tok_groups: postings.tok_groups.into(),
-            group_len: postings.group_len.into(),
-            group_origins: postings.group_origins.into(),
-            origin_entity: postings.origin_entity.into(),
-            origin_entries: postings.origin_entries.into(),
-            positions: postings.positions.into(),
-            set_data: set_data.into(),
-            set_offsets: set_offsets.into(),
+        block_offsets.resize(changed.len() + 1, blocks.len() as u32);
+        let sets = OriginBlocks {
+            blocks: blocks.into(),
+            block_offsets: block_offsets.into(),
             variants_by_len: variants_by_len.into(),
             origin_offsets: origin_offsets.into(),
-            min_len,
-            max_len,
-        }
+        };
+
+        // A posting is a key of some set: the result holds `old`'s less those
+        // of its changed origins, and all of `small`'s.
+        let cut: usize = (0..old_origins)
+            .filter(|&e| changed[e])
+            .map(|e| old.sets.block(e))
+            .map(|block| (0..block.ids.len()).map(|slot| block.set_len(slot)).sum::<usize>())
+            .sum();
+        let postings = old.positions.len() - cut + small.positions.len();
+        let postings = splice_postings(&old.raw_parts(), &small.raw_parts(), changed, postings);
+        Self::assemble(small.shared_order(), postings, sets)
     }
 
     /// Reassembles an index from raw (possibly frozen) arenas, validating
@@ -360,14 +442,19 @@ impl ClusteredIndex {
     /// - group lengths are strictly ascending within each token and origin
     ///   entities strictly ascending within each group (the batch-skip
     ///   scans rely on both);
-    /// - every derived set is strictly ascending and holds only valid keys
-    ///   whose rank the order handed out (the merge intersections of
-    ///   verification silently under-count on anything else);
+    /// - every origin's block has the length its pool size and variant
+    ///   count call for (none without variants), its pool is strictly
+    ///   ascending and holds only valid keys whose rank the order handed out
+    ///   (the merge of verification silently under-counts on anything else),
+    ///   no mask sets a bit past the pool, and the masks' popcounts never
+    ///   fall from one slot to the next (verification binary-searches them);
+    /// - the sets hold as many keys in all as the index holds postings (a
+    ///   splice sizes its result by subtracting one from the other);
     /// - every origin cluster names an origin of the variant table;
     /// - every posting's position is below its group's set length — the
     ///   length of every set a posting of that group can belong to;
     /// - every variant id in the by-length table lies in its origin's own
-    ///   range and is sorted by ascending set length within it.
+    ///   range.
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
         let groups = a.group_len.len();
         let origins = a.origin_entity.len();
@@ -380,23 +467,22 @@ impl ClusteredIndex {
             return Err(format!("origin entry offsets hold {} entries, expected {}", a.origin_entries.len(), origins + 1));
         }
         check_prefix("origin entry offsets", &a.origin_entries, a.positions.len())?;
-        check_prefix("set offsets", &a.set_offsets, a.set_data.len())?;
-        let num_derived = a.set_offsets.len() - 1;
         check_prefix("variant offsets", &a.origin_offsets, a.variants_by_len.len())?;
-        if a.variants_by_len.len() != num_derived {
-            return Err(format!("variants-by-length table holds {} ids for {} derived entities", a.variants_by_len.len(), num_derived));
+        if a.block_offsets.len() != a.origin_offsets.len() {
+            return Err(format!("block offsets hold {} entries, expected {}", a.block_offsets.len(), a.origin_offsets.len()));
         }
+        check_prefix("block offsets", &a.block_offsets, a.blocks.len())?;
         // These scans run on the frozen-open critical path, so hoist plain
         // slices out of the arenas (an Arena deref is a match plus a
-        // pointer rebuild) and derive the per-entity set lengths once.
+        // pointer rebuild).
         let tok_groups: &[u32] = &a.tok_groups;
         let group_len: &[u16] = &a.group_len;
         let group_origins: &[u32] = &a.group_origins;
         let origin_entity: &[EntityId] = &a.origin_entity;
         let origin_entries: &[u32] = &a.origin_entries;
         let positions: &[u16] = &a.positions;
-        let set_data: &[u32] = &a.set_data;
-        let set_offsets: &[u32] = &a.set_offsets;
+        let blocks: &[u32] = &a.blocks;
+        let block_offsets: &[u32] = &a.block_offsets;
         let variants_by_len: &[DerivedId] = &a.variants_by_len;
         let origin_offsets: &[u32] = &a.origin_offsets;
         // Both "strictly ascending within each range" checks run as one
@@ -435,25 +521,16 @@ impl ClusteredIndex {
             let c = origin_entity.iter().position(|e| e.idx() >= origin_space).expect("max out of range");
             return Err(format!("origin cluster {c} names origin {:?} out of {origin_space}", origin_entity[c]));
         }
-        // Sets: one pass for "valid bit set, rank handed out" (a single
-        // unsigned compare per key), one for strict ascent inside each set.
+        // Blocks, origin by origin.
         let ranks = order.ranks() as u32;
-        let key_ok = |k: u32| k.wrapping_sub(VALID_BIT) < ranks;
-        let set_of = |i: usize| set_offsets.partition_point(|&o| o as usize <= i) - 1;
-        if !set_data.iter().fold(true, |ok, &k| ok & key_ok(k)) {
-            let i = set_data.iter().position(|&k| !key_ok(k)).expect("fold found a bad key");
-            let (d, k) = (set_of(i), set_data[i]);
-            return Err(if k & VALID_BIT == 0 {
-                format!("set {d} holds key {k:#x} without the valid bit")
-            } else {
-                format!("set {d} holds rank {} but the order hands out only {ranks}", k & !VALID_BIT)
-            });
+        let mut keys_in_sets = 0usize;
+        for e in 0..origin_space {
+            let block = &blocks[block_offsets[e] as usize..block_offsets[e + 1] as usize];
+            keys_in_sets += check_block(e, block, (origin_offsets[e + 1] - origin_offsets[e]) as usize, ranks)?;
         }
-        if !ascending_within(|i| set_data[i - 1] < set_data[i], set_offsets, set_data.len()) {
-            let d = (0..set_offsets.len() - 1)
-                .find(|&d| set_data[set_offsets[d] as usize..set_offsets[d + 1] as usize].windows(2).any(|w| w[0] >= w[1]))
-                .expect("pass found a non-ascending set");
-            return Err(format!("set {d}'s keys are not strictly ascending"));
+        // One posting per key of every set: a splice counts on it.
+        if keys_in_sets != positions.len() {
+            return Err(format!("the variants' sets hold {keys_in_sets} keys in all, the index {} postings", positions.len()));
         }
         // Postings: each group's run of positions against the group length.
         let group_postings = |g: usize| origin_entries[group_origins[g] as usize] as usize..origin_entries[group_origins[g + 1] as usize] as usize;
@@ -462,20 +539,6 @@ impl ClusteredIndex {
             let g = (0..groups).find(|&g| !positions_ok(g)).expect("fold found a bad group");
             let i = group_postings(g).find(|&i| positions[i] >= group_len[g]).expect("group holds a bad posting");
             return Err(format!("posting {i} position {} outside its group's sets of {}", positions[i], group_len[g]));
-        }
-        // `set_len` is kept as u32 (not usize) so the variant scan below
-        // gathers from a table half the size.
-        let mut set_len: Vec<u32> = Vec::with_capacity(num_derived);
-        let mut min_len: Option<usize> = None;
-        let mut max_len: Option<usize> = None;
-        for w in set_offsets.windows(2) {
-            let l = w[1] - w[0];
-            if l > 0 {
-                let l = l as usize;
-                min_len = Some(min_len.map_or(l, |m| m.min(l)));
-                max_len = Some(max_len.map_or(l, |m| m.max(l)));
-            }
-            set_len.push(l);
         }
         // An origin's slots hold ids of its own range — the ids are one
         // origin-ordered space, and a shard merge subtracts the range start
@@ -490,34 +553,13 @@ impl ClusteredIndex {
             let e = (0..origin_space).find(|&e| !own_ids(e)).expect("fold found a bad origin");
             return Err(format!("origin {e}'s variant table holds an id outside its range {}..{}", origin_offsets[e], origin_offsets[e + 1]));
         }
-        // Per-origin sortedness by set length, as one sequential pass with
-        // a boundary bitmap: each variant's length is gathered exactly once
-        // and compared to its predecessor unless an origin starts here.
-        let sorted_by_len = {
-            let n = variants_by_len.len();
-            let mut boundary = vec![false; n];
-            for &b in origin_offsets {
-                if (b as usize) < n {
-                    boundary[b as usize] = true;
-                }
-            }
-            let mut prev = 0u32;
-            (0..n).fold(true, |ok, i| {
-                let l = set_len[variants_by_len[i].idx()];
-                let ok = ok & (boundary[i] | (prev <= l));
-                prev = l;
-                ok
-            })
+        let sets = OriginBlocks {
+            blocks: a.blocks,
+            block_offsets: a.block_offsets,
+            variants_by_len: a.variants_by_len,
+            origin_offsets: a.origin_offsets,
         };
-        if !sorted_by_len {
-            let e = (0..origin_offsets.len() - 1)
-                .find(|&e| {
-                    let ids = &variants_by_len[origin_offsets[e] as usize..origin_offsets[e + 1] as usize];
-                    ids.windows(2).any(|w| set_len[w[0].idx()] > set_len[w[1].idx()])
-                })
-                .expect("pass found an unsorted origin");
-            return Err(format!("origin {e}'s variants are not sorted by set length"));
-        }
+        let (min_len, max_len) = set_len_range(group_len);
         Ok(Self {
             order,
             tok_groups: a.tok_groups,
@@ -526,10 +568,7 @@ impl ClusteredIndex {
             origin_entity: a.origin_entity,
             origin_entries: a.origin_entries,
             positions: a.positions,
-            set_data: a.set_data,
-            set_offsets: a.set_offsets,
-            variants_by_len: a.variants_by_len,
-            origin_offsets: a.origin_offsets,
+            sets,
             min_len,
             max_len,
         })
@@ -544,10 +583,10 @@ impl ClusteredIndex {
             origin_entity: &self.origin_entity,
             origin_entries: &self.origin_entries,
             positions: &self.positions,
-            set_data: &self.set_data,
-            set_offsets: &self.set_offsets,
-            variants_by_len: &self.variants_by_len,
-            origin_offsets: &self.origin_offsets,
+            blocks: &self.sets.blocks,
+            block_offsets: &self.sets.block_offsets,
+            variants_by_len: &self.sets.variants_by_len,
+            origin_offsets: &self.sets.origin_offsets,
         }
     }
 
@@ -556,12 +595,12 @@ impl ClusteredIndex {
         self.positions.is_frozen()
     }
 
-    /// The variants of origin `e`, sorted by ascending distinct-set length.
-    /// Together with [`ClusteredIndex::set_len`] this lets verification
-    /// binary-search the window admitted by the length filter instead of
-    /// scanning every variant.
-    pub fn variants_sorted(&self, e: EntityId) -> &[DerivedId] {
-        &self.variants_by_len[self.origin_offsets[e.idx()] as usize..self.origin_offsets[e.idx() + 1] as usize]
+    /// Origin `e`'s block: its variants by ascending distinct-set length and
+    /// their sets as masks over the origin's key pool — what verification
+    /// reads of a candidate.
+    #[inline]
+    pub fn block(&self, e: EntityId) -> OriginBlock<'_> {
+        self.sets.block(e.idx())
     }
 
     /// The global token order used by this index.
@@ -588,18 +627,6 @@ impl ClusteredIndex {
         Some(TokenPostings { ix: self, gs, ge })
     }
 
-    /// The globally-ordered distinct key set of a derived entity.
-    #[inline]
-    pub fn derived_set(&self, id: DerivedId) -> &[u32] {
-        &self.set_data[self.set_offsets[id.idx()] as usize..self.set_offsets[id.idx() + 1] as usize]
-    }
-
-    /// Distinct-set size of a derived entity.
-    #[inline]
-    pub fn set_len(&self, id: DerivedId) -> usize {
-        (self.set_offsets[id.idx() + 1] - self.set_offsets[id.idx()]) as usize
-    }
-
     /// Minimum non-empty distinct-set length over derived entities (`|e|⊥`).
     pub fn min_set_len(&self) -> Option<usize> {
         self.min_len
@@ -617,7 +644,9 @@ impl ClusteredIndex {
 
     /// Approximate size of the index in bytes (for the paper's §6.3
     /// index-size comparison). For a frozen index this is the footprint of
-    /// the borrowed file sections, not per-process heap.
+    /// the borrowed file sections, not per-process heap — its own nine and
+    /// the origin prefix, which it reads but an artifact stores once, with
+    /// the variant table.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         self.tok_groups.len() * size_of::<u32>()
@@ -626,10 +655,10 @@ impl ClusteredIndex {
             + self.origin_entity.len() * size_of::<EntityId>()
             + self.origin_entries.len() * size_of::<u32>()
             + self.positions.len() * size_of::<u16>()
-            + self.set_data.len() * size_of::<u32>()
-            + self.set_offsets.len() * size_of::<u32>()
-            + self.variants_by_len.len() * size_of::<DerivedId>()
-            + self.origin_offsets.len() * size_of::<u32>()
+            + self.sets.blocks.len() * size_of::<u32>()
+            + self.sets.block_offsets.len() * size_of::<u32>()
+            + self.sets.variants_by_len.len() * size_of::<DerivedId>()
+            + self.sets.origin_offsets.len() * size_of::<u32>()
     }
 }
 
@@ -644,6 +673,157 @@ struct ClusteredPostings {
     positions: Vec<u16>,
 }
 
+/// Lays out every origin's block: the distinct keys of the origin's variants,
+/// sorted once, are the pool; a rank → bit table turns each variant's tokens
+/// into its mask; and the variants take their slots by ascending set length
+/// (stable within equal lengths, preserving derivation order).
+///
+/// # Panics
+/// Panics when a token of `dd` is not valid in `order`, or a variant holds
+/// more distinct tokens than a posting's position can name.
+fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
+    let mut blocks: Vec<u32> = Vec::new();
+    let mut block_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
+    let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(dd.len());
+    let mut origin_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
+    block_offsets.push(0);
+    origin_offsets.push(0);
+    // Per rank: the origin whose pool took it last, and its bit there. Only
+    // the entries of the pool in hand are ever read, so neither table is
+    // cleared between origins.
+    let mut pooled_by = vec![u32::MAX; order.ranks()];
+    let mut bit_of_rank = vec![0u32; order.ranks()];
+    // The origin's tokens as ranks, variant after variant, and where each
+    // variant's end.
+    let mut ranks: Vec<u32> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let (mut pool, mut masks, mut lens): (Vec<u32>, Vec<u32>, Vec<u32>) = Default::default();
+    for e in 0..dd.origins() as u32 {
+        let range = dd.variant_range(EntityId(e));
+        if !range.is_empty() {
+            ranks.clear();
+            ends.clear();
+            pool.clear();
+            for id in range.clone() {
+                for &t in dd.derived(DerivedId(id)).tokens {
+                    let key = order.key(t);
+                    assert!(key & VALID_BIT != 0, "token {t:?} of origin {e} is not valid in the order");
+                    let rank = key & !VALID_BIT;
+                    ranks.push(rank);
+                    if std::mem::replace(&mut pooled_by[rank as usize], e) != e {
+                        pool.push(key);
+                    }
+                }
+                ends.push(ranks.len());
+            }
+            pool.sort_unstable();
+            for (bit, &key) in pool.iter().enumerate() {
+                bit_of_rank[(key & !VALID_BIT) as usize] = bit as u32;
+            }
+            let words = mask_words(pool.len());
+            masks.clear();
+            masks.resize(range.len() * words, 0);
+            lens.clear();
+            let mut start = 0;
+            for (v, &end) in ends.iter().enumerate() {
+                let mask = &mut masks[v * words..(v + 1) * words];
+                for &rank in &ranks[start..end] {
+                    let bit = bit_of_rank[rank as usize] as usize;
+                    mask[bit / 32] |= 1 << (bit % 32);
+                }
+                start = end;
+                // Positions are u16, so a variant of more than 65 535 distinct
+                // tokens cannot be indexed. Dictionary entities are short
+                // phrases (the paper's datasets average 2–7 tokens), so this
+                // is an assertion on absurd input, not a runtime error path
+                // (an artifact carries built indexes, so nothing read from
+                // disk reaches it).
+                let len = mask_len(mask);
+                assert!(len <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
+                lens.push(len as u32);
+            }
+            let first = variants_by_len.len();
+            variants_by_len.extend(range.clone().map(DerivedId));
+            variants_by_len[first..].sort_by_key(|id| lens[(id.0 - range.start) as usize]);
+            blocks.push(pool.len() as u32);
+            blocks.extend_from_slice(&pool);
+            for id in &variants_by_len[first..] {
+                let v = (id.0 - range.start) as usize;
+                blocks.extend_from_slice(&masks[v * words..(v + 1) * words]);
+            }
+        }
+        origin_offsets.push(variants_by_len.len() as u32);
+        block_offsets.push(u32::try_from(blocks.len()).expect("origin block arena overflows u32 offsets"));
+    }
+    OriginBlocks {
+        blocks: blocks.into(),
+        block_offsets: block_offsets.into(),
+        variants_by_len: variants_by_len.into(),
+        origin_offsets: origin_offsets.into(),
+    }
+}
+
+/// Validates origin `e`'s block against the number of variants the origin
+/// has (see [`ClusteredIndex::from_raw_parts`] for the invariants) and
+/// returns the number of keys its variants' sets hold in all.
+fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<usize, String> {
+    let Some((&keys, rest)) = block.split_first() else {
+        return if variants == 0 {
+            Ok(0)
+        } else {
+            Err(format!("origin {e} has {variants} variants but no block"))
+        };
+    };
+    if variants == 0 {
+        return Err(format!("origin {e} has no variants but a block of {} words", block.len()));
+    }
+    let keys = keys as usize;
+    if keys > rest.len() {
+        return Err(format!("origin {e}'s pool of {keys} keys exceeds its block of {} words", block.len()));
+    }
+    let words = mask_words(keys);
+    if variants.checked_mul(words) != Some(rest.len() - keys) {
+        return Err(format!("origin {e}'s block holds {} words, not 1 + {keys} keys + {variants} masks of {words}", block.len()));
+    }
+    let (pool, masks) = rest.split_at(keys);
+    // Branchless folds, as for the prefix arrays; the offender is hunted
+    // down on failure.
+    let key_ok = |k: u32| k.wrapping_sub(VALID_BIT) < ranks;
+    if !pool.iter().fold(true, |ok, &k| ok & key_ok(k)) {
+        let k = *pool.iter().find(|&&k| !key_ok(k)).expect("fold found a bad key");
+        return Err(if k & VALID_BIT == 0 {
+            format!("origin {e}'s pool holds key {k:#x} without the valid bit")
+        } else {
+            format!("origin {e}'s pool holds rank {} but the order hands out only {ranks}", k & !VALID_BIT)
+        });
+    }
+    if !pool.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
+        return Err(format!("origin {e}'s pool keys are not strictly ascending"));
+    }
+    if words == 0 {
+        return Ok(0);
+    }
+    // Only a mask's last word has bits past the pool, and none when the pool
+    // fills it (a shift by the full width would not be the empty mask).
+    let spare = match keys % 32 {
+        0 => 0,
+        used => !0u32 << used,
+    };
+    let (mut shortest_allowed, mut keys_in_sets) = (0, 0);
+    for (slot, mask) in masks.chunks_exact(words).enumerate() {
+        if mask[words - 1] & spare != 0 {
+            return Err(format!("origin {e}'s slot {slot} sets a mask bit beyond its pool of {keys} keys"));
+        }
+        let len = mask_len(mask);
+        if len < shortest_allowed {
+            return Err(format!("origin {e}'s variants are not sorted by set length"));
+        }
+        shortest_allowed = len;
+        keys_in_sets += len;
+    }
+    Ok(keys_in_sets)
+}
+
 /// Clusters the postings of every derived set (paper Algorithm 2): one
 /// counting pass sizes each token's list, a second fills a single
 /// exact-capacity buffer, each token's range is sorted by `(len, origin,
@@ -654,28 +834,52 @@ struct ClusteredPostings {
 /// A posting waits for its sort as one `u64`, `len << 48 | derived << 16 |
 /// pos`: variants sit in origin order in a derived dictionary, so ordering
 /// by derived id orders by origin too and the origin need not be carried.
-fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32], set_offsets: &[u32]) -> ClusteredPostings {
-    let num_tokens = set_data.iter().map(|&key| order.token_of(key).idx() + 1).max().unwrap_or(0);
-    // `starts[t]` is where token `t`'s postings begin; while filling,
-    // `cursor[t]` is where its next posting goes.
-    let mut starts = vec![0u32; num_tokens + 1];
-    for &key in set_data {
-        starts[order.token_of(key).idx() + 1] += 1;
+fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings {
+    // Both passes walk the sets the same way: every set bit of every mask is
+    // one posting `(token, len << 48 | derived << 16 | pos)`. A pool key's
+    // token is looked up once per origin, not once per posting.
+    fn each_posting(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks, mut visit: impl FnMut(usize, u64)) {
+        let mut pool_tokens: Vec<usize> = Vec::new();
+        // From variant to variant's origin, not origin by origin: the index
+        // of a delta's few origins spans the whole origin space.
+        let mut slot = 0;
+        while let Some(&first) = sets.variants_by_len.get(slot) {
+            let block = sets.block(dd.origin_of(first).idx());
+            slot += block.ids.len();
+            if block.pool.is_empty() {
+                continue;
+            }
+            pool_tokens.clear();
+            pool_tokens.extend(block.pool.iter().map(|&key| order.token_of(key).idx()));
+            for (id, mask) in block.ids.iter().zip(block.masks.chunks_exact(block.words())) {
+                let mut posting = (mask_len(mask) as u64) << 48 | (id.0 as u64) << 16;
+                for (word, tokens) in mask.iter().zip(pool_tokens.chunks(32)) {
+                    let mut rest = *word;
+                    while rest != 0 {
+                        visit(tokens[rest.trailing_zeros() as usize], posting);
+                        posting += 1;
+                        rest &= rest - 1;
+                    }
+                }
+            }
+        }
     }
+    // `starts[t]` is where token `t`'s postings begin; while filling,
+    // `cursor[t]` is where its next posting goes. Counted over every token
+    // the order knows, then cut behind the last one these sets hold.
+    let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
+    each_posting(dd, order, sets, |t, _| starts[t + 1] += 1);
+    let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
+    starts.truncate(num_tokens + 1);
     for t in 0..num_tokens {
         starts[t + 1] += starts[t];
     }
     let mut cursor = starts[..num_tokens].to_vec();
-    let mut raw = vec![0u64; set_data.len()];
-    for (id, w) in set_offsets.windows(2).enumerate() {
-        let set = &set_data[w[0] as usize..w[1] as usize];
-        let len_and_id = (set.len() as u64) << 48 | (id as u64) << 16;
-        for (pos, &key) in set.iter().enumerate() {
-            let at = &mut cursor[order.token_of(key).idx()];
-            raw[*at as usize] = len_and_id | pos as u64;
-            *at += 1;
-        }
-    }
+    let mut raw = vec![0u64; starts[num_tokens] as usize];
+    each_posting(dd, order, sets, |t, posting| {
+        raw[cursor[t] as usize] = posting;
+        cursor[t] += 1;
+    });
 
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(num_tokens + 1),
@@ -921,8 +1125,8 @@ mod tests {
                 // "of" is the most frequent token → last position (2 of 0..3).
                 assert_eq!(og.positions, [2]);
                 // cross-check against the stored set of the origin's one variant
-                let set = f.index.derived_set(f.index.variants_sorted(og.origin)[0]);
-                assert_eq!(f.index.order().token_of(set[2]), of);
+                let last = f.index.block(og.origin).keys(0).nth(2).expect("three keys");
+                assert_eq!(f.index.order().token_of(last), of);
             }
         }
     }
@@ -982,8 +1186,8 @@ mod tests {
             origin_entity: r.origin_entity.to_vec().into(),
             origin_entries: r.origin_entries.to_vec().into(),
             positions: r.positions.to_vec().into(),
-            set_data: r.set_data.to_vec().into(),
-            set_offsets: r.set_offsets.to_vec().into(),
+            blocks: r.blocks.to_vec().into(),
+            block_offsets: r.block_offsets.to_vec().into(),
             variants_by_len: r.variants_by_len.to_vec().into(),
             origin_offsets: r.origin_offsets.to_vec().into(),
         }
@@ -1040,27 +1244,72 @@ mod tests {
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "group lengths unsorted");
     }
 
-    /// A structurally sound image whose sets or positions are wrong used to
-    /// be adopted and then under-count matches; each is now named and refused.
+    /// A structurally sound image whose blocks or positions are wrong would
+    /// be adopted and then under-count matches (or read out of bounds); each
+    /// is named and refused.
     #[test]
     fn raw_validation_rejects_wrong_sets_and_positions() {
         let f = fixture(&["a b c", "a d"], &[]);
         let ok = owned_arenas(&f.index);
-        let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| {
-            let mut bad = ok.clone();
+        let reject_in = |f: &Fixture, what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| {
+            let mut bad = owned_arenas(&f.index);
             mutate(&mut bad);
             let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err(what);
             assert!(err.contains(expect), "{what}: unexpected message `{err}`");
         };
-        // Set 0 is "a b c" (3 keys), set 1 is "a d" (2 keys).
-        reject("two keys swapped", &|a| a.set_data.as_mut_vec().swap(3, 4), "set 1's keys are not strictly ascending");
-        reject("a key repeated", &|a| a.set_data.as_mut_vec()[1] = ok.set_data[0], "set 0's keys are not strictly ascending");
-        reject("valid bit cleared", &|a| a.set_data.as_mut_vec()[4] &= !VALID_BIT, "set 1 holds key");
+        let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| reject_in(&f, what, mutate, expect);
+        // Origin 0 is "a b c": [3 | 3 keys | 0b111]; origin 1 is "a d":
+        // [2 | 2 keys | 0b11].
+        assert_eq!((&ok.block_offsets[..], ok.blocks[0], ok.blocks[4], ok.blocks[5], ok.blocks[8]), (&[0, 5, 9][..], 3, 0b111, 2, 0b11));
+        reject("a pool past its block", &|a| a.blocks.as_mut_vec()[0] = 9, "origin 0's pool of 9 keys exceeds its block of 5 words");
+        reject(
+            "a pool size the block length contradicts",
+            &|a| a.blocks.as_mut_vec()[0] = 2,
+            "origin 0's block holds 5 words, not 1 + 2 keys + 1 masks of 1",
+        );
+        reject("two keys swapped", &|a| a.blocks.as_mut_vec().swap(6, 7), "origin 1's pool keys are not strictly ascending");
+        reject("a key repeated", &|a| a.blocks.as_mut_vec()[2] = ok.blocks[1], "origin 0's pool keys are not strictly ascending");
+        reject("valid bit cleared", &|a| a.blocks.as_mut_vec()[7] &= !VALID_BIT, "origin 1's pool holds key");
         reject(
             "rank out of range",
-            &|a| a.set_data.as_mut_vec()[2] = VALID_BIT | 4,
-            "set 0 holds rank 4 but the order hands out only 4",
+            &|a| a.blocks.as_mut_vec()[3] = VALID_BIT | 4,
+            "origin 0's pool holds rank 4 but the order hands out only 4",
         );
+        reject(
+            "a mask bit past the pool",
+            &|a| a.blocks.as_mut_vec()[8] |= 1 << 2,
+            "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
+        );
+        reject(
+            "a key dropped from a set",
+            &|a| a.blocks.as_mut_vec()[8] = 0b01,
+            "the variants' sets hold 4 keys in all, the index 5 postings",
+        );
+        reject(
+            "a block for an origin without variants",
+            &|a| {
+                a.origin_offsets.as_mut_vec()[2] = 1;
+                a.variants_by_len.as_mut_vec().pop();
+            },
+            "origin 1 has no variants but a block of 4 words",
+        );
+        reject(
+            "variants without a block",
+            &|a| {
+                a.block_offsets.as_mut_vec()[2] = 5;
+                a.blocks.as_mut_vec().truncate(5);
+            },
+            "origin 1 has 1 variants but no block",
+        );
+        reject(
+            "a block prefix of another origin space",
+            &|a| a.block_offsets.as_mut_vec().push(9),
+            "block offsets hold 4 entries, expected 3",
+        );
+        // "a b" and its rewrite "a c d": [4 | 4 keys | 2-key mask | 3-key mask].
+        let two = fixture(&["a b"], &[("b", "c d")]);
+        assert_eq!(two.index.raw_parts().blocks.len(), 7);
+        reject_in(&two, "popcounts descending", &|a| a.blocks.as_mut_vec().swap(5, 6), "origin 0's variants are not sorted by set length");
         // Token "a" is id 0: its first posting sits in the length-2 group.
         assert_eq!(ok.group_len[0], 2);
         reject("position = group length", &|a| a.positions.as_mut_vec()[0] = 2, "posting 0 position 2 outside its group's sets of 2");
@@ -1076,14 +1325,53 @@ mod tests {
         );
     }
 
+    /// Pools past one mask word: 70 tokens and a rule make a 72-key pool of
+    /// three words; 64 tokens fill two words to the last bit, where the
+    /// "no bit past the pool" check has no spare bits to look at (a shift by
+    /// the word width, if it were computed, would wrap in release builds).
+    #[test]
+    fn wide_pools_span_several_mask_words() {
+        let words = |n: usize| (0..n).map(|i| format!("t{i:02}")).collect::<Vec<_>>().join(" ");
+        let f = fixture(&[&words(70), &words(64)], &[("t00", "x y")]);
+        let order = f.index.order();
+        for (e, (pool, lens)) in [(72, vec![70, 71]), (66, vec![64, 65])].into_iter().enumerate() {
+            let block = f.index.block(EntityId(e as u32));
+            assert_eq!((block.pool.len(), block.words()), (pool, 3));
+            for (slot, id) in block.ids.iter().enumerate() {
+                let mut want: Vec<u32> = f.dd.derived(*id).tokens.iter().map(|&t| order.key(t)).collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(block.keys(slot).collect::<Vec<_>>(), want);
+                assert_eq!(block.set_len(slot), lens[slot]);
+            }
+            assert_eq!([0, lens[0], lens[1], lens[1] + 1].map(|lo| block.first_slot_at_least(lo)), [0, 0, 1, 2]);
+        }
+        let full = fixture(&[&words(64)], &[]);
+        assert_eq!(full.index.block(EntityId(0)).words(), 2);
+        assert_eq!(full.index.raw_parts().blocks[65..], [u32::MAX, u32::MAX]);
+        for f in [&f, &full] {
+            let re = ClusteredIndex::from_raw_parts(f.index.shared_order(), owned_arenas(&f.index)).expect("wide blocks validate");
+            assert_eq!((re.min_set_len(), re.max_set_len()), (f.index.min_set_len(), f.index.max_set_len()));
+        }
+        let mut bad = owned_arenas(&f.index);
+        // Origin 0's first mask ends at word 1 + 72 + 2: bit 72 is bit 8 of it.
+        bad.blocks.as_mut_vec()[75] |= 1 << 8;
+        let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err("bit 72 of 72");
+        assert!(err.contains("origin 0's slot 0 sets a mask bit beyond its pool of 72 keys"), "{err}");
+    }
+
     /// The retired build: one growing `Vec` of postings per token, each
-    /// sorted and flattened in turn. Kept as the oracle for the counting
-    /// build, whose six arrays must equal these element for element.
-    fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder, set_data: &[u32], set_offsets: &[u32]) -> ClusteredPostings {
+    /// sorted and flattened in turn, over sets made by one sort and dedup
+    /// per variant. Kept as the oracle for the counting build over the
+    /// origins' masks, whose six arrays must equal these element for element.
+    fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder) -> ClusteredPostings {
         let num_tokens = dd.iter().flat_map(|(_, d)| d.tokens.iter()).map(|t| t.idx() + 1).max().unwrap_or(0);
         let mut raw: Vec<Vec<(u16, EntityId, DerivedId, u16)>> = vec![Vec::new(); num_tokens];
         for (id, d) in dd.iter() {
-            let set = &set_data[set_offsets[id.idx()] as usize..set_offsets[id.idx() + 1] as usize];
+            // The retired per-variant set: its own sort and dedup.
+            let mut set: Vec<u32> = d.tokens.iter().map(|&t| order.key(t)).collect();
+            set.sort_unstable();
+            set.dedup();
             for (pos, &key) in set.iter().enumerate() {
                 raw[order.token_of(key).idx()].push((set.len() as u16, d.origin, id, pos as u16));
             }
@@ -1143,8 +1431,8 @@ mod tests {
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
-            let built = cluster_postings(&dd, index.order(), r.set_data, r.set_offsets);
-            proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order(), r.set_data, r.set_offsets));
+            let built = cluster_postings(&dd, index.order(), &index.sets);
+            proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
             proptest::prop_assert_eq!(r.positions, &built.positions[..]);
         }

@@ -8,12 +8,14 @@
 //! * [`ClusteredIndex`] — the clustered inverted index: for each token, the
 //!   positions of the token inside the derived entities' ordered sets,
 //!   grouped first by derived-entity length and, inside each length group,
-//!   by origin entity, enabling the batch skips of §3.2.
+//!   by origin entity, enabling the batch skips of §3.2; and, for
+//!   verification, each origin's variants as bit masks over the origin's
+//!   shared key pool ([`OriginBlock`]).
 
 mod clustered;
 mod filters;
 mod order;
 
-pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, LengthGroup, OriginGroup, TokenPostings};
+pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, LengthGroup, OriginBlock, OriginGroup, TokenPostings};
 pub use filters::{metric_window_bounds, prefix_len, window_bounds, WindowBounds};
 pub use order::{GlobalOrder, VALID_BIT};

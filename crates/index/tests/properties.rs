@@ -20,6 +20,19 @@ fn instance() -> impl Strategy<Value = Instance> {
         .prop_map(|(entities, rules)| Instance { entities, rules })
 }
 
+/// Every variant's stored set — the keys its slot's mask selects from its
+/// origin's pool — by derived id.
+fn stored_sets(dd: &DerivedDictionary, index: &ClusteredIndex) -> Vec<Vec<u32>> {
+    let mut sets = vec![Vec::new(); dd.len()];
+    for e in 0..dd.origins() {
+        let block = index.block(EntityId(e as u32));
+        for (slot, id) in block.ids.iter().enumerate() {
+            sets[id.idx()] = block.keys(slot).collect();
+        }
+    }
+    sets
+}
+
 fn build(inst: &Instance) -> (DerivedDictionary, ClusteredIndex) {
     let mut interner = Interner::new();
     let ids: Vec<TokenId> = (0..12).map(|i| interner.intern(&format!("tok{i:02}"))).collect();
@@ -48,9 +61,10 @@ proptest! {
     #[test]
     fn postings_cover_derived_sets_exactly(inst in instance()) {
         let (dd, index) = build(&inst);
+        let sets = stored_sets(&dd, &index);
         let mut expected: HashMap<(TokenId, usize, EntityId), Vec<u16>> = HashMap::new();
         for (id, d) in dd.iter() {
-            let set = index.derived_set(id);
+            let set = &sets[id.idx()];
             for (pos, &key) in set.iter().enumerate() {
                 expected.entry((index.order().token_of(key), set.len(), d.origin)).or_default().push(pos as u16);
             }
@@ -68,8 +82,8 @@ proptest! {
                     // Each position names `t` in some variant of this origin
                     // with this set length.
                     for &pos in og.positions {
-                        let hit = index.variants_sorted(og.origin).iter().any(|&v| {
-                            let set = index.derived_set(v);
+                        let hit = index.block(og.origin).ids.iter().any(|&v| {
+                            let set = &sets[v.idx()];
                             set.len() == g.len() && index.order().token_of(set[pos as usize]) == t
                         });
                         prop_assert!(hit, "position {} of cluster ({:?}, {}, {:?}) names no variant", pos, t, g.len(), og.origin);
@@ -78,13 +92,14 @@ proptest! {
             }
         }
         prop_assert_eq!(clusters, expected.len(), "a cluster the sets call for is missing");
-        prop_assert_eq!(postings, dd.iter().map(|(id, _)| index.set_len(id)).sum::<usize>());
+        prop_assert_eq!(postings, sets.iter().map(Vec::len).sum::<usize>());
         prop_assert_eq!(index.total_entries(), postings);
     }
 
     /// Structural invariants: length groups ascending, origins ascending
     /// within a group, entry counts consistent, derived sets sorted
-    /// strictly ascending by key.
+    /// strictly ascending by key — each the variant's own tokens, keyed —
+    /// and an origin's slots ascending by set length.
     #[test]
     fn index_structure_invariants(inst in instance()) {
         let (dd, index) = build(&inst);
@@ -119,11 +134,25 @@ proptest! {
                 }
             }
         }
-        for (id, _) in dd.iter() {
-            let set = index.derived_set(id);
+        let sets = stored_sets(&dd, &index);
+        for (id, d) in dd.iter() {
+            let set = &sets[id.idx()];
             for w in set.windows(2) {
                 prop_assert!(w[0] < w[1], "derived set must be strictly ascending");
             }
+            let mut own: Vec<u32> = d.tokens.iter().map(|&t| index.order().key(t)).collect();
+            own.sort_unstable();
+            own.dedup();
+            prop_assert_eq!(set, &own, "variant {:?}", id);
+        }
+        for e in 0..dd.origins() {
+            let block = index.block(EntityId(e as u32));
+            let mut ids: Vec<u32> = block.ids.iter().map(|id| id.0).collect();
+            let lens: Vec<usize> = (0..ids.len()).map(|slot| block.set_len(slot)).collect();
+            prop_assert!(lens.windows(2).all(|w| w[0] <= w[1]), "origin {}'s slots must ascend by set length: {:?}", e, lens);
+            prop_assert_eq!(&lens, &block.ids.iter().map(|id| sets[id.idx()].len()).collect::<Vec<_>>());
+            ids.sort_unstable();
+            prop_assert_eq!(ids, dd.variant_range(EntityId(e as u32)).collect::<Vec<_>>(), "origin {}'s slots hold its own variants once each", e);
         }
     }
 
@@ -135,10 +164,9 @@ proptest! {
         let order = index.order();
         // Frequency = number of derived entities whose set contains t.
         let mut freq: HashMap<u32, u32> = HashMap::new();
-        for (id, _) in dd.iter() {
-            for &key in index.derived_set(id) {
-                *freq.entry(index.order().token_of(key).0).or_insert(0) += 1;
-            }
+        let sets = stored_sets(&dd, &index);
+        for &key in sets.iter().flatten() {
+            *freq.entry(index.order().token_of(key).0).or_insert(0) += 1;
         }
         for (&t, &f) in &freq {
             prop_assert_eq!(order.freq(TokenId(t)), f);
@@ -151,7 +179,7 @@ proptest! {
                 }
             }
         }
-        let lens: Vec<usize> = dd.iter().map(|(id, _)| index.set_len(id)).filter(|&l| l > 0).collect();
+        let lens: Vec<usize> = sets.iter().map(Vec::len).filter(|&l| l > 0).collect();
         prop_assert_eq!(index.min_set_len(), lens.iter().min().copied());
         prop_assert_eq!(index.max_set_len(), lens.iter().max().copied());
         let _ = DerivedId(0);

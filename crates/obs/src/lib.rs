@@ -85,7 +85,7 @@ impl ExtractMetrics {
             docs: registry.counter("aeetes_docs_total", "Documents extracted"),
             accessed_entries: registry.counter("aeetes_accessed_entries_total", "Posting-list entries accessed during candidate generation"),
             candidates: registry.counter("aeetes_candidates_total", "Candidate (span, entity) pairs generated"),
-            verifications: registry.counter("aeetes_verifications_total", "Candidates scored by the verifier"),
+            verifications: registry.counter("aeetes_verifications_total", "Derived-entity similarity computations run by the verifier"),
             matches: registry.counter("aeetes_matches_total", "Verified matches reported"),
             truncated: registry.counter("aeetes_truncated_total", "Extractions truncated by a budget or cancellation"),
         }

@@ -64,7 +64,7 @@ fn an_update_peaks_within_a_tenth_of_what_it_retains() {
     // The shape of the benchmark's `usjob_batch`: ~23 rules per entity, two
     // shards adopted from the artifact, deltas that add a few entities made
     // of dictionary vocabulary and tombstone the ones added before.
-    let data = generate(&DatasetProfile::usjob_like().scaled(0.02).with_docs(1), 12);
+    let data = generate(&DatasetProfile::usjob_like().scaled(0.03).with_docs(1), 12);
     let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), 2);
     let engine = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
     let n = data.dictionary.len();

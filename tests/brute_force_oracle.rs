@@ -3,11 +3,13 @@
 //! every substring of every admissible token length scored against every
 //! entity with the exact JaccAR of Definition 2.1.
 
+use aeetes::datagen::{generate, DatasetProfile};
 use aeetes::rules::{DeriveConfig, DerivedDictionary, RuleSet};
 use aeetes::sim::{sorted_set, JaccArVerifier};
 use aeetes::text::{Dictionary, Document, Interner, TokenId};
-use aeetes::{Aeetes, AeetesConfig, Strategy as ExtractStrategy};
+use aeetes::{Aeetes, AeetesConfig, EntityId, Strategy as ExtractStrategy};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A compact instance description drawn by proptest.
 #[derive(Debug, Clone)]
@@ -53,6 +55,18 @@ fn materialize(inst: &Instance) -> (Dictionary, RuleSet, Document, f64, Interner
 /// Brute force: enumerate every substring whose token length lies in the
 /// engine's window bounds and score it against every entity.
 fn brute_force(dict: &Dictionary, dd: &DerivedDictionary, doc: &Document, tau: f64) -> Vec<(u32, u32, u32, f64)> {
+    brute_force_over(dict, dd, doc, tau, |_, _| true)
+}
+
+/// [`brute_force`] over the `(entity, sorted substring set)` pairs `worth`
+/// does not wave through as scoring zero.
+fn brute_force_over(
+    dict: &Dictionary,
+    dd: &DerivedDictionary,
+    doc: &Document,
+    tau: f64,
+    worth: impl Fn(EntityId, &[TokenId]) -> bool,
+) -> Vec<(u32, u32, u32, f64)> {
     let verifier = JaccArVerifier::new(dd);
     // Same substring length range as the framework (token count, from the
     // *distinct* set sizes of derived entities).
@@ -66,7 +80,7 @@ fn brute_force(dict: &Dictionary, dd: &DerivedDictionary, doc: &Document, tau: f
     for p in 0..n {
         for l in w_lo..=w_hi.min(n - p) {
             let s = sorted_set(&doc.tokens()[p..p + l]);
-            for (e, _) in dict.iter() {
+            for (e, _) in dict.iter().filter(|&(e, _)| worth(e, &s)) {
                 let score = verifier.verify(e, &s, 0.0).value;
                 if score >= tau {
                     out.push((p as u32, l as u32, e.0, score));
@@ -109,4 +123,61 @@ proptest! {
             }
         }
     }
+}
+
+/// The same oracle at the other end of the scale: a usjob-profile corpus,
+/// ~23 applicable rules per entity, where an origin's hundreds of variants
+/// are two-word masks over a pool of dozens of keys and most candidates are
+/// settled by the pool alone. The engine must still report
+/// exactly the pairs Definition 2.2 names, with Definition 2.1's scores. The
+/// brute force skips only pairs that share no token at all — those score 0.
+#[test]
+fn engine_matches_brute_force_on_a_rule_dense_corpus() {
+    // The rules of a 600-entity corpus over its forty longest entities: what
+    // applies to an entity does not depend on its neighbours, forty are what
+    // a brute force can score, and the longest have the widest pools.
+    let data = generate(&DatasetProfile::usjob_like().scaled(0.02).with_docs(2), 12);
+    let mut longest: Vec<&[TokenId]> = data.dictionary.iter().map(|(_, entity)| entity.tokens).collect();
+    longest.sort_by_key(|tokens| std::cmp::Reverse(tokens.len()));
+    let mut dictionary = Dictionary::new();
+    for tokens in &longest[..40] {
+        dictionary.push_tokens(data.interner.render(tokens), tokens.to_vec());
+    }
+    let engine = Aeetes::build(dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default());
+    let dd = engine.derived();
+    let origins = dictionary.len();
+    let pools: Vec<usize> = (0..origins as u32).map(|e| engine.index().block(EntityId(e)).pool.len()).collect();
+    assert!(dd.len() >= 50 * origins, "{} variants of {origins} entities: not rule-dense", dd.len());
+    assert!(pools.iter().filter(|&&p| p > 32).count() >= origins / 2, "pools {pools:?}: mostly one-word masks");
+    let vocabulary: Vec<HashSet<TokenId>> = (0..origins as u32)
+        .map(|e| dd.variants(EntityId(e)).iter().flat_map(|d| d.tokens.iter().copied()).collect())
+        .collect();
+    let (mut found, mut verifications) = (0, 0);
+    for (background, tau) in data.documents.iter().zip([0.7, 0.85]) {
+        // Four mentions in corpus text: some variant of an entity, every
+        // other one short of its first token.
+        let mut text: Vec<TokenId> = Vec::new();
+        for (j, chunk) in background.tokens().chunks(12).take(4).enumerate() {
+            let variants = dd.variants(EntityId((9 * j + (tau * 20.0) as usize) as u32 % origins as u32));
+            let mention = variants.get((7 * j + 3) % variants.len()).expect("variant in range").tokens;
+            text.extend_from_slice(chunk);
+            text.extend_from_slice(&mention[j % 2..]);
+        }
+        let doc = Document::from_tokens(text);
+        let expected = brute_force_over(&dictionary, dd, &doc, tau, |e, s| s.iter().any(|t| vocabulary[e.idx()].contains(t)));
+        found += expected.len();
+        for strategy in ExtractStrategy::ALL {
+            let (got, stats) = engine.extract_with(&doc, tau, strategy);
+            verifications += stats.verifications;
+            assert_eq!(
+                got.iter().map(|m| (m.span.start, m.span.len, m.entity.0)).collect::<Vec<_>>(),
+                expected.iter().map(|r| (r.0, r.1, r.2)).collect::<Vec<_>>(),
+                "{strategy} at tau {tau}"
+            );
+            for (m, e) in got.iter().zip(&expected) {
+                assert!((m.score - e.3).abs() < 1e-12, "{strategy}: score {} vs {}", m.score, e.3);
+            }
+        }
+    }
+    assert!(found > 0 && verifications > 0, "{found} matches, {verifications} variant overlaps: the corpus exercises nothing");
 }
