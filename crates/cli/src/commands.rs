@@ -71,7 +71,7 @@ applies a dictionary delta as a new generation without dropping in-flight
 requests.
 
 ARTIFACT FORMAT: `build` writes, and every other command opens, one
-format — AEET v8, the *frozen* layout: the built indexes laid out as flat
+format — AEET v9, the *frozen* layout: the built indexes laid out as flat
 little-endian arenas behind a whole-file CRC-32, so a server memory-maps
 the file and answers its first request without deserializing anything, and
 N serve processes share one page cache. `build --shards N` sets how many
@@ -843,7 +843,7 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
             None => "global".to_string(),
             Some(i) => format!("seg {i}"),
         };
-        println!("  {:<16} {:<8} {:>12} bytes", s.kind, owner, s.len);
+        println!("  {:<18} {:<8} {:>12} bytes", s.kind, owner, s.len);
     }
     Ok(EXIT_OK)
 }

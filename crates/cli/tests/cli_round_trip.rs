@@ -42,7 +42,7 @@ fn build_stats_extract_round_trip() {
     .expect("build succeeds");
     // No flag but the three paths: the artifact is the one format, one segment.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (8, 1));
+    assert_eq!((info.version, info.segments), (9, 1));
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -329,7 +329,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("sharded build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (8, 2));
+    assert_eq!((info.version, info.segments), (9, 2));
     // The retired format switch is an unknown flag, not a silent no-op.
     let mut with_frozen = build_args.to_vec();
     with_frozen.push(s("--frozen"));
@@ -389,7 +389,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!((info.version, info.segments), (8, 2));
+    assert_eq!((info.version, info.segments), (9, 2));
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -402,7 +402,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
 }
 
 /// A file with the AEET magic but a format version this build does not read
-/// — the retired v1–v7 layouts, or a future one — fails every command that
+/// — the retired v1–v8 layouts, or a future one — fails every command that
 /// opens an engine the same way: an error (exit 1 in `main`) naming the
 /// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
@@ -417,7 +417,7 @@ fn other_format_versions_fail_clean_on_every_verb() {
     log.sync().expect("sync wal");
     drop(log);
 
-    for version in [1u32, 2, 3, 4, 5, 6, 7, 9] {
+    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 10] {
         let engine = dir.join(format!("v{version}.aeet"));
         let mut bytes = b"AEET".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -446,13 +446,13 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v8 sections: eleven global ones and, per
-/// segment, the nine index arenas, the origin prefix — once, for the variant
+/// `dict info` lists exactly the v9 sections: eleven global ones and, per
+/// segment, the seven index arenas, the origin prefix — once, for the variant
 /// table and the index both — and the variant weights, the last holding 8
 /// bytes per variant of a segment where some rule weighs other than 1.0
 /// applies, and nothing otherwise.
 #[test]
-fn dict_info_lists_exactly_the_v8_sections() {
+fn dict_info_lists_exactly_the_v9_sections() {
     const GLOBAL: [&str; 11] = [
         "dict.raw_off",
         "dict.raws",
@@ -466,7 +466,7 @@ fn dict_info_lists_exactly_the_v8_sections() {
         "strings.offsets",
         "strings.table",
     ];
-    const SEGMENT: [&str; 11] = [
+    const SEGMENT: [&str; 9] = [
         "dd.by_origin",
         "dd.weight",
         "ix.block_offsets",
@@ -474,10 +474,8 @@ fn dict_info_lists_exactly_the_v8_sections() {
         "ix.group_len",
         "ix.group_origins",
         "ix.origin_entity",
-        "ix.origin_entries",
-        "ix.positions",
+        "ix.origin_min_pos",
         "ix.tok_groups",
-        "ix.variants_by_len",
     ];
     let dir = workdir("sections");
     let dict = dir.join("dict.txt");
@@ -506,7 +504,7 @@ fn dict_info_lists_exactly_the_v8_sections() {
             assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
             let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
             let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-            assert_eq!((field(&info, "version"), field(&info, "segments")), (Some(8), Some(u64::from(segments))));
+            assert_eq!((field(&info, "version"), field(&info, "segments")), (Some(9), Some(u64::from(segments))));
             let listed: Vec<(Option<u64>, &str, u64)> = info
                 .get("sections")
                 .and_then(serde_json::Value::as_array)
@@ -526,12 +524,15 @@ fn dict_info_lists_exactly_the_v8_sections() {
             );
             // A segment's weights: none, or one f64 per variant (the origin
             // prefix and the block prefix each hold a u32 per origin and one
-            // more; four origins here).
+            // more; four origins here); an origin cluster is four bytes of
+            // origin and two of lowest position.
             let bytes_of = |seg: u64, kind: &str| listed.iter().find(|&&(s, k, _)| s == Some(seg) && k == kind).unwrap().2;
             let weights: Vec<u64> = (0..u64::from(segments)).map(|seg| bytes_of(seg, "dd.weight")).collect();
+            let opened = aeetes_core::open_frozen(&engine).expect("open artifact");
             for seg in 0..u64::from(segments) {
                 assert_eq!((bytes_of(seg, "dd.by_origin"), bytes_of(seg, "ix.block_offsets")), (4 * 5, 4 * 5));
-                let variants = bytes_of(seg, "ix.variants_by_len") / 4;
+                assert_eq!(bytes_of(seg, "ix.origin_entity"), 2 * bytes_of(seg, "ix.origin_min_pos"));
+                let variants = opened.segments[seg as usize].dd.len() as u64;
                 assert!(
                     [0, 8 * variants].contains(&weights[seg as usize]),
                     "segment {seg}: {} weight bytes for {variants} variants",

@@ -1,4 +1,4 @@
-//! Frozen AEET v8: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v9: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -9,7 +9,7 @@
 //! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
 //! validate it, and serve its first request in milliseconds — and N serve
 //! processes on one host share a single page cache image instead of N
-//! private heaps. Files carrying any other version word (the retired v1–v7
+//! private heaps. Files carrying any other version word (the retired v1–v8
 //! layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 8
+//! [ 4.. 8)  version u32 = 9
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -36,7 +36,7 @@
 //! the global sections carry the META blob (rules, config, counts — small,
 //! decoded once), the origin dictionary's four arenas, the interner's
 //! string arena/offsets/hash table and the global order's three arrays;
-//! each shard segment carries the nine flat arrays of its clustered index,
+//! each shard segment carries the seven flat arrays of its clustered index,
 //! its variants' weights, and the origin → variant-range prefix that its
 //! variant table and its index both read. Offsets are validated against the
 //! file bounds and the 16-byte alignment rule, every prefix array is
@@ -52,7 +52,7 @@
 //! width`. Bytes below are what `aeetes dict info` prints (per-segment
 //! sections summed) for `aeetes generate --seed 12` dictionaries built with
 //! `aeetes build`: pubmed and dbworld at scale 1.0 in one segment, usjob at
-//! scale 0.25 in two. `a → b` is v7 → v8 (`–`: no such section); everything
+//! scale 0.25 in two. `a → b` is v8 → v9 (`–`: no such section); everything
 //! else is unchanged.
 //!
 //! ```text
@@ -74,47 +74,62 @@
 //! ix.group_len        u16     2                         50 534                  32 592                    60 894
 //! ix.group_origins    u32     4                        101 072                  65 188                   121 796
 //! ix.origin_entity    u32     4                        733 768                 603 584                 2 263 208
-//! ix.origin_entries   u32     4                        733 772                 603 588                 2 263 216
-//! ix.positions        u16     2                        496 232                 534 142                 6 205 970
-//! ix.set_data         u32     4                    992 464 → –           1 068 284 → –            12 411 940 → –
-//! ix.set_offsets      u32     4                    293 164 → –             296 000 → –             1 674 088 → –
-//! ix.blocks           u32     4                  – → 1 039 416             – → 753 148             – → 5 926 140
-//! ix.block_offsets    u32     4                     – → 80 004              – → 48 004                – → 60 008
-//! ix.variants_by_len  u32     4                        293 160                 295 996                 1 674 080
-//! ix.origin_offsets   u32     4                     80 004 → –              48 004 → –                60 008 → –
-//! whole file                             5 390 840 → 5 144 620   4 501 944 → 3 890 800   27 953 304 → 19 793 372
+//! ix.origin_entries   u32     4                    733 772 → –             603 588 → –             2 263 216 → –
+//! ix.positions        u16     2                    496 232 → –             534 142 → –             6 205 970 → –
+//! ix.origin_min_pos   u16     2                    – → 366 884             – → 301 792             – → 1 131 604
+//! ix.blocks           u32     4                      1 039 416                 753 148                 5 926 140
+//! ix.block_offsets    u32     4                         80 004                  48 004                    60 008
+//! ix.variants_by_len  u32     4                    293 160 → –             295 996 → –             1 674 080 → –
+//! whole file                             5 144 620 → 3 988 280   3 890 800 → 2 758 792   19 793 372 → 10 781 592
 //! ```
 //!
-//! What v8 changed is how a segment stores its variants' key sets. v7 kept
-//! one sorted key array per variant (`ix.set_data`, cut by `ix.set_offsets`),
-//! although the variants of one origin are the same few tokens recombined:
-//! usjob's 418 520 variants stored 3 102 985 keys, of which 312 580 are
-//! distinct within their origin. **`ix.blocks`** stores those once. It is one
-//! `u32` arena holding one *block* per origin, found through the prefix
+//! An index *entry* is one origin cluster: for a token, a set length and an
+//! origin, the fact that some variant of that origin with a set of that
+//! length holds the token. `ix.tok_groups` cuts a token's length groups out
+//! of `ix.group_len`, `ix.group_origins` cuts a group's clusters out of the
+//! two parallel cluster arrays: **`ix.origin_entity`**, the cluster's origin,
+//! and **`ix.origin_min_pos`**, the lowest position (0-based) the token takes
+//! in the ordered set of any of those variants. v8 stored every one of those
+//! positions (`ix.positions`, cut per cluster by `ix.origin_entries`) — a
+//! posting per key of every variant's set, 3 102 985 on usjob for 565 802
+//! clusters — but a candidate is an origin, and all a scan asks of a cluster
+//! is whether *some* position is inside the τ-prefix of a set of the group's
+//! length: `∃ pos < prefix_len(len, τ)`. All of a cluster's variants share
+//! `len`, so they share the bound, and `∃ pos < bound ⇔ min pos < bound` for
+//! any bound — the minimum decides every threshold and every metric exactly,
+//! and nothing else a cluster could store is ever read.
+//!
+//! A segment stores its variants' key sets in **`ix.blocks`**: one `u32`
+//! arena holding one *block* per origin, found through the prefix
 //! **`ix.block_offsets`** (origins + 1 entries):
 //!
 //! ```text
 //! [ P | the P distinct keys of all the origin's variants, ascending | one ⌈P/32⌉-word mask per variant ]
 //! ```
 //!
-//! The keys are the origin's *pool*; bit `b` of a variant's mask says pool
-//! key `b` is in its set, and the masks stand in the order of the origin's
-//! slots in `ix.variants_by_len` (ascending set length). An origin without
-//! variants in the segment has no block. A set's length is its mask's
-//! popcount, a key's position in its set the popcount of the mask's lower
-//! bits, and verification (`core::verify`) merges a window against the
-//! pool once instead of against every variant. A block names no variant id
-//! and no offset, so a delta's splice copies unchanged origins' blocks as
-//! they stand. Mask words are `u32` because the sizing rules the others out:
-//! with `u64` words pubmed's 3.7 variants of 3.4 keys per origin take more
-//! bytes than the sets they replace, and `u16` words would need an arena of
-//! their own beside the `u32` keys.
+//! The keys are the origin's *pool* (the variants of one origin are the same
+//! few tokens recombined: usjob's 418 520 variants hold 3 102 985 keys, of
+//! which 312 580 are distinct within their origin); bit `b` of a variant's
+//! mask says pool key `b` is in its set, and the masks stand in the order of
+//! the origin's variant ids: slot `s` of origin `e` is variant
+//! `dd.by_origin[e] + s`. Derivation hands an origin's ids out by ascending
+//! distinct-token count, ties in enumeration order, so set lengths never fall
+//! along the slots (verification binary-searches them; v8 derived in
+//! enumeration order and kept the by-length permutation as
+//! `ix.variants_by_len`). An origin without variants in the segment has no
+//! block. A set's length is its mask's popcount, a key's position in its set
+//! the popcount of the mask's lower bits, and verification (`core::verify`)
+//! merges a window against the pool once instead of against every variant. A
+//! block names no variant id and no offset, so a delta's splice copies
+//! unchanged origins' blocks as they stand. Mask words are `u32` because the
+//! sizing rules the others out: with `u64` words pubmed's 3.7 variants of 3.4
+//! keys per origin take more bytes than one key array per variant would, and
+//! `u16` words would need an arena of their own beside the `u32` keys.
 //!
 //! **`dd.by_origin`** — which variant ids an origin owns — is the one prefix
 //! [`VariantTable`] and [`ClusteredIndex`] both read (a shard merge takes a
 //! range start from the first and subtracts it from an id drawn through the
-//! second). v7 stored it twice, the second time as `ix.origin_offsets`, and
-//! compared the copies on open; v8 stores it once and hands both a view.
+//! second); it is stored once and both are handed a view.
 //!
 //! Of a variant's derivation, extraction reads only that prefix and, for
 //! weighted requests, its weight: **`dd.weight`** holds one `f64` per variant
@@ -134,11 +149,9 @@
 //! other token keys as its own id, which is why token ids stop at 2³¹
 //! ([`TokenId::LIMIT`]): every invalid key sorts below every valid one. A
 //! dictionary delta leaves existing keys as they are and ranks tokens it
-//! makes valid after all existing ones, until the next full build. A posting
-//! in **`ix.positions`** is the token's position in its variant's ordered
-//! set and nothing else: candidate generation compares it with the prefix
-//! length, and verification enumerates a candidate origin's variants
-//! through its block, not through postings.
+//! makes valid after all existing ones, until the next full build — so a
+//! key's position in a set it is in, and with it every lowest position a
+//! cluster stores, survives a delta untouched.
 //!
 //! ## Mmap vs heap fallback
 //!
@@ -153,7 +166,7 @@ use crate::failpoint;
 use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
-use aeetes_rules::{DeriveStats, DerivedId, RuleSet, VariantTable};
+use aeetes_rules::{DeriveStats, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
 use std::collections::HashMap;
 use std::path::Path;
@@ -169,7 +182,7 @@ const SECTION_ALIGN: usize = 16;
 /// `seg` value marking a global (non-per-segment) section.
 const GLOBAL_SEG: u32 = u32::MAX;
 /// Backstop against forged section counts (a real artifact has
-/// `11 + 11 × shards` sections and shards are capped at 64).
+/// `11 + 9 × shards` sections and shards are capped at 64).
 const MAX_SECTIONS: usize = 1 << 16;
 
 // Global section kinds.
@@ -193,11 +206,11 @@ const SEC_IX_TOKGROUPS: u32 = 20;
 const SEC_IX_GROUPLEN: u32 = 21;
 const SEC_IX_GROUPORIG: u32 = 22;
 const SEC_IX_ORIGENT: u32 = 23;
-const SEC_IX_ORIGENTRIES: u32 = 24;
-const SEC_IX_POSITIONS: u32 = 25;
+// 24, 25 and 28 were v8's `ix.origin_entries`, `ix.positions` and
+// `ix.variants_by_len`.
 const SEC_IX_BLOCKS: u32 = 26;
 const SEC_IX_BLOCKOFF: u32 = 27;
-const SEC_IX_VARBYLEN: u32 = 28;
+const SEC_IX_ORIGMINPOS: u32 = 34;
 
 const GLOBAL_KINDS: [u32; 11] = [
     SEC_META,
@@ -212,18 +225,16 @@ const GLOBAL_KINDS: [u32; 11] = [
     SEC_DICT_TOKENS,
     SEC_DICT_TOKOFF,
 ];
-const SEGMENT_KINDS: [u32; 11] = [
+const SEGMENT_KINDS: [u32; 9] = [
     SEC_DD_WEIGHT,
     SEC_DD_BYORIGIN,
     SEC_IX_TOKGROUPS,
     SEC_IX_GROUPLEN,
     SEC_IX_GROUPORIG,
     SEC_IX_ORIGENT,
-    SEC_IX_ORIGENTRIES,
-    SEC_IX_POSITIONS,
+    SEC_IX_ORIGMINPOS,
     SEC_IX_BLOCKS,
     SEC_IX_BLOCKOFF,
-    SEC_IX_VARBYLEN,
 ];
 
 /// Human-readable name of a section kind (for `aeetes dict info`).
@@ -246,11 +257,9 @@ pub fn section_kind_name(kind: u32) -> &'static str {
         SEC_IX_GROUPLEN => "ix.group_len",
         SEC_IX_GROUPORIG => "ix.group_origins",
         SEC_IX_ORIGENT => "ix.origin_entity",
-        SEC_IX_ORIGENTRIES => "ix.origin_entries",
-        SEC_IX_POSITIONS => "ix.positions",
+        SEC_IX_ORIGMINPOS => "ix.origin_min_pos",
         SEC_IX_BLOCKS => "ix.blocks",
         SEC_IX_BLOCKOFF => "ix.block_offsets",
-        SEC_IX_VARBYLEN => "ix.variants_by_len",
         _ => "unknown",
     }
 }
@@ -394,11 +403,9 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
             (SEC_IX_GROUPLEN, s, pod_bytes(ix.group_len)),
             (SEC_IX_GROUPORIG, s, pod_bytes(ix.group_origins)),
             (SEC_IX_ORIGENT, s, pod_bytes(ix.origin_entity)),
-            (SEC_IX_ORIGENTRIES, s, pod_bytes(ix.origin_entries)),
-            (SEC_IX_POSITIONS, s, pod_bytes(ix.positions)),
+            (SEC_IX_ORIGMINPOS, s, pod_bytes(ix.origin_min_pos)),
             (SEC_IX_BLOCKS, s, pod_bytes(ix.blocks)),
             (SEC_IX_BLOCKOFF, s, pod_bytes(ix.block_offsets)),
-            (SEC_IX_VARBYLEN, s, pod_bytes(ix.variants_by_len)),
         ]);
     }
 
@@ -444,7 +451,7 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
 }
 
 /// Checks the magic and the version word. The opener runs this *before* the
-/// CRC so that a file of another format version — a retired v1–v6 artifact,
+/// CRC so that a file of another format version — a retired v1–v8 artifact,
 /// whose footer (if any) means something else — is named as such instead of
 /// being reported as corruption.
 fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
@@ -722,11 +729,9 @@ fn open_segment(
             group_len: table.slice::<u16>(buf, SEC_IX_GROUPLEN, s)?.into(),
             group_origins: table.slice::<u32>(buf, SEC_IX_GROUPORIG, s)?.into(),
             origin_entity: table.slice::<EntityId>(buf, SEC_IX_ORIGENT, s)?.into(),
-            origin_entries: table.slice::<u32>(buf, SEC_IX_ORIGENTRIES, s)?.into(),
-            positions: table.slice::<u16>(buf, SEC_IX_POSITIONS, s)?.into(),
+            origin_min_pos: table.slice::<u16>(buf, SEC_IX_ORIGMINPOS, s)?.into(),
             blocks: table.slice::<u32>(buf, SEC_IX_BLOCKS, s)?.into(),
             block_offsets: table.slice::<u32>(buf, SEC_IX_BLOCKOFF, s)?.into(),
-            variants_by_len: table.slice::<DerivedId>(buf, SEC_IX_VARBYLEN, s)?.into(),
             origin_offsets: by_origin.into(),
         },
     )
@@ -740,7 +745,7 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 8: other versions are refused).
+    /// Format version (always 9: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -812,7 +817,7 @@ mod tests {
     use super::*;
     use crate::backend::extract_segment;
     use crate::limits::ExtractLimits;
-    use aeetes_rules::DerivedDictionary;
+    use aeetes_rules::{DerivedDictionary, DerivedId};
     use aeetes_text::{Document, Tokenizer};
 
     fn sample() -> (crate::Aeetes, Interner, Tokenizer, RuleSet) {
@@ -973,7 +978,7 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 8);
+        assert_eq!(info.version, 9);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
@@ -988,13 +993,13 @@ mod tests {
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 8 — the retired v1–v7 layouts
+        // A valid magic with any version but 9 — the retired v1–v8 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v8 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 9, 99] {
-            let mut whole = v8.clone();
+        let v9 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 10, 99] {
+            let mut whole = v9.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1032,10 +1037,12 @@ mod tests {
         });
         let table = parse_table(&good).unwrap();
         let (w_off, w_len) = table.entries[&(SEC_DD_WEIGHT, 0)];
-        let w_entry = (0..)
-            .map(|i| HEADER_FIXED + i * ENTRY_BYTES)
-            .find(|&at| good[at..at + 4] == SEC_DD_WEIGHT.to_le_bytes())
-            .unwrap();
+        let (m_off, m_len) = table.entries[&(SEC_IX_ORIGMINPOS, 0)];
+        // Where the section table holds a kind's length.
+        let len_field = |kind: u32| {
+            let entry = (0..).map(|i| HEADER_FIXED + i * ENTRY_BYTES).find(|&at| good[at..at + 4] == kind.to_le_bytes());
+            entry.unwrap() + 16
+        };
         let patched = |at: usize, with: &[u8]| {
             let mut bytes = good.clone();
             bytes[at..at + with.len()].copy_from_slice(with);
@@ -1050,11 +1057,16 @@ mod tests {
         let (o_off, _) = table.entries[&(SEC_DD_BYORIGIN, 0)];
         let block_word = |i: usize, with: u32| patched(b_off + 4 * i, &with.to_le_bytes());
         let ranks = engine.index().order().ranks() as u32;
+        let clusters = ix.origin_entity.len();
+        assert_eq!(m_len, 2 * clusters);
         for (bytes, expect) in [
             (another_prefix, "segment 0 index: origin 0's block holds 8 words, not 1 + 5 keys + 3 masks of 1"),
             (patched(w_off + 8, &0f64.to_le_bytes()), "segment 0 variant table: variant 1 weight 0 outside (0, 1]"),
             (patched(w_off + 16, &1.5f64.to_le_bytes()), "segment 0 variant table: variant 2 weight 1.5 outside (0, 1]"),
-            (patched(w_entry + 16, &(w_len as u64 - 8).to_le_bytes()), "variant weight array holds 6 entries, expected none or 7"),
+            (
+                patched(len_field(SEC_DD_WEIGHT), &(w_len as u64 - 8).to_le_bytes()),
+                "variant weight array holds 6 entries, expected none or 7",
+            ),
             (block_word(0, 99), "segment 0 index: origin 0's pool of 99 keys exceeds its block of 8 words"),
             (block_word(0, 4), "segment 0 index: origin 0's block holds 8 words, not 1 + 4 keys + 2 masks of 1"),
             (block_word(2, ix.blocks[1]), "segment 0 index: origin 0's pool keys are not strictly ascending"),
@@ -1068,9 +1080,19 @@ mod tests {
                 patched(b_off + 4 * 6, &[ix.blocks[7].to_le_bytes(), ix.blocks[6].to_le_bytes()].concat()),
                 "segment 0 index: origin 0's variants are not sorted by set length",
             ),
+            // One lowest position per origin cluster, each inside the sets
+            // of its group's length.
             (
-                block_word(24, ix.blocks[24] & (ix.blocks[24] - 1)),
-                "segment 0 index: the variants' sets hold 22 keys in all, the index 23 postings",
+                patched(len_field(SEC_IX_ORIGMINPOS), &(m_len as u64 + 2).to_le_bytes()),
+                &format!("segment 0 index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters + 1),
+            ),
+            (
+                patched(len_field(SEC_IX_ORIGMINPOS), &(m_len as u64 - 2).to_le_bytes()),
+                &format!("segment 0 index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters - 1),
+            ),
+            (
+                patched(m_off, &ix.group_len[0].to_le_bytes()),
+                &format!("segment 0 index: origin cluster 0 lowest position {0} outside its group's sets of {0}", ix.group_len[0]),
             ),
             // Origin 1 left without variants (they pass to origin 2) keeps its block.
             (patched(o_off + 8, &2u32.to_le_bytes()), "segment 0 index: origin 1 has no variants but a block of 11 words"),
@@ -1079,7 +1101,7 @@ mod tests {
             assert!(err.contains(expect), "expected `{expect}` in `{err}`");
         }
         // An empty weight section is the other legal length: unit weights.
-        let unweighted = open_frozen_bytes(&patched(w_entry + 16, &0u64.to_le_bytes())).expect("len 0 is legal");
+        let unweighted = open_frozen_bytes(&patched(len_field(SEC_DD_WEIGHT), &0u64.to_le_bytes())).expect("len 0 is legal");
         assert_eq!(unweighted.segments[0].dd.weight_of(DerivedId(3)), 1.0);
     }
 }

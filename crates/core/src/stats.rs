@@ -6,8 +6,10 @@ use std::ops::AddAssign;
 /// Counters recorded during one (or more, when accumulated) extractions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtractStats {
-    /// Posting entries examined in the inverted index — the paper's
-    /// "number of accessed entries" (Figure 11).
+    /// Index entries read during candidate generation — the paper's "number
+    /// of accessed entries" (Figure 11). An entry is one `(token, set length,
+    /// origin)` cluster, decided by one compare, however many of the origin's
+    /// variants it stands for.
     pub accessed_entries: u64,
     /// Candidate `(substring, entity)` pairs sent to verification.
     pub candidates: u64,

@@ -182,18 +182,9 @@ pub(crate) fn generate(
                 continue;
             }
             let plen = metric.prefix_len(len as usize, tau);
+            stats.accessed_entries += g.origin_count() as u64;
             for og in g.origins() {
-                // One pass over the origin group: stop at the first entry
-                // inside the entity prefix.
-                let mut hit = false;
-                for &pos in og.positions {
-                    stats.accessed_entries += 1;
-                    if (pos as usize) < plen {
-                        hit = true;
-                        break;
-                    }
-                }
-                if hit {
+                if (og.min_pos as usize) < plen {
                     for &ai in lazy.active.iter() {
                         if !lazy.expired[ai as usize] {
                             sink.push(list[ai as usize].span, og.origin);

@@ -17,8 +17,9 @@ pub enum Strategy {
     /// Enumerate every substring, compute its prefix from scratch and scan
     /// the full posting list of each prefix token (per-entry filters only).
     Simple,
-    /// Like `Simple`, but scans use the clustered index: length groups and
-    /// already-candidate origin groups are skipped in batch (§3.2).
+    /// Like `Simple`, but scans use the clustered index: length groups the
+    /// length filter excludes are skipped in batch (§3.2; the paper's other
+    /// batch skip, over an origin's postings, is the index entry itself).
     Skip,
     /// Incremental prefix maintenance with Window Extend / Window Migrate
     /// (§4.1) on top of the clustered scans.

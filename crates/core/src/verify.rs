@@ -123,9 +123,10 @@ pub(crate) fn verify_candidates(
         let (in_window, in_prefix) = hits.split_at(block.words());
         let mut best_score = 0.0f64;
         let mut best_variant: Option<DerivedId> = None;
-        // Slots ascend by set length: binary-search to the first admitted
-        // length, stop at the first beyond it (§8 future-work (i)).
-        for (slot, &id) in block.ids.iter().enumerate().skip(block.first_slot_at_least(lo)) {
+        // Slots — the origin's variant ids — ascend by set length:
+        // binary-search to the first admitted length, stop at the first
+        // beyond it (§8 future-work (i)).
+        for slot in block.first_slot_at_least(lo)..block.ids.len() {
             let (v, len) = (block.mask(slot), block.set_len(slot));
             if len > hi {
                 break;
@@ -143,11 +144,11 @@ pub(crate) fn verify_candidates(
             }
             let mut score = metric.score(len, s_keys.len(), inter);
             if weighted {
-                score *= dd.weight_of(id);
+                score *= dd.weight_of(block.id(slot));
             }
             if score > best_score {
                 best_score = score;
-                best_variant = Some(id);
+                best_variant = Some(block.id(slot));
                 if score >= 1.0 {
                     break;
                 }

@@ -116,7 +116,7 @@ proptest! {
     /// trusted.
     #[test]
     fn byte_soup_with_valid_header_never_panics(tail in proptest::collection::vec(0u8..=255, 0..4096)) {
-        let mut bytes = b"AEET\x08\x00\x00\x00".to_vec();
+        let mut bytes = b"AEET\x09\x00\x00\x00".to_vec();
         bytes.extend_from_slice(&tail);
         let crc = reference_crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());

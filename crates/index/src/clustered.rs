@@ -1,27 +1,30 @@
 //! The clustered inverted index (paper §3.2, Algorithm 2, Figures 3–4).
 //!
-//! For every token `t` the index stores one posting per derived entity
-//! containing `t`: the position of `t` in that entity's globally-ordered
-//! distinct token set. The paper's posting also names the derived entity;
-//! here that id is implied rather than stored — candidate generation only
-//! ever asks "is the position inside the τ-prefix?", and verification
-//! enumerates the candidate origin's variants through
-//! [`ClusteredIndex::block`], never through postings.
-//! Postings are clustered twice:
+//! The paper's index keeps, for every token `t`, one posting per derived
+//! entity containing `t` — the position of `t` in that entity's
+//! globally-ordered distinct token set — and clusters the postings twice:
 //!
 //! 1. by derived-entity **length** — so a scan can batch-skip whole groups
 //!    that violate the length filter, and
-//! 2. within a length group by **origin entity** — so once an origin is
-//!    already a candidate for the current substring, the rest of its
-//!    variants' postings can be skipped in batch.
+//! 2. within a length group by **origin entity** — so an origin's variants
+//!    are decided together.
+//!
+//! Here the cluster *is* the posting. A candidate is an origin, and the only
+//! question a scan asks of an origin cluster is "does some variant hold `t`
+//! inside its τ-prefix?", i.e. "is some position below `prefix_len(len, τ)`?"
+//! — with one prefix length per length group, that is "is the *lowest*
+//! position below it?", whatever the threshold. So an index entry is one
+//! `(token, set length, origin)` cluster and stores that lowest position;
+//! which variants it stands for is never asked (verification enumerates the
+//! candidate origin's variants through [`ClusteredIndex::block`]).
 //!
 //! Storage is *globally* flattened (PR 8): because tokens are laid out one
 //! after another, their length groups tile the group arrays and the groups'
-//! origin clusters tile the origin arrays, so the whole index is six flat
-//! prefix-linked arrays (`tok_groups → group_* → origin_* → positions`)
-//! held in [`Arena`]s. Built in memory they are plain vectors; opened from
-//! a frozen artifact they are zero-copy windows into the file image, and
-//! every lookup below works identically on both.
+//! origin clusters tile the cluster arrays, so the whole index is five flat
+//! arrays (`tok_groups → group_len, group_origins → origin_entity,
+//! origin_min_pos`) held in [`Arena`]s. Built in memory they are plain
+//! vectors; opened from a frozen artifact they are zero-copy windows into
+//! the file image, and every lookup below works identically on both.
 //!
 //! The variants' token sets are stored **per origin**, not per variant: all
 //! variants of one origin are the same few tokens recombined, so an origin
@@ -32,16 +35,19 @@
 //! [ P | the P pool keys, ascending | one ⌈P/32⌉-word mask per variant ]
 //! ```
 //!
-//! the masks in the slot order of the by-length variant table (bit `b` of a
-//! mask ⇔ pool key `b` is in the variant's set), and nothing at all for an
-//! origin without variants. A variant's set length is a popcount, a key's
-//! position in its set the popcount of the lower bits. A block names no
-//! variant id, so [`ClusteredIndex::splice`] copies blocks run by run.
+//! the masks in the order of the origin's variant ids (bit `b` of a mask ⇔
+//! pool key `b` is in the variant's set), which derivation hands out by
+//! ascending set length — a block's slot is its variant's id — and nothing
+//! at all for an origin without variants. A variant's set length is a
+//! popcount, a key's position in its set the popcount of the lower bits. A
+//! block names no variant id, so [`ClusteredIndex::splice`] copies blocks run
+//! by run.
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
 use aeetes_rules::{rebased, splice_runs, DerivedDictionary, DerivedId};
 use aeetes_text::{EntityId, Interner, TokenId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The inverted list of one token (the paper's `L[t]`): a borrowed window
@@ -62,24 +68,22 @@ pub struct LengthGroup<'a> {
     g: u32,
 }
 
-/// Borrowed view of one origin cluster (the paper's `Lₑˡ[t]`).
-#[derive(Clone, Copy)]
-pub struct OriginGroup<'a> {
-    /// The origin entity all these derived entities stem from.
+/// One origin cluster (the paper's `Lₑˡ[t]`), which is one index entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OriginGroup {
+    /// The origin entity whose variants of the group's set length hold the
+    /// token.
     pub origin: EntityId,
-    /// One posting per variant of this origin with the group's length, in
-    /// ascending derived-id order: the token's position in the variant's
-    /// ordered set (0-based). The prefix filter discards positions
-    /// `≥ prefix_len(len, τ)`.
-    pub positions: &'a [u16],
+    /// The lowest position (0-based) the token takes in the ordered set of
+    /// any of those variants. The prefix filter admits the origin exactly
+    /// when this is below `prefix_len(len, τ)`.
+    pub min_pos: u16,
 }
 
 impl<'a> TokenPostings<'a> {
-    /// Total number of postings under this token.
+    /// Total number of entries (origin clusters) under this token.
     pub fn entry_count(&self) -> usize {
-        let os = self.ix.group_origins[self.gs as usize] as usize;
-        let oe = self.ix.group_origins[self.ge as usize] as usize;
-        (self.ix.origin_entries[oe] - self.ix.origin_entries[os]) as usize
+        (self.ix.group_origins[self.ge as usize] - self.ix.group_origins[self.gs as usize]) as usize
     }
 
     /// Length groups in ascending `len` order.
@@ -111,29 +115,21 @@ impl<'a> TokenPostings<'a> {
 impl<'a> LengthGroup<'a> {
     /// Distinct-token-set size of every derived entity in this group.
     /// (This is the group's *key*, not a container size — a group always
-    /// holds at least one posting.)
+    /// holds at least one cluster.)
     #[inline]
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.ix.group_len[self.g as usize] as usize
     }
 
-    /// Total postings across the group's origin clusters.
-    pub fn entry_count(&self) -> usize {
-        let os = self.ix.group_origins[self.g as usize] as usize;
-        let oe = self.ix.group_origins[self.g as usize + 1] as usize;
-        (self.ix.origin_entries[oe] - self.ix.origin_entries[os]) as usize
-    }
-
     /// Iterates the origin clusters, in ascending origin order.
-    pub fn origins(&self) -> impl Iterator<Item = OriginGroup<'a>> + 'a {
+    pub fn origins(&self) -> impl Iterator<Item = OriginGroup> + 'a {
         let ix = self.ix;
-        let os = ix.group_origins[self.g as usize];
-        let oe = ix.group_origins[self.g as usize + 1];
-        (os..oe).map(move |o| OriginGroup {
-            origin: ix.origin_entity[o as usize],
-            positions: &ix.positions[ix.origin_entries[o as usize] as usize..ix.origin_entries[o as usize + 1] as usize],
-        })
+        let clusters = ix.group_origins[self.g as usize] as usize..ix.group_origins[self.g as usize + 1] as usize;
+        ix.origin_entity[clusters.clone()]
+            .iter()
+            .zip(&ix.origin_min_pos[clusters])
+            .map(|(&origin, &min_pos)| OriginGroup { origin, min_pos })
     }
 
     /// Number of origin clusters in this group.
@@ -145,10 +141,11 @@ impl<'a> LengthGroup<'a> {
 /// Borrowed view of one origin's block: its variants' token sets as bit
 /// masks over the origin's key pool (see the module docs). Empty throughout
 /// for an origin without variants.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct OriginBlock<'a> {
-    /// The origin's variants, one per slot, by ascending set length.
-    pub ids: &'a [DerivedId],
+    /// The origin's variant ids: slot `s` holds variant `ids.start + s`, and
+    /// set lengths never fall along them.
+    pub ids: Range<u32>,
     /// The distinct keys of all the origin's variants, ascending.
     pub pool: &'a [u32],
     /// One [`OriginBlock::words`]-word mask per slot, back to back.
@@ -171,7 +168,7 @@ impl<'a> OriginBlock<'a> {
     /// The view of a stored `block` — `[P | P keys | masks]`, or nothing —
     /// whose slots hold `ids`.
     #[inline]
-    fn new(ids: &'a [DerivedId], block: &'a [u32]) -> Self {
+    fn new(ids: Range<u32>, block: &'a [u32]) -> Self {
         match block {
             [] => Self { ids, pool: &[], masks: &[] },
             [keys, rest @ ..] => {
@@ -179,6 +176,12 @@ impl<'a> OriginBlock<'a> {
                 Self { ids, pool, masks }
             }
         }
+    }
+
+    /// The variant in `slot`.
+    #[inline]
+    pub fn id(&self, slot: usize) -> DerivedId {
+        DerivedId(self.ids.start + slot as u32)
     }
 
     /// Words per variant mask: `⌈|pool| / 32⌉`.
@@ -223,7 +226,7 @@ impl<'a> OriginBlock<'a> {
     }
 }
 
-/// The four per-origin arrays of an index.
+/// The three per-origin arrays of an index.
 #[derive(Debug, Clone)]
 struct OriginBlocks {
     /// The origins' blocks back to back
@@ -231,10 +234,8 @@ struct OriginBlocks {
     /// verification reads of a candidate sits in one contiguous run.
     blocks: Arena<u32>,
     block_offsets: Arena<u32>,
-    /// Derived ids grouped by origin, each group sorted by ascending
-    /// distinct-set length — so verification can binary-search the variants
-    /// admitted by the length filter (paper §8 future-work item (i)).
-    variants_by_len: Arena<DerivedId>,
+    /// `origin_offsets[e]..origin_offsets[e+1]` is origin `e`'s variant id
+    /// range — the variant table's own prefix — and so its block's slots.
     origin_offsets: Arena<u32>,
 }
 
@@ -248,7 +249,7 @@ impl OriginBlocks {
     #[inline]
     fn block(&self, e: usize) -> OriginBlock<'_> {
         OriginBlock::new(
-            &self.variants_by_len[self.origin_offsets[e] as usize..self.origin_offsets[e + 1] as usize],
+            self.origin_offsets[e]..self.origin_offsets[e + 1],
             &self.blocks[self.block_offsets[e] as usize..self.block_offsets[e + 1] as usize],
         )
     }
@@ -271,17 +272,14 @@ pub struct IndexArenasRef<'a> {
     pub group_origins: &'a [u32],
     /// Origin cluster → origin entity (`O` entries).
     pub origin_entity: &'a [EntityId],
-    /// Origin cluster → first posting index (`O+1` prefix entries).
-    pub origin_entries: &'a [u32],
-    /// All postings (`E` entries).
-    pub positions: &'a [u16],
+    /// Origin cluster → the lowest position its token takes in a variant of
+    /// that origin and set length (`O` entries).
+    pub origin_min_pos: &'a [u16],
     /// One block per origin: key pool plus one mask per variant.
     pub blocks: &'a [u32],
     /// Origin → block range (`origins+1` prefix entries).
     pub block_offsets: &'a [u32],
-    /// Derived ids grouped by origin, sorted by ascending set length.
-    pub variants_by_len: &'a [DerivedId],
-    /// Origin → variants range (`origins+1` prefix entries): the variant
+    /// Origin → variant id range (`origins+1` prefix entries): the variant
     /// table's own prefix, which an artifact stores once for both.
     pub origin_offsets: &'a [u32],
 }
@@ -294,11 +292,9 @@ pub struct IndexArenas {
     pub group_len: Arena<u16>,
     pub group_origins: Arena<u32>,
     pub origin_entity: Arena<EntityId>,
-    pub origin_entries: Arena<u32>,
-    pub positions: Arena<u16>,
+    pub origin_min_pos: Arena<u16>,
     pub blocks: Arena<u32>,
     pub block_offsets: Arena<u32>,
-    pub variants_by_len: Arena<DerivedId>,
     pub origin_offsets: Arena<u32>,
 }
 
@@ -315,9 +311,10 @@ pub struct ClusteredIndex {
     tok_groups: Arena<u32>,
     group_len: Arena<u16>,
     group_origins: Arena<u32>,
+    /// One entry per origin cluster, and with it the cluster's lowest
+    /// position.
     origin_entity: Arena<EntityId>,
-    origin_entries: Arena<u32>,
-    positions: Arena<u16>,
+    origin_min_pos: Arena<u16>,
     /// The variants' sets, origin by origin.
     sets: OriginBlocks,
     min_len: Option<usize>,
@@ -349,8 +346,7 @@ impl ClusteredIndex {
             group_len: postings.group_len.into(),
             group_origins: postings.group_origins.into(),
             origin_entity: postings.origin_entity.into(),
-            origin_entries: postings.origin_entries.into(),
-            positions: postings.positions.into(),
+            origin_min_pos: postings.origin_min_pos.into(),
             sets,
             min_len,
             max_len,
@@ -358,15 +354,15 @@ impl ClusteredIndex {
     }
 
     /// The index a delta leaves behind, merged instead of rebuilt: `old`
-    /// with every posting, set and variant entry of a `changed` origin cut
-    /// out and `small`'s entries for those origins put in.
+    /// with every cluster and block of a `changed` origin cut out and
+    /// `small`'s for those origins put in.
     ///
     /// `old` and `small` index the two sides of
     /// [`aeetes_rules::VariantTable::splice`] — `small` against the (possibly
     /// extended) order the result is to carry, `changed` over the post-delta
     /// origin space. Extending an order never re-keys a token, so every set
     /// and position `old` stores is what a rebuild under `small`'s order
-    /// would compute again; and postings are clustered token → set length →
+    /// would compute again; and clusters are laid out token → set length →
     /// ascending origin, so a token's list after the delta is its old list
     /// without the changed origins' clusters, merged by `(length, origin)`
     /// with its small list. The result equals
@@ -385,51 +381,41 @@ impl ClusteredIndex {
         assert!(old_origins <= changed.len(), "a delta never shrinks the origin space");
 
         // Per-origin arrays: laid out by ascending origin like the derived
-        // dictionary, so they splice run by run with rebased offsets and ids.
-        let (mut variants, mut words) = (0usize, 0usize);
-        for (from_small, run) in splice_runs(changed, old_origins) {
-            let ix = sides[usize::from(from_small)];
-            variants += (ix.origin_offsets[run.end] - ix.origin_offsets[run.start]) as usize;
-            words += (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize;
-        }
+        // dictionary, so they splice run by run with rebased offsets.
+        let words: usize = splice_runs(changed, old_origins)
+            .map(|(from_small, run)| {
+                let ix = sides[usize::from(from_small)];
+                (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize
+            })
+            .sum();
         u32::try_from(words).expect("origin block arena overflows u32 offsets");
         let mut blocks: Vec<u32> = Vec::with_capacity(words);
         let mut block_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(variants);
         let mut origin_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
         block_offsets.push(0);
         origin_offsets.push(0);
+        let mut variants = 0u32;
         for (from_small, run) in splice_runs(changed, old_origins) {
             let ix = sides[usize::from(from_small)];
-            let (v0, v1) = (ix.origin_offsets[run.start] as usize, ix.origin_offsets[run.end] as usize);
+            let (v0, v1) = (ix.origin_offsets[run.start], ix.origin_offsets[run.end]);
             let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
-            let (variant_base, block_base) = (variants_by_len.len() as u32, blocks.len() as u32);
+            let block_base = blocks.len() as u32;
             // Origins no run covered hold nothing.
-            origin_offsets.resize(run.start + 1, variant_base);
-            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0 as u32, variant_base));
+            origin_offsets.resize(run.start + 1, variants);
+            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0, variants));
             block_offsets.resize(run.start + 1, block_base);
             block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
-            variants_by_len.extend(ix.variants_by_len[v0..v1].iter().map(|d| DerivedId(d.0 - v0 as u32 + variant_base)));
             blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
+            variants += v1 - v0;
         }
-        origin_offsets.resize(changed.len() + 1, variants_by_len.len() as u32);
+        origin_offsets.resize(changed.len() + 1, variants);
         block_offsets.resize(changed.len() + 1, blocks.len() as u32);
         let sets = OriginBlocks {
             blocks: blocks.into(),
             block_offsets: block_offsets.into(),
-            variants_by_len: variants_by_len.into(),
             origin_offsets: origin_offsets.into(),
         };
-
-        // A posting is a key of some set: the result holds `old`'s less those
-        // of its changed origins, and all of `small`'s.
-        let cut: usize = (0..old_origins)
-            .filter(|&e| changed[e])
-            .map(|e| old.sets.block(e))
-            .map(|block| (0..block.ids.len()).map(|slot| block.set_len(slot)).sum::<usize>())
-            .sum();
-        let postings = old.positions.len() - cut + small.positions.len();
-        let postings = splice_postings(&old.raw_parts(), &small.raw_parts(), changed, postings);
+        let postings = splice_postings(&old.raw_parts(), &small.raw_parts(), changed);
         Self::assemble(small.shared_order(), postings, sets)
     }
 
@@ -448,13 +434,9 @@ impl ClusteredIndex {
     ///   (the merge of verification silently under-counts on anything else),
     ///   no mask sets a bit past the pool, and the masks' popcounts never
     ///   fall from one slot to the next (verification binary-searches them);
-    /// - the sets hold as many keys in all as the index holds postings (a
-    ///   splice sizes its result by subtracting one from the other);
     /// - every origin cluster names an origin of the variant table;
-    /// - every posting's position is below its group's set length — the
-    ///   length of every set a posting of that group can belong to;
-    /// - every variant id in the by-length table lies in its origin's own
-    ///   range.
+    /// - there is one lowest position per origin cluster, below its group's
+    ///   set length — the length of every set the cluster can stand for.
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
         let groups = a.group_len.len();
         let origins = a.origin_entity.len();
@@ -463,11 +445,12 @@ impl ClusteredIndex {
             return Err(format!("group origin offsets hold {} entries, expected {}", a.group_origins.len(), groups + 1));
         }
         check_prefix("group origin offsets", &a.group_origins, origins)?;
-        if a.origin_entries.len() != origins + 1 {
-            return Err(format!("origin entry offsets hold {} entries, expected {}", a.origin_entries.len(), origins + 1));
+        if a.origin_min_pos.len() != origins {
+            return Err(format!("lowest positions hold {} entries, expected one per origin cluster: {origins}", a.origin_min_pos.len()));
         }
-        check_prefix("origin entry offsets", &a.origin_entries, a.positions.len())?;
-        check_prefix("variant offsets", &a.origin_offsets, a.variants_by_len.len())?;
+        // Variant ids have no array of their own for the prefix to end at.
+        let variants = a.origin_offsets.last().map_or(0, |&d| d as usize);
+        check_prefix("variant offsets", &a.origin_offsets, variants)?;
         if a.block_offsets.len() != a.origin_offsets.len() {
             return Err(format!("block offsets hold {} entries, expected {}", a.block_offsets.len(), a.origin_offsets.len()));
         }
@@ -479,11 +462,9 @@ impl ClusteredIndex {
         let group_len: &[u16] = &a.group_len;
         let group_origins: &[u32] = &a.group_origins;
         let origin_entity: &[EntityId] = &a.origin_entity;
-        let origin_entries: &[u32] = &a.origin_entries;
-        let positions: &[u16] = &a.positions;
+        let origin_min_pos: &[u16] = &a.origin_min_pos;
         let blocks: &[u32] = &a.blocks;
         let block_offsets: &[u32] = &a.block_offsets;
-        let variants_by_len: &[DerivedId] = &a.variants_by_len;
         let origin_offsets: &[u32] = &a.origin_offsets;
         // Both "strictly ascending within each range" checks run as one
         // sequential pass over the value array with a boundary bitmap
@@ -523,40 +504,21 @@ impl ClusteredIndex {
         }
         // Blocks, origin by origin.
         let ranks = order.ranks() as u32;
-        let mut keys_in_sets = 0usize;
         for e in 0..origin_space {
             let block = &blocks[block_offsets[e] as usize..block_offsets[e + 1] as usize];
-            keys_in_sets += check_block(e, block, (origin_offsets[e + 1] - origin_offsets[e]) as usize, ranks)?;
+            check_block(e, block, (origin_offsets[e + 1] - origin_offsets[e]) as usize, ranks)?;
         }
-        // One posting per key of every set: a splice counts on it.
-        if keys_in_sets != positions.len() {
-            return Err(format!("the variants' sets hold {keys_in_sets} keys in all, the index {} postings", positions.len()));
-        }
-        // Postings: each group's run of positions against the group length.
-        let group_postings = |g: usize| origin_entries[group_origins[g] as usize] as usize..origin_entries[group_origins[g + 1] as usize] as usize;
-        let positions_ok = |g: usize| positions[group_postings(g)].iter().fold(true, |ok, &p| ok & (p < group_len[g]));
+        // Clusters: each group's run of lowest positions against the group length.
+        let group_clusters = |g: usize| group_origins[g] as usize..group_origins[g + 1] as usize;
+        let positions_ok = |g: usize| origin_min_pos[group_clusters(g)].iter().fold(true, |ok, &p| ok & (p < group_len[g]));
         if !(0..groups).fold(true, |ok, g| ok & positions_ok(g)) {
             let g = (0..groups).find(|&g| !positions_ok(g)).expect("fold found a bad group");
-            let i = group_postings(g).find(|&i| positions[i] >= group_len[g]).expect("group holds a bad posting");
-            return Err(format!("posting {i} position {} outside its group's sets of {}", positions[i], group_len[g]));
-        }
-        // An origin's slots hold ids of its own range — the ids are one
-        // origin-ordered space, and a shard merge subtracts the range start
-        // from whichever id verification picked.
-        let own_ids = |e: usize| {
-            let (lo, hi) = (origin_offsets[e], origin_offsets[e + 1]);
-            variants_by_len[lo as usize..hi as usize]
-                .iter()
-                .fold(true, |ok, d| ok & (d.0.wrapping_sub(lo) < hi - lo))
-        };
-        if !(0..origin_space).fold(true, |ok, e| ok & own_ids(e)) {
-            let e = (0..origin_space).find(|&e| !own_ids(e)).expect("fold found a bad origin");
-            return Err(format!("origin {e}'s variant table holds an id outside its range {}..{}", origin_offsets[e], origin_offsets[e + 1]));
+            let c = group_clusters(g).find(|&c| origin_min_pos[c] >= group_len[g]).expect("group holds a bad cluster");
+            return Err(format!("origin cluster {c} lowest position {} outside its group's sets of {}", origin_min_pos[c], group_len[g]));
         }
         let sets = OriginBlocks {
             blocks: a.blocks,
             block_offsets: a.block_offsets,
-            variants_by_len: a.variants_by_len,
             origin_offsets: a.origin_offsets,
         };
         let (min_len, max_len) = set_len_range(group_len);
@@ -566,8 +528,7 @@ impl ClusteredIndex {
             group_len: a.group_len,
             group_origins: a.group_origins,
             origin_entity: a.origin_entity,
-            origin_entries: a.origin_entries,
-            positions: a.positions,
+            origin_min_pos: a.origin_min_pos,
             sets,
             min_len,
             max_len,
@@ -581,23 +542,20 @@ impl ClusteredIndex {
             group_len: &self.group_len,
             group_origins: &self.group_origins,
             origin_entity: &self.origin_entity,
-            origin_entries: &self.origin_entries,
-            positions: &self.positions,
+            origin_min_pos: &self.origin_min_pos,
             blocks: &self.sets.blocks,
             block_offsets: &self.sets.block_offsets,
-            variants_by_len: &self.sets.variants_by_len,
             origin_offsets: &self.sets.origin_offsets,
         }
     }
 
     /// Whether the storage borrows a frozen artifact (zero-copy).
     pub fn is_frozen(&self) -> bool {
-        self.positions.is_frozen()
+        self.origin_entity.is_frozen()
     }
 
-    /// Origin `e`'s block: its variants by ascending distinct-set length and
-    /// their sets as masks over the origin's key pool — what verification
-    /// reads of a candidate.
+    /// Origin `e`'s block: its variants' sets, in id order, as masks over
+    /// the origin's key pool — what verification reads of a candidate.
     #[inline]
     pub fn block(&self, e: EntityId) -> OriginBlock<'_> {
         self.sets.block(e.idx())
@@ -637,14 +595,14 @@ impl ClusteredIndex {
         self.max_len
     }
 
-    /// Total postings across all tokens.
+    /// Total index entries — origin clusters — across all tokens.
     pub fn total_entries(&self) -> usize {
-        self.positions.len()
+        self.origin_entity.len()
     }
 
     /// Approximate size of the index in bytes (for the paper's §6.3
     /// index-size comparison). For a frozen index this is the footprint of
-    /// the borrowed file sections, not per-process heap — its own nine and
+    /// the borrowed file sections, not per-process heap — its own seven and
     /// the origin prefix, which it reads but an artifact stores once, with
     /// the variant table.
     pub fn size_bytes(&self) -> usize {
@@ -653,41 +611,36 @@ impl ClusteredIndex {
             + self.group_len.len() * size_of::<u16>()
             + self.group_origins.len() * size_of::<u32>()
             + self.origin_entity.len() * size_of::<EntityId>()
-            + self.origin_entries.len() * size_of::<u32>()
-            + self.positions.len() * size_of::<u16>()
+            + self.origin_min_pos.len() * size_of::<u16>()
             + self.sets.blocks.len() * size_of::<u32>()
             + self.sets.block_offsets.len() * size_of::<u32>()
-            + self.sets.variants_by_len.len() * size_of::<DerivedId>()
             + self.sets.origin_offsets.len() * size_of::<u32>()
     }
 }
 
-/// The six posting arrays of an index under construction.
+/// The five cluster arrays of an index under construction.
 #[derive(Debug, PartialEq, Eq)]
 struct ClusteredPostings {
     tok_groups: Vec<u32>,
     group_len: Vec<u16>,
     group_origins: Vec<u32>,
     origin_entity: Vec<EntityId>,
-    origin_entries: Vec<u32>,
-    positions: Vec<u16>,
+    origin_min_pos: Vec<u16>,
 }
 
 /// Lays out every origin's block: the distinct keys of the origin's variants,
 /// sorted once, are the pool; a rank → bit table turns each variant's tokens
-/// into its mask; and the variants take their slots by ascending set length
-/// (stable within equal lengths, preserving derivation order).
+/// into its mask; and the masks stand in the order of the variants' ids.
 ///
 /// # Panics
-/// Panics when a token of `dd` is not valid in `order`, or a variant holds
-/// more distinct tokens than a posting's position can name.
+/// Panics when a token of `dd` is not valid in `order`, a variant holds more
+/// distinct tokens than a position can name, or set lengths fall along an
+/// origin's ids (derivation hands ids out by ascending distinct-token count;
+/// verification binary-searches the slots on it).
 fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
     let mut blocks: Vec<u32> = Vec::new();
     let mut block_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
-    let mut variants_by_len: Vec<DerivedId> = Vec::with_capacity(dd.len());
-    let mut origin_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
     block_offsets.push(0);
-    origin_offsets.push(0);
     // Per rank: the origin whose pool took it last, and its bit there. Only
     // the entries of the pool in hand are ever read, so neither table is
     // cleared between origins.
@@ -697,7 +650,7 @@ fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
     // variant's end.
     let mut ranks: Vec<u32> = Vec::new();
     let mut ends: Vec<usize> = Vec::new();
-    let (mut pool, mut masks, mut lens): (Vec<u32>, Vec<u32>, Vec<u32>) = Default::default();
+    let mut pool: Vec<u32> = Vec::new();
     for e in 0..dd.origins() as u32 {
         let range = dd.variant_range(EntityId(e));
         if !range.is_empty() {
@@ -721,12 +674,13 @@ fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
                 bit_of_rank[(key & !VALID_BIT) as usize] = bit as u32;
             }
             let words = mask_words(pool.len());
-            masks.clear();
-            masks.resize(range.len() * words, 0);
-            lens.clear();
-            let mut start = 0;
-            for (v, &end) in ends.iter().enumerate() {
-                let mask = &mut masks[v * words..(v + 1) * words];
+            blocks.push(pool.len() as u32);
+            blocks.extend_from_slice(&pool);
+            let (mut start, mut shortest_allowed) = (0, 0);
+            for &end in &ends {
+                let at = blocks.len();
+                blocks.resize(at + words, 0);
+                let mask = &mut blocks[at..];
                 for &rank in &ranks[start..end] {
                     let bit = bit_of_rank[rank as usize] as usize;
                     mask[bit / 32] |= 1 << (bit % 32);
@@ -740,36 +694,25 @@ fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
                 // disk reaches it).
                 let len = mask_len(mask);
                 assert!(len <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
-                lens.push(len as u32);
-            }
-            let first = variants_by_len.len();
-            variants_by_len.extend(range.clone().map(DerivedId));
-            variants_by_len[first..].sort_by_key(|id| lens[(id.0 - range.start) as usize]);
-            blocks.push(pool.len() as u32);
-            blocks.extend_from_slice(&pool);
-            for id in &variants_by_len[first..] {
-                let v = (id.0 - range.start) as usize;
-                blocks.extend_from_slice(&masks[v * words..(v + 1) * words]);
+                assert!(len >= shortest_allowed, "origin {e}'s variant ids do not ascend by set length");
+                shortest_allowed = len;
             }
         }
-        origin_offsets.push(variants_by_len.len() as u32);
         block_offsets.push(u32::try_from(blocks.len()).expect("origin block arena overflows u32 offsets"));
     }
     OriginBlocks {
         blocks: blocks.into(),
         block_offsets: block_offsets.into(),
-        variants_by_len: variants_by_len.into(),
-        origin_offsets: origin_offsets.into(),
+        origin_offsets: dd.raw_arenas().0.to_vec().into(),
     }
 }
 
 /// Validates origin `e`'s block against the number of variants the origin
-/// has (see [`ClusteredIndex::from_raw_parts`] for the invariants) and
-/// returns the number of keys its variants' sets hold in all.
-fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<usize, String> {
+/// has (see [`ClusteredIndex::from_raw_parts`] for the invariants).
+fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<(), String> {
     let Some((&keys, rest)) = block.split_first() else {
         return if variants == 0 {
-            Ok(0)
+            Ok(())
         } else {
             Err(format!("origin {e} has {variants} variants but no block"))
         };
@@ -801,7 +744,7 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<u
         return Err(format!("origin {e}'s pool keys are not strictly ascending"));
     }
     if words == 0 {
-        return Ok(0);
+        return Ok(());
     }
     // Only a mask's last word has bits past the pool, and none when the pool
     // fills it (a shift by the full width would not be the empty mask).
@@ -809,7 +752,7 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<u
         0 => 0,
         used => !0u32 << used,
     };
-    let (mut shortest_allowed, mut keys_in_sets) = (0, 0);
+    let mut shortest_allowed = 0;
     for (slot, mask) in masks.chunks_exact(words).enumerate() {
         if mask[words - 1] & spare != 0 {
             return Err(format!("origin {e}'s slot {slot} sets a mask bit beyond its pool of {keys} keys"));
@@ -819,56 +762,77 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<u
             return Err(format!("origin {e}'s variants are not sorted by set length"));
         }
         shortest_allowed = len;
-        keys_in_sets += len;
     }
-    Ok(keys_in_sets)
+    Ok(())
 }
 
 /// Clusters the postings of every derived set (paper Algorithm 2): one
 /// counting pass sizes each token's list, a second fills a single
-/// exact-capacity buffer, each token's range is sorted by `(len, origin,
-/// derived)` in place, and the forest is flattened into the global
-/// prefix-linked arrays — tokens tile the group arrays, groups tile the
-/// origin arrays, origins tile the position arena.
+/// exact-capacity buffer, each token's range is sorted by `(len, origin)` in
+/// place, and the forest is flattened into the global prefix-linked arrays —
+/// tokens tile the group arrays, groups tile the cluster arrays.
 ///
-/// A posting waits for its sort as one `u64`, `len << 48 | derived << 16 |
-/// pos`: variants sit in origin order in a derived dictionary, so ordering
-/// by derived id orders by origin too and the origin need not be carried.
+/// A cluster waits for its sort as one `u64`, `len << 48 | origin << 16 |
+/// lowest position`.
 fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings {
-    // Both passes walk the sets the same way: every set bit of every mask is
-    // one posting `(token, len << 48 | derived << 16 | pos)`. A pool key's
-    // token is looked up once per origin, not once per posting.
-    fn each_posting(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks, mut visit: impl FnMut(usize, u64)) {
+    // Both passes walk the blocks the same way and see every cluster
+    // `(token, len << 48 | origin << 16 | lowest position)` once. An origin's
+    // slots ascend by set length, so the slots of one length that hold a given
+    // pool key are one unbroken run of them, and a key's runs close one after
+    // another: per pool bit, the length of the run in hand (0: none yet — a
+    // set that holds a key is not empty) and the lowest position seen in it.
+    // A pool key's token is looked up once per origin, not once per posting.
+    fn each_cluster(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks, mut visit: impl FnMut(usize, u64)) {
         let mut pool_tokens: Vec<usize> = Vec::new();
+        let mut runs: Vec<(u16, u16)> = Vec::new();
         // From variant to variant's origin, not origin by origin: the index
         // of a delta's few origins spans the whole origin space.
-        let mut slot = 0;
-        while let Some(&first) = sets.variants_by_len.get(slot) {
-            let block = sets.block(dd.origin_of(first).idx());
-            slot += block.ids.len();
+        let mut id = 0;
+        while id < dd.len() {
+            let e = dd.origin_of(DerivedId(id as u32));
+            let block = sets.block(e.idx());
+            id += block.ids.len();
             if block.pool.is_empty() {
                 continue;
             }
             pool_tokens.clear();
             pool_tokens.extend(block.pool.iter().map(|&key| order.token_of(key).idx()));
-            for (id, mask) in block.ids.iter().zip(block.masks.chunks_exact(block.words())) {
-                let mut posting = (mask_len(mask) as u64) << 48 | (id.0 as u64) << 16;
-                for (word, tokens) in mask.iter().zip(pool_tokens.chunks(32)) {
+            runs.clear();
+            runs.resize(block.pool.len(), (0, 0));
+            let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (e.0 as u64) << 16 | min_pos as u64;
+            for mask in block.masks.chunks_exact(block.words()) {
+                let len = mask_len(mask) as u16;
+                let mut pos = 0u16;
+                for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
                     let mut rest = *word;
                     while rest != 0 {
-                        visit(tokens[rest.trailing_zeros() as usize], posting);
-                        posting += 1;
+                        let bit = rest.trailing_zeros() as usize;
+                        let run = &mut runs[bit];
+                        if run.0 == len {
+                            run.1 = run.1.min(pos);
+                        } else {
+                            if run.0 != 0 {
+                                visit(tokens[bit], cluster(*run));
+                            }
+                            *run = (len, pos);
+                        }
+                        pos += 1;
                         rest &= rest - 1;
                     }
                 }
             }
+            for (&t, &run) in pool_tokens.iter().zip(&runs) {
+                if run.0 != 0 {
+                    visit(t, cluster(run));
+                }
+            }
         }
     }
-    // `starts[t]` is where token `t`'s postings begin; while filling,
-    // `cursor[t]` is where its next posting goes. Counted over every token
+    // `starts[t]` is where token `t`'s clusters begin; while filling,
+    // `cursor[t]` is where its next cluster goes. Counted over every token
     // the order knows, then cut behind the last one these sets hold.
     let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
-    each_posting(dd, order, sets, |t, _| starts[t + 1] += 1);
+    each_cluster(dd, order, sets, |t, _| starts[t + 1] += 1);
     let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
     starts.truncate(num_tokens + 1);
     for t in 0..num_tokens {
@@ -876,8 +840,8 @@ fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBl
     }
     let mut cursor = starts[..num_tokens].to_vec();
     let mut raw = vec![0u64; starts[num_tokens] as usize];
-    each_posting(dd, order, sets, |t, posting| {
-        raw[cursor[t] as usize] = posting;
+    each_cluster(dd, order, sets, |t, cluster| {
+        raw[cursor[t] as usize] = cluster;
         cursor[t] += 1;
     });
 
@@ -885,53 +849,42 @@ fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBl
         tok_groups: Vec::with_capacity(num_tokens + 1),
         group_len: Vec::new(),
         group_origins: Vec::new(),
-        origin_entity: Vec::new(),
-        origin_entries: Vec::new(),
-        positions: Vec::with_capacity(raw.len()),
+        origin_entity: Vec::with_capacity(raw.len()),
+        origin_min_pos: Vec::with_capacity(raw.len()),
     };
     for w in starts.windows(2) {
         let list = &mut raw[w[0] as usize..w[1] as usize];
         list.sort_unstable();
         out.tok_groups.push(out.group_len.len() as u32);
         let mut cur_len: Option<u16> = None;
-        let mut cur_origin: Option<EntityId> = None;
-        for &posting in list.iter() {
-            let (len, origin) = ((posting >> 48) as u16, dd.origin_of(DerivedId((posting >> 16) as u32)));
+        for &cluster in list.iter() {
+            let len = (cluster >> 48) as u16;
             if cur_len != Some(len) {
                 out.group_len.push(len);
                 out.group_origins.push(out.origin_entity.len() as u32);
                 cur_len = Some(len);
-                cur_origin = None;
             }
-            if cur_origin != Some(origin) {
-                out.origin_entity.push(origin);
-                out.origin_entries.push(out.positions.len() as u32);
-                cur_origin = Some(origin);
-            }
-            out.positions.push(posting as u16);
+            out.origin_entity.push(EntityId((cluster >> 16) as u32));
+            out.origin_min_pos.push(cluster as u16);
         }
     }
     // Close the prefix arrays with their final sentinels.
     out.tok_groups.push(out.group_len.len() as u32);
     out.group_origins.push(out.origin_entity.len() as u32);
-    out.origin_entries.push(out.positions.len() as u32);
     out
 }
 
 impl ClusteredPostings {
-    /// Appends `src`'s origin clusters `clusters` — origins, rebased posting
-    /// offsets, positions — behind whatever the current group holds.
-    fn push_clusters(&mut self, src: &IndexArenasRef<'_>, clusters: std::ops::Range<usize>) {
-        let (p0, p1) = (src.origin_entries[clusters.start], src.origin_entries[clusters.end]);
-        self.origin_entries
-            .extend(rebased(&src.origin_entries[clusters.clone()], p0, self.positions.len() as u32));
-        self.origin_entity.extend_from_slice(&src.origin_entity[clusters]);
-        self.positions.extend_from_slice(&src.positions[p0 as usize..p1 as usize]);
+    /// Appends `src`'s origin clusters `clusters` behind whatever the current
+    /// group holds.
+    fn push_clusters(&mut self, src: &IndexArenasRef<'_>, clusters: Range<usize>) {
+        self.origin_entity.extend_from_slice(&src.origin_entity[clusters.clone()]);
+        self.origin_min_pos.extend_from_slice(&src.origin_min_pos[clusters]);
     }
 
     /// Appends the clusters of `old`'s range `clusters` whose origin is not
     /// `changed`, one copy per unbroken stretch.
-    fn push_unchanged(&mut self, old: &IndexArenasRef<'_>, clusters: std::ops::Range<usize>, changed: &[bool]) {
+    fn push_unchanged(&mut self, old: &IndexArenasRef<'_>, clusters: Range<usize>, changed: &[bool]) {
         let mut stretch = clusters.start;
         for c in clusters.clone() {
             if changed[old.origin_entity[c].idx()] {
@@ -947,15 +900,14 @@ impl ClusteredPostings {
     }
 }
 
-/// The six posting arrays of [`ClusteredIndex::splice`]: token by token,
+/// The five cluster arrays of [`ClusteredIndex::splice`]: token by token,
 /// `old`'s length groups and `small`'s are merged by length; where both
 /// have a group of one length its origin clusters are merged by origin
 /// (`small` holds changed origins only, `old`'s changed clusters are
 /// dropped, so no origin comes from both); a group left without clusters
 /// is not written, and trailing tokens left without groups are cut as a
 /// build over the surviving sets would never have counted them.
-/// `postings` is the exact number of positions the result holds.
-fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed: &[bool], postings: usize) -> ClusteredPostings {
+fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed: &[bool]) -> ClusteredPostings {
     let tokens = old.tok_groups.len().max(small.tok_groups.len()) - 1;
     let groups = old.group_len.len() + small.group_len.len();
     let clusters = old.origin_entity.len() + small.origin_entity.len();
@@ -964,8 +916,7 @@ fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed
         group_len: Vec::with_capacity(groups),
         group_origins: Vec::with_capacity(groups + 1),
         origin_entity: Vec::with_capacity(clusters),
-        origin_entries: Vec::with_capacity(clusters + 1),
-        positions: Vec::with_capacity(postings),
+        origin_min_pos: Vec::with_capacity(clusters),
     };
     // A token's group range on one side, empty past that side's last token.
     let groups_of = |ix: &IndexArenasRef<'_>, t: usize| match ix.tok_groups.get(t + 1) {
@@ -1010,12 +961,11 @@ fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed
     }
     out.tok_groups.push(out.group_len.len() as u32);
     out.group_origins.push(out.origin_entity.len() as u32);
-    out.origin_entries.push(out.positions.len() as u32);
     out.tok_groups.shrink_to_fit();
     out.group_len.shrink_to_fit();
     out.group_origins.shrink_to_fit();
     out.origin_entity.shrink_to_fit();
-    out.origin_entries.shrink_to_fit();
+    out.origin_min_pos.shrink_to_fit();
     out
 }
 
@@ -1064,8 +1014,9 @@ mod tests {
         Fixture { int, dd, index }
     }
 
-    /// Paper Example 3.2: "University" appears in five derived entities, in
-    /// one length-4 group, clustered by origin into three origin groups.
+    /// Paper Example 3.2: "University" appears in derived entities of all
+    /// four origins, clustered by length and then by origin, with a length-4
+    /// group among them.
     #[test]
     fn paper_example_3_2_clustering() {
         let mut f = fixture(
@@ -1085,8 +1036,11 @@ mod tests {
         );
         let uni = f.int.intern("university");
         let tp = f.index.postings(uni).expect("postings for 'university'");
-        let total = tp.entry_count();
-        assert!(total >= 5, "at least five postings, got {total}");
+        assert_eq!(tp.entry_count(), tp.groups().map(|g| g.origin_count()).sum::<usize>());
+        let mut origins: Vec<EntityId> = tp.groups().flat_map(|g| g.origins()).map(|o| o.origin).collect();
+        origins.sort_unstable();
+        origins.dedup();
+        assert_eq!(origins, [0, 1, 2, 3].map(EntityId), "e1 and e2 hold it themselves, e3 and e4 through a rewrite");
         // Length-4 group must exist and contain ≥ 2 distinct origins.
         let g4 = tp.groups().find(|g| g.len() == 4).expect("length-4 group");
         assert!(g4.origin_count() >= 2);
@@ -1095,7 +1049,7 @@ mod tests {
         for w in origins.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert_eq!(g4.entry_count(), g4.origins().map(|o| o.positions.len()).sum::<usize>());
+        assert_eq!(g4.origin_count(), origins.len());
     }
 
     #[test]
@@ -1123,7 +1077,7 @@ mod tests {
         for g in tp.groups() {
             for og in g.origins() {
                 // "of" is the most frequent token → last position (2 of 0..3).
-                assert_eq!(og.positions, [2]);
+                assert_eq!(og.min_pos, 2);
                 // cross-check against the stored set of the origin's one variant
                 let last = f.index.block(og.origin).keys(0).nth(2).expect("three keys");
                 assert_eq!(f.index.order().token_of(last), of);
@@ -1162,11 +1116,58 @@ mod tests {
         assert_eq!(f.index.total_entries(), 0);
     }
 
+    /// An entry is a `(token, set length, origin)` cluster, however many of
+    /// the origin's variants of that length hold the token, and it keeps the
+    /// lowest position the token takes in them.
     #[test]
-    fn total_entries_counts_all_sets() {
+    fn total_entries_counts_clusters() {
         let f = fixture(&["a b", "c d"], &[]);
         assert_eq!(f.index.total_entries(), 4);
         assert_eq!(f.dd.len(), 2);
+        // "a b", "a c", "a d": three sets of length 2 holding "a", one cluster.
+        let mut f = fixture(&["a b"], &[("b", "c"), ("b", "d")]);
+        assert_eq!((f.dd.len(), f.index.total_entries()), (3, 4));
+        // "x y" and its rewrite "x z z2 z3 z4": "x" is the most frequent
+        // token, last in both sets — position 1 of 2 and 4 of 5.
+        f = fixture(&["x y"], &[("y", "z z2 z3 z4")]);
+        let x = f.int.intern("x");
+        let clusters: Vec<(usize, u16)> = f
+            .index
+            .postings(x)
+            .unwrap()
+            .groups()
+            .flat_map(|g| g.origins().map(move |o| (g.len(), o.min_pos)))
+            .collect();
+        assert_eq!(clusters, [(2, 1), (5, 4)]);
+    }
+
+    /// Variants of one origin and one set length that hold a token at
+    /// different positions: the cluster keeps the lowest.
+    #[test]
+    fn a_cluster_keeps_the_lowest_position() {
+        // "m a z" and its rewrite "b m z" are both of length 3. "a" is the
+        // most frequent token and "b" the rarest, so the sets order as
+        // [m, z, a] and [b, m, z]: "m" sits at 0 and 1, "z" at 1 and 2.
+        let mut f = fixture(&["m a z", "a", "a q", "a r"], &[("m a", "b m")]);
+        let order = f.index.order();
+        let sets: Vec<String> = (0..2)
+            .map(|slot| {
+                f.index
+                    .block(EntityId(0))
+                    .keys(slot)
+                    .map(|k| f.int.resolve(order.token_of(k)))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        assert_eq!(sets, ["m z a", "b m z"]);
+        let lowest = |t: TokenId| {
+            let group = f.index.postings(t).unwrap().groups().find(|g| g.len() == 3).unwrap();
+            let cluster = group.origins().find(|o| o.origin == EntityId(0)).unwrap();
+            cluster.min_pos
+        };
+        let [m, z, a, b] = ["m", "z", "a", "b"].map(|t| f.int.intern(t));
+        assert_eq!([m, z, a, b].map(lowest), [0, 1, 2, 0]);
     }
 
     #[test]
@@ -1184,11 +1185,9 @@ mod tests {
             group_len: r.group_len.to_vec().into(),
             group_origins: r.group_origins.to_vec().into(),
             origin_entity: r.origin_entity.to_vec().into(),
-            origin_entries: r.origin_entries.to_vec().into(),
-            positions: r.positions.to_vec().into(),
+            origin_min_pos: r.origin_min_pos.to_vec().into(),
             blocks: r.blocks.to_vec().into(),
             block_offsets: r.block_offsets.to_vec().into(),
-            variants_by_len: r.variants_by_len.to_vec().into(),
             origin_offsets: r.origin_offsets.to_vec().into(),
         }
     }
@@ -1212,9 +1211,7 @@ mod tests {
                     assert_eq!(a.group_count(), b.group_count());
                     for (ga, gb) in a.groups().zip(b.groups()) {
                         assert_eq!(ga.len(), gb.len());
-                        let oa: Vec<_> = ga.origins().map(|o| (o.origin, o.positions)).collect();
-                        let ob: Vec<_> = gb.origins().map(|o| (o.origin, o.positions)).collect();
-                        assert_eq!(oa, ob);
+                        assert_eq!(ga.origins().collect::<Vec<_>>(), gb.origins().collect::<Vec<_>>());
                     }
                 }
                 (a, b) => panic!("postings presence diverged for {t:?}: {:?} vs {:?}", a.is_some(), b.is_some()),
@@ -1234,8 +1231,8 @@ mod tests {
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "prefix not starting at 0");
 
         let mut bad = ok.clone();
-        let n = bad.origin_entries.len();
-        bad.origin_entries.as_mut_vec()[n - 1] += 1;
+        let n = bad.group_origins.len();
+        bad.group_origins.as_mut_vec()[n - 1] += 1;
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).is_err(), "prefix past arena");
 
         let mut bad = ok.clone();
@@ -1281,16 +1278,8 @@ mod tests {
             "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
         );
         reject(
-            "a key dropped from a set",
-            &|a| a.blocks.as_mut_vec()[8] = 0b01,
-            "the variants' sets hold 4 keys in all, the index 5 postings",
-        );
-        reject(
             "a block for an origin without variants",
-            &|a| {
-                a.origin_offsets.as_mut_vec()[2] = 1;
-                a.variants_by_len.as_mut_vec().pop();
-            },
+            &|a| a.origin_offsets.as_mut_vec()[2] = 1,
             "origin 1 has no variants but a block of 4 words",
         );
         reject(
@@ -1310,18 +1299,27 @@ mod tests {
         let two = fixture(&["a b"], &[("b", "c d")]);
         assert_eq!(two.index.raw_parts().blocks.len(), 7);
         reject_in(&two, "popcounts descending", &|a| a.blocks.as_mut_vec().swap(5, 6), "origin 0's variants are not sorted by set length");
-        // Token "a" is id 0: its first posting sits in the length-2 group.
-        assert_eq!(ok.group_len[0], 2);
-        reject("position = group length", &|a| a.positions.as_mut_vec()[0] = 2, "posting 0 position 2 outside its group's sets of 2");
+        // Token "a" is id 0: its first cluster sits in the length-2 group.
+        assert_eq!((ok.group_len[0], ok.origin_entity.len()), (2, 5));
+        reject(
+            "lowest position = group length",
+            &|a| a.origin_min_pos.as_mut_vec()[0] = 2,
+            "origin cluster 0 lowest position 2 outside its group's sets of 2",
+        );
+        reject(
+            "a lowest position too many",
+            &|a| a.origin_min_pos.as_mut_vec().push(0),
+            "lowest positions hold 6 entries, expected one per origin cluster: 5",
+        );
+        reject(
+            "a lowest position too few",
+            &|a| a.origin_min_pos.as_mut_vec().truncate(4),
+            "lowest positions hold 4 entries, expected one per origin cluster: 5",
+        );
         reject(
             "a cluster of no origin",
             &|a| a.origin_entity.as_mut_vec()[1] = EntityId(2),
             "origin cluster 1 names origin e2 out of 2",
-        );
-        reject(
-            "another origin's variant",
-            &|a| a.variants_by_len.as_mut_vec()[1] = DerivedId(0),
-            "origin 1's variant table holds an id outside its range 1..2",
         );
     }
 
@@ -1337,12 +1335,13 @@ mod tests {
         for (e, (pool, lens)) in [(72, vec![70, 71]), (66, vec![64, 65])].into_iter().enumerate() {
             let block = f.index.block(EntityId(e as u32));
             assert_eq!((block.pool.len(), block.words()), (pool, 3));
-            for (slot, id) in block.ids.iter().enumerate() {
-                let mut want: Vec<u32> = f.dd.derived(*id).tokens.iter().map(|&t| order.key(t)).collect();
+            assert_eq!(block.ids.len(), lens.len());
+            for (slot, &len) in lens.iter().enumerate() {
+                let mut want: Vec<u32> = f.dd.derived(block.id(slot)).tokens.iter().map(|&t| order.key(t)).collect();
                 want.sort_unstable();
                 want.dedup();
                 assert_eq!(block.keys(slot).collect::<Vec<_>>(), want);
-                assert_eq!(block.set_len(slot), lens[slot]);
+                assert_eq!(block.set_len(slot), len);
             }
             assert_eq!([0, lens[0], lens[1], lens[1] + 1].map(|lo| block.first_slot_at_least(lo)), [0, 0, 1, 2]);
         }
@@ -1360,20 +1359,22 @@ mod tests {
         assert!(err.contains("origin 0's slot 0 sets a mask bit beyond its pool of 72 keys"), "{err}");
     }
 
-    /// The retired build: one growing `Vec` of postings per token, each
-    /// sorted and flattened in turn, over sets made by one sort and dedup
-    /// per variant. Kept as the oracle for the counting build over the
-    /// origins' masks, whose six arrays must equal these element for element.
+    /// The retired build: one growing `Vec` of postings — one per key of
+    /// every variant's set — per token, each sorted and flattened in turn,
+    /// over sets made by one sort and dedup per variant; a cluster's lowest
+    /// position is the minimum over the postings it stands for. Kept as the
+    /// oracle for the counting build over the origins' masks, whose five
+    /// arrays must equal these element for element.
     fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder) -> ClusteredPostings {
         let num_tokens = dd.iter().flat_map(|(_, d)| d.tokens.iter()).map(|t| t.idx() + 1).max().unwrap_or(0);
-        let mut raw: Vec<Vec<(u16, EntityId, DerivedId, u16)>> = vec![Vec::new(); num_tokens];
-        for (id, d) in dd.iter() {
+        let mut raw: Vec<Vec<(u16, EntityId, u16)>> = vec![Vec::new(); num_tokens];
+        for (_, d) in dd.iter() {
             // The retired per-variant set: its own sort and dedup.
             let mut set: Vec<u32> = d.tokens.iter().map(|&t| order.key(t)).collect();
             set.sort_unstable();
             set.dedup();
             for (pos, &key) in set.iter().enumerate() {
-                raw[order.token_of(key).idx()].push((set.len() as u16, d.origin, id, pos as u16));
+                raw[order.token_of(key).idx()].push((set.len() as u16, d.origin, pos as u16));
             }
         }
         let mut out = ClusteredPostings {
@@ -1381,15 +1382,15 @@ mod tests {
             group_len: Vec::new(),
             group_origins: Vec::new(),
             origin_entity: Vec::new(),
-            origin_entries: Vec::new(),
-            positions: Vec::new(),
+            origin_min_pos: Vec::new(),
         };
-        for mut raw_entries in raw {
-            raw_entries.sort_unstable_by_key(|&(len, origin, derived, _)| (len, origin, derived));
+        for mut postings in raw {
+            // Sorted by position last, a cluster's first posting is its lowest.
+            postings.sort_unstable();
             out.tok_groups.push(out.group_len.len() as u32);
             let mut cur_len: Option<u16> = None;
             let mut cur_origin: Option<EntityId> = None;
-            for (len, origin, _, pos) in raw_entries {
+            for (len, origin, pos) in postings {
                 if cur_len != Some(len) {
                     out.group_len.push(len);
                     out.group_origins.push(out.origin_entity.len() as u32);
@@ -1398,15 +1399,13 @@ mod tests {
                 }
                 if cur_origin != Some(origin) {
                     out.origin_entity.push(origin);
-                    out.origin_entries.push(out.positions.len() as u32);
+                    out.origin_min_pos.push(pos);
                     cur_origin = Some(origin);
                 }
-                out.positions.push(pos);
             }
         }
         out.tok_groups.push(out.group_len.len() as u32);
         out.group_origins.push(out.origin_entity.len() as u32);
-        out.origin_entries.push(out.positions.len() as u32);
         out
     }
 
@@ -1434,7 +1433,7 @@ mod tests {
             let built = cluster_postings(&dd, index.order(), &index.sets);
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
-            proptest::prop_assert_eq!(r.positions, &built.positions[..]);
+            proptest::prop_assert_eq!(r.origin_min_pos, &built.origin_min_pos[..]);
         }
     }
 }

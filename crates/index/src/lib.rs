@@ -5,12 +5,13 @@
 //!   ("invalid" tokens) are treated as frequency 0 (§3.2).
 //! * [`prefix_len`] / window bound helpers — the length- and prefix-filter
 //!   arithmetic of §3.1.
-//! * [`ClusteredIndex`] — the clustered inverted index: for each token, the
-//!   positions of the token inside the derived entities' ordered sets,
-//!   grouped first by derived-entity length and, inside each length group,
-//!   by origin entity, enabling the batch skips of §3.2; and, for
-//!   verification, each origin's variants as bit masks over the origin's
-//!   shared key pool ([`OriginBlock`]).
+//! * [`ClusteredIndex`] — the clustered inverted index: for each token, one
+//!   entry per `(derived-entity length, origin entity)` cluster of the
+//!   derived entities holding it — the lowest position the token takes in
+//!   their ordered sets, which is all the prefix filter asks of a cluster —
+//!   grouped by length and then by origin, enabling the batch skips of
+//!   §3.2; and, for verification, each origin's variants as bit masks over
+//!   the origin's shared key pool ([`OriginBlock`]).
 
 mod clustered;
 mod filters;

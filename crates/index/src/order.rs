@@ -377,13 +377,9 @@ mod tests {
     fn token_ids_past_the_valid_bit_are_refused() {
         // Such an id cannot come from an interner (it stops minting at
         // 2^31); a hand-built dictionary carrying one must not be keyed.
-        let big = aeetes_rules::DerivedEntity {
-            origin: aeetes_text::EntityId(0),
-            tokens: vec![TokenId(VALID_BIT)],
-            rules: Vec::new(),
-            weight: 1.0,
-        };
-        let dd = DerivedDictionary::from_parts(vec![big], 1, Default::default()).unwrap();
+        let mut dict = Dictionary::new();
+        dict.push_tokens("big".into(), vec![TokenId(VALID_BIT)]);
+        let dd = DerivedDictionary::build(&dict, &RuleSet::new(), &DeriveConfig::default());
         GlobalOrder::build(&dd, &Interner::new());
     }
 

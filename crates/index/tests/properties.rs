@@ -26,8 +26,8 @@ fn stored_sets(dd: &DerivedDictionary, index: &ClusteredIndex) -> Vec<Vec<u32>> 
     let mut sets = vec![Vec::new(); dd.len()];
     for e in 0..dd.origins() {
         let block = index.block(EntityId(e as u32));
-        for (slot, id) in block.ids.iter().enumerate() {
-            sets[id.idx()] = block.keys(slot).collect();
+        for slot in 0..block.ids.len() {
+            sets[block.id(slot).idx()] = block.keys(slot).collect();
         }
     }
     sets
@@ -52,54 +52,42 @@ fn build(inst: &Instance) -> (DerivedDictionary, ClusteredIndex) {
 }
 
 proptest! {
-    /// Every token of every derived set appears exactly once in the index,
-    /// under the right token, length group and origin cluster. Postings carry
-    /// no derived id, so the cross-check runs from the sets: the positions a
-    /// `(token, |set|, origin)` cluster must hold are those of the origin's
-    /// variants of that length containing the token, in ascending derived-id
-    /// order — and the cluster holds exactly that sequence.
+    /// The index holds exactly one entry per `(token, |set|, origin)` such
+    /// that some variant of the origin with a set of that length holds the
+    /// token — no cluster missing, none to spare — and each entry's lowest
+    /// position is the minimum, recomputed from the sets, of the positions
+    /// the token takes in those variants.
     #[test]
     fn postings_cover_derived_sets_exactly(inst in instance()) {
         let (dd, index) = build(&inst);
         let sets = stored_sets(&dd, &index);
-        let mut expected: HashMap<(TokenId, usize, EntityId), Vec<u16>> = HashMap::new();
+        let mut expected: HashMap<(TokenId, usize, EntityId), u16> = HashMap::new();
         for (id, d) in dd.iter() {
             let set = &sets[id.idx()];
             for (pos, &key) in set.iter().enumerate() {
-                expected.entry((index.order().token_of(key), set.len(), d.origin)).or_default().push(pos as u16);
+                let lowest = expected.entry((index.order().token_of(key), set.len(), d.origin)).or_insert(u16::MAX);
+                *lowest = (*lowest).min(pos as u16);
             }
         }
         let mut clusters = 0usize;
-        let mut postings = 0usize;
         for t in (0..64).map(TokenId) {
             let Some(tp) = index.postings(t) else { continue };
             for g in tp.groups() {
                 for og in g.origins() {
                     clusters += 1;
-                    postings += og.positions.len();
-                    prop_assert_eq!(Some(og.positions), expected.get(&(t, g.len(), og.origin)).map(Vec::as_slice),
+                    prop_assert_eq!(Some(&og.min_pos), expected.get(&(t, g.len(), og.origin)),
                         "cluster ({:?}, {}, {:?})", t, g.len(), og.origin);
-                    // Each position names `t` in some variant of this origin
-                    // with this set length.
-                    for &pos in og.positions {
-                        let hit = index.block(og.origin).ids.iter().any(|&v| {
-                            let set = &sets[v.idx()];
-                            set.len() == g.len() && index.order().token_of(set[pos as usize]) == t
-                        });
-                        prop_assert!(hit, "position {} of cluster ({:?}, {}, {:?}) names no variant", pos, t, g.len(), og.origin);
-                    }
                 }
             }
         }
         prop_assert_eq!(clusters, expected.len(), "a cluster the sets call for is missing");
-        prop_assert_eq!(postings, sets.iter().map(Vec::len).sum::<usize>());
-        prop_assert_eq!(index.total_entries(), postings);
+        prop_assert_eq!(index.total_entries(), clusters);
     }
 
     /// Structural invariants: length groups ascending, origins ascending
     /// within a group, entry counts consistent, derived sets sorted
     /// strictly ascending by key — each the variant's own tokens, keyed —
-    /// and an origin's slots ascending by set length.
+    /// and an origin's slots its variant ids, ascending by set length.
     #[test]
     fn index_structure_invariants(inst in instance()) {
         let (dd, index) = build(&inst);
@@ -111,17 +99,14 @@ proptest! {
                 prop_assert!(w[0] < w[1], "length groups must strictly ascend");
             }
             for g in tp.groups() {
-                prop_assert!(g.entry_count() > 0);
-                let n: usize = g.origins().map(|o| o.positions.len()).sum();
-                prop_assert_eq!(n, g.entry_count());
+                prop_assert!(g.origin_count() > 0);
                 let origins: Vec<_> = g.origins().map(|o| o.origin).collect();
+                prop_assert_eq!(origins.len(), g.origin_count());
                 for w in origins.windows(2) {
                     prop_assert!(w[0] < w[1]);
                 }
-                for og in g.origins() {
-                    prop_assert!(!og.positions.is_empty());
-                }
             }
+            prop_assert_eq!(tp.entry_count(), tp.groups().map(|g| g.origin_count()).sum::<usize>());
             // binary search helper consistency
             for lo in 0..10usize {
                 let i = tp.first_group_at_least(lo);
@@ -147,12 +132,9 @@ proptest! {
         }
         for e in 0..dd.origins() {
             let block = index.block(EntityId(e as u32));
-            let mut ids: Vec<u32> = block.ids.iter().map(|id| id.0).collect();
-            let lens: Vec<usize> = (0..ids.len()).map(|slot| block.set_len(slot)).collect();
+            let lens: Vec<usize> = (0..block.ids.len()).map(|slot| block.set_len(slot)).collect();
             prop_assert!(lens.windows(2).all(|w| w[0] <= w[1]), "origin {}'s slots must ascend by set length: {:?}", e, lens);
-            prop_assert_eq!(&lens, &block.ids.iter().map(|id| sets[id.idx()].len()).collect::<Vec<_>>());
-            ids.sort_unstable();
-            prop_assert_eq!(ids, dd.variant_range(EntityId(e as u32)).collect::<Vec<_>>(), "origin {}'s slots hold its own variants once each", e);
+            prop_assert_eq!(block.ids, dd.variant_range(EntityId(e as u32)), "origin {}'s slots are its own variants, in id order", e);
         }
     }
 

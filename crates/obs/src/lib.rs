@@ -38,7 +38,7 @@ pub use wal::WalMetrics;
 /// this crate depending on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtractCounts {
-    /// Posting-list entries touched during candidate generation.
+    /// Index entries (clusters) read during candidate generation.
     pub accessed_entries: u64,
     /// Candidate `(span, entity)` pairs handed to verification.
     pub candidates: u64,
@@ -83,7 +83,7 @@ impl ExtractMetrics {
         ExtractMetrics {
             stage,
             docs: registry.counter("aeetes_docs_total", "Documents extracted"),
-            accessed_entries: registry.counter("aeetes_accessed_entries_total", "Posting-list entries accessed during candidate generation"),
+            accessed_entries: registry.counter("aeetes_accessed_entries_total", "Index entries (clusters) read during candidate generation"),
             candidates: registry.counter("aeetes_candidates_total", "Candidate (span, entity) pairs generated"),
             verifications: registry.counter("aeetes_verifications_total", "Derived-entity similarity computations run by the verifier"),
             matches: registry.counter("aeetes_matches_total", "Verified matches reported"),

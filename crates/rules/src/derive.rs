@@ -30,25 +30,6 @@ impl fmt::Debug for DerivedId {
     }
 }
 
-/// One derived entity in owned form: an origin entity rewritten by a
-/// (possibly empty) combination of non-conflict rules.
-///
-/// This is the *transfer* representation — deserialization and cross-shard
-/// repartitioning pass `DerivedEntity` values around. Inside a
-/// [`DerivedDictionary`] the same data lives in flat arenas and is read
-/// through the borrowed [`DerivedRef`] view.
-#[derive(Debug, Clone)]
-pub struct DerivedEntity {
-    /// The origin entity this variant was derived from.
-    pub origin: EntityId,
-    /// Rewritten token sequence, in surface order.
-    pub tokens: Vec<TokenId>,
-    /// Rules applied to produce this variant (empty for the origin itself).
-    pub rules: Vec<RuleId>,
-    /// Product of applied rule weights (`1.0` for unweighted rules).
-    pub weight: f64,
-}
-
 /// Borrowed view of one derived entity inside a [`DerivedDictionary`].
 #[derive(Debug, Clone, Copy)]
 pub struct DerivedRef<'a> {
@@ -60,18 +41,6 @@ pub struct DerivedRef<'a> {
     pub rules: &'a [RuleId],
     /// Product of applied rule weights (`1.0` for unweighted rules).
     pub weight: f64,
-}
-
-impl DerivedRef<'_> {
-    /// Copies the view into an owned [`DerivedEntity`].
-    pub fn to_owned(&self) -> DerivedEntity {
-        DerivedEntity {
-            origin: self.origin,
-            tokens: self.tokens.to_vec(),
-            rules: self.rules.to_vec(),
-            weight: self.weight,
-        }
-    }
 }
 
 /// The variants of one origin entity (borrowed view over the arenas).
@@ -102,7 +71,7 @@ impl<'a> Variants<'a> {
         }
     }
 
-    /// Iterates the variants in derivation order.
+    /// Iterates the variants in id order.
     pub fn iter(&self) -> impl Iterator<Item = DerivedRef<'a>> + 'a {
         let dd = self.dd;
         (self.start..self.end).map(move |i| dd.derived(DerivedId(i)))
@@ -182,9 +151,10 @@ impl DeriveStats {
     }
 
     /// These totals with the `departing` origins' share taken out and the
-    /// `arriving` origins' share put in. The subtraction saturates: a
-    /// dictionary reassembled by [`DerivedDictionary::from_parts`] may carry
-    /// zeroed totals that its origins' real shares exceed.
+    /// `arriving` origins' share put in. The subtraction saturates: an
+    /// adopted artifact's totals are kept as written
+    /// ([`VariantTable::from_raw_arenas`]) and its origins' real shares may
+    /// exceed them.
     fn replaced(&self, departing: &DeriveStats, arriving: &DeriveStats) -> DeriveStats {
         let swap = |total: usize, out: usize, inn: usize| total.saturating_sub(out) + inn;
         DeriveStats {
@@ -208,6 +178,26 @@ struct ExpandScratch {
     chosen: Vec<Application>,
     /// Token sequences already produced for the current entity.
     seen: HashSet<Vec<TokenId>>,
+    /// The current entity's variants in enumeration order — their tokens and
+    /// rules back to back, and where each ends — until they are handed out
+    /// ids by set length.
+    tokens: Vec<TokenId>,
+    rules: Vec<RuleId>,
+    produced: Vec<Produced>,
+    /// The order the ids go out in.
+    order: Vec<usize>,
+    /// Where a long variant's tokens are sorted to be counted.
+    sorted: Vec<TokenId>,
+}
+
+/// One enumerated variant waiting in [`ExpandScratch`].
+struct Produced {
+    /// Its distinct-token count.
+    set_len: usize,
+    /// Where its tokens and rules end in the scratch's flat buffers.
+    tokens_end: usize,
+    rules_end: usize,
+    weight: f64,
 }
 
 /// The plan of a splice: `changed`'s maximal runs of consecutive origins
@@ -448,9 +438,11 @@ impl VariantTable {
 impl DerivedDictionary {
     /// Expands every entity of `dict` under `rules`.
     ///
-    /// Variants are enumerated in a deterministic order: the unmodified
-    /// origin first, then combinations in mixed-radix order over the
-    /// span groups (leftmost span = least significant digit).
+    /// Variants are enumerated in a deterministic order — the unmodified
+    /// origin first, then combinations in mixed-radix order over the span
+    /// groups (leftmost span = least significant digit) — and an origin's
+    /// variants take their ids by ascending distinct-token count, ties in
+    /// enumeration order.
     pub fn build(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig) -> Self {
         Self::build_filtered(dict, rules, config, |_| true)
     }
@@ -498,6 +490,12 @@ impl DerivedDictionary {
         self.rule_off.push(r_end);
     }
 
+    /// Appends `eid`'s variants: enumerated into the scratch, then given
+    /// their ids by ascending distinct-token count, ties keeping enumeration
+    /// order. That is the slot order of the origin's index block (its masks
+    /// ascend by popcount so that verification can binary-search the lengths
+    /// the filter admits): a block's slot is its variant's id less the
+    /// origin's first.
     fn expand_entity(&mut self, eid: EntityId, tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch) {
         let apps = find_applications(tokens, rules);
         self.table.stats.applicable_total += apps.len();
@@ -505,13 +503,24 @@ impl DerivedDictionary {
         self.table.stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
 
         // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
-        let ExpandScratch { digits, chosen, seen } = scratch;
+        let ExpandScratch {
+            digits,
+            chosen,
+            seen,
+            tokens: flat_tokens,
+            rules: flat_rules,
+            produced,
+            order,
+            sorted,
+        } = scratch;
         digits.clear();
         digits.resize(groups.len(), 0);
         seen.clear();
-        let mut produced = 0usize;
-        loop {
-            if produced >= config.max_derived {
+        flat_tokens.clear();
+        flat_rules.clear();
+        produced.clear();
+        'enumerate: loop {
+            if produced.len() >= config.max_derived {
                 self.table.stats.truncated_entities += 1;
                 break;
             }
@@ -521,15 +530,21 @@ impl DerivedDictionary {
             if seen.contains(&new_tokens) {
                 self.table.stats.duplicates_dropped += 1;
             } else {
-                self.push_variant(eid, &new_tokens, &applied, weight);
+                flat_tokens.extend_from_slice(&new_tokens);
+                flat_rules.extend_from_slice(&applied);
+                produced.push(Produced {
+                    set_len: distinct_tokens(&new_tokens, sorted),
+                    tokens_end: flat_tokens.len(),
+                    rules_end: flat_rules.len(),
+                    weight,
+                });
                 seen.insert(new_tokens);
-                produced += 1;
             }
             // Increment mixed-radix counter.
             let mut g = 0;
             loop {
                 if g == groups.len() {
-                    return; // all combinations enumerated
+                    break 'enumerate; // all combinations enumerated
                 }
                 digits[g] += 1;
                 if digits[g] <= groups[g].len() {
@@ -539,47 +554,14 @@ impl DerivedDictionary {
                 g += 1;
             }
         }
-    }
-
-    /// Reassembles a derived dictionary from its parts (deserialization).
-    ///
-    /// `derived` must be grouped contiguously by origin in ascending origin
-    /// order — exactly the layout [`DerivedDictionary::build`] produces and
-    /// [`DerivedDictionary::iter`] yields.
-    ///
-    /// # Errors
-    /// Returns a message when an origin id is out of range or the grouping
-    /// is not contiguous/ascending.
-    pub fn from_parts(derived: Vec<DerivedEntity>, num_origins: usize, stats: DeriveStats) -> Result<Self, String> {
-        let mut out = Self::default();
-        out.table.stats = stats;
-        let mut prev: Option<u32> = None;
-        for (i, d) in derived.iter().enumerate() {
-            if d.origin.idx() >= num_origins {
-                return Err(format!("derived entity {i} references origin {:?} out of {num_origins}", d.origin));
-            }
-            if let Some(p) = prev {
-                if d.origin.0 < p {
-                    return Err(format!("derived entities not grouped by ascending origin at index {i}"));
-                }
-            }
-            prev = Some(d.origin.0);
-            out.push_variant(d.origin, &d.tokens, &d.rules, d.weight);
+        order.clear();
+        order.extend(0..produced.len());
+        order.sort_by_key(|&v| produced[v].set_len);
+        for &v in order.iter() {
+            let (tokens_start, rules_start) = v.checked_sub(1).map_or((0, 0), |prev| (produced[prev].tokens_end, produced[prev].rules_end));
+            let Produced { tokens_end, rules_end, weight, .. } = produced[v];
+            self.push_variant(eid, &flat_tokens[tokens_start..tokens_end], &flat_rules[rules_start..rules_end], weight);
         }
-        // Rebuild the origin prefix over the full id space.
-        let by_origin = out.table.by_origin.as_mut_vec();
-        by_origin.clear();
-        by_origin.push(0);
-        let mut i = 0usize;
-        for e in 0..num_origins as u32 {
-            while i < derived.len() && derived[i].origin.0 == e {
-                i += 1;
-            }
-            by_origin.push(i as u32);
-        }
-        out.table.stats.origins = num_origins;
-        out.table.stats.derived = derived.len();
-        Ok(out)
     }
 
     /// The derived entity with id `id` (borrowed view).
@@ -610,6 +592,21 @@ impl DerivedDictionary {
     pub fn iter(&self) -> impl Iterator<Item = (DerivedId, DerivedRef<'_>)> {
         (0..self.origin.len() as u32).map(move |i| (DerivedId(i), self.derived(DerivedId(i))))
     }
+}
+
+/// Number of distinct tokens in `tokens`. Entities are short phrases, and up
+/// to a few dozen tokens comparing each with those before it is several times
+/// cheaper than sorting a copy (usjob: 7 tokens, 418 520 variants, 27 ms of a
+/// 160 ms derive); longer ones are sorted in `sorted`.
+fn distinct_tokens(tokens: &[TokenId], sorted: &mut Vec<TokenId>) -> usize {
+    if tokens.len() <= 32 {
+        return (0..tokens.len()).filter(|&i| !tokens[..i].contains(&tokens[i])).count();
+    }
+    sorted.clear();
+    sorted.extend_from_slice(tokens);
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.len()
 }
 
 /// Applies `chosen` (span-disjoint, ascending by start — the order the
@@ -684,17 +681,50 @@ mod tests {
         assert!(got.contains(&"university of queensland australia".to_string()));
     }
 
+    /// An origin's variants take their ids by ascending distinct-token count,
+    /// ties in enumeration order, and tokens, rules and weights move together.
     #[test]
-    fn origin_variant_comes_first() {
+    fn variants_ascend_by_distinct_token_count() {
         let mut c = Ctx::new();
-        let e = c.entity("UW Madison");
-        c.rule("UW", "University of Wisconsin");
+        c.entity("plain words"); // the weight array comes into being mid-dictionary
+        let e = c.entity("University of Wisconsin Madison WI");
+        c.rules.push_weighted_str("UW", "University of Wisconsin", 0.5, &c.tok.clone(), &mut c.int).unwrap();
+        c.rule("WI", "Wisconsin");
         let dd = c.build();
-        let v = dd.variants(e);
-        let first = v.get(0).unwrap();
-        assert_eq!(c.render(first), "uw madison");
-        assert!(first.rules.is_empty());
-        assert_eq!(first.weight, 1.0);
+        // Enumerated: the origin (5 distinct), "uw madison wi" (3), "… madison
+        // wisconsin" (4: "wisconsin" twice), "uw madison wisconsin" (3).
+        let got: Vec<(String, usize, f64)> = dd.variants(e).iter().map(|d| (c.render(d), d.rules.len(), d.weight)).collect();
+        assert_eq!(
+            got,
+            [
+                ("uw madison wi".to_string(), 1, 0.5),
+                ("uw madison wisconsin".to_string(), 2, 0.5),
+                ("university of wisconsin madison wisconsin".to_string(), 1, 1.0),
+                ("university of wisconsin madison wi".to_string(), 0, 1.0),
+            ]
+        );
+        assert_eq!(dd.raw_arenas().1, [1.0, 0.5, 0.5, 1.0, 1.0]);
+        assert!(dd.iter().all(|(id, d)| dd.origin_of(id) == d.origin));
+    }
+
+    /// Past the length where distinct tokens are counted by comparison they
+    /// are counted by sorting, to the same effect: of a 41-token entity with
+    /// 21 distinct tokens and its rewrite with 20, the rewrite comes first.
+    #[test]
+    fn long_variants_ascend_by_distinct_token_count_too() {
+        let mut c = Ctx::new();
+        let words: Vec<String> = (0..40).map(|i| format!("w{:02}", i % 20)).collect();
+        let e = c.entity(&format!("solo {}", words.join(" ")));
+        c.rule("solo w00 w01", "w01 w00");
+        let dd = c.build();
+        let sets: Vec<usize> = dd.variants(e).iter().map(|d| d.tokens.iter().collect::<HashSet<_>>().len()).collect();
+        assert_eq!(sets, [20, 21]);
+        assert_eq!(dd.variants(e).get(1).unwrap().tokens.len(), 41, "the unmodified origin is the longer set");
+        let mut scratch = Vec::new();
+        for n in [0, 1, 32, 33, 41] {
+            let tokens = &dd.variants(e).get(1).unwrap().tokens[..n];
+            assert_eq!(distinct_tokens(tokens, &mut scratch), tokens.iter().collect::<HashSet<_>>().len(), "{n} tokens");
+        }
     }
 
     #[test]
@@ -828,30 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_build() {
-        let mut c = Ctx::new();
-        c.entity("UQ AU");
-        c.entity("!!!"); // empty origin in the middle of the id space
-        c.entity("plain words");
-        c.rule("UQ", "University of Queensland");
-        let dd = c.build();
-        let owned: Vec<DerivedEntity> = dd.iter().map(|(_, d)| d.to_owned()).collect();
-        let re = DerivedDictionary::from_parts(owned, dd.origins(), dd.stats().clone()).unwrap();
-        assert_eq!(re.len(), dd.len());
-        assert_eq!(re.origins(), dd.origins());
-        for (id, d) in dd.iter() {
-            let r = re.derived(id);
-            assert_eq!(r.origin, d.origin);
-            assert_eq!(r.tokens, d.tokens);
-            assert_eq!(r.rules, d.rules);
-            assert_eq!(r.weight, d.weight);
-        }
-        for e in 0..dd.origins() as u32 {
-            assert_eq!(re.variant_range(EntityId(e)), dd.variant_range(EntityId(e)), "origin {e}");
-        }
-    }
-
-    #[test]
     fn raw_arena_round_trip_and_validation() {
         let mut c = Ctx::new();
         c.entity("UQ AU");
@@ -899,7 +905,7 @@ mod tests {
             .push_weighted_str("UQ", "University of Queensland", 0.5, &c.tok.clone(), &mut c.int)
             .unwrap();
         let whole = c.build();
-        assert_eq!(whole.raw_arenas().1, [1.0, 0.5, 1.0, 0.5, 1.0]);
+        assert_eq!(whole.raw_arenas().1, [1.0, 1.0, 0.5, 0.5, 1.0]);
 
         // The weighted rule arrives as a delta reaching origin 0 ...
         let small = DerivedDictionary::build_filtered(&c.dict, &c.rules, &DeriveConfig::default(), |e| e.0 == 0);

@@ -256,7 +256,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v8) artifact
+    /// Serializes the current generation as the frozen (format v9) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -366,7 +366,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v8) artifact: its segments become this
+    /// Adopts an opened frozen (v9) artifact: its segments become this
     /// engine's shards as they are — zero derive work, zero index builds,
     /// arenas still backed by the mapped file.
     ///

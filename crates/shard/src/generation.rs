@@ -242,7 +242,7 @@ impl Generation {
         self.id
     }
 
-    /// Serializes this generation as a frozen (format v8) artifact: every
+    /// Serializes this generation as a frozen (format v9) artifact: every
     /// shard's variant table and clustered index laid out as flat arenas a
     /// future engine can mmap and serve without rebuilding. The
     /// shared global order is written once; shards predating an append-only

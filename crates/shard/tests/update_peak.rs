@@ -6,7 +6,7 @@
 //! structures; everything else an update allocates — the changed origins'
 //! derivations and their index, the flags — is sized by the delta. The
 //! whole-shard rebuild this replaced also held a sort record per posting
-//! (8 bytes against the ~9 a posting costs at rest) and dictionary arenas
+//! (8 bytes against the ~9 a posting then cost at rest) and dictionary arenas
 //! grown by doubling, and peaked half a generation above what it kept.
 //!
 //! The proof is a `#[global_allocator]` that tracks live bytes and their
@@ -64,7 +64,7 @@ fn an_update_peaks_within_a_tenth_of_what_it_retains() {
     // The shape of the benchmark's `usjob_batch`: ~23 rules per entity, two
     // shards adopted from the artifact, deltas that add a few entities made
     // of dictionary vocabulary and tombstone the ones added before.
-    let data = generate(&DatasetProfile::usjob_like().scaled(0.03).with_docs(1), 12);
+    let data = generate(&DatasetProfile::usjob_like().scaled(0.05).with_docs(1), 12);
     let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), 2);
     let engine = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
     let n = data.dictionary.len();
