@@ -1,10 +1,14 @@
-//! Candidate collection and the posting-list scan primitives.
+//! Candidate collection and the posting-list scan (paper §3.2).
 //!
 //! An index entry is one `(token, set length, origin)` cluster holding the
 //! lowest position the token takes in the origin's variants of that length
-//! (`aeetes_index::OriginGroup`), so every scan decides an origin with one
+//! (`aeetes_index::OriginGroup`), so [`scan`] decides an origin with one
 //! compare against the group's prefix length, and `accessed_entries` counts
-//! the clusters read.
+//! the clusters read. There is one scan: the strategies differ in when they
+//! call it and where its origins go (Simple, Skip and top-k straight into
+//! the [`CandidateSink`], Dynamic through a scan-local dedup into its cache
+//! arena), not in how a list is read. Lazy reads each list once against many
+//! windows at a time — a different loop, in `strategy/lazy.rs`.
 
 use crate::stats::ExtractStats;
 use aeetes_index::ClusteredIndex;
@@ -43,109 +47,49 @@ impl CandidateSink {
     }
 }
 
-/// Scans the *entire* posting list of `t`, applying the length and position
-/// filters per entry — the `Simple` baseline: no batch skipping, every entry
-/// is accessed.
+/// Scans the posting list of `t` for a window of `s_len` distinct tokens,
+/// handing `emit` every origin that passes the length filter (its group's
+/// length is admissible for `s_len`) and the prefix filter (its lowest
+/// position lies in that length's τ-prefix). The outcome depends only on
+/// `(t, s_len, tau, metric)`, never on where the window is.
+///
+/// `skip` is the clustered-index skip of §3.2: length groups outside the
+/// length filter are passed over in batch (binary search to the first, stop
+/// at the last). Without it every entry of the list is accessed and
+/// filtered one by one — `Simple`'s baseline. The paper's second skip, the
+/// rest of an origin's postings once one made it a candidate, is the
+/// cluster itself: an origin is one entry per group. `emit` can see an
+/// origin again — from a second length group, or under another token of the
+/// same window — and owns the dedup: the test is one compare, cheaper than
+/// asking first.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_flat(
+pub(crate) fn scan(
     index: &ClusteredIndex,
     t: TokenId,
-    span: Span,
     s_len: usize,
     tau: f64,
     metric: Metric,
-    sink: &mut CandidateSink,
+    skip: bool,
     stats: &mut ExtractStats,
+    mut emit: impl FnMut(EntityId),
 ) {
     let Some(tp) = index.postings(t) else { return };
     let (lo, hi) = metric.length_bounds(s_len, tau, usize::MAX);
-    for g in tp.groups() {
+    let first = if skip { tp.first_group_at_least(lo) } else { 0 };
+    for g in tp.groups_from(first) {
         let len = g.len();
-        let in_range = len >= lo && len <= hi;
-        let plen = metric.prefix_len(len, tau);
-        stats.accessed_entries += g.origin_count() as u64;
-        for og in g.origins() {
-            if in_range && (og.min_pos as usize) < plen {
-                sink.push(span, og.origin);
-            }
-        }
-    }
-}
-
-/// Scans the posting list of `t` with the clustered-index skip of §3.2:
-/// length groups outside the length filter are skipped in batch (binary
-/// search + early break). The paper's second skip — the rest of an origin's
-/// postings once one of them made it a candidate — is the cluster itself
-/// here: an origin is one entry per group. An origin some other token or
-/// group already made a candidate of this substring is tested again (one
-/// compare, cheaper than asking the sink first) and deduplicated by the
-/// sink.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_clustered(
-    index: &ClusteredIndex,
-    t: TokenId,
-    span: Span,
-    s_len: usize,
-    tau: f64,
-    metric: Metric,
-    sink: &mut CandidateSink,
-    stats: &mut ExtractStats,
-) {
-    let Some(tp) = index.postings(t) else { return };
-    let (lo, hi) = metric.length_bounds(s_len, tau, usize::MAX);
-    let start = tp.first_group_at_least(lo);
-    for g in tp.groups_from(start) {
-        let len = g.len();
-        if len > hi {
-            break;
+        let admitted = lo <= len && len <= hi;
+        if skip && !admitted {
+            break; // groups ascend by length: this and every later one is too long
         }
         let plen = metric.prefix_len(len, tau);
         stats.accessed_entries += g.origin_count() as u64;
         for og in g.origins() {
-            if (og.min_pos as usize) < plen {
-                sink.push(span, og.origin);
+            if admitted && (og.min_pos as usize) < plen {
+                emit(og.origin);
             }
         }
     }
-}
-
-/// Scans the posting list of `t` like [`scan_clustered`], but appends the
-/// candidate origins to `arena` and returns the appended `(start, end)`
-/// range. Used by the `Dynamic` strategy, which caches one scan per
-/// surviving prefix token across Window Migrate steps (the result depends
-/// only on `(t, s_len, tau)`, not on the substring position). `seen` is
-/// scan-local dedup scratch (an origin can pass in several length groups),
-/// cleared here; both buffers retain capacity across scans.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_token_origins_into(
-    index: &ClusteredIndex,
-    t: TokenId,
-    s_len: usize,
-    tau: f64,
-    metric: Metric,
-    stats: &mut ExtractStats,
-    arena: &mut Vec<EntityId>,
-    seen: &mut HashSet<EntityId>,
-) -> (u32, u32) {
-    let from = arena.len() as u32;
-    let Some(tp) = index.postings(t) else { return (from, from) };
-    seen.clear();
-    let (lo, hi) = metric.length_bounds(s_len, tau, usize::MAX);
-    let start = tp.first_group_at_least(lo);
-    for g in tp.groups_from(start) {
-        let len = g.len();
-        if len > hi {
-            break;
-        }
-        let plen = metric.prefix_len(len, tau);
-        stats.accessed_entries += g.origin_count() as u64;
-        for og in g.origins() {
-            if (og.min_pos as usize) < plen && seen.insert(og.origin) {
-                arena.push(og.origin);
-            }
-        }
-    }
-    (from, arena.len() as u32)
 }
 
 #[cfg(test)]
@@ -153,26 +97,18 @@ mod tests {
     use super::*;
     use crate::limits::Budget;
     use crate::scratch::SegmentScratch;
+    use crate::strategy::fixture::index_with;
     use crate::strategy::{self, Strategy};
     use aeetes_index::metric_window_bounds;
-    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
-    use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
+    use aeetes_text::{Document, Interner, Tokenizer};
     use std::collections::BTreeSet;
 
-    fn index_with(entries: &[&str], rules: &[(&str, &str)]) -> (ClusteredIndex, Interner) {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
-        let mut rs = RuleSet::new();
-        for (l, r) in rules {
-            rs.push_str(l, r, &tok, &mut int).unwrap();
-        }
-        let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
-        (ClusteredIndex::build(&dd, &int), int)
-    }
-
-    fn index_of(entries: &[&str]) -> (ClusteredIndex, Interner) {
-        index_with(entries, &[])
+    /// `scan` straight into `sink` under one span, as Simple (`skip =
+    /// false`), Skip and top-k call it.
+    fn scan_into(ix: &ClusteredIndex, t: TokenId, s_len: usize, tau: f64, skip: bool, sink: &mut CandidateSink, stats: &mut ExtractStats) {
+        scan(ix, t, s_len, tau, Metric::Jaccard, skip, stats, |origin| {
+            sink.push(Span::new(0, 2), origin);
+        });
     }
 
     // ---- the retired scan: one position per variant holding the token ----
@@ -232,13 +168,12 @@ mod tests {
     }
 
     /// One cluster entry per `(token, length, origin)` decides what a posting
-    /// per variant decided: all three scans find the per-posting scan's
-    /// origins for every token, window length, threshold and metric, and
-    /// read no more entries than it read postings.
+    /// per variant decided: with and without the batch skip the scan finds
+    /// the per-posting scan's origins for every token, window length,
+    /// threshold and metric, and reads no more entries than it read postings.
     #[test]
     fn cluster_scans_find_the_per_posting_candidates() {
         let (ix, int, origins) = rule_dense();
-        let span = Span::new(0, 1);
         let mut cases = 0;
         for t in (0..int.len() as u32).map(TokenId) {
             for metric in Metric::ALL {
@@ -246,22 +181,17 @@ mod tests {
                     for s_len in 1..=9 {
                         let (want, postings) = scan_per_posting(&ix, origins, t, s_len, tau, metric);
                         let what = format!("{t:?} |s|={s_len} tau={tau} {metric}");
-                        let (mut flat, mut clustered) = (CandidateSink::default(), CandidateSink::default());
-                        let (mut st_flat, mut st_clustered, mut st_origins) =
-                            (ExtractStats::default(), ExtractStats::default(), ExtractStats::default());
-                        scan_flat(&ix, t, span, s_len, tau, metric, &mut flat, &mut st_flat);
-                        scan_clustered(&ix, t, span, s_len, tau, metric, &mut clustered, &mut st_clustered);
-                        let (mut arena, mut seen) = (vec![EntityId(99)], HashSet::new());
-                        let (from, to) = scan_token_origins_into(&ix, t, s_len, tau, metric, &mut st_origins, &mut arena, &mut seen);
-                        assert_eq!((from, to as usize), (1, arena.len()), "{what}");
-                        let origins_of = |pairs: &[(Span, EntityId)]| pairs.iter().map(|&(_, e)| e).collect::<BTreeSet<_>>();
-                        assert_eq!(origins_of(&flat.pairs), want, "scan_flat, {what}");
-                        assert_eq!(origins_of(&clustered.pairs), want, "scan_clustered, {what}");
-                        assert_eq!(arena[1..].iter().copied().collect::<BTreeSet<_>>(), want, "scan_token_origins_into, {what}");
-                        assert_eq!(arena.len() - 1, want.len(), "scan_token_origins_into repeats an origin, {what}");
-                        assert!(st_flat.accessed_entries <= postings, "{what}");
-                        assert!(st_clustered.accessed_entries <= st_flat.accessed_entries, "{what}");
-                        assert_eq!(st_origins.accessed_entries, st_clustered.accessed_entries, "{what}");
+                        let mut accessed = [0, 0];
+                        for skip in [false, true] {
+                            let (mut found, mut stats) = (BTreeSet::new(), ExtractStats::default());
+                            scan(&ix, t, s_len, tau, metric, skip, &mut stats, |origin| {
+                                found.insert(origin);
+                            });
+                            assert_eq!(found, want, "skip={skip}, {what}");
+                            accessed[usize::from(skip)] = stats.accessed_entries;
+                        }
+                        assert!(accessed[0] <= postings, "{what}");
+                        assert!(accessed[1] <= accessed[0], "{what}");
                         cases += usize::from(!want.is_empty());
                     }
                 }
@@ -330,7 +260,7 @@ mod tests {
 
     #[test]
     fn flat_scan_accesses_every_entry() {
-        let (ix, mut int) = index_of(&["a b", "a c d", "a e f g h i j k"]);
+        let (ix, mut int) = index_with(&["a b", "a c d", "a e f g h i j k"], &[]);
         let a = int.intern("a");
         let b = int.intern("b");
         let mut sink = CandidateSink::default();
@@ -338,24 +268,24 @@ mod tests {
         // "a" is the most frequent token, so it sits at the END of every
         // ordered entity — the position filter rejects all its entries,
         // but the flat scan still touches every one of them.
-        scan_flat(&ix, a, Span::new(0, 2), 2, 0.9, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, a, 2, 0.9, false, &mut sink, &mut stats);
         assert_eq!(stats.accessed_entries, 3, "one entry per entity containing 'a'");
         assert_eq!(sink.len(), 0, "'a' is outside every entity prefix");
         // The rare token "b" IS the prefix of "a b" → candidate found.
-        scan_flat(&ix, b, Span::new(0, 2), 2, 0.9, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, b, 2, 0.9, false, &mut sink, &mut stats);
         assert_eq!(sink.len(), 1);
     }
 
     #[test]
     fn clustered_scan_skips_length_groups() {
-        let (ix, mut int) = index_of(&["a b", "a c d", "a e f g h i j k"]);
+        let (ix, mut int) = index_with(&["a b", "a c d", "a e f g h i j k"], &[]);
         let a = int.intern("a");
         let mut sink = CandidateSink::default();
         let mut stats = ExtractStats::default();
         // s_len=2, τ=0.9 → admissible entity lengths [1, 3]: the len-2 and
         // len-3 groups are touched (1 entry each), the len-8 group is
         // batch-skipped without access.
-        scan_clustered(&ix, a, Span::new(0, 2), 2, 0.9, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, a, 2, 0.9, true, &mut sink, &mut stats);
         assert_eq!(stats.accessed_entries, 2, "len-8 group batch-skipped");
         assert_eq!(sink.len(), 0, "'a' is outside every entity prefix");
     }
@@ -370,23 +300,22 @@ mod tests {
         let (ix, mut int) = index_with(&["a b"], &[("b", "c"), ("b", "d")]);
         let a = int.intern("a");
         let b = int.intern("b");
-        let span = Span::new(0, 2);
         let mut sink = CandidateSink::default();
         let mut stats = ExtractStats::default();
-        scan_clustered(&ix, a, span, 2, 0.5, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, a, 2, 0.5, true, &mut sink, &mut stats);
         assert_eq!((stats.accessed_entries, sink.len()), (1, 1), "three variants, one entry");
-        scan_clustered(&ix, b, span, 2, 0.5, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, b, 2, 0.5, true, &mut sink, &mut stats);
         assert_eq!((stats.accessed_entries, sink.len()), (2, 1), "found again under 'b', kept once");
     }
 
     #[test]
     fn unknown_token_scans_nothing() {
-        let (ix, mut int) = index_of(&["a b"]);
+        let (ix, mut int) = index_with(&["a b"], &[]);
         let z = int.intern("zzz");
         let mut sink = CandidateSink::default();
         let mut stats = ExtractStats::default();
-        scan_flat(&ix, z, Span::new(0, 1), 1, 0.8, Metric::Jaccard, &mut sink, &mut stats);
-        scan_clustered(&ix, z, Span::new(0, 1), 1, 0.8, Metric::Jaccard, &mut sink, &mut stats);
+        scan_into(&ix, z, 1, 0.8, false, &mut sink, &mut stats);
+        scan_into(&ix, z, 1, 0.8, true, &mut sink, &mut stats);
         assert_eq!(stats.accessed_entries, 0);
         assert_eq!(sink.len(), 0);
     }

@@ -23,8 +23,13 @@
 //! |----------|--------------------|------------|
 //! | [`Strategy::Simple`]  | from scratch per substring | full list, per-entry filters |
 //! | [`Strategy::Skip`]    | from scratch per substring | clustered, batch skips |
-//! | [`Strategy::Dynamic`] | incremental (Window Extend / Migrate) | clustered, batch skips |
+//! | [`Strategy::Dynamic`] | incremental (Window Extend / Migrate) | clustered, batch skips, cached across migrations |
 //! | [`Strategy::Lazy`]    | incremental | deferred: each token's list scanned once per document |
+//!
+//! "From scratch" is the straw man's own loop (`strategy/naive.rs`);
+//! "incremental" is one maintained window walk (`walk.rs`) that `Dynamic`,
+//! `Lazy` and the top-k scan run their loop bodies over. The scan is one
+//! function (`candidates::scan`) for every row but `Lazy`'s.
 //!
 //! # Quickstart
 //!
@@ -70,6 +75,7 @@ mod strategy;
 mod topk;
 mod verify;
 pub mod wal;
+mod walk;
 mod window;
 
 pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend, ExtractRequest};

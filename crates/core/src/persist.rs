@@ -73,93 +73,14 @@ impl std::error::Error for PersistError {}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the same checksum as gzip.
 ///
-/// The frozen open path checksums the whole artifact before trusting
-/// a single offset, which puts this function on the cold-start critical
-/// path for multi-megabyte indexes. Large inputs are therefore split
-/// across threads and the per-chunk CRCs merged with the standard GF(2)
-/// combine — bit-identical to the serial computation.
+/// The frozen open path checksums the whole artifact before trusting a
+/// single offset, which puts this function on the cold-start critical path:
+/// the carry-less-multiply kernel where the CPU has it (x86-64 `pclmulqdq`,
+/// ~an order of magnitude faster), the slice-by-16 table loop everywhere
+/// else. Results are identical. One thread: at the 3–11 MB the artifacts
+/// weigh, spawning threads to split the work cost more than it saved
+/// (DESIGN §15).
 pub(crate) fn crc32(data: &[u8]) -> u32 {
-    // Below this size thread spawns cost more than they save.
-    const PARALLEL_THRESHOLD: usize = 1 << 21;
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8);
-    if data.len() < PARALLEL_THRESHOLD || threads < 2 {
-        return crc32_serial(data);
-    }
-    let chunk = data.len().div_ceil(threads);
-    let crcs: Vec<(u32, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = data.chunks(chunk).map(|c| s.spawn(move || (crc32_serial(c), c.len() as u64))).collect();
-        handles.into_iter().map(|h| h.join().expect("crc worker")).collect()
-    });
-    let mut iter = crcs.into_iter();
-    let (mut acc, _) = iter.next().expect("at least one chunk");
-    for (crc, len) in iter {
-        acc = crc32_combine(acc, crc, len);
-    }
-    acc
-}
-
-/// `crc32(a ++ b)` from `crc32(a)`, `crc32(b)` and `b`'s length, by
-/// advancing `crc1` through `len2` zero bytes with GF(2) matrix powers
-/// (zlib's `crc32_combine`): O(log len2), no data access.
-fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
-    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut sum = 0;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                sum ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        sum
-    }
-    fn square(out: &mut [u32; 32], mat: &[u32; 32]) {
-        for n in 0..32 {
-            out[n] = times(mat, mat[n]);
-        }
-    }
-    if len2 == 0 {
-        return crc1;
-    }
-    // odd = the one-zero-bit operator, then repeatedly square.
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
-        row <<= 1;
-    }
-    let mut even = [0u32; 32];
-    square(&mut even, &odd);
-    square(&mut odd, &even);
-    let mut crc1 = crc1;
-    let mut len2 = len2;
-    loop {
-        square(&mut even, &odd);
-        if len2 & 1 != 0 {
-            crc1 = times(&even, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = times(&odd, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-    }
-    crc1 ^ crc2
-}
-
-/// One thread's worth of CRC: the carry-less-multiply kernel where the
-/// CPU has it (x86-64 `pclmulqdq`, ~an order of magnitude faster), the
-/// slice-by-16 table loop everywhere else. Results are identical.
-fn crc32_serial(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if data.len() >= 64 && clmul::supported() {
         let head = data.len() & !15;
@@ -476,34 +397,7 @@ mod tests {
             .collect();
         for len in (0..256).chain((256..4096).step_by(97)) {
             let d = &data[..len];
-            assert_eq!(crc32_serial(d), !crc32_table_update(!0, d), "len={len}");
-        }
-    }
-
-    #[test]
-    fn crc32_parallel_matches_serial() {
-        // Crosses the parallel threshold with an uneven tail so every
-        // chunking/combine path runs; xorshift keeps the data incompressible.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..(5 << 21) + 12345)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state as u8
-            })
-            .collect();
-        assert_eq!(crc32(&data), crc32_serial(&data));
-    }
-
-    #[test]
-    fn crc32_combine_matches_concatenation() {
-        let a = b"an approximate entity extraction engine".as_slice();
-        let b = b"with synonym rules and a sliding window".as_slice();
-        let whole = [a, b].concat();
-        for split in [0, 1, 7, a.len()] {
-            let (x, y) = (&a[..split], &[&a[split..], b].concat()[..]);
-            assert_eq!(crc32_combine(crc32(x), crc32(y), y.len() as u64), crc32(&whole), "split={split}");
+            assert_eq!(crc32(d), !crc32_table_update(!0, d), "len={len}");
         }
     }
 

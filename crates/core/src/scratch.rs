@@ -7,7 +7,7 @@
 //! length and migrated in place, and the per-document [`DenseRemap`] reuses
 //! its staging buffers. After a few documents of warmup every run fits in
 //! previously acquired capacity — the property asserted by the
-//! counting-allocator test `zero_alloc.rs`.
+//! counting-allocator test `zero_alloc.rs`, top-k requests included.
 //!
 //! Invariants callers rely on:
 //! - A scratch may be reused across engines, strategies, taus and metrics;
@@ -22,9 +22,10 @@ use crate::limits::ExtractOutcome;
 use crate::matches::Match;
 use crate::stage::StageSlots;
 use crate::stats::ExtractStats;
-use crate::window::{DenseRemap, WindowState};
+use crate::topk::Worst;
+use crate::walk::WalkScratch;
 use aeetes_text::{EntityId, Span, TokenId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// One substring that carries a given valid token in its prefix, with its
 /// precomputed admissible entity-length interval `[lo, hi]` (Lazy pass 1).
@@ -54,10 +55,9 @@ pub(crate) struct LazyScratch {
     /// substring inverted index `I[t]`, rank-indexed and pooled: entries
     /// keep their capacity across documents).
     pub inv: Vec<Vec<Pending>>,
-    /// Ranks with a nonempty `inv` entry, in discovery order.
-    pub touched: Vec<u32>,
-    /// `(token, rank)` of every touched rank, sorted by token id (pass 2
-    /// processes tokens in id order for determinism).
+    /// `(token, rank)` of every rank with a nonempty `inv` entry: pushed in
+    /// discovery order, then sorted by token id (pass 2 processes tokens in
+    /// id order for determinism).
     pub tokens: Vec<(TokenId, u32)>,
     /// Pass-2 per-token machinery: pending indices sorted by `hi` (expiry
     /// order), expiry tombstones, and the active list.
@@ -70,9 +70,9 @@ pub(crate) struct LazyScratch {
 /// needs. The sharded engine holds one per shard.
 #[derive(Debug, Default)]
 pub struct SegmentScratch {
-    pub(crate) remap: DenseRemap,
-    /// Window-state pool, one per candidate length; grown, never shrunk.
-    pub(crate) states: Vec<WindowState>,
+    /// The document remap (every strategy) and the maintained window
+    /// states (all but Simple/Skip).
+    pub(crate) walk: WalkScratch,
     pub(crate) sink: CandidateSink,
     pub(crate) dynamic: DynScratch,
     pub(crate) lazy: LazyScratch,
@@ -83,6 +83,8 @@ pub struct SegmentScratch {
     /// Verification: which keys of the current candidate's pool the span
     /// holds, as masks over the pool.
     pub(crate) hits: Vec<u32>,
+    /// Top-k: the best matches so far, worst on top; empty between runs.
+    pub(crate) heap: BinaryHeap<Worst>,
     /// Sorted matches of the most recent run.
     pub(crate) matches: Vec<Match>,
     /// Per-stage timing slots of the most recent run: scratch-resident so

@@ -1,29 +1,27 @@
 //! The `Dynamic` strategy: incremental prefix maintenance via the paper's
 //! Window Extend and Window Migrate operations (§4.1, Algorithm 3).
 //!
-//! One [`crate::window::WindowState`] is kept per candidate substring
-//! length `l ∈ [E⊥, E⊤]`, pooled in the scratch and migrated in place.
-//! Moving the window start from `p−1` to `p` *migrates* every state (drop
-//! `d[p−1]`, take `d[p−1+l]`); the first window is built once with
-//! *extends*. The τ-prefix is read off the sorted live-rank slice instead
-//! of being re-sorted per substring — and, crucially, the posting-list scan
-//! of a prefix token is **reused across migrations**: a scan's outcome
-//! depends only on `(token, |s|, τ)`, so tokens that stay in the prefix
-//! (and a distinct-size that stays put) keep their cached candidate
-//! origins, and only tokens that *enter* the prefix are scanned. This is
-//! what drops the accessed-entry count below `Skip` in the paper's
-//! Figure 11. Scan results live in a per-document arena; cache values are
-//! ranges into it, so a cache hit copies nothing and a miss allocates
-//! nothing once the arena has reached its high-water capacity.
+//! The windows come from the maintained [`WindowWalk`], their τ-prefixes
+//! read off sorted rank slices instead of re-sorted per substring. What
+//! `Dynamic` adds is that the posting-list scan of a prefix token is
+//! **reused across migrations**: a scan's outcome depends only on `(token,
+//! |s|, τ)`, so tokens that stay in the prefix (and a distinct-size that
+//! stays put) keep their cached candidate origins, and only tokens that
+//! *enter* the prefix are scanned. This is what drops the accessed-entry
+//! count below `Skip` in the paper's Figure 11. Scan results live in a
+//! per-document arena; cache values are ranges into it, so a cache hit
+//! copies nothing and a miss allocates nothing once the arena has reached
+//! its high-water capacity.
 
-use crate::candidates::scan_token_origins_into;
+use crate::candidates::scan;
 use crate::limits::Budget;
 use crate::scratch::{DynScratch, SegmentScratch};
-use crate::stage::{SpanClock, Stage};
+use crate::stage::Stage;
 use crate::stats::ExtractStats;
+use crate::walk::WindowWalk;
 use aeetes_index::{metric_window_bounds, ClusteredIndex};
 use aeetes_sim::Metric;
-use aeetes_text::{Document, Span};
+use aeetes_text::Document;
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
@@ -39,160 +37,59 @@ pub(crate) fn generate(
     let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau, metric) else {
         return;
     };
-    let n = doc.len();
-    if n < bounds.min {
+    let SegmentScratch { walk, sink, dynamic, stages, .. } = seg;
+    let Some(mut walk) = WindowWalk::start(index.order(), doc, bounds, walk, stages) else {
         return;
-    }
-    let order = index.order();
-    let SegmentScratch { remap, states, sink, dynamic, stages, .. } = seg;
-    let remap_clk = SpanClock::always();
-    remap.build(doc.tokens().iter().map(|&t| order.key(t)));
-    let universe = remap.universe();
-    let ranks = remap.doc_ranks();
-    remap_clk.stop(Stage::Remap, stages);
-
-    // states[i] / caches[i] track the substring of length `bounds.min + i`
-    // at the current start position; `live` counts the lengths that still
-    // fit in the document (the pool itself is never truncated).
-    let max_fit = bounds.max.min(n) - bounds.min + 1;
-    if states.len() < max_fit {
-        states.resize_with(max_fit, crate::window::WindowState::new);
-    }
-    if dynamic.caches.len() < max_fit {
-        dynamic.caches.resize_with(max_fit, Default::default);
-    }
-    for st in &mut states[..max_fit] {
-        st.reset(universe);
-    }
-    for cache in &mut dynamic.caches[..max_fit] {
-        cache.clear();
-    }
-    dynamic.arena.clear();
+    };
+    // caches[slot] serves the windows of one token length, like the walk's
+    // state of that slot (the pool itself is never truncated).
     let DynScratch { caches, arena, seen } = dynamic;
-    let mut live = 0usize;
+    if caches.len() < walk.slots() {
+        caches.resize_with(walk.slots(), Default::default);
+    }
+    caches.iter_mut().for_each(|cache| cache.clear());
+    arena.clear();
 
-    let slide_clk = SpanClock::always();
-    let windows_before = stats.windows;
-    for p in 0..n {
-        let lmax = bounds.max.min(n - p);
-        if bounds.min > lmax {
-            break;
-        }
-        if !budget.keep_generating(sink.len()) {
-            break; // budget spent: degrade to the candidates found so far
-        }
-        stats.windows += 1;
-        // Sampled sub-stage timing: position 0 (always on the grid) times
-        // the extend chain as `PrefixBuild`; later grid positions time the
-        // migrate block as `PrefixUpdate` and the scans as `CandidateGen`.
-        let mut clk = SpanClock::sampled(p);
-        let fit = lmax - bounds.min + 1;
-        if p == 0 {
-            // Window Extend chain: build the E⊥ state, then grow one token
-            // at a time, copying the previous length's multiset into the
-            // next pooled state.
-            for i in 0..fit {
-                if i == 0 {
-                    for &r in &ranks[0..bounds.min] {
-                        states[0].add(r);
-                    }
-                    stats.prefix_builds += 1;
-                } else {
-                    let (prev, rest) = states.split_at_mut(i);
-                    rest[0].copy_from(&prev[i - 1]);
-                    rest[0].add(ranks[bounds.min + i - 1]);
-                    stats.prefix_updates += 1;
-                }
-            }
-            live = fit;
-            clk.lap(Stage::PrefixBuild, stages);
-        } else {
-            // Lengths that no longer fit stop being migrated (their pooled
-            // states stay behind for the next document).
-            live = live.min(fit);
-            // Window Migrate per surviving length.
-            for (i, st) in states[..live].iter_mut().enumerate() {
-                let l = bounds.min + i;
-                st.remove(ranks[p - 1]);
-                st.add(ranks[p - 1 + l]);
-                stats.prefix_updates += 1;
-            }
-            clk.lap(Stage::PrefixUpdate, stages);
-        }
-
-        for (i, (st, cache)) in states[..live].iter().zip(caches.iter_mut()).enumerate() {
-            let l = bounds.min + i;
+    // A spent budget degrades to the candidates found so far.
+    while walk.next_longest(bounds.min).is_some() && budget.keep_generating(sink.len()) {
+        walk.advance(stats);
+        for w in walk.windows(bounds.min) {
             stats.substrings += 1;
-            let s_len = st.distinct_len();
-            let k = metric.prefix_len(s_len, tau);
-            let prefix = st.prefix(k);
-            let span = Span::new(p, l);
+            let s_len = w.set.len();
+            let prefix = &w.set[..metric.prefix_len(s_len, tau)];
+            let cache = &mut caches[w.slot];
             // Drop cache entries for ranks that left the prefix (entries
             // for other distinct sizes of current ranks are kept warm).
             cache.retain(|&(r, _), _| prefix.binary_search(&r).is_ok());
-            for &r in prefix {
-                if !remap.is_valid_rank(r) {
-                    continue; // invalid token
-                }
-                let (from, to) = *cache
-                    .entry((r, s_len as u32))
-                    .or_insert_with(|| scan_token_origins_into(index, order.token_of(remap.key_of(r)), s_len, tau, metric, stats, arena, seen));
+            for r in walk.valid(prefix) {
+                let (from, to) = *cache.entry((r, s_len as u32)).or_insert_with(|| {
+                    // A miss: an origin can pass in several length groups
+                    // and is stored once.
+                    let from = arena.len() as u32;
+                    seen.clear();
+                    scan(index, walk.token(r), s_len, tau, metric, true, stats, |origin| {
+                        if seen.insert(origin) {
+                            arena.push(origin);
+                        }
+                    });
+                    (from, arena.len() as u32)
+                });
                 for &origin in &arena[from as usize..to as usize] {
-                    sink.push(span, origin);
+                    sink.push(w.span, origin);
                 }
             }
         }
-        clk.lap(Stage::CandidateGen, stages);
+        walk.lap(Stage::CandidateGen);
     }
-    // Sampled-out laps record nothing; span totals are accounted in bulk:
-    // one migrate per position after the first, one scan block per position.
-    let windows = stats.windows - windows_before;
-    stages.account_spans(Stage::PrefixUpdate, windows.saturating_sub(1));
-    stages.account_spans(Stage::CandidateGen, windows);
-    slide_clk.stop(Stage::WindowSlide, stages);
+    walk.finish(&[Stage::CandidateGen]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::naive;
-    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
-    use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
-
-    fn setup(entries: &[&str], rules: &[(&str, &str)], doc: &str) -> (ClusteredIndex, Document) {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
-        let mut rs = RuleSet::new();
-        for (l, r) in rules {
-            rs.push_str(l, r, &tok, &mut int).unwrap();
-        }
-        let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
-        let ix = ClusteredIndex::build(&dd, &int);
-        let d = Document::parse(doc, &tok, &mut int);
-        (ix, d)
-    }
-
-    fn sorted(mut v: Vec<(Span, EntityId)>) -> Vec<(Span, EntityId)> {
-        v.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
-        v
-    }
-
-    fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
-        (ix.min_set_len(), ix.max_set_len())
-    }
-
-    fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, seg: &mut SegmentScratch, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
-        seg.sink.clear();
-        generate(ix, doc, tau, Metric::Jaccard, own(ix), seg, stats, &mut Budget::unlimited());
-        seg.sink.pairs.clone()
-    }
-
-    fn run_naive(ix: &ClusteredIndex, doc: &Document, tau: f64, clustered: bool, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
-        let mut seg = SegmentScratch::default();
-        naive::generate(ix, doc, tau, Metric::Jaccard, own(ix), clustered, &mut seg, stats, &mut Budget::unlimited());
-        seg.sink.pairs.clone()
-    }
+    use crate::strategy::fixture::{index_with, run, run_in, setup, sorted};
+    use crate::strategy::Strategy;
+    use aeetes_text::{Span, Tokenizer};
 
     #[test]
     fn agrees_with_naive_on_mixed_document() {
@@ -204,9 +101,9 @@ mod tests {
         let mut seg = SegmentScratch::default();
         for tau in [0.7, 0.8, 0.9] {
             let mut st = ExtractStats::default();
-            let eager = run_naive(&ix, &doc, tau, true, &mut st);
+            let eager = run(&ix, &doc, tau, Strategy::Skip, &mut st);
             let mut st2 = ExtractStats::default();
-            let dynamic = run(&ix, &doc, tau, &mut seg, &mut st2);
+            let dynamic = run_in(&mut seg, &ix, &doc, tau, Strategy::Dynamic, &mut st2);
             assert_eq!(sorted(eager), sorted(dynamic), "tau={tau}");
         }
     }
@@ -222,9 +119,9 @@ mod tests {
         );
         let mut st_skip = ExtractStats::default();
         let mut st_dyn = ExtractStats::default();
-        let skip = run_naive(&ix, &doc, 0.7, true, &mut st_skip);
+        let skip = run(&ix, &doc, 0.7, Strategy::Skip, &mut st_skip);
         let mut seg = SegmentScratch::default();
-        let dynamic = run(&ix, &doc, 0.7, &mut seg, &mut st_dyn);
+        let dynamic = run_in(&mut seg, &ix, &doc, 0.7, Strategy::Dynamic, &mut st_dyn);
         assert_eq!(sorted(skip), sorted(dynamic));
         assert!(
             st_dyn.accessed_entries < st_skip.accessed_entries,
@@ -234,12 +131,41 @@ mod tests {
         );
     }
 
+    /// An origin can pass the scan in several length groups of one token
+    /// (two of its variants hold the token, at different set lengths): the
+    /// miss that caches the scan keeps it once.
+    #[test]
+    fn a_cache_miss_stores_no_origin_twice() {
+        let (ix, doc) = setup(
+            &["uq au", "purdue au"],
+            &[("uq", "university of queensland"), ("purdue", "purdue university")],
+            "the university of queensland au campus and the purdue university au campus",
+        );
+        let mut repeats = 0;
+        for tau in [0.3, 0.5, 0.7] {
+            let mut seg = SegmentScratch::default();
+            run_in(&mut seg, &ix, &doc, tau, Strategy::Dynamic, &mut ExtractStats::default());
+            // The scans still cached when the walk ended.
+            for (&(r, s_len), &(from, to)) in seg.dynamic.caches.iter().flatten() {
+                let stored = &seg.dynamic.arena[from as usize..to as usize];
+                let distinct: std::collections::BTreeSet<_> = stored.iter().collect();
+                assert_eq!(distinct.len(), stored.len(), "rank {r} |s|={s_len} tau={tau}: {stored:?}");
+                let t = ix.order().token_of(seg.walk.remap.key_of(r));
+                let mut emitted = 0;
+                scan(&ix, t, s_len as usize, tau, Metric::Jaccard, true, &mut ExtractStats::default(), |_| emitted += 1);
+                assert!(emitted >= stored.len());
+                repeats += emitted - stored.len();
+            }
+        }
+        assert!(repeats > 0, "the fixture must make a scan emit an origin twice");
+    }
+
     #[test]
     fn uses_incremental_updates_not_rebuilds() {
         let (ix, doc) = setup(&["a b c"], &[], "a b c d e f g h i j");
         let mut seg = SegmentScratch::default();
         let mut stats = ExtractStats::default();
-        run(&ix, &doc, 0.8, &mut seg, &mut stats);
+        run_in(&mut seg, &ix, &doc, 0.8, Strategy::Dynamic, &mut stats);
         assert_eq!(stats.prefix_builds, 1, "only the very first state is built");
         assert!(stats.prefix_updates > 0);
     }
@@ -250,7 +176,7 @@ mod tests {
         let (ix, doc) = setup(&["a b c d e"], &[], "a b c d e f");
         let mut seg = SegmentScratch::default();
         let mut stats = ExtractStats::default();
-        let pairs = run(&ix, &doc, 0.7, &mut seg, &mut stats);
+        let pairs = run_in(&mut seg, &ix, &doc, 0.7, Strategy::Dynamic, &mut stats);
         // must not panic, and still finds the full-entity match
         assert!(pairs.iter().any(|(sp, _)| *sp == Span::new(0, 5)));
     }
@@ -260,7 +186,7 @@ mod tests {
         let (ix, doc) = setup(&["a b c d e f g h i j"], &[], "a b");
         let mut seg = SegmentScratch::default();
         let mut stats = ExtractStats::default();
-        let pairs = run(&ix, &doc, 0.9, &mut seg, &mut stats);
+        let pairs = run_in(&mut seg, &ix, &doc, 0.9, Strategy::Dynamic, &mut stats);
         assert!(pairs.is_empty());
         assert_eq!(stats.windows, 0);
     }
@@ -269,10 +195,10 @@ mod tests {
     fn repeated_tokens_migrate_correctly() {
         let (ix, doc) = setup(&["ny ny"], &[], "ny ny ny ny ny");
         let mut st = ExtractStats::default();
-        let skip = run_naive(&ix, &doc, 0.8, true, &mut st);
+        let skip = run(&ix, &doc, 0.8, Strategy::Skip, &mut st);
         let mut seg = SegmentScratch::default();
         let mut st2 = ExtractStats::default();
-        let dynamic = run(&ix, &doc, 0.8, &mut seg, &mut st2);
+        let dynamic = run_in(&mut seg, &ix, &doc, 0.8, Strategy::Dynamic, &mut st2);
         assert_eq!(sorted(skip), sorted(dynamic));
     }
 
@@ -280,13 +206,8 @@ mod tests {
     fn scratch_reuse_across_documents_is_bit_identical() {
         // The same scratch must give the same candidates as a fresh one,
         // document after document, including after a larger doc grew it.
-        let mut int = Interner::new();
+        let (ix, mut int) = index_with(&["data base systems", "data mining", "system design"], &[("data base", "database")]);
         let tok = Tokenizer::default();
-        let dict = Dictionary::from_strings(["data base systems", "data mining", "system design"], &tok, &mut int);
-        let mut rs = RuleSet::new();
-        rs.push_str("data base", "database", &tok, &mut int).unwrap();
-        let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
-        let ix = ClusteredIndex::build(&dd, &int);
         let big = Document::parse(
             "data base systems and data mining and data base design of system design for data base systems again data mining data base",
             &tok,
@@ -296,10 +217,10 @@ mod tests {
         let mut reused = SegmentScratch::default();
         for doc in [&big, &small, &big, &small] {
             let mut st = ExtractStats::default();
-            let with_reuse = run(&ix, doc, 0.7, &mut reused, &mut st);
+            let with_reuse = run_in(&mut reused, &ix, doc, 0.7, Strategy::Dynamic, &mut st);
             let mut fresh = SegmentScratch::default();
             let mut st2 = ExtractStats::default();
-            let baseline = run(&ix, doc, 0.7, &mut fresh, &mut st2);
+            let baseline = run_in(&mut fresh, &ix, doc, 0.7, Strategy::Dynamic, &mut st2);
             assert_eq!(with_reuse, baseline, "discovery order must survive scratch reuse");
             assert_eq!(st.accessed_entries, st2.accessed_entries, "work counters must survive scratch reuse");
         }

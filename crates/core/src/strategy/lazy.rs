@@ -1,11 +1,12 @@
 //! The `Lazy` strategy: lazy candidate generation (paper §4.2, Algorithm 4).
 //!
-//! Pass 1 slides the windows exactly like `Dynamic`, but instead of scanning
-//! posting lists per substring it only records, for every *valid* token `t`,
-//! which substrings carry `t` in their τ-prefix — the paper's substring
-//! inverted index `I[t]` (built from the valid-token sets `Φ` and their
-//! deltas `∆φ`; we materialize the aggregated index directly), stored here
-//! as rank-indexed pooled vectors instead of a hash map. Pass 2 then scans
+//! Pass 1 takes its windows from the same maintained [`WindowWalk`] as
+//! `Dynamic`, but instead of scanning posting lists per substring it only
+//! records, for every *valid* token `t`, which substrings carry `t` in
+//! their τ-prefix — the paper's substring inverted index `I[t]` (built from
+//! the valid-token sets `Φ` and their deltas `∆φ`; we materialize the
+//! aggregated index directly), stored here as rank-indexed pooled vectors
+//! instead of a hash map. Pass 2 then scans
 //! the posting list of each distinct valid token **once**, pairing every
 //! length group with the substrings whose length filter admits it; expiry
 //! of substrings whose `hi` bound falls below the group length is driven by
@@ -16,9 +17,10 @@ use crate::limits::Budget;
 use crate::scratch::{Pending, SegmentScratch};
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
+use crate::walk::WindowWalk;
 use aeetes_index::{metric_window_bounds, ClusteredIndex};
 use aeetes_sim::Metric;
-use aeetes_text::{Document, Span};
+use aeetes_text::Document;
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
@@ -34,107 +36,41 @@ pub(crate) fn generate(
     let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau, metric) else {
         return;
     };
-    let n = doc.len();
-    if n < bounds.min {
+    let SegmentScratch { walk, sink, lazy, stages, .. } = seg;
+    let Some(mut walk) = WindowWalk::start(index.order(), doc, bounds, walk, stages) else {
         return;
-    }
-    let order = index.order();
-    let SegmentScratch { remap, states, sink, lazy, stages, .. } = seg;
-    let remap_clk = SpanClock::always();
-    remap.build(doc.tokens().iter().map(|&t| order.key(t)));
-    let universe = remap.universe();
-    let ranks = remap.doc_ranks();
-    remap_clk.stop(Stage::Remap, stages);
+    };
 
     // ---- Pass 1: build the substring inverted index I[t]. ----
-    // `inv` is indexed by rank; only `touched` entries are non-empty, and
-    // every entry keeps its capacity across documents.
-    if lazy.inv.len() < universe {
-        lazy.inv.resize_with(universe, Vec::new);
+    // `inv` is indexed by rank; only the ranks named in `tokens` have
+    // non-empty entries, and every entry keeps its capacity across documents.
+    if lazy.inv.len() < walk.remap.universe() {
+        lazy.inv.resize_with(walk.remap.universe(), Vec::new);
     }
-    lazy.touched.clear();
-    let max_fit = bounds.max.min(n) - bounds.min + 1;
-    if states.len() < max_fit {
-        states.resize_with(max_fit, crate::window::WindowState::new);
-    }
-    for st in &mut states[..max_fit] {
-        st.reset(universe);
-    }
-    let mut live = 0usize;
-    let slide_clk = SpanClock::always();
-    let windows_before = stats.windows;
-    for p in 0..n {
-        let lmax = bounds.max.min(n - p);
-        if bounds.min > lmax {
-            break;
-        }
-        // No candidates are produced in this pass, but the deadline (and an
-        // already-zero candidate budget) still applies per window advance.
-        if !budget.keep_generating(sink.len()) {
-            break;
-        }
-        stats.windows += 1;
-        // Sampled sub-stage timing, as in `Dynamic`: the p=0 extend chain is
-        // `PrefixBuild`, later grid positions time migrates as `PrefixUpdate`.
-        let mut clk = SpanClock::sampled(p);
-        let fit = lmax - bounds.min + 1;
-        if p == 0 {
-            for i in 0..fit {
-                if i == 0 {
-                    for &r in &ranks[0..bounds.min] {
-                        states[0].add(r);
-                    }
-                    stats.prefix_builds += 1;
-                } else {
-                    let (prev, rest) = states.split_at_mut(i);
-                    rest[0].copy_from(&prev[i - 1]);
-                    rest[0].add(ranks[bounds.min + i - 1]);
-                    stats.prefix_updates += 1;
-                }
-            }
-            live = fit;
-            clk.lap(Stage::PrefixBuild, stages);
-        } else {
-            live = live.min(fit);
-            for (i, st) in states[..live].iter_mut().enumerate() {
-                let l = bounds.min + i;
-                st.remove(ranks[p - 1]);
-                st.add(ranks[p - 1 + l]);
-                stats.prefix_updates += 1;
-            }
-            clk.lap(Stage::PrefixUpdate, stages);
-        }
-        for (i, st) in states[..live].iter().enumerate() {
-            let l = bounds.min + i;
+    lazy.tokens.clear();
+    // No candidates are produced in this pass, but the deadline (and an
+    // already-zero candidate budget) still applies per window advance.
+    while walk.next_longest(bounds.min).is_some() && budget.keep_generating(sink.len()) {
+        walk.advance(stats);
+        for w in walk.windows(bounds.min) {
             stats.substrings += 1;
-            let s_len = st.distinct_len();
-            let k = metric.prefix_len(s_len, tau);
+            let s_len = w.set.len();
             let (lo, hi) = metric.length_bounds(s_len, tau, u32::MAX as usize);
-            let span = Span::new(p, l);
-            for &r in st.prefix(k) {
-                if !remap.is_valid_rank(r) {
-                    continue; // invalid token: no postings to visit later
-                }
+            for r in walk.valid(&w.set[..metric.prefix_len(s_len, tau)]) {
                 let list = &mut lazy.inv[r as usize];
                 if list.is_empty() {
-                    lazy.touched.push(r);
+                    lazy.tokens.push((walk.token(r), r));
                 }
-                list.push(Pending { span, lo: lo as u32, hi: hi as u32 });
+                list.push(Pending { span: w.span, lo: lo as u32, hi: hi as u32 });
             }
         }
     }
-    // Sampled-out laps record nothing; one migrate span per position after
-    // the first, accounted in bulk.
-    let windows = stats.windows - windows_before;
-    stages.account_spans(Stage::PrefixUpdate, windows.saturating_sub(1));
-    slide_clk.stop(Stage::WindowSlide, stages);
+    walk.finish(&[]);
 
     // ---- Pass 2: one scan of L[t] per distinct valid token. ----
     // Tokens are processed in id order for determinism. The whole pass is
     // this strategy's candidate generation, timed exactly (once per doc).
     let gen_clk = SpanClock::always();
-    lazy.tokens.clear();
-    lazy.tokens.extend(lazy.touched.iter().map(|&r| (order.token_of(remap.key_of(r)), r)));
     lazy.tokens.sort_unstable_by_key(|&(t, _)| t);
     for ti in 0..lazy.tokens.len() {
         let (t, r) = lazy.tokens[ti];
@@ -202,7 +138,7 @@ pub(crate) fn generate(
     }
     // Return every touched pool entry (processed or not) to the empty
     // state; capacities are retained for the next document.
-    for &r in lazy.touched.iter() {
+    for &(_, r) in lazy.tokens.iter() {
         lazy.inv[r as usize].clear();
     }
     gen_clk.stop(Stage::CandidateGen, stages);
@@ -211,38 +147,9 @@ pub(crate) fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{dynamic, naive};
-    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
-    use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
-
-    fn setup(entries: &[&str], rules: &[(&str, &str)], doc: &str) -> (ClusteredIndex, Document) {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
-        let mut rs = RuleSet::new();
-        for (l, r) in rules {
-            rs.push_str(l, r, &tok, &mut int).unwrap();
-        }
-        let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
-        let ix = ClusteredIndex::build(&dd, &int);
-        let d = Document::parse(doc, &tok, &mut int);
-        (ix, d)
-    }
-
-    fn sorted(mut v: Vec<(Span, EntityId)>) -> Vec<(Span, EntityId)> {
-        v.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
-        v
-    }
-
-    fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
-        (ix.min_set_len(), ix.max_set_len())
-    }
-
-    fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
-        let mut seg = SegmentScratch::default();
-        generate(ix, doc, tau, Metric::Jaccard, own(ix), &mut seg, stats, &mut Budget::unlimited());
-        seg.sink.pairs.clone()
-    }
+    use crate::strategy::fixture::{run, run_in, setup, sorted};
+    use crate::strategy::Strategy;
+    use aeetes_text::Span;
 
     /// Theorem 4.5 (no false negatives): Lazy finds every candidate that the
     /// eager strategies find.
@@ -259,12 +166,10 @@ mod tests {
             "alumni of purdue university united states met in new york near the university of queensland australia booth with university of wisconsin madison colleagues",
         );
         for tau in [0.7, 0.8, 0.9] {
-            let mut eager_seg = SegmentScratch::default();
             let mut st = ExtractStats::default();
-            naive::generate(&ix, &doc, tau, Metric::Jaccard, own(&ix), true, &mut eager_seg, &mut st, &mut Budget::unlimited());
+            let e = sorted(run(&ix, &doc, tau, Strategy::Skip, &mut st));
             let mut st2 = ExtractStats::default();
-            let l = sorted(run(&ix, &doc, tau, &mut st2));
-            let e = sorted(eager_seg.sink.pairs.clone());
+            let l = sorted(run(&ix, &doc, tau, Strategy::Lazy, &mut st2));
             for pair in &e {
                 assert!(l.contains(pair), "lazy missed {pair:?} at tau={tau}");
             }
@@ -280,11 +185,10 @@ mod tests {
             &[("data base", "database")],
             "data base systems and data mining and data base design of system design for data base systems again data mining data base",
         );
-        let mut seg_dyn = SegmentScratch::default();
         let mut st_dyn = ExtractStats::default();
         let mut st_lazy = ExtractStats::default();
-        dynamic::generate(&ix, &doc, 0.7, Metric::Jaccard, own(&ix), &mut seg_dyn, &mut st_dyn, &mut Budget::unlimited());
-        run(&ix, &doc, 0.7, &mut st_lazy);
+        run(&ix, &doc, 0.7, Strategy::Dynamic, &mut st_dyn);
+        run(&ix, &doc, 0.7, Strategy::Lazy, &mut st_lazy);
         assert!(
             st_lazy.accessed_entries <= st_dyn.accessed_entries,
             "lazy {} vs dynamic {}",
@@ -297,14 +201,14 @@ mod tests {
     fn empty_inputs() {
         let (ix, doc) = setup(&["a b"], &[], "");
         let mut stats = ExtractStats::default();
-        assert!(run(&ix, &doc, 0.8, &mut stats).is_empty());
+        assert!(run(&ix, &doc, 0.8, Strategy::Lazy, &mut stats).is_empty());
     }
 
     #[test]
     fn single_token_entities_and_document() {
         let (ix, doc) = setup(&["rust"], &[], "rust");
         let mut stats = ExtractStats::default();
-        let pairs = run(&ix, &doc, 1.0, &mut stats);
+        let pairs = run(&ix, &doc, 1.0, Strategy::Lazy, &mut stats);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].0, Span::new(0, 1));
     }
@@ -321,14 +225,13 @@ mod tests {
         let mut seg = SegmentScratch::default();
         let mut first = Vec::new();
         for round in 0..3 {
-            seg.sink.clear();
             let mut st = ExtractStats::default();
-            generate(&ix, &doc, 0.7, Metric::Jaccard, own(&ix), &mut seg, &mut st, &mut Budget::unlimited());
+            let pairs = run_in(&mut seg, &ix, &doc, 0.7, Strategy::Lazy, &mut st);
             if round == 0 {
-                first = seg.sink.pairs.clone();
+                first = pairs;
                 assert!(!first.is_empty());
             } else {
-                assert_eq!(seg.sink.pairs, first, "round {round}");
+                assert_eq!(pairs, first, "round {round}");
             }
         }
     }

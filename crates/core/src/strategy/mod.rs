@@ -113,6 +113,62 @@ pub fn generate_candidates<'s>(
     (&seg.sink.pairs, stats)
 }
 
+/// What the strategy and scan tests share: small indexes, documents, and one
+/// way to run a strategy.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
+    use aeetes_text::{Dictionary, Interner, Tokenizer};
+
+    pub fn index_with(entries: &[&str], rules: &[(&str, &str)]) -> (ClusteredIndex, Interner) {
+        let mut int = Interner::new();
+        let tok = Tokenizer::default();
+        let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
+        let mut rs = RuleSet::new();
+        for (l, r) in rules {
+            rs.push_str(l, r, &tok, &mut int).unwrap();
+        }
+        let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
+        (ClusteredIndex::build(&dd, &int), int)
+    }
+
+    pub fn setup(entries: &[&str], rules: &[(&str, &str)], doc: &str) -> (ClusteredIndex, Document) {
+        let (ix, mut int) = index_with(entries, rules);
+        let doc = Document::parse(doc, &Tokenizer::default(), &mut int);
+        (ix, doc)
+    }
+
+    pub fn sorted(mut v: Vec<(Span, EntityId)>) -> Vec<(Span, EntityId)> {
+        v.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
+        v
+    }
+
+    /// The index's own set-length range, as a monolithic engine passes it.
+    pub fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
+        (ix.min_set_len(), ix.max_set_len())
+    }
+
+    /// `strategy`'s candidates under Jaccard and no budget, in discovery
+    /// order, generated in `seg`.
+    pub fn run_in(
+        seg: &mut SegmentScratch,
+        ix: &ClusteredIndex,
+        doc: &Document,
+        tau: f64,
+        strategy: Strategy,
+        stats: &mut ExtractStats,
+    ) -> Vec<(Span, EntityId)> {
+        generate(ix, doc, tau, Metric::Jaccard, strategy, own(ix), seg, stats, &mut Budget::unlimited());
+        seg.sink.pairs.clone()
+    }
+
+    /// [`run_in`] a fresh scratch.
+    pub fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, strategy: Strategy, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
+        run_in(&mut SegmentScratch::default(), ix, doc, tau, strategy, stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! The `Simple` and `Skip` strategies: per-substring prefix computation
-//! from scratch (paper §4, "straightforward solution").
+//! from scratch (paper §4, "straightforward solution") — the straw man of
+//! Fig. 10, kept apart from the maintained `walk.rs` on purpose (DESIGN §5).
 
-use crate::candidates::{scan_clustered, scan_flat};
+use crate::candidates::scan;
 use crate::limits::Budget;
 use crate::scratch::SegmentScratch;
 use crate::stage::{SpanClock, Stage};
@@ -32,7 +33,8 @@ pub(crate) fn generate(
     };
     let order = index.order();
     let n = doc.len();
-    let SegmentScratch { remap, sink, buf, stages, .. } = seg;
+    let SegmentScratch { walk, sink, buf, stages, .. } = seg;
+    let remap = &mut walk.remap;
     let remap_clk = SpanClock::always();
     remap.build(doc.tokens().iter().map(|&t| order.key(t)));
     let ranks = remap.doc_ranks();
@@ -66,11 +68,9 @@ pub(crate) fn generate(
                     continue; // invalid token: empty posting list
                 }
                 let t = order.token_of(remap.key_of(r));
-                if clustered {
-                    scan_clustered(index, t, span, s_len, tau, metric, sink, stats);
-                } else {
-                    scan_flat(index, t, span, s_len, tau, metric, sink, stats);
-                }
+                scan(index, t, s_len, tau, metric, clustered, stats, |origin| {
+                    sink.push(span, origin);
+                });
             }
             clk.lap(Stage::CandidateGen, stages);
         }
@@ -86,65 +86,43 @@ pub(crate) fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
-    use aeetes_text::{Dictionary, Interner, Tokenizer};
-
-    fn setup(entries: &[&str], doc: &str) -> (ClusteredIndex, Document) {
-        let mut int = Interner::new();
-        let tok = Tokenizer::default();
-        let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
-        let dd = DerivedDictionary::build(&dict, &RuleSet::new(), &DeriveConfig::default());
-        let ix = ClusteredIndex::build(&dd, &int);
-        let d = Document::parse(doc, &tok, &mut int);
-        (ix, d)
-    }
-
-    fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
-        (ix.min_set_len(), ix.max_set_len())
-    }
-
-    fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, clustered: bool, stats: &mut ExtractStats) -> Vec<(Span, aeetes_text::EntityId)> {
-        let mut seg = SegmentScratch::default();
-        generate(ix, doc, tau, Metric::Jaccard, own(ix), clustered, &mut seg, stats, &mut Budget::unlimited());
-        seg.sink.pairs.clone()
-    }
+    use crate::strategy::fixture::{run, setup, sorted};
+    use crate::strategy::Strategy;
 
     #[test]
     fn finds_exact_mention() {
-        let (ix, doc) = setup(&["purdue university"], "i visited purdue university yesterday");
+        let (ix, doc) = setup(&["purdue university"], &[], "i visited purdue university yesterday");
         let mut stats = ExtractStats::default();
-        let pairs = run(&ix, &doc, 0.9, false, &mut stats);
+        let pairs = run(&ix, &doc, 0.9, Strategy::Simple, &mut stats);
         assert!(pairs.iter().any(|(sp, _)| *sp == Span::new(2, 2)));
     }
 
     #[test]
     fn simple_accesses_at_least_as_many_entries_as_skip() {
-        let (ix, doc) = setup(&["a b", "a c d", "a e f g", "h i", "a"], "a b c a e f g h i a a b");
+        let (ix, doc) = setup(&["a b", "a c d", "a e f g", "h i", "a"], &[], "a b c a e f g h i a a b");
         let mut st1 = ExtractStats::default();
         let mut st2 = ExtractStats::default();
-        let mut a = run(&ix, &doc, 0.7, false, &mut st1);
-        let mut b = run(&ix, &doc, 0.7, true, &mut st2);
+        let a = run(&ix, &doc, 0.7, Strategy::Simple, &mut st1);
+        let b = run(&ix, &doc, 0.7, Strategy::Skip, &mut st2);
         assert!(st1.accessed_entries >= st2.accessed_entries);
-        a.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
-        b.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
-        assert_eq!(a, b, "same candidates either way");
+        assert_eq!(sorted(a), sorted(b), "same candidates either way");
     }
 
     #[test]
     fn empty_doc_and_empty_dict() {
-        let (ix, doc) = setup(&["a b"], "");
+        let (ix, doc) = setup(&["a b"], &[], "");
         let mut stats = ExtractStats::default();
-        assert!(run(&ix, &doc, 0.8, true, &mut stats).is_empty());
-        let (ix2, doc2) = setup(&[], "some words here");
-        assert!(run(&ix2, &doc2, 0.8, true, &mut stats).is_empty());
+        assert!(run(&ix, &doc, 0.8, Strategy::Skip, &mut stats).is_empty());
+        let (ix2, doc2) = setup(&[], &[], "some words here");
+        assert!(run(&ix2, &doc2, 0.8, Strategy::Skip, &mut stats).is_empty());
     }
 
     #[test]
     fn substring_count_matches_window_arithmetic() {
-        let (ix, doc) = setup(&["x y"], "one two three four five");
+        let (ix, doc) = setup(&["x y"], &[], "one two three four five");
         // entity distinct len 2, τ=0.8 → E⊥=1, E⊤=3; n=5.
         let mut stats = ExtractStats::default();
-        run(&ix, &doc, 0.8, true, &mut stats);
+        run(&ix, &doc, 0.8, Strategy::Skip, &mut stats);
         // p=0..4: lmax = min(3, 5-p) → 3,3,3,2,1 → substrings 3+3+3+2+1 = 12.
         assert_eq!(stats.windows, 5);
         assert_eq!(stats.substrings, 12);

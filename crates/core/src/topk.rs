@@ -10,7 +10,7 @@
 //! are skipped once they cannot beat the current k-th best score. Which
 //! token lengths are windows at all stays what [`metric_window_bounds`]
 //! says at `tau_floor`, because that is what the thresholded answer
-//! enumerates.
+//! enumerates, so that is what the maintained [`WindowWalk`] is started on.
 //!
 //! Soundness: the heap's k-th best score is always ≤ the true k-th best
 //! score, so any pair that belongs in the final top-k scores ≥ the ratcheted
@@ -29,45 +29,49 @@
 //! [`select_top_k`] over the union of the per-segment results is exact.
 
 use crate::backend::{ExtractBackend, ExtractRequest};
-use crate::candidates::scan_clustered;
+use crate::candidates::scan;
 use crate::extractor::Aeetes;
 use crate::limits::Budget;
 use crate::matches::Match;
 use crate::scratch::{ExtractScratch, SegmentScratch};
+use crate::stage::Stage;
 use crate::stats::ExtractStats;
 use crate::verify::verify_candidates;
+use crate::walk::WindowWalk;
 use aeetes_index::{metric_window_bounds, ClusteredIndex};
 use aeetes_rules::VariantTable;
 use aeetes_sim::Metric;
-use aeetes_text::{Document, Span};
-use std::collections::BinaryHeap;
+use aeetes_text::Document;
+use std::cmp::Ordering;
 
-/// Heap entry ordered so the *worst* match is the heap maximum: lower score
-/// is "greater", and among equal scores the larger `(span, entity)` key is
-/// "greater" (it would be truncated first by the canonical top-k order).
+/// The canonical top-k order: score descending, ties by `(span, entity)`
+/// ascending. Scores are exact similarity values in (0, 1] — never NaN.
+fn best_first(a: &Match, b: &Match) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.sort_key().cmp(&b.sort_key()))
+}
+
+/// Heap entry ordered by [`best_first`], so that the heap maximum is the
+/// *worst* match kept: the one the canonical order would truncate first.
 #[derive(Debug, Clone, Copy)]
-struct Worst(Match);
+pub(crate) struct Worst(Match);
 
 impl PartialEq for Worst {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Worst {}
 impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Worst {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Scores are exact similarity values in (0, 1] — never NaN.
-        other
-            .0
-            .score
-            .partial_cmp(&self.0.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| self.0.sort_key().cmp(&other.0.sort_key()))
+    fn cmp(&self, other: &Self) -> Ordering {
+        best_first(&self.0, &other.0)
     }
 }
 
@@ -76,12 +80,7 @@ impl Ord for Worst {
 /// post-filter the pruned scan is equivalent to; servers use it to apply a
 /// `top_k` request field over an already-extracted result.
 pub fn select_top_k(matches: &mut Vec<Match>, k: usize) {
-    matches.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.sort_key().cmp(&b.sort_key()))
-    });
+    matches.sort_by(best_first);
     matches.truncate(k);
 }
 
@@ -120,7 +119,7 @@ pub(crate) fn top_k_segment(
 ) {
     // `matches` holds one position's verified pairs during the scan and the
     // result after it.
-    let SegmentScratch { remap, sink, buf, s_keys, hits, matches, stages, .. } = seg;
+    let SegmentScratch { walk, sink, s_keys, hits, heap, matches, stages, .. } = seg;
     matches.clear();
     stages.clear();
     if k == 0 {
@@ -129,18 +128,19 @@ pub(crate) fn top_k_segment(
     // Which windows exist is the floor's decision: the thresholded answer at
     // `tau_floor` enumerates token lengths up to the floor's bound, and a
     // window with repeated tokens can be longer than the ratcheted bound
-    // yet hold few enough *distinct* tokens to beat the ratcheted τ.
+    // yet hold few enough *distinct* tokens to beat the ratcheted τ. So the
+    // walk maintains every length of the floor's bounds, whatever τ becomes.
     let (Some(floor), Some(min_set), Some(max_set)) =
         (metric_window_bounds(set_bounds.0, set_bounds.1, tau_floor, metric), set_bounds.0, set_bounds.1)
     else {
         return; // empty dictionary
     };
-    let order = index.order();
-    let n = doc.len();
-    remap.build(doc.tokens().iter().map(|&t| order.key(t)));
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::new();
+    let Some(mut walk) = WindowWalk::start(index.order(), doc, floor, walk, stages) else {
+        return;
+    };
+    heap.clear();
 
-    for p in 0..n {
+    loop {
         // The ratcheted threshold: once the heap holds k matches, nothing
         // scoring below (or tying above, by sort key) the worst of them can
         // enter — so the worst score is a sound extraction threshold. The
@@ -154,55 +154,47 @@ pub(crate) fn top_k_segment(
         // no longer fits in the remaining suffix, no later position can
         // produce a match.
         let lmin = metric.length_bounds(min_set, tau_cur, usize::MAX).0;
-        let lmax = floor.max.min(n - p);
-        if lmin > lmax || !budget.keep_generating(stats.candidates as usize) {
+        if walk.next_longest(lmin).is_none() || !budget.keep_generating(stats.candidates as usize) {
             break;
         }
         // No window of more distinct tokens than this can reach the
         // ratcheted τ against any entity.
         let distinct_max = metric.length_bounds(max_set, tau_cur, usize::MAX).1;
-        stats.windows += 1;
+        walk.advance(stats);
         sink.clear();
-        for l in lmin..=lmax {
+        for w in walk.windows(lmin) {
             stats.substrings += 1;
-            stats.prefix_builds += 1;
-            buf.clear();
-            buf.extend_from_slice(&remap.doc_ranks()[p..p + l]);
-            buf.sort_unstable();
-            buf.dedup();
-            let s_len = buf.len();
+            let s_len = w.set.len();
             if s_len > distinct_max {
                 break; // the distinct size only grows with the window
             }
-            let plen = metric.prefix_len(s_len, tau_cur);
-            let span = Span::new(p, l);
-            for &r in &buf[..plen] {
-                if !remap.is_valid_rank(r) {
-                    continue; // invalid token: empty posting list
-                }
-                let t = order.token_of(remap.key_of(r));
-                scan_clustered(index, t, span, s_len, tau_cur, metric, sink, stats);
+            for r in walk.valid(&w.set[..metric.prefix_len(s_len, tau_cur)]) {
+                scan(index, walk.token(r), s_len, tau_cur, metric, true, stats, |origin| {
+                    sink.push(w.span, origin);
+                });
             }
         }
+        walk.lap(Stage::CandidateGen);
         // Verify this position's candidates immediately so the ratchet can
         // rise before the next position is scanned. Weighted scores are ≤
         // unweighted ones, so the unweighted filters at the ratcheted τ
         // stay sound for them.
         verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, hits, matches);
+        walk.lap(Stage::Verify);
         for &m in matches.iter() {
             if heap.len() < k {
                 heap.push(Worst(m));
-            } else if let Some(worst) = heap.peek() {
-                if m.score > worst.0.score || (m.score == worst.0.score && m.sort_key() < worst.0.sort_key()) {
-                    heap.pop();
-                    heap.push(Worst(m));
+            } else if let Some(mut worst) = heap.peek_mut() {
+                if Worst(m) < *worst {
+                    *worst = Worst(m);
                 }
             }
         }
     }
+    walk.finish(&[Stage::CandidateGen, Stage::Verify]);
 
     matches.clear();
-    matches.extend(heap.into_iter().map(|w| w.0));
+    matches.extend(heap.drain().map(|w| w.0));
     select_top_k(matches, k);
 }
 

@@ -84,8 +84,6 @@ pub struct WindowState {
     /// Ranks with multiplicity > 0, sorted ascending. Rank order equals
     /// global order, so `&live[..k]` *is* the τ-prefix.
     live: Vec<u32>,
-    /// Total token count including duplicates.
-    total: usize,
 }
 
 impl WindowState {
@@ -100,7 +98,6 @@ impl WindowState {
         self.counts.clear();
         self.counts.resize(universe, 0);
         self.live.clear();
-        self.total = 0;
     }
 
     /// Builds a state over `universe` ranks from an iterator of ranks.
@@ -117,7 +114,6 @@ impl WindowState {
     pub fn copy_from(&mut self, other: &WindowState) {
         self.counts.clone_from(&other.counts);
         self.live.clone_from(&other.live);
-        self.total = other.total;
     }
 
     /// Adds one occurrence of `rank` (Window Extend / the incoming edge of
@@ -129,7 +125,6 @@ impl WindowState {
             self.live.insert(pos, rank);
         }
         *c += 1;
-        self.total += 1;
     }
 
     /// Removes one occurrence of `rank` (the outgoing edge of a Window
@@ -144,7 +139,6 @@ impl WindowState {
             return;
         }
         *c -= 1;
-        self.total -= 1;
         if *c == 0 {
             let pos = self.live.partition_point(|&r| r < rank);
             self.live.remove(pos);
@@ -156,25 +150,10 @@ impl WindowState {
         self.live.len()
     }
 
-    /// Total token count including duplicates (tracked, not recomputed).
-    pub fn total_len(&self) -> usize {
-        self.total
-    }
-
-    /// The first `k` distinct ranks in global order (the τ-prefix when `k`
-    /// = `prefix_len(distinct_len, τ)`); clamped to the live count.
-    pub fn prefix(&self, k: usize) -> &[u32] {
-        &self.live[..k.min(self.live.len())]
-    }
-
-    /// All live ranks in global order (for verification and tests).
+    /// The distinct ranks in global order: the first `k` are the τ-prefix
+    /// when `k = prefix_len(distinct_len, τ)`.
     pub fn live_ranks(&self) -> &[u32] {
         &self.live
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
     }
 }
 
@@ -190,20 +169,17 @@ mod tests {
         w.add(5);
         w.add(3);
         assert_eq!(w.distinct_len(), 2);
-        assert_eq!(w.total_len(), 3);
         w.remove(5);
         assert_eq!(w.distinct_len(), 2, "one copy of 5 remains");
-        assert_eq!(w.total_len(), 2);
         w.remove(5);
         assert_eq!(w.distinct_len(), 1);
-        assert_eq!(w.prefix(5), &[3]);
+        assert_eq!(w.live_ranks(), &[3]);
     }
 
     #[test]
-    fn prefix_is_smallest_ranks() {
+    fn live_ranks_are_sorted() {
         let w = WindowState::from_ranks(10, [9, 1, 7, 3]);
-        assert_eq!(w.prefix(2), &[1, 3]);
-        assert_eq!(w.prefix(10).len(), 4);
+        assert_eq!(w.live_ranks(), &[1, 3, 7, 9]);
     }
 
     #[test]
@@ -217,7 +193,6 @@ mod tests {
             w.add(ranks[p + l - 1]);
             let fresh = WindowState::from_ranks(5, ranks[p..p + l].iter().copied());
             assert_eq!(w.live_ranks(), fresh.live_ranks(), "window at p={p}");
-            assert_eq!(w.total_len(), fresh.total_len(), "total at p={p}");
         }
     }
 
@@ -227,27 +202,24 @@ mod tests {
         let mut dst = WindowState::from_ranks(6, [0, 1, 2, 3]);
         dst.copy_from(&src);
         assert_eq!(dst.live_ranks(), src.live_ranks());
-        assert_eq!(dst.total_len(), 3);
+        dst.remove(4);
+        assert_eq!(dst.live_ranks(), &[2, 4], "the multiplicities were copied too");
     }
 
     #[test]
     fn reset_clears_previous_contents() {
         let mut w = WindowState::from_ranks(4, [0, 1, 2]);
         w.reset(6);
-        assert!(w.is_empty());
         assert_eq!(w.distinct_len(), 0);
-        assert_eq!(w.total_len(), 0);
         w.add(5);
-        assert_eq!(w.prefix(3), &[5]);
+        assert_eq!(w.live_ranks(), &[5]);
     }
 
     #[test]
     fn empty_state() {
         let w = WindowState::new();
-        assert!(w.is_empty());
         assert_eq!(w.distinct_len(), 0);
-        assert_eq!(w.total_len(), 0);
-        assert_eq!(w.prefix(3).len(), 0);
+        assert!(w.live_ranks().is_empty());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Proves the zero-allocation hot-path claim: once an [`ExtractScratch`]
 //! has warmed up to its high-water capacity, repeat extraction over the
 //! same document mix performs **zero** heap allocations per document, for
-//! both incremental strategies (`Dynamic` and `Lazy`).
+//! both incremental strategies (`Dynamic` and `Lazy`) and for a top-k request
+//! (the ratcheted scan over the same maintained windows, its heap pooled in
+//! the scratch) interleaved with them.
 //!
 //! The proof is a counting `#[global_allocator]`: every `alloc` /
 //! `realloc` / `alloc_zeroed` bumps an atomic counter, and the steady-state
@@ -18,7 +20,7 @@
 //! persistent pool; see `aeetes-pool/tests/zero_alloc_batch.rs` (its own
 //! binary, for the same one-test-per-allocator reason).
 
-use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,25 +97,29 @@ fn steady_state_extraction_allocates_nothing() {
         .map(|t| Document::parse(t, &tok, &mut int))
         .collect();
         let mut scratch = ExtractScratch::new();
-        let mut warm_matches = 0usize;
+        // One round: every document under the thresholded request, then
+        // under a top-k one. Returns the (thresholded, top-k) match counts.
+        let requests = [ExtractRequest::new(0.8), ExtractRequest { top_k: Some(3), ..ExtractRequest::new(0.6) }];
+        let mut round = || {
+            let mut matches = [0usize; 2];
+            for doc in &docs {
+                for (req, found) in requests.iter().zip(&mut matches) {
+                    let out = engine.extract_request(doc, req, &mut scratch);
+                    *found += out.matches.len();
+                    flush_obs(&metrics, &out);
+                }
+            }
+            matches
+        };
+        let mut warm_matches = [0; 2];
         for _ in 0..3 {
-            warm_matches = 0;
-            for doc in &docs {
-                let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
-                warm_matches += out.matches.len();
-                flush_obs(&metrics, &out);
-            }
+            warm_matches = round();
         }
-        assert!(warm_matches > 0, "fixture must produce matches for the test to mean anything");
+        assert!(warm_matches.iter().all(|&m| m > 0), "fixture must produce matches for the test to mean anything: {warm_matches:?}");
         let before = ALLOCS.load(Ordering::Relaxed);
-        let mut steady_matches = 0usize;
+        let mut steady_matches = [0; 2];
         for _ in 0..5 {
-            steady_matches = 0;
-            for doc in &docs {
-                let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
-                steady_matches += out.matches.len();
-                flush_obs(&metrics, &out);
-            }
+            steady_matches = round();
         }
         let delta = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(steady_matches, warm_matches, "steady-state rounds must reproduce the warmed-up result");

@@ -23,26 +23,6 @@ thread_local! {
     static INLINE_SCRATCH: RefCell<ExtractScratch> = RefCell::new(ExtractScratch::new());
 }
 
-/// Raw slot array shared with the workers; index `i` is written exactly
-/// once, by whichever executor claims document `i`.
-struct SlotsPtr<T>(*mut T);
-// SAFETY: disjoint indices, claimed through an atomic counter.
-unsafe impl<T: Send> Send for SlotsPtr<T> {}
-unsafe impl<T: Send> Sync for SlotsPtr<T> {}
-
-impl<T> SlotsPtr<T> {
-    /// The slot at `i`. Going through a method (rather than the raw field)
-    /// makes closures capture the whole `Sync` wrapper, not the bare
-    /// pointer, under disjoint field capture.
-    ///
-    /// # Safety
-    /// `i` must be in bounds; dereference only while the backing buffer is
-    /// alive and the index is claimed by exactly one executor.
-    unsafe fn slot(&self, i: usize) -> *mut T {
-        self.0.add(i)
-    }
-}
-
 /// Per-document result buffer, reused across batches.
 #[derive(Debug, Default)]
 pub struct BatchSlot {
@@ -140,16 +120,12 @@ where
         });
         return;
     }
-    let slots = SlotsPtr(buf.slots.as_mut_ptr());
     let stubs = threads.min(pool.workers()).min(len);
     // Item panics are caught inside run_one, so the pool-level flag stays
     // clear; no submitter participation keeps every document on a worker
     // with a pool-resident scratch.
-    pool.run_indexed(len, stubs, false, |i, scratch| {
+    pool.run_indexed(&mut buf.slots[..len], stubs, false, |i, slot, scratch| {
         let scratch = scratch.expect("batch stubs run on pool workers");
-        // SAFETY: `i` is claimed exactly once; the buffer outlives
-        // run_indexed, which returns only after every stub retired.
-        let slot = unsafe { &mut *slots.slot(i) };
         run_one(engine, &docs[i], tau, opts, scratch, slot);
     });
 }
@@ -204,13 +180,10 @@ where
         });
     }
     let mut results: Vec<Option<Result<R, DocError>>> = (0..len).map(|_| None).collect();
-    let slots = SlotsPtr(results.as_mut_ptr());
     let stubs = threads.min(pool.workers()).min(len);
-    pool.run_indexed(len, stubs, false, |i, scratch| {
+    pool.run_indexed(&mut results, stubs, false, |i, result, scratch| {
         let scratch = scratch.expect("batch stubs run on pool workers");
-        // SAFETY: `i` is claimed exactly once; `results` outlives
-        // run_indexed, which returns only after every stub retired.
-        unsafe { slots.slot(i).write(Some(run_one(i, scratch))) };
+        *result = Some(run_one(i, scratch));
     });
     // Every index is claimed exactly once, so empty slots are impossible;
     // map them to Cancelled rather than panicking just in case.

@@ -397,20 +397,57 @@ impl Pool {
         self.inner.push(Task::Job(Box::new(job)), None);
     }
 
-    /// Runs `f(i, scratch)` for every `i < len`, distributing indices over
-    /// `stubs` queued executors (plus the calling thread when `help`).
-    /// Indices are claimed from a shared atomic counter — item-granularity
-    /// work stealing — so one long item never serializes the rest behind a
-    /// static partition. Returns whether any item panicked (payloads are
-    /// dropped; item-level isolation is the caller's job via its own
-    /// `catch_unwind` inside `f`).
+    /// Runs `f(i, &mut items[i], scratch)` for every item, distributing
+    /// indices over `stubs` queued executors (plus the calling thread when
+    /// `help`). Indices are claimed from a shared atomic counter —
+    /// item-granularity work stealing — so one long item never serializes
+    /// the rest behind a static partition. Returns whether any item
+    /// panicked (payloads are dropped; item-level isolation is the caller's
+    /// job via its own `catch_unwind` inside `f`).
     ///
     /// `scratch` is `Some` exactly when the executing thread is a pool
     /// worker. With `help == false` at least one stub must be given,
     /// and the call must not come from a pool worker (it would wait on
     /// queues only it can drain); [`extract_batch_into`] guards this by
     /// falling back to inline execution.
-    pub fn run_indexed<F>(&self, len: usize, stubs: usize, help: bool, f: F) -> bool
+    pub fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, help: bool, f: F) -> bool
+    where
+        T: Send,
+        F: Fn(usize, &mut T, Option<&mut ExtractScratch>) + Sync,
+    {
+        /// The items, shared with every executor. This is the one place
+        /// that turns "index `i` is claimed once" into `&mut items[i]`.
+        struct Items<T>(*mut T);
+        // SAFETY: executors on other threads only ever reach element `i`
+        // through `at(i)` after claiming `i`, each as the element's sole
+        // user — which moves a `&mut T` to that thread, hence `T: Send`.
+        unsafe impl<T: Send> Sync for Items<T> {}
+        impl<T> Items<T> {
+            /// A method, not the raw field, so that closures capture the
+            /// `Sync` wrapper rather than the bare pointer under disjoint
+            /// field capture.
+            ///
+            /// # Safety
+            /// `i` must be in bounds of the slice the pointer came from.
+            unsafe fn at(&self, i: usize) -> *mut T {
+                self.0.add(i)
+            }
+        }
+        let base = Items(items.as_mut_ptr());
+        self.run_claimed(items.len(), stubs, help, |i, scratch| {
+            // SAFETY: `run_claimed` calls this with every `i < items.len()`
+            // exactly once (indices come from one `fetch_add` counter) and
+            // returns only after every executor has retired, while `items`
+            // stays mutably borrowed by this call: the reference is in
+            // bounds, unique, and dead before the borrow ends.
+            let item = unsafe { &mut *base.at(i) };
+            f(i, item, scratch)
+        })
+    }
+
+    /// The claim loop behind [`Pool::run_indexed`]: `f(i, scratch)` once
+    /// for every `i < len`.
+    fn run_claimed<F>(&self, len: usize, stubs: usize, help: bool, f: F) -> bool
     where
         F: Fn(usize, Option<&mut ExtractScratch>) + Sync,
     {
@@ -462,20 +499,18 @@ impl Pool {
         state.panicked.load(Ordering::SeqCst)
     }
 
-    /// Fans one request out across `n` work items with the calling thread
-    /// participating: used by the sharded engine past its cost threshold.
-    /// Safe to call from a pool worker (the worker claims items itself, so
-    /// progress never depends on a free sibling). Panics in `f` are
-    /// reported in the return value, first-come.
-    pub fn fan_out<F>(&self, n: usize, f: F) -> bool
+    /// Fans one request out across `items` — `f(i, &mut items[i])` each —
+    /// with the calling thread participating: used by the sharded engine
+    /// past its cost threshold. Safe to call from a pool worker (the worker
+    /// claims items itself, so progress never depends on a free sibling).
+    /// Panics in `f` are reported in the return value, first-come.
+    pub fn fan_out<T, F>(&self, items: &mut [T], f: F) -> bool
     where
-        F: Fn(usize) + Sync,
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
     {
-        if n == 0 {
-            return false;
-        }
-        let stubs = (n - 1).min(self.workers());
-        self.run_indexed(n, stubs, true, |i, _scratch| f(i))
+        let stubs = items.len().saturating_sub(1).min(self.workers());
+        self.run_indexed(items, stubs, true, |i, item, _scratch| f(i, item))
     }
 
     /// Runs `f(worker_id, scratch)` exactly once on *every* worker thread,
@@ -570,13 +605,14 @@ mod tests {
     fn run_indexed_covers_every_index_exactly_once() {
         let pool = Pool::new(3);
         for len in [0usize, 1, 2, 7, 64] {
-            let counts: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-            let panicked = pool.run_indexed(len, 3.min(len.max(1)), false, |i, scratch| {
+            // Each item is handed to its own index, mutably, exactly once.
+            let mut visits: Vec<(usize, u32)> = vec![(usize::MAX, 0); len];
+            let panicked = pool.run_indexed(&mut visits, 3.min(len.max(1)), false, |i, visit, scratch| {
                 assert!(scratch.is_some(), "stubs run on workers");
-                counts[i].fetch_add(1, Ordering::SeqCst);
+                *visit = (i, visit.1 + 1);
             });
             assert!(!panicked);
-            assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1), "len={len}");
+            assert!(visits.iter().enumerate().all(|(i, &v)| v == (i, 1)), "len={len}: {visits:?}");
         }
     }
 
@@ -589,7 +625,7 @@ mod tests {
         let p2 = Arc::clone(&pool);
         pool.spawn(move |_scratch| {
             let sum = AtomicU32::new(0);
-            let panicked = p2.fan_out(5, |i| {
+            let panicked = p2.fan_out(&mut [(); 5], |i, _| {
                 sum.fetch_add(i as u32, Ordering::SeqCst);
             });
             assert!(!panicked);
@@ -601,9 +637,9 @@ mod tests {
     #[test]
     fn fan_out_reports_item_panics() {
         let pool = Pool::new(2);
-        assert!(pool.fan_out(4, |i| assert!(i != 2, "boom")));
+        assert!(pool.fan_out(&mut [(); 4], |i, _| assert!(i != 2, "boom")));
         // The pool stays usable afterwards.
-        assert!(!pool.fan_out(4, |_| {}));
+        assert!(!pool.fan_out(&mut [(); 4], |_, _| {}));
     }
 
     #[test]
@@ -619,7 +655,7 @@ mod tests {
     #[test]
     fn stats_count_executed_tasks() {
         let pool = Pool::new(2);
-        pool.run_indexed(8, 2, false, |_, _| {});
+        pool.run_indexed(&mut [(); 8], 2, false, |_, _, _| {});
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.queued, 0);

@@ -388,23 +388,7 @@ impl ExtractBackend for Generation {
             }
         } else {
             self.routing.fanout.fetch_add(1, Ordering::Relaxed);
-            // Each item touches only its own disjoint segment scratch; the
-            // raw pointer carries the `&mut` across the `Fn` closure.
-            struct SegPtr(*mut SegmentScratch);
-            unsafe impl Send for SegPtr {}
-            unsafe impl Sync for SegPtr {}
-            impl SegPtr {
-                /// # Safety
-                /// `i` in bounds; dereference only while claimed by exactly
-                /// one executor. A method (not the raw field) so the closure
-                /// captures the `Sync` wrapper under disjoint field capture.
-                unsafe fn seg(&self, i: usize) -> *mut SegmentScratch {
-                    self.0.add(i)
-                }
-            }
-            let base = SegPtr(segs.as_mut_ptr());
-            let panicked = pool.fan_out(n, |i| {
-                let seg = unsafe { &mut *base.seg(i) };
+            let panicked = pool.fan_out(segs, |i, seg| {
                 self.run_shard_into(&self.shards[i], doc, req, seg);
             });
             assert!(!panicked, "shard extraction panicked");

@@ -40,6 +40,8 @@
 //! activates everywhere, so no replica ever serves a generation its peers
 //! have not at least finished building.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod generation;
 
