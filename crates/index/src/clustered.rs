@@ -45,8 +45,8 @@
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
-use aeetes_rules::{rebased, splice_runs, DerivedDictionary, DerivedId};
-use aeetes_text::{EntityId, Interner, TokenId};
+use aeetes_rules::{derive_into, rebased, splice_runs, DeriveConfig, DerivedDictionary, DerivedId, RuleSet, VariantTable};
+use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -333,8 +333,20 @@ impl ClusteredIndex {
     /// (the shard build path: one order shared by every shard's index).
     /// Every token occurring in `dd` must be valid in `order`.
     pub fn build_with_order(dd: &DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
-        let sets = build_blocks(dd, &order);
-        let postings = cluster_postings(dd, &order, &sets);
+        let mut writer = BlockWriter::new(dd.origins(), order.ranks());
+        for e in (0..dd.origins() as u32).map(EntityId) {
+            let ids = dd.variant_range(e);
+            if !ids.is_empty() {
+                let key_of = |t: TokenId| {
+                    let key = order.key(t);
+                    assert!(key & VALID_BIT != 0, "token {t:?} of origin {} is not valid in the order", e.0);
+                    key
+                };
+                writer.push_origin(e, ids.map(|id| dd.derived(DerivedId(id)).tokens), key_of, |_| {});
+            }
+        }
+        let sets = writer.finish(dd);
+        let postings = cluster_postings(&order, &sets);
         Self::assemble(order, postings, sets)
     }
 
@@ -628,82 +640,229 @@ struct ClusteredPostings {
     origin_min_pos: Vec<u16>,
 }
 
-/// Lays out every origin's block: the distinct keys of the origin's variants,
-/// sorted once, are the pool; a rank → bit table turns each variant's tokens
-/// into its mask; and the masks stand in the order of the variants' ids.
+/// What [`BlockWriter::bit_of_key`] holds for a key outside the pool in hand.
+const UNPOOLED: u16 = u16::MAX;
+
+/// Lays out origin blocks, one origin after another in ascending order: the
+/// distinct keys of the origin's variants, sorted once, are the pool; a key →
+/// bit table turns each variant's tokens into its mask; and the masks stand
+/// in the order the variants are given in, that of their ids.
 ///
-/// # Panics
-/// Panics when a token of `dd` is not valid in `order`, a variant holds more
-/// distinct tokens than a position can name, or set lengths fall along an
-/// origin's ids (derivation hands ids out by ascending distinct-token count;
-/// verification binary-searches the slots on it).
-fn build_blocks(dd: &DerivedDictionary, order: &GlobalOrder) -> OriginBlocks {
-    let mut blocks: Vec<u32> = Vec::new();
-    let mut block_offsets: Vec<u32> = Vec::with_capacity(dd.origins() + 1);
-    block_offsets.push(0);
-    // Per rank: the origin whose pool took it last, and its bit there. Only
-    // the entries of the pool in hand are ever read, so neither table is
-    // cleared between origins.
-    let mut pooled_by = vec![u32::MAX; order.ranks()];
-    let mut bit_of_rank = vec![0u32; order.ranks()];
-    // The origin's tokens as ranks, variant after variant, and where each
-    // variant's end.
-    let mut ranks: Vec<u32> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
-    let mut pool: Vec<u32> = Vec::new();
-    for e in 0..dd.origins() as u32 {
-        let range = dd.variant_range(EntityId(e));
-        if !range.is_empty() {
-            ranks.clear();
-            ends.clear();
-            pool.clear();
-            for id in range.clone() {
-                for &t in dd.derived(DerivedId(id)).tokens {
-                    let key = order.key(t);
-                    assert!(key & VALID_BIT != 0, "token {t:?} of origin {e} is not valid in the order");
-                    let rank = key & !VALID_BIT;
-                    ranks.push(rank);
-                    if std::mem::replace(&mut pooled_by[rank as usize], e) != e {
-                        pool.push(key);
+/// A key is whatever the caller maps a token to, as long as the low 31 bits
+/// tell keys apart and stay below the `universe` the writer was made for: the
+/// order's keys for a build with the order in hand, the token's own id for a
+/// draft that is keyed once the order exists ([`IndexDraft`]).
+struct BlockWriter {
+    blocks: Vec<u32>,
+    block_offsets: Vec<u32>,
+    /// Per key: its bit in the pool in hand, [`UNPOOLED`] outside it — the
+    /// pool's own entries are put back once its block is written. Two bytes a
+    /// key, because a delta's few origins pay for the whole table.
+    bit_of_key: Vec<u16>,
+    /// The origin's tokens as keys, variant after variant, and where each
+    /// variant's end.
+    keys: Vec<u32>,
+    ends: Vec<usize>,
+    pool: Vec<u32>,
+}
+
+impl BlockWriter {
+    fn new(origins: usize, universe: usize) -> Self {
+        let mut block_offsets = Vec::with_capacity(origins + 1);
+        block_offsets.push(0);
+        Self {
+            blocks: Vec::new(),
+            block_offsets,
+            bit_of_key: vec![UNPOOLED; universe],
+            keys: Vec::new(),
+            ends: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Appends origin `e`'s block over `variants`, its variants' token
+    /// sequences in id order, and calls `counted` with a key once per
+    /// variant whose set holds it. Origins passed over hold nothing.
+    ///
+    /// # Panics
+    /// Panics when `e` does not lie past every origin pushed before, the
+    /// variants hold more distinct tokens than a position can name, or set
+    /// lengths fall along the variants (derivation hands ids out by
+    /// ascending distinct-token count; verification binary-searches the
+    /// slots on it).
+    fn push_origin<'a>(
+        &mut self,
+        e: EntityId,
+        variants: impl Iterator<Item = &'a [TokenId]>,
+        key_of: impl Fn(TokenId) -> u32,
+        mut counted: impl FnMut(u32),
+    ) {
+        assert!(self.block_offsets.len() <= e.idx() + 1, "origin {} is pushed out of order", e.0);
+        self.block_offsets.resize(e.idx() + 1, self.blocks.len() as u32);
+        self.keys.clear();
+        self.ends.clear();
+        self.pool.clear();
+        for tokens in variants {
+            for &t in tokens {
+                let key = key_of(t);
+                self.keys.push(key);
+                let bit = &mut self.bit_of_key[(key & !VALID_BIT) as usize];
+                if *bit == UNPOOLED {
+                    *bit = 0;
+                    self.pool.push(key);
+                }
+            }
+            self.ends.push(self.keys.len());
+        }
+        // Positions are u16, so a variant of more than 65 535 distinct
+        // tokens cannot be indexed, and neither can it come from a pool that
+        // small. Dictionary entities are short phrases (the paper's datasets
+        // average 2–7 tokens), so this is an assertion on absurd input, not
+        // a runtime error path (an artifact carries built indexes, so
+        // nothing read from disk reaches it).
+        assert!(self.pool.len() < UNPOOLED as usize, "origin {}'s variants hold more than u16::MAX distinct tokens", e.0);
+        self.pool.sort_unstable();
+        for (bit, &key) in self.pool.iter().enumerate() {
+            self.bit_of_key[(key & !VALID_BIT) as usize] = bit as u16;
+        }
+        let words = mask_words(self.pool.len());
+        self.blocks.push(self.pool.len() as u32);
+        self.blocks.extend_from_slice(&self.pool);
+        let (mut start, mut shortest_allowed) = (0, 0);
+        for &end in &self.ends {
+            let at = self.blocks.len();
+            self.blocks.resize(at + words, 0);
+            let mask = &mut self.blocks[at..];
+            let mut len = 0;
+            for &key in &self.keys[start..end] {
+                let bit = self.bit_of_key[(key & !VALID_BIT) as usize] as usize;
+                if mask[bit / 32] & 1 << (bit % 32) == 0 {
+                    mask[bit / 32] |= 1 << (bit % 32);
+                    len += 1;
+                    counted(key);
+                }
+            }
+            start = end;
+            assert!(len >= shortest_allowed, "origin {}'s variant ids do not ascend by set length", e.0);
+            shortest_allowed = len;
+        }
+        for &key in &self.pool {
+            self.bit_of_key[(key & !VALID_BIT) as usize] = UNPOOLED;
+        }
+        self.block_offsets
+            .push(u32::try_from(self.blocks.len()).expect("origin block arena overflows u32 offsets"));
+    }
+
+    /// The blocks of `variants`' origins, every one of which that has
+    /// variants pushed.
+    fn finish(mut self, variants: &VariantTable) -> OriginBlocks {
+        self.block_offsets.resize(variants.origins() + 1, self.blocks.len() as u32);
+        self.blocks.shrink_to_fit();
+        OriginBlocks {
+            blocks: self.blocks.into(),
+            block_offsets: self.block_offsets.into(),
+            origin_offsets: variants.raw_arenas().0.to_vec().into(),
+        }
+    }
+}
+
+/// One past the largest token id `dict` or a side of `rules` holds: every
+/// token of every variant lies below it.
+fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
+    let sides = rules.iter().flat_map(|(_, rule)| rule.lhs.iter().chain(&rule.rhs));
+    let universe = dict.raw_arenas().2.iter().chain(sides).map(|t| t.idx() + 1).max().unwrap_or(0);
+    assert!(universe <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", universe - 1);
+    universe
+}
+
+/// A shard's index before the order it is to be keyed by exists: the blocks
+/// of its origins with every pool in **token-id space**, and how many of its
+/// variants hold each token.
+///
+/// A shard build goes derive → order → index, and the order needs every
+/// shard's frequencies; what the first step has to leave behind for the
+/// last is each variant's distinct token *set*, which is exactly what a block
+/// holds. So [`IndexDraft::derive`] writes each origin's block straight out
+/// of the enumeration's buffers — no token sequence, rule id or offset of a
+/// [`DerivedDictionary`] is ever stored — and counts a token once per mask bit
+/// it sets; [`GlobalOrder::from_frequencies`] over the shards' summed counts
+/// gives the order; and [`IndexDraft::into_index`] re-keys the blocks in place
+/// and clusters them. The result equals [`ClusteredIndex::build_with_order`]
+/// over [`DerivedDictionary::build_filtered`] array for array.
+#[derive(Debug)]
+pub struct IndexDraft {
+    variants: VariantTable,
+    sets: OriginBlocks,
+    freq: Vec<u32>,
+}
+
+impl IndexDraft {
+    /// Derives the origins of `dict` that `keep` selects (see
+    /// [`aeetes_rules::derive_into`]) into their blocks.
+    ///
+    /// # Panics
+    /// Panics when `dict` or `rules` hold a token id at or past
+    /// [`TokenId::LIMIT`], and under the conditions of the index build.
+    pub fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
+        let universe = token_universe(dict, rules);
+        let mut freq = vec![0u32; universe];
+        let mut writer = BlockWriter::new(dict.len(), universe);
+        let variants = derive_into(dict, rules, config, keep, |origin| {
+            writer.push_origin(origin.origin, origin.iter().map(|d| d.tokens), |t| t.0, |t| freq[t as usize] += 1);
+        });
+        let sets = writer.finish(&variants);
+        Self { variants, sets, freq }
+    }
+
+    /// Per token id, the number of this draft's variants whose distinct set
+    /// holds the token.
+    pub fn frequencies(&self) -> &[u32] {
+        &self.freq
+    }
+
+    /// The variant table and the index under `order`, in which every token
+    /// of the draft must be valid: each pool's tokens become their keys and
+    /// are sorted, and the bits of the origin's masks move with them — a
+    /// permutation per origin, since an order keys distinct tokens apart —
+    /// which is the block a build that knew the order would have written.
+    pub fn into_index(mut self, order: Arc<GlobalOrder>) -> (VariantTable, ClusteredIndex) {
+        let blocks = self.sets.blocks.as_mut_vec();
+        // Per pool bit: its key and where it stood; then where each old bit
+        // goes; then the mask being moved.
+        let mut by_key: Vec<(u32, u32)> = Vec::new();
+        let mut moved_to: Vec<u32> = Vec::new();
+        let mut moved: Vec<u32> = Vec::new();
+        for (e, w) in self.sets.block_offsets.windows(2).enumerate() {
+            let Some((&mut keys, rest)) = blocks[w[0] as usize..w[1] as usize].split_first_mut() else {
+                continue;
+            };
+            let (pool, masks) = rest.split_at_mut(keys as usize);
+            by_key.clear();
+            by_key.extend(pool.iter().zip(0..).map(|(&t, bit)| (order.key(TokenId(t)), bit)));
+            by_key.sort_unstable();
+            assert!(by_key[0].0 & VALID_BIT != 0, "token {} of origin {e} is not valid in the order", by_key[0].0);
+            moved_to.clear();
+            moved_to.resize(pool.len(), 0);
+            for ((slot, &(key, old_bit)), new_bit) in pool.iter_mut().zip(&by_key).zip(0..) {
+                *slot = key;
+                moved_to[old_bit as usize] = new_bit;
+            }
+            for mask in masks.chunks_exact_mut(mask_words(pool.len())) {
+                moved.clear();
+                moved.resize(mask.len(), 0);
+                for (word, moved_to) in mask.iter().zip(moved_to.chunks(32)) {
+                    let mut rest = *word;
+                    while rest != 0 {
+                        let bit = moved_to[rest.trailing_zeros() as usize] as usize;
+                        moved[bit / 32] |= 1 << (bit % 32);
+                        rest &= rest - 1;
                     }
                 }
-                ends.push(ranks.len());
-            }
-            pool.sort_unstable();
-            for (bit, &key) in pool.iter().enumerate() {
-                bit_of_rank[(key & !VALID_BIT) as usize] = bit as u32;
-            }
-            let words = mask_words(pool.len());
-            blocks.push(pool.len() as u32);
-            blocks.extend_from_slice(&pool);
-            let (mut start, mut shortest_allowed) = (0, 0);
-            for &end in &ends {
-                let at = blocks.len();
-                blocks.resize(at + words, 0);
-                let mask = &mut blocks[at..];
-                for &rank in &ranks[start..end] {
-                    let bit = bit_of_rank[rank as usize] as usize;
-                    mask[bit / 32] |= 1 << (bit % 32);
-                }
-                start = end;
-                // Positions are u16, so a variant of more than 65 535 distinct
-                // tokens cannot be indexed. Dictionary entities are short
-                // phrases (the paper's datasets average 2–7 tokens), so this
-                // is an assertion on absurd input, not a runtime error path
-                // (an artifact carries built indexes, so nothing read from
-                // disk reaches it).
-                let len = mask_len(mask);
-                assert!(len <= u16::MAX as usize, "entity set larger than u16::MAX tokens");
-                assert!(len >= shortest_allowed, "origin {e}'s variant ids do not ascend by set length");
-                shortest_allowed = len;
+                mask.copy_from_slice(&moved);
             }
         }
-        block_offsets.push(u32::try_from(blocks.len()).expect("origin block arena overflows u32 offsets"));
-    }
-    OriginBlocks {
-        blocks: blocks.into(),
-        block_offsets: block_offsets.into(),
-        origin_offsets: dd.raw_arenas().0.to_vec().into(),
+        let postings = cluster_postings(&order, &self.sets);
+        (self.variants, ClusteredIndex::assemble(order, postings, self.sets))
     }
 }
 
@@ -766,84 +925,88 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<(
     Ok(())
 }
 
-/// Clusters the postings of every derived set (paper Algorithm 2): one
-/// counting pass sizes each token's list, a second fills a single
-/// exact-capacity buffer, each token's range is sorted by `(len, origin)` in
-/// place, and the forest is flattened into the global prefix-linked arrays —
-/// tokens tile the group arrays, groups tile the cluster arrays.
+/// Clusters the postings of every derived set (paper Algorithm 2): one walk
+/// over the blocks notes every cluster with its token, a counting sort by
+/// token moves them into a single exact-capacity buffer, each token's range
+/// is sorted by `(len, origin)` in place, and the forest is flattened into the
+/// global prefix-linked arrays — tokens tile the group arrays, groups tile the
+/// cluster arrays.
 ///
 /// A cluster waits for its sort as one `u64`, `len << 48 | origin << 16 |
 /// lowest position`.
-fn cluster_postings(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings {
-    // Both passes walk the blocks the same way and see every cluster
-    // `(token, len << 48 | origin << 16 | lowest position)` once. An origin's
-    // slots ascend by set length, so the slots of one length that hold a given
-    // pool key are one unbroken run of them, and a key's runs close one after
+fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings {
+    // The walk sees every cluster once, in block order. An origin's slots
+    // ascend by set length, so the slots of one length that hold a given pool
+    // key are one unbroken run of them, and a key's runs close one after
     // another: per pool bit, the length of the run in hand (0: none yet — a
     // set that holds a key is not empty) and the lowest position seen in it.
     // A pool key's token is looked up once per origin, not once per posting.
-    fn each_cluster(dd: &DerivedDictionary, order: &GlobalOrder, sets: &OriginBlocks, mut visit: impl FnMut(usize, u64)) {
-        let mut pool_tokens: Vec<usize> = Vec::new();
-        let mut runs: Vec<(u16, u16)> = Vec::new();
-        // From variant to variant's origin, not origin by origin: the index
-        // of a delta's few origins spans the whole origin space.
-        let mut id = 0;
-        while id < dd.len() {
-            let e = dd.origin_of(DerivedId(id as u32));
-            let block = sets.block(e.idx());
-            id += block.ids.len();
-            if block.pool.is_empty() {
-                continue;
-            }
-            pool_tokens.clear();
-            pool_tokens.extend(block.pool.iter().map(|&key| order.token_of(key).idx()));
-            runs.clear();
-            runs.resize(block.pool.len(), (0, 0));
-            let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (e.0 as u64) << 16 | min_pos as u64;
-            for mask in block.masks.chunks_exact(block.words()) {
-                let len = mask_len(mask) as u16;
-                let mut pos = 0u16;
-                for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
-                    let mut rest = *word;
-                    while rest != 0 {
-                        let bit = rest.trailing_zeros() as usize;
-                        let run = &mut runs[bit];
-                        if run.0 == len {
-                            run.1 = run.1.min(pos);
-                        } else {
-                            if run.0 != 0 {
-                                visit(tokens[bit], cluster(*run));
-                            }
-                            *run = (len, pos);
+    // The masks are walked once: a pass that only counted a token's clusters
+    // ahead of one that files them cost a third of a usjob shard's index.
+    let mut found_under: Vec<u32> = Vec::new();
+    let mut found: Vec<u64> = Vec::new();
+    let mut pool_tokens: Vec<u32> = Vec::new();
+    let mut runs: Vec<(u16, u16)> = Vec::new();
+    // Origin by origin over the whole origin space, also for the index of a
+    // delta's few origins: an origin without a block costs one compare.
+    for e in (0..sets.origins() as u32).map(EntityId) {
+        let block = sets.block(e.idx());
+        if block.pool.is_empty() {
+            continue;
+        }
+        pool_tokens.clear();
+        pool_tokens.extend(block.pool.iter().map(|&key| order.token_of(key).0));
+        runs.clear();
+        runs.resize(block.pool.len(), (0, 0));
+        let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (e.0 as u64) << 16 | min_pos as u64;
+        for mask in block.masks.chunks_exact(block.words()) {
+            let len = mask_len(mask) as u16;
+            let mut pos = 0u16;
+            for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
+                let mut rest = *word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    let run = &mut runs[bit];
+                    if run.0 == len {
+                        run.1 = run.1.min(pos);
+                    } else {
+                        if run.0 != 0 {
+                            found_under.push(tokens[bit]);
+                            found.push(cluster(*run));
                         }
-                        pos += 1;
-                        rest &= rest - 1;
+                        *run = (len, pos);
                     }
-                }
-            }
-            for (&t, &run) in pool_tokens.iter().zip(&runs) {
-                if run.0 != 0 {
-                    visit(t, cluster(run));
+                    pos += 1;
+                    rest &= rest - 1;
                 }
             }
         }
+        for (&t, &run) in pool_tokens.iter().zip(&runs) {
+            if run.0 != 0 {
+                found_under.push(t);
+                found.push(cluster(run));
+            }
+        }
     }
-    // `starts[t]` is where token `t`'s clusters begin; while filling,
+    // `starts[t]` is where token `t`'s clusters begin; while filing,
     // `cursor[t]` is where its next cluster goes. Counted over every token
     // the order knows, then cut behind the last one these sets hold.
     let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
-    each_cluster(dd, order, sets, |t, _| starts[t + 1] += 1);
+    for &t in &found_under {
+        starts[t as usize + 1] += 1;
+    }
     let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
     starts.truncate(num_tokens + 1);
     for t in 0..num_tokens {
         starts[t + 1] += starts[t];
     }
     let mut cursor = starts[..num_tokens].to_vec();
-    let mut raw = vec![0u64; starts[num_tokens] as usize];
-    each_cluster(dd, order, sets, |t, cluster| {
-        raw[cursor[t] as usize] = cluster;
-        cursor[t] += 1;
-    });
+    let mut raw = vec![0u64; found.len()];
+    for (&t, &cluster) in found_under.iter().zip(&found) {
+        raw[cursor[t as usize] as usize] = cluster;
+        cursor[t as usize] += 1;
+    }
+    drop((found_under, found));
 
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(num_tokens + 1),
@@ -992,8 +1155,7 @@ fn check_prefix(what: &str, off: &[u32], total: usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_rules::{DeriveConfig, RuleSet};
-    use aeetes_text::{Dictionary, Interner, Tokenizer};
+    use aeetes_text::Tokenizer;
 
     struct Fixture {
         int: Interner,
@@ -1430,7 +1592,7 @@ mod tests {
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
-            let built = cluster_postings(&dd, index.order(), &index.sets);
+            let built = cluster_postings(index.order(), &index.sets);
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
             proptest::prop_assert_eq!(r.origin_min_pos, &built.origin_min_pos[..]);

@@ -17,6 +17,6 @@ mod clustered;
 mod filters;
 mod order;
 
-pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, LengthGroup, OriginBlock, OriginGroup, TokenPostings};
+pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, IndexDraft, LengthGroup, OriginBlock, OriginGroup, TokenPostings};
 pub use filters::{metric_window_bounds, prefix_len, window_bounds, WindowBounds};
 pub use order::{GlobalOrder, VALID_BIT};

@@ -1,7 +1,7 @@
 //! The global token order `O` (paper §3.2).
 
 use aeetes_frozen::Arena;
-use aeetes_rules::DerivedDictionary;
+use aeetes_rules::{each_distinct_token, DerivedDictionary};
 use aeetes_text::{Interner, TokenId};
 
 /// Bit 31 of a key: set exactly when the token is valid (occurs in some
@@ -38,31 +38,24 @@ pub struct GlobalOrder {
 }
 
 /// Per-token count of the derived entities of `parts` whose distinct set
-/// contains the token, over ids `0..max(len, largest id + 1)`.
+/// contains the token: one pass, over ids `0..tokens` and as far past that
+/// as an occurring token reaches.
 ///
 /// # Panics
 /// Panics when a token id reaches [`TokenId::LIMIT`] — such an id cannot
 /// come from an [`Interner`], and its key would collide with `VALID_BIT`.
-fn count_frequencies(parts: &[&DerivedDictionary], len: usize) -> Vec<u32> {
-    let max_id = parts
-        .iter()
-        .flat_map(|dd| dd.iter())
-        .flat_map(|(_, d)| d.tokens.iter())
-        .map(|t| t.idx())
-        .max()
-        .map_or(0, |m| m + 1);
-    assert!(max_id <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", max_id - 1);
-    let mut freq = vec![0u32; max_id.max(len)];
-    let mut seen: Vec<TokenId> = Vec::new();
+fn count_frequencies(parts: &[&DerivedDictionary], tokens: usize) -> Vec<u32> {
+    let mut freq = vec![0u32; tokens];
+    let mut sorted: Vec<TokenId> = Vec::new();
     for dd in parts {
         for (_, d) in dd.iter() {
-            seen.clear();
-            seen.extend_from_slice(d.tokens);
-            seen.sort_unstable();
-            seen.dedup();
-            for t in &seen {
+            each_distinct_token(d.tokens, &mut sorted, |t| {
+                if t.idx() >= freq.len() {
+                    assert!(t.0 < TokenId::LIMIT, "token id {} is outside the 2^31 id space", t.0);
+                    freq.resize(t.idx() + 1, 0);
+                }
                 freq[t.idx()] += 1;
-            }
+            });
         }
     }
     freq
@@ -76,12 +69,23 @@ impl GlobalOrder {
         Self::build_many(&[dd], interner)
     }
 
-    /// Builds one order shared by several derived dictionaries (the shard
-    /// build path): frequencies are summed across all parts, so every part
-    /// sees the same key for the same token regardless of how the entity
-    /// space was partitioned.
+    /// Builds one order shared by several derived dictionaries: frequencies
+    /// are summed across all parts, so every part sees the same key for the
+    /// same token regardless of how the entity space was partitioned.
     pub fn build_many(parts: &[&DerivedDictionary], interner: &Interner) -> Self {
-        let freq = count_frequencies(parts, 0);
+        Self::from_frequencies(count_frequencies(parts, interner.len()), interner)
+    }
+
+    /// The order of a dictionary of which only the token frequencies are in
+    /// hand: `freq[t]` derived entities hold token `t` in their distinct set
+    /// (the shard build path sums one such array per shard). The order spans
+    /// the ids up to the last token that occurs at all.
+    ///
+    /// # Panics
+    /// Panics when a token id at or past [`TokenId::LIMIT`] occurs.
+    pub fn from_frequencies(mut freq: Vec<u32>, interner: &Interner) -> Self {
+        freq.truncate(freq.iter().rposition(|&f| f > 0).map_or(0, |last| last + 1));
+        assert!(freq.len() <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", freq.len() - 1);
         let fresh: Vec<TokenId> = (0..freq.len() as u32).map(TokenId).filter(|t| freq[t.idx()] > 0).collect();
         let mut key: Vec<u32> = (0..freq.len() as u32).collect();
         let mut untie = Vec::with_capacity(fresh.len());
@@ -89,33 +93,43 @@ impl GlobalOrder {
         Self { freq: freq.into(), key: key.into(), untie: untie.into() }
     }
 
-    /// Extends the order with tokens that first appear in `parts`, keeping
-    /// every existing key frozen (append-only).
+    /// [`GlobalOrder::extend_with`] over the frequencies of `parts`.
+    pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Option<Self> {
+        self.extend_with(&count_frequencies(parts, interner.len()), interner)
+    }
+
+    /// Extends the order with the tokens that `delta` — frequencies counted
+    /// over a delta's fresh variants, as for
+    /// [`GlobalOrder::from_frequencies`] — holds and this order does not,
+    /// keeping every existing key frozen (append-only).
     ///
     /// This is the delta path: a generation update must not re-key tokens
     /// that unaffected shards already indexed, so existing frequencies and
     /// keys are left untouched and only previously-invalid tokens are
-    /// admitted, with their frequency counted over `parts` and their ranks
+    /// admitted, with their frequency as `delta` counts it and their ranks
     /// appended after all existing ones — new vocabulary sorts last until
     /// the next full build. The resulting order drifts from the true corpus
     /// frequencies — that affects prefix sizes (performance), never
     /// correctness; a full rebuild re-keys everything.
     ///
-    /// Returns `None` when `parts` admit no token: the order is unchanged
+    /// Returns `None` when `delta` admits no token: the order is unchanged
     /// and the caller keeps sharing `self`. Otherwise the result is
     /// heap-owned, even when `self` is frozen — this is the copy-on-write
     /// step of a frozen deployment's update path.
-    pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Option<Self> {
-        let delta = count_frequencies(parts, self.freq.len());
+    ///
+    /// # Panics
+    /// Panics when a token id at or past [`TokenId::LIMIT`] occurs.
+    pub fn extend_with(&self, delta: &[u32], interner: &Interner) -> Option<Self> {
         let fresh: Vec<TokenId> = (0..delta.len() as u32).map(TokenId).filter(|&t| delta[t.idx()] > 0 && !self.is_valid(t)).collect();
-        if fresh.is_empty() {
-            return None;
-        }
+        // Every token past this order's ids is fresh, so the last fresh one
+        // is the last that occurs there.
+        let tokens = self.freq.len().max(fresh.last()?.idx() + 1);
+        assert!(tokens <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", tokens - 1);
         let mut freq = self.freq.to_vec();
         let mut key = self.key.to_vec();
         let mut untie = self.untie.to_vec();
-        freq.resize(delta.len(), 0);
-        key.extend(self.key.len() as u32..delta.len() as u32);
+        freq.resize(tokens, 0);
+        key.extend(self.key.len() as u32..tokens as u32);
         for &t in &fresh {
             freq[t.idx()] = delta[t.idx()];
         }

@@ -40,10 +40,13 @@ impl Application {
 pub fn find_applications(entity: &[TokenId], rules: &RuleSet) -> Vec<Application> {
     let mut out = Vec::new();
     for (pos, &t) in entity.iter().enumerate() {
-        for &(rid, side) in rules.heads(t) {
-            let pat = rules.side(rid, side);
-            if pat.len() <= entity.len() - pos && entity[pos..pos + pat.len()] == *pat {
-                out.push(Application { rule: rid, side, start: pos as u32, len: pat.len() as u32 });
+        let rest = &entity[pos..];
+        for head in rules.heads(t) {
+            let len = head.len as usize;
+            // The bucket entry settles a side of one or two tokens; a longer
+            // one is looked up only once its second token has matched too.
+            if len <= rest.len() && (len == 1 || rest[1] == head.second) && (len <= 2 || rest[2..len] == rules.side(head.rule, head.side)[2..]) {
+                out.push(Application { rule: head.rule, side: head.side, start: pos as u32, len: head.len });
             }
         }
     }

@@ -4,7 +4,6 @@ use crate::apply::{find_applications, group_non_conflict, Application};
 use crate::rule::{RuleId, RuleSet};
 use aeetes_frozen::Arena;
 use aeetes_text::{Dictionary, EntityId, TokenId};
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 
@@ -168,22 +167,24 @@ impl DeriveStats {
     }
 }
 
-/// Buffers [`DerivedDictionary::expand_entity`] reuses from one entity to
-/// the next.
+/// Buffers [`expand_entity`] reuses from one entity to the next.
 #[derive(Default)]
 struct ExpandScratch {
     /// Mixed-radix counter over the span groups.
     digits: Vec<usize>,
     /// The applications the counter currently selects, in span order.
     chosen: Vec<Application>,
-    /// Token sequences already produced for the current entity.
-    seen: HashSet<Vec<TokenId>>,
     /// The current entity's variants in enumeration order — their tokens and
     /// rules back to back, and where each ends — until they are handed out
     /// ids by set length.
     tokens: Vec<TokenId>,
     rules: Vec<RuleId>,
     produced: Vec<Produced>,
+    /// The token sequences produced so far, hashed: a slot holds one more
+    /// than an index into `produced`, or 0 while free; a sequence sits in the
+    /// first free slot at or after its hash's (open addressing, the table a
+    /// power of two at most half full).
+    seen: Vec<u32>,
     /// The order the ids go out in.
     order: Vec<usize>,
     /// Where a long variant's tokens are sorted to be counted.
@@ -192,12 +193,42 @@ struct ExpandScratch {
 
 /// One enumerated variant waiting in [`ExpandScratch`].
 struct Produced {
+    /// The hash its token sequence is filed under in `seen`.
+    hash: u64,
     /// Its distinct-token count.
     set_len: usize,
     /// Where its tokens and rules end in the scratch's flat buffers.
     tokens_end: usize,
     rules_end: usize,
     weight: f64,
+}
+
+/// The variants of one origin as [`derive_into`] hands them to its visitor:
+/// views into the enumeration's own buffers, valid for the call.
+pub struct OriginVariants<'a> {
+    /// The origin entity.
+    pub origin: EntityId,
+    scratch: &'a ExpandScratch,
+}
+
+impl<'a> OriginVariants<'a> {
+    /// The variants — at least one — in id order: ascending distinct-token
+    /// count, ties in enumeration order.
+    pub fn iter(&self) -> impl Iterator<Item = DerivedRef<'a>> + 'a {
+        let (origin, scratch) = (self.origin, self.scratch);
+        scratch.order.iter().map(move |&v| {
+            let (tokens_start, rules_start) = v
+                .checked_sub(1)
+                .map_or((0, 0), |prev| (scratch.produced[prev].tokens_end, scratch.produced[prev].rules_end));
+            let Produced { tokens_end, rules_end, weight, .. } = scratch.produced[v];
+            DerivedRef {
+                origin,
+                tokens: &scratch.tokens[tokens_start..tokens_end],
+                rules: &scratch.rules[rules_start..rules_end],
+                weight,
+            }
+        })
+    }
 }
 
 /// The plan of a splice: `changed`'s maximal runs of consecutive origins
@@ -435,133 +466,171 @@ impl VariantTable {
     }
 }
 
+/// Expands the entities of `dict` that `keep` selects under `rules`, hands
+/// each one's variants to `each_origin` while they sit in the enumeration's
+/// buffers, and returns the table of which ids went to which origin.
+///
+/// Variants are enumerated in a deterministic order — the unmodified origin
+/// first, then combinations in mixed-radix order over the span groups
+/// (leftmost span = least significant digit) — and an origin's variants take
+/// their ids by ascending distinct-token count, ties in enumeration order.
+/// That is the slot order of the origin's index block (its masks ascend by
+/// popcount so that verification can binary-search the lengths the filter
+/// admits): a block's slot is its variant's id less the origin's first.
+///
+/// The table spans the *full* origin id space: origins outside the filter get
+/// empty variant ranges but remain addressable, so a shard's table keeps
+/// global [`EntityId`]s. Derivation work (and [`DeriveStats::origins`])
+/// counts only kept origins, and only an origin with at least one variant is
+/// handed out. Nothing is allocated per variant: what a caller wants to keep
+/// of one it copies out of the slices it is shown.
+pub fn derive_into(
+    dict: &Dictionary,
+    rules: &RuleSet,
+    config: &DeriveConfig,
+    keep: impl Fn(EntityId) -> bool,
+    mut each_origin: impl FnMut(OriginVariants<'_>),
+) -> VariantTable {
+    let mut by_origin: Vec<u32> = Vec::with_capacity(dict.len() + 1);
+    by_origin.push(0);
+    // The weight array comes into being with the first weight other than
+    // `1.0`, so an unweighted dictionary never allocates one.
+    let mut weight: Vec<f64> = Vec::new();
+    let mut stats = DeriveStats::default();
+    let mut scratch = ExpandScratch::default();
+    for (eid, ent) in dict.iter() {
+        let kept = keep(eid);
+        stats.origins += usize::from(kept);
+        if kept && !ent.tokens.is_empty() {
+            expand_entity(ent.tokens, rules, config, &mut scratch, &mut stats);
+            for &v in &scratch.order {
+                let w = scratch.produced[v].weight;
+                if w != 1.0 && weight.is_empty() {
+                    weight.resize(stats.derived, 1.0);
+                }
+                if w != 1.0 || !weight.is_empty() {
+                    weight.push(w);
+                }
+                stats.derived += 1;
+            }
+            if !scratch.order.is_empty() {
+                each_origin(OriginVariants { origin: eid, scratch: &scratch });
+            }
+        }
+        by_origin.push(u32::try_from(stats.derived).expect("derived dictionary overflows u32 variant ids"));
+    }
+    VariantTable { by_origin: by_origin.into(), weight: weight.into(), stats }
+}
+
+/// Enumerates one entity's variants into the scratch — tokens and rules
+/// written straight behind those of the variants before, a sequence already
+/// there taken back out — and settles the order their ids go out in.
+fn expand_entity(tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch, stats: &mut DeriveStats) {
+    let apps = find_applications(tokens, rules);
+    stats.applicable_total += apps.len();
+    let groups = group_non_conflict(&apps, config.exact_selection);
+    stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
+
+    // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
+    let ExpandScratch {
+        digits,
+        chosen,
+        tokens: flat_tokens,
+        rules: flat_rules,
+        produced,
+        seen,
+        order,
+        sorted,
+    } = scratch;
+    digits.clear();
+    digits.resize(groups.len(), 0);
+    flat_tokens.clear();
+    flat_rules.clear();
+    produced.clear();
+    seen.clear();
+    seen.resize(16, 0);
+    'enumerate: loop {
+        if produced.len() >= config.max_derived {
+            stats.truncated_entities += 1;
+            break;
+        }
+        chosen.clear();
+        chosen.extend(digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| g[i])));
+        let (tokens_start, rules_start) = (flat_tokens.len(), flat_rules.len());
+        let weight = rewrite(tokens, chosen, rules, flat_tokens, flat_rules);
+        let (earlier, new_tokens) = flat_tokens.split_at(tokens_start);
+        let hash = hash_tokens(new_tokens);
+        let slot = probe(seen, hash, |v| {
+            let tokens_start = v.checked_sub(1).map_or(0, |prev| produced[prev].tokens_end);
+            produced[v].hash == hash && earlier[tokens_start..produced[v].tokens_end] == *new_tokens
+        });
+        if seen[slot] != 0 {
+            stats.duplicates_dropped += 1;
+            flat_tokens.truncate(tokens_start);
+            flat_rules.truncate(rules_start);
+        } else {
+            produced.push(Produced {
+                hash,
+                set_len: distinct_tokens(new_tokens, sorted),
+                tokens_end: flat_tokens.len(),
+                rules_end: flat_rules.len(),
+                weight,
+            });
+            seen[slot] = produced.len() as u32;
+            if produced.len() * 2 > seen.len() {
+                let slots = seen.len() * 2;
+                seen.clear();
+                seen.resize(slots, 0);
+                for (p, filed) in produced.iter().zip(1..) {
+                    let slot = probe(seen, p.hash, |_| false);
+                    seen[slot] = filed;
+                }
+            }
+        }
+        // Increment mixed-radix counter.
+        let mut g = 0;
+        loop {
+            if g == groups.len() {
+                break 'enumerate; // all combinations enumerated
+            }
+            digits[g] += 1;
+            if digits[g] <= groups[g].len() {
+                break;
+            }
+            digits[g] = 0;
+            g += 1;
+        }
+    }
+    order.clear();
+    order.extend(0..produced.len());
+    order.sort_by_key(|&v| produced[v].set_len);
+}
+
 impl DerivedDictionary {
-    /// Expands every entity of `dict` under `rules`.
-    ///
-    /// Variants are enumerated in a deterministic order — the unmodified
-    /// origin first, then combinations in mixed-radix order over the span
-    /// groups (leftmost span = least significant digit) — and an origin's
-    /// variants take their ids by ascending distinct-token count, ties in
-    /// enumeration order.
+    /// Expands every entity of `dict` under `rules`, in the order and with
+    /// the ids of [`derive_into`].
     pub fn build(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig) -> Self {
         Self::build_filtered(dict, rules, config, |_| true)
     }
 
     /// Expands only the entities selected by `keep`, preserving the *full*
-    /// origin id space: origins outside the filter get empty variant ranges
-    /// but remain addressable, so a shard's derived dictionary keeps global
-    /// [`EntityId`]s. Derivation work (and [`DeriveStats::origins`]) counts
-    /// only kept origins; `build` is `build_filtered(.., |_| true)`.
+    /// origin id space (see [`derive_into`], which this materialises: every
+    /// variant's tokens and rules are copied into the arenas);
+    /// `build` is `build_filtered(.., |_| true)`.
     pub fn build_filtered(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
         let mut out = Self::default();
-        out.table.by_origin.as_mut_vec().reserve(dict.len());
-        let mut scratch = ExpandScratch::default();
-        for (eid, ent) in dict.iter() {
-            if keep(eid) {
-                if !ent.tokens.is_empty() {
-                    out.expand_entity(eid, ent.tokens, rules, config, &mut scratch);
-                }
-                out.table.stats.origins += 1;
+        let Self { origin, tokens, tok_off, rules: applied, rule_off, .. } = &mut out;
+        let table = derive_into(dict, rules, config, keep, |variants| {
+            for d in variants.iter() {
+                origin.push(d.origin);
+                tokens.extend_from_slice(d.tokens);
+                tok_off.push(u32::try_from(tokens.len()).expect("derived token arena overflows u32 offsets"));
+                applied.extend_from_slice(d.rules);
+                rule_off.push(u32::try_from(applied.len()).expect("derived rule arena overflows u32 offsets"));
             }
-            let end = out.origin.len() as u32;
-            out.table.by_origin.as_mut_vec().push(end);
-        }
-        out.table.stats.derived = out.origin.len();
+        });
+        out.table = table;
         out
-    }
-
-    /// Appends one variant's flat records (build/deserialize path only).
-    /// The weight array comes into being with the first weight other than
-    /// `1.0`, so an unweighted dictionary never allocates one.
-    fn push_variant(&mut self, origin: EntityId, tokens: &[TokenId], rules: &[RuleId], weight: f64) {
-        let weights = self.table.weight.as_mut_vec();
-        if weight != 1.0 && weights.is_empty() {
-            weights.resize(self.origin.len(), 1.0);
-        }
-        if weight != 1.0 || !weights.is_empty() {
-            weights.push(weight);
-        }
-        self.origin.push(origin);
-        self.tokens.extend_from_slice(tokens);
-        let t_end = u32::try_from(self.tokens.len()).expect("derived token arena overflows u32 offsets");
-        self.tok_off.push(t_end);
-        self.rules.extend_from_slice(rules);
-        let r_end = u32::try_from(self.rules.len()).expect("derived rule arena overflows u32 offsets");
-        self.rule_off.push(r_end);
-    }
-
-    /// Appends `eid`'s variants: enumerated into the scratch, then given
-    /// their ids by ascending distinct-token count, ties keeping enumeration
-    /// order. That is the slot order of the origin's index block (its masks
-    /// ascend by popcount so that verification can binary-search the lengths
-    /// the filter admits): a block's slot is its variant's id less the
-    /// origin's first.
-    fn expand_entity(&mut self, eid: EntityId, tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch) {
-        let apps = find_applications(tokens, rules);
-        self.table.stats.applicable_total += apps.len();
-        let groups = group_non_conflict(&apps, config.exact_selection);
-        self.table.stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
-
-        // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
-        let ExpandScratch {
-            digits,
-            chosen,
-            seen,
-            tokens: flat_tokens,
-            rules: flat_rules,
-            produced,
-            order,
-            sorted,
-        } = scratch;
-        digits.clear();
-        digits.resize(groups.len(), 0);
-        seen.clear();
-        flat_tokens.clear();
-        flat_rules.clear();
-        produced.clear();
-        'enumerate: loop {
-            if produced.len() >= config.max_derived {
-                self.table.stats.truncated_entities += 1;
-                break;
-            }
-            chosen.clear();
-            chosen.extend(digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| g[i])));
-            let (new_tokens, applied, weight) = rewrite(tokens, chosen, rules);
-            if seen.contains(&new_tokens) {
-                self.table.stats.duplicates_dropped += 1;
-            } else {
-                flat_tokens.extend_from_slice(&new_tokens);
-                flat_rules.extend_from_slice(&applied);
-                produced.push(Produced {
-                    set_len: distinct_tokens(&new_tokens, sorted),
-                    tokens_end: flat_tokens.len(),
-                    rules_end: flat_rules.len(),
-                    weight,
-                });
-                seen.insert(new_tokens);
-            }
-            // Increment mixed-radix counter.
-            let mut g = 0;
-            loop {
-                if g == groups.len() {
-                    break 'enumerate; // all combinations enumerated
-                }
-                digits[g] += 1;
-                if digits[g] <= groups[g].len() {
-                    break;
-                }
-                digits[g] = 0;
-                g += 1;
-            }
-        }
-        order.clear();
-        order.extend(0..produced.len());
-        order.sort_by_key(|&v| produced[v].set_len);
-        for &v in order.iter() {
-            let (tokens_start, rules_start) = v.checked_sub(1).map_or((0, 0), |prev| (produced[prev].tokens_end, produced[prev].rules_end));
-            let Produced { tokens_end, rules_end, weight, .. } = produced[v];
-            self.push_variant(eid, &flat_tokens[tokens_start..tokens_end], &flat_rules[rules_start..rules_end], weight);
-        }
     }
 
     /// The derived entity with id `id` (borrowed view).
@@ -594,28 +663,57 @@ impl DerivedDictionary {
     }
 }
 
-/// Number of distinct tokens in `tokens`. Entities are short phrases, and up
-/// to a few dozen tokens comparing each with those before it is several times
-/// cheaper than sorting a copy (usjob: 7 tokens, 418 520 variants, 27 ms of a
-/// 160 ms derive); longer ones are sorted in `sorted`.
-fn distinct_tokens(tokens: &[TokenId], sorted: &mut Vec<TokenId>) -> usize {
+/// Calls `visit` with each distinct token of `tokens`, once. Entities are
+/// short phrases, and up to a few dozen tokens comparing each with those
+/// before it is several times cheaper than sorting a copy (usjob: 7 tokens,
+/// 418 520 variants, 27 ms of a 160 ms derive); longer ones are sorted in
+/// `sorted`.
+pub fn each_distinct_token(tokens: &[TokenId], sorted: &mut Vec<TokenId>, mut visit: impl FnMut(TokenId)) {
     if tokens.len() <= 32 {
-        return (0..tokens.len()).filter(|&i| !tokens[..i].contains(&tokens[i])).count();
+        for (i, &t) in tokens.iter().enumerate() {
+            if !tokens[..i].contains(&t) {
+                visit(t);
+            }
+        }
+        return;
     }
     sorted.clear();
     sorted.extend_from_slice(tokens);
     sorted.sort_unstable();
     sorted.dedup();
-    sorted.len()
+    sorted.iter().copied().for_each(visit);
+}
+
+/// Number of distinct tokens in `tokens`.
+fn distinct_tokens(tokens: &[TokenId], sorted: &mut Vec<TokenId>) -> usize {
+    let mut distinct = 0;
+    each_distinct_token(tokens, sorted, |_| distinct += 1);
+    distinct
+}
+
+/// The first slot of `seen`, from the one `hash` names on, that is free or
+/// holds a variant `is_it` takes for the one looked for.
+fn probe(seen: &[u32], hash: u64, mut is_it: impl FnMut(usize) -> bool) -> usize {
+    let mut slot = hash as usize & (seen.len() - 1);
+    while seen[slot] != 0 && !is_it(seen[slot] as usize - 1) {
+        slot = (slot + 1) & (seen.len() - 1);
+    }
+    slot
+}
+
+/// Mixes a token sequence into one word, length included.
+fn hash_tokens(tokens: &[TokenId]) -> u64 {
+    tokens
+        .iter()
+        .fold(tokens.len() as u64, |h, t| (h ^ u64::from(t.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(23))
 }
 
 /// Applies `chosen` (span-disjoint, ascending by start — the order the
-/// selected groups come in) to `tokens`, returning the rewritten sequence,
-/// the rule ids applied, and the weight product.
-fn rewrite(tokens: &[TokenId], chosen: &[Application], rules: &RuleSet) -> (Vec<TokenId>, Vec<RuleId>, f64) {
+/// selected groups come in) to `tokens`: the rewritten sequence is appended
+/// to `out`, the rule ids applied to `applied`, and the weight product
+/// returned.
+fn rewrite(tokens: &[TokenId], chosen: &[Application], rules: &RuleSet, out: &mut Vec<TokenId>, applied: &mut Vec<RuleId>) -> f64 {
     debug_assert!(chosen.windows(2).all(|w| w[0].end() <= w[1].start), "chosen applications overlap or are out of order");
-    let mut out = Vec::with_capacity(tokens.len());
-    let mut applied = Vec::with_capacity(chosen.len());
     let mut weight = 1.0;
     let mut pos = 0usize;
     for app in chosen {
@@ -626,13 +724,14 @@ fn rewrite(tokens: &[TokenId], chosen: &[Application], rules: &RuleSet) -> (Vec<
         pos = app.end() as usize;
     }
     out.extend_from_slice(&tokens[pos..]);
-    (out, applied, weight)
+    weight
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeetes_text::{Interner, Tokenizer};
+    use std::collections::HashSet;
 
     struct Ctx {
         int: Interner,

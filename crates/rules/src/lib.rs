@@ -39,6 +39,9 @@ mod discover;
 mod rule;
 
 pub use apply::{find_applications, select_non_conflict, select_non_conflict_exact, Application, ConflictGraph};
-pub use derive::{rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef, VariantTable, Variants};
+pub use derive::{
+    derive_into, each_distinct_token, rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef, OriginVariants,
+    VariantTable, Variants,
+};
 pub use discover::{add_discovered, discover_abbreviations, DiscoveredRule, DiscoveryConfig, DiscoveryKind};
 pub use rule::{Rule, RuleError, RuleId, RuleSet, Side};

@@ -69,8 +69,22 @@ impl std::error::Error for RuleError {}
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
-    /// first token of a side → (rule, which side starts there)
-    heads: HashMap<TokenId, Vec<(RuleId, Side)>, std::hash::BuildHasherDefault<TokenIdHasher>>,
+    /// first token of a side → the sides starting there
+    heads: HashMap<TokenId, Vec<Head>, std::hash::BuildHasherDefault<TokenIdHasher>>,
+}
+
+/// One rule side, filed under its first token with enough of it that a scan
+/// of the bucket decides nearly every candidate without touching the rule: a
+/// common first token heads hundreds of sides, almost all of them one or two
+/// tokens long.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    pub(crate) rule: RuleId,
+    pub(crate) side: Side,
+    /// Tokens on the side.
+    pub(crate) len: u32,
+    /// The side's second token (its first again when that is all of it).
+    pub(crate) second: TokenId,
 }
 
 /// Mixes the single `u32` of a [`TokenId`] key (splitmix64 finalizer) —
@@ -148,8 +162,15 @@ impl RuleSet {
             return Err(RuleError::BadWeight(weight));
         }
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule set overflow"));
-        self.heads.entry(lhs[0]).or_default().push((id, Side::Lhs));
-        self.heads.entry(rhs[0]).or_default().push((id, Side::Rhs));
+        for (side, tokens) in [(Side::Lhs, &lhs), (Side::Rhs, &rhs)] {
+            let head = Head {
+                rule: id,
+                side,
+                len: tokens.len() as u32,
+                second: tokens[tokens.len().min(2) - 1],
+            };
+            self.heads.entry(tokens[0]).or_default().push(head);
+        }
         self.rules.push(Rule { lhs, rhs, weight });
         Ok(id)
     }
@@ -185,8 +206,8 @@ impl RuleSet {
         self.other_side(id, side)
     }
 
-    /// `(rule, side)` pairs whose side starts with token `t`.
-    pub(crate) fn heads(&self, t: TokenId) -> &[(RuleId, Side)] {
+    /// The sides that start with token `t`.
+    pub(crate) fn heads(&self, t: TokenId) -> &[Head] {
         self.heads.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -256,8 +277,8 @@ mod tests {
         let uni = i.get("university").unwrap();
         assert_eq!(rs.heads(uw).len(), 1);
         assert_eq!(rs.heads(uni).len(), 1);
-        assert_eq!(rs.heads(uw)[0].1, Side::Lhs);
-        assert_eq!(rs.heads(uni)[0].1, Side::Rhs);
+        assert_eq!((rs.heads(uw)[0].side, rs.heads(uw)[0].len, rs.heads(uw)[0].second), (Side::Lhs, 1, uw));
+        assert_eq!((rs.heads(uni)[0].side, rs.heads(uni)[0].len, rs.heads(uni)[0].second), (Side::Rhs, 3, i.get("of").unwrap()));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use crate::generation::{shard_of, Generation, Shard};
 use aeetes_core::AeetesConfig;
-use aeetes_index::GlobalOrder;
-use aeetes_rules::{find_applications, DeriveStats, DerivedDictionary, RuleError, RuleSet};
+use aeetes_index::{GlobalOrder, IndexDraft};
+use aeetes_rules::{derive_into, find_applications, DeriveStats, RuleError, RuleSet};
 use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -133,37 +133,48 @@ fn resolve_shards(requested: usize) -> usize {
     n.clamp(1, MAX_SHARDS)
 }
 
-/// Runs `f` over `items`, each on a thread of its own, and returns the
-/// results in item order.
+/// Runs `f` over `items` side by side — the first on the calling thread, each
+/// other on a thread of its own — and returns the results in item order.
 fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let f = &f;
+    let mut items = items.into_iter();
+    let first = items.next();
     std::thread::scope(|s| {
-        let handles: Vec<_> = items.into_iter().map(|item| s.spawn(move || f(item))).collect();
-        handles.into_iter().map(|h| h.join().expect("shard build panicked")).collect()
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let first = first.map(f);
+        first
+            .into_iter()
+            .chain(handles.into_iter().map(|h| h.join().expect("shard build panicked")))
+            .collect()
     })
 }
 
-/// Derives each shard's slice of the dictionary in parallel; the slices
-/// keep the full origin id space.
-fn derive_shards(dict: &Dictionary, rules: &RuleSet, config: &AeetesConfig, n: usize) -> Vec<DerivedDictionary> {
-    in_parallel(0..n, |i| DerivedDictionary::build_filtered(dict, rules, &config.derive, |e| shard_of(e, n) == i))
-}
-
-/// Builds clustered indexes for `dds` in parallel against one shared order.
-fn index_shards(dds: Vec<DerivedDictionary>, order: &Arc<GlobalOrder>) -> Vec<Arc<Shard>> {
-    in_parallel(dds, |dd| Arc::new(Shard::build(dd, Arc::clone(order))))
+/// Per token id, the variants of all `drafts` that hold the token.
+fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> Vec<u32> {
+    let mut total: Vec<u32> = Vec::new();
+    for draft in drafts {
+        let freq = draft.frequencies();
+        if total.len() < freq.len() {
+            total.resize(freq.len(), 0);
+        }
+        for (sum, count) in total.iter_mut().zip(freq) {
+            *sum += count;
+        }
+    }
+    total
 }
 
 impl ShardedEngine {
-    /// Builds generation 1 from scratch: per-shard derivation in parallel,
-    /// one global order over the union, per-shard indexes in parallel.
-    /// `shards == 0` uses the machine's available parallelism.
+    /// Builds generation 1 from scratch: each shard's origins derived
+    /// straight into their index blocks in parallel, one global order from
+    /// the shards' summed token frequencies, then each shard keyed by it and
+    /// clustered in parallel. `shards == 0` uses the machine's available
+    /// parallelism.
     pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig, shards: usize) -> Self {
         let n = resolve_shards(shards);
-        let dds = derive_shards(&dict, rules, &config, n);
-        let refs: Vec<&DerivedDictionary> = dds.iter().collect();
-        let order = Arc::new(GlobalOrder::build_many(&refs, interner));
-        let shards = index_shards(dds, &order);
+        let drafts = in_parallel(0..n, |i| IndexDraft::derive(&dict, rules, &config.derive, |e| shard_of(e, n) == i));
+        let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
+        let shards = in_parallel(drafts, |draft| Arc::new(Shard::build(draft, Arc::clone(&order))));
         let generation = Generation::assemble(1, interner.clone(), dict, Vec::new(), rules.clone(), config, order, shards);
         ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
@@ -337,10 +348,10 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
     // Per affected shard: its changed origins as they derive now, and what
     // the ones that were live contributed to the statistics before.
     let derive = &cur.config.derive;
-    let fresh: Vec<(DerivedDictionary, DeriveStats)> = in_parallel(affected.iter(), |&i| {
+    let fresh: Vec<(IndexDraft, DeriveStats)> = in_parallel(affected.iter(), |&i| {
         let mine = |e: EntityId| changed[e.idx()] && shard_of(e, n) == i;
-        let small = DerivedDictionary::build_filtered(&dict, &rules, derive, |e| mine(e) && !removed.contains(&e.0));
-        let departing = DerivedDictionary::build_filtered(&cur.dict, &cur.rules, derive, |e| mine(e) && cur.removed.binary_search(&e).is_err());
+        let small = IndexDraft::derive(&dict, &rules, derive, |e| mine(e) && !removed.contains(&e.0));
+        let departing = derive_into(&cur.dict, &cur.rules, derive, |e| mine(e) && cur.removed.binary_search(&e).is_err(), |_| {});
         (small, departing.stats().clone())
     });
 
@@ -348,11 +359,14 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
     // placed after every existing one. Shards not touched keep their old
     // `Arc<GlobalOrder>`, which agrees on every key they can ever look up;
     // a delta admitting no token keeps sharing the current order.
-    let smalls: Vec<&DerivedDictionary> = fresh.iter().map(|(small, _)| small).collect();
-    let order = cur.order.extend(&smalls, &interner).map_or_else(|| Arc::clone(&cur.order), Arc::new);
+    let delta_frequencies = summed_frequencies(fresh.iter().map(|(small, _)| small));
+    let order = cur
+        .order
+        .extend_with(&delta_frequencies, &interner)
+        .map_or_else(|| Arc::clone(&cur.order), Arc::new);
 
-    let spliced = in_parallel(affected.iter().zip(&fresh), |(&i, (small, departing))| {
-        Arc::new(cur.shards[i].splice(small, &changed, departing, Arc::clone(&order)))
+    let spliced = in_parallel(affected.iter().zip(fresh), |(&i, (small, departing))| {
+        Arc::new(cur.shards[i].splice(small, &changed, &departing, Arc::clone(&order)))
     });
     let mut shards = cur.shards.clone();
     for (&i, shard) in affected.iter().zip(spliced) {
@@ -429,6 +443,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use aeetes_core::{Aeetes, ExtractBackend, FreezeSegment, FreezeSource};
+    use aeetes_rules::DerivedDictionary;
     use aeetes_text::Document;
 
     fn fixture() -> (Dictionary, RuleSet, Interner, Tokenizer) {

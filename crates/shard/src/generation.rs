@@ -4,9 +4,9 @@ use aeetes_core::{
     extract_segment_scratched, select_top_k, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, ScratchOutcome,
     SegmentScratch,
 };
-use aeetes_index::{ClusteredIndex, GlobalOrder};
+use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
 use aeetes_pool::Pool;
-use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleSet, VariantTable};
+use aeetes_rules::{DeriveStats, DerivedId, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, Document, EntityId, Interner};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,11 +77,11 @@ impl Shard {
         }
     }
 
-    /// Indexes `dd` and lets go of everything the index was built from.
-    pub(crate) fn build(dd: DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
+    /// Keys `draft` by `order` and clusters it.
+    pub(crate) fn build(draft: IndexDraft, order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
-        let index = ClusteredIndex::build_with_order(&dd, order);
-        Self::new(dd.into(), index, start.elapsed().as_nanos() as u64)
+        let (dd, index) = draft.into_index(order);
+        Self::new(dd, index, start.elapsed().as_nanos() as u64)
     }
 
     /// Wraps an already-built variant table + index pair (the frozen open
@@ -94,17 +94,17 @@ impl Shard {
 
     /// The shard a delta leaves behind: `small` — the `changed` origins of
     /// this shard that are still live, derived under the post-delta rules —
-    /// is indexed against `order` and merged into this shard's arenas (heap
+    /// is keyed by `order` and merged into this shard's arenas (heap
     /// or mapped alike) in place of those origins' old runs. `departing` is
     /// what the changed origins contributed to this shard's derivation
     /// statistics. The result equals [`Shard::build`] over a fresh
     /// derivation of the shard's post-delta origins, byte for byte, and
     /// carries this shard's cumulative serving counters on; the build time
     /// is its own.
-    pub(crate) fn splice(&self, small: &DerivedDictionary, changed: &[bool], departing: &DeriveStats, order: Arc<GlobalOrder>) -> Self {
+    pub(crate) fn splice(&self, small: IndexDraft, changed: &[bool], departing: &DeriveStats, order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
-        let small_index = ClusteredIndex::build_with_order(small, order);
-        let dd = VariantTable::splice(&self.dd, small, changed, departing);
+        let (small, small_index) = small.into_index(order);
+        let dd = VariantTable::splice(&self.dd, &small, changed, departing);
         let index = ClusteredIndex::splice(&self.index, &small_index, changed);
         let next = Self::new(dd, index, start.elapsed().as_nanos() as u64);
         next.served.store(self.served.load(Ordering::Relaxed), Ordering::Relaxed);

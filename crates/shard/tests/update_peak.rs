@@ -9,54 +9,15 @@
 //! (8 bytes against the ~9 a posting then cost at rest) and dictionary arenas
 //! grown by doubling, and peaked half a generation above what it kept.
 //!
-//! The proof is a `#[global_allocator]` that tracks live bytes and their
-//! high-water mark. This file holds exactly one test so no concurrent test
-//! can perturb the counters.
+//! The proof is the counting allocator of `live_bytes`; this file holds
+//! exactly one test so no concurrent test can perturb its counters.
+
+mod live_bytes;
 
 use aeetes_core::{open_frozen_bytes, AeetesConfig};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_shard::{DictDelta, ShardedEngine};
 use aeetes_text::EntityId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-struct LiveBytes;
-
-// SAFETY: delegates every operation to `System` unchanged; the counters are
-// a side effect only.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grow(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
 
 #[test]
 fn an_update_peaks_within_a_tenth_of_what_it_retains() {
@@ -88,13 +49,9 @@ fn an_update_peaks_within_a_tenth_of_what_it_retains() {
     // Held across the update, so that what stays allocated afterwards is the
     // new generation in full and nothing of the old one is given back.
     let old = engine.snapshot();
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let new = engine.apply_update(&delta, &data.tokenizer).expect("delta applies");
-    let (peak, after) = (PEAK.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    let (new, retained, transient) = live_bytes::measured(|| engine.apply_update(&delta, &data.tokenizer).expect("delta applies"));
 
     assert_eq!((old.id() + 1, old.shard_count()), (new.id(), 2));
-    let (retained, transient) = (after - before, peak - before);
     assert!(retained > 2 << 20, "corpus too small to price an update: the generation retains {retained} bytes");
     assert!(
         transient as f64 <= retained as f64 * 1.10,

@@ -302,6 +302,37 @@ fn artifact_stays_inside_its_bytes_per_posting_budget() {
     assert_eq!(engine.index().size_bytes(), ix_sections.iter().map(|s| s.len).sum::<usize>() + origin_prefix);
 }
 
+/// A shard build derives each origin straight into its index block and keys
+/// the blocks once the order exists; the materialised pieces — a
+/// `DerivedDictionary` per shard, one order over them, an index built from
+/// each with the order in hand — are what it must come to, byte for byte: the
+/// 1-shard image is the monolithic engine's, the 2-shard image the one
+/// assembled from the pieces.
+#[test]
+fn a_shard_build_freezes_to_the_bytes_of_the_materialised_pieces() {
+    use aeetes::index::{ClusteredIndex, GlobalOrder};
+    use aeetes::shard::shard_of;
+    use std::sync::Arc;
+    for (engine, data) in engines() {
+        let build = |shards| ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), shards);
+        assert!(build(1).freeze() == through_the_artifact_bytes(&engine, &data), "{}: 1 shard", data.name);
+        let dds = [0, 1].map(|i| DerivedDictionary::build_filtered(&data.dictionary, &data.rules, &engine.config().derive, |e| shard_of(e, 2) == i));
+        let order = Arc::new(GlobalOrder::build_many(&[&dds[0], &dds[1]], &data.interner));
+        let indexes = [0, 1].map(|i| ClusteredIndex::build_with_order(&dds[i], Arc::clone(&order)));
+        let pieces = freeze_to_bytes(&FreezeSource {
+            interner: &data.interner,
+            dict: &data.dictionary,
+            removed: &[],
+            rules: &data.rules,
+            config: engine.config(),
+            generation: 1,
+            order: &order,
+            segments: vec![FreezeSegment { dd: &dds[0], index: &indexes[0] }, FreezeSegment { dd: &dds[1], index: &indexes[1] }],
+        });
+        assert!(build(2).freeze() == pieces, "{}: 2 shards", data.name);
+    }
+}
+
 /// The bytes of each segment's `dd.weight` section, in segment order.
 fn weight_section_bytes(artifact: &[u8]) -> Vec<usize> {
     let info = peek_info(artifact).expect("peek artifact");
