@@ -26,8 +26,9 @@
 //!   every admitted extract line is answered exactly once as
 //!   `served`, `shed`, or `failed`.
 //! * **Hot reload** — `{"type":"reload"}` applies a dictionary delta
-//!   through [`ShardedEngine::apply_update`]: only affected shards are
-//!   rebuilt and the new generation is swapped in atomically. In-flight
+//!   through [`ShardedEngine::apply_update`]: only the changed origins are
+//!   re-derived, into the tails of the shards owning them, and the new
+//!   generation is swapped in atomically. In-flight
 //!   extractions keep their generation snapshot, so a reload drops zero
 //!   requests; workers pick up the new generation on their next job.
 //! * **Observability** — every request flushes its scratch-resident stage

@@ -5,7 +5,8 @@
 //! method, running inside a caller-owned scratch — is how every engine
 //! answers it. [`extract_segment_scratched`] is the single code path
 //! underneath: the paper's generate → verify pipeline (or the bound-pruned
-//! top-k scan) over one clustered index + variant table pair. The
+//! top-k scan) over one [`Segment`] — a clustered index + variant table
+//! pair, and after deltas the tail that supersedes part of it. The
 //! monolithic [`Aeetes`] engine runs it over its only segment; a sharded
 //! generation (crate `aeetes-shard`) runs it once per shard and merges.
 //! Everything else that extracts — [`Aeetes::extract`], batches, streams,
@@ -16,6 +17,7 @@ use crate::extractor::Aeetes;
 use crate::limits::{Budget, CancelToken, ExtractLimits, ExtractOutcome};
 use crate::matches::Match;
 use crate::scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
+use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
 use crate::strategy::{generate, Strategy};
@@ -105,7 +107,7 @@ pub fn extract_segment(
         ..ExtractRequest::new(tau)
     };
     let mut seg = SegmentScratch::default();
-    let (truncated, stats) = extract_segment_scratched(index, dd, doc, &req, &AeetesConfig::default(), set_len_bounds, &mut seg);
+    let (truncated, stats) = extract_segment_scratched(Segment::new(index, dd), doc, &req, &AeetesConfig::default(), set_len_bounds, &mut seg);
     ExtractOutcome { matches: std::mem::take(&mut seg.matches), truncated, stats, stages: seg.stages }
 }
 
@@ -123,16 +125,17 @@ pub fn extract_segment(
 ///
 /// `set_len_bounds` overrides the `(min, max)` distinct-set length range
 /// that bounds window enumeration. A monolithic engine passes `None` (use
-/// the index's own range); a sharded engine passes the dictionary-global
-/// range, because a shard's local range is tighter and would skip window
-/// lengths that other variants of the same dictionary admit — breaking
-/// bit-identity with the single-engine result.
+/// the base index's own range); a sharded engine passes the
+/// dictionary-global range over live variants, because a shard's local
+/// range is tighter and would skip window lengths that other variants of the
+/// same dictionary admit — breaking bit-identity with the single-engine
+/// result — and a tailed segment's base range still counts superseded
+/// variants.
 ///
 /// # Panics
 /// Panics when `req.tau` is not in `(0, 1]`.
 pub fn extract_segment_scratched(
-    index: &ClusteredIndex,
-    dd: &VariantTable,
+    segment: Segment<'_>,
     doc: &Document,
     req: &ExtractRequest<'_>,
     config: &AeetesConfig,
@@ -144,19 +147,19 @@ pub fn extract_segment_scratched(
     let metric = req.metric.unwrap_or(config.metric);
     let set_bounds = match set_len_bounds {
         Some((lo, hi)) => (Some(lo), Some(hi)),
-        None => (index.min_set_len(), index.max_set_len()),
+        None => (segment.index.min_set_len(), segment.index.max_set_len()),
     };
     let mut stats = ExtractStats::default();
     let mut budget = Budget::start(&req.limits, req.cancel);
     if let Some(k) = req.top_k {
-        top_k_segment(index, dd, doc, k, tau, metric, req.weighted, set_bounds, seg, &mut stats, &mut budget);
+        top_k_segment(segment, doc, k, tau, metric, req.weighted, set_bounds, seg, &mut stats, &mut budget);
     } else {
-        generate(index, doc, tau, metric, req.strategy.unwrap_or(config.strategy), set_bounds, seg, &mut stats, &mut budget);
+        generate(segment, doc, tau, metric, req.strategy.unwrap_or(config.strategy), set_bounds, seg, &mut stats, &mut budget);
         // Weighted scores are ≤ unweighted scores (weights ≤ 1), so the
         // unweighted candidate filters remain sound for the weighted verify.
         let SegmentScratch { sink, s_keys, hits, matches, stages, .. } = seg;
         let clk = SpanClock::always();
-        verify_candidates(index, dd, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, hits, matches);
+        verify_candidates(segment, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, hits, matches);
         matches.sort_unstable_by_key(Match::sort_key);
         clk.stop(Stage::Verify, stages);
     }
@@ -233,7 +236,7 @@ impl ExtractBackend for Aeetes {
 
     fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
         let seg = scratch.segment(0);
-        let (truncated, stats) = extract_segment_scratched(self.index(), self.derived(), doc, req, self.config(), None, seg);
+        let (truncated, stats) = extract_segment_scratched(Segment::new(self.index(), self.derived()), doc, req, self.config(), None, seg);
         ScratchOutcome { matches: seg.matches(), truncated, stats, stages: seg.stages }
     }
 }

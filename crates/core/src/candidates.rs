@@ -8,8 +8,11 @@
 //! call it and where its origins go (Simple, Skip and top-k straight into
 //! the [`CandidateSink`], Dynamic through a scan-local dedup into its cache
 //! arena), not in how a list is read. Lazy reads each list once against many
-//! windows at a time — a different loop, in `strategy/lazy.rs`.
+//! windows at a time — a different loop, in `strategy/lazy.rs`. Over a
+//! segment with a tail, [`scan_segment`] reads a token's base list and then
+//! its tail list, in the same call.
 
+use crate::segment::Segment;
 use crate::stats::ExtractStats;
 use aeetes_index::ClusteredIndex;
 use aeetes_sim::Metric;
@@ -90,6 +93,31 @@ pub(crate) fn scan(
             }
         }
     }
+}
+
+/// [`scan`] over every tier of `segment`: the base list of `t`, its clusters
+/// of superseded origins dropped at emit with one bit test (they are still
+/// read, and counted in `accessed_entries`), then the tail's list of `t`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_segment(
+    segment: Segment<'_>,
+    t: TokenId,
+    s_len: usize,
+    tau: f64,
+    metric: Metric,
+    skip: bool,
+    stats: &mut ExtractStats,
+    mut emit: impl FnMut(EntityId),
+) {
+    let Some(tail) = segment.tail else {
+        return scan(segment.index, t, s_len, tau, metric, skip, stats, emit);
+    };
+    scan(segment.index, t, s_len, tau, metric, skip, stats, |origin| {
+        if !tail.supersedes(origin) {
+            emit(origin);
+        }
+    });
+    scan(tail.index, t, s_len, tau, metric, skip, stats, emit);
 }
 
 #[cfg(test)]
@@ -214,6 +242,7 @@ mod tests {
         );
         let order = ix.order();
         let set_bounds = (ix.min_set_len(), ix.max_set_len());
+        let no_variants = aeetes_rules::VariantTable::default();
         let mut nonempty = 0;
         for metric in Metric::ALL {
             for tau in TAUS {
@@ -237,7 +266,8 @@ mod tests {
                 for strategy in Strategy::ALL {
                     let mut seg = SegmentScratch::default();
                     let mut stats = ExtractStats::default();
-                    strategy::generate(&ix, &doc, tau, metric, strategy, set_bounds, &mut seg, &mut stats, &mut Budget::unlimited());
+                    let segment = Segment::new(&ix, &no_variants);
+                    strategy::generate(segment, &doc, tau, metric, strategy, set_bounds, &mut seg, &mut stats, &mut Budget::unlimited());
                     let got: BTreeSet<(u32, u32, EntityId)> = seg.sink.pairs.iter().map(|&(sp, e)| (sp.start, sp.len, e)).collect();
                     assert_eq!(got.len(), seg.sink.pairs.len(), "{strategy} {metric} tau={tau}: the sink holds a pair twice");
                     assert_eq!(got, want, "{strategy} {metric} tau={tau}");

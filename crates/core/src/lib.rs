@@ -69,6 +69,7 @@ mod nms;
 mod persist;
 mod report;
 mod scratch;
+mod segment;
 mod stage;
 mod stats;
 mod strategy;
@@ -93,6 +94,7 @@ pub use nms::suppress_overlaps;
 pub use persist::PersistError;
 pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
+pub use segment::{Segment, Tail};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
 pub use stats::{ExtractStats, LatencyRing};
 pub use strategy::{generate_candidates, Strategy};

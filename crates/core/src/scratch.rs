@@ -105,6 +105,12 @@ impl SegmentScratch {
         &self.matches
     }
 
+    /// The same matches, for a caller that rewrites their variant ids in
+    /// place.
+    pub fn matches_mut(&mut self) -> &mut [Match] {
+        &mut self.matches
+    }
+
     /// Stage timing slots of the most recent extraction into this scratch.
     pub fn stages(&self) -> &StageSlots {
         &self.stages

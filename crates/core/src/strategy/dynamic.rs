@@ -13,19 +13,20 @@
 //! copies nothing and a miss allocates nothing once the arena has reached
 //! its high-water capacity.
 
-use crate::candidates::scan;
+use crate::candidates::scan_segment;
 use crate::limits::Budget;
 use crate::scratch::{DynScratch, SegmentScratch};
+use crate::segment::Segment;
 use crate::stage::Stage;
 use crate::stats::ExtractStats;
 use crate::walk::WindowWalk;
-use aeetes_index::{metric_window_bounds, ClusteredIndex};
+use aeetes_index::metric_window_bounds;
 use aeetes_sim::Metric;
 use aeetes_text::Document;
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
-    index: &ClusteredIndex,
+    segment: Segment<'_>,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -38,7 +39,7 @@ pub(crate) fn generate(
         return;
     };
     let SegmentScratch { walk, sink, dynamic, stages, .. } = seg;
-    let Some(mut walk) = WindowWalk::start(index.order(), doc, bounds, walk, stages) else {
+    let Some(mut walk) = WindowWalk::start(segment.order(), doc, bounds, walk, stages) else {
         return;
     };
     // caches[slot] serves the windows of one token length, like the walk's
@@ -67,7 +68,7 @@ pub(crate) fn generate(
                     // and is stored once.
                     let from = arena.len() as u32;
                     seen.clear();
-                    scan(index, walk.token(r), s_len, tau, metric, true, stats, |origin| {
+                    scan_segment(segment, walk.token(r), s_len, tau, metric, true, stats, |origin| {
                         if seen.insert(origin) {
                             arena.push(origin);
                         }
@@ -87,6 +88,7 @@ pub(crate) fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::scan;
     use crate::strategy::fixture::{index_with, run, run_in, setup, sorted};
     use crate::strategy::Strategy;
     use aeetes_text::{Span, Tokenizer};

@@ -11,20 +11,24 @@
 //! length group with the substrings whose length filter admits it; expiry
 //! of substrings whose `hi` bound falls below the group length is driven by
 //! a single sort-by-`hi` cursor plus tombstones (compacted amortizedly),
-//! not a per-group rescan of the active list.
+//! not a per-group rescan of the active list. Over a segment with a tail the
+//! token's base list and then its tail list are each paired this way, the
+//! base's clusters of superseded origins dropped at emit.
 
+use crate::candidates::CandidateSink;
 use crate::limits::Budget;
-use crate::scratch::{Pending, SegmentScratch};
+use crate::scratch::{LazyScratch, Pending, SegmentScratch};
+use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
 use crate::walk::WindowWalk;
-use aeetes_index::{metric_window_bounds, ClusteredIndex};
+use aeetes_index::{metric_window_bounds, TokenPostings};
 use aeetes_sim::Metric;
-use aeetes_text::Document;
+use aeetes_text::{Document, EntityId};
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
-    index: &ClusteredIndex,
+    segment: Segment<'_>,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -37,7 +41,7 @@ pub(crate) fn generate(
         return;
     };
     let SegmentScratch { walk, sink, lazy, stages, .. } = seg;
-    let Some(mut walk) = WindowWalk::start(index.order(), doc, bounds, walk, stages) else {
+    let Some(mut walk) = WindowWalk::start(segment.order(), doc, bounds, walk, stages) else {
         return;
     };
 
@@ -79,61 +83,25 @@ pub(crate) fn generate(
         if !budget.keep_generating(sink.len()) {
             break;
         }
-        let list = &mut lazy.inv[r as usize];
-        let Some(tp) = index.postings(t) else { continue };
+        let base = segment.index.postings(t);
+        let tail = segment.tail.and_then(|tail| tail.index.postings(t));
+        if base.is_none() && tail.is_none() {
+            continue;
+        }
+        let LazyScratch { inv, hi_order, .. } = &mut *lazy;
+        let list = &mut inv[r as usize];
         list.sort_unstable_by_key(|pend| pend.lo);
         // Expiry order: pending indices sorted by `hi` once, advanced with
         // a cursor as group lengths grow — no per-group rescan.
-        lazy.hi_order.clear();
-        lazy.hi_order.extend(0..list.len() as u32);
-        lazy.hi_order.sort_unstable_by_key(|&i| list[i as usize].hi);
-        lazy.expired.clear();
-        lazy.expired.resize(list.len(), false);
-        lazy.active.clear();
-        let mut next = 0usize; // next pending to activate (by lo)
-        let mut expire_cursor = 0usize;
-        let mut dead = 0usize; // tombstones currently in `active`
-        for g in tp.groups() {
-            let len = g.len() as u32;
-            while next < list.len() && list[next].lo <= len {
-                lazy.active.push(next as u32);
-                next += 1;
-            }
-            // `hi < len ⇒ lo ≤ hi < len`, so an expiring pending was always
-            // activated above (possibly in this very iteration): tombstone
-            // it in place.
-            while expire_cursor < lazy.hi_order.len() {
-                let idx = lazy.hi_order[expire_cursor] as usize;
-                if list[idx].hi >= len {
-                    break;
-                }
-                lazy.expired[idx] = true;
-                dead += 1;
-                expire_cursor += 1;
-            }
-            if lazy.active.len() == dead {
-                if next >= list.len() {
-                    break; // nothing left to pair with larger groups
-                }
-                continue;
-            }
-            let plen = metric.prefix_len(len as usize, tau);
-            stats.accessed_entries += g.origin_count() as u64;
-            for og in g.origins() {
-                if (og.min_pos as usize) < plen {
-                    for &ai in lazy.active.iter() {
-                        if !lazy.expired[ai as usize] {
-                            sink.push(list[ai as usize].span, og.origin);
-                        }
-                    }
-                }
-            }
-            // Amortized compaction keeps the emission loop O(live) overall.
-            if dead > lazy.active.len() / 2 {
-                let expired = &lazy.expired;
-                lazy.active.retain(|&ai| !expired[ai as usize]);
-                dead = 0;
-            }
+        hi_order.clear();
+        hi_order.extend(0..list.len() as u32);
+        hi_order.sort_unstable_by_key(|&i| list[i as usize].hi);
+        if let Some(tp) = base {
+            let superseded = |origin| segment.tail.is_some_and(|tail| tail.supersedes(origin));
+            pair(tp, r, lazy, tau, metric, sink, stats, |origin| !superseded(origin));
+        }
+        if let Some(tp) = tail {
+            pair(tp, r, lazy, tau, metric, sink, stats, |_| true);
         }
     }
     // Return every touched pool entry (processed or not) to the empty
@@ -142,6 +110,72 @@ pub(crate) fn generate(
         lazy.inv[r as usize].clear();
     }
     gen_clk.stop(Stage::CandidateGen, stages);
+}
+
+/// Pass 2 over one posting list of the token of rank `r`: pairs each length
+/// group of `tp` with the pending substrings whose length filter admits it
+/// (`lazy.inv[r]`, sorted by `lo`, expiring in `lazy.hi_order`) and sinks
+/// every origin the group's prefix admits and `keep` lets through.
+#[allow(clippy::too_many_arguments)]
+fn pair(
+    tp: TokenPostings<'_>,
+    r: u32,
+    lazy: &mut LazyScratch,
+    tau: f64,
+    metric: Metric,
+    sink: &mut CandidateSink,
+    stats: &mut ExtractStats,
+    keep: impl Fn(EntityId) -> bool,
+) {
+    let LazyScratch { inv, hi_order, expired, active, .. } = lazy;
+    let list = &inv[r as usize];
+    expired.clear();
+    expired.resize(list.len(), false);
+    active.clear();
+    let mut next = 0usize; // next pending to activate (by lo)
+    let mut expire_cursor = 0usize;
+    let mut dead = 0usize; // tombstones currently in `active`
+    for g in tp.groups() {
+        let len = g.len() as u32;
+        while next < list.len() && list[next].lo <= len {
+            active.push(next as u32);
+            next += 1;
+        }
+        // `hi < len ⇒ lo ≤ hi < len`, so an expiring pending was always
+        // activated above (possibly in this very iteration): tombstone
+        // it in place.
+        while expire_cursor < hi_order.len() {
+            let idx = hi_order[expire_cursor] as usize;
+            if list[idx].hi >= len {
+                break;
+            }
+            expired[idx] = true;
+            dead += 1;
+            expire_cursor += 1;
+        }
+        if active.len() == dead {
+            if next >= list.len() {
+                break; // nothing left to pair with larger groups
+            }
+            continue;
+        }
+        let plen = metric.prefix_len(len as usize, tau);
+        stats.accessed_entries += g.origin_count() as u64;
+        for og in g.origins() {
+            if (og.min_pos as usize) < plen && keep(og.origin) {
+                for &ai in active.iter() {
+                    if !expired[ai as usize] {
+                        sink.push(list[ai as usize].span, og.origin);
+                    }
+                }
+            }
+        }
+        // Amortized compaction keeps the emission loop O(live) overall.
+        if dead > active.len() / 2 {
+            active.retain(|&ai| !expired[ai as usize]);
+            dead = 0;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@ mod naive;
 
 use crate::limits::{Budget, ExtractLimits};
 use crate::scratch::{ExtractScratch, SegmentScratch};
+use crate::segment::Segment;
 use crate::stats::ExtractStats;
 use aeetes_index::ClusteredIndex;
+use aeetes_rules::VariantTable;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
 
@@ -63,7 +65,7 @@ impl std::fmt::Display for Strategy {
 /// dictionary admits).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
-    index: &ClusteredIndex,
+    segment: Segment<'_>,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -82,10 +84,10 @@ pub(crate) fn generate(
         return;
     }
     match strategy {
-        Strategy::Simple => naive::generate(index, doc, tau, metric, set_bounds, false, seg, stats, budget),
-        Strategy::Skip => naive::generate(index, doc, tau, metric, set_bounds, true, seg, stats, budget),
-        Strategy::Dynamic => dynamic::generate(index, doc, tau, metric, set_bounds, seg, stats, budget),
-        Strategy::Lazy => lazy::generate(index, doc, tau, metric, set_bounds, seg, stats, budget),
+        Strategy::Simple => naive::generate(segment, doc, tau, metric, set_bounds, false, seg, stats, budget),
+        Strategy::Skip => naive::generate(segment, doc, tau, metric, set_bounds, true, seg, stats, budget),
+        Strategy::Dynamic => dynamic::generate(segment, doc, tau, metric, set_bounds, seg, stats, budget),
+        Strategy::Lazy => lazy::generate(segment, doc, tau, metric, set_bounds, seg, stats, budget),
     }
 }
 
@@ -109,7 +111,7 @@ pub fn generate_candidates<'s>(
     let mut stats = ExtractStats::default();
     let mut budget = Budget::start(&ExtractLimits::UNLIMITED, None);
     let seg = scratch.segment(0);
-    generate(index, doc, tau, metric, strategy, set_bounds, seg, &mut stats, &mut budget);
+    generate(Segment::new(index, &VariantTable::default()), doc, tau, metric, strategy, set_bounds, seg, &mut stats, &mut budget);
     (&seg.sink.pairs, stats)
 }
 
@@ -159,7 +161,17 @@ pub(crate) mod fixture {
         strategy: Strategy,
         stats: &mut ExtractStats,
     ) -> Vec<(Span, EntityId)> {
-        generate(ix, doc, tau, Metric::Jaccard, strategy, own(ix), seg, stats, &mut Budget::unlimited());
+        generate(
+            Segment::new(ix, &VariantTable::default()),
+            doc,
+            tau,
+            Metric::Jaccard,
+            strategy,
+            own(ix),
+            seg,
+            stats,
+            &mut Budget::unlimited(),
+        );
         seg.sink.pairs.clone()
     }
 

@@ -2,12 +2,13 @@
 //! from scratch (paper §4, "straightforward solution") — the straw man of
 //! Fig. 10, kept apart from the maintained `walk.rs` on purpose (DESIGN §5).
 
-use crate::candidates::scan;
+use crate::candidates::scan_segment;
 use crate::limits::Budget;
 use crate::scratch::SegmentScratch;
+use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
-use aeetes_index::{metric_window_bounds, ClusteredIndex};
+use aeetes_index::metric_window_bounds;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, Span};
 
@@ -18,7 +19,7 @@ use aeetes_text::{Document, Span};
 /// (`Simple`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
-    index: &ClusteredIndex,
+    segment: Segment<'_>,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -31,7 +32,7 @@ pub(crate) fn generate(
     let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau, metric) else {
         return;
     };
-    let order = index.order();
+    let order = segment.order();
     let n = doc.len();
     let SegmentScratch { walk, sink, buf, stages, .. } = seg;
     let remap = &mut walk.remap;
@@ -68,7 +69,7 @@ pub(crate) fn generate(
                     continue; // invalid token: empty posting list
                 }
                 let t = order.token_of(remap.key_of(r));
-                scan(index, t, s_len, tau, metric, clustered, stats, |origin| {
+                scan_segment(segment, t, s_len, tau, metric, clustered, stats, |origin| {
                     sink.push(span, origin);
                 });
             }

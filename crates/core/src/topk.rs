@@ -29,17 +29,17 @@
 //! [`select_top_k`] over the union of the per-segment results is exact.
 
 use crate::backend::{ExtractBackend, ExtractRequest};
-use crate::candidates::scan;
+use crate::candidates::scan_segment;
 use crate::extractor::Aeetes;
 use crate::limits::Budget;
 use crate::matches::Match;
 use crate::scratch::{ExtractScratch, SegmentScratch};
+use crate::segment::Segment;
 use crate::stage::Stage;
 use crate::stats::ExtractStats;
 use crate::verify::verify_candidates;
 use crate::walk::WindowWalk;
-use aeetes_index::{metric_window_bounds, ClusteredIndex};
-use aeetes_rules::VariantTable;
+use aeetes_index::metric_window_bounds;
 use aeetes_sim::Metric;
 use aeetes_text::Document;
 use std::cmp::Ordering;
@@ -105,8 +105,7 @@ pub fn extract_top_k_with(engine: &Aeetes, doc: &Document, k: usize, tau_floor: 
 /// best of what was examined.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn top_k_segment(
-    index: &ClusteredIndex,
-    dd: &VariantTable,
+    segment: Segment<'_>,
     doc: &Document,
     k: usize,
     tau_floor: f64,
@@ -135,7 +134,7 @@ pub(crate) fn top_k_segment(
     else {
         return; // empty dictionary
     };
-    let Some(mut walk) = WindowWalk::start(index.order(), doc, floor, walk, stages) else {
+    let Some(mut walk) = WindowWalk::start(segment.order(), doc, floor, walk, stages) else {
         return;
     };
     heap.clear();
@@ -169,7 +168,7 @@ pub(crate) fn top_k_segment(
                 break; // the distinct size only grows with the window
             }
             for r in walk.valid(&w.set[..metric.prefix_len(s_len, tau_cur)]) {
-                scan(index, walk.token(r), s_len, tau_cur, metric, true, stats, |origin| {
+                scan_segment(segment, walk.token(r), s_len, tau_cur, metric, true, stats, |origin| {
                     sink.push(w.span, origin);
                 });
             }
@@ -179,7 +178,7 @@ pub(crate) fn top_k_segment(
         // rise before the next position is scanned. Weighted scores are ≤
         // unweighted ones, so the unweighted filters at the ratcheted τ
         // stay sound for them.
-        verify_candidates(index, dd, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, hits, matches);
+        verify_candidates(segment, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, hits, matches);
         walk.lap(Stage::Verify);
         for &m in matches.iter() {
             if heap.len() < k {

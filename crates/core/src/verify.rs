@@ -3,9 +3,9 @@
 
 use crate::limits::Budget;
 use crate::matches::Match;
+use crate::segment::Segment;
 use crate::stats::ExtractStats;
-use aeetes_index::ClusteredIndex;
-use aeetes_rules::{DerivedId, VariantTable};
+use aeetes_rules::DerivedId;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
 
@@ -76,10 +76,12 @@ fn prefixes_share_a_key(v: &[u32], in_prefix: &[u32], v_prefix: usize) -> bool {
 /// only grows with the variant's length, so a pool that misses the overlap
 /// the shortest admissible length requires settles the candidate before any
 /// variant is looked at.
+///
+/// An origin's block and weights are read from the tier of `segment` that
+/// owns it, and `best_variant` is an id of that tier.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates(
-    index: &ClusteredIndex,
-    dd: &VariantTable,
+    segment: Segment<'_>,
     doc: &Document,
     tau: f64,
     metric: Metric,
@@ -95,7 +97,7 @@ pub(crate) fn verify_candidates(
     // Group by span so the substring key set — and the length bounds that
     // depend only on it — are built once per span.
     pairs.sort_unstable_by_key(|(sp, e)| (sp.start, sp.len, e.0));
-    let order = index.order();
+    let order = segment.order();
     let mut s_prefix = 0usize;
     let mut lo = 0usize;
     let mut hi = 0usize;
@@ -116,6 +118,7 @@ pub(crate) fn verify_candidates(
             cur = Some(span);
         }
         stats.candidates += 1;
+        let (index, dd) = segment.owner(e);
         let block = index.block(e);
         if mark_window(block.pool, s_keys, s_prefix, origin_bound, hits).is_none() {
             continue;
@@ -166,6 +169,7 @@ pub(crate) fn verify_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeetes_index::ClusteredIndex;
     use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
     use aeetes_text::{Dictionary, Interner, TokenId, Tokenizer};
 
@@ -206,7 +210,7 @@ mod tests {
         budget: &mut Budget,
     ) -> Vec<Match> {
         let (mut s_keys, mut hits, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        verify_candidates(index, dd, doc, tau, metric, &mut pairs, stats, weighted, budget, &mut s_keys, &mut hits, &mut out);
+        verify_candidates(Segment::new(index, dd), doc, tau, metric, &mut pairs, stats, weighted, budget, &mut s_keys, &mut hits, &mut out);
         out
     }
 

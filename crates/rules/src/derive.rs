@@ -154,7 +154,7 @@ impl DeriveStats {
     /// adopted artifact's totals are kept as written
     /// ([`VariantTable::from_raw_arenas`]) and its origins' real shares may
     /// exceed them.
-    fn replaced(&self, departing: &DeriveStats, arriving: &DeriveStats) -> DeriveStats {
+    pub fn replaced(&self, departing: &DeriveStats, arriving: &DeriveStats) -> DeriveStats {
         let swap = |total: usize, out: usize, inn: usize| total.saturating_sub(out) + inn;
         DeriveStats {
             origins: swap(self.origins, departing.origins, arriving.origins),
@@ -164,6 +164,18 @@ impl DeriveStats {
             truncated_entities: swap(self.truncated_entities, departing.truncated_entities, arriving.truncated_entities),
             duplicates_dropped: swap(self.duplicates_dropped, departing.duplicates_dropped, arriving.duplicates_dropped),
         }
+    }
+}
+
+impl std::ops::AddAssign<&DeriveStats> for DeriveStats {
+    /// Adds the totals of a disjoint set of origins.
+    fn add_assign(&mut self, other: &DeriveStats) {
+        self.origins += other.origins;
+        self.derived += other.derived;
+        self.applicable_total += other.applicable_total;
+        self.selected_total += other.selected_total;
+        self.truncated_entities += other.truncated_entities;
+        self.duplicates_dropped += other.duplicates_dropped;
     }
 }
 

@@ -5,7 +5,7 @@ use crate::generation::{shard_of, Generation, Shard};
 use aeetes_core::AeetesConfig;
 use aeetes_index::{GlobalOrder, IndexDraft};
 use aeetes_rules::{derive_into, find_applications, DeriveStats, RuleError, RuleSet};
-use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
+use aeetes_text::{Dictionary, EntityId, Interner, TokenId, Tokenizer};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
@@ -104,7 +104,7 @@ impl std::error::Error for ActivateError {}
 /// returned `Arc<Generation>`; they are never blocked by an update (the
 /// epoch pointer swap is the only write they can observe). Updates build
 /// the next generation off to the side — splicing the changed origins into
-/// the shards that own them — and swap when fully constructed.
+/// the tails of the shards that own them — and swap when fully constructed.
 ///
 /// Updates come in two flavors: [`ShardedEngine::apply_update`] builds and
 /// swaps in one step, and the [`ShardedEngine::prepare_update`] /
@@ -175,7 +175,7 @@ impl ShardedEngine {
         let drafts = in_parallel(0..n, |i| IndexDraft::derive(&dict, rules, &config.derive, |e| shard_of(e, n) == i));
         let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
         let shards = in_parallel(drafts, |draft| Arc::new(Shard::build(draft, Arc::clone(&order))));
-        let generation = Generation::assemble(1, interner.clone(), dict, Vec::new(), rules.clone(), config, order, shards);
+        let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), Arc::new(rules.clone()), config, order, shards);
         ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
@@ -203,9 +203,11 @@ impl ShardedEngine {
     /// Applies a delta as a new generation and returns it.
     ///
     /// Only the added, removed and rule-affected origins are re-derived and
-    /// re-indexed; each shard owning one is copied once with those origins'
-    /// runs exchanged, the rest are reused by reference. The global order
-    /// is extended append-only (existing keys frozen), so the reused
+    /// re-indexed, into the tail of each shard owning one; shard bases, the
+    /// shards the delta does not touch, the interner and the rule table are
+    /// shared with the current generation by reference (the last two copied
+    /// only when the delta brings a new string or a rule). The global order
+    /// is extended append-only (existing keys frozen), so the shared
     /// indexes remain correct next to the spliced ones. The swap is
     /// atomic; concurrent extractions see either the old or the new
     /// generation, never a mixture.
@@ -278,21 +280,21 @@ impl ShardedEngine {
 }
 
 /// Builds `cur + delta` as a fully-assembled next generation at a cost
-/// proportional to the delta plus one copy of each shard it touches.
+/// proportional to the delta plus the tails it touches.
 ///
 /// An origin is *changed* when the delta can have altered its variants: it
 /// is added, newly tombstoned, or a new rule is applicable to its tokens
 /// (rules rewrite an origin's own tokens only, and appending a rule moves
 /// no existing rule id, so every other origin derives exactly as before).
 /// Only the changed origins are derived and indexed; each shard owning one
-/// is then copied once with those origins' runs cut out and the fresh ones
-/// merged in ([`Shard::splice`]), which leaves the arrays a whole-shard
-/// rebuild would. Shards owning none are reused by reference. The global
-/// order is extended append-only (existing keys frozen) over the fresh
-/// variants — a token that only now becomes valid occurs nowhere else — so
-/// reused and spliced indexes agree on every key they can look up. Pure
-/// with respect to the engine: callers decide whether (and when) the result
-/// becomes current.
+/// splices them into its tail and marks them superseded in its base
+/// ([`Shard::splice`]), which extracts and freezes as a whole-shard rebuild
+/// would. Shards owning none are reused by reference. The global order is
+/// extended append-only (existing keys frozen) over the fresh variants — a
+/// token that only now becomes valid occurs nowhere else — so reused and
+/// spliced indexes agree on every key they can look up. Pure with respect
+/// to the engine: callers decide whether (and when) the result becomes
+/// current.
 fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
     let n = cur.shard_count();
 
@@ -302,27 +304,32 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         }
     }
 
-    let mut interner = cur.interner.clone();
+    // Shared with `cur` until this delta writes to them.
+    let mut interner = Arc::clone(&cur.interner);
+    let mut rules = Arc::clone(&cur.rules);
+    let mut tokenize = |text: &str| {
+        tokenizer
+            .tokenize_known(text, &interner)
+            .unwrap_or_else(|| tokenizer.tokenize(text, Arc::make_mut(&mut interner)))
+    };
     let mut dict = cur.dict.clone();
-    let mut rules = cur.rules.clone();
     let mut removed: BTreeSet<u32> = cur.removed.iter().map(|e| e.0).collect();
 
-    // New rules go into the full table and (as token copies) into a
-    // fresh table used only to test which existing origins they touch.
+    // New rules go into the full table and into a fresh table used only to
+    // test which existing origins they touch.
     let mut fresh_rules = RuleSet::new();
     for r in &delta.add_rules {
-        let id = rules
-            .push_weighted_str(&r.lhs, &r.rhs, r.weight, tokenizer, &mut interner)
-            .map_err(UpdateError::Rule)?;
-        let rule = rules.rule(id);
-        fresh_rules
-            .push_tokens(rule.lhs.clone(), rule.rhs.clone(), rule.weight)
-            .map_err(UpdateError::Rule)?;
+        let (lhs, rhs) = (tokenize(&r.lhs), tokenize(&r.rhs));
+        fresh_rules.push_tokens(lhs.clone(), rhs.clone(), r.weight).map_err(UpdateError::Rule)?;
+        Arc::make_mut(&mut rules).push_tokens(lhs, rhs, r.weight).map_err(UpdateError::Rule)?;
     }
 
     let first_new = dict.len();
-    for raw in &delta.add_entities {
-        dict.push(raw, tokenizer, &mut interner);
+    let added: Vec<Vec<TokenId>> = delta.add_entities.iter().map(|raw| tokenize(raw)).collect();
+    let (tokens, raw_bytes) = (added.iter().map(Vec::len).sum(), delta.add_entities.iter().map(String::len).sum());
+    dict.reserve_exact(added.len(), tokens, raw_bytes);
+    for (raw, tokens) in delta.add_entities.iter().zip(added) {
+        dict.push_from(raw, tokens.into_iter());
     }
 
     let mut changed = vec![false; dict.len()];
@@ -346,13 +353,18 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
     let affected: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
 
     // Per affected shard: its changed origins as they derive now, and what
-    // the ones that were live contributed to the statistics before.
+    // the ones that were live contributed to the statistics before — of the
+    // base and of the tail, whichever held them.
     let derive = &cur.config.derive;
-    let fresh: Vec<(IndexDraft, DeriveStats)> = in_parallel(affected.iter(), |&i| {
+    let fresh: Vec<(IndexDraft, [DeriveStats; 2])> = in_parallel(affected.iter(), |&i| {
         let mine = |e: EntityId| changed[e.idx()] && shard_of(e, n) == i;
         let small = IndexDraft::derive(&dict, &rules, derive, |e| mine(e) && !removed.contains(&e.0));
-        let departing = derive_into(&cur.dict, &cur.rules, derive, |e| mine(e) && cur.removed.binary_search(&e).is_err(), |_| {});
-        (small, departing.stats().clone())
+        let segment = cur.shards[i].segment();
+        let departing = |in_tail: bool| {
+            let was_live = |e: EntityId| mine(e) && cur.removed.binary_search(&e).is_err() && segment.in_tail(e) == in_tail;
+            derive_into(&cur.dict, &cur.rules, derive, was_live, |_| {}).stats().clone()
+        };
+        (small, [departing(false), departing(true)])
     });
 
     // Freeze existing token keys; only genuinely new tokens get keys,
@@ -391,9 +403,11 @@ impl ShardedEngine {
     /// origin that still owns variants is an `Err` saying how to rebuild
     /// the artifact.
     ///
-    /// Later updates copy-on-write: `apply_update` splices only the
-    /// affected shards, onto the heap, while untouched shards keep serving
-    /// straight from the mapping.
+    /// Later updates leave the mapping in place: each shard a delta touches
+    /// keeps its mapped arrays as its base and gains a small heap tail of the
+    /// origins the delta changed, and untouched shards keep serving straight
+    /// from the mapping. A base is copied onto the heap only when a tail grows
+    /// as large as the live base and is compacted into it.
     pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {
         let n = parts.segments.len();
         if let Some(requested) = shards.filter(|&requested| requested != n) {
@@ -430,7 +444,7 @@ impl ShardedEngine {
         }
         let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
         let built: Vec<Arc<Shard>> = segments.into_iter().map(|s| Arc::new(Shard::from_prebuilt(s.dd, s.index))).collect();
-        let generation = Generation::assemble(generation.max(1), interner, dict, removed, rules, config, order, built);
+        let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, Arc::new(rules), config, order, built);
         Ok(ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
@@ -733,7 +747,7 @@ mod tests {
             assert_eq!(restored.generation_id(), engine.generation_id());
             let g = restored.snapshot();
             assert!(
-                g.shards.iter().all(|s| s.dd.is_frozen() && s.index.is_frozen()),
+                g.shards.iter().all(|s| s.base.dd.is_frozen() && s.base.index.is_frozen()),
                 "adopted shards must stay arena-backed (zero-copy), n={n}"
             );
             let mut int2 = g.interner().clone();
@@ -770,7 +784,7 @@ mod tests {
                 segments,
             })
         };
-        let segment = |i: usize| FreezeSegment { dd: &g.shards[i].dd, index: &g.shards[i].index };
+        let segment = |i: usize| FreezeSegment { dd: &g.shards[i].base.dd, index: &g.shards[i].base.index };
 
         let as_built = freeze(&[], vec![segment(0), segment(1)]);
         assert!(ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&as_built).expect("open"), Some(2)).is_ok());
@@ -786,34 +800,83 @@ mod tests {
         assert!(no_segments.contains("holds 0 segments"), "{no_segments}");
     }
 
+    /// A delta leaves every mapped base in place: the shard it touches gains
+    /// a heap tail beside its still-mapped base, shared with the parent
+    /// generation, and the other shard is the parent's own.
     #[test]
-    fn update_over_frozen_engine_copies_only_affected_shards() {
+    fn update_over_frozen_engine_keeps_every_base_mapped() {
         let (dict, rules, int, tok) = fixture();
-        let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 8);
+        let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 2);
         let bytes = engine.freeze();
         let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open frozen");
         let restored = ShardedEngine::from_frozen(parts, None).expect("from_frozen");
         let before = restored.snapshot();
-        let delta = DictDelta { add_entities: vec!["brand new entity".into()], ..Default::default() };
+        let delta = DictDelta { add_entities: vec!["brand new".into()], ..Default::default() };
         let after = restored.apply_update(&delta, &tok).expect("update over frozen");
-        let new_shard = shard_of(EntityId(5), 8);
-        for i in 0..8 {
+        let new_shard = shard_of(EntityId(5), 2);
+        for i in 0..2 {
+            let (was, is) = (&before.shards[i], &after.shards[i]);
+            assert!(is.base.dd.is_frozen() && is.base.index.is_frozen(), "shard {i} serves its base from the mapping");
             if i == new_shard {
-                assert!(!after.shards[i].dd.is_frozen(), "the rebuilt shard is heap-owned");
+                assert!(Arc::ptr_eq(&was.base, &is.base), "the touched shard shares its base");
+                assert!(is.tail.as_ref().is_some_and(|tail| !tail.tier.dd.is_frozen()), "the changed origin lives in a heap tail");
             } else {
-                assert!(Arc::ptr_eq(&before.shards[i], &after.shards[i]), "untouched shards keep serving from the mapping");
-                assert!(after.shards[i].dd.is_frozen());
+                assert!(Arc::ptr_eq(was, is), "untouched shards are the parent's");
             }
         }
         // And the updated engine equals a from-scratch build over the same state.
         let mut dict2 = dict;
         let mut int2 = after.interner().clone();
-        dict2.push("brand new entity", &tok, &mut int2);
-        let fresh = ShardedEngine::build(dict2, &rules, &int2, AeetesConfig::default(), 8);
-        for text in ["brand new entity", "uq australia", "purdue university united states"] {
+        dict2.push("brand new", &tok, &mut int2);
+        let fresh = ShardedEngine::build(dict2, &rules, &int2, AeetesConfig::default(), 2);
+        for text in ["brand new", "uq australia", "purdue university united states"] {
             let doc = Document::parse(text, &tok, &mut int2);
             assert_eq!(after.extract_all(&doc, 0.7), fresh.snapshot().extract_all(&doc, 0.7), "doc={text}");
         }
+    }
+
+    /// Deltas splice into a shard's tail, sharing its base, until the tail
+    /// and the base variants it supersedes reach the live base; that delta
+    /// compacts the tail into a fresh base. Every generation on the way
+    /// answers as a build of its dictionary does, and its artifact — written
+    /// through the compaction — reopens to the same answers and refreezes to
+    /// the same bytes. (Byte identity with a rebuild under the extended order
+    /// is `tests/properties.rs`'s.)
+    #[test]
+    fn tails_grow_until_they_compact_into_the_base() {
+        let (dict, rules, int, tok) = fixture();
+        let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 1);
+        let (mut dict2, mut int2) = (dict, int.clone());
+        let mut bases = vec![Arc::clone(&engine.snapshot().shards[0].base)];
+        let mut tailed = 0;
+        for round in 0..12 {
+            let raw = format!("new entity number {round}");
+            let generation = engine
+                .apply_update(&DictDelta { add_entities: vec![raw.clone()], ..Default::default() }, &tok)
+                .expect("update");
+            dict2.push(&raw, &tok, &mut int2);
+            let shard = &generation.shards[0];
+            if !Arc::ptr_eq(bases.last().expect("a base"), &shard.base) {
+                assert!(shard.tail.is_none(), "round {round}: a compaction empties the tail");
+                bases.push(Arc::clone(&shard.base));
+            } else {
+                assert!(shard.tail.is_some(), "round {round}: a shared base has a tail");
+                tailed += 1;
+            }
+            let fresh = ShardedEngine::build(dict2.clone(), &rules, &int2, AeetesConfig::default(), 1).snapshot();
+            let bytes = generation.freeze();
+            let reopened = ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&bytes).expect("open"), None)
+                .expect("adopt")
+                .snapshot();
+            assert!(reopened.freeze() == bytes, "round {round}");
+            assert_eq!((generation.variants(), generation.set_len_range()), (fresh.variants(), fresh.set_len_range()), "round {round}");
+            let doc = Document::parse(&format!("{raw} and uq australia"), &tok, &mut int2.clone());
+            let want = fresh.extract_all(&doc, 0.7);
+            assert!(!want.is_empty(), "round {round}");
+            assert_eq!(generation.extract_all(&doc, 0.7), want, "round {round}");
+            assert_eq!(reopened.extract_all(&doc, 0.7), want, "round {round}");
+        }
+        assert!(bases.len() >= 2 && tailed > 0, "twelve one-entity deltas on a five-entity dictionary must both tail and compact");
     }
 
     #[test]

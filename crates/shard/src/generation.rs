@@ -2,7 +2,7 @@
 
 use aeetes_core::{
     extract_segment_scratched, select_top_k, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, ScratchOutcome,
-    SegmentScratch,
+    Segment, SegmentScratch, Tail,
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
 use aeetes_pool::Pool;
@@ -43,32 +43,102 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard: the clustered index over the derived variants of its resident
-/// origins, built against the generation's shared global order, and the
-/// table of which variant ids each origin owns. Built on the heap, adopted
-/// from an artifact or spliced by a delta, it holds these same arrays and
-/// nothing else of the derivation — a variant's tokens, rules and weight
-/// are what re-deriving its origin yields. Serving counters are cumulative
-/// and carried forward when a generation update reuses the shard unchanged.
-pub struct Shard {
+/// A variant table and the clustered index over it: what a shard's base and
+/// its tail each are.
+pub(crate) struct Tier {
     pub(crate) dd: VariantTable,
     pub(crate) index: ClusteredIndex,
-    /// Resident origins (those with at least one variant here).
+}
+
+/// What the deltas since a shard's base was made changed in it.
+pub(crate) struct ShardTail {
+    /// The changed origins that are still live, re-derived, over the origin
+    /// space of the latest delta that reached the shard.
+    pub(crate) tier: Tier,
+    /// Bit per base origin: its variants live in the tail, or nowhere.
+    superseded: Vec<u64>,
+    /// Base variants of superseded origins.
+    superseded_variants: usize,
+    /// What the superseded origins contributed to the base's statistics.
+    departed: DeriveStats,
+    /// Live base variants per set length; empty until a superseded origin
+    /// has variants, so building and opening never count them.
+    live_lens: Vec<u32>,
+}
+
+impl ShardTail {
+    /// The tail as an extraction pass reads it.
+    fn view(&self) -> Tail<'_> {
+        Tail { index: &self.tier.index, dd: &self.tier.dd, superseded: &self.superseded }
+    }
+}
+
+/// Variants of `base` per set length.
+fn variants_per_length(base: &Tier) -> Vec<u32> {
+    let mut lens = vec![0u32; base.index.max_set_len().map_or(0, |max| max + 1)];
+    for e in (0..base.dd.origins() as u32).map(EntityId) {
+        let block = base.index.block(e);
+        for slot in 0..block.ids.len() {
+            lens[block.set_len(slot)] += 1;
+        }
+    }
+    lens
+}
+
+/// `base` with `tail`'s origins merged in: the same two splices a delta's
+/// changed origins go through, with `old` = the base, `small` = the tail and
+/// every origin the tail owns changed. Equals a shard built from nothing over
+/// the live origins, array for array.
+fn compacted(base: &Tier, tail: &ShardTail) -> Tier {
+    let changed: Vec<bool> = (0..tail.tier.dd.origins())
+        .map(|e| e >= base.dd.origins() || tail.view().supersedes(EntityId(e as u32)))
+        .collect();
+    Tier {
+        dd: VariantTable::splice(&base.dd, &tail.tier.dd, &changed, &tail.departed),
+        index: ClusteredIndex::splice(&base.index, &tail.tier.index, &changed),
+    }
+}
+
+/// One shard: the clustered index over the derived variants of its resident
+/// origins, built against the generation's shared global order, and the
+/// table of which variant ids each origin owns — a read-only *base*, built on
+/// the heap or adopted from an artifact and shared by `Arc` across
+/// generations, plus, after deltas, a *tail* of the origins they changed.
+/// Each live origin is in exactly one of the two; the shard holds these
+/// arrays and nothing else of the derivation — a variant's tokens, rules and
+/// weight are what re-deriving its origin yields. Serving counters are
+/// cumulative and carried forward when a generation update reuses or
+/// changes the shard.
+pub struct Shard {
+    pub(crate) base: Arc<Tier>,
+    pub(crate) tail: Option<ShardTail>,
+    /// Resident origins (those with at least one live variant here).
     resident: usize,
     served: AtomicU64,
     candidates: AtomicU64,
-    /// Wall time this shard's index build took (set once at build).
+    /// Wall time this shard's index build (or splice) took.
     build_nanos: u64,
     /// Cumulative wall time spent extracting in this shard.
     extract_nanos: AtomicU64,
 }
 
 impl Shard {
-    fn new(dd: VariantTable, index: ClusteredIndex, build_nanos: u64) -> Self {
-        let resident = dd.raw_arenas().0.windows(2).filter(|w| w[0] < w[1]).count();
+    fn new(base: Arc<Tier>, tail: Option<ShardTail>, build_nanos: u64) -> Self {
+        let live = |by_origin: &[u32], e: usize| by_origin.get(e + 1).is_some_and(|&end| by_origin[e] < end);
+        let base_prefix = base.dd.raw_arenas().0;
+        let resident = match &tail {
+            None => (0..base.dd.origins()).filter(|&e| live(base_prefix, e)).count(),
+            Some(tail) => {
+                let tail_prefix = tail.tier.dd.raw_arenas().0;
+                let in_base = (0..base.dd.origins())
+                    .filter(|&e| !tail.view().supersedes(EntityId(e as u32)) && live(base_prefix, e))
+                    .count();
+                in_base + (0..tail.tier.dd.origins()).filter(|&e| live(tail_prefix, e)).count()
+            }
+        };
         Shard {
-            dd,
-            index,
+            base,
+            tail,
             resident,
             served: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
@@ -81,7 +151,7 @@ impl Shard {
     pub(crate) fn build(draft: IndexDraft, order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
         let (dd, index) = draft.into_index(order);
-        Self::new(dd, index, start.elapsed().as_nanos() as u64)
+        Self::new(Arc::new(Tier { dd, index }), None, start.elapsed().as_nanos() as u64)
     }
 
     /// Wraps an already-built variant table + index pair (the frozen open
@@ -89,33 +159,128 @@ impl Shard {
     /// Counters start at zero; `build_nanos` is 0 by definition — nothing
     /// was built.
     pub(crate) fn from_prebuilt(dd: VariantTable, index: ClusteredIndex) -> Self {
-        Self::new(dd, index, 0)
+        Self::new(Arc::new(Tier { dd, index }), None, 0)
     }
 
-    /// The shard a delta leaves behind: `small` — the `changed` origins of
+    /// The shard a delta leaves behind. `small` — the `changed` origins of
     /// this shard that are still live, derived under the post-delta rules —
-    /// is keyed by `order` and merged into this shard's arenas (heap
-    /// or mapped alike) in place of those origins' old runs. `departing` is
-    /// what the changed origins contributed to this shard's derivation
-    /// statistics. The result equals [`Shard::build`] over a fresh
-    /// derivation of the shard's post-delta origins, byte for byte, and
-    /// carries this shard's cumulative serving counters on; the build time
-    /// is its own.
-    pub(crate) fn splice(&self, small: IndexDraft, changed: &[bool], departing: &DeriveStats, order: Arc<GlobalOrder>) -> Self {
+    /// is keyed by `order` and spliced into the tail in place of those
+    /// origins' old runs there, and the changed base origins are marked
+    /// superseded; the base is shared, not copied. `departing` is what the
+    /// changed origins contributed to this shard's statistics before, `[in
+    /// the base, in the tail]`.
+    ///
+    /// Once the tail's variants and the superseded base variants reach the
+    /// live base variants, the next tail splice would copy as much as a base
+    /// splice does; the tail is then compacted into a fresh base (see
+    /// [`compacted`]). Either way the shard extracts what [`Shard::build`]
+    /// over a fresh derivation of its post-delta origins would, and freezes
+    /// to its bytes. The serving counters carry on; the build time is this
+    /// splice's.
+    pub(crate) fn splice(&self, small: IndexDraft, changed: &[bool], departing: &[DeriveStats; 2], order: Arc<GlobalOrder>) -> Self {
         let start = std::time::Instant::now();
         let (small, small_index) = small.into_index(order);
-        let dd = VariantTable::splice(&self.dd, &small, changed, departing);
-        let index = ClusteredIndex::splice(&self.index, &small_index, changed);
-        let next = Self::new(dd, index, start.elapsed().as_nanos() as u64);
+        let base = &self.base;
+        let mut tail = match &self.tail {
+            None => ShardTail {
+                tier: Tier { dd: small, index: small_index },
+                superseded: vec![0; base.dd.origins().div_ceil(64)],
+                superseded_variants: 0,
+                departed: DeriveStats::default(),
+                live_lens: Vec::new(),
+            },
+            Some(tail) => ShardTail {
+                tier: Tier {
+                    dd: VariantTable::splice(&tail.tier.dd, &small, changed, &departing[1]),
+                    index: ClusteredIndex::splice(&tail.tier.index, &small_index, changed),
+                },
+                superseded: tail.superseded.clone(),
+                superseded_variants: tail.superseded_variants,
+                departed: tail.departed.clone(),
+                live_lens: tail.live_lens.clone(),
+            },
+        };
+        tail.departed += &departing[0];
+        for e in (0..base.dd.origins()).filter(|&e| changed[e]) {
+            if tail.view().supersedes(EntityId(e as u32)) {
+                continue;
+            }
+            tail.superseded[e / 64] |= 1 << (e % 64);
+            let block = base.index.block(EntityId(e as u32));
+            if block.ids.is_empty() {
+                continue;
+            }
+            if tail.live_lens.is_empty() {
+                tail.live_lens = variants_per_length(base);
+            }
+            for slot in 0..block.ids.len() {
+                tail.live_lens[block.set_len(slot)] -= 1;
+            }
+            tail.superseded_variants += block.ids.len();
+        }
+        let next = if tail.tier.dd.len() + tail.superseded_variants >= base.dd.len() - tail.superseded_variants {
+            Self::new(Arc::new(compacted(base, &tail)), None, start.elapsed().as_nanos() as u64)
+        } else {
+            Self::new(Arc::clone(base), Some(tail), start.elapsed().as_nanos() as u64)
+        };
         next.served.store(self.served.load(Ordering::Relaxed), Ordering::Relaxed);
         next.candidates.store(self.candidates.load(Ordering::Relaxed), Ordering::Relaxed);
         next.extract_nanos.store(self.extract_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
         next
     }
 
-    /// Number of derived variants resident in this shard.
+    /// What one extraction pass over this shard probes.
+    pub(crate) fn segment(&self) -> Segment<'_> {
+        Segment {
+            index: &self.base.index,
+            dd: &self.base.dd,
+            tail: self.tail.as_ref().map(ShardTail::view),
+        }
+    }
+
+    /// How many live variants origin `e` has here (none past the origin
+    /// space of the tier that owns it).
+    fn variant_count(&self, e: EntityId) -> u32 {
+        let by_origin = self.segment().owner(e).1.raw_arenas().0;
+        by_origin.get(e.idx() + 1).map_or(0, |&end| end - by_origin[e.idx()])
+    }
+
+    /// The `(min, max)` set length of the live variants.
+    fn set_len_range(&self) -> Option<(usize, usize)> {
+        let own = |index: &ClusteredIndex| index.min_set_len().zip(index.max_set_len());
+        let Some(tail) = &self.tail else { return own(&self.base.index) };
+        let base = if tail.live_lens.is_empty() {
+            own(&self.base.index)
+        } else {
+            let live = |len: &usize| tail.live_lens[*len] > 0;
+            (0..tail.live_lens.len()).find(live).zip((0..tail.live_lens.len()).rev().find(live))
+        };
+        match (base, own(&tail.tier.index)) {
+            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+            (one, other) => one.or(other),
+        }
+    }
+
+    /// Derivation statistics of the live origins.
+    fn derive_stats(&self) -> DeriveStats {
+        match &self.tail {
+            None => self.base.dd.stats().clone(),
+            Some(tail) => self.base.dd.stats().replaced(&tail.departed, tail.tier.dd.stats()),
+        }
+    }
+
+    /// Number of live derived variants in this shard.
     pub fn variants(&self) -> usize {
-        self.dd.len()
+        match &self.tail {
+            None => self.base.dd.len(),
+            Some(tail) => self.base.dd.len() - tail.superseded_variants + tail.tier.dd.len(),
+        }
+    }
+
+    /// The tiers' stored index entries and bytes: a tail's superseded base
+    /// clusters still count, since scans still read them.
+    fn tiers(&self) -> impl Iterator<Item = &ClusteredIndex> {
+        std::iter::once(&self.base.index).chain(self.tail.as_ref().map(|tail| &tail.tier.index))
     }
 }
 
@@ -124,7 +289,7 @@ impl Shard {
 pub struct ShardStats {
     /// Origins with at least one variant in the shard.
     pub entities: usize,
-    /// Derived variants indexed by the shard.
+    /// Live derived variants indexed by the shard.
     pub variants: usize,
     /// Extractions this shard has answered (cumulative across generations
     /// while the shard survives rebuilds).
@@ -141,16 +306,19 @@ pub struct ShardStats {
 
 /// One immutable sharded engine state. All shards share a single global
 /// token order (or an append-only extension of it), one interner snapshot,
-/// and the full origin dictionary; extraction fans out to every shard and
-/// merges. Cheap to share: [`crate::ShardedEngine`] hands out
-/// `Arc<Generation>` snapshots.
+/// the rule table and the full origin dictionary; extraction fans out to
+/// every shard and merges. Cheap to share: [`crate::ShardedEngine`] hands
+/// out `Arc<Generation>` snapshots, and consecutive generations share the
+/// interner, the rules and every shard base a delta does not compact.
 pub struct Generation {
     pub(crate) id: u64,
-    pub(crate) interner: Interner,
+    /// Copied by a delta only when it interns a new string.
+    pub(crate) interner: Arc<Interner>,
     pub(crate) dict: Dictionary,
     /// Sorted tombstoned origin ids (slots kept, variants dropped).
     pub(crate) removed: Vec<EntityId>,
-    pub(crate) rules: RuleSet,
+    /// Copied by a delta only when it adds a rule.
+    pub(crate) rules: Arc<RuleSet>,
     pub(crate) config: AeetesConfig,
     pub(crate) order: Arc<GlobalOrder>,
     pub(crate) shards: Vec<Arc<Shard>>,
@@ -159,10 +327,10 @@ pub struct Generation {
     /// remap per-shard `best_variant` ids during the merge, keeping results
     /// bit-identical to the single-engine build.
     global_base: Vec<u32>,
-    /// Dictionary-global `(min, max)` distinct-set length range, passed to
-    /// every shard extraction: a shard's local range is tighter and would
-    /// skip window lengths the whole dictionary admits, breaking
-    /// bit-identity with the monolithic engine.
+    /// Dictionary-global `(min, max)` distinct-set length range of the live
+    /// variants, passed to every shard extraction: a shard's local range is
+    /// tighter and would skip window lengths the whole dictionary admits,
+    /// breaking bit-identity with the monolithic engine.
     set_len_bounds: Option<(usize, usize)>,
     /// Shards with at least one resident variant — the parallelism factor
     /// of the fan-out cost model (empty shards contribute no work).
@@ -175,39 +343,24 @@ impl Generation {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         id: u64,
-        interner: Interner,
+        interner: Arc<Interner>,
         dict: Dictionary,
         removed: Vec<EntityId>,
-        rules: RuleSet,
+        rules: Arc<RuleSet>,
         config: AeetesConfig,
         order: Arc<GlobalOrder>,
         shards: Vec<Arc<Shard>>,
     ) -> Self {
         let n = shards.len();
-        // Hoist each shard's origin prefix array once — the loop below runs
-        // per dictionary entity on the frozen open path.
-        let prefixes: Vec<&[u32]> = shards.iter().map(|s| s.dd.raw_arenas().0).collect();
         let mut global_base = vec![0u32; dict.len()];
         let mut cum = 0u32;
         for (i, base) in global_base.iter_mut().enumerate() {
             *base = cum;
-            let by_origin = prefixes[shard_of(EntityId(i as u32), n)];
-            // A shard predating a dictionary-growing delta covers a shorter
-            // origin space; origins beyond it have no variants there.
-            if i + 1 < by_origin.len() {
-                cum += by_origin[i + 1] - by_origin[i];
-            }
+            let e = EntityId(i as u32);
+            cum += shards[shard_of(e, n)].variant_count(e);
         }
-        let mut set_len_bounds: Option<(usize, usize)> = None;
-        for shard in &shards {
-            if let (Some(lo), Some(hi)) = (shard.index.min_set_len(), shard.index.max_set_len()) {
-                set_len_bounds = Some(match set_len_bounds {
-                    Some((a, b)) => (a.min(lo), b.max(hi)),
-                    None => (lo, hi),
-                });
-            }
-        }
-        let live_shards = shards.iter().filter(|s| !s.dd.is_empty()).count();
+        let set_len_bounds = shards.iter().filter_map(|s| s.set_len_range()).reduce(|(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
+        let live_shards = shards.iter().filter(|s| s.variants() > 0).count();
         Generation {
             id,
             interner,
@@ -244,11 +397,14 @@ impl Generation {
 
     /// Serializes this generation as a frozen (format v9) artifact: every
     /// shard's variant table and clustered index laid out as flat arenas a
-    /// future engine can mmap and serve without rebuilding. The
-    /// shared global order is written once; shards predating an append-only
-    /// order extension stay valid against it (extension never changes an
-    /// existing key).
+    /// future engine can mmap and serve without rebuilding. A shard with a
+    /// tail is written compacted, through a temporary base, so the bytes are
+    /// those of a rebuild. The shared global order is written once; shards
+    /// predating an append-only order extension stay valid against it
+    /// (extension never changes an existing key).
     pub fn freeze(&self) -> Vec<u8> {
+        let compacted: Vec<Option<Tier>> = self.shards.iter().map(|s| s.tail.as_ref().map(|tail| compacted(&s.base, tail))).collect();
+        let tiers = self.shards.iter().zip(&compacted).map(|(s, c)| c.as_ref().unwrap_or(&s.base));
         aeetes_core::freeze_to_bytes(&aeetes_core::FreezeSource {
             interner: &self.interner,
             dict: &self.dict,
@@ -257,7 +413,7 @@ impl Generation {
             config: &self.config,
             generation: self.id,
             order: &self.order,
-            segments: self.shards.iter().map(|s| aeetes_core::FreezeSegment { dd: &s.dd, index: &s.index }).collect(),
+            segments: tiers.map(|t| aeetes_core::FreezeSegment { dd: &t.dd, index: &t.index }).collect(),
         })
     }
 
@@ -293,33 +449,29 @@ impl Generation {
         self.set_len_bounds
     }
 
-    /// Total derived variants across all shards.
+    /// Total live derived variants across all shards.
     pub fn variants(&self) -> usize {
-        self.shards.iter().map(|s| s.dd.len()).sum()
+        self.shards.iter().map(|s| s.variants()).sum()
     }
 
-    /// Total postings across the shards' indexes.
+    /// Total index entries the shards store, a tail's included.
     pub fn index_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.index.total_entries()).sum()
+        self.shards.iter().flat_map(|s| s.tiers()).map(ClusteredIndex::total_entries).sum()
     }
 
-    /// Summed size of the shards' indexes in bytes (for adopted shards: of
-    /// the artifact sections they borrow).
+    /// Summed size of the shards' indexes in bytes, a tail's included (for
+    /// adopted bases: of the artifact sections they borrow).
     pub fn index_size_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.index.size_bytes()).sum()
+        self.shards.iter().flat_map(|s| s.tiers()).map(ClusteredIndex::size_bytes).sum()
     }
 
-    /// Derivation statistics over the whole dictionary: origins are
-    /// disjoint across shards, so every total is the sum of the shards'.
+    /// Derivation statistics over the whole dictionary's live origins:
+    /// origins are disjoint across shards, so every total is the sum of the
+    /// shards'.
     pub fn derive_stats(&self) -> DeriveStats {
         let mut total = DeriveStats::default();
-        for st in self.shards.iter().map(|s| s.dd.stats()) {
-            total.origins += st.origins;
-            total.derived += st.derived;
-            total.applicable_total += st.applicable_total;
-            total.selected_total += st.selected_total;
-            total.truncated_entities += st.truncated_entities;
-            total.duplicates_dropped += st.duplicates_dropped;
+        for shard in &self.shards {
+            total += &shard.derive_stats();
         }
         total
     }
@@ -330,7 +482,7 @@ impl Generation {
             .iter()
             .map(|s| ShardStats {
                 entities: s.resident,
-                variants: s.dd.len(),
+                variants: s.variants(),
                 served: s.served.load(Ordering::Relaxed),
                 candidates: s.candidates.load(Ordering::Relaxed),
                 build_nanos: s.build_nanos,
@@ -339,9 +491,16 @@ impl Generation {
             .collect()
     }
 
+    /// `m`'s variant id — local to the tier of `shard` that owns its origin —
+    /// in the global derived space.
+    fn global_variant(&self, shard: &Shard, m: &Match) -> DerivedId {
+        let local = shard.segment().owner(m.entity).1.variant_range(m.entity).start;
+        DerivedId(self.global_base[m.entity.idx()] + (m.best_variant.0 - local))
+    }
+
     fn run_shard_into(&self, shard: &Shard, doc: &Document, req: &ExtractRequest<'_>, seg: &mut SegmentScratch) -> (bool, ExtractStats) {
         let start = std::time::Instant::now();
-        let (truncated, stats) = extract_segment_scratched(&shard.index, &shard.dd, doc, req, &self.config, self.set_len_bounds, seg);
+        let (truncated, stats) = extract_segment_scratched(shard.segment(), doc, req, &self.config, self.set_len_bounds, seg);
         shard.extract_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shard.served.fetch_add(1, Ordering::Relaxed);
         shard.candidates.fetch_add(stats.candidates, Ordering::Relaxed);
@@ -363,11 +522,14 @@ impl ExtractBackend for Generation {
     }
 
     fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
-        if self.shards.len() == 1 {
-            // A single shard carries the full derivation: local variant ids
-            // coincide with global ones, so no merge pass is needed.
+        if let [shard] = &self.shards[..] {
+            // A single shard carries the full derivation: no merge pass is
+            // needed, only the id remap (an identity without a tail).
             let seg = scratch.segment(0);
-            let (truncated, stats) = self.run_shard_into(&self.shards[0], doc, req, seg);
+            let (truncated, stats) = self.run_shard_into(shard, doc, req, seg);
+            for m in seg.matches_mut() {
+                m.best_variant = self.global_variant(shard, m);
+            }
             return ScratchOutcome { matches: seg.matches(), truncated, stats, stages: *seg.stages() };
         }
         let n = self.shards.len();
@@ -393,12 +555,12 @@ impl ExtractBackend for Generation {
             });
             assert!(!panicked, "shard extraction panicked");
         }
-        // Merge per-shard results: remap variant ids into the global derived
-        // space, then restore the request's order over the union. Origins
-        // are disjoint across shards, so no deduplication is needed and sort
-        // keys never tie across shards. Each shard's outcome is read back
-        // from its segment scratch — no result channel on either routing
-        // path.
+        // Merge per-shard results: remap variant ids — local to the tier
+        // that owns the origin — into the global derived space, then restore
+        // the request's order over the union. Origins are disjoint across
+        // shards, so no deduplication is needed and sort keys never tie
+        // across shards. Each shard's outcome is read back from its segment
+        // scratch — no result channel on either routing path.
         merged.clear();
         let mut truncated = false;
         let mut stats = ExtractStats::default();
@@ -407,12 +569,7 @@ impl ExtractBackend for Generation {
             truncated |= seg.truncated();
             stats += seg.stats();
             stages.merge(seg.stages());
-            for &m in seg.matches() {
-                let local = shard.dd.variant_range(m.entity).start;
-                let mut m = m;
-                m.best_variant = DerivedId(self.global_base[m.entity.idx()] + (m.best_variant.0 - local));
-                merged.push(m);
-            }
+            merged.extend(seg.matches().iter().map(|&m| Match { best_variant: self.global_variant(shard, &m), ..m }));
         }
         match req.top_k {
             // Each shard kept its own k best, which hold every pair of the

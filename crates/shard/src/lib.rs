@@ -26,9 +26,12 @@
 //!
 //! A fully-built sharded state is an immutable [`Generation`] behind an
 //! epoch pointer. [`ShardedEngine::apply_update`] takes a [`DictDelta`]
-//! (add/remove entities, add rules), rebuilds only the affected shards —
-//! extending the frozen global order append-only, so unaffected shards'
-//! indexes stay valid — and atomically swaps the pointer. Readers that
+//! (add/remove entities, add rules), re-derives only the origins it changes
+//! into the *tail* of the shard owning each — the shard's read-only *base*,
+//! built or mapped, is shared with the previous generation until the tail
+//! grows as large as it and is compacted in — extends the frozen global
+//! order append-only, so every base stays valid, and atomically swaps the
+//! pointer. Readers that
 //! already hold a [`Generation`] snapshot keep extracting against the old
 //! epoch until they drop it: updates never block or corrupt in-flight
 //! extractions.

@@ -2,9 +2,10 @@
 //! monolithic engine — same matches, same scores, same variant ids — for
 //! random dictionaries, rules and documents, across every request shape
 //! (strategy × metric × weighted × top-k) and shard counts {1, 2, 3, 16},
-//! heap-built and frozen-adopted; updates applied as deltas
-//! equal a fresh rebuild of the updated dictionary — in what they extract,
-//! and byte for byte in what they store; the frozen artifact round-trips.
+//! heap-built and frozen-adopted; updates applied as deltas — spliced into
+//! shard tails and compacted into their bases — equal a fresh rebuild of the
+//! updated dictionary, in what they extract and byte for byte in what they
+//! store; the frozen artifact round-trips.
 
 use aeetes_core::{
     freeze_to_bytes, open_frozen_bytes, select_top_k, Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, FreezeSegment,
@@ -149,49 +150,175 @@ impl Rebuilt {
         let lens: Vec<usize> = self.shards.iter().flat_map(|(_, ix)| [ix.min_set_len(), ix.max_set_len()]).flatten().collect();
         Some((*lens.iter().min()?, *lens.iter().max()?))
     }
+
+    /// An origin holding a variant of the dictionary's longest set.
+    fn longest_set_origin(&self) -> Option<EntityId> {
+        let (_, longest) = self.set_len_range()?;
+        self.shards.iter().find_map(|(dd, ix)| {
+            (0..dd.origins() as u32).map(EntityId).find(|&e| {
+                let block = ix.block(e);
+                (0..block.ids.len()).any(|slot| block.set_len(slot) == longest)
+            })
+        })
+    }
+
+    /// Every origin not tombstoned.
+    fn live(&self) -> Vec<EntityId> {
+        (0..self.dict.len() as u32).filter(|e| !self.removed.contains(e)).map(EntityId).collect()
+    }
 }
 
-proptest! {
-    /// Random delta sequences — adds (some tokenizing to nothing), removals
-    /// of live, added and already-removed ids, weighted rules that reach
-    /// existing origins, deltas that touch no, one or every shard — leave
-    /// every spliced shard byte-identical to the retired whole-shard
-    /// rebuild, whether the shard it was spliced from was built on the heap
-    /// or adopted from a frozen image.
-    #[test]
-    fn spliced_generation_equals_rebuilt_generation(
-        entities in proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 1..8),
-        rule_pairs in proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}"), 0..3),
-        steps in proptest::collection::vec((
-            proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 0..3),
-            proptest::collection::vec(0usize..64, 0..3),
-            proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}", 1u8..3), 0..2),
-        ), 1..5),
-    ) {
-        let (dict, rules, interner, tokenizer) = corpus(&entities, &rule_pairs);
-        for n in [1, 2, 7] {
-            let mut oracle = Rebuilt::build(dict.clone(), rules.clone(), interner.clone(), n);
-            let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
-            prop_assert_eq!(&built.freeze(), &oracle.freeze(), "shards={} fresh build", n);
-            let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
-            for (step, (adds, removes, new_rules)) in steps.iter().enumerate() {
-                let live = oracle.dict.len();
-                let delta = DictDelta {
-                    add_entities: adds.clone(),
-                    remove_entities: removes.iter().map(|r| EntityId((r % live) as u32)).collect(),
-                    add_rules: new_rules.iter().map(|(l, r, w)| RuleDelta { lhs: l.clone(), rhs: r.clone(), weight: 1.0 / f64::from(*w) }).collect(),
-                };
-                oracle.apply(&delta, &tokenizer);
-                let expected = oracle.freeze();
-                for (engine, origin) in [(&built, "heap-built"), (&adopted, "frozen-adopted")] {
-                    let generation = engine.apply_update(&delta, &tokenizer).expect("delta applies");
-                    prop_assert!(generation.freeze() == expected, "shards={} step={} {}: {:?}", n, step, origin, delta);
-                    prop_assert_eq!(generation.set_len_range(), oracle.set_len_range(), "shards={} step={} {}", n, step, origin);
+/// Every request shape: strategy × metric × weighted × top-k ∈ {none, 1, 3}.
+fn request_shapes() -> Vec<ExtractRequest<'static>> {
+    let shapes = METRICS.iter().flat_map(|&metric| Strategy::ALL.map(|strategy| (metric, strategy)));
+    shapes
+        .flat_map(|(metric, strategy)| [false, true].map(|weighted| (metric, strategy, weighted)))
+        .flat_map(|(metric, strategy, weighted)| {
+            [None, Some(1), Some(3)].map(|top_k| ExtractRequest {
+                strategy: Some(strategy),
+                metric: Some(metric),
+                weighted,
+                top_k,
+                ..ExtractRequest::new(0.6)
+            })
+        })
+        .collect()
+}
+
+type Steps = Vec<(Vec<String>, Vec<usize>, Vec<(String, String, u8)>)>;
+
+/// Replays `steps` as deltas at shard counts {1, 2, 7} on a heap-built and a
+/// frozen-adopted engine, with two steps forced halfway: removing an origin
+/// that holds the dictionary's longest set (the set-length range must shrink
+/// as a rebuild's does), then removing every live origin beside two adds,
+/// which supersedes each touched shard's whole base and so crosses the
+/// compaction rule before the second half builds tails on the compacted
+/// bases. After every step the spliced generation freezes to the retired
+/// whole-shard rebuild's bytes, reports its set-length range, variant count
+/// and derivation statistics, and answers `doc_text` (plus the step's adds)
+/// with the rebuild's matches, scores and variant ids for the request shapes
+/// `shapes(step)` picks.
+fn replay_against_rebuild(
+    entities: &[String],
+    rule_pairs: &[(String, String)],
+    steps: &Steps,
+    doc_text: &str,
+    shapes: impl Fn(usize) -> Vec<ExtractRequest<'static>>,
+) -> Result<(), TestCaseError> {
+    let (dict, rules, interner, tokenizer) = corpus(entities, rule_pairs);
+    let half = steps.len() / 2;
+    let mut scratch = ExtractScratch::new();
+    for n in [1, 2, 7] {
+        let mut oracle = Rebuilt::build(dict.clone(), rules.clone(), interner.clone(), n);
+        let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
+        prop_assert_eq!(&built.freeze(), &oracle.freeze(), "shards={} fresh build", n);
+        let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
+        for step in 0..steps.len() + 2 {
+            let delta = match step.checked_sub(half) {
+                Some(0) => DictDelta {
+                    remove_entities: oracle.longest_set_origin().into_iter().collect(),
+                    ..Default::default()
+                },
+                Some(1) => DictDelta {
+                    add_entities: vec!["a b c".into(), "d e".into()],
+                    remove_entities: oracle.live(),
+                    add_rules: Vec::new(),
+                },
+                _ => {
+                    let (adds, removes, new_rules) = &steps[if step < half { step } else { step - 2 }];
+                    let live = oracle.dict.len();
+                    DictDelta {
+                        add_entities: adds.clone(),
+                        remove_entities: removes.iter().map(|r| EntityId((r % live) as u32)).collect(),
+                        add_rules: new_rules
+                            .iter()
+                            .map(|(l, r, w)| RuleDelta { lhs: l.clone(), rhs: r.clone(), weight: 1.0 / f64::from(*w) })
+                            .collect(),
+                    }
+                }
+            };
+            oracle.apply(&delta, &tokenizer);
+            let expected = oracle.freeze();
+            let rebuilt = ShardedEngine::from_frozen(open_frozen_bytes(&expected).expect("open"), None)
+                .expect("adopt")
+                .snapshot();
+            let mut doc_interner = rebuilt.interner().clone();
+            let doc = Document::parse(&format!("{doc_text} {}", delta.add_entities.join(" ")), &tokenizer, &mut doc_interner);
+            let requests = shapes(step);
+            for (engine, origin) in [(&built, "heap-built"), (&adopted, "frozen-adopted")] {
+                let generation = engine.apply_update(&delta, &tokenizer).expect("delta applies");
+                let what = format!("shards={n} step={step} {origin}: {delta:?}");
+                prop_assert!(generation.freeze() == expected, "{}", what);
+                prop_assert_eq!(generation.set_len_range(), oracle.set_len_range(), "{}", what);
+                prop_assert_eq!(generation.set_len_range(), rebuilt.set_len_range(), "{}", what);
+                prop_assert_eq!(generation.variants(), rebuilt.variants(), "{}", what);
+                prop_assert_eq!(generation.derive_stats(), rebuilt.derive_stats(), "{}", what);
+                for request in &requests {
+                    let want = rebuilt.extract_request(&doc, request, &mut scratch).matches.to_vec();
+                    prop_assert_eq!(generation.extract_request(&doc, request, &mut scratch).matches, want.as_slice(), "{}: {:?}", what, request);
                 }
             }
         }
     }
+    Ok(())
+}
 
+fn delta_steps() -> impl proptest::Strategy<Value = Steps> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 0..3),
+            proptest::collection::vec(0usize..64, 0..3),
+            proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}", 1u8..3), 0..2),
+        ),
+        2..9,
+    )
+}
+
+proptest! {
+    /// Random delta sequences — adds (some tokenizing to nothing), removals
+    /// of base, tail, added and already-removed ids, weighted rules that
+    /// reach base and tail origins, deltas that touch no, one or every shard
+    /// — replayed against the rebuild (see [`replay_against_rebuild`]) in
+    /// every build at the default case count. Each step compares the answers
+    /// of an eighth of the request shapes, a different eighth per step; the
+    /// next property compares them all.
+    #[test]
+    fn spliced_generation_equals_rebuilt_generation(
+        entities in proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 1..24),
+        rule_pairs in proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}"), 0..4),
+        steps in delta_steps(),
+        doc_text in "[a-h]( [a-h]){0,15}",
+        offset in 0usize..8,
+    ) {
+        let all = request_shapes();
+        replay_against_rebuild(&entities, &rule_pairs, &steps, &doc_text, |step| {
+            all.iter().enumerate().filter(|(i, _)| i % 8 == (step + offset) % 8).map(|(_, r)| *r).collect()
+        })?;
+    }
+}
+
+proptest! {
+    // Every step answers all 96 request shapes at three shard counts on two
+    // engines: the default 64 cases in release (CI's `shard-equivalence`
+    // job), 8 in debug builds. The property above keeps the default count in
+    // every build and samples the shapes instead.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 64 }))]
+    /// Delta sequences drawn as for
+    /// `spliced_generation_equals_rebuilt_generation`, with every request
+    /// shape compared after every step.
+    #[test]
+    fn spliced_generation_answers_every_request_shape_as_rebuilt(
+        entities in proptest::collection::vec("[a-f!]( [a-f!]){0,3}", 1..24),
+        rule_pairs in proptest::collection::vec(("[a-d]( [a-d]){0,1}", "[e-h]( [e-h]){0,2}"), 0..4),
+        steps in delta_steps(),
+        doc_text in "[a-h]( [a-h]){0,15}",
+    ) {
+        let all = request_shapes();
+        replay_against_rebuild(&entities, &rule_pairs, &steps, &doc_text, |_| all.clone())?;
+    }
+}
+
+proptest! {
     /// A generation — built on the heap or adopted from its own frozen
     /// image, at every shard count — answers every request shape with the
     /// matches, scores and variant ids the single engine returns; and a

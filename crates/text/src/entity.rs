@@ -79,13 +79,14 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Pre-allocates for `entities` more entities averaging `avg_tokens`
-    /// tokens and `avg_raw` surface bytes (a deserializer's bulk-load hint).
-    pub fn reserve(&mut self, entities: usize, avg_tokens: usize, avg_raw: usize) {
-        self.raws.reserve(entities * avg_raw);
-        self.raw_off.reserve(entities);
-        self.tokens.reserve(entities * avg_tokens);
-        self.tok_off.reserve(entities);
+    /// Makes room for exactly `entities` more entities of `tokens` tokens and
+    /// `raw_bytes` surface bytes in all, so that a copy grown by a few
+    /// entities holds no spare capacity.
+    pub fn reserve_exact(&mut self, entities: usize, tokens: usize, raw_bytes: usize) {
+        self.raws.reserve_exact(raw_bytes);
+        self.raw_off.reserve_exact(entities);
+        self.tokens.reserve_exact(tokens);
+        self.tok_off.reserve_exact(entities);
     }
 
     /// Tokenizes and appends an entity, returning its id.

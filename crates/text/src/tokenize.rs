@@ -57,6 +57,46 @@ impl Tokenizer {
     /// with no uppercase letters stays allocation-free; mixed-case or
     /// non-ASCII chunks go through an internal lowering buffer.
     pub fn tokenize_spanned_into(&self, text: &str, interner: &mut Interner, ids: &mut Vec<TokenId>, spans: &mut Vec<(u32, u32)>) {
+        self.for_each_token(text, |tok, start, end| {
+            ids.push(interner.intern(tok));
+            spans.push((start as u32, end as u32));
+        });
+    }
+
+    /// Tokenizes `text` against a read-only `interner`: the token ids, or
+    /// `None` when some token is not interned yet — so a caller holding a
+    /// shared interner copies it only when a text brings a new string.
+    pub fn tokenize_known(&self, text: &str, interner: &Interner) -> Option<Vec<TokenId>> {
+        let mut ids = Some(Vec::new());
+        self.for_each_token(text, |tok, _, _| {
+            ids = ids.take().and_then(|mut ids| {
+                ids.push(interner.get(tok)?);
+                Some(ids)
+            });
+        });
+        ids
+    }
+
+    /// Tokenizes `text` and returns only the token ids.
+    pub fn tokenize(&self, text: &str, interner: &mut Interner) -> Vec<TokenId> {
+        self.tokenize_spanned(text, interner).0
+    }
+
+    /// Whether `c` can be part of a token chunk under this configuration.
+    /// Chunking is a per-character (context-free) decision, which is what
+    /// lets a streaming caller tokenize chunk-by-chunk: splitting text at
+    /// any non-word boundary yields the same tokens as tokenizing it whole.
+    pub fn is_word_char(&self, c: char) -> bool {
+        if self.config.strip_punctuation {
+            c.is_alphanumeric()
+        } else {
+            !c.is_whitespace()
+        }
+    }
+
+    /// Calls `f(token, start, end)` for every token of `text`, normalised as
+    /// configured, with its byte span.
+    fn for_each_token(&self, text: &str, mut f: impl FnMut(&str, usize, usize)) {
         let mut lower_buf = String::new();
         self.for_each_chunk(text, |start, end| {
             let raw = &text[start..end];
@@ -79,26 +119,8 @@ impl Tokenizer {
             } else {
                 raw
             };
-            ids.push(interner.intern(tok));
-            spans.push((start as u32, end as u32));
+            f(tok, start, end);
         });
-    }
-
-    /// Tokenizes `text` and returns only the token ids.
-    pub fn tokenize(&self, text: &str, interner: &mut Interner) -> Vec<TokenId> {
-        self.tokenize_spanned(text, interner).0
-    }
-
-    /// Whether `c` can be part of a token chunk under this configuration.
-    /// Chunking is a per-character (context-free) decision, which is what
-    /// lets a streaming caller tokenize chunk-by-chunk: splitting text at
-    /// any non-word boundary yields the same tokens as tokenizing it whole.
-    pub fn is_word_char(&self, c: char) -> bool {
-        if self.config.strip_punctuation {
-            c.is_alphanumeric()
-        } else {
-            !c.is_whitespace()
-        }
     }
 
     /// Calls `f(start, end)` for the byte span of every token chunk in
@@ -170,6 +192,17 @@ mod tests {
         let ids = t.tokenize("a,b c", &mut i);
         assert_eq!(ids.len(), 2);
         assert_eq!(i.resolve(ids[0]), "a,b");
+    }
+
+    #[test]
+    fn tokenize_known_reads_without_interning() {
+        let mut i = Interner::new();
+        let t = Tokenizer::default();
+        let ids = t.tokenize("New York, NY", &mut i);
+        assert_eq!(t.tokenize_known("ny new YORK", &i), Some(vec![ids[2], ids[0], ids[1]]));
+        assert_eq!(t.tokenize_known("...", &i), Some(Vec::new()));
+        assert_eq!(t.tokenize_known("new jersey", &i), None, "one unknown token fails the whole text");
+        assert_eq!(i.len(), 3, "nothing was interned");
     }
 
     #[test]
