@@ -32,7 +32,6 @@ aeetes — approximate entity extraction with synonyms (EDBT 2019)
 
 USAGE:
     aeetes build    --dict FILE --rules FILE --out ENGINE [--max-derived N]
-                    [--shards N]
     aeetes extract  --engine ENGINE --docs FILE [--tau F] [--metric NAME]
                     [--threads N] [--best] [--top-k K]
                     [--format tsv|jsonl] [--timeout SECS]
@@ -66,22 +65,19 @@ FILES:
 
 `serve` answers newline-delimited JSON requests (one per line) on stdin or,
 with --listen, per TCP connection; see README \"Serving\" for the protocol.
-Its shards are the artifact's segments, and a `{\"type\":\"reload\"}` request
-applies a dictionary delta as a new generation without dropping in-flight
-requests.
+A `{\"type\":\"reload\"}` request applies a dictionary delta as a new
+generation without dropping in-flight requests.
 
 ARTIFACT FORMAT: `build` writes, and every other command opens, one
 format — AEET v9, the *frozen* layout: the built indexes laid out as flat
 little-endian arenas behind a whole-file CRC-32, so a server memory-maps
 the file and answers its first request without deserializing anything, and
-N serve processes share one page cache. `build --shards N` sets how many
-segments the artifact carries (default 1; 0 = available parallelism), and
-every command that opens it adopts those segments as its shards: the
-partition is fixed at build time, so to change it, rebuild. `aeetes dict
-info FILE` prints an artifact's
-generation, entity/rule/token counts and per-section sizes without
-building the engine. A file of any other format version is refused with a
-message saying to rebuild it.
+N serve processes share one page cache. `build` derives and indexes the
+dictionary on every core and writes one index; the bytes do not depend on
+the core count. `aeetes dict info FILE` prints an artifact's generation,
+entity/rule/token counts and per-section sizes without building the
+engine. A file of any other format version, or one an earlier build split
+into several segments, is refused with a message saying to rebuild it.
 
 `extract --top-k K` returns only the K best-scoring matches per document,
 ordered by score, using bound-pruned search: the running k-th best score
@@ -135,7 +131,7 @@ fn read_lines(path: &str) -> Result<Vec<String>, String> {
 
 /// `aeetes build`
 pub fn build(argv: &[String]) -> Result<i32, String> {
-    let args = Args::parse(argv, &[], &["dict", "rules", "out", "max-derived", "shards"])?;
+    let args = Args::parse(argv, &[], &["dict", "rules", "out", "max-derived"])?;
     let dict_path = args.required("dict")?;
     let rules_path = args.required("rules")?;
     let out_path = args.required("out")?;
@@ -172,19 +168,17 @@ pub fn build(argv: &[String]) -> Result<i32, String> {
         ..AeetesConfig::default()
     };
 
-    // Per-shard derivation and indexing run in parallel; the artifact is the
-    // built generation frozen as-is.
-    let shards: usize = args.parse_or("shards", 1)?;
-    let engine = ShardedEngine::build(dict, &rules, &interner, config, shards);
+    // Derivation and indexing run in one part per core; the artifact is the
+    // built generation frozen as-is, the same for any number of parts.
+    let engine = ShardedEngine::build(dict, &rules, &interner, config, 0);
     let generation = engine.snapshot();
     let bytes = generation.freeze();
     atomic_write(out_path, &bytes)?;
     eprintln!(
-        "built engine: {} entities, {} rules, {} derived variants, {} shard(s) → {out_path} ({} bytes)",
+        "built engine: {} entities, {} rules, {} derived variants → {out_path} ({} bytes)",
         generation.dictionary().len(),
         rules.len(),
         generation.variants(),
-        generation.shard_count(),
         bytes.len()
     );
     Ok(EXIT_OK)
@@ -199,9 +193,9 @@ fn atomic_write(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Opens the engine artifact (memory-mapped where the platform allows) and
-/// adopts its segments as the engine's shards. Every command that reads an
-/// engine goes through here, so a corrupt file, one of another format
-/// version or one partitioned some other way fails the same way everywhere.
+/// adopts its index. Every command that reads an engine goes through here,
+/// so a corrupt file, one of another format version or one split into
+/// several segments fails the same way everywhere.
 fn open_engine(path: &str) -> Result<ShardedEngine, String> {
     let parts = aeetes_core::open_frozen(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     ShardedEngine::from_frozen(parts, None).map_err(|e| format!("{path}: {e}"))
@@ -770,7 +764,6 @@ pub fn stats(argv: &[String]) -> Result<i32, String> {
     let path = args.required("engine")?;
     let engine = open_engine(path)?.snapshot();
     let st = engine.derive_stats();
-    let segment_variants: Vec<usize> = engine.shard_stats().iter().map(|s| s.variants).collect();
     let range = engine.set_len_range();
     println!("entities            {}", engine.dictionary().len());
     println!("derived variants    {}", engine.variants());
@@ -780,7 +773,6 @@ pub fn stats(argv: &[String]) -> Result<i32, String> {
     println!("avg |A(e)|          {:.2}", st.avg_selected());
     println!("truncated entities  {}", st.truncated_entities);
     println!("min/max entity set  {:?} / {:?}", range.map(|r| r.0), range.map(|r| r.1));
-    println!("segments            {} {:?}", segment_variants.len(), segment_variants);
     println!("tombstoned origins  {}", engine.removed().len());
     println!("persisted rules     {}", engine.rules().len());
     Ok(EXIT_OK)

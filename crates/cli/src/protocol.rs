@@ -227,7 +227,7 @@ pub struct StreamRequest {
 }
 
 /// A parsed, validated dictionary-reload request (the admin interface to
-/// the sharded engine's generation swap).
+/// the engine's generation swap).
 #[derive(Debug)]
 pub struct ReloadRequest {
     /// Client-supplied correlation id, echoed verbatim in the response.

@@ -27,8 +27,8 @@
 //!   `served`, `shed`, or `failed`.
 //! * **Hot reload** — `{"type":"reload"}` applies a dictionary delta
 //!   through [`ShardedEngine::apply_update`]: only the changed origins are
-//!   re-derived, into the tails of the shards owning them, and the new
-//!   generation is swapped in atomically. In-flight
+//!   re-derived, into the generation's tail, and the new generation is
+//!   swapped in atomically. In-flight
 //!   extractions keep their generation snapshot, so a reload drops zero
 //!   requests; workers pick up the new generation on their next job.
 //! * **Observability** — every request flushes its scratch-resident stage
@@ -70,8 +70,8 @@ pub struct ServeOptions {
     /// over HTTP on this address, in either transport mode.
     pub metrics_listen: Option<String>,
     /// Extraction worker threads — the size of the process-wide
-    /// [`Pool`], shared with batch extraction and the sharded engine's
-    /// fan-out (first configuration wins for the whole process).
+    /// [`Pool`], shared with batch extraction (first configuration wins for
+    /// the whole process).
     pub workers: usize,
     /// Bounded admission capacity; beyond it requests are shed.
     pub queue: usize,
@@ -145,17 +145,6 @@ struct ServeMetrics {
     /// The `aeetes_stream*` family: open-stream gauge, chunk/emission
     /// counters, carried-byte gauge, flush latency.
     stream: StreamMetrics,
-    /// Shard-counter values already pushed into the per-shard counter
-    /// families, so a scrape increments each by its delta (the engine's
-    /// shard counters are cumulative; obs counters only go up).
-    shard_last: Mutex<Vec<[u64; 3]>>,
-    /// Sequential/fan-out routing decisions (same handles the pool's
-    /// [`aeetes_obs::PoolMetrics`] registers; the registry dedupes by
-    /// name), advanced by delta at scrape time from the engine lineage's
-    /// cumulative counters.
-    route_sequential: Arc<Counter>,
-    route_fanout: Arc<Counter>,
-    routing_last: Mutex<(u64, u64)>,
 }
 
 impl ServeMetrics {
@@ -179,11 +168,6 @@ impl ServeMetrics {
             idle_closed: registry.counter("aeetes_idle_closed_total", "Connections closed by the per-connection idle read timeout"),
             wal: WalMetrics::register(&registry),
             stream: StreamMetrics::register(&registry),
-            shard_last: Mutex::new(Vec::new()),
-            route_sequential: registry
-                .counter("aeetes_pool_route_sequential_total", "Sharded extractions run shard-sequentially on the calling thread"),
-            route_fanout: registry.counter("aeetes_pool_route_fanout_total", "Sharded extractions fanned out across the worker pool"),
-            routing_last: Mutex::new((0, 0)),
             registry,
         }
     }
@@ -191,7 +175,7 @@ impl ServeMetrics {
 
 /// State shared by acceptor, connection readers, and workers.
 struct Shared {
-    /// The sharded engine. Extraction snapshots a generation per job;
+    /// The engine. Extraction snapshots a generation per job;
     /// reload swaps a new generation in behind the epoch pointer without
     /// touching requests already running against the old one.
     engine: ShardedEngine,
@@ -251,28 +235,10 @@ impl Shared {
                 m.request_duration.quantile_nanos(q).map_or(Value::Null, |n| Value::Number(Number::U64(n / 1_000)))
             }
         };
-        let generation = self.engine.snapshot();
-        let shards: Vec<Value> = generation
-            .shard_stats()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                json!({
-                    "shard": i,
-                    "entities": s.entities,
-                    "variants": s.variants,
-                    "served": s.served,
-                    "candidates": s.candidates,
-                    "build_us": s.build_nanos / 1_000,
-                    "extract_us": s.extract_nanos / 1_000,
-                })
-            })
-            .collect();
         json!({
             "uptime_ms": self.start.elapsed().as_millis() as u64,
-            "generation": generation.id(),
+            "generation": self.engine.generation_id(),
             "pending_generation": self.engine.pending_generation(),
-            "shards": shards,
             "connections": self.metrics.conns.value(),
             "served": m.served.value(),
             "shed": m.shed.value(),
@@ -289,49 +255,12 @@ impl Shared {
         })
     }
 
-    /// Refreshes scrape-time metrics: uptime, generation id, and the
-    /// per-shard labeled families (registered lazily per shard id, advanced
-    /// by the delta since the previous scrape). Runs on the scrape path
-    /// only — the request hot path never calls this.
+    /// Refreshes scrape-time metrics: uptime and generation id. Runs on the
+    /// scrape path only — the request hot path never calls this.
     fn refresh_scrape_metrics(&self) {
         let m = &self.metrics;
         m.uptime.set(self.start.elapsed().as_secs().min(i64::MAX as u64) as i64);
-        let generation = self.engine.snapshot();
-        m.generation.set(generation.id().min(i64::MAX as u64) as i64);
-        let stats = generation.shard_stats();
-        let mut last = m.shard_last.lock().expect("shard metric state");
-        if last.len() != stats.len() {
-            last.clear();
-            last.resize(stats.len(), [0; 3]);
-        }
-        // Routing decisions are cumulative on the engine lineage; push the
-        // delta since the previous scrape into the counter family the pool
-        // registered.
-        let (seq, fan) = generation.routing_stats();
-        let mut routing_last = m.routing_last.lock().expect("routing metric state");
-        m.route_sequential.inc(seq.saturating_sub(routing_last.0));
-        m.route_fanout.inc(fan.saturating_sub(routing_last.1));
-        *routing_last = (seq, fan);
-        drop(routing_last);
-        for (i, s) in stats.iter().enumerate() {
-            let shard_id = i.to_string();
-            let labels = [("shard", shard_id.as_str())];
-            let cur = [s.served, s.candidates, s.extract_nanos];
-            let handles = [
-                m.registry.counter_with("aeetes_shard_served_total", "Extractions answered, per shard", &labels),
-                m.registry
-                    .counter_with("aeetes_shard_candidates_total", "Candidate pairs generated, per shard", &labels),
-                m.registry
-                    .counter_with("aeetes_shard_extract_nanos_total", "Cumulative extraction wall time in nanoseconds, per shard", &labels),
-            ];
-            for (handle, (cur, prev)) in handles.iter().zip(cur.iter().zip(last[i].iter())) {
-                handle.inc(cur.saturating_sub(*prev));
-            }
-            last[i] = cur;
-            m.registry
-                .gauge_with("aeetes_shard_build_nanos", "Index build wall time of the shard's current generation", &labels)
-                .set(s.build_nanos.min(i64::MAX as u64) as i64);
-        }
+        m.generation.set(self.engine.generation_id().min(i64::MAX as u64) as i64);
     }
 
     /// Commits one activated delta to the WAL: append, then fsync, then —
@@ -1153,8 +1082,7 @@ pub fn serve(engine: ShardedEngine, opts: &ServeOptions) -> Result<(u64, u64, u6
         None => None,
         Some(path) => Some(Mutex::new(recover_wal(&engine, &tokenizer, path, &metrics.wal)?)),
     };
-    // One process-wide pool serves extraction, batch, and shard fan-out
-    // alike: `--workers` sizes it (first configuration in the process
+    // One process-wide pool serves extraction and batches alike: `--workers` sizes it (first configuration in the process
     // wins), and its workers own the long-lived extraction scratches.
     Pool::configure_global(opts.workers.max(1));
     let pool = Pool::global();

@@ -306,7 +306,7 @@ fn malformed_rules_file_reports_line() {
 }
 
 #[test]
-fn sharded_build_info_extract_and_compaction_round_trip() {
+fn build_info_extract_and_compaction_round_trip() {
     let dir = workdir("frozen");
     let dict = dir.join("dict.txt");
     let rules = dir.join("rules.tsv");
@@ -316,7 +316,6 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     fs::write(&rules, "UQ\tUniversity of Queensland\nAU\tAustralia\nMIT\tMassachusetts Institute of Technology\t0.95\n").unwrap();
     fs::write(&docs, "she visited purdue university usa then mit\nuniversity of queensland australia\n").unwrap();
 
-    // --shards changes the segment count and nothing else about the format.
     let build_args = [
         s("--dict"),
         dict.display().to_string(),
@@ -324,46 +323,35 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
         rules.display().to_string(),
         s("--out"),
         engine.display().to_string(),
-        s("--shards"),
-        s("2"),
     ];
-    commands::build(&argv(&build_args)).expect("sharded build succeeds");
+    commands::build(&argv(&build_args)).expect("build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (9, 2));
-    // The retired format switch is an unknown flag, not a silent no-op.
-    let mut with_frozen = build_args.to_vec();
-    with_frozen.push(s("--frozen"));
-    assert!(commands::build(&argv(&with_frozen)).unwrap_err().contains("unknown flag --frozen"));
+    assert_eq!((info.version, info.segments), (9, 1));
+    // The retired switches are unknown flags, not silent no-ops: the format
+    // is fixed, and the bytes do not depend on how many parts built them.
+    for retired in [vec![s("--frozen")], vec![s("--shards"), s("2")]] {
+        let flag = retired[0].clone();
+        let err = commands::build(&argv(&[build_args.to_vec(), retired].concat())).unwrap_err();
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 
     // dict info reads it from the header (both renderings).
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string()])).expect("dict info succeeds");
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string(), s("--json")])).expect("dict info --json succeeds");
 
-    // Every reading command adopts the two segments as two shards, and
-    // answers what the one-segment build of the same dictionary answers.
-    let single = dir.join("single.aeet");
-    let mut single_args = build_args[..6].to_vec();
-    single_args[5] = single.display().to_string();
-    commands::build(&argv(&single_args)).expect("one-segment build succeeds");
     let e = engine.display().to_string();
     let d = docs.display().to_string();
-    commands::stats(&argv(&[s("--engine"), e.clone()])).expect("stats over two segments succeeds");
+    commands::stats(&argv(&[s("--engine"), e.clone()])).expect("stats succeeds");
     commands::profile_cmd(&argv(&[s("--engine"), e.clone(), s("--doc"), d.clone(), s("--runs"), s("1"), s("--warmup"), s("0")]))
-        .expect("profile over two segments succeeds");
+        .expect("profile succeeds");
     for flags in [vec![], vec!["--metric", "dice", "--threads", "2"], vec!["--top-k", "2"]] {
-        let rows = |artifact: &PathBuf| {
-            let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes"))
-                .args(["extract", "--docs", &d, "--tau", "0.7", "--engine"])
-                .arg(artifact)
-                .args(&flags)
-                .output()
-                .expect("run aeetes extract");
-            assert!(out.status.success(), "{flags:?} on {}: {}", artifact.display(), String::from_utf8_lossy(&out.stderr));
-            String::from_utf8(out.stdout).expect("utf-8 rows")
-        };
-        let two = rows(&engine);
-        assert!(!two.is_empty(), "{flags:?}: the fixture documents hold matches");
-        assert_eq!(two, rows(&single), "{flags:?}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes"))
+            .args(["extract", "--docs", &d, "--tau", "0.7", "--engine", &e])
+            .args(&flags)
+            .output()
+            .expect("run aeetes extract");
+        assert!(out.status.success(), "{flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(!out.stdout.is_empty(), "{flags:?}: the fixture documents hold matches");
     }
     // The flags that selected the retired paths are gone, not ignored.
     assert!(commands::serve_cmd(&argv(&[s("--engine"), e.clone(), s("--shards"), s("3")]))
@@ -389,7 +377,7 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!((info.version, info.segments), (9, 2));
+    assert_eq!((info.version, info.segments), (9, 1));
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -398,6 +386,55 @@ fn sharded_build_info_extract_and_compaction_round_trip() {
             .expect("extract over compacted artifact"),
         commands::EXIT_OK
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A v9 image of two segments — what `build --shards 2` wrote before a
+/// generation became one index — is refused by every verb that opens an
+/// engine, with a message naming the segment count and saying to rebuild;
+/// the file is left as it was.
+#[test]
+fn a_two_segment_artifact_is_refused_by_name() {
+    let dir = workdir("twosegments");
+    let dict = dir.join("dict.txt");
+    let rules = dir.join("rules.tsv");
+    let docs = dir.join("docs.txt");
+    let one = dir.join("one.aeet");
+    fs::write(&dict, "Purdue University USA\nUQ AU\nMIT\n").unwrap();
+    fs::write(&rules, "UQ\tUniversity of Queensland\n").unwrap();
+    fs::write(&docs, "purdue university usa\n").unwrap();
+    let paths = [&dict, &rules, &one].map(|p| p.display().to_string());
+    commands::build(&argv(&[s("--dict"), paths[0].clone(), s("--rules"), paths[1].clone(), s("--out"), paths[2].clone()])).expect("build succeeds");
+
+    let parts = aeetes_core::open_frozen(&one).expect("open artifact");
+    let segment = || aeetes_core::FreezeSegment { dd: &parts.segments[0].dd, index: &parts.segments[0].index };
+    let bytes = aeetes_core::freeze_to_bytes(&aeetes_core::FreezeSource {
+        interner: &parts.interner,
+        dict: &parts.dict,
+        removed: &parts.removed,
+        rules: &parts.rules,
+        config: &parts.config,
+        generation: parts.generation,
+        order: &parts.order,
+        segments: vec![segment(), segment()],
+    });
+    let two = dir.join("two.aeet");
+    fs::write(&two, &bytes).unwrap();
+    assert_eq!(aeetes_core::peek_info(&bytes).expect("a valid v9 image").segments, 2);
+
+    let (e, d) = (two.display().to_string(), docs.display().to_string());
+    type Verb = (&'static str, fn(&[String]) -> Result<i32, String>, Vec<String>);
+    let verbs: [Verb; 4] = [
+        ("serve", commands::serve_cmd, vec![s("--engine"), e.clone()]),
+        ("extract", commands::extract, vec![s("--engine"), e.clone(), s("--docs"), d.clone()]),
+        ("stats", commands::stats, vec![s("--engine"), e.clone()]),
+        ("profile", commands::profile_cmd, vec![s("--engine"), e.clone(), s("--doc"), d]),
+    ];
+    for (verb, run, args) in verbs {
+        let err = run(&args).expect_err(&format!("{verb} must refuse a two-segment artifact"));
+        assert!(err.contains("holds 2 segments, not one") && err.contains("rebuild it with `aeetes build`"), "{verb}: {err}");
+    }
+    assert_eq!(fs::read(&two).unwrap(), bytes, "a refused artifact must be left untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -446,10 +483,10 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v9 sections: eleven global ones and, per
-/// segment, the seven index arenas, the origin prefix — once, for the variant
-/// table and the index both — and the variant weights, the last holding 8
-/// bytes per variant of a segment where some rule weighs other than 1.0
+/// `dict info` lists exactly the v9 sections: eleven global ones and, for
+/// the one segment, the seven index arenas, the origin prefix — once, for
+/// the variant table and the index both — and the variant weights, the last
+/// holding 8 bytes per variant where some rule weighing other than 1.0
 /// applies, and nothing otherwise.
 #[test]
 fn dict_info_lists_exactly_the_v9_sections() {
@@ -483,68 +520,37 @@ fn dict_info_lists_exactly_the_v9_sections() {
     for (weighted, mit_weight) in [(false, ""), (true, "\t0.95")] {
         let rules = dir.join(format!("rules-{weighted}.tsv"));
         fs::write(&rules, format!("UQ\tUniversity of Queensland\nAU\tAustralia\nMIT\tMassachusetts Institute of Technology{mit_weight}\n")).unwrap();
-        for segments in [1u32, 2] {
-            let engine = dir.join(format!("engine-{weighted}-{segments}.aeet"));
-            let paths = [&dict, &rules, &engine].map(|p| p.display().to_string());
-            commands::build(&argv(&[
-                s("--dict"),
-                paths[0].clone(),
-                s("--rules"),
-                paths[1].clone(),
-                s("--out"),
-                paths[2].clone(),
-                s("--shards"),
-                segments.to_string(),
-            ]))
+        let engine = dir.join(format!("engine-{weighted}.aeet"));
+        let paths = [&dict, &rules, &engine].map(|p| p.display().to_string());
+        commands::build(&argv(&[s("--dict"), paths[0].clone(), s("--rules"), paths[1].clone(), s("--out"), paths[2].clone()]))
             .expect("build succeeds");
-            let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes"))
-                .args(["dict", "info", &paths[2], "--json"])
-                .output()
-                .expect("run aeetes dict info");
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-            let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
-            let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-            assert_eq!((field(&info, "version"), field(&info, "segments")), (Some(9), Some(u64::from(segments))));
-            let listed: Vec<(Option<u64>, &str, u64)> = info
-                .get("sections")
-                .and_then(serde_json::Value::as_array)
-                .expect("sections")
-                .iter()
-                .map(|sec| (field(sec, "segment"), sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "bytes").unwrap()))
-                .collect();
-            let expected: Vec<(Option<u64>, &str)> = GLOBAL
-                .iter()
-                .map(|&kind| (None, kind))
-                .chain((0..u64::from(segments)).flat_map(|seg| SEGMENT.iter().map(move |&kind| (Some(seg), kind))))
-                .collect();
-            assert_eq!(
-                listed.iter().map(|&(seg, kind, _)| (seg, kind)).collect::<Vec<_>>(),
-                expected,
-                "weighted={weighted} segments={segments}"
-            );
-            // A segment's weights: none, or one f64 per variant (the origin
-            // prefix and the block prefix each hold a u32 per origin and one
-            // more; four origins here); an origin cluster is four bytes of
-            // origin and two of lowest position.
-            let bytes_of = |seg: u64, kind: &str| listed.iter().find(|&&(s, k, _)| s == Some(seg) && k == kind).unwrap().2;
-            let weights: Vec<u64> = (0..u64::from(segments)).map(|seg| bytes_of(seg, "dd.weight")).collect();
-            let opened = aeetes_core::open_frozen(&engine).expect("open artifact");
-            for seg in 0..u64::from(segments) {
-                assert_eq!((bytes_of(seg, "dd.by_origin"), bytes_of(seg, "ix.block_offsets")), (4 * 5, 4 * 5));
-                assert_eq!(bytes_of(seg, "ix.origin_entity"), 2 * bytes_of(seg, "ix.origin_min_pos"));
-                let variants = opened.segments[seg as usize].dd.len() as u64;
-                assert!(
-                    [0, 8 * variants].contains(&weights[seg as usize]),
-                    "segment {seg}: {} weight bytes for {variants} variants",
-                    weights[seg as usize]
-                );
-            }
-            assert_eq!(
-                weights.iter().filter(|&&w| w > 0).count(),
-                usize::from(weighted),
-                "weighted={weighted} segments={segments}: {weights:?}"
-            );
-        }
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes"))
+            .args(["dict", "info", &paths[2], "--json"])
+            .output()
+            .expect("run aeetes dict info");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
+        let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
+        assert_eq!((field(&info, "version"), field(&info, "segments")), (Some(9), Some(1)));
+        let listed: Vec<(Option<u64>, &str, u64)> = info
+            .get("sections")
+            .and_then(serde_json::Value::as_array)
+            .expect("sections")
+            .iter()
+            .map(|sec| (field(sec, "segment"), sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "bytes").unwrap()))
+            .collect();
+        let expected: Vec<(Option<u64>, &str)> = GLOBAL.iter().map(|&kind| (None, kind)).chain(SEGMENT.iter().map(|&kind| (Some(0), kind))).collect();
+        assert_eq!(listed.iter().map(|&(seg, kind, _)| (seg, kind)).collect::<Vec<_>>(), expected, "weighted={weighted}");
+        // The weights: none, or one f64 per variant (the origin prefix and
+        // the block prefix each hold a u32 per origin and one more; four
+        // origins here); an origin cluster is four bytes of origin and two of
+        // lowest position.
+        let bytes_of = |kind: &str| listed.iter().find(|&&(s, k, _)| s == Some(0) && k == kind).unwrap().2;
+        assert_eq!((bytes_of("dd.by_origin"), bytes_of("ix.block_offsets")), (4 * 5, 4 * 5));
+        assert_eq!(bytes_of("ix.origin_entity"), 2 * bytes_of("ix.origin_min_pos"));
+        let variants = aeetes_core::open_frozen(&engine).expect("open artifact").segments[0].dd.len() as u64;
+        let weights = bytes_of("dd.weight");
+        assert_eq!(weights, if weighted { 8 * variants } else { 0 }, "weighted={weighted}: {weights} weight bytes for {variants} variants");
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -19,14 +19,8 @@ use aeetes_rules::RuleSet;
 use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
 
-/// Builds a small one-segment engine file and returns its path (unique per
-/// test).
+/// Builds a small engine file and returns its path (unique per test).
 fn engine_file(tag: &str) -> PathBuf {
-    sharded_engine_file(tag, 1)
-}
-
-/// [`engine_file`] with the dictionary partitioned into `shards` segments.
-fn sharded_engine_file(tag: &str, shards: usize) -> PathBuf {
     let mut interner = Interner::new();
     let tokenizer = Tokenizer::default();
     let mut dict = Dictionary::new();
@@ -37,7 +31,7 @@ fn sharded_engine_file(tag: &str, shards: usize) -> PathBuf {
     for (lhs, rhs) in [("uq", "university of queensland"), ("usa", "united states"), ("au", "australia")] {
         rules.push_str(lhs, rhs, &tokenizer, &mut interner).unwrap();
     }
-    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), shards).freeze();
+    let bytes = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 1).freeze();
     let path = std::env::temp_dir().join(format!("aeetes-serve-chaos-{}-{tag}.bin", std::process::id()));
     std::fs::write(&path, bytes).expect("write engine file");
     path
@@ -378,9 +372,7 @@ fn reload_under_load_answers_every_request_once() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    // A three-segment artifact, so the swap exercises real multi-shard
-    // splices.
-    let engine = sharded_engine_file("reload", 3);
+    let engine = engine_file("reload");
     let server = Server::spawn(&engine, &["--workers", "4", "--queue", "256", "--drain", "15"]);
 
     // Generation 1 sanity: the entity and rule arriving via reload are
@@ -466,7 +458,7 @@ fn reload_under_load_answers_every_request_once() {
     assert!(!post.contains("Acme Corporation Inc"), "tombstoned entity must not match: {post}");
 
     // Counters reconcile across the swap: nothing dropped, nothing failed,
-    // and stats report the new generation with per-shard activity.
+    // and stats report the new generation.
     let deadline = Instant::now() + Duration::from_secs(10);
     let stats = loop {
         let snapshot = server.round_trip(r#"{"type":"stats"}"#);
@@ -479,7 +471,7 @@ fn reload_under_load_answers_every_request_once() {
     };
     assert_eq!(field_u64(&stats, "failed"), 0, "{stats}");
     assert_eq!(field_u64(&stats, "generation"), 2, "{stats}");
-    assert!(stats.contains("\"shard\":2"), "expected 3 shard stat rows: {stats}");
+    assert!(!stats.contains("\"shards\""), "a generation has no per-shard rows: {stats}");
 
     let bye = server.round_trip(r#"{"type":"shutdown"}"#);
     assert!(bye.contains("\"draining\":true"), "{bye}");
@@ -587,7 +579,7 @@ fn metrics_endpoints_expose_families_and_track_requests() {
     assert!(body.contains("aeetes_requests_total{outcome=\"served\"} 1"), "{body}");
     assert!(body.contains("aeetes_matches_total 1"), "{body}");
     assert!(body.contains("aeetes_request_duration_seconds_count 1"), "{body}");
-    assert!(body.contains("aeetes_shard_served_total{shard=\"0\"} 1"), "{body}");
+    assert!(!body.contains("aeetes_shard_") && !body.contains("aeetes_pool_route_"), "retired families are gone: {body}");
 
     // JSON flavor: parses, same counter values.
     let (status, body) = http_get(&maddr, "/metrics.json");

@@ -7,8 +7,8 @@
 //! underneath: the paper's generate → verify pipeline (or the bound-pruned
 //! top-k scan) over one [`Segment`] — a clustered index + variant table
 //! pair, and after deltas the tail that supersedes part of it. The
-//! monolithic [`Aeetes`] engine runs it over its only segment; a sharded
-//! generation (crate `aeetes-shard`) runs it once per shard and merges.
+//! monolithic [`Aeetes`] engine runs it over its index; a generation (crate
+//! `aeetes-shard`) runs it once over its index and tail.
 //! Everything else that extracts — [`Aeetes::extract`], batches, streams,
 //! the CLI, the server — is a wrapper that fills in a request.
 
@@ -16,7 +16,7 @@ use crate::config::AeetesConfig;
 use crate::extractor::Aeetes;
 use crate::limits::{Budget, CancelToken, ExtractLimits, ExtractOutcome};
 use crate::matches::Match;
-use crate::scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
+use crate::scratch::{ExtractScratch, ScratchOutcome};
 use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
@@ -106,17 +106,22 @@ pub fn extract_segment(
         cancel,
         ..ExtractRequest::new(tau)
     };
-    let mut seg = SegmentScratch::default();
-    let (truncated, stats) = extract_segment_scratched(Segment::new(index, dd), doc, &req, &AeetesConfig::default(), set_len_bounds, &mut seg);
-    ExtractOutcome { matches: std::mem::take(&mut seg.matches), truncated, stats, stages: seg.stages }
+    let mut scratch = ExtractScratch::new();
+    let (truncated, stats) = extract_segment_scratched(Segment::new(index, dd), doc, &req, &AeetesConfig::default(), set_len_bounds, &mut scratch);
+    ExtractOutcome {
+        matches: std::mem::take(&mut scratch.matches),
+        truncated,
+        stats,
+        stages: scratch.stages,
+    }
 }
 
 /// Answers `req` over a single index segment, entirely inside `seg`'s
-/// reusable buffers: the matches land in [`SegmentScratch::matches`] —
+/// reusable buffers: the matches land in [`ExtractScratch::matches`] —
 /// sorted by `(span, entity)`, or in top-k order for a `top_k` request —
 /// and, once the scratch has reached its high-water capacity, a
-/// thresholded pass performs no heap allocation. This is the per-shard
-/// unit of the sharded engine and the pass behind every extraction API.
+/// thresholded pass performs no heap allocation. This is the one window
+/// walk behind every extraction API.
 /// The budget derived from `req.limits`/`req.cancel` is checked at
 /// window-advance and verification boundaries, so deadlines and
 /// cancellation land mid-document.
@@ -125,12 +130,9 @@ pub fn extract_segment(
 ///
 /// `set_len_bounds` overrides the `(min, max)` distinct-set length range
 /// that bounds window enumeration. A monolithic engine passes `None` (use
-/// the base index's own range); a sharded engine passes the
-/// dictionary-global range over live variants, because a shard's local
-/// range is tighter and would skip window lengths that other variants of the
-/// same dictionary admit — breaking bit-identity with the single-engine
-/// result — and a tailed segment's base range still counts superseded
-/// variants.
+/// the base index's own range); a generation passes the range of its live
+/// variants, because a tailed segment's base range still counts superseded
+/// variants and misses the tail's.
 ///
 /// # Panics
 /// Panics when `req.tau` is not in `(0, 1]`.
@@ -140,7 +142,7 @@ pub fn extract_segment_scratched(
     req: &ExtractRequest<'_>,
     config: &AeetesConfig,
     set_len_bounds: Option<(usize, usize)>,
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
 ) -> (bool, ExtractStats) {
     let tau = req.tau;
     assert!(tau > 0.0 && tau <= 1.0, "similarity threshold must be in (0, 1], got {tau}");
@@ -157,22 +159,18 @@ pub fn extract_segment_scratched(
         generate(segment, doc, tau, metric, req.strategy.unwrap_or(config.strategy), set_bounds, seg, &mut stats, &mut budget);
         // Weighted scores are ≤ unweighted scores (weights ≤ 1), so the
         // unweighted candidate filters remain sound for the weighted verify.
-        let SegmentScratch { sink, s_keys, hits, matches, stages, .. } = seg;
+        let ExtractScratch { sink, s_keys, hits, matches, stages, .. } = seg;
         let clk = SpanClock::always();
         verify_candidates(segment, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, hits, matches);
         matches.sort_unstable_by_key(Match::sort_key);
         clk.stop(Stage::Verify, stages);
     }
-    // Mirror the outcome into the scratch so fan-out executors can read
-    // per-segment results back without a result channel.
-    seg.truncated = budget.truncated();
-    seg.stats = stats;
     (budget.truncated(), stats)
 }
 
 /// An extraction engine: something that can answer similarity queries over
 /// a fixed dictionary. Implemented by the monolithic [`Aeetes`] engine and
-/// by the sharded engine's generations.
+/// by the generations of crate `aeetes-shard`.
 pub trait ExtractBackend: Send + Sync {
     /// The origin dictionary matches refer into.
     fn dictionary(&self) -> &Dictionary;
@@ -183,9 +181,8 @@ pub trait ExtractBackend: Send + Sync {
     /// The `(min, max)` distinct token-set length range of the indexed
     /// dictionary, or `None` when it is empty. This is the range that
     /// bounds window enumeration; streaming extraction derives its tail
-    /// retention from it. A sharded engine reports the dictionary-global
-    /// range (not a shard-local one) for the same reason
-    /// [`extract_segment_scratched`] takes the global override.
+    /// retention from it. A generation reports the range of its live
+    /// variants, for the reason [`extract_segment_scratched`] takes it.
     fn set_len_range(&self) -> Option<(usize, usize)>;
 
     /// Answers `req` on `doc` inside the caller-owned `scratch`, returning
@@ -235,9 +232,8 @@ impl ExtractBackend for Aeetes {
     }
 
     fn extract_request<'s>(&self, doc: &Document, req: &ExtractRequest<'_>, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
-        let seg = scratch.segment(0);
-        let (truncated, stats) = extract_segment_scratched(Segment::new(self.index(), self.derived()), doc, req, self.config(), None, seg);
-        ScratchOutcome { matches: seg.matches(), truncated, stats, stages: seg.stages }
+        let (truncated, stats) = extract_segment_scratched(Segment::new(self.index(), self.derived()), doc, req, self.config(), None, scratch);
+        ScratchOutcome { matches: scratch.matches(), truncated, stats, stages: scratch.stages }
     }
 }
 

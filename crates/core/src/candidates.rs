@@ -124,7 +124,7 @@ pub(crate) fn scan_segment(
 mod tests {
     use super::*;
     use crate::limits::Budget;
-    use crate::scratch::SegmentScratch;
+    use crate::scratch::ExtractScratch;
     use crate::strategy::fixture::index_with;
     use crate::strategy::{self, Strategy};
     use aeetes_index::metric_window_bounds;
@@ -264,7 +264,7 @@ mod tests {
                 }
                 nonempty += usize::from(!want.is_empty());
                 for strategy in Strategy::ALL {
-                    let mut seg = SegmentScratch::default();
+                    let mut seg = ExtractScratch::default();
                     let mut stats = ExtractStats::default();
                     let segment = Segment::new(&ix, &no_variants);
                     strategy::generate(segment, &doc, tau, metric, strategy, set_bounds, &mut seg, &mut stats, &mut Budget::unlimited());

@@ -36,7 +36,8 @@
 //! the global sections carry the META blob (rules, config, counts — small,
 //! decoded once), the origin dictionary's four arenas, the interner's
 //! string arena/offsets/hash table and the global order's three arrays;
-//! each shard segment carries the seven flat arrays of its clustered index,
+//! each segment (an engine writes and adopts exactly one; the table allows
+//! more) carries the seven flat arrays of its clustered index,
 //! its variants' weights, and the origin → variant-range prefix that its
 //! variant table and its index both read. Offsets are validated against the
 //! file bounds and the 16-byte alignment rule, every prefix array is
@@ -127,9 +128,9 @@
 //! `u16` words would need an arena of their own beside the `u32` keys.
 //!
 //! **`dd.by_origin`** — which variant ids an origin owns — is the one prefix
-//! [`VariantTable`] and [`ClusteredIndex`] both read (a shard merge takes a
-//! range start from the first and subtracts it from an id drawn through the
-//! second); it is stored once and both are handed a view.
+//! [`VariantTable`] and [`ClusteredIndex`] both read (a tailed generation's
+//! id remap takes a range start from the first and subtracts it from an id
+//! drawn through the second); it is stored once and both are handed a view.
 //!
 //! Of a variant's derivation, extraction reads only that prefix and, for
 //! weighted requests, its weight: **`dd.weight`** holds one `f64` per variant
@@ -182,7 +183,7 @@ const SECTION_ALIGN: usize = 16;
 /// `seg` value marking a global (non-per-segment) section.
 const GLOBAL_SEG: u32 = u32::MAX;
 /// Backstop against forged section counts (a real artifact has
-/// `11 + 9 × shards` sections and shards are capped at 64).
+/// `11 + 9 × segments` sections, and an engine writes one segment).
 const MAX_SECTIONS: usize = 1 << 16;
 
 // Global section kinds.
@@ -264,7 +265,7 @@ pub fn section_kind_name(kind: u32) -> &'static str {
     }
 }
 
-/// One shard segment to freeze: its variant table and index (built against
+/// One segment to freeze: its variant table and index (built against
 /// the [`FreezeSource::order`]). A `&DerivedDictionary` coerces to its table.
 /// The origin → variant-range prefix both hold is written once, from the
 /// table.
@@ -292,11 +293,11 @@ pub struct FreezeSource<'a> {
     pub generation: u64,
     /// The shared global token order.
     pub order: &'a GlobalOrder,
-    /// One entry per shard segment.
+    /// One entry per segment; an engine writes one.
     pub segments: Vec<FreezeSegment<'a>>,
 }
 
-/// One decoded shard segment of an opened artifact: the variant table and
+/// One decoded segment of an opened artifact: the variant table and
 /// clustered index, their arenas borrowing the file image.
 pub struct FrozenSegmentParts {
     /// The segment's variant table (frozen arenas).
@@ -324,7 +325,7 @@ pub struct FrozenParts {
     pub generation: u64,
     /// The shared global order (frozen arenas).
     pub order: Arc<GlobalOrder>,
-    /// One entry per shard segment, in shard order.
+    /// One entry per segment, in table order; an engine adopts exactly one.
     pub segments: Vec<FrozenSegmentParts>,
     /// Whether the backing storage is an mmap (false: heap fallback).
     pub mmapped: bool,
@@ -711,7 +712,7 @@ fn open_segment(
     dict_len: usize,
 ) -> Result<FrozenSegmentParts, PersistError> {
     // One prefix says which variant ids an origin owns; the table and the
-    // index each hold a view of it, so a shard merge that takes a range start
+    // index each hold a view of it, so an id remap that takes a range start
     // from one and an id through the other cannot be handed two answers.
     let by_origin = table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?;
     let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(), st)
@@ -755,7 +756,7 @@ pub struct ArtifactInfo {
     pub rules: usize,
     /// Interned token count.
     pub tokens: usize,
-    /// Shard segment count.
+    /// Segment count (1 in every artifact an engine writes).
     pub segments: usize,
     /// Total artifact size in bytes.
     pub file_len: usize,

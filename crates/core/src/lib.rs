@@ -12,8 +12,8 @@
 //!    exact JaccAR score. One [`ExtractRequest`] names everything a call can
 //!    vary — threshold, strategy, metric, weighted rules, top-k, limits,
 //!    cancellation — and one method answers it, on the monolithic [`Aeetes`]
-//!    engine and on a sharded generation (crate `aeetes-shard`, what every
-//!    artifact opens into) alike; [`Aeetes::extract`],
+//!    engine and on a generation (crate `aeetes-shard`, what every artifact
+//!    opens into) alike; [`Aeetes::extract`],
 //!    [`ExtractBackend::extract_scratched`], [`extract_top_k_with`] and the
 //!    batch and stream crates are wrappers that fill one in.
 //!
@@ -93,7 +93,7 @@ pub use matches::Match;
 pub use nms::suppress_overlaps;
 pub use persist::PersistError;
 pub use report::{mention_report, MentionReport};
-pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
+pub use scratch::{ExtractScratch, ScratchOutcome};
 pub use segment::{Segment, Tail};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
 pub use stats::{ExtractStats, LatencyRing};

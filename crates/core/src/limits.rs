@@ -58,13 +58,10 @@ pub struct ExtractLimits {
     pub max_candidates: Option<usize>,
     /// Maximum matches to return from verification.
     pub max_matches: Option<usize>,
-    /// Routing knob of the *sharded* engine (never truncates anything): a
-    /// multi-shard request whose estimated cost — document tokens × live
-    /// shards — reaches this value fans out across the worker pool;
-    /// cheaper requests run shard-sequentially on the calling thread.
-    /// `None` uses the engine's calibrated default, `Some(0)` always fans
-    /// out, `Some(u64::MAX)` never does. Results are bit-identical either
-    /// way; only the parallelism differs.
+    /// Ignored: it chose between running a request's shards one after
+    /// another or across the worker pool, and a generation now answers every
+    /// request with one window walk. Kept so that callers which set it still
+    /// compile.
     pub fanout_threshold: Option<u64>,
 }
 

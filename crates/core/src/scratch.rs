@@ -66,10 +66,10 @@ pub(crate) struct LazyScratch {
     pub active: Vec<u32>,
 }
 
-/// All buffers one generate → verify pass over a single index segment
-/// needs. The sharded engine holds one per shard.
+/// Per-worker extraction scratch: every buffer one generate → verify pass
+/// needs, kept between documents.
 #[derive(Debug, Default)]
-pub struct SegmentScratch {
+pub struct ExtractScratch {
     /// The document remap (every strategy) and the maintained window
     /// states (all but Simple/Skip).
     pub(crate) walk: WalkScratch,
@@ -90,15 +90,14 @@ pub struct SegmentScratch {
     /// Per-stage timing slots of the most recent run: scratch-resident so
     /// recording stays allocation-free.
     pub(crate) stages: StageSlots,
-    /// Whether the most recent run was cut short by a budget.
-    pub(crate) truncated: bool,
-    /// Work counters of the most recent run. Kept in the scratch so a
-    /// fan-out executor needs no per-shard result channel: every outcome
-    /// of segment `i` is read back from segment scratch `i`.
-    pub(crate) stats: ExtractStats,
 }
 
-impl SegmentScratch {
+impl ExtractScratch {
+    /// Empty scratch; buffers grow to their high-water mark on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Matches of the most recent extraction into this scratch, sorted by
     /// `(span, entity)` (a `top_k` request: by score, best first).
     pub fn matches(&self) -> &[Match] {
@@ -115,50 +114,6 @@ impl SegmentScratch {
     pub fn stages(&self) -> &StageSlots {
         &self.stages
     }
-
-    /// Whether the most recent extraction into this scratch was truncated.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Work counters of the most recent extraction into this scratch.
-    pub fn stats(&self) -> ExtractStats {
-        self.stats
-    }
-}
-
-/// Per-worker extraction scratch: a pool of [`SegmentScratch`]es (one per
-/// index segment — a monolithic engine uses one, a sharded engine one per
-/// shard) plus a merge buffer for the fan-out path.
-#[derive(Debug, Default)]
-pub struct ExtractScratch {
-    pub(crate) segments: Vec<SegmentScratch>,
-    pub(crate) merged: Vec<Match>,
-}
-
-impl ExtractScratch {
-    /// Empty scratch; buffers grow to their high-water mark on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-segment scratch at `i`, growing the pool on demand.
-    pub fn segment(&mut self, i: usize) -> &mut SegmentScratch {
-        if self.segments.len() <= i {
-            self.segments.resize_with(i + 1, SegmentScratch::default);
-        }
-        &mut self.segments[i]
-    }
-
-    /// Splits into `n` per-segment scratches plus the merge buffer — the
-    /// sharded fan-out hands each shard thread its own segment and merges
-    /// the remapped results into the second half.
-    pub fn split(&mut self, n: usize) -> (&mut [SegmentScratch], &mut Vec<Match>) {
-        if self.segments.len() < n {
-            self.segments.resize_with(n, SegmentScratch::default);
-        }
-        (&mut self.segments[..n], &mut self.merged)
-    }
 }
 
 /// A borrowed extraction outcome: the scratched counterpart of
@@ -174,7 +129,7 @@ pub struct ScratchOutcome<'a> {
     pub truncated: bool,
     /// Work counters for the (possibly partial) run.
     pub stats: ExtractStats,
-    /// Per-stage timing slots (merged across shards).
+    /// Per-stage timing slots.
     pub stages: StageSlots,
 }
 
@@ -187,31 +142,5 @@ impl ScratchOutcome<'_> {
             stats: self.stats,
             stages: self.stages,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn segment_pool_grows_on_demand() {
-        let mut s = ExtractScratch::new();
-        s.segment(2).buf.push(7);
-        assert_eq!(s.segments.len(), 3);
-        assert_eq!(s.segment(2).buf, vec![7]);
-        let (segs, merged) = s.split(5);
-        assert_eq!(segs.len(), 5);
-        assert!(merged.is_empty());
-        assert_eq!(segs[2].buf, vec![7], "existing segments survive a split");
-    }
-
-    #[test]
-    fn split_is_stable_for_smaller_n() {
-        let mut s = ExtractScratch::new();
-        s.split(4);
-        let (segs, _) = s.split(2);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(s.segments.len(), 4, "pool never shrinks");
     }
 }

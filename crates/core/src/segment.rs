@@ -1,5 +1,6 @@
 //! What one extraction pass over an index segment reads: an index and its
-//! variant table — the only tier a monolithic engine has, a shard's *base* —
+//! variant table — the only tier a monolithic engine has, a generation's
+//! *base* —
 //! and, after dictionary deltas, the *tail* of origins re-derived since the
 //! base was made.
 //!

@@ -15,7 +15,7 @@
 
 use crate::candidates::scan_segment;
 use crate::limits::Budget;
-use crate::scratch::{DynScratch, SegmentScratch};
+use crate::scratch::{DynScratch, ExtractScratch};
 use crate::segment::Segment;
 use crate::stage::Stage;
 use crate::stats::ExtractStats;
@@ -31,14 +31,14 @@ pub(crate) fn generate(
     tau: f64,
     metric: Metric,
     set_bounds: (Option<usize>, Option<usize>),
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
     stats: &mut ExtractStats,
     budget: &mut Budget,
 ) {
     let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau, metric) else {
         return;
     };
-    let SegmentScratch { walk, sink, dynamic, stages, .. } = seg;
+    let ExtractScratch { walk, sink, dynamic, stages, .. } = seg;
     let Some(mut walk) = WindowWalk::start(segment.order(), doc, bounds, walk, stages) else {
         return;
     };
@@ -100,7 +100,7 @@ mod tests {
             &[("uq", "university of queensland"), ("au", "australia"), ("usa", "united states")],
             "pc members include purdue university united states and the university of queensland australia plus university of wisconsin madison folks",
         );
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         for tau in [0.7, 0.8, 0.9] {
             let mut st = ExtractStats::default();
             let eager = run(&ix, &doc, tau, Strategy::Skip, &mut st);
@@ -122,7 +122,7 @@ mod tests {
         let mut st_skip = ExtractStats::default();
         let mut st_dyn = ExtractStats::default();
         let skip = run(&ix, &doc, 0.7, Strategy::Skip, &mut st_skip);
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let dynamic = run_in(&mut seg, &ix, &doc, 0.7, Strategy::Dynamic, &mut st_dyn);
         assert_eq!(sorted(skip), sorted(dynamic));
         assert!(
@@ -145,7 +145,7 @@ mod tests {
         );
         let mut repeats = 0;
         for tau in [0.3, 0.5, 0.7] {
-            let mut seg = SegmentScratch::default();
+            let mut seg = ExtractScratch::default();
             run_in(&mut seg, &ix, &doc, tau, Strategy::Dynamic, &mut ExtractStats::default());
             // The scans still cached when the walk ended.
             for (&(r, s_len), &(from, to)) in seg.dynamic.caches.iter().flatten() {
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn uses_incremental_updates_not_rebuilds() {
         let (ix, doc) = setup(&["a b c"], &[], "a b c d e f g h i j");
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let mut stats = ExtractStats::default();
         run_in(&mut seg, &ix, &doc, 0.8, Strategy::Dynamic, &mut stats);
         assert_eq!(stats.prefix_builds, 1, "only the very first state is built");
@@ -176,7 +176,7 @@ mod tests {
     fn short_document_tail_lengths_dropped() {
         // Document shorter than E⊤ forces live-length shrink near the end.
         let (ix, doc) = setup(&["a b c d e"], &[], "a b c d e f");
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let mut stats = ExtractStats::default();
         let pairs = run_in(&mut seg, &ix, &doc, 0.7, Strategy::Dynamic, &mut stats);
         // must not panic, and still finds the full-entity match
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn document_shorter_than_min_window() {
         let (ix, doc) = setup(&["a b c d e f g h i j"], &[], "a b");
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let mut stats = ExtractStats::default();
         let pairs = run_in(&mut seg, &ix, &doc, 0.9, Strategy::Dynamic, &mut stats);
         assert!(pairs.is_empty());
@@ -198,7 +198,7 @@ mod tests {
         let (ix, doc) = setup(&["ny ny"], &[], "ny ny ny ny ny");
         let mut st = ExtractStats::default();
         let skip = run(&ix, &doc, 0.8, Strategy::Skip, &mut st);
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let mut st2 = ExtractStats::default();
         let dynamic = run_in(&mut seg, &ix, &doc, 0.8, Strategy::Dynamic, &mut st2);
         assert_eq!(sorted(skip), sorted(dynamic));
@@ -216,11 +216,11 @@ mod tests {
             &mut int,
         );
         let small = Document::parse("data mining of system design", &tok, &mut int);
-        let mut reused = SegmentScratch::default();
+        let mut reused = ExtractScratch::default();
         for doc in [&big, &small, &big, &small] {
             let mut st = ExtractStats::default();
             let with_reuse = run_in(&mut reused, &ix, doc, 0.7, Strategy::Dynamic, &mut st);
-            let mut fresh = SegmentScratch::default();
+            let mut fresh = ExtractScratch::default();
             let mut st2 = ExtractStats::default();
             let baseline = run_in(&mut fresh, &ix, doc, 0.7, Strategy::Dynamic, &mut st2);
             assert_eq!(with_reuse, baseline, "discovery order must survive scratch reuse");

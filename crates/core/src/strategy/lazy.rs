@@ -17,7 +17,7 @@
 
 use crate::candidates::CandidateSink;
 use crate::limits::Budget;
-use crate::scratch::{LazyScratch, Pending, SegmentScratch};
+use crate::scratch::{ExtractScratch, LazyScratch, Pending};
 use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
@@ -33,14 +33,14 @@ pub(crate) fn generate(
     tau: f64,
     metric: Metric,
     set_bounds: (Option<usize>, Option<usize>),
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
     stats: &mut ExtractStats,
     budget: &mut Budget,
 ) {
     let Some(bounds) = metric_window_bounds(set_bounds.0, set_bounds.1, tau, metric) else {
         return;
     };
-    let SegmentScratch { walk, sink, lazy, stages, .. } = seg;
+    let ExtractScratch { walk, sink, lazy, stages, .. } = seg;
     let Some(mut walk) = WindowWalk::start(segment.order(), doc, bounds, walk, stages) else {
         return;
     };
@@ -256,7 +256,7 @@ mod tests {
             &[("data base", "database")],
             "data base systems and data mining for system design data base",
         );
-        let mut seg = SegmentScratch::default();
+        let mut seg = ExtractScratch::default();
         let mut first = Vec::new();
         for round in 0..3 {
             let mut st = ExtractStats::default();

@@ -5,7 +5,7 @@ mod lazy;
 mod naive;
 
 use crate::limits::{Budget, ExtractLimits};
-use crate::scratch::{ExtractScratch, SegmentScratch};
+use crate::scratch::ExtractScratch;
 use crate::segment::Segment;
 use crate::stats::ExtractStats;
 use aeetes_index::ClusteredIndex;
@@ -60,9 +60,7 @@ impl std::fmt::Display for Strategy {
 ///
 /// `set_bounds` is the `(min, max)` distinct-set length range used to bound
 /// window enumeration — the index's own range for a monolithic engine, or
-/// the dictionary-global range when the index is one shard of a partition
-/// (a shard's local range is tighter, and would skip windows the whole
-/// dictionary admits).
+/// the range of a generation's live variants when the segment has a tail.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate(
     segment: Segment<'_>,
@@ -71,7 +69,7 @@ pub(crate) fn generate(
     metric: Metric,
     strategy: Strategy,
     set_bounds: (Option<usize>, Option<usize>),
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
     stats: &mut ExtractStats,
     budget: &mut Budget,
 ) {
@@ -110,9 +108,8 @@ pub fn generate_candidates<'s>(
     let set_bounds = (index.min_set_len(), index.max_set_len());
     let mut stats = ExtractStats::default();
     let mut budget = Budget::start(&ExtractLimits::UNLIMITED, None);
-    let seg = scratch.segment(0);
-    generate(Segment::new(index, &VariantTable::default()), doc, tau, metric, strategy, set_bounds, seg, &mut stats, &mut budget);
-    (&seg.sink.pairs, stats)
+    generate(Segment::new(index, &VariantTable::default()), doc, tau, metric, strategy, set_bounds, scratch, &mut stats, &mut budget);
+    (&scratch.sink.pairs, stats)
 }
 
 /// What the strategy and scan tests share: small indexes, documents, and one
@@ -154,7 +151,7 @@ pub(crate) mod fixture {
     /// `strategy`'s candidates under Jaccard and no budget, in discovery
     /// order, generated in `seg`.
     pub fn run_in(
-        seg: &mut SegmentScratch,
+        seg: &mut ExtractScratch,
         ix: &ClusteredIndex,
         doc: &Document,
         tau: f64,
@@ -177,7 +174,7 @@ pub(crate) mod fixture {
 
     /// [`run_in`] a fresh scratch.
     pub fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, strategy: Strategy, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
-        run_in(&mut SegmentScratch::default(), ix, doc, tau, strategy, stats)
+        run_in(&mut ExtractScratch::default(), ix, doc, tau, strategy, stats)
     }
 }
 

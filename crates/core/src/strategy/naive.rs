@@ -4,7 +4,7 @@
 
 use crate::candidates::scan_segment;
 use crate::limits::Budget;
-use crate::scratch::SegmentScratch;
+use crate::scratch::ExtractScratch;
 use crate::segment::Segment;
 use crate::stage::{SpanClock, Stage};
 use crate::stats::ExtractStats;
@@ -25,7 +25,7 @@ pub(crate) fn generate(
     metric: Metric,
     set_bounds: (Option<usize>, Option<usize>),
     clustered: bool,
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
     stats: &mut ExtractStats,
     budget: &mut Budget,
 ) {
@@ -34,7 +34,7 @@ pub(crate) fn generate(
     };
     let order = segment.order();
     let n = doc.len();
-    let SegmentScratch { walk, sink, buf, stages, .. } = seg;
+    let ExtractScratch { walk, sink, buf, stages, .. } = seg;
     let remap = &mut walk.remap;
     let remap_clk = SpanClock::always();
     remap.build(doc.tokens().iter().map(|&t| order.key(t)));

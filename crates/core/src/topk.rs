@@ -22,18 +22,13 @@
 //! at `tau_floor`, sort by (score desc, span, entity), truncate to k" — the
 //! naive oracle kept in the test module — while examining strictly fewer
 //! candidates whenever the ratchet rises above the floor.
-//!
-//! Over a partitioned dictionary the scan runs per segment under the
-//! dictionary-global set-length range: a pair of the global top-k is beaten
-//! by fewer than k pairs anywhere, so it is in its own segment's top-k, and
-//! [`select_top_k`] over the union of the per-segment results is exact.
 
 use crate::backend::{ExtractBackend, ExtractRequest};
 use crate::candidates::scan_segment;
 use crate::extractor::Aeetes;
 use crate::limits::Budget;
 use crate::matches::Match;
-use crate::scratch::{ExtractScratch, SegmentScratch};
+use crate::scratch::ExtractScratch;
 use crate::segment::Segment;
 use crate::stage::Stage;
 use crate::stats::ExtractStats;
@@ -112,13 +107,13 @@ pub(crate) fn top_k_segment(
     metric: Metric,
     weighted: bool,
     set_bounds: (Option<usize>, Option<usize>),
-    seg: &mut SegmentScratch,
+    seg: &mut ExtractScratch,
     stats: &mut ExtractStats,
     budget: &mut Budget,
 ) {
     // `matches` holds one position's verified pairs during the scan and the
     // result after it.
-    let SegmentScratch { walk, sink, s_keys, hits, heap, matches, stages, .. } = seg;
+    let ExtractScratch { walk, sink, s_keys, hits, heap, matches, stages, .. } = seg;
     matches.clear();
     stages.clear();
     if k == 0 {

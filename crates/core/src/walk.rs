@@ -11,9 +11,9 @@
 //!
 //! [`WindowWalk`] takes the global order and the window bounds, never an
 //! index. What a window is probed against is the caller's loop body —
-//! `Dynamic`'s scan cache, `Lazy`'s pass 1, top-k's ratcheted scan — and the
-//! shards of a generation share their order, hence can share a walk. The
-//! walk owns what the bodies have in common: the remap and its clock,
+//! `Dynamic`'s scan cache, `Lazy`'s pass 1, top-k's ratcheted scan — and a
+//! generation's base and tail share their order, hence one walk. The walk
+//! owns what the bodies have in common: the remap and its clock,
 //! `windows` / `prefix_builds` / `prefix_updates`, the sampled `PrefixBuild`
 //! / `PrefixUpdate` laps, the bulk span accounting and `WindowSlide`.
 //!

@@ -45,7 +45,7 @@
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::Arena;
-use aeetes_rules::{derive_into, rebased, splice_runs, DeriveConfig, DerivedDictionary, DerivedId, RuleSet, VariantTable};
+use aeetes_rules::{derive_into, owned_origins, rebased, splice_runs, DeriveConfig, DerivedDictionary, DerivedId, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -255,6 +255,57 @@ impl OriginBlocks {
     }
 }
 
+/// Per-origin arrays written run by run out of other indexes' origin runs, in
+/// ascending origin order, with rebased offsets.
+struct OriginRuns {
+    blocks: Vec<u32>,
+    block_offsets: Vec<u32>,
+    origin_offsets: Vec<u32>,
+}
+
+impl OriginRuns {
+    /// Room for `origins` origins and `words` block words.
+    fn new(origins: usize, words: usize) -> Self {
+        let offsets = || {
+            let mut offsets = Vec::with_capacity(origins + 1);
+            offsets.push(0);
+            offsets
+        };
+        Self {
+            blocks: Vec::with_capacity(words),
+            block_offsets: offsets(),
+            origin_offsets: offsets(),
+        }
+    }
+
+    /// Appends `ix`'s origins `run`; the origins between the previous run and
+    /// this one hold nothing. The block words grow by exactly the run's.
+    fn push_run(&mut self, ix: &OriginBlocks, run: Range<usize>) {
+        assert!(self.origin_offsets.len() <= run.start + 1, "origin runs must ascend");
+        let v0 = ix.origin_offsets[run.start];
+        let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
+        let (variants, block_base) = (*self.origin_offsets.last().expect("a prefix"), self.blocks.len() as u32);
+        u32::try_from(self.blocks.len() + (b1 - b0) as usize).expect("origin block arena overflows u32 offsets");
+        self.origin_offsets.resize(run.start + 1, variants);
+        self.origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0, variants));
+        self.block_offsets.resize(run.start + 1, block_base);
+        self.block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
+        self.blocks.reserve_exact((b1 - b0) as usize);
+        self.blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
+    }
+
+    fn finish(mut self, origins: usize) -> OriginBlocks {
+        let (variants, block_base) = (*self.origin_offsets.last().expect("a prefix"), self.blocks.len() as u32);
+        self.origin_offsets.resize(origins + 1, variants);
+        self.block_offsets.resize(origins + 1, block_base);
+        OriginBlocks {
+            blocks: self.blocks.into(),
+            block_offsets: self.block_offsets.into(),
+            origin_offsets: self.origin_offsets.into(),
+        }
+    }
+}
+
 /// `(|e|⊥, |e|⊤)`, the extreme non-empty set lengths: every non-empty set
 /// has its postings in groups of its length, and no group is empty.
 fn set_len_range(group_len: &[u16]) -> (Option<usize>, Option<usize>) {
@@ -304,8 +355,8 @@ pub struct IndexArenas {
 /// [`OriginBlock`].
 #[derive(Debug, Clone)]
 pub struct ClusteredIndex {
-    /// Shared so sharded builds can point every per-shard index at one
-    /// global order (the shared-order invariant, DESIGN.md §10).
+    /// Shared so the parts of a build, a generation's base and its tail all
+    /// read one global order (the shared-order invariant, DESIGN.md §10).
     order: Arc<GlobalOrder>,
     /// `tok_groups[t]..tok_groups[t+1]` is token `t`'s group range.
     tok_groups: Arena<u32>,
@@ -330,7 +381,7 @@ impl ClusteredIndex {
     }
 
     /// Builds the index against an externally constructed [`GlobalOrder`]
-    /// (the shard build path: one order shared by every shard's index).
+    /// (one order shared by every part of a build).
     /// Every token occurring in `dd` must be valid in `order`.
     pub fn build_with_order(dd: &DerivedDictionary, order: Arc<GlobalOrder>) -> Self {
         let mut writer = BlockWriter::new(dd.origins(), order.ranks());
@@ -400,35 +451,48 @@ impl ClusteredIndex {
                 (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize
             })
             .sum();
-        u32::try_from(words).expect("origin block arena overflows u32 offsets");
-        let mut blocks: Vec<u32> = Vec::with_capacity(words);
-        let mut block_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        let mut origin_offsets: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        block_offsets.push(0);
-        origin_offsets.push(0);
-        let mut variants = 0u32;
+        let mut sets = OriginRuns::new(changed.len(), words);
         for (from_small, run) in splice_runs(changed, old_origins) {
-            let ix = sides[usize::from(from_small)];
-            let (v0, v1) = (ix.origin_offsets[run.start], ix.origin_offsets[run.end]);
-            let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
-            let block_base = blocks.len() as u32;
-            // Origins no run covered hold nothing.
-            origin_offsets.resize(run.start + 1, variants);
-            origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0, variants));
-            block_offsets.resize(run.start + 1, block_base);
-            block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
-            blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
-            variants += v1 - v0;
+            sets.push_run(sides[usize::from(from_small)], run);
         }
-        origin_offsets.resize(changed.len() + 1, variants);
-        block_offsets.resize(changed.len() + 1, blocks.len() as u32);
-        let sets = OriginBlocks {
-            blocks: blocks.into(),
-            block_offsets: block_offsets.into(),
-            origin_offsets: origin_offsets.into(),
-        };
-        let postings = splice_postings(&old.raw_parts(), &small.raw_parts(), changed);
-        Self::assemble(small.shared_order(), postings, sets)
+        let postings = merge_postings(&[old.raw_parts(), small.raw_parts()], |side, e| side == 1 || !changed[e.idx()]);
+        Self::assemble(small.shared_order(), postings, sets.finish(changed.len()))
+    }
+
+    /// The index of a build's `parts` as one: each part indexes the variants
+    /// of its own ascending range of one origin space, and all are keyed by
+    /// one order. Per token, the parts' length groups merge by length and the
+    /// clusters of one length concatenate in part order — which, the ranges
+    /// ascending, is the `(length, origin)` order of a build — and the parts'
+    /// blocks concatenate by origin range. The result equals
+    /// [`ClusteredIndex::build_with_order`] over one derivation of the ranges'
+    /// union, array for array, whatever the number of parts.
+    ///
+    /// The parts go as they are consumed: their cluster arrays once the merged
+    /// ones are written, then each part's blocks once copied, so the merge
+    /// holds beside the parts at most the merged cluster arrays, or the blocks
+    /// of one part.
+    ///
+    /// # Panics
+    /// Panics when `parts` is empty, is keyed by more than one order, spans
+    /// different origin spaces, or owns origins out of ascending order.
+    pub fn concat(mut parts: Vec<Self>) -> Self {
+        let order = parts.first().expect("a build has at least one part").shared_order();
+        assert!(parts.iter().all(|part| Arc::ptr_eq(&part.order, &order)), "the parts of a build share one order");
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let postings = merge_postings(&parts.iter().map(Self::raw_parts).collect::<Vec<_>>(), |_, _| true);
+        let parts: Vec<OriginBlocks> = parts.into_iter().map(|part| part.sets).collect();
+        let origins = parts[0].origins();
+        let mut sets = OriginRuns::new(origins, 0);
+        for part in parts {
+            assert_eq!(part.origins(), origins, "the parts of a build span one origin space");
+            if let Some(run) = owned_origins(&part.origin_offsets) {
+                sets.push_run(&part, run);
+            }
+        }
+        Self::assemble(order, postings, sets.finish(origins))
     }
 
     /// Reassembles an index from raw (possibly frozen) arenas, validating
@@ -578,8 +642,8 @@ impl ClusteredIndex {
         &self.order
     }
 
-    /// The shared handle to the global order (for building further shard
-    /// indexes against the same order).
+    /// The shared handle to the global order (for building further indexes
+    /// against the same order).
     pub fn shared_order(&self) -> Arc<GlobalOrder> {
         Arc::clone(&self.order)
     }
@@ -775,20 +839,21 @@ fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
     universe
 }
 
-/// A shard's index before the order it is to be keyed by exists: the blocks
-/// of its origins with every pool in **token-id space**, and how many of its
-/// variants hold each token.
+/// A build part's index before the order it is to be keyed by exists: the
+/// blocks of its origins with every pool in **token-id space**, and how many
+/// of its variants hold each token.
 ///
-/// A shard build goes derive → order → index, and the order needs every
-/// shard's frequencies; what the first step has to leave behind for the
+/// A build goes derive → order → index, and the order needs every part's
+/// frequencies; what the first step has to leave behind for the
 /// last is each variant's distinct token *set*, which is exactly what a block
 /// holds. So [`IndexDraft::derive`] writes each origin's block straight out
 /// of the enumeration's buffers — no token sequence, rule id or offset of a
 /// [`DerivedDictionary`] is ever stored — and counts a token once per mask bit
-/// it sets; [`GlobalOrder::from_frequencies`] over the shards' summed counts
+/// it sets; [`GlobalOrder::from_frequencies`] over the parts' summed counts
 /// gives the order; and [`IndexDraft::into_index`] re-keys the blocks in place
 /// and clusters them. The result equals [`ClusteredIndex::build_with_order`]
-/// over [`DerivedDictionary::build_filtered`] array for array.
+/// over [`DerivedDictionary::build_filtered`] array for array, and
+/// [`ClusteredIndex::concat`] makes one index of the parts.
 #[derive(Debug)]
 pub struct IndexDraft {
     variants: VariantTable,
@@ -942,7 +1007,7 @@ fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostin
     // set that holds a key is not empty) and the lowest position seen in it.
     // A pool key's token is looked up once per origin, not once per posting.
     // The masks are walked once: a pass that only counted a token's clusters
-    // ahead of one that files them cost a third of a usjob shard's index.
+    // ahead of one that files them cost a third of a usjob part's index.
     let mut found_under: Vec<u32> = Vec::new();
     let mut found: Vec<u64> = Vec::new();
     let mut pool_tokens: Vec<u32> = Vec::new();
@@ -1045,35 +1110,38 @@ impl ClusteredPostings {
         self.origin_min_pos.extend_from_slice(&src.origin_min_pos[clusters]);
     }
 
-    /// Appends the clusters of `old`'s range `clusters` whose origin is not
-    /// `changed`, one copy per unbroken stretch.
-    fn push_unchanged(&mut self, old: &IndexArenasRef<'_>, clusters: Range<usize>, changed: &[bool]) {
+    /// Appends the clusters of `src`'s range `clusters` whose origin `keep`
+    /// admits, one copy per unbroken stretch.
+    fn push_kept(&mut self, src: &IndexArenasRef<'_>, clusters: Range<usize>, keep: impl Fn(EntityId) -> bool) {
         let mut stretch = clusters.start;
         for c in clusters.clone() {
-            if changed[old.origin_entity[c].idx()] {
+            if !keep(src.origin_entity[c]) {
                 if stretch < c {
-                    self.push_clusters(old, stretch..c);
+                    self.push_clusters(src, stretch..c);
                 }
                 stretch = c + 1;
             }
         }
         if stretch < clusters.end {
-            self.push_clusters(old, stretch..clusters.end);
+            self.push_clusters(src, stretch..clusters.end);
         }
     }
 }
 
-/// The five cluster arrays of [`ClusteredIndex::splice`]: token by token,
-/// `old`'s length groups and `small`'s are merged by length; where both
-/// have a group of one length its origin clusters are merged by origin
-/// (`small` holds changed origins only, `old`'s changed clusters are
-/// dropped, so no origin comes from both); a group left without clusters
-/// is not written, and trailing tokens left without groups are cut as a
-/// build over the surviving sets would never have counted them.
-fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed: &[bool]) -> ClusteredPostings {
-    let tokens = old.tok_groups.len().max(small.tok_groups.len()) - 1;
-    let groups = old.group_len.len() + small.group_len.len();
-    let clusters = old.origin_entity.len() + small.origin_entity.len();
+/// The five cluster arrays of the index holding every cluster of `sides`
+/// that `keep(side, origin)` admits — no origin admitted from two sides: of
+/// [`ClusteredIndex::splice`], the old side's clusters of unchanged origins
+/// and all of the small side's; of [`ClusteredIndex::concat`], every part's.
+/// Token by token, the sides' length groups merge by length; where several
+/// sides have a group of one length, its clusters merge by origin, a side's
+/// clusters below every other side's next one copied as one stretch (all of
+/// a part's group at once, the parts' ranges ascending). A group left
+/// without clusters is not written, and trailing tokens left without groups
+/// are cut, as a build over the admitted sets would never have counted them.
+fn merge_postings(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -> bool) -> ClusteredPostings {
+    let tokens = sides.iter().map(|ix| ix.tok_groups.len() - 1).max().unwrap_or(0);
+    let groups = sides.iter().map(|ix| ix.group_len.len()).sum::<usize>();
+    let clusters = sides.iter().map(|ix| ix.origin_entity.len()).sum();
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(tokens + 1),
         group_len: Vec::with_capacity(groups),
@@ -1083,36 +1151,48 @@ fn splice_postings(old: &IndexArenasRef<'_>, small: &IndexArenasRef<'_>, changed
     };
     // A token's group range on one side, empty past that side's last token.
     let groups_of = |ix: &IndexArenasRef<'_>, t: usize| match ix.tok_groups.get(t + 1) {
-        Some(&end) => (ix.tok_groups[t] as usize, end as usize),
-        None => (0, 0),
+        Some(&end) => ix.tok_groups[t] as usize..end as usize,
+        None => 0..0,
     };
     let clusters_of = |ix: &IndexArenasRef<'_>, g: usize| ix.group_origins[g] as usize..ix.group_origins[g + 1] as usize;
+    // Per side: its groups of the token in hand not yet merged, then its
+    // clusters of the length in hand not yet copied.
+    let mut pending: Vec<Range<usize>> = vec![0..0; sides.len()];
+    let mut runs: Vec<Range<usize>> = vec![0..0; sides.len()];
     for t in 0..tokens {
         out.tok_groups.push(out.group_len.len() as u32);
-        let ((mut og, og_end), (mut sg, sg_end)) = (groups_of(old, t), groups_of(small, t));
-        loop {
-            let old_len = (og < og_end).then(|| old.group_len[og]);
-            let small_len = (sg < sg_end).then(|| small.group_len[sg]);
-            let Some(len) = old_len.into_iter().chain(small_len).min() else { break };
-            let (mut oc, mut sc) = (0..0, 0..0);
-            if old_len == Some(len) {
-                oc = clusters_of(old, og);
-                og += 1;
-            }
-            if small_len == Some(len) {
-                sc = clusters_of(small, sg);
-                sg += 1;
+        for (g, ix) in pending.iter_mut().zip(sides) {
+            *g = groups_of(ix, t);
+        }
+        while let Some(len) = sides
+            .iter()
+            .zip(&pending)
+            .filter(|(_, g)| g.start < g.end)
+            .map(|(ix, g)| ix.group_len[g.start])
+            .min()
+        {
+            for ((ix, g), run) in sides.iter().zip(&mut pending).zip(&mut runs) {
+                *run = 0..0;
+                if g.start < g.end && ix.group_len[g.start] == len {
+                    *run = clusters_of(ix, g.start);
+                    g.start += 1;
+                }
             }
             let first = out.origin_entity.len();
-            for c in sc {
-                // Old clusters below this small origin go first; one *at* it
-                // is changed and falls to the next `push_unchanged`.
-                let below = oc.start + old.origin_entity[oc.clone()].partition_point(|&e| e < small.origin_entity[c]);
-                out.push_unchanged(old, oc.start..below, changed);
-                oc.start = below;
-                out.push_clusters(small, c..c + 1);
+            let next = |s: usize, runs: &[Range<usize>]| (!runs[s].is_empty()).then(|| (sides[s].origin_entity[runs[s].start], s));
+            while let Some((_, s)) = (0..sides.len()).filter_map(|s| next(s, &runs)).min() {
+                // The stretch of side `s` that sorts, by `(origin, side)`,
+                // before every other side's next cluster.
+                let (ix, run) = (&sides[s], runs[s].clone());
+                let end = (0..sides.len())
+                    .filter(|&o| o != s)
+                    .filter_map(|o| next(o, &runs))
+                    .map(|bound| run.start + ix.origin_entity[run.clone()].partition_point(|&e| (e, s) < bound))
+                    .min()
+                    .unwrap_or(run.end);
+                out.push_kept(ix, run.start..end, |e| keep(s, e));
+                runs[s].start = end;
             }
-            out.push_unchanged(old, oc, changed);
             if out.origin_entity.len() > first {
                 out.group_len.push(len);
                 out.group_origins.push(first as u32);

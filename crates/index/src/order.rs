@@ -18,7 +18,7 @@ pub const VALID_BIT: u32 = TokenId::LIMIT;
 /// key ⇒ rarer ⇒ earlier in every sorted prefix. Equal-frequency tokens
 /// tie-break by their *string* rather than their interner id, so two builds
 /// that intern the same vocabulary in different insertion orders (e.g. a
-/// single-engine build vs. per-shard builds) still produce identical
+/// monolithic build vs. a partitioned one) still produce identical
 /// prefixes. Tokens that appear in no derived entity (the paper's *invalid*
 /// tokens, including tokens interned after the index was built) key as
 /// their own id and therefore sort before all valid tokens — harmless,
@@ -78,7 +78,7 @@ impl GlobalOrder {
 
     /// The order of a dictionary of which only the token frequencies are in
     /// hand: `freq[t]` derived entities hold token `t` in their distinct set
-    /// (the shard build path sums one such array per shard). The order spans
+    /// (a build sums one such array per part). The order spans
     /// the ids up to the last token that occurs at all.
     ///
     /// # Panics
@@ -104,7 +104,7 @@ impl GlobalOrder {
     /// keeping every existing key frozen (append-only).
     ///
     /// This is the delta path: a generation update must not re-key tokens
-    /// that unaffected shards already indexed, so existing frequencies and
+    /// that the shared base already indexed, so existing frequencies and
     /// keys are left untouched and only previously-invalid tokens are
     /// admitted, with their frequency as `delta` counts it and their ranks
     /// appended after all existing ones — new vocabulary sorts last until

@@ -1,11 +1,12 @@
-//! Property test: a shard built by deriving straight into index blocks
+//! Property test: a build part made by deriving straight into index blocks
 //! ([`IndexDraft`], keyed once the order exists) holds, array for array, what
 //! the materialised build holds — [`DerivedDictionary::build_filtered`], then
 //! [`GlobalOrder::build_many`], then [`ClusteredIndex::build_with_order`],
-//! which stay as they were and are the oracle.
+//! which stay as they were and are the oracle; and the parts, concatenated,
+//! hold what one materialised build over all their origins holds.
 
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
-use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
+use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,7 +45,7 @@ fn instance() -> impl Strategy<Value = Instance> {
         proptest::collection::vec((lhs, rhs, weight, 0u8..4), 0..=10),
         (0usize..4).prop_map(|pick| [2, 4, 256, 256][pick]),
         0..=u16::MAX,
-        1u32..=3,
+        1u32..=4,
     )
         .prop_map(|(entities, rules, max_derived, keep, parts)| Instance { entities, rules, max_derived, keep, parts })
 }
@@ -70,7 +71,9 @@ proptest! {
             }
         }
         let config = DeriveConfig { max_derived: inst.max_derived, ..DeriveConfig::default() };
-        let mine = |part: u32| move |e: EntityId| inst.keep >> (e.0 % 16) & 1 == 1 && e.0 % inst.parts == part;
+        // Contiguous ranges of the origin space, as a build partitions it.
+        let n = inst.entities.len() as u32;
+        let mine = |part: u32| move |e: EntityId| inst.keep >> (e.0 % 16) & 1 == 1 && (n * part / inst.parts..n * (part + 1) / inst.parts).contains(&e.0);
 
         let dds: Vec<DerivedDictionary> = (0..inst.parts).map(|p| DerivedDictionary::build_filtered(&dict, &rules, &config, mine(p))).collect();
         let want_order = Arc::new(GlobalOrder::build_many(&dds.iter().collect::<Vec<_>>(), &interner));
@@ -85,20 +88,32 @@ proptest! {
         let order = Arc::new(GlobalOrder::from_frequencies(freq, &interner));
         prop_assert_eq!(order.raw_parts(), want_order.raw_parts());
 
+        let (mut tables, mut indexes) = (Vec::new(), Vec::new());
         for (dd, draft) in dds.iter().zip(drafts) {
-            let want = ClusteredIndex::build_with_order(dd, Arc::clone(&want_order));
             let (table, index) = draft.into_index(Arc::clone(&order));
+            same_index(&index, &ClusteredIndex::build_with_order(dd, Arc::clone(&want_order)))?;
             prop_assert_eq!(table.raw_arenas(), dd.raw_arenas());
             prop_assert_eq!(table.stats(), dd.stats());
-            let (got, want) = (index.raw_parts(), want.raw_parts());
-            prop_assert_eq!(got.tok_groups, want.tok_groups);
-            prop_assert_eq!(got.group_len, want.group_len);
-            prop_assert_eq!(got.group_origins, want.group_origins);
-            prop_assert_eq!(got.origin_entity, want.origin_entity);
-            prop_assert_eq!(got.origin_min_pos, want.origin_min_pos);
-            prop_assert_eq!(got.blocks, want.blocks);
-            prop_assert_eq!(got.block_offsets, want.block_offsets);
-            prop_assert_eq!(got.origin_offsets, want.origin_offsets);
+            tables.push(table);
+            indexes.push(index);
         }
+        let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, |e| inst.keep >> (e.0 % 16) & 1 == 1);
+        let table = VariantTable::concat(tables);
+        prop_assert_eq!(table.raw_arenas(), whole.raw_arenas());
+        prop_assert_eq!(table.stats(), whole.stats());
+        same_index(&ClusteredIndex::concat(indexes), &ClusteredIndex::build_with_order(&whole, want_order))?;
     }
+}
+
+fn same_index(got: &ClusteredIndex, want: &ClusteredIndex) -> Result<(), TestCaseError> {
+    let (got, want) = (got.raw_parts(), want.raw_parts());
+    prop_assert_eq!(got.tok_groups, want.tok_groups);
+    prop_assert_eq!(got.group_len, want.group_len);
+    prop_assert_eq!(got.group_origins, want.group_origins);
+    prop_assert_eq!(got.origin_entity, want.origin_entity);
+    prop_assert_eq!(got.origin_min_pos, want.origin_min_pos);
+    prop_assert_eq!(got.blocks, want.blocks);
+    prop_assert_eq!(got.block_offsets, want.block_offsets);
+    prop_assert_eq!(got.origin_offsets, want.origin_offsets);
+    Ok(())
 }

@@ -124,8 +124,8 @@ mod tests {
     fn sample_registry() -> MetricRegistry {
         let reg = MetricRegistry::new();
         reg.counter("aeetes_candidates_total", "Candidates generated").inc(42);
-        reg.counter_with("aeetes_shard_served_total", "Per-shard serves", &[("shard", "0")]).inc(7);
-        reg.counter_with("aeetes_shard_served_total", "Per-shard serves", &[("shard", "1")]).inc(9);
+        reg.counter_with("aeetes_requests_total", "Requests by outcome", &[("outcome", "served")]).inc(7);
+        reg.counter_with("aeetes_requests_total", "Requests by outcome", &[("outcome", "shed")]).inc(9);
         reg.gauge("aeetes_queue_depth", "Queued requests").set(3);
         reg.histogram("aeetes_request_duration_seconds", "Request latency").observe_nanos(1_500_000);
         reg
@@ -136,9 +136,9 @@ mod tests {
         let text = prometheus_text(&sample_registry().snapshot());
         assert!(text.contains("# TYPE aeetes_candidates_total counter"));
         assert!(text.contains("aeetes_candidates_total 42"));
-        assert!(text.contains("aeetes_shard_served_total{shard=\"0\"} 7"));
-        assert!(text.contains("aeetes_shard_served_total{shard=\"1\"} 9"));
-        assert_eq!(text.matches("# TYPE aeetes_shard_served_total").count(), 1, "one header per family");
+        assert!(text.contains("aeetes_requests_total{outcome=\"served\"} 7"));
+        assert!(text.contains("aeetes_requests_total{outcome=\"shed\"} 9"));
+        assert_eq!(text.matches("# TYPE aeetes_requests_total").count(), 1, "one header per family");
         assert!(text.contains("# TYPE aeetes_queue_depth gauge"));
         assert!(text.contains("aeetes_request_duration_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("aeetes_request_duration_seconds_count 1"));
@@ -163,7 +163,7 @@ mod tests {
         assert!(out.starts_with('[') && out.ends_with(']'));
         assert!(out.contains("\"name\":\"aeetes_candidates_total\""));
         assert!(out.contains("\"type\":\"counter\",\"value\":42"));
-        assert!(out.contains("\"labels\":{\"shard\":\"0\"}"));
+        assert!(out.contains("\"labels\":{\"outcome\":\"served\"}"));
         assert!(out.contains("\"type\":\"histogram\""));
         assert!(out.contains("[null,1]"), "+Inf bucket is null-bounded: {out}");
     }

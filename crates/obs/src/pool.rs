@@ -2,10 +2,7 @@
 //!
 //! The worker pool (`aeetes-pool`) records its scheduling activity here:
 //! how deep the task queues run, how often idle workers steal from a
-//! sibling's deque, and how long each worker spends busy per task. The
-//! sharded engine's routing decision — run a request shard-sequentially or
-//! fan it out across the pool — is counted in the same family so a scrape
-//! can correlate queue pressure with routing behaviour. Like
+//! sibling's deque, and how long each worker spends busy per task. Like
 //! [`crate::ExtractMetrics`] this is a bundle of pre-registered `Arc`
 //! handles: recording touches only striped atomics, never the registry.
 
@@ -27,13 +24,6 @@ pub struct PoolMetrics {
     /// `aeetes_pool_worker_busy_nanos{worker="i"}`: per-worker histogram of
     /// time spent executing one task.
     pub busy_nanos: Vec<Arc<Histogram>>,
-    /// `aeetes_pool_route_sequential_total`: sharded extractions answered
-    /// on the calling thread because the estimated cost (document tokens ×
-    /// live shards) fell below the fan-out threshold.
-    pub route_sequential: Arc<Counter>,
-    /// `aeetes_pool_route_fanout_total`: sharded extractions fanned out
-    /// across the pool.
-    pub route_fanout: Arc<Counter>,
 }
 
 impl PoolMetrics {
@@ -50,9 +40,6 @@ impl PoolMetrics {
                     registry.histogram_with("aeetes_pool_worker_busy_nanos", "Per-task busy time of one pool worker", &[("worker", &i.to_string())])
                 })
                 .collect(),
-            route_sequential: registry
-                .counter("aeetes_pool_route_sequential_total", "Sharded extractions routed shard-sequentially (cost below the fan-out threshold)"),
-            route_fanout: registry.counter("aeetes_pool_route_fanout_total", "Sharded extractions fanned out across the pool"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Pipeline stages and the allocation-free timing slots they record into.
 //!
 //! The extraction hot path cannot afford a histogram update — or any shared
-//! write — per window position. Instead each [`SegmentScratch`-resident]
+//! write — per window position. Instead each [`ExtractScratch`-resident]
 //! [`StageSlots`] accumulates plain `u64`s: summed nanoseconds of the spans
 //! that were actually timed, how many were timed, and how many happened in
 //! total. Inner-loop stages are *sampled* (one position in
@@ -111,7 +111,7 @@ impl StageSlots {
         self.spans[i] = self.spans[i].max(total);
     }
 
-    /// Accumulates another slot set (shard fan-out merge, profile runs).
+    /// Accumulates another slot set (profile runs).
     #[inline]
     pub fn merge(&mut self, other: &StageSlots) {
         for i in 0..Stage::COUNT {

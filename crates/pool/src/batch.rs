@@ -122,10 +122,8 @@ where
     }
     let stubs = threads.min(pool.workers()).min(len);
     // Item panics are caught inside run_one, so the pool-level flag stays
-    // clear; no submitter participation keeps every document on a worker
-    // with a pool-resident scratch.
-    pool.run_indexed(&mut buf.slots[..len], stubs, false, |i, slot, scratch| {
-        let scratch = scratch.expect("batch stubs run on pool workers");
+    // clear; every document runs on a worker with a pool-resident scratch.
+    pool.run_indexed(&mut buf.slots[..len], stubs, |i, slot, scratch| {
         run_one(engine, &docs[i], tau, opts, scratch, slot);
     });
 }
@@ -181,8 +179,7 @@ where
     }
     let mut results: Vec<Option<Result<R, DocError>>> = (0..len).map(|_| None).collect();
     let stubs = threads.min(pool.workers()).min(len);
-    pool.run_indexed(&mut results, stubs, false, |i, result, scratch| {
-        let scratch = scratch.expect("batch stubs run on pool workers");
+    pool.run_indexed(&mut results, stubs, |i, result, scratch| {
         *result = Some(run_one(i, scratch));
     });
     // Every index is claimed exactly once, so empty slots are impossible;

@@ -2,8 +2,7 @@
 //!
 //! Before this crate, every parallel path in the workspace paid thread
 //! startup on the request path: batch extraction spawned a
-//! `std::thread::scope` per call, the sharded engine spawned one thread per
-//! shard per *request*, and the server ran its own pump threads. At
+//! `std::thread::scope` per call, and the server ran its own pump threads. At
 //! realistic document sizes the spawn + join cost swamps the extraction
 //! work itself.
 //!
@@ -15,18 +14,14 @@
 //! deque per worker; an idle worker drains its own deque first, then the
 //! injector, then steals from a sibling's deque back-to-front.
 //!
-//! Three execution shapes sit on top:
+//! Two execution shapes sit on top:
 //!
 //! - [`Pool::spawn`]: fire-and-forget jobs (the server's request path).
 //! - [`batch`](crate::extract_batch_into): document-parallel batches with
 //!   claim-counter work distribution — results land in input order, one
 //!   panic isolates to its document.
-//! - [`Pool::fan_out`]: intra-request shard fan-out where the *submitting*
-//!   thread participates, so a pool worker can fan out its own request
-//!   without risking deadlock even when every other worker is busy.
 //!
-//! Borrowed-task safety: batches and fan-outs keep their state on the
-//! submitter's stack and enqueue raw-pointer stubs. The submitter returns
+//! Borrowed-task safety: batches keep their state on the submitter's stack and enqueue raw-pointer stubs. The submitter returns
 //! only after every stub has *retired* — executed to exhaustion or swept
 //! back out of the queues — so no queue ever holds a pointer into a dead
 //! stack frame.
@@ -66,7 +61,7 @@ enum Task {
 /// stub (see the retire protocol on [`RunState`]).
 struct Stub {
     data: *const (),
-    run: unsafe fn(*const (), usize, Option<&mut ExtractScratch>),
+    run: unsafe fn(*const (), usize, &mut ExtractScratch),
 }
 
 // SAFETY: the pointee is Sync (shared by every executor) and the submitter
@@ -151,7 +146,7 @@ impl Inner {
             Task::Job(job) => {
                 let _ = catch_unwind(AssertUnwindSafe(move || job(scratch)));
             }
-            Task::Stub(stub) => unsafe { (stub.run)(stub.data, id, Some(scratch)) },
+            Task::Stub(stub) => unsafe { (stub.run)(stub.data, id, scratch) },
         }
         let nanos = start.elapsed().as_nanos() as u64;
         self.busy_nanos[id].0.fetch_add(nanos, Ordering::Relaxed);
@@ -235,11 +230,11 @@ struct RunState<'f, F: ?Sized> {
 
 impl<F> RunState<'_, F>
 where
-    F: Fn(usize, Option<&mut ExtractScratch>) + Sync + ?Sized,
+    F: Fn(usize, &mut ExtractScratch) + Sync + ?Sized,
 {
     /// Claims indices until exhaustion, running `f` on each. Item-level
     /// panics are recorded and do not stop the remaining items.
-    fn claim_loop(&self, mut scratch: Option<&mut ExtractScratch>) {
+    fn claim_loop(&self, scratch: &mut ExtractScratch) {
         loop {
             let i = self.next.fetch_add(1, Ordering::SeqCst);
             if i >= self.len {
@@ -248,7 +243,7 @@ where
             // AssertUnwindSafe: extraction engines are immutable (`&self`)
             // and scratches reset at the start of every pass, so a caught
             // panic cannot corrupt state observed by other items.
-            let r = catch_unwind(AssertUnwindSafe(|| (self.f)(i, scratch.as_deref_mut())));
+            let r = catch_unwind(AssertUnwindSafe(|| (self.f)(i, scratch)));
             if r.is_err() {
                 self.panicked.store(true, Ordering::SeqCst);
             }
@@ -262,9 +257,9 @@ where
     }
 }
 
-unsafe fn run_stub<F>(data: *const (), _worker: usize, scratch: Option<&mut ExtractScratch>)
+unsafe fn run_stub<F>(data: *const (), _worker: usize, scratch: &mut ExtractScratch)
 where
-    F: Fn(usize, Option<&mut ExtractScratch>) + Sync,
+    F: Fn(usize, &mut ExtractScratch) + Sync,
 {
     let state = unsafe { &*(data as *const RunState<'_, F>) };
     state.claim_loop(scratch);
@@ -283,13 +278,12 @@ struct EachState<'f, F: ?Sized> {
     cv: Condvar,
 }
 
-unsafe fn run_each<F>(data: *const (), worker: usize, scratch: Option<&mut ExtractScratch>)
+unsafe fn run_each<F>(data: *const (), worker: usize, scratch: &mut ExtractScratch)
 where
     F: Fn(usize, &mut ExtractScratch) + Sync,
 {
     let state = unsafe { &*(data as *const EachState<'_, F>) };
     state.barrier.wait();
-    let scratch = scratch.expect("pin stubs only execute on pool workers");
     // A panicking warm-up closure must not take the worker down; the
     // payload is dropped (warm-up is best-effort by contract).
     let _ = catch_unwind(AssertUnwindSafe(|| (state.f)(worker, scratch)));
@@ -398,22 +392,22 @@ impl Pool {
     }
 
     /// Runs `f(i, &mut items[i], scratch)` for every item, distributing
-    /// indices over `stubs` queued executors (plus the calling thread when
-    /// `help`). Indices are claimed from a shared atomic counter —
+    /// indices over `stubs` queued executors. Indices are claimed from a
+    /// shared atomic counter —
     /// item-granularity work stealing — so one long item never serializes
     /// the rest behind a static partition. Returns whether any item
     /// panicked (payloads are dropped; item-level isolation is the caller's
     /// job via its own `catch_unwind` inside `f`).
     ///
-    /// `scratch` is `Some` exactly when the executing thread is a pool
-    /// worker. With `help == false` at least one stub must be given,
-    /// and the call must not come from a pool worker (it would wait on
-    /// queues only it can drain); [`extract_batch_into`] guards this by
-    /// falling back to inline execution.
-    pub fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, help: bool, f: F) -> bool
+    /// Every item runs on a pool worker, with that worker's scratch. At
+    /// least one stub must be given, and the call must not come from a pool
+    /// worker (it would wait on queues only it can drain);
+    /// [`extract_batch_into`] guards this by falling back to inline
+    /// execution.
+    pub fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, f: F) -> bool
     where
         T: Send,
-        F: Fn(usize, &mut T, Option<&mut ExtractScratch>) + Sync,
+        F: Fn(usize, &mut T, &mut ExtractScratch) + Sync,
     {
         /// The items, shared with every executor. This is the one place
         /// that turns "index `i` is claimed once" into `&mut items[i]`.
@@ -434,7 +428,7 @@ impl Pool {
             }
         }
         let base = Items(items.as_mut_ptr());
-        self.run_claimed(items.len(), stubs, help, |i, scratch| {
+        self.run_claimed(items.len(), stubs, |i, scratch| {
             // SAFETY: `run_claimed` calls this with every `i < items.len()`
             // exactly once (indices come from one `fetch_add` counter) and
             // returns only after every executor has retired, while `items`
@@ -447,15 +441,15 @@ impl Pool {
 
     /// The claim loop behind [`Pool::run_indexed`]: `f(i, scratch)` once
     /// for every `i < len`.
-    fn run_claimed<F>(&self, len: usize, stubs: usize, help: bool, f: F) -> bool
+    fn run_claimed<F>(&self, len: usize, stubs: usize, f: F) -> bool
     where
-        F: Fn(usize, Option<&mut ExtractScratch>) + Sync,
+        F: Fn(usize, &mut ExtractScratch) + Sync,
     {
         if len == 0 {
             return false;
         }
-        debug_assert!(help || stubs > 0, "run_indexed needs an executor");
-        debug_assert!(help || !on_pool_worker(), "a pool worker must participate in its own fan-out");
+        debug_assert!(stubs > 0, "run_indexed needs an executor");
+        debug_assert!(!on_pool_worker(), "a pool worker cannot wait on its own pool");
         let state = RunState {
             f: &f,
             len,
@@ -470,9 +464,6 @@ impl Pool {
         for _ in 0..stubs {
             let w = self.inner.place.fetch_add(1, Ordering::Relaxed) % self.inner.deques.len();
             self.inner.push(Task::Stub(Stub { data, run: run_stub::<F> }), Some(w));
-        }
-        if help {
-            state.claim_loop(None);
         }
         // Wait for every stub to retire. `retired == created` implies all
         // indices were claimed and completed: a stub only exits its claim
@@ -497,20 +488,6 @@ impl Pool {
         }
         drop(guard);
         state.panicked.load(Ordering::SeqCst)
-    }
-
-    /// Fans one request out across `items` — `f(i, &mut items[i])` each —
-    /// with the calling thread participating: used by the sharded engine
-    /// past its cost threshold. Safe to call from a pool worker (the worker
-    /// claims items itself, so progress never depends on a free sibling).
-    /// Panics in `f` are reported in the return value, first-come.
-    pub fn fan_out<T, F>(&self, items: &mut [T], f: F) -> bool
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let stubs = items.len().saturating_sub(1).min(self.workers());
-        self.run_indexed(items, stubs, true, |i, item, _scratch| f(i, item))
     }
 
     /// Runs `f(worker_id, scratch)` exactly once on *every* worker thread,
@@ -607,39 +584,13 @@ mod tests {
         for len in [0usize, 1, 2, 7, 64] {
             // Each item is handed to its own index, mutably, exactly once.
             let mut visits: Vec<(usize, u32)> = vec![(usize::MAX, 0); len];
-            let panicked = pool.run_indexed(&mut visits, 3.min(len.max(1)), false, |i, visit, scratch| {
-                assert!(scratch.is_some(), "stubs run on workers");
+            let panicked = pool.run_indexed(&mut visits, 3.min(len.max(1)), |i, visit, _scratch| {
+                assert!(on_pool_worker(), "stubs run on workers");
                 *visit = (i, visit.1 + 1);
             });
             assert!(!panicked);
             assert!(visits.iter().enumerate().all(|(i, &v)| v == (i, 1)), "len={len}: {visits:?}");
         }
-    }
-
-    #[test]
-    fn fan_out_from_inside_a_worker_makes_progress() {
-        // One worker: the outer job occupies it, so the nested fan-out can
-        // only finish because the submitting worker claims items itself.
-        let pool = Arc::new(Pool::new(1));
-        let (tx, rx) = std::sync::mpsc::channel::<u32>();
-        let p2 = Arc::clone(&pool);
-        pool.spawn(move |_scratch| {
-            let sum = AtomicU32::new(0);
-            let panicked = p2.fan_out(&mut [(); 5], |i, _| {
-                sum.fetch_add(i as u32, Ordering::SeqCst);
-            });
-            assert!(!panicked);
-            tx.send(sum.load(Ordering::SeqCst)).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 10);
-    }
-
-    #[test]
-    fn fan_out_reports_item_panics() {
-        let pool = Pool::new(2);
-        assert!(pool.fan_out(&mut [(); 4], |i, _| assert!(i != 2, "boom")));
-        // The pool stays usable afterwards.
-        assert!(!pool.fan_out(&mut [(); 4], |_, _| {}));
     }
 
     #[test]
@@ -655,7 +606,7 @@ mod tests {
     #[test]
     fn stats_count_executed_tasks() {
         let pool = Pool::new(2);
-        pool.run_indexed(&mut [(); 8], 2, false, |_, _, _| {});
+        pool.run_indexed(&mut [(); 8], 2, |_, _, _| {});
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.queued, 0);

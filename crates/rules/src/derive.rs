@@ -267,6 +267,61 @@ pub fn rebased(offsets: &[u32], from: u32, to: u32) -> impl Iterator<Item = u32>
     offsets.iter().map(move |&o| o - from + to)
 }
 
+/// The origins from the first to the last that owns a variant under the
+/// origin → variant prefix `by_origin`, or `None` when none does: the run one
+/// part of a build contributes to the concatenation of the parts.
+pub fn owned_origins(by_origin: &[u32]) -> Option<Range<usize>> {
+    let total = *by_origin.last()?;
+    (total > 0).then(|| by_origin.partition_point(|&v| v == 0) - 1..by_origin.partition_point(|&v| v < total))
+}
+
+/// A variant table written run by run out of other tables' origin runs, in
+/// ascending origin order: the prefix moved by the running shift, the
+/// weights copied behind — or ones, for a run of a table that stores none,
+/// once any side does.
+struct TableWriter {
+    by_origin: Vec<u32>,
+    weight: Vec<f64>,
+    weighted: bool,
+    variants: u32,
+}
+
+impl TableWriter {
+    fn new(origins: usize, weighted: bool, variants: usize) -> Self {
+        let mut by_origin = Vec::with_capacity(origins + 1);
+        by_origin.push(0);
+        Self {
+            by_origin,
+            weight: Vec::with_capacity(if weighted { variants } else { 0 }),
+            weighted,
+            variants: 0,
+        }
+    }
+
+    /// Appends `side`'s origins `run`; the origins between the previous run
+    /// and this one hold nothing.
+    fn push_run(&mut self, side: &VariantTable, run: Range<usize>) {
+        assert!(self.by_origin.len() <= run.start + 1, "origin runs must ascend");
+        let (v0, v1) = (side.by_origin[run.start], side.by_origin[run.end]);
+        self.by_origin.resize(run.start + 1, self.variants);
+        self.by_origin.extend(rebased(&side.by_origin[run.start + 1..=run.end], v0, self.variants));
+        self.variants += v1 - v0;
+        if !side.weight.is_empty() {
+            self.weight.extend_from_slice(&side.weight[v0 as usize..v1 as usize]);
+        } else if self.weighted {
+            self.weight.resize(self.variants as usize, 1.0);
+        }
+    }
+
+    fn finish(mut self, origins: usize, stats: DeriveStats) -> VariantTable {
+        self.by_origin.resize(origins + 1, self.variants);
+        if self.weight.iter().all(|&w| w == 1.0) {
+            self.weight = Vec::new();
+        }
+        VariantTable { by_origin: self.by_origin.into(), weight: self.weight.into(), stats }
+    }
+}
+
 /// What extraction reads of a derived dictionary once its index is built:
 /// which variant ids belong to which origin, and — for weighted requests —
 /// what each variant weighs. This is all a shard, a copy-on-write generation
@@ -363,35 +418,36 @@ impl VariantTable {
         assert_eq!(changed.len(), small.origins(), "the changed flags must span the post-delta origin space");
         assert!(old.origins() <= changed.len(), "a delta never shrinks the origin space");
         let sides = [old, small];
-        // Weights are carried when either side stores them, every run of a
-        // side that does not counting as ones.
         let weighted = !(old.weight.is_empty() && small.weight.is_empty());
-        let mut weight: Vec<f64> = Vec::with_capacity(if weighted { old.len() + small.len() } else { 0 });
-        let mut by_origin: Vec<u32> = Vec::with_capacity(changed.len() + 1);
-        by_origin.push(0);
-        let mut variants = 0u32;
+        let mut out = TableWriter::new(changed.len(), weighted, old.len() + small.len());
         for (from_small, run) in splice_runs(changed, old.origins()) {
-            let side = sides[usize::from(from_small)];
-            let (v0, v1) = (side.by_origin[run.start], side.by_origin[run.end]);
-            // Origins no run covered hold nothing.
-            by_origin.resize(run.start + 1, variants);
-            by_origin.extend(rebased(&side.by_origin[run.start + 1..=run.end], v0, variants));
-            variants += v1 - v0;
-            if !side.weight.is_empty() {
-                weight.extend_from_slice(&side.weight[v0 as usize..v1 as usize]);
-            } else if weighted {
-                weight.resize(variants as usize, 1.0);
+            out.push_run(sides[usize::from(from_small)], run);
+        }
+        out.finish(changed.len(), old.stats.replaced(departing, &small.stats))
+    }
+
+    /// The table of a build's `parts`, each derived over its own ascending
+    /// range of one origin space ([`derive_into`] with `keep` selecting the
+    /// range), as one: the parts' runs back to back and their statistics
+    /// summed — array for array the table of one derivation over the ranges'
+    /// union. Each part is dropped once copied.
+    ///
+    /// # Panics
+    /// Panics when `parts` is empty, spans different origin spaces, or owns
+    /// origins out of ascending order.
+    pub fn concat(parts: Vec<Self>) -> Self {
+        let origins = parts.first().expect("a build has at least one part").origins();
+        let weighted = parts.iter().any(|part| !part.weight.is_empty());
+        let mut out = TableWriter::new(origins, weighted, parts.iter().map(Self::len).sum());
+        let mut stats = DeriveStats::default();
+        for part in parts {
+            assert_eq!(part.origins(), origins, "the parts of a build span one origin space");
+            stats += &part.stats;
+            if let Some(run) = owned_origins(&part.by_origin) {
+                out.push_run(&part, run);
             }
         }
-        by_origin.resize(changed.len() + 1, variants);
-        if weight.iter().all(|&w| w == 1.0) {
-            weight = Vec::new();
-        }
-        Self {
-            by_origin: by_origin.into(),
-            weight: weight.into(),
-            stats: old.stats.replaced(departing, &small.stats),
-        }
+        out.finish(origins, stats)
     }
 
     /// Reassembles a table from raw (possibly frozen) arenas, validating

@@ -40,8 +40,8 @@ mod rule;
 
 pub use apply::{find_applications, select_non_conflict, select_non_conflict_exact, Application, ConflictGraph};
 pub use derive::{
-    derive_into, each_distinct_token, rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef, OriginVariants,
-    VariantTable, Variants,
+    derive_into, each_distinct_token, owned_origins, rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef,
+    OriginVariants, VariantTable, Variants,
 };
 pub use discover::{add_discovered, discover_abbreviations, DiscoveredRule, DiscoveryConfig, DiscoveryKind};
 pub use rule::{Rule, RuleError, RuleId, RuleSet, Side};

@@ -1,20 +1,18 @@
 //! The mutable shell around immutable generations: parallel build, delta
-//! updates spliced into the affected shards, atomic epoch swap, persistence.
+//! updates spliced into the tail, atomic epoch swap, persistence.
 
-use crate::generation::{shard_of, Generation, Shard};
+use crate::generation::{splice, Generation, Tier};
 use aeetes_core::AeetesConfig;
-use aeetes_index::{GlobalOrder, IndexDraft};
-use aeetes_rules::{derive_into, find_applications, DeriveStats, RuleError, RuleSet};
+use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
+use aeetes_rules::{derive_into, find_applications, RuleError, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId, Tokenizer};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Upper bound on the shard count: a build or an update runs one thread per
-/// shard it touches and every extraction visits every shard, so an absurd
-/// count must not be able to exhaust threads or bury requests in per-shard
-/// overhead.
-const MAX_SHARDS: usize = 64;
+/// Upper bound on the parts of a build: each runs on a thread of its own, so
+/// an absurd count must not be able to exhaust threads.
+const MAX_PARTS: usize = 64;
 
 /// A batch of dictionary/rule changes applied as one new generation.
 #[derive(Debug, Clone, Default)]
@@ -104,7 +102,7 @@ impl std::error::Error for ActivateError {}
 /// returned `Arc<Generation>`; they are never blocked by an update (the
 /// epoch pointer swap is the only write they can observe). Updates build
 /// the next generation off to the side — splicing the changed origins into
-/// the tails of the shards that own them — and swap when fully constructed.
+/// its tail — and swap when fully constructed.
 ///
 /// Updates come in two flavors: [`ShardedEngine::apply_update`] builds and
 /// swaps in one step, and the [`ShardedEngine::prepare_update`] /
@@ -122,15 +120,15 @@ pub struct ShardedEngine {
     pending: Mutex<Option<Arc<Generation>>>,
 }
 
-/// Resolves a requested shard count: `0` means the machine's available
-/// parallelism; anything is clamped into `1..=MAX_SHARDS`.
-fn resolve_shards(requested: usize) -> usize {
+/// Resolves a requested part count: `0` means the machine's available
+/// parallelism; anything is clamped into `1..=MAX_PARTS`.
+fn resolve_parts(requested: usize) -> usize {
     let n = if requested == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         requested
     };
-    n.clamp(1, MAX_SHARDS)
+    n.clamp(1, MAX_PARTS)
 }
 
 /// Runs `f` over `items` side by side — the first on the calling thread, each
@@ -144,7 +142,7 @@ fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(
         let first = first.map(f);
         first
             .into_iter()
-            .chain(handles.into_iter().map(|h| h.join().expect("shard build panicked")))
+            .chain(handles.into_iter().map(|h| h.join().expect("build part panicked")))
             .collect()
     })
 }
@@ -165,17 +163,22 @@ fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> V
 }
 
 impl ShardedEngine {
-    /// Builds generation 1 from scratch: each shard's origins derived
-    /// straight into their index blocks in parallel, one global order from
-    /// the shards' summed token frequencies, then each shard keyed by it and
-    /// clustered in parallel. `shards == 0` uses the machine's available
+    /// Builds generation 1 from scratch, in `parts` parts side by side: each
+    /// part's contiguous range of origins derived straight into their index
+    /// blocks, one global order from the parts' summed token frequencies,
+    /// then each part keyed by it and clustered, and the parts concatenated
+    /// into one index ([`ClusteredIndex::concat`]). The index is what one
+    /// build over the whole dictionary makes, array for array, whatever the
+    /// number of parts; `parts == 0` uses the machine's available
     /// parallelism.
-    pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig, shards: usize) -> Self {
-        let n = resolve_shards(shards);
-        let drafts = in_parallel(0..n, |i| IndexDraft::derive(&dict, rules, &config.derive, |e| shard_of(e, n) == i));
+    pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig, parts: usize) -> Self {
+        let n = resolve_parts(parts);
+        let ranges = (0..n).map(|i| dict.len() * i / n..dict.len() * (i + 1) / n);
+        let drafts = in_parallel(ranges, |range| IndexDraft::derive(&dict, rules, &config.derive, |e| range.contains(&e.idx())));
         let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
-        let shards = in_parallel(drafts, |draft| Arc::new(Shard::build(draft, Arc::clone(&order))));
-        let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), Arc::new(rules.clone()), config, order, shards);
+        let (tables, indexes) = in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
+        let base = Arc::new(Tier { dd: VariantTable::concat(tables), index: ClusteredIndex::concat(indexes) });
+        let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), Arc::new(rules.clone()), config, order, base, None);
         ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
@@ -195,20 +198,14 @@ impl ShardedEngine {
         self.snapshot().id()
     }
 
-    /// The shard count (fixed for the engine's lifetime).
-    pub fn shard_count(&self) -> usize {
-        self.snapshot().shard_count()
-    }
-
     /// Applies a delta as a new generation and returns it.
     ///
     /// Only the added, removed and rule-affected origins are re-derived and
-    /// re-indexed, into the tail of each shard owning one; shard bases, the
-    /// shards the delta does not touch, the interner and the rule table are
-    /// shared with the current generation by reference (the last two copied
-    /// only when the delta brings a new string or a rule). The global order
-    /// is extended append-only (existing keys frozen), so the shared
-    /// indexes remain correct next to the spliced ones. The swap is
+    /// re-indexed, into the tail; the base, the interner and the rule table
+    /// are shared with the current generation by reference (the last two
+    /// copied only when the delta brings a new string or a rule). The global
+    /// order is extended append-only (existing keys frozen), so the shared
+    /// base remains correct next to the spliced tail. The swap is
     /// atomic; concurrent extractions see either the old or the new
     /// generation, never a mixture.
     pub fn apply_update(&self, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
@@ -280,24 +277,21 @@ impl ShardedEngine {
 }
 
 /// Builds `cur + delta` as a fully-assembled next generation at a cost
-/// proportional to the delta plus the tails it touches.
+/// proportional to the delta plus the tail.
 ///
 /// An origin is *changed* when the delta can have altered its variants: it
 /// is added, newly tombstoned, or a new rule is applicable to its tokens
 /// (rules rewrite an origin's own tokens only, and appending a rule moves
 /// no existing rule id, so every other origin derives exactly as before).
-/// Only the changed origins are derived and indexed; each shard owning one
-/// splices them into its tail and marks them superseded in its base
-/// ([`Shard::splice`]), which extracts and freezes as a whole-shard rebuild
-/// would. Shards owning none are reused by reference. The global order is
-/// extended append-only (existing keys frozen) over the fresh variants — a
-/// token that only now becomes valid occurs nowhere else — so reused and
-/// spliced indexes agree on every key they can look up. Pure with respect
-/// to the engine: callers decide whether (and when) the result becomes
-/// current.
+/// Only the changed origins are derived and indexed, once; they are spliced
+/// into the tail and marked superseded in the base ([`splice`]), which
+/// extracts and freezes as a rebuild would. A delta that changes no origin
+/// keeps the tail as it is. The global order is extended append-only
+/// (existing keys frozen) over the fresh variants — a token that only now
+/// becomes valid occurs nowhere else — so the shared base and the spliced
+/// tail agree on every key they can look up. Pure with respect to the
+/// engine: callers decide whether (and when) the result becomes current.
 fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
-    let n = cur.shard_count();
-
     for e in &delta.remove_entities {
         if e.idx() >= cur.dict.len() {
             return Err(UpdateError::UnknownEntity(e.0));
@@ -346,105 +340,65 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
             }
         }
     }
-    let mut affected = vec![false; n];
-    for e in (0..dict.len() as u32).map(EntityId).filter(|e| changed[e.idx()]) {
-        affected[shard_of(e, n)] = true;
-    }
-    let affected: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
-
-    // Per affected shard: its changed origins as they derive now, and what
-    // the ones that were live contributed to the statistics before — of the
-    // base and of the tail, whichever held them.
-    let derive = &cur.config.derive;
-    let fresh: Vec<(IndexDraft, [DeriveStats; 2])> = in_parallel(affected.iter(), |&i| {
-        let mine = |e: EntityId| changed[e.idx()] && shard_of(e, n) == i;
-        let small = IndexDraft::derive(&dict, &rules, derive, |e| mine(e) && !removed.contains(&e.0));
-        let segment = cur.shards[i].segment();
+    let (order, base, tail) = if changed.contains(&true) {
+        // The changed origins as they derive now, and what the ones that
+        // were live contributed to the statistics before — of the base and
+        // of the tail, whichever held them.
+        let derive = &cur.config.derive;
+        let small = IndexDraft::derive(&dict, &rules, derive, |e| changed[e.idx()] && !removed.contains(&e.0));
+        let segment = cur.segment();
         let departing = |in_tail: bool| {
-            let was_live = |e: EntityId| mine(e) && cur.removed.binary_search(&e).is_err() && segment.in_tail(e) == in_tail;
+            let was_live = |e: EntityId| changed[e.idx()] && cur.removed.binary_search(&e).is_err() && segment.in_tail(e) == in_tail;
             derive_into(&cur.dict, &cur.rules, derive, was_live, |_| {}).stats().clone()
         };
-        (small, [departing(false), departing(true)])
-    });
-
-    // Freeze existing token keys; only genuinely new tokens get keys,
-    // placed after every existing one. Shards not touched keep their old
-    // `Arc<GlobalOrder>`, which agrees on every key they can ever look up;
-    // a delta admitting no token keeps sharing the current order.
-    let delta_frequencies = summed_frequencies(fresh.iter().map(|(small, _)| small));
-    let order = cur
-        .order
-        .extend_with(&delta_frequencies, &interner)
-        .map_or_else(|| Arc::clone(&cur.order), Arc::new);
-
-    let spliced = in_parallel(affected.iter().zip(fresh), |(&i, (small, departing))| {
-        Arc::new(cur.shards[i].splice(small, &changed, &departing, Arc::clone(&order)))
-    });
-    let mut shards = cur.shards.clone();
-    for (&i, shard) in affected.iter().zip(spliced) {
-        shards[i] = shard;
-    }
+        let departing = [departing(false), departing(true)];
+        // Freeze existing token keys; only genuinely new tokens get keys,
+        // placed after every existing one, so the base agrees with the new
+        // order on every key it can ever look up; a delta admitting no token
+        // keeps sharing the current order.
+        let order = cur
+            .order
+            .extend_with(small.frequencies(), &interner)
+            .map_or_else(|| Arc::clone(&cur.order), Arc::new);
+        let (base, tail) = splice(&cur.base, cur.tail.as_deref(), small, &changed, &departing, Arc::clone(&order));
+        (order, base, tail)
+    } else {
+        (Arc::clone(&cur.order), Arc::clone(&cur.base), cur.tail.clone())
+    };
 
     let removed: Vec<EntityId> = removed.into_iter().map(EntityId).collect();
-    let mut next = Generation::assemble(cur.id() + 1, interner, dict, removed, rules, cur.config.clone(), order, shards);
-    next.adopt_routing(cur);
-    Ok(Arc::new(next))
+    Ok(Arc::new(Generation::assemble(cur.id() + 1, interner, dict, removed, rules, cur.config.clone(), order, base, tail)))
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v9) artifact: its segments become this
-    /// engine's shards as they are — zero derive work, zero index builds,
-    /// arenas still backed by the mapped file.
+    /// Adopts an opened frozen (v9) artifact: its one segment becomes this
+    /// engine's index as it is — zero derive work, zero index builds, arenas
+    /// still backed by the mapped file.
     ///
-    /// The dictionary partition is fixed when the artifact is built, so an
-    /// artifact is adopted or refused, never rebuilt: `shards` naming
-    /// anything but the artifact's own segment count, a segment holding an
-    /// origin that this engine's hashing routes elsewhere, or a tombstoned
-    /// origin that still owns variants is an `Err` saying how to rebuild
-    /// the artifact.
+    /// An artifact is adopted or refused, never rebuilt: one that holds other
+    /// than one segment (as the partitioned artifacts of earlier builds do),
+    /// or a tombstoned origin that still owns variants, is an `Err` saying to
+    /// rebuild it. The shard count is ignored; it is kept so that callers
+    /// which pass one still compile.
     ///
-    /// Later updates leave the mapping in place: each shard a delta touches
-    /// keeps its mapped arrays as its base and gains a small heap tail of the
-    /// origins the delta changed, and untouched shards keep serving straight
-    /// from the mapping. A base is copied onto the heap only when a tail grows
-    /// as large as the live base and is compacted into it.
-    pub fn from_frozen(parts: aeetes_core::FrozenParts, shards: Option<usize>) -> Result<Self, String> {
-        let n = parts.segments.len();
-        if let Some(requested) = shards.filter(|&requested| requested != n) {
-            return Err(format!(
-                "the artifact holds {n} segment(s), not {requested}: the partition is fixed at build time; rebuild it with `aeetes build --shards {requested}`"
-            ));
-        }
-        if !(1..=MAX_SHARDS).contains(&n) {
-            return Err(format!("the artifact holds {n} segments, outside 1..={MAX_SHARDS}; rebuild it with `aeetes build --shards N`"));
-        }
-        let tombstoned: BTreeSet<u32> = parts.removed.iter().map(|e| e.0).collect();
-        // The `by_origin` prefix array alone decides adoptability: frozen
-        // validation already proved it is the index's own origin → variant
-        // table, so it suffices to check each *populated* bucket's entity —
-        // one hash per origin rather than one per variant.
-        for (i, segment) in parts.segments.iter().enumerate() {
-            let by_origin = segment.dd.raw_arenas().0;
-            for e in (0..by_origin.len().saturating_sub(1)).filter(|&e| by_origin[e] < by_origin[e + 1]) {
-                let e = EntityId(e as u32);
-                let home = shard_of(e, n);
-                if home != i {
-                    return Err(format!(
-                        "segment {i} holds origin {}, which routes to shard {home} of {n}: the artifact was not partitioned by this engine; rebuild it with `aeetes build --shards {n}`",
-                        e.0
-                    ));
-                }
-                if tombstoned.contains(&e.0) {
-                    return Err(format!(
-                        "origin {} is tombstoned but still owns variants in segment {i}; rebuild the artifact with `aeetes build --shards {n}`",
-                        e.0
-                    ));
-                }
-            }
-        }
+    /// Later updates leave the mapping in place: the mapped arrays stay the
+    /// base, and a small heap tail holds the origins the deltas changed. The
+    /// base is copied onto the heap only when the tail grows as large as the
+    /// live base and is compacted into it.
+    pub fn from_frozen(parts: aeetes_core::FrozenParts, _shards: Option<usize>) -> Result<Self, String> {
         let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
-        let built: Vec<Arc<Shard>> = segments.into_iter().map(|s| Arc::new(Shard::from_prebuilt(s.dd, s.index))).collect();
-        let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, Arc::new(rules), config, order, built);
+        let n = segments.len();
+        let Ok([segment]) = <[_; 1]>::try_from(segments) else {
+            return Err(format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`"));
+        };
+        // The `by_origin` prefix alone decides adoptability: frozen validation
+        // already proved it is the index's own origin → variant table.
+        let by_origin = segment.dd.raw_arenas().0;
+        if let Some(e) = removed.iter().find(|e| by_origin.get(e.idx() + 1).is_some_and(|&end| by_origin[e.idx()] < end)) {
+            return Err(format!("origin {} is tombstoned but still owns variants; rebuild the artifact with `aeetes build`", e.0));
+        }
+        let base = Arc::new(Tier { dd: segment.dd, index: segment.index });
+        let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, Arc::new(rules), config, order, base, None);
         Ok(ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
@@ -487,12 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_monolithic_for_all_shard_counts() {
+    fn every_part_count_matches_monolithic() {
         let (dict, rules, int, tok) = fixture();
         let mono = Aeetes::build(dict.clone(), &rules, &int, AeetesConfig::default());
         for n in [1, 2, 3, 7, 16] {
             let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), n);
-            assert_eq!(engine.shard_count(), n);
             let generation = engine.snapshot();
             let mut int2 = int.clone();
             for doc in docs(&mut int2, &tok) {
@@ -504,11 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_resolves_to_available_parallelism() {
+    fn zero_parts_resolves_to_available_parallelism() {
+        assert!((1..=MAX_PARTS).contains(&resolve_parts(0)));
+        assert_eq!(resolve_parts(1000), MAX_PARTS);
         let (dict, rules, int, _) = fixture();
-        let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 0);
-        assert!(engine.shard_count() >= 1);
-        assert!(engine.shard_count() <= MAX_SHARDS);
+        let build = |parts| ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), parts).freeze();
+        assert!(build(0) == build(1), "the image does not depend on the part count");
     }
 
     #[test]
@@ -544,25 +498,6 @@ mod tests {
         // The tombstoned entity no longer matches anything.
         let doc = Document::parse("uq au", &tok, &mut int2);
         assert!(generation.extract_all(&doc, 1.0).iter().all(|m| m.entity != EntityId(1)));
-    }
-
-    #[test]
-    fn update_reuses_unaffected_shards() {
-        let (dict, rules, int, tok) = fixture();
-        let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 8);
-        let before = engine.snapshot();
-        let delta = DictDelta { add_entities: vec!["brand new entity".into()], ..Default::default() };
-        let after = engine.apply_update(&delta, &tok).expect("update");
-        let new_shard = shard_of(EntityId(5), 8);
-        let mut reused = 0;
-        for i in 0..8 {
-            if Arc::ptr_eq(&before.shards[i], &after.shards[i]) {
-                reused += 1;
-            } else {
-                assert_eq!(i, new_shard, "only the shard owning the new entity may rebuild");
-            }
-        }
-        assert_eq!(reused, 7);
     }
 
     #[test]
@@ -611,6 +546,7 @@ mod tests {
             )
             .expect("update");
         let bytes = engine.freeze();
+        // A shard count an older caller may still pass is ignored.
         for &override_n in &[None, Some(3)] {
             let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open");
             let restored = ShardedEngine::from_frozen(parts, override_n).expect("from_frozen");
@@ -625,20 +561,6 @@ mod tests {
                 assert_eq!(g2.extract_all(&doc, 0.7), g1.extract_all(&doc, 0.7), "shards={override_n:?} doc={text}");
             }
         }
-    }
-
-    #[test]
-    fn shard_stats_track_serving() {
-        let (dict, rules, int, tok) = fixture();
-        let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 4);
-        let generation = engine.snapshot();
-        let mut int2 = generation.interner().clone();
-        let doc = Document::parse("purdue university united states", &tok, &mut int2);
-        let _ = generation.extract_all(&doc, 0.8);
-        let stats = generation.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert!(stats.iter().all(|s| s.served == 1), "every shard answers every request: {stats:?}");
-        assert_eq!(stats.iter().map(|s| s.entities).sum::<usize>(), 5);
     }
 
     #[test]
@@ -736,20 +658,16 @@ mod tests {
     }
 
     #[test]
-    fn frozen_round_trip_adopts_shards_zero_copy() {
+    fn frozen_round_trip_adopts_the_index_zero_copy() {
         let (dict, rules, int, tok) = fixture();
         for n in [1, 3, 8] {
             let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), n);
             let bytes = engine.freeze();
             let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open frozen");
             let restored = ShardedEngine::from_frozen(parts, None).expect("from_frozen");
-            assert_eq!(restored.shard_count(), n, "adoption keeps the artifact's shard count");
             assert_eq!(restored.generation_id(), engine.generation_id());
             let g = restored.snapshot();
-            assert!(
-                g.shards.iter().all(|s| s.base.dd.is_frozen() && s.base.index.is_frozen()),
-                "adopted shards must stay arena-backed (zero-copy), n={n}"
-            );
+            assert!(g.base.dd.is_frozen() && g.base.index.is_frozen(), "the adopted index must stay arena-backed (zero-copy), n={n}");
             let mut int2 = g.interner().clone();
             for doc in docs(&mut int2, &tok) {
                 for tau in [0.6, 0.8, 1.0] {
@@ -759,18 +677,18 @@ mod tests {
         }
     }
 
-    /// An artifact is adopted or refused, never rebuilt: a shard count the
-    /// artifact does not hold, a segment this engine's routing would not
-    /// have produced, and a tombstone whose variants were not dropped each
-    /// come back as an error that says how to rebuild the artifact.
+    /// An artifact is adopted or refused, never rebuilt: one of two
+    /// segments (a partitioned build's), one of none, and a tombstone whose
+    /// variants were not dropped each come back as an error that says to
+    /// rebuild the artifact.
     #[test]
     fn from_frozen_refuses_what_it_cannot_adopt() {
         let (dict, rules, int, _) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 2);
         let g = engine.snapshot();
-        let refused = |bytes: &[u8], shards: Option<usize>| {
+        let refused = |bytes: &[u8]| {
             let parts = aeetes_core::open_frozen_bytes(bytes).expect("the artifact itself is valid");
-            ShardedEngine::from_frozen(parts, shards).err().expect("must be refused")
+            ShardedEngine::from_frozen(parts, None).err().expect("must be refused")
         };
         let freeze = |removed: &[EntityId], segments: Vec<FreezeSegment<'_>>| {
             aeetes_core::freeze_to_bytes(&FreezeSource {
@@ -784,27 +702,23 @@ mod tests {
                 segments,
             })
         };
-        let segment = |i: usize| FreezeSegment { dd: &g.shards[i].base.dd, index: &g.shards[i].base.index };
+        let segment = || FreezeSegment { dd: &g.base.dd, index: &g.base.index };
 
-        let as_built = freeze(&[], vec![segment(0), segment(1)]);
-        assert!(ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&as_built).expect("open"), Some(2)).is_ok());
-        for requested in [0, 1, 3] {
-            let err = refused(&as_built, Some(requested));
-            assert!(err.contains("holds 2 segment(s)") && err.contains(&format!("aeetes build --shards {requested}")), "{err}");
-        }
-        let misrouted = refused(&freeze(&[], vec![segment(1), segment(0)]), None);
-        assert!(misrouted.contains("routes to shard") && misrouted.contains("aeetes build --shards 2"), "{misrouted}");
-        let undropped = refused(&freeze(&[EntityId(0)], vec![segment(0), segment(1)]), None);
-        assert!(undropped.contains("origin 0 is tombstoned") && undropped.contains("aeetes build --shards 2"), "{undropped}");
-        let no_segments = refused(&freeze(&[], Vec::new()), None);
-        assert!(no_segments.contains("holds 0 segments"), "{no_segments}");
+        let one = freeze(&[], vec![segment()]);
+        assert!(ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&one).expect("open"), Some(3)).is_ok());
+        let two = refused(&freeze(&[], vec![segment(), segment()]));
+        assert!(two.contains("holds 2 segments, not one") && two.contains("rebuild it with `aeetes build`"), "{two}");
+        let undropped = refused(&freeze(&[EntityId(0)], vec![segment()]));
+        assert!(undropped.contains("origin 0 is tombstoned") && undropped.contains("`aeetes build`"), "{undropped}");
+        let none = refused(&freeze(&[], Vec::new()));
+        assert!(none.contains("holds 0 segments"), "{none}");
     }
 
-    /// A delta leaves every mapped base in place: the shard it touches gains
-    /// a heap tail beside its still-mapped base, shared with the parent
-    /// generation, and the other shard is the parent's own.
+    /// A delta leaves the mapped base in place: the changed origin goes to a
+    /// heap tail beside the still-mapped base, which the parent generation
+    /// shares.
     #[test]
-    fn update_over_frozen_engine_keeps_every_base_mapped() {
+    fn update_over_frozen_engine_keeps_the_base_mapped() {
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 2);
         let bytes = engine.freeze();
@@ -813,17 +727,9 @@ mod tests {
         let before = restored.snapshot();
         let delta = DictDelta { add_entities: vec!["brand new".into()], ..Default::default() };
         let after = restored.apply_update(&delta, &tok).expect("update over frozen");
-        let new_shard = shard_of(EntityId(5), 2);
-        for i in 0..2 {
-            let (was, is) = (&before.shards[i], &after.shards[i]);
-            assert!(is.base.dd.is_frozen() && is.base.index.is_frozen(), "shard {i} serves its base from the mapping");
-            if i == new_shard {
-                assert!(Arc::ptr_eq(&was.base, &is.base), "the touched shard shares its base");
-                assert!(is.tail.as_ref().is_some_and(|tail| !tail.tier.dd.is_frozen()), "the changed origin lives in a heap tail");
-            } else {
-                assert!(Arc::ptr_eq(was, is), "untouched shards are the parent's");
-            }
-        }
+        assert!(after.base.dd.is_frozen() && after.base.index.is_frozen(), "the base is served from the mapping");
+        assert!(Arc::ptr_eq(&before.base, &after.base), "the base is shared");
+        assert!(after.tail.as_ref().is_some_and(|tail| !tail.tier.dd.is_frozen()), "the changed origin lives in a heap tail");
         // And the updated engine equals a from-scratch build over the same state.
         let mut dict2 = dict;
         let mut int2 = after.interner().clone();
@@ -835,7 +741,7 @@ mod tests {
         }
     }
 
-    /// Deltas splice into a shard's tail, sharing its base, until the tail
+    /// Deltas splice into the tail, sharing the base, until the tail
     /// and the base variants it supersedes reach the live base; that delta
     /// compacts the tail into a fresh base. Every generation on the way
     /// answers as a build of its dictionary does, and its artifact — written
@@ -847,7 +753,7 @@ mod tests {
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 1);
         let (mut dict2, mut int2) = (dict, int.clone());
-        let mut bases = vec![Arc::clone(&engine.snapshot().shards[0].base)];
+        let mut bases = vec![Arc::clone(&engine.snapshot().base)];
         let mut tailed = 0;
         for round in 0..12 {
             let raw = format!("new entity number {round}");
@@ -855,12 +761,11 @@ mod tests {
                 .apply_update(&DictDelta { add_entities: vec![raw.clone()], ..Default::default() }, &tok)
                 .expect("update");
             dict2.push(&raw, &tok, &mut int2);
-            let shard = &generation.shards[0];
-            if !Arc::ptr_eq(bases.last().expect("a base"), &shard.base) {
-                assert!(shard.tail.is_none(), "round {round}: a compaction empties the tail");
-                bases.push(Arc::clone(&shard.base));
+            if !Arc::ptr_eq(bases.last().expect("a base"), &generation.base) {
+                assert!(generation.tail.is_none(), "round {round}: a compaction empties the tail");
+                bases.push(Arc::clone(&generation.base));
             } else {
-                assert!(shard.tail.is_some(), "round {round}: a shared base has a tail");
+                assert!(generation.tail.is_some(), "round {round}: a shared base has a tail");
                 tailed += 1;
             }
             let fresh = ShardedEngine::build(dict2.clone(), &rules, &int2, AeetesConfig::default(), 1).snapshot();
@@ -882,7 +787,8 @@ mod tests {
     #[test]
     fn refrozen_updated_engine_round_trips() {
         // freeze → open → update → freeze again → open: the second artifact
-        // must carry the updated state (mixed frozen/heap shards re-frozen).
+        // must carry the updated state (a mapped base and a heap tail,
+        // re-frozen as one index).
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 4);
         let parts = aeetes_core::open_frozen_bytes(&engine.freeze()).expect("open");
@@ -897,19 +803,5 @@ mod tests {
         let mut int2 = g.interner().clone();
         let doc = Document::parse("eth zurich", &tok, &mut int2);
         assert!(!g.extract_all(&doc, 1.0).is_empty(), "the re-frozen artifact carries the delta");
-    }
-
-    #[test]
-    fn counters_survive_shard_rebuilds() {
-        let (dict, rules, int, tok) = fixture();
-        let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 1);
-        let g1 = engine.snapshot();
-        let mut int2 = g1.interner().clone();
-        let doc = Document::parse("uq australia", &tok, &mut int2);
-        let _ = g1.extract_all(&doc, 0.8);
-        let g2 = engine
-            .apply_update(&DictDelta { add_entities: vec!["new one".into()], ..Default::default() }, &tok)
-            .expect("update");
-        assert_eq!(g2.shard_stats()[0].served, 1, "rebuilt shard inherits cumulative counters");
     }
 }

@@ -1,40 +1,37 @@
-//! Sharded extraction engine.
+//! The serving engine: one index per dictionary generation, built in
+//! parallel parts and updated by deltas without a rebuild.
 //!
-//! [`ShardedEngine`] partitions the derived-entity dictionary into `N`
-//! shards by a hash of the origin entity id, builds one clustered index per
-//! shard **against a single shared global token order** (so every shard
-//! sorts token sets identically — the invariant that makes per-shard prefix
-//! filtering equivalent to whole-dictionary prefix filtering), and answers
-//! an [`aeetes_core::ExtractRequest`] by running it over every shard —
-//! sequentially, or fanned out over the worker pool when the document is
-//! large enough — and merging the per-shard match streams into the
-//! request's order.
+//! [`ShardedEngine::build`] derives the dictionary in `N` parts side by side
+//! — each part a contiguous range of origin ids, derived straight into its
+//! index blocks — orders the tokens once by the parts' summed frequencies
+//! (the single global order that makes prefix filtering exact), keys and
+//! clusters each part in parallel, and concatenates the parts into **one**
+//! clustered index. The ranges ascend, so concatenation is the order a
+//! single build writes: the index — and the frozen artifact — is the same,
+//! byte for byte, for every part count, and equals the monolithic
+//! [`aeetes_core::Aeetes`] engine's. Parts exist only while building: an
+//! [`aeetes_core::ExtractRequest`] is one window walk over one index, and
+//! its answer is *bit-identical* to the monolithic engine's for every
+//! request shape — strategy, metric, weighted rules, top-k.
 //!
-//! Because the entity partition is disjoint, every `(entity, span)` match
-//! is produced by exactly one shard; the merged result is *bit-identical*
-//! to the monolithic [`aeetes_core::Aeetes`] engine over the same
-//! dictionary for every request shape — strategy, metric, weighted rules,
-//! top-k — (per-shard variant ids are remapped back to the global
-//! derived-id space during the merge).
-//!
-//! The partition is fixed when the dictionary is built. A frozen artifact
-//! carries it as one segment per shard, and [`ShardedEngine::from_frozen`]
-//! — the one way from an artifact to an engine — adopts those segments in
-//! place or refuses the artifact; it never re-partitions on load.
+//! A frozen artifact carries the index as one segment, and
+//! [`ShardedEngine::from_frozen`] — the one way from an artifact to an
+//! engine — adopts it in place or refuses the artifact (one of several
+//! segments, written by an earlier partitioned build, is refused with a
+//! message to rebuild it).
 //!
 //! # Generations
 //!
-//! A fully-built sharded state is an immutable [`Generation`] behind an
-//! epoch pointer. [`ShardedEngine::apply_update`] takes a [`DictDelta`]
+//! A fully-built state is an immutable [`Generation`] behind an epoch
+//! pointer. [`ShardedEngine::apply_update`] takes a [`DictDelta`]
 //! (add/remove entities, add rules), re-derives only the origins it changes
-//! into the *tail* of the shard owning each — the shard's read-only *base*,
-//! built or mapped, is shared with the previous generation until the tail
-//! grows as large as it and is compacted in — extends the frozen global
-//! order append-only, so every base stays valid, and atomically swaps the
-//! pointer. Readers that
-//! already hold a [`Generation`] snapshot keep extracting against the old
-//! epoch until they drop it: updates never block or corrupt in-flight
-//! extractions.
+//! into the generation's *tail* — the read-only *base*, built or mapped, is
+//! shared with the previous generation until the tail grows as large as it
+//! and is compacted in — extends the frozen global order append-only, so the
+//! base stays valid, and atomically swaps the pointer. One walk probes both
+//! tiers. Readers that already hold a [`Generation`] snapshot keep extracting
+//! against the old epoch until they drop it: updates never block or corrupt
+//! in-flight extractions.
 //!
 //! For fleet-wide dictionary swaps the update splits into two phases:
 //! [`ShardedEngine::prepare_update`] builds the next generation off to the
@@ -49,4 +46,4 @@ mod engine;
 mod generation;
 
 pub use engine::{ActivateError, DictDelta, RuleDelta, ShardedEngine, UpdateError};
-pub use generation::{shard_of, Generation, Shard, ShardStats};
+pub use generation::Generation;

@@ -2,10 +2,11 @@
 //! `ShardedEngine::build` the peak of live heap bytes stays under one and a
 //! half times what the engine retains.
 //!
-//! A shard is derived straight into its index blocks, so beside the arrays it
+//! A part is derived straight into its index blocks, so beside the arrays it
 //! keeps the build holds only the per-origin scratch of the enumeration, one
 //! frequency count per token and, while the blocks are clustered, a sort
-//! record per index entry. The pipeline this replaced materialised every
+//! record per index entry; the merge of the parts into one index then holds
+//! beside them at most the merged cluster arrays or one part's blocks. The pipeline this replaced materialised every
 //! variant's token sequence, rule ids and offsets first — 20 MB beside an
 //! 11 MB artifact on the benchmark's usjob dictionary — and peaked at three
 //! times what it kept.
@@ -22,12 +23,11 @@ use aeetes_shard::ShardedEngine;
 #[test]
 fn a_build_peaks_under_one_and_a_half_times_what_it_retains() {
     // The shape of the benchmark's `usjob_batch`: ~23 rules per entity, two
-    // shards.
+    // build parts.
     let data = generate(&DatasetProfile::usjob_like().scaled(0.05).with_docs(1), 12);
     let dict = data.dictionary.clone();
-    let (engine, retained, transient) = live_bytes::measured(|| ShardedEngine::build(dict, &data.rules, &data.interner, AeetesConfig::default(), 2));
+    let (_engine, retained, transient) = live_bytes::measured(|| ShardedEngine::build(dict, &data.rules, &data.interner, AeetesConfig::default(), 2));
 
-    assert_eq!(engine.shard_count(), 2);
     assert!(retained > 2 << 20, "corpus too small to price a build: the engine retains {retained} bytes");
     assert!(
         transient as f64 <= retained as f64 * 1.5,

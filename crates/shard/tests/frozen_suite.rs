@@ -1,7 +1,8 @@
 //! Frozen (v9) artifact suite: the mmap-able format is observationally
 //! identical to the monolithic heap engine across all four strategies and
 //! all four similarity metrics, on both the mmap and heap-fallback open
-//! paths; freeze → open → refreeze is bit-identical at 1 and 4 shards; and
+//! paths; freeze → open → refreeze is bit-identical for builds of 1 and 4
+//! parts; and
 //! truncated files through the mmap path and misaligned section offsets
 //! behind a valid CRC yield a clean error, never a panic or out-of-bounds
 //! access. (The byte-level corruption walk — every truncation, every bit
@@ -99,20 +100,18 @@ fn frozen_equals_monolithic_across_strategies_and_metrics() {
     }
 }
 
-/// freeze → open → refreeze is bit-identical at 1 and 4 shards: the opened
-/// arenas describe exactly what was written, so an adopted engine re-frozen
-/// (as WAL compaction does) reproduces its artifact — the per-shard
+/// freeze → open → refreeze is bit-identical for builds of 1 and 4 parts:
+/// the opened arenas describe exactly what was written, so an adopted engine
+/// re-frozen (as WAL compaction does) reproduces its artifact — the
 /// derivation statistics included, which opening checks but does not touch.
 #[test]
 fn freeze_open_refreeze_is_bit_identical() {
     let (dict, rules, interner, _) = corpus();
     let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open"), None).expect("adopt");
-    for shards in [1, 4] {
-        let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), shards);
+    for parts in [1, 4] {
+        let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), parts);
         let frozen = built.freeze();
-        let reopened = adopt(&frozen);
-        assert_eq!(reopened.shard_count(), shards);
-        assert_eq!(frozen, reopened.freeze(), "shards={shards}: artifact must refreeze bit-identically");
+        assert_eq!(frozen, adopt(&frozen).freeze(), "parts={parts}: artifact must refreeze bit-identically");
     }
 }
 

@@ -2,7 +2,7 @@
 //! engine's own [`ExtractStats`] — every candidate the engine counts shows up
 //! as one `aeetes_candidates_total` increment, every verified match as one
 //! `aeetes_matches_total` increment, and so on — across all four filtering
-//! strategies and shard counts {1, 4}. The counters are the monitoring
+//! strategies and build part counts {1, 4}. The counters are the monitoring
 //! surface of the paper's Table 4 work measures, so drift between the two
 //! bookkeeping paths is a correctness bug, not a display nit.
 
@@ -13,7 +13,7 @@ use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 2] = [1, 4];
+const PART_COUNTS: [usize; 2] = [1, 4];
 const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
 
 fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -53,9 +53,9 @@ fn observe_doc(
 
 proptest! {
     /// Counter values equal the summed engine stats, exactly, for every
-    /// strategy × shard count; and because the sharded engine is
+    /// strategy × part count; and because the engine is
     /// observationally deterministic, candidates/matches also agree between
-    /// shard counts 1 and 4.
+    /// part counts 1 and 4.
     #[test]
     fn counters_reconcile_with_extract_stats(
         entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..6),
@@ -66,8 +66,8 @@ proptest! {
         let docs: Vec<Document> = doc_texts.iter().map(|t| Document::parse(t, &tokenizer, &mut interner)).collect();
         for strategy in STRATEGIES {
             let config = AeetesConfig { strategy, ..AeetesConfig::default() };
-            let mut across_shards: Vec<(u64, u64)> = Vec::new();
-            for n in SHARD_COUNTS {
+            let mut across_parts: Vec<(u64, u64)> = Vec::new();
+            for n in PART_COUNTS {
                 let engine = ShardedEngine::build(dict.clone(), &rules, &interner, config.clone(), n);
                 let generation = engine.snapshot();
                 let registry = MetricRegistry::new();
@@ -80,17 +80,17 @@ proptest! {
                     expected += stats;
                     expected_truncated += u64::from(truncated);
                 }
-                prop_assert_eq!(metrics.docs.value(), docs.len() as u64, "strategy={:?} shards={}", strategy, n);
-                prop_assert_eq!(metrics.accessed_entries.value(), expected.accessed_entries, "strategy={:?} shards={}", strategy, n);
-                prop_assert_eq!(metrics.candidates.value(), expected.candidates, "strategy={:?} shards={}", strategy, n);
-                prop_assert_eq!(metrics.verifications.value(), expected.verifications, "strategy={:?} shards={}", strategy, n);
-                prop_assert_eq!(metrics.matches.value(), expected.matches, "strategy={:?} shards={}", strategy, n);
-                prop_assert_eq!(metrics.truncated.value(), expected_truncated, "strategy={:?} shards={}", strategy, n);
-                across_shards.push((expected.candidates, expected.matches));
+                prop_assert_eq!(metrics.docs.value(), docs.len() as u64, "strategy={:?} parts={}", strategy, n);
+                prop_assert_eq!(metrics.accessed_entries.value(), expected.accessed_entries, "strategy={:?} parts={}", strategy, n);
+                prop_assert_eq!(metrics.candidates.value(), expected.candidates, "strategy={:?} parts={}", strategy, n);
+                prop_assert_eq!(metrics.verifications.value(), expected.verifications, "strategy={:?} parts={}", strategy, n);
+                prop_assert_eq!(metrics.matches.value(), expected.matches, "strategy={:?} parts={}", strategy, n);
+                prop_assert_eq!(metrics.truncated.value(), expected_truncated, "strategy={:?} parts={}", strategy, n);
+                across_parts.push((expected.candidates, expected.matches));
             }
-            // Candidate generation and match sets don't depend on sharding.
-            prop_assert_eq!(across_shards[0].0, across_shards[1].0, "candidates diverge across shard counts, strategy={:?}", strategy);
-            prop_assert_eq!(across_shards[0].1, across_shards[1].1, "matches diverge across shard counts, strategy={:?}", strategy);
+            // Candidate generation and match sets do not depend on the build partition.
+            prop_assert_eq!(across_parts[0].0, across_parts[1].0, "candidates diverge across part counts, strategy={:?}", strategy);
+            prop_assert_eq!(across_parts[0].1, across_parts[1].1, "matches diverge across part counts, strategy={:?}", strategy);
         }
     }
 }
@@ -102,7 +102,7 @@ proptest! {
 fn truncation_increments_truncated_counter() {
     let (dict, rules, mut interner, tokenizer) = corpus(&["a".into(), "b".into()], &[]);
     let doc = Document::parse("a b a b", &tokenizer, &mut interner);
-    for n in SHARD_COUNTS {
+    for n in PART_COUNTS {
         let engine = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
         let generation = engine.snapshot();
         let registry = MetricRegistry::new();
@@ -110,7 +110,7 @@ fn truncation_increments_truncated_counter() {
         let limits = ExtractLimits { max_matches: Some(1), ..ExtractLimits::UNLIMITED };
         let mut scratch = ExtractScratch::new();
         let out = generation.extract_scratched(&doc, 1.0, &limits, None, &mut scratch);
-        assert!(out.truncated, "shards={n}: two exact mentions against max_matches=1 must truncate");
+        assert!(out.truncated, "parts={n}: two exact mentions against max_matches=1 must truncate");
         let counts = ExtractCounts {
             accessed_entries: out.stats.accessed_entries,
             candidates: out.stats.candidates,
@@ -119,8 +119,8 @@ fn truncation_increments_truncated_counter() {
         };
         let (stats, truncated, stages) = (out.stats, out.truncated, out.stages);
         metrics.observe(&stages, &counts, truncated);
-        assert_eq!(metrics.truncated.value(), 1, "shards={n}");
-        assert_eq!(metrics.matches.value(), stats.matches, "shards={n}");
-        assert_eq!(metrics.matches.value(), 1, "shards={n}");
+        assert_eq!(metrics.truncated.value(), 1, "parts={n}");
+        assert_eq!(metrics.matches.value(), stats.matches, "parts={n}");
+        assert_eq!(metrics.matches.value(), 1, "parts={n}");
     }
 }

@@ -1,26 +1,26 @@
-//! Property tests: the sharded engine is observationally identical to the
-//! monolithic engine — same matches, same scores, same variant ids — for
-//! random dictionaries, rules and documents, across every request shape
-//! (strategy × metric × weighted × top-k) and shard counts {1, 2, 3, 16},
-//! heap-built and frozen-adopted; updates applied as deltas — spliced into
-//! shard tails and compacted into their bases — equal a fresh rebuild of the
-//! updated dictionary, in what they extract and byte for byte in what they
-//! store; the frozen artifact round-trips.
+//! Property tests: the engine is observationally identical to the monolithic
+//! engine — same matches, same scores, same variant ids — for random
+//! dictionaries, rules and documents, across every request shape (strategy ×
+//! metric × weighted × top-k) and build part counts {1, 2, 3, 7}, heap-built
+//! and frozen-adopted; updates applied as deltas — spliced into the tail and
+//! compacted into the base — equal a one-index rebuild of the updated
+//! dictionary, in what they extract and byte for byte in what they store;
+//! the frozen artifact round-trips.
 
 use aeetes_core::{
     freeze_to_bytes, open_frozen_bytes, select_top_k, Aeetes, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, FreezeSegment,
     FreezeSource, Strategy,
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder};
-use aeetes_rules::{find_applications, DerivedDictionary, RuleSet};
-use aeetes_shard::{shard_of, DictDelta, RuleDelta, ShardedEngine};
+use aeetes_rules::{DerivedDictionary, RuleSet};
+use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Tokenizer};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 16];
+const PART_COUNTS: [usize; 4] = [1, 2, 3, 7];
 const METRICS: [Metric; 4] = [Metric::Jaccard, Metric::Dice, Metric::Cosine, Metric::Overlap];
 
 fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -37,11 +37,10 @@ fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, 
     (dict, rules, interner, tokenizer)
 }
 
-/// The retired update path, kept as the oracle of the splice: every shard
-/// owning an added, removed or rule-affected origin is re-derived whole
-/// under the post-delta rules, the order is extended over those whole
-/// shards, and each is re-indexed from nothing. Built from public parts
-/// only, so it shares no code with `build_next`.
+/// The oracle of the splice: after every delta the live dictionary is
+/// re-derived whole under the post-delta rules, the order is extended over
+/// it, and one index is built from nothing. Built from public parts only, so
+/// it shares no code with `build_next`.
 struct Rebuilt {
     interner: Interner,
     dict: Dictionary,
@@ -50,23 +49,16 @@ struct Rebuilt {
     config: AeetesConfig,
     generation: u64,
     order: Arc<GlobalOrder>,
-    shards: Vec<(DerivedDictionary, ClusteredIndex)>,
+    dd: DerivedDictionary,
+    index: ClusteredIndex,
 }
 
 impl Rebuilt {
-    fn build(dict: Dictionary, rules: RuleSet, interner: Interner, n: usize) -> Self {
+    fn build(dict: Dictionary, rules: RuleSet, interner: Interner) -> Self {
         let config = AeetesConfig::default();
-        let dds: Vec<DerivedDictionary> = (0..n)
-            .map(|i| DerivedDictionary::build_filtered(&dict, &rules, &config.derive, |e| shard_of(e, n) == i))
-            .collect();
-        let order = Arc::new(GlobalOrder::build_many(&dds.iter().collect::<Vec<_>>(), &interner));
-        let shards = dds
-            .into_iter()
-            .map(|dd| {
-                let index = ClusteredIndex::build_with_order(&dd, Arc::clone(&order));
-                (dd, index)
-            })
-            .collect();
+        let dd = DerivedDictionary::build(&dict, &rules, &config.derive);
+        let order = Arc::new(GlobalOrder::build(&dd, &interner));
+        let index = ClusteredIndex::build_with_order(&dd, Arc::clone(&order));
         Rebuilt {
             interner,
             dict,
@@ -75,62 +67,33 @@ impl Rebuilt {
             config,
             generation: 1,
             order,
-            shards,
+            dd,
+            index,
         }
     }
 
     fn apply(&mut self, delta: &DictDelta, tokenizer: &Tokenizer) {
-        let n = self.shards.len();
-        let mut fresh_rules = RuleSet::new();
         for r in &delta.add_rules {
-            let id = self
-                .rules
+            self.rules
                 .push_weighted_str(&r.lhs, &r.rhs, r.weight, tokenizer, &mut self.interner)
                 .expect("generated rules are valid");
-            let rule = self.rules.rule(id);
-            fresh_rules.push_tokens(rule.lhs.clone(), rule.rhs.clone(), rule.weight).expect("valid");
         }
-        let first_new = self.dict.len() as u32;
         for raw in &delta.add_entities {
             self.dict.push(raw, tokenizer, &mut self.interner);
         }
-        let mut affected = vec![false; n];
-        for e in &delta.remove_entities {
-            if self.removed.insert(e.0) {
-                affected[shard_of(*e, n)] = true;
-            }
-        }
-        for id in first_new..self.dict.len() as u32 {
-            affected[shard_of(EntityId(id), n)] = true;
-        }
-        for (e, ent) in self.dict.iter() {
-            if !self.removed.contains(&e.0) && !find_applications(ent.tokens, &fresh_rules).is_empty() {
-                affected[shard_of(e, n)] = true;
-            }
-        }
-        let affected: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
-        let dds: Vec<DerivedDictionary> = affected
-            .iter()
-            .map(|&i| {
-                DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| {
-                    shard_of(e, n) == i && !self.removed.contains(&e.0)
-                })
-            })
-            .collect();
-        if let Some(extended) = self.order.extend(&dds.iter().collect::<Vec<_>>(), &self.interner) {
+        self.removed.extend(delta.remove_entities.iter().map(|e| e.0));
+        self.dd = DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| !self.removed.contains(&e.0));
+        if let Some(extended) = self.order.extend(&[&self.dd], &self.interner) {
             self.order = Arc::new(extended);
         }
-        for (i, dd) in affected.into_iter().zip(dds) {
-            let index = ClusteredIndex::build_with_order(&dd, Arc::clone(&self.order));
-            self.shards[i] = (dd, index);
-        }
+        self.index = ClusteredIndex::build_with_order(&self.dd, Arc::clone(&self.order));
         self.generation += 1;
     }
 
     /// Everything a generation stores — the variant table, all ten index
-    /// arenas and the derivation statistics of every shard, the order,
-    /// dictionary, rules, tombstones and strings — as the bytes
-    /// `Generation::freeze` lays them out in.
+    /// arenas and the derivation statistics, the order, dictionary, rules,
+    /// tombstones and strings — as the bytes `Generation::freeze` lays them
+    /// out in.
     fn freeze(&self) -> Vec<u8> {
         let removed: Vec<EntityId> = self.removed.iter().copied().map(EntityId).collect();
         freeze_to_bytes(&FreezeSource {
@@ -141,24 +104,21 @@ impl Rebuilt {
             config: &self.config,
             generation: self.generation,
             order: &self.order,
-            segments: self.shards.iter().map(|(dd, index)| FreezeSegment { dd, index }).collect(),
+            segments: vec![FreezeSegment { dd: &self.dd, index: &self.index }],
         })
     }
 
     /// The set-length range the artifact does not carry.
     fn set_len_range(&self) -> Option<(usize, usize)> {
-        let lens: Vec<usize> = self.shards.iter().flat_map(|(_, ix)| [ix.min_set_len(), ix.max_set_len()]).flatten().collect();
-        Some((*lens.iter().min()?, *lens.iter().max()?))
+        self.index.min_set_len().zip(self.index.max_set_len())
     }
 
     /// An origin holding a variant of the dictionary's longest set.
     fn longest_set_origin(&self) -> Option<EntityId> {
         let (_, longest) = self.set_len_range()?;
-        self.shards.iter().find_map(|(dd, ix)| {
-            (0..dd.origins() as u32).map(EntityId).find(|&e| {
-                let block = ix.block(e);
-                (0..block.ids.len()).any(|slot| block.set_len(slot) == longest)
-            })
+        (0..self.dd.origins() as u32).map(EntityId).find(|&e| {
+            let block = self.index.block(e);
+            (0..block.ids.len()).any(|slot| block.set_len(slot) == longest)
         })
     }
 
@@ -187,14 +147,14 @@ fn request_shapes() -> Vec<ExtractRequest<'static>> {
 
 type Steps = Vec<(Vec<String>, Vec<usize>, Vec<(String, String, u8)>)>;
 
-/// Replays `steps` as deltas at shard counts {1, 2, 7} on a heap-built and a
-/// frozen-adopted engine, with two steps forced halfway: removing an origin
+/// Replays `steps` as deltas on engines built in {1, 2, 7} parts, heap-built
+/// and frozen-adopted, with two steps forced halfway: removing an origin
 /// that holds the dictionary's longest set (the set-length range must shrink
 /// as a rebuild's does), then removing every live origin beside two adds,
-/// which supersedes each touched shard's whole base and so crosses the
-/// compaction rule before the second half builds tails on the compacted
-/// bases. After every step the spliced generation freezes to the retired
-/// whole-shard rebuild's bytes, reports its set-length range, variant count
+/// which supersedes the whole base and so crosses the compaction rule before
+/// the second half builds a tail on the compacted base. After every step the
+/// spliced generation freezes to the one-index rebuild's bytes, reports its
+/// set-length range, variant count
 /// and derivation statistics, and answers `doc_text` (plus the step's adds)
 /// with the rebuild's matches, scores and variant ids for the request shapes
 /// `shapes(step)` picks.
@@ -209,9 +169,9 @@ fn replay_against_rebuild(
     let half = steps.len() / 2;
     let mut scratch = ExtractScratch::new();
     for n in [1, 2, 7] {
-        let mut oracle = Rebuilt::build(dict.clone(), rules.clone(), interner.clone(), n);
+        let mut oracle = Rebuilt::build(dict.clone(), rules.clone(), interner.clone());
         let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
-        prop_assert_eq!(&built.freeze(), &oracle.freeze(), "shards={} fresh build", n);
+        prop_assert_eq!(&built.freeze(), &oracle.freeze(), "parts={} fresh build", n);
         let adopted = ShardedEngine::from_frozen(open_frozen_bytes(&built.freeze()).expect("open"), None).expect("adopt");
         for step in 0..steps.len() + 2 {
             let delta = match step.checked_sub(half) {
@@ -247,7 +207,7 @@ fn replay_against_rebuild(
             let requests = shapes(step);
             for (engine, origin) in [(&built, "heap-built"), (&adopted, "frozen-adopted")] {
                 let generation = engine.apply_update(&delta, &tokenizer).expect("delta applies");
-                let what = format!("shards={n} step={step} {origin}: {delta:?}");
+                let what = format!("parts={n} step={step} {origin}: {delta:?}");
                 prop_assert!(generation.freeze() == expected, "{}", what);
                 prop_assert_eq!(generation.set_len_range(), oracle.set_len_range(), "{}", what);
                 prop_assert_eq!(generation.set_len_range(), rebuilt.set_len_range(), "{}", what);
@@ -277,8 +237,7 @@ fn delta_steps() -> impl proptest::Strategy<Value = Steps> {
 proptest! {
     /// Random delta sequences — adds (some tokenizing to nothing), removals
     /// of base, tail, added and already-removed ids, weighted rules that
-    /// reach base and tail origins, deltas that touch no, one or every shard
-    /// — replayed against the rebuild (see [`replay_against_rebuild`]) in
+    /// reach base and tail origins, or none — replayed against the rebuild (see [`replay_against_rebuild`]) in
     /// every build at the default case count. Each step compares the answers
     /// of an eighth of the request shapes, a different eighth per step; the
     /// next property compares them all.
@@ -298,7 +257,7 @@ proptest! {
 }
 
 proptest! {
-    // Every step answers all 96 request shapes at three shard counts on two
+    // Every step answers all 96 request shapes at three part counts on two
     // engines: the default 64 cases in release (CI's `shard-equivalence`
     // job), 8 in debug builds. The property above keeps the default count in
     // every build and samples the shapes instead.
@@ -320,7 +279,7 @@ proptest! {
 
 proptest! {
     /// A generation — built on the heap or adopted from its own frozen
-    /// image, at every shard count — answers every request shape with the
+    /// image, in every part count — answers every request shape with the
     /// matches, scores and variant ids the single engine returns; and a
     /// top-k request returns what keeping the k best of the thresholded
     /// answer would.
@@ -336,7 +295,7 @@ proptest! {
         let doc = Document::parse(&doc_text, &tokenizer, &mut interner);
         let tau = [0.6, 0.8, 1.0][tau_idx];
         let mono = Aeetes::build(dict.clone(), &rules, &interner, AeetesConfig::default());
-        let generations: Vec<_> = SHARD_COUNTS
+        let generations: Vec<_> = PART_COUNTS
             .iter()
             .flat_map(|&n| {
                 let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n);
@@ -360,7 +319,7 @@ proptest! {
                 for (n, origin, generation) in &generations {
                     prop_assert_eq!(
                         generation.extract_request(&doc, &request, &mut scratch).matches, expected.as_slice(),
-                        "shards={} {} {:?}", n, origin, request
+                        "parts={} {} {:?}", n, origin, request
                     );
                 }
             }
@@ -410,7 +369,7 @@ proptest! {
                 prop_assert_eq!(
                     generation.extract_all(&doc, tau),
                     mono.extract(&mono_doc, tau),
-                    "shards={} tau={}", n, tau
+                    "parts={} tau={}", n, tau
                 );
             }
         }

@@ -53,7 +53,7 @@ fn an_update_allocates_its_tail_and_draft_tables_not_the_index() {
     // new generation's own and nothing of the old one is given back.
     let old = engine.snapshot();
     let (new, retained, transient) = live_bytes::measured(|| engine.apply_update(&delta, &data.tokenizer).expect("delta applies"));
-    assert_eq!((old.id() + 1, old.shard_count()), (new.id(), 2));
+    assert_eq!(old.id() + 1, new.id());
 
     let shard_arrays = old.index_size_bytes();
     assert!(shard_arrays > 1 << 20, "corpus too small to price an update: the shards hold {shard_arrays} bytes");

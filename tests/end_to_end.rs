@@ -151,8 +151,8 @@ fn weighted_defaults_to_unweighted_with_unit_weights() {
 }
 
 /// The paper's Fig. 10/11 counters, asserted: one seeded corpus, four
-/// strategies, three engines (heap-built monolith, frozen-adopted 1-shard,
-/// frozen-adopted 2-shard) give the same matches, and
+/// strategies, three engines (heap-built monolith, frozen-adopted builds of
+/// 1 and 2 parts) give the same matches, and
 /// `accessed_entries`/`candidates`/`verifications`/`matches` summed over the
 /// documents equal the constants below. `candidates` and `matches` were
 /// recorded by running this test body at commit bafb90a and no index layout
@@ -162,8 +162,8 @@ fn weighted_defaults_to_unweighted_with_unit_weights() {
 /// keys with the window. `accessed_entries` counts index entries, and an
 /// entry is a `(token, set length, origin)` cluster: while it was a posting
 /// per variant the column read 39443 / 5403 / 5029 / 1803. It must fall from
-/// each strategy to the next. Origins are disjoint across shards, so the
-/// per-shard counters add up to the monolith's.
+/// each strategy to the next. A build's parts make one index, so every
+/// engine counts what the monolith counts.
 #[test]
 fn strategy_counters_match_the_recorded_ones_on_every_engine() {
     const GOLDEN: [[u64; 4]; 4] = [
@@ -177,8 +177,8 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
     for (strategy, golden) in Strategy::ALL.into_iter().zip(GOLDEN) {
         let config = AeetesConfig { strategy, ..AeetesConfig::default() };
         let heap = Aeetes::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone());
-        let adopted = |shards: usize| {
-            adopt(&ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), shards).freeze()).snapshot()
+        let adopted = |parts: usize| {
+            adopt(&ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), parts).freeze()).snapshot()
         };
         let (one, two) = (adopted(1), adopted(2));
         let mut totals = [ExtractStats::default(); 3];
@@ -188,11 +188,11 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
             totals[0] += stats;
             for (slot, generation) in [&one, &two].into_iter().enumerate() {
                 let out = generation.extract_scratched(doc, tau, &ExtractLimits::UNLIMITED, None, &mut scratch);
-                assert_eq!(out.matches, want, "{strategy}: frozen-adopted {}-shard engine", slot + 1);
+                assert_eq!(out.matches, want, "{strategy}: frozen-adopted {}-part build", slot + 1);
                 totals[slot + 1] += out.stats;
             }
         }
-        for (engine, t) in ["heap", "frozen 1-shard", "frozen 2-shard"].into_iter().zip(totals) {
+        for (engine, t) in ["heap", "frozen 1-part", "frozen 2-part"].into_iter().zip(totals) {
             assert_eq!([t.accessed_entries, t.candidates, t.verifications, t.matches], golden, "{strategy} on the {engine} engine");
         }
     }
@@ -205,7 +205,8 @@ fn strategy_counters_match_the_recorded_ones_on_every_engine() {
 /// After every delta the spliced generation must answer each document —
 /// the corpus's own, and one naming some of the entities just added and
 /// just removed — exactly as a monolithic engine derived from nothing over the
-/// live dictionary does, under all four strategies at 1 and 2 shards; and
+/// live dictionary does, under all four strategies for builds of 1 and 2
+/// parts; and
 /// the updated engine written, reopened and adopted writes the same bytes
 /// again.
 #[test]
@@ -216,8 +217,8 @@ fn churned_engines_match_a_fresh_build_and_refreeze_bit_identically() {
         let configs = || Strategy::ALL.into_iter().map(|strategy| AeetesConfig { strategy, ..AeetesConfig::default() });
         let updated: Vec<(usize, ShardedEngine)> = [1, 2]
             .into_iter()
-            .flat_map(|shards| configs().map(move |config| (shards, config)))
-            .map(|(shards, config)| (shards, ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config, shards)))
+            .flat_map(|parts| configs().map(move |config| (parts, config)))
+            .map(|(parts, config)| (parts, ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config, parts)))
             .collect();
         let n = data.dictionary.len();
         let (mut dict, mut interner) = (data.dictionary.clone(), data.interner.clone());
@@ -253,19 +254,17 @@ fn churned_engines_match_a_fresh_build_and_refreeze_bit_identically() {
             let docs: Vec<&Document> = data.documents.iter().chain([&churn_doc]).collect();
             let expected: Vec<_> = docs.iter().map(|doc| fresh.extract(doc, tau)).collect();
             assert!(!expected[docs.len() - 1].is_empty(), "{}: the added entities are found", data.name);
-            for (shards, engine) in &updated {
+            for (parts, engine) in &updated {
                 let generation = engine.apply_update(&delta, &data.tokenizer).expect("delta applies");
                 let strategy = generation.config().strategy;
                 for (doc, want) in docs.iter().zip(&expected) {
-                    assert_eq!(&generation.extract_all(doc, tau), want, "{}: round {round}, {strategy} at {shards} shard(s)", data.name);
+                    assert_eq!(&generation.extract_all(doc, tau), want, "{}: round {round}, {strategy} built in {parts} part(s)", data.name);
                 }
             }
         }
-        for (shards, engine) in &updated {
+        for (parts, engine) in &updated {
             let written = engine.freeze();
-            let adopted = adopt(&written);
-            assert_eq!(adopted.shard_count(), *shards);
-            assert!(written == adopted.freeze(), "{}: {shards}-shard artifact must refreeze bit-identically", data.name);
+            assert!(written == adopt(&written).freeze(), "{}: the artifact of a {parts}-part build must refreeze bit-identically", data.name);
         }
     }
 }
@@ -302,34 +301,18 @@ fn artifact_stays_inside_its_bytes_per_posting_budget() {
     assert_eq!(engine.index().size_bytes(), ix_sections.iter().map(|s| s.len).sum::<usize>() + origin_prefix);
 }
 
-/// A shard build derives each origin straight into its index block and keys
-/// the blocks once the order exists; the materialised pieces — a
-/// `DerivedDictionary` per shard, one order over them, an index built from
-/// each with the order in hand — are what it must come to, byte for byte: the
-/// 1-shard image is the monolithic engine's, the 2-shard image the one
-/// assembled from the pieces.
+/// A build derives each part's origins straight into their index blocks,
+/// keys the blocks once the order exists and concatenates the parts into one
+/// index: whatever the number of parts, the image is the monolithic
+/// engine's, byte for byte.
 #[test]
-fn a_shard_build_freezes_to_the_bytes_of_the_materialised_pieces() {
-    use aeetes::index::{ClusteredIndex, GlobalOrder};
-    use aeetes::shard::shard_of;
-    use std::sync::Arc;
+fn every_build_partition_freezes_to_the_monolithic_image() {
     for (engine, data) in engines() {
-        let build = |shards| ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), shards);
-        assert!(build(1).freeze() == through_the_artifact_bytes(&engine, &data), "{}: 1 shard", data.name);
-        let dds = [0, 1].map(|i| DerivedDictionary::build_filtered(&data.dictionary, &data.rules, &engine.config().derive, |e| shard_of(e, 2) == i));
-        let order = Arc::new(GlobalOrder::build_many(&[&dds[0], &dds[1]], &data.interner));
-        let indexes = [0, 1].map(|i| ClusteredIndex::build_with_order(&dds[i], Arc::clone(&order)));
-        let pieces = freeze_to_bytes(&FreezeSource {
-            interner: &data.interner,
-            dict: &data.dictionary,
-            removed: &[],
-            rules: &data.rules,
-            config: engine.config(),
-            generation: 1,
-            order: &order,
-            segments: vec![FreezeSegment { dd: &dds[0], index: &indexes[0] }, FreezeSegment { dd: &dds[1], index: &indexes[1] }],
-        });
-        assert!(build(2).freeze() == pieces, "{}: 2 shards", data.name);
+        let monolithic = through_the_artifact_bytes(&engine, &data);
+        for parts in [1, 2, 3, 7] {
+            let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), parts);
+            assert!(built.freeze() == monolithic, "{}: {parts} part(s)", data.name);
+        }
     }
 }
 
@@ -339,7 +322,7 @@ fn weight_section_bytes(artifact: &[u8]) -> Vec<usize> {
     info.sections.iter().filter(|s| s.kind == "dd.weight").map(|s| s.len).collect()
 }
 
-/// A shard holds the same arrays however it came to be — built on the heap,
+/// An index holds the same arrays however it came to be — built on the heap,
 /// adopted from an artifact, spliced by a delta from either — so a
 /// heap-built engine and the engine adopted from its artifact freeze to the
 /// same bytes at every generation of the same delta sequence: entities
@@ -367,18 +350,23 @@ fn heap_built_and_adopted_generations_freeze_to_the_same_bytes() {
             },
             DictDelta { add_entities: vec![format!("{} again", head(7))], ..Default::default() },
         ];
-        for shards in [1, 2] {
-            let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), shards);
+        for parts in [1, 2] {
+            let built = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), parts);
             let adopted = adopt(&built.freeze());
-            assert!(built.freeze() == adopted.freeze(), "{}: {shards}-shard generation 1", data.name);
+            assert!(built.freeze() == adopted.freeze(), "{}: {parts}-part build, generation 1", data.name);
             assert!(weight_section_bytes(&built.freeze()).iter().all(|&len| len == 0), "{}: the corpus rules all weigh 1.0", data.name);
             for delta in &deltas {
                 let (a, b) =
                     (built.apply_update(delta, &data.tokenizer).expect("delta"), adopted.apply_update(delta, &data.tokenizer).expect("delta"));
                 assert_eq!(a.id(), b.id());
                 let image = a.freeze();
-                assert!(image == b.freeze(), "{}: {shards}-shard generation {} differs between heap-built and adopted", data.name, a.id());
-                assert!(image == adopt(&image).freeze(), "{}: {shards}-shard generation {} must refreeze bit-identically", data.name, a.id());
+                assert!(image == b.freeze(), "{}: {parts}-part build, generation {} differs between heap-built and adopted", data.name, a.id());
+                assert!(
+                    image == adopt(&image).freeze(),
+                    "{}: {parts}-part build, generation {} must refreeze bit-identically",
+                    data.name,
+                    a.id()
+                );
             }
             assert!(weight_section_bytes(&built.freeze()).iter().any(|&len| len > 0), "{}: the 0.5 rule reached an origin", data.name);
         }
@@ -424,22 +412,21 @@ fn weighted_dictionaries_round_trip_and_splice() {
     docs_after.push(Document::parse(&format!("the {arriving} annex"), &data.tokenizer, &mut interner));
     let expected_after = answers(&mono_after, &weighted, &docs_after);
 
-    for shards in [1, 2] {
-        let image = ShardedEngine::build(data.dictionary.clone(), &rules, &data.interner, config.clone(), shards).freeze();
+    for parts in [1, 2] {
+        let image = ShardedEngine::build(data.dictionary.clone(), &rules, &data.interner, config.clone(), parts).freeze();
         let sections = weight_section_bytes(&image);
-        assert_eq!(sections.len(), shards);
-        assert!(sections.iter().all(|&len| len > 0), "{shards} shard(s): weights written, {sections:?}");
+        assert!(sections.len() == 1 && sections[0] > 0, "{parts} part(s): weights written, {sections:?}");
         let engine = adopt(&image);
-        assert_eq!(answers(&*engine.snapshot(), &weighted, &data.documents), expected, "{shards} shard(s), adopted");
+        assert_eq!(answers(&*engine.snapshot(), &weighted, &data.documents), expected, "{parts} part(s), adopted");
         let spliced = engine.apply_update(&delta, &data.tokenizer).expect("delta applies");
-        assert_eq!(answers(&*spliced, &weighted, &docs_after), expected_after, "{shards} shard(s), spliced");
-        assert!(spliced.freeze() == adopt(&spliced.freeze()).freeze(), "{shards} shard(s): spliced weights refreeze bit-identically");
+        assert_eq!(answers(&*spliced, &weighted, &docs_after), expected_after, "{parts} part(s), spliced");
+        assert!(spliced.freeze() == adopt(&spliced.freeze()).freeze(), "{parts} part(s): spliced weights refreeze bit-identically");
     }
 
-    // The first weighted rule: only the shard owning an origin it reaches
-    // starts to store weights — the other is shared with the old generation.
+    // The first weighted rule: the tail that holds an origin it reaches
+    // starts to store weights, and the artifact then stores them for all.
     let engine = adopt(&ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, config.clone(), 2).freeze());
-    assert_eq!(weight_section_bytes(&engine.freeze()), [0, 0]);
+    assert_eq!(weight_section_bytes(&engine.freeze()), [0]);
     let lhs = data.interner.render(&data.dictionary.entity(EntityId(4))[..1]);
     let first = DictDelta {
         add_rules: vec![RuleDelta { lhs, rhs: "doubtful synonym".into(), weight: 0.5 }],
