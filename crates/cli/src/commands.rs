@@ -802,11 +802,7 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
     let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let info = aeetes_core::peek_info(&bytes).map_err(|e| format!("{path}: {e}"))?;
     if args.switch("json") {
-        let sections: Vec<serde_json::Value> = info
-            .sections
-            .iter()
-            .map(|s| serde_json::json!({ "kind": s.kind, "segment": s.seg, "bytes": s.len }))
-            .collect();
+        let sections: Vec<serde_json::Value> = info.sections.iter().map(|s| serde_json::json!({ "kind": s.kind, "bytes": s.len })).collect();
         let out = serde_json::json!({
             "path": path,
             "version": info.version,
@@ -814,7 +810,6 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
             "entities": info.entities,
             "rules": info.rules,
             "tokens": info.tokens,
-            "segments": info.segments,
             "file_bytes": info.file_len,
             "sections": sections,
         });
@@ -827,15 +822,10 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
     println!("entities            {}", info.entities);
     println!("rules               {}", info.rules);
     println!("tokens              {}", info.tokens);
-    println!("segments            {}", info.segments);
     println!("file size (bytes)   {}", info.file_len);
     println!("sections:");
     for s in &info.sections {
-        let owner = match s.seg {
-            None => "global".to_string(),
-            Some(i) => format!("seg {i}"),
-        };
-        println!("  {:<18} {:<8} {:>12} bytes", s.kind, owner, s.len);
+        println!("  {:<18} {:>12} bytes", s.kind, s.len);
     }
     Ok(EXIT_OK)
 }

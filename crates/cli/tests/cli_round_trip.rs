@@ -40,9 +40,9 @@ fn build_stats_extract_round_trip() {
         engine.display().to_string(),
     ]))
     .expect("build succeeds");
-    // No flag but the three paths: the artifact is the one format, one segment.
+    // No flag but the three paths: the artifact is the one format.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (9, 1));
+    assert_eq!(info.version, 9);
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -326,7 +326,7 @@ fn build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!((info.version, info.segments), (9, 1));
+    assert_eq!(info.version, 9);
     // The retired switches are unknown flags, not silent no-ops: the format
     // is fixed, and the bytes do not depend on how many parts built them.
     for retired in [vec![s("--frozen")], vec![s("--shards"), s("2")]] {
@@ -377,7 +377,7 @@ fn build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!((info.version, info.segments), (9, 1));
+    assert_eq!(info.version, 9);
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -390,9 +390,9 @@ fn build_info_extract_and_compaction_round_trip() {
 }
 
 /// A v9 image of two segments — what `build --shards 2` wrote before a
-/// generation became one index — is refused by every verb that opens an
-/// engine, with a message naming the segment count and saying to rebuild;
-/// the file is left as it was.
+/// generation became one index — is refused on open by every verb that
+/// reads an artifact, `dict info` included, with a message naming the
+/// segment count and saying to rebuild; the file is left as it was.
 #[test]
 fn a_two_segment_artifact_is_refused_by_name() {
     let dir = workdir("twosegments");
@@ -407,7 +407,7 @@ fn a_two_segment_artifact_is_refused_by_name() {
     commands::build(&argv(&[s("--dict"), paths[0].clone(), s("--rules"), paths[1].clone(), s("--out"), paths[2].clone()])).expect("build succeeds");
 
     let parts = aeetes_core::open_frozen(&one).expect("open artifact");
-    let segment = || aeetes_core::FreezeSegment { dd: &parts.segments[0].dd, index: &parts.segments[0].index };
+    let segment = || aeetes_core::FreezeSegment { dd: &parts.dd, index: &parts.index };
     let bytes = aeetes_core::freeze_to_bytes(&aeetes_core::FreezeSource {
         interner: &parts.interner,
         dict: &parts.dict,
@@ -420,15 +420,15 @@ fn a_two_segment_artifact_is_refused_by_name() {
     });
     let two = dir.join("two.aeet");
     fs::write(&two, &bytes).unwrap();
-    assert_eq!(aeetes_core::peek_info(&bytes).expect("a valid v9 image").segments, 2);
 
     let (e, d) = (two.display().to_string(), docs.display().to_string());
     type Verb = (&'static str, fn(&[String]) -> Result<i32, String>, Vec<String>);
-    let verbs: [Verb; 4] = [
+    let verbs: [Verb; 5] = [
         ("serve", commands::serve_cmd, vec![s("--engine"), e.clone()]),
         ("extract", commands::extract, vec![s("--engine"), e.clone(), s("--docs"), d.clone()]),
         ("stats", commands::stats, vec![s("--engine"), e.clone()]),
         ("profile", commands::profile_cmd, vec![s("--engine"), e.clone(), s("--doc"), d]),
+        ("dict info", commands::dict_cmd, vec![s("info"), e.clone()]),
     ];
     for (verb, run, args) in verbs {
         let err = run(&args).expect_err(&format!("{verb} must refuse a two-segment artifact"));
@@ -483,11 +483,11 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v9 sections: eleven global ones and, for
-/// the one segment, the seven index arenas, the origin prefix — once, for
-/// the variant table and the index both — and the variant weights, the last
-/// holding 8 bytes per variant where some rule weighing other than 1.0
-/// applies, and nothing otherwise.
+/// `dict info` lists exactly the v9 sections: eleven global ones, then the
+/// index's: the seven index arenas, the origin prefix — once, for the variant
+/// table and the index both — and the variant weights, the last holding 8
+/// bytes per variant where some rule weighing other than 1.0 applies, and
+/// nothing otherwise.
 #[test]
 fn dict_info_lists_exactly_the_v9_sections() {
     const GLOBAL: [&str; 11] = [
@@ -503,7 +503,7 @@ fn dict_info_lists_exactly_the_v9_sections() {
         "strings.offsets",
         "strings.table",
     ];
-    const SEGMENT: [&str; 9] = [
+    const INDEX: [&str; 9] = [
         "dd.by_origin",
         "dd.weight",
         "ix.block_offsets",
@@ -531,24 +531,24 @@ fn dict_info_lists_exactly_the_v9_sections() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
         let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-        assert_eq!((field(&info, "version"), field(&info, "segments")), (Some(9), Some(1)));
-        let listed: Vec<(Option<u64>, &str, u64)> = info
+        assert_eq!(field(&info, "version"), Some(9));
+        let listed: Vec<(&str, u64)> = info
             .get("sections")
             .and_then(serde_json::Value::as_array)
             .expect("sections")
             .iter()
-            .map(|sec| (field(sec, "segment"), sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "bytes").unwrap()))
+            .map(|sec| (sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "bytes").unwrap()))
             .collect();
-        let expected: Vec<(Option<u64>, &str)> = GLOBAL.iter().map(|&kind| (None, kind)).chain(SEGMENT.iter().map(|&kind| (Some(0), kind))).collect();
-        assert_eq!(listed.iter().map(|&(seg, kind, _)| (seg, kind)).collect::<Vec<_>>(), expected, "weighted={weighted}");
+        let expected: Vec<&str> = GLOBAL.iter().chain(&INDEX).copied().collect();
+        assert_eq!(listed.iter().map(|&(kind, _)| kind).collect::<Vec<_>>(), expected, "weighted={weighted}");
         // The weights: none, or one f64 per variant (the origin prefix and
         // the block prefix each hold a u32 per origin and one more; four
         // origins here); an origin cluster is four bytes of origin and two of
         // lowest position.
-        let bytes_of = |kind: &str| listed.iter().find(|&&(s, k, _)| s == Some(0) && k == kind).unwrap().2;
+        let bytes_of = |kind: &str| listed.iter().find(|&&(k, _)| k == kind).unwrap().1;
         assert_eq!((bytes_of("dd.by_origin"), bytes_of("ix.block_offsets")), (4 * 5, 4 * 5));
         assert_eq!(bytes_of("ix.origin_entity"), 2 * bytes_of("ix.origin_min_pos"));
-        let variants = aeetes_core::open_frozen(&engine).expect("open artifact").segments[0].dd.len() as u64;
+        let variants = aeetes_core::open_frozen(&engine).expect("open artifact").dd.len() as u64;
         let weights = bytes_of("dd.weight");
         assert_eq!(weights, if weighted { 8 * variants } else { 0 }, "weighted={weighted}: {weights} weight bytes for {variants} variants");
     }

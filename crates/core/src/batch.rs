@@ -3,8 +3,8 @@
 //! The paper's motivating systems "receive many consumer reviews" (§1) —
 //! extraction is embarrassingly parallel across documents because the
 //! engine is immutable after the off-line phase. The batch *executor*
-//! lives in `aeetes-pool` (persistent work-stealing workers, one resident
-//! scratch each); this module keeps the types both sides of that boundary
+//! lives in `aeetes-pool` (persistent workers on one task queue, one
+//! resident scratch each); this module keeps the types both sides of that boundary
 //! share: the per-document error taxonomy, the batch options, and the
 //! panic-payload formatter.
 

@@ -35,11 +35,14 @@
 //! Section *kinds* are fixed small integers (see the `SEC_*` constants):
 //! the global sections carry the META blob (rules, config, counts — small,
 //! decoded once), the origin dictionary's four arenas, the interner's
-//! string arena/offsets/hash table and the global order's three arrays;
-//! each segment (an engine writes and adopts exactly one; the table allows
-//! more) carries the seven flat arrays of its clustered index,
-//! its variants' weights, and the origin → variant-range prefix that its
-//! variant table and its index both read. Offsets are validated against the
+//! string arena/offsets/hash table and the global order's three arrays; the
+//! index sections carry the seven flat arrays of the clustered index, the
+//! variants' weights, and the origin → variant-range prefix that the variant
+//! table and the index both read. An artifact holds one index: its sections
+//! are filed under segment 0, every other under `seg = 0xFFFF_FFFF`, META
+//! names one segment, and each kind appears once. An image that says
+//! otherwise (what a partitioned build once wrote) is refused on open, never
+//! adopted in part. Offsets are validated against the
 //! file bounds and the 16-byte alignment rule, every prefix array is
 //! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
@@ -50,38 +53,35 @@
 //! ## Sections
 //!
 //! Every section is one array of one element type; its length is `count ×
-//! width`. Bytes below are what `aeetes dict info` prints (per-segment
-//! sections summed) for `aeetes generate --seed 12` dictionaries built with
-//! `aeetes build`: pubmed and dbworld at scale 1.0 in one segment, usjob at
-//! scale 0.25 in two. `a → b` is v8 → v9 (`–`: no such section); everything
-//! else is unchanged.
+//! width`. Bytes below are what `aeetes dict info` prints for `aeetes
+//! generate --seed 12` dictionaries built with `aeetes build`: pubmed and
+//! dbworld at scale 1.0, usjob at scale 0.25. v8 also stored
+//! `ix.origin_entries`, `ix.positions` and `ix.variants_by_len`; v9 dropped
+//! them and added `ix.origin_min_pos` (see below).
 //!
 //! ```text
-//! section             element width                     pubmed                 dbworld                     usjob
-//! meta                bytes                            150 406                 249 714                   246 126
-//! dict.raws           u8      1                        573 989                 250 832                   490 521
-//! dict.raw_off        u32     4                         80 004                  48 004                    30 004
-//! dict.tokens         u32     4                        240 632                 105 284                   206 468
-//! dict.tok_off        u32     4                         80 004                  48 004                    30 004
-//! strings.bytes       u8      1                         97 273                  47 071                    36 101
-//! strings.offsets     u32     4                         36 560                  18 280                    14 168
-//! strings.table       u32     4                        131 072                  65 536                    32 768
-//! order.freq          u32     4                         36 556                  18 276                    14 164
-//! order.key           u32     4                         36 556                  18 276                    14 164
-//! order.untie         u32     4                         36 348                  18 276                    14 164
-//! dd.weight           f64     8                              0                       0                         0
-//! dd.by_origin        u32     4                         80 004                  48 004                    60 008
-//! ix.tok_groups       u32     4                         36 560                  18 280                    28 336
-//! ix.group_len        u16     2                         50 534                  32 592                    60 894
-//! ix.group_origins    u32     4                        101 072                  65 188                   121 796
-//! ix.origin_entity    u32     4                        733 768                 603 584                 2 263 208
-//! ix.origin_entries   u32     4                    733 772 → –             603 588 → –             2 263 216 → –
-//! ix.positions        u16     2                    496 232 → –             534 142 → –             6 205 970 → –
-//! ix.origin_min_pos   u16     2                    – → 366 884             – → 301 792             – → 1 131 604
-//! ix.blocks           u32     4                      1 039 416                 753 148                 5 926 140
-//! ix.block_offsets    u32     4                         80 004                  48 004                    60 008
-//! ix.variants_by_len  u32     4                    293 160 → –             295 996 → –             1 674 080 → –
-//! whole file                             5 144 620 → 3 988 280   3 890 800 → 2 758 792   19 793 372 → 10 781 592
+//! section             element width         pubmed     dbworld       usjob
+//! meta                bytes                150 406     249 714     246 078
+//! dict.raws           u8      1            573 989     250 832     490 521
+//! dict.raw_off        u32     4             80 004      48 004      30 004
+//! dict.tokens         u32     4            240 632     105 284     206 468
+//! dict.tok_off        u32     4             80 004      48 004      30 004
+//! strings.bytes       u8      1             97 273      47 071      36 101
+//! strings.offsets     u32     4             36 560      18 280      14 168
+//! strings.table       u32     4            131 072      65 536      32 768
+//! order.freq          u32     4             36 556      18 276      14 164
+//! order.key           u32     4             36 556      18 276      14 164
+//! order.untie         u32     4             36 348      18 276      14 164
+//! dd.weight           f64     8                  0           0           0
+//! dd.by_origin        u32     4             80 004      48 004      30 004
+//! ix.tok_groups       u32     4             36 560      18 280      14 168
+//! ix.group_len        u16     2             50 534      32 592      37 888
+//! ix.group_origins    u32     4            101 072      65 188      75 780
+//! ix.origin_entity    u32     4            733 768     603 584   2 263 208
+//! ix.origin_min_pos   u16     2            366 884     301 792   1 131 604
+//! ix.blocks           u32     4          1 039 416     753 148   5 926 140
+//! ix.block_offsets    u32     4             80 004      48 004      30 004
+//! whole file                             3 988 280   2 758 792  10 638 072
 //! ```
 //!
 //! An index *entry* is one origin cluster: for a token, a set length and an
@@ -100,7 +100,7 @@
 //! any bound — the minimum decides every threshold and every metric exactly,
 //! and nothing else a cluster could store is ever read.
 //!
-//! A segment stores its variants' key sets in **`ix.blocks`**: one `u32`
+//! The index stores its variants' key sets in **`ix.blocks`**: one `u32`
 //! arena holding one *block* per origin, found through the prefix
 //! **`ix.block_offsets`** (origins + 1 entries):
 //!
@@ -117,7 +117,7 @@
 //! distinct-token count, ties in enumeration order, so set lengths never fall
 //! along the slots (verification binary-searches them; v8 derived in
 //! enumeration order and kept the by-length permutation as
-//! `ix.variants_by_len`). An origin without variants in the segment has no
+//! `ix.variants_by_len`). An origin without variants has no
 //! block. A set's length is its mask's popcount, a key's position in its set
 //! the popcount of the mask's lower bits, and verification (`core::verify`)
 //! merges a window against the pool once instead of against every variant. A
@@ -134,8 +134,8 @@
 //!
 //! Of a variant's derivation, extraction reads only that prefix and, for
 //! weighted requests, its weight: **`dd.weight`** holds one `f64` per variant
-//! in a segment where some variant weighs other than `1.0`, and nothing
-//! otherwise — a function of the segment's variants alone, so a delta's
+//! in an index where some variant weighs other than `1.0`, and nothing
+//! otherwise — a function of the index's variants alone, so a delta's
 //! splice and a rebuild agree on it. The generated corpora carry unit
 //! weights throughout. Token sequences and rule provenance are a pure
 //! function of (origin tokens, rule table, derive config) — `dict.*` and
@@ -167,7 +167,7 @@ use crate::failpoint;
 use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
-use aeetes_rules::{DeriveStats, RuleSet, VariantTable};
+use aeetes_rules::{RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
 use std::collections::HashMap;
 use std::path::Path;
@@ -180,10 +180,9 @@ const ENTRY_BYTES: usize = 24;
 /// Every section starts at a multiple of this (covers every element type's
 /// natural alignment with room to spare).
 const SECTION_ALIGN: usize = 16;
-/// `seg` value marking a global (non-per-segment) section.
+/// `seg` value marking a global section; the index sections are segment 0.
 const GLOBAL_SEG: u32 = u32::MAX;
-/// Backstop against forged section counts (a real artifact has
-/// `11 + 9 × segments` sections, and an engine writes one segment).
+/// Backstop against forged section counts (a real artifact has 20).
 const MAX_SECTIONS: usize = 1 << 16;
 
 // Global section kinds.
@@ -199,10 +198,10 @@ const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
 const SEC_DICT_TOKENS: u32 = 32;
 const SEC_DICT_TOKOFF: u32 = 33;
-// Per-segment variant-table sections (mirror `VariantTable::raw_arenas`).
+// Variant-table sections, segment 0 (mirror `VariantTable::raw_arenas`).
 const SEC_DD_WEIGHT: u32 = 11;
 const SEC_DD_BYORIGIN: u32 = 16;
-// Per-segment clustered-index sections.
+// Clustered-index sections, segment 0.
 const SEC_IX_TOKGROUPS: u32 = 20;
 const SEC_IX_GROUPLEN: u32 = 21;
 const SEC_IX_GROUPORIG: u32 = 22;
@@ -297,15 +296,6 @@ pub struct FreezeSource<'a> {
     pub segments: Vec<FreezeSegment<'a>>,
 }
 
-/// One decoded segment of an opened artifact: the variant table and
-/// clustered index, their arenas borrowing the file image.
-pub struct FrozenSegmentParts {
-    /// The segment's variant table (frozen arenas).
-    pub dd: VariantTable,
-    /// The segment's clustered index (frozen arenas).
-    pub index: ClusteredIndex,
-}
-
 /// A validated, opened artifact. The heavy structures borrow the mapped
 /// (or heap-loaded) file image through their arenas; only the small META
 /// structures (dictionary, rules, config) are decoded onto the heap.
@@ -325,8 +315,10 @@ pub struct FrozenParts {
     pub generation: u64,
     /// The shared global order (frozen arenas).
     pub order: Arc<GlobalOrder>,
-    /// One entry per segment, in table order; an engine adopts exactly one.
-    pub segments: Vec<FrozenSegmentParts>,
+    /// The variant table (frozen arenas).
+    pub dd: VariantTable,
+    /// The clustered index (frozen arenas).
+    pub index: ClusteredIndex,
     /// Whether the backing storage is an mmap (false: heap fallback).
     pub mmapped: bool,
 }
@@ -442,9 +434,9 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
 
 // ---------------------------------------------------------------- opener --
 
+/// The section table, keyed by kind: an opened artifact holds each kind once.
 struct SectionTable {
-    entries: HashMap<(u32, u32), (usize, usize)>,
-    segments: usize,
+    entries: HashMap<u32, (usize, usize)>,
 }
 
 fn corrupt(msg: impl Into<String>) -> PersistError {
@@ -466,9 +458,20 @@ fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
     }
 }
 
+/// The segment a section kind is filed under: 0 for the index kinds,
+/// [`GLOBAL_SEG`] for every other.
+fn home_of(kind: u32) -> u32 {
+    if SEGMENT_KINDS.contains(&kind) {
+        0
+    } else {
+        GLOBAL_SEG
+    }
+}
+
 /// Parses and bounds-checks the header and section table of `bytes`
-/// (which must already be CRC-verified). Rejects out-of-bounds, overlappingly
-/// duplicated, or misaligned sections and missing kinds.
+/// (which must already be CRC-verified). Rejects out-of-bounds, duplicated
+/// or misaligned sections, a META naming other than one segment, a section
+/// filed anywhere but its kind's home and missing kinds.
 fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     check_header(bytes)?;
     let mut r = Reader { buf: &bytes[8..] };
@@ -487,7 +490,7 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
         return Err(PersistError::Truncated("section table"));
     }
     let mut entries = HashMap::with_capacity(s_count);
-    let mut max_seg: Option<u32> = None;
+    let mut stray = None;
     for i in 0..s_count {
         let kind = r.u32("section kind")?;
         let seg = r.u32("section segment")?;
@@ -500,44 +503,42 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
         if off < table_end || end > payload_end {
             return Err(corrupt(format!("section {i} [{off}, {end}) outside payload [{table_end}, {payload_end})")));
         }
-        if entries.insert((kind, seg), (off, len)).is_some() {
-            return Err(corrupt(format!("duplicate section kind {kind} segment {seg}")));
-        }
-        if seg != GLOBAL_SEG && SEGMENT_KINDS.contains(&kind) {
-            max_seg = Some(max_seg.map_or(seg, |m| m.max(seg)));
-        }
-    }
-    for kind in GLOBAL_KINDS {
-        if !entries.contains_key(&(kind, GLOBAL_SEG)) {
-            return Err(corrupt(format!("missing global section {}", section_kind_name(kind))));
+        if seg != home_of(kind) {
+            stray.get_or_insert((kind, seg));
+        } else if entries.insert(kind, (off, len)).is_some() {
+            return Err(corrupt(format!("duplicate section {}", section_kind_name(kind))));
         }
     }
-    let segments = max_seg.map_or(0, |m| m as usize + 1);
-    for seg in 0..segments as u32 {
-        for kind in SEGMENT_KINDS {
-            if !entries.contains_key(&(kind, seg)) {
-                return Err(corrupt(format!("segment {seg} is missing section {}", section_kind_name(kind))));
-            }
+    let table = SectionTable { entries };
+    // META leads with the segment count: an artifact partitioned into several
+    // is named as such, not by the first of its sections past segment 0.
+    if table.entries.contains_key(&SEC_META) {
+        let segments = Reader { buf: table.bytes(bytes, SEC_META) }.u32("meta segment count")?;
+        if segments != 1 {
+            return Err(corrupt(format!("the artifact holds {segments} segments, not one: rebuild it with `aeetes build`")));
         }
     }
-    Ok(SectionTable { entries, segments })
+    if let Some((kind, seg)) = stray {
+        let place = |seg: u32| if seg == GLOBAL_SEG { "global".to_string() } else { format!("segment {seg}") };
+        return Err(corrupt(format!("section {} is filed under {}, not {}", section_kind_name(kind), place(seg), place(home_of(kind)))));
+    }
+    if let Some(&kind) = GLOBAL_KINDS.iter().chain(&SEGMENT_KINDS).find(|kind| !table.entries.contains_key(kind)) {
+        return Err(corrupt(format!("missing section {}", section_kind_name(kind))));
+    }
+    Ok(table)
 }
 
+/// Section lookups: [`parse_table`] returns a table only once every kind is
+/// in it.
 impl SectionTable {
-    fn slice<T: Pod>(&self, buf: &Arc<FrozenBuf>, kind: u32, seg: u32) -> Result<FrozenSlice<T>, PersistError> {
-        let &(off, len) = self
-            .entries
-            .get(&(kind, seg))
-            .ok_or_else(|| corrupt(format!("missing section {} segment {seg}", section_kind_name(kind))))?;
+    fn slice<T: Pod>(&self, buf: &Arc<FrozenBuf>, kind: u32) -> Result<FrozenSlice<T>, PersistError> {
+        let (off, len) = self.entries[&kind];
         FrozenSlice::new(Arc::clone(buf), off, len).map_err(|e| corrupt(format!("section {}: {e}", section_kind_name(kind))))
     }
 
-    fn bytes<'a>(&self, buf: &'a FrozenBuf, kind: u32, seg: u32) -> Result<&'a [u8], PersistError> {
-        let &(off, len) = self
-            .entries
-            .get(&(kind, seg))
-            .ok_or_else(|| corrupt(format!("missing section {} segment {seg}", section_kind_name(kind))))?;
-        Ok(&buf.as_bytes()[off..off + len])
+    fn bytes<'a>(&self, bytes: &'a [u8], kind: u32) -> &'a [u8] {
+        let (off, len) = self.entries[&kind];
+        &bytes[off..off + len]
     }
 }
 
@@ -595,9 +596,9 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 
     // Interner: validate the frozen string table, then overlay.
     let strings = FrozenStrings::new(
-        table.slice::<u8>(&buf, SEC_STR_BYTES, GLOBAL_SEG)?.into(),
-        table.slice::<u32>(&buf, SEC_STR_OFF, GLOBAL_SEG)?.into(),
-        table.slice::<u32>(&buf, SEC_STR_TABLE, GLOBAL_SEG)?.into(),
+        table.slice::<u8>(&buf, SEC_STR_BYTES)?.into(),
+        table.slice::<u32>(&buf, SEC_STR_OFF)?.into(),
+        table.slice::<u32>(&buf, SEC_STR_TABLE)?.into(),
     )
     .map_err(|e| corrupt(format!("string table: {e}")))?;
     if strings.len() > TokenId::LIMIT as usize {
@@ -608,9 +609,9 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 
     // Global order.
     let order = GlobalOrder::from_raw_parts(
-        table.slice::<u32>(&buf, SEC_ORD_FREQ, GLOBAL_SEG)?.into(),
-        table.slice::<u32>(&buf, SEC_ORD_KEY, GLOBAL_SEG)?.into(),
-        table.slice::<TokenId>(&buf, SEC_ORD_UNTIE, GLOBAL_SEG)?.into(),
+        table.slice::<u32>(&buf, SEC_ORD_FREQ)?.into(),
+        table.slice::<u32>(&buf, SEC_ORD_KEY)?.into(),
+        table.slice::<TokenId>(&buf, SEC_ORD_UNTIE)?.into(),
     )
     .map_err(|e| corrupt(format!("global order: {e}")))?;
     let (freq, _, _) = order.raw_parts();
@@ -620,19 +621,15 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
     let order = Arc::new(order);
 
     // META: the small decoded structures.
-    let meta = table.bytes(&buf, SEC_META, GLOBAL_SEG)?;
-    let mut r = Reader { buf: meta };
-    let meta_segments = r.u32("meta segment count")? as usize;
-    if meta_segments != table.segments {
-        return Err(corrupt(format!("meta names {meta_segments} segments, section table holds {}", table.segments)));
-    }
+    let mut r = Reader { buf: table.bytes(bytes, SEC_META) };
+    let _segments = r.u32("meta segment count")?; // 1: `parse_table` checked it
     let meta_entities = r.u32("meta entity count")? as usize;
     let meta_rules = r.u32("meta rule count")? as usize;
     let dict = Dictionary::from_raw_arenas(
-        table.bytes(&buf, SEC_DICT_RAWS, GLOBAL_SEG)?.to_vec(),
-        table.slice::<u32>(&buf, SEC_DICT_RAWOFF, GLOBAL_SEG)?.to_vec(),
-        table.slice::<TokenId>(&buf, SEC_DICT_TOKENS, GLOBAL_SEG)?.to_vec(),
-        table.slice::<u32>(&buf, SEC_DICT_TOKOFF, GLOBAL_SEG)?.to_vec(),
+        table.bytes(bytes, SEC_DICT_RAWS).to_vec(),
+        table.slice::<u32>(&buf, SEC_DICT_RAWOFF)?.to_vec(),
+        table.slice::<TokenId>(&buf, SEC_DICT_TOKENS)?.to_vec(),
+        table.slice::<u32>(&buf, SEC_DICT_TOKOFF)?.to_vec(),
         n_tokens,
     )
     .map_err(|e| corrupt(format!("dictionary: {e}")))?;
@@ -659,85 +656,42 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         rules.push_tokens(lhs, rhs, weight).map_err(|e| corrupt(format!("invalid persisted rule: {e}")))?;
     }
     let config = persist::read_config(&mut r)?;
-    let mut stats = Vec::with_capacity(table.segments);
-    for _ in 0..table.segments {
-        stats.push(persist::read_stats(&mut r)?);
-    }
+    let stats = persist::read_stats(&mut r)?;
     if !r.buf.is_empty() {
         return Err(corrupt(format!("{} trailing bytes in meta section", r.buf.len())));
     }
 
-    // Segments: reassemble each variant table + index from its arenas,
-    // with full structural validation, then cross-check the pieces agree.
-    // Segments are independent, and the validation scans are the bulk of a
-    // large artifact's open cost, so they run on scoped threads; errors are
-    // surfaced in segment order to keep failures deterministic.
-    let dict_len = dict.len();
-    let parallel = table.segments > 1 && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
-    let seg_results: Vec<Result<FrozenSegmentParts, PersistError>> = if parallel {
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = stats
-                .into_iter()
-                .enumerate()
-                .map(|(s, st)| {
-                    let (buf, table, order) = (&buf, &table, &order);
-                    sc.spawn(move || open_segment(buf, table, order, s as u32, st, dict_len))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("segment validation worker")).collect()
-        })
-    } else {
-        stats
-            .into_iter()
-            .enumerate()
-            .map(|(s, st)| open_segment(&buf, &table, &order, s as u32, st, dict_len))
-            .collect()
-    };
-    let mut segments = Vec::with_capacity(table.segments);
-    for r in seg_results {
-        segments.push(r?);
-    }
-
-    let mmapped = buf.is_mmap();
-    Ok(FrozenParts { interner, dict, removed, rules, config, generation, order, segments, mmapped })
-}
-
-/// Reassembles and validates one frozen segment (see [`open_frozen_buf`]).
-fn open_segment(
-    buf: &Arc<FrozenBuf>,
-    table: &SectionTable,
-    order: &Arc<GlobalOrder>,
-    s: u32,
-    st: DeriveStats,
-    dict_len: usize,
-) -> Result<FrozenSegmentParts, PersistError> {
+    // The index: reassemble the variant table and the clustered index from
+    // their arenas, with full structural validation, and cross-check them.
     // One prefix says which variant ids an origin owns; the table and the
     // index each hold a view of it, so an id remap that takes a range start
     // from one and an id through the other cannot be handed two answers.
-    let by_origin = table.slice::<u32>(buf, SEC_DD_BYORIGIN, s)?;
-    let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(buf, SEC_DD_WEIGHT, s)?.into(), st)
-        .map_err(|e| corrupt(format!("segment {s} variant table: {e}")))?;
-    // A segment predating a dictionary-growing delta legitimately spans
-    // a shorter origin space (origins beyond it have no variants there);
+    let by_origin = table.slice::<u32>(&buf, SEC_DD_BYORIGIN)?;
+    let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(&buf, SEC_DD_WEIGHT)?.into(), stats)
+        .map_err(|e| corrupt(format!("variant table: {e}")))?;
+    // An index predating a dictionary-growing delta legitimately spans a
+    // shorter origin space (origins beyond it have no variants there);
     // spanning more origins than the dictionary is always corruption.
-    if dd.origins() > dict_len {
-        return Err(corrupt(format!("segment {s} spans {} origins, dictionary holds only {dict_len}", dd.origins())));
+    if dd.origins() > dict.len() {
+        return Err(corrupt(format!("the index spans {} origins, the dictionary holds only {}", dd.origins(), dict.len())));
     }
     let index = ClusteredIndex::from_raw_parts(
-        Arc::clone(order),
+        Arc::clone(&order),
         IndexArenas {
-            tok_groups: table.slice::<u32>(buf, SEC_IX_TOKGROUPS, s)?.into(),
-            group_len: table.slice::<u16>(buf, SEC_IX_GROUPLEN, s)?.into(),
-            group_origins: table.slice::<u32>(buf, SEC_IX_GROUPORIG, s)?.into(),
-            origin_entity: table.slice::<EntityId>(buf, SEC_IX_ORIGENT, s)?.into(),
-            origin_min_pos: table.slice::<u16>(buf, SEC_IX_ORIGMINPOS, s)?.into(),
-            blocks: table.slice::<u32>(buf, SEC_IX_BLOCKS, s)?.into(),
-            block_offsets: table.slice::<u32>(buf, SEC_IX_BLOCKOFF, s)?.into(),
+            tok_groups: table.slice::<u32>(&buf, SEC_IX_TOKGROUPS)?.into(),
+            group_len: table.slice::<u16>(&buf, SEC_IX_GROUPLEN)?.into(),
+            group_origins: table.slice::<u32>(&buf, SEC_IX_GROUPORIG)?.into(),
+            origin_entity: table.slice::<EntityId>(&buf, SEC_IX_ORIGENT)?.into(),
+            origin_min_pos: table.slice::<u16>(&buf, SEC_IX_ORIGMINPOS)?.into(),
+            blocks: table.slice::<u32>(&buf, SEC_IX_BLOCKS)?.into(),
+            block_offsets: table.slice::<u32>(&buf, SEC_IX_BLOCKOFF)?.into(),
             origin_offsets: by_origin.into(),
         },
     )
-    .map_err(|e| corrupt(format!("segment {s} index: {e}")))?;
-    Ok(FrozenSegmentParts { dd, index })
+    .map_err(|e| corrupt(format!("index: {e}")))?;
+
+    let mmapped = buf.is_mmap();
+    Ok(FrozenParts { interner, dict, removed, rules, config, generation, order, dd, index, mmapped })
 }
 
 // ------------------------------------------------------------- peek info --
@@ -756,8 +710,6 @@ pub struct ArtifactInfo {
     pub rules: usize,
     /// Interned token count.
     pub tokens: usize,
-    /// Segment count (1 in every artifact an engine writes).
-    pub segments: usize,
     /// Total artifact size in bytes.
     pub file_len: usize,
     /// Per-section sizes.
@@ -769,8 +721,6 @@ pub struct ArtifactInfo {
 pub struct SectionInfo {
     /// Section kind name (see [`section_kind_name`]).
     pub kind: &'static str,
-    /// Owning segment (`None` for global sections).
-    pub seg: Option<u32>,
     /// Section payload bytes.
     pub len: usize,
 }
@@ -787,27 +737,25 @@ pub fn peek_info(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
     let table = parse_table(bytes)?;
     let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte generation"));
     // Leading META counts (segments, entities, rules).
-    let &(off, len) = table.entries.get(&(SEC_META, GLOBAL_SEG)).expect("parse_table guarantees META");
-    let mut r = Reader { buf: &bytes[off..off + len] };
-    let _segments = r.u32("meta segment count")? as usize;
+    let mut r = Reader { buf: table.bytes(bytes, SEC_META) };
+    let _segments = r.u32("meta segment count")?; // 1: `parse_table` checked it
     let entities = r.u32("meta entity count")? as usize;
     let rules = r.u32("meta rule count")? as usize;
     // Token count: the string offset array holds n + 1 entries.
-    let &(_, off_len) = table.entries.get(&(SEC_STR_OFF, GLOBAL_SEG)).expect("parse_table guarantees STR_OFF");
-    let tokens = (off_len / 4).saturating_sub(1);
-    let mut sections: Vec<SectionInfo> = table
-        .entries
-        .iter()
-        .map(|(&(kind, seg), &(_, len))| SectionInfo { kind: section_kind_name(kind), seg: (seg != GLOBAL_SEG).then_some(seg), len })
+    let tokens = (table.entries[&SEC_STR_OFF].1 / 4).saturating_sub(1);
+    // The global sections first, then the index's; by name within each.
+    let mut kinds: Vec<u32> = table.entries.keys().copied().collect();
+    kinds.sort_by_key(|&kind| (home_of(kind) == 0, section_kind_name(kind)));
+    let sections = kinds
+        .into_iter()
+        .map(|kind| SectionInfo { kind: section_kind_name(kind), len: table.entries[&kind].1 })
         .collect();
-    sections.sort_by_key(|s| (s.seg, s.kind));
     Ok(ArtifactInfo {
         version: persist::VERSION_FROZEN,
         generation,
         entities,
         rules,
         tokens,
-        segments: table.segments,
         file_len: bytes.len(),
         sections,
     })
@@ -857,9 +805,19 @@ mod tests {
     }
 
     fn extract_frozen(parts: &FrozenParts, doc: &Document, tau: f64) -> Vec<crate::Match> {
-        let seg = &parts.segments[0];
-        extract_segment(&seg.index, &seg.dd, doc, tau, parts.config.strategy, parts.config.metric, false, None, &ExtractLimits::UNLIMITED, None)
-            .matches
+        extract_segment(
+            &parts.index,
+            &parts.dd,
+            doc,
+            tau,
+            parts.config.strategy,
+            parts.config.metric,
+            false,
+            None,
+            &ExtractLimits::UNLIMITED,
+            None,
+        )
+        .matches
     }
 
     #[test]
@@ -872,8 +830,8 @@ mod tests {
         assert_eq!(parts.interner.len(), int.len());
         assert_eq!(parts.dict.len(), engine.dictionary().len());
         assert_eq!(parts.rules.len(), rules.len());
-        assert!(parts.segments[0].dd.is_frozen());
-        assert!(parts.segments[0].index.is_frozen());
+        assert!(parts.dd.is_frozen());
+        assert!(parts.index.is_frozen());
         let text = "she left UQ Australia for Purdue University United States near University of Wisconsin Madison";
         let doc_a = Document::parse(text, &tok, &mut int);
         let mut frozen_int = parts.interner.clone();
@@ -917,11 +875,12 @@ mod tests {
         assert!(err.to_string().contains("aligned"), "unexpected error: {err}");
     }
 
+    /// What the writer makes of a partition into other than one segment —
+    /// none, or two splitting the origin space — is refused on open and on
+    /// peek alike, by its segment count.
     #[test]
-    fn sharded_segments_round_trip() {
-        // Two segments splitting the origin space; both span the full origin
-        // id range with disjoint resident origins.
-        let (engine, int, tok, rules) = sample();
+    fn partitioned_images_are_refused() {
+        let (engine, int, _, rules) = sample();
         let dict = engine.dictionary();
         let config = engine.config();
         let even = DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == 0);
@@ -929,28 +888,28 @@ mod tests {
         let order = engine.index().shared_order();
         let ix_even = ClusteredIndex::build_with_order(&even, Arc::clone(&order));
         let ix_odd = ClusteredIndex::build_with_order(&odd, Arc::clone(&order));
-        let bytes = freeze_to_bytes(&FreezeSource {
-            interner: &int,
-            dict,
-            removed: &[],
-            rules: &rules,
-            config,
-            generation: 7,
-            order: order.as_ref(),
-            segments: vec![FreezeSegment { dd: &even, index: &ix_even }, FreezeSegment { dd: &odd, index: &ix_odd }],
-        });
-        let parts = open_frozen_bytes(&bytes).expect("open two segments");
-        assert_eq!(parts.segments.len(), 2);
-        assert_eq!(parts.generation, 7);
-        assert_eq!(parts.segments[0].dd.len(), even.len());
-        assert_eq!(parts.segments[1].dd.len(), odd.len());
-        // Each frozen segment extracts identically to its source.
-        let mut fi = parts.interner.clone();
-        let doc = Document::parse("purdue university united states and uq australia", &tok, &mut fi);
-        for (seg, (src_dd, src_ix)) in parts.segments.iter().zip([(&even, &ix_even), (&odd, &ix_odd)]) {
-            let a = extract_segment(&seg.index, &seg.dd, &doc, 0.7, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
-            let b = extract_segment(src_ix, src_dd, &doc, 0.7, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
-            assert_eq!(a.matches, b.matches);
+        let freeze = |segments| {
+            freeze_to_bytes(&FreezeSource {
+                interner: &int,
+                dict,
+                removed: &[],
+                rules: &rules,
+                config,
+                generation: 7,
+                order: order.as_ref(),
+                segments,
+            })
+        };
+        for (segments, n) in [
+            (vec![], 0),
+            (vec![FreezeSegment { dd: &even, index: &ix_even }, FreezeSegment { dd: &odd, index: &ix_odd }], 2),
+        ] {
+            let bytes = freeze(segments);
+            let expect = format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`");
+            for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
+                let err = err.expect(&expect).to_string();
+                assert!(err.contains(&expect), "expected `{expect}` in `{err}`");
+            }
         }
     }
 
@@ -969,7 +928,7 @@ mod tests {
             config: &parts.config,
             generation: parts.generation,
             order: parts.order.as_ref(),
-            segments: parts.segments.iter().map(|s| FreezeSegment { dd: &s.dd, index: &s.index }).collect(),
+            segments: vec![FreezeSegment { dd: &parts.dd, index: &parts.index }],
         });
         assert_eq!(bytes, again, "refreeze must be byte-identical");
     }
@@ -984,12 +943,11 @@ mod tests {
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
         assert_eq!(info.tokens, int.len());
-        assert_eq!(info.segments, 1);
         assert_eq!(info.file_len, bytes.len());
-        assert!(!info.sections.is_empty());
-        let segment: Vec<&str> = info.sections.iter().filter(|s| s.seg == Some(0)).map(|s| s.kind).collect();
-        assert_eq!(segment.len(), SEGMENT_KINDS.len());
-        assert_eq!(segment.iter().filter(|k| k.starts_with("dd.")).collect::<Vec<_>>(), [&"dd.by_origin", &"dd.weight"]);
+        // Every kind once: the global sections, then the index's.
+        let kinds: Vec<&str> = info.sections.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds.len(), GLOBAL_KINDS.len() + SEGMENT_KINDS.len());
+        assert_eq!(kinds[GLOBAL_KINDS.len()..][..2], ["dd.by_origin", "dd.weight"]);
     }
 
     #[test]
@@ -1037,13 +995,17 @@ mod tests {
             segments: vec![FreezeSegment { dd: &shifted, index: engine.index() }],
         });
         let table = parse_table(&good).unwrap();
-        let (w_off, w_len) = table.entries[&(SEC_DD_WEIGHT, 0)];
-        let (m_off, m_len) = table.entries[&(SEC_IX_ORIGMINPOS, 0)];
-        // Where the section table holds a kind's length.
-        let len_field = |kind: u32| {
-            let entry = (0..).map(|i| HEADER_FIXED + i * ENTRY_BYTES).find(|&at| good[at..at + 4] == kind.to_le_bytes());
-            entry.unwrap() + 16
+        let (w_off, w_len) = table.entries[&SEC_DD_WEIGHT];
+        let (m_off, m_len) = table.entries[&SEC_IX_ORIGMINPOS];
+        // Where the section table holds a kind's entry: kind, segment, offset
+        // and length.
+        let entry = |kind: u32| {
+            (0..)
+                .map(|i| HEADER_FIXED + i * ENTRY_BYTES)
+                .find(|&at| good[at..at + 4] == kind.to_le_bytes())
+                .unwrap()
         };
+        let len_field = |kind: u32| entry(kind) + 16;
         let patched = |at: usize, with: &[u8]| {
             let mut bytes = good.clone();
             bytes[at..at + with.len()].copy_from_slice(with);
@@ -1054,55 +1016,74 @@ mod tests {
         // 1 [6 | 6 keys | 4 masks], origin 2 [4 | 4 keys | 1 mask].
         let ix = engine.index().raw_parts();
         assert_eq!((ix.block_offsets, ix.blocks[0], ix.blocks[6].count_ones(), ix.blocks[7].count_ones()), (&[0, 8, 19, 25][..], 5, 3, 4));
-        let (b_off, _) = table.entries[&(SEC_IX_BLOCKS, 0)];
-        let (o_off, _) = table.entries[&(SEC_DD_BYORIGIN, 0)];
+        let (b_off, _) = table.entries[&SEC_IX_BLOCKS];
+        let (o_off, _) = table.entries[&SEC_DD_BYORIGIN];
         let block_word = |i: usize, with: u32| patched(b_off + 4 * i, &with.to_le_bytes());
         let ranks = engine.index().order().ranks() as u32;
         let clusters = ix.origin_entity.len();
         assert_eq!(m_len, 2 * clusters);
         for (bytes, expect) in [
-            (another_prefix, "segment 0 index: origin 0's block holds 8 words, not 1 + 5 keys + 3 masks of 1"),
-            (patched(w_off + 8, &0f64.to_le_bytes()), "segment 0 variant table: variant 1 weight 0 outside (0, 1]"),
-            (patched(w_off + 16, &1.5f64.to_le_bytes()), "segment 0 variant table: variant 2 weight 1.5 outside (0, 1]"),
+            (another_prefix, "index: origin 0's block holds 8 words, not 1 + 5 keys + 3 masks of 1"),
+            (patched(w_off + 8, &0f64.to_le_bytes()), "variant table: variant 1 weight 0 outside (0, 1]"),
+            (patched(w_off + 16, &1.5f64.to_le_bytes()), "variant table: variant 2 weight 1.5 outside (0, 1]"),
             (
                 patched(len_field(SEC_DD_WEIGHT), &(w_len as u64 - 8).to_le_bytes()),
                 "variant weight array holds 6 entries, expected none or 7",
             ),
-            (block_word(0, 99), "segment 0 index: origin 0's pool of 99 keys exceeds its block of 8 words"),
-            (block_word(0, 4), "segment 0 index: origin 0's block holds 8 words, not 1 + 4 keys + 2 masks of 1"),
-            (block_word(2, ix.blocks[1]), "segment 0 index: origin 0's pool keys are not strictly ascending"),
-            (block_word(9, ix.blocks[9] & !aeetes_index::VALID_BIT), "segment 0 index: origin 1's pool holds key"),
+            (block_word(0, 99), "index: origin 0's pool of 99 keys exceeds its block of 8 words"),
+            (block_word(0, 4), "index: origin 0's block holds 8 words, not 1 + 4 keys + 2 masks of 1"),
+            (block_word(2, ix.blocks[1]), "index: origin 0's pool keys are not strictly ascending"),
+            (block_word(9, ix.blocks[9] & !aeetes_index::VALID_BIT), "index: origin 1's pool holds key"),
             (
                 block_word(5, aeetes_index::VALID_BIT | ranks),
-                &format!("segment 0 index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}"),
+                &format!("index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}"),
             ),
-            (block_word(6, ix.blocks[6] | 1 << 5), "segment 0 index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
+            (block_word(6, ix.blocks[6] | 1 << 5), "index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
             (
                 patched(b_off + 4 * 6, &[ix.blocks[7].to_le_bytes(), ix.blocks[6].to_le_bytes()].concat()),
-                "segment 0 index: origin 0's variants are not sorted by set length",
+                "index: origin 0's variants are not sorted by set length",
             ),
             // One lowest position per origin cluster, each inside the sets
             // of its group's length.
             (
                 patched(len_field(SEC_IX_ORIGMINPOS), &(m_len as u64 + 2).to_le_bytes()),
-                &format!("segment 0 index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters + 1),
+                &format!("index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters + 1),
             ),
             (
                 patched(len_field(SEC_IX_ORIGMINPOS), &(m_len as u64 - 2).to_le_bytes()),
-                &format!("segment 0 index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters - 1),
+                &format!("index: lowest positions hold {} entries, expected one per origin cluster: {clusters}", clusters - 1),
             ),
             (
                 patched(m_off, &ix.group_len[0].to_le_bytes()),
-                &format!("segment 0 index: origin cluster 0 lowest position {0} outside its group's sets of {0}", ix.group_len[0]),
+                &format!("index: origin cluster 0 lowest position {0} outside its group's sets of {0}", ix.group_len[0]),
             ),
             // Origin 1 left without variants (they pass to origin 2) keeps its block.
-            (patched(o_off + 8, &2u32.to_le_bytes()), "segment 0 index: origin 1 has no variants but a block of 11 words"),
+            (patched(o_off + 8, &2u32.to_le_bytes()), "index: origin 1 has no variants but a block of 11 words"),
         ] {
             let err = open_frozen_bytes(&bytes).err().expect(expect).to_string();
             assert!(err.contains(expect), "expected `{expect}` in `{err}`");
         }
+        // An artifact holds one segment: its index sections are segment 0's,
+        // the others global, and META says so. Anything else is refused by
+        // the opener and by the peek, never adopted in part.
+        let (meta_off, _) = table.entries[&SEC_META];
+        let filed = |kind: u32, kind_to: u32, seg: u32| patched(entry(kind), &[kind_to.to_le_bytes(), seg.to_le_bytes()].concat());
+        for (bytes, expect) in [
+            (filed(SEC_IX_BLOCKS, SEC_IX_BLOCKS, 1), "section ix.blocks is filed under segment 1, not segment 0"),
+            (filed(SEC_IX_BLOCKS, SEC_IX_BLOCKS, GLOBAL_SEG), "section ix.blocks is filed under global, not segment 0"),
+            (filed(SEC_META, SEC_META, 0), "section meta is filed under segment 0, not global"),
+            (patched(meta_off, &0u32.to_le_bytes()), "the artifact holds 0 segments, not one: rebuild it with `aeetes build`"),
+            (patched(meta_off, &2u32.to_le_bytes()), "the artifact holds 2 segments, not one: rebuild it with `aeetes build`"),
+            // The index's blocks filed as an unknown global kind.
+            (filed(SEC_IX_BLOCKS, 99, GLOBAL_SEG), "missing section ix.blocks"),
+        ] {
+            for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
+                let err = err.expect(expect).to_string();
+                assert!(err.contains(expect), "expected `{expect}` in `{err}`");
+            }
+        }
         // An empty weight section is the other legal length: unit weights.
         let unweighted = open_frozen_bytes(&patched(len_field(SEC_DD_WEIGHT), &0u64.to_le_bytes())).expect("len 0 is legal");
-        assert_eq!(unweighted.segments[0].dd.weight_of(DerivedId(3)), 1.0);
+        assert_eq!(unweighted.dd.weight_of(DerivedId(3)), 1.0);
     }
 }

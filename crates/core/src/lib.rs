@@ -84,10 +84,7 @@ pub use batch::{panic_message, BatchOptions, DocError};
 pub use config::AeetesConfig;
 pub use durable::{atomic_replace, fsync_dir};
 pub use extractor::Aeetes;
-pub use frozen::{
-    freeze_to_bytes, open_frozen, open_frozen_bytes, peek_info, ArtifactInfo, FreezeSegment, FreezeSource, FrozenParts, FrozenSegmentParts,
-    SectionInfo,
-};
+pub use frozen::{freeze_to_bytes, open_frozen, open_frozen_bytes, peek_info, ArtifactInfo, FreezeSegment, FreezeSource, FrozenParts, SectionInfo};
 pub use limits::{CancelToken, ExtractLimits, ExtractOutcome};
 pub use matches::Match;
 pub use nms::suppress_overlaps;

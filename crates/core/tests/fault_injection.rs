@@ -4,8 +4,8 @@
 //! isolation is tested in the `aeetes-pool` crate with the executor.)
 
 use aeetes_core::{
-    extract_segment, freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch, FreezeSegment,
-    FreezeSource, FrozenParts, Match, Strategy,
+    extract_segment, freeze_to_bytes, open_frozen_bytes, peek_info, Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch,
+    FreezeSegment, FreezeSource, FrozenParts, Match, Strategy,
 };
 use aeetes_index::ClusteredIndex;
 use aeetes_rules::{DerivedDictionary, RuleSet};
@@ -41,24 +41,41 @@ fn freeze(engine: &Aeetes, int: &Interner, rules: &RuleSet) -> Vec<u8> {
     })
 }
 
-/// A two-segment artifact (even-id origins, odd-id origins), so the
-/// corruption walks below cross global *and* per-segment sections.
+/// The sample engine's artifact: the corruption walks below cross its
+/// global *and* its index sections.
 fn frozen_bytes() -> Vec<u8> {
+    let (engine, int, rules) = sample_engine(AeetesConfig::default());
+    freeze(&engine, &int, &rules)
+}
+
+/// What the writer makes of a partition of the origin space into other than
+/// one segment — none, or even-id and odd-id origins apart — is a CRC-valid
+/// image that neither the opener nor the peek accepts: each names the
+/// segment count and says to rebuild.
+#[test]
+fn images_of_other_than_one_segment_are_refused() {
     let (engine, int, rules) = sample_engine(AeetesConfig::default());
     let (dict, config) = (engine.dictionary(), engine.config());
     let order = engine.index().shared_order();
     let dds = [0, 1].map(|r| DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == r));
     let indexes = [0, 1].map(|i| ClusteredIndex::build_with_order(&dds[i], order.clone()));
-    freeze_to_bytes(&FreezeSource {
-        interner: &int,
-        dict,
-        removed: &[],
-        rules: &rules,
-        config,
-        generation: 1,
-        order: &order,
-        segments: dds.iter().zip(&indexes).map(|(dd, index)| FreezeSegment { dd, index }).collect(),
-    })
+    for n in [0, 2] {
+        let bytes = freeze_to_bytes(&FreezeSource {
+            interner: &int,
+            dict,
+            removed: &[],
+            rules: &rules,
+            config,
+            generation: 1,
+            order: &order,
+            segments: dds.iter().zip(&indexes).take(n).map(|(dd, index)| FreezeSegment { dd, index }).collect(),
+        });
+        let expect = format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`");
+        for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
+            let err = err.expect(&expect).to_string();
+            assert!(err.contains(&expect), "expected `{expect}` in `{err}`");
+        }
+    }
 }
 
 /// Every strict prefix of a valid artifact is rejected with an error.
@@ -137,8 +154,19 @@ fn reference_crc32(data: &[u8]) -> u32 {
 }
 
 fn extract_frozen(parts: &FrozenParts, doc: &Document, tau: f64) -> Vec<Match> {
-    let seg = &parts.segments[0];
-    extract_segment(&seg.index, &seg.dd, doc, tau, parts.config.strategy, parts.config.metric, false, None, &ExtractLimits::UNLIMITED, None).matches
+    extract_segment(
+        &parts.index,
+        &parts.dd,
+        doc,
+        tau,
+        parts.config.strategy,
+        parts.config.metric,
+        false,
+        None,
+        &ExtractLimits::UNLIMITED,
+        None,
+    )
+    .matches
 }
 
 /// Engines round-trip across every `Strategy` × `Metric` configuration:

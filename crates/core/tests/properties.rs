@@ -121,12 +121,11 @@ proptest! {
             segments: vec![FreezeSegment { dd: engine.derived(), index: engine.index() }],
         });
         let opened = open_frozen_bytes(&bytes).expect("round trip");
-        let seg = &opened.segments[0];
         let doc_a = Document::parse(&doc_text, &tokenizer, &mut interner);
         let doc_b = Document::parse(&doc_text, &tokenizer, &mut opened.interner.clone());
         for tau in [0.7, 0.9, 1.0] {
             let config = &opened.config;
-            let reopened = extract_segment(&seg.index, &seg.dd, &doc_b, tau, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
+            let reopened = extract_segment(&opened.index, &opened.dd, &doc_b, tau, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
             prop_assert_eq!(engine.extract(&doc_a, tau), reopened.matches, "tau={}", tau);
         }
     }

@@ -37,26 +37,24 @@ pub struct GlobalOrder {
     untie: Arena<TokenId>,
 }
 
-/// Per-token count of the derived entities of `parts` whose distinct set
+/// Per-token count of the derived entities of `dd` whose distinct set
 /// contains the token: one pass, over ids `0..tokens` and as far past that
 /// as an occurring token reaches.
 ///
 /// # Panics
 /// Panics when a token id reaches [`TokenId::LIMIT`] — such an id cannot
 /// come from an [`Interner`], and its key would collide with `VALID_BIT`.
-fn count_frequencies(parts: &[&DerivedDictionary], tokens: usize) -> Vec<u32> {
+fn count_frequencies(dd: &DerivedDictionary, tokens: usize) -> Vec<u32> {
     let mut freq = vec![0u32; tokens];
     let mut sorted: Vec<TokenId> = Vec::new();
-    for dd in parts {
-        for (_, d) in dd.iter() {
-            each_distinct_token(d.tokens, &mut sorted, |t| {
-                if t.idx() >= freq.len() {
-                    assert!(t.0 < TokenId::LIMIT, "token id {} is outside the 2^31 id space", t.0);
-                    freq.resize(t.idx() + 1, 0);
-                }
-                freq[t.idx()] += 1;
-            });
-        }
+    for (_, d) in dd.iter() {
+        each_distinct_token(d.tokens, &mut sorted, |t| {
+            if t.idx() >= freq.len() {
+                assert!(t.0 < TokenId::LIMIT, "token id {} is outside the 2^31 id space", t.0);
+                freq.resize(t.idx() + 1, 0);
+            }
+            freq[t.idx()] += 1;
+        });
     }
     freq
 }
@@ -66,14 +64,7 @@ impl GlobalOrder {
     /// one the dictionary was tokenized with; it supplies the tie-break
     /// strings.
     pub fn build(dd: &DerivedDictionary, interner: &Interner) -> Self {
-        Self::build_many(&[dd], interner)
-    }
-
-    /// Builds one order shared by several derived dictionaries: frequencies
-    /// are summed across all parts, so every part sees the same key for the
-    /// same token regardless of how the entity space was partitioned.
-    pub fn build_many(parts: &[&DerivedDictionary], interner: &Interner) -> Self {
-        Self::from_frequencies(count_frequencies(parts, interner.len()), interner)
+        Self::from_frequencies(count_frequencies(dd, interner.len()), interner)
     }
 
     /// The order of a dictionary of which only the token frequencies are in
@@ -91,11 +82,6 @@ impl GlobalOrder {
         let mut untie = Vec::with_capacity(fresh.len());
         assign_ranks(&freq, &mut key, &mut untie, fresh, interner);
         Self { freq: freq.into(), key: key.into(), untie: untie.into() }
-    }
-
-    /// [`GlobalOrder::extend_with`] over the frequencies of `parts`.
-    pub fn extend(&self, parts: &[&DerivedDictionary], interner: &Interner) -> Option<Self> {
-        self.extend_with(&count_frequencies(parts, interner.len()), interner)
     }
 
     /// Extends the order with the tokens that `delta` — frequencies counted
@@ -332,23 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn build_many_matches_union_build() {
-        let tok = Tokenizer::default();
-        let mut int = Interner::new();
-        let dict = Dictionary::from_strings(["a b", "a c", "d e"], &tok, &mut int);
-        let rs = RuleSet::new();
-        let cfg = DeriveConfig::default();
-        let whole = DerivedDictionary::build(&dict, &rs, &cfg);
-        let even = DerivedDictionary::build_filtered(&dict, &rs, &cfg, |e| e.0 % 2 == 0);
-        let odd = DerivedDictionary::build_filtered(&dict, &rs, &cfg, |e| e.0 % 2 == 1);
-        let o_whole = GlobalOrder::build(&whole, &int);
-        let o_parts = GlobalOrder::build_many(&[&even, &odd], &int);
-        for t in 0..int.len() as u32 {
-            assert_eq!(o_whole.key(TokenId(t)), o_parts.key(TokenId(t)), "token {t}");
-        }
-    }
-
-    #[test]
     fn extend_freezes_existing_keys_and_ranks_new_tokens_last() {
         let tok = Tokenizer::default();
         let mut int = Interner::new();
@@ -366,7 +335,8 @@ mod tests {
         dict2.push_tokens("a z y".to_string(), vec![a, z, y]);
         dict2.push_tokens("a z".to_string(), vec![a, z]);
         let delta = DerivedDictionary::build_filtered(&dict2, &rs, &cfg, |e| e.0 >= 2);
-        let ext = base.extend(&[&delta], &int).expect("z and y are admitted");
+        let delta = count_frequencies(&delta, int.len());
+        let ext = base.extend_with(&delta, &int).expect("z and y are admitted");
         let old_tokens = base.raw_parts().0.len() as u32;
         for t in (0..old_tokens).map(TokenId) {
             assert_eq!(ext.key(t), base.key(t), "existing key of {t:?} is frozen");
@@ -382,8 +352,8 @@ mod tests {
             assert_eq!(ext.token_of(ext.key(t)), t);
         }
         // Nothing left to admit: the caller keeps sharing the order it has.
-        assert!(ext.extend(&[&delta], &int).is_none());
-        assert!(ext.extend(&[], &int).is_none());
+        assert!(ext.extend_with(&delta, &int).is_none());
+        assert!(ext.extend_with(&[], &int).is_none());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property test: a build part made by deriving straight into index blocks
 //! ([`IndexDraft`], keyed once the order exists) holds, array for array, what
 //! the materialised build holds — [`DerivedDictionary::build_filtered`], then
-//! [`GlobalOrder::build_many`], then [`ClusteredIndex::build_with_order`],
-//! which stay as they were and are the oracle; and the parts, concatenated,
-//! hold what one materialised build over all their origins holds.
+//! [`GlobalOrder::build`] over all the parts' origins, then
+//! [`ClusteredIndex::build_with_order`], which stay as they were and are the
+//! oracle; and the parts, concatenated, hold what one materialised build over
+//! all their origins holds.
 
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
 use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet, VariantTable};
@@ -76,7 +77,8 @@ proptest! {
         let mine = |part: u32| move |e: EntityId| inst.keep >> (e.0 % 16) & 1 == 1 && (n * part / inst.parts..n * (part + 1) / inst.parts).contains(&e.0);
 
         let dds: Vec<DerivedDictionary> = (0..inst.parts).map(|p| DerivedDictionary::build_filtered(&dict, &rules, &config, mine(p))).collect();
-        let want_order = Arc::new(GlobalOrder::build_many(&dds.iter().collect::<Vec<_>>(), &interner));
+        let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, |e| inst.keep >> (e.0 % 16) & 1 == 1);
+        let want_order = Arc::new(GlobalOrder::build(&whole, &interner));
 
         let drafts: Vec<IndexDraft> = (0..inst.parts).map(|p| IndexDraft::derive(&dict, &rules, &config, mine(p))).collect();
         let mut freq = vec![0u32; drafts.iter().map(|d| d.frequencies().len()).max().unwrap_or(0)];
@@ -97,7 +99,6 @@ proptest! {
             tables.push(table);
             indexes.push(index);
         }
-        let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, |e| inst.keep >> (e.0 % 16) & 1 == 1);
         let table = VariantTable::concat(tables);
         prop_assert_eq!(table.raw_arenas(), whole.raw_arenas());
         prop_assert_eq!(table.stats(), whole.stats());

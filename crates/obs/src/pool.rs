@@ -1,8 +1,8 @@
 //! The extraction executor's metric bundle.
 //!
 //! The worker pool (`aeetes-pool`) records its scheduling activity here:
-//! how deep the task queues run, how often idle workers steal from a
-//! sibling's deque, and how long each worker spends busy per task. Like
+//! how deep its one task queue runs, how many tasks the workers execute,
+//! and how long each worker spends busy per task. Like
 //! [`crate::ExtractMetrics`] this is a bundle of pre-registered `Arc`
 //! handles: recording touches only striped atomics, never the registry.
 
@@ -13,12 +13,9 @@ use std::sync::Arc;
 pub struct PoolMetrics {
     /// `aeetes_pool_workers`: persistent worker threads in the pool.
     pub workers: Arc<Gauge>,
-    /// `aeetes_pool_queue_depth`: tasks currently queued (injector plus
-    /// every worker deque), excluding tasks already executing.
+    /// `aeetes_pool_queue_depth`: tasks currently in the queue, excluding
+    /// tasks already executing.
     pub queue_depth: Arc<Gauge>,
-    /// `aeetes_pool_steals_total`: tasks an idle worker took from a
-    /// sibling's deque instead of its own or the injector.
-    pub steals: Arc<Counter>,
     /// `aeetes_pool_tasks_total`: tasks executed to completion by workers.
     pub tasks: Arc<Counter>,
     /// `aeetes_pool_worker_busy_nanos{worker="i"}`: per-worker histogram of
@@ -32,8 +29,7 @@ impl PoolMetrics {
     pub fn register(registry: &Arc<MetricRegistry>, workers: usize) -> Self {
         PoolMetrics {
             workers: registry.gauge("aeetes_pool_workers", "Persistent worker threads in the extraction pool"),
-            queue_depth: registry.gauge("aeetes_pool_queue_depth", "Tasks queued in the pool (injector + worker deques)"),
-            steals: registry.counter("aeetes_pool_steals_total", "Tasks stolen from a sibling worker's deque"),
+            queue_depth: registry.gauge("aeetes_pool_queue_depth", "Tasks waiting in the pool's queue"),
             tasks: registry.counter("aeetes_pool_tasks_total", "Tasks executed by pool workers"),
             busy_nanos: (0..workers)
                 .map(|i| {

@@ -1,4 +1,4 @@
-//! Persistent work-stealing executor for extraction work.
+//! Persistent worker pool for extraction work.
 //!
 //! Before this crate, every parallel path in the workspace paid thread
 //! startup on the request path: batch extraction spawned a
@@ -10,9 +10,9 @@
 //! engine/fleet lifetime. Each worker owns a long-lived
 //! [`ExtractScratch`], so steady-state extraction through the pool
 //! allocates nothing (guarded by the counting-allocator test in
-//! `aeetes-core`). Tasks flow through a global injector queue plus one
-//! deque per worker; an idle worker drains its own deque first, then the
-//! injector, then steals from a sibling's deque back-to-front.
+//! `aeetes-core`). Tasks flow through one FIFO queue that every worker
+//! pops; a batch spreads its documents over the workers through a claim
+//! counter, so no task is ever pinned to a worker or stolen from one.
 //!
 //! Two execution shapes sit on top:
 //!
@@ -21,9 +21,10 @@
 //!   claim-counter work distribution — results land in input order, one
 //!   panic isolates to its document.
 //!
-//! Borrowed-task safety: batches keep their state on the submitter's stack and enqueue raw-pointer stubs. The submitter returns
-//! only after every stub has *retired* — executed to exhaustion or swept
-//! back out of the queues — so no queue ever holds a pointer into a dead
+//! Borrowed-task safety: batches keep their state on the submitter's stack
+//! and enqueue raw-pointer stubs. The submitter returns only after every
+//! stub has *retired* — executed to exhaustion or swept
+//! back out of the queue — so the queue never holds a pointer into a dead
 //! stack frame.
 
 use aeetes_core::ExtractScratch;
@@ -31,7 +32,7 @@ use aeetes_obs::{MetricRegistry, PoolMetrics};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 mod batch;
@@ -74,16 +75,11 @@ unsafe impl Send for Stub {}
 struct PaddedU64(AtomicU64);
 
 struct Inner {
-    injector: Mutex<VecDeque<Task>>,
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Tasks currently sitting in any queue (not yet executing).
-    pending: AtomicUsize,
-    /// Round-robin cursor for stub placement across worker deques.
-    place: AtomicUsize,
-    park: Mutex<()>,
+    /// Every queued task, in submission order. Idle workers wait on `wake`
+    /// with this lock released.
+    queue: Mutex<VecDeque<Task>>,
     wake: Condvar,
     shutdown: AtomicBool,
-    steals: AtomicU64,
     executed: AtomicU64,
     busy_nanos: Vec<PaddedU64>,
     tasks_run: Vec<PaddedU64>,
@@ -91,50 +87,18 @@ struct Inner {
 }
 
 impl Inner {
-    fn push(&self, task: Task, target: Option<usize>) {
-        match target {
-            Some(i) => self.deques[i].lock().expect("pool deque poisoned").push_back(task),
-            None => self.injector.lock().expect("pool injector poisoned").push_back(task),
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Task>> {
+        self.queue.lock().expect("pool queue poisoned")
+    }
+
+    fn push(&self, task: Task) {
+        self.queue().push_back(task);
         if let Some(m) = self.obs.get() {
             m.queue_depth.add(1);
         }
-        // Notify under the park lock: a worker checks `pending` under the
-        // same lock before waiting, so this wake-up cannot be lost.
-        let _g = self.park.lock().expect("pool park lock poisoned");
+        // A worker waits only while it holds the queue lock and sees the
+        // queue empty, so this push either precedes its look or wakes it.
         self.wake.notify_one();
-    }
-
-    fn note_pop(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        if let Some(m) = self.obs.get() {
-            m.queue_depth.add(-1);
-        }
-    }
-
-    /// Own deque front → injector front → steal a sibling's back.
-    fn find_task(&self, id: usize) -> Option<Task> {
-        if let Some(t) = self.deques[id].lock().expect("pool deque poisoned").pop_front() {
-            self.note_pop();
-            return Some(t);
-        }
-        if let Some(t) = self.injector.lock().expect("pool injector poisoned").pop_front() {
-            self.note_pop();
-            return Some(t);
-        }
-        for k in 1..self.deques.len() {
-            let j = (id + k) % self.deques.len();
-            if let Some(t) = self.deques[j].lock().expect("pool deque poisoned").pop_back() {
-                self.note_pop();
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.obs.get() {
-                    m.steals.inc(1);
-                }
-                return Some(t);
-            }
-        }
-        None
     }
 
     fn execute(&self, id: usize, task: Task, scratch: &mut ExtractScratch) {
@@ -163,22 +127,11 @@ impl Inner {
     /// once all indices are claimed: the leftover stubs would find no work
     /// and must not outlive the submitter's stack frame.
     fn sweep(&self, data: *const ()) -> usize {
-        let mut removed = 0usize;
-        let matches_state = |t: &Task| matches!(t, Task::Stub(s) if std::ptr::eq(s.data, data));
-        {
-            let mut q = self.injector.lock().expect("pool injector poisoned");
-            let before = q.len();
-            q.retain(|t| !matches_state(t));
-            removed += before - q.len();
-        }
-        for d in &self.deques {
-            let mut q = d.lock().expect("pool deque poisoned");
-            let before = q.len();
-            q.retain(|t| !matches_state(t));
-            removed += before - q.len();
-        }
+        let mut q = self.queue();
+        let before = q.len();
+        q.retain(|t| !matches!(t, Task::Stub(s) if std::ptr::eq(s.data, data)));
+        let removed = before - q.len();
         if removed > 0 {
-            self.pending.fetch_sub(removed, Ordering::SeqCst);
             if let Some(m) = self.obs.get() {
                 m.queue_depth.add(-(removed as i64));
             }
@@ -187,23 +140,24 @@ impl Inner {
     }
 }
 
+/// Pops tasks until the pool shuts down with the queue empty: a dropped pool
+/// drains what was queued before its workers exit.
 fn worker_main(inner: &Inner, id: usize) {
     IS_POOL_WORKER.with(|f| f.set(true));
     let mut scratch = ExtractScratch::new();
+    let mut q = inner.queue();
     loop {
-        match inner.find_task(id) {
-            Some(task) => inner.execute(id, task, &mut scratch),
-            None => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let guard = inner.park.lock().expect("pool park lock poisoned");
-                if inner.pending.load(Ordering::SeqCst) == 0 && !inner.shutdown.load(Ordering::SeqCst) {
-                    // The timeout is a safety net only: pushes notify under
-                    // this lock, so a task cannot slip past a parked worker.
-                    let _ = inner.wake.wait_timeout(guard, Duration::from_millis(100)).expect("pool park lock poisoned");
-                }
+        if let Some(task) = q.pop_front() {
+            drop(q);
+            if let Some(m) = inner.obs.get() {
+                m.queue_depth.add(-1);
             }
+            inner.execute(id, task, &mut scratch);
+            q = inner.queue();
+        } else if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        } else {
+            q = inner.wake.wait(q).expect("pool queue poisoned");
         }
     }
 }
@@ -212,7 +166,7 @@ fn worker_main(inner: &Inner, id: usize) {
 ///
 /// Retire protocol: `created` stubs are enqueued; each either runs its
 /// claim loop to exhaustion and then retires, or is swept out of the
-/// queues by the submitter (counted as retired on its behalf). The
+/// queue by the submitter (counted as retired on its behalf). The
 /// `retired` increment happens *inside* the `lock` critical section and is
 /// the stub's final touch of this state, so once the submitter observes
 /// `retired == created` while holding the lock, no other thread can hold
@@ -298,9 +252,10 @@ where
 pub struct PoolStats {
     /// Persistent worker threads.
     pub workers: usize,
-    /// Tasks currently queued (injector + deques), excluding executing.
+    /// Tasks currently queued, excluding executing.
     pub queued: usize,
-    /// Tasks taken from a sibling worker's deque.
+    /// Always 0: the pool has one queue and nothing to steal from. Kept
+    /// because the benchmark harness still reads it.
     pub steals: u64,
     /// Tasks executed to completion.
     pub executed: u64,
@@ -325,14 +280,9 @@ impl Pool {
     pub fn new(workers: usize) -> Pool {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            place: AtomicUsize::new(0),
-            park: Mutex::new(()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             busy_nanos: (0..workers).map(|_| PaddedU64::default()).collect(),
             tasks_run: (0..workers).map(|_| PaddedU64::default()).collect(),
@@ -381,29 +331,27 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.deques.len()
+        self.handles.len()
     }
 
     /// Submits a fire-and-forget job; some worker runs it with its
     /// resident scratch. Jobs still queued when an explicit pool is
     /// dropped are executed during the drop's drain.
     pub fn spawn(&self, job: impl FnOnce(&mut ExtractScratch) + Send + 'static) {
-        self.inner.push(Task::Job(Box::new(job)), None);
+        self.inner.push(Task::Job(Box::new(job)));
     }
 
     /// Runs `f(i, &mut items[i], scratch)` for every item, distributing
-    /// indices over `stubs` queued executors. Indices are claimed from a
-    /// shared atomic counter —
-    /// item-granularity work stealing — so one long item never serializes
-    /// the rest behind a static partition. Returns whether any item
-    /// panicked (payloads are dropped; item-level isolation is the caller's
-    /// job via its own `catch_unwind` inside `f`).
+    /// indices over `stubs` queued executors (clamped into `1..=workers`).
+    /// Indices are claimed from a shared atomic counter, so one long item
+    /// never serializes the rest behind a static partition. Returns whether
+    /// any item panicked (payloads are dropped; item-level isolation is the
+    /// caller's job via its own `catch_unwind` inside `f`).
     ///
-    /// Every item runs on a pool worker, with that worker's scratch. At
-    /// least one stub must be given, and the call must not come from a pool
-    /// worker (it would wait on queues only it can drain);
-    /// [`extract_batch_into`] guards this by falling back to inline
-    /// execution.
+    /// Every item runs on a pool worker, with that worker's scratch. The
+    /// call must not come from a pool worker (it would wait on a queue only
+    /// it can drain); [`extract_batch_into`] guards this by falling back to
+    /// inline execution.
     pub fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, f: F) -> bool
     where
         T: Send,
@@ -448,8 +396,8 @@ impl Pool {
         if len == 0 {
             return false;
         }
-        debug_assert!(stubs > 0, "run_indexed needs an executor");
         debug_assert!(!on_pool_worker(), "a pool worker cannot wait on its own pool");
+        let stubs = stubs.clamp(1, self.workers());
         let state = RunState {
             f: &f,
             len,
@@ -462,8 +410,7 @@ impl Pool {
         };
         let data = &state as *const RunState<'_, F> as *const ();
         for _ in 0..stubs {
-            let w = self.inner.place.fetch_add(1, Ordering::Relaxed) % self.inner.deques.len();
-            self.inner.push(Task::Stub(Stub { data, run: run_stub::<F> }), Some(w));
+            self.inner.push(Task::Stub(Stub { data, run: run_stub::<F> }));
         }
         // Wait for every stub to retire. `retired == created` implies all
         // indices were claimed and completed: a stub only exits its claim
@@ -511,8 +458,8 @@ impl Pool {
             cv: Condvar::new(),
         };
         let data = &state as *const EachState<'_, F> as *const ();
-        for i in 0..total {
-            self.inner.push(Task::Stub(Stub { data, run: run_each::<F> }), Some(i));
+        for _ in 0..total {
+            self.inner.push(Task::Stub(Stub { data, run: run_each::<F> }));
         }
         let mut guard = state.lock.lock().expect("each state lock poisoned");
         while state.done.load(Ordering::SeqCst) < state.total {
@@ -521,7 +468,7 @@ impl Pool {
     }
 
     /// Attaches observability handles: from here on the pool records queue
-    /// depth, steals, task counts and per-worker busy histograms into
+    /// depth, task counts and per-worker busy histograms into
     /// `registry`. Idempotent; the first attach wins.
     pub fn attach_metrics(&self, registry: &Arc<MetricRegistry>) {
         let m = PoolMetrics::register(registry, self.workers());
@@ -533,8 +480,8 @@ impl Pool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.workers(),
-            queued: self.inner.pending.load(Ordering::SeqCst),
-            steals: self.inner.steals.load(Ordering::Relaxed),
+            queued: self.inner.queue().len(),
+            steals: 0,
             executed: self.inner.executed.load(Ordering::Relaxed),
             busy_nanos: self.inner.busy_nanos.iter().map(|c| c.0.load(Ordering::Relaxed)).collect(),
             tasks: self.inner.tasks_run.iter().map(|c| c.0.load(Ordering::Relaxed)).collect(),
@@ -546,7 +493,9 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
-            let _g = self.inner.park.lock().expect("pool park lock poisoned");
+            // Under the queue lock, so no worker is between its shutdown
+            // check and its wait.
+            let _q = self.inner.queue();
             self.inner.wake.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -591,6 +540,20 @@ mod tests {
             assert!(!panicked);
             assert!(visits.iter().enumerate().all(|(i, &v)| v == (i, 1)), "len={len}: {visits:?}");
         }
+    }
+
+    /// The stub count is clamped into `1..=workers`: none still runs every
+    /// item, and more than the workers runs no item twice.
+    #[test]
+    fn run_indexed_runs_every_index_once_for_any_stub_count() {
+        let workers = 3;
+        let pool = Pool::new(workers);
+        for stubs in [0, 1, workers, workers + 3] {
+            let mut runs = vec![0u32; 40];
+            assert!(!pool.run_indexed(&mut runs, stubs, |_, runs, _| *runs += 1));
+            assert!(runs.iter().all(|&n| n == 1), "stubs={stubs}: {runs:?}");
+        }
+        assert_eq!(pool.stats().queued, 0);
     }
 
     #[test]

@@ -371,33 +371,28 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v9) artifact: its one segment becomes this
-    /// engine's index as it is — zero derive work, zero index builds, arenas
-    /// still backed by the mapped file.
+    /// Adopts an opened frozen (v9) artifact: its index becomes this engine's
+    /// as it is — zero derive work, zero index builds, arenas still backed by
+    /// the mapped file.
     ///
-    /// An artifact is adopted or refused, never rebuilt: one that holds other
-    /// than one segment (as the partitioned artifacts of earlier builds do),
-    /// or a tombstoned origin that still owns variants, is an `Err` saying to
-    /// rebuild it. The shard count is ignored; it is kept so that callers
-    /// which pass one still compile.
+    /// An artifact is adopted or refused, never rebuilt: one whose tombstoned
+    /// origin still owns variants is an `Err` saying to rebuild it (one of
+    /// other than one segment never opens). The shard count is ignored; it
+    /// is kept so that callers which pass one still compile.
     ///
     /// Later updates leave the mapping in place: the mapped arrays stay the
     /// base, and a small heap tail holds the origins the deltas changed. The
     /// base is copied onto the heap only when the tail grows as large as the
     /// live base and is compacted into it.
     pub fn from_frozen(parts: aeetes_core::FrozenParts, _shards: Option<usize>) -> Result<Self, String> {
-        let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, segments, .. } = parts;
-        let n = segments.len();
-        let Ok([segment]) = <[_; 1]>::try_from(segments) else {
-            return Err(format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`"));
-        };
+        let aeetes_core::FrozenParts { interner, dict, removed, rules, config, generation, order, dd, index, .. } = parts;
         // The `by_origin` prefix alone decides adoptability: frozen validation
         // already proved it is the index's own origin → variant table.
-        let by_origin = segment.dd.raw_arenas().0;
+        let by_origin = dd.raw_arenas().0;
         if let Some(e) = removed.iter().find(|e| by_origin.get(e.idx() + 1).is_some_and(|&end| by_origin[e.idx()] < end)) {
             return Err(format!("origin {} is tombstoned but still owns variants; rebuild the artifact with `aeetes build`", e.0));
         }
-        let base = Arc::new(Tier { dd: segment.dd, index: segment.index });
+        let base = Arc::new(Tier { dd, index });
         let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, Arc::new(rules), config, order, base, None);
         Ok(ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
@@ -678,17 +673,17 @@ mod tests {
     }
 
     /// An artifact is adopted or refused, never rebuilt: one of two
-    /// segments (a partitioned build's), one of none, and a tombstone whose
-    /// variants were not dropped each come back as an error that says to
-    /// rebuild the artifact.
+    /// segments (a partitioned build's) or of none does not open, and a
+    /// tombstone whose variants were not dropped is not adopted; each error
+    /// says to rebuild the artifact.
     #[test]
     fn from_frozen_refuses_what_it_cannot_adopt() {
         let (dict, rules, int, _) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 2);
         let g = engine.snapshot();
-        let refused = |bytes: &[u8]| {
-            let parts = aeetes_core::open_frozen_bytes(bytes).expect("the artifact itself is valid");
-            ShardedEngine::from_frozen(parts, None).err().expect("must be refused")
+        let refused = |bytes: &[u8]| match aeetes_core::open_frozen_bytes(bytes) {
+            Ok(parts) => ShardedEngine::from_frozen(parts, None).err().expect("must be refused"),
+            Err(e) => e.to_string(),
         };
         let freeze = |removed: &[EntityId], segments: Vec<FreezeSegment<'_>>| {
             aeetes_core::freeze_to_bytes(&FreezeSource {

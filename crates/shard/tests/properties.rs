@@ -83,7 +83,9 @@ impl Rebuilt {
         }
         self.removed.extend(delta.remove_entities.iter().map(|e| e.0));
         self.dd = DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| !self.removed.contains(&e.0));
-        if let Some(extended) = self.order.extend(&[&self.dd], &self.interner) {
+        // The live dictionary's token frequencies, as a build of it counts them.
+        let live = GlobalOrder::build(&self.dd, &self.interner);
+        if let Some(extended) = self.order.extend_with(live.raw_parts().0, &self.interner) {
             self.order = Arc::new(extended);
         }
         self.index = ClusteredIndex::build_with_order(&self.dd, Arc::clone(&self.order));

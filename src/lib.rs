@@ -19,7 +19,7 @@
 //! | [`sim`] | Jaccard family, edit distance, Fuzzy Jaccard, JaccAR verify |
 //! | [`index`] | global token order, filters, clustered inverted index |
 //! | [`core`] | the extraction engine and its four filtering strategies |
-//! | [`pool`] | persistent work-stealing executor, parallel batch extraction |
+//! | [`pool`] | persistent worker pool (one task queue), parallel batch extraction |
 //! | [`stream`] | chunk-fed incremental extraction with exactly-once emission |
 //! | [`obs`] | metric registry, stage timing, Prometheus/JSON exporters |
 //! | [`baselines`] | exact matching, Faerie, FaerieR |
