@@ -69,15 +69,15 @@ A `{\"type\":\"reload\"}` request applies a dictionary delta as a new
 generation without dropping in-flight requests.
 
 ARTIFACT FORMAT: `build` writes, and every other command opens, one
-format — AEET v9, the *frozen* layout: the built indexes laid out as flat
+format — AEET v10, the *frozen* layout: the built indexes laid out as flat
 little-endian arenas behind a whole-file CRC-32, so a server memory-maps
 the file and answers its first request without deserializing anything, and
 N serve processes share one page cache. `build` derives and indexes the
 dictionary on every core and writes one index; the bytes do not depend on
 the core count. `aeetes dict info FILE` prints an artifact's generation,
-entity/rule/token counts and per-section sizes without building the
-engine. A file of any other format version, or one an earlier build split
-into several segments, is refused with a message saying to rebuild it.
+entity/rule/token counts and each section's element width and size
+without building the engine. A file of any other format version is
+refused with a message saying to rebuild it.
 
 `extract --top-k K` returns only the K best-scoring matches per document,
 ordered by score, using bound-pruned search: the running k-th best score
@@ -788,8 +788,8 @@ pub fn dict_cmd(argv: &[String]) -> Result<i32, String> {
 }
 
 /// `aeetes dict info FILE`: headline artifact facts — version, generation,
-/// entity/rule/token counts, section sizes — straight from the header and
-/// section table, without building an engine.
+/// entity/rule/token counts, each section's element width and size — from
+/// an artifact the opener would adopt, without building an engine.
 fn dict_info(argv: &[String]) -> Result<i32, String> {
     let (positional, flags): (Vec<&String>, Vec<&String>) = argv.iter().partition(|a| !a.starts_with("--"));
     let flags: Vec<String> = flags.into_iter().cloned().collect();
@@ -802,7 +802,11 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
     let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let info = aeetes_core::peek_info(&bytes).map_err(|e| format!("{path}: {e}"))?;
     if args.switch("json") {
-        let sections: Vec<serde_json::Value> = info.sections.iter().map(|s| serde_json::json!({ "kind": s.kind, "bytes": s.len })).collect();
+        let sections: Vec<serde_json::Value> = info
+            .sections
+            .iter()
+            .map(|s| serde_json::json!({ "kind": s.kind, "width": s.width, "bytes": s.len }))
+            .collect();
         let out = serde_json::json!({
             "path": path,
             "version": info.version,
@@ -823,9 +827,9 @@ fn dict_info(argv: &[String]) -> Result<i32, String> {
     println!("rules               {}", info.rules);
     println!("tokens              {}", info.tokens);
     println!("file size (bytes)   {}", info.file_len);
-    println!("sections:");
+    println!("sections:           width        bytes");
     for s in &info.sections {
-        println!("  {:<18} {:>12} bytes", s.kind, s.len);
+        println!("  {:<18} {:>5} {:>12}", s.kind, s.width, s.len);
     }
     Ok(EXIT_OK)
 }

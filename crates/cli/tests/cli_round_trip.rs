@@ -42,7 +42,7 @@ fn build_stats_extract_round_trip() {
     .expect("build succeeds");
     // No flag but the three paths: the artifact is the one format.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 9);
+    assert_eq!(info.version, 10);
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -326,7 +326,7 @@ fn build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 9);
+    assert_eq!(info.version, 10);
     // The retired switches are unknown flags, not silent no-ops: the format
     // is fixed, and the bytes do not depend on how many parts built them.
     for retired in [vec![s("--frozen")], vec![s("--shards"), s("2")]] {
@@ -377,7 +377,7 @@ fn build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!(info.version, 9);
+    assert_eq!(info.version, 10);
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -389,57 +389,54 @@ fn build_info_extract_and_compaction_round_trip() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A v9 image of two segments — what `build --shards 2` wrote before a
-/// generation became one index — is refused on open by every verb that
-/// reads an artifact, `dict info` included, with a message naming the
-/// segment count and saying to rebuild; the file is left as it was.
+/// A v9 file — a whole artifact of the layout before this one, the section
+/// table's second word a segment and every id 32 bits — is refused by name by
+/// every verb that reads an artifact, `dict info` and `wal compact`
+/// included: the error names version 9 and says to rebuild, and the file is
+/// left as it was.
 #[test]
-fn a_two_segment_artifact_is_refused_by_name() {
-    let dir = workdir("twosegments");
+fn a_v9_file_is_refused_by_name_by_every_verb() {
+    let dir = workdir("v9file");
     let dict = dir.join("dict.txt");
     let rules = dir.join("rules.tsv");
     let docs = dir.join("docs.txt");
-    let one = dir.join("one.aeet");
+    let engine = dir.join("v9.aeet");
     fs::write(&dict, "Purdue University USA\nUQ AU\nMIT\n").unwrap();
     fs::write(&rules, "UQ\tUniversity of Queensland\n").unwrap();
     fs::write(&docs, "purdue university usa\n").unwrap();
-    let paths = [&dict, &rules, &one].map(|p| p.display().to_string());
+    let paths = [&dict, &rules, &engine].map(|p| p.display().to_string());
     commands::build(&argv(&[s("--dict"), paths[0].clone(), s("--rules"), paths[1].clone(), s("--out"), paths[2].clone()])).expect("build succeeds");
+    // The version word says 9: it is read before the CRC, so the file is
+    // named by its version, not called corrupt.
+    let mut bytes = fs::read(&engine).unwrap();
+    bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
+    fs::write(&engine, &bytes).unwrap();
+    let wal = dir.join("deltas.wal");
+    let mut log = aeetes_core::Wal::create(&wal, 1).expect("create wal");
+    log.append(2, br#"{"add_entities":["x y"]}"#).expect("append delta");
+    log.sync().expect("sync wal");
+    drop(log);
 
-    let parts = aeetes_core::open_frozen(&one).expect("open artifact");
-    let segment = || aeetes_core::FreezeSegment { dd: &parts.dd, index: &parts.index };
-    let bytes = aeetes_core::freeze_to_bytes(&aeetes_core::FreezeSource {
-        interner: &parts.interner,
-        dict: &parts.dict,
-        removed: &parts.removed,
-        rules: &parts.rules,
-        config: &parts.config,
-        generation: parts.generation,
-        order: &parts.order,
-        segments: vec![segment(), segment()],
-    });
-    let two = dir.join("two.aeet");
-    fs::write(&two, &bytes).unwrap();
-
-    let (e, d) = (two.display().to_string(), docs.display().to_string());
+    let (e, d) = (engine.display().to_string(), docs.display().to_string());
     type Verb = (&'static str, fn(&[String]) -> Result<i32, String>, Vec<String>);
-    let verbs: [Verb; 5] = [
+    let verbs: [Verb; 6] = [
         ("serve", commands::serve_cmd, vec![s("--engine"), e.clone()]),
         ("extract", commands::extract, vec![s("--engine"), e.clone(), s("--docs"), d.clone()]),
         ("stats", commands::stats, vec![s("--engine"), e.clone()]),
         ("profile", commands::profile_cmd, vec![s("--engine"), e.clone(), s("--doc"), d]),
         ("dict info", commands::dict_cmd, vec![s("info"), e.clone()]),
+        ("wal compact", commands::wal_cmd, vec![s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), e.clone()]),
     ];
     for (verb, run, args) in verbs {
-        let err = run(&args).expect_err(&format!("{verb} must refuse a two-segment artifact"));
-        assert!(err.contains("holds 2 segments, not one") && err.contains("rebuild it with `aeetes build`"), "{verb}: {err}");
+        let err = run(&args).expect_err(&format!("{verb} must refuse a v9 file"));
+        assert!(err.contains("format version 9 ") && err.contains("rebuild the artifact with `aeetes build`"), "{verb}: {err}");
     }
-    assert_eq!(fs::read(&two).unwrap(), bytes, "a refused artifact must be left untouched");
+    assert_eq!(fs::read(&engine).unwrap(), bytes, "a refused artifact must be left untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// A file with the AEET magic but a format version this build does not read
-/// — the retired v1–v8 layouts, or a future one — fails every command that
+/// — the retired v1–v9 layouts, or a future one — fails every command that
 /// opens an engine the same way: an error (exit 1 in `main`) naming the
 /// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
@@ -454,7 +451,7 @@ fn other_format_versions_fail_clean_on_every_verb() {
     log.sync().expect("sync wal");
     drop(log);
 
-    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 10] {
+    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 11] {
         let engine = dir.join(format!("v{version}.aeet"));
         let mut bytes = b"AEET".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -483,36 +480,35 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v9 sections: eleven global ones, then the
-/// index's: the seven index arenas, the origin prefix — once, for the variant
-/// table and the index both — and the variant weights, the last holding 8
-/// bytes per variant where some rule weighing other than 1.0 applies, and
-/// nothing otherwise.
+/// `dict info` lists exactly the v10 sections in file order, each with its
+/// element width: the META blob, the dictionary, strings and order arrays,
+/// the origin prefix — once, for the variant table and the index both — the
+/// variant weights, holding 8 bytes per variant where some rule weighing
+/// other than 1.0 applies and nothing otherwise, and the seven index arenas,
+/// the origins and the blocks' keys at 16 bits in an index this small.
 #[test]
-fn dict_info_lists_exactly_the_v9_sections() {
-    const GLOBAL: [&str; 11] = [
-        "dict.raw_off",
-        "dict.raws",
-        "dict.tok_off",
-        "dict.tokens",
-        "meta",
-        "order.freq",
-        "order.key",
-        "order.untie",
-        "strings.bytes",
-        "strings.offsets",
-        "strings.table",
-    ];
-    const INDEX: [&str; 9] = [
-        "dd.by_origin",
-        "dd.weight",
-        "ix.block_offsets",
-        "ix.blocks",
-        "ix.group_len",
-        "ix.group_origins",
-        "ix.origin_entity",
-        "ix.origin_min_pos",
-        "ix.tok_groups",
+fn dict_info_lists_exactly_the_v10_sections() {
+    const SECTIONS: [(&str, u64); 20] = [
+        ("meta", 1),
+        ("dict.raws", 1),
+        ("dict.raw_off", 4),
+        ("dict.tokens", 4),
+        ("dict.tok_off", 4),
+        ("strings.bytes", 1),
+        ("strings.offsets", 4),
+        ("strings.table", 4),
+        ("order.freq", 4),
+        ("order.key", 4),
+        ("order.untie", 4),
+        ("dd.by_origin", 4),
+        ("dd.weight", 8),
+        ("ix.tok_groups", 4),
+        ("ix.group_len", 2),
+        ("ix.group_origins", 4),
+        ("ix.origin_entity", 2),
+        ("ix.origin_min_pos", 2),
+        ("ix.blocks", 2),
+        ("ix.block_offsets", 4),
     ];
     let dir = workdir("sections");
     let dict = dir.join("dict.txt");
@@ -531,23 +527,22 @@ fn dict_info_lists_exactly_the_v9_sections() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
         let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-        assert_eq!(field(&info, "version"), Some(9));
-        let listed: Vec<(&str, u64)> = info
+        assert_eq!(field(&info, "version"), Some(10));
+        let listed: Vec<(&str, u64, u64)> = info
             .get("sections")
             .and_then(serde_json::Value::as_array)
             .expect("sections")
             .iter()
-            .map(|sec| (sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "bytes").unwrap()))
+            .map(|sec| (sec.get("kind").and_then(serde_json::Value::as_str).unwrap(), field(sec, "width").unwrap(), field(sec, "bytes").unwrap()))
             .collect();
-        let expected: Vec<&str> = GLOBAL.iter().chain(&INDEX).copied().collect();
-        assert_eq!(listed.iter().map(|&(kind, _)| kind).collect::<Vec<_>>(), expected, "weighted={weighted}");
+        assert_eq!(listed.iter().map(|&(kind, width, _)| (kind, width)).collect::<Vec<_>>(), SECTIONS, "weighted={weighted}");
         // The weights: none, or one f64 per variant (the origin prefix and
         // the block prefix each hold a u32 per origin and one more; four
-        // origins here); an origin cluster is four bytes of origin and two of
+        // origins here); an origin cluster is two bytes of origin and two of
         // lowest position.
-        let bytes_of = |kind: &str| listed.iter().find(|&&(k, _)| k == kind).unwrap().1;
+        let bytes_of = |kind: &str| listed.iter().find(|&&(k, _, _)| k == kind).unwrap().2;
         assert_eq!((bytes_of("dd.by_origin"), bytes_of("ix.block_offsets")), (4 * 5, 4 * 5));
-        assert_eq!(bytes_of("ix.origin_entity"), 2 * bytes_of("ix.origin_min_pos"));
+        assert_eq!(bytes_of("ix.origin_entity"), bytes_of("ix.origin_min_pos"));
         let variants = aeetes_core::open_frozen(&engine).expect("open artifact").dd.len() as u64;
         let weights = bytes_of("dd.weight");
         assert_eq!(weights, if weighted { 8 * variants } else { 0 }, "weighted={weighted}: {weights} weight bytes for {variants} variants");

@@ -159,9 +159,9 @@ pub fn extract_segment_scratched(
         generate(segment, doc, tau, metric, req.strategy.unwrap_or(config.strategy), set_bounds, seg, &mut stats, &mut budget);
         // Weighted scores are ≤ unweighted scores (weights ≤ 1), so the
         // unweighted candidate filters remain sound for the weighted verify.
-        let ExtractScratch { sink, s_keys, hits, matches, stages, .. } = seg;
+        let ExtractScratch { sink, s_keys, pool_keys, hits, matches, stages, .. } = seg;
         let clk = SpanClock::always();
-        verify_candidates(segment, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, hits, matches);
+        verify_candidates(segment, doc, tau, metric, &mut sink.pairs, &mut stats, req.weighted, &mut budget, s_keys, pool_keys, hits, matches);
         matches.sort_unstable_by_key(Match::sort_key);
         clk.stop(Stage::Verify, stages);
     }

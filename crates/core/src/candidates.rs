@@ -8,16 +8,37 @@
 //! call it and where its origins go (Simple, Skip and top-k straight into
 //! the [`CandidateSink`], Dynamic through a scan-local dedup into its cache
 //! arena), not in how a list is read. Lazy reads each list once against many
-//! windows at a time — a different loop, in `strategy/lazy.rs`. Over a
+//! windows at a time — a different loop over the groups, in
+//! `strategy/lazy.rs`, around the same cluster kernel, [`admit`]. Over a
 //! segment with a tail, [`scan_segment`] reads a token's base list and then
 //! its tail list, in the same call.
 
 use crate::segment::Segment;
 use crate::stats::ExtractStats;
-use aeetes_index::ClusteredIndex;
+use aeetes_index::{ClusteredIndex, Ids, LengthGroup, StoredId};
 use aeetes_sim::Metric;
 use aeetes_text::{EntityId, Span, TokenId};
 use std::collections::HashSet;
+
+/// The cluster loop of every scan: hands `emit` the origin of each cluster
+/// of `g` whose lowest position lies below `plen` — the group's prefix
+/// length. The index stores origins at one width, so this branches on it
+/// once per group, onto one loop per width.
+#[inline]
+pub(crate) fn admit(g: LengthGroup<'_>, plen: usize, mut emit: impl FnMut(EntityId)) {
+    #[inline]
+    fn each<I: StoredId>(origins: &[I], min_pos: &[u16], plen: usize, emit: &mut impl FnMut(EntityId)) {
+        for (&origin, &pos) in origins.iter().zip(min_pos) {
+            if (pos as usize) < plen {
+                emit(EntityId(origin.get()));
+            }
+        }
+    }
+    match g.clusters() {
+        (Ids::U16(origins), min_pos) => each(origins, min_pos, plen, &mut emit),
+        (Ids::U32(origins), min_pos) => each(origins, min_pos, plen, &mut emit),
+    }
+}
 
 /// Accumulates candidate `(substring, origin entity)` pairs, deduplicated.
 #[derive(Debug, Default)]
@@ -85,12 +106,9 @@ pub(crate) fn scan(
         if skip && !admitted {
             break; // groups ascend by length: this and every later one is too long
         }
-        let plen = metric.prefix_len(len, tau);
         stats.accessed_entries += g.origin_count() as u64;
-        for og in g.origins() {
-            if admitted && (og.min_pos as usize) < plen {
-                emit(og.origin);
-            }
+        if admitted {
+            admit(g, metric.prefix_len(len, tau), &mut emit);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Frozen AEET v9: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v10: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -9,7 +9,7 @@
 //! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
 //! validate it, and serve its first request in milliseconds — and N serve
 //! processes on one host share a single page cache image instead of N
-//! private heaps. Files carrying any other version word (the retired v1–v8
+//! private heaps. Files carrying any other version word (the retired v1–v9
 //! layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
@@ -17,12 +17,12 @@
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 9
+//! [ 4.. 8)  version u32 = 10
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
 //! [24..24+S·24)  section table: per section
-//!                { kind u32, seg u32 (0xFFFF_FFFF = global), off u64, len u64 }
+//!                { kind u32, width u32 (bytes per element), off u64, len u64 }
 //! ... sections, each starting at a 16-byte-aligned offset, zero-padded ...
 //! [len-4..len)  CRC-32 (IEEE) of every preceding byte
 //! ```
@@ -32,17 +32,17 @@
 //! artifacts are only written and opened on little-endian hosts (both ends
 //! refuse elsewhere rather than misread).
 //!
-//! Section *kinds* are fixed small integers (see the `SEC_*` constants):
-//! the global sections carry the META blob (rules, config, counts — small,
-//! decoded once), the origin dictionary's four arenas, the interner's
-//! string arena/offsets/hash table and the global order's three arrays; the
-//! index sections carry the seven flat arrays of the clustered index, the
+//! Section *kinds* are fixed small integers (see [`KINDS`]): the META blob
+//! (rules, config, counts — small, decoded once), the origin dictionary's
+//! four arenas, the interner's string arena/offsets/hash table, the global
+//! order's three arrays, the seven flat arrays of the clustered index, the
 //! variants' weights, and the origin → variant-range prefix that the variant
-//! table and the index both read. An artifact holds one index: its sections
-//! are filed under segment 0, every other under `seg = 0xFFFF_FFFF`, META
-//! names one segment, and each kind appears once. An image that says
-//! otherwise (what a partitioned build once wrote) is refused on open, never
-//! adopted in part. Offsets are validated against the
+//! table and the index both read. An artifact holds one index, so each kind
+//! appears exactly once. Each entry names its element width, and each kind
+//! has its own: one fixed width for all but `ix.origin_entity` and
+//! `ix.blocks`, which take the index's id width — 2 or 4, the same for both
+//! (see below). An unknown kind, a missing or repeated one, or a width its
+//! kind does not take is refused by name. Offsets are validated against the
 //! file bounds and the 16-byte alignment rule, every prefix array is
 //! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
@@ -53,36 +53,43 @@
 //! ## Sections
 //!
 //! Every section is one array of one element type; its length is `count ×
-//! width`. Bytes below are what `aeetes dict info` prints for `aeetes
-//! generate --seed 12` dictionaries built with `aeetes build`: pubmed and
-//! dbworld at scale 1.0, usjob at scale 0.25. v8 also stored
-//! `ix.origin_entries`, `ix.positions` and `ix.variants_by_len`; v9 dropped
-//! them and added `ix.origin_min_pos` (see below).
+//! width`, but for `ix.blocks`, whose width is that of its keys and whose
+//! length is a multiple of its `u32` words. Bytes below are what `aeetes dict
+//! info` prints for `aeetes generate --seed 12` dictionaries built with
+//! `aeetes build`: pubmed and dbworld at scale 1.0, usjob at scale 0.25. v8
+//! also stored `ix.origin_entries`, `ix.positions` and `ix.variants_by_len`;
+//! v9 dropped them and added `ix.origin_min_pos` (see below); v10 stores
+//! `ix.origin_entity` and the keys of `ix.blocks` at 16 bits where they fit.
 //!
 //! ```text
 //! section             element width         pubmed     dbworld       usjob
-//! meta                bytes                150 406     249 714     246 078
-//! dict.raws           u8      1            573 989     250 832     490 521
-//! dict.raw_off        u32     4             80 004      48 004      30 004
-//! dict.tokens         u32     4            240 632     105 284     206 468
-//! dict.tok_off        u32     4             80 004      48 004      30 004
-//! strings.bytes       u8      1             97 273      47 071      36 101
-//! strings.offsets     u32     4             36 560      18 280      14 168
-//! strings.table       u32     4            131 072      65 536      32 768
-//! order.freq          u32     4             36 556      18 276      14 164
-//! order.key           u32     4             36 556      18 276      14 164
-//! order.untie         u32     4             36 348      18 276      14 164
-//! dd.weight           f64     8                  0           0           0
-//! dd.by_origin        u32     4             80 004      48 004      30 004
-//! ix.tok_groups       u32     4             36 560      18 280      14 168
-//! ix.group_len        u16     2             50 534      32 592      37 888
-//! ix.group_origins    u32     4            101 072      65 188      75 780
-//! ix.origin_entity    u32     4            733 768     603 584   2 263 208
-//! ix.origin_min_pos   u16     2            366 884     301 792   1 131 604
-//! ix.blocks           u32     4          1 039 416     753 148   5 926 140
-//! ix.block_offsets    u32     4             80 004      48 004      30 004
-//! whole file                             3 988 280   2 758 792  10 638 072
+//! meta                bytes   1          150 402     249 710     246 074
+//! dict.raws           u8      1          573 989     250 832     490 521
+//! dict.raw_off        u32     4           80 004      48 004      30 004
+//! dict.tokens         u32     4          240 632     105 284     206 468
+//! dict.tok_off        u32     4           80 004      48 004      30 004
+//! strings.bytes       u8      1           97 273      47 071      36 101
+//! strings.offsets     u32     4           36 560      18 280      14 168
+//! strings.table       u32     4          131 072      65 536      32 768
+//! order.freq          u32     4           36 556      18 276      14 164
+//! order.key           u32     4           36 556      18 276      14 164
+//! order.untie         u32     4           36 348      18 276      14 164
+//! dd.by_origin        u32     4           80 004      48 004      30 004
+//! dd.weight           f64     8                0           0           0
+//! ix.tok_groups       u32     4           36 560      18 280      14 168
+//! ix.group_len        u16     2           50 534      32 592      37 888
+//! ix.group_origins    u32     4          101 072      65 188      75 780
+//! ix.origin_entity    u16     2          366 884     301 792   1 131 604
+//! ix.origin_min_pos   u16     2          366 884     301 792   1 131 604
+//! ix.blocks           u16     2          766 220     570 096   5 309 648
+//! ix.block_offsets    u32     4           80 004      48 004      30 004
+//! whole file                           3 348 200   2 273 928   8 889 976
 //! ```
+//!
+//! (`ix.blocks` is `u32` words; its width is its keys', two to a word. At
+//! v9, with 32-bit ids, `ix.origin_entity` took 733 768 / 603 584 /
+//! 2 263 208 bytes, `ix.blocks` 1 039 416 / 753 148 / 5 926 140 and the file
+//! 3 988 280 / 2 758 792 / 10 638 072: −16.0 / −17.6 / −16.4 %.)
 //!
 //! An index *entry* is one origin cluster: for a token, a set length and an
 //! origin, the fact that some variant of that origin with a set of that
@@ -108,7 +115,8 @@
 //! [ P | the P distinct keys of all the origin's variants, ascending | one ⌈P/32⌉-word mask per variant ]
 //! ```
 //!
-//! The keys are the origin's *pool* (the variants of one origin are the same
+//! (the keys at the index's id width, below). The keys are the origin's
+//! *pool* (the variants of one origin are the same
 //! few tokens recombined: usjob's 418 520 variants hold 3 102 985 keys, of
 //! which 312 580 are distinct within their origin); bit `b` of a variant's
 //! mask says pool key `b` is in its set, and the masks stand in the order of
@@ -143,16 +151,31 @@
 //! ([`aeetes_rules::DerivedDictionary::build_filtered`], at most 256
 //! variants) reproduces its variants in id order on any generation.
 //!
-//! A key in **`ix.blocks`** and **`order.key`** is a `u32`. A valid token
-//! — one occurring in some derived entity — keys as
-//! [`aeetes_index::VALID_BIT`] `| rank`, its dense rank in ascending
-//! `(frequency, string)` order; `order.untie` maps ranks back to tokens. Any
-//! other token keys as its own id, which is why token ids stop at 2³¹
-//! ([`TokenId::LIMIT`]): every invalid key sorts below every valid one. A
-//! dictionary delta leaves existing keys as they are and ranks tokens it
-//! makes valid after all existing ones, until the next full build — so a
-//! key's position in a set it is in, and with it every lowest position a
-//! cluster stores, survives a delta untouched.
+//! A key in **`order.key`** is a `u32`. A valid token — one occurring in
+//! some derived entity — keys as [`aeetes_index::VALID_BIT`] `| rank`, its
+//! dense rank in ascending `(frequency, string)` order; `order.untie` maps
+//! ranks back to tokens. Any other token keys as its own id, which is why
+//! token ids stop at 2³¹ ([`TokenId::LIMIT`]): every invalid key sorts below
+//! every valid one. A dictionary delta leaves existing keys as they are and
+//! ranks tokens it makes valid after all existing ones, until the next full
+//! build — so a key's position in a set it is in, and with it every lowest
+//! position a cluster stores, survives a delta untouched.
+//!
+//! **The id width.** Every key of a pool is valid, so a pool need not store
+//! the valid bit, only the rank. An index over at most 2¹⁶ origins, keyed by
+//! an order of at most 2¹⁶ ranks, stores at 16 bits
+//! ([`aeetes_index::IdWidth::of`]): `ix.origin_entity` holds `u16` origins
+//! and a pool its bare ranks, two to a `u32` word of `ix.blocks`, the lower
+//! half first and an odd pool's spare upper half zero, so a block is `[P |
+//! ⌈P/2⌉ key words | masks]`. Any larger index stores `u32` origins and
+//! `VALID_BIT | rank` keys, one to a word. Both sections' entries name the
+//! width (2 or 4) and must agree; a 16-bit index over more than 2¹⁶ origins
+//! or ranks, a non-zero spare half-word and a rank the order does not hand
+//! out are refused on open. Masks, positions and every prefix array are the
+//! same at both widths. The width is derived when an index is built, never
+//! configured; a dictionary delta that takes a generation past 2¹⁶ builds its
+//! tail wide and leaves the shared base as it is, and the next compaction
+//! (which freezing runs) chooses again.
 //!
 //! ## Mmap vs heap fallback
 //!
@@ -166,10 +189,9 @@ use crate::config::AeetesConfig;
 use crate::failpoint;
 use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
-use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
+use aeetes_index::{ClusteredIndex, GlobalOrder, IdArena, IdWidth, IndexArenas};
 use aeetes_rules::{RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -180,12 +202,9 @@ const ENTRY_BYTES: usize = 24;
 /// Every section starts at a multiple of this (covers every element type's
 /// natural alignment with room to spare).
 const SECTION_ALIGN: usize = 16;
-/// `seg` value marking a global section; the index sections are segment 0.
-const GLOBAL_SEG: u32 = u32::MAX;
 /// Backstop against forged section counts (a real artifact has 20).
 const MAX_SECTIONS: usize = 1 << 16;
 
-// Global section kinds.
 const SEC_META: u32 = 0;
 const SEC_ORD_FREQ: u32 = 1;
 const SEC_ORD_KEY: u32 = 2;
@@ -193,15 +212,15 @@ const SEC_ORD_UNTIE: u32 = 3;
 const SEC_STR_BYTES: u32 = 4;
 const SEC_STR_OFF: u32 = 5;
 const SEC_STR_TABLE: u32 = 6;
-// Origin-dictionary arenas (global; mirror `Dictionary::raw_arenas`).
+// Origin-dictionary arenas (mirror `Dictionary::raw_arenas`).
 const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
 const SEC_DICT_TOKENS: u32 = 32;
 const SEC_DICT_TOKOFF: u32 = 33;
-// Variant-table sections, segment 0 (mirror `VariantTable::raw_arenas`).
+// Variant-table sections (mirror `VariantTable::raw_arenas`).
 const SEC_DD_WEIGHT: u32 = 11;
 const SEC_DD_BYORIGIN: u32 = 16;
-// Clustered-index sections, segment 0.
+// Clustered-index sections.
 const SEC_IX_TOKGROUPS: u32 = 20;
 const SEC_IX_GROUPLEN: u32 = 21;
 const SEC_IX_GROUPORIG: u32 = 22;
@@ -212,56 +231,38 @@ const SEC_IX_BLOCKS: u32 = 26;
 const SEC_IX_BLOCKOFF: u32 = 27;
 const SEC_IX_ORIGMINPOS: u32 = 34;
 
-const GLOBAL_KINDS: [u32; 11] = [
-    SEC_META,
-    SEC_ORD_FREQ,
-    SEC_ORD_KEY,
-    SEC_ORD_UNTIE,
-    SEC_STR_BYTES,
-    SEC_STR_OFF,
-    SEC_STR_TABLE,
-    SEC_DICT_RAWS,
-    SEC_DICT_RAWOFF,
-    SEC_DICT_TOKENS,
-    SEC_DICT_TOKOFF,
-];
-const SEGMENT_KINDS: [u32; 9] = [
-    SEC_DD_WEIGHT,
-    SEC_DD_BYORIGIN,
-    SEC_IX_TOKGROUPS,
-    SEC_IX_GROUPLEN,
-    SEC_IX_GROUPORIG,
-    SEC_IX_ORIGENT,
-    SEC_IX_ORIGMINPOS,
-    SEC_IX_BLOCKS,
-    SEC_IX_BLOCKOFF,
+/// The id width's two element widths: `ix.origin_entity` and `ix.blocks`
+/// take either, and the same one.
+const ID_WIDTHS: &[u32] = &[2, 4];
+
+/// Every section kind, in the order the writer lays them out: its name (for
+/// `aeetes dict info`) and the element widths, in bytes, it may be stored at.
+const KINDS: [(u32, &str, &[u32]); 20] = [
+    (SEC_META, "meta", &[1]),
+    (SEC_DICT_RAWS, "dict.raws", &[1]),
+    (SEC_DICT_RAWOFF, "dict.raw_off", &[4]),
+    (SEC_DICT_TOKENS, "dict.tokens", &[4]),
+    (SEC_DICT_TOKOFF, "dict.tok_off", &[4]),
+    (SEC_STR_BYTES, "strings.bytes", &[1]),
+    (SEC_STR_OFF, "strings.offsets", &[4]),
+    (SEC_STR_TABLE, "strings.table", &[4]),
+    (SEC_ORD_FREQ, "order.freq", &[4]),
+    (SEC_ORD_KEY, "order.key", &[4]),
+    (SEC_ORD_UNTIE, "order.untie", &[4]),
+    (SEC_DD_BYORIGIN, "dd.by_origin", &[4]),
+    (SEC_DD_WEIGHT, "dd.weight", &[8]),
+    (SEC_IX_TOKGROUPS, "ix.tok_groups", &[4]),
+    (SEC_IX_GROUPLEN, "ix.group_len", &[2]),
+    (SEC_IX_GROUPORIG, "ix.group_origins", &[4]),
+    (SEC_IX_ORIGENT, "ix.origin_entity", ID_WIDTHS),
+    (SEC_IX_ORIGMINPOS, "ix.origin_min_pos", &[2]),
+    (SEC_IX_BLOCKS, "ix.blocks", ID_WIDTHS),
+    (SEC_IX_BLOCKOFF, "ix.block_offsets", &[4]),
 ];
 
 /// Human-readable name of a section kind (for `aeetes dict info`).
 pub fn section_kind_name(kind: u32) -> &'static str {
-    match kind {
-        SEC_META => "meta",
-        SEC_ORD_FREQ => "order.freq",
-        SEC_ORD_KEY => "order.key",
-        SEC_ORD_UNTIE => "order.untie",
-        SEC_STR_BYTES => "strings.bytes",
-        SEC_STR_OFF => "strings.offsets",
-        SEC_STR_TABLE => "strings.table",
-        SEC_DICT_RAWS => "dict.raws",
-        SEC_DICT_RAWOFF => "dict.raw_off",
-        SEC_DICT_TOKENS => "dict.tokens",
-        SEC_DICT_TOKOFF => "dict.tok_off",
-        SEC_DD_WEIGHT => "dd.weight",
-        SEC_DD_BYORIGIN => "dd.by_origin",
-        SEC_IX_TOKGROUPS => "ix.tok_groups",
-        SEC_IX_GROUPLEN => "ix.group_len",
-        SEC_IX_GROUPORIG => "ix.group_origins",
-        SEC_IX_ORIGENT => "ix.origin_entity",
-        SEC_IX_ORIGMINPOS => "ix.origin_min_pos",
-        SEC_IX_BLOCKS => "ix.blocks",
-        SEC_IX_BLOCKOFF => "ix.block_offsets",
-        _ => "unknown",
-    }
+    KINDS.iter().find(|&&(k, _, _)| k == kind).map_or("unknown", |&(_, name, _)| name)
 }
 
 /// One segment to freeze: its variant table and index (built against
@@ -292,7 +293,8 @@ pub struct FreezeSource<'a> {
     pub generation: u64,
     /// The shared global token order.
     pub order: &'a GlobalOrder,
-    /// One entry per segment; an engine writes one.
+    /// The index to write: exactly one ([`freeze_to_bytes`] panics on any
+    /// other count). A list for the callers that still build one.
     pub segments: Vec<FreezeSegment<'a>>,
 }
 
@@ -325,11 +327,9 @@ pub struct FrozenParts {
 
 // ---------------------------------------------------------------- writer --
 
-/// META: the small decoded-on-open blob. Leading counts let [`peek_info`]
-/// report an artifact without decoding the rest.
-fn encode_meta(src: &FreezeSource<'_>) -> Vec<u8> {
+/// META: the small decoded-on-open blob, for the one index `segment`.
+fn encode_meta(src: &FreezeSource<'_>, segment: &FreezeSegment<'_>) -> Vec<u8> {
     let mut meta = Vec::new();
-    persist::put_u32(&mut meta, src.segments.len() as u32);
     persist::put_u32(&mut meta, src.dict.len() as u32);
     persist::put_u32(&mut meta, src.rules.len() as u32);
     persist::put_u32(&mut meta, src.removed.len() as u32);
@@ -342,9 +342,7 @@ fn encode_meta(src: &FreezeSource<'_>) -> Vec<u8> {
         meta.extend_from_slice(&rule.weight.to_le_bytes());
     }
     persist::put_config(&mut meta, src.config);
-    for seg in &src.segments {
-        persist::put_stats(&mut meta, seg.dd.stats());
-    }
+    persist::put_stats(&mut meta, segment.dd.stats());
     meta
 }
 
@@ -356,14 +354,18 @@ fn encode_meta(src: &FreezeSource<'_>) -> Vec<u8> {
 /// final size, and each arena copied straight to its aligned offset.
 ///
 /// # Panics
-/// Panics on a big-endian host: the format stores little-endian arrays and
-/// is written by reinterpreting the in-memory ones ([`open_frozen`] refuses
-/// such hosts for the same reason).
+/// Panics unless `src.segments` holds exactly one index, and on a big-endian
+/// host: the format stores little-endian arrays and is written by
+/// reinterpreting the in-memory ones ([`open_frozen`] refuses such hosts for
+/// the same reason).
 pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     if cfg!(target_endian = "big") {
         panic!("frozen artifacts are written on little-endian hosts only");
     }
-    let meta = encode_meta(src);
+    let [segment] = &src.segments[..] else {
+        panic!("an artifact holds one index, not {}", src.segments.len());
+    };
+    let meta = encode_meta(src, segment);
     // Interner: canonical frozen string table over the full id space.
     let strings = FrozenStrings::from_strings(src.interner.iter_strings());
 
@@ -372,42 +374,43 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     // instead of a per-entity parse.
     let (raws, raw_off, ent_tokens, ent_tok_off) = src.dict.raw_arenas();
     let (freq, key, untie) = src.order.raw_parts();
-    let mut sections: Vec<(u32, u32, &[u8])> = vec![
-        (SEC_META, GLOBAL_SEG, &meta),
-        (SEC_DICT_RAWS, GLOBAL_SEG, raws.as_bytes()),
-        (SEC_DICT_RAWOFF, GLOBAL_SEG, pod_bytes(raw_off)),
-        (SEC_DICT_TOKENS, GLOBAL_SEG, pod_bytes(ent_tokens)),
-        (SEC_DICT_TOKOFF, GLOBAL_SEG, pod_bytes(ent_tok_off)),
-        (SEC_STR_BYTES, GLOBAL_SEG, strings.raw_bytes()),
-        (SEC_STR_OFF, GLOBAL_SEG, pod_bytes(strings.raw_offsets())),
-        (SEC_STR_TABLE, GLOBAL_SEG, pod_bytes(strings.raw_table())),
-        (SEC_ORD_FREQ, GLOBAL_SEG, pod_bytes(freq)),
-        (SEC_ORD_KEY, GLOBAL_SEG, pod_bytes(key)),
-        (SEC_ORD_UNTIE, GLOBAL_SEG, pod_bytes(untie)),
+    let (by_origin, weight) = segment.dd.raw_arenas();
+    let ix = segment.index.raw_parts();
+    // In `KINDS` order; the id width is the index's.
+    let sections: [(u32, &[u8]); KINDS.len()] = [
+        (SEC_META, &meta),
+        (SEC_DICT_RAWS, raws.as_bytes()),
+        (SEC_DICT_RAWOFF, pod_bytes(raw_off)),
+        (SEC_DICT_TOKENS, pod_bytes(ent_tokens)),
+        (SEC_DICT_TOKOFF, pod_bytes(ent_tok_off)),
+        (SEC_STR_BYTES, strings.raw_bytes()),
+        (SEC_STR_OFF, pod_bytes(strings.raw_offsets())),
+        (SEC_STR_TABLE, pod_bytes(strings.raw_table())),
+        (SEC_ORD_FREQ, pod_bytes(freq)),
+        (SEC_ORD_KEY, pod_bytes(key)),
+        (SEC_ORD_UNTIE, pod_bytes(untie)),
+        (SEC_DD_BYORIGIN, pod_bytes(by_origin)),
+        (SEC_DD_WEIGHT, pod_bytes(weight)),
+        (SEC_IX_TOKGROUPS, pod_bytes(ix.tok_groups)),
+        (SEC_IX_GROUPLEN, pod_bytes(ix.group_len)),
+        (SEC_IX_GROUPORIG, pod_bytes(ix.group_origins)),
+        (SEC_IX_ORIGENT, ix.origin_entity.as_bytes()),
+        (SEC_IX_ORIGMINPOS, pod_bytes(ix.origin_min_pos)),
+        (SEC_IX_BLOCKS, pod_bytes(ix.blocks)),
+        (SEC_IX_BLOCKOFF, pod_bytes(ix.block_offsets)),
     ];
-    for (i, seg) in src.segments.iter().enumerate() {
-        let s = i as u32;
-        let (by_origin, weight) = seg.dd.raw_arenas();
-        let ix = seg.index.raw_parts();
-        sections.extend([
-            (SEC_DD_BYORIGIN, s, pod_bytes(by_origin)),
-            (SEC_DD_WEIGHT, s, pod_bytes(weight)),
-            (SEC_IX_TOKGROUPS, s, pod_bytes(ix.tok_groups)),
-            (SEC_IX_GROUPLEN, s, pod_bytes(ix.group_len)),
-            (SEC_IX_GROUPORIG, s, pod_bytes(ix.group_origins)),
-            (SEC_IX_ORIGENT, s, pod_bytes(ix.origin_entity)),
-            (SEC_IX_ORIGMINPOS, s, pod_bytes(ix.origin_min_pos)),
-            (SEC_IX_BLOCKS, s, pod_bytes(ix.blocks)),
-            (SEC_IX_BLOCKOFF, s, pod_bytes(ix.block_offsets)),
-        ]);
-    }
+    let id_width = ix.origin_entity.width().bytes() as u32;
+    let width = |kind: u32| match KINDS.iter().find(|&&(k, _, _)| k == kind).expect("a known kind").2 {
+        ID_WIDTHS => id_width,
+        widths => widths[0],
+    };
 
     // Lay out: header, table, aligned sections, CRC footer.
     let table_end = HEADER_FIXED + sections.len() * ENTRY_BYTES;
     let mut end = table_end;
     let offsets: Vec<usize> = sections
         .iter()
-        .map(|(_, _, bytes)| {
+        .map(|(_, bytes)| {
             let off = end.next_multiple_of(SECTION_ALIGN);
             end = off + bytes.len();
             off
@@ -419,10 +422,10 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     buf[8..16].copy_from_slice(&src.generation.to_le_bytes());
     buf[16..20].copy_from_slice(&(sections.len() as u32).to_le_bytes());
     // [20..24) reserved, zero.
-    for (i, (&(kind, seg, bytes), &off)) in sections.iter().zip(&offsets).enumerate() {
+    for (i, (&(kind, bytes), &off)) in sections.iter().zip(&offsets).enumerate() {
         let at = HEADER_FIXED + i * ENTRY_BYTES;
         buf[at..at + 4].copy_from_slice(&kind.to_le_bytes());
-        buf[at + 4..at + 8].copy_from_slice(&seg.to_le_bytes());
+        buf[at + 4..at + 8].copy_from_slice(&width(kind).to_le_bytes());
         buf[at + 8..at + 16].copy_from_slice(&(off as u64).to_le_bytes());
         buf[at + 16..at + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
         buf[off..off + bytes.len()].copy_from_slice(bytes);
@@ -434,9 +437,19 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
 
 // ---------------------------------------------------------------- opener --
 
-/// The section table, keyed by kind: an opened artifact holds each kind once.
+/// One entry of the section table.
+#[derive(Debug, Clone, Copy)]
+struct Section {
+    kind: u32,
+    /// Bytes per element.
+    width: u32,
+    off: usize,
+    len: usize,
+}
+
+/// The section table in file order: an opened artifact holds each kind once.
 struct SectionTable {
-    entries: HashMap<u32, (usize, usize)>,
+    entries: Vec<Section>,
 }
 
 fn corrupt(msg: impl Into<String>) -> PersistError {
@@ -444,7 +457,7 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
 }
 
 /// Checks the magic and the version word. The opener runs this *before* the
-/// CRC so that a file of another format version — a retired v1–v8 artifact,
+/// CRC so that a file of another format version — a retired v1–v9 artifact,
 /// whose footer (if any) means something else — is named as such instead of
 /// being reported as corruption.
 fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
@@ -458,20 +471,10 @@ fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
     }
 }
 
-/// The segment a section kind is filed under: 0 for the index kinds,
-/// [`GLOBAL_SEG`] for every other.
-fn home_of(kind: u32) -> u32 {
-    if SEGMENT_KINDS.contains(&kind) {
-        0
-    } else {
-        GLOBAL_SEG
-    }
-}
-
-/// Parses and bounds-checks the header and section table of `bytes`
-/// (which must already be CRC-verified). Rejects out-of-bounds, duplicated
-/// or misaligned sections, a META naming other than one segment, a section
-/// filed anywhere but its kind's home and missing kinds.
+/// Parses and bounds-checks the header and section table of `bytes`.
+/// Rejects out-of-bounds, misaligned, unknown, duplicated and missing
+/// sections, a width its kind does not take, and an `ix.origin_entity` and
+/// `ix.blocks` of different id widths.
 fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     check_header(bytes)?;
     let mut r = Reader { buf: &bytes[8..] };
@@ -489,11 +492,10 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     if table_end > payload_end {
         return Err(PersistError::Truncated("section table"));
     }
-    let mut entries = HashMap::with_capacity(s_count);
-    let mut stray = None;
+    let mut entries: Vec<Section> = Vec::with_capacity(s_count.min(KINDS.len()));
     for i in 0..s_count {
         let kind = r.u32("section kind")?;
-        let seg = r.u32("section segment")?;
+        let width = r.u32("section width")?;
         let off = r.u64("section offset")? as usize;
         let len = r.u64("section length")? as usize;
         if !off.is_multiple_of(SECTION_ALIGN) {
@@ -503,27 +505,25 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
         if off < table_end || end > payload_end {
             return Err(corrupt(format!("section {i} [{off}, {end}) outside payload [{table_end}, {payload_end})")));
         }
-        if seg != home_of(kind) {
-            stray.get_or_insert((kind, seg));
-        } else if entries.insert(kind, (off, len)).is_some() {
-            return Err(corrupt(format!("duplicate section {}", section_kind_name(kind))));
+        let Some(&(_, name, widths)) = KINDS.iter().find(|&&(k, _, _)| k == kind) else {
+            return Err(corrupt(format!("section {i} is of unknown kind {kind}")));
+        };
+        if !widths.contains(&width) {
+            let takes = widths.iter().map(u32::to_string).collect::<Vec<_>>().join(" or ");
+            return Err(corrupt(format!("section {name} is stored {width} bytes wide, not {takes}")));
         }
+        if entries.iter().any(|s| s.kind == kind) {
+            return Err(corrupt(format!("duplicate section {name}")));
+        }
+        entries.push(Section { kind, width, off, len });
     }
     let table = SectionTable { entries };
-    // META leads with the segment count: an artifact partitioned into several
-    // is named as such, not by the first of its sections past segment 0.
-    if table.entries.contains_key(&SEC_META) {
-        let segments = Reader { buf: table.bytes(bytes, SEC_META) }.u32("meta segment count")?;
-        if segments != 1 {
-            return Err(corrupt(format!("the artifact holds {segments} segments, not one: rebuild it with `aeetes build`")));
-        }
+    if let Some(&(_, name, _)) = KINDS.iter().find(|&&(kind, _, _)| table.find(kind).is_none()) {
+        return Err(corrupt(format!("missing section {name}")));
     }
-    if let Some((kind, seg)) = stray {
-        let place = |seg: u32| if seg == GLOBAL_SEG { "global".to_string() } else { format!("segment {seg}") };
-        return Err(corrupt(format!("section {} is filed under {}, not {}", section_kind_name(kind), place(seg), place(home_of(kind)))));
-    }
-    if let Some(&kind) = GLOBAL_KINDS.iter().chain(&SEGMENT_KINDS).find(|kind| !table.entries.contains_key(kind)) {
-        return Err(corrupt(format!("missing section {}", section_kind_name(kind))));
+    let (origins, blocks) = (table.get(SEC_IX_ORIGENT).width, table.get(SEC_IX_BLOCKS).width);
+    if origins != blocks {
+        return Err(corrupt(format!("ix.origin_entity is stored {origins} bytes wide but ix.blocks {blocks}: an index has one id width")));
     }
     Ok(table)
 }
@@ -531,14 +531,30 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
 /// Section lookups: [`parse_table`] returns a table only once every kind is
 /// in it.
 impl SectionTable {
+    fn find(&self, kind: u32) -> Option<&Section> {
+        self.entries.iter().find(|s| s.kind == kind)
+    }
+
+    fn get(&self, kind: u32) -> &Section {
+        self.find(kind).expect("parse_table checked every kind is present")
+    }
+
     fn slice<T: Pod>(&self, buf: &Arc<FrozenBuf>, kind: u32) -> Result<FrozenSlice<T>, PersistError> {
-        let (off, len) = self.entries[&kind];
-        FrozenSlice::new(Arc::clone(buf), off, len).map_err(|e| corrupt(format!("section {}: {e}", section_kind_name(kind))))
+        let s = self.get(kind);
+        FrozenSlice::new(Arc::clone(buf), s.off, s.len).map_err(|e| corrupt(format!("section {}: {e}", section_kind_name(kind))))
     }
 
     fn bytes<'a>(&self, bytes: &'a [u8], kind: u32) -> &'a [u8] {
-        let (off, len) = self.entries[&kind];
-        &bytes[off..off + len]
+        let s = self.get(kind);
+        &bytes[s.off..s.off + s.len]
+    }
+
+    /// The index's id width, as `ix.origin_entity` names it.
+    fn id_width(&self) -> IdWidth {
+        match self.get(SEC_IX_ORIGENT).width {
+            2 => IdWidth::U16,
+            _ => IdWidth::U32,
+        }
     }
 }
 
@@ -573,9 +589,6 @@ pub fn open_frozen_bytes(bytes: &[u8]) -> Result<FrozenParts, PersistError> {
 }
 
 fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
-    if cfg!(target_endian = "big") {
-        return Err(corrupt("frozen artifacts require a little-endian host"));
-    }
     let bytes = buf.as_bytes();
     check_header(bytes)?;
     if bytes.len() < HEADER_FIXED + 4 {
@@ -591,14 +604,23 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
     if failpoint::hit("frozen.open.validate").is_some() {
         return Err(corrupt("failpoint frozen.open.validate"));
     }
-    let table = parse_table(bytes)?;
+    adopt(&buf, &parse_table(bytes)?)
+}
+
+/// Validates every section of `buf` that `table` lays out and assembles the
+/// parts over them: everything opening does but the CRC.
+fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, PersistError> {
+    if cfg!(target_endian = "big") {
+        return Err(corrupt("frozen artifacts require a little-endian host"));
+    }
+    let bytes = buf.as_bytes();
     let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte generation"));
 
     // Interner: validate the frozen string table, then overlay.
     let strings = FrozenStrings::new(
-        table.slice::<u8>(&buf, SEC_STR_BYTES)?.into(),
-        table.slice::<u32>(&buf, SEC_STR_OFF)?.into(),
-        table.slice::<u32>(&buf, SEC_STR_TABLE)?.into(),
+        table.slice::<u8>(buf, SEC_STR_BYTES)?.into(),
+        table.slice::<u32>(buf, SEC_STR_OFF)?.into(),
+        table.slice::<u32>(buf, SEC_STR_TABLE)?.into(),
     )
     .map_err(|e| corrupt(format!("string table: {e}")))?;
     if strings.len() > TokenId::LIMIT as usize {
@@ -609,9 +631,9 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 
     // Global order.
     let order = GlobalOrder::from_raw_parts(
-        table.slice::<u32>(&buf, SEC_ORD_FREQ)?.into(),
-        table.slice::<u32>(&buf, SEC_ORD_KEY)?.into(),
-        table.slice::<TokenId>(&buf, SEC_ORD_UNTIE)?.into(),
+        table.slice::<u32>(buf, SEC_ORD_FREQ)?.into(),
+        table.slice::<u32>(buf, SEC_ORD_KEY)?.into(),
+        table.slice::<TokenId>(buf, SEC_ORD_UNTIE)?.into(),
     )
     .map_err(|e| corrupt(format!("global order: {e}")))?;
     let (freq, _, _) = order.raw_parts();
@@ -622,14 +644,13 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 
     // META: the small decoded structures.
     let mut r = Reader { buf: table.bytes(bytes, SEC_META) };
-    let _segments = r.u32("meta segment count")?; // 1: `parse_table` checked it
     let meta_entities = r.u32("meta entity count")? as usize;
     let meta_rules = r.u32("meta rule count")? as usize;
     let dict = Dictionary::from_raw_arenas(
         table.bytes(bytes, SEC_DICT_RAWS).to_vec(),
-        table.slice::<u32>(&buf, SEC_DICT_RAWOFF)?.to_vec(),
-        table.slice::<TokenId>(&buf, SEC_DICT_TOKENS)?.to_vec(),
-        table.slice::<u32>(&buf, SEC_DICT_TOKOFF)?.to_vec(),
+        table.slice::<u32>(buf, SEC_DICT_RAWOFF)?.to_vec(),
+        table.slice::<TokenId>(buf, SEC_DICT_TOKENS)?.to_vec(),
+        table.slice::<u32>(buf, SEC_DICT_TOKOFF)?.to_vec(),
         n_tokens,
     )
     .map_err(|e| corrupt(format!("dictionary: {e}")))?;
@@ -666,8 +687,8 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
     // One prefix says which variant ids an origin owns; the table and the
     // index each hold a view of it, so an id remap that takes a range start
     // from one and an id through the other cannot be handed two answers.
-    let by_origin = table.slice::<u32>(&buf, SEC_DD_BYORIGIN)?;
-    let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(&buf, SEC_DD_WEIGHT)?.into(), stats)
+    let by_origin = table.slice::<u32>(buf, SEC_DD_BYORIGIN)?;
+    let dd = VariantTable::from_raw_arenas(by_origin.clone().into(), table.slice::<f64>(buf, SEC_DD_WEIGHT)?.into(), stats)
         .map_err(|e| corrupt(format!("variant table: {e}")))?;
     // An index predating a dictionary-growing delta legitimately spans a
     // shorter origin space (origins beyond it have no variants there);
@@ -675,16 +696,20 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
     if dd.origins() > dict.len() {
         return Err(corrupt(format!("the index spans {} origins, the dictionary holds only {}", dd.origins(), dict.len())));
     }
+    let origin_entity = match table.id_width() {
+        IdWidth::U16 => IdArena::U16(table.slice::<u16>(buf, SEC_IX_ORIGENT)?.into()),
+        IdWidth::U32 => IdArena::U32(table.slice::<u32>(buf, SEC_IX_ORIGENT)?.into()),
+    };
     let index = ClusteredIndex::from_raw_parts(
         Arc::clone(&order),
         IndexArenas {
-            tok_groups: table.slice::<u32>(&buf, SEC_IX_TOKGROUPS)?.into(),
-            group_len: table.slice::<u16>(&buf, SEC_IX_GROUPLEN)?.into(),
-            group_origins: table.slice::<u32>(&buf, SEC_IX_GROUPORIG)?.into(),
-            origin_entity: table.slice::<EntityId>(&buf, SEC_IX_ORIGENT)?.into(),
-            origin_min_pos: table.slice::<u16>(&buf, SEC_IX_ORIGMINPOS)?.into(),
-            blocks: table.slice::<u32>(&buf, SEC_IX_BLOCKS)?.into(),
-            block_offsets: table.slice::<u32>(&buf, SEC_IX_BLOCKOFF)?.into(),
+            tok_groups: table.slice::<u32>(buf, SEC_IX_TOKGROUPS)?.into(),
+            group_len: table.slice::<u16>(buf, SEC_IX_GROUPLEN)?.into(),
+            group_origins: table.slice::<u32>(buf, SEC_IX_GROUPORIG)?.into(),
+            origin_entity,
+            origin_min_pos: table.slice::<u16>(buf, SEC_IX_ORIGMINPOS)?.into(),
+            blocks: table.slice::<u32>(buf, SEC_IX_BLOCKS)?.into(),
+            block_offsets: table.slice::<u32>(buf, SEC_IX_BLOCKOFF)?.into(),
             origin_offsets: by_origin.into(),
         },
     )
@@ -696,11 +721,11 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
 
 // ------------------------------------------------------------- peek info --
 
-/// Summary of an artifact's header, readable without loading (or fully
-/// validating) the body. See [`peek_info`].
+/// Summary of an artifact: its header facts and section table. See
+/// [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 9: other versions are refused).
+    /// Format version (always 10: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -712,50 +737,45 @@ pub struct ArtifactInfo {
     pub tokens: usize,
     /// Total artifact size in bytes.
     pub file_len: usize,
-    /// Per-section sizes.
+    /// The sections, in file order.
     pub sections: Vec<SectionInfo>,
 }
 
-/// One section's identity and size.
+/// One section's identity, element width and size.
 #[derive(Debug, Clone)]
 pub struct SectionInfo {
     /// Section kind name (see [`section_kind_name`]).
     pub kind: &'static str,
+    /// Bytes per element (for `ix.blocks`, per pool key).
+    pub width: usize,
     /// Section payload bytes.
     pub len: usize,
 }
 
 /// Reads an artifact's headline facts — version, generation, entity/rule/
-/// token counts, section sizes — from the header, section table and the
-/// META counts, without building an engine. No CRC is verified — this is a
-/// diagnostic peek, not a load.
+/// token counts, section widths and sizes. Every section is validated as
+/// [`open_frozen_bytes`] validates it, so a file this describes is one the
+/// opener adopts; only the CRC is not checked, so that a damaged file can
+/// still be described.
 pub fn peek_info(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
     check_header(bytes)?;
     if bytes.len() < HEADER_FIXED + 4 {
         return Err(PersistError::Truncated("frozen header"));
     }
+    let buf = Arc::new(FrozenBuf::heap_from_bytes(bytes));
     let table = parse_table(bytes)?;
-    let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte generation"));
-    // Leading META counts (segments, entities, rules).
-    let mut r = Reader { buf: table.bytes(bytes, SEC_META) };
-    let _segments = r.u32("meta segment count")?; // 1: `parse_table` checked it
-    let entities = r.u32("meta entity count")? as usize;
-    let rules = r.u32("meta rule count")? as usize;
-    // Token count: the string offset array holds n + 1 entries.
-    let tokens = (table.entries[&SEC_STR_OFF].1 / 4).saturating_sub(1);
-    // The global sections first, then the index's; by name within each.
-    let mut kinds: Vec<u32> = table.entries.keys().copied().collect();
-    kinds.sort_by_key(|&kind| (home_of(kind) == 0, section_kind_name(kind)));
-    let sections = kinds
-        .into_iter()
-        .map(|kind| SectionInfo { kind: section_kind_name(kind), len: table.entries[&kind].1 })
+    let parts = adopt(&buf, &table)?;
+    let sections = table
+        .entries
+        .iter()
+        .map(|s| SectionInfo { kind: section_kind_name(s.kind), width: s.width as usize, len: s.len })
         .collect();
     Ok(ArtifactInfo {
         version: persist::VERSION_FROZEN,
-        generation,
-        entities,
-        rules,
-        tokens,
+        generation: parts.generation,
+        entities: parts.dict.len(),
+        rules: parts.rules.len(),
+        tokens: parts.interner.len(),
         file_len: bytes.len(),
         sections,
     })
@@ -766,7 +786,7 @@ mod tests {
     use super::*;
     use crate::backend::extract_segment;
     use crate::limits::ExtractLimits;
-    use aeetes_rules::{DerivedDictionary, DerivedId};
+    use aeetes_rules::DerivedId;
     use aeetes_text::{Document, Tokenizer};
 
     fn sample() -> (crate::Aeetes, Interner, Tokenizer, RuleSet) {
@@ -875,41 +895,24 @@ mod tests {
         assert!(err.to_string().contains("aligned"), "unexpected error: {err}");
     }
 
-    /// What the writer makes of a partition into other than one segment —
-    /// none, or two splitting the origin space — is refused on open and on
-    /// peek alike, by its segment count.
+    /// An artifact holds one index: the writer lays out no other count.
     #[test]
-    fn partitioned_images_are_refused() {
+    fn the_writer_takes_exactly_one_index() {
         let (engine, int, _, rules) = sample();
-        let dict = engine.dictionary();
-        let config = engine.config();
-        let even = DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == 0);
-        let odd = DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == 1);
-        let order = engine.index().shared_order();
-        let ix_even = ClusteredIndex::build_with_order(&even, Arc::clone(&order));
-        let ix_odd = ClusteredIndex::build_with_order(&odd, Arc::clone(&order));
-        let freeze = |segments| {
-            freeze_to_bytes(&FreezeSource {
-                interner: &int,
-                dict,
-                removed: &[],
-                rules: &rules,
-                config,
-                generation: 7,
-                order: order.as_ref(),
-                segments,
-            })
-        };
-        for (segments, n) in [
-            (vec![], 0),
-            (vec![FreezeSegment { dd: &even, index: &ix_even }, FreezeSegment { dd: &odd, index: &ix_odd }], 2),
-        ] {
-            let bytes = freeze(segments);
-            let expect = format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`");
-            for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
-                let err = err.expect(&expect).to_string();
-                assert!(err.contains(&expect), "expected `{expect}` in `{err}`");
-            }
+        for n in [0, 2] {
+            let written = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                freeze_to_bytes(&FreezeSource {
+                    interner: &int,
+                    dict: engine.dictionary(),
+                    removed: &[],
+                    rules: &rules,
+                    config: engine.config(),
+                    generation: 7,
+                    order: engine.index().order(),
+                    segments: (0..n).map(|_| FreezeSegment { dd: engine.derived(), index: engine.index() }).collect(),
+                })
+            }));
+            assert!(written.is_err(), "{n} indexes must not be written");
         }
     }
 
@@ -938,27 +941,39 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 9);
+        assert_eq!(info.version, 10);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
         assert_eq!(info.tokens, int.len());
         assert_eq!(info.file_len, bytes.len());
-        // Every kind once: the global sections, then the index's.
-        let kinds: Vec<&str> = info.sections.iter().map(|s| s.kind).collect();
-        assert_eq!(kinds.len(), GLOBAL_KINDS.len() + SEGMENT_KINDS.len());
-        assert_eq!(kinds[GLOBAL_KINDS.len()..][..2], ["dd.by_origin", "dd.weight"]);
+        // Every kind once, in file order, each at its width: the index's
+        // ids at 16 bits.
+        let listed: Vec<(&str, usize)> = info.sections.iter().map(|s| (s.kind, s.width)).collect();
+        let widths = |name: &str| match name {
+            "ix.origin_entity" | "ix.blocks" => 2,
+            _ => KINDS.iter().find(|k| k.1 == name).unwrap().2[0] as usize,
+        };
+        assert_eq!(listed, KINDS.map(|(_, name, _)| (name, widths(name))));
+        assert_eq!(
+            engine.index().size_bytes(),
+            info.sections
+                .iter()
+                .filter(|s| s.kind.starts_with("ix.") || s.kind == "dd.by_origin")
+                .map(|s| s.len)
+                .sum::<usize>()
+        );
     }
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 9 — the retired v1–v8 layouts
+        // A valid magic with any version but 10 — the retired v1–v9 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v9 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 10, 99] {
-            let mut whole = v9.clone();
+        let v10 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 99] {
+            let mut whole = v10.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -971,10 +986,10 @@ mod tests {
         assert!(matches!(open_frozen_bytes(b"AE"), Err(PersistError::Truncated(_))));
     }
 
-    /// CRC-valid images no writer produces: each is refused by name, none
-    /// reaches a lookup that would trust it.
+    /// CRC-valid images no writer produces: each is refused by name, on open
+    /// and on peek, and none reaches a lookup that would trust it.
     #[test]
-    fn hostile_segments_are_refused() {
+    fn hostile_images_are_refused() {
         let (engine, int, _, rules) = sample();
         let good = freeze_sample(&engine, &int, &rules, 1);
         let (by_origin, weight) = engine.derived().raw_arenas();
@@ -995,9 +1010,9 @@ mod tests {
             segments: vec![FreezeSegment { dd: &shifted, index: engine.index() }],
         });
         let table = parse_table(&good).unwrap();
-        let (w_off, w_len) = table.entries[&SEC_DD_WEIGHT];
-        let (m_off, m_len) = table.entries[&SEC_IX_ORIGMINPOS];
-        // Where the section table holds a kind's entry: kind, segment, offset
+        let (w_off, w_len) = (table.get(SEC_DD_WEIGHT).off, table.get(SEC_DD_WEIGHT).len);
+        let (m_off, m_len) = (table.get(SEC_IX_ORIGMINPOS).off, table.get(SEC_IX_ORIGMINPOS).len);
+        // Where the section table holds a kind's entry: kind, width, offset
         // and length.
         let entry = |kind: u32| {
             (0..)
@@ -1012,37 +1027,54 @@ mod tests {
             recrc(&mut bytes);
             bytes
         };
-        // Blocks: origin 0 is [5 | 5 keys | 3-key mask | 4-key mask], origin
-        // 1 [6 | 6 keys | 4 masks], origin 2 [4 | 4 keys | 1 mask].
+        // Blocks, at 16 bits: origin 0 is [5 | 3 key words | 3-key mask |
+        // 4-key mask], origin 1 [6 | 3 key words | 4 masks], origin 2 [4 | 2
+        // key words | 1 mask].
         let ix = engine.index().raw_parts();
-        assert_eq!((ix.block_offsets, ix.blocks[0], ix.blocks[6].count_ones(), ix.blocks[7].count_ones()), (&[0, 8, 19, 25][..], 5, 3, 4));
-        let (b_off, _) = table.entries[&SEC_IX_BLOCKS];
-        let (o_off, _) = table.entries[&SEC_DD_BYORIGIN];
+        assert_eq!(ix.origin_entity.width(), aeetes_index::IdWidth::U16);
+        assert_eq!((ix.block_offsets, ix.blocks[0], ix.blocks[4].count_ones(), ix.blocks[5].count_ones()), (&[0, 6, 14, 18][..], 5, 3, 4));
+        let b_off = table.get(SEC_IX_BLOCKS).off;
+        let o_off = table.get(SEC_DD_BYORIGIN).off;
         let block_word = |i: usize, with: u32| patched(b_off + 4 * i, &with.to_le_bytes());
         let ranks = engine.index().order().ranks() as u32;
         let clusters = ix.origin_entity.len();
         assert_eq!(m_len, 2 * clusters);
+        let width_field = |kind: u32, width: u32| patched(entry(kind) + 4, &width.to_le_bytes());
+        let kind_field = |kind: u32, to: u32| patched(entry(kind), &to.to_le_bytes());
+        let both_widths = |width: u32| {
+            let mut bytes = width_field(SEC_IX_ORIGENT, width);
+            bytes[entry(SEC_IX_BLOCKS) + 4..][..4].copy_from_slice(&width.to_le_bytes());
+            recrc(&mut bytes);
+            bytes
+        };
         for (bytes, expect) in [
-            (another_prefix, "index: origin 0's block holds 8 words, not 1 + 5 keys + 3 masks of 1"),
+            (another_prefix, "index: origin 0's block holds 6 words, not 1 + 3 key words + 3 masks of 1"),
             (patched(w_off + 8, &0f64.to_le_bytes()), "variant table: variant 1 weight 0 outside (0, 1]"),
             (patched(w_off + 16, &1.5f64.to_le_bytes()), "variant table: variant 2 weight 1.5 outside (0, 1]"),
             (
                 patched(len_field(SEC_DD_WEIGHT), &(w_len as u64 - 8).to_le_bytes()),
                 "variant weight array holds 6 entries, expected none or 7",
             ),
-            (block_word(0, 99), "index: origin 0's pool of 99 keys exceeds its block of 8 words"),
-            (block_word(0, 4), "index: origin 0's block holds 8 words, not 1 + 4 keys + 2 masks of 1"),
-            (block_word(2, ix.blocks[1]), "index: origin 0's pool keys are not strictly ascending"),
-            (block_word(9, ix.blocks[9] & !aeetes_index::VALID_BIT), "index: origin 1's pool holds key"),
+            (block_word(0, 99), "index: origin 0's pool of 99 keys exceeds its block of 6 words"),
+            (block_word(0, 4), "index: origin 0's block holds 6 words, not 1 + 2 key words + 2 masks of 1"),
+            (block_word(1, ix.blocks[1].rotate_left(16)), "index: origin 0's pool keys are not strictly ascending"),
+            // The width rows: a section stored at a width its kind does not
+            // take; the two id sections at different widths; a 16-bit pool's
+            // spare half-word set, or a packed rank past the order's.
+            (width_field(SEC_IX_GROUPLEN, 4), "section ix.group_len is stored 4 bytes wide, not 2"),
+            (both_widths(8), "section ix.origin_entity is stored 8 bytes wide, not 2 or 4"),
+            (width_field(SEC_IX_BLOCKS, 4), "ix.origin_entity is stored 2 bytes wide but ix.blocks 4: an index has one id width"),
+            (width_field(SEC_IX_ORIGENT, 4), "ix.origin_entity is stored 4 bytes wide but ix.blocks 2: an index has one id width"),
+            (block_word(3, ix.blocks[3] | 1 << 16), "index: origin 0's pool of 5 ranks leaves a non-zero spare half-word"),
+            (block_word(3, ranks), &format!("index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}")),
+            (block_word(4, ix.blocks[4] | 1 << 5), "index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
             (
-                block_word(5, aeetes_index::VALID_BIT | ranks),
-                &format!("index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}"),
-            ),
-            (block_word(6, ix.blocks[6] | 1 << 5), "index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
-            (
-                patched(b_off + 4 * 6, &[ix.blocks[7].to_le_bytes(), ix.blocks[6].to_le_bytes()].concat()),
+                patched(b_off + 4 * 4, &[ix.blocks[5].to_le_bytes(), ix.blocks[4].to_le_bytes()].concat()),
                 "index: origin 0's variants are not sorted by set length",
             ),
+            // An artifact holds each known kind once.
+            (kind_field(SEC_IX_BLOCKS, 99), "section 18 is of unknown kind 99"),
+            (kind_field(SEC_IX_BLOCKS, SEC_IX_ORIGENT), "duplicate section ix.origin_entity"),
             // One lowest position per origin cluster, each inside the sets
             // of its group's length.
             (
@@ -1058,24 +1090,7 @@ mod tests {
                 &format!("index: origin cluster 0 lowest position {0} outside its group's sets of {0}", ix.group_len[0]),
             ),
             // Origin 1 left without variants (they pass to origin 2) keeps its block.
-            (patched(o_off + 8, &2u32.to_le_bytes()), "index: origin 1 has no variants but a block of 11 words"),
-        ] {
-            let err = open_frozen_bytes(&bytes).err().expect(expect).to_string();
-            assert!(err.contains(expect), "expected `{expect}` in `{err}`");
-        }
-        // An artifact holds one segment: its index sections are segment 0's,
-        // the others global, and META says so. Anything else is refused by
-        // the opener and by the peek, never adopted in part.
-        let (meta_off, _) = table.entries[&SEC_META];
-        let filed = |kind: u32, kind_to: u32, seg: u32| patched(entry(kind), &[kind_to.to_le_bytes(), seg.to_le_bytes()].concat());
-        for (bytes, expect) in [
-            (filed(SEC_IX_BLOCKS, SEC_IX_BLOCKS, 1), "section ix.blocks is filed under segment 1, not segment 0"),
-            (filed(SEC_IX_BLOCKS, SEC_IX_BLOCKS, GLOBAL_SEG), "section ix.blocks is filed under global, not segment 0"),
-            (filed(SEC_META, SEC_META, 0), "section meta is filed under segment 0, not global"),
-            (patched(meta_off, &0u32.to_le_bytes()), "the artifact holds 0 segments, not one: rebuild it with `aeetes build`"),
-            (patched(meta_off, &2u32.to_le_bytes()), "the artifact holds 2 segments, not one: rebuild it with `aeetes build`"),
-            // The index's blocks filed as an unknown global kind.
-            (filed(SEC_IX_BLOCKS, 99, GLOBAL_SEG), "missing section ix.blocks"),
+            (patched(o_off + 8, &2u32.to_le_bytes()), "index: origin 1 has no variants but a block of 8 words"),
         ] {
             for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
                 let err = err.expect(expect).to_string();

@@ -80,6 +80,9 @@ pub struct ExtractScratch {
     pub(crate) buf: Vec<u32>,
     /// Verification: sorted distinct key set of the current span.
     pub(crate) s_keys: Vec<u32>,
+    /// Verification: the current candidate's pool keys, where its index
+    /// stores them at 16 bits.
+    pub(crate) pool_keys: Vec<u32>,
     /// Verification: which keys of the current candidate's pool the span
     /// holds, as masks over the pool.
     pub(crate) hits: Vec<u32>,

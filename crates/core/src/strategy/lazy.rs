@@ -15,7 +15,7 @@
 //! token's base list and then its tail list are each paired this way, the
 //! base's clusters of superseded origins dropped at emit.
 
-use crate::candidates::CandidateSink;
+use crate::candidates::{admit, CandidateSink};
 use crate::limits::Budget;
 use crate::scratch::{ExtractScratch, LazyScratch, Pending};
 use crate::segment::Segment;
@@ -159,17 +159,16 @@ fn pair(
             }
             continue;
         }
-        let plen = metric.prefix_len(len as usize, tau);
         stats.accessed_entries += g.origin_count() as u64;
-        for og in g.origins() {
-            if (og.min_pos as usize) < plen && keep(og.origin) {
+        admit(g, metric.prefix_len(len as usize, tau), |origin| {
+            if keep(origin) {
                 for &ai in active.iter() {
                     if !expired[ai as usize] {
-                        sink.push(list[ai as usize].span, og.origin);
+                        sink.push(list[ai as usize].span, origin);
                     }
                 }
             }
-        }
+        });
         // Amortized compaction keeps the emission loop O(live) overall.
         if dead > active.len() / 2 {
             active.retain(|&ai| !expired[ai as usize]);

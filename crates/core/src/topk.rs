@@ -113,7 +113,7 @@ pub(crate) fn top_k_segment(
 ) {
     // `matches` holds one position's verified pairs during the scan and the
     // result after it.
-    let ExtractScratch { walk, sink, s_keys, hits, heap, matches, stages, .. } = seg;
+    let ExtractScratch { walk, sink, s_keys, pool_keys, hits, heap, matches, stages, .. } = seg;
     matches.clear();
     stages.clear();
     if k == 0 {
@@ -173,7 +173,7 @@ pub(crate) fn top_k_segment(
         // rise before the next position is scanned. Weighted scores are ≤
         // unweighted ones, so the unweighted filters at the ratcheted τ
         // stay sound for them.
-        verify_candidates(segment, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, hits, matches);
+        verify_candidates(segment, doc, tau_cur, metric, &mut sink.pairs, stats, weighted, budget, s_keys, pool_keys, hits, matches);
         walk.lap(Stage::Verify);
         for &m in matches.iter() {
             if heap.len() < k {

@@ -5,17 +5,22 @@ use crate::limits::Budget;
 use crate::matches::Match;
 use crate::segment::Segment;
 use crate::stats::ExtractStats;
+use aeetes_index::{Keys, Pool};
 use aeetes_rules::DerivedId;
 use aeetes_sim::Metric;
 use aeetes_text::{Document, EntityId, Span};
 
 /// The one merge a candidate costs: marks in `hits` which keys of the
 /// origin's `pool` the window holds. `hits` becomes two masks over the pool,
-/// back to back — bit `b` of the first ⇔ `pool[b]` is among `s_keys`, of the
-/// second ⇔ it is among the window's τ-prefix `s_keys[..s_prefix]`. Returns
-/// the number of pool keys in the window, or `None` as soon as fewer than
-/// `required` are reachable (`hits` is then unfinished).
-fn mark_window(pool: &[u32], s_keys: &[u32], s_prefix: usize, required: usize, hits: &mut Vec<u32>) -> Option<usize> {
+/// back to back — bit `b` of the first ⇔ pool key `b` is among `s_keys`, of
+/// the second ⇔ it is among the window's τ-prefix `s_keys[..s_prefix]`.
+/// Returns the number of pool keys in the window, or `None` as soon as fewer
+/// than `required` are reachable (`hits` is then unfinished). Written once
+/// for both pool widths: a 16-bit pool is decoded into `keys` first, each
+/// rank as the key `VALID_BIT | rank` it stands for, and the window meets
+/// that.
+fn mark_window<K: Keys>(pool: K, keys: &mut Vec<u32>, s_keys: &[u32], s_prefix: usize, required: usize, hits: &mut Vec<u32>) -> Option<usize> {
+    let pool = pool.as_keys(keys);
     let words = pool.len().div_ceil(32);
     hits.clear();
     hits.resize(2 * words, 0);
@@ -65,8 +70,8 @@ fn prefixes_share_a_key(v: &[u32], in_prefix: &[u32], v_prefix: usize) -> bool {
 /// `(span, entity)` because `pairs` is sorted in place first. The budget is
 /// consulted between candidates: an exhausted deadline or match cap stops
 /// verification with the (exact, verified) matches found so far. `s_keys`
-/// is span-local and `hits` candidate-local scratch; all three buffers retain
-/// capacity across calls.
+/// is span-local and `keys` and `hits` candidate-local scratch; all four
+/// buffers retain capacity across calls.
 ///
 /// `JaccAR` is a maximum over the origin's variants, and all of them are
 /// subsets of one key pool, so a candidate costs one merge of that pool
@@ -90,6 +95,7 @@ pub(crate) fn verify_candidates(
     weighted: bool,
     budget: &mut Budget,
     s_keys: &mut Vec<u32>,
+    keys: &mut Vec<u32>,
     hits: &mut Vec<u32>,
     out: &mut Vec<Match>,
 ) {
@@ -120,7 +126,11 @@ pub(crate) fn verify_candidates(
         stats.candidates += 1;
         let (index, dd) = segment.owner(e);
         let block = index.block(e);
-        if mark_window(block.pool, s_keys, s_prefix, origin_bound, hits).is_none() {
+        let in_window = match block.pool {
+            Pool::U16(pool) => mark_window(pool, keys, s_keys, s_prefix, origin_bound, hits),
+            Pool::U32(pool) => mark_window(pool, keys, s_keys, s_prefix, origin_bound, hits),
+        };
+        if in_window.is_none() {
             continue;
         }
         let (in_window, in_prefix) = hits.split_at(block.words());
@@ -209,8 +219,21 @@ mod tests {
         weighted: bool,
         budget: &mut Budget,
     ) -> Vec<Match> {
-        let (mut s_keys, mut hits, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        verify_candidates(Segment::new(index, dd), doc, tau, metric, &mut pairs, stats, weighted, budget, &mut s_keys, &mut hits, &mut out);
+        let (mut s_keys, mut keys, mut hits, mut out) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        verify_candidates(
+            Segment::new(index, dd),
+            doc,
+            tau,
+            metric,
+            &mut pairs,
+            stats,
+            weighted,
+            budget,
+            &mut s_keys,
+            &mut keys,
+            &mut hits,
+            &mut out,
+        );
         out
     }
 
@@ -490,19 +513,49 @@ mod tests {
 
     #[test]
     fn mark_window_marks_pool_keys_and_gives_up_early() {
-        let mut hits = Vec::new();
+        let (mut keys, mut hits) = (Vec::new(), Vec::new());
+        let pool: &[u32] = &[1, 3, 5];
         // Pool keys 3 and 5 (bits 1, 2) are in the window, 3 in its 2-key prefix.
-        assert_eq!(mark_window(&[1, 3, 5], &[2, 3, 5, 7], 2, 1, &mut hits), Some(2));
+        assert_eq!(mark_window(pool, &mut keys, &[2, 3, 5, 7], 2, 1, &mut hits), Some(2));
         assert_eq!(hits, [0b110, 0b010]);
-        assert_eq!(mark_window(&[1, 3, 5], &[2, 3, 5, 7], 2, 2, &mut hits), Some(2));
-        assert_eq!(mark_window(&[1, 3, 5], &[2, 3, 5, 7], 2, 3, &mut hits), None, "only 2 overlaps exist");
-        assert_eq!(mark_window(&[], &[1], 1, 1, &mut hits), None);
+        assert_eq!(mark_window(pool, &mut keys, &[2, 3, 5, 7], 2, 2, &mut hits), Some(2));
+        assert_eq!(mark_window(pool, &mut keys, &[2, 3, 5, 7], 2, 3, &mut hits), None, "only 2 overlaps exist");
+        assert_eq!(mark_window(&[][..], &mut keys, &[1], 1, 1, &mut hits), None);
         assert!(hits.is_empty(), "an empty pool takes no mask words");
-        assert_eq!(mark_window(&[1, 9], &[2, 8], 2, 1, &mut hits), None, "aborts with zero overlap");
+        assert_eq!(mark_window(&[1, 9][..], &mut keys, &[2, 8], 2, 1, &mut hits), None, "aborts with zero overlap");
         // 40 keys: the window's 33rd key sets bit 0 of the second word.
         let pool: Vec<u32> = (0..40).collect();
-        assert_eq!(mark_window(&pool, &[31, 32, 39], 1, 1, &mut hits), Some(3));
+        assert_eq!(mark_window(&pool[..], &mut keys, &[31, 32, 39], 1, 1, &mut hits), Some(3));
         assert_eq!(hits, [1 << 31, 1 | 1 << 7, 1 << 31, 0]);
+    }
+
+    /// A 16-bit index's pools, two ranks to a word, mark what the same pools
+    /// of `VALID_BIT | rank` keys mark — and an invalid window key, below
+    /// every valid one, meets no rank.
+    #[test]
+    fn packed_pools_mark_what_their_keys_mark() {
+        let mut f = Fix::new();
+        let words: Vec<String> = (0..37).map(|i| format!("w{i:02}")).collect();
+        let e = f.dict.push(&words.join(" "), &f.tok, &mut f.int);
+        let (_, ix) = f.built();
+        let block = ix.block(e);
+        let Pool::U16(packed) = block.pool else { panic!("a 16-bit index") };
+        let keys: Vec<u32> = block.pool.iter().collect();
+        let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+        let windows: [Vec<u32>; 3] = [
+            vec![3, keys[0], keys[31], keys[32], keys[36]],
+            keys.iter().step_by(3).copied().collect(),
+            keys.clone(),
+        ];
+        for window in &windows {
+            for (prefix, required) in [(1, 1), (2, 3), (window.len(), window.len() - 1)] {
+                let got = mark_window(packed, &mut Vec::new(), window, prefix, required, &mut narrow);
+                assert_eq!(got, mark_window(&keys[..], &mut Vec::new(), window, prefix, required, &mut wide));
+                if got.is_some() {
+                    assert_eq!(narrow, wide);
+                }
+            }
+        }
     }
 
     #[test]

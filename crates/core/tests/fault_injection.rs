@@ -7,8 +7,7 @@ use aeetes_core::{
     extract_segment, freeze_to_bytes, open_frozen_bytes, peek_info, Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch,
     FreezeSegment, FreezeSource, FrozenParts, Match, Strategy,
 };
-use aeetes_index::ClusteredIndex;
-use aeetes_rules::{DerivedDictionary, RuleSet};
+use aeetes_rules::RuleSet;
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use proptest::prelude::*;
@@ -48,34 +47,86 @@ fn frozen_bytes() -> Vec<u8> {
     freeze(&engine, &int, &rules)
 }
 
-/// What the writer makes of a partition of the origin space into other than
-/// one segment — none, or even-id and odd-id origins apart — is a CRC-valid
-/// image that neither the opener nor the peek accepts: each names the
-/// segment count and says to rebuild.
-#[test]
-fn images_of_other_than_one_segment_are_refused() {
-    let (engine, int, rules) = sample_engine(AeetesConfig::default());
-    let (dict, config) = (engine.dictionary(), engine.config());
-    let order = engine.index().shared_order();
-    let dds = [0, 1].map(|r| DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == r));
-    let indexes = [0, 1].map(|i| ClusteredIndex::build_with_order(&dds[i], order.clone()));
-    for n in [0, 2] {
-        let bytes = freeze_to_bytes(&FreezeSource {
-            interner: &int,
-            dict,
-            removed: &[],
-            rules: &rules,
-            config,
-            generation: 1,
-            order: &order,
-            segments: dds.iter().zip(&indexes).take(n).map(|(dd, index)| FreezeSegment { dd, index }).collect(),
-        });
-        let expect = format!("the artifact holds {n} segments, not one: rebuild it with `aeetes build`");
-        for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
-            let err = err.expect(&expect).to_string();
-            assert!(err.contains(&expect), "expected `{expect}` in `{err}`");
-        }
+/// Section kinds of the v10 table this file patches.
+const ORDER_KEY: u32 = 2;
+const IX_ORIGIN_ENTITY: u32 = 23;
+const IX_BLOCKS: u32 = 26;
+
+/// Where the section table entry `{kind, width, off, len}` of `kind` sits.
+fn entry(bytes: &[u8], kind: u32) -> usize {
+    (0..)
+        .map(|i| 24 + 24 * i)
+        .find(|&at| bytes[at..at + 4] == kind.to_le_bytes())
+        .expect("a section of the kind")
+}
+
+/// `bytes` with `with` written at `at`, resealed so that it reaches validation.
+fn patched(bytes: &[u8], at: usize, with: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 4].copy_from_slice(&with.to_le_bytes());
+    let end = out.len() - 4;
+    let crc = reference_crc32(&out[..end]);
+    out[end..].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+fn refused_by_name(bytes: &[u8], expect: &str) {
+    for err in [open_frozen_bytes(bytes).err(), peek_info(bytes).err()] {
+        let err = err.unwrap_or_else(|| panic!("must be refused: {expect}")).to_string();
+        assert!(err.contains(expect), "expected `{expect}` in `{err}`");
     }
+}
+
+/// An artifact of the layout before this one — the section table's second
+/// word a segment, not a width, and `u32` ids throughout — is refused by its
+/// version word, whatever follows it.
+#[test]
+fn a_v9_image_is_refused_by_name() {
+    let bytes = patched(&frozen_bytes(), 4, 9);
+    assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(9))));
+    assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(9))));
+}
+
+/// CRC-valid images whose id width lies: each is refused by name by the
+/// opener and the peek alike.
+#[test]
+fn images_whose_id_width_lies_are_refused() {
+    let (engine, int, rules) = sample_engine(AeetesConfig::default());
+    let bytes = freeze(&engine, &int, &rules);
+    let width = |kind: u32| entry(&bytes, kind) + 4;
+    refused_by_name(&patched(&bytes, width(ORDER_KEY), 2), "section order.key is stored 2 bytes wide, not 4");
+    refused_by_name(&patched(&bytes, width(IX_BLOCKS), 4), "ix.origin_entity is stored 2 bytes wide but ix.blocks 4");
+    // The sample's first origin pools five keys at 16 bits: three words, the
+    // last one's upper half spare.
+    let ix = engine.index().raw_parts();
+    assert_eq!((ix.blocks[0], ix.blocks[3] >> 16), (5, 0));
+    let blocks = u64::from_le_bytes(bytes[entry(&bytes, IX_BLOCKS) + 8..][..8].try_into().unwrap()) as usize;
+    refused_by_name(&patched(&bytes, blocks + 12, ix.blocks[3] | 7 << 16), "origin 0's pool of 5 ranks leaves a non-zero spare half-word");
+    let ranks = engine.index().order().ranks() as u32;
+    refused_by_name(
+        &patched(&bytes, blocks + 12, ranks),
+        &format!("origin 0's pool holds rank {ranks} but the order hands out only {ranks}"),
+    );
+
+    // A dictionary of 65 537 one-token entities has 65 537 origins and ranks,
+    // so it is stored at 32 bits; the same image claiming 16 is refused
+    // before anything is read at that width.
+    let mut int = Interner::new();
+    let tok = Tokenizer::default();
+    let mut dict = Dictionary::new();
+    for e in 0..=1 << 16 {
+        dict.push(&format!("t{e}"), &tok, &mut int);
+    }
+    let wide = Aeetes::build(dict, &RuleSet::new(), &int, AeetesConfig::default());
+    assert_eq!(wide.index().width(), aeetes_index::IdWidth::U32);
+    let bytes = freeze(&wide, &int, &RuleSet::new());
+    let narrow = patched(&patched(&bytes, entry(&bytes, IX_ORIGIN_ENTITY) + 4, 2), entry(&bytes, IX_BLOCKS) + 4, 2);
+    refused_by_name(&narrow, "index: a 16-bit index over 65537 origins and 65537 ranks");
+    // As written it opens, and the index reports as its size the sections
+    // it reads, at the width they are stored at.
+    let info = peek_info(&bytes).expect("the image as written opens");
+    let read = info.sections.iter().filter(|s| s.kind.starts_with("ix.") || s.kind == "dd.by_origin");
+    assert_eq!(wide.index().size_bytes(), read.map(|s| s.len).sum::<usize>());
 }
 
 /// Every strict prefix of a valid artifact is rejected with an error.
@@ -133,7 +184,7 @@ proptest! {
     /// trusted.
     #[test]
     fn byte_soup_with_valid_header_never_panics(tail in proptest::collection::vec(0u8..=255, 0..4096)) {
-        let mut bytes = b"AEET\x09\x00\x00\x00".to_vec();
+        let mut bytes = b"AEET\x0a\x00\x00\x00".to_vec();
         bytes.extend_from_slice(&tail);
         let crc = reference_crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());

@@ -42,13 +42,308 @@
 //! popcount, a key's position in its set the popcount of the lower bits. A
 //! block names no variant id, so [`ClusteredIndex::splice`] copies blocks run
 //! by run.
+//!
+//! Origin ids and pool keys are stored at the index's [`IdWidth`], chosen
+//! when it is built from its order's rank count and its origin space: at
+//! [`IdWidth::U16`] the clusters' origins are `u16` and a pool is its keys'
+//! bare ranks, two to a word (lower half first, a spare upper half zero), so
+//! a block is `[P | ⌈P/2⌉ key words | masks]`; at [`IdWidth::U32`] both are
+//! `u32` as above. Readers are written once against [`StoredId`] and
+//! [`Keys`] and branch on the width once per length group or per block.
 
 use crate::order::{GlobalOrder, VALID_BIT};
-use aeetes_frozen::Arena;
+use aeetes_frozen::{pod_bytes, Arena, Pod};
 use aeetes_rules::{derive_into, owned_origins, rebased, splice_runs, DeriveConfig, DerivedDictionary, DerivedId, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// How wide an index stores its clusters' origin ids and its pools' keys.
+/// One width covers both, and it is derived, never configured: see
+/// [`IdWidth::of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdWidth {
+    /// `u16` origins and bare 16-bit ranks, two to a block word.
+    U16,
+    /// `u32` origins and `VALID_BIT | rank` keys, one to a block word.
+    U32,
+}
+
+impl IdWidth {
+    /// Ranks or origins a 16-bit index can name: `0..=u16::MAX`.
+    pub const NARROW_SPACE: usize = 1 << 16;
+
+    /// The width of an index over `origins` origins keyed by an order of
+    /// `ranks` ranks: 16 bits when both fit, else 32.
+    pub fn of(ranks: usize, origins: usize) -> Self {
+        if ranks <= Self::NARROW_SPACE && origins <= Self::NARROW_SPACE {
+            Self::U16
+        } else {
+            Self::U32
+        }
+    }
+
+    /// Bytes per stored id.
+    pub fn bytes(self) -> usize {
+        match self {
+            Self::U16 => 2,
+            Self::U32 => 4,
+        }
+    }
+
+    /// Block words a pool of `keys` keys takes.
+    #[inline]
+    fn key_words(self, keys: usize) -> usize {
+        match self {
+            Self::U16 => keys.div_ceil(2),
+            Self::U32 => keys,
+        }
+    }
+}
+
+/// An origin id as an index stores it: `u16` at [`IdWidth::U16`], `u32` at
+/// [`IdWidth::U32`]. The cluster loops are written once against it.
+pub trait StoredId: Pod + Ord + std::fmt::Debug {
+    /// The width this type stores ids at.
+    const WIDTH: IdWidth;
+    /// The stored id.
+    fn get(self) -> u32;
+    /// `id` at this width; the index's width guarantees it fits.
+    fn store(id: u32) -> Self;
+}
+
+impl StoredId for u16 {
+    const WIDTH: IdWidth = IdWidth::U16;
+    #[inline]
+    fn get(self) -> u32 {
+        self.into()
+    }
+    #[inline]
+    fn store(id: u32) -> Self {
+        debug_assert!(id <= u16::MAX.into(), "id {id} stored at 16 bits");
+        id as u16
+    }
+}
+
+impl StoredId for u32 {
+    const WIDTH: IdWidth = IdWidth::U32;
+    #[inline]
+    fn get(self) -> u32 {
+        self
+    }
+    #[inline]
+    fn store(id: u32) -> Self {
+        id
+    }
+}
+
+/// A borrowed array of stored origin ids, at its index's width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ids<'a> {
+    U16(&'a [u16]),
+    U32(&'a [u32]),
+}
+
+impl<'a> Ids<'a> {
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::U16(ids) => ids.len(),
+            Self::U32(ids) => ids.len(),
+        }
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The width the ids are stored at.
+    pub fn width(&self) -> IdWidth {
+        match self {
+            Self::U16(_) => IdWidth::U16,
+            Self::U32(_) => IdWidth::U32,
+        }
+    }
+
+    /// Id `i`, whatever the width (one branch per call: loops over many ids
+    /// match on the variant instead).
+    #[inline]
+    pub fn get(&self, i: usize) -> EntityId {
+        EntityId(match self {
+            Self::U16(ids) => ids[i].into(),
+            Self::U32(ids) => ids[i],
+        })
+    }
+
+    /// The ids' bytes as they stand in memory (and in an artifact).
+    pub fn as_bytes(&self) -> &'a [u8] {
+        match self {
+            Self::U16(ids) => pod_bytes(ids),
+            Self::U32(ids) => pod_bytes(ids),
+        }
+    }
+
+    /// The first index in `range` whose id `pred` rejects, the ids of the
+    /// range being partitioned by it.
+    fn partition_point(&self, range: Range<usize>, pred: impl Fn(EntityId) -> bool) -> usize {
+        range.start
+            + match self {
+                Self::U16(ids) => ids[range].partition_point(|&id| pred(EntityId(id.into()))),
+                Self::U32(ids) => ids[range].partition_point(|&id| pred(EntityId(id))),
+            }
+    }
+}
+
+/// Owned (or frozen) stored origin ids, at their index's width.
+#[derive(Debug, Clone)]
+pub enum IdArena {
+    U16(Arena<u16>),
+    U32(Arena<u32>),
+}
+
+impl IdArena {
+    /// The ids.
+    pub fn ids(&self) -> Ids<'_> {
+        match self {
+            Self::U16(ids) => Ids::U16(ids),
+            Self::U32(ids) => Ids::U32(ids),
+        }
+    }
+
+    /// Whether the storage borrows a frozen artifact.
+    pub fn is_frozen(&self) -> bool {
+        match self {
+            Self::U16(ids) => ids.is_frozen(),
+            Self::U32(ids) => ids.is_frozen(),
+        }
+    }
+}
+
+impl From<Vec<u16>> for IdArena {
+    fn from(ids: Vec<u16>) -> Self {
+        Self::U16(ids.into())
+    }
+}
+
+impl From<Vec<u32>> for IdArena {
+    fn from(ids: Vec<u32>) -> Self {
+        Self::U32(ids.into())
+    }
+}
+
+/// Read access to an origin's pool keys, written once for both widths: key
+/// `i` is `VALID_BIT | rank`, as the order hands it out.
+pub trait Keys: Copy {
+    /// Keys in the pool.
+    fn len(&self) -> usize;
+    /// Key `i`.
+    fn key(&self, i: usize) -> u32;
+    /// Whether the pool is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// All the keys, ascending, as one slice: the pool itself where it
+    /// stores them so, else decoded into `buf` in one pass over its words —
+    /// for a loop that reads every key, cheaper than a shift per read.
+    fn as_keys<'b>(self, buf: &'b mut Vec<u32>) -> &'b [u32]
+    where
+        Self: 'b;
+}
+
+impl Keys for &[u32] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[u32]>::len(self)
+    }
+    #[inline]
+    fn key(&self, i: usize) -> u32 {
+        self[i]
+    }
+    #[inline]
+    fn as_keys<'b>(self, _: &'b mut Vec<u32>) -> &'b [u32]
+    where
+        Self: 'b,
+    {
+        self
+    }
+}
+
+/// A 16-bit index's pool: bare ranks, two to a word, the lower half first.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedRanks<'a> {
+    words: &'a [u32],
+    len: usize,
+}
+
+impl PackedRanks<'_> {
+    /// Rank `i`, read by shift.
+    #[inline]
+    fn rank(&self, i: usize) -> u32 {
+        self.words[i / 2] >> (i % 2 * 16) & 0xFFFF
+    }
+}
+
+impl Keys for PackedRanks<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+    #[inline]
+    fn key(&self, i: usize) -> u32 {
+        VALID_BIT | self.rank(i)
+    }
+    #[inline]
+    fn as_keys<'b>(self, buf: &'b mut Vec<u32>) -> &'b [u32]
+    where
+        Self: 'b,
+    {
+        buf.clear();
+        buf.resize(2 * self.words.len(), 0);
+        for (keys, &word) in buf.chunks_exact_mut(2).zip(self.words) {
+            keys[0] = VALID_BIT | word & 0xFFFF;
+            keys[1] = VALID_BIT | word >> 16;
+        }
+        &buf[..self.len]
+    }
+}
+
+/// An origin's key pool, at its index's width.
+#[derive(Debug, Clone, Copy)]
+pub enum Pool<'a> {
+    U16(PackedRanks<'a>),
+    U32(&'a [u32]),
+}
+
+impl Pool<'_> {
+    /// Keys in the pool.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::U16(pool) => pool.len(),
+            Self::U32(pool) => pool.len(),
+        }
+    }
+
+    /// Whether the pool is empty (an origin without variants).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Key `i`, whatever the width (one branch per call: verification
+    /// matches on the variant once per candidate instead).
+    #[inline]
+    pub fn key(&self, i: usize) -> u32 {
+        match self {
+            Self::U16(pool) => pool.key(i),
+            Self::U32(pool) => pool.key(i),
+        }
+    }
+
+    /// The keys, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len()).map(|i| self.key(i))
+    }
+}
 
 /// The inverted list of one token (the paper's `L[t]`): a borrowed window
 /// over the index's group range for that token.
@@ -122,14 +417,24 @@ impl<'a> LengthGroup<'a> {
         self.ix.group_len[self.g as usize] as usize
     }
 
-    /// Iterates the origin clusters, in ascending origin order.
-    pub fn origins(&self) -> impl Iterator<Item = OriginGroup> + 'a {
+    /// The origin clusters as stored: their origins, ascending, at the index's
+    /// width, and their lowest positions. What the scans read.
+    #[inline]
+    pub fn clusters(&self) -> (Ids<'a>, &'a [u16]) {
         let ix = self.ix;
         let clusters = ix.group_origins[self.g as usize] as usize..ix.group_origins[self.g as usize + 1] as usize;
-        ix.origin_entity[clusters.clone()]
-            .iter()
-            .zip(&ix.origin_min_pos[clusters])
-            .map(|(&origin, &min_pos)| OriginGroup { origin, min_pos })
+        let origins = match &ix.origin_entity {
+            IdArena::U16(ids) => Ids::U16(&ids[clusters.clone()]),
+            IdArena::U32(ids) => Ids::U32(&ids[clusters.clone()]),
+        };
+        (origins, &ix.origin_min_pos[clusters])
+    }
+
+    /// Iterates the origin clusters, in ascending origin order (one width
+    /// branch per cluster: scans read [`LengthGroup::clusters`] instead).
+    pub fn origins(&self) -> impl Iterator<Item = OriginGroup> + 'a {
+        let (origins, min_pos) = self.clusters();
+        min_pos.iter().enumerate().map(move |(c, &min_pos)| OriginGroup { origin: origins.get(c), min_pos })
     }
 
     /// Number of origin clusters in this group.
@@ -147,9 +452,12 @@ pub struct OriginBlock<'a> {
     /// set lengths never fall along them.
     pub ids: Range<u32>,
     /// The distinct keys of all the origin's variants, ascending.
-    pub pool: &'a [u32],
+    pub pool: Pool<'a>,
     /// One [`OriginBlock::words`]-word mask per slot, back to back.
     masks: &'a [u32],
+    /// [`OriginBlock::words`], kept so that the per-slot reads of
+    /// verification do not branch on the pool's width.
+    words: usize,
 }
 
 /// Mask words a pool of `keys` keys takes.
@@ -165,17 +473,20 @@ fn mask_len(mask: &[u32]) -> usize {
 }
 
 impl<'a> OriginBlock<'a> {
-    /// The view of a stored `block` — `[P | P keys | masks]`, or nothing —
-    /// whose slots hold `ids`.
+    /// The view of a stored `block` — `[P | P keys at width | masks]`, or
+    /// nothing — whose slots hold `ids`.
     #[inline]
-    fn new(ids: Range<u32>, block: &'a [u32]) -> Self {
-        match block {
-            [] => Self { ids, pool: &[], masks: &[] },
-            [keys, rest @ ..] => {
-                let (pool, masks) = rest.split_at(*keys as usize);
-                Self { ids, pool, masks }
-            }
-        }
+    fn new(ids: Range<u32>, block: &'a [u32], width: IdWidth) -> Self {
+        let (keys, rest) = match block {
+            [] => (0, block),
+            [keys, rest @ ..] => (*keys as usize, rest),
+        };
+        let (pool, masks) = rest.split_at(width.key_words(keys));
+        let pool = match width {
+            IdWidth::U16 => Pool::U16(PackedRanks { words: pool, len: keys }),
+            IdWidth::U32 => Pool::U32(pool),
+        };
+        Self { ids, pool, masks, words: mask_words(keys) }
     }
 
     /// The variant in `slot`.
@@ -187,7 +498,7 @@ impl<'a> OriginBlock<'a> {
     /// Words per variant mask: `⌈|pool| / 32⌉`.
     #[inline]
     pub fn words(&self) -> usize {
-        mask_words(self.pool.len())
+        self.words
     }
 
     /// The mask of the variant in `slot`: bit `b` ⇔ `pool[b]` is in its set.
@@ -220,15 +531,35 @@ impl<'a> OriginBlock<'a> {
 
     /// The globally-ordered distinct key set of the variant in `slot`.
     pub fn keys(&self, slot: usize) -> impl Iterator<Item = u32> + 'a {
-        let mask = self.mask(slot);
-        let selected = move |bit: usize| mask[bit / 32] >> (bit % 32) & 1 != 0;
-        self.pool.iter().enumerate().filter(move |&(bit, _)| selected(bit)).map(|(_, &key)| key)
+        let (mask, pool) = (self.mask(slot), self.pool);
+        let selected = move |bit: &usize| mask[bit / 32] >> (bit % 32) & 1 != 0;
+        (0..pool.len()).filter(selected).map(move |bit| pool.key(bit))
+    }
+
+    /// Appends this block to `out`, its pool stored at `width` (nothing for
+    /// an origin without variants).
+    fn write(&self, out: &mut Vec<u32>, width: IdWidth) {
+        if self.ids.is_empty() {
+            return;
+        }
+        let keys = self.pool.len();
+        out.push(keys as u32);
+        match width {
+            IdWidth::U32 => out.extend(self.pool.iter()),
+            IdWidth::U16 => out.extend((0..keys.div_ceil(2)).map(|w| {
+                let rank = |i: usize| if i < keys { self.pool.key(i) & !VALID_BIT } else { 0 };
+                rank(2 * w) | rank(2 * w + 1) << 16
+            })),
+        }
+        out.extend_from_slice(self.masks);
     }
 }
 
 /// The three per-origin arrays of an index.
 #[derive(Debug, Clone)]
 struct OriginBlocks {
+    /// How the blocks store their pools.
+    width: IdWidth,
     /// The origins' blocks back to back
     /// (`block_offsets[e]..block_offsets[e+1]` is origin `e`'s): everything
     /// verification reads of a candidate sits in one contiguous run.
@@ -251,27 +582,64 @@ impl OriginBlocks {
         OriginBlock::new(
             self.origin_offsets[e]..self.origin_offsets[e + 1],
             &self.blocks[self.block_offsets[e] as usize..self.block_offsets[e + 1] as usize],
+            self.width,
         )
+    }
+
+    /// Re-lays wide blocks as 16-bit ones in their own arena: each pool's
+    /// keys become bare ranks packed two to a word, the masks move up behind
+    /// them, and the arena is cut to its new length. No block grows, so each
+    /// is written at or before where it was read, and no second arena is
+    /// allocated. Every key must be valid with a rank below 2¹⁶.
+    fn narrow_in_place(&mut self) {
+        assert_eq!(self.width, IdWidth::U32, "only wide blocks narrow");
+        let blocks = self.blocks.as_mut_vec();
+        let offsets = self.block_offsets.as_mut_vec();
+        let mut to = 0;
+        for e in 0..offsets.len() - 1 {
+            let (from, end) = (offsets[e] as usize, offsets[e + 1] as usize);
+            offsets[e] = to as u32;
+            if from == end {
+                continue;
+            }
+            let keys = blocks[from] as usize;
+            blocks[to] = keys as u32;
+            for w in 0..keys.div_ceil(2) {
+                // Both keys are read before the word is written: `to ≤ from`.
+                let rank = |i: usize| if i < keys { blocks[from + 1 + i] & !VALID_BIT } else { 0 };
+                let word = rank(2 * w) | rank(2 * w + 1) << 16;
+                blocks[to + 1 + w] = word;
+            }
+            let at = to + 1 + keys.div_ceil(2);
+            blocks.copy_within(from + 1 + keys..end, at);
+            to = at + (end - from - 1 - keys);
+        }
+        *offsets.last_mut().expect("a prefix") = to as u32;
+        blocks.truncate(to);
+        blocks.shrink_to_fit();
+        self.width = IdWidth::U16;
     }
 }
 
 /// Per-origin arrays written run by run out of other indexes' origin runs, in
-/// ascending origin order, with rebased offsets.
+/// ascending origin order, with rebased offsets, at one width.
 struct OriginRuns {
+    width: IdWidth,
     blocks: Vec<u32>,
     block_offsets: Vec<u32>,
     origin_offsets: Vec<u32>,
 }
 
 impl OriginRuns {
-    /// Room for `origins` origins and `words` block words.
-    fn new(origins: usize, words: usize) -> Self {
+    /// Room for `origins` origins and `words` block words, at `width`.
+    fn new(origins: usize, words: usize, width: IdWidth) -> Self {
         let offsets = || {
             let mut offsets = Vec::with_capacity(origins + 1);
             offsets.push(0);
             offsets
         };
         Self {
+            width,
             blocks: Vec::with_capacity(words),
             block_offsets: offsets(),
             origin_offsets: offsets(),
@@ -279,19 +647,29 @@ impl OriginRuns {
     }
 
     /// Appends `ix`'s origins `run`; the origins between the previous run and
-    /// this one hold nothing. The block words grow by exactly the run's.
+    /// this one hold nothing. At `ix`'s own width the block words grow by
+    /// exactly the run's, copied as they stand; at another, each block is
+    /// re-encoded — the one place a block changes width.
     fn push_run(&mut self, ix: &OriginBlocks, run: Range<usize>) {
         assert!(self.origin_offsets.len() <= run.start + 1, "origin runs must ascend");
         let v0 = ix.origin_offsets[run.start];
         let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
         let (variants, block_base) = (*self.origin_offsets.last().expect("a prefix"), self.blocks.len() as u32);
-        u32::try_from(self.blocks.len() + (b1 - b0) as usize).expect("origin block arena overflows u32 offsets");
         self.origin_offsets.resize(run.start + 1, variants);
         self.origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0, variants));
         self.block_offsets.resize(run.start + 1, block_base);
-        self.block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
-        self.blocks.reserve_exact((b1 - b0) as usize);
-        self.blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
+        if ix.width == self.width {
+            u32::try_from(self.blocks.len() + (b1 - b0) as usize).expect("origin block arena overflows u32 offsets");
+            self.block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
+            self.blocks.reserve_exact((b1 - b0) as usize);
+            self.blocks.extend_from_slice(&ix.blocks[b0 as usize..b1 as usize]);
+        } else {
+            for e in run {
+                ix.block(e).write(&mut self.blocks, self.width);
+                self.block_offsets
+                    .push(u32::try_from(self.blocks.len()).expect("origin block arena overflows u32 offsets"));
+            }
+        }
     }
 
     fn finish(mut self, origins: usize) -> OriginBlocks {
@@ -299,6 +677,7 @@ impl OriginRuns {
         self.origin_offsets.resize(origins + 1, variants);
         self.block_offsets.resize(origins + 1, block_base);
         OriginBlocks {
+            width: self.width,
             blocks: self.blocks.into(),
             block_offsets: self.block_offsets.into(),
             origin_offsets: self.origin_offsets.into(),
@@ -321,12 +700,13 @@ pub struct IndexArenasRef<'a> {
     pub group_len: &'a [u16],
     /// Group → first global origin-cluster index (`G+1` prefix entries).
     pub group_origins: &'a [u32],
-    /// Origin cluster → origin entity (`O` entries).
-    pub origin_entity: &'a [EntityId],
+    /// Origin cluster → origin entity (`O` entries), at the index's width.
+    pub origin_entity: Ids<'a>,
     /// Origin cluster → the lowest position its token takes in a variant of
     /// that origin and set length (`O` entries).
     pub origin_min_pos: &'a [u16],
-    /// One block per origin: key pool plus one mask per variant.
+    /// One block per origin: key pool (at the width of `origin_entity`) plus
+    /// one mask per variant.
     pub blocks: &'a [u32],
     /// Origin → block range (`origins+1` prefix entries).
     pub block_offsets: &'a [u32],
@@ -336,13 +716,14 @@ pub struct IndexArenasRef<'a> {
 }
 
 /// Owned (or frozen) arenas to reassemble a [`ClusteredIndex`] from; see
-/// [`IndexArenasRef`] for field semantics.
-#[derive(Debug, Clone, Default)]
+/// [`IndexArenasRef`] for field semantics. The width of `origin_entity` is
+/// the width of the blocks' pools too.
+#[derive(Debug, Clone)]
 pub struct IndexArenas {
     pub tok_groups: Arena<u32>,
     pub group_len: Arena<u16>,
     pub group_origins: Arena<u32>,
-    pub origin_entity: Arena<EntityId>,
+    pub origin_entity: IdArena,
     pub origin_min_pos: Arena<u16>,
     pub blocks: Arena<u32>,
     pub block_offsets: Arena<u32>,
@@ -364,9 +745,9 @@ pub struct ClusteredIndex {
     group_origins: Arena<u32>,
     /// One entry per origin cluster, and with it the cluster's lowest
     /// position.
-    origin_entity: Arena<EntityId>,
+    origin_entity: IdArena,
     origin_min_pos: Arena<u16>,
-    /// The variants' sets, origin by origin.
+    /// The variants' sets, origin by origin, at the width of `origin_entity`.
     sets: OriginBlocks,
     min_len: Option<usize>,
     max_len: Option<usize>,
@@ -396,12 +777,30 @@ impl ClusteredIndex {
                 writer.push_origin(e, ids.map(|id| dd.derived(DerivedId(id)).tokens), key_of, |_| {});
             }
         }
-        let sets = writer.finish(dd);
-        let postings = cluster_postings(&order, &sets);
-        Self::assemble(order, postings, sets)
+        Self::from_sets(order, writer.finish(dd))
     }
 
-    fn assemble(order: Arc<GlobalOrder>, postings: ClusteredPostings, sets: OriginBlocks) -> Self {
+    /// The index over `sets`, wide blocks keyed by `order`: narrowed in place
+    /// when the width rule allows, then clustered at that width.
+    fn from_sets(order: Arc<GlobalOrder>, mut sets: OriginBlocks) -> Self {
+        match IdWidth::of(order.ranks(), sets.origins()) {
+            IdWidth::U16 => {
+                sets.narrow_in_place();
+                let postings = cluster_postings::<u16>(&order, &sets);
+                Self::assemble(order, postings, sets)
+            }
+            IdWidth::U32 => {
+                let postings = cluster_postings::<u32>(&order, &sets);
+                Self::assemble(order, postings, sets)
+            }
+        }
+    }
+
+    fn assemble<I: StoredId>(order: Arc<GlobalOrder>, postings: ClusteredPostings<I>, sets: OriginBlocks) -> Self
+    where
+        Vec<I>: Into<IdArena>,
+    {
+        assert_eq!(I::WIDTH, sets.width, "clusters and blocks share one width");
         let (min_len, max_len) = set_len_range(&postings.group_len);
         Self {
             order,
@@ -435,6 +834,12 @@ impl ClusteredIndex {
     /// tokens go with them) at a capacity that exceeds it by at most
     /// `small`'s size plus what was cut.
     ///
+    /// The result's width is chosen afresh by [`IdWidth::of`], from `small`'s
+    /// order and the post-delta origin space; a side stored at another width
+    /// is re-encoded as it is copied. This is the one place an index changes
+    /// width: a tail that crosses 2¹⁶ ranks or origins is built wide, and
+    /// compaction re-chooses.
+    ///
     /// # Panics
     /// Panics under the conditions of [`aeetes_rules::VariantTable::splice`].
     pub fn splice(old: &Self, small: &Self, changed: &[bool]) -> Self {
@@ -442,6 +847,8 @@ impl ClusteredIndex {
         assert_eq!(changed.len(), small.sets.origins(), "the changed flags must span the post-delta origin space");
         let old_origins = old.sets.origins();
         assert!(old_origins <= changed.len(), "a delta never shrinks the origin space");
+        let order = small.shared_order();
+        let width = IdWidth::of(order.ranks(), changed.len());
 
         // Per-origin arrays: laid out by ascending origin like the derived
         // dictionary, so they splice run by run with rebased offsets.
@@ -451,12 +858,17 @@ impl ClusteredIndex {
                 (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize
             })
             .sum();
-        let mut sets = OriginRuns::new(changed.len(), words);
+        let mut sets = OriginRuns::new(changed.len(), words, width);
         for (from_small, run) in splice_runs(changed, old_origins) {
             sets.push_run(sides[usize::from(from_small)], run);
         }
-        let postings = merge_postings(&[old.raw_parts(), small.raw_parts()], |side, e| side == 1 || !changed[e.idx()]);
-        Self::assemble(small.shared_order(), postings, sets.finish(changed.len()))
+        let sides = [old.raw_parts(), small.raw_parts()];
+        let keep = |side, e: EntityId| side == 1 || !changed[e.idx()];
+        let sets = sets.finish(changed.len());
+        match width {
+            IdWidth::U16 => Self::assemble(order, merge_postings::<u16>(&sides, keep), sets),
+            IdWidth::U32 => Self::assemble(order, merge_postings::<u32>(&sides, keep), sets),
+        }
     }
 
     /// The index of a build's `parts` as one: each part indexes the variants
@@ -482,10 +894,21 @@ impl ClusteredIndex {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
         }
-        let postings = merge_postings(&parts.iter().map(Self::raw_parts).collect::<Vec<_>>(), |_, _| true);
+        match IdWidth::of(order.ranks(), parts[0].sets.origins()) {
+            IdWidth::U16 => Self::concat_at::<u16>(order, parts),
+            IdWidth::U32 => Self::concat_at::<u32>(order, parts),
+        }
+    }
+
+    /// [`ClusteredIndex::concat`] at the width `I` stores.
+    fn concat_at<I: StoredId>(order: Arc<GlobalOrder>, parts: Vec<Self>) -> Self
+    where
+        Vec<I>: Into<IdArena>,
+    {
+        let postings = merge_postings::<I>(&parts.iter().map(Self::raw_parts).collect::<Vec<_>>(), |_, _| true);
         let parts: Vec<OriginBlocks> = parts.into_iter().map(|part| part.sets).collect();
         let origins = parts[0].origins();
-        let mut sets = OriginRuns::new(origins, 0);
+        let mut sets = OriginRuns::new(origins, 0, I::WIDTH);
         for part in parts {
             assert_eq!(part.origins(), origins, "the parts of a build span one origin space");
             if let Some(run) = owned_origins(&part.origin_offsets) {
@@ -514,8 +937,16 @@ impl ClusteredIndex {
     /// - there is one lowest position per origin cluster, below its group's
     ///   set length — the length of every set the cluster can stand for.
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
+        // A 16-bit index names every rank and origin in 16 bits; past 2¹⁶ of
+        // either, the width rule stores it at 32. Checked first: nothing
+        // else of such an image can be read at the width it claims.
+        let (origin_space, ranks) = (a.origin_offsets.len().saturating_sub(1), order.ranks());
+        let width = a.origin_entity.ids().width();
+        if width == IdWidth::U16 && IdWidth::of(ranks, origin_space) != width {
+            return Err(format!("a 16-bit index over {origin_space} origins and {ranks} ranks: past 65 536 of either, ids are 32 bits"));
+        }
         let groups = a.group_len.len();
-        let origins = a.origin_entity.len();
+        let origins = a.origin_entity.ids().len();
         check_prefix("token group offsets", &a.tok_groups, groups)?;
         if a.group_origins.len() != groups + 1 {
             return Err(format!("group origin offsets hold {} entries, expected {}", a.group_origins.len(), groups + 1));
@@ -537,52 +968,24 @@ impl ClusteredIndex {
         let tok_groups: &[u32] = &a.tok_groups;
         let group_len: &[u16] = &a.group_len;
         let group_origins: &[u32] = &a.group_origins;
-        let origin_entity: &[EntityId] = &a.origin_entity;
         let origin_min_pos: &[u16] = &a.origin_min_pos;
         let blocks: &[u32] = &a.blocks;
         let block_offsets: &[u32] = &a.block_offsets;
         let origin_offsets: &[u32] = &a.origin_offsets;
-        // Both "strictly ascending within each range" checks run as one
-        // sequential pass over the value array with a boundary bitmap
-        // (range starts come from the prefix array) — slicing per range
-        // costs more than the comparisons for tens of thousands of tiny
-        // ranges. The offending range is only hunted down on failure.
-        fn ascending_within(mut values_ok: impl FnMut(usize) -> bool, starts: &[u32], len: usize) -> bool {
-            let mut boundary = vec![false; len];
-            for &b in starts {
-                if (b as usize) < len {
-                    boundary[b as usize] = true;
-                }
-            }
-            (1..len).fold(true, |ok, i| ok & (boundary[i] | values_ok(i)))
-        }
         if !ascending_within(|i| group_len[i - 1] < group_len[i], tok_groups, groups) {
             let t = (0..tok_groups.len() - 1)
                 .find(|&t| group_len[tok_groups[t] as usize..tok_groups[t + 1] as usize].windows(2).any(|w| w[0] >= w[1]))
                 .expect("pass found a non-ascending group range");
             return Err(format!("token {t}'s group lengths are not strictly ascending"));
         }
-        if !ascending_within(|i| origin_entity[i - 1] < origin_entity[i], group_origins, origins) {
-            let g = (0..groups)
-                .find(|&g| {
-                    origin_entity[group_origins[g] as usize..group_origins[g + 1] as usize]
-                        .windows(2)
-                        .any(|w| w[0] >= w[1])
-                })
-                .expect("pass found a non-ascending origin range");
-            return Err(format!("group {g}'s origin clusters are not strictly ascending"));
-        }
-        // A cluster's origin is looked up in the variant table next.
-        let origin_space = origin_offsets.len() - 1;
-        if origin_entity.iter().map(|e| e.idx()).max().is_some_and(|m| m >= origin_space) {
-            let c = origin_entity.iter().position(|e| e.idx() >= origin_space).expect("max out of range");
-            return Err(format!("origin cluster {c} names origin {:?} out of {origin_space}", origin_entity[c]));
+        match a.origin_entity.ids() {
+            Ids::U16(ids) => check_origins(ids, group_origins, origin_space)?,
+            Ids::U32(ids) => check_origins(ids, group_origins, origin_space)?,
         }
         // Blocks, origin by origin.
-        let ranks = order.ranks() as u32;
         for e in 0..origin_space {
             let block = &blocks[block_offsets[e] as usize..block_offsets[e + 1] as usize];
-            check_block(e, block, (origin_offsets[e + 1] - origin_offsets[e]) as usize, ranks)?;
+            check_block(e, block, (origin_offsets[e + 1] - origin_offsets[e]) as usize, ranks as u32, width)?;
         }
         // Clusters: each group's run of lowest positions against the group length.
         let group_clusters = |g: usize| group_origins[g] as usize..group_origins[g + 1] as usize;
@@ -593,6 +996,7 @@ impl ClusteredIndex {
             return Err(format!("origin cluster {c} lowest position {} outside its group's sets of {}", origin_min_pos[c], group_len[g]));
         }
         let sets = OriginBlocks {
+            width,
             blocks: a.blocks,
             block_offsets: a.block_offsets,
             origin_offsets: a.origin_offsets,
@@ -617,12 +1021,17 @@ impl ClusteredIndex {
             tok_groups: &self.tok_groups,
             group_len: &self.group_len,
             group_origins: &self.group_origins,
-            origin_entity: &self.origin_entity,
+            origin_entity: self.origin_entity.ids(),
             origin_min_pos: &self.origin_min_pos,
             blocks: &self.sets.blocks,
             block_offsets: &self.sets.block_offsets,
             origin_offsets: &self.sets.origin_offsets,
         }
+    }
+
+    /// The width origin ids and pool keys are stored at.
+    pub fn width(&self) -> IdWidth {
+        self.sets.width
     }
 
     /// Whether the storage borrows a frozen artifact (zero-copy).
@@ -673,34 +1082,36 @@ impl ClusteredIndex {
 
     /// Total index entries — origin clusters — across all tokens.
     pub fn total_entries(&self) -> usize {
-        self.origin_entity.len()
+        self.origin_entity.ids().len()
     }
 
-    /// Approximate size of the index in bytes (for the paper's §6.3
-    /// index-size comparison). For a frozen index this is the footprint of
-    /// the borrowed file sections, not per-process heap — its own seven and
+    /// Size of the index in bytes as stored (for the paper's §6.3
+    /// index-size comparison): its seven arrays at their stored widths and
     /// the origin prefix, which it reads but an artifact stores once, with
-    /// the variant table.
+    /// the variant table — exactly those sections of its frozen image. For a
+    /// frozen index this is the footprint of the borrowed file sections, not
+    /// per-process heap.
     pub fn size_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.tok_groups.len() * size_of::<u32>()
-            + self.group_len.len() * size_of::<u16>()
-            + self.group_origins.len() * size_of::<u32>()
-            + self.origin_entity.len() * size_of::<EntityId>()
-            + self.origin_min_pos.len() * size_of::<u16>()
+        use std::mem::{size_of, size_of_val};
+        size_of_val(&self.tok_groups[..])
+            + size_of_val(&self.group_len[..])
+            + size_of_val(&self.group_origins[..])
+            + self.origin_entity.ids().as_bytes().len()
+            + size_of_val(&self.origin_min_pos[..])
             + self.sets.blocks.len() * size_of::<u32>()
-            + self.sets.block_offsets.len() * size_of::<u32>()
-            + self.sets.origin_offsets.len() * size_of::<u32>()
+            + size_of_val(&self.sets.block_offsets[..])
+            + size_of_val(&self.sets.origin_offsets[..])
     }
 }
 
-/// The five cluster arrays of an index under construction.
+/// The five cluster arrays of an index under construction, its origins
+/// stored as `I`.
 #[derive(Debug, PartialEq, Eq)]
-struct ClusteredPostings {
+struct ClusteredPostings<I> {
     tok_groups: Vec<u32>,
     group_len: Vec<u16>,
     group_origins: Vec<u32>,
-    origin_entity: Vec<EntityId>,
+    origin_entity: Vec<I>,
     origin_min_pos: Vec<u16>,
 }
 
@@ -818,11 +1229,12 @@ impl BlockWriter {
     }
 
     /// The blocks of `variants`' origins, every one of which that has
-    /// variants pushed.
+    /// variants pushed, their keys one to a word.
     fn finish(mut self, variants: &VariantTable) -> OriginBlocks {
         self.block_offsets.resize(variants.origins() + 1, self.blocks.len() as u32);
         self.blocks.shrink_to_fit();
         OriginBlocks {
+            width: IdWidth::U32,
             blocks: self.blocks.into(),
             block_offsets: self.block_offsets.into(),
             origin_offsets: variants.raw_arenas().0.to_vec().into(),
@@ -890,6 +1302,8 @@ impl IndexDraft {
     /// are sorted, and the bits of the origin's masks move with them — a
     /// permutation per origin, since an order keys distinct tokens apart —
     /// which is the block a build that knew the order would have written.
+    /// At [`IdWidth::U16`] the keyed blocks are then narrowed in the same
+    /// arena.
     pub fn into_index(mut self, order: Arc<GlobalOrder>) -> (VariantTable, ClusteredIndex) {
         let blocks = self.sets.blocks.as_mut_vec();
         // Per pool bit: its key and where it stood; then where each old bit
@@ -926,14 +1340,72 @@ impl IndexDraft {
                 mask.copy_from_slice(&moved);
             }
         }
-        let postings = cluster_postings(&order, &self.sets);
-        (self.variants, ClusteredIndex::assemble(order, postings, self.sets))
+        (self.variants, ClusteredIndex::from_sets(order, self.sets))
     }
 }
 
-/// Validates origin `e`'s block against the number of variants the origin
-/// has (see [`ClusteredIndex::from_raw_parts`] for the invariants).
-fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<(), String> {
+/// Both "strictly ascending within each range" checks of
+/// [`ClusteredIndex::from_raw_parts`] run as one sequential pass over the
+/// value array with a boundary bitmap (range starts come from the prefix
+/// array) — slicing per range costs more than the comparisons for tens of
+/// thousands of tiny ranges. The offending range is only hunted down on
+/// failure.
+fn ascending_within(mut values_ok: impl FnMut(usize) -> bool, starts: &[u32], len: usize) -> bool {
+    let mut boundary = vec![false; len];
+    for &b in starts {
+        if (b as usize) < len {
+            boundary[b as usize] = true;
+        }
+    }
+    (1..len).fold(true, |ok, i| ok & (boundary[i] | values_ok(i)))
+}
+
+/// Validates the clusters' stored origins: strictly ascending within each
+/// group (`group_origins` cuts them), each below `origin_space` — a cluster's
+/// origin is looked up in the variant table.
+fn check_origins<I: StoredId>(origin_entity: &[I], group_origins: &[u32], origin_space: usize) -> Result<(), String> {
+    if !ascending_within(|i| origin_entity[i - 1] < origin_entity[i], group_origins, origin_entity.len()) {
+        let g = (0..group_origins.len() - 1)
+            .find(|&g| {
+                origin_entity[group_origins[g] as usize..group_origins[g + 1] as usize]
+                    .windows(2)
+                    .any(|w| w[0] >= w[1])
+            })
+            .expect("pass found a non-ascending origin range");
+        return Err(format!("group {g}'s origin clusters are not strictly ascending"));
+    }
+    if origin_entity.iter().map(|e| e.get() as usize).max().is_some_and(|m| m >= origin_space) {
+        let c = origin_entity.iter().position(|e| e.get() as usize >= origin_space).expect("max out of range");
+        return Err(format!("origin cluster {c} names origin {:?} out of {origin_space}", EntityId(origin_entity[c].get())));
+    }
+    Ok(())
+}
+
+/// Validates a pool, whatever its width: valid keys, each rank handed out by
+/// an order of `ranks`, strictly ascending.
+fn check_pool(e: usize, pool: impl Keys, ranks: u32) -> Result<(), String> {
+    // Branchless folds, as for the prefix arrays; the offender is hunted
+    // down on failure.
+    let key_ok = |k: u32| k.wrapping_sub(VALID_BIT) < ranks;
+    let keys = (0..pool.len()).map(|i| pool.key(i));
+    if !keys.clone().fold(true, |ok, k| ok & key_ok(k)) {
+        let k = keys.clone().find(|&k| !key_ok(k)).expect("fold found a bad key");
+        return Err(if k & VALID_BIT == 0 {
+            format!("origin {e}'s pool holds key {k:#x} without the valid bit")
+        } else {
+            format!("origin {e}'s pool holds rank {} but the order hands out only {ranks}", k & !VALID_BIT)
+        });
+    }
+    if !(1..pool.len()).fold(true, |ok, i| ok & (pool.key(i - 1) < pool.key(i))) {
+        return Err(format!("origin {e}'s pool keys are not strictly ascending"));
+    }
+    Ok(())
+}
+
+/// Validates origin `e`'s block, stored at `width`, against the number of
+/// variants the origin has (see [`ClusteredIndex::from_raw_parts`] for the
+/// invariants).
+fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWidth) -> Result<(), String> {
     let Some((&keys, rest)) = block.split_first() else {
         return if variants == 0 {
             Ok(())
@@ -945,27 +1417,25 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<(
         return Err(format!("origin {e} has no variants but a block of {} words", block.len()));
     }
     let keys = keys as usize;
-    if keys > rest.len() {
+    let key_words = width.key_words(keys);
+    if key_words > rest.len() {
         return Err(format!("origin {e}'s pool of {keys} keys exceeds its block of {} words", block.len()));
     }
     let words = mask_words(keys);
-    if variants.checked_mul(words) != Some(rest.len() - keys) {
-        return Err(format!("origin {e}'s block holds {} words, not 1 + {keys} keys + {variants} masks of {words}", block.len()));
+    if variants.checked_mul(words) != Some(rest.len() - key_words) {
+        return Err(format!("origin {e}'s block holds {} words, not 1 + {key_words} key words + {variants} masks of {words}", block.len()));
     }
-    let (pool, masks) = rest.split_at(keys);
-    // Branchless folds, as for the prefix arrays; the offender is hunted
-    // down on failure.
-    let key_ok = |k: u32| k.wrapping_sub(VALID_BIT) < ranks;
-    if !pool.iter().fold(true, |ok, &k| ok & key_ok(k)) {
-        let k = *pool.iter().find(|&&k| !key_ok(k)).expect("fold found a bad key");
-        return Err(if k & VALID_BIT == 0 {
-            format!("origin {e}'s pool holds key {k:#x} without the valid bit")
-        } else {
-            format!("origin {e}'s pool holds rank {} but the order hands out only {ranks}", k & !VALID_BIT)
-        });
-    }
-    if !pool.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
-        return Err(format!("origin {e}'s pool keys are not strictly ascending"));
+    let (pool, masks) = rest.split_at(key_words);
+    match width {
+        IdWidth::U32 => check_pool(e, pool, ranks)?,
+        IdWidth::U16 => {
+            // An odd pool leaves its last word's upper half over: zero, so
+            // that one image stands for one index.
+            if keys % 2 == 1 && pool[key_words - 1] >> 16 != 0 {
+                return Err(format!("origin {e}'s pool of {keys} ranks leaves a non-zero spare half-word"));
+            }
+            check_pool(e, PackedRanks { words: pool, len: keys }, ranks)?;
+        }
     }
     if words == 0 {
         return Ok(());
@@ -998,8 +1468,8 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32) -> Result<(
 /// cluster arrays.
 ///
 /// A cluster waits for its sort as one `u64`, `len << 48 | origin << 16 |
-/// lowest position`.
-fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings {
+/// lowest position`. Origins are stored as `I`, the width of `sets`.
+fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings<I> {
     // The walk sees every cluster once, in block order. An origin's slots
     // ascend by set length, so the slots of one length that hold a given pool
     // key are one unbroken run of them, and a key's runs close one after
@@ -1020,7 +1490,7 @@ fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostin
             continue;
         }
         pool_tokens.clear();
-        pool_tokens.extend(block.pool.iter().map(|&key| order.token_of(key).0));
+        pool_tokens.extend(block.pool.iter().map(|key| order.token_of(key).0));
         runs.clear();
         runs.resize(block.pool.len(), (0, 0));
         let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (e.0 as u64) << 16 | min_pos as u64;
@@ -1092,7 +1562,7 @@ fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostin
                 out.group_origins.push(out.origin_entity.len() as u32);
                 cur_len = Some(len);
             }
-            out.origin_entity.push(EntityId((cluster >> 16) as u32));
+            out.origin_entity.push(I::store((cluster >> 16) as u32));
             out.origin_min_pos.push(cluster as u16);
         }
     }
@@ -1102,28 +1572,32 @@ fn cluster_postings(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostin
     out
 }
 
-impl ClusteredPostings {
-    /// Appends `src`'s origin clusters `clusters` behind whatever the current
-    /// group holds.
-    fn push_clusters(&mut self, src: &IndexArenasRef<'_>, clusters: Range<usize>) {
-        self.origin_entity.extend_from_slice(&src.origin_entity[clusters.clone()]);
-        self.origin_min_pos.extend_from_slice(&src.origin_min_pos[clusters]);
+impl<I: StoredId> ClusteredPostings<I> {
+    /// Appends the clusters of `src`'s range `clusters` whose origin `keep`
+    /// admits, one copy per unbroken stretch, re-stored at this width.
+    fn push_kept(&mut self, src: &IndexArenasRef<'_>, clusters: Range<usize>, keep: impl Fn(EntityId) -> bool) {
+        match src.origin_entity {
+            Ids::U16(ids) => self.push_kept_from(ids, src.origin_min_pos, clusters, keep),
+            Ids::U32(ids) => self.push_kept_from(ids, src.origin_min_pos, clusters, keep),
+        }
     }
 
-    /// Appends the clusters of `src`'s range `clusters` whose origin `keep`
-    /// admits, one copy per unbroken stretch.
-    fn push_kept(&mut self, src: &IndexArenasRef<'_>, clusters: Range<usize>, keep: impl Fn(EntityId) -> bool) {
+    fn push_kept_from<J: StoredId>(&mut self, ids: &[J], min_pos: &[u16], clusters: Range<usize>, keep: impl Fn(EntityId) -> bool) {
+        let mut push = |stretch: Range<usize>| {
+            self.origin_entity.extend(ids[stretch.clone()].iter().map(|&id| I::store(id.get())));
+            self.origin_min_pos.extend_from_slice(&min_pos[stretch]);
+        };
         let mut stretch = clusters.start;
         for c in clusters.clone() {
-            if !keep(src.origin_entity[c]) {
+            if !keep(EntityId(ids[c].get())) {
                 if stretch < c {
-                    self.push_clusters(src, stretch..c);
+                    push(stretch..c);
                 }
                 stretch = c + 1;
             }
         }
         if stretch < clusters.end {
-            self.push_clusters(src, stretch..clusters.end);
+            push(stretch..clusters.end);
         }
     }
 }
@@ -1138,7 +1612,9 @@ impl ClusteredPostings {
 /// a part's group at once, the parts' ranges ascending). A group left
 /// without clusters is not written, and trailing tokens left without groups
 /// are cut, as a build over the admitted sets would never have counted them.
-fn merge_postings(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -> bool) -> ClusteredPostings {
+/// The sides may store origins at either width; the result stores them as
+/// `I`.
+fn merge_postings<I: StoredId>(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -> bool) -> ClusteredPostings<I> {
     let tokens = sides.iter().map(|ix| ix.tok_groups.len() - 1).max().unwrap_or(0);
     let groups = sides.iter().map(|ix| ix.group_len.len()).sum::<usize>();
     let clusters = sides.iter().map(|ix| ix.origin_entity.len()).sum();
@@ -1179,7 +1655,7 @@ fn merge_postings(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -
                 }
             }
             let first = out.origin_entity.len();
-            let next = |s: usize, runs: &[Range<usize>]| (!runs[s].is_empty()).then(|| (sides[s].origin_entity[runs[s].start], s));
+            let next = |s: usize, runs: &[Range<usize>]| (!runs[s].is_empty()).then(|| (sides[s].origin_entity.get(runs[s].start), s));
             while let Some((_, s)) = (0..sides.len()).filter_map(|s| next(s, &runs)).min() {
                 // The stretch of side `s` that sorts, by `(origin, side)`,
                 // before every other side's next cluster.
@@ -1187,7 +1663,7 @@ fn merge_postings(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -
                 let end = (0..sides.len())
                     .filter(|&o| o != s)
                     .filter_map(|o| next(o, &runs))
-                    .map(|bound| run.start + ix.origin_entity[run.clone()].partition_point(|&e| (e, s) < bound))
+                    .map(|bound| ix.origin_entity.partition_point(run.clone(), |e| (e, s) < bound))
                     .min()
                     .unwrap_or(run.end);
                 out.push_kept(ix, run.start..end, |e| keep(s, e));
@@ -1426,12 +1902,85 @@ mod tests {
             tok_groups: r.tok_groups.to_vec().into(),
             group_len: r.group_len.to_vec().into(),
             group_origins: r.group_origins.to_vec().into(),
-            origin_entity: r.origin_entity.to_vec().into(),
+            origin_entity: match r.origin_entity {
+                Ids::U16(ids) => ids.to_vec().into(),
+                Ids::U32(ids) => ids.to_vec().into(),
+            },
             origin_min_pos: r.origin_min_pos.to_vec().into(),
             blocks: r.blocks.to_vec().into(),
             block_offsets: r.block_offsets.to_vec().into(),
             origin_offsets: r.origin_offsets.to_vec().into(),
         }
+    }
+
+    /// `ix`'s arrays with origins and pools stored at 32 bits, whatever the
+    /// width rule would choose — what a wide index of the same sets stores.
+    fn widened(ix: &ClusteredIndex) -> IndexArenas {
+        let mut a = owned_arenas(ix);
+        a.origin_entity = (0..ix.total_entries()).map(|c| ix.raw_parts().origin_entity.get(c).0).collect::<Vec<u32>>().into();
+        let (mut blocks, mut block_offsets) = (Vec::new(), vec![0]);
+        for e in 0..ix.sets.origins() {
+            ix.sets.block(e).write(&mut blocks, IdWidth::U32);
+            block_offsets.push(blocks.len() as u32);
+        }
+        (a.blocks, a.block_offsets) = (blocks.into(), block_offsets.into());
+        a
+    }
+
+    /// The stored origins of a 16-bit index's arenas.
+    fn narrow_ids(a: &mut IndexArenas) -> &mut Vec<u16> {
+        match &mut a.origin_entity {
+            IdArena::U16(ids) => ids.as_mut_vec(),
+            IdArena::U32(_) => panic!("a 16-bit index"),
+        }
+    }
+
+    /// A fixture's index is 16-bit, and reads as its widened arrays do.
+    #[test]
+    fn both_widths_read_the_same_sets_and_clusters() {
+        let f = fixture(
+            &[
+                "purdue university usa",
+                "uq au",
+                "a b c d e f g h i j k l m n o p q r s t u v w x y z aa bb cc dd ee ff",
+            ],
+            &[("uq", "university of queensland"), ("usa", "united states")],
+        );
+        assert_eq!(f.index.width(), IdWidth::U16);
+        let wide = ClusteredIndex::from_raw_parts(f.index.shared_order(), widened(&f.index)).expect("a wide index validates");
+        assert_eq!(wide.width(), IdWidth::U32);
+        assert!(wide.size_bytes() > f.index.size_bytes());
+        for e in (0..3).map(EntityId) {
+            let (narrow, wide) = (f.index.block(e), wide.block(e));
+            assert_eq!(narrow.pool.iter().collect::<Vec<_>>(), wide.pool.iter().collect::<Vec<_>>());
+            for slot in 0..narrow.ids.len() {
+                assert_eq!(narrow.keys(slot).collect::<Vec<_>>(), wide.keys(slot).collect::<Vec<_>>());
+            }
+        }
+        for t in (0..f.int.len() as u32).map(TokenId) {
+            let clusters = |ix: &ClusteredIndex| ix.postings(t).map(|tp| tp.groups().flat_map(|g| g.origins()).collect::<Vec<_>>());
+            assert_eq!(clusters(&f.index), clusters(&wide));
+        }
+        // A splice re-encodes a side of the other width: the wide index
+        // spliced with itself, every origin changed, is the 16-bit build.
+        let spliced = ClusteredIndex::splice(&wide, &wide, &[true; 3]);
+        assert_eq!(spliced.width(), IdWidth::U16);
+        let (a, b) = (spliced.raw_parts(), f.index.raw_parts());
+        assert_eq!((a.origin_entity, a.blocks, a.block_offsets), (b.origin_entity, b.blocks, b.block_offsets));
+    }
+
+    #[test]
+    fn the_width_rule() {
+        let limit = IdWidth::NARROW_SPACE;
+        assert_eq!(
+            [(0, 0), (limit, limit), (limit + 1, 1), (1, limit + 1)].map(|(r, o)| IdWidth::of(r, o)),
+            [IdWidth::U16, IdWidth::U16, IdWidth::U32, IdWidth::U32]
+        );
+        // 16-bit ranks pack two to a word, the lower half first; an odd
+        // pool's spare half is zero.
+        let f = fixture(&["a b c"], &[]);
+        assert_eq!(f.index.raw_parts().blocks, [3, 1 << 16, 2, 0b111]);
+        assert_eq!(f.index.block(EntityId(0)).pool.iter().collect::<Vec<_>>(), [0, 1, 2].map(|r| VALID_BIT | r));
     }
 
     #[test]
@@ -1490,59 +2039,109 @@ mod tests {
     fn raw_validation_rejects_wrong_sets_and_positions() {
         let f = fixture(&["a b c", "a d"], &[]);
         let ok = owned_arenas(&f.index);
-        let reject_in = |f: &Fixture, what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| {
-            let mut bad = owned_arenas(&f.index);
+        let reject_in = |f: &Fixture, arenas: fn(&ClusteredIndex) -> IndexArenas, what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| {
+            let mut bad = arenas(&f.index);
             mutate(&mut bad);
             let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err(what);
             assert!(err.contains(expect), "{what}: unexpected message `{err}`");
         };
-        let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| reject_in(&f, what, mutate, expect);
-        // Origin 0 is "a b c": [3 | 3 keys | 0b111]; origin 1 is "a d":
-        // [2 | 2 keys | 0b11].
-        assert_eq!((&ok.block_offsets[..], ok.blocks[0], ok.blocks[4], ok.blocks[5], ok.blocks[8]), (&[0, 5, 9][..], 3, 0b111, 2, 0b11));
-        reject("a pool past its block", &|a| a.blocks.as_mut_vec()[0] = 9, "origin 0's pool of 9 keys exceeds its block of 5 words");
+        let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| reject_in(&f, owned_arenas, what, mutate, expect);
+        let reject_wide = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| reject_in(&f, widened, what, mutate, expect);
+        // Ranks: b 0, c 1, d 2, a 3 (ascending frequency, then string). At 16
+        // bits origin 0, "a b c", is [3 | 0 1 | 3 - | 0b111] and origin 1,
+        // "a d", [2 | 2 3 | 0b11]; at 32, [3 | 3 keys | 0b111] and [2 | 2 keys
+        // | 0b11].
+        assert_eq!((&ok.block_offsets[..], &ok.blocks[..]), (&[0, 4, 7][..], &[3, 1 << 16, 3, 0b111, 2, 2 | 3 << 16, 0b11][..]));
+        let wide = widened(&f.index);
+        assert_eq!(
+            (&wide.block_offsets[..], wide.blocks[0], wide.blocks[4], wide.blocks[5], wide.blocks[8]),
+            (&[0, 5, 9][..], 3, 0b111, 2, 0b11)
+        );
+        reject("a pool past its block", &|a| a.blocks.as_mut_vec()[0] = 9, "origin 0's pool of 9 keys exceeds its block of 4 words");
         reject(
             "a pool size the block length contradicts",
             &|a| a.blocks.as_mut_vec()[0] = 2,
-            "origin 0's block holds 5 words, not 1 + 2 keys + 1 masks of 1",
+            "origin 0's block holds 4 words, not 1 + 1 key words + 1 masks of 1",
         );
-        reject("two keys swapped", &|a| a.blocks.as_mut_vec().swap(6, 7), "origin 1's pool keys are not strictly ascending");
-        reject("a key repeated", &|a| a.blocks.as_mut_vec()[2] = ok.blocks[1], "origin 0's pool keys are not strictly ascending");
-        reject("valid bit cleared", &|a| a.blocks.as_mut_vec()[7] &= !VALID_BIT, "origin 1's pool holds key");
+        reject("two ranks swapped", &|a| a.blocks.as_mut_vec()[5] = 3 | 2 << 16, "origin 1's pool keys are not strictly ascending");
+        reject("a rank repeated", &|a| a.blocks.as_mut_vec()[1] = 0, "origin 0's pool keys are not strictly ascending");
         reject(
-            "rank out of range",
-            &|a| a.blocks.as_mut_vec()[3] = VALID_BIT | 4,
-            "origin 0's pool holds rank 4 but the order hands out only 4",
+            "a spare half-word set",
+            &|a| a.blocks.as_mut_vec()[2] |= 1 << 16,
+            "origin 0's pool of 3 ranks leaves a non-zero spare half-word",
         );
+        reject("rank out of range", &|a| a.blocks.as_mut_vec()[2] = 4, "origin 0's pool holds rank 4 but the order hands out only 4");
         reject(
             "a mask bit past the pool",
-            &|a| a.blocks.as_mut_vec()[8] |= 1 << 2,
+            &|a| a.blocks.as_mut_vec()[6] |= 1 << 2,
             "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
         );
         reject(
             "a block for an origin without variants",
             &|a| a.origin_offsets.as_mut_vec()[2] = 1,
-            "origin 1 has no variants but a block of 4 words",
+            "origin 1 has no variants but a block of 3 words",
         );
         reject(
             "variants without a block",
             &|a| {
-                a.block_offsets.as_mut_vec()[2] = 5;
-                a.blocks.as_mut_vec().truncate(5);
+                a.block_offsets.as_mut_vec()[2] = 4;
+                a.blocks.as_mut_vec().truncate(4);
             },
             "origin 1 has 1 variants but no block",
         );
         reject(
             "a block prefix of another origin space",
-            &|a| a.block_offsets.as_mut_vec().push(9),
+            &|a| a.block_offsets.as_mut_vec().push(7),
             "block offsets hold 4 entries, expected 3",
         );
-        // "a b" and its rewrite "a c d": [4 | 4 keys | 2-key mask | 3-key mask].
+        // A 16-bit index names at most 2¹⁶ origins: one that claims more is
+        // refused before any of them is read.
+        reject(
+            "a 16-bit index over 65 537 origins",
+            &|a| {
+                a.origin_offsets.as_mut_vec().resize(65_538, 2);
+                a.block_offsets.as_mut_vec().resize(65_538, 7);
+            },
+            "a 16-bit index over 65537 origins and 4 ranks",
+        );
+        reject_wide(
+            "a pool size the block length contradicts",
+            &|a| a.blocks.as_mut_vec()[0] = 2,
+            "origin 0's block holds 5 words, not 1 + 2 key words + 1 masks of 1",
+        );
+        reject_wide("two keys swapped", &|a| a.blocks.as_mut_vec().swap(6, 7), "origin 1's pool keys are not strictly ascending");
+        reject_wide("valid bit cleared", &|a| a.blocks.as_mut_vec()[7] &= !VALID_BIT, "origin 1's pool holds key");
+        reject_wide(
+            "rank out of range",
+            &|a| a.blocks.as_mut_vec()[3] = VALID_BIT | 4,
+            "origin 0's pool holds rank 4 but the order hands out only 4",
+        );
+        reject_wide(
+            "a mask bit past the pool",
+            &|a| a.blocks.as_mut_vec()[8] |= 1 << 2,
+            "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
+        );
+        reject_wide(
+            "a cluster of no origin",
+            &|a| {
+                if let IdArena::U32(ids) = &mut a.origin_entity {
+                    ids.as_mut_vec()[1] = 2;
+                }
+            },
+            "origin cluster 1 names origin e2 out of 2",
+        );
+        // "a b" and its rewrite "a c d": [4 | 2 key words | 2-key mask | 3-key mask].
         let two = fixture(&["a b"], &[("b", "c d")]);
-        assert_eq!(two.index.raw_parts().blocks.len(), 7);
-        reject_in(&two, "popcounts descending", &|a| a.blocks.as_mut_vec().swap(5, 6), "origin 0's variants are not sorted by set length");
+        assert_eq!(two.index.raw_parts().blocks.len(), 5);
+        reject_in(
+            &two,
+            owned_arenas,
+            "popcounts descending",
+            &|a| a.blocks.as_mut_vec().swap(3, 4),
+            "origin 0's variants are not sorted by set length",
+        );
         // Token "a" is id 0: its first cluster sits in the length-2 group.
-        assert_eq!((ok.group_len[0], ok.origin_entity.len()), (2, 5));
+        assert_eq!((ok.group_len[0], ok.origin_entity.ids().len()), (2, 5));
         reject(
             "lowest position = group length",
             &|a| a.origin_min_pos.as_mut_vec()[0] = 2,
@@ -1558,11 +2157,7 @@ mod tests {
             &|a| a.origin_min_pos.as_mut_vec().truncate(4),
             "lowest positions hold 4 entries, expected one per origin cluster: 5",
         );
-        reject(
-            "a cluster of no origin",
-            &|a| a.origin_entity.as_mut_vec()[1] = EntityId(2),
-            "origin cluster 1 names origin e2 out of 2",
-        );
+        reject("a cluster of no origin", &|a| narrow_ids(a)[1] = 2, "origin cluster 1 names origin e2 out of 2");
     }
 
     /// Pools past one mask word: 70 tokens and a rule make a 72-key pool of
@@ -1589,16 +2184,22 @@ mod tests {
         }
         let full = fixture(&[&words(64)], &[]);
         assert_eq!(full.index.block(EntityId(0)).words(), 2);
-        assert_eq!(full.index.raw_parts().blocks[65..], [u32::MAX, u32::MAX]);
-        for f in [&f, &full] {
-            let re = ClusteredIndex::from_raw_parts(f.index.shared_order(), owned_arenas(&f.index)).expect("wide blocks validate");
-            assert_eq!((re.min_set_len(), re.max_set_len()), (f.index.min_set_len(), f.index.max_set_len()));
+        assert_eq!(full.index.raw_parts().blocks[33..], [u32::MAX, u32::MAX]);
+        // Both widths: the 16-bit index as built, its pools two ranks to a
+        // word, and the same sets at 32 bits, a key to a word.
+        for (arenas, key_words) in [(owned_arenas as fn(&ClusteredIndex) -> IndexArenas, 36), (widened, 72)] {
+            for f in [&f, &full] {
+                let re = ClusteredIndex::from_raw_parts(f.index.shared_order(), arenas(&f.index)).expect("wide pools validate");
+                assert_eq!((re.min_set_len(), re.max_set_len()), (f.index.min_set_len(), f.index.max_set_len()));
+                assert_eq!(re.block(EntityId(0)).keys(0).collect::<Vec<_>>(), f.index.block(EntityId(0)).keys(0).collect::<Vec<_>>());
+            }
+            let mut bad = arenas(&f.index);
+            // Origin 0's first mask ends at word 1 + key words + 2: bit 72 is
+            // bit 8 of it.
+            bad.blocks.as_mut_vec()[key_words + 3] |= 1 << 8;
+            let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err("bit 72 of 72");
+            assert!(err.contains("origin 0's slot 0 sets a mask bit beyond its pool of 72 keys"), "{err}");
         }
-        let mut bad = owned_arenas(&f.index);
-        // Origin 0's first mask ends at word 1 + 72 + 2: bit 72 is bit 8 of it.
-        bad.blocks.as_mut_vec()[75] |= 1 << 8;
-        let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err("bit 72 of 72");
-        assert!(err.contains("origin 0's slot 0 sets a mask bit beyond its pool of 72 keys"), "{err}");
     }
 
     /// The retired build: one growing `Vec` of postings — one per key of
@@ -1607,7 +2208,7 @@ mod tests {
     /// position is the minimum over the postings it stands for. Kept as the
     /// oracle for the counting build over the origins' masks, whose five
     /// arrays must equal these element for element.
-    fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder) -> ClusteredPostings {
+    fn cluster_postings_per_token_vecs(dd: &DerivedDictionary, order: &GlobalOrder) -> ClusteredPostings<u32> {
         let num_tokens = dd.iter().flat_map(|(_, d)| d.tokens.iter()).map(|t| t.idx() + 1).max().unwrap_or(0);
         let mut raw: Vec<Vec<(u16, EntityId, u16)>> = vec![Vec::new(); num_tokens];
         for (_, d) in dd.iter() {
@@ -1640,7 +2241,7 @@ mod tests {
                     cur_origin = None;
                 }
                 if cur_origin != Some(origin) {
-                    out.origin_entity.push(origin);
+                    out.origin_entity.push(origin.0);
                     out.origin_min_pos.push(pos);
                     cur_origin = Some(origin);
                 }
@@ -1672,10 +2273,12 @@ mod tests {
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
-            let built = cluster_postings(index.order(), &index.sets);
+            let built = cluster_postings::<u32>(index.order(), &index.sets);
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
             proptest::prop_assert_eq!(r.origin_min_pos, &built.origin_min_pos[..]);
+            let narrow: Vec<u16> = built.origin_entity.iter().map(|&e| e as u16).collect();
+            proptest::prop_assert_eq!(r.origin_entity, Ids::U16(&narrow));
         }
     }
 }

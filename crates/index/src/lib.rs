@@ -17,6 +17,9 @@ mod clustered;
 mod filters;
 mod order;
 
-pub use clustered::{ClusteredIndex, IndexArenas, IndexArenasRef, IndexDraft, LengthGroup, OriginBlock, OriginGroup, TokenPostings};
+pub use clustered::{
+    ClusteredIndex, IdArena, IdWidth, Ids, IndexArenas, IndexArenasRef, IndexDraft, Keys, LengthGroup, OriginBlock, OriginGroup, PackedRanks, Pool,
+    StoredId, TokenPostings,
+};
 pub use filters::{metric_window_bounds, prefix_len, window_bounds, WindowBounds};
 pub use order::{GlobalOrder, VALID_BIT};

@@ -266,7 +266,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v9) artifact
+    /// Serializes the current generation as the frozen (format v10) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -371,13 +371,13 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v9) artifact: its index becomes this engine's
+    /// Adopts an opened frozen (v10) artifact: its index becomes this engine's
     /// as it is — zero derive work, zero index builds, arenas still backed by
     /// the mapped file.
     ///
     /// An artifact is adopted or refused, never rebuilt: one whose tombstoned
-    /// origin still owns variants is an `Err` saying to rebuild it (one of
-    /// other than one segment never opens). The shard count is ignored; it
+    /// origin still owns variants is an `Err` saying to rebuild it. The
+    /// shard count is ignored; it
     /// is kept so that callers which pass one still compile.
     ///
     /// Later updates leave the mapping in place: the mapped arrays stay the
@@ -406,6 +406,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use aeetes_core::{Aeetes, ExtractBackend, FreezeSegment, FreezeSource};
+    use aeetes_index::IdWidth;
     use aeetes_rules::DerivedDictionary;
     use aeetes_text::Document;
 
@@ -672,10 +673,9 @@ mod tests {
         }
     }
 
-    /// An artifact is adopted or refused, never rebuilt: one of two
-    /// segments (a partitioned build's) or of none does not open, and a
-    /// tombstone whose variants were not dropped is not adopted; each error
-    /// says to rebuild the artifact.
+    /// An artifact is adopted or refused, never rebuilt: a tombstone whose
+    /// variants were not dropped is not adopted, and the error says to
+    /// rebuild the artifact.
     #[test]
     fn from_frozen_refuses_what_it_cannot_adopt() {
         let (dict, rules, int, _) = fixture();
@@ -701,12 +701,8 @@ mod tests {
 
         let one = freeze(&[], vec![segment()]);
         assert!(ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&one).expect("open"), Some(3)).is_ok());
-        let two = refused(&freeze(&[], vec![segment(), segment()]));
-        assert!(two.contains("holds 2 segments, not one") && two.contains("rebuild it with `aeetes build`"), "{two}");
         let undropped = refused(&freeze(&[EntityId(0)], vec![segment()]));
         assert!(undropped.contains("origin 0 is tombstoned") && undropped.contains("`aeetes build`"), "{undropped}");
-        let none = refused(&freeze(&[], Vec::new()));
-        assert!(none.contains("holds 0 segments"), "{none}");
     }
 
     /// A delta leaves the mapped base in place: the changed origin goes to a
@@ -777,6 +773,57 @@ mod tests {
             assert_eq!(reopened.extract_all(&doc, 0.7), want, "round {round}");
         }
         assert!(bases.len() >= 2 && tailed > 0, "twelve one-entity deltas on a five-entity dictionary must both tail and compact");
+    }
+
+    /// A delta that takes a 16-bit generation past 2¹⁶ origins builds its tail
+    /// at 32 bits and shares the 16-bit base as it stands; the generation
+    /// answers as a rebuild does, and freezing — a compaction — chooses the
+    /// width afresh: the artifact is the rebuild's, at 32 bits.
+    #[test]
+    fn a_delta_past_16_bit_ids_builds_a_wide_tail_beside_the_narrow_base() {
+        let tok = Tokenizer::default();
+        let mut int = Interner::new();
+        let mut dict = Dictionary::new();
+        // 2¹⁶ origins over 512 tokens: the most a 16-bit index holds.
+        for e in 0..1 << 16 {
+            dict.push(&format!("a{} b{}", e >> 8, e & 0xFF), &tok, &mut int);
+        }
+        let mut rules = RuleSet::new();
+        rules.push_str("a7", "seventh row", &tok, &mut int).expect("a rule");
+        let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), 2);
+        let parent = engine.snapshot();
+        assert_eq!(parent.base.index.width(), IdWidth::U16);
+        let delta = DictDelta {
+            add_entities: vec!["brand new".into(), "seventh row b9".into()],
+            ..Default::default()
+        };
+        let generation = engine.apply_update(&delta, &tok).expect("update");
+        assert!(Arc::ptr_eq(&parent.base, &generation.base), "the base is shared, not re-encoded");
+        let tail = generation.tail.as_ref().expect("a tail beside the base");
+        assert_eq!((generation.base.index.width(), tail.tier.index.width()), (IdWidth::U16, IdWidth::U32));
+
+        let mut int2 = generation.interner().clone();
+        let mut dict2 = dict;
+        for raw in &delta.add_entities {
+            dict2.push(raw, &tok, &mut int2);
+        }
+        let fresh = ShardedEngine::build(dict2, &rules, &int2, AeetesConfig::default(), 2).snapshot();
+        assert_eq!(fresh.base.index.width(), IdWidth::U32);
+        let doc = Document::parse("brand new then seventh row b9 and a7 b9 near a255 b255", &tok, &mut int2);
+        for tau in [0.6, 1.0] {
+            let want = fresh.extract_all(&doc, tau);
+            assert!(want.len() >= 3, "tau={tau}: {want:?}");
+            assert_eq!(generation.extract_all(&doc, tau), want, "tau={tau}");
+        }
+        // (Byte identity with a rebuild under the extended order is
+        // `tests/properties.rs`'s.)
+        let bytes = generation.freeze();
+        let reopened = ShardedEngine::from_frozen(aeetes_core::open_frozen_bytes(&bytes).expect("open"), None)
+            .expect("adopt")
+            .snapshot();
+        assert_eq!(reopened.base.index.width(), IdWidth::U32);
+        assert!(reopened.freeze() == bytes);
+        assert_eq!(reopened.extract_all(&doc, 0.6), fresh.extract_all(&doc, 0.6));
     }
 
     #[test]

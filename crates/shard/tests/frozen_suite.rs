@@ -1,4 +1,4 @@
-//! Frozen (v9) artifact suite: the mmap-able format is observationally
+//! Frozen (v10) artifact suite: the mmap-able format is observationally
 //! identical to the monolithic heap engine across all four strategies and
 //! all four similarity metrics, on both the mmap and heap-fallback open
 //! paths; freeze → open → refreeze is bit-identical for builds of 1 and 4

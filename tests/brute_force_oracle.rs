@@ -125,6 +125,59 @@ proptest! {
     }
 }
 
+/// One-token fillers past the 16-bit id space: 2¹⁶ of them, each its own
+/// token, beside any instance make more than 2¹⁶ origins and ranks.
+const FILLERS: u32 = 1 << 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The oracle over an index past 16-bit ids: a random instance after
+    /// 2¹⁶ one-token fillers, so origins and ranks both pass 65 535 and the
+    /// index stores them at 32 bits. A document of the instance's tokens
+    /// and a few fillers is answered as Definition 2.2 answers it. The brute
+    /// force skips only pairs that share no token — those score 0.
+    #[test]
+    fn engine_matches_brute_force_past_16_bit_ids(inst in instance(), fillers in proptest::collection::vec(0..FILLERS, 0..4)) {
+        let mut interner = Interner::new();
+        let mut dict = Dictionary::new();
+        for f in 0..FILLERS {
+            dict.push_tokens(format!("f{f}"), vec![interner.intern(&format!("f{f}"))]);
+        }
+        let ids: Vec<TokenId> = (0..12).map(|i| interner.intern(&format!("tok{i}"))).collect();
+        for e in &inst.entities {
+            dict.push_tokens(format!("{e:?}"), e.iter().map(|&i| ids[i as usize]).collect());
+        }
+        let mut rules = RuleSet::new();
+        for (l, r) in &inst.rules {
+            let _ = rules.push_tokens(l.iter().map(|&i| ids[i as usize]).collect(), r.iter().map(|&i| ids[i as usize]).collect(), 1.0);
+        }
+        let mut text: Vec<TokenId> = inst.doc.iter().map(|&i| ids[i as usize]).collect();
+        for (at, f) in fillers.iter().enumerate() {
+            text.insert((at * 5).min(text.len()), TokenId(*f));
+        }
+        let doc = Document::from_tokens(text);
+        let tau = inst.tau_percent as f64 / 100.0;
+        let engine = Aeetes::build(dict.clone(), &rules, &interner, AeetesConfig::default());
+        prop_assert_eq!(engine.index().width(), aeetes::index::IdWidth::U32);
+        let dd = engine.derived();
+        let in_doc: HashSet<TokenId> = doc.tokens().iter().copied().collect();
+        let shares: Vec<bool> = (0..dict.len() as u32)
+            .map(|e| dd.variants(EntityId(e)).iter().any(|d| d.tokens.iter().any(|t| in_doc.contains(t))))
+            .collect();
+        let expected = brute_force_over(&dict, dd, &doc, tau, |e, _| shares[e.idx()]);
+        for strategy in ExtractStrategy::ALL {
+            let got: Vec<(u32, u32, u32, f64)> =
+                engine.extract_with(&doc, tau, strategy).0.into_iter().map(|m| (m.span.start, m.span.len, m.entity.0, m.score)).collect();
+            prop_assert_eq!(got.len(), expected.len(), "strategy {} tau {}: {:?} vs {:?}", strategy, tau, got, expected);
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert_eq!((g.0, g.1, g.2), (e.0, e.1, e.2), "strategy {}", strategy);
+                prop_assert!((g.3 - e.3).abs() < 1e-12, "score {} vs {}", g.3, e.3);
+            }
+        }
+    }
+}
+
 /// The same oracle at the other end of the scale: a usjob-profile corpus,
 /// ~23 applicable rules per entity, where an origin's hundreds of variants
 /// are two-word masks over a pool of dozens of keys and most candidates are
