@@ -1,10 +1,12 @@
 //! Candidate collection and the posting-list scan (paper §3.2).
 //!
-//! An index entry is one `(token, set length, origin)` cluster holding the
-//! lowest position the token takes in the origin's variants of that length
-//! (`aeetes_index::OriginGroup`), so [`scan`] decides an origin with one
-//! compare against the group's prefix length, and `accessed_entries` counts
-//! the clusters read. There is one scan: the strategies differ in when they
+//! An index entry is one `(token, set length, origin)` cluster, and a group
+//! holds a token's clusters of one set length and one lowest position — the
+//! lowest the token takes in each cluster's variants of that length
+//! (`aeetes_index::LengthGroup::pos`) — so [`scan`] decides a whole group
+//! with one compare against its prefix length, and `accessed_entries` counts
+//! the clusters of every group of an admitted length, taken or passed over.
+//! There is one scan: the strategies differ in when they
 //! call it and where its origins go (Simple, Skip and top-k straight into
 //! the [`CandidateSink`], Dynamic through a scan-local dedup into its cache
 //! arena), not in how a list is read. Lazy reads each list once against many
@@ -20,23 +22,24 @@ use aeetes_sim::Metric;
 use aeetes_text::{EntityId, Span, TokenId};
 use std::collections::HashSet;
 
-/// The cluster loop of every scan: hands `emit` the origin of each cluster
-/// of `g` whose lowest position lies below `plen` — the group's prefix
-/// length. The index stores origins at one width, so this branches on it
-/// once per group, onto one loop per width.
+/// The group step of every scan: when `g`'s lowest position lies below
+/// `plen` — the prefix length of its set length — hands `emit` the origin of
+/// every cluster of `g`, else none. The index stores origins at one width, so
+/// this branches on it once per group, onto one loop per width.
 #[inline]
 pub(crate) fn admit(g: LengthGroup<'_>, plen: usize, mut emit: impl FnMut(EntityId)) {
     #[inline]
-    fn each<I: StoredId>(origins: &[I], min_pos: &[u16], plen: usize, emit: &mut impl FnMut(EntityId)) {
-        for (&origin, &pos) in origins.iter().zip(min_pos) {
-            if (pos as usize) < plen {
-                emit(EntityId(origin.get()));
-            }
+    fn each<I: StoredId>(origins: &[I], emit: &mut impl FnMut(EntityId)) {
+        for &origin in origins {
+            emit(EntityId(origin.get()));
         }
     }
+    if g.pos() >= plen {
+        return;
+    }
     match g.clusters() {
-        (Ids::U16(origins), min_pos) => each(origins, min_pos, plen, &mut emit),
-        (Ids::U32(origins), min_pos) => each(origins, min_pos, plen, &mut emit),
+        Ids::U16(origins) => each(origins, &mut emit),
+        Ids::U32(origins) => each(origins, &mut emit),
     }
 }
 
@@ -73,19 +76,19 @@ impl CandidateSink {
 
 /// Scans the posting list of `t` for a window of `s_len` distinct tokens,
 /// handing `emit` every origin that passes the length filter (its group's
-/// length is admissible for `s_len`) and the prefix filter (its lowest
-/// position lies in that length's τ-prefix). The outcome depends only on
-/// `(t, s_len, tau, metric)`, never on where the window is.
+/// length is admissible for `s_len`) and the prefix filter (its group's
+/// lowest position lies in that length's τ-prefix). The outcome depends only
+/// on `(t, s_len, tau, metric)`, never on where the window is; within one
+/// length, origins come group by group, by ascending position.
 ///
-/// `skip` is the clustered-index skip of §3.2: length groups outside the
-/// length filter are passed over in batch (binary search to the first, stop
-/// at the last). Without it every entry of the list is accessed and
-/// filtered one by one — `Simple`'s baseline. The paper's second skip, the
-/// rest of an origin's postings once one made it a candidate, is the
-/// cluster itself: an origin is one entry per group. `emit` can see an
-/// origin again — from a second length group, or under another token of the
-/// same window — and owns the dedup: the test is one compare, cheaper than
-/// asking first.
+/// `skip` is the clustered-index skip of §3.2: groups outside the length
+/// filter are passed over in batch (binary search to the first, stop at the
+/// last). Without it every entry of the list is accessed and filtered group
+/// by group — `Simple`'s baseline. The paper's second skip, the rest of an
+/// origin's postings once one made it a candidate, is the cluster itself: an
+/// origin is one entry per length. `emit` can see an origin again — from a
+/// second length, or under another token of the same window — and owns the
+/// dedup: the test is one compare, cheaper than asking first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan(
     index: &ClusteredIndex,
@@ -104,7 +107,7 @@ pub(crate) fn scan(
         let len = g.len();
         let admitted = lo <= len && len <= hi;
         if skip && !admitted {
-            break; // groups ascend by length: this and every later one is too long
+            break; // lengths never fall along the groups: this and every later one is too long
         }
         stats.accessed_entries += g.origin_count() as u64;
         if admitted {

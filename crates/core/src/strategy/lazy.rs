@@ -112,10 +112,12 @@ pub(crate) fn generate(
     gen_clk.stop(Stage::CandidateGen, stages);
 }
 
-/// Pass 2 over one posting list of the token of rank `r`: pairs each length
-/// group of `tp` with the pending substrings whose length filter admits it
+/// Pass 2 over one posting list of the token of rank `r`: pairs each group
+/// of `tp` with the pending substrings whose length filter admits its length
 /// (`lazy.inv[r]`, sorted by `lo`, expiring in `lazy.hi_order`) and sinks
-/// every origin the group's prefix admits and `keep` lets through.
+/// every origin of it the prefix admits and `keep` lets through. A length
+/// may span several groups (one per lowest position); lengths never fall, so
+/// the cursors only advance.
 #[allow(clippy::too_many_arguments)]
 fn pair(
     tp: TokenPostings<'_>,

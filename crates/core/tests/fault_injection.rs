@@ -77,14 +77,16 @@ fn refused_by_name(bytes: &[u8], expect: &str) {
     }
 }
 
-/// An artifact of the layout before this one — the section table's second
-/// word a segment, not a width, and `u32` ids throughout — is refused by its
-/// version word, whatever follows it.
+/// Artifacts of the layouts before this one — v10's lowest position per
+/// cluster, v9's section table whose second word is a segment — are refused
+/// by their version word, whatever follows it.
 #[test]
-fn a_v9_image_is_refused_by_name() {
-    let bytes = patched(&frozen_bytes(), 4, 9);
-    assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(9))));
-    assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(9))));
+fn v9_and_v10_images_are_refused_by_name() {
+    for version in [9, 10] {
+        let bytes = patched(&frozen_bytes(), 4, version);
+        assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
+        assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
+    }
 }
 
 /// CRC-valid images whose id width lies: each is refused by name by the
@@ -184,7 +186,7 @@ proptest! {
     /// trusted.
     #[test]
     fn byte_soup_with_valid_header_never_panics(tail in proptest::collection::vec(0u8..=255, 0..4096)) {
-        let mut bytes = b"AEET\x0a\x00\x00\x00".to_vec();
+        let mut bytes = b"AEET\x0b\x00\x00\x00".to_vec();
         bytes.extend_from_slice(&tail);
         let crc = reference_crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());

@@ -110,9 +110,9 @@ fn same_index(got: &ClusteredIndex, want: &ClusteredIndex) -> Result<(), TestCas
     let (got, want) = (got.raw_parts(), want.raw_parts());
     prop_assert_eq!(got.tok_groups, want.tok_groups);
     prop_assert_eq!(got.group_len, want.group_len);
+    prop_assert_eq!(got.group_pos, want.group_pos);
     prop_assert_eq!(got.group_origins, want.group_origins);
     prop_assert_eq!(got.origin_entity, want.origin_entity);
-    prop_assert_eq!(got.origin_min_pos, want.origin_min_pos);
     prop_assert_eq!(got.blocks, want.blocks);
     prop_assert_eq!(got.block_offsets, want.block_offsets);
     prop_assert_eq!(got.origin_offsets, want.origin_offsets);
