@@ -69,7 +69,7 @@ A `{\"type\":\"reload\"}` request applies a dictionary delta as a new
 generation without dropping in-flight requests.
 
 ARTIFACT FORMAT: `build` writes, and every other command opens, one
-format — AEET v10, the *frozen* layout: the built indexes laid out as flat
+format — AEET v11, the *frozen* layout: the built indexes laid out as flat
 little-endian arenas behind a whole-file CRC-32, so a server memory-maps
 the file and answers its first request without deserializing anything, and
 N serve processes share one page cache. `build` derives and indexes the

@@ -142,24 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_end_to_end() {
-        let mut f = figure1();
-        let doc = Document::parse(
-            "the university of wisconsin madison sits near purdue university usa \
-             while uq au is far away in australia with the university of queensland",
-            &f.tok,
-            &mut f.int,
-        );
-        for tau in [0.7, 0.75, 0.8, 0.85, 0.9, 1.0] {
-            let baseline = f.engine.extract_with(&doc, tau, Strategy::Simple).0;
-            for strategy in [Strategy::Skip, Strategy::Dynamic, Strategy::Lazy] {
-                let got = f.engine.extract_with(&doc, tau, strategy).0;
-                assert_eq!(baseline, got, "strategy {strategy} at tau={tau}");
-            }
-        }
-    }
-
-    #[test]
     fn exact_threshold_one_only_exact_or_synonym_equal() {
         let mut f = figure1();
         let doc = Document::parse("purdue university usa and purdue university", &f.tok, &mut f.int);

@@ -34,7 +34,7 @@ pub enum PersistError {
     /// The buffer does not start with the `AEET` magic.
     BadMagic,
     /// The file is an AEET artifact of a format version this build does not
-    /// read (anything but 10): rebuild it from its sources.
+    /// read (anything but 11): rebuild it from its sources.
     UnsupportedVersion(u32),
     /// The checksum footer does not match the payload.
     ChecksumMismatch {

@@ -199,7 +199,6 @@ mod tests {
     use crate::strategy::Strategy;
     use aeetes_rules::RuleSet;
     use aeetes_text::{Dictionary, Interner, Tokenizer};
-    use proptest::prelude::*;
 
     /// The pruned scan under the engine's configured metric, matches only.
     fn extract_top_k(engine: &Aeetes, doc: &Document, k: usize, tau_floor: f64) -> Vec<Match> {
@@ -222,43 +221,6 @@ mod tests {
         dict.push("learning systems", &tok, &mut int);
         let engine = Aeetes::build(dict, &RuleSet::new(), &int, AeetesConfig::default());
         (engine, int, tok)
-    }
-
-    #[test]
-    fn returns_at_most_k_best_first() {
-        let (e, mut int, tok) = engine();
-        let doc = Document::parse("machine learning systems conference", &tok, &mut int);
-        let top = extract_top_k(&e, &doc, 2, 0.5);
-        assert_eq!(top.len(), 2);
-        assert!(top[0].score >= top[1].score);
-        assert_eq!(top[0].score, 1.0);
-    }
-
-    #[test]
-    fn k_zero_is_empty() {
-        let (e, mut int, tok) = engine();
-        let doc = Document::parse("machine learning systems", &tok, &mut int);
-        assert!(extract_top_k(&e, &doc, 0, 0.5).is_empty());
-    }
-
-    #[test]
-    fn k_larger_than_matches_returns_all() {
-        let (e, mut int, tok) = engine();
-        let doc = Document::parse("machine learning systems", &tok, &mut int);
-        let all = e.extract(&doc, 0.5);
-        let top = extract_top_k(&e, &doc, 100, 0.5);
-        assert_eq!(top.len(), all.len());
-    }
-
-    #[test]
-    fn pruned_equals_naive_on_fixture() {
-        let (e, mut int, tok) = engine();
-        let doc = Document::parse("machine learning systems and other learning systems in machine learning", &tok, &mut int);
-        for k in [1, 2, 3, 5, 100] {
-            for tau in [0.3, 0.5, 0.8, 1.0] {
-                assert_eq!(extract_top_k(&e, &doc, k, tau), naive_top_k(&e, &doc, k, tau), "k={k} tau={tau}");
-            }
-        }
     }
 
     /// A window longer than the ratcheted bound admits can still beat the
@@ -287,40 +249,5 @@ mod tests {
             pruned.candidates,
             full.candidates
         );
-    }
-
-    /// Small vocabulary so generated documents actually hit the dictionary.
-    fn word(i: u8) -> &'static str {
-        ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"][i as usize % 6]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn pruned_equals_naive(
-            words in proptest::collection::vec(0u8..6, 0..24),
-            k in 0usize..8,
-            tau_idx in 0usize..4,
-        ) {
-            let tau_floor = [0.4, 0.6, 0.8, 1.0][tau_idx];
-            let mut int = Interner::new();
-            let tok = Tokenizer::default();
-            let mut dict = Dictionary::new();
-            dict.push("alpha beta gamma", &tok, &mut int);
-            dict.push("beta gamma", &tok, &mut int);
-            dict.push("delta epsilon", &tok, &mut int);
-            dict.push("zeta", &tok, &mut int);
-            let mut rules = RuleSet::new();
-            rules.push_str("zeta", "epsilon delta", &tok, &mut int).unwrap();
-            let text: String = words.iter().map(|&w| word(w)).collect::<Vec<_>>().join(" ");
-            for strategy in Strategy::ALL {
-                let config = AeetesConfig { strategy, ..AeetesConfig::default() };
-                let engine = Aeetes::build(dict.clone(), &rules, &int, config);
-                let doc = Document::parse(&text, &tok, &mut int);
-                let pruned = extract_top_k(&engine, &doc, k, tau_floor);
-                let naive = naive_top_k(&engine, &doc, k, tau_floor);
-                prop_assert_eq!(pruned, naive, "strategy {} k {} tau {}", strategy, k, tau_floor);
-            }
-        }
     }
 }

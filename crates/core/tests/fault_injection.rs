@@ -47,7 +47,7 @@ fn frozen_bytes() -> Vec<u8> {
     freeze(&engine, &int, &rules)
 }
 
-/// Section kinds of the v10 table this file patches.
+/// Section kinds of the v11 table this file patches.
 const ORDER_KEY: u32 = 2;
 const IX_ORIGIN_ENTITY: u32 = 23;
 const IX_BLOCKS: u32 = 26;

@@ -1,14 +1,9 @@
 //! Property tests for the extraction engine's supporting machinery:
-//! window maintenance, overlap suppression and persistence. (Batch
-//! extraction properties live in the `aeetes-pool` crate with the
-//! executor.)
+//! window maintenance and overlap suppression. (What the engine answers,
+//! on every build and open path, is the root package's `conformance`
+//! harness.)
 
-use aeetes_core::{
-    extract_segment, freeze_to_bytes, open_frozen_bytes, suppress_overlaps, Aeetes, AeetesConfig, ExtractLimits, FreezeSegment, FreezeSource,
-    WindowState,
-};
-use aeetes_rules::RuleSet;
-use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
+use aeetes_core::{suppress_overlaps, WindowState};
 use proptest::prelude::*;
 
 proptest! {
@@ -90,43 +85,6 @@ proptest! {
                     "dropped match {m:?} has no dominating overlap in {kept:?}"
                 );
             }
-        }
-    }
-
-    /// The artifact round-trips arbitrary dictionaries and rules: the
-    /// reopened (frozen) engine extracts identically on arbitrary documents.
-    #[test]
-    fn persistence_round_trip(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..5),
-                              rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..4),
-                              doc_text in "[a-h]( [a-h]){0,25}") {
-        let mut interner = Interner::new();
-        let tokenizer = Tokenizer::default();
-        let mut dict = Dictionary::new();
-        for e in &entities {
-            dict.push(e, &tokenizer, &mut interner);
-        }
-        let mut rules = RuleSet::new();
-        for (l, r) in &rule_pairs {
-            let _ = rules.push_str(l, r, &tokenizer, &mut interner);
-        }
-        let engine = Aeetes::build(dict, &rules, &interner, AeetesConfig::default());
-        let bytes = freeze_to_bytes(&FreezeSource {
-            interner: &interner,
-            dict: engine.dictionary(),
-            removed: &[],
-            rules: &rules,
-            config: engine.config(),
-            generation: 1,
-            order: engine.index().order(),
-            segments: vec![FreezeSegment { dd: engine.derived(), index: engine.index() }],
-        });
-        let opened = open_frozen_bytes(&bytes).expect("round trip");
-        let doc_a = Document::parse(&doc_text, &tokenizer, &mut interner);
-        let doc_b = Document::parse(&doc_text, &tokenizer, &mut opened.interner.clone());
-        for tau in [0.7, 0.9, 1.0] {
-            let config = &opened.config;
-            let reopened = extract_segment(&opened.index, &opened.dd, &doc_b, tau, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
-            prop_assert_eq!(engine.extract(&doc_a, tau), reopened.matches, "tau={}", tau);
         }
     }
 }

@@ -1,14 +1,14 @@
-//! Batch-extraction correctness over the persistent pool: bit-identity
-//! with the sequential oracle, input ordering, panic isolation and
-//! cancellation. These tests migrated here from `aeetes-core` when the
-//! executor moved out of that crate.
+//! Batch-extraction mechanics over the persistent pool: input ordering,
+//! panic isolation, cancellation and budgets, and no thread per batch. That
+//! a pooled batch answers as the engine does, at one and two threads under
+//! every strategy, metric and `top_k`, is the root package's `conformance`
+//! harness.
 
 use aeetes_core::{
     Aeetes, AeetesConfig, BatchOptions, CancelToken, DocError, ExtractBackend, ExtractLimits, ExtractRequest, ExtractScratch, Match, Strategy,
 };
 use aeetes_pool::{extract_batch_with, run_batch, Pool};
 use aeetes_rules::RuleSet;
-use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, Interner, TokenId, Tokenizer};
 use proptest::prelude::*;
 
@@ -48,17 +48,6 @@ fn extract_batch(engine: &Aeetes, docs: &[Document], tau: f64, threads: usize) -
 }
 
 #[test]
-fn parallel_matches_serial() {
-    let (engine, mut int, tok) = sample_engine(AeetesConfig::default());
-    let docs = sample_docs(&mut int, &tok);
-    let serial: Vec<_> = docs.iter().map(|d| engine.extract(d, 0.8)).collect();
-    for threads in [1, 2, 4, 7] {
-        let batched = extract_batch(&engine, &docs, 0.8, threads);
-        assert_eq!(serial, batched, "threads={threads}");
-    }
-}
-
-#[test]
 fn empty_docs() {
     let (engine, _, _) = sample_engine(AeetesConfig::default());
     assert!(extract_batch(&engine, &[], 0.8, 4).is_empty());
@@ -70,35 +59,6 @@ fn zero_threads_runs_inline() {
     let docs = sample_docs(&mut int, &tok);
     let serial: Vec<_> = docs.iter().map(|d| engine.extract(d, 0.8)).collect();
     assert_eq!(serial, extract_batch(&engine, &docs, 0.8, 0));
-}
-
-#[test]
-fn extract_batch_with_matches_plain_extract() {
-    let (engine, mut int, tok) = sample_engine(AeetesConfig::default());
-    let docs = sample_docs(&mut int, &tok);
-    let opts = BatchOptions { threads: 3, ..BatchOptions::default() };
-    let results = extract_batch_with(&engine, &docs, 0.8, &opts);
-    assert_eq!(results.len(), docs.len());
-    for (doc, r) in docs.iter().zip(&results) {
-        let out = r.as_ref().expect("healthy batch");
-        assert!(!out.truncated);
-        assert_eq!(out.matches, engine.extract(doc, 0.8));
-    }
-}
-
-/// A batch answers every document under the request its options carry.
-#[test]
-fn batch_carries_metric_and_top_k() {
-    let (engine, mut int, tok) = sample_engine(AeetesConfig::default());
-    let docs = sample_docs(&mut int, &tok);
-    let mut scratch = ExtractScratch::new();
-    for (metric, top_k) in [(Some(Metric::Dice), None), (None, Some(1)), (Some(Metric::Overlap), Some(2))] {
-        let opts = BatchOptions { threads: 2, metric, top_k, ..BatchOptions::default() };
-        let req = ExtractRequest { metric, top_k, ..ExtractRequest::new(0.6) };
-        for (doc, r) in docs.iter().zip(extract_batch_with(&engine, &docs, 0.6, &opts)) {
-            assert_eq!(r.expect("healthy batch").matches, engine.extract_request(doc, &req, &mut scratch).matches, "{metric:?} {top_k:?}");
-        }
-    }
 }
 
 /// tau outside (0, 1] panics the extractor per document; fault isolation
@@ -267,7 +227,6 @@ mod no_thread_per_batch {
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
-const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
 
 fn strategy_engine(strategy: Strategy) -> (Aeetes, Interner, Vec<TokenId>) {
     let mut interner = Interner::new();
@@ -281,25 +240,6 @@ fn strategy_engine(strategy: Strategy) -> (Aeetes, Interner, Vec<TokenId>) {
 }
 
 proptest! {
-    /// Pooled batch output is bit-identical to the sequential oracle and
-    /// input-ordered, across thread counts and strategies.
-    #[test]
-    fn pooled_batch_matches_sequential_oracle(
-        doc_tokens in proptest::collection::vec(proptest::collection::vec(0u8..8, 0..20), 0..5),
-        threads_idx in 0usize..3,
-        strategy_idx in 0usize..4,
-    ) {
-        let threads = THREAD_COUNTS[threads_idx];
-        let (engine, _, ids) = strategy_engine(STRATEGIES[strategy_idx]);
-        let docs: Vec<Document> = doc_tokens
-            .iter()
-            .map(|t| Document::from_tokens(t.iter().map(|&i| ids[i as usize]).collect()))
-            .collect();
-        let serial: Vec<_> = docs.iter().map(|d| engine.extract(d, 0.7)).collect();
-        let batched = extract_batch(&engine, &docs, 0.7, threads);
-        prop_assert_eq!(serial, batched);
-    }
-
     /// A worker panicking mid-batch (on an arbitrary document) never
     /// perturbs any other document's result, for any thread count.
     #[test]

@@ -266,7 +266,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v10) artifact
+    /// Serializes the current generation as the frozen (format v11) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -371,7 +371,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v10) artifact: its index becomes this engine's
+    /// Adopts an opened frozen (v11) artifact: its index becomes this engine's
     /// as it is — zero derive work, zero index builds, arenas still backed by
     /// the mapped file.
     ///
@@ -434,22 +434,6 @@ mod tests {
         .iter()
         .map(|t| Document::parse(t, tok, int))
         .collect()
-    }
-
-    #[test]
-    fn every_part_count_matches_monolithic() {
-        let (dict, rules, int, tok) = fixture();
-        let mono = Aeetes::build(dict.clone(), &rules, &int, AeetesConfig::default());
-        for n in [1, 2, 3, 7, 16] {
-            let engine = ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), n);
-            let generation = engine.snapshot();
-            let mut int2 = int.clone();
-            for doc in docs(&mut int2, &tok) {
-                for tau in [0.6, 0.8, 1.0] {
-                    assert_eq!(generation.extract_all(&doc, tau), mono.extract(&doc, tau), "n={n} tau={tau}");
-                }
-            }
-        }
     }
 
     #[test]

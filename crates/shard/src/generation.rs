@@ -215,7 +215,7 @@ impl Generation {
         self.id
     }
 
-    /// Serializes this generation as a frozen (format v10) artifact of one
+    /// Serializes this generation as a frozen (format v11) artifact of one
     /// segment: the variant table and clustered index laid out as flat
     /// arenas a future engine can mmap and serve without rebuilding. A tail
     /// is written compacted, through a temporary base, so the bytes are

@@ -1,30 +1,18 @@
-//! Frozen (v10) artifact suite: the mmap-able format is observationally
-//! identical to the monolithic heap engine across all four strategies and
-//! all four similarity metrics, on both the mmap and heap-fallback open
-//! paths; freeze → open → refreeze is bit-identical for builds of 1 and 4
-//! parts; and
-//! truncated files through the mmap path and misaligned section offsets
-//! behind a valid CRC yield a clean error, never a panic or out-of-bounds
-//! access. (The byte-level corruption walk — every truncation, every bit
-//! flip — is `aeetes-core`'s `fault_injection` suite.)
+//! Frozen (v11) artifact suite: freeze → open → refreeze is bit-identical
+//! for builds of 1 and 4 parts; truncated files through the mmap path and
+//! misaligned section offsets behind a valid CRC yield a clean error, never
+//! a panic or out-of-bounds access. (The byte-level corruption walk — every
+//! truncation, every bit flip — is `aeetes-core`'s `fault_injection` suite;
+//! that an engine opened from bytes or mapped from a file answers as the
+//! heap monolith is the root package's `conformance` harness.)
 
-use aeetes_core::{open_frozen, open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, Strategy};
+use aeetes_core::{open_frozen, open_frozen_bytes, AeetesConfig};
 use aeetes_rules::RuleSet;
 use aeetes_shard::ShardedEngine;
-use aeetes_sim::Metric;
-use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
+use aeetes_text::{Dictionary, Interner, Tokenizer};
 use std::path::PathBuf;
 
-const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
-const METRICS: [Metric; 4] = [Metric::Jaccard, Metric::Dice, Metric::Cosine, Metric::Overlap];
-
-const DOCS: [&str; 3] = [
-    "she left uq australia for purdue university united states",
-    "the university of queensland australia and the university of wisconsin madison",
-    "purdue university usa mit and uq au all appear here verbatim",
-];
-
-fn corpus() -> (Dictionary, RuleSet, Interner, Tokenizer) {
+fn corpus() -> (Dictionary, RuleSet, Interner) {
     let mut interner = Interner::new();
     let tokenizer = Tokenizer::default();
     let mut dict = Dictionary::new();
@@ -48,7 +36,7 @@ fn corpus() -> (Dictionary, RuleSet, Interner, Tokenizer) {
     ] {
         rules.push_weighted_str(l, r, w, &tokenizer, &mut interner).unwrap();
     }
-    (dict, rules, interner, tokenizer)
+    (dict, rules, interner)
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -57,56 +45,13 @@ fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("aeetes-frozen-suite-{tag}-{}-{n}.aeet", std::process::id()))
 }
 
-/// Extraction over a frozen engine — opened from bytes (heap) and from a
-/// file (mmap on unix) — is bit-identical to the monolithic oracle for
-/// every strategy × metric combination.
-#[test]
-fn frozen_equals_monolithic_across_strategies_and_metrics() {
-    let (dict, rules, interner, tokenizer) = corpus();
-    for strategy in STRATEGIES {
-        for metric in METRICS {
-            let config = AeetesConfig { strategy, metric, ..AeetesConfig::default() };
-            let mono = Aeetes::build(dict.clone(), &rules, &interner, config.clone());
-            let engine = ShardedEngine::build(dict.clone(), &rules, &interner, config.clone(), 3);
-            let bytes = engine.freeze();
-
-            let heap = ShardedEngine::from_frozen(open_frozen_bytes(&bytes).expect("open heap"), None).expect("adopt heap");
-            let path = tmp_path("eq");
-            std::fs::write(&path, &bytes).unwrap();
-            let mapped_parts = open_frozen(&path).expect("open mmap");
-            #[cfg(unix)]
-            assert!(mapped_parts.mmapped, "unix opens must map");
-            let mapped = ShardedEngine::from_frozen(mapped_parts, None).expect("adopt mmap");
-            std::fs::remove_file(&path).ok();
-
-            for text in DOCS {
-                let mut mono_int = interner.clone();
-                let mono_doc = Document::parse(text, &tokenizer, &mut mono_int);
-                for tau in [0.6, 0.8, 1.0] {
-                    let expected = mono.extract(&mono_doc, tau);
-                    for (label, frozen) in [("heap", &heap), ("mmap", &mapped)] {
-                        let generation = frozen.snapshot();
-                        let mut doc_int = generation.interner().clone();
-                        let doc = Document::parse(text, &tokenizer, &mut doc_int);
-                        assert_eq!(
-                            generation.extract_all(&doc, tau),
-                            expected,
-                            "{label} strategy={strategy:?} metric={metric:?} tau={tau} doc={text:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// freeze → open → refreeze is bit-identical for builds of 1 and 4 parts:
 /// the opened arenas describe exactly what was written, so an adopted engine
 /// re-frozen (as WAL compaction does) reproduces its artifact — the
 /// derivation statistics included, which opening checks but does not touch.
 #[test]
 fn freeze_open_refreeze_is_bit_identical() {
-    let (dict, rules, interner, _) = corpus();
+    let (dict, rules, interner) = corpus();
     let adopt = |bytes: &[u8]| ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("open"), None).expect("adopt");
     for parts in [1, 4] {
         let built = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), parts);
@@ -149,7 +94,7 @@ fn recrc(bytes: &mut [u8]) {
 /// the mapping.
 #[test]
 fn truncated_files_are_a_clean_error_on_the_mmap_path() {
-    let (dict, rules, interner, _) = corpus();
+    let (dict, rules, interner) = corpus();
     let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 2);
     let bytes = engine.freeze();
 
@@ -174,7 +119,7 @@ fn truncated_files_are_a_clean_error_on_the_mmap_path() {
 /// match — alignment is validated structurally, not just checksummed.
 #[test]
 fn misaligned_section_offsets_rejected_with_valid_crc() {
-    let (dict, rules, interner, _) = corpus();
+    let (dict, rules, interner) = corpus();
     let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 2);
     let bytes = engine.freeze();
     let n_sections = section_spans(&bytes).len();

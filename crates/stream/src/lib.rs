@@ -3,8 +3,8 @@
 //! [`StreamExtractor`] accepts raw byte chunks of *arbitrary* size — split
 //! mid-UTF-8 sequence, mid-token, anywhere — and emits matches
 //! incrementally, with results **bit-identical** to running the engine over
-//! the whole concatenated document (the chunk-boundary property suite is
-//! the oracle). Three layers of carry make that possible:
+//! the whole concatenated document (the root package's `conformance`
+//! harness is the oracle). Three layers of carry make that possible:
 //!
 //! 1. **Byte carry** — an incomplete trailing UTF-8 sequence is held until
 //!    the next chunk completes it; truly invalid sequences are replaced
@@ -378,35 +378,6 @@ mod tests {
             assert_eq!(s.score, d.score);
             assert_eq!(s.best_variant, d.best_variant);
         }
-    }
-
-    #[test]
-    fn single_chunk_equals_whole_document() {
-        let (engine, mut int, tok) = fixture();
-        let text = "she left purdue university usa for uq au last year";
-        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.8);
-        let got = streamed(&engine, &tok, &mut int, &[text.as_bytes()], 0.8);
-        assert_same(&got, &expect);
-    }
-
-    #[test]
-    fn byte_at_a_time_equals_whole_document() {
-        let (engine, mut int, tok) = fixture();
-        let text = "purdue university united states then university of queensland australia";
-        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.7);
-        let chunks: Vec<&[u8]> = text.as_bytes().chunks(1).collect();
-        let got = streamed(&engine, &tok, &mut int, &chunks, 0.7);
-        assert_same(&got, &expect);
-    }
-
-    #[test]
-    fn mid_utf8_split_is_carried() {
-        let (engine, mut int, tok) = fixture();
-        let text = "café uq au café"; // é = 2 bytes
-        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.9);
-        let bytes = text.as_bytes();
-        let got = streamed(&engine, &tok, &mut int, &[&bytes[..4], &bytes[4..]], 0.9);
-        assert_same(&got, &expect);
     }
 
     #[test]

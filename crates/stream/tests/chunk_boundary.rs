@@ -1,13 +1,13 @@
-//! The streaming oracle: for *any* way of splitting a byte stream into
-//! chunks — mid-token, mid-UTF-8 sequence, empty chunks, one byte at a
-//! time — the concatenation of [`StreamExtractor::feed`] outputs plus the
-//! [`StreamExtractor::finish`] flush is **bit-identical** to extracting
-//! over the whole document at once, for all four strategies. The oracle
-//! for arbitrary (possibly invalid) bytes is extraction over
-//! `String::from_utf8_lossy` of the whole input, which is what the
-//! incremental decoder promises to reproduce.
+//! The stream's byte handling: for arbitrary (possibly invalid) bytes cut
+//! into arbitrary chunks, the concatenated [`StreamExtractor::feed`]
+//! outputs plus the [`StreamExtractor::finish`] flush are bit-identical to
+//! extraction over `String::from_utf8_lossy` of the whole input, which is
+//! what the incremental decoder promises to reproduce; and the byte spans it
+//! reports slice the source text. That the stream answers as whole-document
+//! extraction for every strategy, build and state is the root package's
+//! `conformance` harness.
 
-use aeetes_core::{Aeetes, AeetesConfig, Match, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, Match};
 use aeetes_rules::RuleSet;
 use aeetes_stream::{StreamExtractor, StreamMatch};
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
@@ -33,7 +33,7 @@ const VOCAB: [&str; 12] = [
 ];
 
 struct Fixture {
-    engines: Vec<(Strategy, Aeetes)>,
+    engine: Aeetes,
     interner: Interner,
     tokenizer: Tokenizer,
 }
@@ -51,14 +51,8 @@ fn fixture() -> &'static Fixture {
         let mut rules = RuleSet::new();
         rules.push_str("uq", "university of queensland", &tok, &mut int).unwrap();
         rules.push_str("usa", "united states", &tok, &mut int).unwrap();
-        let engines = Strategy::ALL
-            .iter()
-            .map(|&strategy| {
-                let config = AeetesConfig { strategy, ..AeetesConfig::default() };
-                (strategy, Aeetes::build(dict.clone(), &rules, &int, config))
-            })
-            .collect();
-        Fixture { engines, interner: int, tokenizer: tok }
+        let engine = Aeetes::build(dict, &rules, &int, AeetesConfig::default());
+        Fixture { engine, interner: int, tokenizer: tok }
     })
 }
 
@@ -78,46 +72,20 @@ fn run_stream(engine: &Aeetes, tok: &Tokenizer, int: &mut Interner, bytes: &[u8]
     got
 }
 
-fn assert_bit_identical(stream: &[StreamMatch], doc_matches: &[Match], strategy: Strategy) -> Result<(), TestCaseError> {
-    prop_assert_eq!(stream.len(), doc_matches.len(), "{}: {:?} vs {:?}", strategy, stream, doc_matches);
+fn assert_bit_identical(stream: &[StreamMatch], doc_matches: &[Match]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(stream.len(), doc_matches.len(), "{:?} vs {:?}", stream, doc_matches);
     for (s, d) in stream.iter().zip(doc_matches) {
-        prop_assert_eq!(s.start, d.span.start as u64, "{}", strategy);
-        prop_assert_eq!(s.len, d.span.len, "{}", strategy);
-        prop_assert_eq!(s.entity, d.entity, "{}", strategy);
-        prop_assert_eq!(s.score, d.score, "{}", strategy);
-        prop_assert_eq!(s.best_variant, d.best_variant, "{}", strategy);
+        prop_assert_eq!(s.start, d.span.start as u64);
+        prop_assert_eq!(s.len, d.span.len);
+        prop_assert_eq!(s.entity, d.entity);
+        prop_assert_eq!(s.score, d.score);
+        prop_assert_eq!(s.best_variant, d.best_variant);
     }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Valid UTF-8 text, arbitrary byte-offset chunk splits (including
-    /// mid-character and mid-token), all four strategies.
-    #[test]
-    fn streamed_equals_whole_document(
-        words in proptest::collection::vec(0usize..VOCAB.len(), 0..40),
-        cuts in proptest::collection::vec(0usize..400, 0..12),
-        tau_pct in 50u32..=100,
-    ) {
-        let fix = fixture();
-        let text: String = words.iter().map(|&w| VOCAB[w]).collect::<Vec<_>>().join(" ");
-        let tau = tau_pct as f64 / 100.0;
-        let mut cuts = cuts;
-        cuts.sort_unstable();
-        for (strategy, engine) in &fix.engines {
-            let mut whole_int = fix.interner.clone();
-            let doc = Document::parse(&text, &fix.tokenizer, &mut whole_int);
-            let expect = engine.extract(&doc, tau);
-            let mut stream_int = fix.interner.clone();
-            let got = run_stream(engine, &fix.tokenizer, &mut stream_int, text.as_bytes(), &cuts, tau);
-            assert_bit_identical(&got, &expect, *strategy)?;
-            // The two paths must also intern identically: same tokens, in
-            // the same order, from the same starting interner.
-            prop_assert_eq!(stream_int.len(), whole_int.len());
-        }
-    }
 
     /// Arbitrary bytes — including invalid UTF-8 — chunked arbitrarily.
     /// Oracle: lossy-decode the whole input, extract over that.
@@ -137,13 +105,13 @@ proptest! {
         let mut cuts = cuts;
         cuts.sort_unstable();
         let text = String::from_utf8_lossy(&bytes).into_owned();
-        let (strategy, engine) = &fix.engines[0];
+        let engine = &fix.engine;
         let mut whole_int = fix.interner.clone();
         let doc = Document::parse(&text, &fix.tokenizer, &mut whole_int);
         let expect = engine.extract(&doc, 0.7);
         let mut stream_int = fix.interner.clone();
         let got = run_stream(engine, &fix.tokenizer, &mut stream_int, &bytes, &cuts, 0.7);
-        assert_bit_identical(&got, &expect, *strategy)?;
+        assert_bit_identical(&got, &expect)?;
     }
 
     /// Byte spans reported by the stream slice the original text back out
@@ -157,7 +125,7 @@ proptest! {
         let text: String = words.iter().map(|&w| VOCAB[w]).collect::<Vec<_>>().join(" ");
         let mut cuts = cuts;
         cuts.sort_unstable();
-        let (_, engine) = &fix.engines[0];
+        let engine = &fix.engine;
         let mut int = fix.interner.clone();
         let got = run_stream(engine, &fix.tokenizer, &mut int, text.as_bytes(), &cuts, 0.7);
         for m in &got {

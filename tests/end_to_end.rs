@@ -1,13 +1,21 @@
-//! End-to-end pipeline tests on generated corpora: the four strategies must
-//! agree exactly, and every exact or synonym-rewritten gold mention must be
-//! recovered with a perfect score.
+//! End-to-end pipeline tests on generated corpora: every strategy, over a
+//! frozen build, answers as the `conformance` harness's reference and
+//! FaerieR; every exact or synonym-rewritten gold mention is recovered with
+//! a perfect score; the paper's counters hold their recorded values; and
+//! every way of building and updating an engine writes the same artifact.
 
+mod conformance;
+
+use aeetes::baselines::Faerie;
 use aeetes::core::{peek_info, ExtractLimits, ExtractStats, FreezeSegment, FreezeSource};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
 use aeetes::{
     freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ExtractBackend, ExtractRequest,
     ExtractScratch, Match, RuleDelta, RuleSet, ShardedEngine, Strategy,
 };
+use conformance::case::{Case, World, BUILDS};
+use conformance::paths::{check, Built};
+use std::sync::Arc;
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -40,24 +48,35 @@ fn adopt(bytes: &[u8]) -> ShardedEngine {
     ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("reopen artifact"), None).expect("adopt artifact")
 }
 
-fn through_the_artifact(engine: &Aeetes, data: &aeetes::datagen::Dataset) -> ShardedEngine {
-    adopt(&through_the_artifact_bytes(engine, data))
-}
-
+/// The three generated corpora at scale 0.01 (seed 7), through the
+/// harness: each document at τ ∈ {0.7, 0.8, 0.9, 1.0}, each of those pairs
+/// under one strategy, so that every strategy, over a frozen build of its
+/// own, answers every document and every τ once — on every path, as the
+/// reference and FaerieR do (a brute force is too slow at this size).
 #[test]
 fn all_strategies_agree_on_every_corpus() {
-    for (engine, data) in engines() {
-        let frozen = through_the_artifact(&engine, &data).snapshot();
-        for doc in &data.documents {
-            for tau in [0.7, 0.8, 0.9, 1.0] {
-                let baseline = engine.extract_with(doc, tau, Strategy::Simple).0;
-                for strategy in [Strategy::Skip, Strategy::Dynamic, Strategy::Lazy] {
-                    let got = engine.extract_with(doc, tau, strategy).0;
-                    assert_eq!(baseline, got, "{}: strategy {strategy} at tau={tau}", data.name);
+    for profile in DatasetProfile::all() {
+        let data = generate(&profile.scaled(0.01).with_docs(4), 7);
+        let world = Arc::new(World::new(data.name.clone(), data.dictionary.clone(), data.rules.clone(), data.interner.clone()));
+        let mut engines: Vec<Built> = (0..4)
+            .map(|k| Built::new(&Case::over(String::new(), Arc::clone(&world), String::new(), 1.0, Strategy::ALL[k], BUILDS[3 + 2 * k])))
+            .collect();
+        let (mut runs, mut finds) = (0, 0);
+        for (i, doc) in data.documents.iter().enumerate() {
+            for (j, tau) in [0.7, 0.8, 0.9, 1.0].into_iter().enumerate() {
+                let (strategy, text) = (Strategy::ALL[(i + j) % 4], data.interner.render(doc.tokens()));
+                let label = format!("{} document {i}, {strategy}, tau {tau}", data.name);
+                let case = Case::over(label, Arc::clone(&world), text, tau, strategy, BUILDS[3 + 2 * ((i + j) % 4)]);
+                let built = &mut engines[(i + j) % 4];
+                built.doc = built.parse(&case.doc);
+                assert_eq!(built.doc.tokens(), doc.tokens(), "the document re-tokenizes to itself");
+                for (_, found) in check(&case, built, None) {
+                    runs += 1;
+                    finds += usize::from(found);
                 }
-                assert_eq!(baseline, frozen.extract_all(doc, tau), "{}: frozen artifact at tau={tau}", data.name);
             }
         }
+        assert!(finds * 4 > runs, "{}: {finds} of {runs} answers found anything", data.name);
     }
 }
 
@@ -301,6 +320,25 @@ fn artifact_stays_inside_its_bytes_per_posting_budget() {
     assert_eq!(ix_sections.len(), 7);
     let origin_prefix = info.sections.iter().find(|s| s.kind == "dd.by_origin").expect("origin prefix").len;
     assert_eq!(engine.index().size_bytes(), ix_sections.iter().map(|s| s.len).sum::<usize>() + origin_prefix);
+}
+
+/// §6.3: the paper pays about twice FaerieR's memory for its clustered
+/// index. This one stays inside that bound on all three profiles, and on
+/// usjob, where dozens of variants per origin share one key pool, under half
+/// of FaerieR's. At this scale and seed `experiments indexsize --scale 0.02`
+/// reads 1.06× / 0.87× / 0.17× (pubmed / dbworld / usjob).
+#[test]
+fn clustered_index_stays_inside_the_papers_bound_of_faerier() {
+    for profile in DatasetProfile::all() {
+        let data = generate(&profile.scaled(0.02), 42);
+        let engine = Aeetes::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default());
+        let (ours, faerier) = (engine.index().size_bytes(), Faerie::build_derived(engine.derived()).size_bytes());
+        let ratio = ours as f64 / faerier as f64;
+        assert!(ratio <= 2.0, "{}: {ours} index bytes, FaerieR {faerier}: {ratio:.2}x", data.name);
+        if data.name == "usjob" {
+            assert!(ratio < 0.5, "usjob: {ours} index bytes, FaerieR {faerier}: {ratio:.2}x");
+        }
+    }
 }
 
 /// A build derives each part's origins straight into their index blocks,
