@@ -223,6 +223,32 @@ mod tests {
         (engine, int, tok)
     }
 
+    #[test]
+    fn returns_at_most_k_best_first() {
+        let (e, mut int, tok) = engine();
+        let doc = Document::parse("machine learning systems conference", &tok, &mut int);
+        let top = extract_top_k(&e, &doc, 2, 0.5);
+        assert_eq!(top.len(), 2);
+        assert!(top[0].score >= top[1].score);
+        assert_eq!(top[0].score, 1.0);
+    }
+
+    #[test]
+    fn k_zero_is_empty() {
+        let (e, mut int, tok) = engine();
+        let doc = Document::parse("machine learning systems", &tok, &mut int);
+        assert!(extract_top_k(&e, &doc, 0, 0.5).is_empty());
+    }
+
+    #[test]
+    fn k_larger_than_matches_returns_all() {
+        let (e, mut int, tok) = engine();
+        let doc = Document::parse("machine learning systems", &tok, &mut int);
+        let all = e.extract(&doc, 0.5);
+        let top = extract_top_k(&e, &doc, 100, 0.5);
+        assert_eq!(top.len(), all.len());
+    }
+
     /// A window longer than the ratcheted bound admits can still beat the
     /// ratcheted τ when it repeats tokens: here "machine systems systems
     /// learning systems" (5 tokens, 3 distinct) scores 1.0 after two weaker

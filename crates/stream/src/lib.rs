@@ -381,6 +381,35 @@ mod tests {
     }
 
     #[test]
+    fn single_chunk_equals_whole_document() {
+        let (engine, mut int, tok) = fixture();
+        let text = "she left purdue university usa for uq au last year";
+        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.8);
+        let got = streamed(&engine, &tok, &mut int, &[text.as_bytes()], 0.8);
+        assert_same(&got, &expect);
+    }
+
+    #[test]
+    fn byte_at_a_time_equals_whole_document() {
+        let (engine, mut int, tok) = fixture();
+        let text = "purdue university united states then university of queensland australia";
+        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.7);
+        let chunks: Vec<&[u8]> = text.as_bytes().chunks(1).collect();
+        let got = streamed(&engine, &tok, &mut int, &chunks, 0.7);
+        assert_same(&got, &expect);
+    }
+
+    #[test]
+    fn mid_utf8_split_is_carried() {
+        let (engine, mut int, tok) = fixture();
+        let text = "café uq au café"; // é = 2 bytes
+        let expect = whole(&engine, &tok, &mut int.clone(), text, 0.9);
+        let bytes = text.as_bytes();
+        let got = streamed(&engine, &tok, &mut int, &[&bytes[..4], &bytes[4..]], 0.9);
+        assert_same(&got, &expect);
+    }
+
+    #[test]
     fn matches_emit_before_finish_once_settled() {
         let (engine, mut int, tok) = fixture();
         let mut s = StreamExtractor::new(&engine, 0.8);

@@ -3,31 +3,17 @@
 //! dictionary) must produce exactly the same result pairs and scores as the
 //! Aeetes engine on every corpus and threshold.
 
+mod conformance;
+
 use aeetes::baselines::Faerie;
 use aeetes::datagen::{generate, DatasetProfile};
-use aeetes::rules::{DeriveConfig, DerivedDictionary};
 use aeetes::{Aeetes, AeetesConfig};
 
+/// FaerieR and every strategy of the engine on the three generated corpora
+/// (seed 11), through the harness.
 #[test]
 fn faerier_and_aeetes_return_identical_pairs() {
-    for profile in DatasetProfile::all() {
-        let data = generate(&profile.scaled(0.01).with_docs(3), 11);
-        let dd = DerivedDictionary::build(&data.dictionary, &data.rules, &DeriveConfig::default());
-        let faerier = Faerie::build_derived(&dd);
-        let engine = Aeetes::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default());
-        for doc in &data.documents {
-            for tau in [0.7, 0.8, 0.9] {
-                let (fr, _) = faerier.extract(doc, tau);
-                let am = engine.extract(doc, tau);
-                let f_pairs: Vec<(u32, u32, u32)> = fr.iter().map(|m| (m.span.start, m.span.len, m.entity.0)).collect();
-                let a_pairs: Vec<(u32, u32, u32)> = am.iter().map(|m| (m.span.start, m.span.len, m.entity.0)).collect();
-                assert_eq!(f_pairs, a_pairs, "{}: tau={tau}", data.name);
-                for (f, a) in fr.iter().zip(&am) {
-                    assert!((f.score - a.score).abs() < 1e-12, "{}: score mismatch at {:?}: {} vs {}", data.name, f.span, f.score, a.score);
-                }
-            }
-        }
-    }
+    conformance::datagen_corpora(11);
 }
 
 #[test]

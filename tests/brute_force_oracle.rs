@@ -10,7 +10,7 @@ mod conformance;
 use aeetes::datagen::{generate, DatasetProfile};
 use aeetes::index::IdWidth;
 use aeetes::{Dictionary, EntityId, Strategy, TokenId};
-use conformance::case::{Case, World, BUILDS};
+use conformance::case::{Case, Limit, World, BUILDS};
 use conformance::paths::{check, Built, PATHS};
 use conformance::{against_the_oracle, oracle, CASES};
 use std::collections::BTreeMap;
@@ -44,15 +44,20 @@ fn engine_matches_brute_force() {
 }
 
 /// 2¹⁶ one-token fillers before a generated world make more than 2¹⁶
-/// origins and ranks, so every index stores them at 32 bits.
+/// origins and ranks, so every index stores them at 32 bits. Each world is
+/// built once, under its drawn strategy, and answered with no budget under
+/// every strategy: the direct path and the reference take it from the
+/// request.
 #[test]
 fn engine_matches_brute_force_past_16_bit_ids() {
     for seed in 0..4 {
-        let case = Case::generate(seed, 1 << 16);
+        let case = Case { limit: Limit::None, ..Case::generate(seed, 1 << 16) };
         let built = Built::new(&case);
         assert_eq!(built.reference.index().width(), IdWidth::U32, "{}", case.label);
         let oracle = oracle::answer(built.reference.derived(), &built.doc, case.tau, case.metric, case.weighted);
-        check(&case, &built, Some(&oracle));
+        for strategy in Strategy::ALL {
+            check(&Case { label: format!("case {seed} under {strategy}"), strategy, ..case.clone() }, &built, Some(&oracle));
+        }
     }
 }
 

@@ -231,11 +231,14 @@ pub fn check(case: &Case, built: &Built, oracle: Option<&[Match]>) -> Vec<(&'sta
     let unlimited = ExtractRequest { limits: ExtractLimits::UNLIMITED, cancel: None, ..built.request(case) };
     let mut scratch = ExtractScratch::new();
     let reference = built.reference.extract_request(&built.doc, &unlimited, &mut scratch).matches.to_vec();
-    let everything = built
-        .reference
-        .extract_request(&built.doc, &ExtractRequest { top_k: None, ..unlimited }, &mut scratch)
-        .matches
-        .to_vec();
+    let everything = match case.top_k {
+        Some(_) => built
+            .reference
+            .extract_request(&built.doc, &ExtractRequest { top_k: None, ..unlimited }, &mut scratch)
+            .matches
+            .to_vec(),
+        None => reference.clone(),
+    };
     let expected = oracle.map(|all| {
         let mut answer = all.to_vec();
         if let Some(k) = case.top_k {

@@ -13,9 +13,6 @@ use aeetes::{
     freeze_to_bytes, open_frozen_bytes, Aeetes, AeetesConfig, DerivedDictionary, DictDelta, Document, EntityId, ExtractBackend, ExtractRequest,
     ExtractScratch, Match, RuleDelta, RuleSet, ShardedEngine, Strategy,
 };
-use conformance::case::{Case, World, BUILDS};
-use conformance::paths::{check, Built};
-use std::sync::Arc;
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -48,36 +45,11 @@ fn adopt(bytes: &[u8]) -> ShardedEngine {
     ShardedEngine::from_frozen(open_frozen_bytes(bytes).expect("reopen artifact"), None).expect("adopt artifact")
 }
 
-/// The three generated corpora at scale 0.01 (seed 7), through the
-/// harness: each document at τ ∈ {0.7, 0.8, 0.9, 1.0}, each of those pairs
-/// under one strategy, so that every strategy, over a frozen build of its
-/// own, answers every document and every τ once — on every path, as the
-/// reference and FaerieR do (a brute force is too slow at this size).
+/// The three generated corpora at scale 0.01 (seed 7), every strategy,
+/// through the harness.
 #[test]
 fn all_strategies_agree_on_every_corpus() {
-    for profile in DatasetProfile::all() {
-        let data = generate(&profile.scaled(0.01).with_docs(4), 7);
-        let world = Arc::new(World::new(data.name.clone(), data.dictionary.clone(), data.rules.clone(), data.interner.clone()));
-        let mut engines: Vec<Built> = (0..4)
-            .map(|k| Built::new(&Case::over(String::new(), Arc::clone(&world), String::new(), 1.0, Strategy::ALL[k], BUILDS[3 + 2 * k])))
-            .collect();
-        let (mut runs, mut finds) = (0, 0);
-        for (i, doc) in data.documents.iter().enumerate() {
-            for (j, tau) in [0.7, 0.8, 0.9, 1.0].into_iter().enumerate() {
-                let (strategy, text) = (Strategy::ALL[(i + j) % 4], data.interner.render(doc.tokens()));
-                let label = format!("{} document {i}, {strategy}, tau {tau}", data.name);
-                let case = Case::over(label, Arc::clone(&world), text, tau, strategy, BUILDS[3 + 2 * ((i + j) % 4)]);
-                let built = &mut engines[(i + j) % 4];
-                built.doc = built.parse(&case.doc);
-                assert_eq!(built.doc.tokens(), doc.tokens(), "the document re-tokenizes to itself");
-                for (_, found) in check(&case, built, None) {
-                    runs += 1;
-                    finds += usize::from(found);
-                }
-            }
-        }
-        assert!(finds * 4 > runs, "{}: {finds} of {runs} answers found anything", data.name);
-    }
+    conformance::datagen_corpora(7);
 }
 
 #[test]
