@@ -42,7 +42,7 @@ fn build_stats_extract_round_trip() {
     .expect("build succeeds");
     // No flag but the three paths: the artifact is the one format.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 11);
+    assert_eq!(info.version, 12);
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -326,7 +326,7 @@ fn build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 11);
+    assert_eq!(info.version, 12);
     // The retired switches are unknown flags, not silent no-ops: the format
     // is fixed, and the bytes do not depend on how many parts built them.
     for retired in [vec![s("--frozen")], vec![s("--shards"), s("2")]] {
@@ -377,7 +377,7 @@ fn build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!(info.version, 11);
+    assert_eq!(info.version, 12);
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -389,27 +389,27 @@ fn build_info_extract_and_compaction_round_trip() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A v10 file — a whole artifact of the layout before this one, a lowest
-/// position stored per cluster rather than per group — is refused by name by
+/// A v11 file — a whole artifact of the layout before this one, masks on
+/// whole words and a stored string hash table — is refused by name by
 /// every verb that reads an artifact, `dict info` and `wal compact`
-/// included: the error names version 10 and says to rebuild, and the file is
+/// included: the error names version 11 and says to rebuild, and the file is
 /// left as it was.
 #[test]
-fn a_v10_file_is_refused_by_name_by_every_verb() {
-    let dir = workdir("v10file");
+fn a_v11_file_is_refused_by_name_by_every_verb() {
+    let dir = workdir("v11file");
     let dict = dir.join("dict.txt");
     let rules = dir.join("rules.tsv");
     let docs = dir.join("docs.txt");
-    let engine = dir.join("v10.aeet");
+    let engine = dir.join("v11.aeet");
     fs::write(&dict, "Purdue University USA\nUQ AU\nMIT\n").unwrap();
     fs::write(&rules, "UQ\tUniversity of Queensland\n").unwrap();
     fs::write(&docs, "purdue university usa\n").unwrap();
     let paths = [&dict, &rules, &engine].map(|p| p.display().to_string());
     commands::build(&argv(&[s("--dict"), paths[0].clone(), s("--rules"), paths[1].clone(), s("--out"), paths[2].clone()])).expect("build succeeds");
-    // The version word says 10: it is read before the CRC, so the file is
+    // The version word says 11: it is read before the CRC, so the file is
     // named by its version, not called corrupt.
     let mut bytes = fs::read(&engine).unwrap();
-    bytes[4..8].copy_from_slice(&10u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&11u32.to_le_bytes());
     fs::write(&engine, &bytes).unwrap();
     let wal = dir.join("deltas.wal");
     let mut log = aeetes_core::Wal::create(&wal, 1).expect("create wal");
@@ -428,15 +428,15 @@ fn a_v10_file_is_refused_by_name_by_every_verb() {
         ("wal compact", commands::wal_cmd, vec![s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), e.clone()]),
     ];
     for (verb, run, args) in verbs {
-        let err = run(&args).expect_err(&format!("{verb} must refuse a v10 file"));
-        assert!(err.contains("format version 10 ") && err.contains("rebuild the artifact with `aeetes build`"), "{verb}: {err}");
+        let err = run(&args).expect_err(&format!("{verb} must refuse a v11 file"));
+        assert!(err.contains("format version 11 ") && err.contains("rebuild the artifact with `aeetes build`"), "{verb}: {err}");
     }
     assert_eq!(fs::read(&engine).unwrap(), bytes, "a refused artifact must be left untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// A file with the AEET magic but a format version this build does not read
-/// — the retired v1–v10 layouts, or a future one — fails every command that
+/// — the retired v1–v11 layouts, or a future one — fails every command that
 /// opens an engine the same way: an error (exit 1 in `main`) naming the
 /// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
@@ -451,7 +451,7 @@ fn other_format_versions_fail_clean_on_every_verb() {
     log.sync().expect("sync wal");
     drop(log);
 
-    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12] {
+    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13] {
         let engine = dir.join(format!("v{version}.aeet"));
         let mut bytes = b"AEET".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -480,15 +480,15 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v11 sections in file order, each with its
+/// `dict info` lists exactly the v12 sections in file order, each with its
 /// element width: the META blob, the dictionary, strings and order arrays,
 /// the origin prefix — once, for the variant table and the index both — the
 /// variant weights, holding 8 bytes per variant where some rule weighing
 /// other than 1.0 applies and nothing otherwise, and the seven index arenas,
 /// the origins and the blocks' keys at 16 bits in an index this small.
 #[test]
-fn dict_info_lists_exactly_the_v11_sections() {
-    const SECTIONS: [(&str, u64); 20] = [
+fn dict_info_lists_exactly_the_v12_sections() {
+    const SECTIONS: [(&str, u64); 19] = [
         ("meta", 1),
         ("dict.raws", 1),
         ("dict.raw_off", 4),
@@ -496,7 +496,6 @@ fn dict_info_lists_exactly_the_v11_sections() {
         ("dict.tok_off", 4),
         ("strings.bytes", 1),
         ("strings.offsets", 4),
-        ("strings.table", 4),
         ("order.freq", 4),
         ("order.key", 4),
         ("order.untie", 4),
@@ -527,7 +526,7 @@ fn dict_info_lists_exactly_the_v11_sections() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
         let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-        assert_eq!(field(&info, "version"), Some(11));
+        assert_eq!(field(&info, "version"), Some(12));
         let listed: Vec<(&str, u64, u64)> = info
             .get("sections")
             .and_then(serde_json::Value::as_array)

@@ -1,4 +1,4 @@
-//! Frozen AEET v11: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v12: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -9,7 +9,7 @@
 //! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
 //! validate it, and serve its first request in milliseconds — and N serve
 //! processes on one host share a single page cache image instead of N
-//! private heaps. Files carrying any other version word (the retired v1–v10
+//! private heaps. Files carrying any other version word (the retired v1–v11
 //! layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 11
+//! [ 4.. 8)  version u32 = 12
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -34,7 +34,7 @@
 //!
 //! Section *kinds* are fixed small integers (see [`KINDS`]): the META blob
 //! (rules, config, counts — small, decoded once), the origin dictionary's
-//! four arenas, the interner's string arena/offsets/hash table, the global
+//! four arenas, the interner's string arena and offsets, the global
 //! order's three arrays, the seven flat arrays of the clustered index, the
 //! variants' weights, and the origin → variant-range prefix that the variant
 //! table and the index both read. An artifact holds one index, so each kind
@@ -46,7 +46,9 @@
 //! file bounds and the 16-byte alignment rule, every prefix array is
 //! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
-//! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`), and the
+//! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`, which also builds
+//! the string → id hash table on the heap and refuses a string stored
+//! twice), and the
 //! whole-file CRC is checked first — a truncated or bit-flipped artifact
 //! yields a clean [`PersistError`], never a panic or an out-of-bounds read.
 //!
@@ -61,7 +63,8 @@
 //! v9 dropped them and added `ix.origin_min_pos`, one position per cluster;
 //! v10 stores `ix.origin_entity` and the keys of `ix.blocks` at 16 bits where
 //! they fit; v11 moves the position from the cluster to the group
-//! (`ix.group_pos`, see below).
+//! (`ix.group_pos`, see below); v12 stores each variant's mask in exactly as
+//! many bits as its pool has keys and drops `strings.table`.
 //!
 //! ```text
 //! section             element width         pubmed     dbworld       usjob
@@ -72,7 +75,6 @@
 //! dict.tok_off        u32     4           80 004      48 004      30 004
 //! strings.bytes       u8      1           97 273      47 071      36 101
 //! strings.offsets     u32     4           36 560      18 280      14 168
-//! strings.table       u32     4          131 072      65 536      32 768
 //! order.freq          u32     4           36 556      18 276      14 164
 //! order.key           u32     4           36 556      18 276      14 164
 //! order.untie         u32     4           36 348      18 276      14 164
@@ -83,16 +85,16 @@
 //! ix.group_pos        u16     2           80 442      57 340     103 678
 //! ix.group_origins    u32     4          160 888     114 684     207 360
 //! ix.origin_entity    u16     2          366 884     301 792   1 131 604
-//! ix.blocks           u16     2          766 220     570 096   5 309 648
+//! ix.blocks           u16     2          643 636     431 692   4 437 484
 //! ix.block_offsets    u32     4           80 004      48 004      30 004
-//! whole file                           3 151 480   2 103 720   8 059 400
+//! whole file                           2 897 800   1 899 752   7 154 440
 //! ```
 //!
 //! (`ix.blocks` is `u32` words; its width is its keys', two to a word. At
-//! v10 a group was a token's clusters of one length — `ix.group_len` took
-//! 50 534 / 32 592 / 37 888 bytes and `ix.group_origins` 101 072 / 65 188 /
-//! 75 780 — and `ix.origin_min_pos` 366 884 / 301 792 / 1 131 604: the file
-//! was 3 348 200 / 2 273 928 / 8 889 976, −5.9 / −7.5 / −9.3 % at v11.)
+//! v11 every mask took whole words — `ix.blocks` was 766 220 / 570 096 /
+//! 5 309 648 bytes — and `strings.table` 131 072 / 65 536 / 32 768: the
+//! file was 3 151 480 / 2 103 720 / 8 059 400, −8.0 / −9.7 / −11.2 % at
+//! v12.)
 //!
 //! An index *entry* is one origin cluster: for a token, a set length and an
 //! origin, the fact that some variant of that origin with a set of that
@@ -106,8 +108,11 @@
 //! stands in one group of a token and length. `ix.group_origins` cuts a
 //! group's clusters out of **`ix.origin_entity`**, ascending. Open checks a
 //! group's position against its length and the uniqueness of an origin per
-//! token and length, not the position against the blocks, so a CRC-valid
-//! image is trusted that far. v8 stored every position (`ix.positions`, cut
+//! token and length, not the cluster against the blocks — that some mask of
+//! the origin and the group's length holds the token at the group's
+//! position — so a CRC-valid image is trusted that far, for masks as for
+//! positions (that check costs some thirty opens on usjob, DESIGN.md §15). v8 stored
+//! every position (`ix.positions`, cut
 //! per cluster by `ix.origin_entries`) — a posting per key of every
 //! variant's set, 3 102 985 on usjob for 565 802 clusters — but a candidate
 //! is an origin, and all a scan asks of a cluster is whether *some* position
@@ -122,7 +127,7 @@
 //! **`ix.block_offsets`** (origins + 1 entries):
 //!
 //! ```text
-//! [ P | the P distinct keys of all the origin's variants, ascending | one ⌈P/32⌉-word mask per variant ]
+//! [ P | the P distinct keys of all the origin's variants, ascending | one P-bit mask per variant, run together ]
 //! ```
 //!
 //! (the keys at the index's id width, below). The keys are the origin's
@@ -131,7 +136,11 @@
 //! which 312 580 are distinct within their origin); bit `b` of a variant's
 //! mask says pool key `b` is in its set, and the masks stand in the order of
 //! the origin's variant ids: slot `s` of origin `e` is variant
-//! `dd.by_origin[e] + s`. Derivation hands an origin's ids out by ascending
+//! `dd.by_origin[e] + s`, and its mask is bits `s·P .. (s+1)·P` of the masks
+//! (bit `i` of them is bit `i % 32` of their word `i / 32`), so `nv` masks take
+//! `⌈nv·P/32⌉` words and the last one's bits past `nv·P` are zero. A usjob
+//! variant holds 7.4 of its origin's 41.7 keys: v8–v11 gave each mask
+//! `⌈P/32⌉` words of its own, 87 % of `ix.blocks`. Derivation hands an origin's ids out by ascending
 //! distinct-token count, ties in enumeration order, so set lengths never fall
 //! along the slots (verification binary-searches them; v8 derived in
 //! enumeration order and kept the by-length permutation as
@@ -140,10 +149,12 @@
 //! the popcount of the mask's lower bits, and verification (`core::verify`)
 //! merges a window against the pool once instead of against every variant. A
 //! block names no variant id and no offset, so a delta's splice copies
-//! unchanged origins' blocks as they stand. Mask words are `u32` because the
-//! sizing rules the others out: with `u64` words pubmed's 3.7 variants of 3.4
-//! keys per origin take more bytes than one key array per variant would, and
-//! `u16` words would need an arena of their own beside the `u32` keys.
+//! unchanged origins' blocks as they stand. A reader takes a mask out a word
+//! at a time, each put together from the two stored words it straddles
+//! ([`aeetes_index::OriginBlock::mask_into`]), and a set length is the
+//! popcount of those words; verification reads a slot's words into a
+//! reused scratch and runs on them as on any mask. The layout is fixed
+//! width, not a code: a slot is still found by its index.
 //!
 //! **`dd.by_origin`** — which variant ids an origin owns — is the one prefix
 //! [`VariantTable`] and [`ClusteredIndex`] both read (a tailed generation's
@@ -201,7 +212,7 @@ use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IdArena, IdWidth, IndexArenas};
 use aeetes_rules::{RuleSet, VariantTable};
-use aeetes_text::{Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
+use aeetes_text::{string_arenas, Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -212,7 +223,7 @@ const ENTRY_BYTES: usize = 24;
 /// Every section starts at a multiple of this (covers every element type's
 /// natural alignment with room to spare).
 const SECTION_ALIGN: usize = 16;
-/// Backstop against forged section counts (a real artifact has 20).
+/// Backstop against forged section counts (a real artifact has 19).
 const MAX_SECTIONS: usize = 1 << 16;
 
 const SEC_META: u32 = 0;
@@ -221,7 +232,7 @@ const SEC_ORD_KEY: u32 = 2;
 const SEC_ORD_UNTIE: u32 = 3;
 const SEC_STR_BYTES: u32 = 4;
 const SEC_STR_OFF: u32 = 5;
-const SEC_STR_TABLE: u32 = 6;
+// 6 was v1–v11's `strings.table`.
 // Origin-dictionary arenas (mirror `Dictionary::raw_arenas`).
 const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
@@ -247,7 +258,7 @@ const ID_WIDTHS: &[u32] = &[2, 4];
 
 /// Every section kind, in the order the writer lays them out: its name (for
 /// `aeetes dict info`) and the element widths, in bytes, it may be stored at.
-const KINDS: [(u32, &str, &[u32]); 20] = [
+const KINDS: [(u32, &str, &[u32]); 19] = [
     (SEC_META, "meta", &[1]),
     (SEC_DICT_RAWS, "dict.raws", &[1]),
     (SEC_DICT_RAWOFF, "dict.raw_off", &[4]),
@@ -255,7 +266,6 @@ const KINDS: [(u32, &str, &[u32]); 20] = [
     (SEC_DICT_TOKOFF, "dict.tok_off", &[4]),
     (SEC_STR_BYTES, "strings.bytes", &[1]),
     (SEC_STR_OFF, "strings.offsets", &[4]),
-    (SEC_STR_TABLE, "strings.table", &[4]),
     (SEC_ORD_FREQ, "order.freq", &[4]),
     (SEC_ORD_KEY, "order.key", &[4]),
     (SEC_ORD_UNTIE, "order.untie", &[4]),
@@ -376,8 +386,9 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         panic!("an artifact holds one index, not {}", src.segments.len());
     };
     let meta = encode_meta(src, segment);
-    // Interner: canonical frozen string table over the full id space.
-    let strings = FrozenStrings::from_strings(src.interner.iter_strings());
+    // Interner: its strings over the full id space (open builds the lookup
+    // table).
+    let (str_bytes, str_offsets) = string_arenas(src.interner.iter_strings());
 
     // Origin dictionary: its four arenas verbatim, so the opener can
     // validate them with linear scans and adopt them with four copies
@@ -393,9 +404,8 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         (SEC_DICT_RAWOFF, pod_bytes(raw_off)),
         (SEC_DICT_TOKENS, pod_bytes(ent_tokens)),
         (SEC_DICT_TOKOFF, pod_bytes(ent_tok_off)),
-        (SEC_STR_BYTES, strings.raw_bytes()),
-        (SEC_STR_OFF, pod_bytes(strings.raw_offsets())),
-        (SEC_STR_TABLE, pod_bytes(strings.raw_table())),
+        (SEC_STR_BYTES, &str_bytes),
+        (SEC_STR_OFF, pod_bytes(&str_offsets)),
         (SEC_ORD_FREQ, pod_bytes(freq)),
         (SEC_ORD_KEY, pod_bytes(key)),
         (SEC_ORD_UNTIE, pod_bytes(untie)),
@@ -626,13 +636,10 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
     let bytes = buf.as_bytes();
     let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte generation"));
 
-    // Interner: validate the frozen string table, then overlay.
-    let strings = FrozenStrings::new(
-        table.slice::<u8>(buf, SEC_STR_BYTES)?.into(),
-        table.slice::<u32>(buf, SEC_STR_OFF)?.into(),
-        table.slice::<u32>(buf, SEC_STR_TABLE)?.into(),
-    )
-    .map_err(|e| corrupt(format!("string table: {e}")))?;
+    // Interner: validate the frozen strings, build their lookup table, then
+    // overlay.
+    let strings = FrozenStrings::new(table.slice::<u8>(buf, SEC_STR_BYTES)?.into(), table.slice::<u32>(buf, SEC_STR_OFF)?.into())
+        .map_err(|e| corrupt(format!("string table: {e}")))?;
     if strings.len() > TokenId::LIMIT as usize {
         return Err(corrupt(format!("string table holds {} tokens, the id space ends at {}", strings.len(), TokenId::LIMIT)));
     }
@@ -735,7 +742,7 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
 /// [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 10: other versions are refused).
+    /// Format version (always 12: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -951,7 +958,7 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 11);
+        assert_eq!(info.version, 12);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
@@ -977,13 +984,13 @@ mod tests {
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 11 — the retired v1–v10 layouts
+        // A valid magic with any version but 12 — the retired v1–v11 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v11 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 99] {
-            let mut whole = v11.clone();
+        let v12 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 99] {
+            let mut whole = v12.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1007,7 +1014,8 @@ mod tests {
         // The origin prefix is written once, from the table, and the index
         // reads that copy: a table that gives origin 0 a third variant cannot
         // disagree with the index over it, only with the index's own blocks,
-        // where origin 0 has two masks.
+        // where origin 0 has two masks: a third, read out of their padding,
+        // is the empty set after the longer two.
         let shifted = VariantTable::from_raw_arenas(vec![0, 3, 6, 7].into(), weight.to_vec().into(), engine.derived().stats().clone()).unwrap();
         let another_prefix = freeze_to_bytes(&FreezeSource {
             interner: &int,
@@ -1041,14 +1049,22 @@ mod tests {
             bytes
         };
         let patched = |at: usize, with: &[u8]| patched_all(&[(at, with)]);
-        // Blocks, at 16 bits: origin 0 is [5 | 3 key words | 3-key mask |
-        // 4-key mask], origin 1 [6 | 3 key words | 4 masks], origin 2 [4 | 2
-        // key words | 1 mask].
+        // Blocks, at 16 bits: origin 0 is [5 | 3 key words | one mask word:
+        // a 3-key mask in bits 0–4 and a 4-key one in bits 5–9], origin 1 [6
+        // | 3 key words | 4 masks of 6 bits in one word], origin 2 [4 | 2 key
+        // words | 1 mask].
         let ix = engine.index().raw_parts();
         assert_eq!(ix.origin_entity.width(), aeetes_index::IdWidth::U16);
-        assert_eq!((ix.block_offsets, ix.blocks[0], ix.blocks[4].count_ones(), ix.blocks[5].count_ones()), (&[0, 6, 14, 18][..], 5, 3, 4));
+        assert_eq!(
+            (ix.block_offsets, ix.blocks[0], (ix.blocks[4] & 0x1F).count_ones(), (ix.blocks[4] >> 5).count_ones()),
+            (&[0, 5, 10, 14][..], 5, 3, 4)
+        );
         let b_off = table.get(SEC_IX_BLOCKS).off;
+        let b_off_prefix = table.get(SEC_IX_BLOCKOFF).off;
         let o_off = table.get(SEC_DD_BYORIGIN).off;
+        let s_off = table.get(SEC_STR_BYTES).off;
+        assert_eq!([3, 4].map(|t| int.resolve(TokenId(t))), ["uq", "au"]);
+        let au: usize = (0..4).map(|t| int.resolve(TokenId(t)).len()).sum();
         let block_word = |i: usize, with: u32| patched(b_off + 4 * i, &with.to_le_bytes());
         let ranks = engine.index().order().ranks() as u32;
         let groups = ix.group_len.len();
@@ -1077,15 +1093,24 @@ mod tests {
             bytes
         };
         for (bytes, expect) in [
-            (another_prefix, "index: origin 0's block holds 6 words, not 1 + 3 key words + 3 masks of 1"),
+            (another_prefix, "index: origin 0's variants are not sorted by set length"),
             (patched(w_off + 8, &0f64.to_le_bytes()), "variant table: variant 1 weight 0 outside (0, 1]"),
             (patched(w_off + 16, &1.5f64.to_le_bytes()), "variant table: variant 2 weight 1.5 outside (0, 1]"),
             (
                 patched(len_field(SEC_DD_WEIGHT), &(w_len as u64 - 8).to_le_bytes()),
                 "variant weight array holds 6 entries, expected none or 7",
             ),
-            (block_word(0, 99), "index: origin 0's pool of 99 keys exceeds its block of 6 words"),
-            (block_word(0, 4), "index: origin 0's block holds 6 words, not 1 + 2 key words + 2 masks of 1"),
+            (block_word(0, 99), "index: origin 0's pool of 99 keys exceeds its block of 5 words"),
+            (block_word(0, 4), "index: origin 0's block holds 5 words, not 1 + 2 key words + 1 mask words (2 masks of 4 bits)"),
+            // A block one word longer or shorter than its pool and masks.
+            (
+                patched(b_off_prefix + 4, &6u32.to_le_bytes()),
+                "index: origin 0's block holds 6 words, not 1 + 3 key words + 1 mask words (2 masks of 5 bits)",
+            ),
+            (
+                patched(b_off_prefix + 4, &4u32.to_le_bytes()),
+                "index: origin 0's block holds 4 words, not 1 + 3 key words + 1 mask words (2 masks of 5 bits)",
+            ),
             (block_word(1, ix.blocks[1].rotate_left(16)), "index: origin 0's pool keys are not strictly ascending"),
             // The width rows: a section stored at a width its kind does not
             // take; the two id sections at different widths; a 16-bit pool's
@@ -1096,13 +1121,12 @@ mod tests {
             (width_field(SEC_IX_ORIGENT, 4), "ix.origin_entity is stored 4 bytes wide but ix.blocks 2: an index has one id width"),
             (block_word(3, ix.blocks[3] | 1 << 16), "index: origin 0's pool of 5 ranks leaves a non-zero spare half-word"),
             (block_word(3, ranks), &format!("index: origin 0's pool holds rank {ranks} but the order hands out only {ranks}")),
-            (block_word(4, ix.blocks[4] | 1 << 5), "index: origin 0's slot 0 sets a mask bit beyond its pool of 5 keys"),
-            (
-                patched(b_off + 4 * 4, &[ix.blocks[5].to_le_bytes(), ix.blocks[4].to_le_bytes()].concat()),
-                "index: origin 0's variants are not sorted by set length",
-            ),
+            (block_word(4, ix.blocks[4] | 1 << 10), "index: origin 0's masks set a padding bit past their 2 × 5 bits"),
+            (block_word(4, (ix.blocks[4] & 0x1F) << 5 | ix.blocks[4] >> 5), "index: origin 0's variants are not sorted by set length"),
+            // The interner's strings hold one token twice: "au" spelled "uq".
+            (patched(s_off + au, b"uq"), "string table: duplicate string 4 = 3"),
             // An artifact holds each known kind once.
-            (kind_field(SEC_IX_BLOCKS, 99), "section 18 is of unknown kind 99"),
+            (kind_field(SEC_IX_BLOCKS, 99), "section 17 is of unknown kind 99"),
             (kind_field(SEC_IX_BLOCKS, SEC_IX_ORIGENT), "duplicate section ix.origin_entity"),
             // One lowest position per group, inside the sets of its length;
             // a token's groups strictly ascending by (length, position); an
@@ -1122,12 +1146,33 @@ mod tests {
             (rekeyed(g + 1, (len, pos)), &format!("index: token {t}'s groups are not strictly ascending by (length, position)")),
             (rekeyed(g + 1, (len, pos + 1)), &format!("index: origin {shared:?} stands in two groups of token {t}'s length {len}")),
             // Origin 1 left without variants (they pass to origin 2) keeps its block.
-            (patched(o_off + 8, &2u32.to_le_bytes()), "index: origin 1 has no variants but a block of 8 words"),
+            (patched(o_off + 8, &2u32.to_le_bytes()), "index: origin 1 has no variants but a block of 5 words"),
         ] {
             for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
                 let err = err.expect(expect).to_string();
                 assert!(err.contains(expect), "expected `{expect}` in `{err}`");
             }
+        }
+        // 19 tokens and "t00" rewritten to "x y": masks of 19 and 20 of 21
+        // pool keys, the second straddling the two mask words of [21 | 11 key
+        // words | 2 mask words]. Its bits in the second word cleared, its
+        // popcount falls below the first's.
+        let mut int = Interner::new();
+        let tok = Tokenizer::default();
+        let mut dict = Dictionary::new();
+        dict.push(&(0..19).map(|i| format!("t{i:02}")).collect::<Vec<_>>().join(" "), &tok, &mut int);
+        let mut rules = RuleSet::new();
+        rules.push_str("t00", "x y", &tok, &mut int).unwrap();
+        let straddle = crate::Aeetes::build(dict, &rules, &int, AeetesConfig::default());
+        let blocks = straddle.index().raw_parts().blocks;
+        assert_eq!((blocks.len(), [0, 1].map(|slot| straddle.index().block(EntityId(0)).set_len(slot))), (14, [19, 20]));
+        let mut bytes = freeze_sample(&straddle, &int, &rules, 1);
+        let at = parse_table(&bytes).unwrap().get(SEC_IX_BLOCKS).off + 4 * 13;
+        bytes[at..at + 4].copy_from_slice(&(blocks[13] & !0x3FF).to_le_bytes());
+        recrc(&mut bytes);
+        for err in [open_frozen_bytes(&bytes).err(), peek_info(&bytes).err()] {
+            let err = err.expect("a straddling slot's popcount falls").to_string();
+            assert!(err.contains("index: origin 0's variants are not sorted by set length"), "{err}");
         }
         // An empty weight section is the other legal length: unit weights.
         let unweighted = open_frozen_bytes(&patched(len_field(SEC_DD_WEIGHT), &0u64.to_le_bytes())).expect("len 0 is legal");

@@ -1,7 +1,7 @@
 //! The shared pieces of the on-disk artifact: error type, checksum and the
 //! little-endian byte codec.
 //!
-//! Aeetes writes and reads exactly one artifact format — the frozen AEET v11
+//! Aeetes writes and reads exactly one artifact format — the frozen AEET v12
 //! layout of [`crate::frozen`]. This module holds what that format (and the
 //! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
 //! every integrity check uses, and the `put_*` encoders and bounds-checked
@@ -23,7 +23,7 @@ use std::fmt;
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
 /// The one format version written and opened: the flat, mmap-able frozen
 /// layout of [`crate::frozen`].
-pub(crate) const VERSION_FROZEN: u32 = 11;
+pub(crate) const VERSION_FROZEN: u32 = 12;
 /// A token list longer than this could not be indexed anyway: the clustered
 /// index addresses positions within a variant's sorted token set with `u16`.
 const MAX_VARIANT_TOKENS: usize = u16::MAX as usize;
@@ -34,7 +34,7 @@ pub enum PersistError {
     /// The buffer does not start with the `AEET` magic.
     BadMagic,
     /// The file is an AEET artifact of a format version this build does not
-    /// read (anything but 11): rebuild it from its sources.
+    /// read (anything but 12): rebuild it from its sources.
     UnsupportedVersion(u32),
     /// The checksum footer does not match the payload.
     ChecksumMismatch {

@@ -70,8 +70,9 @@ fn prefixes_share_a_key(v: &[u32], in_prefix: &[u32], v_prefix: usize) -> bool {
 /// `(span, entity)` because `pairs` is sorted in place first. The budget is
 /// consulted between candidates: an exhausted deadline or match cap stops
 /// verification with the (exact, verified) matches found so far. `s_keys`
-/// is span-local and `keys` and `hits` candidate-local scratch; all four
-/// buffers retain capacity across calls.
+/// is span-local and `keys` and `hits` candidate-local scratch (`hits` holds
+/// the two marks of [`mark_window`] and the mask of the variant in hand);
+/// all four buffers retain capacity across calls.
 ///
 /// `JaccAR` is a maximum over the origin's variants, and all of them are
 /// subsets of one key pool, so a candidate costs one merge of that pool
@@ -133,14 +134,20 @@ pub(crate) fn verify_candidates(
         if in_window.is_none() {
             continue;
         }
-        let (in_window, in_prefix) = hits.split_at(block.words());
+        // Behind the two marks, room for one variant's mask, read out of the
+        // block slot by slot.
+        let words = block.words();
+        hits.resize(3 * words, 0);
+        let (marks, v) = hits.split_at_mut(2 * words);
+        let (in_window, in_prefix) = marks.split_at(words);
         let mut best_score = 0.0f64;
         let mut best_variant: Option<DerivedId> = None;
         // Slots — the origin's variant ids — ascend by set length:
         // binary-search to the first admitted length, stop at the first
         // beyond it (§8 future-work (i)).
         for slot in block.first_slot_at_least(lo)..block.ids.len() {
-            let (v, len) = (block.mask(slot), block.set_len(slot));
+            block.mask_into(slot, v);
+            let len = v.iter().map(|w| w.count_ones() as usize).sum();
             if len > hi {
                 break;
             }
@@ -416,13 +423,17 @@ mod tests {
     }
 
     /// Pools of exactly 31 … 65 keys — one bit either side of both word
-    /// boundaries — and an origin whose eight variants span five set lengths.
-    /// The most frequent keys (the base tokens every variant keeps) take the
-    /// pool's highest bits, the rewritten tails its lowest, so windows over
-    /// the variants' own text touch both ends of every mask word.
+    /// boundaries — and of 20 and 144 (usjob's widest), and an origin whose
+    /// eight variants span five set lengths. A block stores its masks `P`
+    /// bits each, run together: at any pool size but 32 and 64 some slots
+    /// start inside a word and straddle two, so the masks verification reads
+    /// are put together across word boundaries. The most frequent keys (the
+    /// base tokens every variant keeps) take the pool's highest bits, the
+    /// rewritten tails its lowest, so windows over the variants' own text
+    /// touch both ends of every mask word.
     #[test]
     fn masks_agree_with_per_variant_merges_at_word_boundaries() {
-        for pool in [31usize, 32, 33, 63, 64, 65] {
+        for pool in [20usize, 31, 32, 33, 63, 64, 65, 144] {
             let mut int = Interner::new();
             let ids: Vec<TokenId> = (0..pool).map(|i| int.intern(&format!("w{i:02}"))).collect();
             let mut dict = Dictionary::new();
@@ -463,9 +474,9 @@ mod tests {
         /// Rule-dense random dictionaries: two entities of 8–12 tokens over
         /// a shared alphabet, 6–9 rules on each with right-hand sides of 2–8
         /// (the first entity's: 4–16) mostly fresh tokens — pools from under
-        /// 32 keys to past 64, up to 256 variants of many lengths, weights of
-        /// 1.0, 0.9 and 0.5 — and a document of variant texts with tokens
-        /// dropped and noise put in.
+        /// 32 keys to past 64, so slots at every bit offset of a word, up to
+        /// 256 variants of many lengths, weights of 1.0, 0.9 and 0.5 — and a
+        /// document of variant texts with tokens dropped and noise put in.
         #[test]
         fn masked_verifier_equals_per_variant_verifier(
             entities in proptest::collection::vec(proptest::collection::vec(0u8..24, 8..=12), 2..=2),

@@ -47,7 +47,7 @@ fn frozen_bytes() -> Vec<u8> {
     freeze(&engine, &int, &rules)
 }
 
-/// Section kinds of the v11 table this file patches.
+/// Section kinds of the v12 table this file patches.
 const ORDER_KEY: u32 = 2;
 const IX_ORIGIN_ENTITY: u32 = 23;
 const IX_BLOCKS: u32 = 26;
@@ -77,12 +77,13 @@ fn refused_by_name(bytes: &[u8], expect: &str) {
     }
 }
 
-/// Artifacts of the layouts before this one — v10's lowest position per
-/// cluster, v9's section table whose second word is a segment — are refused
-/// by their version word, whatever follows it.
+/// Artifacts of the layouts before this one — v11's word-aligned masks and
+/// stored string hash table, v10's lowest position per cluster, v9's section
+/// table whose second word is a segment — are refused by their version word,
+/// whatever follows it.
 #[test]
-fn v9_and_v10_images_are_refused_by_name() {
-    for version in [9, 10] {
+fn v9_to_v11_images_are_refused_by_name() {
+    for version in [9, 10, 11] {
         let bytes = patched(&frozen_bytes(), 4, version);
         assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
         assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));

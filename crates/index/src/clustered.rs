@@ -42,24 +42,30 @@
 //! is a bit mask over that pool. One `u32` arena holds one block per origin,
 //!
 //! ```text
-//! [ P | the P pool keys, ascending | one ⌈P/32⌉-word mask per variant ]
+//! [ P | the P pool keys, ascending | one P-bit mask per variant, run together ]
 //! ```
 //!
 //! the masks in the order of the origin's variant ids (bit `b` of a mask ⇔
 //! pool key `b` is in the variant's set), which derivation hands out by
 //! ascending set length — a block's slot is its variant's id — and nothing
-//! at all for an origin without variants. A variant's set length is a
-//! popcount, a key's position in its set the popcount of the lower bits. A
-//! block names no variant id, so [`ClusteredIndex::splice`] copies blocks run
-//! by run.
+//! at all for an origin without variants. Slot `s`'s mask is bits `s·P ..
+//! (s+1)·P` of the masks, counted from bit 0 of their first word, so `nv`
+//! masks take `⌈nv·P/32⌉` words, zero past the last; [`OriginBlock`] reads
+//! a mask out word by word, each from the two stored words it straddles. A
+//! variant's set length is a popcount, a key's position in its set the
+//! popcount of the lower bits. A block names no variant id, so
+//! [`ClusteredIndex::splice`] copies blocks run by run. A build lays its
+//! blocks out with every mask on whole words ([`IndexDraft`] re-keys them
+//! so) and packs them in place once keyed.
 //!
 //! Origin ids and pool keys are stored at the index's [`IdWidth`], chosen
 //! when it is built from its order's rank count and its origin space: at
 //! [`IdWidth::U16`] the clusters' origins are `u16` and a pool is its keys'
 //! bare ranks, two to a word (lower half first, a spare upper half zero), so
 //! a block is `[P | ⌈P/2⌉ key words | masks]`; at [`IdWidth::U32`] both are
-//! `u32` as above. Readers are written once against [`StoredId`] and
-//! [`Keys`] and branch on the width once per length group or per block.
+//! `u32` as above. The masks are the same at both widths. Readers are
+//! written once against [`StoredId`] and [`Keys`] and branch on the width
+//! once per length group or per block.
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::{pod_bytes, Arena, Pod};
@@ -455,23 +461,19 @@ pub struct OriginBlock<'a> {
     pub ids: Range<u32>,
     /// The distinct keys of all the origin's variants, ascending.
     pub pool: Pool<'a>,
-    /// One [`OriginBlock::words`]-word mask per slot, back to back.
+    /// One `bits`-bit mask per slot, back to back from bit 0 of the first
+    /// word (bit `i` of the run is bit `i % 32` of word `i / 32`), the last
+    /// word zero past them.
     masks: &'a [u32],
-    /// [`OriginBlock::words`], kept so that the per-slot reads of
+    /// Bits per mask, the pool's size: kept so that the per-slot reads of
     /// verification do not branch on the pool's width.
-    words: usize,
+    bits: usize,
 }
 
-/// Mask words a pool of `keys` keys takes.
+/// Words of `bits` bits.
 #[inline]
-fn mask_words(keys: usize) -> usize {
-    keys.div_ceil(32)
-}
-
-/// Keys a mask selects.
-#[inline]
-fn mask_len(mask: &[u32]) -> usize {
-    mask.iter().map(|w| w.count_ones() as usize).sum()
+fn words_of(bits: usize) -> usize {
+    bits.div_ceil(32)
 }
 
 impl<'a> OriginBlock<'a> {
@@ -488,7 +490,7 @@ impl<'a> OriginBlock<'a> {
             IdWidth::U16 => Pool::U16(PackedRanks { words: pool, len: keys }),
             IdWidth::U32 => Pool::U32(pool),
         };
-        Self { ids, pool, masks, words: mask_words(keys) }
+        Self { ids, pool, masks, bits: keys }
     }
 
     /// The variant in `slot`.
@@ -497,23 +499,48 @@ impl<'a> OriginBlock<'a> {
         DerivedId(self.ids.start + slot as u32)
     }
 
-    /// Words per variant mask: `⌈|pool| / 32⌉`.
+    /// Words a mask takes once read out: `⌈|pool| / 32⌉`.
     #[inline]
     pub fn words(&self) -> usize {
-        self.words
+        words_of(self.bits)
     }
 
-    /// The mask of the variant in `slot`: bit `b` ⇔ `pool[b]` is in its set.
+    /// Reads the mask of the variant in `slot` into `out`, [`Self::words`]
+    /// words: bit `b` ⇔ `pool[b]` is in its set, the bits past the pool zero.
+    /// The mask starts at bit `slot · |pool|` of the block's masks, so each
+    /// word is put together from the two stored words it straddles.
     #[inline]
-    pub fn mask(&self, slot: usize) -> &'a [u32] {
-        let words = self.words();
-        &self.masks[slot * words..(slot + 1) * words]
+    pub fn mask_into(&self, slot: usize, out: &mut [u32]) {
+        assert_eq!(out.len(), self.words(), "a mask is read into its words");
+        self.read_mask(slot, |w, word| out[w] = word);
     }
 
     /// Distinct-set size of the variant in `slot`.
     #[inline]
     pub fn set_len(&self, slot: usize) -> usize {
-        mask_len(self.mask(slot))
+        let mut len = 0;
+        self.read_mask(slot, |_, word| len += word.count_ones() as usize);
+        len
+    }
+
+    /// The one mask reader: hands `take` the words of the mask of the
+    /// variant in `slot` in order, as [`Self::mask_into`] reads them out.
+    #[inline(always)]
+    fn read_mask(&self, slot: usize, mut take: impl FnMut(usize, u32)) {
+        let at = slot * self.bits;
+        let (first, shift, n) = (at / 32, at % 32, self.words());
+        if n == 0 {
+            return;
+        }
+        // Words `first..first + n` hold the mask's start; the word after
+        // them, where there is one, may hold its end.
+        let src = &self.masks[first..first + n];
+        let next = self.masks.get(first + n).copied().unwrap_or(0);
+        let word = |lo: u32, hi: u32| ((u64::from(lo) | u64::from(hi) << 32) >> shift) as u32;
+        for w in 0..n - 1 {
+            take(w, word(src[w], src[w + 1]));
+        }
+        take(n - 1, word(src[n - 1], next) & !0u32 >> (32 * n - self.bits));
     }
 
     /// First slot whose set holds at least `lo` keys (binary search: slots
@@ -533,13 +560,16 @@ impl<'a> OriginBlock<'a> {
 
     /// The globally-ordered distinct key set of the variant in `slot`.
     pub fn keys(&self, slot: usize) -> impl Iterator<Item = u32> + 'a {
-        let (mask, pool) = (self.mask(slot), self.pool);
-        let selected = move |bit: &usize| mask[bit / 32] >> (bit % 32) & 1 != 0;
-        (0..pool.len()).filter(selected).map(move |bit| pool.key(bit))
+        let mut mask = vec![0; self.words()];
+        self.mask_into(slot, &mut mask);
+        let pool = self.pool;
+        (0..self.bits)
+            .filter(move |bit| mask[bit / 32] >> (bit % 32) & 1 != 0)
+            .map(move |bit| pool.key(bit))
     }
 
     /// Appends this block to `out`, its pool stored at `width` (nothing for
-    /// an origin without variants).
+    /// an origin without variants). The masks are the same at both widths.
     fn write(&self, out: &mut Vec<u32>, width: IdWidth) {
         if self.ids.is_empty() {
             return;
@@ -587,16 +617,32 @@ impl OriginBlocks {
             self.width,
         )
     }
+}
 
-    /// Re-lays wide blocks as 16-bit ones in their own arena: each pool's
-    /// keys become bare ranks packed two to a word, the masks move up behind
-    /// them, and the arena is cut to its new length. No block grows, so each
-    /// is written at or before where it was read, and no second arena is
-    /// allocated. Every key must be valid with a rank below 2¹⁶.
-    fn narrow_in_place(&mut self) {
-        assert_eq!(self.width, IdWidth::U32, "only wide blocks narrow");
-        let blocks = self.blocks.as_mut_vec();
-        let offsets = self.block_offsets.as_mut_vec();
+/// Blocks as a writer lays them out, before they are stored: every pool key
+/// at 32 bits and every mask on its own `⌈P/32⌉` words, so that a draft can
+/// move a mask's bits word by word when it re-keys the pool.
+#[derive(Debug)]
+struct AlignedBlocks {
+    blocks: Vec<u32>,
+    block_offsets: Vec<u32>,
+    origin_offsets: Vec<u32>,
+}
+
+impl AlignedBlocks {
+    fn origins(&self) -> usize {
+        self.origin_offsets.len() - 1
+    }
+
+    /// The blocks as an index stores them, at `width`, in the same arena:
+    /// each pool's keys narrowed to bare ranks two to a word at
+    /// [`IdWidth::U16`], each mask cut to its pool's `P` bits and the masks
+    /// run together, and the arena cut to its new length. No block grows, so
+    /// each word is written at or before where it was read, and only after
+    /// it was read; no second arena is allocated. At 16 bits every key must
+    /// be valid with a rank below 2¹⁶.
+    fn pack(mut self, width: IdWidth) -> OriginBlocks {
+        let (blocks, offsets) = (&mut self.blocks, &mut self.block_offsets);
         let mut to = 0;
         for e in 0..offsets.len() - 1 {
             let (from, end) = (offsets[e] as usize, offsets[e + 1] as usize);
@@ -606,20 +652,49 @@ impl OriginBlocks {
             }
             let keys = blocks[from] as usize;
             blocks[to] = keys as u32;
-            for w in 0..keys.div_ceil(2) {
-                // Both keys are read before the word is written: `to ≤ from`.
-                let rank = |i: usize| if i < keys { blocks[from + 1 + i] & !VALID_BIT } else { 0 };
-                let word = rank(2 * w) | rank(2 * w + 1) << 16;
-                blocks[to + 1 + w] = word;
+            let key_words = width.key_words(keys);
+            match width {
+                IdWidth::U32 => blocks.copy_within(from + 1..from + 1 + keys, to + 1),
+                IdWidth::U16 => {
+                    for w in 0..key_words {
+                        // Both keys are read before the word is written: `to ≤ from`.
+                        let rank = |i: usize| if i < keys { blocks[from + 1 + i] & !VALID_BIT } else { 0 };
+                        let word = rank(2 * w) | rank(2 * w + 1) << 16;
+                        blocks[to + 1 + w] = word;
+                    }
+                }
             }
-            let at = to + 1 + keys.div_ceil(2);
-            blocks.copy_within(from + 1 + keys..end, at);
-            to = at + (end - from - 1 - keys);
+            // The masks, bit by bit through a 64-bit accumulator: a word is
+            // written once 32 bits are in it, by which time the aligned words
+            // up to and past it have been read.
+            let (mut out, mut acc, mut held) = (to + 1 + key_words, 0u64, 0);
+            let words = words_of(keys);
+            for mask in (from + 1 + keys..end).step_by(words.max(1)) {
+                for w in 0..words {
+                    let bits = (keys - 32 * w).min(32);
+                    acc |= u64::from(blocks[mask + w] & !0u32 >> (32 - bits)) << held;
+                    held += bits;
+                    if held >= 32 {
+                        blocks[out] = acc as u32;
+                        (out, acc, held) = (out + 1, acc >> 32, held - 32);
+                    }
+                }
+            }
+            if held > 0 {
+                blocks[out] = acc as u32;
+                out += 1;
+            }
+            to = out;
         }
         *offsets.last_mut().expect("a prefix") = to as u32;
         blocks.truncate(to);
         blocks.shrink_to_fit();
-        self.width = IdWidth::U16;
+        OriginBlocks {
+            width,
+            blocks: self.blocks.into(),
+            block_offsets: self.block_offsets.into(),
+            origin_offsets: self.origin_offsets.into(),
+        }
     }
 }
 
@@ -782,12 +857,13 @@ impl ClusteredIndex {
         Self::from_sets(order, writer.finish(dd))
     }
 
-    /// The index over `sets`, wide blocks keyed by `order`: narrowed in place
-    /// when the width rule allows, then clustered at that width.
-    fn from_sets(order: Arc<GlobalOrder>, mut sets: OriginBlocks) -> Self {
-        match IdWidth::of(order.ranks(), sets.origins()) {
+    /// The index over `sets`, blocks keyed by `order`: packed in place at the
+    /// width the width rule chooses, then clustered at that width.
+    fn from_sets(order: Arc<GlobalOrder>, sets: AlignedBlocks) -> Self {
+        let width = IdWidth::of(order.ranks(), sets.origins());
+        let sets = sets.pack(width);
+        match width {
             IdWidth::U16 => {
-                sets.narrow_in_place();
                 let postings = cluster_postings::<u16>(&order, &sets);
                 Self::assemble(order, postings, sets)
             }
@@ -937,13 +1013,17 @@ impl ClusteredIndex {
     ///   count call for (none without variants), its pool is strictly
     ///   ascending and holds only valid keys whose rank the order handed out
     ///   (the merge of verification silently under-counts on anything else),
-    ///   no mask sets a bit past the pool, and the masks' popcounts never
-    ///   fall from one slot to the next (verification binary-searches them);
+    ///   the padding bits after its `variants × P` mask bits are zero, and
+    ///   the masks' popcounts never fall from one slot to the next
+    ///   (verification binary-searches them);
     /// - every origin cluster names an origin of the variant table.
     ///
-    /// A group's position is checked against its length, not against the
-    /// blocks: a CRC-valid image is trusted that far, as it is for which
-    /// clusters a token has.
+    /// A cluster is not checked against its origin's block — that some mask
+    /// of the group's length holds the token at the group's position — nor
+    /// a group's position against anything but its length: a CRC-valid image
+    /// is trusted that far, as it is for which clusters a token has. (The
+    /// check is a lookup per cluster, and on usjob it costs some thirty
+    /// times the rest of an open: DESIGN.md §15.)
     pub fn from_raw_parts(order: Arc<GlobalOrder>, a: IndexArenas) -> Result<Self, String> {
         // A 16-bit index names every rank and origin in 16 bits; past 2¹⁶ of
         // either, the width rule stores it at 32. Checked first: nothing
@@ -1205,7 +1285,7 @@ impl BlockWriter {
         for (bit, &key) in self.pool.iter().enumerate() {
             self.bit_of_key[(key & !VALID_BIT) as usize] = bit as u16;
         }
-        let words = mask_words(self.pool.len());
+        let words = words_of(self.pool.len());
         self.blocks.push(self.pool.len() as u32);
         self.blocks.extend_from_slice(&self.pool);
         let (mut start, mut shortest_allowed) = (0, 0);
@@ -1234,15 +1314,15 @@ impl BlockWriter {
     }
 
     /// The blocks of `variants`' origins, every one of which that has
-    /// variants pushed, their keys one to a word.
-    fn finish(mut self, variants: &VariantTable) -> OriginBlocks {
+    /// variants pushed, their keys one to a word and their masks one to
+    /// `⌈P/32⌉` words.
+    fn finish(mut self, variants: &VariantTable) -> AlignedBlocks {
         self.block_offsets.resize(variants.origins() + 1, self.blocks.len() as u32);
         self.blocks.shrink_to_fit();
-        OriginBlocks {
-            width: IdWidth::U32,
-            blocks: self.blocks.into(),
-            block_offsets: self.block_offsets.into(),
-            origin_offsets: variants.raw_arenas().0.to_vec().into(),
+        AlignedBlocks {
+            blocks: self.blocks,
+            block_offsets: self.block_offsets,
+            origin_offsets: variants.raw_arenas().0.to_vec(),
         }
     }
 }
@@ -1274,7 +1354,7 @@ fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
 #[derive(Debug)]
 pub struct IndexDraft {
     variants: VariantTable,
-    sets: OriginBlocks,
+    sets: AlignedBlocks,
     freq: Vec<u32>,
 }
 
@@ -1307,10 +1387,10 @@ impl IndexDraft {
     /// are sorted, and the bits of the origin's masks move with them — a
     /// permutation per origin, since an order keys distinct tokens apart —
     /// which is the block a build that knew the order would have written.
-    /// At [`IdWidth::U16`] the keyed blocks are then narrowed in the same
-    /// arena.
+    /// The keyed blocks are then packed in the same arena, narrowed at
+    /// [`IdWidth::U16`].
     pub fn into_index(mut self, order: Arc<GlobalOrder>) -> (VariantTable, ClusteredIndex) {
-        let blocks = self.sets.blocks.as_mut_vec();
+        let blocks = &mut self.sets.blocks;
         // Per pool bit: its key and where it stood; then where each old bit
         // goes; then the mask being moved.
         let mut by_key: Vec<(u32, u32)> = Vec::new();
@@ -1331,7 +1411,7 @@ impl IndexDraft {
                 *slot = key;
                 moved_to[old_bit as usize] = new_bit;
             }
-            for mask in masks.chunks_exact_mut(mask_words(pool.len())) {
+            for mask in masks.chunks_exact_mut(words_of(pool.len())) {
                 moved.clear();
                 moved.resize(mask.len(), 0);
                 for (word, moved_to) in mask.iter().zip(moved_to.chunks(32)) {
@@ -1455,10 +1535,14 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
     if key_words > rest.len() {
         return Err(format!("origin {e}'s pool of {keys} keys exceeds its block of {} words", block.len()));
     }
-    let words = mask_words(keys);
-    if variants.checked_mul(words) != Some(rest.len() - key_words) {
-        return Err(format!("origin {e}'s block holds {} words, not 1 + {key_words} key words + {variants} masks of {words}", block.len()));
-    }
+    let bits = variants.checked_mul(keys).filter(|&bits| words_of(bits) == rest.len() - key_words);
+    let Some(bits) = bits else {
+        return Err(format!(
+            "origin {e}'s block holds {} words, not 1 + {key_words} key words + {} mask words ({variants} masks of {keys} bits)",
+            block.len(),
+            variants.saturating_mul(keys).div_ceil(32)
+        ));
+    };
     let (pool, masks) = rest.split_at(key_words);
     match width {
         IdWidth::U32 => check_pool(e, pool, ranks)?,
@@ -1471,21 +1555,15 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
             check_pool(e, PackedRanks { words: pool, len: keys }, ranks)?;
         }
     }
-    if words == 0 {
-        return Ok(());
+    // The masks' last word is zero past them, so that one image stands for
+    // one index (and none is left when they fill it).
+    if bits % 32 != 0 && masks[masks.len() - 1] >> (bits % 32) != 0 {
+        return Err(format!("origin {e}'s masks set a padding bit past their {variants} × {keys} bits"));
     }
-    // Only a mask's last word has bits past the pool, and none when the pool
-    // fills it (a shift by the full width would not be the empty mask).
-    let spare = match keys % 32 {
-        0 => 0,
-        used => !0u32 << used,
-    };
+    let block = OriginBlock::new(0..variants as u32, block, width);
     let mut shortest_allowed = 0;
-    for (slot, mask) in masks.chunks_exact(words).enumerate() {
-        if mask[words - 1] & spare != 0 {
-            return Err(format!("origin {e}'s slot {slot} sets a mask bit beyond its pool of {keys} keys"));
-        }
-        let len = mask_len(mask);
+    for slot in 0..variants {
+        let len = block.set_len(slot);
         if len < shortest_allowed {
             return Err(format!("origin {e}'s variants are not sorted by set length"));
         }
@@ -1496,10 +1574,10 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
 
 /// Clusters the postings of every derived set (paper Algorithm 2): one walk
 /// over the blocks notes every cluster with its token, a counting sort by
-/// token moves them into a single exact-capacity buffer, each token's range
-/// is sorted by `(len, lowest position, origin)` in place, and the forest is
-/// flattened into the global prefix-linked arrays — tokens tile the group
-/// arrays, groups tile the cluster array.
+/// token groups them in place, each token's range is sorted by `(len,
+/// lowest position, origin)` in place, and the forest is flattened into the
+/// global prefix-linked arrays — tokens tile the group arrays, groups tile
+/// the cluster array.
 ///
 /// A cluster waits for its sort as one `u64`, `len << 48 | lowest position
 /// << 32 | origin`, and its upper half is its group's key. Origins are stored
@@ -1515,8 +1593,21 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     // ahead of one that files them cost a third of a usjob part's index.
     let mut found_under: Vec<u32> = Vec::new();
     let mut found: Vec<u64> = Vec::new();
+    // The sort records are the build's largest transient, so they grow by a
+    // quarter at a time: doubling could leave half of them unused at the
+    // peak.
+    let mut file = |t: u32, cluster: u64| {
+        if found.len() == found.capacity() {
+            let more = found.len() / 4 + 1024;
+            found.reserve_exact(more);
+            found_under.reserve_exact(more);
+        }
+        found_under.push(t);
+        found.push(cluster);
+    };
     let mut pool_tokens: Vec<u32> = Vec::new();
     let mut runs: Vec<(u16, u16)> = Vec::new();
+    let mut mask: Vec<u32> = Vec::new();
     // Origin by origin over the whole origin space, also for the index of a
     // delta's few origins: an origin without a block costs one compare.
     for e in (0..sets.origins() as u32).map(EntityId) {
@@ -1529,8 +1620,10 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
         runs.clear();
         runs.resize(block.pool.len(), (0, 0));
         let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (min_pos as u64) << 32 | e.0 as u64;
-        for mask in block.masks.chunks_exact(block.words()) {
-            let len = mask_len(mask) as u16;
+        mask.resize(block.words(), 0);
+        for slot in 0..block.ids.len() {
+            block.mask_into(slot, &mut mask);
+            let len = mask.iter().map(|w| w.count_ones()).sum::<u32>() as u16;
             let mut pos = 0u16;
             for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
                 let mut rest = *word;
@@ -1541,8 +1634,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                         run.1 = run.1.min(pos);
                     } else {
                         if run.0 != 0 {
-                            found_under.push(tokens[bit]);
-                            found.push(cluster(*run));
+                            file(tokens[bit], cluster(*run));
                         }
                         *run = (len, pos);
                     }
@@ -1553,8 +1645,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
         }
         for (&t, &run) in pool_tokens.iter().zip(&runs) {
             if run.0 != 0 {
-                found_under.push(t);
-                found.push(cluster(run));
+                file(t, cluster(run));
             }
         }
     }
@@ -1570,13 +1661,27 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     for t in 0..num_tokens {
         starts[t + 1] += starts[t];
     }
+    // The counting sort runs in place (an American flag sort): each bucket
+    // is filled from its start, every cluster met out of its bucket is
+    // swapped into the next free slot of its own, so each moves once and no
+    // second buffer of sort records is allocated beside the first.
     let mut cursor = starts[..num_tokens].to_vec();
-    let mut raw = vec![0u64; found.len()];
-    for (&t, &cluster) in found_under.iter().zip(&found) {
-        raw[cursor[t as usize] as usize] = cluster;
-        cursor[t as usize] += 1;
+    for t in 0..num_tokens {
+        while cursor[t] < starts[t + 1] {
+            let i = cursor[t] as usize;
+            let home = found_under[i] as usize;
+            if home != t {
+                let j = cursor[home] as usize;
+                found_under.swap(i, j);
+                found.swap(i, j);
+                cursor[home] += 1;
+            } else {
+                cursor[t] += 1;
+            }
+        }
     }
-    drop((found_under, found));
+    drop(found_under);
+    let mut raw = found;
 
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(num_tokens + 1),
@@ -2092,7 +2197,23 @@ mod tests {
         reject(
             "a pool size the block length contradicts",
             &|a| a.blocks.as_mut_vec()[0] = 2,
-            "origin 0's block holds 4 words, not 1 + 1 key words + 1 masks of 1",
+            "origin 0's block holds 4 words, not 1 + 1 key words + 1 mask words (1 masks of 2 bits)",
+        );
+        reject(
+            "a block one word longer",
+            &|a| {
+                a.blocks.as_mut_vec().push(0);
+                a.block_offsets.as_mut_vec()[2] = 8;
+            },
+            "origin 1's block holds 4 words, not 1 + 1 key words + 1 mask words (1 masks of 2 bits)",
+        );
+        reject(
+            "a block one word shorter",
+            &|a| {
+                a.blocks.as_mut_vec().pop();
+                a.block_offsets.as_mut_vec()[2] = 6;
+            },
+            "origin 1's block holds 2 words, not 1 + 1 key words + 1 mask words (1 masks of 2 bits)",
         );
         reject("two ranks swapped", &|a| a.blocks.as_mut_vec()[5] = 3 | 2 << 16, "origin 1's pool keys are not strictly ascending");
         reject("a rank repeated", &|a| a.blocks.as_mut_vec()[1] = 0, "origin 0's pool keys are not strictly ascending");
@@ -2102,11 +2223,7 @@ mod tests {
             "origin 0's pool of 3 ranks leaves a non-zero spare half-word",
         );
         reject("rank out of range", &|a| a.blocks.as_mut_vec()[2] = 4, "origin 0's pool holds rank 4 but the order hands out only 4");
-        reject(
-            "a mask bit past the pool",
-            &|a| a.blocks.as_mut_vec()[6] |= 1 << 2,
-            "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
-        );
+        reject("a padding bit set", &|a| a.blocks.as_mut_vec()[6] |= 1 << 2, "origin 1's masks set a padding bit past their 1 × 2 bits");
         reject(
             "a block for an origin without variants",
             &|a| a.origin_offsets.as_mut_vec()[2] = 1,
@@ -2138,7 +2255,23 @@ mod tests {
         reject_wide(
             "a pool size the block length contradicts",
             &|a| a.blocks.as_mut_vec()[0] = 2,
-            "origin 0's block holds 5 words, not 1 + 2 key words + 1 masks of 1",
+            "origin 0's block holds 5 words, not 1 + 2 key words + 1 mask words (1 masks of 2 bits)",
+        );
+        reject_wide(
+            "a block one word longer",
+            &|a| {
+                a.blocks.as_mut_vec().push(0);
+                a.block_offsets.as_mut_vec()[2] = 10;
+            },
+            "origin 1's block holds 5 words, not 1 + 2 key words + 1 mask words (1 masks of 2 bits)",
+        );
+        reject_wide(
+            "a block one word shorter",
+            &|a| {
+                a.blocks.as_mut_vec().pop();
+                a.block_offsets.as_mut_vec()[2] = 8;
+            },
+            "origin 1's block holds 3 words, not 1 + 2 key words + 1 mask words (1 masks of 2 bits)",
         );
         reject_wide("two keys swapped", &|a| a.blocks.as_mut_vec().swap(6, 7), "origin 1's pool keys are not strictly ascending");
         reject_wide("valid bit cleared", &|a| a.blocks.as_mut_vec()[7] &= !VALID_BIT, "origin 1's pool holds key");
@@ -2147,21 +2280,50 @@ mod tests {
             &|a| a.blocks.as_mut_vec()[3] = VALID_BIT | 4,
             "origin 0's pool holds rank 4 but the order hands out only 4",
         );
-        reject_wide(
-            "a mask bit past the pool",
-            &|a| a.blocks.as_mut_vec()[8] |= 1 << 2,
-            "origin 1's slot 0 sets a mask bit beyond its pool of 2 keys",
-        );
-        // "a b" and its rewrite "a c d": [4 | 2 key words | 2-key mask | 3-key mask].
+        reject_wide("a padding bit set", &|a| a.blocks.as_mut_vec()[8] |= 1 << 2, "origin 1's masks set a padding bit past their 1 × 2 bits");
+        // "a b" and its rewrite "a c d": [4 | 2 key words | one word: the
+        // 2-key mask in bits 0–3, the 3-key one in bits 4–7].
         let two = fixture(&["a b"], &[("b", "c d")]);
-        assert_eq!(two.index.raw_parts().blocks.len(), 5);
+        assert_eq!(two.index.raw_parts().blocks.len(), 4);
         reject_in(
             &two,
             owned_arenas,
             "popcounts descending",
-            &|a| a.blocks.as_mut_vec().swap(3, 4),
+            &|a| {
+                let masks = &mut a.blocks.as_mut_vec()[3];
+                *masks = (*masks & 0xF) << 4 | *masks >> 4;
+            },
             "origin 0's variants are not sorted by set length",
         );
+        // 19 tokens and "t00" rewritten to "x y": a pool of 21 keys, masks of
+        // 19 and 20 keys in bits 0–20 and 21–41, the second straddling the
+        // masks' two words; 22 padding bits follow. At 16 bits the block is
+        // [21 | 11 key words | 2 mask words], at 32 [21 | 21 keys | 2].
+        let words = (0..19).map(|i| format!("t{i:02}")).collect::<Vec<_>>().join(" ");
+        let straddle = fixture(&[&words], &[("t00", "x y")]);
+        for (arenas, last) in [(owned_arenas as fn(&ClusteredIndex) -> IndexArenas, 13), (widened, 23)] {
+            let reject = |what: &str, mutate: &dyn Fn(&mut IndexArenas), expect: &str| reject_in(&straddle, arenas, what, mutate, expect);
+            assert_eq!(arenas(&straddle.index).blocks.len(), last + 1);
+            assert_eq!([0, 1].map(|slot| straddle.index.block(EntityId(0)).set_len(slot)), [19, 20]);
+            reject(
+                "popcounts falling across a straddling slot",
+                &|a| a.blocks.as_mut_vec()[last] &= !0x3FF,
+                "origin 0's variants are not sorted by set length",
+            );
+            reject(
+                "a padding bit after two straddling masks",
+                &|a| a.blocks.as_mut_vec()[last] |= 1 << 10,
+                "origin 0's masks set a padding bit past their 2 × 21 bits",
+            );
+            reject(
+                "a block one word shorter",
+                &|a| {
+                    a.blocks.as_mut_vec().pop();
+                    *a.block_offsets.as_mut_vec().last_mut().unwrap() -= 1;
+                },
+                &format!("origin 0's block holds {last} words, not 1 + {} key words + 2 mask words (2 masks of 21 bits)", last - 2),
+            );
+        }
         // Token "a" is id 0, b 1, c 2, d 3. "a" sits at 1 of "d a" (origin
         // 1) and at 2 of "b c a" (origin 0), so its groups are (2, 1) and
         // (3, 2); then b's (3, 0), c's (3, 1) and d's (2, 0), a cluster each.
@@ -2219,10 +2381,12 @@ mod tests {
         assert!(ClusteredIndex::from_raw_parts(f.index.shared_order(), split).is_ok());
     }
 
-    /// Pools past one mask word: 70 tokens and a rule make a 72-key pool of
-    /// three words; 64 tokens fill two words to the last bit, where the
-    /// "no bit past the pool" check has no spare bits to look at (a shift by
-    /// the word width, if it were computed, would wrap in release builds).
+    /// Pools past one mask word: 70 tokens and a rule make a 72-key pool,
+    /// masks of three words once read out, stored in 144 bits — five words,
+    /// the second mask starting at bit 8 of the third; 64 tokens fill two
+    /// words to the last bit, where the padding check has no spare bits to
+    /// look at (a shift by the word width, if it were computed, would wrap in
+    /// release builds).
     #[test]
     fn wide_pools_span_several_mask_words() {
         let words = |n: usize| (0..n).map(|i| format!("t{i:02}")).collect::<Vec<_>>().join(" ");
@@ -2252,12 +2416,12 @@ mod tests {
                 assert_eq!((re.min_set_len(), re.max_set_len()), (f.index.min_set_len(), f.index.max_set_len()));
                 assert_eq!(re.block(EntityId(0)).keys(0).collect::<Vec<_>>(), f.index.block(EntityId(0)).keys(0).collect::<Vec<_>>());
             }
+            assert_eq!(arenas(&f.index).block_offsets[1] as usize, 1 + key_words + 5);
             let mut bad = arenas(&f.index);
-            // Origin 0's first mask ends at word 1 + key words + 2: bit 72 is
-            // bit 8 of it.
-            bad.blocks.as_mut_vec()[key_words + 3] |= 1 << 8;
-            let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err("bit 72 of 72");
-            assert!(err.contains("origin 0's slot 0 sets a mask bit beyond its pool of 72 keys"), "{err}");
+            // Origin 0's masks end at bit 16 of its fifth mask word.
+            bad.blocks.as_mut_vec()[key_words + 5] |= 1 << 16;
+            let err = ClusteredIndex::from_raw_parts(f.index.shared_order(), bad).expect_err("bit 144 of 144");
+            assert!(err.contains("origin 0's masks set a padding bit past their 2 × 72 bits"), "{err}");
         }
     }
 

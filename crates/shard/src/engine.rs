@@ -266,7 +266,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v11) artifact
+    /// Serializes the current generation as the frozen (format v12) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -371,7 +371,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v11) artifact: its index becomes this engine's
+    /// Adopts an opened frozen (v12) artifact: its index becomes this engine's
     /// as it is — zero derive work, zero index builds, arenas still backed by
     /// the mapped file.
     ///

@@ -28,7 +28,7 @@ mod tokenize;
 
 pub use document::{Document, Span};
 pub use entity::{Dictionary, Entity, EntityId};
-pub use frozen_strings::{build_table, fnv1a, table_slots, FrozenStrings};
+pub use frozen_strings::{string_arenas, FrozenStrings};
 pub use interner::{Interner, StringTable, TokenId};
 pub use tokenize::{Tokenizer, TokenizerConfig};
 
