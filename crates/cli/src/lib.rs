@@ -5,3 +5,4 @@ pub mod args;
 pub mod commands;
 pub mod protocol;
 pub mod serve;
+pub mod session;

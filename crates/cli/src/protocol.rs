@@ -47,106 +47,17 @@
 //! a client can lower its own budget but never raise it past the
 //! server-enforced ceiling.
 //!
-//! Error taxonomy (the `code` field), so clients can tell retryable from
-//! fatal conditions:
-//!
-//! | code          | meaning                                   | retry? |
-//! |---------------|-------------------------------------------|--------|
-//! | `bad_request` | malformed JSON / unknown type / bad field | no     |
-//! | `too_large`   | document or request line over the ceiling | no     |
-//! | `timeout`     | request expired before a worker ran it    | yes    |
-//! | `shedding`    | queue full or server draining             | yes    |
-//! | `internal`    | extraction panicked (isolated; see logs)  | no     |
-//! | `conflict`    | activate id ≠ prepared generation id      | no     |
+//! Errors answer `{"status":"error","code":..,"retryable":..,"message":..}`
+//! (`"status":"shedding"` for `shedding`), in the vocabulary the fleet
+//! coordinator speaks too: [`ErrorCode`], [`Reject`] and [`error_line`] are
+//! `aeetes_cluster`'s, re-exported here.
 
+pub use aeetes_cluster::{error_line, ErrorCode, Reject};
 use aeetes_core::ExtractLimits;
 use aeetes_shard::{DictDelta, RuleDelta};
 use aeetes_text::EntityId;
 use serde_json::{json, Value};
 use std::time::Duration;
-
-/// Structured error classes of the wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// Malformed JSON, missing/ill-typed fields, unknown request type, or a
-    /// pathological parameter (e.g. τ outside `(0, 1]`). Not retryable.
-    BadRequest,
-    /// The document (or the whole request line) exceeds a server ceiling.
-    /// Not retryable without shrinking the payload.
-    TooLarge,
-    /// The request's deadline expired while it waited in the queue.
-    /// Retryable.
-    Timeout,
-    /// Admission control refused the request: queue full or server
-    /// draining. Retryable (elsewhere or after backoff).
-    Shedding,
-    /// Extraction panicked; the fault was isolated to this request.
-    Internal,
-    /// Two-phase state mismatch: an `activate` named a generation that is
-    /// not the one prepared (or nothing is prepared). Not retryable — the
-    /// identical request will keep failing; the caller must re-prepare.
-    Conflict,
-}
-
-impl ErrorCode {
-    /// Every variant, for exhaustive table-driven tests and docs.
-    pub const ALL: [ErrorCode; 6] = [
-        ErrorCode::BadRequest,
-        ErrorCode::TooLarge,
-        ErrorCode::Timeout,
-        ErrorCode::Shedding,
-        ErrorCode::Internal,
-        ErrorCode::Conflict,
-    ];
-
-    /// The wire spelling of the code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::TooLarge => "too_large",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::Shedding => "shedding",
-            ErrorCode::Internal => "internal",
-            ErrorCode::Conflict => "conflict",
-        }
-    }
-
-    /// Parses the wire spelling back into a code (`None` for unknown
-    /// spellings — a coordinator talking to a newer replica treats those
-    /// as fatal rather than guessing retryability).
-    pub fn parse_wire(s: &str) -> Option<ErrorCode> {
-        ErrorCode::ALL.iter().copied().find(|c| c.as_str() == s)
-    }
-
-    /// Whether a client may retry the identical request and hope for a
-    /// different answer.
-    ///
-    /// The mapping is deliberately an exhaustive `match` (no `_` arm): a
-    /// new error code cannot compile without an explicit, reviewed
-    /// retryability decision — coordinators build failover on top of this.
-    pub fn retryable(self) -> bool {
-        match self {
-            // The request itself is defective; an identical retry cannot
-            // succeed anywhere.
-            ErrorCode::BadRequest => false,
-            // The payload exceeds a server ceiling; retrying without
-            // shrinking it fails identically.
-            ErrorCode::TooLarge => false,
-            // The deadline expired while queued: another (less loaded)
-            // server, or the same one a moment later, may answer in time.
-            ErrorCode::Timeout => true,
-            // Admission control refused: queue full or draining. Elsewhere
-            // or after backoff the same request is fine.
-            ErrorCode::Shedding => true,
-            // Extraction panicked on this input; the same input will very
-            // likely panic again on any replica of the same build.
-            ErrorCode::Internal => false,
-            // Two-phase state mismatch; the caller must change the request
-            // (re-prepare), not repeat it.
-            ErrorCode::Conflict => false,
-        }
-    }
-}
 
 /// Server-enforced request ceilings. Client-requested budgets are clamped
 /// to these; requests exceeding hard size ceilings are rejected.
@@ -232,12 +143,8 @@ pub struct StreamRequest {
 pub struct ReloadRequest {
     /// Client-supplied correlation id, echoed verbatim in the response.
     pub id: Value,
-    /// Raw entity strings to append to the dictionary.
-    pub add_entities: Vec<String>,
-    /// Origin entity ids to tombstone.
-    pub remove_entities: Vec<u32>,
-    /// Synonym rules to append, as `(lhs, rhs, weight)`.
-    pub add_rules: Vec<(String, String, f64)>,
+    /// The entities to append and tombstone and the rules to append.
+    pub delta: DictDelta,
 }
 
 /// A parsed request line.
@@ -275,24 +182,6 @@ pub enum Request {
     Shutdown(Value),
 }
 
-/// A request that could not be accepted, carrying everything needed to
-/// build the error response.
-#[derive(Debug)]
-pub struct Reject {
-    /// Echoed id (``null`` when the line was too broken to recover one).
-    pub id: Value,
-    /// Error class.
-    pub code: ErrorCode,
-    /// Human-oriented detail.
-    pub message: String,
-}
-
-impl Reject {
-    fn new(id: Value, code: ErrorCode, message: impl Into<String>) -> Self {
-        Reject { id, code, message: message.into() }
-    }
-}
-
 /// Parses and validates one request line against the server ceilings.
 pub fn parse_request(line: &str, ceilings: &Ceilings) -> Result<Request, Reject> {
     let value = serde_json::from_str(line).map_err(|e| Reject::new(Value::Null, ErrorCode::BadRequest, format!("invalid JSON: {e}")))?;
@@ -325,58 +214,50 @@ pub fn parse_request(line: &str, ceilings: &Ceilings) -> Result<Request, Reject>
 }
 
 fn parse_reload(id: Value, value: &Value, prepare: bool) -> Result<Request, Reject> {
-    let mut req = ReloadRequest {
-        id: id.clone(),
-        add_entities: Vec::new(),
-        remove_entities: Vec::new(),
-        add_rules: Vec::new(),
-    };
+    let req = Box::new(ReloadRequest { delta: parse_delta_fields(&id, value)?, id });
+    Ok(if prepare { Request::Prepare(req) } else { Request::Reload(req) })
+}
+
+/// The delta fields of a `reload`/`prepare` request (or a bare WAL body).
+fn parse_delta_fields(id: &Value, value: &Value) -> Result<DictDelta, Reject> {
+    let bad = |message: String| Reject::new(id.clone(), ErrorCode::BadRequest, message);
+    let mut delta = DictDelta::default();
     if let Some(v) = value.get("add_entities") {
-        let Some(arr) = v.as_array() else {
-            return Err(Reject::new(id, ErrorCode::BadRequest, "`add_entities` must be an array of strings"));
-        };
+        let arr = v.as_array().ok_or_else(|| bad("`add_entities` must be an array of strings".into()))?;
         for e in arr {
-            match e.as_str() {
-                Some(s) => req.add_entities.push(s.to_string()),
-                None => return Err(Reject::new(id, ErrorCode::BadRequest, "`add_entities` entries must be strings")),
-            }
+            let s = e.as_str().ok_or_else(|| bad("`add_entities` entries must be strings".into()))?;
+            delta.add_entities.push(s.to_string());
         }
     }
     if let Some(v) = value.get("remove_entities") {
-        let Some(arr) = v.as_array() else {
-            return Err(Reject::new(id, ErrorCode::BadRequest, "`remove_entities` must be an array of entity ids"));
-        };
+        let arr = v.as_array().ok_or_else(|| bad("`remove_entities` must be an array of entity ids".into()))?;
         for e in arr {
-            match e.as_u64().and_then(|n| u32::try_from(n).ok()) {
-                Some(n) => req.remove_entities.push(n),
-                None => return Err(Reject::new(id, ErrorCode::BadRequest, "`remove_entities` entries must be u32 entity ids")),
-            }
+            let n = e.as_u64().and_then(|n| u32::try_from(n).ok());
+            delta
+                .remove_entities
+                .push(EntityId(n.ok_or_else(|| bad("`remove_entities` entries must be u32 entity ids".into()))?));
         }
     }
     if let Some(v) = value.get("add_rules") {
-        let Some(arr) = v.as_array() else {
-            return Err(Reject::new(id, ErrorCode::BadRequest, "`add_rules` must be an array of {lhs, rhs, weight?} objects"));
-        };
+        let arr = v
+            .as_array()
+            .ok_or_else(|| bad("`add_rules` must be an array of {lhs, rhs, weight?} objects".into()))?;
         for r in arr {
             let (Some(lhs), Some(rhs)) = (r.get("lhs").and_then(Value::as_str), r.get("rhs").and_then(Value::as_str)) else {
-                return Err(Reject::new(id, ErrorCode::BadRequest, "`add_rules` entries need string `lhs` and `rhs`"));
+                return Err(bad("`add_rules` entries need string `lhs` and `rhs`".into()));
             };
             let weight = match r.get("weight") {
                 None => 1.0,
                 Some(w) => match w.as_f64() {
                     Some(w) if w > 0.0 && w <= 1.0 => w,
-                    Some(w) => return Err(Reject::new(id, ErrorCode::BadRequest, format!("rule `weight` must be in (0, 1], got {w}"))),
-                    None => return Err(Reject::new(id, ErrorCode::BadRequest, "rule `weight` must be a number")),
+                    Some(w) => return Err(bad(format!("rule `weight` must be in (0, 1], got {w}"))),
+                    None => return Err(bad("rule `weight` must be a number".into())),
                 },
             };
-            req.add_rules.push((lhs.to_string(), rhs.to_string(), weight));
+            delta.add_rules.push(RuleDelta { lhs: lhs.to_string(), rhs: rhs.to_string(), weight });
         }
     }
-    Ok(if prepare {
-        Request::Prepare(Box::new(req))
-    } else {
-        Request::Reload(Box::new(req))
-    })
+    Ok(delta)
 }
 
 fn parse_extract(id: Value, value: &Value, ceilings: &Ceilings) -> Result<Request, Reject> {
@@ -472,15 +353,7 @@ fn parse_stream(id: Value, value: &Value, ceilings: &Ceilings) -> Result<Request
 /// coordinator's compactor folds logged deltas into a fresh artifact with
 /// the same code path. Validation is identical to a live `reload` request.
 pub fn parse_delta(value: &Value) -> Result<DictDelta, String> {
-    match parse_reload(Value::Null, value, false) {
-        Ok(Request::Reload(req)) => Ok(DictDelta {
-            add_entities: req.add_entities,
-            remove_entities: req.remove_entities.into_iter().map(EntityId).collect(),
-            add_rules: req.add_rules.into_iter().map(|(lhs, rhs, weight)| RuleDelta { lhs, rhs, weight }).collect(),
-        }),
-        Ok(_) => unreachable!("parse_reload(prepare=false) only returns Reload"),
-        Err(reject) => Err(reject.message),
-    }
+    parse_delta_fields(&Value::Null, value).map_err(|reject| reject.message)
 }
 
 /// Canonical JSON body of a delta — the exact shape [`parse_delta`]
@@ -506,20 +379,6 @@ fn optional_u64(id: &Value, value: &Value, field: &str) -> Result<Option<u64>, R
             None => Err(Reject::new(id.clone(), ErrorCode::BadRequest, format!("`{field}` must be a non-negative integer"))),
         },
     }
-}
-
-/// Serializes an error (or shedding) response line. Shedding gets its own
-/// top-level status so naive clients checking only `status` still back off.
-pub fn error_line(reject: &Reject) -> String {
-    let status = if reject.code == ErrorCode::Shedding { "shedding" } else { "error" };
-    json!({
-        "id": reject.id,
-        "status": status,
-        "code": reject.code.as_str(),
-        "retryable": reject.code.retryable(),
-        "message": reject.message,
-    })
-    .to_string()
 }
 
 /// Serializes a successful extraction response line.
@@ -685,60 +544,10 @@ mod tests {
         .unwrap();
         let Request::Reload(req) = r else { panic!("expected reload") };
         assert_eq!(req.id.as_u64(), Some(3));
-        assert_eq!(req.add_entities, vec!["eth zurich"]);
-        assert_eq!(req.remove_entities, vec![0, 4]);
-        assert_eq!(req.add_rules.len(), 2);
-        assert_eq!(req.add_rules[0], ("ch".into(), "switzerland".into(), 1.0));
-        assert_eq!(req.add_rules[1].2, 0.5);
-    }
-
-    /// The documented retryability contract, written as its own exhaustive
-    /// `match`: adding an `ErrorCode` variant fails to compile here (and in
-    /// `retryable()` itself) until someone makes — and documents — an
-    /// explicit retry decision for it. Coordinator failover is built on
-    /// this mapping, so it must never change by accident or by default.
-    #[test]
-    fn every_error_code_has_an_explicit_retryable_mapping() {
-        fn documented(code: ErrorCode) -> (bool, &'static str) {
-            match code {
-                ErrorCode::BadRequest => (false, "bad_request"),
-                ErrorCode::TooLarge => (false, "too_large"),
-                ErrorCode::Timeout => (true, "timeout"),
-                ErrorCode::Shedding => (true, "shedding"),
-                ErrorCode::Internal => (false, "internal"),
-                ErrorCode::Conflict => (false, "conflict"),
-            }
-        }
-        assert_eq!(ErrorCode::ALL.len(), 6, "ALL must enumerate every variant");
-        for code in ErrorCode::ALL {
-            let (retry, wire) = documented(code);
-            assert_eq!(code.retryable(), retry, "{wire}: retryable() diverged from the documented contract");
-            assert_eq!(code.as_str(), wire, "wire spelling diverged");
-            assert_eq!(ErrorCode::parse_wire(wire), Some(code), "parse_wire must round-trip {wire}");
-            // The serialized error line must agree with the enum, so wire
-            // clients (the fleet coordinator) see the same contract.
-            let line = error_line(&Reject::new(Value::Null, code, "x"));
-            let v: Value = serde_json::from_str(&line).unwrap();
-            assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(retry), "{wire}");
-            assert_eq!(v.get("code").and_then(Value::as_str), Some(wire));
-        }
-        assert_eq!(ErrorCode::parse_wire("no_such_code"), None);
-    }
-
-    /// The coordinator cannot depend on this crate (the dependency points
-    /// the other way), so it carries its own copy of the retryability
-    /// predicate keyed on wire spellings. Pin the two against each other:
-    /// if either side changes, this fails before a fleet misroutes.
-    #[test]
-    fn cluster_retryability_matches_protocol() {
-        for code in ErrorCode::ALL {
-            assert_eq!(
-                aeetes_cluster::retryable_code(code.as_str()),
-                code.retryable(),
-                "{}: aeetes_cluster::retryable_code diverged from ErrorCode::retryable",
-                code.as_str()
-            );
-        }
+        assert_eq!(req.delta.add_entities, vec!["eth zurich"]);
+        assert_eq!(req.delta.remove_entities, vec![EntityId(0), EntityId(4)]);
+        let rules: Vec<_> = req.delta.add_rules.iter().map(|r| (r.lhs.as_str(), r.rhs.as_str(), r.weight)).collect();
+        assert_eq!(rules, [("ch", "switzerland", 1.0), ("uni", "university", 0.5)]);
     }
 
     #[test]
@@ -746,7 +555,7 @@ mod tests {
         let r = parse(r#"{"id":9,"type":"prepare","add_entities":["eth zurich"]}"#).unwrap();
         let Request::Prepare(req) = r else { panic!("expected prepare") };
         assert_eq!(req.id.as_u64(), Some(9));
-        assert_eq!(req.add_entities, vec!["eth zurich"]);
+        assert_eq!(req.delta.add_entities, vec!["eth zurich"]);
         // The same malformed fields are rejected identically.
         assert_eq!(parse(r#"{"type":"prepare","add_entities":[1]}"#).unwrap_err().code, ErrorCode::BadRequest);
     }
@@ -774,7 +583,7 @@ mod tests {
         let Request::Reload(req) = parse(r#"{"type":"reload"}"#).unwrap() else {
             panic!("expected reload")
         };
-        assert!(req.add_entities.is_empty() && req.remove_entities.is_empty() && req.add_rules.is_empty());
+        assert!(req.delta.is_empty());
     }
 
     #[test]
@@ -813,20 +622,6 @@ mod tests {
         // Malformed payloads surface as errors, never panics.
         assert!(parse_delta(&json!({"add_entities": [1]})).is_err());
         assert!(parse_delta(&json!({"add_rules": [{"lhs": "a"}]})).is_err());
-    }
-
-    #[test]
-    fn error_line_shape() {
-        let line = error_line(&Reject::new(Value::Null, ErrorCode::Shedding, "queue full"));
-        let v = serde_json::from_str(&line).unwrap();
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("shedding"));
-        assert_eq!(v.get("code").and_then(Value::as_str), Some("shedding"));
-        assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(true));
-
-        let line = error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "nope"));
-        let v = serde_json::from_str(&line).unwrap();
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
-        assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(false));
     }
 
     #[test]

@@ -189,9 +189,12 @@ fn lockstep_client(addr: &str, thread: usize, count: usize, sent: &AtomicU64) ->
             Some(id.as_str()),
             "response id must match the request (duplicate or reordered answer): {v}"
         );
-        match status_of(&v) {
-            "ok" => ok += 1,
-            "error" if v.get("code").and_then(Value::as_str) == Some("shedding") => shed += 1,
+        // Classified as the coordinator's ledger does: by code. A shedding
+        // answer says `"status":"shedding"`, whether a replica or the
+        // coordinator raised it.
+        match (status_of(&v), v.get("code").and_then(Value::as_str)) {
+            ("ok", _) => ok += 1,
+            (_, Some("shedding")) => shed += 1,
             _ => failed += 1,
         }
     }

@@ -7,6 +7,11 @@
 //! Also exercises overload: with a saturated one-worker/one-slot queue the
 //! server must shed promptly with `{"status":"shedding"}`, and a graceful
 //! drain must answer every outstanding request before exit.
+//!
+//! Only what takes a process is here: sockets, threads, timing, the exit.
+//! What a request answers is checked in-process against a `Session`
+//! (`aeetes_cli::session`'s tests: the recorded wire transcript, the
+//! stats quantiles, prepare/activate, stream admission).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -479,43 +484,6 @@ fn reload_under_load_answers_every_request_once() {
     let _ = std::fs::remove_file(&engine);
 }
 
-/// With fewer than two latency samples a quantile estimate is meaningless,
-/// so the stats reply must report `null` — not a misleading `0` — for
-/// p50/p99 until the second served request lands.
-#[test]
-fn stats_latency_quantiles_are_null_until_two_samples() {
-    let engine = engine_file("quantiles");
-    let server = Server::spawn(&engine, &["--workers", "1"]);
-
-    // Zero samples: both quantiles are null.
-    let stats = server.round_trip(r#"{"type":"stats"}"#);
-    assert_eq!(field_u64(&stats, "latency_samples"), 0, "{stats}");
-    assert!(stats.contains("\"latency_p50_us\":null"), "{stats}");
-    assert!(stats.contains("\"latency_p99_us\":null"), "{stats}");
-
-    // One sample: still null. The latency histogram is recorded before the
-    // extract response is written, so no polling is needed.
-    let resp = server.round_trip(r#"{"id":1,"type":"extract","doc":"uq au visit","tau":0.8}"#);
-    assert_eq!(status_of(&resp), "ok");
-    let stats = server.round_trip(r#"{"type":"stats"}"#);
-    assert_eq!(field_u64(&stats, "latency_samples"), 1, "{stats}");
-    assert!(stats.contains("\"latency_p50_us\":null"), "{stats}");
-    assert!(stats.contains("\"latency_p99_us\":null"), "{stats}");
-
-    // Two samples: real numbers appear.
-    let resp = server.round_trip(r#"{"id":2,"type":"extract","doc":"uq au again","tau":0.8}"#);
-    assert_eq!(status_of(&resp), "ok");
-    let stats = server.round_trip(r#"{"type":"stats"}"#);
-    assert_eq!(field_u64(&stats, "latency_samples"), 2, "{stats}");
-    assert!(!stats.contains("\"latency_p50_us\":null"), "{stats}");
-    assert!(!stats.contains("\"latency_p99_us\":null"), "{stats}");
-
-    let bye = server.round_trip(r#"{"type":"shutdown"}"#);
-    assert!(bye.contains("\"draining\":true"), "{bye}");
-    server.wait_for_clean_exit(Duration::from_secs(30));
-    let _ = std::fs::remove_file(&engine);
-}
-
 /// A lockstep client on one connection pays no delayed-ACK stall per reply:
 /// the server writes each response line and its newline as one segment,
 /// with Nagle off. Written as two writes the newline waits for the client's
@@ -737,49 +705,6 @@ fn connection_cap_sheds_and_recovers() {
         assert!(Instant::now() < deadline, "slot never freed: {resp:?}");
         std::thread::sleep(Duration::from_millis(100));
     }
-
-    server.round_trip(r#"{"type":"shutdown"}"#);
-    server.wait_for_clean_exit(Duration::from_secs(20));
-    let _ = std::fs::remove_file(&engine);
-}
-
-/// The two-phase wire protocol on a single replica: prepare parks the next
-/// generation without serving it, activate swaps it in, and activating a
-/// generation that is not the parked one is a conflict.
-#[test]
-fn prepare_activate_round_trip_and_conflicts() {
-    let engine = engine_file("twophase");
-    let server = Server::spawn(&engine, &[]);
-
-    // Nothing prepared: activate is a conflict.
-    let premature = server.round_trip(r#"{"type":"activate","id":1,"generation":2}"#);
-    assert_eq!(status_of(&premature), "error");
-    assert!(premature.contains("\"conflict\""), "{premature}");
-
-    // Prepare generation 2; the entity must NOT serve yet.
-    let prepared = server.round_trip(r#"{"type":"prepare","id":2,"add_entities":["eth zurich"]}"#);
-    assert_eq!(status_of(&prepared), "ok");
-    assert_eq!(field_u64(&prepared, "prepared_generation"), 2, "{prepared}");
-    let v = server.round_trip(r#"{"type":"extract","id":3,"doc":"eth zurich","tau":0.8}"#);
-    assert!(!v.contains("eth zurich\","), "prepared-but-inactive generation must not serve: {v}");
-    let stats = server.round_trip(r#"{"type":"stats","id":4}"#);
-    assert_eq!(field_u64(&stats, "pending_generation"), 2, "{stats}");
-    assert_eq!(field_u64(&stats, "generation"), 1, "{stats}");
-
-    // Activating the wrong id is a conflict and must not swap.
-    let wrong = server.round_trip(r#"{"type":"activate","id":5,"generation":7}"#);
-    assert!(wrong.contains("\"conflict\""), "{wrong}");
-    assert_eq!(field_u64(&server.round_trip(r#"{"type":"stats","id":6}"#), "generation"), 1);
-
-    // Activating the parked id swaps; the entity serves afterwards.
-    let swapped = server.round_trip(r#"{"type":"activate","id":7,"generation":2}"#);
-    assert_eq!(status_of(&swapped), "ok");
-    assert_eq!(field_u64(&swapped, "generation"), 2, "{swapped}");
-    let v = server.round_trip(r#"{"type":"extract","id":8,"doc":"eth zurich","tau":0.8}"#);
-    assert!(v.contains("eth zurich"), "activated generation must serve: {v}");
-    // Health reports the new generation (the fleet handshake reads it).
-    let h = server.round_trip(r#"{"type":"health","id":9}"#);
-    assert_eq!(field_u64(&h, "generation"), 2, "{h}");
 
     server.round_trip(r#"{"type":"shutdown"}"#);
     server.wait_for_clean_exit(Duration::from_secs(20));

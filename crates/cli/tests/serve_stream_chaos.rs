@@ -1,10 +1,14 @@
 //! Chaos harness for `aeetes serve` stream mode: spawns the real binary
 //! and drives the open/feed/flush/close verbs through every failure path
 //! the protocol promises to survive — abrupt client disconnects
-//! mid-stream, graceful drain with streams still open, admission-slot
-//! exhaustion — asserting the exactly-once contract throughout: every
-//! opened stream is answered with exactly one `closed` event, and the
-//! server's open-stream and carried-byte accounting returns to zero.
+//! mid-stream, graceful drain with streams still open — asserting the
+//! exactly-once contract throughout: every opened stream is answered with
+//! exactly one `closed` event, and the server's open-stream and
+//! carried-byte accounting returns to zero. What needs no process is
+//! checked in-process by `aeetes_cli::session`'s tests: a stream's round
+//! trip (`stream_round_trip_equals_whole_document_and_closes_once`) and
+//! admission-slot exhaustion
+//! (`stream_admission_counts_against_queue_capacity`).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -171,75 +175,6 @@ fn wait_for_zero_streams(server: &Server) -> serde_json::Value {
     }
 }
 
-/// The happy path under awkward chunking: a stream fed mid-token chunks
-/// must produce exactly the whole-document matches, settled matches must
-/// arrive before the flush, byte offsets must slice the source text, and
-/// close-after-close must be a bad request (the event fires exactly once).
-#[test]
-fn stream_round_trip_equals_whole_document_and_closes_once() {
-    let engine = engine_file("roundtrip");
-    let server = Server::spawn(&engine, &["--workers", "2", "--drain", "10"]);
-
-    // Whole-document oracle through the plain extract path.
-    let doc = "a visit to purdue university usa was planned before uq au term started";
-    let oracle = parse(&server.round_trip(&format!(r#"{{"id":"oracle","type":"extract","doc":"{doc}","tau":0.8}}"#)));
-    assert_eq!(field_str(&oracle, "status"), "ok");
-    let mut expect = entity_texts(&oracle);
-    expect.sort();
-
-    let mut conn = server.connect();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let opened = parse(&send(&mut conn, &mut reader, r#"{"id":1,"type":"stream","stream":7,"verb":"open","tau":0.8}"#));
-    assert_eq!(field_str(&opened, "event"), "opened");
-
-    // Feed in chunks that split tokens: the carry logic must stitch them.
-    let mut got: Vec<String> = Vec::new();
-    let mut pre_flush = 0usize;
-    for chunk in ["a visit to purdue uni", "versity usa was pl", "anned before uq", " au term started"] {
-        let resp = parse(&send(&mut conn, &mut reader, &format!(r#"{{"id":2,"type":"stream","stream":7,"verb":"feed","text":"{chunk}"}}"#)));
-        assert_eq!(field_str(&resp, "event"), "matches", "{resp}");
-        for m in resp.get("matches").and_then(serde_json::Value::as_array).unwrap() {
-            // Byte offsets index the decoded stream == the concatenation.
-            let (bs, be) = (field_i64(m, "byte_start") as usize, field_i64(m, "byte_end") as usize);
-            let sliced = &doc[bs..be];
-            assert!(sliced.split_whitespace().count() == field_i64(m, "len") as usize, "span {sliced:?} vs {m}");
-            got.push(field_str(m, "entity_text").to_string());
-        }
-        pre_flush = got.len();
-    }
-    // The first entity settles long before the end of the document: it must
-    // stream out of an intermediate feed, not wait for the flush.
-    assert!(pre_flush >= 1, "no match emitted before the flush");
-
-    let flushed = parse(&send(&mut conn, &mut reader, r#"{"id":3,"type":"stream","stream":7,"verb":"flush"}"#));
-    assert_eq!(field_str(&flushed, "event"), "flushed", "{flushed}");
-    got.extend(entity_texts(&flushed));
-    got.sort();
-    assert_eq!(got, expect, "streamed matches must equal the whole-document extraction");
-
-    // After a flush the stream is reset and reusable for a new document.
-    let resp = parse(&send(&mut conn, &mut reader, r#"{"id":4,"type":"stream","stream":7,"verb":"feed","text":"uq au again"}"#));
-    assert_eq!(field_str(&resp, "event"), "matches");
-    let closed = parse(&send(&mut conn, &mut reader, r#"{"id":5,"type":"stream","stream":7,"verb":"close"}"#));
-    assert_eq!(field_str(&closed, "event"), "closed");
-    assert_eq!(field_str(&closed, "reason"), "close");
-    assert_eq!(entity_texts(&closed), vec!["UQ AU".to_string()], "the second document's tail flushes on close: {closed}");
-
-    // Exactly once: a second close is a bad request, not a second event.
-    let again = send(&mut conn, &mut reader, r#"{"id":6,"type":"stream","stream":7,"verb":"close"}"#);
-    assert!(again.contains("bad_request"), "{again}");
-    let fed = send(&mut conn, &mut reader, r#"{"id":7,"type":"stream","stream":7,"verb":"feed","text":"x"}"#);
-    assert!(fed.contains("bad_request"), "{fed}");
-
-    let stats = wait_for_zero_streams(&server);
-    assert_eq!(field_i64(&stats, "queue_depth"), 0, "{stats}");
-
-    let bye = server.round_trip(r#"{"type":"shutdown"}"#);
-    assert!(bye.contains("\"draining\":true"), "{bye}");
-    server.wait_for_clean_exit(Duration::from_secs(30));
-    let _ = std::fs::remove_file(&engine);
-}
-
 /// Abrupt client disconnects mid-stream: every stream opened by the dead
 /// connections must be closed server-side exactly once, releasing its
 /// admission slot and carried-byte accounting, while streams on surviving
@@ -343,46 +278,6 @@ fn drain_flushes_and_closes_open_streams_exactly_once() {
     assert_eq!(closed_streams, vec![0, 1], "each open stream must get exactly one closed event");
     assert_eq!(drain_matches, vec!["UQ AU".to_string()], "the pending tail must flush during drain");
 
-    server.wait_for_clean_exit(Duration::from_secs(30));
-    let _ = std::fs::remove_file(&engine);
-}
-
-/// Open streams hold admission slots: with a one-slot queue a second open
-/// sheds, closing the stream readmits, and opening during a drain sheds.
-#[test]
-fn stream_admission_counts_against_queue_capacity() {
-    let engine = engine_file("admission");
-    let server = Server::spawn(&engine, &["--workers", "1", "--queue", "1", "--drain", "10"]);
-
-    let mut conn = server.connect();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    // The admission cap is `--queue` waiting slots plus one running slot
-    // per worker: with 1+1 the first two opens fill it.
-    for s in 0..2 {
-        let opened = parse(&send(&mut conn, &mut reader, &format!(r#"{{"id":1,"type":"stream","stream":{s},"verb":"open","tau":0.8}}"#)));
-        assert_eq!(field_str(&opened, "event"), "opened");
-    }
-
-    // Both admission slots are held: the next open must shed, and a
-    // duplicate id on the same connection is a bad request (not a shed —
-    // it never reaches admission).
-    let shed = send(&mut conn, &mut reader, r#"{"id":2,"type":"stream","stream":2,"verb":"open","tau":0.8}"#);
-    assert!(shed.contains("shedding"), "{shed}");
-    let dup = send(&mut conn, &mut reader, r#"{"id":3,"type":"stream","stream":0,"verb":"open","tau":0.8}"#);
-    assert!(dup.contains("bad_request"), "{dup}");
-
-    // Closing releases a slot; a new open succeeds.
-    let closed = parse(&send(&mut conn, &mut reader, r#"{"id":4,"type":"stream","stream":0,"verb":"close"}"#));
-    assert_eq!(field_str(&closed, "event"), "closed");
-    let reopened = parse(&send(&mut conn, &mut reader, r#"{"id":5,"type":"stream","stream":2,"verb":"open","tau":0.8}"#));
-    assert_eq!(field_str(&reopened, "event"), "opened", "{reopened}");
-    for s in [1, 2] {
-        let closed = parse(&send(&mut conn, &mut reader, &format!(r#"{{"id":6,"type":"stream","stream":{s},"verb":"close"}}"#)));
-        assert_eq!(field_str(&closed, "event"), "closed");
-    }
-
-    let bye = server.round_trip(r#"{"type":"shutdown"}"#);
-    assert!(bye.contains("\"draining\":true"), "{bye}");
     server.wait_for_clean_exit(Duration::from_secs(30));
     let _ = std::fs::remove_file(&engine);
 }

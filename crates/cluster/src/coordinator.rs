@@ -14,9 +14,11 @@
 //!
 //! # Threads
 //!
-//! * main: client accept loop (mirrors `aeetes serve`);
-//! * one reader per client connection: parses lines, answers control
-//!   requests, admits extract work;
+//! * main: the client accept loop ([`crate::accept_loop`], the one `aeetes
+//!   serve` runs too);
+//! * one reader per client connection, on the shared framing loop
+//!   ([`crate::read_requests`]): parses lines, answers control requests,
+//!   admits extract work;
 //! * one dispatcher: routes rids to replicas, schedules delayed retries,
 //!   enforces per-request deadlines;
 //! * one reader per replica connection: matches responses to rids;
@@ -37,12 +39,13 @@
 use crate::backoff::Backoff;
 use crate::pending::{FailOutcome, PendingTable};
 use crate::replica::{sync_request, Handshake, Replica, ReplicaSpec};
-use crate::{retryable_code, LineRead, LineReader};
+use crate::wire::READ_POLL;
+use crate::{accept_loop, error_line, metrics_value, read_requests, Ended, ErrorCode, Reject, Sink};
 use aeetes_core::{Wal, WalError};
 use aeetes_obs::{FleetMetrics, MetricRegistry, ReplicaMetrics, WalMetrics};
 use serde_json::{json, Map, Value};
 use std::collections::BinaryHeap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -125,10 +128,6 @@ pub struct FleetSummary {
     pub failed: u64,
 }
 
-/// A client connection's write half, shared with every thread that may
-/// answer one of its requests.
-type Sink = Arc<Mutex<TcpStream>>;
-
 /// Where a pending request's answer goes.
 enum Deliver {
     /// A client extract request: restore `id`, write to `sink`.
@@ -192,8 +191,7 @@ impl Fleet {
             return Ok(());
         }
         let (wal, _replay) = Wal::open_or_create(path, base).map_err(|e| format!("{}: {e}", path.display()))?;
-        self.wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-        self.wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
+        wal.observe(&self.wmetrics);
         *slot = Some(wal);
         Ok(())
     }
@@ -206,30 +204,10 @@ impl Fleet {
     fn wal_commit(&self, generation: u64, delta: &Value) -> Result<(), String> {
         let mut slot = self.wal.lock().unwrap_or_else(|p| p.into_inner());
         let Some(wal) = slot.as_mut() else { return Ok(()) };
-        let payload = delta.to_string();
-        let result = (|| {
-            wal.append(generation, payload.as_bytes())?;
-            let sync_started = Instant::now();
-            wal.sync()?;
-            self.wmetrics
-                .fsync_nanos
-                .observe_nanos(u64::try_from(sync_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            Ok::<(), WalError>(())
-        })();
-        match result {
-            Ok(()) => {
-                self.wmetrics.appends.inc(1);
-                self.wmetrics.append_bytes.inc(payload.len() as u64);
-                self.wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-                self.wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
-                Ok(())
-            }
-            Err(e) => {
-                self.wmetrics.append_failures.inc(1);
-                self.wal_failed.store(true, Ordering::Relaxed);
-                Err(format!("delta log append for generation {generation} failed: {e}"))
-            }
-        }
+        wal.commit(generation, delta.to_string().as_bytes(), &self.wmetrics).map_err(|e| {
+            self.wal_failed.store(true, Ordering::Relaxed);
+            format!("delta log append for generation {generation} failed: {e}")
+        })
     }
 
     /// Runs under the reload lock after a successful fleet reload: once the
@@ -274,13 +252,6 @@ impl Fleet {
     }
 }
 
-/// Writes one line to a client, swallowing errors (a hung-up client must
-/// never take the coordinator down).
-fn respond(sink: &Sink, line: &str) {
-    let mut w = sink.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = crate::write_line(&mut *w, line);
-}
-
 /// Sets (or replaces) one field of a JSON object; no-op on non-objects.
 fn set_field(v: &mut Value, key: &str, val: Value) {
     if let Value::Object(map) = v {
@@ -316,11 +287,7 @@ fn answer_client(fleet: &Fleet, sink: &Sink, mut response: Value, client_id: Val
         Class::Shed => fleet.metrics.answered_shed.inc(1),
         Class::Failed => fleet.metrics.answered_failed.inc(1),
     }
-    respond(sink, &response.to_string());
-}
-
-fn error_value(code: &str, message: &str) -> Value {
-    json!({"status": "error", "code": code, "message": message, "retryable": matches!(code, "timeout" | "shedding")})
+    sink.respond(&response.to_string());
 }
 
 /// Handles a failed attempt for `rid` (retryable error response, reset,
@@ -332,7 +299,7 @@ fn handle_failure(fleet: &Arc<Fleet>, rid: u64, error_line: Option<String>) {
         None => {}
         Some(true) => {
             if let Some(Deliver::Internal(tx)) = fleet.pending.take(rid) {
-                let _ = tx.send(error_value("reset", "replica connection lost"));
+                let _ = tx.send(Reject::new(Value::Null, ErrorCode::Internal, "replica connection lost").value());
             }
         }
         Some(false) => match fleet.pending.fail(rid, error_line) {
@@ -345,7 +312,7 @@ fn handle_failure(fleet: &Arc<Fleet>, rid: u64, error_line: Option<String>) {
                 if let Deliver::Client { id, sink, .. } = deliver {
                     let response = last_error
                         .and_then(|l| serde_json::from_str(&l).ok())
-                        .unwrap_or_else(|| error_value("internal", "request failed on every replica"));
+                        .unwrap_or_else(|| Reject::new(Value::Null, ErrorCode::Internal, "request failed on every replica").value());
                     answer_client(fleet, &sink, response, id);
                 }
             }
@@ -430,7 +397,8 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
     let expires = expires.expect("only client requests are routed");
     if Instant::now() >= expires {
         if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
-            answer_client(fleet, &sink, error_value("timeout", "request deadline expired before any replica could serve it"), id);
+            let expired = Reject::new(Value::Null, ErrorCode::Timeout, "request deadline expired before any replica could serve it");
+            answer_client(fleet, &sink, expired.value(), id);
         }
         return;
     }
@@ -443,7 +411,7 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
     let Some(replica) = chosen else {
         if fleet.draining.load(Ordering::Relaxed) {
             if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
-                answer_client(fleet, &sink, error_value("shedding", "fleet is draining"), id);
+                answer_client(fleet, &sink, Reject::new(Value::Null, ErrorCode::Shedding, "fleet is draining").value(), id);
             }
             return;
         }
@@ -478,49 +446,49 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
 const LINE_CAP: usize = 32 << 20;
 
 fn replica_reader(fleet: &Arc<Fleet>, replica: &Arc<Replica>, epoch: u64, mut reader: BufReader<TcpStream>) {
-    let mut lines = LineReader::new(LINE_CAP);
-    loop {
-        let read = match lines.next_line(&mut reader) {
-            Ok(r) => r,
-            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => continue,
-            Err(_) => break,
-        };
-        let bytes = match read {
-            LineRead::Eof => break,
-            LineRead::Oversized => continue,
-            LineRead::Line(b) => b,
-        };
-        let Ok(text) = std::str::from_utf8(&bytes) else { continue };
-        let Ok(v) = serde_json::from_str(text) else { continue };
-        let Some(rid) = v.get("id").and_then(Value::as_u64).filter(|&r| r != 0) else {
-            continue;
-        };
-        replica.untrack_inflight(rid);
-        match fleet.pending.peek(rid, |d| matches!(d, Deliver::Internal(_))) {
-            None => {
-                fleet.metrics.duplicates.inc(1);
-            }
-            Some(true) => {
-                if let Some(Deliver::Internal(tx)) = fleet.pending.take(rid) {
-                    let _ = tx.send(v);
-                }
-            }
-            Some(false) => {
-                let status = v.get("status").and_then(Value::as_str).unwrap_or("");
-                let code = v.get("code").and_then(Value::as_str).unwrap_or("");
-                if status == "error" && retryable_code(code) && !fleet.draining.load(Ordering::Relaxed) {
-                    fleet.rmetrics[replica.id].failures.inc(1);
-                    handle_failure(fleet, rid, Some(text.to_string()));
-                } else if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
-                    answer_client(fleet, &sink, v, id);
-                } else {
-                    fleet.metrics.duplicates.inc(1);
-                }
-            }
+    // Reads until the connection ends, through a drain too: the answers a
+    // drain waits for arrive here. Lines that are not answers are skipped.
+    let never = AtomicBool::new(false);
+    read_requests(&mut reader, LINE_CAP, Duration::ZERO, &never, |line| {
+        if let Ok(text) = line {
+            replica_answer(fleet, replica, text);
         }
-    }
+        false
+    });
     if replica.mark_down(epoch) {
         on_replica_down(fleet, replica);
+    }
+}
+
+/// Hands one replica answer to whoever waits for its rid: a probe or
+/// reload phase, a retry, or the client.
+fn replica_answer(fleet: &Arc<Fleet>, replica: &Replica, text: &str) {
+    let Ok(v): Result<Value, _> = serde_json::from_str(text) else { return };
+    let Some(rid) = v.get("id").and_then(Value::as_u64).filter(|&r| r != 0) else {
+        return;
+    };
+    replica.untrack_inflight(rid);
+    match fleet.pending.peek(rid, |d| matches!(d, Deliver::Internal(_))) {
+        None => {
+            fleet.metrics.duplicates.inc(1);
+        }
+        Some(true) => {
+            if let Some(Deliver::Internal(tx)) = fleet.pending.take(rid) {
+                let _ = tx.send(v);
+            }
+        }
+        Some(false) => {
+            let status = v.get("status").and_then(Value::as_str).unwrap_or("");
+            let code = v.get("code").and_then(Value::as_str).unwrap_or("");
+            if status == "error" && ErrorCode::parse_wire(code).is_some_and(ErrorCode::retryable) && !fleet.draining.load(Ordering::Relaxed) {
+                fleet.rmetrics[replica.id].failures.inc(1);
+                handle_failure(fleet, rid, Some(text.to_string()));
+            } else if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
+                answer_client(fleet, &sink, v, id);
+            } else {
+                fleet.metrics.duplicates.inc(1);
+            }
+        }
     }
 }
 
@@ -585,7 +553,7 @@ fn revive(fleet: &Arc<Fleet>, replica: &Arc<Replica>) -> Result<(), String> {
     drop(log);
     // Attached readers poll with a short timeout (so a socket shutdown or
     // process exit is noticed promptly without busy-waiting).
-    hs.stream.set_read_timeout(Some(Duration::from_millis(100))).map_err(|e| e.to_string())?;
+    hs.stream.set_read_timeout(Some(READ_POLL)).map_err(|e| e.to_string())?;
     let write_half = hs.stream.try_clone().map_err(|e| e.to_string())?;
     let epoch = replica.attach(write_half, hs.addr.clone(), gen, hs.draining);
     if seen_before {
@@ -705,25 +673,19 @@ fn health_loop(fleet: &Arc<Fleet>) {
 // Two-phase fleet reload
 // ---------------------------------------------------------------------------
 
-fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Sink) {
+/// Ships one client `reload` fleet-wide; the ack body, or why not.
+fn fleet_reload(fleet: &Arc<Fleet>, request: &Value) -> Result<Value, (ErrorCode, String)> {
     let _guard = fleet.reload_lock.lock().unwrap_or_else(|p| p.into_inner());
     if fleet.draining.load(Ordering::Relaxed) {
-        respond_control(fleet, sink, error_value("shedding", "fleet is draining"), client_id);
-        return;
+        return Err((ErrorCode::Shedding, "fleet is draining".into()));
     }
     if fleet.wal_failed.load(Ordering::Relaxed) {
-        respond_control(
-            fleet,
-            sink,
-            error_value("internal", "delta log failed on an earlier commit; fleet reloads are disabled (extraction continues)"),
-            client_id,
-        );
-        return;
+        let message = "delta log failed on an earlier commit; fleet reloads are disabled (extraction continues)";
+        return Err((ErrorCode::Internal, message.into()));
     }
     let ups: Vec<Arc<Replica>> = fleet.replicas.iter().filter(|r| r.is_up()).cloned().collect();
     if ups.is_empty() {
-        respond_control(fleet, sink, error_value("internal", "no replicas are up"), client_id);
-        return;
+        return Err((ErrorCode::Internal, "no replicas are up".into()));
     }
     // The delta body shipped to replicas and logged for resync: the client
     // request minus its envelope fields.
@@ -760,8 +722,7 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         // generation, and stale pending generations are replaced by the
         // next prepare (or invalidated by a direct apply). Mixed serving
         // states are impossible from this path.
-        respond_control(fleet, sink, error_value("internal", &format!("prepare failed; fleet unchanged: {}", failures.join("; "))), client_id);
-        return;
+        return Err((ErrorCode::Internal, format!("prepare failed; fleet unchanged: {}", failures.join("; "))));
     }
 
     // Phase 2: activate everywhere. A replica that fails here is cut loose
@@ -789,13 +750,7 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         }
     }
     if acked == 0 {
-        respond_control(
-            fleet,
-            sink,
-            error_value("internal", "no replica activated the new generation; fleet will reconverge on the old one"),
-            client_id,
-        );
-        return;
+        return Err((ErrorCode::Internal, "no replica activated the new generation; fleet will reconverge on the old one".into()));
     }
     fleet.generation.store(target, Ordering::Relaxed);
     // The in-memory log and generation always reflect what the replicas
@@ -808,24 +763,22 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         // The fleet converged on `target` but the log did not: tell the
         // client the reload is NOT durable (a coordinator restart may
         // forget it) instead of acking a promise the disk cannot keep.
-        respond_control(fleet, sink, error_value("internal", &format!("reload activated fleet-wide but is not durable: {e}")), client_id);
-        return;
+        return Err((ErrorCode::Internal, format!("reload activated fleet-wide but is not durable: {e}")));
     }
     fleet.maybe_compact();
-    let ok = json!({
+    Ok(json!({
         "status": "ok",
         "generation": target,
         "replicas_acked": acked,
         "replicas_total": ups.len(),
-    });
-    respond_control(fleet, sink, ok, client_id);
+    }))
 }
 
 /// Control-plane responses bypass the served/shed/failed ledger (that
 /// partition is for extract requests, mirroring `aeetes serve`).
-fn respond_control(_fleet: &Fleet, sink: &Sink, mut response: Value, client_id: Value) {
+fn respond_control(sink: &Sink, mut response: Value, client_id: Value) {
     set_field(&mut response, "id", client_id);
-    respond(sink, &response.to_string());
+    sink.respond(&response.to_string());
 }
 
 // ---------------------------------------------------------------------------
@@ -873,108 +826,78 @@ fn stats_value(fleet: &Fleet) -> Value {
     })
 }
 
-/// Serves one client connection. Returns `true` when this connection asked
-/// the fleet to shut down.
+/// Serves one client connection on the shared framing loop. Returns `true`
+/// when this connection asked the fleet to shut down.
 fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> bool {
-    let mut lines = LineReader::new(LINE_CAP);
-    loop {
-        let read = match lines.next_line(reader) {
-            Ok(r) => r,
-            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
-                if fleet.draining.load(Ordering::Relaxed) {
-                    return false;
-                }
-                continue;
-            }
-            Err(_) => return false,
-        };
-        let bytes = match read {
-            LineRead::Eof => return false,
-            LineRead::Oversized => {
-                respond_control(fleet, sink, error_value("too_large", &format!("request line exceeds {LINE_CAP} bytes")), Value::Null);
-                continue;
-            }
-            LineRead::Line(b) => b,
-        };
-        let Ok(text) = std::str::from_utf8(&bytes) else {
-            respond_control(fleet, sink, error_value("bad_request", "request line is not valid UTF-8"), Value::Null);
-            continue;
-        };
-        if text.trim().is_empty() {
-            continue;
+    let ended = read_requests(reader, LINE_CAP, Duration::ZERO, &fleet.draining, |request| match request {
+        Ok(text) => client_request(fleet, text, sink),
+        Err(reject) => {
+            sink.respond(&error_line(&reject));
+            false
         }
-        let Ok(mut v) = serde_json::from_str(text) else {
-            respond_control(fleet, sink, error_value("bad_request", "request line is not valid JSON"), Value::Null);
-            continue;
-        };
-        let client_id = v.get("id").cloned().unwrap_or(Value::Null);
-        let kind = v.get("type").and_then(Value::as_str).unwrap_or("").to_string();
-        match kind.as_str() {
-            "extract" => {
-                if fleet.draining.load(Ordering::Relaxed) {
-                    answer_client(fleet, sink, error_value("shedding", "fleet is draining"), client_id);
-                    continue;
-                }
-                let rid = fleet.pending.next_rid();
-                set_field(&mut v, "id", json!(rid));
-                let expires = Instant::now() + fleet.opts.request_timeout;
-                fleet
-                    .pending
-                    .admit_with_rid(Deliver::Client { id: client_id, sink: Arc::clone(sink), expires }, v.to_string(), rid);
-                let _ = fleet.dispatch_tx.send(DispatchMsg { rid, not_before: Instant::now() });
-            }
-            "health" => {
-                let draining = fleet.draining.load(Ordering::Relaxed);
-                let response = json!({
-                    "status": "ok",
-                    "health": if draining { "draining" } else { "ok" },
-                    "draining": draining,
-                    "generation": fleet.generation.load(Ordering::Relaxed),
-                    "replicas_up": fleet.up_count(),
-                });
-                respond_control(fleet, sink, response, client_id);
-            }
-            "stats" => {
-                respond_control(fleet, sink, json!({"status": "ok", "stats": stats_value(fleet)}), client_id);
-            }
-            "metrics" => {
-                fleet.metrics.pending.set(fleet.pending.len().min(i64::MAX as usize) as i64);
-                fleet.metrics.replicas_up.set(fleet.up_count());
-                fleet.metrics.generation.set(fleet.generation.load(Ordering::Relaxed).min(i64::MAX as u64) as i64);
-                let snapshot = fleet.registry.snapshot();
-                let metrics: Value = serde_json::from_str(&aeetes_obs::json(&snapshot)).unwrap_or(Value::Null);
-                respond_control(fleet, sink, json!({"status": "ok", "metrics": metrics}), client_id);
-            }
-            "reload" => {
-                fleet_reload(fleet, client_id, &v, sink);
-            }
-            "prepare" | "activate" => {
-                respond_control(
-                    fleet,
-                    sink,
-                    error_value("bad_request", "the coordinator runs prepare/activate itself; send `reload` and it ships two-phase"),
-                    client_id,
-                );
-            }
-            "shutdown" => {
-                fleet.draining.store(true, Ordering::Relaxed);
-                respond_control(fleet, sink, json!({"status": "ok", "draining": true}), client_id);
-                return true;
-            }
-            other => {
-                respond_control(fleet, sink, error_value("bad_request", &format!("unknown request type `{other}`")), client_id);
-            }
-        }
-    }
+    });
+    ended == Ended::Shutdown
 }
 
-fn handle_client(fleet: &Arc<Fleet>, stream: TcpStream) -> bool {
-    let _ = stream.set_nodelay(true); // replies are small and latency-bound; never batch them
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let Ok(write_half) = stream.try_clone() else { return false };
-    let sink: Sink = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    client_stream(fleet, &mut reader, &sink)
+/// Answers or admits one client request line. Returns `true` for `shutdown`.
+fn client_request(fleet: &Arc<Fleet>, text: &str, sink: &Sink) -> bool {
+    let Ok(mut v): Result<Value, _> = serde_json::from_str(text) else {
+        sink.respond(&error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "request line is not valid JSON")));
+        return false;
+    };
+    let client_id = v.get("id").cloned().unwrap_or(Value::Null);
+    let kind = v.get("type").and_then(Value::as_str).unwrap_or("").to_string();
+    match kind.as_str() {
+        "extract" => {
+            if fleet.draining.load(Ordering::Relaxed) {
+                answer_client(fleet, sink, Reject::new(Value::Null, ErrorCode::Shedding, "fleet is draining").value(), client_id);
+                return false;
+            }
+            let rid = fleet.pending.next_rid();
+            set_field(&mut v, "id", json!(rid));
+            let expires = Instant::now() + fleet.opts.request_timeout;
+            fleet
+                .pending
+                .admit_with_rid(Deliver::Client { id: client_id, sink: sink.clone(), expires }, v.to_string(), rid);
+            let _ = fleet.dispatch_tx.send(DispatchMsg { rid, not_before: Instant::now() });
+        }
+        "health" => {
+            let draining = fleet.draining.load(Ordering::Relaxed);
+            let response = json!({
+                "status": "ok",
+                "health": if draining { "draining" } else { "ok" },
+                "draining": draining,
+                "generation": fleet.generation.load(Ordering::Relaxed),
+                "replicas_up": fleet.up_count(),
+            });
+            respond_control(sink, response, client_id);
+        }
+        "stats" => respond_control(sink, json!({"status": "ok", "stats": stats_value(fleet)}), client_id),
+        "metrics" => {
+            fleet.metrics.pending.set(fleet.pending.len().min(i64::MAX as usize) as i64);
+            fleet.metrics.replicas_up.set(fleet.up_count());
+            fleet.metrics.generation.set(fleet.generation.load(Ordering::Relaxed).min(i64::MAX as u64) as i64);
+            respond_control(sink, json!({"status": "ok", "metrics": metrics_value(&fleet.registry)}), client_id);
+        }
+        "reload" => match fleet_reload(fleet, &v) {
+            Ok(ack) => respond_control(sink, ack, client_id),
+            Err((code, message)) => sink.respond(&error_line(&Reject::new(client_id, code, message))),
+        },
+        "prepare" | "activate" => {
+            let message = "the coordinator runs prepare/activate itself; send `reload` and it ships two-phase";
+            sink.respond(&error_line(&Reject::new(client_id, ErrorCode::BadRequest, message)));
+        }
+        "shutdown" => {
+            fleet.draining.store(true, Ordering::Relaxed);
+            respond_control(sink, json!({"status": "ok", "draining": true}), client_id);
+            return true;
+        }
+        other => {
+            let message = format!("unknown request type `{other}`");
+            sink.respond(&error_line(&Reject::new(client_id, ErrorCode::BadRequest, message)));
+        }
+    }
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -1011,8 +934,7 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
                 }
                 wmetrics.replayed_records.inc(replay.records.len() as u64);
                 wmetrics.truncated_bytes.inc(replay.truncated_bytes);
-                wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-                wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
+                wal.observe(&wmetrics);
                 if !restored_log.is_empty() || replay.truncated_bytes > 0 {
                     eprintln!(
                         "fleet: restored {} delta(s) from {} (base generation {restored_base}, {} torn byte(s) truncated)",
@@ -1085,25 +1007,10 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
         std::thread::spawn(move || health_loop(&fleet))
     };
 
-    let mut handlers = Vec::new();
-    for conn in listener.incoming() {
-        if fleet.draining.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let fleet_for_conn = Arc::clone(&fleet);
-        handlers.push(std::thread::spawn(move || {
-            if handle_client(&fleet_for_conn, stream) {
-                // Shutdown arrived here; wake the acceptor so it observes
-                // the flag (the wake-up connection is never served).
-                let _ = TcpStream::connect(local);
-            }
-        }));
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+    // No connection cap and no idle timeout: the fleet's clients are few and
+    // long-lived.
+    let for_clients = Arc::clone(&fleet);
+    accept_loop(&listener, &fleet.draining, None, move |reader, sink| client_stream(&for_clients, reader, sink));
 
     // Drain: finish pending work within the deadline, then sweep.
     let deadline = Instant::now() + fleet.opts.drain;
@@ -1113,10 +1020,11 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
     for (_rid, deliver) in fleet.pending.drain() {
         match deliver {
             Deliver::Client { id, sink, .. } => {
-                answer_client(&fleet, &sink, error_value("shedding", "fleet drained before this request was answered"), id);
+                let drained = Reject::new(Value::Null, ErrorCode::Shedding, "fleet drained before this request was answered");
+                answer_client(&fleet, &sink, drained.value(), id);
             }
             Deliver::Internal(tx) => {
-                let _ = tx.send(error_value("shedding", "fleet drained"));
+                let _ = tx.send(Reject::new(Value::Null, ErrorCode::Shedding, "fleet drained").value());
             }
         }
     }

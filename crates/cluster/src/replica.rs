@@ -103,7 +103,7 @@ impl Replica {
     pub fn send_line(&self, line: &str) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let Some(writer) = state.writer.as_mut() else { return false };
-        crate::write_line(writer, line).is_ok()
+        crate::wire::write_line(writer, line).is_ok()
     }
 
     pub fn track_inflight(&self, rid: u64) {
@@ -291,7 +291,7 @@ impl Replica {
 /// (handshake and resync replay). The stream's read timeout bounds the
 /// wait; blank or non-JSON lines are skipped.
 pub fn sync_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<Value, String> {
-    crate::write_line(writer, line).map_err(|e| format!("write: {e}"))?;
+    crate::wire::write_line(writer, line).map_err(|e| format!("write: {e}"))?;
     loop {
         let mut response = String::new();
         match reader.read_line(&mut response) {

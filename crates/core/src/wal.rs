@@ -43,10 +43,12 @@
 use crate::durable::{fsync_dir, write_all_at_site};
 use crate::failpoint;
 use crate::persist::crc32;
+use aeetes_obs::WalMetrics;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 const WAL_MAGIC: &[u8; 4] = b"AWAL";
 const WAL_VERSION: u32 = 1;
@@ -303,6 +305,33 @@ impl Wal {
         failpoint::io_site("wal.append.sync")?;
         self.file.sync_all()?;
         Ok(())
+    }
+
+    /// Appends one record and makes it durable — the commit a caller may
+    /// acknowledge after — and counts it in `metrics`: the fsync latency,
+    /// the append, its bytes and the log's new size; or the failure.
+    pub fn commit(&mut self, generation: u64, payload: &[u8], metrics: &WalMetrics) -> Result<(), WalError> {
+        let result = self.append(generation, payload).and_then(|()| {
+            let started = Instant::now();
+            self.sync()?;
+            metrics.fsync_nanos.observe_nanos(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            Ok(())
+        });
+        match result {
+            Ok(()) => {
+                metrics.appends.inc(1);
+                metrics.append_bytes.inc(payload.len() as u64);
+                self.observe(metrics);
+            }
+            Err(_) => metrics.append_failures.inc(1),
+        }
+        result
+    }
+
+    /// Sets `metrics`' gauges of the log's committed records and bytes.
+    pub fn observe(&self, metrics: &WalMetrics) {
+        metrics.records.set(self.records.min(i64::MAX as u64) as i64);
+        metrics.bytes.set(self.len.min(i64::MAX as u64) as i64);
     }
 
     /// Replaces the log with a fresh empty one based at `new_base`

@@ -19,8 +19,10 @@
 //!
 //! [`paths::Built`] builds the case's engines once. Every registered path
 //! ([`paths::PATHS`]: direct `extract_request`, `extract_batch_into` at 1
-//! and 2 threads, a `StreamExtractor` fed random byte cuts, FaerieR on its
-//! domain) answers the case, or says it cannot express it. Each answer is
+//! and 2 threads, a `StreamExtractor` fed random byte cuts, one `extract`
+//! request line through an `aeetes serve` `Session` whose job runs on the
+//! calling thread, FaerieR on its domain) answers the case, or says it
+//! cannot express it. Each answer is
 //! compared with [`oracle::answer`] on `(span, entity)`, scores within
 //! 1e-12 and, on paths that report one, the best variant; and bit for bit
 //! with the reference path: the heap `Aeetes` over the live dictionary,
@@ -56,6 +58,7 @@
 //! | `shard/tests/properties.rs`: `delta_equals_fresh_rebuild`, `spliced_generation_answers_every_request_shape_as_rebuilt`, the answers of `replay_against_rebuild` | the state × request axes: tailed and compacted generations (removing the longest set's origin, then every live origin, then a tail on the new base), heap-built, opened and mapped bases |
 //! | `stream/tests/chunk_boundary.rs`: `streamed_equals_whole_document` | the streamed path: no cut, every byte cut, random and mid-UTF-8 cuts, interning as the whole document does |
 //! | `pool/tests/batch.rs`: `parallel_matches_serial`, `extract_batch_with_matches_plain_extract`, `pooled_batch_matches_sequential_oracle`, `batch_carries_metric_and_top_k` | the pooled paths at 1 and 2 threads, every strategy, metric and `top_k` |
+//! | `crates/cli/tests/serve_chaos.rs`: the only check that a served answer is the engine's (one fixed document) | the served path: every case a generation can serve and the wire can say (not weighted, not cancelled), parsed back off the wire |
 //!
 //! Run the release case count with
 //! `cargo test --release --test brute_force_oracle --test metric_oracle`.

@@ -3,15 +3,21 @@
 
 use super::case::{Build, Case, Limit, Open, World};
 use aeetes::baselines::Faerie;
+use aeetes::cluster::Sink;
 use aeetes::core::{CancelToken, DocError, ExtractLimits};
 use aeetes::pool::{extract_batch_into, BatchBuf, BatchSlot};
 use aeetes::rules::DerivedId;
 use aeetes::shard::Generation;
 use aeetes::{
-    open_frozen, open_frozen_bytes, select_top_k, Aeetes, AeetesConfig, BatchOptions, Document, ExtractBackend, ExtractRequest, ExtractScratch,
-    Match, Metric, Pool, ShardedEngine, Span, StreamExtractor, Tokenizer,
+    open_frozen, open_frozen_bytes, select_top_k, Aeetes, AeetesConfig, BatchOptions, Document, EntityId, ExtractBackend, ExtractRequest,
+    ExtractScratch, Match, Metric, Pool, ShardedEngine, Span, StreamExtractor, Tokenizer,
 };
+use aeetes_cli::protocol::Ceilings;
+use aeetes_cli::serve::ServeOptions;
+use aeetes_cli::session::{Reply, Server, Session};
+use serde_json::{json, Map, Value};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// What a case builds, once: the reference (a heap `Aeetes` over the live
 /// dictionary), the engine under test, FaerieR, and the parsed document.
@@ -19,6 +25,9 @@ pub struct Built {
     pub reference: Aeetes,
     /// `None` when the build under test is the monolith, the reference.
     pub generation: Option<Arc<Generation>>,
+    /// What `aeetes serve` makes of the same engine; `None` for the
+    /// monolith, which a server does not serve.
+    pub server: Option<Arc<Server>>,
     /// The world after the case's deltas.
     pub live: World,
     pub faerier: Faerie,
@@ -49,8 +58,8 @@ impl Built {
         let mut live = (*case.world).clone();
         case.deltas.iter().for_each(|delta| live.apply(delta));
         let reference = Aeetes::from_parts(live.dict.clone(), live.derive(), &live.interner, config.clone());
-        let generation = match case.build {
-            Build::Monolith => None,
+        let (generation, server) = match case.build {
+            Build::Monolith => (None, None),
             Build::Parts(n, open) => {
                 let world = &case.world;
                 let built = ShardedEngine::build(world.dict.clone(), &world.rules, &world.interner, config, n);
@@ -64,7 +73,7 @@ impl Built {
                 }
                 let generation = engine.snapshot();
                 assert_eq!(generation.interner().len(), live.interner.len(), "{}: the deltas intern alike", case.label);
-                Some(generation)
+                (Some(generation), Some(unclamped_server(engine)))
             }
         };
         let cancel = CancelToken::new();
@@ -72,7 +81,7 @@ impl Built {
             cancel.cancel();
         }
         let faerier = Faerie::build_derived(reference.derived());
-        let mut built = Built { reference, generation, live, faerier, doc: Document::default(), cancel };
+        let mut built = Built { reference, generation, server, live, faerier, doc: Document::default(), cancel };
         built.doc = built.parse(&case.doc);
         built
     }
@@ -107,6 +116,17 @@ impl Built {
     }
 }
 
+/// A server over `engine` whose ceilings clamp no request.
+fn unclamped_server(engine: ShardedEngine) -> Arc<Server> {
+    let ceilings = Ceilings {
+        max_doc_bytes: usize::MAX,
+        max_timeout: Duration::from_secs(3600),
+        max_matches: usize::MAX,
+        max_candidates: usize::MAX,
+    };
+    Server::new(engine, &ServeOptions { ceilings, ..ServeOptions::default() }, 1).expect("server")
+}
+
 /// A path's matches and whether a budget cut them short.
 pub type Answer = (Vec<Match>, bool);
 
@@ -119,7 +139,7 @@ pub struct Path {
     pub run: fn(&Case, &Built) -> Option<Answer>,
 }
 
-pub const PATHS: [Path; 5] = [
+pub const PATHS: [Path; 6] = [
     Path { name: "direct", exact: true, run: direct },
     Path { name: "pooled, 1 thread", exact: true, run: |case, built| pooled(case, built, 1) },
     Path {
@@ -128,6 +148,7 @@ pub const PATHS: [Path; 5] = [
         run: |case, built| pooled(case, built, 2),
     },
     Path { name: "streamed", exact: true, run: streamed },
+    Path { name: "served", exact: false, run: served },
     Path { name: "FaerieR", exact: false, run: faerier },
 ];
 
@@ -190,6 +211,50 @@ fn streamed(case: &Case, built: &Built) -> Option<Answer> {
         best_variant: m.best_variant,
     });
     Some((matches.collect(), false))
+}
+
+/// One `extract` request line through a `Session` over the engine under
+/// test, its job run on this thread, its answer parsed back off the wire.
+/// Strategy and metric are the engine's; budgets and `top_k` ride as
+/// request fields. The wire has no `weighted` flag and no cancel token.
+fn served(case: &Case, built: &Built) -> Option<Answer> {
+    let server = built.server.as_ref()?;
+    if case.weighted || case.limit == Limit::Cancelled {
+        return None;
+    }
+    let mut request = Map::new();
+    request.insert("type".into(), json!("extract"));
+    request.insert("doc".into(), json!(case.doc));
+    request.insert("tau".into(), json!(case.tau));
+    if let Some(k) = case.top_k {
+        request.insert("top_k".into(), json!(k));
+    }
+    match case.limit {
+        Limit::Candidates(n) => request.insert("max_candidates".into(), json!(n)),
+        Limit::Matches(n) => request.insert("max_matches".into(), json!(n)),
+        Limit::None | Limit::Cancelled => None,
+    };
+    let mut session = Session::new(Arc::clone(server), Sink::new(std::io::sink()));
+    let Reply::Job(job) = session.handle(Ok(&Value::Object(request).to_string()), Instant::now()) else {
+        panic!("{}: the extract request was not admitted", case.label)
+    };
+    let mut line = String::new();
+    job.run(&mut ExtractScratch::new(), |answer| line = answer.to_string());
+    let answer: Value = serde_json::from_str(&line).unwrap_or_else(|e| panic!("{}: {e}: {line}", case.label));
+    assert_eq!(answer.get("status").and_then(Value::as_str), Some("ok"), "{}: {line}", case.label);
+    let field = |m: &Value, key: &str| m.get(key).and_then(Value::as_f64).unwrap_or_else(|| panic!("{}: no `{key}` in {line}", case.label));
+    let matches = answer
+        .get("matches")
+        .and_then(Value::as_array)
+        .unwrap_or_else(|| panic!("{}: {line}", case.label))
+        .iter()
+        .map(|m| Match {
+            entity: EntityId(field(m, "entity") as u32),
+            span: Span::new(field(m, "start") as usize, field(m, "len") as usize),
+            score: field(m, "score"),
+            best_variant: DerivedId(u32::MAX),
+        });
+    Some((matches.collect(), answer.get("truncated").and_then(Value::as_bool) == Some(true)))
 }
 
 /// FaerieR over the live `D_cap(e)`, on its domain: Jaccard, unweighted,
