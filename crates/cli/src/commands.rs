@@ -6,6 +6,7 @@
 //! `1` (failure).
 
 use crate::args::Args;
+use aeetes_cluster::DeltaLog;
 use aeetes_core::{
     suppress_overlaps, AeetesConfig, BatchOptions, ExtractBackend, ExtractLimits, ExtractRequest, ExtractScratch, ExtractStats, Stage, StageSlots,
     Strategy,
@@ -597,9 +598,7 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
     let compactor: Option<aeetes_cluster::Compactor> = match (&wal, args.optional("engine")) {
         (Some(_), Some(engine_path)) => {
             let path = engine_path.to_string();
-            Some(std::sync::Arc::new(move |deltas: &[serde_json::Value], base: u64, target: u64| {
-                compact_artifact(&path, deltas, base, target)
-            }))
+            Some(std::sync::Arc::new(move |deltas: &[serde_json::Value], base: u64| compact_artifact(&path, deltas, base)))
         }
         _ => None,
     };
@@ -622,33 +621,13 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
     Ok(EXIT_OK)
 }
 
-/// Folds logged deltas into the engine artifact: load, apply the suffix the
-/// artifact has not yet seen, save at `target`, and atomically (and
-/// durably) replace the file. Used by the fleet coordinator's compaction
-/// and by `aeetes wal compact`. Delta `i` of `deltas` takes generation
-/// `base + i` to `base + i + 1`.
-fn compact_artifact(engine_path: &str, deltas: &[serde_json::Value], base: u64, target: u64) -> Result<(), String> {
+/// Folds a delta log based at `base` into the engine artifact: load, replay
+/// the deltas the artifact has not yet seen, and atomically (and durably)
+/// replace the file. The fold of the fleet coordinator's compaction and of
+/// `aeetes wal compact`.
+fn compact_artifact(engine_path: &str, deltas: &[serde_json::Value], base: u64) -> Result<(), String> {
     let engine = open_engine(engine_path)?;
-    let tokenizer = Tokenizer::default();
-    let artifact_gen = engine.generation_id();
-    if artifact_gen < base || artifact_gen > target {
-        return Err(format!(
-            "{engine_path}: artifact is at generation {artifact_gen}, outside the log's [{base}, {target}] — wrong artifact?"
-        ));
-    }
-    for (i, delta) in deltas.iter().enumerate().skip((artifact_gen - base) as usize) {
-        let delta = crate::protocol::parse_delta(delta).map_err(|e| format!("{engine_path}: logged delta {i}: {e}"))?;
-        let generation = engine
-            .apply_update(&delta, &tokenizer)
-            .map_err(|e| format!("{engine_path}: applying logged delta {i}: {e}"))?;
-        let expected = base + i as u64 + 1;
-        if generation.id() != expected {
-            return Err(format!("{engine_path}: logged delta {i} rebuilt generation {}, expected {expected}", generation.id()));
-        }
-    }
-    if engine.generation_id() != target {
-        return Err(format!("{engine_path}: compaction ended at generation {}, wanted {target}", engine.generation_id()));
-    }
+    crate::session::replay_deltas(&engine, &Tokenizer::default(), base, deltas).map_err(|e| format!("{engine_path}: {e}"))?;
     atomic_write(engine_path, &engine.freeze())
 }
 
@@ -673,12 +652,9 @@ fn wal_inspect(argv: &[String]) -> Result<i32, String> {
         .records
         .iter()
         .map(|r| {
-            // Payloads are canonical delta JSON; a non-JSON payload is
+            // Payloads are delta bodies; one that does not decode is
             // reported as opaque rather than failing the inspection.
-            let delta: serde_json::Value = std::str::from_utf8(&r.payload)
-                .ok()
-                .and_then(|text| serde_json::from_str(text).ok())
-                .unwrap_or(serde_json::Value::Null);
+            let delta = DeltaLog::decode(r).unwrap_or(serde_json::Value::Null);
             let count = |field: &str| delta.get(field).and_then(serde_json::Value::as_array).map_or(0, Vec::len);
             serde_json::json!({
                 "generation": r.generation,
@@ -732,29 +708,21 @@ fn wal_compact(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &[], &["wal", "engine"])?;
     let path = args.required("wal")?;
     let engine_path = args.required("engine")?;
-    let (mut wal, replay) = aeetes_core::Wal::open(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    if replay.records.is_empty() {
+    let metrics = aeetes_obs::WalMetrics::register(&std::sync::Arc::new(aeetes_obs::MetricRegistry::new()));
+    let mut log = DeltaLog::new(Some(path.into()), metrics);
+    if !log.restore(|_, _| Ok(0))? {
+        return Err(format!("{path}: no write-ahead log here (missing, or torn before its header was written)"));
+    }
+    let (folded, target) = (log.deltas().len(), log.generation());
+    if folded == 0 {
         eprintln!("{path}: no committed records; nothing to compact");
         return Ok(EXIT_OK);
     }
-    let deltas: Vec<serde_json::Value> = replay
-        .records
-        .iter()
-        .map(|r| {
-            std::str::from_utf8(&r.payload)
-                .map_err(|e| format!("{path}: generation {} record: payload is not UTF-8: {e}", r.generation))
-                .and_then(|text| {
-                    serde_json::from_str(text).map_err(|e| format!("{path}: generation {} record: payload is not JSON: {e}", r.generation))
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    let (base, target) = (wal.base_generation(), wal.last_generation());
-    compact_artifact(engine_path, &deltas, base, target)?;
-    // The artifact now carries every logged delta; reset the log *after*
-    // the artifact is durable. A crash between the two steps is safe:
-    // recovery skips records at or below the artifact's generation.
-    wal.reset(target).map_err(|e| format!("{path}: resetting after compaction: {e}"))?;
-    eprintln!("compacted {} delta(s) into {engine_path} at generation {target}; {path} reset", deltas.len());
+    // The log is reset only *after* the artifact is durable. A crash
+    // between the two steps is safe: recovery skips the records the
+    // artifact already holds.
+    log.compact(|deltas, base| compact_artifact(engine_path, deltas, base))?;
+    eprintln!("compacted {folded} delta(s) into {engine_path} at generation {target}; {path} reset");
     Ok(EXIT_OK)
 }
 

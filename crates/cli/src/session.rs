@@ -35,8 +35,8 @@
 
 use crate::protocol::{delta_value, ok_line, parse_delta, parse_request, Ceilings, ExtractRequest, Request, StreamRequest, StreamVerb};
 use crate::serve::ServeOptions;
-use aeetes_cluster::{error_line, metrics_value, ErrorCode, Reject, Sink};
-use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractScratch, Match, Stage, Wal};
+use aeetes_cluster::{error_line, metrics_value, DeltaLog, ErrorCode, Reject, Sink};
+use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractScratch, Match, Stage};
 use aeetes_obs::{Counter, ExtractCounts, ExtractMetrics, Gauge, Histogram, MetricRegistry, StreamMetrics, WalMetrics};
 use aeetes_shard::{DictDelta, Generation, ShardedEngine};
 use aeetes_stream::{StreamExtractor, StreamMatch};
@@ -45,7 +45,6 @@ use serde_json::{json, Number, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -74,19 +73,20 @@ pub(crate) struct ServeMetrics {
     pub(crate) conns: Arc<Gauge>,
     pub(crate) conns_rejected: Arc<Counter>,
     pub(crate) idle_closed: Arc<Counter>,
-    /// The `aeetes_wal_*` family (registered even without `--wal`, so the
-    /// scrape shape is stable; all zeros when no log is attached).
-    wal: WalMetrics,
     /// The `aeetes_stream*` family: open-stream gauge, chunk/emission
     /// counters, carried-byte gauge, flush latency.
     stream: StreamMetrics,
 }
 
 impl ServeMetrics {
-    fn register() -> Self {
+    /// The server's metrics, and the `aeetes_wal_*` family its delta log
+    /// records into (registered even without `--wal`, so the scrape shape
+    /// is stable; all zeros when no log is attached).
+    fn register() -> (Self, WalMetrics) {
         let registry = Arc::new(MetricRegistry::new());
         let outcome = |o| registry.counter_with("aeetes_requests_total", "Protocol requests by outcome", &[("outcome", o)]);
-        ServeMetrics {
+        let wal;
+        let metrics = ServeMetrics {
             extract: ExtractMetrics::register(&registry),
             request_duration: registry.histogram("aeetes_request_duration_seconds", "End-to-end latency of served extract requests"),
             served: outcome("served"),
@@ -101,10 +101,14 @@ impl ServeMetrics {
             conns: registry.gauge("aeetes_connections", "Protocol connections currently open"),
             conns_rejected: registry.counter("aeetes_conns_rejected_total", "Connections refused by the --max-conns cap"),
             idle_closed: registry.counter("aeetes_idle_closed_total", "Connections closed by the per-connection idle read timeout"),
-            wal: WalMetrics::register(&registry),
-            stream: StreamMetrics::register(&registry),
+            // Registered here, between the two, to keep the scrape's order.
+            stream: {
+                wal = WalMetrics::register(&registry);
+                StreamMetrics::register(&registry)
+            },
             registry,
-        }
+        };
+        (metrics, wal)
     }
 }
 
@@ -141,30 +145,12 @@ pub struct Server {
     /// Fired when the drain deadline passes: stops in-flight extractions
     /// mid-document (threaded into the engine's budget sentinel).
     pub(crate) cancel: CancelToken,
-    /// The delta write-ahead log (`--wal`). The mutex serializes appends;
-    /// ordering against the engine's generation counter is provided by
-    /// `reload_serial`, which every update holds end to end.
-    wal: Option<Mutex<Wal>>,
-    /// Latched on the first failed append/sync: further updates are
-    /// rejected with a structured error (durability can no longer be
-    /// promised) while extraction continues unaffected.
-    wal_failed: AtomicBool,
-    /// The delta body of the most recent successful `prepare`, keyed by its
-    /// prepared generation id, stashed so `activate` can log it — the WAL
-    /// records *activated* deltas, and activation is when the two-phase
-    /// path commits.
-    prepared_delta: Mutex<Option<(u64, Vec<u8>)>>,
-    /// Serializes reload/prepare/activate across connections so WAL record
-    /// generations are appended in the same order the engine assigns them.
-    /// Control-plane only; the extract path never touches it.
-    reload_serial: Mutex<()>,
+    /// The deltas activated since the artifact, durable with `--wal`. Every
+    /// reload/prepare/activate holds its lock end to end, so records are
+    /// appended in the order the engine assigns generations. Control plane
+    /// only; the extract path never touches it.
+    log: Mutex<DeltaLog>,
 }
-
-/// Rejection message once the WAL has latched failed: the server keeps
-/// extracting on its current generation but accepts no further deltas it
-/// could not make durable.
-const WAL_POISONED_MSG: &str =
-    "write-ahead log failed on an earlier commit; reloads are disabled (extraction continues; restart with a healthy --wal path)";
 
 /// A change to the dictionary: a delta applied at once, a delta built and
 /// parked, or the parked generation, named by id, swapped in.
@@ -182,11 +168,10 @@ impl Server {
     pub fn new(engine: ShardedEngine, opts: &ServeOptions, workers: usize) -> Result<Arc<Server>, String> {
         static SEQ: AtomicU64 = AtomicU64::new(1);
         let tokenizer = Tokenizer::default();
-        let metrics = ServeMetrics::register();
-        let wal = match &opts.wal {
-            None => None,
-            Some(path) => Some(Mutex::new(recover_wal(&engine, &tokenizer, path, &metrics.wal)?)),
-        };
+        let (metrics, wal_metrics) = ServeMetrics::register();
+        let mut log = DeltaLog::new(opts.wal.clone(), wal_metrics);
+        log.restore(|base, deltas| replay_deltas(&engine, &tokenizer, base, deltas))?;
+        log.start(engine.generation_id())?;
         metrics.generation.set(gauge_value(engine.generation_id()));
         Ok(Arc::new(Server {
             engine,
@@ -199,10 +184,7 @@ impl Server {
             seq: SEQ.fetch_add(1, Ordering::Relaxed),
             draining: AtomicBool::new(false),
             cancel: CancelToken::new(),
-            wal,
-            wal_failed: AtomicBool::new(false),
-            prepared_delta: Mutex::new(None),
-            reload_serial: Mutex::new(()),
+            log: Mutex::new(log),
         }))
     }
 
@@ -313,71 +295,63 @@ impl Server {
 
     /// Applies, prepares or activates one dictionary change and answers it.
     /// A change is refused while draining (an activate is not: it builds
-    /// nothing) and once the WAL has failed. The new generation is logged
+    /// nothing) and once the log is poisoned. A new generation is logged
     /// before it is acknowledged.
     fn update(&self, id: Value, update: Update) -> String {
         let refuse = |code, message: String| error_line(&Reject::new(id.clone(), code, message));
         if self.draining() && !matches!(update, Update::Activate(_)) {
             return refuse(ErrorCode::Shedding, "server is draining".into());
         }
-        if self.wal_poisoned() {
-            return refuse(ErrorCode::Internal, WAL_POISONED_MSG.into());
-        }
         // The rebuild runs on this connection's reader thread: other
         // connections keep extracting against the old generation until the
-        // atomic swap. The serial lock orders concurrent changes so WAL
-        // records are appended in generation order.
-        let _serial = self.reload_serial.lock().unwrap_or_else(|p| p.into_inner());
-        let committed = match update {
+        // atomic swap.
+        let mut log = self.log.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(refusal) = log.poisoned() {
+            return refuse(ErrorCode::Internal, refusal.into());
+        }
+        let (generation, delta, ack) = match update {
             Update::Reload(delta) => match self.engine.apply_update(&delta, &self.tokenizer) {
-                // Durability before acknowledgement: on a WAL failure the
-                // new generation serves until the process dies, but a
-                // restart (correctly) comes back without it.
-                Ok(generation) => self.wal_commit(generation.id(), delta_value(&delta).to_string().as_bytes()).map(|()| {
-                    json!({
+                Ok(generation) => {
+                    let ack = json!({
                         "id": id,
                         "status": "ok",
                         "generation": generation.id(),
                         "entities": generation.dictionary().len(),
                         "variants": generation.variants(),
-                    })
-                }),
+                    });
+                    (generation.id(), delta, ack)
+                }
                 Err(e) => return refuse(ErrorCode::BadRequest, format!("reload rejected: {e}")),
             },
-            // Builds the next generation but keeps serving the current one.
+            // Builds the next generation but keeps serving the current one;
+            // the engine parks the delta with it, and only an activated
+            // delta is logged.
             Update::Prepare(delta) => {
                 return match self.engine.prepare_update(&delta, &self.tokenizer) {
-                    Ok(generation) => {
-                        // The log records *activated* deltas only, and a
-                        // parked preparation that never activates must not
-                        // be replayed after a restart: stash the body for
-                        // activate to commit.
-                        *self.prepared_delta.lock().unwrap_or_else(|p| p.into_inner()) =
-                            Some((generation.id(), delta_value(&delta).to_string().into_bytes()));
-                        json!({
-                            "id": id,
-                            "status": "ok",
-                            "prepared_generation": generation.id(),
-                            "entities": generation.dictionary().len(),
-                            "variants": generation.variants(),
-                        })
-                        .to_string()
-                    }
+                    Ok(generation) => json!({
+                        "id": id,
+                        "status": "ok",
+                        "prepared_generation": generation.id(),
+                        "entities": generation.dictionary().len(),
+                        "variants": generation.variants(),
+                    })
+                    .to_string(),
                     Err(e) => refuse(ErrorCode::BadRequest, format!("prepare rejected: {e}")),
                 };
             }
             Update::Activate(generation) => match self.engine.activate(generation) {
-                Ok(generation) => self
-                    .commit_prepared(generation.id())
-                    .map(|()| json!({"id": id, "status": "ok", "generation": generation.id()})),
+                Ok((generation, delta)) => (generation.id(), delta, json!({"id": id, "status": "ok", "generation": generation.id()})),
                 // The id names a generation this replica has not prepared: a
                 // coordinator treats this as the replica being out of step
                 // and resyncs it.
                 Err(e) => return refuse(ErrorCode::Conflict, e.to_string()),
             },
         };
-        match committed {
-            Ok(ack) => {
+        // Durability before acknowledgement: on a failed commit the new
+        // generation serves until the process dies, but a restart
+        // (correctly) comes back without it.
+        match log.commit(generation, delta_value(&delta)) {
+            Ok(()) => {
                 self.metrics.generation_swaps.inc(1);
                 self.metrics.generation.set(gauge_value(self.engine.generation_id()));
                 ack.to_string()
@@ -385,100 +359,31 @@ impl Server {
             Err(e) => refuse(ErrorCode::Internal, e),
         }
     }
-
-    /// Commits one activated delta to the WAL: append, then fsync, then —
-    /// and only then — may the caller ack. A failure latches `wal_failed`
-    /// (the delta stays applied in memory but is reported as *not*
-    /// acknowledged, so a restart legitimately comes back without it).
-    /// No-op without `--wal`.
-    fn wal_commit(&self, generation: u64, payload: &[u8]) -> Result<(), String> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let mut wal = wal.lock().unwrap_or_else(|p| p.into_inner());
-        wal.commit(generation, payload, &self.metrics.wal).map_err(|e| {
-            self.wal_failed.store(true, Ordering::Relaxed);
-            format!("wal append for generation {generation} failed: {e}")
-        })
-    }
-
-    /// Activation is the two-phase commit point: logs the stashed prepare
-    /// body of `generation`. A missing or mismatched stash cannot happen
-    /// while the serial lock orders prepare/activate, but is handled as a
-    /// commit failure rather than a panic.
-    fn commit_prepared(&self, generation: u64) -> Result<(), String> {
-        let stashed = self.prepared_delta.lock().unwrap_or_else(|p| p.into_inner()).take();
-        match stashed {
-            Some((prepared, payload)) if prepared == generation => self.wal_commit(generation, &payload),
-            _ if self.wal.is_some() => {
-                self.wal_failed.store(true, Ordering::Relaxed);
-                Err(format!("activated generation {generation} has no stashed prepare body to log"))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Whether a failed WAL commit has disabled further updates: durability
-    /// can no longer be promised, while extraction continues on the current
-    /// generation.
-    fn wal_poisoned(&self) -> bool {
-        self.wal.is_some() && self.wal_failed.load(Ordering::Relaxed)
-    }
 }
 
-/// Opens (or creates) the delta WAL at `path` and replays its committed
-/// suffix over the freshly loaded artifact, bringing the engine to the
-/// last *acknowledged* generation. The log may legitimately begin before
-/// the artifact's generation (a compaction that crashed between rewriting
-/// the artifact and resetting the log): already-folded records are
-/// skipped. A log that starts *after* the artifact is a hard error — the
-/// deltas needed to bridge the gap are gone.
-fn recover_wal(engine: &ShardedEngine, tokenizer: &Tokenizer, path: &Path, metrics: &WalMetrics) -> Result<Wal, String> {
-    let started = Instant::now();
-    let artifact_gen = engine.generation_id();
-    let (wal, replay) = Wal::open_or_create(path, artifact_gen).map_err(|e| format!("{}: {e}", path.display()))?;
-    if wal.base_generation() > artifact_gen {
-        return Err(format!(
-            "{}: log starts at generation {} but the engine artifact is at {artifact_gen}; \
-             the artifact predates the log (restore the matching artifact or remove the log)",
-            path.display(),
-            wal.base_generation()
-        ));
+/// Brings `engine` forward over a delta log based at `base`: delta `i`
+/// takes generation `base + i` to `base + i + 1`, so an engine at
+/// generation `g` already holds the first `g - base` (a compaction folded
+/// them into its artifact) and is given the rest. An engine outside
+/// `[base, base + deltas.len()]` is not the log's artifact, and a delta
+/// that rebuilds any generation but its own is drift: both are errors.
+/// Returns how many deltas it applied.
+pub(crate) fn replay_deltas(engine: &ShardedEngine, tokenizer: &Tokenizer, base: u64, deltas: &[Value]) -> Result<u64, String> {
+    let (at, last) = (engine.generation_id(), base + deltas.len() as u64);
+    if at < base || at > last {
+        return Err(format!("the engine artifact is at generation {at}, outside the log's [{base}, {last}] — wrong artifact?"));
     }
-    let mut replayed = 0u64;
-    for record in &replay.records {
-        if record.generation <= artifact_gen {
-            continue; // already folded into the artifact by a compaction
-        }
-        let text = std::str::from_utf8(&record.payload)
-            .map_err(|e| format!("{}: generation {} record: payload is not UTF-8: {e}", path.display(), record.generation))?;
-        let body: Value = serde_json::from_str(text)
-            .map_err(|e| format!("{}: generation {} record: payload is not JSON: {e}", path.display(), record.generation))?;
-        let delta = parse_delta(&body).map_err(|e| format!("{}: generation {} record: {e}", path.display(), record.generation))?;
-        let generation = engine
+    for (generation, delta) in (at + 1..).zip(&deltas[(at - base) as usize..]) {
+        let delta = parse_delta(delta).map_err(|e| format!("the delta for generation {generation}: {e}"))?;
+        let rebuilt = engine
             .apply_update(&delta, tokenizer)
-            .map_err(|e| format!("{}: replaying the delta for generation {} failed: {e}", path.display(), record.generation))?;
-        if generation.id() != record.generation {
-            return Err(format!(
-                "{}: replay drift: the record for generation {} rebuilt generation {}",
-                path.display(),
-                record.generation,
-                generation.id()
-            ));
+            .map_err(|e| format!("replaying the delta for generation {generation} failed: {e}"))?
+            .id();
+        if rebuilt != generation {
+            return Err(format!("replay drift: the delta for generation {generation} rebuilt generation {rebuilt}"));
         }
-        replayed += 1;
     }
-    metrics.replayed_records.inc(replayed);
-    metrics.truncated_bytes.inc(replay.truncated_bytes);
-    metrics.recovery_nanos.set(gauge_value(nanos_since(started)));
-    wal.observe(metrics);
-    if replayed > 0 || replay.truncated_bytes > 0 {
-        eprintln!(
-            "wal: recovered to generation {} ({} delta(s) replayed, {} torn byte(s) truncated)",
-            engine.generation_id(),
-            replayed,
-            replay.truncated_bytes
-        );
-    }
-    Ok(wal)
+    Ok(last - at)
 }
 
 /// What a session asks its shell to do with one request.
@@ -1013,9 +918,9 @@ mod tests {
                 let (conn, pending) = conns.get_mut(&c).unwrap_or_else(|| panic!("no connection in {line:?}"));
                 match kind {
                     ">" => pending.extend(conn.send(&raw(rest))),
-                    // The recording's first commit failed on disk; here the
-                    // failure is latched directly.
-                    "!" => server.wal_failed.store(true, Ordering::Relaxed),
+                    // The recording's first commit failed on disk; here a
+                    // commit out of sequence fails.
+                    "!" => assert!(server.log.lock().unwrap().commit(0, Value::Null).is_err()),
                     "." => {
                         pending.extend(conn.end());
                         server.metrics.conns.add(-1);

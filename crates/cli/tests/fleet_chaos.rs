@@ -10,11 +10,12 @@
 //! - the fleet converges back to a single generation after a crash that
 //!   races a two-phase swap;
 //! - the killed replica is respawned, resynced from the delta log, and
-//!   serves post-delta entities.
+//!   serves post-delta entities;
+//! - a replica that sheds is failed over, like any retryable answer.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use std::net::{TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use aeetes_core::AeetesConfig;
 use aeetes_rules::RuleSet;
 use aeetes_shard::ShardedEngine;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
-use serde_json::Value;
+use serde_json::{json, Value};
 
 /// Builds a small engine file and returns its path (unique per test).
 fn engine_file(tag: &str) -> PathBuf {
@@ -54,13 +55,19 @@ struct Fleet {
 impl Fleet {
     /// Spawns `aeetes fleet --replicas N --listen 127.0.0.1:0 ...` and
     /// parses the replica banners plus the bound address from stdout.
-    fn spawn(engine: &PathBuf, n: usize, extra: &[&str]) -> Fleet {
+    fn spawn(engine: &Path, n: usize, extra: &[&str]) -> Fleet {
+        let n_arg = n.to_string();
+        let mut args = vec!["--engine", engine.to_str().expect("utf-8 path"), "--replicas", &n_arg];
+        args.extend_from_slice(extra);
+        Fleet::launch(&args, n)
+    }
+
+    /// Spawns `aeetes fleet --listen 127.0.0.1:0 ARGS` over `n` replicas.
+    fn launch(args: &[&str], n: usize) -> Fleet {
         let mut child = Command::new(env!("CARGO_BIN_EXE_aeetes"))
             .arg("fleet")
-            .arg("--engine")
-            .arg(engine)
-            .args(["--replicas", &n.to_string(), "--listen", "127.0.0.1:0"])
-            .args(extra)
+            .args(["--listen", "127.0.0.1:0"])
+            .args(args)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -141,12 +148,18 @@ impl Fleet {
                 assert!(status.success(), "fleet exited with {status:?}");
                 return;
             }
-            if start.elapsed() > budget {
-                let _ = self.child.kill();
-                panic!("fleet did not drain and exit within {budget:?}");
-            }
+            assert!(start.elapsed() <= budget, "fleet did not drain and exit within {budget:?}");
             std::thread::sleep(Duration::from_millis(50));
         }
+    }
+}
+
+/// A failed assertion must not leave a coordinator running (with remote
+/// replicas nothing else would stop it).
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -377,6 +390,80 @@ fn fleet_control_plane_and_drain() {
     let v = fleet.round_trip(r#"{"type":"extract","id":3,"doc":"uq au"}"#);
     assert_eq!(status_of(&v), "ok", "{v}");
     fleet.shutdown_and_wait(Duration::from_secs(20));
+}
+
+/// A replica stand-in on a thread of the test: it answers every `health`
+/// probe at `generation` and every other request `shedding`, as a server
+/// whose queue is full does. Returns its address.
+fn shedding_replica(generation: u64) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub replica");
+    let addr = listener.local_addr().expect("stub address").to_string();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut writer = conn.try_clone().expect("clone stub connection");
+                for line in BufReader::new(conn).lines() {
+                    let Ok(request) = line.map(|l| serde_json::from_str(&l).unwrap_or(Value::Null)) else {
+                        return;
+                    };
+                    let id = request.get("id").cloned().unwrap_or(Value::Null);
+                    let answer = match request.get("type").and_then(Value::as_str) {
+                        Some("health") => json!({"id": id, "status": "ok", "health": "ok", "draining": false, "generation": generation}),
+                        _ => json!({"id": id, "status": "shedding", "code": "shedding", "retryable": true, "message": "request queue is full"}),
+                    };
+                    if writeln!(writer, "{answer}").is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A replica that sheds is failed over: `shedding` is retryable, so the
+/// fleet retries the request on the other replica — a real `aeetes serve`
+/// — and the client only ever sees its answer.
+#[test]
+fn a_shedding_replica_is_failed_over() {
+    struct Reaped(Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let engine = engine_file("shedding");
+    let mut serve = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_aeetes"))
+            .args(["serve", "--engine", engine.to_str().unwrap(), "--listen", "127.0.0.1:0", "--idle-timeout", "0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn serve"),
+    );
+    let mut stdout = BufReader::new(serve.0.stdout.take().expect("serve stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("read serve banner");
+    let serve_addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("bad serve banner {banner:?}"))
+        .to_string();
+    std::thread::spawn(move || std::io::copy(&mut stdout, &mut std::io::sink()));
+
+    let fleet = Fleet::launch(&["--replica", &format!("{},{serve_addr}", shedding_replica(1))], 2);
+    for i in 0..6 {
+        let v = fleet.round_trip(&format!(r#"{{"type":"extract","id":{i},"doc":"uq au"}}"#));
+        assert_eq!(status_of(&v), "ok", "a shed attempt must be retried on the serving replica: {v}");
+    }
+    let stats = fleet.stats();
+    assert!(stats.get("retried").and_then(Value::as_u64).is_some_and(|n| n >= 1), "round robin reaches the stub: {stats}");
+    fleet.shutdown_and_wait(Duration::from_secs(20));
+    drop(serve);
+    let _ = std::fs::remove_file(&engine);
 }
 
 extern "C" {

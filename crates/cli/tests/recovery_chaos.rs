@@ -13,7 +13,8 @@
 //! With `--features failpoints` the suite also drives the injected-fault
 //! paths via `AEETES_FAILPOINTS` in child processes: process abort at the
 //! WAL fsync, crash between the two renames of a compaction, and EIO on
-//! an append (which must poison reloads but leave extraction serving).
+//! an append, of a server and of a fleet coordinator (which must poison
+//! reloads but leave extraction serving).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -371,15 +372,17 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// Spawns `aeetes fleet --replicas N ...` and parses the replica
-    /// banners plus the bound address from stdout.
-    fn spawn(engine: &PathBuf, n: usize, extra: &[&str]) -> Fleet {
+    /// Spawns `aeetes fleet --replicas N ...` with `envs` set (the replicas
+    /// inherit them) and parses the replica banners plus the bound address
+    /// from stdout.
+    fn spawn(engine: &PathBuf, n: usize, extra: &[&str], envs: &[(&str, &str)]) -> Fleet {
         let mut child = Command::new(env!("CARGO_BIN_EXE_aeetes"))
             .arg("fleet")
             .arg("--engine")
             .arg(engine)
             .args(["--replicas", &n.to_string(), "--listen", "127.0.0.1:0"])
             .args(extra)
+            .envs(envs.iter().copied())
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -484,7 +487,7 @@ fn fleet_coordinator_restart_resyncs_replicas_from_disk() {
     let _ = std::fs::remove_file(&wal);
     let wal_arg = wal.to_str().unwrap().to_string();
 
-    let fleet = Fleet::spawn(&engine, 1, &["--wal", &wal_arg]);
+    let fleet = Fleet::spawn(&engine, 1, &["--wal", &wal_arg], &[]);
     let resp = fleet.round_trip(r#"{"type":"reload","id":"d1","add_entities":["fleet recovery entity"]}"#);
     assert!(resp.contains("\"status\":\"ok\""), "{resp}");
     let shipped_gen = field_u64(&resp, "generation");
@@ -494,7 +497,7 @@ fn fleet_coordinator_restart_resyncs_replicas_from_disk() {
     fleet.sigkill_all();
 
     // Same artifact, same log: the delta must come back from disk alone.
-    let revived = Fleet::spawn(&engine, 1, &["--wal", &wal_arg]);
+    let revived = Fleet::spawn(&engine, 1, &["--wal", &wal_arg], &[]);
     revived.wait_converged_at(shipped_gen, Duration::from_secs(20));
     let served = revived.round_trip(probe);
     assert!(served.contains("fleet recovery entity"), "restarted coordinator must resync the delta from its wal: {served}");
@@ -514,17 +517,19 @@ fn fleet_compaction_bounds_the_log_and_survives_restart() {
     let _ = std::fs::remove_file(&wal);
     let wal_arg = wal.to_str().unwrap().to_string();
 
-    let fleet = Fleet::spawn(&engine, 1, &["--wal", &wal_arg, "--compact-threshold", "2"]);
+    let fleet = Fleet::spawn(&engine, 1, &["--wal", &wal_arg, "--compact-threshold", "2"], &[]);
     let mut last_gen = 0;
-    for i in 1..=3u64 {
+    for i in 1..=4u64 {
         let resp = fleet.round_trip(&format!(r#"{{"type":"reload","id":"d{i}","add_entities":["bounded log entity {i}"]}}"#));
         assert!(resp.contains("\"status\":\"ok\""), "{resp}");
         last_gen = field_u64(&resp, "generation");
     }
+    let metrics = fleet.round_trip(r#"{"type":"metrics","id":0}"#);
     fleet.shutdown();
 
-    // The threshold was crossed at the second reload: the log must have
-    // been rebased past generation 1 and hold fewer records than deltas.
+    // The threshold was crossed at the second and the fourth reload: the
+    // log must have been rebased past generation 1 and hold fewer records
+    // than deltas.
     let out = Command::new(env!("CARGO_BIN_EXE_aeetes"))
         .args(["wal", "inspect", "--wal", &wal_arg, "--json"])
         .output()
@@ -532,12 +537,25 @@ fn fleet_compaction_bounds_the_log_and_survives_restart() {
     assert!(out.status.success(), "wal inspect failed: {}", String::from_utf8_lossy(&out.stderr));
     let report = String::from_utf8(out.stdout).expect("utf8");
     assert!(field_u64(&report, "base_generation") > 1, "compaction must rebase the log: {report}");
-    assert!(field_u64(&report, "records") < 3, "compaction must bound the log: {report}");
+    assert!(field_u64(&report, "records") < 4, "compaction must bound the log: {report}");
+    // The gauge reads the log as it is on disk: a compacted log still holds
+    // its header.
+    let metrics: serde_json::Value = serde_json::from_str(&metrics).expect("metrics answer");
+    let wal_bytes = metrics
+        .get("metrics")
+        .and_then(serde_json::Value::as_array)
+        .and_then(|families| {
+            families
+                .iter()
+                .find(|m| m.get("name").and_then(serde_json::Value::as_str) == Some("aeetes_wal_bytes"))
+        })
+        .and_then(|m| m.get("value").and_then(serde_json::Value::as_u64));
+    assert_eq!(wal_bytes, Some(field_u64(&report, "committed_bytes")), "aeetes_wal_bytes must be what `wal inspect` reads: {metrics}");
 
     // Compacted artifact + rebased log reconstruct the full fleet state.
-    let revived = Fleet::spawn(&engine, 1, &["--wal", &wal_arg, "--compact-threshold", "2"]);
+    let revived = Fleet::spawn(&engine, 1, &["--wal", &wal_arg, "--compact-threshold", "2"], &[]);
     revived.wait_converged_at(last_gen, Duration::from_secs(20));
-    for i in 1..=3u64 {
+    for i in 1..=4u64 {
         let served = revived.round_trip(&format!(r#"{{"id":"p{i}","type":"extract","doc":"saw bounded log entity {i} again","tau":0.6}}"#));
         assert!(served.contains(&format!("bounded log entity {i}")), "delta {i} must survive compaction + restart: {served}");
     }
@@ -621,6 +639,46 @@ mod failpoints {
         let revived = Server::spawn(&engine, &["--wal", wal.to_str().unwrap()], &[]);
         assert_eq!(generation_of(&revived), 2, "only the logged delta may survive");
         assert_matches_oracle(&revived, &engine, 2, 3);
+        revived.shutdown();
+
+        let _ = std::fs::remove_file(&engine);
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    /// EIO on the coordinator's log append: the fleet has activated the
+    /// reload everywhere, but it is not durable, so it is an error, and the
+    /// poisoned log refuses every later reload while extraction still
+    /// answers. The replicas inherit the failpoint but have no `--wal`, so
+    /// they never reach it. A restarted fleet converges at the last logged
+    /// generation.
+    #[test]
+    fn fleet_append_error_poisons_reloads_but_extraction_survives() {
+        let engine = engine_file("fleet-poison");
+        let wal = wal_file("fleet-poison");
+        let _ = std::fs::remove_file(&wal);
+        let wal_arg = wal.to_str().unwrap().to_string();
+
+        let fleet = Fleet::spawn(&engine, 1, &["--wal", &wal_arg], &[("AEETES_FAILPOINTS", "wal.append.write=error@2")]);
+        let reload = |i: u64| fleet.round_trip(&format!(r#"{{"type":"reload","id":"d{i}","add_entities":["fleet poison entity {i}"]}}"#));
+        let resp = reload(1);
+        assert_eq!(status_of(&resp), "ok", "{resp}");
+        let logged = field_u64(&resp, "generation");
+
+        let resp = reload(2);
+        assert_eq!(status_of(&resp), "error", "an unlogged reload must not be acked: {resp}");
+        assert!(resp.contains("not durable"), "the refusal must say why: {resp}");
+
+        let resp = reload(3);
+        assert_eq!(status_of(&resp), "error", "later reloads must be refused: {resp}");
+        assert!(resp.contains("disabled"), "poisoned-log refusal should say so: {resp}");
+
+        let probe = fleet.round_trip(r#"{"id":"p","type":"extract","doc":"saw fleet poison entity 1 today","tau":0.6}"#);
+        assert_eq!(status_of(&probe), "ok", "{probe}");
+        assert!(probe.contains("fleet poison entity 1"), "{probe}");
+        fleet.sigkill_all();
+
+        let revived = Fleet::spawn(&engine, 1, &["--wal", &wal_arg], &[]);
+        revived.wait_converged_at(logged, Duration::from_secs(20));
         revived.shutdown();
 
         let _ = std::fs::remove_file(&engine);

@@ -40,8 +40,7 @@ use crate::backoff::Backoff;
 use crate::pending::{FailOutcome, PendingTable};
 use crate::replica::{sync_request, Handshake, Replica, ReplicaSpec};
 use crate::wire::READ_POLL;
-use crate::{accept_loop, error_line, metrics_value, read_requests, Ended, ErrorCode, Reject, Sink};
-use aeetes_core::{Wal, WalError};
+use crate::{accept_loop, error_line, metrics_value, read_requests, DeltaLog, Ended, ErrorCode, Reject, Sink};
 use aeetes_obs::{FleetMetrics, MetricRegistry, ReplicaMetrics, WalMetrics};
 use serde_json::{json, Map, Value};
 use std::collections::BinaryHeap;
@@ -53,15 +52,15 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Folds logged deltas into a fresh engine artifact. Called by the
-/// coordinator when the delta log passes the compaction threshold, with
-/// `(deltas, base, target)`: the full log, the generation the log starts
-/// at, and the generation the rewritten artifact must load as. The
-/// implementation lives with the embedder (the CLI) because the cluster
-/// crate speaks only the wire protocol and cannot rebuild engines itself.
-/// It must write the artifact durably (fsync + atomic rename); only after
-/// it returns `Ok` does the coordinator reset its log.
-pub type Compactor = Arc<dyn Fn(&[Value], u64, u64) -> Result<(), String> + Send + Sync>;
+/// Folds logged deltas into a fresh engine artifact: the `fold` of
+/// [`DeltaLog::compact`], called by the coordinator when the delta log
+/// passes the compaction threshold, with `(deltas, base)`: the full log and
+/// the generation it starts at. The rewritten artifact must load as
+/// `base + deltas.len()`. The implementation lives with the embedder (the
+/// CLI) because the cluster crate speaks only the wire protocol and cannot
+/// rebuild engines itself. It must write the artifact durably (fsync +
+/// atomic rename); only after it returns `Ok` is the log reset.
+pub type Compactor = Arc<dyn Fn(&[Value], u64) -> Result<(), String> + Send + Sync>;
 
 /// Tuning knobs of one fleet run.
 #[derive(Clone)]
@@ -150,27 +149,16 @@ struct Fleet {
     registry: Arc<MetricRegistry>,
     dispatch_tx: Sender<DispatchMsg>,
     draining: AtomicBool,
-    /// Generation the replicas' on-disk artifact starts at (0 = not yet
-    /// learned from the first handshake).
-    base_generation: AtomicU64,
-    /// Generation the fleet has converged on.
+    /// Generation the fleet has converged on: the log's, readable without
+    /// the log's lock, which a reload holds through both phases.
     generation: AtomicU64,
-    /// Every delta applied fleet-wide, in order: delta `i` takes
-    /// generation `base + i` to `base + i + 1`. Rejoining replicas replay
-    /// the suffix they missed.
-    delta_log: Mutex<Vec<Value>>,
-    /// Serializes fleet reloads and supervisor resyncs: a replica is never
-    /// resynced mid-two-phase, and generation math sees a stable log.
-    reload_lock: Mutex<()>,
-    /// The durable delta log (`--wal`). `None` inside the mutex until the
-    /// base generation is known: restored from disk at startup, or created
-    /// at the first replica handshake.
-    wal: Mutex<Option<Wal>>,
-    /// Latched on the first failed append/sync/reset: further reloads are
-    /// refused (their durability could not be promised) while extraction
-    /// routing continues unaffected.
-    wal_failed: AtomicBool,
-    wmetrics: WalMetrics,
+    /// Every delta applied fleet-wide since the replicas' artifact, durable
+    /// with `--wal`: rejoining replicas replay the suffix they missed. Its
+    /// base is restored from disk at startup, or learned at the first
+    /// replica handshake. The lock serializes fleet reloads and supervisor
+    /// resyncs: a replica is never resynced mid-two-phase, and generation
+    /// math sees a stable log.
+    log: Mutex<DeltaLog>,
     opts: FleetOptions,
     start: Instant,
     round_robin: AtomicUsize,
@@ -181,74 +169,22 @@ impl Fleet {
         self.replicas.iter().filter(|r| r.is_up()).count() as i64
     }
 
-    /// Creates the delta WAL at `base` if `--wal` was given and no log is
-    /// open yet (the base generation is only known once the first replica
-    /// handshakes, unless a log was restored from disk at startup).
-    fn ensure_wal(&self, base: u64) -> Result<(), String> {
-        let Some(path) = &self.opts.wal else { return Ok(()) };
-        let mut slot = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_some() {
-            return Ok(());
-        }
-        let (wal, _replay) = Wal::open_or_create(path, base).map_err(|e| format!("{}: {e}", path.display()))?;
-        wal.observe(&self.wmetrics);
-        *slot = Some(wal);
-        Ok(())
-    }
-
-    /// Appends + fsyncs one fleet-wide activated delta; only after this
-    /// returns `Ok` may the client be acked. A failure latches
-    /// `wal_failed`: the fleet *has* activated the delta (in-memory state
-    /// and the replicas are consistent) but a coordinator restart may not
-    /// remember it, so the client is told and further reloads are refused.
-    fn wal_commit(&self, generation: u64, delta: &Value) -> Result<(), String> {
-        let mut slot = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(wal) = slot.as_mut() else { return Ok(()) };
-        wal.commit(generation, delta.to_string().as_bytes(), &self.wmetrics).map_err(|e| {
-            self.wal_failed.store(true, Ordering::Relaxed);
-            format!("delta log append for generation {generation} failed: {e}")
-        })
-    }
-
-    /// Runs under the reload lock after a successful fleet reload: once the
-    /// log passes the threshold, fold it into a fresh artifact via the
-    /// embedder's compactor, then reset log + base. Compaction failure is
-    /// reported but non-fatal — the log simply keeps growing until a later
-    /// attempt succeeds; a *reset* failure after the artifact was already
-    /// rewritten latches `wal_failed` (recovery remains correct: replay of
-    /// already-folded records is skipped by generation number).
-    fn maybe_compact(&self) {
-        let threshold = self.opts.compact_threshold;
+    /// Runs under the log's lock after a successful fleet reload: once the
+    /// log passes the threshold, compacts it through the embedder's
+    /// compactor. A failure is reported but not fatal: the log keeps
+    /// growing until a later attempt succeeds (or, when the reset failed,
+    /// is poisoned).
+    fn maybe_compact(&self, log: &mut DeltaLog) {
         let Some(compactor) = &self.opts.compactor else { return };
-        if threshold == 0 {
+        let threshold = self.opts.compact_threshold;
+        if threshold == 0 || log.deltas().len() < threshold {
             return;
         }
-        let log_len = self.delta_log.lock().unwrap_or_else(|p| p.into_inner()).len();
-        if log_len < threshold {
-            return;
+        let (folded, target) = (log.deltas().len(), log.generation());
+        match log.compact(&**compactor) {
+            Ok(()) => eprintln!("fleet: compacted {folded} delta(s) into the artifact at generation {target}"),
+            Err(e) => eprintln!("fleet: compaction to generation {target} failed: {e}"),
         }
-        let deltas = self.delta_log.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let base = self.base_generation.load(Ordering::Relaxed);
-        let target = self.generation.load(Ordering::Relaxed);
-        if let Err(e) = compactor(&deltas, base, target) {
-            eprintln!("fleet: compaction to generation {target} failed (log kept): {e}");
-            return;
-        }
-        let mut slot = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(wal) = slot.as_mut() {
-            if let Err(e) = wal.reset(target) {
-                eprintln!("fleet: delta log reset after compaction failed: {e}");
-                self.wal_failed.store(true, Ordering::Relaxed);
-                return;
-            }
-            self.wmetrics.records.set(0);
-            self.wmetrics.bytes.set(0);
-        }
-        drop(slot);
-        self.delta_log.lock().unwrap_or_else(|p| p.into_inner()).clear();
-        self.base_generation.store(target, Ordering::Relaxed);
-        self.wmetrics.compactions.inc(1);
-        eprintln!("fleet: compacted {log_len} delta(s) into the artifact at generation {target}");
     }
 }
 
@@ -478,9 +414,10 @@ fn replica_answer(fleet: &Arc<Fleet>, replica: &Replica, text: &str) {
             }
         }
         Some(false) => {
-            let status = v.get("status").and_then(Value::as_str).unwrap_or("");
             let code = v.get("code").and_then(Value::as_str).unwrap_or("");
-            if status == "error" && ErrorCode::parse_wire(code).is_some_and(ErrorCode::retryable) && !fleet.draining.load(Ordering::Relaxed) {
+            // A retryable code fails over whatever the status says:
+            // `shedding` arrives as `"status":"shedding"`.
+            if ErrorCode::parse_wire(code).is_some_and(ErrorCode::retryable) && !fleet.draining.load(Ordering::Relaxed) {
                 fleet.rmetrics[replica.id].failures.inc(1);
                 handle_failure(fleet, rid, Some(text.to_string()));
             } else if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
@@ -504,29 +441,21 @@ fn revive(fleet: &Arc<Fleet>, replica: &Arc<Replica>) -> Result<(), String> {
     // Resync and attach under the reload lock: the fleet generation and
     // delta log cannot shift mid-replay, and a two-phase swap never runs
     // concurrently with a half-synced replica joining.
-    let _guard = fleet.reload_lock.lock().unwrap_or_else(|p| p.into_inner());
-    // The first replica ever seen defines the artifact's base generation
-    // (unless a durable delta log already restored it at startup, in which
-    // case the exchange fails and the disk-derived base stands).
-    if fleet
-        .base_generation
-        .compare_exchange(0, hs.generation, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        let _ = fleet.generation.compare_exchange(0, hs.generation, Ordering::Relaxed, Ordering::Relaxed);
+    let mut log = fleet.log.lock().unwrap_or_else(|p| p.into_inner());
+    // The first replica ever seen defines the artifact's base generation,
+    // unless the log was restored from disk at startup. Starting creates
+    // the durable log: a coordinator that cannot make it durable refuses
+    // the replica — and, at bring-up, refuses to run.
+    if log.start(hs.generation)? {
+        fleet.generation.store(hs.generation, Ordering::Relaxed);
     }
-    // The base is known from here on: open (or create) the delta log. A
-    // coordinator that cannot make its log durable refuses the replica —
-    // and, at bring-up, refuses to run.
-    fleet.ensure_wal(fleet.base_generation.load(Ordering::Relaxed))?;
-    let base = fleet.base_generation.load(Ordering::Relaxed);
+    let base = log.base();
     let fleet_gen = fleet.generation.load(Ordering::Relaxed);
     let mut gen = hs.generation;
     if gen < base || gen > fleet_gen {
         return Err(format!("replica {}: generation {gen} outside the fleet's [{base}, {fleet_gen}] — wrong artifact?", replica.id));
     }
-    let log = fleet.delta_log.lock().unwrap_or_else(|p| p.into_inner());
-    let replay = &log[(gen - base) as usize..];
+    let replay = &log.deltas()[(gen - base) as usize..];
     if !replay.is_empty() {
         // Replayed reloads rebuild the index synchronously; give them the
         // reload budget, not the probe budget the handshake used.
@@ -550,7 +479,6 @@ fn revive(fleet: &Arc<Fleet>, replica: &Arc<Replica>) -> Result<(), String> {
         fleet.metrics.resyncs.inc(1);
         eprintln!("fleet: replica {} resynced {} delta(s) to generation {gen}", replica.id, replay.len());
     }
-    drop(log);
     // Attached readers poll with a short timeout (so a socket shutdown or
     // process exit is noticed promptly without busy-waiting).
     hs.stream.set_read_timeout(Some(READ_POLL)).map_err(|e| e.to_string())?;
@@ -629,7 +557,7 @@ fn health_loop(fleet: &Arc<Fleet>) {
         }
         // Never probe mid-reload: a prepare's index rebuild runs on the
         // replica's connection thread and would look like a hang.
-        let Ok(_guard) = fleet.reload_lock.try_lock() else { continue };
+        let Ok(_guard) = fleet.log.try_lock() else { continue };
         for replica in &fleet.replicas {
             if !replica.is_up() {
                 continue;
@@ -675,13 +603,12 @@ fn health_loop(fleet: &Arc<Fleet>) {
 
 /// Ships one client `reload` fleet-wide; the ack body, or why not.
 fn fleet_reload(fleet: &Arc<Fleet>, request: &Value) -> Result<Value, (ErrorCode, String)> {
-    let _guard = fleet.reload_lock.lock().unwrap_or_else(|p| p.into_inner());
+    let mut log = fleet.log.lock().unwrap_or_else(|p| p.into_inner());
     if fleet.draining.load(Ordering::Relaxed) {
         return Err((ErrorCode::Shedding, "fleet is draining".into()));
     }
-    if fleet.wal_failed.load(Ordering::Relaxed) {
-        let message = "delta log failed on an earlier commit; fleet reloads are disabled (extraction continues)";
-        return Err((ErrorCode::Internal, message.into()));
+    if let Some(refusal) = log.poisoned() {
+        return Err((ErrorCode::Internal, refusal.into()));
     }
     let ups: Vec<Arc<Replica>> = fleet.replicas.iter().filter(|r| r.is_up()).cloned().collect();
     if ups.is_empty() {
@@ -753,19 +680,19 @@ fn fleet_reload(fleet: &Arc<Fleet>, request: &Value) -> Result<Value, (ErrorCode
         return Err((ErrorCode::Internal, "no replica activated the new generation; fleet will reconverge on the old one".into()));
     }
     fleet.generation.store(target, Ordering::Relaxed);
-    // The in-memory log and generation always reflect what the replicas
-    // actually serve (they are at `target` now, WAL or not); durability is
+    // The log and generation always reflect what the replicas actually
+    // serve (they are at `target` now, durable or not); durability is
     // settled before the ack.
-    fleet.delta_log.lock().unwrap_or_else(|p| p.into_inner()).push(delta.clone());
+    let committed = log.commit(target, delta);
     fleet.metrics.reloads.inc(1);
     fleet.metrics.generation.set(target.min(i64::MAX as u64) as i64);
-    if let Err(e) = fleet.wal_commit(target, &delta) {
-        // The fleet converged on `target` but the log did not: tell the
+    if let Err(e) = committed {
+        // The fleet converged on `target` but the disk did not: tell the
         // client the reload is NOT durable (a coordinator restart may
         // forget it) instead of acking a promise the disk cannot keep.
         return Err((ErrorCode::Internal, format!("reload activated fleet-wide but is not durable: {e}")));
     }
-    fleet.maybe_compact();
+    fleet.maybe_compact(&mut log);
     Ok(json!({
         "status": "ok",
         "generation": target,
@@ -912,51 +839,13 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
     }
     let registry = Arc::new(MetricRegistry::new());
     let metrics = FleetMetrics::register(&registry);
-    let wmetrics = WalMetrics::register(&registry);
     // Restore the durable delta log, if one survives on disk: the restarted
     // coordinator recovers its base generation, fleet generation, and the
     // resync log, so rejoining replicas are brought forward from disk state
-    // instead of being refused by a coordinator with amnesia.
-    let mut restored_wal: Option<Wal> = None;
-    let mut restored_base = 0u64;
-    let mut restored_log: Vec<Value> = Vec::new();
-    if let Some(path) = opts.wal.as_ref().filter(|p| p.exists()) {
-        let started = Instant::now();
-        match Wal::open(path) {
-            Ok((wal, replay)) => {
-                restored_base = wal.base_generation();
-                for record in &replay.records {
-                    let text = std::str::from_utf8(&record.payload)
-                        .map_err(|e| format!("{}: generation {} record: payload is not UTF-8: {e}", path.display(), record.generation))?;
-                    let v: Value = serde_json::from_str(text)
-                        .map_err(|e| format!("{}: generation {} record: payload is not JSON: {e}", path.display(), record.generation))?;
-                    restored_log.push(v);
-                }
-                wmetrics.replayed_records.inc(replay.records.len() as u64);
-                wmetrics.truncated_bytes.inc(replay.truncated_bytes);
-                wal.observe(&wmetrics);
-                if !restored_log.is_empty() || replay.truncated_bytes > 0 {
-                    eprintln!(
-                        "fleet: restored {} delta(s) from {} (base generation {restored_base}, {} torn byte(s) truncated)",
-                        restored_log.len(),
-                        path.display(),
-                        replay.truncated_bytes
-                    );
-                }
-                restored_wal = Some(wal);
-            }
-            // Crash-while-creating debris (shorter than one fsynced header)
-            // carries no committed record; it is recreated at the first
-            // handshake. Anything else is real corruption: refuse to run
-            // rather than silently forget acknowledged deltas.
-            Err(WalError::HeaderTorn) => {}
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        }
-        wmetrics
-            .recovery_nanos
-            .set(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX).min(i64::MAX as u64) as i64);
-    }
-    let restored_gen = restored_base + restored_log.len() as u64;
+    // instead of being refused by a coordinator with amnesia. Without one,
+    // the log starts at the first replica handshake.
+    let mut log = DeltaLog::new(opts.wal.clone(), WalMetrics::register(&registry));
+    log.restore(|_, deltas| Ok(deltas.len() as u64))?;
     let replicas: Vec<Arc<Replica>> = opts.replicas.iter().cloned().enumerate().map(|(i, spec)| Arc::new(Replica::new(i, spec))).collect();
     let rmetrics: Vec<ReplicaMetrics> = replicas.iter().map(|r| metrics.replica(r.id)).collect();
     let (dispatch_tx, dispatch_rx) = mpsc::channel::<DispatchMsg>();
@@ -969,13 +858,8 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
         registry,
         dispatch_tx,
         draining: AtomicBool::new(false),
-        base_generation: AtomicU64::new(restored_base),
-        generation: AtomicU64::new(restored_gen),
-        delta_log: Mutex::new(restored_log),
-        reload_lock: Mutex::new(()),
-        wal: Mutex::new(restored_wal),
-        wal_failed: AtomicBool::new(false),
-        wmetrics,
+        generation: AtomicU64::new(log.generation()),
+        log: Mutex::new(log),
         opts,
         start: Instant::now(),
         round_robin: AtomicUsize::new(0),

@@ -27,6 +27,8 @@
 //!   restarted coordinator restores its generation math and resync log
 //!   from disk, and a [`Compactor`] folds a grown log into a fresh engine
 //!   artifact so both the log and the in-memory delta list stay bounded.
+//!   That log is a [`DeltaLog`], the one `aeetes serve --wal` and `aeetes
+//!   wal compact` keep too.
 //!
 //! The crate intentionally does not depend on `aeetes-cli`: it speaks the
 //! wire protocol directly (the CLI depends on this crate for the `fleet`
@@ -39,12 +41,14 @@
 
 mod backoff;
 mod coordinator;
+mod delta_log;
 mod pending;
 mod replica;
 mod wire;
 
 pub use backoff::Backoff;
 pub use coordinator::{run_fleet, Compactor, FleetOptions, FleetSummary};
+pub use delta_log::DeltaLog;
 pub use pending::{FailOutcome, PendingTable};
 pub use replica::{Replica, ReplicaSpec};
 pub use wire::{accept_loop, error_line, metrics_value, read_requests, ConnLimit, Ended, ErrorCode, Reject, Sink};

@@ -247,15 +247,6 @@ impl Replica {
         }
     }
 
-    /// SIGKILLs and reaps the child (spawned slots; no-op for remote).
-    pub fn kill_child(&self) {
-        let mut slot = self.child.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(mut child) = slot.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
     /// Sends a shutdown request on the data connection (best effort) so a
     /// spawned replica drains instead of being killed.
     pub fn request_shutdown(&self) {

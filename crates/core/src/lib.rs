@@ -93,7 +93,7 @@ pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome};
 pub use segment::{Segment, Tail};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
-pub use stats::{ExtractStats, LatencyRing};
+pub use stats::ExtractStats;
 pub use strategy::{generate_candidates, Strategy};
 pub use topk::{extract_top_k_with, select_top_k};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};

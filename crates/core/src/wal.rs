@@ -69,7 +69,8 @@ pub enum WalError {
     UnsupportedVersion(u32),
     /// The file is shorter than a complete header. A header is written and
     /// fsynced before any record, so this can only be the debris of a
-    /// crashed `create` — [`Wal::open_or_create`] recreates it.
+    /// crashed `create`: nothing in it was ever acknowledged, so the
+    /// caller may create the log afresh.
     HeaderTorn,
     /// The header is present but fails its CRC or is otherwise inconsistent.
     Corrupt(String),
@@ -251,19 +252,6 @@ impl Wal {
             },
             replay,
         ))
-    }
-
-    /// Opens `path` if it holds a usable log, or creates a fresh one based
-    /// at `base` when the file is missing or is the torn debris of a
-    /// crashed create (shorter than one header — nothing in it was ever
-    /// acknowledged). Real corruption still fails loudly.
-    pub fn open_or_create(path: &Path, base: u64) -> Result<(Wal, WalReplay), WalError> {
-        match Wal::open(path) {
-            Ok(ok) => Ok(ok),
-            Err(WalError::HeaderTorn) => Ok((Wal::create(path, base)?, WalReplay::default())),
-            Err(WalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok((Wal::create(path, base)?, WalReplay::default())),
-            Err(e) => Err(e),
-        }
     }
 
     /// Appends one record without syncing. `generation` must be exactly
@@ -473,17 +461,18 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[9] ^= 0xFF; // inside base_generation, guarded by the header CRC
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(Wal::open(&path), Err(WalError::Corrupt(_))));
-        assert!(matches!(Wal::open_or_create(&path, 1), Err(WalError::Corrupt(_))), "corruption must not be silently recreated");
+        assert!(matches!(Wal::open(&path), Err(WalError::Corrupt(_))), "corruption is not torn-create debris");
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn short_create_debris_is_recreated() {
+    fn short_create_debris_is_torn_and_recreatable() {
         let path = tmp_path("debris");
         fs::write(&path, b"AWAL").unwrap(); // crashed before the header completed
-        let (wal, replay) = Wal::open_or_create(&path, 7).unwrap();
+        assert!(matches!(Wal::open(&path), Err(WalError::HeaderTorn)));
+        let wal = Wal::create(&path, 7).unwrap();
         assert_eq!(wal.base_generation(), 7);
+        let (_, replay) = Wal::open(&path).unwrap();
         assert!(replay.records.is_empty());
         fs::remove_file(&path).unwrap();
     }

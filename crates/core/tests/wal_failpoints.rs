@@ -103,9 +103,10 @@ fn sync_failure_is_surfaced_and_recoverable() {
     fs::remove_file(&path).unwrap();
 }
 
-/// Create failures (header write or its fsync) leave no usable log behind
-/// and are reported; `open_or_create` then treats the debris as a torn
-/// create and recreates cleanly once the fault clears.
+/// Create failures (header write or its fsync) are reported and leave no
+/// record behind: the debris is a torn create (the write failed) or an
+/// empty log (its fsync failed), and the log is recreated cleanly once the
+/// fault clears.
 #[test]
 fn create_failures_leave_recreatable_debris() {
     let _g = serial();
@@ -114,15 +115,19 @@ fn create_failures_leave_recreatable_debris() {
         failpoint::set(site, FailAction::Error, None);
         assert!(Wal::create(&path, 3).is_err(), "{site} must fail the create");
         failpoint::clear();
-        let (wal, replay) = Wal::open_or_create(&path, 3).unwrap();
+        match Wal::open(&path) {
+            Err(WalError::HeaderTorn) => {}
+            Ok((_, replay)) => assert!(replay.records.is_empty(), "{site}: a failed create holds no record"),
+            Err(e) => panic!("{site}: the debris must be a torn create or an empty log, not {e}"),
+        }
+        let wal = Wal::create(&path, 3).unwrap();
         assert_eq!(wal.base_generation(), 3, "{site}: recreate must succeed after the fault clears");
-        assert!(replay.records.is_empty());
         fs::remove_file(&path).unwrap();
     }
 }
 
 /// A torn header write (short write mid-header) is exactly the
-/// `HeaderTorn` case `open_or_create` recreates.
+/// `HeaderTorn` case a delta log recreates.
 #[test]
 fn torn_header_write_is_recreated() {
     let _g = serial();
@@ -132,7 +137,7 @@ fn torn_header_write_is_recreated() {
     failpoint::clear();
     assert_eq!(fs::metadata(&path).unwrap().len(), 7, "exactly the short prefix must be on disk");
     assert!(matches!(Wal::open(&path), Err(WalError::HeaderTorn)));
-    let (wal, _) = Wal::open_or_create(&path, 9).unwrap();
+    let wal = Wal::create(&path, 9).unwrap();
     assert_eq!(wal.base_generation(), 9);
     fs::remove_file(&path).unwrap();
 }

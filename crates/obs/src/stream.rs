@@ -47,14 +47,6 @@ impl StreamMetrics {
             flush_nanos: registry.histogram("aeetes_stream_flush_nanos", "Latency of a stream flush (drain + emit tail)"),
         }
     }
-
-    /// Records one fed chunk: `emitted` matches settled by it and the
-    /// stream's carried-byte delta (may be negative as the tail drains).
-    pub fn observe_chunk(&self, emitted: u64, carried_delta: i64) {
-        self.chunks.inc(1);
-        self.emitted.inc(emitted);
-        self.carried_bytes.add(carried_delta);
-    }
 }
 
 #[cfg(test)]
@@ -67,8 +59,9 @@ mod tests {
         let m = StreamMetrics::register(&registry);
         m.open.add(1);
         m.opened.inc(1);
-        m.observe_chunk(3, 128);
-        m.observe_chunk(0, -64);
+        m.chunks.inc(2);
+        m.emitted.inc(3);
+        m.carried_bytes.add(64);
         m.flush_nanos.observe_nanos(1_500);
         m.open.add(-1);
         m.closed.inc(1);

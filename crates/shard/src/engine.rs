@@ -114,10 +114,11 @@ pub struct ShardedEngine {
     /// Serializes `apply_update`/`prepare_update`/`activate` calls; never
     /// held while readers extract.
     update_lock: Mutex<()>,
-    /// A generation built by `prepare_update` awaiting `activate`. Always
-    /// exactly one ahead of `current` when present: a direct `apply_update`
-    /// clears it, so a prepared generation can never go stale silently.
-    pending: Mutex<Option<Arc<Generation>>>,
+    /// A generation built by `prepare_update` awaiting `activate`, parked
+    /// with the delta that built it. Always exactly one ahead of `current`
+    /// when present: a direct `apply_update` clears it, so a prepared
+    /// generation can never go stale silently.
+    pending: Mutex<Option<(Arc<Generation>, DictDelta)>>,
 }
 
 /// Resolves a requested part count: `0` means the machine's available
@@ -221,49 +222,44 @@ impl ShardedEngine {
 
     /// Builds the next generation from `delta` without swapping it in
     /// (phase one of two-phase delta shipping). The prepared generation is
-    /// returned and retained until [`ShardedEngine::activate`] commits it,
-    /// a later `prepare_update` replaces it, or [`ShardedEngine::apply_update`]
-    /// invalidates it. Serving is untouched: readers keep extracting the
-    /// current generation.
+    /// returned and parked, with the delta, until [`ShardedEngine::activate`]
+    /// commits it, a later `prepare_update` replaces it, or
+    /// [`ShardedEngine::apply_update`] invalidates it. Serving is untouched:
+    /// readers keep extracting the current generation.
     pub fn prepare_update(&self, delta: &DictDelta, tokenizer: &Tokenizer) -> Result<Arc<Generation>, UpdateError> {
         let _guard = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
         let cur = self.snapshot();
         let next = build_next(&cur, delta, tokenizer)?;
-        *self.pending.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&next));
+        *self.pending.lock().unwrap_or_else(|p| p.into_inner()) = Some((Arc::clone(&next), delta.clone()));
         Ok(next)
     }
 
     /// Swaps in the generation previously built by
-    /// [`ShardedEngine::prepare_update`] (phase two). `generation_id` must
-    /// name the prepared generation exactly — a coordinator that prepared
-    /// id `N` on every replica activates `N` everywhere, and a replica
-    /// whose prepared id diverged fails loudly instead of serving a
-    /// mismatched dictionary.
-    pub fn activate(&self, generation_id: u64) -> Result<Arc<Generation>, ActivateError> {
+    /// [`ShardedEngine::prepare_update`] (phase two) and returns it with the
+    /// delta that built it. `generation_id` must name the prepared
+    /// generation exactly — a coordinator that prepared id `N` on every
+    /// replica activates `N` everywhere, and a replica whose prepared id
+    /// diverged fails loudly instead of serving a mismatched dictionary.
+    pub fn activate(&self, generation_id: u64) -> Result<(Arc<Generation>, DictDelta), ActivateError> {
         let _guard = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
         let mut pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
-        match pending.as_ref() {
+        match pending.take() {
             None => Err(ActivateError::NothingPrepared),
-            Some(next) if next.id() != generation_id => Err(ActivateError::WrongGeneration { prepared: next.id(), requested: generation_id }),
-            Some(next) => {
-                let next = Arc::clone(next);
-                *pending = None;
+            Some((next, delta)) if next.id() != generation_id => {
+                let prepared = next.id();
+                *pending = Some((next, delta));
+                Err(ActivateError::WrongGeneration { prepared, requested: generation_id })
+            }
+            Some((next, delta)) => {
                 *self.current.write().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&next);
-                Ok(next)
+                Ok((next, delta))
             }
         }
     }
 
     /// Id of the prepared-but-unactivated generation, if any.
     pub fn pending_generation(&self) -> Option<u64> {
-        self.pending.lock().unwrap_or_else(|p| p.into_inner()).as_ref().map(|g| g.id())
-    }
-
-    /// Discards a prepared generation without activating it. Returns the
-    /// discarded id, or `None` when nothing was prepared.
-    pub fn abort_prepare(&self) -> Option<u64> {
-        let _guard = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
-        self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
+        self.pending.lock().unwrap_or_else(|p| p.into_inner()).as_ref().map(|(g, _)| g.id())
     }
 
     /// Serializes the current generation as the frozen (format v12) artifact
@@ -564,8 +560,9 @@ mod tests {
         let doc = Document::parse("eth zurich switzerland", &tok, &mut int2);
         assert!(two_phase.snapshot().extract_all(&doc, 0.7).is_empty(), "new entity invisible before activate");
 
-        let activated = two_phase.activate(2).expect("activate");
+        let (activated, parked) = two_phase.activate(2).expect("activate");
         assert_eq!(activated.id(), 2);
+        assert_eq!(parked.add_entities, delta.add_entities, "activation hands back the delta it built from");
         assert_eq!(two_phase.generation_id(), 2);
         assert_eq!(two_phase.pending_generation(), None);
         for text in ["eth zurich switzerland", "purdue university united states", "uq au"] {
@@ -590,7 +587,7 @@ mod tests {
             .expect("prepare");
         assert_eq!(engine.activate(7).err(), Some(ActivateError::WrongGeneration { prepared: 2, requested: 7 }));
         assert_eq!(engine.generation_id(), 1, "failed activations must not swap");
-        assert_eq!(engine.activate(2).expect("activate").id(), 2);
+        assert_eq!(engine.activate(2).expect("activate").0.id(), 2);
         assert_eq!(engine.activate(2).err(), Some(ActivateError::NothingPrepared), "activation is one-shot");
     }
 
@@ -610,10 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn reprepare_replaces_and_abort_discards() {
+    fn reprepare_replaces_the_parked_generation() {
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 2);
-        assert_eq!(engine.abort_prepare(), None);
         engine
             .prepare_update(&DictDelta { add_entities: vec!["first".into()], ..Default::default() }, &tok)
             .expect("prepare");
@@ -621,15 +617,11 @@ mod tests {
             .prepare_update(&DictDelta { add_entities: vec!["second".into()], ..Default::default() }, &tok)
             .expect("re-prepare");
         assert_eq!(second.id(), 2, "both prepares build against generation 1");
-        assert_eq!(engine.abort_prepare(), Some(2));
-        assert_eq!(engine.pending_generation(), None);
         assert_eq!(engine.generation_id(), 1);
-        // The second prepare's content is what was parked: re-prepare and
-        // activate to confirm the replacement delta (not the first) wins.
-        engine
-            .prepare_update(&DictDelta { add_entities: vec!["second".into()], ..Default::default() }, &tok)
-            .expect("prepare again");
-        let generation = engine.activate(2).expect("activate");
+        // The second prepare is what was parked: the replacement delta (not
+        // the first) is activated and handed back.
+        let (generation, delta) = engine.activate(2).expect("activate");
+        assert_eq!(delta.add_entities, ["second"]);
         let mut int2 = generation.interner().clone();
         let doc = Document::parse("second", &tok, &mut int2);
         assert!(!generation.extract_all(&doc, 1.0).is_empty());

@@ -31,6 +31,3 @@ pub use entity::{Dictionary, Entity, EntityId};
 pub use frozen_strings::{string_arenas, FrozenStrings};
 pub use interner::{Interner, StringTable, TokenId};
 pub use tokenize::{Tokenizer, TokenizerConfig};
-
-/// A token sequence borrowed from an entity or a document window.
-pub type TokenSlice<'a> = &'a [TokenId];
