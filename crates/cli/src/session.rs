@@ -145,7 +145,8 @@ pub struct Server {
     /// Fired when the drain deadline passes: stops in-flight extractions
     /// mid-document (threaded into the engine's budget sentinel).
     pub(crate) cancel: CancelToken,
-    /// The deltas activated since the artifact, durable with `--wal`. Every
+    /// The deltas activated since the artifact, durable with `--wal`; their
+    /// bodies are never read back once replayed, so none is kept. Every
     /// reload/prepare/activate holds its lock end to end, so records are
     /// appended in the order the engine assigns generations. Control plane
     /// only; the extract path never touches it.
@@ -169,7 +170,7 @@ impl Server {
         static SEQ: AtomicU64 = AtomicU64::new(1);
         let tokenizer = Tokenizer::default();
         let (metrics, wal_metrics) = ServeMetrics::register();
-        let mut log = DeltaLog::new(opts.wal.clone(), wal_metrics);
+        let mut log = DeltaLog::without_bodies(opts.wal.clone(), wal_metrics);
         log.restore(|base, deltas| replay_deltas(&engine, &tokenizer, base, deltas))?;
         log.start(engine.generation_id())?;
         metrics.generation.set(gauge_value(engine.generation_id()));

@@ -19,6 +19,13 @@
 //!   the durable log is reset to a bare header at the artifact's
 //!   generation and becomes the new base.
 //!
+//! Only an owner that reads the deltas back — the fleet replays them to a
+//! rejoining replica and compacts them, `aeetes wal compact` folds them —
+//! keeps their bodies in memory ([`DeltaLog::new`]). `aeetes serve` reads
+//! them only to replay on restore, so its log ([`DeltaLog::without_bodies`])
+//! counts deltas and keeps none: a long-lived server holds no body per
+//! reload.
+//!
 //! Every step is recorded in the [`WalMetrics`] the log holds.
 
 use aeetes_core::{Wal, WalError, WalRecord};
@@ -41,7 +48,11 @@ pub struct DeltaLog {
     wal: Option<Wal>,
     /// The generation delta 0 applies to; `None` until restored or started.
     base: Option<u64>,
-    deltas: Vec<Value>,
+    /// How many deltas the log holds since the base.
+    count: u64,
+    /// Their bodies, in order, when the owner reads them back; `None` keeps
+    /// none.
+    bodies: Option<Vec<Value>>,
     /// Latched by a failed commit or reset.
     poisoned: bool,
     metrics: WalMetrics,
@@ -49,9 +60,25 @@ pub struct DeltaLog {
 
 impl DeltaLog {
     /// A log that is neither restored nor started, recording into
-    /// `metrics`, durable at `path` when one is given.
+    /// `metrics`, durable at `path` when one is given, and keeping every
+    /// delta body for [`DeltaLog::deltas`] and [`DeltaLog::compact`].
     pub fn new(path: Option<PathBuf>, metrics: WalMetrics) -> DeltaLog {
-        DeltaLog { path, wal: None, base: None, deltas: Vec::new(), poisoned: false, metrics }
+        DeltaLog {
+            path,
+            wal: None,
+            base: None,
+            count: 0,
+            bodies: Some(Vec::new()),
+            poisoned: false,
+            metrics,
+        }
+    }
+
+    /// As [`DeltaLog::new`], but keeping no delta body once it is committed
+    /// or replayed: for an owner that never reads the deltas back, whose
+    /// [`DeltaLog::deltas`] stay empty and which cannot compact.
+    pub fn without_bodies(path: Option<PathBuf>, metrics: WalMetrics) -> DeltaLog {
+        DeltaLog { bodies: None, ..DeltaLog::new(path, metrics) }
     }
 
     /// Decodes one record's payload: the delta body, as JSON.
@@ -95,7 +122,10 @@ impl DeltaLog {
                 path.display()
             );
         }
-        (self.wal, self.base, self.deltas) = (Some(wal), Some(base), deltas);
+        (self.wal, self.base, self.count) = (Some(wal), Some(base), deltas.len() as u64);
+        if let Some(bodies) = &mut self.bodies {
+            *bodies = deltas;
+        }
         Ok(true)
     }
 
@@ -120,14 +150,15 @@ impl DeltaLog {
         self.base.unwrap_or(0)
     }
 
-    /// The deltas since the base, in order.
+    /// The deltas since the base, in order (none for a log
+    /// [`DeltaLog::without_bodies`]).
     pub fn deltas(&self) -> &[Value] {
-        &self.deltas
+        self.bodies.as_deref().unwrap_or_default()
     }
 
     /// The generation the last delta takes the log to.
     pub fn generation(&self) -> u64 {
-        self.base() + self.deltas.len() as u64
+        self.base() + self.count
     }
 
     /// The refusal a delta gets once a failed commit or reset has poisoned
@@ -149,7 +180,10 @@ impl DeltaLog {
                 format!("wal append for generation {generation} failed: {e}")
             }),
         };
-        self.deltas.push(delta);
+        self.count += 1;
+        if let Some(bodies) = &mut self.bodies {
+            bodies.push(delta);
+        }
         committed
     }
 
@@ -158,10 +192,14 @@ impl DeltaLog {
     /// [`DeltaLog::generation`] durably; then the durable log is reset to a
     /// bare header there, which becomes the base. A failed fold changes
     /// nothing. A failed reset poisons the log; recovery stays correct, as
-    /// replay skips the records the artifact already holds.
+    /// replay skips the records the artifact already holds. A log
+    /// [`DeltaLog::without_bodies`] has nothing to fold and refuses.
     pub fn compact(&mut self, fold: impl FnOnce(&[Value], u64) -> Result<(), String>) -> Result<(), String> {
         let target = self.generation();
-        fold(&self.deltas, self.base())?;
+        let Some(bodies) = &self.bodies else {
+            return Err("this delta log keeps no delta bodies to compact".into());
+        };
+        fold(bodies, self.base())?;
         if let Some(wal) = &mut self.wal {
             if let Err(e) = wal.reset(target) {
                 self.poisoned = true;
@@ -169,7 +207,8 @@ impl DeltaLog {
             }
             wal.observe(&self.metrics);
         }
-        self.deltas.clear();
+        self.bodies = Some(Vec::new());
+        self.count = 0;
         self.base = Some(target);
         self.metrics.compactions.inc(1);
         Ok(())
@@ -221,6 +260,39 @@ mod tests {
         assert_eq!((log.base(), log.deltas().len()), (6, 0));
         assert_eq!(metrics.bytes.value(), std::fs::metadata(&path).unwrap().len() as i64, "a reset log holds its header");
         assert_eq!(metrics.records.value(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_log_without_bodies_counts_generations_and_keeps_no_delta() {
+        const N: u64 = 50;
+        let path = tmp("bodiless");
+        let registry = Arc::new(MetricRegistry::new());
+        let mut kept = DeltaLog::new(None, WalMetrics::register(&registry));
+        let mut bodiless = DeltaLog::without_bodies(Some(path.clone()), WalMetrics::register(&registry));
+        for log in [&mut kept, &mut bodiless] {
+            log.start(3).unwrap();
+            for g in 4..4 + N {
+                log.commit(g, json!({"add_entities": [format!("entity {g}")]})).unwrap();
+            }
+        }
+        assert_eq!(kept.deltas().len() as u64, N);
+        assert!(bodiless.deltas().is_empty() && bodiless.bodies.is_none(), "no body is retained");
+        assert_eq!((bodiless.base(), bodiless.generation()), (kept.base(), kept.generation()));
+        assert_eq!(bodiless.generation(), 3 + N);
+        assert!(bodiless.compact(|_, _| Ok(())).is_err(), "nothing to fold");
+
+        // Restored, it hands the replay every durable body and keeps none.
+        let mut restored = DeltaLog::without_bodies(Some(path.clone()), WalMetrics::register(&registry));
+        let mut replayed = 0;
+        assert!(restored
+            .restore(|_, deltas| {
+                replayed = deltas.len();
+                Ok(deltas.len() as u64)
+            })
+            .unwrap());
+        assert_eq!((replayed as u64, restored.generation()), (N, 3 + N));
+        assert!(restored.deltas().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 

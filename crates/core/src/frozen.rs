@@ -4,13 +4,13 @@
 //! The off-line product (clustered index, paper §3/§5) is built once and
 //! shipped; a format that had to *rebuild* the index on load would make
 //! every restart pay seconds of CPU and every serve process hold a private
-//! copy. The frozen layout instead lays every large structure (interner
-//! string table, global order, clustered index) out as flat little-endian
-//! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
-//! validate it, and serve its first request in milliseconds — and N serve
-//! processes on one host share a single page cache image instead of N
-//! private heaps. Files carrying any other version word (the retired v1–v11
-//! layouts, or a future one) are refused with
+//! copy. The frozen layout instead lays every large structure (origin
+//! dictionary, interner string table, global order, clustered index) out as
+//! flat little-endian arrays at 16-byte-aligned offsets, so an engine can
+//! `mmap` the file, validate it, and serve its first request in
+//! milliseconds — and N serve processes on one host share a single page
+//! cache image instead of N private heaps. Files carrying any other version
+//! word (the retired v1–v11 layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
@@ -233,7 +233,7 @@ const SEC_ORD_UNTIE: u32 = 3;
 const SEC_STR_BYTES: u32 = 4;
 const SEC_STR_OFF: u32 = 5;
 // 6 was v1–v11's `strings.table`.
-// Origin-dictionary arenas (mirror `Dictionary::raw_arenas`).
+// Origin-dictionary arenas (the runs `Dictionary::arena_runs` yields, concatenated).
 const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
 const SEC_DICT_TOKENS: u32 = 32;
@@ -319,13 +319,13 @@ pub struct FreezeSource<'a> {
 }
 
 /// A validated, opened artifact. The heavy structures borrow the mapped
-/// (or heap-loaded) file image through their arenas; only the small META
-/// structures (dictionary, rules, config) are decoded onto the heap.
+/// (or heap-loaded) file image through their arenas, the dictionary too;
+/// only the small META structures (rules, config) are decoded onto the heap.
 pub struct FrozenParts {
     /// Interner whose base resolves from the frozen string table; newly
     /// interned tokens (document vocabulary) overlay it on the heap.
     pub interner: Interner,
-    /// The origin dictionary (decoded from META).
+    /// The origin dictionary (frozen arenas, one part).
     pub dict: Dictionary,
     /// Tombstoned origin ids.
     pub removed: Vec<EntityId>,
@@ -369,9 +369,10 @@ fn encode_meta(src: &FreezeSource<'_>, segment: &FreezeSegment<'_>) -> Vec<u8> {
 /// Serializes `src` into a standalone artifact (see the module docs for the
 /// layout). The inverse of [`open_frozen_bytes`].
 ///
-/// Every section is some arena's bytes as they stand in memory, so the
-/// section table is laid out first, the buffer allocated once at its exact
-/// final size, and each arena copied straight to its aligned offset.
+/// Every section is some arena's bytes as they stand in memory — the
+/// dictionary's, the runs of its parts back to back — so the section table
+/// is laid out first, the buffer allocated once at its exact final size, and
+/// each arena copied straight to its aligned offset.
 ///
 /// # Panics
 /// Panics unless `src.segments` holds exactly one index, and on a big-endian
@@ -390,34 +391,39 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     // table).
     let (str_bytes, str_offsets) = string_arenas(src.interner.iter_strings());
 
-    // Origin dictionary: its four arenas verbatim, so the opener can
-    // validate them with linear scans and adopt them with four copies
-    // instead of a per-entity parse.
-    let (raws, raw_off, ent_tokens, ent_tok_off) = src.dict.raw_arenas();
+    // Origin dictionary: its four arenas verbatim, written run by run from
+    // its parts, so the opener can validate them with linear scans and adopt
+    // them in place instead of a per-entity parse.
+    let runs: Vec<_> = src.dict.arena_runs().collect();
+    let raws: Vec<&[u8]> = runs.iter().map(|r| r.0).collect();
+    let raw_off: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.1)).collect();
+    let ent_tokens: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.2)).collect();
+    let ent_tok_off: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.3)).collect();
     let (freq, key, untie) = src.order.raw_parts();
     let (by_origin, weight) = segment.dd.raw_arenas();
     let ix = segment.index.raw_parts();
-    // In `KINDS` order; the id width is the index's.
-    let sections: [(u32, &[u8]); KINDS.len()] = [
-        (SEC_META, &meta),
-        (SEC_DICT_RAWS, raws.as_bytes()),
-        (SEC_DICT_RAWOFF, pod_bytes(raw_off)),
-        (SEC_DICT_TOKENS, pod_bytes(ent_tokens)),
-        (SEC_DICT_TOKOFF, pod_bytes(ent_tok_off)),
-        (SEC_STR_BYTES, &str_bytes),
-        (SEC_STR_OFF, pod_bytes(&str_offsets)),
-        (SEC_ORD_FREQ, pod_bytes(freq)),
-        (SEC_ORD_KEY, pod_bytes(key)),
-        (SEC_ORD_UNTIE, pod_bytes(untie)),
-        (SEC_DD_BYORIGIN, pod_bytes(by_origin)),
-        (SEC_DD_WEIGHT, pod_bytes(weight)),
-        (SEC_IX_TOKGROUPS, pod_bytes(ix.tok_groups)),
-        (SEC_IX_GROUPLEN, pod_bytes(ix.group_len)),
-        (SEC_IX_GROUPPOS, pod_bytes(ix.group_pos)),
-        (SEC_IX_GROUPORIG, pod_bytes(ix.group_origins)),
-        (SEC_IX_ORIGENT, ix.origin_entity.as_bytes()),
-        (SEC_IX_BLOCKS, pod_bytes(ix.blocks)),
-        (SEC_IX_BLOCKOFF, pod_bytes(ix.block_offsets)),
+    // In `KINDS` order, each section the run of byte slices it is written
+    // from; the id width is the index's.
+    let sections: [(u32, &[&[u8]]); KINDS.len()] = [
+        (SEC_META, &[&meta]),
+        (SEC_DICT_RAWS, &raws),
+        (SEC_DICT_RAWOFF, &raw_off),
+        (SEC_DICT_TOKENS, &ent_tokens),
+        (SEC_DICT_TOKOFF, &ent_tok_off),
+        (SEC_STR_BYTES, &[&str_bytes]),
+        (SEC_STR_OFF, &[pod_bytes(&str_offsets)]),
+        (SEC_ORD_FREQ, &[pod_bytes(freq)]),
+        (SEC_ORD_KEY, &[pod_bytes(key)]),
+        (SEC_ORD_UNTIE, &[pod_bytes(untie)]),
+        (SEC_DD_BYORIGIN, &[pod_bytes(by_origin)]),
+        (SEC_DD_WEIGHT, &[pod_bytes(weight)]),
+        (SEC_IX_TOKGROUPS, &[pod_bytes(ix.tok_groups)]),
+        (SEC_IX_GROUPLEN, &[pod_bytes(ix.group_len)]),
+        (SEC_IX_GROUPPOS, &[pod_bytes(ix.group_pos)]),
+        (SEC_IX_GROUPORIG, &[pod_bytes(ix.group_origins)]),
+        (SEC_IX_ORIGENT, &[ix.origin_entity.as_bytes()]),
+        (SEC_IX_BLOCKS, &[pod_bytes(ix.blocks)]),
+        (SEC_IX_BLOCKOFF, &[pod_bytes(ix.block_offsets)]),
     ];
     let id_width = ix.origin_entity.width().bytes() as u32;
     let width = |kind: u32| match KINDS.iter().find(|&&(k, _, _)| k == kind).expect("a known kind").2 {
@@ -428,12 +434,12 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     // Lay out: header, table, aligned sections, CRC footer.
     let table_end = HEADER_FIXED + sections.len() * ENTRY_BYTES;
     let mut end = table_end;
-    let offsets: Vec<usize> = sections
+    let offsets: Vec<(usize, usize)> = sections
         .iter()
-        .map(|(_, bytes)| {
+        .map(|(_, runs)| {
             let off = end.next_multiple_of(SECTION_ALIGN);
-            end = off + bytes.len();
-            off
+            end = off + runs.iter().map(|r| r.len()).sum::<usize>();
+            (off, end)
         })
         .collect();
     let mut buf = vec![0u8; end + 4];
@@ -442,13 +448,17 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     buf[8..16].copy_from_slice(&src.generation.to_le_bytes());
     buf[16..20].copy_from_slice(&(sections.len() as u32).to_le_bytes());
     // [20..24) reserved, zero.
-    for (i, (&(kind, bytes), &off)) in sections.iter().zip(&offsets).enumerate() {
+    for (i, (&(kind, runs), &(off, section_end))) in sections.iter().zip(&offsets).enumerate() {
         let at = HEADER_FIXED + i * ENTRY_BYTES;
         buf[at..at + 4].copy_from_slice(&kind.to_le_bytes());
         buf[at + 4..at + 8].copy_from_slice(&width(kind).to_le_bytes());
         buf[at + 8..at + 16].copy_from_slice(&(off as u64).to_le_bytes());
-        buf[at + 16..at + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
-        buf[off..off + bytes.len()].copy_from_slice(bytes);
+        buf[at + 16..at + 24].copy_from_slice(&((section_end - off) as u64).to_le_bytes());
+        let mut cursor = off;
+        for run in runs {
+            buf[cursor..cursor + run.len()].copy_from_slice(run);
+            cursor += run.len();
+        }
     }
     let footer = crc32(&buf[..end]);
     buf[end..].copy_from_slice(&footer.to_le_bytes());
@@ -664,10 +674,10 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
     let meta_entities = r.u32("meta entity count")? as usize;
     let meta_rules = r.u32("meta rule count")? as usize;
     let dict = Dictionary::from_raw_arenas(
-        table.bytes(bytes, SEC_DICT_RAWS).to_vec(),
-        table.slice::<u32>(buf, SEC_DICT_RAWOFF)?.to_vec(),
-        table.slice::<TokenId>(buf, SEC_DICT_TOKENS)?.to_vec(),
-        table.slice::<u32>(buf, SEC_DICT_TOKOFF)?.to_vec(),
+        table.slice::<u8>(buf, SEC_DICT_RAWS)?.into(),
+        table.slice::<u32>(buf, SEC_DICT_RAWOFF)?.into(),
+        table.slice::<TokenId>(buf, SEC_DICT_TOKENS)?.into(),
+        table.slice::<u32>(buf, SEC_DICT_TOKOFF)?.into(),
         n_tokens,
     )
     .map_err(|e| corrupt(format!("dictionary: {e}")))?;

@@ -49,6 +49,10 @@ fn frozen_bytes() -> Vec<u8> {
 
 /// Section kinds of the v12 table this file patches.
 const ORDER_KEY: u32 = 2;
+const DICT_RAWS: u32 = 30;
+const DICT_RAW_OFF: u32 = 31;
+const DICT_TOKENS: u32 = 32;
+const DICT_TOK_OFF: u32 = 33;
 const IX_ORIGIN_ENTITY: u32 = 23;
 const IX_BLOCKS: u32 = 26;
 
@@ -75,6 +79,53 @@ fn refused_by_name(bytes: &[u8], expect: &str) {
         let err = err.unwrap_or_else(|| panic!("must be refused: {expect}")).to_string();
         assert!(err.contains(expect), "expected `{expect}` in `{err}`");
     }
+}
+
+/// Where the payload of section `kind` starts.
+fn payload(bytes: &[u8], kind: u32) -> usize {
+    let at = entry(bytes, kind) + 8;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// CRC-valid images whose dictionary arenas lie: an opened dictionary hands
+/// out surface forms and token sequences straight from the image, validated
+/// once on open, so each lie is refused there — as corruption, by name, by
+/// the opener and the peek alike — and never reaches a read.
+#[test]
+fn hostile_dictionary_arenas_are_refused_by_name() {
+    let mut int = Interner::new();
+    let tok = Tokenizer::default();
+    let mut dict = Dictionary::new();
+    // "université": the "é" is bytes 9 and 10 of 11.
+    for raw in ["université", "uq au", "university of wisconsin madison"] {
+        dict.push(raw, &tok, &mut int);
+    }
+    let engine = Aeetes::build(dict, &RuleSet::new(), &int, AeetesConfig::default());
+    let bytes = freeze(&engine, &int, &RuleSet::new());
+    let parts = open_frozen_bytes(&bytes).expect("the image as written opens");
+    let opened: Vec<(&str, &[aeetes_text::TokenId])> = parts.dict.iter().map(|(_, e)| (e.raw, e.tokens)).collect();
+    let built: Vec<(&str, &[aeetes_text::TokenId])> = engine.dictionary().iter().map(|(_, e)| (e.raw, e.tokens)).collect();
+    assert_eq!(opened, built);
+    assert_eq!(parts.dict.owned_bytes(), 0, "the dictionary is adopted in place");
+
+    let corrupt = |bytes: &[u8], expect: &str| {
+        for err in [open_frozen_bytes(bytes).err(), peek_info(bytes).err()] {
+            match err {
+                Some(aeetes_core::PersistError::Corrupt(msg)) => assert!(msg.contains(expect), "expected `{expect}` in `{msg}`"),
+                other => panic!("must be refused as corrupt ({expect}), got {other:?}"),
+            }
+        }
+    };
+    let [raws, raw_off, tokens, tok_off] = [DICT_RAWS, DICT_RAW_OFF, DICT_TOKENS, DICT_TOK_OFF].map(|kind| payload(&bytes, kind));
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    // The first word of the surface bytes, "univ", with its "u" made 0xFF.
+    corrupt(&patched(&bytes, raws, word(raws) & !0xFF | 0xFF), "dictionary: surface form arena is not UTF-8");
+    assert_eq!(word(raw_off + 4), 11);
+    corrupt(&patched(&bytes, raw_off + 4, 10), "dictionary: surface form 1 starts mid-character");
+    assert!(word(tok_off + 4) < word(tok_off + 8));
+    corrupt(&patched(&bytes, tok_off + 4, word(tok_off + 8) + 1), "dictionary: token offsets not monotonic");
+    let n_tokens = int.len() as u32;
+    corrupt(&patched(&bytes, tokens, n_tokens), &format!("dictionary: entity token t{n_tokens} out of interner range {n_tokens}"));
 }
 
 /// Artifacts of the layouts before this one — v11's word-aligned masks and

@@ -1331,7 +1331,7 @@ impl BlockWriter {
 /// token of every variant lies below it.
 fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
     let sides = rules.iter().flat_map(|(_, rule)| rule.lhs.iter().chain(&rule.rhs));
-    let universe = dict.raw_arenas().2.iter().chain(sides).map(|t| t.idx() + 1).max().unwrap_or(0);
+    let universe = dict.arena_runs().flat_map(|run| run.2).chain(sides).map(|t| t.idx() + 1).max().unwrap_or(0);
     assert!(universe <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", universe - 1);
     universe
 }

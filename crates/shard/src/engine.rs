@@ -294,7 +294,8 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         }
     }
 
-    // Shared with `cur` until this delta writes to them.
+    // Shared with `cur` until this delta writes to them; the dictionary
+    // shares its parts, and the entities added go to a part of its own.
     let mut interner = Arc::clone(&cur.interner);
     let mut rules = Arc::clone(&cur.rules);
     let mut tokenize = |text: &str| {

@@ -16,6 +16,7 @@
 //! [`Interner`]: crate::Interner
 
 use crate::interner::{StringTable, TokenId};
+use crate::runs::Runs;
 use aeetes_frozen::Arena;
 use std::fmt;
 
@@ -45,12 +46,75 @@ pub fn string_arenas<'a>(strings: impl IntoIterator<Item = &'a str>) -> (Vec<u8>
     (bytes, offsets)
 }
 
+/// UTF-8 strings as [`Runs`] of bytes: the layout of the interner's string
+/// table and of the dictionary's surface forms.
+///
+/// The bytes are proved UTF-8, cut at character boundaries, once: by
+/// [`StrArena::new`] for bytes that come from outside, by construction for
+/// strings pushed and arenas concatenated. Reading a string never validates
+/// again.
+#[derive(Debug)]
+pub(crate) struct StrArena(Runs<u8>);
+
+impl StrArena {
+    /// Validates arenas that come from outside: [`Runs::new`]'s offset
+    /// checks, then one UTF-8 pass over the whole arena (std's SIMD
+    /// validator) and a char-boundary check per offset, which together prove
+    /// every string is itself valid UTF-8 without n separate validations.
+    /// Errors name the strings `what` are.
+    pub(crate) fn new(bytes: Arena<u8>, offsets: Arena<u32>, what: &str) -> Result<Self, String> {
+        let runs = Runs::new(bytes, offsets, what)?;
+        let all = std::str::from_utf8(runs.items()).map_err(|e| format!("{what} arena is not UTF-8: {e}"))?;
+        if let Some(i) = (0..runs.len()).find(|&i| !all.is_char_boundary(runs.offsets()[i] as usize)) {
+            return Err(format!("{what} {i} starts mid-character"));
+        }
+        Ok(Self(runs))
+    }
+
+    /// No strings, owned, continuing strings that end at byte `start`.
+    pub(crate) fn empty_at(start: u32) -> Self {
+        Self(Runs::empty_at(start))
+    }
+
+    /// The owned concatenation of `parts`, each continuing the one before,
+    /// with the last one's spare room.
+    pub(crate) fn concat<'a>(parts: impl Iterator<Item = &'a Self> + Clone) -> Self {
+        Self(Runs::concat(parts.map(|p| &p.0)))
+    }
+
+    /// Appends `s`.
+    ///
+    /// # Panics
+    /// As [`Runs::push`].
+    pub(crate) fn push(&mut self, s: &str) {
+        self.0.push(s.bytes());
+    }
+
+    /// String `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &str {
+        // SAFETY: the bytes are UTF-8 and every offset a character boundary:
+        // validated in `new`, pushed as whole `&str`s, or concatenated from
+        // such arenas (`Runs::concat` asserts each continues the one before,
+        // so no offset moves off its boundary).
+        unsafe { std::str::from_utf8_unchecked(self.0.get(i)) }
+    }
+
+    /// The bytes and their offsets.
+    pub(crate) fn runs(&self) -> &Runs<u8> {
+        &self.0
+    }
+
+    /// Makes room for exactly `bytes` more bytes in `strings` more strings.
+    pub(crate) fn reserve_exact(&mut self, bytes: usize, strings: usize) {
+        self.0.reserve_exact(bytes, strings);
+    }
+}
+
 /// A validated read-only string table over flat arenas.
 pub struct FrozenStrings {
-    /// UTF-8 bytes of all strings, back to back.
-    bytes: Arena<u8>,
-    /// `offsets[i]..offsets[i+1]` is string `i`; `len + 1` entries.
-    offsets: Arena<u32>,
+    /// Every string, in id order.
+    strings: StrArena,
     /// Open-addressing slots holding `id + 1`: a power of two of them, at
     /// least twice as many as strings, so an empty slot ends every probe.
     table: Vec<u32>,
@@ -63,43 +127,25 @@ impl FrozenStrings {
     /// ends at `bytes.len()`; every string is valid UTF-8; no string stands
     /// twice. Any violation is a clean error.
     pub fn new(bytes: Arena<u8>, offsets: Arena<u32>) -> Result<Self, String> {
-        let n = offsets.len().checked_sub(1).ok_or("string offsets empty")?;
-        let off: &[u32] = &offsets;
-        let raw: &[u8] = &bytes;
-        if off[0] != 0 {
-            return Err("string offsets do not start at 0".into());
-        }
-        if !off.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1])) {
-            return Err("string offsets not monotonic".into());
-        }
-        if off[n] as usize != raw.len() {
-            return Err(format!("string offsets end at {} but byte arena holds {}", off[n], raw.len()));
-        }
-        // One UTF-8 pass over the whole arena (std's SIMD validator), then a
-        // char-boundary check per offset: together these prove every
-        // substring is itself valid UTF-8 without n separate validations.
-        let all = std::str::from_utf8(raw).map_err(|e| format!("string arena is not UTF-8: {e}"))?;
-        if let Some(i) = (0..n).find(|&i| !all.is_char_boundary(off[i] as usize)) {
-            return Err(format!("string {i} starts mid-character"));
-        }
+        let strings = StrArena::new(bytes, offsets, "string")?;
+        let n = strings.runs().len();
         // One probe per string: an empty slot takes it, a slot holding the
         // same string is a string stored twice.
-        let string = |i: usize| &raw[off[i] as usize..off[i + 1] as usize];
         let mut table = vec![0u32; (2 * n).next_power_of_two().max(8)];
         let mask = table.len() - 1;
         for i in 0..n {
-            let s = string(i);
-            let mut slot = (fnv1a(s) as usize) & mask;
+            let s = strings.get(i);
+            let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
             while table[slot] != 0 {
                 let j = (table[slot] - 1) as usize;
-                if string(j) == s {
+                if strings.get(j) == s {
                     return Err(format!("duplicate string {i} = {j}"));
                 }
                 slot = (slot + 1) & mask;
             }
             table[slot] = i as u32 + 1;
         }
-        Ok(Self { bytes, offsets, table })
+        Ok(Self { strings, table })
     }
 
     fn probe(&self, s: &str) -> Option<TokenId> {
@@ -109,7 +155,7 @@ impl FrozenStrings {
         // scan, and every slot holds an id in range.
         loop {
             let id = self.table[slot].checked_sub(1)? as usize;
-            if &self.bytes[self.offsets[id] as usize..self.offsets[id + 1] as usize] == s.as_bytes() {
+            if self.strings.get(id) == s {
                 return Some(TokenId(id as u32));
             }
             slot = (slot + 1) & mask;
@@ -118,18 +164,18 @@ impl FrozenStrings {
 
     /// The raw byte arena (writer/serialization access).
     pub fn raw_bytes(&self) -> &[u8] {
-        &self.bytes
+        self.strings.runs().items()
     }
 
     /// The raw offset array (writer/serialization access).
     pub fn raw_offsets(&self) -> &[u32] {
-        &self.offsets
+        self.strings.runs().offsets()
     }
 }
 
 impl StringTable for FrozenStrings {
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.strings.runs().len()
     }
 
     fn lookup(&self, s: &str) -> Option<TokenId> {
@@ -137,9 +183,7 @@ impl StringTable for FrozenStrings {
     }
 
     fn resolve(&self, id: u32) -> &str {
-        let raw = &self.bytes[self.offsets[id as usize] as usize..self.offsets[id as usize + 1] as usize];
-        // Validated as UTF-8 in `new`.
-        unsafe { std::str::from_utf8_unchecked(raw) }
+        self.strings.get(id as usize)
     }
 }
 

@@ -24,6 +24,7 @@ mod document;
 mod entity;
 mod frozen_strings;
 mod interner;
+mod runs;
 mod tokenize;
 
 pub use document::{Document, Span};
