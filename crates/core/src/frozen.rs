@@ -1,4 +1,4 @@
-//! Frozen AEET v12: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v13: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -10,14 +10,14 @@
 //! `mmap` the file, validate it, and serve its first request in
 //! milliseconds — and N serve processes on one host share a single page
 //! cache image instead of N private heaps. Files carrying any other version
-//! word (the retired v1–v11 layouts, or a future one) are refused with
+//! word (the retired v1–v12 layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 12
+//! [ 4.. 8)  version u32 = 13
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -33,18 +33,21 @@
 //! refuse elsewhere rather than misread).
 //!
 //! Section *kinds* are fixed small integers (see [`KINDS`]): the META blob
-//! (rules, config, counts — small, decoded once), the origin dictionary's
+//! (counts, tombstones, config, derive statistics — small, decoded once),
+//! the rule table's sides, side offsets and weights, the origin dictionary's
 //! four arenas, the interner's string arena and offsets, the global
 //! order's three arrays, the seven flat arrays of the clustered index, the
 //! variants' weights, and the origin → variant-range prefix that the variant
 //! table and the index both read. An artifact holds one index, so each kind
 //! appears exactly once. Each entry names its element width, and each kind
 //! has its own: one fixed width for all but `ix.origin_entity` and
-//! `ix.blocks`, which take the index's id width — 2 or 4, the same for both
-//! (see below). An unknown kind, a missing or repeated one, or a width its
-//! kind does not take is refused by name. Offsets are validated against the
-//! file bounds and the 16-byte alignment rule, every prefix array is
-//! re-validated structurally on open ([`Dictionary::from_raw_arenas`],
+//! `ix.blocks`, which take the index's id width, and `rules.sides` and
+//! `rules.side_off`, which take the rule table's — each 2 or 4, the same
+//! for both sections of a pair (see below). An unknown kind, a missing or
+//! repeated one, or a width its kind does not take is refused by name.
+//! Offsets are validated against the file bounds and the 16-byte alignment
+//! rule, every prefix array is re-validated structurally on open
+//! ([`Dictionary::from_raw_arenas`], [`RuleSet::from_flat`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
 //! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`, which also builds
 //! the string → id hash table on the heap and refuses a string stored
@@ -64,11 +67,15 @@
 //! v10 stores `ix.origin_entity` and the keys of `ix.blocks` at 16 bits where
 //! they fit; v11 moves the position from the cluster to the group
 //! (`ix.group_pos`, see below); v12 stores each variant's mask in exactly as
-//! many bits as its pool has keys and drops `strings.table`.
+//! many bits as its pool has keys and drops `strings.table`; v13 moves the
+//! rule table out of META into the three `rules.*` sections.
 //!
 //! ```text
 //! section             element width         pubmed     dbworld       usjob
-//! meta                bytes   1          150 402     249 710     246 074
+//! meta                bytes   1               70          70          70
+//! rules.sides         u16     2           37 222      60 340      61 074
+//! rules.side_off      u16     2           18 974      32 242      30 966
+//! rules.weight        f64     8                0           0           0
 //! dict.raws           u8      1          573 989     250 832     490 521
 //! dict.raw_off        u32     4           80 004      48 004      30 004
 //! dict.tokens         u32     4          240 632     105 284     206 468
@@ -87,14 +94,17 @@
 //! ix.origin_entity    u16     2          366 884     301 792   1 131 604
 //! ix.blocks           u16     2          643 636     431 692   4 437 484
 //! ix.block_offsets    u32     4           80 004      48 004      30 004
-//! whole file                           2 897 800   1 899 752   7 154 440
+//! whole file                           2 803 752   1 742 808   7 000 584
 //! ```
 //!
 //! (`ix.blocks` is `u32` words; its width is its keys', two to a word. At
 //! v11 every mask took whole words — `ix.blocks` was 766 220 / 570 096 /
 //! 5 309 648 bytes — and `strings.table` 131 072 / 65 536 / 32 768: the
 //! file was 3 151 480 / 2 103 720 / 8 059 400, −8.0 / −9.7 / −11.2 % at
-//! v12.)
+//! v12. At v12 META held the rule table, 31 bytes a rule — 150 402 /
+//! 249 710 / 246 074 bytes — and the file was 2 897 800 / 1 899 752 /
+//! 7 154 440, −3.2 / −8.3 / −2.2 % at v13; every other section is
+//! byte-identical.)
 //!
 //! An index *entry* is one origin cluster: for a token, a set length and an
 //! origin, the fact that some variant of that origin with a set of that
@@ -167,8 +177,8 @@
 //! otherwise — a function of the index's variants alone, so a delta's
 //! splice and a rebuild agree on it. The generated corpora carry unit
 //! weights throughout. Token sequences and rule provenance are a pure
-//! function of (origin tokens, rule table, derive config) — `dict.*` and
-//! META carry those — so re-deriving one origin
+//! function of (origin tokens, rule table, derive config) — `dict.*`,
+//! `rules.*` and META carry those — so re-deriving one origin
 //! ([`aeetes_rules::DerivedDictionary::build_filtered`], at most 256
 //! variants) reproduces its variants in id order on any generation.
 //!
@@ -198,6 +208,24 @@
 //! tail wide and leaves the shared base as it is, and the next compaction
 //! (which freezing runs) chooses again.
 //!
+//! **The rule table** is flat. **`rules.sides`** holds every rule's lhs
+//! run and then its rhs run, in rule-id order, and **`rules.side_off`** the
+//! `2 · rules + 1` offsets cutting them, from 0. Both are stored at 2 bytes
+//! when the interner holds at most 2¹⁶ tokens and the sides fewer than 2¹⁶
+//! tokens, and at 4 otherwise; the two entries must agree, and a 2-byte
+//! table over an interner past 2¹⁶ tokens is refused. **`rules.weight`**
+//! holds one `f64` per rule where some rule weighs other than `1.0`, and
+//! nothing otherwise, as `dd.weight` does. META keeps only the rule count.
+//! Open checks what a push checks — no empty side, no rule rewriting a
+//! sequence to itself, weights in `(0, 1]`, token ids inside the interner —
+//! and widens the sections into one owned part of a [`RuleSet`]: rules are
+//! read only when a build or a delta derives, never on the extraction path,
+//! so a 16-bit view in place would put a width match into every side read
+//! to save about 0.1 MB. The lookup of sides by first token is not stored:
+//! a part builds it on its first lookup, and a table that is only served
+//! never does. Storing it would take about 66 kB on dbworld, half of what
+//! moving the table out of META saves.
+//!
 //! ## Mmap vs heap fallback
 //!
 //! [`open_frozen`] maps the file read-only when the platform allows and
@@ -223,7 +251,7 @@ const ENTRY_BYTES: usize = 24;
 /// Every section starts at a multiple of this (covers every element type's
 /// natural alignment with room to spare).
 const SECTION_ALIGN: usize = 16;
-/// Backstop against forged section counts (a real artifact has 19).
+/// Backstop against forged section counts (a real artifact has 22).
 const MAX_SECTIONS: usize = 1 << 16;
 
 const SEC_META: u32 = 0;
@@ -238,6 +266,10 @@ const SEC_DICT_RAWS: u32 = 30;
 const SEC_DICT_RAWOFF: u32 = 31;
 const SEC_DICT_TOKENS: u32 = 32;
 const SEC_DICT_TOKOFF: u32 = 33;
+// The rule table's flat form (`RuleSet::from_flat`).
+const SEC_RULES_SIDES: u32 = 40;
+const SEC_RULES_SIDEOFF: u32 = 41;
+const SEC_RULES_WEIGHT: u32 = 42;
 // Variant-table sections (mirror `VariantTable::raw_arenas`).
 const SEC_DD_WEIGHT: u32 = 11;
 const SEC_DD_BYORIGIN: u32 = 16;
@@ -252,14 +284,18 @@ const SEC_IX_BLOCKS: u32 = 26;
 const SEC_IX_BLOCKOFF: u32 = 27;
 const SEC_IX_GROUPPOS: u32 = 35;
 
-/// The id width's two element widths: `ix.origin_entity` and `ix.blocks`
-/// take either, and the same one.
+/// The two element widths of ids stored at the width their space needs:
+/// `ix.origin_entity` and `ix.blocks` take either, and the same one, as do
+/// `rules.sides` and `rules.side_off`.
 const ID_WIDTHS: &[u32] = &[2, 4];
 
 /// Every section kind, in the order the writer lays them out: its name (for
 /// `aeetes dict info`) and the element widths, in bytes, it may be stored at.
-const KINDS: [(u32, &str, &[u32]); 19] = [
+const KINDS: [(u32, &str, &[u32]); 22] = [
     (SEC_META, "meta", &[1]),
+    (SEC_RULES_SIDES, "rules.sides", ID_WIDTHS),
+    (SEC_RULES_SIDEOFF, "rules.side_off", ID_WIDTHS),
+    (SEC_RULES_WEIGHT, "rules.weight", &[8]),
     (SEC_DICT_RAWS, "dict.raws", &[1]),
     (SEC_DICT_RAWOFF, "dict.raw_off", &[4]),
     (SEC_DICT_TOKENS, "dict.tokens", &[4]),
@@ -320,7 +356,8 @@ pub struct FreezeSource<'a> {
 
 /// A validated, opened artifact. The heavy structures borrow the mapped
 /// (or heap-loaded) file image through their arenas, the dictionary too;
-/// only the small META structures (rules, config) are decoded onto the heap.
+/// the rule table is widened into one owned flat part, and only META's
+/// small structures (tombstones, config, stats) are decoded.
 pub struct FrozenParts {
     /// Interner whose base resolves from the frozen string table; newly
     /// interned tokens (document vocabulary) overlay it on the heap.
@@ -329,7 +366,7 @@ pub struct FrozenParts {
     pub dict: Dictionary,
     /// Tombstoned origin ids.
     pub removed: Vec<EntityId>,
-    /// The synonym rule table (decoded from META).
+    /// The synonym rule table (read from the `rules.*` sections).
     pub rules: RuleSet,
     /// Engine configuration.
     pub config: AeetesConfig,
@@ -347,6 +384,25 @@ pub struct FrozenParts {
 
 // ---------------------------------------------------------------- writer --
 
+/// The rule table's `rules.sides` and `rules.side_off` bytes and their
+/// width: its parts' sides run together, each part's offsets moved past the
+/// sides before it, at 2 bytes when the interner holds at most 2¹⁶ tokens
+/// and the sides fewer than 2¹⁶, at 4 otherwise.
+fn rule_sections(rules: &RuleSet, n_tokens: usize) -> (u32, Vec<u8>, Vec<u8>) {
+    let (mut sides, mut side_off) = (Vec::new(), vec![0u32]);
+    for (tokens, offsets) in rules.part_sides() {
+        let base = sides.len() as u32;
+        sides.extend(tokens.iter().map(|t| t.0));
+        side_off.extend(offsets[1..].iter().map(|o| base + o));
+    }
+    if n_tokens <= 1 << 16 && sides.len() < 1 << 16 {
+        let narrow = |ids: &[u32]| pod_bytes(&ids.iter().map(|&id| id as u16).collect::<Vec<_>>()).to_vec();
+        (2, narrow(&sides), narrow(&side_off))
+    } else {
+        (4, pod_bytes(&sides).to_vec(), pod_bytes(&side_off).to_vec())
+    }
+}
+
 /// META: the small decoded-on-open blob, for the one index `segment`.
 fn encode_meta(src: &FreezeSource<'_>, segment: &FreezeSegment<'_>) -> Vec<u8> {
     let mut meta = Vec::new();
@@ -355,11 +411,6 @@ fn encode_meta(src: &FreezeSource<'_>, segment: &FreezeSegment<'_>) -> Vec<u8> {
     persist::put_u32(&mut meta, src.removed.len() as u32);
     for e in src.removed {
         persist::put_u32(&mut meta, e.0);
-    }
-    for (_, rule) in src.rules.iter() {
-        persist::put_ids(&mut meta, &rule.lhs);
-        persist::put_ids(&mut meta, &rule.rhs);
-        meta.extend_from_slice(&rule.weight.to_le_bytes());
     }
     persist::put_config(&mut meta, src.config);
     persist::put_stats(&mut meta, segment.dd.stats());
@@ -387,6 +438,8 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         panic!("an artifact holds one index, not {}", src.segments.len());
     };
     let meta = encode_meta(src, segment);
+    let (rule_width, sides, side_off) = rule_sections(src.rules, src.interner.len());
+    let rule_weight = src.rules.weights();
     // Interner: its strings over the full id space (open builds the lookup
     // table).
     let (str_bytes, str_offsets) = string_arenas(src.interner.iter_strings());
@@ -403,9 +456,12 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let (by_origin, weight) = segment.dd.raw_arenas();
     let ix = segment.index.raw_parts();
     // In `KINDS` order, each section the run of byte slices it is written
-    // from; the id width is the index's.
+    // from; the id widths are the rule table's and the index's.
     let sections: [(u32, &[&[u8]]); KINDS.len()] = [
         (SEC_META, &[&meta]),
+        (SEC_RULES_SIDES, &[&sides]),
+        (SEC_RULES_SIDEOFF, &[&side_off]),
+        (SEC_RULES_WEIGHT, &[pod_bytes(&rule_weight)]),
         (SEC_DICT_RAWS, &raws),
         (SEC_DICT_RAWOFF, &raw_off),
         (SEC_DICT_TOKENS, &ent_tokens),
@@ -426,9 +482,10 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         (SEC_IX_BLOCKOFF, &[pod_bytes(ix.block_offsets)]),
     ];
     let id_width = ix.origin_entity.width().bytes() as u32;
-    let width = |kind: u32| match KINDS.iter().find(|&&(k, _, _)| k == kind).expect("a known kind").2 {
-        ID_WIDTHS => id_width,
-        widths => widths[0],
+    let width = |kind: u32| match kind {
+        SEC_RULES_SIDES | SEC_RULES_SIDEOFF => rule_width,
+        SEC_IX_ORIGENT | SEC_IX_BLOCKS => id_width,
+        _ => KINDS.iter().find(|&&(k, _, _)| k == kind).expect("a known kind").2[0],
     };
 
     // Lay out: header, table, aligned sections, CRC footer.
@@ -504,7 +561,8 @@ fn check_header(bytes: &[u8]) -> Result<(), PersistError> {
 /// Parses and bounds-checks the header and section table of `bytes`.
 /// Rejects out-of-bounds, misaligned, unknown, duplicated and missing
 /// sections, a width its kind does not take, and an `ix.origin_entity` and
-/// `ix.blocks` of different id widths.
+/// `ix.blocks` — or a `rules.sides` and `rules.side_off` — of different
+/// widths.
 fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     check_header(bytes)?;
     let mut r = Reader { buf: &bytes[8..] };
@@ -554,6 +612,10 @@ fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     let (origins, blocks) = (table.get(SEC_IX_ORIGENT).width, table.get(SEC_IX_BLOCKS).width);
     if origins != blocks {
         return Err(corrupt(format!("ix.origin_entity is stored {origins} bytes wide but ix.blocks {blocks}: an index has one id width")));
+    }
+    let (sides, side_off) = (table.get(SEC_RULES_SIDES).width, table.get(SEC_RULES_SIDEOFF).width);
+    if sides != side_off {
+        return Err(corrupt(format!("rules.sides is stored {sides} bytes wide but rules.side_off {side_off}: a rule table has one width")));
     }
     Ok(table)
 }
@@ -694,19 +756,25 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
         }
         removed.push(EntityId(id));
     }
-    r.check_count(meta_rules, 16, "rules size")?;
-    let mut rules = RuleSet::new();
-    rules.reserve(meta_rules);
-    for _ in 0..meta_rules {
-        let lhs = r.ids(n_tokens, "rule lhs")?;
-        let rhs = r.ids(n_tokens, "rule rhs")?;
-        let weight = r.f64("rule weight")?;
-        rules.push_tokens(lhs, rhs, weight).map_err(|e| corrupt(format!("invalid persisted rule: {e}")))?;
-    }
     let config = persist::read_config(&mut r)?;
     let stats = persist::read_stats(&mut r)?;
     if !r.buf.is_empty() {
         return Err(corrupt(format!("{} trailing bytes in meta section", r.buf.len())));
+    }
+
+    // The rule table: its flat sections, validated and widened into one
+    // owned part.
+    let weight = table.slice::<f64>(buf, SEC_RULES_WEIGHT)?;
+    let rules = match table.get(SEC_RULES_SIDES).width {
+        2 if n_tokens > 1 << 16 => {
+            return Err(corrupt(format!("rules.sides is stored 2 bytes wide but the interner holds {n_tokens} tokens, past 2^16")));
+        }
+        2 => RuleSet::from_flat(&table.slice::<u16>(buf, SEC_RULES_SIDES)?[..], &table.slice::<u16>(buf, SEC_RULES_SIDEOFF)?[..], &weight, n_tokens),
+        _ => RuleSet::from_flat(&table.slice::<u32>(buf, SEC_RULES_SIDES)?[..], &table.slice::<u32>(buf, SEC_RULES_SIDEOFF)?[..], &weight, n_tokens),
+    }
+    .map_err(corrupt)?;
+    if rules.len() != meta_rules {
+        return Err(corrupt(format!("meta claims {meta_rules} rules, rules.side_off cuts {}", rules.len())));
     }
 
     // The index: reassemble the variant table and the clustered index from
@@ -752,7 +820,7 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
 /// [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 12: other versions are refused).
+    /// Format version (always 13: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -968,17 +1036,17 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 12);
+        assert_eq!(info.version, 13);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
         assert_eq!(info.tokens, int.len());
         assert_eq!(info.file_len, bytes.len());
-        // Every kind once, in file order, each at its width: the index's
-        // ids at 16 bits.
+        // Every kind once, in file order, each at its width: the rule
+        // table's and the index's ids at 16 bits.
         let listed: Vec<(&str, usize)> = info.sections.iter().map(|s| (s.kind, s.width)).collect();
         let widths = |name: &str| match name {
-            "ix.origin_entity" | "ix.blocks" => 2,
+            "rules.sides" | "rules.side_off" | "ix.origin_entity" | "ix.blocks" => 2,
             _ => KINDS.iter().find(|k| k.1 == name).unwrap().2[0] as usize,
         };
         assert_eq!(listed, KINDS.map(|(_, name, _)| (name, widths(name))));
@@ -994,13 +1062,13 @@ mod tests {
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 12 — the retired v1–v11 layouts
+        // A valid magic with any version but 13 — the retired v1–v12 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v12 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 99] {
-            let mut whole = v12.clone();
+        let v13 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 99] {
+            let mut whole = v13.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1136,7 +1204,7 @@ mod tests {
             // The interner's strings hold one token twice: "au" spelled "uq".
             (patched(s_off + au, b"uq"), "string table: duplicate string 4 = 3"),
             // An artifact holds each known kind once.
-            (kind_field(SEC_IX_BLOCKS, 99), "section 17 is of unknown kind 99"),
+            (kind_field(SEC_IX_BLOCKS, 99), "section 20 is of unknown kind 99"),
             (kind_field(SEC_IX_BLOCKS, SEC_IX_ORIGENT), "duplicate section ix.origin_entity"),
             // One lowest position per group, inside the sets of its length;
             // a token's groups strictly ascending by (length, position); an

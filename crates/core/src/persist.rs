@@ -1,7 +1,7 @@
 //! The shared pieces of the on-disk artifact: error type, checksum and the
 //! little-endian byte codec.
 //!
-//! Aeetes writes and reads exactly one artifact format — the frozen AEET v12
+//! Aeetes writes and reads exactly one artifact format — the frozen AEET v13
 //! layout of [`crate::frozen`]. This module holds what that format (and the
 //! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
 //! every integrity check uses, and the `put_*` encoders and bounds-checked
@@ -17,16 +17,12 @@ use crate::config::AeetesConfig;
 use crate::strategy::Strategy;
 use aeetes_rules::{DeriveConfig, DeriveStats};
 use aeetes_sim::Metric;
-use aeetes_text::TokenId;
 use std::fmt;
 
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
 /// The one format version written and opened: the flat, mmap-able frozen
 /// layout of [`crate::frozen`].
-pub(crate) const VERSION_FROZEN: u32 = 12;
-/// A token list longer than this could not be indexed anyway: the clustered
-/// index addresses positions within a variant's sorted token set with `u16`.
-const MAX_VARIANT_TOKENS: usize = u16::MAX as usize;
+pub(crate) const VERSION_FROZEN: u32 = 13;
 
 /// Errors raised while opening a persisted engine.
 #[derive(Debug)]
@@ -239,13 +235,6 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_ids(buf: &mut Vec<u8>, ids: &[TokenId]) {
-    put_u32(buf, ids.len() as u32);
-    for t in ids {
-        put_u32(buf, t.0);
-    }
-}
-
 pub(crate) fn put_stats(buf: &mut Vec<u8>, st: &DeriveStats) {
     for v in [
         st.origins,
@@ -310,29 +299,6 @@ impl<'a> Reader<'a> {
     }
     pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8-byte slice")))
-    }
-    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8-byte slice")))
-    }
-    /// Reads a `u32` count followed by that many range-checked token ids.
-    /// The count is validated against the remaining bytes (4 per id) before
-    /// any allocation, so a forged length can't trigger an outsized
-    /// `Vec::with_capacity`.
-    pub(crate) fn ids(&mut self, max: u32, what: &'static str) -> Result<Vec<TokenId>, PersistError> {
-        let n = self.u32(what)? as usize;
-        if n > MAX_VARIANT_TOKENS {
-            return Err(PersistError::Corrupt(format!("{what}: token list of {n} exceeds the index limit of {MAX_VARIANT_TOKENS}")));
-        }
-        let raw = self.take(n.checked_mul(4).ok_or(PersistError::Truncated(what))?, what)?;
-        let mut out = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(4) {
-            let id = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            if id >= max {
-                return Err(PersistError::Corrupt(format!("token id {id} out of range {max} in {what}")));
-            }
-            out.push(TokenId(id));
-        }
-        Ok(out)
     }
 }
 

@@ -444,7 +444,7 @@ mod tests {
             let cuts = [0, tail.len() / 5, tail.len() / 2, tail.len()];
             let mut rules = RuleSet::new();
             for r in 0..3 {
-                rules.push_tokens(vec![ids[r]], tail[cuts[r]..cuts[r + 1]].to_vec(), [1.0, 0.9, 0.5][r]).unwrap();
+                rules.push_tokens(&[ids[r]], &tail[cuts[r]..cuts[r + 1]], [1.0, 0.9, 0.5][r]).unwrap();
             }
             let dd = DerivedDictionary::build(&dict, &rules, &DeriveConfig::default());
             let ix = ClusteredIndex::build(&dd, &int);
@@ -501,7 +501,7 @@ mod tests {
                 let lhs: Vec<u8> = e.iter().cycle().skip(at % e.len()).take(*len).copied().collect();
                 let longer = rhs.iter().map(|&t| ((u16::from(t) + 100) % 200) as u8).filter(|_| r % 2 == 0);
                 let rhs: Vec<u8> = rhs.iter().copied().chain(longer).collect();
-                let _ = rs.push_tokens(tokens(&lhs), tokens(&rhs), [1.0, 0.9, 0.5][*weight]);
+                let _ = rs.push_tokens(&tokens(&lhs), &tokens(&rhs), [1.0, 0.9, 0.5][*weight]);
             }
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let ix = ClusteredIndex::build(&dd, &int);

@@ -47,7 +47,7 @@ fn frozen_bytes() -> Vec<u8> {
     freeze(&engine, &int, &rules)
 }
 
-/// Section kinds of the v12 table this file patches.
+/// Section kinds of the v13 table this file patches.
 const ORDER_KEY: u32 = 2;
 const DICT_RAWS: u32 = 30;
 const DICT_RAW_OFF: u32 = 31;
@@ -55,6 +55,9 @@ const DICT_TOKENS: u32 = 32;
 const DICT_TOK_OFF: u32 = 33;
 const IX_ORIGIN_ENTITY: u32 = 23;
 const IX_BLOCKS: u32 = 26;
+const RULES_SIDES: u32 = 40;
+const RULES_SIDE_OFF: u32 = 41;
+const RULES_WEIGHT: u32 = 42;
 
 /// Where the section table entry `{kind, width, off, len}` of `kind` sits.
 fn entry(bytes: &[u8], kind: u32) -> usize {
@@ -66,12 +69,28 @@ fn entry(bytes: &[u8], kind: u32) -> usize {
 
 /// `bytes` with `with` written at `at`, resealed so that it reaches validation.
 fn patched(bytes: &[u8], at: usize, with: u32) -> Vec<u8> {
+    patched_with(bytes, at, &with.to_le_bytes())
+}
+
+/// `bytes` with the bytes `with` written at `at`, resealed.
+fn patched_with(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    out[at..at + 4].copy_from_slice(&with.to_le_bytes());
+    out[at..at + with.len()].copy_from_slice(with);
     let end = out.len() - 4;
     let crc = reference_crc32(&out[..end]);
     out[end..].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Refused as corruption whose message holds `expect`, by the opener and
+/// the peek alike.
+fn corrupt(bytes: &[u8], expect: &str) {
+    for err in [open_frozen_bytes(bytes).err(), peek_info(bytes).err()] {
+        match err {
+            Some(aeetes_core::PersistError::Corrupt(msg)) => assert!(msg.contains(expect), "expected `{expect}` in `{msg}`"),
+            other => panic!("must be refused as corrupt ({expect}), got {other:?}"),
+        }
+    }
 }
 
 fn refused_by_name(bytes: &[u8], expect: &str) {
@@ -108,14 +127,6 @@ fn hostile_dictionary_arenas_are_refused_by_name() {
     assert_eq!(opened, built);
     assert_eq!(parts.dict.owned_bytes(), 0, "the dictionary is adopted in place");
 
-    let corrupt = |bytes: &[u8], expect: &str| {
-        for err in [open_frozen_bytes(bytes).err(), peek_info(bytes).err()] {
-            match err {
-                Some(aeetes_core::PersistError::Corrupt(msg)) => assert!(msg.contains(expect), "expected `{expect}` in `{msg}`"),
-                other => panic!("must be refused as corrupt ({expect}), got {other:?}"),
-            }
-        }
-    };
     let [raws, raw_off, tokens, tok_off] = [DICT_RAWS, DICT_RAW_OFF, DICT_TOKENS, DICT_TOK_OFF].map(|kind| payload(&bytes, kind));
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     // The first word of the surface bytes, "univ", with its "u" made 0xFF.
@@ -128,17 +139,56 @@ fn hostile_dictionary_arenas_are_refused_by_name() {
     corrupt(&patched(&bytes, tokens, n_tokens), &format!("dictionary: entity token t{n_tokens} out of interner range {n_tokens}"));
 }
 
-/// Artifacts of the layouts before this one — v11's word-aligned masks and
-/// stored string hash table, v10's lowest position per cluster, v9's section
-/// table whose second word is a segment — are refused by their version word,
-/// whatever follows it.
+/// Artifacts of the layouts before this one — v12's rule table in META,
+/// v11's word-aligned masks and stored string hash table, v10's lowest
+/// position per cluster, v9's section table whose second word is a segment —
+/// are refused by their version word, whatever follows it.
 #[test]
-fn v9_to_v11_images_are_refused_by_name() {
-    for version in [9, 10, 11] {
+fn v9_to_v12_images_are_refused_by_name() {
+    for version in [9, 10, 11, 12] {
         let bytes = patched(&frozen_bytes(), 4, version);
         assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
         assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
     }
+}
+
+/// CRC-valid images whose rule sections lie: the table is read from them
+/// once, on open, so each lie is refused there — as corruption naming its
+/// section, by the opener and the peek alike.
+#[test]
+fn hostile_rule_sections_are_refused_by_name() {
+    let (engine, int, rules) = sample_engine(AeetesConfig::default());
+    let bytes = freeze(&engine, &int, &rules);
+    let parts = open_frozen_bytes(&bytes).expect("the image as written opens");
+    let opened: Vec<_> = parts.rules.iter().map(|(_, r)| (r.lhs.to_vec(), r.rhs.to_vec(), r.weight)).collect();
+    let built: Vec<_> = rules.iter().map(|(_, r)| (r.lhs.to_vec(), r.rhs.to_vec(), r.weight)).collect();
+    assert_eq!(opened, built);
+    // "uq" ⇔ "university of queensland", "usa" ⇔ "united states", "au" ⇔
+    // "australia" at 0.9: nine side tokens cut by seven offsets, at 2 bytes.
+    let [sides, side_off, weight] = [RULES_SIDES, RULES_SIDE_OFF, RULES_WEIGHT].map(|kind| payload(&bytes, kind));
+    let half = |at: usize| u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
+    let offsets: Vec<u16> = (0..7).map(|i| half(side_off + 2 * i)).collect();
+    assert_eq!(offsets, [0, 1, 4, 5, 7, 8, 9]);
+    assert_eq!(half(sides + 2 * 7), int.get("au").unwrap().0 as u16);
+    let at16 = |at: usize, with: u16| patched_with(&bytes, at, &with.to_le_bytes());
+    let n_tokens = int.len() as u16;
+    corrupt(&at16(sides, n_tokens), &format!("rules.sides: token t{n_tokens} out of interner range {n_tokens}"));
+    corrupt(&at16(side_off, 1), "rules.side_off: side offsets do not start at 0");
+    corrupt(&at16(side_off + 2 * 2, 0), "rules.side_off: side offsets not monotonic");
+    corrupt(&at16(side_off + 2 * 6, 10), "rules.side_off: side offsets end at 10 but the arena holds 9");
+    corrupt(&at16(side_off + 2, 0), "rules.sides: rule 0 has an empty side");
+    corrupt(&at16(sides + 2 * 8, half(sides + 2 * 7)), "rules.sides: rule 2 rewrites a sequence to itself");
+    for (w, shown) in [(0.0, "0"), (1.5, "1.5"), (f64::NAN, "NaN")] {
+        corrupt(&patched_with(&bytes, weight + 8 * 2, &w.to_le_bytes()), &format!("rules.weight: rule 2 weight {shown} outside (0, 1]"));
+    }
+    corrupt(&patched(&bytes, entry(&bytes, RULES_WEIGHT) + 16, 16), "rules.weight holds 2 entries, expected none or 3");
+    corrupt(
+        &patched(&bytes, entry(&bytes, RULES_SIDES) + 4, 4),
+        "rules.sides is stored 4 bytes wide but rules.side_off 2: a rule table has one width",
+    );
+    // With no weight at all the rules weigh 1.0.
+    let unit = open_frozen_bytes(&patched(&bytes, entry(&bytes, RULES_WEIGHT) + 16, 0)).expect("an empty rules.weight is legal");
+    assert_eq!(unit.rules.weights(), Vec::<f64>::new());
 }
 
 /// CRC-valid images whose id width lies: each is refused by name by the
@@ -176,6 +226,10 @@ fn images_whose_id_width_lies_are_refused() {
     let bytes = freeze(&wide, &int, &RuleSet::new());
     let narrow = patched(&patched(&bytes, entry(&bytes, IX_ORIGIN_ENTITY) + 4, 2), entry(&bytes, IX_BLOCKS) + 4, 2);
     refused_by_name(&narrow, "index: a 16-bit index over 65537 origins and 65537 ranks");
+    // Its 65 537 tokens put the rule table at 4 bytes too; 2 is refused.
+    assert_eq!(u32::from_le_bytes(bytes[entry(&bytes, RULES_SIDES) + 4..][..4].try_into().unwrap()), 4);
+    let narrow = patched(&patched(&bytes, entry(&bytes, RULES_SIDES) + 4, 2), entry(&bytes, RULES_SIDE_OFF) + 4, 2);
+    corrupt(&narrow, "rules.sides is stored 2 bytes wide but the interner holds 65537 tokens, past 2^16");
     // As written it opens, and the index reports as its size the sections
     // it reads, at the width they are stored at.
     let info = peek_info(&bytes).expect("the image as written opens");

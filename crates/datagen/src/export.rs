@@ -24,7 +24,7 @@ pub fn write_files(dataset: &Dataset, dir: &Path) -> std::io::Result<usize> {
 
     let mut rules = fs::File::create(dir.join("rules.tsv"))?;
     for (_, r) in dataset.rules.iter() {
-        writeln!(rules, "{}\t{}\t{}", dataset.interner.render(&r.lhs), dataset.interner.render(&r.rhs), r.weight)?;
+        writeln!(rules, "{}\t{}\t{}", dataset.interner.render(r.lhs), dataset.interner.render(r.rhs), r.weight)?;
     }
 
     let mut docs = fs::File::create(dir.join("docs.txt"))?;

@@ -124,7 +124,7 @@ pub fn generate(profile: &DatasetProfile, seed: u64) -> Dataset {
                 for _ in 0..rlen {
                     rhs.push(expansion_vocab[rng.gen_range(0..expansion_vocab.len())]);
                 }
-                if rules.push_tokens(lhs.clone(), rhs, 1.0).is_ok() {
+                if rules.push_tokens(&lhs, &rhs, 1.0).is_ok() {
                     total += freq;
                 }
             }

@@ -37,7 +37,7 @@ pub fn run(config: &Config) {
             // `bogus` low-confidence noise rules.
             let mut rules = RuleSet::new();
             for (_, r) in data.rules.iter() {
-                let _ = rules.push_tokens(r.lhs.clone(), r.rhs.clone(), 1.0);
+                let _ = rules.push_tokens(r.lhs, r.rhs, 1.0);
             }
             let mut injected = 0usize;
             let mut cursor = 0usize;
@@ -53,7 +53,7 @@ pub fn run(config: &Config) {
                 if target.is_empty() || target.contains(&head) {
                     continue;
                 }
-                if rules.push_tokens(vec![head], target.to_vec(), 0.5).is_ok() {
+                if rules.push_tokens(&[head], target, 0.5).is_ok() {
                     injected += 1;
                 }
             }

@@ -1286,6 +1286,13 @@ impl BlockWriter {
             self.bit_of_key[(key & !VALID_BIT) as usize] = bit as u16;
         }
         let words = words_of(self.pool.len());
+        // The blocks are a build part's largest array and are shrunk to fit
+        // once written, so they grow by a quarter at a time, as the sort
+        // records do: doubling could leave half of them spare at the peak.
+        let block = 1 + self.pool.len() + self.ends.len() * words;
+        if self.blocks.capacity() - self.blocks.len() < block {
+            self.blocks.reserve_exact(block.max(self.blocks.len() / 4 + 1024));
+        }
         self.blocks.push(self.pool.len() as u32);
         self.blocks.extend_from_slice(&self.pool);
         let (mut start, mut shortest_allowed) = (0, 0);
@@ -1330,7 +1337,7 @@ impl BlockWriter {
 /// One past the largest token id `dict` or a side of `rules` holds: every
 /// token of every variant lies below it.
 fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
-    let sides = rules.iter().flat_map(|(_, rule)| rule.lhs.iter().chain(&rule.rhs));
+    let sides = rules.part_sides().flat_map(|(sides, _)| sides);
     let universe = dict.arena_runs().flat_map(|run| run.2).chain(sides).map(|t| t.idx() + 1).max().unwrap_or(0);
     assert!(universe <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", universe - 1);
     universe
@@ -1581,8 +1588,16 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
 ///
 /// A cluster waits for its sort as one `u64`, `len << 48 | lowest position
 /// << 32 | origin`, and its upper half is its group's key. Origins are stored
-/// as `I`, the width of `sets`.
+/// as `I`, the width of `sets`. At 16 bits an origin and a rank each fit 16
+/// bits, so the record also holds its key's rank, `len << 48 | lowest
+/// position << 32 | rank << 16 | origin`, and the sort finds a record's token
+/// through the rank; at 32 bits the tokens wait in an array beside the
+/// records. The records are the build's largest transient, so at 16 bits no
+/// array stands beside them.
 fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings<I> {
+    let narrow = I::WIDTH == IdWidth::U16;
+    debug_assert!(!narrow || IdWidth::of(order.ranks(), sets.origins()) == IdWidth::U16, "16-bit records over a 32-bit space");
+    let untie = order.raw_parts().2;
     // The walk sees every cluster once, in block order. An origin's slots
     // ascend by set length, so the slots of one length that hold a given pool
     // key are one unbroken run of them, and a key's runs close one after
@@ -1595,17 +1610,25 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     let mut found: Vec<u64> = Vec::new();
     // The sort records are the build's largest transient, so they grow by a
     // quarter at a time: doubling could leave half of them unused at the
-    // peak.
-    let mut file = |t: u32, cluster: u64| {
+    // peak. A record is filed under its key's rank at 16 bits, its token at
+    // 32.
+    let mut file = |under: u32, cluster: u64| {
         if found.len() == found.capacity() {
             let more = found.len() / 4 + 1024;
             found.reserve_exact(more);
-            found_under.reserve_exact(more);
+            if !narrow {
+                found_under.reserve_exact(more);
+            }
         }
-        found_under.push(t);
-        found.push(cluster);
+        if narrow {
+            found.push(cluster | u64::from(under) << 16);
+        } else {
+            found_under.push(under);
+            found.push(cluster);
+        }
     };
-    let mut pool_tokens: Vec<u32> = Vec::new();
+    // Per pool key, what its clusters are filed under.
+    let mut pool_under: Vec<u32> = Vec::new();
     let mut runs: Vec<(u16, u16)> = Vec::new();
     let mut mask: Vec<u32> = Vec::new();
     // Origin by origin over the whole origin space, also for the index of a
@@ -1615,8 +1638,8 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
         if block.pool.is_empty() {
             continue;
         }
-        pool_tokens.clear();
-        pool_tokens.extend(block.pool.iter().map(|key| order.token_of(key).0));
+        pool_under.clear();
+        pool_under.extend(block.pool.iter().map(|key| if narrow { key & !VALID_BIT } else { order.token_of(key).0 }));
         runs.clear();
         runs.resize(block.pool.len(), (0, 0));
         let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (min_pos as u64) << 32 | e.0 as u64;
@@ -1625,7 +1648,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
             block.mask_into(slot, &mut mask);
             let len = mask.iter().map(|w| w.count_ones()).sum::<u32>() as u16;
             let mut pos = 0u16;
-            for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
+            for (word, (under, runs)) in mask.iter().zip(pool_under.chunks(32).zip(runs.chunks_mut(32))) {
                 let mut rest = *word;
                 while rest != 0 {
                     let bit = rest.trailing_zeros() as usize;
@@ -1634,7 +1657,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                         run.1 = run.1.min(pos);
                     } else {
                         if run.0 != 0 {
-                            file(tokens[bit], cluster(*run));
+                            file(under[bit], cluster(*run));
                         }
                         *run = (len, pos);
                     }
@@ -1643,18 +1666,29 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                 }
             }
         }
-        for (&t, &run) in pool_tokens.iter().zip(&runs) {
+        for (&under, &run) in pool_under.iter().zip(&runs) {
             if run.0 != 0 {
-                file(t, cluster(run));
+                file(under, cluster(run));
             }
         }
     }
+    // What the quarter-at-a-time growth left spare goes back before the
+    // arrays of the flattening are allocated beside the records.
+    found.shrink_to_fit();
+    found_under.shrink_to_fit();
     // `starts[t]` is where token `t`'s clusters begin; while filing,
     // `cursor[t]` is where its next cluster goes. Counted over every token
     // the order knows, then cut behind the last one these sets hold.
+    let home = |i: usize, found: &[u64], found_under: &[u32]| {
+        if narrow {
+            untie[(found[i] >> 16) as usize & 0xFFFF].0
+        } else {
+            found_under[i]
+        }
+    };
     let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
-    for &t in &found_under {
-        starts[t as usize + 1] += 1;
+    for i in 0..found.len() {
+        starts[home(i, &found, &found_under) as usize + 1] += 1;
     }
     let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
     starts.truncate(num_tokens + 1);
@@ -1669,10 +1703,12 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     for t in 0..num_tokens {
         while cursor[t] < starts[t + 1] {
             let i = cursor[t] as usize;
-            let home = found_under[i] as usize;
+            let home = home(i, &found, &found_under) as usize;
             if home != t {
                 let j = cursor[home] as usize;
-                found_under.swap(i, j);
+                if !narrow {
+                    found_under.swap(i, j);
+                }
                 found.swap(i, j);
                 cursor[home] += 1;
             } else {
@@ -1682,17 +1718,24 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     }
     drop(found_under);
     let mut raw = found;
-
-    let mut out = ClusteredPostings {
-        tok_groups: Vec::with_capacity(num_tokens + 1),
-        group_len: Vec::new(),
-        group_pos: Vec::new(),
-        group_origins: Vec::new(),
-        origin_entity: Vec::with_capacity(raw.len()),
-    };
+    // Every token's clusters sorted and their groups counted first, so that
+    // the arrays beside the records are allocated at their exact sizes.
+    let mut groups = 0;
     for w in starts.windows(2) {
         let list = &mut raw[w[0] as usize..w[1] as usize];
         list.sort_unstable();
+        groups += list.chunk_by(|a, b| a >> 32 == b >> 32).count();
+    }
+
+    let mut out = ClusteredPostings {
+        tok_groups: Vec::with_capacity(num_tokens + 1),
+        group_len: Vec::with_capacity(groups),
+        group_pos: Vec::with_capacity(groups),
+        group_origins: Vec::with_capacity(groups + 1),
+        origin_entity: Vec::with_capacity(raw.len()),
+    };
+    for w in starts.windows(2) {
+        let list = &raw[w[0] as usize..w[1] as usize];
         out.tok_groups.push(out.group_len.len() as u32);
         let mut cur_key: Option<u32> = None;
         for &cluster in list.iter() {
@@ -1703,7 +1746,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                 out.group_origins.push(out.origin_entity.len() as u32);
                 cur_key = Some(key);
             }
-            out.origin_entity.push(I::store(cluster as u32));
+            out.origin_entity.push(I::store(if narrow { cluster as u16 as u32 } else { cluster as u32 }));
         }
     }
     // Close the prefix arrays with their final sentinels.
@@ -2489,15 +2532,20 @@ mod tests {
             }
             let mut rs = RuleSet::new();
             for (l, r) in &rules {
-                let _ = rs.push_tokens(tokens(l), tokens(r), 1.0);
+                let _ = rs.push_tokens(&tokens(l), &tokens(r), 1.0);
             }
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
             let built = cluster_postings::<u32>(index.order(), &index.sets);
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
+            // The index clustered its 16-bit records, which file a cluster
+            // under its rank, into the arrays of the 32-bit ones, filed under
+            // their token.
             proptest::prop_assert_eq!(r.tok_groups, &built.tok_groups[..]);
+            proptest::prop_assert_eq!(r.group_len, &built.group_len[..]);
             proptest::prop_assert_eq!(r.group_pos, &built.group_pos[..]);
+            proptest::prop_assert_eq!(r.group_origins, &built.group_origins[..]);
             let narrow: Vec<u16> = built.origin_entity.iter().map(|&e| e as u16).collect();
             proptest::prop_assert_eq!(r.origin_entity, Ids::U16(&narrow));
         }

@@ -64,10 +64,10 @@ proptest! {
         }
         let mut rules = RuleSet::new();
         for (l, r, w, again) in &inst.rules {
-            let _ = rules.push_tokens(tokens(l), tokens(r), *w);
+            let _ = rules.push_tokens(&tokens(l), &tokens(r), *w);
             match again {
-                1 => drop(rules.push_tokens(tokens(l), tokens(r), *w)),
-                2 => drop(rules.push_tokens(tokens(r), tokens(l), *w)),
+                1 => drop(rules.push_tokens(&tokens(l), &tokens(r), *w)),
+                2 => drop(rules.push_tokens(&tokens(r), &tokens(l), *w)),
                 _ => {}
             }
         }

@@ -50,7 +50,7 @@ fn build(inst: &Instance) -> (DerivedDictionary, ClusteredIndex) {
     for (l, r) in &inst.rules {
         let lt: Vec<TokenId> = l.iter().map(|&i| ids[i as usize]).collect();
         let rt: Vec<TokenId> = r.iter().map(|&i| ids[i as usize]).collect();
-        let _ = rules.push_tokens(lt, rt, 1.0);
+        let _ = rules.push_tokens(&lt, &rt, 1.0);
     }
     let dd = DerivedDictionary::build(&dict, &rules, &DeriveConfig::default());
     let index = ClusteredIndex::build(&dd, &interner);
@@ -289,7 +289,7 @@ fn check_built(base: usize, rhs: &[usize]) -> Result<(), TestCaseError> {
     let mut rules = RuleSet::new();
     let mut fresh = base;
     for (r, &len) in rhs.iter().enumerate() {
-        rules.push_tokens(vec![ids[r]], ids[fresh..fresh + len].to_vec(), 1.0).unwrap();
+        rules.push_tokens(&[ids[r]], &ids[fresh..fresh + len], 1.0).unwrap();
         fresh += len;
     }
     let dd = DerivedDictionary::build(&dict, &rules, &DeriveConfig::default());

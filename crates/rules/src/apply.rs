@@ -41,12 +41,20 @@ pub fn find_applications(entity: &[TokenId], rules: &RuleSet) -> Vec<Application
     let mut out = Vec::new();
     for (pos, &t) in entity.iter().enumerate() {
         let rest = &entity[pos..];
-        for head in rules.heads(t) {
-            let len = head.len as usize;
-            // The bucket entry settles a side of one or two tokens; a longer
-            // one is looked up only once its second token has matched too.
-            if len <= rest.len() && (len == 1 || rest[1] == head.second) && (len <= 2 || rest[2..len] == rules.side(head.rule, head.side)[2..]) {
-                out.push(Application { rule: head.rule, side: head.side, start: pos as u32, len: head.len });
+        for (first, part) in rules.parts() {
+            for head in part.heads(t) {
+                let len = head.len as usize;
+                // The bucket entry settles a side of one or two tokens; a
+                // longer one is looked up only once its second token has
+                // matched too.
+                if len <= rest.len() && (len == 1 || rest[1] == head.second) && (len <= 2 || rest[2..len] == part.side(head.rule, head.side)[2..]) {
+                    out.push(Application {
+                        rule: RuleId(first + head.rule),
+                        side: head.side,
+                        start: pos as u32,
+                        len: head.len,
+                    });
+                }
             }
         }
     }

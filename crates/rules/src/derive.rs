@@ -1,7 +1,7 @@
 //! Off-line derived-dictionary generation (`E = ⋃_{e ∈ E0} D(e)`).
 
 use crate::apply::{find_applications, group_non_conflict, Application};
-use crate::rule::{RuleId, RuleSet};
+use crate::rule::{RuleId, RuleSet, Side};
 use aeetes_frozen::Arena;
 use aeetes_text::{Dictionary, EntityId, TokenId};
 use std::fmt;
@@ -184,8 +184,6 @@ impl std::ops::AddAssign<&DeriveStats> for DeriveStats {
 struct ExpandScratch {
     /// Mixed-radix counter over the span groups.
     digits: Vec<usize>,
-    /// The applications the counter currently selects, in span order.
-    chosen: Vec<Application>,
     /// The current entity's variants in enumeration order — their tokens and
     /// rules back to back, and where each ends — until they are handed out
     /// ids by set length.
@@ -598,18 +596,13 @@ fn expand_entity(tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scr
     stats.applicable_total += apps.len();
     let groups = group_non_conflict(&apps, config.exact_selection);
     stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
+    // What each selected application rewrites its span to, looked up once
+    // per entity rather than once per variant that applies it.
+    let groups: Vec<Vec<Rewrite<'_>>> = groups.iter().map(|g| g.iter().map(|&app| Rewrite::of(app, rules)).collect()).collect();
+    let mut chosen: Vec<Rewrite<'_>> = Vec::with_capacity(groups.len());
 
     // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
-    let ExpandScratch {
-        digits,
-        chosen,
-        tokens: flat_tokens,
-        rules: flat_rules,
-        produced,
-        seen,
-        order,
-        sorted,
-    } = scratch;
+    let ExpandScratch { digits, tokens: flat_tokens, rules: flat_rules, produced, seen, order, sorted } = scratch;
     digits.clear();
     digits.resize(groups.len(), 0);
     flat_tokens.clear();
@@ -625,7 +618,7 @@ fn expand_entity(tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scr
         chosen.clear();
         chosen.extend(digits.iter().zip(&groups).filter_map(|(&d, g)| d.checked_sub(1).map(|i| g[i])));
         let (tokens_start, rules_start) = (flat_tokens.len(), flat_rules.len());
-        let weight = rewrite(tokens, chosen, rules, flat_tokens, flat_rules);
+        let weight = rewrite(tokens, &chosen, flat_tokens, flat_rules);
         let (earlier, new_tokens) = flat_tokens.split_at(tokens_start);
         let hash = hash_tokens(new_tokens);
         let slot = probe(seen, hash, |v| {
@@ -776,19 +769,39 @@ fn hash_tokens(tokens: &[TokenId]) -> u64 {
         .fold(tokens.len() as u64, |h, t| (h ^ u64::from(t.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(23))
 }
 
+/// A selected application with what it rewrites its span to and its rule's
+/// weight.
+#[derive(Clone, Copy)]
+struct Rewrite<'r> {
+    app: Application,
+    to: &'r [TokenId],
+    weight: f64,
+}
+
+impl<'r> Rewrite<'r> {
+    fn of(app: Application, rules: &'r RuleSet) -> Self {
+        let rule = rules.rule(app.rule);
+        let to = match app.side {
+            Side::Lhs => rule.rhs,
+            Side::Rhs => rule.lhs,
+        };
+        Rewrite { app, to, weight: rule.weight }
+    }
+}
+
 /// Applies `chosen` (span-disjoint, ascending by start — the order the
 /// selected groups come in) to `tokens`: the rewritten sequence is appended
 /// to `out`, the rule ids applied to `applied`, and the weight product
 /// returned.
-fn rewrite(tokens: &[TokenId], chosen: &[Application], rules: &RuleSet, out: &mut Vec<TokenId>, applied: &mut Vec<RuleId>) -> f64 {
-    debug_assert!(chosen.windows(2).all(|w| w[0].end() <= w[1].start), "chosen applications overlap or are out of order");
+fn rewrite(tokens: &[TokenId], chosen: &[Rewrite<'_>], out: &mut Vec<TokenId>, applied: &mut Vec<RuleId>) -> f64 {
+    debug_assert!(chosen.windows(2).all(|w| w[0].app.end() <= w[1].app.start), "chosen applications overlap or are out of order");
     let mut weight = 1.0;
     let mut pos = 0usize;
-    for app in chosen {
+    for &Rewrite { app, to, weight: w } in chosen {
         out.extend_from_slice(&tokens[pos..app.start as usize]);
-        out.extend_from_slice(rules.other_side(app.rule, app.side));
+        out.extend_from_slice(to);
         applied.push(app.rule);
-        weight *= rules.rule(app.rule).weight;
+        weight *= w;
         pos = app.end() as usize;
     }
     out.extend_from_slice(&tokens[pos..]);

@@ -185,7 +185,7 @@ pub fn discover_abbreviations(dict: &Dictionary, interner: &Interner, config: &D
 pub fn add_discovered(rules: &mut RuleSet, discovered: &[DiscoveredRule], weight: f64) -> usize {
     let mut added = 0;
     for r in discovered {
-        match rules.push_tokens(vec![r.short], r.expansion.clone(), weight) {
+        match rules.push_tokens(&[r.short], &r.expansion, weight) {
             Ok(_) => added += 1,
             Err(RuleError::Trivial | RuleError::EmptySide | RuleError::BadWeight(_)) => {}
         }

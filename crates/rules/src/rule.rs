@@ -1,8 +1,8 @@
 //! The synonym rule table.
 
-use aeetes_text::{Interner, TokenId, Tokenizer};
-use std::collections::HashMap;
+use aeetes_text::{Interner, Runs, TokenId, Tokenizer};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a rule in a [`RuleSet`].
 #[repr(transparent)]
@@ -23,17 +23,18 @@ impl fmt::Debug for RuleId {
     }
 }
 
-/// A bidirectional synonym rule `⟨lhs ⇔ rhs⟩`.
+/// A borrowed view of a bidirectional synonym rule `⟨lhs ⇔ rhs⟩`, resolved
+/// out of its [`RuleSet`]'s flat arenas.
 ///
 /// Both sides are non-empty token sequences. `weight ∈ (0, 1]` supports the
 /// weighted-rule extension (paper §8 future work); the classic semantics use
 /// weight `1.0` everywhere.
-#[derive(Debug, Clone)]
-pub struct Rule {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rule<'a> {
     /// Left-hand side tokens.
-    pub lhs: Vec<TokenId>,
+    pub lhs: &'a [TokenId],
     /// Right-hand side tokens.
-    pub rhs: Vec<TokenId>,
+    pub rhs: &'a [TokenId],
     /// Confidence weight in `(0, 1]`; `1.0` for classic (unweighted) rules.
     pub weight: f64,
 }
@@ -61,53 +62,18 @@ impl fmt::Display for RuleError {
 
 impl std::error::Error for RuleError {}
 
-/// A table of synonym rules with a first-token lookup index.
-///
-/// The index maps the first token of every rule side to the `(rule, side)`
-/// pairs starting with it, so scanning an entity for applicable rules costs
-/// `O(|e| · avg bucket)` instead of `O(|e| · |R|)`.
-#[derive(Debug, Clone, Default)]
-pub struct RuleSet {
-    rules: Vec<Rule>,
-    /// first token of a side → the sides starting there
-    heads: HashMap<TokenId, Vec<Head>, std::hash::BuildHasherDefault<TokenIdHasher>>,
-}
-
-/// One rule side, filed under its first token with enough of it that a scan
-/// of the bucket decides nearly every candidate without touching the rule: a
-/// common first token heads hundreds of sides, almost all of them one or two
-/// tokens long.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Head {
-    pub(crate) rule: RuleId,
-    pub(crate) side: Side,
-    /// Tokens on the side.
-    pub(crate) len: u32,
-    /// The side's second token (its first again when that is all of it).
-    pub(crate) second: TokenId,
-}
-
-/// Mixes the single `u32` of a [`TokenId`] key (splitmix64 finalizer) —
-/// SipHash shows up in rule-set reassembly on the frozen open path, and
-/// `heads` never hashes anything but token ids.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TokenIdHasher(u64);
-
-impl std::hash::Hasher for TokenIdHasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+/// What every rule must be, pushed or read from an artifact.
+fn check(lhs: &[TokenId], rhs: &[TokenId], weight: f64) -> Result<(), RuleError> {
+    if lhs.is_empty() || rhs.is_empty() {
+        return Err(RuleError::EmptySide);
     }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 << 8) | b as u64;
-        }
+    if lhs == rhs {
+        return Err(RuleError::Trivial);
     }
-    fn write_u32(&mut self, i: u32) {
-        self.0 = i as u64;
+    if !(weight > 0.0 && weight <= 1.0) {
+        return Err(RuleError::BadWeight(weight));
     }
+    Ok(())
 }
 
 /// Which side of a rule matched inside an entity.
@@ -117,23 +83,202 @@ pub enum Side {
     Rhs,
 }
 
+/// One rule side, filed under its first token with enough of it that a scan
+/// of the bucket decides nearly every candidate without touching the rule: a
+/// common first token heads hundreds of sides, almost all of them one or two
+/// tokens long.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    /// The rule's index in its part.
+    pub(crate) rule: u32,
+    pub(crate) side: Side,
+    /// Tokens on the side.
+    pub(crate) len: u32,
+    /// The side's second token (its first again when that is all of it).
+    pub(crate) second: TokenId,
+}
+
+/// A part's sides by first token: every side once, a token's sides together
+/// in rule order (lhs before rhs), found through an open-addressing table.
+#[derive(Debug)]
+struct Heads {
+    sides: Vec<Head>,
+    /// A power of two of slots, at least twice as many as head tokens, so an
+    /// empty slot ends every probe: a head token and its range of `sides`.
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// [`Slot::EMPTY`] or a head token: no token id reaches it
+    /// ([`TokenId::LIMIT`]).
+    token: u32,
+    start: u32,
+    end: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { token: u32::MAX, start: 0, end: 0 };
+}
+
+impl Heads {
+    fn build(sides: &Runs<TokenId>) -> Self {
+        let mut filed: Vec<(TokenId, u32)> = (0..sides.len()).map(|i| (sides.get(i)[0], i as u32)).collect();
+        filed.sort_unstable();
+        let tokens = filed.chunk_by(|a, b| a.0 == b.0).count();
+        let mut slots = vec![Slot::EMPTY; (2 * tokens).next_power_of_two()];
+        let mask = slots.len() - 1;
+        let mut start = 0;
+        for group in filed.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + group.len() as u32;
+            let mut s = Self::hash(group[0].0) & mask;
+            while slots[s].token != Slot::EMPTY.token {
+                s = (s + 1) & mask;
+            }
+            slots[s] = Slot { token: group[0].0 .0, start, end };
+            start = end;
+        }
+        let sides = filed
+            .iter()
+            .map(|&(_, i)| {
+                let side = sides.get(i as usize);
+                Head {
+                    rule: i / 2,
+                    side: if i % 2 == 0 { Side::Lhs } else { Side::Rhs },
+                    len: side.len() as u32,
+                    second: side[side.len().min(2) - 1],
+                }
+            })
+            .collect();
+        Self { sides, slots }
+    }
+
+    #[inline]
+    fn hash(t: TokenId) -> usize {
+        (u64::from(t.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize
+    }
+
+    #[inline]
+    fn get(&self, t: TokenId) -> &[Head] {
+        let mask = self.slots.len() - 1;
+        let mut s = Self::hash(t) & mask;
+        loop {
+            let slot = self.slots[s];
+            if slot.token == t.0 {
+                return &self.sides[slot.start as usize..slot.end as usize];
+            }
+            if slot.token == Slot::EMPTY.token {
+                return &[];
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.sides.capacity() * std::mem::size_of::<Head>() + self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+}
+
+/// Consecutive rules: their sides as runs, rule `i`'s lhs run `2i` and its
+/// rhs run `2i + 1`, with offsets from 0, so a part reads the same wherever
+/// its rules' ids start.
+#[derive(Debug)]
+pub(crate) struct Part {
+    sides: Runs<TokenId>,
+    /// One per rule, or none while every rule of the part weighs `1.0`.
+    weights: Vec<f64>,
+    /// Built on the first lookup after the part last grew: only deriving
+    /// looks sides up by first token, and a table that is served but never
+    /// derived from never builds it.
+    heads: OnceLock<Heads>,
+}
+
+impl Part {
+    fn new() -> Self {
+        Part { sides: Runs::empty_at(0), weights: Vec::new(), heads: OnceLock::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.sides.len() / 2
+    }
+
+    fn push(&mut self, lhs: &[TokenId], rhs: &[TokenId], weight: f64) {
+        self.sides.push(lhs.iter().copied());
+        self.sides.push(rhs.iter().copied());
+        if weight != 1.0 || !self.weights.is_empty() {
+            self.weights.resize(self.len() - 1, 1.0);
+            self.weights.push(weight);
+        }
+        self.heads = OnceLock::new();
+    }
+
+    /// The owned concatenation of `parts`.
+    fn concat<'a>(parts: impl Iterator<Item = &'a Part> + Clone) -> Self {
+        let (rules, tokens) = parts.clone().fold((0, 0), |(r, t), p| (r + p.len(), t + p.sides.items().len()));
+        let mut out = Part::new();
+        out.sides.reserve_exact(tokens, 2 * rules);
+        for p in parts {
+            for i in 0..p.len() {
+                let rule = p.rule(i);
+                out.push(rule.lhs, rule.rhs, rule.weight);
+            }
+        }
+        out
+    }
+
+    #[inline]
+    pub(crate) fn heads(&self, t: TokenId) -> &[Head] {
+        self.heads.get_or_init(|| Heads::build(&self.sides)).get(t)
+    }
+
+    #[inline]
+    pub(crate) fn side(&self, rule: u32, side: Side) -> &[TokenId] {
+        self.sides.get(2 * rule as usize + side as usize)
+    }
+
+    fn rule(&self, i: usize) -> Rule<'_> {
+        Rule {
+            lhs: self.sides.get(2 * i),
+            rhs: self.sides.get(2 * i + 1),
+            weight: self.weights.get(i).copied().unwrap_or(1.0),
+        }
+    }
+
+    fn owned_bytes(&self) -> usize {
+        self.sides.owned_bytes() + 8 * self.weights.capacity() + self.heads.get().map_or(0, Heads::bytes)
+    }
+}
+
+/// A table of synonym rules with a first-token lookup.
+///
+/// Storage is flat: each rule's two sides are runs of one token arena, held
+/// in `Arc`-shared *parts* of consecutive rules, so a clone copies part
+/// pointers and a clone grown by a delta allocates only the rules it adds.
+/// A push lands in the last part when this table alone holds it, and in a
+/// new part otherwise; the newest part absorbs its predecessors while one
+/// holds no more than twice the rules absorbed so far, so a table has
+/// `O(log len)` parts, and a rule is copied `O(log len)` times over any
+/// sequence of pushes.
+///
+/// Each part files its sides under their first token, so scanning an entity
+/// for applicable rules costs `O(|e| · parts · avg bucket)` instead of
+/// `O(|e| · |R|)`.
+#[derive(Debug, Clone, Default)]
+pub struct RuleSet {
+    /// Each part with the id of its first rule; each continues the one
+    /// before, the first at 0.
+    parts: Vec<(u32, Arc<Part>)>,
+}
+
 impl RuleSet {
     /// Creates an empty rule set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pre-allocates for `n` more rules (a deserializer's bulk-load hint).
-    pub fn reserve(&mut self, n: usize) {
-        self.rules.reserve(n);
-        self.heads.reserve(n);
-    }
-
     /// Adds a rule from raw strings with weight `1.0`.
     pub fn push_str(&mut self, lhs: &str, rhs: &str, tokenizer: &Tokenizer, interner: &mut Interner) -> Result<RuleId, RuleError> {
-        let l = tokenizer.tokenize(lhs, interner);
-        let r = tokenizer.tokenize(rhs, interner);
-        self.push_tokens(l, r, 1.0)
+        self.push_weighted_str(lhs, rhs, 1.0, tokenizer, interner)
     }
 
     /// Adds a weighted rule from raw strings.
@@ -147,86 +292,157 @@ impl RuleSet {
     ) -> Result<RuleId, RuleError> {
         let l = tokenizer.tokenize(lhs, interner);
         let r = tokenizer.tokenize(rhs, interner);
-        self.push_tokens(l, r, weight)
+        self.push_tokens(&l, &r, weight)
     }
 
     /// Adds a pre-tokenized rule.
-    pub fn push_tokens(&mut self, lhs: Vec<TokenId>, rhs: Vec<TokenId>, weight: f64) -> Result<RuleId, RuleError> {
-        if lhs.is_empty() || rhs.is_empty() {
-            return Err(RuleError::EmptySide);
+    pub fn push_tokens(&mut self, lhs: &[TokenId], rhs: &[TokenId], weight: f64) -> Result<RuleId, RuleError> {
+        check(lhs, rhs, weight)?;
+        let id = RuleId(u32::try_from(self.len()).expect("rule set overflow"));
+        if self.parts.last_mut().is_none_or(|(_, p)| Arc::get_mut(p).is_none()) {
+            self.parts.push((id.0, Arc::new(Part::new())));
         }
-        if lhs == rhs {
-            return Err(RuleError::Trivial);
-        }
-        if !(weight > 0.0 && weight <= 1.0) {
-            return Err(RuleError::BadWeight(weight));
-        }
-        let id = RuleId(u32::try_from(self.rules.len()).expect("rule set overflow"));
-        for (side, tokens) in [(Side::Lhs, &lhs), (Side::Rhs, &rhs)] {
-            let head = Head {
-                rule: id,
-                side,
-                len: tokens.len() as u32,
-                second: tokens[tokens.len().min(2) - 1],
-            };
-            self.heads.entry(tokens[0]).or_default().push(head);
-        }
-        self.rules.push(Rule { lhs, rhs, weight });
+        let (_, last) = self.parts.last_mut().expect("a part to push into");
+        Arc::get_mut(last).expect("a part this table alone holds").push(lhs, rhs, weight);
+        self.absorb();
         Ok(id)
     }
 
+    /// Appends the rules of `other`, their ids continuing this table's: its
+    /// parts move in as they are, then merge as pushes merge them.
+    pub fn append(&mut self, other: RuleSet) {
+        for (_, part) in other.parts {
+            let first = u32::try_from(self.len()).expect("rule set overflow");
+            self.parts.push((first, part));
+            self.absorb();
+        }
+    }
+
+    /// Merges the newest part with the predecessors holding no more than
+    /// twice the rules merged so far, in one copy.
+    fn absorb(&mut self) {
+        let mut from = self.parts.len() - 1;
+        let mut merged = self.parts[from].1.len();
+        while from > 0 && self.parts[from - 1].1.len() <= 2 * merged {
+            from -= 1;
+            merged += self.parts[from].1.len();
+        }
+        if from + 1 < self.parts.len() {
+            let part = Part::concat(self.parts[from..].iter().map(|(_, p)| &**p));
+            let first = self.parts[from].0;
+            self.parts.truncate(from);
+            self.parts.push((first, Arc::new(part)));
+        }
+    }
+
+    /// The part holding `id`, and `id`'s index in it.
+    #[inline]
+    fn locate(&self, id: RuleId) -> (&Part, u32) {
+        let k = self.parts.partition_point(|&(first, _)| first <= id.0) - 1;
+        let (first, part) = &self.parts[k];
+        (part, id.0 - first)
+    }
+
+    /// The parts, each with the id of its first rule.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = (u32, &Part)> {
+        self.parts.iter().map(|(first, p)| (*first, &**p))
+    }
+
     /// The rule with id `id`.
-    pub fn rule(&self, id: RuleId) -> &Rule {
-        &self.rules[id.idx()]
+    pub fn rule(&self, id: RuleId) -> Rule<'_> {
+        let (part, i) = self.locate(id);
+        part.rule(i as usize)
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.parts.last().map_or(0, |(first, p)| *first as usize + p.len())
     }
 
     /// Whether the set contains no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(id, rule)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (RuleId, &Rule)> {
-        self.rules.iter().enumerate().map(|(i, r)| (RuleId(i as u32), r))
+    pub fn iter(&self) -> impl Iterator<Item = (RuleId, Rule<'_>)> {
+        self.parts
+            .iter()
+            .flat_map(|(first, p)| (0..p.len()).map(move |i| (RuleId(first + i as u32), p.rule(i))))
     }
 
-    /// The token sequence of the given side of rule `id` (public accessor).
+    /// The token sequence of the given side of rule `id`.
     pub fn side_of(&self, id: RuleId, side: Side) -> &[TokenId] {
-        self.side(id, side)
+        let (part, i) = self.locate(id);
+        part.side(i, side)
     }
 
     /// The token sequence of the side *opposite* to `side` of rule `id` —
     /// i.e. what an [`crate::Application`] on `side` rewrites the match to.
     pub fn other_side_of(&self, id: RuleId, side: Side) -> &[TokenId] {
-        self.other_side(id, side)
+        let other = match side {
+            Side::Lhs => Side::Rhs,
+            Side::Rhs => Side::Lhs,
+        };
+        self.side_of(id, other)
     }
 
-    /// The sides that start with token `t`.
-    pub(crate) fn heads(&self, t: TokenId) -> &[Head] {
-        self.heads.get(&t).map(Vec::as_slice).unwrap_or(&[])
+    /// The sides of each part, first to last: its rules' lhs and rhs runs
+    /// back to back and their `2 · rules + 1` offsets, from 0. Run together
+    /// — each part's offsets moved past the sides before it — they are the
+    /// flat form [`Self::from_flat`] reads.
+    pub fn part_sides(&self) -> impl Iterator<Item = (&[TokenId], &[u32])> {
+        self.parts.iter().map(|(_, p)| (p.sides.items(), p.sides.offsets()))
     }
 
-    /// The token sequence of the given side of rule `id`.
-    pub(crate) fn side(&self, id: RuleId, side: Side) -> &[TokenId] {
-        let r = self.rule(id);
-        match side {
-            Side::Lhs => &r.lhs,
-            Side::Rhs => &r.rhs,
+    /// One weight per rule in id order, or none when every rule weighs
+    /// `1.0`.
+    pub fn weights(&self) -> Vec<f64> {
+        if self.parts.iter().all(|(_, p)| p.weights.is_empty()) {
+            return Vec::new();
         }
+        self.iter().map(|(_, r)| r.weight).collect()
     }
 
-    /// The token sequence of the *opposite* side of rule `id`.
-    pub(crate) fn other_side(&self, id: RuleId, side: Side) -> &[TokenId] {
-        let r = self.rule(id);
-        match side {
-            Side::Lhs => &r.rhs,
-            Side::Rhs => &r.lhs,
+    /// Heap bytes the table owns, shared parts included: sides, offsets,
+    /// weights and the first-token lookups built so far.
+    pub fn owned_bytes(&self) -> usize {
+        self.parts.iter().map(|(_, p)| p.owned_bytes()).sum()
+    }
+
+    /// Reads a table from its flat form, at either stored width: `sides`
+    /// holds every rule's lhs run and then its rhs run, in id order,
+    /// `side_off` the `2 · rules + 1` offsets cutting them, and `weight` one
+    /// weight per rule or none for unit weights. Every invariant a push
+    /// keeps is checked — offsets from 0, monotone, ending at the last side
+    /// token; no empty side, no rule rewriting a sequence to itself, weights
+    /// in `(0, 1]`; token ids below `n_tokens` — and the arrays are widened
+    /// into one owned part. Errors name the array at fault as an artifact's
+    /// sections do: `rules.sides`, `rules.side_off`, `rules.weight`.
+    pub fn from_flat<S: Copy + Into<u32>>(sides: &[S], side_off: &[S], weight: &[f64], n_tokens: u32) -> Result<Self, String> {
+        let items: Vec<TokenId> = sides.iter().map(|&t| TokenId(t.into())).collect();
+        let offsets: Vec<u32> = side_off.iter().map(|&o| o.into()).collect();
+        let runs = Runs::new(items.into(), offsets.into(), "side").map_err(|e| format!("rules.side_off: {e}"))?;
+        if runs.len() % 2 != 0 {
+            return Err(format!("rules.side_off holds {} offsets, not two per rule and one more", side_off.len()));
         }
+        let rules = runs.len() / 2;
+        if let Some(t) = runs.items().iter().find(|t| t.0 >= n_tokens) {
+            return Err(format!("rules.sides: token {t:?} out of interner range {n_tokens}"));
+        }
+        if !weight.is_empty() && weight.len() != rules {
+            return Err(format!("rules.weight holds {} entries, expected none or {rules}", weight.len()));
+        }
+        let part = Part { sides: runs, weights: weight.to_vec(), heads: OnceLock::new() };
+        for i in 0..rules {
+            let rule = part.rule(i);
+            check(rule.lhs, rule.rhs, rule.weight).map_err(|e| match e {
+                RuleError::EmptySide => format!("rules.sides: rule {i} has an empty side"),
+                RuleError::Trivial => format!("rules.sides: rule {i} rewrites a sequence to itself"),
+                RuleError::BadWeight(w) => format!("rules.weight: rule {i} weight {w} outside (0, 1]"),
+            })?;
+        }
+        Ok(Self { parts: if rules == 0 { Vec::new() } else { vec![(0, Arc::new(part))] } })
     }
 }
 
@@ -236,6 +452,12 @@ mod tests {
 
     fn setup() -> (Interner, Tokenizer, RuleSet) {
         (Interner::new(), Tokenizer::default(), RuleSet::new())
+    }
+
+    fn heads(rs: &RuleSet, t: TokenId) -> Vec<(u32, Side, u32, TokenId)> {
+        rs.parts()
+            .flat_map(|(first, p)| p.heads(t).iter().map(move |h| (first + h.rule, h.side, h.len, h.second)))
+            .collect()
     }
 
     #[test]
@@ -275,10 +497,9 @@ mod tests {
         rs.push_str("UW", "University of Washington", &t, &mut i).unwrap();
         let uw = i.get("uw").unwrap();
         let uni = i.get("university").unwrap();
-        assert_eq!(rs.heads(uw).len(), 1);
-        assert_eq!(rs.heads(uni).len(), 1);
-        assert_eq!((rs.heads(uw)[0].side, rs.heads(uw)[0].len, rs.heads(uw)[0].second), (Side::Lhs, 1, uw));
-        assert_eq!((rs.heads(uni)[0].side, rs.heads(uni)[0].len, rs.heads(uni)[0].second), (Side::Rhs, 3, i.get("of").unwrap()));
+        assert_eq!(heads(&rs, uw), [(0, Side::Lhs, 1, uw)]);
+        assert_eq!(heads(&rs, uni), [(0, Side::Rhs, 3, i.get("of").unwrap())]);
+        assert!(heads(&rs, i.get("washington").unwrap()).is_empty());
     }
 
     #[test]
@@ -286,7 +507,27 @@ mod tests {
         let (mut i, t, mut rs) = setup();
         let id = rs.push_str("NY", "New York", &t, &mut i).unwrap();
         let ny = i.get("ny").unwrap();
-        assert_eq!(rs.side(id, Side::Lhs), &[ny]);
-        assert_eq!(rs.other_side(id, Side::Rhs), &[ny]);
+        assert_eq!(rs.side_of(id, Side::Lhs), &[ny]);
+        assert_eq!(rs.other_side_of(id, Side::Rhs), &[ny]);
+    }
+
+    /// A clone grown by pushes or an appended table keeps its source's parts
+    /// and ids; the appended part's lookup reports the ids it now has.
+    #[test]
+    fn appended_rules_continue_the_ids() {
+        let (mut i, t, mut rs) = setup();
+        for k in 0..8 {
+            rs.push_str(&format!("a{k}"), &format!("b{k}"), &t, &mut i).unwrap();
+        }
+        let mut fresh = RuleSet::new();
+        fresh.push_weighted_str("a0", "c", 0.5, &t, &mut i).unwrap();
+        let mut grown = rs.clone();
+        grown.append(fresh);
+        assert_eq!((grown.len(), grown.part_sides().count(), rs.len()), (9, 2, 8));
+        let a0 = i.get("a0").unwrap();
+        assert_eq!(heads(&grown, a0).iter().map(|h| h.0).collect::<Vec<_>>(), [0, 8]);
+        assert_eq!(grown.rule(RuleId(8)).weight, 0.5);
+        assert_eq!(grown.weights().len(), 9);
+        assert!(rs.weights().is_empty());
     }
 }

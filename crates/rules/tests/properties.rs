@@ -1,6 +1,6 @@
 //! Property tests for rule application and derivation invariants.
 
-use aeetes_rules::{find_applications, select_non_conflict, DeriveConfig, DeriveStats, DerivedDictionary, RuleId, RuleSet};
+use aeetes_rules::{find_applications, select_non_conflict, Application, DeriveConfig, DeriveStats, DerivedDictionary, RuleId, RuleSet, Side};
 use aeetes_text::{Dictionary, TokenId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -70,7 +70,7 @@ fn materialize(inst: &Instance) -> (Dictionary, RuleSet) {
     for (l, r) in &inst.rules {
         let lt: Vec<TokenId> = l.iter().map(|&i| ids[i as usize]).collect();
         let rt: Vec<TokenId> = r.iter().map(|&i| ids[i as usize]).collect();
-        let _ = rules.push_tokens(lt, rt, 1.0);
+        let _ = rules.push_tokens(&lt, &rt, 1.0);
     }
     (dict, rules)
 }
@@ -186,7 +186,7 @@ proptest! {
         for (l, r) in &inst.rules {
             let lt: Vec<TokenId> = l.iter().map(|&i| ids[i as usize]).collect();
             let rt: Vec<TokenId> = r.iter().map(|&i| ids[i as usize]).collect();
-            let _ = rules.push_tokens(lt, rt, w);
+            let _ = rules.push_tokens(&lt, &rt, w);
         }
         let dd = DerivedDictionary::build(&dict, &rules, &DeriveConfig::default());
         for (_, d) in dd.iter() {
@@ -195,4 +195,211 @@ proptest! {
             prop_assert!((d.weight - expected).abs() < 1e-9);
         }
     }
+}
+
+/// A rule as `(lhs, rhs, weight)`: the flat list a rule table must answer as.
+type FlatRule = (Vec<TokenId>, Vec<TokenId>, f64);
+
+/// A rule over tokens `0..6`: short sides over few tokens, so rules share
+/// head tokens, some sides run past two tokens and some rules are trivial.
+fn rule() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, u8)> {
+    let side = proptest::collection::vec(0u8..6, 1..=3);
+    (side.clone(), side, 0u8..4)
+}
+
+fn flat_rule((lhs, rhs, w): &(Vec<u8>, Vec<u8>, u8)) -> FlatRule {
+    let ids = |s: &[u8]| s.iter().map(|&t| TokenId(t as u32)).collect();
+    (ids(lhs), ids(rhs), [1.0, 1.0, 0.5, 0.25][*w as usize])
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// A rule pushed onto table `at`.
+    Push(usize, (Vec<u8>, Vec<u8>, u8)),
+    /// Rules pushed onto a table of their own, appended to table `at`, as an
+    /// update adds them.
+    Delta(usize, Vec<(Vec<u8>, Vec<u8>, u8)>),
+    Clone(usize),
+    Drop(usize),
+    /// Table `at` written in its flat form and read back, at 2 bytes when
+    /// `narrow`.
+    Reopen(usize, bool),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..10, 0usize..8, rule(), proptest::collection::vec(rule(), 0..6)).prop_map(|(kind, at, r, delta)| match kind {
+        0..=2 => Step::Push(at, r),
+        3..=5 => Step::Delta(at, delta),
+        6 | 7 => Step::Clone(at),
+        8 => Step::Drop(at),
+        _ => Step::Reopen(at, r.2 % 2 == 0),
+    })
+}
+
+/// Pushes `r` as the table does, and onto the model when the table keeps it.
+fn push(rules: &mut RuleSet, model: &mut Vec<FlatRule>, r: FlatRule) -> Result<(), TestCaseError> {
+    let kept = r.0 != r.1;
+    prop_assert_eq!(rules.push_tokens(&r.0, &r.1, r.2).is_ok(), kept);
+    if kept {
+        model.push(r);
+    }
+    Ok(())
+}
+
+/// The table's flat form — what an artifact stores — read back at 2 or 4
+/// bytes, over an interner of 8 tokens.
+fn reopened(rules: &RuleSet, narrow: bool) -> RuleSet {
+    let (mut sides, mut side_off) = (Vec::new(), vec![0u32]);
+    for (tokens, offsets) in rules.part_sides() {
+        let base = sides.len() as u32;
+        sides.extend(tokens.iter().map(|t| t.0));
+        side_off.extend(offsets[1..].iter().map(|o| base + o));
+    }
+    let weight = rules.weights();
+    if narrow {
+        let narrowed = |ids: &[u32]| ids.iter().map(|&id| u16::try_from(id).unwrap()).collect::<Vec<u16>>();
+        RuleSet::from_flat(&narrowed(&sides), &narrowed(&side_off), &weight, 8).expect("the flat form reads back")
+    } else {
+        RuleSet::from_flat(&sides, &side_off, &weight, 8).expect("the flat form reads back")
+    }
+}
+
+/// Every occurrence of every rule side in `entity`, scanning every rule:
+/// position by position, in rule order, lhs before rhs.
+fn brute_force_applications(entity: &[TokenId], model: &[FlatRule]) -> Vec<Application> {
+    let mut out = Vec::new();
+    for start in 0..entity.len() {
+        for (id, (lhs, rhs, _)) in model.iter().enumerate() {
+            for (side, tokens) in [(Side::Lhs, lhs), (Side::Rhs, rhs)] {
+                if entity[start..].starts_with(tokens) {
+                    out.push(Application { rule: RuleId(id as u32), side, start: start as u32, len: tokens.len() as u32 });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `rules` answers as `model` does, in `O(log len)` parts.
+fn agrees(rules: &RuleSet, model: &[FlatRule], entities: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rules.len(), model.len());
+    let listed: Vec<FlatRule> = rules.iter().map(|(_, r)| (r.lhs.to_vec(), r.rhs.to_vec(), r.weight)).collect();
+    prop_assert_eq!(&listed, model);
+    for (id, (lhs, rhs, weight)) in model.iter().enumerate() {
+        let r = rules.rule(RuleId(id as u32));
+        prop_assert_eq!((r.lhs, r.rhs, r.weight), (&lhs[..], &rhs[..], *weight));
+        prop_assert_eq!(rules.other_side_of(RuleId(id as u32), Side::Rhs), &lhs[..]);
+    }
+    let unit = model.iter().all(|r| r.2 == 1.0);
+    prop_assert_eq!(rules.weights(), if unit { Vec::new() } else { model.iter().map(|r| r.2).collect() });
+    let parts = rules.part_sides().count();
+    prop_assert!(parts <= 2 + model.len().max(1).ilog2() as usize, "{} parts for {} rules", parts, model.len());
+    for e in entities {
+        let tokens: Vec<TokenId> = e.iter().map(|&t| TokenId(t as u32)).collect();
+        prop_assert_eq!(find_applications(&tokens, rules), brute_force_applications(&tokens, model));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Over random pushes, appended deltas, clones, drops and reads of the
+    /// flat form at both widths — which merge parts as they go — every live
+    /// rule table answers as a flat list of rules does, and finds the rule
+    /// sides in an entity that a scan over every rule finds, in its order.
+    #[test]
+    fn rule_tables_answer_as_a_flat_list(
+        initial in proptest::collection::vec(rule(), 0..30),
+        flat_first in 0u8..2,
+        steps in proptest::collection::vec(step(), 0..40),
+        entities in proptest::collection::vec(proptest::collection::vec(0u8..6, 1..8), 4),
+    ) {
+        let (mut first, mut model) = (RuleSet::new(), Vec::new());
+        for r in &initial {
+            push(&mut first, &mut model, flat_rule(r))?;
+        }
+        if flat_first == 1 {
+            first = reopened(&first, true);
+        }
+        let mut live = vec![(first, model)];
+        for step in steps {
+            let n = live.len();
+            match step {
+                Step::Push(at, r) => {
+                    let (rules, model) = &mut live[at % n];
+                    push(rules, model, flat_rule(&r))?;
+                }
+                Step::Delta(at, rs) => {
+                    let (rules, model) = &mut live[at % n];
+                    let (mut fresh, mut added) = (RuleSet::new(), Vec::new());
+                    for r in &rs {
+                        push(&mut fresh, &mut added, flat_rule(r))?;
+                    }
+                    rules.append(fresh);
+                    model.extend(added);
+                }
+                Step::Clone(at) => {
+                    let copy = live[at % n].clone();
+                    live.push(copy);
+                }
+                Step::Drop(at) => {
+                    if n > 1 {
+                        live.swap_remove(at % n);
+                    }
+                }
+                Step::Reopen(at, narrow) => {
+                    let (rules, _) = &mut live[at % n];
+                    *rules = reopened(rules, narrow);
+                }
+            }
+        }
+        for (rules, model) in &live {
+            agrees(rules, model, &entities)?;
+            agrees(&reopened(rules, false), model, &entities)?;
+        }
+    }
+}
+
+/// A thousand deltas of four rules onto a table read from its flat form,
+/// each appended to a clone of the one before as an update does: the parts
+/// stay `O(log n)`, and the tokens copied into fresh parts — the merges —
+/// stay within `O(log n)` copies of each rule, never one copy of the table
+/// per delta.
+#[test]
+fn a_thousand_rule_deltas_copy_each_rule_a_logarithmic_number_of_times() {
+    const DELTAS: usize = 1_000;
+    const DELTA: usize = 4;
+    let side = |k: usize| vec![TokenId((k % 6) as u32), TokenId((k / 6 % 6) as u32)];
+    let mut base = RuleSet::new();
+    for k in 0..5_000 {
+        base.push_tokens(&side(k), &[TokenId(6)], 1.0).unwrap();
+    }
+    let mut current = reopened(&base, false);
+    let tokens = |rules: &RuleSet| -> Vec<(*const TokenId, usize)> { rules.part_sides().map(|(t, _)| (t.as_ptr(), t.len())).collect() };
+    let (mut appended, mut copied) = (0usize, 0usize);
+    for delta in 0..DELTAS {
+        let mut next = current.clone();
+        let mut fresh = RuleSet::new();
+        for i in 0..DELTA {
+            let k = delta * DELTA + i;
+            fresh.push_tokens(&side(k), &[TokenId(7)], 1.0).unwrap();
+            appended += 3;
+        }
+        let fresh_part = tokens(&fresh)[0].0;
+        next.append(fresh);
+        // A part of the new table is a copy unless the old one holds it or
+        // it is the delta's own.
+        let shared = tokens(&current);
+        copied += tokens(&next)
+            .iter()
+            .filter(|(p, _)| !shared.iter().any(|s| s.0 == *p) && *p != fresh_part)
+            .map(|(_, n)| n)
+            .sum::<usize>();
+        let parts = next.part_sides().count();
+        assert!(parts <= 2 + next.len().ilog2() as usize, "delta {delta}: {parts} parts for {} rules", next.len());
+        current = next;
+    }
+    assert_eq!(current.len(), 5_000 + DELTAS * DELTA);
+    let total = 3 * current.len();
+    let log = current.len().ilog2() as usize;
+    assert!(copied <= 2 * log * total, "{copied} tokens copied into fresh parts for {appended} appended to {total}");
 }

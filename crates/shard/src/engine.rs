@@ -179,7 +179,7 @@ impl ShardedEngine {
         let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
         let (tables, indexes) = in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
         let base = Arc::new(Tier { dd: VariantTable::concat(tables), index: ClusteredIndex::concat(indexes) });
-        let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), Arc::new(rules.clone()), config, order, base, None);
+        let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), rules.clone(), config, order, base, None);
         ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
@@ -203,8 +203,9 @@ impl ShardedEngine {
     ///
     /// Only the added, removed and rule-affected origins are re-derived and
     /// re-indexed, into the tail; the base, the interner and the rule table
-    /// are shared with the current generation by reference (the last two
-    /// copied only when the delta brings a new string or a rule). The global
+    /// are shared with the current generation (the interner copied only when
+    /// the delta brings a new string; its rules go to a part of their own,
+    /// as its entities do to the dictionary). The global
     /// order is extended append-only (existing keys frozen), so the shared
     /// base remains correct next to the spliced tail. The swap is
     /// atomic; concurrent extractions see either the old or the new
@@ -262,7 +263,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).as_ref().map(|(g, _)| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v12) artifact
+    /// Serializes the current generation as the frozen (format v13) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -294,10 +295,10 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         }
     }
 
-    // Shared with `cur` until this delta writes to them; the dictionary
-    // shares its parts, and the entities added go to a part of its own.
+    // Shared with `cur` until this delta writes to it; the dictionary and
+    // the rule table share their parts, and what the delta adds goes to
+    // parts of their own.
     let mut interner = Arc::clone(&cur.interner);
-    let mut rules = Arc::clone(&cur.rules);
     let mut tokenize = |text: &str| {
         tokenizer
             .tokenize_known(text, &interner)
@@ -306,13 +307,11 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
     let mut dict = cur.dict.clone();
     let mut removed: BTreeSet<u32> = cur.removed.iter().map(|e| e.0).collect();
 
-    // New rules go into the full table and into a fresh table used only to
-    // test which existing origins they touch.
-    let mut fresh_rules = RuleSet::new();
+    // The new rules, in a part of their own: it tests which existing
+    // origins they touch, then joins the table.
+    let mut fresh = RuleSet::new();
     for r in &delta.add_rules {
-        let (lhs, rhs) = (tokenize(&r.lhs), tokenize(&r.rhs));
-        fresh_rules.push_tokens(lhs.clone(), rhs.clone(), r.weight).map_err(UpdateError::Rule)?;
-        Arc::make_mut(&mut rules).push_tokens(lhs, rhs, r.weight).map_err(UpdateError::Rule)?;
+        fresh.push_tokens(&tokenize(&r.lhs), &tokenize(&r.rhs), r.weight).map_err(UpdateError::Rule)?;
     }
 
     let first_new = dict.len();
@@ -330,13 +329,15 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         }
     }
     changed[first_new..].fill(true);
-    if !fresh_rules.is_empty() {
+    if !fresh.is_empty() {
         for (e, ent) in dict.iter().take(first_new) {
-            if !removed.contains(&e.0) && !find_applications(ent.tokens, &fresh_rules).is_empty() {
+            if !removed.contains(&e.0) && !find_applications(ent.tokens, &fresh).is_empty() {
                 changed[e.idx()] = true;
             }
         }
     }
+    let mut rules = cur.rules.clone();
+    rules.append(fresh);
     let (order, base, tail) = if changed.contains(&true) {
         // The changed origins as they derive now, and what the ones that
         // were live contributed to the statistics before — of the base and
@@ -368,7 +369,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v12) artifact: its index becomes this engine's
+    /// Adopts an opened frozen (v13) artifact: its index becomes this engine's
     /// as it is — zero derive work, zero index builds, arenas still backed by
     /// the mapped file.
     ///
@@ -390,7 +391,7 @@ impl ShardedEngine {
             return Err(format!("origin {} is tombstoned but still owns variants; rebuild the artifact with `aeetes build`", e.0));
         }
         let base = Arc::new(Tier { dd, index });
-        let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, Arc::new(rules), config, order, base, None);
+        let generation = Generation::assemble(generation.max(1), Arc::new(interner), dict, removed, rules, config, order, base, None);
         Ok(ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),

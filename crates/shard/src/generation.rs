@@ -146,8 +146,9 @@ pub struct Generation {
     pub(crate) dict: Dictionary,
     /// Sorted tombstoned origin ids (slots kept, variants dropped).
     pub(crate) removed: Vec<EntityId>,
-    /// Copied by a delta only when it adds a rule.
-    pub(crate) rules: Arc<RuleSet>,
+    /// Shares its parts with the generation before; the rules a delta adds
+    /// go to a part of their own.
+    pub(crate) rules: RuleSet,
     pub(crate) config: AeetesConfig,
     pub(crate) order: Arc<GlobalOrder>,
     pub(crate) base: Arc<Tier>,
@@ -169,7 +170,7 @@ impl Generation {
         interner: Arc<Interner>,
         dict: Dictionary,
         removed: Vec<EntityId>,
-        rules: Arc<RuleSet>,
+        rules: RuleSet,
         config: AeetesConfig,
         order: Arc<GlobalOrder>,
         base: Arc<Tier>,
@@ -215,7 +216,7 @@ impl Generation {
         self.id
     }
 
-    /// Serializes this generation as a frozen (format v12) artifact of one
+    /// Serializes this generation as a frozen (format v13) artifact of one
     /// segment: the variant table and clustered index laid out as flat
     /// arenas a future engine can mmap and serve without rebuilding. A tail
     /// is written compacted, through a temporary base, so the bytes are

@@ -24,7 +24,7 @@ use aeetes_shard::ShardedEngine;
 fn a_build_peaks_under_one_and_a_half_times_what_it_retains() {
     // The shape of the benchmark's `usjob_batch`: ~23 rules per entity, two
     // build parts.
-    let data = generate(&DatasetProfile::usjob_like().scaled(0.06).with_docs(1), 12);
+    let data = generate(&DatasetProfile::usjob_like().scaled(0.07).with_docs(1), 12);
     let dict = data.dictionary.clone();
     let (_engine, retained, transient) = live_bytes::measured(|| ShardedEngine::build(dict, &data.rules, &data.interner, AeetesConfig::default(), 2));
 

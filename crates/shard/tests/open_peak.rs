@@ -1,10 +1,11 @@
-//! Opening an artifact file adopts its dictionary in place: across
-//! `open_frozen` + `ShardedEngine::from_frozen` on the benchmark's pubmed
-//! corpus, the engine owns no dictionary arena byte, and the heap it retains
-//! is the decoded rule table, the string table's lookup slots and the
-//! generation's per-origin table, with no room beside them for the 975 kB
-//! dictionary copy an open used to make (2.22 MB retained then, 1.24 MB
-//! now).
+//! Opening an artifact file adopts its dictionary in place and reads its rule
+//! table flat: across `open_frozen` + `ShardedEngine::from_frozen` on the
+//! benchmark's pubmed corpus, the engine owns no dictionary arena byte, and
+//! the heap it retains is the rule table's side tokens and offsets, the
+//! string table's lookup slots and the generation's per-origin table, with
+//! no room beside them for the 975 kB dictionary copy an open used to make
+//! (2.22 MB retained then). While the rule table was decoded from META into
+//! two `Vec`s a rule and a map of per-token `Vec`s, an open retained 1.24 MB.
 //!
 //! The proof is the counting allocator of `live_bytes`; this file holds
 //! exactly one test so no concurrent test can perturb its counters.
@@ -34,18 +35,24 @@ fn an_adopted_engine_owns_no_dictionary_arena_byte() {
     let generation = engine.snapshot();
     assert_eq!(generation.dictionary().len(), data.dictionary.len());
     assert_eq!(generation.dictionary().owned_bytes(), 0, "the dictionary's arenas stay in the mapped file");
-    // The decoded rule table — a clone sized exactly, while decoding grows
-    // each of its vectors up to twice that — the string table's
-    // open-addressing slots (a power of two, at least twice the tokens), and
-    // per origin the generation's global id base. A heap copy of the
-    // dictionary does not fit beside them.
-    let (_rules, rules, _) = live_bytes::measured(|| generation.rules().clone());
+    // The rule table, flat — a `u32` per side token and per side offset, and
+    // one more; the unit weights store nothing, and no first-token lookup is
+    // built until something derives — the string table's open-addressing
+    // slots (a power of two, at least twice the tokens), and per origin the
+    // generation's global id base, and a few kilobytes whatever the corpus
+    // (the section table, `Arc` headers, the generation's own fields). A
+    // heap copy of the dictionary does not fit beside them.
+    const BOOKKEEPING: usize = 4 << 10;
+    let rules = generation.rules();
+    let side_tokens: usize = rules.part_sides().map(|(tokens, _)| tokens.len()).sum();
+    let flat = 4 * (side_tokens + 2 * rules.len() + 1);
+    assert_eq!(rules.owned_bytes(), flat, "the rule table is {} rules' sides and offsets, flat", rules.len());
     let slots = 4 * (2 * data.interner.len()).next_power_of_two();
-    let budget = 2 * rules + slots + 4 * generation.dictionary().len();
+    let budget = flat + slots + 4 * generation.dictionary().len() + BOOKKEEPING;
     assert!(
         retained <= budget && budget < retained + dictionary,
-        "opening retains {retained} bytes: beyond {budget} bytes of rule table, lookup slots and per-origin table, or \
-         leaving no room to tell a {dictionary}-byte dictionary copy from them"
+        "opening retains {retained} bytes: beyond {budget} bytes of flat rule table, lookup slots, per-origin table and \
+         bookkeeping, or leaving no room to tell a {dictionary}-byte dictionary copy from them"
     );
     drop((generation, engine));
     std::fs::remove_file(&path).expect("remove the artifact");

@@ -31,4 +31,5 @@ pub use document::{Document, Span};
 pub use entity::{Dictionary, Entity, EntityId};
 pub use frozen_strings::{string_arenas, FrozenStrings};
 pub use interner::{Interner, StringTable, TokenId};
+pub use runs::Runs;
 pub use tokenize::{Tokenizer, TokenizerConfig};

@@ -1,5 +1,6 @@
 //! Variable-length runs over two flat arenas: the layout of the interner's
-//! string table and of the dictionary's surface forms and token sequences.
+//! string table, of the dictionary's surface forms and token sequences, and
+//! of the synonym rule table's sides.
 
 use aeetes_frozen::{Arena, Pod};
 
@@ -12,7 +13,7 @@ use aeetes_frozen::{Arena, Pod};
 /// sequence, so runs that continue one another concatenate with no offset
 /// rewritten. Either arena is owned or borrows a frozen artifact.
 #[derive(Debug)]
-pub(crate) struct Runs<T: Pod> {
+pub struct Runs<T: Pod> {
     items: Arena<T>,
     offsets: Arena<u32>,
 }
@@ -29,7 +30,7 @@ impl<T: Pod> Runs<T> {
     /// Validates arenas that come from outside: the offset array is
     /// non-empty, starts at 0, is monotonic and ends at `items.len()`.
     /// Errors name the runs `what` are.
-    pub(crate) fn new(items: Arena<T>, offsets: Arena<u32>, what: &str) -> Result<Self, String> {
+    pub fn new(items: Arena<T>, offsets: Arena<u32>, what: &str) -> Result<Self, String> {
         let n = offsets.len().checked_sub(1).ok_or_else(|| format!("{what} offsets empty"))?;
         if offsets[0] != 0 {
             return Err(format!("{what} offsets do not start at 0"));
@@ -44,7 +45,7 @@ impl<T: Pod> Runs<T> {
     }
 
     /// No runs, owned, continuing runs that end at item `start`.
-    pub(crate) fn empty_at(start: u32) -> Self {
+    pub fn empty_at(start: u32) -> Self {
         Self { items: Vec::new().into(), offsets: vec![start].into() }
     }
 
@@ -81,7 +82,7 @@ impl<T: Pod> Runs<T> {
     /// # Panics
     /// Panics when an arena is frozen, or when the end passes `u32::MAX`;
     /// then the run is not kept.
-    pub(crate) fn push(&mut self, run: impl Iterator<Item = T>) {
+    pub fn push(&mut self, run: impl Iterator<Item = T>) {
         let items = self.items.as_mut_vec();
         let start = items.len();
         items.extend(run);
@@ -95,13 +96,18 @@ impl<T: Pod> Runs<T> {
     }
 
     /// Number of runs.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// Whether there are no runs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Run `i`.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> &[T] {
+    pub fn get(&self, i: usize) -> &[T] {
         let base = self.offsets[0];
         &self.items[(self.offsets[i] - base) as usize..(self.offsets[i + 1] - base) as usize]
     }
@@ -112,12 +118,12 @@ impl<T: Pod> Runs<T> {
     }
 
     /// The item arena.
-    pub(crate) fn items(&self) -> &[T] {
+    pub fn items(&self) -> &[T] {
         &self.items
     }
 
     /// The offset arena.
-    pub(crate) fn offsets(&self) -> &[u32] {
+    pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
@@ -127,12 +133,12 @@ impl<T: Pod> Runs<T> {
     }
 
     /// Heap bytes the two arenas own.
-    pub(crate) fn owned_bytes(&self) -> usize {
+    pub fn owned_bytes(&self) -> usize {
         self.items.owned_bytes() + self.offsets.owned_bytes()
     }
 
     /// Makes room for exactly `items` more items in `runs` more runs.
-    pub(crate) fn reserve_exact(&mut self, items: usize, runs: usize) {
+    pub fn reserve_exact(&mut self, items: usize, runs: usize) {
         self.items.as_mut_vec().reserve_exact(items);
         self.offsets.as_mut_vec().reserve_exact(runs);
     }

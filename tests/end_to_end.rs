@@ -403,9 +403,7 @@ fn weighted_dictionaries_round_trip_and_splice() {
     };
     let mut rules = RuleSet::new();
     for (id, rule) in data.rules.iter() {
-        rules
-            .push_tokens(rule.lhs.clone(), rule.rhs.clone(), if id.0 % 3 == 0 { 0.5 } else { 1.0 })
-            .expect("valid rule");
+        rules.push_tokens(rule.lhs, rule.rhs, if id.0 % 3 == 0 { 0.5 } else { 1.0 }).expect("valid rule");
     }
     let mono = Aeetes::build(data.dictionary.clone(), &rules, &data.interner, config.clone());
     let expected = answers(&mono, &weighted, &data.documents);
