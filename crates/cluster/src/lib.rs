@@ -50,5 +50,5 @@ pub use backoff::Backoff;
 pub use coordinator::{run_fleet, Compactor, FleetOptions, FleetSummary};
 pub use delta_log::DeltaLog;
 pub use pending::{FailOutcome, PendingTable};
-pub use replica::{Replica, ReplicaSpec};
+pub use replica::ReplicaSpec;
 pub use wire::{accept_loop, error_line, metrics_value, read_requests, ConnLimit, Ended, ErrorCode, Reject, Sink};

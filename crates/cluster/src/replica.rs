@@ -45,7 +45,7 @@ struct ConnState {
     addr: Option<String>,
 }
 
-pub struct Replica {
+pub(crate) struct Replica {
     pub id: usize,
     pub spec: ReplicaSpec,
     state: Mutex<ConnState>,
@@ -66,7 +66,7 @@ pub struct Replica {
 /// Result of a successful handshake on a fresh connection. `stream` is
 /// the writable socket; `reader` wraps a clone of it (both share the
 /// descriptor, so a shutdown or timeout applies to both halves).
-pub struct Handshake {
+pub(crate) struct Handshake {
     pub stream: TcpStream,
     pub reader: BufReader<TcpStream>,
     pub generation: u64,
@@ -75,7 +75,7 @@ pub struct Handshake {
 }
 
 impl Replica {
-    pub fn new(id: usize, spec: ReplicaSpec) -> Self {
+    pub(crate) fn new(id: usize, spec: ReplicaSpec) -> Self {
         Replica {
             id,
             spec,
@@ -89,34 +89,34 @@ impl Replica {
         }
     }
 
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.up.load(Ordering::Relaxed)
     }
 
-    pub fn addr(&self) -> Option<String> {
+    pub(crate) fn addr(&self) -> Option<String> {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).addr.clone()
     }
 
     /// Writes one request line on the data connection. `false` when not
     /// attached or the write failed (the caller treats it as a failed
     /// attempt; the reader thread will notice the broken socket too).
-    pub fn send_line(&self, line: &str) -> bool {
+    pub(crate) fn send_line(&self, line: &str) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let Some(writer) = state.writer.as_mut() else { return false };
         crate::wire::write_line(writer, line).is_ok()
     }
 
-    pub fn track_inflight(&self, rid: u64) {
+    pub(crate) fn track_inflight(&self, rid: u64) {
         self.inflight.lock().unwrap_or_else(|p| p.into_inner()).insert(rid);
     }
 
     /// Returns whether the rid was still tracked here (false for a late
     /// response whose rid was already requeued after a disconnect).
-    pub fn untrack_inflight(&self, rid: u64) -> bool {
+    pub(crate) fn untrack_inflight(&self, rid: u64) -> bool {
         self.inflight.lock().unwrap_or_else(|p| p.into_inner()).remove(&rid)
     }
 
-    pub fn take_inflight(&self) -> Vec<u64> {
+    pub(crate) fn take_inflight(&self) -> Vec<u64> {
         self.inflight.lock().unwrap_or_else(|p| p.into_inner()).drain().collect()
     }
 
@@ -124,7 +124,7 @@ impl Replica {
     /// epoch, shutting the socket so every clone of it errors out. Returns
     /// whether this call performed the transition (exactly one caller —
     /// reader thread, probe timeout, or failed write — wins).
-    pub fn mark_down(&self, epoch: u64) -> bool {
+    pub(crate) fn mark_down(&self, epoch: u64) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if state.epoch != epoch || !self.up.swap(false, Ordering::Relaxed) {
             return false;
@@ -137,14 +137,14 @@ impl Replica {
 
     /// Current epoch (captured by reader threads and probe failures so
     /// their `mark_down` cannot clobber a newer connection).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).epoch
     }
 
     /// Attaches a handshaken connection: stores the write half, bumps the
     /// epoch, marks the slot routable. Returns the new epoch for the
     /// reader thread.
-    pub fn attach(&self, write_half: TcpStream, addr: String, generation: u64, draining: bool) -> u64 {
+    pub(crate) fn attach(&self, write_half: TcpStream, addr: String, generation: u64, draining: bool) -> u64 {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         state.epoch += 1;
         state.writer = Some(write_half);
@@ -159,7 +159,7 @@ impl Replica {
     /// with a `health` probe so the caller learns the replica's generation
     /// before any traffic is routed. Purely synchronous; nothing is
     /// attached yet.
-    pub fn connect(&self, handshake_timeout: Duration) -> Result<Handshake, String> {
+    pub(crate) fn connect(&self, handshake_timeout: Duration) -> Result<Handshake, String> {
         let addr = match &self.spec {
             ReplicaSpec::Remote { addr } => addr.clone(),
             ReplicaSpec::Spawn { program, args } => self.spawn_child(program, args, handshake_timeout)?,
@@ -249,12 +249,12 @@ impl Replica {
 
     /// Sends a shutdown request on the data connection (best effort) so a
     /// spawned replica drains instead of being killed.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.send_line(r#"{"type":"shutdown","id":0}"#);
     }
 
     /// Waits up to `timeout` for the child to exit, then kills it.
-    pub fn wait_child(&self, timeout: Duration) {
+    pub(crate) fn wait_child(&self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
         loop {
             let mut slot = self.child.lock().unwrap_or_else(|p| p.into_inner());
@@ -281,7 +281,7 @@ impl Replica {
 /// One synchronous request/response on a not-yet-attached connection
 /// (handshake and resync replay). The stream's read timeout bounds the
 /// wait; blank or non-JSON lines are skipped.
-pub fn sync_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<Value, String> {
+pub(crate) fn sync_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<Value, String> {
     crate::wire::write_line(writer, line).map_err(|e| format!("write: {e}"))?;
     loop {
         let mut response = String::new();

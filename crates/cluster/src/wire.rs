@@ -154,7 +154,7 @@ pub fn metrics_value(registry: &MetricRegistry) -> Value {
 /// single `write_all`, then flushes. One write, not two: on a socket with
 /// Nagle's algorithm on, a separate one-byte `\n` write is held back until
 /// the peer's delayed ACK of the line before it, a ~40 ms stall per reply.
-pub fn write_line<W: Write + ?Sized>(w: &mut W, line: &str) -> std::io::Result<()> {
+pub(crate) fn write_line<W: Write + ?Sized>(w: &mut W, line: &str) -> std::io::Result<()> {
     let mut framed = Vec::with_capacity(line.len() + 1);
     framed.extend_from_slice(line.as_bytes());
     framed.push(b'\n');
@@ -291,7 +291,7 @@ pub enum Ended {
 /// (`bad_request`), both with a `null` id. Blank lines are NDJSON
 /// keep-alive noise and are skipped.
 ///
-/// A TCP connection carries a read timeout ([`READ_POLL`]) that turns its
+/// A TCP connection carries a short read timeout that turns its
 /// blocking reads into polls: on each, the loop ends once `draining` is
 /// set, or once no read has completed for `idle` (`Duration::ZERO` never
 /// idles out). Only completed reads reset the idle clock, so a peer
@@ -338,7 +338,7 @@ pub fn read_requests(
 
 /// Poll interval of a connection's reads: how soon an idle connection
 /// notices a drain.
-pub const READ_POLL: Duration = Duration::from_millis(100);
+pub(crate) const READ_POLL: Duration = Duration::from_millis(100);
 
 /// A cap on the connections [`accept_loop`] holds open at once. `open` is
 /// the live handler count: raised by the acceptor itself (a handler raising
@@ -353,7 +353,7 @@ pub struct ConnLimit {
 
 /// Accepts connections until `draining` is set, each served on a thread of
 /// its own by `serve(reader, sink)` with Nagle off (replies are small and
-/// latency-bound) and a [`READ_POLL`] read timeout. `serve` returns `true`
+/// latency-bound) and a short read timeout. `serve` returns `true`
 /// when its connection asked the process to shut down: the acceptor,
 /// blocked in `accept`, is then woken by one self-connect, which it never
 /// serves. A connection over `limit` is answered with one `shedding` line

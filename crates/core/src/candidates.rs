@@ -53,7 +53,7 @@ pub(crate) struct CandidateSink {
 
 impl CandidateSink {
     /// Records a candidate; returns `false` when it was already present.
-    pub fn push(&mut self, span: Span, e: EntityId) -> bool {
+    pub(crate) fn push(&mut self, span: Span, e: EntityId) -> bool {
         if self.seen.insert((span.start, span.len, e.0)) {
             self.pairs.push((span, e));
             true
@@ -63,12 +63,12 @@ impl CandidateSink {
     }
 
     /// Number of unique candidates collected (used by tests and stats).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pairs.len()
     }
 
     /// Forgets all candidates, keeping the allocated capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.pairs.clear();
         self.seen.clear();
     }

@@ -11,7 +11,9 @@ pub struct AeetesConfig {
     /// Derived-dictionary generation options (rule-combination cap).
     pub derive: DeriveConfig,
     /// Filtering strategy used by [`crate::Aeetes::extract`].
-    /// Defaults to [`Strategy::Lazy`], the fastest variant (paper Fig. 10).
+    /// Defaults to [`Strategy::Dynamic`], the variant measured fastest on this
+    /// implementation (EXPERIMENTS.md, Fig. 10); the paper's Fig. 10 ranks
+    /// Lazy first. A frozen artifact keeps the strategy it was built with.
     pub strategy: Strategy,
     /// Token-set similarity metric (paper §2.2 extension; default Jaccard,
     /// giving exactly the paper's JaccAR semantics).
@@ -26,7 +28,7 @@ impl Default for AeetesConfig {
     fn default() -> Self {
         Self {
             derive: DeriveConfig::default(),
-            strategy: Strategy::Lazy,
+            strategy: Strategy::Dynamic,
             metric: Metric::Jaccard,
             limits: ExtractLimits::UNLIMITED,
         }
@@ -38,8 +40,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_strategy_is_lazy() {
-        assert_eq!(AeetesConfig::default().strategy, Strategy::Lazy);
+    fn default_strategy_is_dynamic() {
+        assert_eq!(AeetesConfig::default().strategy, Strategy::Dynamic);
         assert_eq!(AeetesConfig::default().metric, Metric::Jaccard);
         assert!(AeetesConfig::default().limits.is_unlimited());
     }

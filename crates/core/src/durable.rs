@@ -39,7 +39,7 @@ pub(crate) fn write_all_at_site(file: &mut File, buf: &[u8], site: &str) -> io::
 /// Fsyncs a directory so a rename or file creation inside it is durable.
 /// Directories open read-only on every Unix; on platforms where that
 /// fails the error propagates rather than silently skipping the sync.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     failpoint::io_site("durable.sync_dir")?;
     File::open(dir)?.sync_all()
 }

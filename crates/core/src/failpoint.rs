@@ -1,6 +1,6 @@
 //! Deterministic failpoint injection for the durability paths.
 //!
-//! The WAL and atomic-write code call [`hit`] at every write / fsync /
+//! The WAL and atomic-write code call `hit` at every write / fsync /
 //! rename / read site. With the default feature set the call is a ZST
 //! no-op that constant-folds to `None`; with `--features failpoints` a
 //! process-wide registry (configurable programmatically via [`set`] /
@@ -109,7 +109,7 @@ mod imp {
     /// Called by instrumented sites. Counts the hit and returns the action
     /// to apply, if the site is armed and due. [`FailAction::Crash`] aborts
     /// here rather than returning, so call sites can't soften it.
-    pub fn hit(site: &str) -> Option<FailAction> {
+    pub(crate) fn hit(site: &str) -> Option<FailAction> {
         let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
         let s = reg.get_mut(site)?;
         s.hits += 1;
@@ -131,7 +131,7 @@ mod imp {
 
     /// No-op stub: with the feature off every hook folds to `None`.
     #[inline(always)]
-    pub fn hit(_site: &str) -> Option<FailAction> {
+    pub(crate) fn hit(_site: &str) -> Option<FailAction> {
         None
     }
 
@@ -150,7 +150,8 @@ mod imp {
     pub fn clear() {}
 }
 
-pub use imp::{clear, configure, hit, set};
+pub(crate) use imp::hit;
+pub use imp::{clear, configure, set};
 
 /// Maps a triggered failpoint to an `io::Error` for non-write sites
 /// (fsync, rename, read), aborting on [`FailAction::Crash`].

@@ -317,7 +317,7 @@ const KINDS: [(u32, &str, &[u32]); 22] = [
 ];
 
 /// Human-readable name of a section kind (for `aeetes dict info`).
-pub fn section_kind_name(kind: u32) -> &'static str {
+pub(crate) fn section_kind_name(kind: u32) -> &'static str {
     KINDS.iter().find(|&&(k, _, _)| k == kind).map_or("unknown", |&(_, name, _)| name)
 }
 
@@ -839,7 +839,7 @@ pub struct ArtifactInfo {
 /// One section's identity, element width and size.
 #[derive(Debug, Clone)]
 pub struct SectionInfo {
-    /// Section kind name (see [`section_kind_name`]).
+    /// Section kind name, as `aeetes dict info` prints it (e.g. `ix.blocks`).
     pub kind: &'static str,
     /// Bytes per element (for `ix.blocks`, per pool key).
     pub width: usize,

@@ -23,8 +23,11 @@
 //! |----------|--------------------|------------|
 //! | [`Strategy::Simple`]  | from scratch per substring | full list, per-entry filters |
 //! | [`Strategy::Skip`]    | from scratch per substring | clustered, batch skips |
-//! | [`Strategy::Dynamic`] | incremental (Window Extend / Migrate) | clustered, batch skips, cached across migrations |
+//! | [`Strategy::Dynamic`] (default) | incremental (Window Extend / Migrate) | clustered, batch skips, cached across migrations |
 //! | [`Strategy::Lazy`]    | incremental | deferred: each token's list scanned once per document |
+//!
+//! [`AeetesConfig::default`] picks `Dynamic`, the strategy measured fastest
+//! on this implementation; the paper's Fig. 10 ranks `Lazy` first.
 //!
 //! "From scratch" is the straw man's own loop (`strategy/naive.rs`);
 //! "incremental" is one maintained window walk (`walk.rs`) that `Dynamic`,
@@ -59,15 +62,14 @@ mod backend;
 mod batch;
 mod candidates;
 mod config;
-pub mod durable;
+mod durable;
 mod extractor;
 pub mod failpoint;
-pub mod frozen;
+mod frozen;
 mod limits;
 mod matches;
 mod nms;
 mod persist;
-mod report;
 mod scratch;
 mod segment;
 mod stage;
@@ -75,26 +77,25 @@ mod stats;
 mod strategy;
 mod topk;
 mod verify;
-pub mod wal;
+mod wal;
 mod walk;
 mod window;
 
 pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend, ExtractRequest};
 pub use batch::{panic_message, BatchOptions, DocError};
 pub use config::AeetesConfig;
-pub use durable::{atomic_replace, fsync_dir};
+pub use durable::atomic_replace;
 pub use extractor::Aeetes;
 pub use frozen::{freeze_to_bytes, open_frozen, open_frozen_bytes, peek_info, ArtifactInfo, FreezeSegment, FreezeSource, FrozenParts, SectionInfo};
 pub use limits::{CancelToken, ExtractLimits, ExtractOutcome};
 pub use matches::Match;
 pub use nms::suppress_overlaps;
 pub use persist::PersistError;
-pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome};
 pub use segment::{Segment, Tail};
-pub use stage::{Stage, StageSlots, SAMPLE_MASK};
+pub use stage::{Stage, StageSlots};
 pub use stats::ExtractStats;
 pub use strategy::{generate_candidates, Strategy};
 pub use topk::{extract_top_k_with, select_top_k};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};
-pub use window::{DenseRemap, WindowState};
+pub use window::WindowState;

@@ -70,7 +70,8 @@ impl ExtractLimits {
     pub const UNLIMITED: ExtractLimits = ExtractLimits { deadline: None, max_candidates: None, max_matches: None, fanout_threshold: None };
 
     /// Whether every field is unlimited.
-    pub fn is_unlimited(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unlimited(&self) -> bool {
         *self == Self::UNLIMITED
     }
 }

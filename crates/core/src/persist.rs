@@ -107,7 +107,7 @@ mod clmul {
     const P_X: i64 = 0x1_DB71_0641;
     const U_PRIME: i64 = 0x1_F701_1641;
 
-    pub fn supported() -> bool {
+    pub(super) fn supported() -> bool {
         std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse4.1")
     }
 
@@ -126,7 +126,7 @@ mod clmul {
     /// Requires `pclmulqdq` + `sse4.1`; `data.len()` must be a multiple of
     /// 16 and at least 64.
     #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
-    pub unsafe fn crc32(data: &[u8]) -> u32 {
+    pub(super) unsafe fn crc32(data: &[u8]) -> u32 {
         debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
         let mut ptr = data.as_ptr() as *const __m128i;
         let mut rest = data.len() - 64;

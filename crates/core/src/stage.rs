@@ -11,7 +11,8 @@
 //! in bulk after its loop via [`StageSlots::account_spans`], which is what
 //! lets [`StageSlots::estimated_nanos`] scale the measured time back up.
 
-pub use aeetes_obs::{Stage, StageSlots, SAMPLE_MASK};
+use aeetes_obs::SAMPLE_MASK;
+pub use aeetes_obs::{Stage, StageSlots};
 
 use std::time::Instant;
 
@@ -24,13 +25,13 @@ pub(crate) struct SpanClock(Option<Instant>);
 impl SpanClock {
     /// An armed clock: every lap is timed.
     #[inline]
-    pub fn always() -> Self {
+    pub(crate) fn always() -> Self {
         SpanClock(Some(Instant::now()))
     }
 
     /// Armed only when `i` lands on the sampling grid (`i & SAMPLE_MASK == 0`).
     #[inline]
-    pub fn sampled(i: usize) -> Self {
+    pub(crate) fn sampled(i: usize) -> Self {
         if i & SAMPLE_MASK == 0 {
             Self::always()
         } else {
@@ -41,7 +42,7 @@ impl SpanClock {
     /// Records the span since start/previous lap and re-arms; free when
     /// un-armed.
     #[inline]
-    pub fn lap(&mut self, stage: Stage, slots: &mut StageSlots) {
+    pub(crate) fn lap(&mut self, stage: Stage, slots: &mut StageSlots) {
         if let Some(t) = self.0 {
             let now = Instant::now();
             slots.record(stage, (now - t).as_nanos() as u64);
@@ -51,7 +52,7 @@ impl SpanClock {
 
     /// Records the final span and consumes the clock; free when un-armed.
     #[inline]
-    pub fn stop(self, stage: Stage, slots: &mut StageSlots) {
+    pub(crate) fn stop(self, stage: Stage, slots: &mut StageSlots) {
         if let Some(t) = self.0 {
             slots.record(stage, t.elapsed().as_nanos() as u64);
         }

@@ -120,7 +120,7 @@ pub(crate) mod fixture {
     use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
     use aeetes_text::{Dictionary, Interner, Tokenizer};
 
-    pub fn index_with(entries: &[&str], rules: &[(&str, &str)]) -> (ClusteredIndex, Interner) {
+    pub(crate) fn index_with(entries: &[&str], rules: &[(&str, &str)]) -> (ClusteredIndex, Interner) {
         let mut int = Interner::new();
         let tok = Tokenizer::default();
         let dict = Dictionary::from_strings(entries.iter().copied(), &tok, &mut int);
@@ -132,25 +132,25 @@ pub(crate) mod fixture {
         (ClusteredIndex::build(&dd, &int), int)
     }
 
-    pub fn setup(entries: &[&str], rules: &[(&str, &str)], doc: &str) -> (ClusteredIndex, Document) {
+    pub(crate) fn setup(entries: &[&str], rules: &[(&str, &str)], doc: &str) -> (ClusteredIndex, Document) {
         let (ix, mut int) = index_with(entries, rules);
         let doc = Document::parse(doc, &Tokenizer::default(), &mut int);
         (ix, doc)
     }
 
-    pub fn sorted(mut v: Vec<(Span, EntityId)>) -> Vec<(Span, EntityId)> {
+    pub(crate) fn sorted(mut v: Vec<(Span, EntityId)>) -> Vec<(Span, EntityId)> {
         v.sort_by_key(|(sp, e)| (sp.start, sp.len, e.0));
         v
     }
 
     /// The index's own set-length range, as a monolithic engine passes it.
-    pub fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
+    pub(crate) fn own(ix: &ClusteredIndex) -> (Option<usize>, Option<usize>) {
         (ix.min_set_len(), ix.max_set_len())
     }
 
     /// `strategy`'s candidates under Jaccard and no budget, in discovery
     /// order, generated in `seg`.
-    pub fn run_in(
+    pub(crate) fn run_in(
         seg: &mut ExtractScratch,
         ix: &ClusteredIndex,
         doc: &Document,
@@ -173,7 +173,7 @@ pub(crate) mod fixture {
     }
 
     /// [`run_in`] a fresh scratch.
-    pub fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, strategy: Strategy, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
+    pub(crate) fn run(ix: &ClusteredIndex, doc: &Document, tau: f64, strategy: Strategy, stats: &mut ExtractStats) -> Vec<(Span, EntityId)> {
         run_in(&mut ExtractScratch::default(), ix, doc, tau, strategy, stats)
     }
 }

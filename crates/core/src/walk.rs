@@ -75,7 +75,7 @@ pub(crate) struct WindowWalk<'a> {
 impl<'a> WindowWalk<'a> {
     /// Remaps `doc` and empties the states. `None`, with nothing recorded,
     /// when the document is shorter than the shortest window.
-    pub fn start(
+    pub(crate) fn start(
         order: &'a GlobalOrder,
         doc: &Document,
         bounds: WindowBounds,
@@ -103,13 +103,13 @@ impl<'a> WindowWalk<'a> {
     }
 
     /// How many lengths the walk maintains: every [`Window::slot`] is below.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.states.len()
     }
 
     /// The longest window at the next start position, if it holds at least
     /// `lmin` tokens — otherwise no later position's does either.
-    pub fn next_longest(&self, lmin: usize) -> Option<usize> {
+    pub(crate) fn next_longest(&self, lmin: usize) -> Option<usize> {
         let lmax = self.bounds.max.min(self.n - self.p);
         (lmax >= lmin.max(self.bounds.min)).then_some(lmax)
     }
@@ -118,7 +118,7 @@ impl<'a> WindowWalk<'a> {
     /// must have announced. Position 0 is always on the sampling grid and
     /// times the extend chain as `PrefixBuild`; later grid positions time
     /// their migrates as `PrefixUpdate`.
-    pub fn advance(&mut self, stats: &mut ExtractStats) {
+    pub(crate) fn advance(&mut self, stats: &mut ExtractStats) {
         let (p, min) = (self.p, self.bounds.min);
         let fit = self.bounds.max.min(self.n - p) - min + 1;
         let ranks = self.remap.doc_ranks();
@@ -152,7 +152,7 @@ impl<'a> WindowWalk<'a> {
 
     /// The current position's windows of `lmin` tokens and more, shortest
     /// first.
-    pub fn windows(&self, lmin: usize) -> impl Iterator<Item = Window<'_>> {
+    pub(crate) fn windows(&self, lmin: usize) -> impl Iterator<Item = Window<'_>> {
         let (start, min) = (self.p - 1, self.bounds.min);
         let states = self.states[..self.live].iter().enumerate().skip(lmin.saturating_sub(min));
         states.map(move |(slot, st)| Window { span: Span::new(start, min + slot), slot, set: st.live_ranks() })
@@ -161,18 +161,18 @@ impl<'a> WindowWalk<'a> {
     /// The valid ranks among `ranks` (the head of a [`Window::set`]). An
     /// invalid token is in no entity: it holds its place in a prefix but has
     /// no posting list.
-    pub fn valid<'r>(&'r self, ranks: &'r [u32]) -> impl Iterator<Item = u32> + 'r {
+    pub(crate) fn valid<'r>(&'r self, ranks: &'r [u32]) -> impl Iterator<Item = u32> + 'r {
         ranks.iter().copied().filter(|&r| self.remap.is_valid_rank(r))
     }
 
     /// The token a rank stands for.
-    pub fn token(&self, rank: u32) -> TokenId {
+    pub(crate) fn token(&self, rank: u32) -> TokenId {
         self.order.token_of(self.remap.key_of(rank))
     }
 
     /// Records the time since this position's previous lap as `stage`, if
     /// the position is on the sampling grid.
-    pub fn lap(&mut self, stage: Stage) {
+    pub(crate) fn lap(&mut self, stage: Stage) {
         self.clk.lap(stage, self.stages);
     }
 
@@ -180,7 +180,7 @@ impl<'a> WindowWalk<'a> {
     /// accounted here in bulk: one migrate per position after the first, and
     /// one span of each stage in `lapped` — those the caller laps at every
     /// position.
-    pub fn finish(self, lapped: &[Stage]) {
+    pub(crate) fn finish(self, lapped: &[Stage]) {
         let positions = self.p as u64;
         self.stages.account_spans(Stage::PrefixUpdate, positions.saturating_sub(1));
         for &stage in lapped {

@@ -20,7 +20,7 @@ use aeetes_index::VALID_BIT;
 
 /// Per-document dense remap of global-order keys onto ranks `0..universe`.
 #[derive(Debug, Clone, Default)]
-pub struct DenseRemap {
+pub(crate) struct DenseRemap {
     /// Sorted distinct keys of the document; the index of a key is its rank.
     ranks: Vec<u32>,
     /// Document position → rank of the token at that position.
@@ -33,14 +33,9 @@ pub struct DenseRemap {
 }
 
 impl DenseRemap {
-    /// Empty remap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Rebuilds the remap from the document's global-order key sequence (in
     /// position order). Previously acquired capacity is reused.
-    pub fn build<I: IntoIterator<Item = u32>>(&mut self, keys: I) {
+    pub(crate) fn build<I: IntoIterator<Item = u32>>(&mut self, keys: I) {
         self.key_buf.clear();
         self.key_buf.extend(keys);
         self.ranks.clear();
@@ -55,22 +50,22 @@ impl DenseRemap {
     }
 
     /// Number of distinct keys (the rank space size).
-    pub fn universe(&self) -> usize {
+    pub(crate) fn universe(&self) -> usize {
         self.ranks.len()
     }
 
     /// Document tokens as ranks, in position order.
-    pub fn doc_ranks(&self) -> &[u32] {
+    pub(crate) fn doc_ranks(&self) -> &[u32] {
         &self.doc_ranks
     }
 
     /// The global-order key a rank stands for.
-    pub fn key_of(&self, rank: u32) -> u32 {
+    pub(crate) fn key_of(&self, rank: u32) -> u32 {
         self.ranks[rank as usize]
     }
 
     /// Whether `rank` carries a valid (indexed) token.
-    pub fn is_valid_rank(&self, rank: u32) -> bool {
+    pub(crate) fn is_valid_rank(&self, rank: u32) -> bool {
         rank >= self.first_valid
     }
 }
@@ -111,7 +106,7 @@ impl WindowState {
     }
 
     /// Becomes a copy of `other`, reusing this state's buffers.
-    pub fn copy_from(&mut self, other: &WindowState) {
+    pub(crate) fn copy_from(&mut self, other: &WindowState) {
         self.counts.clone_from(&other.counts);
         self.live.clone_from(&other.live);
     }
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn remap_assigns_dense_sorted_ranks() {
-        let mut r = DenseRemap::new();
+        let mut r = DenseRemap::default();
         // Two invalid keys (below VALID_BIT) and two valid ones, with repeats.
         let k = |rank: u32| VALID_BIT | rank;
         r.build([k(7), 5, k(3), 9, k(7), 5]);
@@ -245,7 +240,7 @@ mod tests {
 
     #[test]
     fn remap_of_empty_document() {
-        let mut r = DenseRemap::new();
+        let mut r = DenseRemap::default();
         r.build([]);
         assert_eq!(r.universe(), 0);
         assert!(r.doc_ranks().is_empty());

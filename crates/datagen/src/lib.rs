@@ -28,4 +28,3 @@ pub use dataset::{Dataset, DatasetStatistics, GoldMention, MentionForm};
 pub use export::write_files;
 pub use generator::generate;
 pub use profile::DatasetProfile;
-pub use vocab::{WordFactory, ZipfSampler};

@@ -8,7 +8,7 @@ use rand::Rng;
 /// Jaccard, typo injection), so tokens are syllable-built words rather than
 /// opaque ids.
 #[derive(Debug, Clone, Default)]
-pub struct WordFactory {
+pub(crate) struct WordFactory {
     produced: usize,
 }
 
@@ -18,14 +18,14 @@ const CODAS: [&str; 8] = ["", "", "n", "r", "s", "l", "x", "m"];
 
 impl WordFactory {
     /// Creates a factory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Produces the next pseudo-word using `rng` for shape decisions.
     /// Uniqueness is guaranteed by a base-N counter suffix woven into the
     /// syllables, so two calls never collide.
-    pub fn word<R: Rng>(&mut self, rng: &mut R) -> String {
+    pub(crate) fn word<R: Rng>(&mut self, rng: &mut R) -> String {
         let mut w = String::new();
         let syllables = rng.gen_range(2..=3);
         for _ in 0..syllables {
@@ -48,7 +48,7 @@ impl WordFactory {
     }
 
     /// Produces `n` words.
-    pub fn words<R: Rng>(&mut self, n: usize, rng: &mut R) -> Vec<String> {
+    pub(crate) fn words<R: Rng>(&mut self, n: usize, rng: &mut R) -> Vec<String> {
         (0..n).map(|_| self.word(rng)).collect()
     }
 }
@@ -56,13 +56,13 @@ impl WordFactory {
 /// Zipf-distributed index sampler over `0..n` with exponent `s`:
 /// `P(k) ∝ 1 / (k+1)^s`.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cumulative: Vec<f64>,
 }
 
 impl ZipfSampler {
     /// Builds the sampler for `n` items (`n ≥ 1`).
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n >= 1, "ZipfSampler needs at least one item");
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -74,29 +74,10 @@ impl ZipfSampler {
     }
 
     /// Samples an index in `0..n`; index 0 is the most frequent.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let u = rng.gen_range(0.0..total);
         self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1)
-    }
-
-    /// Samples restricted to the head `0..head` (used to bias rule anchors
-    /// toward frequent tokens).
-    pub fn sample_head<R: Rng>(&self, head: usize, rng: &mut R) -> usize {
-        let head = head.clamp(1, self.cumulative.len());
-        let total = self.cumulative[head - 1];
-        let u = rng.gen_range(0.0..total);
-        self.cumulative[..head].partition_point(|&c| c < u).min(head - 1)
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Always false (the constructor requires `n ≥ 1`).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -144,15 +125,6 @@ mod tests {
         let z = ZipfSampler::new(5, 1.0);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 5);
-        }
-    }
-
-    #[test]
-    fn sample_head_restricts() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let z = ZipfSampler::new(100, 1.0);
-        for _ in 0..1000 {
-            assert!(z.sample_head(10, &mut rng) < 10);
         }
     }
 

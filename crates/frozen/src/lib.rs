@@ -72,17 +72,17 @@ mod sys {
     use std::ffi::c_void;
     use std::os::raw::c_int;
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const MAP_PRIVATE: c_int = 2;
     /// Linux: pre-fault the mapping up front. The open path reads every
     /// byte immediately (whole-file CRC), so batching the page-ins beats
     /// taking ~one minor fault per 4 KiB during the checksum scan.
     #[cfg(target_os = "linux")]
-    pub const MAP_POPULATE: c_int = 0x8000;
+    pub(crate) const MAP_POPULATE: c_int = 0x8000;
 
     extern "C" {
-        pub fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, offset: i64) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(crate) fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, offset: i64) -> *mut c_void;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 
@@ -219,11 +219,6 @@ impl<T: Pod> FrozenSlice<T> {
             return Err(format!("section offset {byte_off} misaligned for element alignment {}", std::mem::align_of::<T>()));
         }
         Ok(Self { buf, off: byte_off, len: byte_len / size, _marker: PhantomData })
-    }
-
-    /// The backing buffer (for keeping sibling slices on one file alive).
-    pub fn buffer(&self) -> &Arc<FrozenBuf> {
-        &self.buf
     }
 }
 

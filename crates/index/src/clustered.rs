@@ -87,7 +87,7 @@ pub enum IdWidth {
 
 impl IdWidth {
     /// Ranks or origins a 16-bit index can name: `0..=u16::MAX`.
-    pub const NARROW_SPACE: usize = 1 << 16;
+    pub(crate) const NARROW_SPACE: usize = 1 << 16;
 
     /// The width of an index over `origins` origins keyed by an order of
     /// `ranks` ranks: 16 bits when both fit, else 32.
@@ -1138,7 +1138,7 @@ impl ClusteredIndex {
 
     /// The shared handle to the global order (for building further indexes
     /// against the same order).
-    pub fn shared_order(&self) -> Arc<GlobalOrder> {
+    pub(crate) fn shared_order(&self) -> Arc<GlobalOrder> {
         Arc::clone(&self.order)
     }
 

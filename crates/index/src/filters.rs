@@ -28,13 +28,6 @@ pub struct WindowBounds {
     pub max: usize,
 }
 
-/// Computes `E⊥ = max(1, ⌊|e|⊥·τ⌋)` and `E⊤ = ⌈|e|⊤/τ⌉`.
-///
-/// Returns `None` when the dictionary is empty (no window can match).
-pub fn window_bounds(min_entity_len: Option<usize>, max_entity_len: Option<usize>, tau: f64) -> Option<WindowBounds> {
-    metric_window_bounds(min_entity_len, max_entity_len, tau, Metric::Jaccard)
-}
-
 /// Metric-generic window bounds: the substring token-length range that can
 /// reach `tau` under `metric` against any entity with distinct size in
 /// `[|e|⊥, |e|⊤]`. For Overlap (whose admissible partner size is unbounded
@@ -82,20 +75,20 @@ mod tests {
 
     #[test]
     fn window_bounds_basic() {
-        let b = window_bounds(Some(1), Some(5), 0.8).unwrap();
+        let b = metric_window_bounds(Some(1), Some(5), 0.8, Metric::Jaccard).unwrap();
         assert_eq!(b, WindowBounds { min: 1, max: 7 });
-        let b = window_bounds(Some(2), Some(4), 0.9).unwrap();
+        let b = metric_window_bounds(Some(2), Some(4), 0.9, Metric::Jaccard).unwrap();
         assert_eq!(b, WindowBounds { min: 1, max: 5 });
     }
 
     #[test]
     fn window_bounds_empty_dictionary() {
-        assert!(window_bounds(None, None, 0.8).is_none());
+        assert!(metric_window_bounds(None, None, 0.8, Metric::Jaccard).is_none());
     }
 
     #[test]
     fn window_min_clamped_to_one() {
-        let b = window_bounds(Some(1), Some(1), 0.7).unwrap();
+        let b = metric_window_bounds(Some(1), Some(1), 0.7, Metric::Jaccard).unwrap();
         assert_eq!(b.min, 1);
         assert_eq!(b.max, 2);
     }

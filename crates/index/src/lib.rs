@@ -22,5 +22,5 @@ pub use clustered::{
     ClusteredIndex, IdArena, IdWidth, Ids, IndexArenas, IndexArenasRef, IndexDraft, Keys, LengthGroup, OriginBlock, PackedRanks, Pool, StoredId,
     TokenPostings,
 };
-pub use filters::{metric_window_bounds, prefix_len, window_bounds, WindowBounds};
+pub use filters::{metric_window_bounds, prefix_len, WindowBounds};
 pub use order::{GlobalOrder, VALID_BIT};

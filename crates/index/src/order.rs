@@ -204,7 +204,8 @@ impl GlobalOrder {
     }
 
     /// Sorts `tokens` in place by the global order and removes duplicates.
-    pub fn sort_distinct(&self, tokens: &mut Vec<TokenId>) {
+    #[cfg(test)]
+    fn sort_distinct(&self, tokens: &mut Vec<TokenId>) {
         tokens.sort_unstable_by_key(|&t| self.key(t));
         tokens.dedup();
     }

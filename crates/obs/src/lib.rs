@@ -2,7 +2,7 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! - [`Stage`] / [`StageSlots`] / [`StageTimer`]: a fixed-size, allocation-free
+//! - [`Stage`] / [`StageSlots`]: a fixed-size, allocation-free
 //!   per-pipeline-stage timing accumulator. The extraction hot path records
 //!   into slots resident in its reusable scratch, so steady-state extraction
 //!   stays zero-allocation (guarded by the counting-allocator test in
@@ -10,7 +10,7 @@
 //! - [`MetricRegistry`] with [`Counter`] / [`Gauge`] / [`Histogram`]: striped
 //!   (per-thread-shard) atomics, merged only on scrape — increments on the
 //!   hot path never contend on a shared cache line.
-//! - [`export`]: Prometheus text-format and JSON renderers over a registry
+//! - [`prometheus_text`] / [`json`]: Prometheus text-format and JSON renderers over a registry
 //!   snapshot.
 //!
 //! The crate deliberately has no dependency on the engine crates; engine
@@ -29,7 +29,7 @@ pub use export::{json, prometheus_text};
 pub use fleet::{FleetMetrics, ReplicaMetrics};
 pub use pool::PoolMetrics;
 pub use registry::{Counter, Gauge, Histogram, MetricRegistry, MetricSnapshot, MetricValue};
-pub use stage::{Stage, StageSlots, StageTimer, SAMPLE_MASK};
+pub use stage::{Stage, StageSlots, SAMPLE_MASK};
 pub use stream::StreamMetrics;
 pub use wal::WalMetrics;
 

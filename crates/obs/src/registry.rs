@@ -95,7 +95,7 @@ impl Gauge {
 pub(crate) const BUCKETS: usize = 27;
 
 /// Upper bound of bucket `i` in nanoseconds (`u64::MAX` for the last).
-pub fn bucket_bound_nanos(i: usize) -> u64 {
+pub(crate) fn bucket_bound_nanos(i: usize) -> u64 {
     if i + 1 >= BUCKETS {
         u64::MAX
     } else {
@@ -142,7 +142,7 @@ impl Histogram {
     }
 
     /// Sum of all samples in nanoseconds.
-    pub fn sum_nanos(&self) -> u64 {
+    pub(crate) fn sum_nanos(&self) -> u64 {
         self.stripes.iter().map(|s| s.sum_nanos.load(Ordering::Relaxed)).sum()
     }
 
@@ -283,7 +283,7 @@ impl MetricRegistry {
     }
 
     /// Registers (or re-acquires) a labeled gauge instance.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+    pub(crate) fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         match self.get_or_insert(name, help, labels, || Handle::Gauge(Arc::new(Gauge::default()))) {
             Handle::Gauge(g) => g,
             _ => panic!("metric {name} already registered with a different type"),
@@ -296,7 +296,7 @@ impl MetricRegistry {
     }
 
     /// Registers (or re-acquires) a labeled histogram instance.
-    pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+    pub(crate) fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         match self.get_or_insert(name, help, labels, || Handle::Histogram(Arc::new(Histogram::default()))) {
             Handle::Histogram(h) => h,
             _ => panic!("metric {name} already registered with a different type"),
@@ -333,7 +333,8 @@ impl MetricRegistry {
     }
 
     /// Number of distinct family names registered.
-    pub fn family_count(&self) -> usize {
+    #[cfg(test)]
+    fn family_count(&self) -> usize {
         let entries = self.entries.lock().expect("metric registry poisoned");
         let mut names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         names.sort_unstable();

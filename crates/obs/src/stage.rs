@@ -11,8 +11,6 @@
 //! positions. Document-level stages (remap, verify, …) are timed exactly:
 //! for them `timed == spans` and the estimator is the identity.
 
-use std::time::Instant;
-
 /// Sampling mask for inner-loop stage timing: a window position `p` is
 /// timed when `p & SAMPLE_MASK == 0` (1 in 64).
 pub const SAMPLE_MASK: usize = 63;
@@ -41,7 +39,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (slot-array length).
-    pub const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 7;
 
     /// All stages, in execution order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -155,36 +153,6 @@ impl StageSlots {
     }
 }
 
-/// A started stage timer. [`StageTimer::lap`] records the span since the
-/// previous lap (or start) and re-arms, so chained sub-stages pay one clock
-/// read per boundary instead of two per stage.
-#[derive(Debug)]
-pub struct StageTimer {
-    start: Instant,
-}
-
-impl StageTimer {
-    /// Starts timing now.
-    #[inline]
-    pub fn start() -> Self {
-        StageTimer { start: Instant::now() }
-    }
-
-    /// Records the span since start/last lap into `slots` and re-arms.
-    #[inline]
-    pub fn lap(&mut self, stage: Stage, slots: &mut StageSlots) {
-        let now = Instant::now();
-        slots.record(stage, (now - self.start).as_nanos() as u64);
-        self.start = now;
-    }
-
-    /// Records the final span and consumes the timer.
-    #[inline]
-    pub fn stop(self, stage: Stage, slots: &mut StageSlots) {
-        slots.record(stage, self.start.elapsed().as_nanos() as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,16 +207,6 @@ mod tests {
         assert_eq!(a.nanos(Stage::Remap), 30);
         assert_eq!(a.timed(Stage::Remap), 2);
         assert_eq!(a.spans(Stage::CandidateGen), 1);
-    }
-
-    #[test]
-    fn timer_lap_chains_spans() {
-        let mut s = StageSlots::default();
-        let mut t = StageTimer::start();
-        t.lap(Stage::Remap, &mut s);
-        t.stop(Stage::Verify, &mut s);
-        assert_eq!(s.timed(Stage::Remap), 1);
-        assert_eq!(s.timed(Stage::Verify), 1);
     }
 
     #[test]

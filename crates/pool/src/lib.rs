@@ -352,7 +352,7 @@ impl Pool {
     /// call must not come from a pool worker (it would wait on a queue only
     /// it can drain); [`extract_batch_into`] guards this by falling back to
     /// inline execution.
-    pub fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, f: F) -> bool
+    pub(crate) fn run_indexed<T, F>(&self, items: &mut [T], stubs: usize, f: F) -> bool
     where
         T: Send,
         F: Fn(usize, &mut T, &mut ExtractScratch) + Sync,

@@ -30,7 +30,8 @@ impl Application {
     }
 
     /// Whether two applications rewrite overlapping entity tokens.
-    pub fn conflicts(&self, other: &Application) -> bool {
+    #[cfg(test)]
+    fn conflicts(&self, other: &Application) -> bool {
         self.start < other.end() && other.start < self.end()
     }
 }
@@ -65,7 +66,7 @@ pub fn find_applications(entity: &[TokenId], rules: &RuleSet) -> Vec<Application
 /// vertex weight = group size; an edge joins every pair of span-disjoint
 /// vertices.
 #[derive(Debug)]
-pub struct ConflictGraph {
+pub(crate) struct ConflictGraph {
     /// `vertices[v]` = indices into the application list sharing one span.
     pub vertices: Vec<Vec<usize>>,
     /// `spans[v]` = the common `(start, end)` span of vertex `v`.
@@ -74,7 +75,7 @@ pub struct ConflictGraph {
 
 impl ConflictGraph {
     /// Groups `apps` into vertices by matched span.
-    pub fn build(apps: &[Application]) -> Self {
+    pub(crate) fn build(apps: &[Application]) -> Self {
         // Sort group keys for determinism, then bucket.
         let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by_key(|&i| (apps[i].start, apps[i].len, apps[i].rule, apps[i].side as u8));
@@ -98,7 +99,7 @@ impl ConflictGraph {
     }
 
     /// Whether vertices `a` and `b` are adjacent (span-disjoint).
-    pub fn adjacent(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn adjacent(&self, a: usize, b: usize) -> bool {
         let (s1, e1) = self.spans[a];
         let (s2, e2) = self.spans[b];
         e1 <= s2 || e2 <= s1
@@ -107,7 +108,7 @@ impl ConflictGraph {
     /// Greedy maximum-weight-clique approximation (§5): repeatedly add the
     /// heaviest vertex compatible with everything chosen so far. Ties break
     /// toward the earlier span for determinism. Returns vertex indices.
-    pub fn greedy_clique(&self) -> Vec<usize> {
+    pub(crate) fn greedy_clique(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.vertices.len()).collect();
         // Heaviest first; ties by span start then end.
         order.sort_by_key(|&v| (std::cmp::Reverse(self.vertices[v].len()), self.spans[v]));
@@ -127,7 +128,7 @@ impl ConflictGraph {
     /// reduces to weighted interval scheduling — solved exactly in
     /// `O(V log V)` by dynamic programming over spans sorted by end
     /// position. Returns vertex indices sorted by span.
-    pub fn exact_clique(&self) -> Vec<usize> {
+    pub(crate) fn exact_clique(&self) -> Vec<usize> {
         let n = self.vertices.len();
         if n == 0 {
             return Vec::new();
@@ -180,7 +181,8 @@ pub fn select_non_conflict(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Appli
 
 /// Like [`select_non_conflict`] but with the *exact* maximum-weight
 /// selection (weighted interval scheduling over the span-interval graph).
-pub fn select_non_conflict_exact(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
+#[cfg(test)]
+fn select_non_conflict_exact(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
     group_non_conflict(&find_applications(entity, rules), true)
 }
 

@@ -708,7 +708,8 @@ impl DerivedDictionary {
 
     /// The origin entity variant `id` was derived from.
     #[inline]
-    pub fn origin_of(&self, id: DerivedId) -> EntityId {
+    #[cfg(test)]
+    fn origin_of(&self, id: DerivedId) -> EntityId {
         self.origin[id.idx()]
     }
 

@@ -35,13 +35,11 @@
 
 mod apply;
 mod derive;
-mod discover;
 mod rule;
 
-pub use apply::{find_applications, select_non_conflict, select_non_conflict_exact, Application, ConflictGraph};
+pub use apply::{find_applications, select_non_conflict, Application};
 pub use derive::{
     derive_into, each_distinct_token, owned_origins, rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef,
     OriginVariants, VariantTable, Variants,
 };
-pub use discover::{add_discovered, discover_abbreviations, DiscoveredRule, DiscoveryConfig, DiscoveryKind};
 pub use rule::{Rule, RuleError, RuleId, RuleSet, Side};

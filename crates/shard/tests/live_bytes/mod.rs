@@ -47,7 +47,7 @@ static GLOBAL: LiveBytes = LiveBytes;
 /// Runs `work` and returns its result with the live bytes it left allocated
 /// and the most it had allocated at any one time, both above where it
 /// started. The result is still alive when the first is read.
-pub fn measured<T>(work: impl FnOnce() -> T) -> (T, usize, usize) {
+pub(crate) fn measured<T>(work: impl FnOnce() -> T) -> (T, usize, usize) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let out = work();

@@ -13,7 +13,7 @@ use crate::edit::edit_similarity;
 
 /// Fuzzy overlap of two token lists: greedy maximum-weight matching over
 /// token pairs with `edit_similarity ≥ delta`.
-pub fn fuzzy_overlap(a: &[&str], b: &[&str], delta: f64) -> f64 {
+fn fuzzy_overlap(a: &[&str], b: &[&str], delta: f64) -> f64 {
     let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
     for (i, ta) in a.iter().enumerate() {
         for (j, tb) in b.iter().enumerate() {

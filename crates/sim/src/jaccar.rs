@@ -2,8 +2,7 @@
 //!
 //! `JaccAR(e, s) = max_{eᵢ ∈ D(e)} Jaccard(eᵢ, s)`: rules were applied to the
 //! entity off-line; verification scans the precomputed variants and keeps the
-//! best syntactic score. The weighted extension multiplies each variant's
-//! Jaccard by its rule-weight product.
+//! best syntactic score.
 
 use crate::set::{intersection_size, jaccard_length_bounds, sorted_set};
 use aeetes_rules::{DerivedDictionary, DerivedId};
@@ -50,31 +49,11 @@ impl<'a> JaccArVerifier<'a> {
         Self { dd, sets, first_id }
     }
 
-    /// The underlying derived dictionary.
-    pub fn derived_dictionary(&self) -> &DerivedDictionary {
-        self.dd
-    }
-
-    /// The sorted distinct token set of a derived entity.
-    pub fn set_of(&self, id: DerivedId) -> &[TokenId] {
-        &self.sets[id.idx()]
-    }
-
     /// Exact `JaccAR(e, s)` for a sorted distinct substring set `s_set`.
     ///
     /// `tau` enables the per-variant length filter and an early exit on a
     /// perfect score; pass `0.0` to always compute the true maximum.
     pub fn verify(&self, e: EntityId, s_set: &[TokenId], tau: f64) -> JaccArScore {
-        self.verify_impl(e, s_set, tau, false)
-    }
-
-    /// Weighted JaccAR: each variant's Jaccard is scaled by its rule-weight
-    /// product before taking the maximum (paper §8 extension).
-    pub fn verify_weighted(&self, e: EntityId, s_set: &[TokenId], tau: f64) -> JaccArScore {
-        self.verify_impl(e, s_set, tau, true)
-    }
-
-    fn verify_impl(&self, e: EntityId, s_set: &[TokenId], tau: f64, weighted: bool) -> JaccArScore {
         let base = self.first_id[e.idx()];
         let variants = self.dd.variants(e);
         let (lo, hi) = if tau > 0.0 {
@@ -83,7 +62,7 @@ impl<'a> JaccArVerifier<'a> {
             (0, usize::MAX)
         };
         let mut best = JaccArScore { value: 0.0, best: None };
-        for (off, d) in variants.iter().enumerate() {
+        for off in 0..variants.len() {
             let id = DerivedId(base + off as u32);
             let set = &self.sets[id.idx()];
             if tau > 0.0 && (set.len() < lo || set.len() > hi) {
@@ -91,10 +70,7 @@ impl<'a> JaccArVerifier<'a> {
             }
             let inter = intersection_size(set, s_set);
             let denom = set.len() + s_set.len() - inter;
-            let mut score = if denom == 0 { 1.0 } else { inter as f64 / denom as f64 };
-            if weighted {
-                score *= d.weight;
-            }
+            let score = if denom == 0 { 1.0 } else { inter as f64 / denom as f64 };
             if score > best.value || best.best.is_none() && score > 0.0 {
                 best = JaccArScore { value: score, best: Some(id) };
             }
@@ -133,9 +109,6 @@ mod tests {
         }
         fn rule(&mut self, l: &str, r: &str) {
             self.rules.push_str(l, r, &self.tok.clone(), &mut self.int).unwrap();
-        }
-        fn wrule(&mut self, l: &str, r: &str, w: f64) {
-            self.rules.push_weighted_str(l, r, w, &self.tok.clone(), &mut self.int).unwrap();
         }
         fn build(&self) -> DerivedDictionary {
             DerivedDictionary::build(&self.dict, &self.rules, &DeriveConfig::default())
@@ -210,32 +183,6 @@ mod tests {
         let filtered = v.verify(e, &s, 0.9);
         assert_eq!(unfiltered.value, 1.0);
         assert_eq!(filtered.value, unfiltered.value);
-    }
-
-    #[test]
-    fn weighted_scales_by_rule_weight() {
-        let mut c = Ctx::new();
-        let e = c.entity("nyc marathon");
-        c.wrule("nyc", "new york city", 0.5);
-        let dd = c.build();
-        let s = c.set("new york city marathon");
-        let v = JaccArVerifier::new(&dd);
-        assert_eq!(v.verify(e, &s, 0.0).value, 1.0);
-        let w = v.verify_weighted(e, &s, 0.0);
-        assert!((w.value - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_prefers_unweighted_origin_when_better() {
-        let mut c = Ctx::new();
-        let e = c.entity("new york marathon");
-        c.wrule("new york", "nyc", 0.1);
-        let dd = c.build();
-        let s = c.set("new york marathon");
-        let v = JaccArVerifier::new(&dd);
-        let w = v.verify_weighted(e, &s, 0.0);
-        assert_eq!(w.value, 1.0); // origin variant, weight 1.0
-        assert!(dd.derived(w.best.unwrap()).rules.is_empty());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Similarity metrics for the Aeetes framework.
 //!
-//! * Token-set metrics over sorted distinct token slices: [`jaccard`],
-//!   [`overlap_coeff`], [`cosine`], [`dice`] (paper §2.2 notes the framework
-//!   extends to all of these).
+//! * Token-set metrics over sorted distinct token slices: [`jaccard`], and
+//!   [`Metric`], which scores Jaccard, Dice, Cosine and Overlap from set
+//!   sizes (paper §2.2 notes the framework extends to all of these).
 //! * Character metrics: [`levenshtein`], banded [`levenshtein_bounded`],
 //!   [`edit_similarity`].
 //! * [`fuzzy_jaccard`] — the *Fuzzy Jaccard* baseline of Wang et al.
 //!   (ICDE'11), used as a comparison metric in the paper's Table 2.
 //! * [`JaccArVerifier`] — exact verification of the paper's Asymmetric
-//!   Rule-based Jaccard over a [`aeetes_rules::DerivedDictionary`], plus the weighted
-//!   extension.
+//!   Rule-based Jaccard over a [`aeetes_rules::DerivedDictionary`].
 //!
 //! All set metrics require *sorted, deduplicated* inputs (see
 //! [`sorted_set`]); this keeps the hot verification path allocation-free.
@@ -21,7 +20,7 @@ mod metric;
 mod set;
 
 pub use edit::{edit_similarity, levenshtein, levenshtein_bounded};
-pub use fuzzy::{fuzzy_jaccard, fuzzy_overlap};
+pub use fuzzy::fuzzy_jaccard;
 pub use jaccar::{JaccArScore, JaccArVerifier};
 pub use metric::Metric;
-pub use set::{cosine, dice, intersection_size, jaccard, jaccard_length_bounds, overlap_coeff, sorted_set};
+pub use set::{intersection_size, jaccard, sorted_set};

@@ -42,39 +42,9 @@ pub fn jaccard(a: &[TokenId], b: &[TokenId]) -> f64 {
     inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
-/// Overlap coefficient `|a ∩ b| / min(|a|, |b|)`.
-pub fn overlap_coeff(a: &[TokenId], b: &[TokenId]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    intersection_size(a, b) as f64 / a.len().min(b.len()) as f64
-}
-
-/// Cosine similarity `|a ∩ b| / √(|a|·|b|)` for binary token vectors.
-pub fn cosine(a: &[TokenId], b: &[TokenId]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    intersection_size(a, b) as f64 / ((a.len() * b.len()) as f64).sqrt()
-}
-
-/// Dice coefficient `2·|a ∩ b| / (|a| + |b|)`.
-pub fn dice(a: &[TokenId], b: &[TokenId]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    2.0 * intersection_size(a, b) as f64 / (a.len() + b.len()) as f64
-}
-
 /// Length filter bounds (paper §3.1): a set of size `n` can only reach
 /// Jaccard ≥ τ against sets whose size lies in `[⌊n·τ⌋ max 1, ⌈n/τ⌉]`.
-pub fn jaccard_length_bounds(n: usize, tau: f64) -> (usize, usize) {
+pub(crate) fn jaccard_length_bounds(n: usize, tau: f64) -> (usize, usize) {
     debug_assert!((0.0..=1.0).contains(&tau) && tau > 0.0);
     let lo = ((n as f64 * tau + 1e-9).floor() as usize).max(1);
     let hi = (n as f64 / tau - 1e-9).ceil() as usize;
@@ -104,18 +74,6 @@ mod tests {
         assert!((jaccard(&s(&[1, 2, 3]), &s(&[2, 3, 4])) - 0.5).abs() < 1e-12);
         assert_eq!(jaccard(&[], &[]), 1.0);
         assert_eq!(jaccard(&[], &s(&[1])), 0.0);
-    }
-
-    #[test]
-    fn other_metrics_known_values() {
-        let a = s(&[1, 2, 3]);
-        let b = s(&[2, 3, 4, 5]);
-        assert!((overlap_coeff(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cosine(&a, &b) - 2.0 / 12f64.sqrt()).abs() < 1e-12);
-        assert!((dice(&a, &b) - 4.0 / 7.0).abs() < 1e-12);
-        assert_eq!(overlap_coeff(&[], &[]), 1.0);
-        assert_eq!(cosine(&a, &[]), 0.0);
-        assert_eq!(dice(&[], &[]), 1.0);
     }
 
     #[test]

@@ -100,7 +100,6 @@ pub struct StreamExtractor {
 
     chunks: u64,
     tokens_seen: u64,
-    emitted: u64,
 }
 
 impl StreamExtractor {
@@ -134,7 +133,6 @@ impl StreamExtractor {
             out: Vec::new(),
             chunks: 0,
             tokens_seen: 0,
-            emitted: 0,
         }
     }
 
@@ -151,7 +149,8 @@ impl StreamExtractor {
 
     /// The tail retention bound: windows are settled once `L_max − 1`
     /// further tokens have arrived. `None` for an empty dictionary.
-    pub fn max_window_len(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn max_window_len(&self) -> Option<usize> {
         self.lmax
     }
 
@@ -179,11 +178,6 @@ impl StreamExtractor {
     /// Tokens decoded since creation (cumulative across `finish` resets).
     pub fn tokens_seen(&self) -> u64 {
         self.tokens_seen
-    }
-
-    /// Matches emitted since creation (cumulative across `finish` resets).
-    pub fn matches_emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Feeds one chunk of raw bytes and returns the matches this chunk
@@ -326,7 +320,6 @@ impl StreamExtractor {
                 byte_end: self.tail_spans[last].1,
             });
         }
-        self.emitted += self.out.len() as u64;
         let drop = (watermark - self.base) as usize;
         self.tail.drain(..drop);
         self.tail_spans.drain(..drop);
@@ -446,7 +439,6 @@ mod tests {
             assert_eq!(s.carried_tokens(), 0);
             assert_eq!(s.carried_bytes(), 0);
         }
-        assert_eq!(s.matches_emitted(), 2);
     }
 
     #[test]

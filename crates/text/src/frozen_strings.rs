@@ -168,7 +168,8 @@ impl FrozenStrings {
     }
 
     /// The raw offset array (writer/serialization access).
-    pub fn raw_offsets(&self) -> &[u32] {
+    #[cfg(test)]
+    fn raw_offsets(&self) -> &[u32] {
         self.strings.runs().offsets()
     }
 }

@@ -69,8 +69,8 @@ pub use aeetes_text as text;
 
 pub use aeetes_cluster::{run_fleet, FleetOptions, FleetSummary, ReplicaSpec};
 pub use aeetes_core::{
-    extract_top_k_with, freeze_to_bytes, mention_report, open_frozen, open_frozen_bytes, select_top_k, suppress_overlaps, Aeetes, AeetesConfig,
-    BatchOptions, ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, MentionReport, PersistError, Strategy,
+    extract_top_k_with, freeze_to_bytes, open_frozen, open_frozen_bytes, select_top_k, suppress_overlaps, Aeetes, AeetesConfig, BatchOptions,
+    ExtractBackend, ExtractRequest, ExtractScratch, ExtractStats, Match, PersistError, Strategy,
 };
 pub use aeetes_pool::{extract_batch_with, Pool};
 pub use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
