@@ -608,7 +608,6 @@ pub fn fleet_cmd(argv: &[String]) -> Result<i32, String> {
         // 0 = one attempt per replica (the coordinator's default).
         max_attempts: args.parse_or("retries", 0u32)?,
         request_timeout: secs("request-timeout", defaults.request_timeout)?,
-        backoff: defaults.backoff,
         health_interval: secs("health-interval", defaults.health_interval)?,
         probe_timeout: secs("probe-timeout", defaults.probe_timeout)?,
         reload_timeout: secs("reload-timeout", defaults.reload_timeout)?,

@@ -10,24 +10,18 @@ use std::time::Duration;
 
 /// Retry delay policy: capped exponential growth, half-width jitter.
 #[derive(Debug, Clone, Copy)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     /// Delay before the first retry (attempt 0), pre-jitter.
-    pub base: Duration,
+    pub(crate) base: Duration,
     /// Upper bound on the pre-jitter delay.
-    pub cap: Duration,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff { base: Duration::from_millis(25), cap: Duration::from_secs(2) }
-    }
+    pub(crate) cap: Duration,
 }
 
 impl Backoff {
     /// The delay before retry number `attempt` (0-based) of the request
     /// identified by `seed`. Always in `[exp/2, exp]` where
     /// `exp = min(base * 2^attempt, cap)`.
-    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
+    pub(crate) fn delay(&self, attempt: u32, seed: u64) -> Duration {
         let base = self.base.as_nanos() as u64;
         let cap = self.cap.as_nanos() as u64;
         let exp = base.saturating_mul(1u64 << attempt.min(20)).min(cap).max(1);
@@ -68,7 +62,7 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed_and_varies_across_seeds() {
-        let b = Backoff::default();
+        let b = Backoff { base: Duration::from_millis(25), cap: Duration::from_secs(2) };
         assert_eq!(b.delay(3, 42), b.delay(3, 42));
         let distinct: std::collections::HashSet<u128> = (0..32u64).map(|seed| b.delay(3, seed).as_nanos()).collect();
         assert!(distinct.len() > 16, "jitter must actually spread schedules, got {} distinct", distinct.len());

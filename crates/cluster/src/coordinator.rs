@@ -52,6 +52,10 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Retry delays of client requests and replica revivals: 25 ms doubling to
+/// 2 s, jittered.
+const BACKOFF: Backoff = Backoff { base: Duration::from_millis(25), cap: Duration::from_secs(2) };
+
 /// Folds logged deltas into a fresh engine artifact: the `fold` of
 /// [`DeltaLog::compact`], called by the coordinator when the delta log
 /// passes the compaction threshold, with `(deltas, base)`: the full log and
@@ -75,8 +79,6 @@ pub struct FleetOptions {
     /// within it (all replicas down, endless shedding) is answered
     /// `timeout` instead of waiting forever.
     pub request_timeout: Duration,
-    /// Retry delay policy.
-    pub backoff: Backoff,
     /// Health probe period.
     pub health_interval: Duration,
     /// Probe / handshake response budget; a replica silent for this long
@@ -107,7 +109,6 @@ impl Default for FleetOptions {
             replicas: Vec::new(),
             max_attempts: 0,
             request_timeout: Duration::from_secs(10),
-            backoff: Backoff::default(),
             health_interval: Duration::from_millis(500),
             probe_timeout: Duration::from_secs(2),
             reload_timeout: Duration::from_secs(30),
@@ -241,7 +242,7 @@ fn handle_failure(fleet: &Arc<Fleet>, rid: u64, error_line: Option<String>) {
         Some(false) => match fleet.pending.fail(rid, error_line) {
             FailOutcome::Retry { failures } => {
                 fleet.metrics.retried.inc(1);
-                let delay = fleet.opts.backoff.delay(failures.saturating_sub(1), rid);
+                let delay = BACKOFF.delay(failures.saturating_sub(1), rid);
                 let _ = fleet.dispatch_tx.send(DispatchMsg { rid, not_before: Instant::now() + delay });
             }
             FailOutcome::Exhausted { deliver, last_error } => {
@@ -511,7 +512,7 @@ fn supervisor_loop(fleet: &Arc<Fleet>) {
                 Ok(()) => failures[i] = 0,
                 Err(e) => {
                     failures[i] = failures[i].saturating_add(1);
-                    next_attempt[i] = Instant::now() + fleet.opts.backoff.delay(failures[i].min(6), i as u64);
+                    next_attempt[i] = Instant::now() + BACKOFF.delay(failures[i].min(6), i as u64);
                     eprintln!("fleet: replica {i}: revive failed: {e}");
                 }
             }

@@ -9,7 +9,7 @@
 //!   (up, non-draining) replicas;
 //! - **failover**: retryable failures (shedding, timeout, connection
 //!   reset) retry on a *different* replica with capped exponential
-//!   backoff and deterministic jitter ([`Backoff`]);
+//!   backoff and deterministic jitter;
 //! - **exactly-once answers**: every admitted request is answered exactly
 //!   once — forwarded response, retry exhaustion, deadline expiry, or the
 //!   drain sweep — enforced by the [`PendingTable`] ledger, with
@@ -46,7 +46,6 @@ mod pending;
 mod replica;
 mod wire;
 
-pub use backoff::Backoff;
 pub use coordinator::{run_fleet, Compactor, FleetOptions, FleetSummary};
 pub use delta_log::DeltaLog;
 pub use pending::{FailOutcome, PendingTable};

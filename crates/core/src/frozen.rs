@@ -49,8 +49,8 @@
 //! rule, every prefix array is re-validated structurally on open
 //! ([`Dictionary::from_raw_arenas`], [`RuleSet::from_flat`],
 //! [`VariantTable::from_raw_arenas`], [`ClusteredIndex::from_raw_parts`],
-//! [`GlobalOrder::from_raw_parts`], `FrozenStrings::new`, which also builds
-//! the string → id hash table on the heap and refuses a string stored
+//! [`GlobalOrder::from_raw_parts`], [`Interner::from_raw_arenas`], which
+//! also builds the string → id slots on the heap and refuses a string stored
 //! twice), and the
 //! whole-file CRC is checked first — a truncated or bit-flipped artifact
 //! yields a clean [`PersistError`], never a panic or an out-of-bounds read.
@@ -240,7 +240,7 @@ use crate::persist::{self, crc32, PersistError, Reader};
 use aeetes_frozen::{pod_bytes, FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IdArena, IdWidth, IndexArenas};
 use aeetes_rules::{RuleSet, VariantTable};
-use aeetes_text::{string_arenas, Dictionary, EntityId, FrozenStrings, Interner, StringTable, TokenId};
+use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -440,10 +440,6 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let meta = encode_meta(src, segment);
     let (rule_width, sides, side_off) = rule_sections(src.rules, src.interner.len());
     let rule_weight = src.rules.weights();
-    // Interner: its strings over the full id space (open builds the lookup
-    // table).
-    let (str_bytes, str_offsets) = string_arenas(src.interner.iter_strings());
-
     // Origin dictionary: its four arenas verbatim, written run by run from
     // its parts, so the opener can validate them with linear scans and adopt
     // them in place instead of a per-entity parse.
@@ -452,6 +448,8 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let raw_off: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.1)).collect();
     let ent_tokens: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.2)).collect();
     let ent_tok_off: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.3)).collect();
+    // Interner: its strings the same way (open builds the slots).
+    let (str_bytes, str_offsets): (Vec<&[u8]>, Vec<&[u8]>) = src.interner.arena_runs().map(|(b, o)| (b, pod_bytes(o))).unzip();
     let (freq, key, untie) = src.order.raw_parts();
     let (by_origin, weight) = segment.dd.raw_arenas();
     let ix = segment.index.raw_parts();
@@ -466,8 +464,8 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         (SEC_DICT_RAWOFF, &raw_off),
         (SEC_DICT_TOKENS, &ent_tokens),
         (SEC_DICT_TOKOFF, &ent_tok_off),
-        (SEC_STR_BYTES, &[&str_bytes]),
-        (SEC_STR_OFF, &[pod_bytes(&str_offsets)]),
+        (SEC_STR_BYTES, &str_bytes),
+        (SEC_STR_OFF, &str_offsets),
         (SEC_ORD_FREQ, &[pod_bytes(freq)]),
         (SEC_ORD_KEY, &[pod_bytes(key)]),
         (SEC_ORD_UNTIE, &[pod_bytes(untie)]),
@@ -708,14 +706,10 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
     let bytes = buf.as_bytes();
     let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte generation"));
 
-    // Interner: validate the frozen strings, build their lookup table, then
-    // overlay.
-    let strings = FrozenStrings::new(table.slice::<u8>(buf, SEC_STR_BYTES)?.into(), table.slice::<u32>(buf, SEC_STR_OFF)?.into())
+    // Interner: validate the strings and build their slots; the strings stay
+    // in the artifact.
+    let interner = Interner::from_raw_arenas(table.slice::<u8>(buf, SEC_STR_BYTES)?.into(), table.slice::<u32>(buf, SEC_STR_OFF)?.into())
         .map_err(|e| corrupt(format!("string table: {e}")))?;
-    if strings.len() > TokenId::LIMIT as usize {
-        return Err(corrupt(format!("string table holds {} tokens, the id space ends at {}", strings.len(), TokenId::LIMIT)));
-    }
-    let interner = Interner::with_base(Arc::new(strings));
     let n_tokens = interner.len() as u32;
 
     // Global order.

@@ -607,6 +607,19 @@ impl OriginBlocks {
         self.origin_offsets.len() - 1
     }
 
+    /// The origins whose blocks hold a pool, ascending, with their blocks:
+    /// an origin without a block costs one compare, so a delta's index,
+    /// whose few blocks span the whole origin space, is walked at that cost.
+    fn pooled(&self) -> impl Iterator<Item = (usize, OriginBlock<'_>)> {
+        let offsets: &[u32] = &self.block_offsets;
+        offsets
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] != w[1])
+            .map(|(e, _)| (e, self.block(e)))
+            .filter(|(_, block)| !block.pool.is_empty())
+    }
+
     /// Origin `e`'s block. Relies on the block invariants
     /// [`ClusteredIndex::from_raw_parts`] validates.
     #[inline]
@@ -1579,76 +1592,102 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
     Ok(())
 }
 
-/// Clusters the postings of every derived set (paper Algorithm 2): one walk
-/// over the blocks notes every cluster with its token, a counting sort by
-/// token groups them in place, each token's range is sorted by `(len,
-/// lowest position, origin)` in place, and the forest is flattened into the
+/// Clusters the postings of every derived set (paper Algorithm 2): a count
+/// pass over the blocks sizes every token's clusters, a walk files each
+/// cluster straight into its token's range, each token's range is sorted by
+/// `(len, lowest position, origin)`, and the forest is flattened into the
 /// global prefix-linked arrays — tokens tile the group arrays, groups tile
 /// the cluster array.
 ///
-/// A cluster waits for its sort as one `u64`, `len << 48 | lowest position
-/// << 32 | origin`, and its upper half is its group's key. Origins are stored
-/// as `I`, the width of `sets`. At 16 bits an origin and a rank each fit 16
-/// bits, so the record also holds its key's rank, `len << 48 | lowest
-/// position << 32 | rank << 16 | origin`, and the sort finds a record's token
-/// through the rank; at 32 bits the tokens wait in an array beside the
-/// records. The records are the build's largest transient, so at 16 bits no
-/// array stands beside them.
+/// A cluster is filed as two entries at the same place of two exact-size
+/// arrays: its origin, stored as `I` in what becomes the index's cluster
+/// array, and its group's key, `len << 16 | lowest position`, in an array
+/// of `u32`s that goes once the groups are read out of it. These are the
+/// build's largest transient: beside what the index keeps, four bytes per
+/// cluster, and one sort record per cluster of the largest token.
 fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings<I> {
     let narrow = I::WIDTH == IdWidth::U16;
-    debug_assert!(!narrow || IdWidth::of(order.ranks(), sets.origins()) == IdWidth::U16, "16-bit records over a 32-bit space");
+    debug_assert!(!narrow || IdWidth::of(order.ranks(), sets.origins()) == IdWidth::U16, "16-bit blocks over a 32-bit space");
     let untie = order.raw_parts().2;
-    // The walk sees every cluster once, in block order. An origin's slots
-    // ascend by set length, so the slots of one length that hold a given pool
-    // key are one unbroken run of them, and a key's runs close one after
-    // another: per pool bit, the length of the run in hand (0: none yet — a
-    // set that holds a key is not empty) and the lowest position seen in it.
-    // A pool key's token is looked up once per origin, not once per posting.
-    // The masks are walked once: a pass that only counted a token's clusters
-    // ahead of one that files them cost a third of a usjob part's index.
-    let mut found_under: Vec<u32> = Vec::new();
-    let mut found: Vec<u64> = Vec::new();
-    // The sort records are the build's largest transient, so they grow by a
-    // quarter at a time: doubling could leave half of them unused at the
-    // peak. A record is filed under its key's rank at 16 bits, its token at
-    // 32.
-    let mut file = |under: u32, cluster: u64| {
-        if found.len() == found.capacity() {
-            let more = found.len() / 4 + 1024;
-            found.reserve_exact(more);
-            if !narrow {
-                found_under.reserve_exact(more);
-            }
-        }
+    let token_of = |key: u32| {
         if narrow {
-            found.push(cluster | u64::from(under) << 16);
+            untie[(key & !VALID_BIT) as usize].0
         } else {
-            found_under.push(under);
-            found.push(cluster);
+            order.token_of(key).0
         }
     };
-    // Per pool key, what its clusters are filed under.
-    let mut pool_under: Vec<u32> = Vec::new();
-    let mut runs: Vec<(u16, u16)> = Vec::new();
+    // Per pool key of the origin in hand, its token, looked up once per
+    // origin, not once per posting.
+    let mut pool_tokens: Vec<u32> = Vec::new();
     let mut mask: Vec<u32> = Vec::new();
-    // Origin by origin over the whole origin space, also for the index of a
-    // delta's few origins: an origin without a block costs one compare.
-    for e in (0..sets.origins() as u32).map(EntityId) {
-        let block = sets.block(e.idx());
-        if block.pool.is_empty() {
-            continue;
+
+    // The count: an origin's slots ascend by set length, so a key has one
+    // cluster per length of the slots that hold it — one bit of the union
+    // of their masks. Per token, the count lands one entry up, where the
+    // prefix sum makes it the start of the next token.
+    let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
+    let mut union: Vec<u32> = Vec::new();
+    for (_, block) in sets.pooled() {
+        pool_tokens.clear();
+        pool_tokens.extend(block.pool.iter().map(token_of));
+        mask.resize(block.words(), 0);
+        union.clear();
+        union.resize(block.words(), 0);
+        let mut count = |union: &mut [u32]| {
+            for (w, word) in union.iter_mut().enumerate() {
+                while *word != 0 {
+                    starts[pool_tokens[32 * w + word.trailing_zeros() as usize] as usize + 1] += 1;
+                    *word &= *word - 1;
+                }
+            }
+        };
+        let mut union_len = 0;
+        for slot in 0..block.ids.len() {
+            block.mask_into(slot, &mut mask);
+            let len = mask.iter().map(|w| w.count_ones()).sum::<u32>();
+            if len != union_len {
+                count(&mut union);
+                union_len = len;
+            }
+            union.iter_mut().zip(&mask).for_each(|(u, m)| *u |= m);
         }
-        pool_under.clear();
-        pool_under.extend(block.pool.iter().map(|key| if narrow { key & !VALID_BIT } else { order.token_of(key).0 }));
+        count(&mut union);
+    }
+    // Cut behind the last token these sets hold.
+    let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
+    starts.truncate(num_tokens + 1);
+    for t in 0..num_tokens {
+        starts[t + 1] += starts[t];
+    }
+    let clusters = starts[num_tokens] as usize;
+
+    // The walk sees every cluster once, in block order: origins ascending,
+    // so each token's range fills by origin. Per pool bit, the length of the
+    // run of slots in hand that hold its key (0: none yet — a set that holds
+    // a key is not empty) and the lowest position seen in it; a key's runs
+    // close one after another. `cursor[t]` is where token `t`'s next cluster
+    // goes.
+    let mut keys = vec![0u32; clusters];
+    let mut origin_entity = vec![I::store(0); clusters];
+    let mut cursor = starts[..num_tokens].to_vec();
+    let mut runs: Vec<(u16, u16)> = Vec::new();
+    for (e, block) in sets.pooled() {
+        pool_tokens.clear();
+        pool_tokens.extend(block.pool.iter().map(token_of));
         runs.clear();
         runs.resize(block.pool.len(), (0, 0));
-        let cluster = |(len, min_pos): (u16, u16)| (len as u64) << 48 | (min_pos as u64) << 32 | e.0 as u64;
+        let mut file = |token: u32, (len, min_pos): (u16, u16)| {
+            let at = &mut cursor[token as usize];
+            keys[*at as usize] = u32::from(len) << 16 | u32::from(min_pos);
+            origin_entity[*at as usize] = I::store(e as u32);
+            *at += 1;
+        };
         mask.resize(block.words(), 0);
         for slot in 0..block.ids.len() {
             block.mask_into(slot, &mut mask);
             let len = mask.iter().map(|w| w.count_ones()).sum::<u32>() as u16;
             let mut pos = 0u16;
-            for (word, (under, runs)) in mask.iter().zip(pool_under.chunks(32).zip(runs.chunks_mut(32))) {
+            for (word, (tokens, runs)) in mask.iter().zip(pool_tokens.chunks(32).zip(runs.chunks_mut(32))) {
                 let mut rest = *word;
                 while rest != 0 {
                     let bit = rest.trailing_zeros() as usize;
@@ -1657,7 +1696,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                         run.1 = run.1.min(pos);
                     } else {
                         if run.0 != 0 {
-                            file(under[bit], cluster(*run));
+                            file(tokens[bit], *run);
                         }
                         *run = (len, pos);
                     }
@@ -1666,92 +1705,60 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
                 }
             }
         }
-        for (&under, &run) in pool_under.iter().zip(&runs) {
+        for (&token, &run) in pool_tokens.iter().zip(&runs) {
             if run.0 != 0 {
-                file(under, cluster(run));
+                file(token, run);
             }
         }
     }
-    // What the quarter-at-a-time growth left spare goes back before the
-    // arrays of the flattening are allocated beside the records.
-    found.shrink_to_fit();
-    found_under.shrink_to_fit();
-    // `starts[t]` is where token `t`'s clusters begin; while filing,
-    // `cursor[t]` is where its next cluster goes. Counted over every token
-    // the order knows, then cut behind the last one these sets hold.
-    let home = |i: usize, found: &[u64], found_under: &[u32]| {
-        if narrow {
-            untie[(found[i] >> 16) as usize & 0xFFFF].0
-        } else {
-            found_under[i]
-        }
-    };
-    let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
-    for i in 0..found.len() {
-        starts[home(i, &found, &found_under) as usize + 1] += 1;
-    }
-    let num_tokens = starts.iter().rposition(|&count| count > 0).unwrap_or(0);
-    starts.truncate(num_tokens + 1);
-    for t in 0..num_tokens {
-        starts[t + 1] += starts[t];
-    }
-    // The counting sort runs in place (an American flag sort): each bucket
-    // is filled from its start, every cluster met out of its bucket is
-    // swapped into the next free slot of its own, so each moves once and no
-    // second buffer of sort records is allocated beside the first.
-    let mut cursor = starts[..num_tokens].to_vec();
-    for t in 0..num_tokens {
-        while cursor[t] < starts[t + 1] {
-            let i = cursor[t] as usize;
-            let home = home(i, &found, &found_under) as usize;
-            if home != t {
-                let j = cursor[home] as usize;
-                if !narrow {
-                    found_under.swap(i, j);
-                }
-                found.swap(i, j);
-                cursor[home] += 1;
-            } else {
-                cursor[t] += 1;
-            }
-        }
-    }
-    drop(found_under);
-    let mut raw = found;
-    // Every token's clusters sorted and their groups counted first, so that
-    // the arrays beside the records are allocated at their exact sizes.
+    // The walk filed exactly the clusters the count counted: each token's
+    // range is full and nothing spilled into the next one's.
+    debug_assert!(cursor.iter().zip(&starts[1..]).all(|(c, s)| c == s), "count and walk disagree");
+
+    // Each token's range sorted by key, origins ascending within one (one
+    // origin has one cluster per token and length): through one record per
+    // cluster of the range, `key << 32 | origin`, in a buffer the size of
+    // the largest range. Then the groups counted, so that their arrays are
+    // allocated at their exact sizes.
+    let mut records: Vec<u64> = Vec::new();
     let mut groups = 0;
     for w in starts.windows(2) {
-        let list = &mut raw[w[0] as usize..w[1] as usize];
-        list.sort_unstable();
-        groups += list.chunk_by(|a, b| a >> 32 == b >> 32).count();
+        let range = w[0] as usize..w[1] as usize;
+        let (keys, origins) = (&mut keys[range.clone()], &mut origin_entity[range]);
+        records.clear();
+        records.extend(
+            keys.iter()
+                .zip(origins.iter())
+                .map(|(&key, &origin)| u64::from(key) << 32 | u64::from(origin.get())),
+        );
+        records.sort_unstable();
+        for ((key, origin), &record) in keys.iter_mut().zip(origins.iter_mut()).zip(&records) {
+            (*key, *origin) = ((record >> 32) as u32, I::store(record as u32));
+        }
+        groups += keys.chunk_by(|a, b| a == b).count();
     }
+    drop(records);
 
     let mut out = ClusteredPostings {
         tok_groups: Vec::with_capacity(num_tokens + 1),
         group_len: Vec::with_capacity(groups),
         group_pos: Vec::with_capacity(groups),
         group_origins: Vec::with_capacity(groups + 1),
-        origin_entity: Vec::with_capacity(raw.len()),
+        origin_entity,
     };
     for w in starts.windows(2) {
-        let list = &raw[w[0] as usize..w[1] as usize];
         out.tok_groups.push(out.group_len.len() as u32);
-        let mut cur_key: Option<u32> = None;
-        for &cluster in list.iter() {
-            let key = (cluster >> 32) as u32;
-            if cur_key != Some(key) {
-                out.group_len.push((key >> 16) as u16);
-                out.group_pos.push(key as u16);
-                out.group_origins.push(out.origin_entity.len() as u32);
-                cur_key = Some(key);
-            }
-            out.origin_entity.push(I::store(if narrow { cluster as u16 as u32 } else { cluster as u32 }));
+        let mut at = w[0];
+        for group in keys[w[0] as usize..w[1] as usize].chunk_by(|a, b| a == b) {
+            out.group_len.push((group[0] >> 16) as u16);
+            out.group_pos.push(group[0] as u16);
+            out.group_origins.push(at);
+            at += group.len() as u32;
         }
     }
     // Close the prefix arrays with their final sentinels.
     out.tok_groups.push(out.group_len.len() as u32);
-    out.group_origins.push(out.origin_entity.len() as u32);
+    out.group_origins.push(clusters as u32);
     out
 }
 

@@ -4,9 +4,13 @@
 //!
 //! A part is derived straight into its index blocks, so beside the arrays it
 //! keeps the build holds only the per-origin scratch of the enumeration, one
-//! frequency count per token and, while the blocks are clustered, a sort
-//! record per index entry; the merge of the parts into one index then holds
-//! beside them at most the merged cluster arrays or one part's blocks. The pipeline this replaced materialised every
+//! frequency count per token and, while the blocks are clustered, a `u32`
+//! group key per index entry; the merge of the parts into one index then
+//! holds beside them at most the merged cluster arrays or one part's blocks.
+//! Until the clusters were filed straight into their tokens' ranges, an
+//! eight-byte sort record per entry, grown by a quarter at a time, stood
+//! there, and the cluster array was allocated beside the records: the build
+//! peaked at 1.57–1.72 times what it kept. The pipeline this replaced materialised every
 //! variant's token sequence, rule ids and offsets first — 20 MB beside an
 //! 11 MB artifact on the benchmark's usjob dictionary — and peaked at three
 //! times what it kept.
@@ -23,8 +27,9 @@ use aeetes_shard::ShardedEngine;
 #[test]
 fn a_build_peaks_under_one_and_a_half_times_what_it_retains() {
     // The shape of the benchmark's `usjob_batch`: ~23 rules per entity, two
-    // build parts.
-    let data = generate(&DatasetProfile::usjob_like().scaled(0.07).with_docs(1), 12);
+    // build parts. At 0.07 the engine retains 2 064 956 bytes, under the
+    // floor, since the interner keeps its strings flat.
+    let data = generate(&DatasetProfile::usjob_like().scaled(0.08).with_docs(1), 12);
     let dict = data.dictionary.clone();
     let (_engine, retained, transient) = live_bytes::measured(|| ShardedEngine::build(dict, &data.rules, &data.interner, AeetesConfig::default(), 2));
 
@@ -32,6 +37,10 @@ fn a_build_peaks_under_one_and_a_half_times_what_it_retains() {
     assert!(
         transient as f64 <= retained as f64 * 1.5,
         "the build peaked {transient} bytes above where it started but retains {retained}: {:.2} times",
+        transient as f64 / retained as f64
+    );
+    println!(
+        "build_peak: {transient} bytes at the peak for {retained} retained: {:.2} times, of 1.50",
         transient as f64 / retained as f64
     );
 }

@@ -2,7 +2,8 @@
 //! table flat: across `open_frozen` + `ShardedEngine::from_frozen` on the
 //! benchmark's pubmed corpus, the engine owns no dictionary arena byte, and
 //! the heap it retains is the rule table's side tokens and offsets, the
-//! string table's lookup slots and the generation's per-origin table, with
+//! interner's lookup slots (its strings stay in the file too) and the
+//! generation's per-origin table, with
 //! no room beside them for the 975 kB dictionary copy an open used to make
 //! (2.22 MB retained then). While the rule table was decoded from META into
 //! two `Vec`s a rule and a map of per-token `Vec`s, an open retained 1.24 MB.
@@ -47,13 +48,17 @@ fn an_adopted_engine_owns_no_dictionary_arena_byte() {
     let side_tokens: usize = rules.part_sides().map(|(tokens, _)| tokens.len()).sum();
     let flat = 4 * (side_tokens + 2 * rules.len() + 1);
     assert_eq!(rules.owned_bytes(), flat, "the rule table is {} rules' sides and offsets, flat", rules.len());
+    // The strings stay in the mapped file too: the interner owns its slots
+    // and the one offset its owned strings would start at.
     let slots = 4 * (2 * data.interner.len()).next_power_of_two();
+    assert_eq!(generation.interner().owned_bytes(), slots + 4, "the interner owns its lookup slots, not its strings");
     let budget = flat + slots + 4 * generation.dictionary().len() + BOOKKEEPING;
     assert!(
         retained <= budget && budget < retained + dictionary,
         "opening retains {retained} bytes: beyond {budget} bytes of flat rule table, lookup slots, per-origin table and \
          bookkeeping, or leaving no room to tell a {dictionary}-byte dictionary copy from them"
     );
+    println!("open_peak: retains {retained} bytes of {budget} budgeted, beside a {dictionary}-byte dictionary");
     drop((generation, engine));
     std::fs::remove_file(&path).expect("remove the artifact");
 }

@@ -123,6 +123,11 @@ fn price_an_update(name: &str, profile: DatasetProfile) -> Priced {
         "{name}: the update peaked {} bytes above what it retains, beyond {draft_tables} bytes of draft tables",
         transient - retained
     );
+    println!(
+        "update_peak {name}: retains {retained} bytes of {} budgeted; keeps {kept} beside {shard_arrays} shared; peaks {} above it of {draft_tables} budgeted",
+        appended + tails + per_origin,
+        transient - retained
+    );
     drop((new, old, engine));
     std::fs::remove_file(&path).expect("remove the artifact");
     Priced { kept, shard_arrays }

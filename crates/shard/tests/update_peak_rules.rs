@@ -79,6 +79,10 @@ fn a_rule_delta_allocates_its_rules_not_a_copy_of_the_table() {
         "the update retains {retained} bytes for {added} bytes of added rules, {tails} bytes of tail index and \
          {per_origin} bytes of per-origin tables: the rule table ({table} bytes) was copied"
     );
+    println!(
+        "update_peak_rules: the added rules own {added} bytes of {part_budget} budgeted; the update retains {retained} of {} budgeted",
+        added + tails + per_origin
+    );
     drop((new, old, engine));
     std::fs::remove_file(&path).expect("remove the artifact");
 }

@@ -1,8 +1,7 @@
 //! Entities and the reference dictionary.
 
-use crate::frozen_strings::StrArena;
 use crate::interner::{Interner, TokenId};
-use crate::runs::Runs;
+use crate::runs::{Runs, StrArena};
 use crate::tokenize::Tokenizer;
 use aeetes_frozen::Arena;
 use std::fmt;

@@ -1,6 +1,13 @@
 //! String interning: maps tokens to dense `u32` ids and back.
+//!
+//! Strings are stored as an artifact stores them, a UTF-8 byte arena and
+//! `u32` offsets ([`StrArena`]), and found through FNV-1a slots. An
+//! artifact stores no slots: open would have to probe every string of
+//! stored ones to trust them, the same work as building them, and building
+//! them proves that no string stands under two ids.
 
-use std::collections::HashMap;
+use crate::runs::StrArena;
+use aeetes_frozen::Arena;
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,39 +42,100 @@ impl fmt::Debug for TokenId {
     }
 }
 
-/// A read-only table of interned strings an [`Interner`] can layer an
-/// append-only overlay on top of. Implemented by the frozen (mmap-backed)
-/// string table so that opening an artifact costs no per-string allocation.
-pub trait StringTable: Send + Sync + fmt::Debug {
-    /// Number of strings; ids `0..len` are resolvable.
-    fn len(&self) -> usize;
-    /// Whether the table is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+/// FNV-1a 64-bit hash.
+#[inline]
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    /// Looks up a string, returning its id if present.
-    fn lookup(&self, s: &str) -> Option<TokenId>;
-    /// The string for id `id` (which must be `< len`).
-    fn resolve(&self, id: u32) -> &str;
+    h
+}
+
+/// Consecutive strings and the slots that find them.
+#[derive(Debug, Clone)]
+struct Table {
+    /// String `i` of the table, in id order.
+    strings: StrArena,
+    /// `i + 1` per slot, 0 when empty: none while the table is empty, else
+    /// a power of two of them, at least twice as many as strings, so an
+    /// empty slot ends every probe.
+    slots: Vec<u32>,
+}
+
+impl Table {
+    /// No strings, continuing strings that end at byte `start`.
+    fn empty_at(start: u32) -> Self {
+        Self { strings: StrArena::empty_at(start), slots: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.strings.runs().len()
+    }
+
+    /// Where the probe for `s` ends: at the place of an equal string, or at
+    /// the empty slot that would take it.
+    #[inline]
+    fn probe(&self, s: &str, hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while let Some(i) = self.slots[slot].checked_sub(1) {
+            if self.strings.get(i as usize) == s {
+                return Ok(i);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(slot)
+    }
+
+    /// The place of `s` in the table.
+    #[inline]
+    fn find(&self, s: &str, hash: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(s, hash).ok()
+    }
+
+    /// New slots, at least twice as many as strings, every string filed:
+    /// of two equal strings, the second is returned with the first.
+    fn refile(&mut self) -> Result<(), (u32, u32)> {
+        self.slots = vec![0; (2 * self.len()).next_power_of_two().max(8)];
+        for i in 0..self.len() as u32 {
+            let s = self.strings.get(i as usize);
+            match self.probe(s, fnv1a(s.as_bytes())) {
+                Ok(j) => return Err((i, j)),
+                Err(slot) => self.slots[slot] = i + 1,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// An append-only string interner.
 ///
-/// Tokens are stored once; lookups in both directions are O(1) (amortized for
-/// the string → id direction). The interner is deliberately append-only:
-/// downstream structures cache `TokenId`s and rely on them never being
-/// invalidated.
+/// Tokens are stored once, as flat runs; lookups in both directions are
+/// O(1). The interner is deliberately append-only: downstream structures
+/// cache `TokenId`s and rely on them never being invalidated.
 ///
-/// An interner can be layered over a read-only [`StringTable`] base (the
-/// frozen path): ids below the base length resolve from the base with zero
-/// copies, and newly interned strings go to a heap overlay starting at the
-/// next id. Cloning such an interner clones only the overlay.
-#[derive(Default, Clone)]
+/// The strings of an opened artifact are adopted in place as a table every
+/// clone shares ([`Self::from_raw_arenas`]); strings interned after that go
+/// to an owned table starting at the next id, with slots of its own. So a
+/// clone copies only the owned table, and a delta that brings a new word
+/// leaves the adopted one shared.
+#[derive(Clone)]
 pub struct Interner {
-    base: Option<Arc<dyn StringTable>>,
-    base_len: u32,
-    map: HashMap<Box<str>, TokenId>,
-    strings: Vec<Box<str>>,
+    /// Ids `0..base.len()`, adopted from an artifact.
+    base: Option<Arc<Table>>,
+    /// The ids after them, owned; its bytes continue the base's.
+    own: Table,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self { base: None, own: Table::empty_at(0) }
+    }
 }
 
 impl Interner {
@@ -76,43 +144,76 @@ impl Interner {
         Self::default()
     }
 
-    /// Creates an interner layered over a read-only base table. Ids
-    /// `0..base.len()` resolve from the base; fresh strings are assigned ids
-    /// starting at `base.len()`.
-    pub fn with_base(base: Arc<dyn StringTable>) -> Self {
-        let base_len = u32::try_from(base.len())
-            .ok()
-            .filter(|&n| n <= TokenId::LIMIT)
-            .expect("base string table overflows the token id space");
-        Self { base: Some(base), base_len, map: HashMap::new(), strings: Vec::new() }
+    /// Adopts the byte arena and the `len + 1` prefix offsets
+    /// [`Self::arena_runs`] yields as the strings of ids `0..len`, after
+    /// validating them and building their slots: the offsets are non-empty,
+    /// start at 0, are monotonic and end at the arena's length; the bytes
+    /// are UTF-8 cut at character boundaries; no string stands twice; there
+    /// are no more strings than ids. The arenas move in unchanged — frozen
+    /// ones stay in the artifact.
+    pub fn from_raw_arenas(bytes: Arena<u8>, offsets: Arena<u32>) -> Result<Self, String> {
+        let strings = StrArena::new(bytes, offsets, "string")?;
+        let n = strings.runs().len();
+        if n > TokenId::LIMIT as usize {
+            return Err(format!("{n} strings, the id space ends at {}", TokenId::LIMIT));
+        }
+        let end = strings.runs().end();
+        let mut base = Table { strings, slots: Vec::new() };
+        base.refile().map_err(|(i, j)| format!("duplicate string {i} = {j}"))?;
+        Ok(Self { base: Some(Arc::new(base)), own: Table::empty_at(end) })
+    }
+
+    /// The adopted table, if any, then the owned one.
+    fn tables(&self) -> impl Iterator<Item = &Table> {
+        self.base.as_deref().into_iter().chain([&self.own])
+    }
+
+    /// The number of adopted strings.
+    fn base_len(&self) -> u32 {
+        self.base.as_ref().map_or(0, |b| b.len() as u32)
+    }
+
+    /// The id of `s`, when interned.
+    #[inline]
+    fn find(&self, s: &str, hash: u64) -> Option<TokenId> {
+        if let Some(i) = self.base.as_ref().and_then(|b| b.find(s, hash)) {
+            return Some(TokenId(i));
+        }
+        self.own.find(s, hash).map(|i| TokenId(self.base_len() + i))
     }
 
     /// Interns `s`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> TokenId {
-        if let Some(id) = self.base.as_ref().and_then(|b| b.lookup(s)) {
+        let hash = fnv1a(s.as_bytes());
+        if let Some(id) = self.find(s, hash) {
             return id;
         }
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let next = (self.base_len as usize)
-            .checked_add(self.strings.len())
+        let local = self.own.len();
+        let id = (self.base_len() as usize)
+            .checked_add(local)
             .and_then(|n| u32::try_from(n).ok())
             .filter(|&n| n < TokenId::LIMIT)
             .expect("interner overflow: more than 2^31 distinct tokens");
-        let id = TokenId(next);
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
-        id
+        // A full arena grows by a quarter rather than doubling, so that an
+        // interner never holds more than a quarter of its strings spare.
+        let (spare_bytes, spare_strings) = self.own.strings.runs().spare();
+        if spare_bytes < s.len() || spare_strings == 0 {
+            let bytes = self.own.strings.runs().items().len();
+            self.own.strings.reserve_exact(s.len().max(bytes / 4), (local / 4).max(1));
+        }
+        self.own.strings.push(s);
+        if 2 * (local + 1) > self.own.slots.len() {
+            self.own.refile().expect("interned strings are distinct");
+        } else {
+            let slot = self.own.probe(s, hash).expect_err("interned strings are distinct");
+            self.own.slots[slot] = local as u32 + 1;
+        }
+        TokenId(id)
     }
 
     /// Looks up an already-interned string without inserting.
     pub fn get(&self, s: &str) -> Option<TokenId> {
-        if let Some(id) = self.base.as_ref().and_then(|b| b.lookup(s)) {
-            return Some(id);
-        }
-        self.map.get(s).copied()
+        self.find(s, fnv1a(s.as_bytes()))
     }
 
     /// Returns the string for `id`.
@@ -120,15 +221,15 @@ impl Interner {
     /// # Panics
     /// Panics if `id` was not produced by this interner.
     pub fn resolve(&self, id: TokenId) -> &str {
-        if id.0 < self.base_len {
-            return self.base.as_ref().expect("base_len > 0 implies a base").resolve(id.0);
+        match &self.base {
+            Some(base) if id.idx() < base.len() => base.strings.get(id.idx()),
+            _ => self.own.strings.get((id.0 - self.base_len()) as usize),
         }
-        &self.strings[(id.0 - self.base_len) as usize]
     }
 
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.base_len as usize + self.strings.len()
+        self.base_len() as usize + self.own.len()
     }
 
     /// Whether no token has been interned yet.
@@ -136,13 +237,28 @@ impl Interner {
         self.len() == 0
     }
 
-    /// Iterates all interned strings in id order (id 0 first). Useful for
-    /// serialization: re-interning them in order reproduces identical ids.
+    /// Iterates all interned strings in id order (id 0 first). Re-interning
+    /// them in order reproduces identical ids.
     pub fn iter_strings(&self) -> impl Iterator<Item = &str> {
-        let base = self.base.as_deref();
-        (0..self.base_len)
-            .map(move |i| base.expect("base ids imply a base").resolve(i))
-            .chain(self.strings.iter().map(|s| s.as_ref()))
+        self.tables().flat_map(|t| (0..t.len()).map(|i| t.strings.get(i)))
+    }
+
+    /// The byte arena and the prefix offsets of every string, as the runs
+    /// the interner holds, adopted first. Concatenating each over the runs
+    /// gives the arenas [`Self::from_raw_arenas`] adopts: the offsets of a
+    /// run after the first leave out the entry it shares with the one
+    /// before.
+    pub fn arena_runs(&self) -> impl Iterator<Item = (&[u8], &[u32])> {
+        self.tables().enumerate().map(|(k, t)| {
+            let runs = t.strings.runs();
+            (runs.items(), &runs.offsets()[usize::from(k > 0)..])
+        })
+    }
+
+    /// Heap bytes this interner owns: its owned strings and every slot
+    /// table, the shared one of adopted strings included.
+    pub fn owned_bytes(&self) -> usize {
+        self.tables().map(|t| t.strings.runs().owned_bytes() + 4 * t.slots.capacity()).sum()
     }
 
     /// Renders a token sequence back to a space-joined string (for display
@@ -161,7 +277,7 @@ impl Interner {
 
 impl fmt::Debug for Interner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Interner").field("len", &self.len()).field("overlay", &self.strings.len()).finish()
+        f.debug_struct("Interner").field("len", &self.len()).field("owned", &self.own.len()).finish()
     }
 }
 
@@ -231,50 +347,56 @@ mod tests {
         assert_eq!(j.get("y"), i.get("y"));
     }
 
-    /// A toy heap-backed base table for overlay tests.
-    #[derive(Debug)]
-    struct VecTable(Vec<String>);
-
-    impl StringTable for VecTable {
-        fn len(&self) -> usize {
-            self.0.len()
+    /// The arenas of `words`, adopted.
+    fn adopt(words: &[&str]) -> Result<Interner, String> {
+        let (mut bytes, mut offsets) = (Vec::new(), vec![0u32]);
+        for w in words {
+            bytes.extend_from_slice(w.as_bytes());
+            offsets.push(bytes.len() as u32);
         }
-        fn lookup(&self, s: &str) -> Option<TokenId> {
-            self.0.iter().position(|x| x == s).map(|i| TokenId(i as u32))
-        }
-        fn resolve(&self, id: u32) -> &str {
-            &self.0[id as usize]
-        }
+        Interner::from_raw_arenas(bytes.into(), offsets.into())
     }
 
-    fn based() -> Interner {
-        Interner::with_base(Arc::new(VecTable(vec!["alpha".into(), "beta".into()])))
+    fn refused(bytes: &[u8], offsets: &[u32], expect: &str) {
+        let err = Interner::from_raw_arenas(bytes.to_vec().into(), offsets.to_vec().into()).err();
+        let err = err.unwrap_or_else(|| panic!("must be refused: {expect}"));
+        assert!(err.contains(expect), "expected `{expect}` in `{err}`");
     }
 
     #[test]
-    fn overlay_resolves_base_ids() {
-        let i = based();
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.resolve(TokenId(0)), "alpha");
-        assert_eq!(i.get("beta"), Some(TokenId(1)));
+    fn adopted_arenas_answer_and_grow_past_them() {
+        let mut i = adopt(&["purdue", "", "université"]).unwrap();
+        assert_eq!((i.len(), i.get(""), i.get("université")), (3, Some(TokenId(1)), Some(TokenId(2))));
+        assert_eq!(i.intern("purdue"), TokenId(0), "an adopted string is not interned again");
+        assert_eq!(i.intern("indiana"), TokenId(3));
+        assert_eq!((i.resolve(TokenId(3)), i.get("indiana")), ("indiana", Some(TokenId(3))));
+        assert_eq!(i.iter_strings().collect::<Vec<_>>(), ["purdue", "", "université", "indiana"]);
+        let empty = adopt(&[]).unwrap();
+        assert_eq!((empty.len(), empty.get("")), (0, None));
     }
 
     #[test]
-    fn overlay_interns_above_base() {
-        let mut i = based();
-        assert_eq!(i.intern("alpha"), TokenId(0), "base hit does not allocate");
-        let g = i.intern("gamma");
-        assert_eq!(g, TokenId(2));
-        assert_eq!(i.resolve(g), "gamma");
-        assert_eq!(i.intern("gamma"), g);
-        assert_eq!(i.len(), 3);
-    }
-
-    #[test]
-    fn overlay_iter_strings_covers_base_and_overlay() {
-        let mut i = based();
-        i.intern("gamma");
-        let all: Vec<&str> = i.iter_strings().collect();
-        assert_eq!(all, vec!["alpha", "beta", "gamma"]);
+    fn corrupted_arenas_are_refused() {
+        let words = ["x", "token-7", "université", "y"];
+        let (mut bytes, mut offsets) = (Vec::new(), vec![0u32]);
+        for w in words {
+            bytes.extend_from_slice(w.as_bytes());
+            offsets.push(bytes.len() as u32);
+        }
+        refused(&bytes, &[], "string offsets empty");
+        let mut bad = offsets.clone();
+        bad[1] = bad[2] + 1;
+        refused(&bytes, &bad, "string offsets not monotonic");
+        let mut bad = offsets.clone();
+        *bad.last_mut().unwrap() += 4;
+        refused(&bytes, &bad, "string offsets end at");
+        let mut bad = bytes.clone();
+        bad[0] = 0xFF;
+        refused(&bad, &offsets, "string arena is not UTF-8");
+        // "é" is two bytes: an offset between them starts a string mid-character.
+        refused("aé".as_bytes(), &[0, 2, 3], "string 1 starts mid-character");
+        // A string stored twice, the empty one too.
+        assert_eq!(adopt(&["x", "token-7", "y", "token-7"]).err().unwrap(), "duplicate string 3 = 1");
+        assert_eq!(adopt(&["", "a", ""]).err().unwrap(), "duplicate string 2 = 0");
     }
 }

@@ -5,6 +5,14 @@
 //! works on interned [`TokenId`]s rather than strings, so this crate is the
 //! single place where raw text is parsed and owned.
 //!
+//! Strings are stored as an artifact stores them: [`Runs`] of bytes, one
+//! arena and one `u32` offset array, never a heap allocation per string.
+//! The [`Interner`] holds its strings that way and finds them through an
+//! open-addressing slot table; the [`Dictionary`] holds its surface forms
+//! and token sequences that way. Both adopt an opened artifact's arrays in
+//! place and keep what is added after them in owned runs of their own, so
+//! no clone copies what was adopted.
+//!
 //! # Quick example
 //!
 //! ```
@@ -22,14 +30,12 @@
 
 mod document;
 mod entity;
-mod frozen_strings;
 mod interner;
 mod runs;
 mod tokenize;
 
 pub use document::{Document, Span};
 pub use entity::{Dictionary, Entity, EntityId};
-pub use frozen_strings::{string_arenas, FrozenStrings};
-pub use interner::{Interner, StringTable, TokenId};
+pub use interner::{Interner, TokenId};
 pub use runs::Runs;
 pub use tokenize::{Tokenizer, TokenizerConfig};

@@ -1,6 +1,6 @@
 //! Variable-length runs over two flat arenas: the layout of the interner's
-//! string table, of the dictionary's surface forms and token sequences, and
-//! of the synonym rule table's sides.
+//! strings, of the dictionary's surface forms and token sequences, and of
+//! the synonym rule table's sides.
 
 use aeetes_frozen::{Arena, Pod};
 
@@ -12,7 +12,7 @@ use aeetes_frozen::{Arena, Pod};
 /// [`Dictionary`](crate::Dictionary)): offsets are positions in the whole
 /// sequence, so runs that continue one another concatenate with no offset
 /// rewritten. Either arena is owned or borrows a frozen artifact.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Runs<T: Pod> {
     items: Arena<T>,
     offsets: Arena<u32>,
@@ -132,6 +132,11 @@ impl<T: Pod> Runs<T> {
         !self.items.is_frozen() && !self.offsets.is_frozen()
     }
 
+    /// Room left for items and for runs: none when an arena is frozen.
+    pub(crate) fn spare(&self) -> (usize, usize) {
+        (spare(&self.items), spare(&self.offsets))
+    }
+
     /// Heap bytes the two arenas own.
     pub fn owned_bytes(&self) -> usize {
         self.items.owned_bytes() + self.offsets.owned_bytes()
@@ -141,6 +146,71 @@ impl<T: Pod> Runs<T> {
     pub fn reserve_exact(&mut self, items: usize, runs: usize) {
         self.items.as_mut_vec().reserve_exact(items);
         self.offsets.as_mut_vec().reserve_exact(runs);
+    }
+}
+
+/// UTF-8 strings as [`Runs`] of bytes: the layout of the interner's string
+/// table and of the dictionary's surface forms.
+///
+/// The bytes are proved UTF-8, cut at character boundaries, once: by
+/// [`StrArena::new`] for bytes that come from outside, by construction for
+/// strings pushed and arenas concatenated. Reading a string never validates
+/// again.
+#[derive(Debug, Clone)]
+pub(crate) struct StrArena(Runs<u8>);
+
+impl StrArena {
+    /// Validates arenas that come from outside: [`Runs::new`]'s offset
+    /// checks, then one UTF-8 pass over the whole arena (std's SIMD
+    /// validator) and a char-boundary check per offset, which together prove
+    /// every string is itself valid UTF-8 without n separate validations.
+    /// Errors name the strings `what` are.
+    pub(crate) fn new(bytes: Arena<u8>, offsets: Arena<u32>, what: &str) -> Result<Self, String> {
+        let runs = Runs::new(bytes, offsets, what)?;
+        let all = std::str::from_utf8(runs.items()).map_err(|e| format!("{what} arena is not UTF-8: {e}"))?;
+        if let Some(i) = (0..runs.len()).find(|&i| !all.is_char_boundary(runs.offsets()[i] as usize)) {
+            return Err(format!("{what} {i} starts mid-character"));
+        }
+        Ok(Self(runs))
+    }
+
+    /// No strings, owned, continuing strings that end at byte `start`.
+    pub(crate) fn empty_at(start: u32) -> Self {
+        Self(Runs::empty_at(start))
+    }
+
+    /// The owned concatenation of `parts`, each continuing the one before,
+    /// with the last one's spare room.
+    pub(crate) fn concat<'a>(parts: impl Iterator<Item = &'a Self> + Clone) -> Self {
+        Self(Runs::concat(parts.map(|p| &p.0)))
+    }
+
+    /// Appends `s`.
+    ///
+    /// # Panics
+    /// As [`Runs::push`].
+    pub(crate) fn push(&mut self, s: &str) {
+        self.0.push(s.bytes());
+    }
+
+    /// String `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &str {
+        // SAFETY: the bytes are UTF-8 and every offset a character boundary:
+        // validated in `new`, pushed as whole `&str`s, or concatenated from
+        // such arenas (`Runs::concat` asserts each continues the one before,
+        // so no offset moves off its boundary).
+        unsafe { std::str::from_utf8_unchecked(self.0.get(i)) }
+    }
+
+    /// The bytes and their offsets.
+    pub(crate) fn runs(&self) -> &Runs<u8> {
+        &self.0
+    }
+
+    /// Makes room for exactly `bytes` more bytes in `strings` more strings.
+    pub(crate) fn reserve_exact(&mut self, bytes: usize, strings: usize) {
+        self.0.reserve_exact(bytes, strings);
     }
 }
 

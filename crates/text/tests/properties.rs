@@ -3,6 +3,7 @@
 use aeetes_frozen::{pod_bytes, Arena, FrozenBuf, FrozenSlice, Pod};
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Span, TokenId, Tokenizer, TokenizerConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A flat list of `(surface form, tokens)`: what a dictionary must answer.
@@ -85,6 +86,89 @@ fn step() -> impl Strategy<Value = Step> {
     })
 }
 
+/// One step over a set of live interners, each beside its model; `at` picks
+/// one of them, modulo how many there are.
+#[derive(Debug, Clone)]
+enum InternStep {
+    /// Interns a word.
+    Intern(usize, String),
+    /// Looks a word up without interning it.
+    Get(usize, String),
+    /// Clones an interner: a new live one sharing its adopted strings.
+    Clone(usize),
+    /// Drops an interner, unless it is the last one.
+    Drop(usize),
+}
+
+/// Words over a few letters of one to four UTF-8 bytes, two differing only
+/// in case, the empty one among them, so that steps meet words already
+/// interned.
+fn word() -> impl Strategy<Value = String> {
+    "[aAé€😀]{0,3}"
+}
+
+fn intern_step() -> impl Strategy<Value = InternStep> {
+    (0u8..10, 0usize..8, word()).prop_map(|(kind, at, w)| match kind {
+        0..=4 => InternStep::Intern(at, w),
+        5 | 6 => InternStep::Get(at, w),
+        7 | 8 => InternStep::Clone(at),
+        _ => InternStep::Drop(at),
+    })
+}
+
+/// The strings in id order and the id of each: what an interner must answer.
+#[derive(Debug, Clone, Default)]
+struct InternModel {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl InternModel {
+    fn intern(&mut self, s: &str) -> u32 {
+        let next = self.strings.len() as u32;
+        *self.ids.entry(s.to_owned()).or_insert_with(|| {
+            self.strings.push(s.to_owned());
+            next
+        })
+    }
+
+    /// The byte arena and prefix offsets of the strings, as an artifact
+    /// stores them.
+    fn flat(&self) -> (Vec<u8>, Vec<u32>) {
+        let (mut bytes, mut offsets) = (Vec::new(), vec![0u32]);
+        for s in &self.strings {
+            bytes.extend_from_slice(s.as_bytes());
+            offsets.push(bytes.len() as u32);
+        }
+        (bytes, offsets)
+    }
+}
+
+/// Whether `interner` answers every read as `model` does and is written as
+/// its flat arenas.
+fn interner_agrees(interner: &Interner, model: &InternModel) -> Result<(), TestCaseError> {
+    prop_assert_eq!(interner.len(), model.strings.len());
+    prop_assert_eq!(interner.is_empty(), model.strings.is_empty());
+    for (i, s) in model.strings.iter().enumerate() {
+        prop_assert_eq!(interner.resolve(TokenId(i as u32)), s.as_str());
+        prop_assert_eq!(interner.get(s), Some(TokenId(i as u32)));
+    }
+    for absent in ["b", "ab", "éa", "a€a€"] {
+        prop_assert_eq!(interner.get(absent), model.ids.get(absent).map(|&i| TokenId(i)));
+    }
+    prop_assert!(interner.iter_strings().eq(model.strings.iter().map(String::as_str)));
+    let all: Vec<TokenId> = (0..model.strings.len() as u32).rev().map(TokenId).collect();
+    let rendered: Vec<&str> = model.strings.iter().rev().map(String::as_str).collect();
+    prop_assert_eq!(interner.render(&all), rendered.join(" "));
+    let mut written = (Vec::new(), Vec::new());
+    for (bytes, offsets) in interner.arena_runs() {
+        written.0.extend_from_slice(bytes);
+        written.1.extend_from_slice(offsets);
+    }
+    prop_assert_eq!(written, model.flat());
+    Ok(())
+}
+
 fn ids(tokens: &[u32]) -> Vec<TokenId> {
     tokens.iter().map(|&t| TokenId(t)).collect()
 }
@@ -151,6 +235,65 @@ proptest! {
         }
         for w in &words {
             prop_assert_eq!(a.get(w), b.get(w));
+        }
+    }
+
+    /// The interner answers as a list of strings and a map to their ids:
+    /// heap-built, over adopted arenas (owned or frozen) with strings
+    /// interned past them, and as clones that then diverge. Ids stay dense
+    /// and in first-seen order.
+    #[test]
+    fn interner_answers_as_a_map(
+        first in 0u8..3,
+        initial in proptest::collection::vec(word(), 0..30),
+        steps in proptest::collection::vec(intern_step(), 0..80),
+    ) {
+        let mut model = InternModel::default();
+        for w in &initial {
+            model.intern(w);
+        }
+        let interner = match first {
+            0 => {
+                let mut interner = Interner::new();
+                for w in &initial {
+                    interner.intern(w);
+                }
+                interner
+            }
+            1 => {
+                let (bytes, offsets) = model.flat();
+                Interner::from_raw_arenas(bytes.into(), offsets.into()).expect("valid arenas")
+            }
+            _ => {
+                let (bytes, offsets) = model.flat();
+                Interner::from_raw_arenas(frozen(&bytes), frozen(&offsets)).expect("valid arenas")
+            }
+        };
+        let mut live = vec![(interner, model)];
+        for step in steps {
+            let n = live.len();
+            match step {
+                InternStep::Intern(at, w) => {
+                    let (interner, model) = &mut live[at % n];
+                    prop_assert_eq!(interner.intern(&w), TokenId(model.intern(&w)));
+                }
+                InternStep::Get(at, w) => {
+                    let (interner, model) = &live[at % n];
+                    prop_assert_eq!(interner.get(&w), model.ids.get(&w).map(|&i| TokenId(i)));
+                }
+                InternStep::Clone(at) => {
+                    let copy = live[at % n].clone();
+                    live.push(copy);
+                }
+                InternStep::Drop(at) => {
+                    if n > 1 {
+                        live.swap_remove(at % n);
+                    }
+                }
+            }
+        }
+        for (interner, model) in &live {
+            interner_agrees(interner, model)?;
         }
     }
 
@@ -242,6 +385,43 @@ proptest! {
             agrees(d, m)?;
         }
     }
+}
+
+/// Heap bytes `interner` may own for its `n` strings of `bytes` bytes: the
+/// flat arenas, a quarter of them spare, and the slots — a power of two of
+/// them at least twice the strings, none while there is no string.
+fn flat_size(bytes: usize, n: usize) -> usize {
+    let slots = if n == 0 { 0 } else { (2 * n).next_power_of_two().max(8) };
+    let arenas = bytes + 4 * (n + 1);
+    arenas + arenas / 4 + 4 * slots
+}
+
+/// A heap-built interner owns at most its flat size at every length, and an
+/// adopted one with nothing interned owns its slots and the one offset its
+/// owned strings start at.
+#[test]
+fn an_interner_owns_its_flat_size() {
+    let mut interner = Interner::new();
+    let mut model = InternModel::default();
+    for i in 0..5_000 {
+        let s = if i % 7 == 0 { "é".repeat(i % 13) } else { format!("token {i}") };
+        assert_eq!(interner.intern(&s), TokenId(model.intern(&s)));
+        let bytes = model.strings.iter().map(String::len).sum();
+        let n = model.strings.len();
+        assert!(interner.owned_bytes() <= flat_size(bytes, n), "{} bytes owned for {n} strings of {bytes} bytes", interner.owned_bytes());
+    }
+    let (bytes, offsets) = model.flat();
+    let adopted = Interner::from_raw_arenas(frozen(&bytes), frozen(&offsets)).expect("valid arenas");
+    let slots = (2 * model.strings.len()).next_power_of_two();
+    assert_eq!(adopted.owned_bytes(), 4 * slots + 4);
+    assert_eq!(adopted.clone().owned_bytes(), 4 * slots + 4, "a clone shares the slots it counts");
+    // A clone that interns a new word owns that word beside the shared
+    // strings, not a copy of them.
+    let mut grown = adopted.clone();
+    assert_eq!(grown.intern("a new word"), TokenId(model.strings.len() as u32));
+    let first = |i: &Interner| i.arena_runs().next().map(|(bytes, _)| bytes.as_ptr());
+    assert_eq!(first(&grown), first(&adopted), "the adopted strings are shared");
+    assert!(grown.owned_bytes() <= 4 * slots + flat_size("a new word".len(), 1));
 }
 
 /// A thousand deltas of 32 entities onto an adopted dictionary, each grown
