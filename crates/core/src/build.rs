@@ -1,0 +1,86 @@
+//! The one build of an index from scratch (paper Algorithm 1 lines 3–4 /
+//! Algorithm 2): derive → order → index, in parts side by side.
+
+use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
+use aeetes_rules::{DeriveConfig, RuleSet, VariantTable};
+use aeetes_text::{Dictionary, Interner};
+use std::sync::Arc;
+
+/// Upper bound on the parts of a build: each runs on a thread of its own, so
+/// an absurd count must not be able to exhaust threads.
+const MAX_PARTS: usize = 64;
+
+/// Resolves a requested part count: `0` means the machine's available
+/// parallelism; anything is clamped into `1..=MAX_PARTS`.
+fn resolve_parts(requested: usize) -> usize {
+    let n = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        requested
+    };
+    n.clamp(1, MAX_PARTS)
+}
+
+/// Runs `f` over `items` side by side — the first on the calling thread, each
+/// other on a thread of its own — and returns the results in item order.
+fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    let mut items = items.into_iter();
+    let first = items.next();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let first = first.map(f);
+        first
+            .into_iter()
+            .chain(handles.into_iter().map(|h| h.join().expect("build part panicked")))
+            .collect()
+    })
+}
+
+/// Per token id, the variants of all `drafts` that hold the token.
+fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> Vec<u32> {
+    let mut total: Vec<u32> = Vec::new();
+    for draft in drafts {
+        let freq = draft.frequencies();
+        if total.len() < freq.len() {
+            total.resize(freq.len(), 0);
+        }
+        for (sum, count) in total.iter_mut().zip(freq) {
+            *sum += count;
+        }
+    }
+    total
+}
+
+/// The variant table and the clustered index of `dict` expanded under
+/// `rules`, built in `parts` parts side by side: each part's contiguous range
+/// of origins derived straight into their index blocks
+/// ([`IndexDraft::derive`]), one global order from the parts' summed token
+/// frequencies, then each part keyed by it and clustered, and the parts
+/// concatenated ([`VariantTable::concat`], [`ClusteredIndex::concat`]). No
+/// variant's token sequence is kept. The result is what
+/// [`ClusteredIndex::build`] makes over
+/// [`aeetes_rules::DerivedDictionary::build`], array for array, whatever the
+/// number of parts; `parts == 0` uses the machine's available parallelism.
+/// The interner must be the one `dict` and `rules` were tokenized with; it
+/// supplies the strings for the order's frequency tie-break.
+pub fn aeetes_index(dict: &Dictionary, rules: &RuleSet, interner: &Interner, config: &DeriveConfig, parts: usize) -> (VariantTable, ClusteredIndex) {
+    let n = resolve_parts(parts);
+    let ranges = (0..n).map(|i| dict.len() * i / n..dict.len() * (i + 1) / n);
+    let drafts = in_parallel(ranges, |range| IndexDraft::derive(dict, rules, config, |e| range.contains(&e.idx())));
+    let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
+    let (tables, indexes) = in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
+    (VariantTable::concat(tables), ClusteredIndex::concat(indexes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_parts_resolves_to_available_parallelism() {
+        assert!((1..=MAX_PARTS).contains(&resolve_parts(0)));
+        assert_eq!(resolve_parts(1000), MAX_PARTS);
+        assert_eq!(resolve_parts(3), 3);
+    }
+}

@@ -1,6 +1,7 @@
 //! The end-to-end Aeetes engine (paper Algorithm 1, Figure 2).
 
 use crate::backend::extract_segment;
+use crate::build::aeetes_index;
 use crate::config::AeetesConfig;
 use crate::matches::Match;
 use crate::stats::ExtractStats;
@@ -12,9 +13,10 @@ use aeetes_text::{Dictionary, Document, Interner};
 /// The Aeetes extraction engine.
 ///
 /// Owns the off-line artifacts: the origin dictionary, the derived
-/// dictionary (entities expanded under synonym rules) and the clustered
-/// inverted index. Extraction is read-only and can be shared across threads
-/// (`&self` methods; the engine is `Send + Sync`).
+/// dictionary (entities expanded under synonym rules) as the variant table
+/// extraction reads, and the clustered inverted index. Extraction is
+/// read-only and can be shared across threads (`&self` methods; the engine
+/// is `Send + Sync`).
 #[derive(Debug)]
 pub struct Aeetes {
     dict: Dictionary,
@@ -24,19 +26,24 @@ pub struct Aeetes {
 }
 
 impl Aeetes {
-    /// Off-line preprocessing: expands `dict` under `rules` and builds the
-    /// clustered inverted index (Algorithm 1 lines 3–4 / Algorithm 2). The
+    /// Off-line preprocessing: expands `dict` under `rules` straight into
+    /// the blocks of the clustered inverted index (Algorithm 1 lines 3–4 /
+    /// Algorithm 2) — [`aeetes_index`] in one part, the build
+    /// `ShardedEngine::build` runs in several — keeping of the derived
+    /// dictionary only its variant table: the variants' token sequences are
+    /// derived again if and when [`Aeetes::derived`] is read for them. The
     /// interner must be the one `dict` and `rules` were tokenized with; it
     /// supplies the strings for the global order's frequency tie-break.
     pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig) -> Self {
-        let dd = DerivedDictionary::build(&dict, rules, &config.derive);
-        let index = ClusteredIndex::build(&dd, interner);
+        let (table, index) = aeetes_index(&dict, rules, interner, &config.derive, 1);
+        let dd = DerivedDictionary::lazy(table, dict.clone(), rules.clone(), config.derive.clone());
         Self { dict, dd, index, config }
     }
 
-    /// Assembles an engine from previously built parts (used when loading a
-    /// persisted engine); the clustered index is rebuilt from the derived
-    /// dictionary.
+    /// Assembles an engine around a derived dictionary built elsewhere,
+    /// rebuilding the clustered index from its sequences
+    /// ([`ClusteredIndex::build`]): the materialised build path, which the
+    /// tests and the conformance oracle hold [`Aeetes::build`] to.
     pub fn from_parts(dict: Dictionary, dd: DerivedDictionary, interner: &Interner, config: AeetesConfig) -> Self {
         let index = ClusteredIndex::build(&dd, interner);
         Self { dict, dd, index, config }
@@ -47,7 +54,8 @@ impl Aeetes {
         &self.dict
     }
 
-    /// The derived dictionary.
+    /// The derived dictionary. Extraction reads only its variant table; the
+    /// first read of a variant's tokens or rules derives them all again.
     pub fn derived(&self) -> &DerivedDictionary {
         &self.dd
     }

@@ -60,6 +60,7 @@
 
 mod backend;
 mod batch;
+mod build;
 mod candidates;
 mod config;
 mod durable;
@@ -83,6 +84,7 @@ mod window;
 
 pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend, ExtractRequest};
 pub use batch::{panic_message, BatchOptions, DocError};
+pub use build::aeetes_index;
 pub use config::AeetesConfig;
 pub use durable::atomic_replace;
 pub use extractor::Aeetes;

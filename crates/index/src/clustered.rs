@@ -1151,7 +1151,7 @@ impl ClusteredIndex {
 
     /// The shared handle to the global order (for building further indexes
     /// against the same order).
-    pub(crate) fn shared_order(&self) -> Arc<GlobalOrder> {
+    pub fn shared_order(&self) -> Arc<GlobalOrder> {
         Arc::clone(&self.order)
     }
 

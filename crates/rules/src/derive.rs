@@ -6,6 +6,7 @@ use aeetes_frozen::Arena;
 use aeetes_text::{Dictionary, EntityId, TokenId};
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a derived entity in a [`DerivedDictionary`].
 #[repr(transparent)]
@@ -322,10 +323,10 @@ impl TableWriter {
 
 /// What extraction reads of a derived dictionary once its index is built:
 /// which variant ids belong to which origin, and — for weighted requests —
-/// what each variant weighs. This is all a shard, a copy-on-write generation
-/// and a frozen segment keep; token sequences and rule provenance exist only
-/// in the full [`DerivedDictionary`] (which derefs to its table) and are
-/// recomputable by re-deriving the one origin.
+/// what each variant weighs. This is all an engine, a shard, a copy-on-write
+/// generation and a frozen segment keep. Token sequences and rule provenance
+/// are in a [`DerivedDictionary`] (which derefs to its table), and only
+/// while something reads them: they are what re-deriving the origins gives.
 #[derive(Debug, Clone)]
 pub struct VariantTable {
     /// `by_origin[e]..by_origin[e+1]` is origin `e`'s variant id range
@@ -346,13 +347,36 @@ impl Default for VariantTable {
 /// The derived dictionary: every entity's variants, grouped contiguously by
 /// origin so `D(e)` is a contiguous id range.
 ///
-/// Storage is fully flat: per-variant scalars plus prefix-offset arrays into
-/// shared token/rule arenas. The part extraction reads is the embedded
-/// [`VariantTable`]; the rest is the input of the order and index builds and
-/// of the reference verifiers.
+/// It is a [`VariantTable`] — what extraction reads, and what it derefs to —
+/// and each variant's origin, token sequence and applied rules, flat: prefix
+/// offsets into shared token and rule arenas. Those are the input of the
+/// order and index builds that materialise the dictionary
+/// (`ClusteredIndex::build`) and of the reference verifiers, and nothing
+/// else reads them. So a dictionary [`DerivedDictionary::build`] makes holds
+/// them from the start, and one [`DerivedDictionary::lazy`] makes over a
+/// table that an index build left behind holds what re-derives them and
+/// fills them in on the first read that needs them
+/// ([`DerivedDictionary::derived`], [`DerivedDictionary::variants`],
+/// [`DerivedDictionary::iter`]). Clones share the sequences, filled or not.
 #[derive(Debug, Clone)]
 pub struct DerivedDictionary {
     table: VariantTable,
+    sequences: Arc<Sequences>,
+}
+
+/// The per-variant arrays of a [`DerivedDictionary`] beside its table: given,
+/// or derived again from `source` on first read.
+#[derive(Debug)]
+struct Sequences {
+    /// What derives the table again — every origin kept — or `None` when
+    /// the arrays were given.
+    source: Option<(Dictionary, RuleSet, DeriveConfig)>,
+    arrays: OnceLock<SequenceArrays>,
+}
+
+/// Each variant's origin, token sequence and applied rules, flat.
+#[derive(Debug)]
+struct SequenceArrays {
     /// Variant → origin entity (`D` entries).
     origin: Vec<EntityId>,
     /// All variants' tokens, back to back.
@@ -365,16 +389,35 @@ pub struct DerivedDictionary {
     rule_off: Vec<u32>,
 }
 
-impl Default for DerivedDictionary {
+impl Default for SequenceArrays {
     fn default() -> Self {
         Self {
-            table: VariantTable::default(),
             origin: Vec::new(),
             tokens: Vec::new(),
             tok_off: vec![0],
             rules: Vec::new(),
             rule_off: vec![0],
         }
+    }
+}
+
+impl SequenceArrays {
+    /// The origins of `dict` that `keep` selects, expanded under `rules`
+    /// (see [`derive_into`]): every variant's tokens and rules copied into
+    /// the arenas, beside the table of which ids went to which origin.
+    fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> (VariantTable, Self) {
+        let mut out = Self::default();
+        let Self { origin, tokens, tok_off, rules: applied, rule_off } = &mut out;
+        let table = derive_into(dict, rules, config, keep, |variants| {
+            for d in variants.iter() {
+                origin.push(d.origin);
+                tokens.extend_from_slice(d.tokens);
+                tok_off.push(u32::try_from(tokens.len()).expect("derived token arena overflows u32 offsets"));
+                applied.extend_from_slice(d.rules);
+                rule_off.push(u32::try_from(applied.len()).expect("derived rule arena overflows u32 offsets"));
+            }
+        });
+        (table, out)
     }
 }
 
@@ -428,13 +471,16 @@ impl VariantTable {
     /// range of one origin space ([`derive_into`] with `keep` selecting the
     /// range), as one: the parts' runs back to back and their statistics
     /// summed — array for array the table of one derivation over the ranges'
-    /// union. Each part is dropped once copied.
+    /// union. Each part is dropped once copied; one part is the table.
     ///
     /// # Panics
     /// Panics when `parts` is empty, spans different origin spaces, or owns
     /// origins out of ascending order.
-    pub fn concat(parts: Vec<Self>) -> Self {
+    pub fn concat(mut parts: Vec<Self>) -> Self {
         let origins = parts.first().expect("a build has at least one part").origins();
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
         let weighted = parts.iter().any(|part| !part.weight.is_empty());
         let mut out = TableWriter::new(origins, weighted, parts.iter().map(Self::len).sum());
         let mut stats = DeriveStats::default();
@@ -679,29 +725,50 @@ impl DerivedDictionary {
     /// variant's tokens and rules are copied into the arenas);
     /// `build` is `build_filtered(.., |_| true)`.
     pub fn build_filtered(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
-        let mut out = Self::default();
-        let Self { origin, tokens, tok_off, rules: applied, rule_off, .. } = &mut out;
-        let table = derive_into(dict, rules, config, keep, |variants| {
-            for d in variants.iter() {
-                origin.push(d.origin);
-                tokens.extend_from_slice(d.tokens);
-                tok_off.push(u32::try_from(tokens.len()).expect("derived token arena overflows u32 offsets"));
-                applied.extend_from_slice(d.rules);
-                rule_off.push(u32::try_from(applied.len()).expect("derived rule arena overflows u32 offsets"));
-            }
-        });
-        out.table = table;
-        out
+        let (table, arrays) = SequenceArrays::derive(dict, rules, config, keep);
+        Self {
+            table,
+            sequences: Arc::new(Sequences { source: None, arrays: OnceLock::from(arrays) }),
+        }
+    }
+
+    /// The dictionary whose table is `table` — what [`derive_into`] returns
+    /// over every origin of `dict` under `rules` and `config`, as an index
+    /// build leaves it behind — holding no sequence until a read needs one:
+    /// the first such read derives them all again, once.
+    ///
+    /// # Panics
+    /// That first read panics when the derivation gives another table.
+    pub fn lazy(table: VariantTable, dict: Dictionary, rules: RuleSet, config: DeriveConfig) -> Self {
+        Self {
+            table,
+            sequences: Arc::new(Sequences { source: Some((dict, rules, config)), arrays: OnceLock::new() }),
+        }
+    }
+
+    /// The per-variant arrays, derived again first if this is the first read
+    /// of a lazy dictionary.
+    fn arrays(&self) -> &SequenceArrays {
+        self.sequences.arrays.get_or_init(|| {
+            let (dict, rules, config) = self.sequences.source.as_ref().expect("a dictionary without sequences derives them");
+            let (table, arrays) = SequenceArrays::derive(dict, rules, config, |_| true);
+            assert!(
+                table.raw_arenas() == self.table.raw_arenas() && table.stats == self.table.stats,
+                "re-deriving the dictionary gave another variant table than the one it was made with"
+            );
+            arrays
+        })
     }
 
     /// The derived entity with id `id` (borrowed view).
     #[inline]
     pub fn derived(&self, id: DerivedId) -> DerivedRef<'_> {
         let i = id.idx();
+        let arrays = self.arrays();
         DerivedRef {
-            origin: self.origin[i],
-            tokens: &self.tokens[self.tok_off[i] as usize..self.tok_off[i + 1] as usize],
-            rules: &self.rules[self.rule_off[i] as usize..self.rule_off[i + 1] as usize],
+            origin: arrays.origin[i],
+            tokens: &arrays.tokens[arrays.tok_off[i] as usize..arrays.tok_off[i + 1] as usize],
+            rules: &arrays.rules[arrays.rule_off[i] as usize..arrays.rule_off[i + 1] as usize],
             weight: self.table.weight_of(id),
         }
     }
@@ -710,7 +777,7 @@ impl DerivedDictionary {
     #[inline]
     #[cfg(test)]
     fn origin_of(&self, id: DerivedId) -> EntityId {
-        self.origin[id.idx()]
+        self.arrays().origin[id.idx()]
     }
 
     /// All variants of origin entity `e` (includes the unmodified origin).
@@ -721,7 +788,7 @@ impl DerivedDictionary {
 
     /// Iterates over `(id, derived entity)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (DerivedId, DerivedRef<'_>)> {
-        (0..self.origin.len() as u32).map(move |i| (DerivedId(i), self.derived(DerivedId(i))))
+        (0..self.len() as u32).map(move |i| (DerivedId(i), self.derived(DerivedId(i))))
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property tests for rule application and derivation invariants.
 
-use aeetes_rules::{find_applications, select_non_conflict, Application, DeriveConfig, DeriveStats, DerivedDictionary, RuleId, RuleSet, Side};
+use aeetes_rules::{
+    derive_into, find_applications, select_non_conflict, Application, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet, Side,
+};
 use aeetes_text::{Dictionary, TokenId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -194,6 +196,81 @@ proptest! {
             let expected = w.powi(d.rules.len() as i32);
             prop_assert!((d.weight - expected).abs() < 1e-9);
         }
+    }
+}
+
+/// Everything a derived dictionary answers: per variant its id, origin,
+/// tokens, rules, weight and `weight_of`; per origin its variants as
+/// `variants` lists them; its length and statistics.
+type Answers = (
+    Vec<(DerivedId, u32, Vec<TokenId>, Vec<RuleId>, f64, f64)>,
+    Vec<Vec<(u32, Vec<TokenId>, Vec<RuleId>, f64)>>,
+    usize,
+    DeriveStats,
+);
+
+fn answers(dd: &DerivedDictionary) -> Answers {
+    let per_variant = dd
+        .iter()
+        .map(|(id, d)| (id, d.origin.0, d.tokens.to_vec(), d.rules.to_vec(), d.weight, dd.weight_of(id)))
+        .collect();
+    let per_origin = (0..dd.origins() as u32)
+        .map(|e| {
+            dd.variants(aeetes_text::EntityId(e))
+                .iter()
+                .map(|d| (d.origin.0, d.tokens.to_vec(), d.rules.to_vec(), d.weight))
+                .collect()
+        })
+        .collect();
+    (per_variant, per_origin, dd.len(), dd.stats().clone())
+}
+
+/// Entities over tokens `0..10`, some with no token at all.
+fn entities() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(proptest::collection::vec(0u8..10, 0..=6), 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A dictionary made of a variant table alone — what an index build
+    /// leaves behind — and what re-derives it answers every read as the
+    /// dictionary that derived its sequences at once: weighted rules or
+    /// not, cut at the cap or not, entities with no tokens among them; and
+    /// so do its clones, whether taken before its sequences were derived or
+    /// after, and read first or last.
+    #[test]
+    fn a_table_only_dictionary_answers_as_an_eager_one(
+        entities in entities(),
+        rules in proptest::collection::vec((proptest::collection::vec(0u8..10, 1..=3), proptest::collection::vec(0u8..10, 1..=3), 0usize..3), 0..6),
+        tight in 0usize..2,
+        clone_read_first in 0u8..2,
+    ) {
+        let mut dict = Dictionary::new();
+        for e in &entities {
+            dict.push_tokens(format!("{e:?}"), e.iter().map(|&t| TokenId(u32::from(t))).collect());
+        }
+        let mut rule_table = RuleSet::new();
+        for (l, r, w) in &rules {
+            let side = |s: &[u8]| s.iter().map(|&t| TokenId(u32::from(t))).collect::<Vec<_>>();
+            let _ = rule_table.push_tokens(&side(l), &side(r), [1.0, 0.5, 0.8][*w]);
+        }
+        let config = DeriveConfig { max_derived: [256, 3][tight], ..DeriveConfig::default() };
+        let eager = answers(&DerivedDictionary::build(&dict, &rule_table, &config));
+
+        let variants = derive_into(&dict, &rule_table, &config, |_| true, |_| {});
+        let lazy = DerivedDictionary::lazy(variants, dict.clone(), rule_table.clone(), config.clone());
+        let before = lazy.clone();
+        prop_assert_eq!((lazy.len(), lazy.stats()), (eager.2, &eager.3));
+        for (id, .., weight) in &eager.0 {
+            prop_assert_eq!(lazy.weight_of(*id), *weight);
+        }
+        let (first, second) = if clone_read_first == 1 { (&before, &lazy) } else { (&lazy, &before) };
+        prop_assert_eq!(&answers(first), &eager);
+        prop_assert_eq!(&answers(second), &eager);
+        let after = lazy.clone();
+        drop((lazy, before));
+        prop_assert_eq!(&answers(&after), &eager);
     }
 }
 

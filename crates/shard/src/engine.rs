@@ -2,17 +2,13 @@
 //! updates spliced into the tail, atomic epoch swap, persistence.
 
 use crate::generation::{splice, Generation, Tier};
-use aeetes_core::AeetesConfig;
-use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
-use aeetes_rules::{derive_into, find_applications, RuleError, RuleSet, VariantTable};
+use aeetes_core::{aeetes_index, AeetesConfig};
+use aeetes_index::IndexDraft;
+use aeetes_rules::{derive_into, find_applications, RuleError, RuleSet};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId, Tokenizer};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Upper bound on the parts of a build: each runs on a thread of its own, so
-/// an absurd count must not be able to exhaust threads.
-const MAX_PARTS: usize = 64;
 
 /// A batch of dictionary/rule changes applied as one new generation.
 #[derive(Debug, Clone, Default)]
@@ -121,64 +117,16 @@ pub struct ShardedEngine {
     pending: Mutex<Option<(Arc<Generation>, DictDelta)>>,
 }
 
-/// Resolves a requested part count: `0` means the machine's available
-/// parallelism; anything is clamped into `1..=MAX_PARTS`.
-fn resolve_parts(requested: usize) -> usize {
-    let n = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        requested
-    };
-    n.clamp(1, MAX_PARTS)
-}
-
-/// Runs `f` over `items` side by side — the first on the calling thread, each
-/// other on a thread of its own — and returns the results in item order.
-fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let f = &f;
-    let mut items = items.into_iter();
-    let first = items.next();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
-        let first = first.map(f);
-        first
-            .into_iter()
-            .chain(handles.into_iter().map(|h| h.join().expect("build part panicked")))
-            .collect()
-    })
-}
-
-/// Per token id, the variants of all `drafts` that hold the token.
-fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> Vec<u32> {
-    let mut total: Vec<u32> = Vec::new();
-    for draft in drafts {
-        let freq = draft.frequencies();
-        if total.len() < freq.len() {
-            total.resize(freq.len(), 0);
-        }
-        for (sum, count) in total.iter_mut().zip(freq) {
-            *sum += count;
-        }
-    }
-    total
-}
-
 impl ShardedEngine {
-    /// Builds generation 1 from scratch, in `parts` parts side by side: each
-    /// part's contiguous range of origins derived straight into their index
-    /// blocks, one global order from the parts' summed token frequencies,
-    /// then each part keyed by it and clustered, and the parts concatenated
-    /// into one index ([`ClusteredIndex::concat`]). The index is what one
-    /// build over the whole dictionary makes, array for array, whatever the
-    /// number of parts; `parts == 0` uses the machine's available
-    /// parallelism.
+    /// Builds generation 1 from scratch, in `parts` parts side by side
+    /// ([`aeetes_index`], the build [`aeetes_core::Aeetes::build`] runs in one
+    /// part): the index is what one build over the whole dictionary makes,
+    /// array for array, whatever the number of parts; `parts == 0` uses the
+    /// machine's available parallelism.
     pub fn build(dict: Dictionary, rules: &RuleSet, interner: &Interner, config: AeetesConfig, parts: usize) -> Self {
-        let n = resolve_parts(parts);
-        let ranges = (0..n).map(|i| dict.len() * i / n..dict.len() * (i + 1) / n);
-        let drafts = in_parallel(ranges, |range| IndexDraft::derive(&dict, rules, &config.derive, |e| range.contains(&e.idx())));
-        let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
-        let (tables, indexes) = in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
-        let base = Arc::new(Tier { dd: VariantTable::concat(tables), index: ClusteredIndex::concat(indexes) });
+        let (dd, index) = aeetes_index(&dict, rules, interner, &config.derive, parts);
+        let order = index.shared_order();
+        let base = Arc::new(Tier { dd, index });
         let generation = Generation::assemble(1, Arc::new(interner.clone()), dict, Vec::new(), rules.clone(), config, order, base, None);
         ShardedEngine {
             current: RwLock::new(Arc::new(generation)),
@@ -436,8 +384,6 @@ mod tests {
 
     #[test]
     fn zero_parts_resolves_to_available_parallelism() {
-        assert!((1..=MAX_PARTS).contains(&resolve_parts(0)));
-        assert_eq!(resolve_parts(1000), MAX_PARTS);
         let (dict, rules, int, _) = fixture();
         let build = |parts| ShardedEngine::build(dict.clone(), &rules, &int, AeetesConfig::default(), parts).freeze();
         assert!(build(0) == build(1), "the image does not depend on the part count");
