@@ -2,8 +2,8 @@
 //! Algorithm 2): derive → order → index, in parts side by side.
 
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
-use aeetes_rules::{DeriveConfig, RuleSet, VariantTable};
-use aeetes_text::{Dictionary, Interner};
+use aeetes_rules::{DeriveConfig, DeriveStats, MergePlan, RuleSet, VariantTable};
+use aeetes_text::{Dictionary, EntityId, Interner};
 use std::sync::Arc;
 
 /// Upper bound on the parts of a build: each runs on a thread of its own, so
@@ -38,16 +38,11 @@ fn in_parallel<T: Send, R: Send>(items: impl IntoIterator<Item = T>, f: impl Fn(
 }
 
 /// Per token id, the variants of all `drafts` that hold the token.
-fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> Vec<u32> {
-    let mut total: Vec<u32> = Vec::new();
-    for draft in drafts {
-        let freq = draft.frequencies();
-        if total.len() < freq.len() {
-            total.resize(freq.len(), 0);
-        }
-        for (sum, count) in total.iter_mut().zip(freq) {
-            *sum += count;
-        }
+fn summed_frequencies(drafts: &[IndexDraft]) -> Vec<u32> {
+    let tokens = drafts.iter().flat_map(IndexDraft::frequencies).map(|(t, _)| t.idx() + 1).max().unwrap_or(0);
+    let mut total = vec![0u32; tokens];
+    for (t, count) in drafts.iter().flat_map(IndexDraft::frequencies) {
+        total[t.idx()] += count;
     }
     total
 }
@@ -57,9 +52,9 @@ fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> V
 /// of origins derived straight into their index blocks
 /// ([`IndexDraft::derive`]), one global order from the parts' summed token
 /// frequencies, then each part keyed by it and clustered, and the parts
-/// concatenated ([`VariantTable::concat`], [`ClusteredIndex::concat`]). No
-/// variant's token sequence is kept. The result is what
-/// [`ClusteredIndex::build`] makes over
+/// concatenated into one whole table and index ([`VariantTable::merge`],
+/// [`ClusteredIndex::concat`]). No variant's token sequence is kept. The
+/// result is what [`ClusteredIndex::build`] makes over
 /// [`aeetes_rules::DerivedDictionary::build`], array for array, whatever the
 /// number of parts; `parts == 0` uses the machine's available parallelism.
 /// The interner must be the one `dict` and `rules` were tokenized with; it
@@ -67,10 +62,26 @@ fn summed_frequencies<'a>(drafts: impl IntoIterator<Item = &'a IndexDraft>) -> V
 pub fn aeetes_index(dict: &Dictionary, rules: &RuleSet, interner: &Interner, config: &DeriveConfig, parts: usize) -> (VariantTable, ClusteredIndex) {
     let n = resolve_parts(parts);
     let ranges = (0..n).map(|i| dict.len() * i / n..dict.len() * (i + 1) / n);
-    let drafts = in_parallel(ranges, |range| IndexDraft::derive(dict, rules, config, |e| range.contains(&e.idx())));
+    let drafts = in_parallel(ranges, |range| IndexDraft::derive(dict, rules, config, range.map(|e| EntityId(e as u32))));
     let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
-    let (tables, indexes) = in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
-    (VariantTable::concat(tables), ClusteredIndex::concat(indexes))
+    let (mut tables, indexes): (Vec<VariantTable>, Vec<ClusteredIndex>) =
+        in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();
+    let plan = MergePlan::new(&indexes.iter().map(ClusteredIndex::slots).collect::<Vec<_>>(), |_, _| true, Some(dict.len()));
+    let table = if tables.len() == 1 && plan.is_identity() && tables[0].origins() == plan.slots() {
+        tables.pop().expect("one part")
+    } else {
+        merged(&tables, &plan)
+    };
+    (table, ClusteredIndex::concat(indexes, &plan))
+}
+
+/// The parts' tables laid out by `plan`, their statistics summed.
+fn merged(tables: &[VariantTable], plan: &MergePlan) -> VariantTable {
+    let mut stats = DeriveStats::default();
+    for table in tables {
+        stats += table.stats();
+    }
+    VariantTable::merge(&tables.iter().collect::<Vec<_>>(), plan, stats)
 }
 
 #[cfg(test)]

@@ -437,6 +437,7 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let [segment] = &src.segments[..] else {
         panic!("an artifact holds one index, not {}", src.segments.len());
     };
+    assert!(segment.index.is_whole(), "an artifact holds a whole index, not a listed one");
     let meta = encode_meta(src, segment);
     let (rule_width, sides, side_off) = rule_sections(src.rules, src.interner.len());
     let rule_weight = src.rules.weights();

@@ -29,11 +29,13 @@ pub struct Segment<'a> {
 /// The second tier of a [`Segment`].
 #[derive(Debug, Clone, Copy)]
 pub struct Tail<'a> {
-    /// Index over the tail's origins, keyed by an order that extends the
-    /// base's (extension never re-keys a token).
+    /// Listed index over the tail's origins and tokens, keyed by an order
+    /// that extends the base's (extension never re-keys a token): it finds
+    /// an origin's block and a token's list in its own sorted lists, so a
+    /// tail costs what it holds, not the dictionary.
     pub index: &'a ClusteredIndex,
-    /// Variant table over the post-delta origin space, holding only the
-    /// tail's origins.
+    /// Variant table over the index's listed origins, slot by slot: its
+    /// variant ids are the tail's own.
     pub dd: &'a VariantTable,
     /// Bit `e % 64` of word `e / 64`: base origin `e` is superseded — its
     /// variants now live in the tail, or nowhere.
@@ -67,7 +69,9 @@ impl<'a> Segment<'a> {
         self.tail.is_some_and(|tail| e.idx() >= self.dd.origins() || tail.supersedes(e))
     }
 
-    /// The index and variant table that hold origin `e`'s live variants.
+    /// The index and variant table that hold origin `e`'s live variants:
+    /// the index's [`ClusteredIndex::block`] finds the origin's slot, and
+    /// the block's variant ids are the table's.
     #[inline]
     pub fn owner(&self, e: EntityId) -> (&'a ClusteredIndex, &'a VariantTable) {
         match self.tail {

@@ -69,7 +69,7 @@
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::{pod_bytes, Arena, Pod};
-use aeetes_rules::{derive_into, owned_origins, rebased, splice_runs, DeriveConfig, DerivedDictionary, DerivedId, RuleSet, VariantTable};
+use aeetes_rules::{derive_into, rebased, DeriveConfig, DerivedDictionary, DerivedId, MergePlan, RuleSet, Slots, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -587,29 +587,29 @@ impl<'a> OriginBlock<'a> {
     }
 }
 
-/// The three per-origin arrays of an index.
+/// The three per-origin arrays of an index, slot by slot (a slot is its
+/// origin in a whole index, a listed origin in a listed one).
 #[derive(Debug, Clone)]
 struct OriginBlocks {
     /// How the blocks store their pools.
     width: IdWidth,
-    /// The origins' blocks back to back
-    /// (`block_offsets[e]..block_offsets[e+1]` is origin `e`'s): everything
+    /// The slots' blocks back to back
+    /// (`block_offsets[s]..block_offsets[s+1]` is slot `s`'s): everything
     /// verification reads of a candidate sits in one contiguous run.
     blocks: Arena<u32>,
     block_offsets: Arena<u32>,
-    /// `origin_offsets[e]..origin_offsets[e+1]` is origin `e`'s variant id
+    /// `origin_offsets[s]..origin_offsets[s+1]` is slot `s`'s variant id
     /// range — the variant table's own prefix — and so its block's slots.
     origin_offsets: Arena<u32>,
 }
 
 impl OriginBlocks {
+    /// Number of slots.
     fn origins(&self) -> usize {
         self.origin_offsets.len() - 1
     }
 
-    /// The origins whose blocks hold a pool, ascending, with their blocks:
-    /// an origin without a block costs one compare, so a delta's index,
-    /// whose few blocks span the whole origin space, is walked at that cost.
+    /// The slots whose blocks hold a pool, ascending, with their blocks.
     fn pooled(&self) -> impl Iterator<Item = (usize, OriginBlock<'_>)> {
         let offsets: &[u32] = &self.block_offsets;
         offsets
@@ -620,7 +620,7 @@ impl OriginBlocks {
             .filter(|(_, block)| !block.pool.is_empty())
     }
 
-    /// Origin `e`'s block. Relies on the block invariants
+    /// Slot `e`'s block. Relies on the block invariants
     /// [`ClusteredIndex::from_raw_parts`] validates.
     #[inline]
     fn block(&self, e: usize) -> OriginBlock<'_> {
@@ -711,8 +711,8 @@ impl AlignedBlocks {
     }
 }
 
-/// Per-origin arrays written run by run out of other indexes' origin runs, in
-/// ascending origin order, with rebased offsets, at one width.
+/// Per-origin arrays written run by run out of other indexes' slot runs, in
+/// ascending output order, with rebased offsets, at one width.
 struct OriginRuns {
     width: IdWidth,
     blocks: Vec<u32>,
@@ -721,7 +721,7 @@ struct OriginRuns {
 }
 
 impl OriginRuns {
-    /// Room for `origins` origins and `words` block words, at `width`.
+    /// Room for `origins` slots and `words` block words, at `width`.
     fn new(origins: usize, words: usize, width: IdWidth) -> Self {
         let offsets = || {
             let mut offsets = Vec::with_capacity(origins + 1);
@@ -736,18 +736,19 @@ impl OriginRuns {
         }
     }
 
-    /// Appends `ix`'s origins `run`; the origins between the previous run and
-    /// this one hold nothing. At `ix`'s own width the block words grow by
-    /// exactly the run's, copied as they stand; at another, each block is
-    /// re-encoded — the one place a block changes width.
-    fn push_run(&mut self, ix: &OriginBlocks, run: Range<usize>) {
-        assert!(self.origin_offsets.len() <= run.start + 1, "origin runs must ascend");
+    /// Appends `ix`'s slots `run` as output slots from `at`; the slots
+    /// between the previous run and this one hold nothing. At `ix`'s own
+    /// width the block words grow by exactly the run's, copied as they stand;
+    /// at another, each block is re-encoded — the one place a block changes
+    /// width.
+    fn push_run(&mut self, ix: &OriginBlocks, run: Range<usize>, at: usize) {
+        assert!(self.origin_offsets.len() <= at + 1, "slot runs must ascend");
         let v0 = ix.origin_offsets[run.start];
         let (b0, b1) = (ix.block_offsets[run.start], ix.block_offsets[run.end]);
         let (variants, block_base) = (*self.origin_offsets.last().expect("a prefix"), self.blocks.len() as u32);
-        self.origin_offsets.resize(run.start + 1, variants);
+        self.origin_offsets.resize(at + 1, variants);
         self.origin_offsets.extend(rebased(&ix.origin_offsets[run.start + 1..=run.end], v0, variants));
-        self.block_offsets.resize(run.start + 1, block_base);
+        self.block_offsets.resize(at + 1, block_base);
         if ix.width == self.width {
             u32::try_from(self.blocks.len() + (b1 - b0) as usize).expect("origin block arena overflows u32 offsets");
             self.block_offsets.extend(rebased(&ix.block_offsets[run.start + 1..=run.end], b0, block_base));
@@ -824,6 +825,14 @@ pub struct IndexArenas {
 ///
 /// Also owns the [`GlobalOrder`] and, for verification, every origin's
 /// [`OriginBlock`].
+///
+/// An index is *whole* — its token lists indexed by token id and its
+/// per-origin arrays by origin id, as a build, an artifact and a
+/// generation's base hold it — or *listed*: its token lists and per-origin
+/// arrays cover only the tokens and the origins it holds, each found in a
+/// sorted list, so that it costs what it holds whatever the id spaces are
+/// (a build's parts before they are concatenated, a delta's changed origins,
+/// a generation's tail). Clusters name origin ids either way.
 #[derive(Debug, Clone)]
 pub struct ClusteredIndex {
     /// Shared so the parts of a build, a generation's base and its tail all
@@ -839,8 +848,19 @@ pub struct ClusteredIndex {
     origin_entity: IdArena,
     /// The variants' sets, origin by origin, at the width of `origin_entity`.
     sets: OriginBlocks,
+    /// What a listed index holds; `None` for a whole one.
+    listed: Option<Listed>,
     min_len: Option<usize>,
     max_len: Option<usize>,
+}
+
+/// The tokens and origins a listed index holds, each strictly ascending:
+/// entry `i` of `tok_groups` stands for `tokens[i]`, slot `s` of the
+/// per-origin arrays for `origins[s]`.
+#[derive(Debug, Clone)]
+struct Listed {
+    tokens: Vec<TokenId>,
+    origins: Vec<EntityId>,
 }
 
 impl ClusteredIndex {
@@ -864,30 +884,36 @@ impl ClusteredIndex {
                     assert!(key & VALID_BIT != 0, "token {t:?} of origin {} is not valid in the order", e.0);
                     key
                 };
-                writer.push_origin(e, ids.map(|id| dd.derived(DerivedId(id)).tokens), key_of, |_| {});
+                writer.push_origin((e, e.idx()), ids.map(|id| dd.derived(DerivedId(id)).tokens), key_of, |_| {});
             }
         }
-        Self::from_sets(order, writer.finish(dd))
+        Self::from_sets(order, writer.finish(dd), None, |t| t.0)
     }
 
     /// The index over `sets`, blocks keyed by `order`: packed in place at the
-    /// width the width rule chooses, then clustered at that width.
-    fn from_sets(order: Arc<GlobalOrder>, sets: AlignedBlocks) -> Self {
-        let width = IdWidth::of(order.ranks(), sets.origins());
+    /// width the width rule chooses, then clustered at that width — whole,
+    /// or listed over `listed`'s origins (`sets`' slots) and tokens (every
+    /// token of their sets, sorted), `slot_of` finding a token's entry.
+    fn from_sets(order: Arc<GlobalOrder>, sets: AlignedBlocks, listed: Option<Listed>, slot_of: impl Fn(TokenId) -> u32) -> Self {
+        let slots = listed.as_ref().map_or(Slots::Whole(sets.origins()), |l| Slots::Listed(&l.origins));
+        let width = IdWidth::of(order.ranks(), id_space(slots));
         let sets = sets.pack(width);
-        match width {
-            IdWidth::U16 => {
-                let postings = cluster_postings::<u16>(&order, &sets);
-                Self::assemble(order, postings, sets)
-            }
-            IdWidth::U32 => {
-                let postings = cluster_postings::<u32>(&order, &sets);
-                Self::assemble(order, postings, sets)
-            }
+        let tokens = (listed.as_ref().map_or(order.raw_parts().0.len(), |l| l.tokens.len()), slot_of);
+        let postings = match width {
+            IdWidth::U16 => Postings::U16(cluster_postings::<u16>(&order, &sets, slots, tokens)),
+            IdWidth::U32 => Postings::U32(cluster_postings::<u32>(&order, &sets, slots, tokens)),
+        };
+        Self::assemble(order, postings, sets, listed)
+    }
+
+    fn assemble(order: Arc<GlobalOrder>, postings: Postings, sets: OriginBlocks, listed: Option<Listed>) -> Self {
+        match postings {
+            Postings::U16(postings) => Self::assemble_at(order, postings, sets, listed),
+            Postings::U32(postings) => Self::assemble_at(order, postings, sets, listed),
         }
     }
 
-    fn assemble<I: StoredId>(order: Arc<GlobalOrder>, postings: ClusteredPostings<I>, sets: OriginBlocks) -> Self
+    fn assemble_at<I: StoredId>(order: Arc<GlobalOrder>, postings: ClusteredPostings<I>, sets: OriginBlocks, listed: Option<Listed>) -> Self
     where
         Vec<I>: Into<IdArena>,
     {
@@ -901,112 +927,133 @@ impl ClusteredIndex {
             group_origins: postings.group_origins.into(),
             origin_entity: postings.origin_entity.into(),
             sets,
+            listed,
             min_len,
             max_len,
         }
     }
 
+    /// Which origins this index's per-origin arrays stand for.
+    pub fn slots(&self) -> Slots<'_> {
+        self.listed.as_ref().map_or(Slots::Whole(self.sets.origins()), |l| Slots::Listed(&l.origins))
+    }
+
+    /// Whether this index is whole (token lists by token id, per-origin
+    /// arrays by origin id), as an artifact stores one.
+    pub fn is_whole(&self) -> bool {
+        self.listed.is_none()
+    }
+
+    /// The tokens of a listed index, ascending (`None` for a whole one).
+    fn listed_tokens(&self) -> Option<&[TokenId]> {
+        self.listed.as_ref().map(|l| &l.tokens[..])
+    }
+
     /// The index a delta leaves behind, merged instead of rebuilt: `old`
-    /// with every cluster and block of a `changed` origin cut out and
-    /// `small`'s for those origins put in.
+    /// without the clusters and blocks of the origins `keep_old` turns away,
+    /// and all of `small`'s put in, laid out by `plan` — the
+    /// [`MergePlan`] over `[old.slots(), small.slots()]` that
+    /// [`aeetes_rules::VariantTable::merge`] lays the two tables out by,
+    /// with `keep_old` on the old side.
     ///
-    /// `old` and `small` index the two sides of
-    /// [`aeetes_rules::VariantTable::splice`] — `small` against the (possibly
-    /// extended) order the result is to carry, `changed` over the post-delta
-    /// origin space. Extending an order never re-keys a token, so every set
-    /// and position `old` stores is what a rebuild under `small`'s order
-    /// would compute again; and clusters are laid out token → `(set length,
-    /// lowest position)` → ascending origin, so a token's list after the
-    /// delta is its old list without the changed origins' clusters, merged by
-    /// `(length, position, origin)` with its small list. The result equals
-    /// [`ClusteredIndex::build_with_order`] over the spliced dictionary
-    /// array for array; every array is written once, the five whose size
-    /// depends on which groups empty out or coincide (and which trailing
-    /// tokens go with them) at a capacity that exceeds it by at most
-    /// `small`'s size plus what was cut.
+    /// `small` is keyed by the (possibly extended) order the result is to
+    /// carry. Extending an order never re-keys a token, so every set and
+    /// position `old` stores is what a rebuild under `small`'s order would
+    /// compute again; and clusters are laid out token → `(set length, lowest
+    /// position)` → ascending origin, so a token's list after the delta is
+    /// its old list without the turned-away origins' clusters, merged by
+    /// `(length, position, origin)` with its small list. The result — whole
+    /// or listed as `plan`'s output is — equals a build over the merged
+    /// dictionary array for array: [`ClusteredIndex::build_with_order`] for
+    /// a whole one, [`IndexDraft::into_index`] over the listed origins for a
+    /// listed one. Every array is written once, the five whose size depends
+    /// on which groups empty out or coincide (and which trailing tokens go
+    /// with them) at a capacity that exceeds it by at most `small`'s size
+    /// plus what was cut. A listed merge reads only what its sides list, so
+    /// splicing a delta into a generation's tail costs the tail and the
+    /// delta, not the dictionary.
     ///
     /// The result's width is chosen afresh by [`IdWidth::of`], from `small`'s
-    /// order and the post-delta origin space; a side stored at another width
-    /// is re-encoded as it is copied. This is the one place an index changes
+    /// order and the result's origin ids; a side stored at another width is
+    /// re-encoded as it is copied. This is the one place an index changes
     /// width: a tail that crosses 2¹⁶ ranks or origins is built wide, and
     /// compaction re-chooses.
     ///
     /// # Panics
-    /// Panics under the conditions of [`aeetes_rules::VariantTable::splice`].
-    pub fn splice(old: &Self, small: &Self, changed: &[bool]) -> Self {
-        let sides = [&old.sets, &small.sets];
-        assert_eq!(changed.len(), small.sets.origins(), "the changed flags must span the post-delta origin space");
-        let old_origins = old.sets.origins();
-        assert!(old_origins <= changed.len(), "a delta never shrinks the origin space");
+    /// Panics when `plan` runs past a side's slots, or a listed output has a
+    /// whole side.
+    pub fn splice(old: &Self, small: &Self, plan: MergePlan, keep_old: impl Fn(EntityId) -> bool) -> Self {
         let order = small.shared_order();
-        let width = IdWidth::of(order.ranks(), changed.len());
-
-        // Per-origin arrays: laid out by ascending origin like the derived
-        // dictionary, so they splice run by run with rebased offsets.
-        let words: usize = splice_runs(changed, old_origins)
-            .map(|(from_small, run)| {
-                let ix = sides[usize::from(from_small)];
+        let width = IdWidth::of(order.ranks(), id_space(plan.output()));
+        let words: usize = plan
+            .runs()
+            .iter()
+            .map(|(s, run, _)| {
+                let ix = [&old.sets, &small.sets][*s];
                 (ix.block_offsets[run.end] - ix.block_offsets[run.start]) as usize
             })
             .sum();
-        let mut sets = OriginRuns::new(changed.len(), words, width);
-        for (from_small, run) in splice_runs(changed, old_origins) {
-            sets.push_run(sides[usize::from(from_small)], run);
+        let mut sets = OriginRuns::new(plan.slots(), words, width);
+        for (s, run, at) in plan.runs() {
+            sets.push_run([&old.sets, &small.sets][*s], run.clone(), *at);
         }
-        let sides = [old.raw_parts(), small.raw_parts()];
-        let keep = |side, e: EntityId| side == 1 || !changed[e.idx()];
-        let sets = sets.finish(changed.len());
-        match width {
-            IdWidth::U16 => Self::assemble(order, merge_postings::<u16>(&sides, keep), sets),
-            IdWidth::U32 => Self::assemble(order, merge_postings::<u32>(&sides, keep), sets),
-        }
+        let sides = [(old.raw_parts(), old.listed_tokens()), (small.raw_parts(), small.listed_tokens())];
+        let keep = |side, e: EntityId| side == 1 || keep_old(e);
+        let sets = sets.finish(plan.slots());
+        let listed = plan.into_listed();
+        let (postings, tokens) = merge_postings(&sides, keep, width, listed.is_some());
+        let listed = listed.map(|origins| Listed { tokens: tokens.expect("a listed merge lists its tokens"), origins });
+        Self::assemble(order, postings, sets, listed)
     }
 
-    /// The index of a build's `parts` as one: each part indexes the variants
-    /// of its own ascending range of one origin space, and all are keyed by
-    /// one order. Per token, the parts' groups merge by `(length, position)`
-    /// and the clusters of one group concatenate in part order — which, the
-    /// ranges ascending, is the order of a build — and the parts'
-    /// blocks concatenate by origin range. The result equals
-    /// [`ClusteredIndex::build_with_order`] over one derivation of the ranges'
-    /// union, array for array, whatever the number of parts.
+    /// The whole index of a build's `parts` as one: each part indexes the
+    /// variants of its own origins, laid out by `plan` — the whole
+    /// [`MergePlan`] over the parts' slots that the parts' tables are
+    /// concatenated by — and all are keyed by one order. Per token, the
+    /// parts' groups merge by `(length, position)` and the clusters of one
+    /// group concatenate in part order — which, the parts' origins
+    /// ascending, is the order of a build — and the parts' blocks
+    /// concatenate by origin. The result equals
+    /// [`ClusteredIndex::build_with_order`] over one derivation of the
+    /// parts' origins, array for array, whatever the number of parts.
     ///
     /// The parts go as they are consumed: their cluster arrays once the merged
     /// ones are written, then each part's blocks once copied, so the merge
     /// holds beside the parts at most the merged cluster arrays, or the blocks
-    /// of one part.
+    /// of one part. A lone part that lists every origin keeps its arrays and
+    /// only spreads its token lists over the token ids.
     ///
     /// # Panics
-    /// Panics when `parts` is empty, is keyed by more than one order, spans
-    /// different origin spaces, or owns origins out of ascending order.
-    pub fn concat(mut parts: Vec<Self>) -> Self {
+    /// Panics when `parts` is empty, is keyed by more than one order, or
+    /// `plan` is not whole or runs past a part's slots.
+    pub fn concat(mut parts: Vec<Self>, plan: &MergePlan) -> Self {
         let order = parts.first().expect("a build has at least one part").shared_order();
         assert!(parts.iter().all(|part| Arc::ptr_eq(&part.order, &order)), "the parts of a build share one order");
-        if parts.len() == 1 {
-            return parts.pop().expect("one part");
+        assert!(matches!(plan.output(), Slots::Whole(_)), "a build is whole");
+        let width = IdWidth::of(order.ranks(), plan.slots());
+        if parts.len() == 1 && plan.is_identity() && parts[0].sets.origins() == plan.slots() && parts[0].width() == width {
+            let mut part = parts.pop().expect("one part");
+            if let Some(listed) = part.listed.take() {
+                part.tok_groups = spread_tokens(&listed.tokens, &part.tok_groups).into();
+            }
+            return part;
         }
-        match IdWidth::of(order.ranks(), parts[0].sets.origins()) {
-            IdWidth::U16 => Self::concat_at::<u16>(order, parts),
-            IdWidth::U32 => Self::concat_at::<u32>(order, parts),
+        let sides: Vec<_> = parts.iter().map(|part| (part.raw_parts(), part.listed_tokens())).collect();
+        let (postings, _) = merge_postings(&sides, |_, _| true, width, false);
+        drop(sides);
+        let mut last_run = vec![0; parts.len()];
+        for (i, (s, ..)) in plan.runs().iter().enumerate() {
+            last_run[*s] = i;
         }
-    }
-
-    /// [`ClusteredIndex::concat`] at the width `I` stores.
-    fn concat_at<I: StoredId>(order: Arc<GlobalOrder>, parts: Vec<Self>) -> Self
-    where
-        Vec<I>: Into<IdArena>,
-    {
-        let postings = merge_postings::<I>(&parts.iter().map(Self::raw_parts).collect::<Vec<_>>(), |_, _| true);
-        let parts: Vec<OriginBlocks> = parts.into_iter().map(|part| part.sets).collect();
-        let origins = parts[0].origins();
-        let mut sets = OriginRuns::new(origins, 0, I::WIDTH);
-        for part in parts {
-            assert_eq!(part.origins(), origins, "the parts of a build span one origin space");
-            if let Some(run) = owned_origins(&part.origin_offsets) {
-                sets.push_run(&part, run);
+        let mut parts: Vec<Option<OriginBlocks>> = parts.into_iter().map(|part| Some(part.sets)).collect();
+        let mut sets = OriginRuns::new(plan.slots(), 0, width);
+        for (i, (s, run, at)) in plan.runs().iter().enumerate() {
+            sets.push_run(parts[*s].as_ref().expect("a part is dropped after its last run"), run.clone(), *at);
+            if last_run[*s] == i {
+                parts[*s] = None;
             }
         }
-        Self::assemble(order, postings, sets.finish(origins))
+        Self::assemble(order, postings, sets.finish(plan.slots()), None)
     }
 
     /// Reassembles an index from raw (possibly frozen) arenas, validating
@@ -1108,12 +1155,15 @@ impl ClusteredIndex {
             group_origins: a.group_origins,
             origin_entity: a.origin_entity,
             sets,
+            listed: None,
             min_len,
             max_len,
         })
     }
 
-    /// Raw views of the flat arrays (the frozen writer serializes these).
+    /// Raw views of the flat arrays (the frozen writer serializes these, of
+    /// a whole index; a listed one's token and per-origin arrays run over
+    /// its lists).
     pub fn raw_parts(&self) -> IndexArenasRef<'_> {
         IndexArenasRef {
             tok_groups: &self.tok_groups,
@@ -1138,10 +1188,18 @@ impl ClusteredIndex {
     }
 
     /// Origin `e`'s block: its variants' sets, in id order, as masks over
-    /// the origin's key pool — what verification reads of a candidate.
+    /// the origin's key pool — what verification reads of a candidate. A
+    /// listed index finds `e`'s slot in its origin list; an origin it does
+    /// not list has no variants in it.
     #[inline]
     pub fn block(&self, e: EntityId) -> OriginBlock<'_> {
-        self.sets.block(e.idx())
+        match &self.listed {
+            None => self.sets.block(e.idx()),
+            Some(listed) => match listed.origins.binary_search(&e) {
+                Ok(slot) => self.sets.block(slot),
+                Err(_) => OriginBlock::new(0..0, &[], self.sets.width),
+            },
+        }
     }
 
     /// The global token order used by this index.
@@ -1156,8 +1214,13 @@ impl ClusteredIndex {
     }
 
     /// The inverted list of `t`, or `None` when `t` occurs in no entity.
+    /// A listed index finds `t` in its token list.
+    #[inline]
     pub fn postings(&self, t: TokenId) -> Option<TokenPostings<'_>> {
-        let i = t.idx();
+        let i = match &self.listed {
+            None => t.idx(),
+            Some(listed) => listed.tokens.binary_search(&t).ok()?,
+        };
         if i + 1 >= self.tok_groups.len() {
             return None;
         }
@@ -1186,12 +1249,13 @@ impl ClusteredIndex {
     /// Size of the index in bytes as stored (for the paper's §6.3
     /// index-size comparison): its seven arrays at their stored widths and
     /// the origin prefix, which it reads but an artifact stores once, with
-    /// the variant table — exactly those sections of its frozen image. For a
-    /// frozen index this is the footprint of the borrowed file sections, not
-    /// per-process heap.
+    /// the variant table — exactly those sections of its frozen image — and
+    /// a listed index's two lists. For a frozen index this is the footprint
+    /// of the borrowed file sections, not per-process heap.
     pub fn size_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        size_of_val(&self.tok_groups[..])
+        self.listed.as_ref().map_or(0, |l| size_of_val(&l.tokens[..]) + size_of_val(&l.origins[..]))
+            + size_of_val(&self.tok_groups[..])
             + size_of_val(&self.group_len[..])
             + size_of_val(&self.group_pos[..])
             + size_of_val(&self.group_origins[..])
@@ -1222,15 +1286,15 @@ const UNPOOLED: u16 = u16::MAX;
 /// in the order the variants are given in, that of their ids.
 ///
 /// A key is whatever the caller maps a token to, as long as the low 31 bits
-/// tell keys apart and stay below the `universe` the writer was made for: the
-/// order's keys for a build with the order in hand, the token's own id for a
-/// draft that is keyed once the order exists ([`IndexDraft`]).
+/// tell keys apart: the order's keys for a build with the order in hand, a
+/// draft's own dense token numbers for a draft that is keyed once the order
+/// exists ([`IndexDraft`]). The key → bit table grows to the largest key
+/// seen, so a draft's is sized by the tokens it holds.
 struct BlockWriter {
     blocks: Vec<u32>,
     block_offsets: Vec<u32>,
     /// Per key: its bit in the pool in hand, [`UNPOOLED`] outside it — the
-    /// pool's own entries are put back once its block is written. Two bytes a
-    /// key, because a delta's few origins pay for the whole table.
+    /// pool's own entries are put back once its block is written.
     bit_of_key: Vec<u16>,
     /// The origin's tokens as keys, variant after variant, and where each
     /// variant's end.
@@ -1253,25 +1317,25 @@ impl BlockWriter {
         }
     }
 
-    /// Appends origin `e`'s block over `variants`, its variants' token
-    /// sequences in id order, and calls `counted` with a key once per
-    /// variant whose set holds it. Origins passed over hold nothing.
+    /// Appends the block of origin `e`, in slot `slot`, over `variants`, its
+    /// variants' token sequences in id order, and calls `counted` with a key
+    /// once per variant whose set holds it. Slots passed over hold nothing.
     ///
     /// # Panics
-    /// Panics when `e` does not lie past every origin pushed before, the
+    /// Panics when `slot` does not lie past every slot pushed before, the
     /// variants hold more distinct tokens than a position can name, or set
     /// lengths fall along the variants (derivation hands ids out by
     /// ascending distinct-token count; verification binary-searches the
     /// slots on it).
     fn push_origin<'a>(
         &mut self,
-        e: EntityId,
+        (e, slot): (EntityId, usize),
         variants: impl Iterator<Item = &'a [TokenId]>,
-        key_of: impl Fn(TokenId) -> u32,
+        mut key_of: impl FnMut(TokenId) -> u32,
         mut counted: impl FnMut(u32),
     ) {
-        assert!(self.block_offsets.len() <= e.idx() + 1, "origin {} is pushed out of order", e.0);
-        self.block_offsets.resize(e.idx() + 1, self.blocks.len() as u32);
+        assert!(self.block_offsets.len() <= slot + 1, "origin {} is pushed out of order", e.0);
+        self.block_offsets.resize(slot + 1, self.blocks.len() as u32);
         self.keys.clear();
         self.ends.clear();
         self.pool.clear();
@@ -1279,7 +1343,11 @@ impl BlockWriter {
             for &t in tokens {
                 let key = key_of(t);
                 self.keys.push(key);
-                let bit = &mut self.bit_of_key[(key & !VALID_BIT) as usize];
+                let at = (key & !VALID_BIT) as usize;
+                if at >= self.bit_of_key.len() {
+                    self.bit_of_key.resize(at + 1, UNPOOLED);
+                }
+                let bit = &mut self.bit_of_key[at];
                 if *bit == UNPOOLED {
                     *bit = 0;
                     self.pool.push(key);
@@ -1333,9 +1401,9 @@ impl BlockWriter {
             .push(u32::try_from(self.blocks.len()).expect("origin block arena overflows u32 offsets"));
     }
 
-    /// The blocks of `variants`' origins, every one of which that has
-    /// variants pushed, their keys one to a word and their masks one to
-    /// `⌈P/32⌉` words.
+    /// The blocks of `variants`' slots, every one of which that has variants
+    /// pushed, their keys one to a word and their masks one to `⌈P/32⌉`
+    /// words.
     fn finish(mut self, variants: &VariantTable) -> AlignedBlocks {
         self.block_offsets.resize(variants.origins() + 1, self.blocks.len() as u32);
         self.blocks.shrink_to_fit();
@@ -1347,18 +1415,77 @@ impl BlockWriter {
     }
 }
 
-/// One past the largest token id `dict` or a side of `rules` holds: every
-/// token of every variant lies below it.
-fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
-    let sides = rules.part_sides().flat_map(|(sides, _)| sides);
-    let universe = dict.arena_runs().flat_map(|run| run.2).chain(sides).map(|t| t.idx() + 1).max().unwrap_or(0);
-    assert!(universe <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", universe - 1);
-    universe
+/// Tokens → numbers: what a draft keys its pools by until the order exists.
+/// A draft over a share of the dictionary — a build part — numbers a token
+/// by its id: its tables span the token ids its origins hold either way, and
+/// an id costs no lookup. A draft over a few origins — a delta — numbers
+/// them densely in first-seen order, through open-addressing slots, so that
+/// its tables are sized by the tokens those origins hold, not by the token
+/// id space.
+#[derive(Debug, Default)]
+struct TokenNumbers {
+    /// Whether a token's number is its id; then `tokens` runs up to the
+    /// largest id numbered and the slots stay empty.
+    by_id: bool,
+    /// One more than a token's number, 0 while free: a power of two of
+    /// them, at most three quarters taken.
+    slots: Vec<u32>,
+    /// Number → token.
+    tokens: Vec<TokenId>,
 }
 
-/// A build part's index before the order it is to be keyed by exists: the
-/// blocks of its origins with every pool in **token-id space**, and how many
-/// of its variants hold each token.
+impl TokenNumbers {
+    /// The number of `t`, handed out now if `t` has none yet.
+    #[inline]
+    fn number(&mut self, t: TokenId) -> u32 {
+        if self.by_id {
+            if t.idx() >= self.tokens.len() {
+                self.tokens.extend((self.tokens.len() as u32..=t.0).map(TokenId));
+            }
+            return t.0;
+        }
+        if 4 * (self.tokens.len() + 1) > 3 * self.slots.len() {
+            self.slots = vec![0; (2 * (self.tokens.len() + 1)).next_power_of_two().max(16)];
+            for (n, &u) in self.tokens.iter().enumerate() {
+                let at = self.probe(u);
+                self.slots[at] = n as u32 + 1;
+            }
+        }
+        let at = self.probe(t);
+        if self.slots[at] == 0 {
+            self.tokens.push(t);
+            self.slots[at] = self.tokens.len() as u32;
+        }
+        self.slots[at] - 1
+    }
+
+    /// The number of `t`, which has one.
+    #[inline]
+    fn get(&self, t: TokenId) -> u32 {
+        if self.by_id {
+            return t.0;
+        }
+        self.slots[self.probe(t)].checked_sub(1).expect("a numbered token")
+    }
+
+    /// The slot holding `t`, or the free one that would take it.
+    #[inline]
+    fn probe(&self, t: TokenId) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (u64::from(t.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while let Some(n) = self.slots[at].checked_sub(1) {
+            if self.tokens[n as usize] == t {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        at
+    }
+}
+
+/// A delta's or a build part's index before the order it is to be keyed by
+/// exists: the blocks of its origins with every pool in the draft's own
+/// token numbers, and how many of its variants hold each token.
 ///
 /// A build goes derive → order → index, and the order needs every part's
 /// frequencies; what the first step has to leave behind for the
@@ -1368,49 +1495,69 @@ fn token_universe(dict: &Dictionary, rules: &RuleSet) -> usize {
 /// [`DerivedDictionary`] is ever stored — and counts a token once per mask bit
 /// it sets; [`GlobalOrder::from_frequencies`] over the parts' summed counts
 /// gives the order; and [`IndexDraft::into_index`] re-keys the blocks in place
-/// and clusters them. The result equals [`ClusteredIndex::build_with_order`]
-/// over [`DerivedDictionary::build_filtered`] array for array, and
-/// [`ClusteredIndex::concat`] makes one index of the parts.
+/// and clusters them into a listed index over the draft's origins. Every
+/// table of a draft is sized by the origins it derives and the tokens they
+/// hold, so a delta's few origins cost what they are, whatever the
+/// dictionary holds. Over a whole dictionary the result equals
+/// [`ClusteredIndex::build_with_order`] over [`DerivedDictionary::build`]
+/// array for array once [`ClusteredIndex::concat`] makes one whole index of
+/// the parts.
 #[derive(Debug)]
 pub struct IndexDraft {
+    /// Slot by slot over `origins`.
     variants: VariantTable,
+    origins: Vec<EntityId>,
     sets: AlignedBlocks,
+    /// Token ↔ number, and number → the variants whose set holds it.
+    numbers: TokenNumbers,
     freq: Vec<u32>,
 }
 
 impl IndexDraft {
-    /// Derives the origins of `dict` that `keep` selects (see
-    /// [`aeetes_rules::derive_into`]) into their blocks.
+    /// Derives `origins` of `dict` (see [`aeetes_rules::derive_into`]) into
+    /// their blocks.
     ///
     /// # Panics
-    /// Panics when `dict` or `rules` hold a token id at or past
-    /// [`TokenId::LIMIT`], and under the conditions of the index build.
-    pub fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
-        let universe = token_universe(dict, rules);
-        let mut freq = vec![0u32; universe];
-        let mut writer = BlockWriter::new(dict.len(), universe);
-        let variants = derive_into(dict, rules, config, keep, |origin| {
-            writer.push_origin(origin.origin, origin.iter().map(|d| d.tokens), |t| t.0, |t| freq[t as usize] += 1);
+    /// Panics under the conditions of [`aeetes_rules::derive_into`] and of
+    /// the index build.
+    pub fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, origins: impl IntoIterator<Item = EntityId>) -> Self {
+        let origins: Vec<EntityId> = origins.into_iter().collect();
+        let mut numbers = TokenNumbers { by_id: origins.len() * 32 >= dict.len(), ..TokenNumbers::default() };
+        let mut freq: Vec<u32> = Vec::new();
+        let mut writer = BlockWriter::new(origins.len(), 0);
+        let mut slot = 0;
+        let variants = derive_into(dict, rules, config, origins.iter().copied(), |origin| {
+            while origins[slot] < origin.origin {
+                slot += 1;
+            }
+            let count = |n: u32| {
+                if n as usize >= freq.len() {
+                    freq.resize(n as usize + 1, 0);
+                }
+                freq[n as usize] += 1;
+            };
+            writer.push_origin((origin.origin, slot), origin.iter().map(|d| d.tokens), |t| numbers.number(t), count);
         });
         let sets = writer.finish(&variants);
-        Self { variants, sets, freq }
+        Self { variants, origins, sets, numbers, freq }
     }
 
-    /// Per token id, the number of this draft's variants whose distinct set
-    /// holds the token.
-    pub fn frequencies(&self) -> &[u32] {
-        &self.freq
+    /// Per token the draft holds, the number of its variants whose distinct
+    /// set holds the token.
+    pub fn frequencies(&self) -> impl Iterator<Item = (TokenId, u32)> + '_ {
+        self.numbers.tokens.iter().copied().zip(self.freq.iter().copied()).filter(|&(_, count)| count > 0)
     }
 
     /// The variant table and the index under `order`, in which every token
-    /// of the draft must be valid: each pool's tokens become their keys and
-    /// are sorted, and the bits of the origin's masks move with them — a
-    /// permutation per origin, since an order keys distinct tokens apart —
-    /// which is the block a build that knew the order would have written.
-    /// The keyed blocks are then packed in the same arena, narrowed at
-    /// [`IdWidth::U16`].
+    /// of the draft must be valid, both listed over the draft's origins:
+    /// each pool's tokens become their keys and are sorted, and the bits of
+    /// the origin's masks move with them — a permutation per origin, since
+    /// an order keys distinct tokens apart — which is the block a build that
+    /// knew the order would have written. The keyed blocks are then packed
+    /// in the same arena, narrowed at [`IdWidth::U16`].
     pub fn into_index(mut self, order: Arc<GlobalOrder>) -> (VariantTable, ClusteredIndex) {
         let blocks = &mut self.sets.blocks;
+        let tokens = &self.numbers.tokens;
         // Per pool bit: its key and where it stood; then where each old bit
         // goes; then the mask being moved.
         let mut by_key: Vec<(u32, u32)> = Vec::new();
@@ -1422,9 +1569,9 @@ impl IndexDraft {
             };
             let (pool, masks) = rest.split_at_mut(keys as usize);
             by_key.clear();
-            by_key.extend(pool.iter().zip(0..).map(|(&t, bit)| (order.key(TokenId(t)), bit)));
+            by_key.extend(pool.iter().zip(0..).map(|(&n, bit)| (order.key(tokens[n as usize]), bit)));
             by_key.sort_unstable();
-            assert!(by_key[0].0 & VALID_BIT != 0, "token {} of origin {e} is not valid in the order", by_key[0].0);
+            assert!(by_key[0].0 & VALID_BIT != 0, "token {} of origin {} is not valid in the order", by_key[0].0, self.origins[e].0);
             moved_to.clear();
             moved_to.resize(pool.len(), 0);
             for ((slot, &(key, old_bit)), new_bit) in pool.iter_mut().zip(&by_key).zip(0..) {
@@ -1445,7 +1592,21 @@ impl IndexDraft {
                 mask.copy_from_slice(&moved);
             }
         }
-        (self.variants, ClusteredIndex::from_sets(order, self.sets))
+        // The listed tokens — those some variant holds — sorted, and where
+        // each number's token stands among them.
+        let numbers = self.numbers;
+        let mut by_token: Vec<u32> = (0..numbers.tokens.len() as u32).filter(|&n| self.freq[n as usize] > 0).collect();
+        drop(self.freq);
+        by_token.sort_unstable_by_key(|&n| numbers.tokens[n as usize]);
+        let tokens: Vec<TokenId> = by_token.iter().map(|&n| numbers.tokens[n as usize]).collect();
+        let mut entry_of = vec![0u32; numbers.tokens.len()];
+        for (entry, &n) in by_token.iter().enumerate() {
+            entry_of[n as usize] = entry as u32;
+        }
+        drop(by_token);
+        let listed = Listed { tokens, origins: self.origins };
+        let index = ClusteredIndex::from_sets(order, self.sets, Some(listed), |t| entry_of[numbers.get(t) as usize]);
+        (self.variants, index)
     }
 }
 
@@ -1605,17 +1766,21 @@ fn check_block(e: usize, block: &[u32], variants: usize, ranks: u32, width: IdWi
 /// of `u32`s that goes once the groups are read out of it. These are the
 /// build's largest transient: beside what the index keeps, four bytes per
 /// cluster, and one sort record per cluster of the largest token.
-fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> ClusteredPostings<I> {
+///
+/// `slots` names the origin each of `sets`' slots stands for. A whole index
+/// has a token list per token id; a listed one per entry of its token list,
+/// which `slot_of` finds a token in among `token_slots` — so the count and
+/// the cursors are sized by the tokens the sets hold.
+fn cluster_postings<I: StoredId>(
+    order: &GlobalOrder,
+    sets: &OriginBlocks,
+    slots: Slots<'_>,
+    (token_slots, slot_of): (usize, impl Fn(TokenId) -> u32),
+) -> ClusteredPostings<I> {
     let narrow = I::WIDTH == IdWidth::U16;
-    debug_assert!(!narrow || IdWidth::of(order.ranks(), sets.origins()) == IdWidth::U16, "16-bit blocks over a 32-bit space");
+    debug_assert!(!narrow || IdWidth::of(order.ranks(), id_space(slots)) == IdWidth::U16, "16-bit blocks over a 32-bit space");
     let untie = order.raw_parts().2;
-    let token_of = |key: u32| {
-        if narrow {
-            untie[(key & !VALID_BIT) as usize].0
-        } else {
-            order.token_of(key).0
-        }
-    };
+    let token_of = |key: u32| slot_of(if narrow { untie[(key & !VALID_BIT) as usize] } else { order.token_of(key) });
     // Per pool key of the origin in hand, its token, looked up once per
     // origin, not once per posting.
     let mut pool_tokens: Vec<u32> = Vec::new();
@@ -1625,7 +1790,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
     // cluster per length of the slots that hold it — one bit of the union
     // of their masks. Per token, the count lands one entry up, where the
     // prefix sum makes it the start of the next token.
-    let mut starts = vec![0u32; order.raw_parts().0.len() + 1];
+    let mut starts = vec![0u32; token_slots + 1];
     let mut union: Vec<u32> = Vec::new();
     for (_, block) in sets.pooled() {
         pool_tokens.clear();
@@ -1679,7 +1844,7 @@ fn cluster_postings<I: StoredId>(order: &GlobalOrder, sets: &OriginBlocks) -> Cl
         let mut file = |token: u32, (len, min_pos): (u16, u16)| {
             let at = &mut cursor[token as usize];
             keys[*at as usize] = u32::from(len) << 16 | u32::from(min_pos);
-            origin_entity[*at as usize] = I::store(e as u32);
+            origin_entity[*at as usize] = I::store(slots.origin(e).0);
             *at += 1;
         };
         mask.resize(block.words(), 0);
@@ -1789,47 +1954,139 @@ impl<I: StoredId> ClusteredPostings<I> {
     }
 }
 
-/// The five cluster arrays of the index holding every cluster of `sides`
-/// that `keep(side, origin)` admits — no origin admitted from two sides: of
-/// [`ClusteredIndex::splice`], the old side's clusters of unchanged origins
-/// and all of the small side's; of [`ClusteredIndex::concat`], every part's.
-/// Token by token, the sides' groups merge by `(length, position)`; where
-/// several sides have a group of one key, its clusters merge by origin, a
-/// side's clusters below every other side's next one copied as one stretch
-/// (all of a part's group at once, the parts' ranges ascending). A group
-/// left without clusters is not written, and trailing tokens left without
-/// groups are cut, as a build over the admitted sets would never have
-/// counted them. The sides may store origins at either width; the result
-/// stores them as `I`.
-fn merge_postings<I: StoredId>(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize, EntityId) -> bool) -> ClusteredPostings<I> {
-    let tokens = sides.iter().map(|ix| ix.tok_groups.len() - 1).max().unwrap_or(0);
-    let groups = sides.iter().map(|ix| ix.group_len.len()).sum::<usize>();
-    let clusters = sides.iter().map(|ix| ix.origin_entity.len()).sum();
+/// The cluster arrays of an index under construction, at the width they
+/// store origins at.
+enum Postings {
+    U16(ClusteredPostings<u16>),
+    U32(ClusteredPostings<u32>),
+}
+
+/// One side of [`merge_postings`]: an index's raw arrays, and its tokens
+/// when it is listed.
+type Side<'a> = (IndexArenasRef<'a>, Option<&'a [TokenId]>);
+
+/// The five cluster arrays, at `width`, of the index holding every cluster
+/// of `sides` that `keep(side, origin)` admits — no origin admitted from two
+/// sides: of [`ClusteredIndex::splice`], the old side's clusters of the
+/// origins it keeps and all of the small side's; of
+/// [`ClusteredIndex::concat`], every part's. Token by token, the sides'
+/// groups merge by `(length, position)`; where several sides have a group of
+/// one key, its clusters merge by origin, a side's clusters below every
+/// other side's next one copied as one stretch (all of a part's group at
+/// once, the parts' origins ascending). A group left without clusters is
+/// not written. A whole result has a list per token id, and the trailing
+/// tokens left without groups are cut, as a build over the admitted sets
+/// would never have counted them; a `listed` result — every side listed —
+/// walks only the tokens its sides list and returns those left with groups.
+/// The sides may store origins at either width.
+fn merge_postings(sides: &[Side<'_>], keep: impl Fn(usize, EntityId) -> bool, width: IdWidth, listed: bool) -> (Postings, Option<Vec<TokenId>>) {
+    match width {
+        IdWidth::U16 => {
+            let (postings, tokens) = merge_postings_at::<u16>(sides, keep, listed);
+            (Postings::U16(postings), tokens)
+        }
+        IdWidth::U32 => {
+            let (postings, tokens) = merge_postings_at::<u32>(sides, keep, listed);
+            (Postings::U32(postings), tokens)
+        }
+    }
+}
+
+fn merge_postings_at<I: StoredId>(
+    sides: &[Side<'_>],
+    keep: impl Fn(usize, EntityId) -> bool,
+    listed: bool,
+) -> (ClusteredPostings<I>, Option<Vec<TokenId>>) {
+    assert!(!listed || sides.iter().all(|(_, tokens)| tokens.is_some()), "a listed merge has listed sides");
+    // One past the last token id a side holds.
+    let token_ids = |(ix, tokens): &Side<'_>| tokens.map_or(ix.tok_groups.len() - 1, |tokens| tokens.last().map_or(0, |t| t.idx() + 1));
+    let tokens = sides.iter().map(token_ids).max().unwrap_or(0);
+    let groups = sides.iter().map(|(ix, _)| ix.group_len.len()).sum::<usize>();
+    let clusters = sides.iter().map(|(ix, _)| ix.origin_entity.len()).sum();
+    let entries = if listed {
+        sides.iter().map(|(ix, _)| ix.tok_groups.len() - 1).sum()
+    } else {
+        tokens
+    };
     let mut out = ClusteredPostings {
-        tok_groups: Vec::with_capacity(tokens + 1),
+        tok_groups: Vec::with_capacity(entries + 1),
         group_len: Vec::with_capacity(groups),
         group_pos: Vec::with_capacity(groups),
         group_origins: Vec::with_capacity(groups + 1),
         origin_entity: Vec::with_capacity(clusters),
     };
+    let mut out_tokens = listed.then(|| Vec::with_capacity(entries));
     let key_of = |ix: &IndexArenasRef<'_>, g: usize| (ix.group_len[g], ix.group_pos[g]);
-    // A token's group range on one side, empty past that side's last token.
-    let groups_of = |ix: &IndexArenasRef<'_>, t: usize| match ix.tok_groups.get(t + 1) {
-        Some(&end) => ix.tok_groups[t] as usize..end as usize,
-        None => 0..0,
+    // Per side, where its token list stands: the entry of the token in hand
+    // or past it.
+    let mut cursor = vec![0usize; sides.len()];
+    // A token's group range on one side, empty where the side has none.
+    let groups_of = |s: usize, t: usize, cursor: &mut [usize]| {
+        let (ix, tokens) = &sides[s];
+        let entry = match tokens {
+            None => t,
+            Some(tokens) => {
+                while tokens.get(cursor[s]).is_some_and(|u| u.idx() < t) {
+                    cursor[s] += 1;
+                }
+                if tokens.get(cursor[s]).is_none_or(|u| u.idx() != t) {
+                    return 0..0;
+                }
+                cursor[s]
+            }
+        };
+        match ix.tok_groups.get(entry + 1) {
+            Some(&end) => ix.tok_groups[entry] as usize..end as usize,
+            None => 0..0,
+        }
+    };
+    // The next token a listed merge walks: the least one a side lists past
+    // its cursor.
+    let next_listed = |cursor: &[usize]| {
+        sides
+            .iter()
+            .zip(cursor)
+            .filter_map(|((_, tokens), &c)| tokens.and_then(|tokens| tokens.get(c)))
+            .min()
+            .map(|t| t.idx())
     };
     let clusters_of = |ix: &IndexArenasRef<'_>, g: usize| ix.group_origins[g] as usize..ix.group_origins[g + 1] as usize;
     // Per side: its groups of the token in hand not yet merged, then its
     // clusters of the key in hand not yet copied.
     let mut pending: Vec<Range<usize>> = vec![0..0; sides.len()];
     let mut runs: Vec<Range<usize>> = vec![0..0; sides.len()];
-    for t in 0..tokens {
-        out.tok_groups.push(out.group_len.len() as u32);
-        for (g, ix) in pending.iter_mut().zip(sides) {
-            *g = groups_of(ix, t);
+    let mut t = 0;
+    loop {
+        if listed {
+            match next_listed(&cursor) {
+                Some(next) => t = next,
+                None => break,
+            }
+        } else if t == tokens {
+            break;
         }
-        while let Some(key) = sides.iter().zip(&pending).filter(|(_, g)| g.start < g.end).map(|(ix, g)| key_of(ix, g.start)).min() {
-            for ((ix, g), run) in sides.iter().zip(&mut pending).zip(&mut runs) {
+        let first_group = out.group_len.len();
+        for (s, g) in pending.iter_mut().enumerate() {
+            *g = groups_of(s, t, &mut cursor);
+        }
+        if listed {
+            // Every side's cursor moves past the token in hand.
+            for (c, (_, side_tokens)) in cursor.iter_mut().zip(sides) {
+                if side_tokens.expect("listed").get(*c).is_some_and(|u| u.idx() == t) {
+                    *c += 1;
+                }
+            }
+        } else {
+            out.tok_groups.push(first_group as u32);
+        }
+        while let Some(key) = sides
+            .iter()
+            .zip(&pending)
+            .filter(|(_, g)| g.start < g.end)
+            .map(|((ix, _), g)| key_of(ix, g.start))
+            .min()
+        {
+            for (((ix, _), g), run) in sides.iter().zip(&mut pending).zip(&mut runs) {
                 *run = 0..0;
                 if g.start < g.end && key_of(ix, g.start) == key {
                     *run = clusters_of(ix, g.start);
@@ -1837,11 +2094,11 @@ fn merge_postings<I: StoredId>(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize
                 }
             }
             let first = out.origin_entity.len();
-            let next = |s: usize, runs: &[Range<usize>]| (!runs[s].is_empty()).then(|| (sides[s].origin_entity.get(runs[s].start), s));
+            let next = |s: usize, runs: &[Range<usize>]| (!runs[s].is_empty()).then(|| (sides[s].0.origin_entity.get(runs[s].start), s));
             while let Some((_, s)) = (0..sides.len()).filter_map(|s| next(s, &runs)).min() {
                 // The stretch of side `s` that sorts, by `(origin, side)`,
                 // before every other side's next cluster.
-                let (ix, run) = (&sides[s], runs[s].clone());
+                let (ix, run) = (&sides[s].0, runs[s].clone());
                 let end = (0..sides.len())
                     .filter(|&o| o != s)
                     .filter_map(|o| next(o, &runs))
@@ -1857,9 +2114,16 @@ fn merge_postings<I: StoredId>(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize
                 out.group_origins.push(first as u32);
             }
         }
+        if let Some(out_tokens) = out_tokens.as_mut().filter(|_| out.group_len.len() > first_group) {
+            out_tokens.push(TokenId(t as u32));
+            out.tok_groups.push(first_group as u32);
+        }
+        t += 1;
     }
-    while out.tok_groups.last() == Some(&(out.group_len.len() as u32)) {
-        out.tok_groups.pop();
+    if !listed {
+        while out.tok_groups.last() == Some(&(out.group_len.len() as u32)) {
+            out.tok_groups.pop();
+        }
     }
     out.tok_groups.push(out.group_len.len() as u32);
     out.group_origins.push(out.origin_entity.len() as u32);
@@ -1868,7 +2132,32 @@ fn merge_postings<I: StoredId>(sides: &[IndexArenasRef<'_>], keep: impl Fn(usize
     out.group_pos.shrink_to_fit();
     out.group_origins.shrink_to_fit();
     out.origin_entity.shrink_to_fit();
+    if let Some(out_tokens) = &mut out_tokens {
+        out_tokens.shrink_to_fit();
+    }
+    (out, out_tokens)
+}
+
+/// A listed index's token → group prefix (`tok_groups[i]` for `tokens[i]`)
+/// spread over the token ids up to its last token, as a whole index holds
+/// it.
+fn spread_tokens(tokens: &[TokenId], tok_groups: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(tokens.last().map_or(0, |t| t.idx() + 1) + 1);
+    for (t, &start) in tokens.iter().zip(tok_groups) {
+        // The ids up to `t` that hold nothing start where `t` does.
+        out.resize(t.idx() + 1, start);
+    }
+    out.push(*tok_groups.last().expect("a prefix"));
     out
+}
+
+/// One past the largest origin id `slots` can name: what the width rule
+/// sizes cluster ids by.
+fn id_space(slots: Slots<'_>) -> usize {
+    match slots {
+        Slots::Whole(n) => n,
+        Slots::Listed(origins) => origins.last().map_or(0, |e| e.idx() + 1),
+    }
 }
 
 /// Validates a prefix array: non-empty, starts at 0, monotonic, ends at
@@ -2159,7 +2448,8 @@ mod tests {
         }
         // A splice re-encodes a side of the other width: the wide index
         // spliced with itself, every origin changed, is the 16-bit build.
-        let spliced = ClusteredIndex::splice(&wide, &wide, &[true; 3]);
+        let plan = MergePlan::new(&[wide.slots(), wide.slots()], |side, _| side == 1, Some(3));
+        let spliced = ClusteredIndex::splice(&wide, &wide, plan, |_| false);
         assert_eq!(spliced.width(), IdWidth::U16);
         let (a, b) = (spliced.raw_parts(), f.index.raw_parts());
         assert_eq!((a.origin_entity, a.blocks, a.block_offsets), (b.origin_entity, b.blocks, b.block_offsets));
@@ -2544,7 +2834,7 @@ mod tests {
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
-            let built = cluster_postings::<u32>(index.order(), &index.sets);
+            let built = cluster_postings::<u32>(index.order(), &index.sets, index.slots(), (index.order().raw_parts().0.len(), |t: TokenId| t.0));
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             // The index clustered its 16-bit records, which file a cluster
             // under its rank, into the arrays of the 32-bit ones, filed under

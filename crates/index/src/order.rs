@@ -105,21 +105,30 @@ impl GlobalOrder {
     ///
     /// # Panics
     /// Panics when a token id at or past [`TokenId::LIMIT`] occurs.
-    pub fn extend_with(&self, delta: &[u32], interner: &Interner) -> Option<Self> {
-        let fresh: Vec<TokenId> = (0..delta.len() as u32).map(TokenId).filter(|&t| delta[t.idx()] > 0 && !self.is_valid(t)).collect();
+    pub fn extend_with(&self, delta: impl IntoIterator<Item = (TokenId, u32)>, interner: &Interner) -> Option<Self> {
+        let mut fresh: Vec<(TokenId, u32)> = delta.into_iter().filter(|&(t, n)| n > 0 && !self.is_valid(t)).collect();
+        fresh.sort_unstable();
         // Every token past this order's ids is fresh, so the last fresh one
         // is the last that occurs there.
-        let tokens = self.freq.len().max(fresh.last()?.idx() + 1);
+        let tokens = self.freq.len().max(fresh.last()?.0.idx() + 1);
         assert!(tokens <= TokenId::LIMIT as usize, "token id {} is outside the 2^31 id space", tokens - 1);
-        let mut freq = self.freq.to_vec();
-        let mut key = self.key.to_vec();
-        let mut untie = self.untie.to_vec();
+        // Copied at their new lengths: grown in place, each would keep up to
+        // as much again spare for as long as the order lives.
+        let exact = |old: &[u32], len: usize| {
+            let mut copy = Vec::with_capacity(len);
+            copy.extend_from_slice(old);
+            copy
+        };
+        let mut freq = exact(&self.freq, tokens);
+        let mut key = exact(&self.key, tokens);
+        let mut untie = Vec::with_capacity(self.untie.len() + fresh.len());
+        untie.extend_from_slice(&self.untie);
         freq.resize(tokens, 0);
         key.extend(self.key.len() as u32..tokens as u32);
-        for &t in &fresh {
-            freq[t.idx()] = delta[t.idx()];
+        for &(t, n) in &fresh {
+            freq[t.idx()] = n;
         }
-        assign_ranks(&freq, &mut key, &mut untie, fresh, interner);
+        assign_ranks(&freq, &mut key, &mut untie, fresh.into_iter().map(|(t, _)| t).collect(), interner);
         Some(Self { freq: freq.into(), key: key.into(), untie: untie.into() })
     }
 
@@ -337,7 +346,8 @@ mod tests {
         dict2.push_tokens("a z".to_string(), vec![a, z]);
         let delta = DerivedDictionary::build_filtered(&dict2, &rs, &cfg, |e| e.0 >= 2);
         let delta = count_frequencies(&delta, int.len());
-        let ext = base.extend_with(&delta, &int).expect("z and y are admitted");
+        let delta = || (0..).map(TokenId).zip(delta.iter().copied());
+        let ext = base.extend_with(delta(), &int).expect("z and y are admitted");
         let old_tokens = base.raw_parts().0.len() as u32;
         for t in (0..old_tokens).map(TokenId) {
             assert_eq!(ext.key(t), base.key(t), "existing key of {t:?} is frozen");
@@ -353,8 +363,8 @@ mod tests {
             assert_eq!(ext.token_of(ext.key(t)), t);
         }
         // Nothing left to admit: the caller keeps sharing the order it has.
-        assert!(ext.extend_with(&delta, &int).is_none());
-        assert!(ext.extend_with(&[], &int).is_none());
+        assert!(ext.extend_with(delta(), &int).is_none());
+        assert!(ext.extend_with([], &int).is_none());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! the materialised build holds — [`DerivedDictionary::build_filtered`], then
 //! [`GlobalOrder::build`] over all the parts' origins, then
 //! [`ClusteredIndex::build_with_order`], which stay as they were and are the
-//! oracle; and the parts, concatenated, hold what one materialised build over
+//! oracle — once spread from the origins it lists over the whole origin
+//! space; and the parts, concatenated, hold what one materialised build over
 //! all their origins holds.
 
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
-use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet, VariantTable};
+use aeetes_rules::{DeriveConfig, DeriveStats, DerivedDictionary, MergePlan, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -74,35 +75,51 @@ proptest! {
         let config = DeriveConfig { max_derived: inst.max_derived, ..DeriveConfig::default() };
         // Contiguous ranges of the origin space, as a build partitions it.
         let n = inst.entities.len() as u32;
-        let mine = |part: u32| move |e: EntityId| inst.keep >> (e.0 % 16) & 1 == 1 && (n * part / inst.parts..n * (part + 1) / inst.parts).contains(&e.0);
+        let kept = move |e: EntityId| inst.keep >> (e.0 % 16) & 1 == 1;
+        let range = |part: u32| n * part / inst.parts..n * (part + 1) / inst.parts;
+        let mine = |part: u32| range(part).map(EntityId).filter(move |&e| kept(e));
 
-        let dds: Vec<DerivedDictionary> = (0..inst.parts).map(|p| DerivedDictionary::build_filtered(&dict, &rules, &config, mine(p))).collect();
-        let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, |e| inst.keep >> (e.0 % 16) & 1 == 1);
+        let dds: Vec<DerivedDictionary> =
+            (0..inst.parts).map(|p| DerivedDictionary::build_filtered(&dict, &rules, &config, |e| kept(e) && range(p).contains(&e.0))).collect();
+        let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, kept);
         let want_order = Arc::new(GlobalOrder::build(&whole, &interner));
 
         let drafts: Vec<IndexDraft> = (0..inst.parts).map(|p| IndexDraft::derive(&dict, &rules, &config, mine(p))).collect();
-        let mut freq = vec![0u32; drafts.iter().map(|d| d.frequencies().len()).max().unwrap_or(0)];
+        let mut freq = Vec::new();
         for draft in &drafts {
-            for (sum, count) in freq.iter_mut().zip(draft.frequencies()) {
-                *sum += count;
+            for (t, count) in draft.frequencies() {
+                if freq.len() <= t.idx() {
+                    freq.resize(t.idx() + 1, 0);
+                }
+                freq[t.idx()] += count;
             }
         }
         let order = Arc::new(GlobalOrder::from_frequencies(freq, &interner));
         prop_assert_eq!(order.raw_parts(), want_order.raw_parts());
 
+        // Each part, listed over its own origins, spread over the whole
+        // origin space is the materialised part.
         let (mut tables, mut indexes) = (Vec::new(), Vec::new());
         for (dd, draft) in dds.iter().zip(drafts) {
             let (table, index) = draft.into_index(Arc::clone(&order));
-            same_index(&index, &ClusteredIndex::build_with_order(dd, Arc::clone(&want_order)))?;
-            prop_assert_eq!(table.raw_arenas(), dd.raw_arenas());
+            prop_assert!(!index.is_whole());
+            let plan = MergePlan::new(&[index.slots()], |_, _| true, Some(n as usize));
+            same_index(&ClusteredIndex::concat(vec![index.clone()], &plan), &ClusteredIndex::build_with_order(dd, Arc::clone(&want_order)))?;
+            let spread = VariantTable::merge(&[&table], &plan, table.stats().clone());
+            prop_assert_eq!(spread.raw_arenas(), dd.raw_arenas());
             prop_assert_eq!(table.stats(), dd.stats());
             tables.push(table);
             indexes.push(index);
         }
-        let table = VariantTable::concat(tables);
+        let plan = MergePlan::new(&indexes.iter().map(ClusteredIndex::slots).collect::<Vec<_>>(), |_, _| true, Some(n as usize));
+        let mut stats = DeriveStats::default();
+        for table in &tables {
+            stats += table.stats();
+        }
+        let table = VariantTable::merge(&tables.iter().collect::<Vec<_>>(), &plan, stats);
         prop_assert_eq!(table.raw_arenas(), whole.raw_arenas());
         prop_assert_eq!(table.stats(), whole.stats());
-        same_index(&ClusteredIndex::concat(indexes), &ClusteredIndex::build_with_order(&whole, want_order))?;
+        same_index(&ClusteredIndex::concat(indexes, &plan), &ClusteredIndex::build_with_order(&whole, want_order))?;
     }
 }
 

@@ -242,22 +242,151 @@ impl<'a> OriginVariants<'a> {
     }
 }
 
-/// The plan of a splice: `changed`'s maximal runs of consecutive origins
-/// that all come from the same side, as `(from the small side, origins)`.
-/// An unchanged run ends where the old side's `old_origins` end — a shard
-/// that predates a dictionary-growing delta holds nothing of the origins
-/// past its own id space — so a run may be cut short or left out.
-pub fn splice_runs(changed: &[bool], old_origins: usize) -> impl Iterator<Item = (bool, Range<usize>)> + '_ {
-    let mut next = 0;
-    std::iter::from_fn(move || loop {
-        let start = next;
-        let &from_small = changed.get(start)?;
-        next += changed[start..].iter().position(|&c| c != from_small).unwrap_or(changed.len() - start);
-        let end = if from_small { next } else { next.min(old_origins) };
-        if start < end {
-            return Some((from_small, start..end));
+/// Which origins the slots of a variant table — or of an index's per-origin
+/// arrays — stand for: every origin of a space, slot `e` being origin `e`
+/// (what a build, an artifact and a generation's base hold), or the listed
+/// origins only (what a delta derives and a generation's tail holds).
+#[derive(Debug, Clone, Copy)]
+pub enum Slots<'a> {
+    /// The first `n` origins.
+    Whole(usize),
+    /// These origins, strictly ascending: slot `i` is `origins[i]`.
+    Listed(&'a [EntityId]),
+}
+
+impl Slots<'_> {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        match self {
+            Slots::Whole(n) => *n,
+            Slots::Listed(origins) => origins.len(),
         }
-    })
+    }
+
+    /// Whether there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The origin slot `slot` stands for.
+    #[inline]
+    pub fn origin(&self, slot: usize) -> EntityId {
+        match self {
+            Slots::Whole(_) => EntityId(slot as u32),
+            Slots::Listed(origins) => origins[slot],
+        }
+    }
+
+    /// The number of slots whose origin lies below `e`.
+    #[inline]
+    pub fn slots_before(&self, e: EntityId) -> usize {
+        match self {
+            Slots::Whole(n) => e.idx().min(*n),
+            Slots::Listed(origins) => origins.partition_point(|&o| o < e),
+        }
+    }
+}
+
+/// How a merge lays its sides' slots out: runs of consecutive slots of one
+/// side that land on consecutive output slots, in ascending origin order.
+/// One plan drives both the variant table's merge ([`VariantTable::merge`])
+/// and the index's per-origin arrays, so the two stay slot for slot.
+#[derive(Debug, Clone)]
+pub struct MergePlan {
+    /// `(side, its slots, the output slot of the first)`, ascending.
+    runs: Vec<(usize, Range<usize>, usize)>,
+    /// Output slots.
+    slots: usize,
+    /// The origin of each output slot, when the output lists its origins.
+    listed: Option<Vec<EntityId>>,
+}
+
+impl MergePlan {
+    /// The slots of `sides` whose origin `keep(side, origin)` admits, merged
+    /// by origin — no origin may be admitted from two sides — into the whole
+    /// space of `whole` origins (an origin no side gives holds nothing), or,
+    /// when `whole` is `None`, into a listed output of just those origins.
+    /// Costs a step per slot of every side.
+    ///
+    /// # Panics
+    /// Panics when two sides give one origin, or an origin lies outside
+    /// `whole`.
+    pub fn new(sides: &[Slots<'_>], keep: impl Fn(usize, EntityId) -> bool, whole: Option<usize>) -> Self {
+        let mut next = vec![0usize; sides.len()];
+        // Per side, its next admitted slot and that slot's origin.
+        let admitted = |s: usize, next: &mut [usize]| {
+            while next[s] < sides[s].len() && !keep(s, sides[s].origin(next[s])) {
+                next[s] += 1;
+            }
+            (next[s] < sides[s].len()).then(|| sides[s].origin(next[s]))
+        };
+        let mut heads: Vec<Option<EntityId>> = (0..sides.len()).map(|s| admitted(s, &mut next)).collect();
+        let mut plan = MergePlan {
+            runs: Vec::new(),
+            slots: whole.unwrap_or(0),
+            listed: whole.is_none().then(Vec::new),
+        };
+        let mut last: Option<EntityId> = None;
+        while let Some((e, s)) = heads.iter().zip(0..).filter_map(|(head, s)| head.map(|e| (e, s))).min() {
+            assert!(last < Some(e), "origin {} is given by two sides of a merge", e.0);
+            last = Some(e);
+            let at = match &mut plan.listed {
+                None => {
+                    assert!(e.idx() < plan.slots, "origin {} lies outside the {} origins of a merge", e.0, plan.slots);
+                    e.idx()
+                }
+                Some(listed) => {
+                    listed.push(e);
+                    listed.len() - 1
+                }
+            };
+            let slot = next[s];
+            match plan.runs.last_mut() {
+                Some((side, run, first)) if *side == s && run.end == slot && *first + run.len() == at => run.end += 1,
+                _ => plan.runs.push((s, slot..slot + 1, at)),
+            }
+            next[s] += 1;
+            heads[s] = admitted(s, &mut next);
+        }
+        if let Some(listed) = &plan.listed {
+            plan.slots = listed.len();
+        }
+        plan
+    }
+
+    /// The runs, in output order: `(side, its slots, the output slot of the
+    /// first)`.
+    pub fn runs(&self) -> &[(usize, Range<usize>, usize)] {
+        &self.runs
+    }
+
+    /// Output slots.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Whether the plan takes side 0's first [`Self::slots`] slots as they
+    /// stand, and nothing else.
+    pub fn is_identity(&self) -> bool {
+        match &self.runs[..] {
+            [] => self.slots == 0,
+            [(0, run, 0)] => run.len() == self.slots,
+            _ => false,
+        }
+    }
+
+    /// The output's slots: whole, or the origins it lists.
+    pub fn output(&self) -> Slots<'_> {
+        match &self.listed {
+            None => Slots::Whole(self.slots),
+            Some(listed) => Slots::Listed(listed),
+        }
+    }
+
+    /// The origins a listed output holds (`None` for a whole one).
+    pub fn into_listed(self) -> Option<Vec<EntityId>> {
+        self.listed
+    }
 }
 
 /// `offsets` shifted so that the value `from` lands on `to` (the copy of a
@@ -266,16 +395,8 @@ pub fn rebased(offsets: &[u32], from: u32, to: u32) -> impl Iterator<Item = u32>
     offsets.iter().map(move |&o| o - from + to)
 }
 
-/// The origins from the first to the last that owns a variant under the
-/// origin → variant prefix `by_origin`, or `None` when none does: the run one
-/// part of a build contributes to the concatenation of the parts.
-pub fn owned_origins(by_origin: &[u32]) -> Option<Range<usize>> {
-    let total = *by_origin.last()?;
-    (total > 0).then(|| by_origin.partition_point(|&v| v == 0) - 1..by_origin.partition_point(|&v| v < total))
-}
-
-/// A variant table written run by run out of other tables' origin runs, in
-/// ascending origin order: the prefix moved by the running shift, the
+/// A variant table written run by run out of other tables' slot runs, in
+/// ascending output order: the prefix moved by the running shift, the
 /// weights copied behind — or ones, for a run of a table that stores none,
 /// once any side does.
 struct TableWriter {
@@ -286,8 +407,8 @@ struct TableWriter {
 }
 
 impl TableWriter {
-    fn new(origins: usize, weighted: bool, variants: usize) -> Self {
-        let mut by_origin = Vec::with_capacity(origins + 1);
+    fn new(slots: usize, weighted: bool, variants: usize) -> Self {
+        let mut by_origin = Vec::with_capacity(slots + 1);
         by_origin.push(0);
         Self {
             by_origin,
@@ -297,13 +418,13 @@ impl TableWriter {
         }
     }
 
-    /// Appends `side`'s origins `run`; the origins between the previous run
-    /// and this one hold nothing.
-    fn push_run(&mut self, side: &VariantTable, run: Range<usize>) {
-        assert!(self.by_origin.len() <= run.start + 1, "origin runs must ascend");
-        let (v0, v1) = (side.by_origin[run.start], side.by_origin[run.end]);
-        self.by_origin.resize(run.start + 1, self.variants);
-        self.by_origin.extend(rebased(&side.by_origin[run.start + 1..=run.end], v0, self.variants));
+    /// Appends `side`'s `slots` as output slots from `at`; the slots between
+    /// the previous run and this one hold nothing.
+    fn push_run(&mut self, side: &VariantTable, slots: Range<usize>, at: usize) {
+        assert!(self.by_origin.len() <= at + 1, "slot runs must ascend");
+        let (v0, v1) = (side.by_origin[slots.start], side.by_origin[slots.end]);
+        self.by_origin.resize(at + 1, self.variants);
+        self.by_origin.extend(rebased(&side.by_origin[slots.start + 1..=slots.end], v0, self.variants));
         self.variants += v1 - v0;
         if !side.weight.is_empty() {
             self.weight.extend_from_slice(&side.weight[v0 as usize..v1 as usize]);
@@ -312,8 +433,8 @@ impl TableWriter {
         }
     }
 
-    fn finish(mut self, origins: usize, stats: DeriveStats) -> VariantTable {
-        self.by_origin.resize(origins + 1, self.variants);
+    fn finish(mut self, slots: usize, stats: DeriveStats) -> VariantTable {
+        self.by_origin.resize(slots + 1, self.variants);
         if self.weight.iter().all(|&w| w == 1.0) {
             self.weight = Vec::new();
         }
@@ -323,14 +444,16 @@ impl TableWriter {
 
 /// What extraction reads of a derived dictionary once its index is built:
 /// which variant ids belong to which origin, and — for weighted requests —
-/// what each variant weighs. This is all an engine, a shard, a copy-on-write
-/// generation and a frozen segment keep. Token sequences and rule provenance
+/// what each variant weighs. This is all an engine, a copy-on-write
+/// generation and a frozen segment keep. The table is indexed by *slot*: over
+/// a whole origin space (slot `e` is origin `e`), or over listed origins
+/// whose list its holder keeps ([`Slots`]). Token sequences and rule provenance
 /// are in a [`DerivedDictionary`] (which derefs to its table), and only
 /// while something reads them: they are what re-deriving the origins gives.
 #[derive(Debug, Clone)]
 pub struct VariantTable {
-    /// `by_origin[e]..by_origin[e+1]` is origin `e`'s variant id range
-    /// (`origins + 1` entries, a prefix-sum over the origin id space).
+    /// `by_origin[s]..by_origin[s+1]` is slot `s`'s variant id range
+    /// (`slots + 1` entries, a prefix sum).
     by_origin: Arena<u32>,
     /// Variant → weight product: `D` entries, or none when every variant
     /// weighs `1.0`.
@@ -389,26 +512,27 @@ struct SequenceArrays {
     rule_off: Vec<u32>,
 }
 
-impl Default for SequenceArrays {
-    fn default() -> Self {
-        Self {
-            origin: Vec::new(),
-            tokens: Vec::new(),
-            tok_off: vec![0],
-            rules: Vec::new(),
-            rule_off: vec![0],
-        }
-    }
-}
-
 impl SequenceArrays {
     /// The origins of `dict` that `keep` selects, expanded under `rules`
     /// (see [`derive_into`]): every variant's tokens and rules copied into
-    /// the arenas, beside the table of which ids went to which origin.
-    fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> (VariantTable, Self) {
-        let mut out = Self::default();
+    /// the arenas, beside the table — over the whole origin space, an origin
+    /// left out holding nothing — of which ids went to which origin.
+    /// `variants` is how many variants the derivation is known to give, or 0:
+    /// the per-variant arrays are sized by it, and every array is cut to
+    /// what it holds once derived.
+    fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool, variants: usize) -> (VariantTable, Self) {
+        let mut out = Self {
+            origin: Vec::with_capacity(variants),
+            tokens: Vec::new(),
+            tok_off: Vec::with_capacity(variants + 1),
+            rules: Vec::new(),
+            rule_off: Vec::with_capacity(variants + 1),
+        };
         let Self { origin, tokens, tok_off, rules: applied, rule_off } = &mut out;
-        let table = derive_into(dict, rules, config, keep, |variants| {
+        tok_off.push(0);
+        rule_off.push(0);
+        let kept: Vec<EntityId> = (0..dict.len() as u32).map(EntityId).filter(|&e| keep(e)).collect();
+        let table = derive_into(dict, rules, config, kept.iter().copied(), |variants| {
             for d in variants.iter() {
                 origin.push(d.origin);
                 tokens.extend_from_slice(d.tokens);
@@ -417,7 +541,18 @@ impl SequenceArrays {
                 rule_off.push(u32::try_from(applied.len()).expect("derived rule arena overflows u32 offsets"));
             }
         });
-        (table, out)
+        for arena in [&mut out.tok_off, &mut out.rule_off] {
+            arena.shrink_to_fit();
+        }
+        out.origin.shrink_to_fit();
+        out.tokens.shrink_to_fit();
+        out.rules.shrink_to_fit();
+        if kept.len() == dict.len() {
+            return (table, out);
+        }
+        let plan = MergePlan::new(&[Slots::Listed(&kept)], |_, _| true, Some(dict.len()));
+        let stats = table.stats.clone();
+        (VariantTable::merge(&[&table], &plan, stats), out)
     }
 }
 
@@ -436,69 +571,34 @@ impl From<DerivedDictionary> for VariantTable {
 }
 
 impl VariantTable {
-    /// The table a delta leaves behind, merged instead of re-derived: `old`
-    /// with the variant run of every `changed` origin replaced by that
-    /// origin's (possibly empty) run in `small`.
-    ///
-    /// `small` is [`DerivedDictionary::build_filtered`] over the post-delta
-    /// dictionary and rules with exactly the changed, still-live origins
-    /// kept; `changed` flags every origin whose derivation the delta can
-    /// have altered (added, tombstoned, or reached by a new rule) over the
-    /// post-delta id space; `departing` is the statistics of the changed
-    /// origins as `old` derived them. Variants sit in ascending origin order
-    /// on both sides, so the result is a run-by-run concatenation with the
-    /// prefix moved by the running shift — array for array the table of
-    /// `build_filtered` over the whole post-delta dictionary, weights
-    /// included: they are stored exactly when one of the result's variants
-    /// weighs other than `1.0`.
-    ///
-    /// # Panics
-    /// Panics when `changed` does not span `small`'s origins or `old` covers
-    /// more origins than that.
-    pub fn splice(old: &Self, small: &Self, changed: &[bool], departing: &DeriveStats) -> Self {
-        assert_eq!(changed.len(), small.origins(), "the changed flags must span the post-delta origin space");
-        assert!(old.origins() <= changed.len(), "a delta never shrinks the origin space");
-        let sides = [old, small];
-        let weighted = !(old.weight.is_empty() && small.weight.is_empty());
-        let mut out = TableWriter::new(changed.len(), weighted, old.len() + small.len());
-        for (from_small, run) in splice_runs(changed, old.origins()) {
-            out.push_run(sides[usize::from(from_small)], run);
+    /// The table of `sides` laid out by `plan` (over those sides' slots):
+    /// each run's variants in turn, the prefix moved by the running shift,
+    /// and `stats` as given. Variants sit in ascending origin order on every
+    /// side, so this is the table a derivation over the output's origins
+    /// gives, array for array, when the sides are derivations of the origins
+    /// the plan takes from them — the concatenation of a build's parts, a
+    /// delta's changed origins spliced over the ones they replace, a tail
+    /// compacted into its base. Weights are stored exactly when one of the
+    /// result's variants weighs other than `1.0`.
+    pub fn merge(sides: &[&Self], plan: &MergePlan, stats: DeriveStats) -> Self {
+        let weighted = sides.iter().any(|side| !side.weight.is_empty());
+        let variants = plan
+            .runs
+            .iter()
+            .map(|(s, run, _)| (sides[*s].by_origin[run.end] - sides[*s].by_origin[run.start]) as usize)
+            .sum();
+        let mut out = TableWriter::new(plan.slots, weighted, variants);
+        for (s, run, at) in &plan.runs {
+            out.push_run(sides[*s], run.clone(), *at);
         }
-        out.finish(changed.len(), old.stats.replaced(departing, &small.stats))
-    }
-
-    /// The table of a build's `parts`, each derived over its own ascending
-    /// range of one origin space ([`derive_into`] with `keep` selecting the
-    /// range), as one: the parts' runs back to back and their statistics
-    /// summed — array for array the table of one derivation over the ranges'
-    /// union. Each part is dropped once copied; one part is the table.
-    ///
-    /// # Panics
-    /// Panics when `parts` is empty, spans different origin spaces, or owns
-    /// origins out of ascending order.
-    pub fn concat(mut parts: Vec<Self>) -> Self {
-        let origins = parts.first().expect("a build has at least one part").origins();
-        if parts.len() == 1 {
-            return parts.pop().expect("one part");
-        }
-        let weighted = parts.iter().any(|part| !part.weight.is_empty());
-        let mut out = TableWriter::new(origins, weighted, parts.iter().map(Self::len).sum());
-        let mut stats = DeriveStats::default();
-        for part in parts {
-            assert_eq!(part.origins(), origins, "the parts of a build span one origin space");
-            stats += &part.stats;
-            if let Some(run) = owned_origins(&part.by_origin) {
-                out.push_run(&part, run);
-            }
-        }
-        out.finish(origins, stats)
+        out.finish(plan.slots, stats)
     }
 
     /// Reassembles a table from raw (possibly frozen) arenas, validating
     /// every structural invariant: the origin prefix starts at 0 and is
     /// monotonic, and the weights — none, or one per variant — lie in
-    /// `(0, 1]`. `stats` is kept as given — a later [`VariantTable::splice`]
-    /// subtracts from it — except that `derived` is set from the prefix and
+    /// `(0, 1]`. `stats` is kept as given — a later delta's
+    /// [`DeriveStats::replaced`] subtracts from it — except that `derived` is set from the prefix and
     /// `origins` may not exceed the id space.
     ///
     /// # Errors
@@ -539,9 +639,16 @@ impl VariantTable {
         }
     }
 
-    /// The contiguous range of global [`DerivedId`]s holding `e`'s variants.
+    /// The contiguous range of [`DerivedId`]s holding `e`'s variants, in a
+    /// table over a whole origin space (in a listed one, of slot `e`).
     pub fn variant_range(&self, e: EntityId) -> Range<u32> {
         self.by_origin[e.idx()]..self.by_origin[e.idx() + 1]
+    }
+
+    /// The variants of the slots before `slot`: the first variant id of
+    /// `slot`, or the table's length at `slot == slots`.
+    pub fn variants_before(&self, slot: usize) -> u32 {
+        self.by_origin[slot]
     }
 
     /// Total number of derived entities.
@@ -554,7 +661,7 @@ impl VariantTable {
         self.len() == 0
     }
 
-    /// Number of origin entities.
+    /// Number of slots: origin entities, in a table over a whole space.
     pub fn origins(&self) -> usize {
         self.by_origin.len() - 1
     }
@@ -578,9 +685,9 @@ impl VariantTable {
     }
 }
 
-/// Expands the entities of `dict` that `keep` selects under `rules`, hands
-/// each one's variants to `each_origin` while they sit in the enumeration's
-/// buffers, and returns the table of which ids went to which origin.
+/// Expands the `origins` of `dict` under `rules`, hands each one's variants
+/// to `each_origin` while they sit in the enumeration's buffers, and returns
+/// the table of which ids went to which origin.
 ///
 /// Variants are enumerated in a deterministic order — the unmodified origin
 /// first, then combinations in mixed-radix order over the span groups
@@ -590,31 +697,39 @@ impl VariantTable {
 /// popcount so that verification can binary-search the lengths the filter
 /// admits): a block's slot is its variant's id less the origin's first.
 ///
-/// The table spans the *full* origin id space: origins outside the filter get
-/// empty variant ranges but remain addressable, so a shard's table keeps
-/// global [`EntityId`]s. Derivation work (and [`DeriveStats::origins`])
-/// counts only kept origins, and only an origin with at least one variant is
-/// handed out. Nothing is allocated per variant: what a caller wants to keep
-/// of one it copies out of the slices it is shown.
+/// The table has one slot per listed origin, in list order ([`Slots`]):
+/// derivation walks the list, so a delta's few origins cost what they
+/// derive, whatever the dictionary holds. [`DeriveStats::origins`] counts
+/// them, and only an origin with at least one variant is handed out.
+/// Nothing is allocated per variant: what a caller wants to keep of one it
+/// copies out of the slices it is shown.
+///
+/// # Panics
+/// Panics when `origins` does not ascend strictly or names an origin
+/// outside `dict`.
 pub fn derive_into(
     dict: &Dictionary,
     rules: &RuleSet,
     config: &DeriveConfig,
-    keep: impl Fn(EntityId) -> bool,
+    origins: impl IntoIterator<Item = EntityId>,
     mut each_origin: impl FnMut(OriginVariants<'_>),
 ) -> VariantTable {
-    let mut by_origin: Vec<u32> = Vec::with_capacity(dict.len() + 1);
+    let origins = origins.into_iter();
+    let mut by_origin: Vec<u32> = Vec::with_capacity(origins.size_hint().0 + 1);
     by_origin.push(0);
     // The weight array comes into being with the first weight other than
     // `1.0`, so an unweighted dictionary never allocates one.
     let mut weight: Vec<f64> = Vec::new();
     let mut stats = DeriveStats::default();
     let mut scratch = ExpandScratch::default();
-    for (eid, ent) in dict.iter() {
-        let kept = keep(eid);
-        stats.origins += usize::from(kept);
-        if kept && !ent.tokens.is_empty() {
-            expand_entity(ent.tokens, rules, config, &mut scratch, &mut stats);
+    let mut last = None;
+    for eid in origins {
+        assert!(last < Some(eid), "origins are derived in strictly ascending order");
+        last = Some(eid);
+        let tokens = dict.entity(eid);
+        stats.origins += 1;
+        if !tokens.is_empty() {
+            expand_entity(tokens, rules, config, &mut scratch, &mut stats);
             for &v in &scratch.order {
                 let w = scratch.produced[v].weight;
                 if w != 1.0 && weight.is_empty() {
@@ -725,7 +840,7 @@ impl DerivedDictionary {
     /// variant's tokens and rules are copied into the arenas);
     /// `build` is `build_filtered(.., |_| true)`.
     pub fn build_filtered(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, keep: impl Fn(EntityId) -> bool) -> Self {
-        let (table, arrays) = SequenceArrays::derive(dict, rules, config, keep);
+        let (table, arrays) = SequenceArrays::derive(dict, rules, config, keep, 0);
         Self {
             table,
             sequences: Arc::new(Sequences { source: None, arrays: OnceLock::from(arrays) }),
@@ -751,7 +866,7 @@ impl DerivedDictionary {
     fn arrays(&self) -> &SequenceArrays {
         self.sequences.arrays.get_or_init(|| {
             let (dict, rules, config) = self.sequences.source.as_ref().expect("a dictionary without sequences derives them");
-            let (table, arrays) = SequenceArrays::derive(dict, rules, config, |_| true);
+            let (table, arrays) = SequenceArrays::derive(dict, rules, config, |_| true, self.table.len());
             assert!(
                 table.raw_arenas() == self.table.raw_arenas() && table.stats == self.table.stats,
                 "re-deriving the dictionary gave another variant table than the one it was made with"
@@ -1155,14 +1270,22 @@ mod tests {
         let whole = c.build();
         assert_eq!(whole.raw_arenas().1, [1.0, 1.0, 0.5, 0.5, 1.0]);
 
-        // The weighted rule arrives as a delta reaching origin 0 ...
-        let small = DerivedDictionary::build_filtered(&c.dict, &c.rules, &DeriveConfig::default(), |e| e.0 == 0);
-        let departing = DerivedDictionary::build_filtered(&c.dict, &RuleSet::new(), &DeriveConfig::default(), |e| e.0 == 0);
-        let spliced = VariantTable::splice(&unweighted, &small, &[true, false], departing.stats());
+        // The weighted rule arrives as a delta reaching origin 0, derived
+        // over that origin alone ...
+        let changed = [EntityId(0)];
+        let small = derive_into(&c.dict, &c.rules, &DeriveConfig::default(), changed, |_| {});
+        let departing = derive_into(&c.dict, &RuleSet::new(), &DeriveConfig::default(), changed, |_| {});
+        assert_eq!(small.origins(), 1, "a delta's table holds a slot per origin it derives");
+        let splice = |old: &VariantTable, small: &VariantTable, departing: &DeriveStats| {
+            let sides = [Slots::Whole(2), Slots::Listed(&changed[..small.origins()])];
+            let plan = MergePlan::new(&sides, |side, e| side == 1 || !changed.contains(&e), Some(2));
+            VariantTable::merge(&[old, small], &plan, old.stats().replaced(departing, small.stats()))
+        };
+        let spliced = splice(&unweighted, &small, departing.stats());
         assert_eq!(spliced.raw_arenas(), whole.raw_arenas());
         // ... and leaves with the origin it reached.
-        let gone = DerivedDictionary::build_filtered(&c.dict, &c.rules, &DeriveConfig::default(), |_| false);
-        let left = VariantTable::splice(&spliced, &gone, &[true, false], small.stats());
+        let gone = derive_into(&c.dict, &c.rules, &DeriveConfig::default(), [], |_| {});
+        let left = splice(&spliced, &gone, small.stats());
         assert_eq!(left.raw_arenas(), (&[0, 0, 1][..], &[][..]));
     }
 }

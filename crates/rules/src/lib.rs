@@ -39,7 +39,7 @@ mod rule;
 
 pub use apply::{find_applications, select_non_conflict, Application};
 pub use derive::{
-    derive_into, each_distinct_token, owned_origins, rebased, splice_runs, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef,
-    OriginVariants, VariantTable, Variants,
+    derive_into, each_distinct_token, rebased, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef, MergePlan, OriginVariants, Slots,
+    VariantTable, Variants,
 };
 pub use rule::{Rule, RuleError, RuleId, RuleSet, Side};

@@ -3,7 +3,7 @@
 use aeetes_rules::{
     derive_into, find_applications, select_non_conflict, Application, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet, Side,
 };
-use aeetes_text::{Dictionary, TokenId};
+use aeetes_text::{Dictionary, EntityId, TokenId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -258,7 +258,7 @@ proptest! {
         let config = DeriveConfig { max_derived: [256, 3][tight], ..DeriveConfig::default() };
         let eager = answers(&DerivedDictionary::build(&dict, &rule_table, &config));
 
-        let variants = derive_into(&dict, &rule_table, &config, |_| true, |_| {});
+        let variants = derive_into(&dict, &rule_table, &config, (0..dict.len() as u32).map(EntityId), |_| {});
         let lazy = DerivedDictionary::lazy(variants, dict.clone(), rule_table.clone(), config.clone());
         let before = lazy.clone();
         prop_assert_eq!((lazy.len(), lazy.stats()), (eager.2, &eager.3));

@@ -6,7 +6,6 @@ use aeetes_core::{aeetes_index, AeetesConfig};
 use aeetes_index::IndexDraft;
 use aeetes_rules::{derive_into, find_applications, RuleError, RuleSet};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId, Tokenizer};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -253,7 +252,6 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
             .unwrap_or_else(|| tokenizer.tokenize(text, Arc::make_mut(&mut interner)))
     };
     let mut dict = cur.dict.clone();
-    let mut removed: BTreeSet<u32> = cur.removed.iter().map(|e| e.0).collect();
 
     // The new rules, in a part of their own: it tests which existing
     // origins they touch, then joins the table.
@@ -270,32 +268,41 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         dict.push_from(raw, tokens.into_iter());
     }
 
-    let mut changed = vec![false; dict.len()];
-    for e in &delta.remove_entities {
-        if removed.insert(e.0) {
-            changed[e.idx()] = true;
-        }
-    }
-    changed[first_new..].fill(true);
+    // The changed origins, ascending: the newly tombstoned ones, the ones a
+    // new rule reaches, the added ones.
+    let mut changed: Vec<EntityId> = delta.remove_entities.iter().copied().filter(|e| cur.removed.binary_search(e).is_err()).collect();
+    changed.sort_unstable();
+    changed.dedup();
+    let mut removed = Vec::with_capacity(cur.removed.len() + changed.len());
+    removed.extend_from_slice(&cur.removed);
+    removed.extend_from_slice(&changed);
+    removed.sort_unstable();
+    let is_removed = |e: EntityId| removed.binary_search(&e).is_ok();
     if !fresh.is_empty() {
-        for (e, ent) in dict.iter().take(first_new) {
-            if !removed.contains(&e.0) && !find_applications(ent.tokens, &fresh).is_empty() {
-                changed[e.idx()] = true;
-            }
-        }
+        let reached = dict
+            .iter()
+            .take(first_new)
+            .filter(|&(e, ent)| !is_removed(e) && !find_applications(ent.tokens, &fresh).is_empty());
+        changed.extend(reached.map(|(e, _)| e));
+        changed.sort_unstable();
     }
+    changed.extend((first_new..dict.len()).map(|e| EntityId(e as u32)));
     let mut rules = cur.rules.clone();
     rules.append(fresh);
-    let (order, base, tail) = if changed.contains(&true) {
+    let (order, base, tail) = if changed.is_empty() {
+        (Arc::clone(&cur.order), Arc::clone(&cur.base), cur.tail.clone())
+    } else {
         // The changed origins as they derive now, and what the ones that
         // were live contributed to the statistics before — of the base and
         // of the tail, whichever held them.
         let derive = &cur.config.derive;
-        let small = IndexDraft::derive(&dict, &rules, derive, |e| changed[e.idx()] && !removed.contains(&e.0));
+        let small = IndexDraft::derive(&dict, &rules, derive, changed.iter().copied().filter(|&e| !is_removed(e)));
         let segment = cur.segment();
         let departing = |in_tail: bool| {
-            let was_live = |e: EntityId| changed[e.idx()] && cur.removed.binary_search(&e).is_err() && segment.in_tail(e) == in_tail;
-            derive_into(&cur.dict, &cur.rules, derive, was_live, |_| {}).stats().clone()
+            let was_live = |e: &EntityId| e.idx() < first_new && cur.removed.binary_search(e).is_err() && segment.in_tail(*e) == in_tail;
+            derive_into(&cur.dict, &cur.rules, derive, changed.iter().copied().filter(was_live), |_| {})
+                .stats()
+                .clone()
         };
         let departing = [departing(false), departing(true)];
         // Freeze existing token keys; only genuinely new tokens get keys,
@@ -306,13 +313,10 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
             .order
             .extend_with(small.frequencies(), &interner)
             .map_or_else(|| Arc::clone(&cur.order), Arc::new);
-        let (base, tail) = splice(&cur.base, cur.tail.as_deref(), small, &changed, &departing, Arc::clone(&order));
+        let (base, tail) = splice(&cur.base, cur.tail.as_deref(), small, &changed, &departing, Arc::clone(&order), dict.len());
         (order, base, tail)
-    } else {
-        (Arc::clone(&cur.order), Arc::clone(&cur.base), cur.tail.clone())
     };
 
-    let removed: Vec<EntityId> = removed.into_iter().map(EntityId).collect();
     Ok(Arc::new(Generation::assemble(cur.id() + 1, interner, dict, removed, rules, cur.config.clone(), order, base, tail)))
 }
 

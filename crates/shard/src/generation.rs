@@ -2,7 +2,7 @@
 
 use aeetes_core::{extract_segment_scratched, AeetesConfig, ExtractBackend, ExtractRequest, ExtractScratch, ScratchOutcome, Segment};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexDraft};
-use aeetes_rules::{DeriveStats, DerivedId, RuleSet, VariantTable};
+use aeetes_rules::{DeriveStats, DerivedId, MergePlan, RuleSet, VariantTable};
 use aeetes_text::{Dictionary, Document, EntityId, Interner};
 use std::sync::Arc;
 
@@ -15,13 +15,16 @@ pub(crate) struct Tier {
 
 /// What the deltas since the base was made changed in it.
 pub(crate) struct Tail {
-    /// The changed origins that are still live, re-derived, over the origin
-    /// space of the latest delta.
+    /// The changed origins that are still live, re-derived: a listed index
+    /// over them and the tokens their variants hold, and the variant table
+    /// over its origins — sized by what the tail holds, not the dictionary.
     pub(crate) tier: Tier,
-    /// Bit per base origin: its variants live in the tail, or nowhere.
+    /// Bit per base origin: its variants live in the tail, or nowhere. Runs
+    /// up to the word of the highest superseded origin; empty while none is.
     superseded: Vec<u64>,
-    /// Base variants of superseded origins.
-    superseded_variants: usize,
+    /// The superseded base origins that hold variants, ascending, each with
+    /// the base variants of those up to and including it.
+    superseded_prefix: Vec<(EntityId, u32)>,
     /// What the superseded origins contributed to the base's statistics.
     departed: DeriveStats,
     /// Live base variants per set length; empty until a superseded origin
@@ -33,6 +36,31 @@ impl Tail {
     /// The tail as an extraction pass reads it.
     fn view(&self) -> aeetes_core::Tail<'_> {
         aeetes_core::Tail { index: &self.tier.index, dd: &self.tier.dd, superseded: &self.superseded }
+    }
+
+    /// Base variants of superseded origins.
+    fn superseded_variants(&self) -> usize {
+        self.superseded_prefix.last().map_or(0, |&(_, upto)| upto as usize)
+    }
+
+    /// Base variants of the superseded origins below `e`.
+    fn superseded_before(&self, e: EntityId) -> u32 {
+        let below = self.superseded_prefix.partition_point(|&(s, _)| s < e);
+        below.checked_sub(1).map_or(0, |i| self.superseded_prefix[i].1)
+    }
+
+    /// The id a build from nothing over the live origins gives variant `v`
+    /// of origin `e`, an id of the tier that owns `e` (`in_tail`): the
+    /// variants before `e` are the owning tier's own, less the superseded
+    /// base variants before it, plus the other tier's before it.
+    fn build_id(&self, base: &Tier, e: EntityId, v: DerivedId, in_tail: bool) -> DerivedId {
+        let before = |tier: &Tier| tier.dd.variants_before(tier.index.slots().slots_before(e));
+        let superseded = self.superseded_before(e);
+        if in_tail {
+            DerivedId(before(base) - superseded + v.0)
+        } else {
+            DerivedId(v.0 - superseded + before(&self.tier))
+        }
     }
 }
 
@@ -48,26 +76,28 @@ fn variants_per_length(base: &Tier) -> Vec<u32> {
     lens
 }
 
-/// `base` with `tail`'s origins merged in: the same two splices a delta's
-/// changed origins go through, with `old` = the base, `small` = the tail and
-/// every origin the tail owns changed. Equals a build from nothing over the
-/// live origins, array for array.
-fn compacted(base: &Tier, tail: &Tail) -> Tier {
-    let changed: Vec<bool> = (0..tail.tier.dd.origins())
-        .map(|e| e >= base.dd.origins() || tail.view().supersedes(EntityId(e as u32)))
-        .collect();
-    Tier {
-        dd: VariantTable::splice(&base.dd, &tail.tier.dd, &changed, &tail.departed),
-        index: ClusteredIndex::splice(&base.index, &tail.tier.index, &changed),
-    }
+/// `base` with `tail`'s origins merged in, over the first `origins` origins:
+/// the merges a delta's changed origins go through, with `old` = the base,
+/// `small` = the tail and every origin the tail supersedes turned away from
+/// the base. Equals a build from nothing over the live origins, array for
+/// array.
+fn compacted(base: &Tier, tail: &Tail, origins: usize) -> Tier {
+    let kept = |e: EntityId| !tail.view().supersedes(e);
+    let plan = MergePlan::new(&[base.index.slots(), tail.tier.index.slots()], |side, e| side == 1 || kept(e), Some(origins));
+    let dd = VariantTable::merge(&[&base.dd, &tail.tier.dd], &plan, base.dd.stats().replaced(&tail.departed, tail.tier.dd.stats()));
+    Tier { dd, index: ClusteredIndex::splice(&base.index, &tail.tier.index, plan, kept) }
 }
 
 /// The tiers a delta leaves behind. `small` — the `changed` origins that are
 /// still live, derived under the post-delta rules — is keyed by `order` and
 /// spliced into `tail` in place of those origins' old runs there, and the
 /// changed base origins are marked superseded; the base is shared, not
-/// copied. `departing` is what the changed origins contributed to the
-/// statistics before, `[in the base, in the tail]`.
+/// copied. `changed` is sorted; `departing` is what the changed origins
+/// contributed to the statistics before, `[in the base, in the tail]`;
+/// `origins` is the post-delta origin space. Every step is sized by the
+/// tail and the delta: the tail's merge walks the two sides' origin and
+/// token lists, and of the base a delta reads the blocks of the origins it
+/// newly supersedes.
 ///
 /// Once the tail's variants and the superseded base variants reach the live
 /// base variants, the next tail splice would copy as much as a base splice
@@ -78,37 +108,49 @@ pub(crate) fn splice(
     base: &Arc<Tier>,
     tail: Option<&Tail>,
     small: IndexDraft,
-    changed: &[bool],
+    changed: &[EntityId],
     departing: &[DeriveStats; 2],
     order: Arc<GlobalOrder>,
+    origins: usize,
 ) -> (Arc<Tier>, Option<Arc<Tail>>) {
     let (small, small_index) = small.into_index(order);
     let mut tail = match tail {
         None => Tail {
             tier: Tier { dd: small, index: small_index },
-            superseded: vec![0; base.dd.origins().div_ceil(64)],
-            superseded_variants: 0,
+            superseded: Vec::new(),
+            superseded_prefix: Vec::new(),
             departed: DeriveStats::default(),
             live_lens: Vec::new(),
         },
-        Some(tail) => Tail {
-            tier: Tier {
-                dd: VariantTable::splice(&tail.tier.dd, &small, changed, &departing[1]),
-                index: ClusteredIndex::splice(&tail.tier.index, &small_index, changed),
-            },
-            superseded: tail.superseded.clone(),
-            superseded_variants: tail.superseded_variants,
-            departed: tail.departed.clone(),
-            live_lens: tail.live_lens.clone(),
-        },
+        Some(tail) => {
+            let unchanged = |e: EntityId| changed.binary_search(&e).is_err();
+            let plan = MergePlan::new(&[tail.tier.index.slots(), small_index.slots()], |side, e| side == 1 || unchanged(e), None);
+            let stats = tail.tier.dd.stats().replaced(&departing[1], small.stats());
+            let dd = VariantTable::merge(&[&tail.tier.dd, &small], &plan, stats);
+            Tail {
+                tier: Tier {
+                    dd,
+                    index: ClusteredIndex::splice(&tail.tier.index, &small_index, plan, unchanged),
+                },
+                superseded: tail.superseded.clone(),
+                superseded_prefix: tail.superseded_prefix.clone(),
+                departed: tail.departed.clone(),
+                live_lens: tail.live_lens.clone(),
+            }
+        }
     };
     tail.departed += &departing[0];
-    for e in (0..base.dd.origins()).filter(|&e| changed[e]) {
-        if tail.view().supersedes(EntityId(e as u32)) {
+    let mut newly: Vec<(EntityId, u32)> = Vec::new();
+    for &e in changed.iter().take_while(|e| e.idx() < base.dd.origins()) {
+        if tail.view().supersedes(e) {
             continue;
         }
-        tail.superseded[e / 64] |= 1 << (e % 64);
-        let block = base.index.block(EntityId(e as u32));
+        let word = e.idx() / 64;
+        if tail.superseded.len() <= word {
+            tail.superseded.resize(word + 1, 0);
+        }
+        tail.superseded[word] |= 1 << (e.idx() % 64);
+        let block = base.index.block(e);
         if block.ids.is_empty() {
             continue;
         }
@@ -118,10 +160,28 @@ pub(crate) fn splice(
         for slot in 0..block.ids.len() {
             tail.live_lens[block.set_len(slot)] -= 1;
         }
-        tail.superseded_variants += block.ids.len();
+        newly.push((e, block.ids.len() as u32));
     }
-    if tail.tier.dd.len() + tail.superseded_variants >= base.dd.len() - tail.superseded_variants {
-        (Arc::new(compacted(base, &tail)), None)
+    if !newly.is_empty() {
+        // Back to counts, the new ones among them, and summed again.
+        let mut before = 0;
+        for (e, upto) in std::mem::take(&mut tail.superseded_prefix) {
+            newly.push((e, upto - before));
+            before = upto;
+        }
+        newly.sort_unstable();
+        let mut upto = 0;
+        tail.superseded_prefix = newly
+            .into_iter()
+            .map(|(e, n)| {
+                upto += n;
+                (e, upto)
+            })
+            .collect();
+    }
+    let superseded = tail.superseded_variants();
+    if tail.tier.dd.len() + superseded >= base.dd.len() - superseded {
+        (Arc::new(compacted(base, &tail, origins)), None)
     } else {
         (Arc::clone(base), Some(Arc::new(tail)))
     }
@@ -153,10 +213,6 @@ pub struct Generation {
     pub(crate) order: Arc<GlobalOrder>,
     pub(crate) base: Arc<Tier>,
     pub(crate) tail: Option<Arc<Tail>>,
-    /// Per-origin base of the derived-id space a build from nothing would
-    /// hand out: the tail's variant ids are local to it, and a match reports
-    /// the build's, so results are bit-identical to the monolithic engine's.
-    global_base: Vec<u32>,
     /// `(min, max)` distinct-set length range of the live variants: the
     /// base's own range still counts superseded variants and misses the
     /// tail's.
@@ -186,21 +242,8 @@ impl Generation {
             order,
             base,
             tail,
-            global_base: Vec::new(),
             set_len_bounds: None,
         };
-        let segment = generation.segment();
-        let mut cum = 0u32;
-        let global_base = (0..generation.dict.len())
-            .map(|e| {
-                let at = cum;
-                // None past the origin space of the tier that owns it.
-                let by_origin = segment.owner(EntityId(e as u32)).1.raw_arenas().0;
-                cum += by_origin.get(e + 1).map_or(0, |&end| end - by_origin[e]);
-                at
-            })
-            .collect();
-        generation.global_base = global_base;
         generation.set_len_bounds = generation.live_set_len_range();
         generation
     }
@@ -222,7 +265,7 @@ impl Generation {
     /// is written compacted, through a temporary base, so the bytes are
     /// those of a rebuild.
     pub fn freeze(&self) -> Vec<u8> {
-        let compacted = self.tail.as_ref().map(|tail| compacted(&self.base, tail));
+        let compacted = self.tail.as_ref().map(|tail| compacted(&self.base, tail, self.dict.len()));
         let tier = compacted.as_ref().unwrap_or(&self.base);
         aeetes_core::freeze_to_bytes(&aeetes_core::FreezeSource {
             interner: &self.interner,
@@ -291,7 +334,7 @@ impl Generation {
     pub fn variants(&self) -> usize {
         match &self.tail {
             None => self.base.dd.len(),
-            Some(tail) => self.base.dd.len() - tail.superseded_variants + tail.tier.dd.len(),
+            Some(tail) => self.base.dd.len() - tail.superseded_variants() + tail.tier.dd.len(),
         }
     }
 
@@ -339,9 +382,10 @@ impl ExtractBackend for Generation {
         let (truncated, stats) = extract_segment_scratched(segment, doc, req, &self.config, self.set_len_bounds, scratch);
         // Variant ids are local to the tier that owns the origin: report the
         // build's (an identity without a tail).
-        for m in scratch.matches_mut() {
-            let local = segment.owner(m.entity).1.variant_range(m.entity).start;
-            m.best_variant = DerivedId(self.global_base[m.entity.idx()] + (m.best_variant.0 - local));
+        if let Some(tail) = &self.tail {
+            for m in scratch.matches_mut() {
+                m.best_variant = tail.build_id(&self.base, m.entity, m.best_variant, segment.in_tail(m.entity));
+            }
         }
         ScratchOutcome { matches: scratch.matches(), truncated, stats, stages: *scratch.stages() }
     }

@@ -3,9 +3,10 @@
 //! clustered index, the variant table and the global order, with no room
 //! beside them for one `u32` per variant token. The variants' token
 //! sequences, rule ids and origins are derived again on the first read of
-//! `derived()` that needs them, once: a second read allocates nothing. On
-//! dbworld they are 267 210 tokens, 93 285 rule ids and three per-variant
-//! arrays, 2.33 MB that extraction never reads.
+//! `derived()` that needs them, once, into arrays cut to what they hold: a
+//! second read allocates nothing. On dbworld they are 267 210 tokens, 93 285
+//! rule ids and three per-variant arrays, 2.33 MB that extraction never
+//! reads; until the arrays were cut, the first read kept 4.19 MB for them.
 //!
 //! The proof is the counting allocator of `live_bytes`; this file holds
 //! exactly one test so no concurrent test can perturb its counters.
@@ -42,22 +43,29 @@ fn the_monolithic_engine_retains_no_token_sequence_until_one_is_read() {
         let (_, materialised, _) = live_bytes::measured(|| engine.derived().derived(DerivedId(0)).tokens.len());
         let variants = engine.derived().len();
         let tokens: usize = engine.derived().iter().map(|(_, d)| d.tokens.len()).sum();
+        let rule_ids: usize = engine.derived().iter().map(|(_, d)| d.rules.len()).sum();
         let sequence = 4 * tokens;
         assert!(
             retained <= budget && budget < retained + sequence,
             "{name}: the build retains {retained} bytes: beyond {budget} bytes of index, variant table, order and bookkeeping, \
              or leaving no room to tell a {sequence}-byte token sequence arena from them"
         );
-        // Tokens, and per variant its origin and two offsets; rule ids too.
+        // Tokens, and per variant its origin and two offsets; rule ids too
+        // — and no more: the arrays are cut to what they hold once derived.
+        let arrays = sequence + 4 * rule_ids + 4 * variants + 2 * 4 * (variants + 1);
         assert!(
             materialised >= sequence + 12 * variants,
             "{name}: the first read of a variant retains {materialised} bytes, less than {tokens} tokens' and {variants} variants' arrays"
+        );
+        assert!(
+            materialised <= arrays + BOOKKEEPING,
+            "{name}: the first read of a variant retains {materialised} bytes, beyond {arrays} bytes of arrays and bookkeeping"
         );
         let (_, again, peak) = live_bytes::measured(|| engine.derived().derived(DerivedId(variants as u32 - 1)).tokens.len());
         assert_eq!((again, peak), (0, 0), "{name}: a second read allocates");
         println!(
             "monolith_retains: {name}: retains {retained} bytes of {budget} budgeted, beside a {sequence}-byte token arena; \
-             the first read derives {materialised} bytes, the second none"
+             the first read derives {materialised} bytes for {arrays} bytes of arrays, the second none"
         );
     }
 }

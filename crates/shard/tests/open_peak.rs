@@ -1,12 +1,13 @@
 //! Opening an artifact file adopts its dictionary in place and reads its rule
 //! table flat: across `open_frozen` + `ShardedEngine::from_frozen` on the
 //! benchmark's pubmed corpus, the engine owns no dictionary arena byte, and
-//! the heap it retains is the rule table's side tokens and offsets, the
-//! interner's lookup slots (its strings stay in the file too) and the
-//! generation's per-origin table, with
-//! no room beside them for the 975 kB dictionary copy an open used to make
-//! (2.22 MB retained then). While the rule table was decoded from META into
-//! two `Vec`s a rule and a map of per-token `Vec`s, an open retained 1.24 MB.
+//! the heap it retains is the rule table's side tokens and offsets and the
+//! interner's lookup slots (its strings stay in the file too), with no room
+//! beside them for the 975 kB dictionary copy an open used to make (2.22 MB
+//! retained then). While the rule table was decoded from META into two
+//! `Vec`s a rule and a map of per-token `Vec`s, an open retained 1.24 MB;
+//! while a generation kept a global id base per origin, 4 bytes an origin
+//! more.
 //!
 //! The proof is the counting allocator of `live_bytes`; this file holds
 //! exactly one test so no concurrent test can perturb its counters.
@@ -39,10 +40,10 @@ fn an_adopted_engine_owns_no_dictionary_arena_byte() {
     // The rule table, flat — a `u32` per side token and per side offset, and
     // one more; the unit weights store nothing, and no first-token lookup is
     // built until something derives — the string table's open-addressing
-    // slots (a power of two, at least twice the tokens), and per origin the
-    // generation's global id base, and a few kilobytes whatever the corpus
-    // (the section table, `Arc` headers, the generation's own fields). A
-    // heap copy of the dictionary does not fit beside them.
+    // slots (a power of two, at least twice the tokens), and a few kilobytes
+    // whatever the corpus (the section table, `Arc` headers, the
+    // generation's own fields). Nothing per origin: a heap copy of the
+    // dictionary does not fit beside them.
     const BOOKKEEPING: usize = 4 << 10;
     let rules = generation.rules();
     let side_tokens: usize = rules.part_sides().map(|(tokens, _)| tokens.len()).sum();
@@ -52,11 +53,11 @@ fn an_adopted_engine_owns_no_dictionary_arena_byte() {
     // and the one offset its owned strings would start at.
     let slots = 4 * (2 * data.interner.len()).next_power_of_two();
     assert_eq!(generation.interner().owned_bytes(), slots + 4, "the interner owns its lookup slots, not its strings");
-    let budget = flat + slots + 4 * generation.dictionary().len() + BOOKKEEPING;
+    let budget = flat + slots + BOOKKEEPING;
     assert!(
         retained <= budget && budget < retained + dictionary,
-        "opening retains {retained} bytes: beyond {budget} bytes of flat rule table, lookup slots, per-origin table and \
-         bookkeeping, or leaving no room to tell a {dictionary}-byte dictionary copy from them"
+        "opening retains {retained} bytes: beyond {budget} bytes of flat rule table, lookup slots and bookkeeping, or \
+         leaving no room to tell a {dictionary}-byte dictionary copy from them"
     );
     println!("open_peak: retains {retained} bytes of {budget} budgeted, beside a {dictionary}-byte dictionary");
     drop((generation, engine));

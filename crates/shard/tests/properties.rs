@@ -1,14 +1,14 @@
 //! Property tests: updates applied as deltas — spliced into the tail and
 //! compacted into the base — equal a one-index rebuild of the updated
-//! dictionary byte for byte in what they store. (That they answer as a
-//! rebuild does, for every request shape, is the root package's
-//! `conformance` harness.)
+//! dictionary byte for byte in what they store, and answer a few documents
+//! as it does. (That they answer as a rebuild does for every request shape
+//! is the root package's `conformance` harness.)
 
-use aeetes_core::{freeze_to_bytes, open_frozen_bytes, AeetesConfig, FreezeSegment, FreezeSource};
+use aeetes_core::{freeze_to_bytes, open_frozen_bytes, AeetesConfig, ExtractBackend, FreezeSegment, FreezeSource};
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_rules::{DerivedDictionary, RuleSet};
 use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
-use aeetes_text::{Dictionary, EntityId, Interner, Tokenizer};
+use aeetes_text::{Dictionary, Document, EntityId, Interner, TokenId, Tokenizer};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -75,7 +75,7 @@ impl Rebuilt {
         self.dd = DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| !self.removed.contains(&e.0));
         // The live dictionary's token frequencies, as a build of it counts them.
         let live = GlobalOrder::build(&self.dd, &self.interner);
-        if let Some(extended) = self.order.extend_with(live.raw_parts().0, &self.interner) {
+        if let Some(extended) = self.order.extend_with((0..).map(TokenId).zip(live.raw_parts().0.iter().copied()), &self.interner) {
             self.order = Arc::new(extended);
         }
         self.index = ClusteredIndex::build_with_order(&self.dd, Arc::clone(&self.order));
@@ -122,14 +122,19 @@ impl Rebuilt {
 
 type Steps = Vec<(Vec<String>, Vec<usize>, Vec<(String, String, u8)>)>;
 
+/// Documents over the cases' vocabulary, extracted after every step beside
+/// the step's added entities.
+const DOCS: [&str; 4] = ["a b c d e f g h", "h g f e d c b a", "a ! b c a d e f", "e f a b c d h g a b"];
+
 /// Replays `steps` as deltas on engines built in {1, 2, 7} parts, heap-built
 /// and frozen-adopted, with two steps forced halfway: removing an origin
 /// that holds the dictionary's longest set (the set-length range must shrink
 /// as a rebuild's does), then removing every live origin beside two adds,
 /// which supersedes the whole base and so crosses the compaction rule before
 /// the second half builds a tail on the compacted base. After every step the
-/// spliced generation freezes to the one-index rebuild's bytes and reports
-/// its set-length range, variant count and derivation statistics.
+/// spliced generation freezes to the one-index rebuild's bytes, reports its
+/// set-length range, variant count and derivation statistics, and answers a
+/// few documents of the cases' vocabulary as the rebuild does.
 fn replay_against_rebuild(entities: &[String], rule_pairs: &[(String, String)], steps: &Steps) -> Result<(), TestCaseError> {
     let (dict, rules, interner, tokenizer) = corpus(entities, rule_pairs);
     let half = steps.len() / 2;
@@ -175,6 +180,16 @@ fn replay_against_rebuild(entities: &[String], rule_pairs: &[(String, String)], 
                 prop_assert_eq!(generation.set_len_range(), rebuilt.set_len_range(), "{}", what);
                 prop_assert_eq!(generation.variants(), rebuilt.variants(), "{}", what);
                 prop_assert_eq!(generation.derive_stats(), rebuilt.derive_stats(), "{}", what);
+                // What it answers: spans, entities, scores and the best
+                // variant's id, which a tail's generation maps from its
+                // tiers' ids to the build's.
+                let mut interner = generation.interner().clone();
+                for text in DOCS.iter().copied().chain(delta.add_entities.iter().map(String::as_str)) {
+                    let doc = Document::parse(text, &tokenizer, &mut interner);
+                    for tau in [0.5, 0.8, 1.0] {
+                        prop_assert_eq!(generation.extract_all(&doc, tau), rebuilt.extract_all(&doc, tau), "{} doc={:?} tau={}", what, text, tau);
+                    }
+                }
             }
         }
     }

@@ -121,20 +121,22 @@ impl Table {
 ///
 /// The strings of an opened artifact are adopted in place as a table every
 /// clone shares ([`Self::from_raw_arenas`]); strings interned after that go
-/// to an owned table starting at the next id, with slots of its own. So a
-/// clone copies only the owned table, and a delta that brings a new word
-/// leaves the adopted one shared.
+/// to an owned table starting at the next id, with slots of its own. A clone
+/// shares the owned table too, and copies it on its first [`Self::intern`]
+/// of a new string; a delta that brings a new word leaves the adopted one
+/// shared.
 #[derive(Clone)]
 pub struct Interner {
     /// Ids `0..base.len()`, adopted from an artifact.
     base: Option<Arc<Table>>,
-    /// The ids after them, owned; its bytes continue the base's.
-    own: Table,
+    /// The ids after them; its bytes continue the base's. Shared with the
+    /// clones until one of them interns a new string.
+    own: Arc<Table>,
 }
 
 impl Default for Interner {
     fn default() -> Self {
-        Self { base: None, own: Table::empty_at(0) }
+        Self { base: None, own: Arc::new(Table::empty_at(0)) }
     }
 }
 
@@ -160,12 +162,12 @@ impl Interner {
         let end = strings.runs().end();
         let mut base = Table { strings, slots: Vec::new() };
         base.refile().map_err(|(i, j)| format!("duplicate string {i} = {j}"))?;
-        Ok(Self { base: Some(Arc::new(base)), own: Table::empty_at(end) })
+        Ok(Self { base: Some(Arc::new(base)), own: Arc::new(Table::empty_at(end)) })
     }
 
     /// The adopted table, if any, then the owned one.
     fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.base.as_deref().into_iter().chain([&self.own])
+        self.base.as_deref().into_iter().chain([&*self.own])
     }
 
     /// The number of adopted strings.
@@ -194,19 +196,20 @@ impl Interner {
             .and_then(|n| u32::try_from(n).ok())
             .filter(|&n| n < TokenId::LIMIT)
             .expect("interner overflow: more than 2^31 distinct tokens");
+        let own = Arc::make_mut(&mut self.own);
         // A full arena grows by a quarter rather than doubling, so that an
         // interner never holds more than a quarter of its strings spare.
-        let (spare_bytes, spare_strings) = self.own.strings.runs().spare();
+        let (spare_bytes, spare_strings) = own.strings.runs().spare();
         if spare_bytes < s.len() || spare_strings == 0 {
-            let bytes = self.own.strings.runs().items().len();
-            self.own.strings.reserve_exact(s.len().max(bytes / 4), (local / 4).max(1));
+            let bytes = own.strings.runs().items().len();
+            own.strings.reserve_exact(s.len().max(bytes / 4), (local / 4).max(1));
         }
-        self.own.strings.push(s);
-        if 2 * (local + 1) > self.own.slots.len() {
-            self.own.refile().expect("interned strings are distinct");
+        own.strings.push(s);
+        if 2 * (local + 1) > own.slots.len() {
+            own.refile().expect("interned strings are distinct");
         } else {
-            let slot = self.own.probe(s, hash).expect_err("interned strings are distinct");
-            self.own.slots[slot] = local as u32 + 1;
+            let slot = own.probe(s, hash).expect_err("interned strings are distinct");
+            own.slots[slot] = local as u32 + 1;
         }
         TokenId(id)
     }
@@ -256,7 +259,7 @@ impl Interner {
     }
 
     /// Heap bytes this interner owns: its owned strings and every slot
-    /// table, the shared one of adopted strings included.
+    /// table, the ones it shares with its clones included.
     pub fn owned_bytes(&self) -> usize {
         self.tables().map(|t| t.strings.runs().owned_bytes() + 4 * t.slots.capacity()).sum()
     }

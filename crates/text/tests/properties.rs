@@ -410,6 +410,17 @@ fn an_interner_owns_its_flat_size() {
         let n = model.strings.len();
         assert!(interner.owned_bytes() <= flat_size(bytes, n), "{} bytes owned for {n} strings of {bytes} bytes", interner.owned_bytes());
     }
+    // A clone of a heap-built interner shares its owned table until it
+    // interns a new string, and then copies it: the original is untouched.
+    let first = |i: &Interner| i.arena_runs().next().map(|(bytes, _)| bytes.as_ptr());
+    let mut copy = interner.clone();
+    assert_eq!(first(&copy), first(&interner), "a clone shares the owned table");
+    assert_eq!(copy.intern("token 8"), interner.get("token 8").expect("interned"), "a known string is found, not copied for");
+    assert_eq!(first(&copy), first(&interner), "finding a string leaves the table shared");
+    let fresh = copy.intern("a word only the copy holds");
+    assert_ne!(first(&copy), first(&interner), "the first new string copies the table");
+    assert_eq!((interner.get("a word only the copy holds"), copy.resolve(fresh)), (None, "a word only the copy holds"));
+    assert_eq!(interner.len() + 1, copy.len());
     let (bytes, offsets) = model.flat();
     let adopted = Interner::from_raw_arenas(frozen(&bytes), frozen(&offsets)).expect("valid arenas");
     let slots = (2 * model.strings.len()).next_power_of_two();
@@ -419,7 +430,6 @@ fn an_interner_owns_its_flat_size() {
     // strings, not a copy of them.
     let mut grown = adopted.clone();
     assert_eq!(grown.intern("a new word"), TokenId(model.strings.len() as u32));
-    let first = |i: &Interner| i.arena_runs().next().map(|(bytes, _)| bytes.as_ptr());
     assert_eq!(first(&grown), first(&adopted), "the adopted strings are shared");
     assert!(grown.owned_bytes() <= 4 * slots + flat_size("a new word".len(), 1));
 }
