@@ -42,7 +42,7 @@ fn build_stats_extract_round_trip() {
     .expect("build succeeds");
     // No flag but the three paths: the artifact is the one format.
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 13);
+    assert_eq!(info.version, 14);
 
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats succeeds");
 
@@ -326,7 +326,7 @@ fn build_info_extract_and_compaction_round_trip() {
     ];
     commands::build(&argv(&build_args)).expect("build succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek built artifact");
-    assert_eq!(info.version, 13);
+    assert_eq!(info.version, 14);
     // The retired switches are unknown flags, not silent no-ops: the format
     // is fixed, and the bytes do not depend on how many parts built them.
     for retired in [vec![s("--frozen")], vec![s("--shards"), s("2")]] {
@@ -377,7 +377,7 @@ fn build_info_extract_and_compaction_round_trip() {
     commands::wal_cmd(&argv(&[s("compact"), s("--wal"), wal.display().to_string(), s("--engine"), engine.display().to_string()]))
         .expect("wal compact succeeds");
     let info = aeetes_core::peek_info(&fs::read(&engine).unwrap()).expect("peek compacted artifact");
-    assert_eq!(info.version, 13);
+    assert_eq!(info.version, 14);
     assert_eq!(info.generation, 2, "compacted artifact must carry the log's last generation");
 
     // The compacted artifact still serves extraction.
@@ -436,7 +436,7 @@ fn a_v11_file_is_refused_by_name_by_every_verb() {
 }
 
 /// A file with the AEET magic but a format version this build does not read
-/// — the retired v1–v11 layouts, or a future one — fails every command that
+/// — the retired v1–v13 layouts, or a future one — fails every command that
 /// opens an engine the same way: an error (exit 1 in `main`) naming the
 /// version and saying to rebuild, never a panic or a "corrupt" verdict.
 #[test]
@@ -451,7 +451,7 @@ fn other_format_versions_fail_clean_on_every_verb() {
     log.sync().expect("sync wal");
     drop(log);
 
-    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14] {
+    for version in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15] {
         let engine = dir.join(format!("v{version}.aeet"));
         let mut bytes = b"AEET".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -480,18 +480,19 @@ fn other_format_versions_fail_clean_on_every_verb() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `dict info` lists exactly the v13 sections in file order, each with its
+/// `dict info` lists exactly the v14 sections in file order, each with its
 /// element width: the META blob, the rule table's sides and offsets — at 16
 /// bits over an interner this small — and its weights, holding 8 bytes per
 /// rule where some rule weighs other than 1.0 and nothing otherwise, the
-/// dictionary, strings and order arrays, the origin prefix — once, for the
+/// dictionary, strings and order arrays — keys and ranks, no frequency —
+/// the origin prefix — once, for the
 /// variant table and the index both — the variant weights, holding 8 bytes
 /// per variant where some rule weighing other than 1.0 applies and nothing
 /// otherwise, and the seven index arenas, the origins and the blocks' keys
 /// at 16 bits in an index this small.
 #[test]
-fn dict_info_lists_exactly_the_v13_sections() {
-    const SECTIONS: [(&str, u64); 22] = [
+fn dict_info_lists_exactly_the_v14_sections() {
+    const SECTIONS: [(&str, u64); 21] = [
         ("meta", 1),
         ("rules.sides", 2),
         ("rules.side_off", 2),
@@ -502,7 +503,6 @@ fn dict_info_lists_exactly_the_v13_sections() {
         ("dict.tok_off", 4),
         ("strings.bytes", 1),
         ("strings.offsets", 4),
-        ("order.freq", 4),
         ("order.key", 4),
         ("order.untie", 4),
         ("dd.by_origin", 4),
@@ -532,7 +532,7 @@ fn dict_info_lists_exactly_the_v13_sections() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let info = serde_json::from_str(std::str::from_utf8(&out.stdout).expect("utf-8")).expect("dict info --json prints one object");
         let field = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
-        assert_eq!(field(&info, "version"), Some(13));
+        assert_eq!(field(&info, "version"), Some(14));
         let listed: Vec<(&str, u64, u64)> = info
             .get("sections")
             .and_then(serde_json::Value::as_array)

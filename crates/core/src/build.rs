@@ -62,7 +62,11 @@ fn summed_frequencies(drafts: &[IndexDraft]) -> Vec<u32> {
 pub fn aeetes_index(dict: &Dictionary, rules: &RuleSet, interner: &Interner, config: &DeriveConfig, parts: usize) -> (VariantTable, ClusteredIndex) {
     let n = resolve_parts(parts);
     let ranges = (0..n).map(|i| dict.len() * i / n..dict.len() * (i + 1) / n);
-    let drafts = in_parallel(ranges, |range| IndexDraft::derive(dict, rules, config, range.map(|e| EntityId(e as u32))));
+    // One lookup of the rule sides made of the dictionary's tokens, shared
+    // by the parts and dropped once they are derived.
+    let lookup = rules.lookup(dict.arena_runs().flat_map(|(_, _, tokens, _)| tokens.iter().copied()));
+    let drafts = in_parallel(ranges, |range| IndexDraft::derive(dict, &lookup, config, range.map(|e| EntityId(e as u32))));
+    drop(lookup);
     let order = Arc::new(GlobalOrder::from_frequencies(summed_frequencies(&drafts), interner));
     let (mut tables, indexes): (Vec<VariantTable>, Vec<ClusteredIndex>) =
         in_parallel(drafts, |draft| draft.into_index(Arc::clone(&order))).into_iter().unzip();

@@ -1,4 +1,4 @@
-//! Frozen AEET v13: a flat, mmap-able immutable engine image — the one
+//! Frozen AEET v14: a flat, mmap-able immutable engine image — the one
 //! artifact format Aeetes writes and opens.
 //!
 //! The off-line product (clustered index, paper §3/§5) is built once and
@@ -10,14 +10,14 @@
 //! `mmap` the file, validate it, and serve its first request in
 //! milliseconds — and N serve processes on one host share a single page
 //! cache image instead of N private heaps. Files carrying any other version
-//! word (the retired v1–v12 layouts, or a future one) are refused with
+//! word (the retired v1–v13 layouts, or a future one) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
-//! [ 4.. 8)  version u32 = 13
+//! [ 4.. 8)  version u32 = 14
 //! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
@@ -36,7 +36,7 @@
 //! (counts, tombstones, config, derive statistics — small, decoded once),
 //! the rule table's sides, side offsets and weights, the origin dictionary's
 //! four arenas, the interner's string arena and offsets, the global
-//! order's three arrays, the seven flat arrays of the clustered index, the
+//! order's two arrays, the seven flat arrays of the clustered index, the
 //! variants' weights, and the origin → variant-range prefix that the variant
 //! table and the index both read. An artifact holds one index, so each kind
 //! appears exactly once. Each entry names its element width, and each kind
@@ -68,7 +68,8 @@
 //! they fit; v11 moves the position from the cluster to the group
 //! (`ix.group_pos`, see below); v12 stores each variant's mask in exactly as
 //! many bits as its pool has keys and drops `strings.table`; v13 moves the
-//! rule table out of META into the three `rules.*` sections.
+//! rule table out of META into the three `rules.*` sections; v14 drops
+//! `order.freq`, which nothing read once the order was ranked.
 //!
 //! ```text
 //! section             element width         pubmed     dbworld       usjob
@@ -82,7 +83,6 @@
 //! dict.tok_off        u32     4           80 004      48 004      30 004
 //! strings.bytes       u8      1           97 273      47 071      36 101
 //! strings.offsets     u32     4           36 560      18 280      14 168
-//! order.freq          u32     4           36 556      18 276      14 164
 //! order.key           u32     4           36 556      18 276      14 164
 //! order.untie         u32     4           36 348      18 276      14 164
 //! dd.by_origin        u32     4           80 004      48 004      30 004
@@ -94,7 +94,7 @@
 //! ix.origin_entity    u16     2          366 884     301 792   1 131 604
 //! ix.blocks           u16     2          643 636     431 692   4 437 484
 //! ix.block_offsets    u32     4           80 004      48 004      30 004
-//! whole file                           2 803 752   1 742 808   7 000 584
+//! whole file                           2 767 160   1 724 488   6 986 376
 //! ```
 //!
 //! (`ix.blocks` is `u32` words; its width is its keys', two to a word. At
@@ -104,7 +104,9 @@
 //! v12. At v12 META held the rule table, 31 bytes a rule — 150 402 /
 //! 249 710 / 246 074 bytes — and the file was 2 897 800 / 1 899 752 /
 //! 7 154 440, −3.2 / −8.3 / −2.2 % at v13; every other section is
-//! byte-identical.)
+//! byte-identical. v13 stored `order.freq` as well, 36 556 / 18 276 /
+//! 14 164 bytes: the file was 2 803 752 / 1 742 808 / 7 000 584, −1.3 /
+//! −1.1 / −0.2 % at v14, every other section byte-identical.)
 //!
 //! An index *entry* is one origin cluster: for a token, a set length and an
 //! origin, the fact that some variant of that origin with a set of that
@@ -187,7 +189,13 @@
 //! dense rank in ascending `(frequency, string)` order; `order.untie` maps
 //! ranks back to tokens. Any other token keys as its own id, which is why
 //! token ids stop at 2³¹ ([`TokenId::LIMIT`]): every invalid key sorts below
-//! every valid one. A dictionary delta leaves existing keys as they are and
+//! every valid one. The two arrays are the whole order: a token is valid
+//! exactly when its key carries the valid bit, and the frequencies that
+//! ranked the tokens are not stored (v13 kept them as `order.freq`, which
+//! nothing read). Open checks that `order.untie` names exactly the tokens
+//! keyed valid, each at its rank, that every other token keys as its own
+//! id, and that the key array covers no more tokens than the interner
+//! holds. A dictionary delta leaves existing keys as they are and
 //! ranks tokens it makes valid after all existing ones, until the next full
 //! build — so a key's position in a set it is in, and with it every lowest
 //! position a cluster stores, survives a delta untouched.
@@ -221,10 +229,11 @@
 //! and widens the sections into one owned part of a [`RuleSet`]: rules are
 //! read only when a build or a delta derives, never on the extraction path,
 //! so a 16-bit view in place would put a width match into every side read
-//! to save about 0.1 MB. The lookup of sides by first token is not stored:
-//! a part builds it on its first lookup, and a table that is only served
-//! never does. Storing it would take about 66 kB on dbworld, half of what
-//! moving the table out of META saves.
+//! to save about 0.1 MB. The lookup of sides by first token is neither
+//! stored nor kept: each derivation builds one over the tokens of the
+//! origins it derives and drops it when done (a build's parts share one).
+//! Storing one for the whole table would take about 66 kB on dbworld, half
+//! of what moving the table out of META saves.
 //!
 //! ## Mmap vs heap fallback
 //!
@@ -251,11 +260,11 @@ const ENTRY_BYTES: usize = 24;
 /// Every section starts at a multiple of this (covers every element type's
 /// natural alignment with room to spare).
 const SECTION_ALIGN: usize = 16;
-/// Backstop against forged section counts (a real artifact has 22).
+/// Backstop against forged section counts (a real artifact has 21).
 const MAX_SECTIONS: usize = 1 << 16;
 
 const SEC_META: u32 = 0;
-const SEC_ORD_FREQ: u32 = 1;
+// 1 was v1–v13's `order.freq`.
 const SEC_ORD_KEY: u32 = 2;
 const SEC_ORD_UNTIE: u32 = 3;
 const SEC_STR_BYTES: u32 = 4;
@@ -291,7 +300,7 @@ const ID_WIDTHS: &[u32] = &[2, 4];
 
 /// Every section kind, in the order the writer lays them out: its name (for
 /// `aeetes dict info`) and the element widths, in bytes, it may be stored at.
-const KINDS: [(u32, &str, &[u32]); 22] = [
+const KINDS: [(u32, &str, &[u32]); 21] = [
     (SEC_META, "meta", &[1]),
     (SEC_RULES_SIDES, "rules.sides", ID_WIDTHS),
     (SEC_RULES_SIDEOFF, "rules.side_off", ID_WIDTHS),
@@ -302,7 +311,6 @@ const KINDS: [(u32, &str, &[u32]); 22] = [
     (SEC_DICT_TOKOFF, "dict.tok_off", &[4]),
     (SEC_STR_BYTES, "strings.bytes", &[1]),
     (SEC_STR_OFF, "strings.offsets", &[4]),
-    (SEC_ORD_FREQ, "order.freq", &[4]),
     (SEC_ORD_KEY, "order.key", &[4]),
     (SEC_ORD_UNTIE, "order.untie", &[4]),
     (SEC_DD_BYORIGIN, "dd.by_origin", &[4]),
@@ -451,7 +459,8 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
     let ent_tok_off: Vec<&[u8]> = runs.iter().map(|r| pod_bytes(r.3)).collect();
     // Interner: its strings the same way (open builds the slots).
     let (str_bytes, str_offsets): (Vec<&[u8]>, Vec<&[u8]>) = src.interner.arena_runs().map(|(b, o)| (b, pod_bytes(o))).unzip();
-    let (freq, key, untie) = src.order.raw_parts();
+    let flat = src.order.flattened();
+    let (key, untie) = flat.as_ref().unwrap_or(src.order).raw_parts();
     let (by_origin, weight) = segment.dd.raw_arenas();
     let ix = segment.index.raw_parts();
     // In `KINDS` order, each section the run of byte slices it is written
@@ -467,7 +476,6 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
         (SEC_DICT_TOKOFF, &ent_tok_off),
         (SEC_STR_BYTES, &str_bytes),
         (SEC_STR_OFF, &str_offsets),
-        (SEC_ORD_FREQ, &[pod_bytes(freq)]),
         (SEC_ORD_KEY, &[pod_bytes(key)]),
         (SEC_ORD_UNTIE, &[pod_bytes(untie)]),
         (SEC_DD_BYORIGIN, &[pod_bytes(by_origin)]),
@@ -714,15 +722,10 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
     let n_tokens = interner.len() as u32;
 
     // Global order.
-    let order = GlobalOrder::from_raw_parts(
-        table.slice::<u32>(buf, SEC_ORD_FREQ)?.into(),
-        table.slice::<u32>(buf, SEC_ORD_KEY)?.into(),
-        table.slice::<TokenId>(buf, SEC_ORD_UNTIE)?.into(),
-    )
-    .map_err(|e| corrupt(format!("global order: {e}")))?;
-    let (freq, _, _) = order.raw_parts();
-    if freq.len() > n_tokens as usize {
-        return Err(corrupt(format!("global order covers {} tokens, interner holds {n_tokens}", freq.len())));
+    let order = GlobalOrder::from_raw_parts(table.slice::<u32>(buf, SEC_ORD_KEY)?.into(), table.slice::<TokenId>(buf, SEC_ORD_UNTIE)?.into())
+        .map_err(|e| corrupt(format!("global order: {e}")))?;
+    if order.tokens() > n_tokens as usize {
+        return Err(corrupt(format!("global order covers {} tokens, interner holds {n_tokens}", order.tokens())));
     }
     let order = Arc::new(order);
 
@@ -815,7 +818,7 @@ fn adopt(buf: &Arc<FrozenBuf>, table: &SectionTable) -> Result<FrozenParts, Pers
 /// [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (always 13: other versions are refused).
+    /// Format version (always 14: other versions are refused).
     pub version: u32,
     /// Generation number.
     pub generation: u64,
@@ -1031,7 +1034,7 @@ mod tests {
         let (engine, int, _, rules) = sample();
         let bytes = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&bytes).expect("peek");
-        assert_eq!(info.version, 13);
+        assert_eq!(info.version, 14);
         assert_eq!(info.generation, 9);
         assert_eq!(info.entities, 3);
         assert_eq!(info.rules, 3);
@@ -1057,13 +1060,13 @@ mod tests {
 
     #[test]
     fn other_format_versions_are_named_not_called_corrupt() {
-        // A valid magic with any version but 13 — the retired v1–v12 layouts
+        // A valid magic with any version but 14 — the retired v1–v13 layouts
         // or a future one — is refused by version, whatever follows it (no
         // footer, a foreign footer, or nothing at all).
         let (engine, int, _, rules) = sample();
-        let v13 = freeze_sample(&engine, &int, &rules, 1);
-        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 99] {
-            let mut whole = v13.clone();
+        let v14 = freeze_sample(&engine, &int, &rules, 1);
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 99] {
+            let mut whole = v14.clone();
             whole[4..8].copy_from_slice(&version.to_le_bytes());
             let mut bare = b"AEET".to_vec();
             bare.extend_from_slice(&version.to_le_bytes());
@@ -1199,7 +1202,9 @@ mod tests {
             // The interner's strings hold one token twice: "au" spelled "uq".
             (patched(s_off + au, b"uq"), "string table: duplicate string 4 = 3"),
             // An artifact holds each known kind once.
-            (kind_field(SEC_IX_BLOCKS, 99), "section 20 is of unknown kind 99"),
+            (kind_field(SEC_IX_BLOCKS, 99), "section 19 is of unknown kind 99"),
+            // v13's `order.freq` is no kind of v14's.
+            (kind_field(SEC_IX_BLOCKS, 1), "section 19 is of unknown kind 1"),
             (kind_field(SEC_IX_BLOCKS, SEC_IX_ORIGENT), "duplicate section ix.origin_entity"),
             // One lowest position per group, inside the sets of its length;
             // a token's groups strictly ascending by (length, position); an

@@ -1,7 +1,7 @@
 //! The shared pieces of the on-disk artifact: error type, checksum and the
 //! little-endian byte codec.
 //!
-//! Aeetes writes and reads exactly one artifact format — the frozen AEET v13
+//! Aeetes writes and reads exactly one artifact format — the frozen AEET v14
 //! layout of [`crate::frozen`]. This module holds what that format (and the
 //! write-ahead log, [`crate::wal`]) build on: [`PersistError`], the CRC-32
 //! every integrity check uses, and the `put_*` encoders and bounds-checked
@@ -22,7 +22,7 @@ use std::fmt;
 pub(crate) const MAGIC: &[u8; 4] = b"AEET";
 /// The one format version written and opened: the flat, mmap-able frozen
 /// layout of [`crate::frozen`].
-pub(crate) const VERSION_FROZEN: u32 = 13;
+pub(crate) const VERSION_FROZEN: u32 = 14;
 
 /// Errors raised while opening a persisted engine.
 #[derive(Debug)]

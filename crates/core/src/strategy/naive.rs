@@ -37,7 +37,8 @@ pub(crate) fn generate(
     let ExtractScratch { walk, sink, buf, stages, .. } = seg;
     let remap = &mut walk.remap;
     let remap_clk = SpanClock::always();
-    remap.build(doc.tokens().iter().map(|&t| order.key(t)));
+    let key = order.keyer();
+    remap.build(doc.tokens().iter().map(|&t| key(t)));
     let ranks = remap.doc_ranks();
     remap_clk.stop(Stage::Remap, stages);
     let slide_clk = SpanClock::always();

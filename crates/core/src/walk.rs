@@ -88,7 +88,8 @@ impl<'a> WindowWalk<'a> {
         }
         let WalkScratch { remap, states } = scratch;
         let remap_clk = SpanClock::always();
-        remap.build(doc.tokens().iter().map(|&t| order.key(t)));
+        let key = order.keyer();
+        remap.build(doc.tokens().iter().map(|&t| key(t)));
         remap_clk.stop(Stage::Remap, stages);
         let slots = bounds.max.min(n) - bounds.min + 1;
         if states.len() < slots {

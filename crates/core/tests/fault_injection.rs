@@ -47,8 +47,11 @@ fn frozen_bytes() -> Vec<u8> {
     freeze(&engine, &int, &rules)
 }
 
-/// Section kinds of the v13 table this file patches.
+/// Section kinds of the v14 table this file patches.
 const ORDER_KEY: u32 = 2;
+const ORDER_UNTIE: u32 = 3;
+const STR_BYTES: u32 = 4;
+const STR_OFF: u32 = 5;
 const DICT_RAWS: u32 = 30;
 const DICT_RAW_OFF: u32 = 31;
 const DICT_TOKENS: u32 = 32;
@@ -139,13 +142,14 @@ fn hostile_dictionary_arenas_are_refused_by_name() {
     corrupt(&patched(&bytes, tokens, n_tokens), &format!("dictionary: entity token t{n_tokens} out of interner range {n_tokens}"));
 }
 
-/// Artifacts of the layouts before this one — v12's rule table in META,
-/// v11's word-aligned masks and stored string hash table, v10's lowest
-/// position per cluster, v9's section table whose second word is a segment —
-/// are refused by their version word, whatever follows it.
+/// Artifacts of the layouts before this one — v13's `order.freq` section,
+/// v12's rule table in META, v11's word-aligned masks and stored string
+/// hash table, v10's lowest position per cluster, v9's section table whose
+/// second word is a segment — are refused by their version word, whatever
+/// follows it.
 #[test]
-fn v9_to_v12_images_are_refused_by_name() {
-    for version in [9, 10, 11, 12] {
+fn v9_to_v13_images_are_refused_by_name() {
+    for version in [9, 10, 11, 12, 13] {
         let bytes = patched(&frozen_bytes(), 4, version);
         assert!(matches!(open_frozen_bytes(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
         assert!(matches!(peek_info(&bytes), Err(aeetes_core::PersistError::UnsupportedVersion(v)) if v == version));
@@ -189,6 +193,43 @@ fn hostile_rule_sections_are_refused_by_name() {
     // With no weight at all the rules weigh 1.0.
     let unit = open_frozen_bytes(&patched(&bytes, entry(&bytes, RULES_WEIGHT) + 16, 0)).expect("an empty rules.weight is legal");
     assert_eq!(unit.rules.weights(), Vec::<f64>::new());
+}
+
+/// CRC-valid images whose global order lies: `order.key` and `order.untie`
+/// are the whole order — validity is a key's valid bit, no frequency is
+/// stored — so open checks them against each other and against the
+/// interner, and refuses each lie as corruption, by name.
+#[test]
+fn hostile_order_sections_are_refused_by_name() {
+    // "spare" is interned first and occurs in no entity: token 0 is keyed
+    // as its own id, inside the order's range.
+    let mut int = Interner::new();
+    int.intern("spare");
+    let tok = Tokenizer::default();
+    let dict = Dictionary::from_strings(["uq au", "university of queensland"], &tok, &mut int);
+    let engine = Aeetes::build(dict, &RuleSet::new(), &int, AeetesConfig::default());
+    let bytes = freeze(&engine, &int, &RuleSet::new());
+    let parts = open_frozen_bytes(&bytes).expect("the image as written opens");
+    assert_eq!(parts.order.raw_parts(), engine.index().order().raw_parts());
+    let (key, untie) = engine.index().order().raw_parts();
+    assert_eq!((key.len(), untie.len(), key[0]), (6, 5, 0));
+    let [key_at, untie_at] = [ORDER_KEY, ORDER_UNTIE].map(|kind| payload(&bytes, kind));
+    // Two ranks swapped.
+    let swapped = patched(&patched(&bytes, untie_at, untie[1].0), untie_at + 4, untie[0].0);
+    corrupt(&swapped, "global order: key/untie disagree at rank 0");
+    // Rank 0's token keyed invalid, the spare one keyed valid in its place:
+    // as many valid keys as ranks, but rank 0 names an invalid token.
+    let moved = patched(&patched(&bytes, key_at + 4 * untie[0].idx(), untie[0].0), key_at, 0x8000_0000 | 4);
+    corrupt(&moved, &format!("global order: untie rank 0 names token {:?}, keyed invalid", untie[0]));
+    // The spare token keyed as another's id.
+    corrupt(&patched(&bytes, key_at, 3), "global order: invalid token 0 is keyed 0x3, not as its own id");
+    // The interner's last string cut off: the order's key array covers one
+    // token more than the interner holds.
+    let last = int.resolve(aeetes_text::TokenId(int.len() as u32 - 1)).len() as u64;
+    let len_of = |kind: u32| u64::from_le_bytes(bytes[entry(&bytes, kind) + 16..][..8].try_into().unwrap());
+    let short = patched_with(&bytes, entry(&bytes, STR_BYTES) + 16, &(len_of(STR_BYTES) - last).to_le_bytes());
+    let short = patched_with(&short, entry(&short, STR_OFF) + 16, &(len_of(STR_OFF) - 4).to_le_bytes());
+    corrupt(&short, &format!("global order covers {} tokens, interner holds {}", int.len(), int.len() - 1));
 }
 
 /// CRC-valid images whose id width lies: each is refused by name by the

@@ -85,9 +85,10 @@ impl Dataset {
         let take = sample.min(self.dictionary.len());
         let mut applicable = 0usize;
         let mut selected = 0usize;
+        let lookup = self.rules.lookup(self.dictionary.iter().take(take).flat_map(|(_, e)| e.tokens.iter().copied()));
         for (_, e) in self.dictionary.iter().take(take) {
-            applicable += find_applications(e.tokens, &self.rules).len();
-            selected += select_non_conflict(e.tokens, &self.rules).iter().map(Vec::len).sum::<usize>();
+            applicable += find_applications(e.tokens, &lookup).len();
+            selected += select_non_conflict(e.tokens, &lookup).iter().map(Vec::len).sum::<usize>();
         }
         let denom = take.max(1) as f64;
         DatasetStatistics {

@@ -3,7 +3,7 @@
 use crate::dataset::{Dataset, GoldMention, MentionForm};
 use crate::profile::DatasetProfile;
 use crate::vocab::{WordFactory, ZipfSampler};
-use aeetes_rules::{select_non_conflict, RuleSet};
+use aeetes_rules::{select_non_conflict, RuleLookup, RuleSet};
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Span, TokenId, Tokenizer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -135,6 +135,7 @@ pub fn generate(profile: &DatasetProfile, seed: u64) -> Dataset {
     let mut documents = Vec::with_capacity(profile.docs);
     let mut gold = Vec::new();
     let ent_sampler = ZipfSampler::new(dictionary.len(), 0.8);
+    let lookup = rules.lookup_all();
     for doc_id in 0..profile.docs {
         let target_len = sample_len(profile.avg_doc_len as f64, profile.avg_doc_len * 3, &mut rng).max(8);
         let mut tokens: Vec<TokenId> = Vec::with_capacity(target_len + 16);
@@ -153,7 +154,7 @@ pub fn generate(profile: &DatasetProfile, seed: u64) -> Dataset {
             // planted span's boundaries unambiguous.
             tokens.push(background_vocab[bg_zipf.sample(&mut rng)]);
             let entity = EntityId(ent_sampler.sample(&mut rng) as u32);
-            if let Some((mention, form)) = render_mention(&dictionary, &rules, entity, &background_vocab, &bg_zipf, &mut interner, &mut rng) {
+            if let Some((mention, form)) = render_mention(&dictionary, &lookup, entity, &background_vocab, &bg_zipf, &mut interner, &mut rng) {
                 let span = Span::new(tokens.len(), mention.len());
                 tokens.extend_from_slice(&mention);
                 tokens.push(background_vocab[bg_zipf.sample(&mut rng)]);
@@ -214,7 +215,7 @@ fn append_background(
 /// Renders one mention of `entity` in a randomly chosen form.
 fn render_mention(
     dictionary: &Dictionary,
-    rules: &RuleSet,
+    rules: &RuleLookup<'_>,
     entity: EntityId,
     background: &[TokenId],
     bg_zipf: &ZipfSampler,
@@ -246,7 +247,7 @@ fn render_mention(
             let mut pos = 0usize;
             for app in &chosen {
                 out.extend_from_slice(&tokens[pos..app.start as usize]);
-                out.extend_from_slice(rules.other_side_of(app.rule, app.side));
+                out.extend_from_slice(rules.rules().other_side_of(app.rule, app.side));
                 pos = app.end() as usize;
             }
             out.extend_from_slice(&tokens[pos..]);

@@ -69,7 +69,7 @@
 
 use crate::order::{GlobalOrder, VALID_BIT};
 use aeetes_frozen::{pod_bytes, Arena, Pod};
-use aeetes_rules::{derive_into, rebased, DeriveConfig, DerivedDictionary, DerivedId, MergePlan, RuleSet, Slots, VariantTable};
+use aeetes_rules::{derive_into, rebased, DeriveConfig, DerivedDictionary, DerivedId, MergePlan, RuleLookup, Slots, VariantTable};
 use aeetes_text::{Dictionary, EntityId, Interner, TokenId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -898,7 +898,7 @@ impl ClusteredIndex {
         let slots = listed.as_ref().map_or(Slots::Whole(sets.origins()), |l| Slots::Listed(&l.origins));
         let width = IdWidth::of(order.ranks(), id_space(slots));
         let sets = sets.pack(width);
-        let tokens = (listed.as_ref().map_or(order.raw_parts().0.len(), |l| l.tokens.len()), slot_of);
+        let tokens = (listed.as_ref().map_or(order.tokens(), |l| l.tokens.len()), slot_of);
         let postings = match width {
             IdWidth::U16 => Postings::U16(cluster_postings::<u16>(&order, &sets, slots, tokens)),
             IdWidth::U32 => Postings::U32(cluster_postings::<u32>(&order, &sets, slots, tokens)),
@@ -977,7 +977,9 @@ impl ClusteredIndex {
     /// order and the result's origin ids; a side stored at another width is
     /// re-encoded as it is copied. This is the one place an index changes
     /// width: a tail that crosses 2¹⁶ ranks or origins is built wide, and
-    /// compaction re-chooses.
+    /// compaction re-chooses. A whole result — a compaction — is keyed by
+    /// `small`'s order folded flat ([`GlobalOrder::flattened`]): the same
+    /// keys, with no overlay of extended tokens left beside them.
     ///
     /// # Panics
     /// Panics when `plan` runs past a side's slots, or a listed output has a
@@ -1002,6 +1004,11 @@ impl ClusteredIndex {
         let sets = sets.finish(plan.slots());
         let listed = plan.into_listed();
         let (postings, tokens) = merge_postings(&sides, keep, width, listed.is_some());
+        // A whole index — a compaction — folds an extended order flat.
+        let order = match listed {
+            None => order.flattened().map_or(order, Arc::new),
+            Some(_) => order,
+        };
         let listed = listed.map(|origins| Listed { tokens: tokens.expect("a listed merge lists its tokens"), origins });
         Self::assemble(order, postings, sets, listed)
     }
@@ -1515,18 +1522,18 @@ pub struct IndexDraft {
 
 impl IndexDraft {
     /// Derives `origins` of `dict` (see [`aeetes_rules::derive_into`]) into
-    /// their blocks.
+    /// their blocks, under the rules of `lookup`, built for their tokens.
     ///
     /// # Panics
     /// Panics under the conditions of [`aeetes_rules::derive_into`] and of
     /// the index build.
-    pub fn derive(dict: &Dictionary, rules: &RuleSet, config: &DeriveConfig, origins: impl IntoIterator<Item = EntityId>) -> Self {
+    pub fn derive(dict: &Dictionary, lookup: &RuleLookup<'_>, config: &DeriveConfig, origins: impl IntoIterator<Item = EntityId>) -> Self {
         let origins: Vec<EntityId> = origins.into_iter().collect();
         let mut numbers = TokenNumbers { by_id: origins.len() * 32 >= dict.len(), ..TokenNumbers::default() };
         let mut freq: Vec<u32> = Vec::new();
         let mut writer = BlockWriter::new(origins.len(), 0);
         let mut slot = 0;
-        let variants = derive_into(dict, rules, config, origins.iter().copied(), |origin| {
+        let variants = derive_into(dict, lookup, config, origins.iter().copied(), |origin| {
             while origins[slot] < origin.origin {
                 slot += 1;
             }
@@ -1779,8 +1786,7 @@ fn cluster_postings<I: StoredId>(
 ) -> ClusteredPostings<I> {
     let narrow = I::WIDTH == IdWidth::U16;
     debug_assert!(!narrow || IdWidth::of(order.ranks(), id_space(slots)) == IdWidth::U16, "16-bit blocks over a 32-bit space");
-    let untie = order.raw_parts().2;
-    let token_of = |key: u32| slot_of(if narrow { untie[(key & !VALID_BIT) as usize] } else { order.token_of(key) });
+    let token_of = |key: u32| slot_of(if narrow { order.untie(key & !VALID_BIT) } else { order.token_of(key) });
     // Per pool key of the origin in hand, its token, looked up once per
     // origin, not once per posting.
     let mut pool_tokens: Vec<u32> = Vec::new();
@@ -2183,6 +2189,7 @@ fn check_prefix(what: &str, off: &[u32], total: usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeetes_rules::RuleSet;
     use aeetes_text::Tokenizer;
 
     /// A group's origins, in order.
@@ -2834,7 +2841,7 @@ mod tests {
             let dd = DerivedDictionary::build(&dict, &rs, &DeriveConfig::default());
             let index = ClusteredIndex::build(&dd, &int);
             let r = index.raw_parts();
-            let built = cluster_postings::<u32>(index.order(), &index.sets, index.slots(), (index.order().raw_parts().0.len(), |t: TokenId| t.0));
+            let built = cluster_postings::<u32>(index.order(), &index.sets, index.slots(), (index.order().tokens(), |t: TokenId| t.0));
             proptest::prop_assert_eq!(&built, &cluster_postings_per_token_vecs(&dd, index.order()));
             // The index clustered its 16-bit records, which file a cluster
             // under its rank, into the arrays of the 32-bit ones, filed under

@@ -84,7 +84,9 @@ proptest! {
         let whole = DerivedDictionary::build_filtered(&dict, &rules, &config, kept);
         let want_order = Arc::new(GlobalOrder::build(&whole, &interner));
 
-        let drafts: Vec<IndexDraft> = (0..inst.parts).map(|p| IndexDraft::derive(&dict, &rules, &config, mine(p))).collect();
+        // One lookup for the build, shared by its parts, as a build shares it.
+        let lookup = rules.lookup((0..inst.parts).flat_map(&mine).flat_map(|e| dict.entity(e).iter().copied()));
+        let drafts: Vec<IndexDraft> = (0..inst.parts).map(|p| IndexDraft::derive(&dict, &lookup, &config, mine(p))).collect();
         let mut freq = Vec::new();
         for draft in &drafts {
             for (t, count) in draft.frequencies() {

@@ -7,7 +7,7 @@
 //! the same matched span (same left-hand occurrence), weighting each vertex
 //! by its group size, and greedily approximating the maximum-weight clique.
 
-use crate::rule::{RuleId, RuleSet, Side};
+use crate::rule::{RuleId, RuleLookup, Side};
 use aeetes_text::TokenId;
 
 /// One occurrence of a rule side inside an entity.
@@ -37,25 +37,19 @@ impl Application {
 }
 
 /// Finds every occurrence of every rule side in `entity` (the complete
-/// applicable set `Ac(e)`).
-pub fn find_applications(entity: &[TokenId], rules: &RuleSet) -> Vec<Application> {
+/// applicable set `Ac(e)`), position by position, in rule-id order, lhs
+/// before rhs. `lookup` must have been built for `entity`'s tokens (or all
+/// of them): a side holding a token it was not built for is not found.
+pub fn find_applications(entity: &[TokenId], lookup: &RuleLookup<'_>) -> Vec<Application> {
     let mut out = Vec::new();
     for (pos, &t) in entity.iter().enumerate() {
         let rest = &entity[pos..];
-        for (first, part) in rules.parts() {
-            for head in part.heads(t) {
-                let len = head.len as usize;
-                // The bucket entry settles a side of one or two tokens; a
-                // longer one is looked up only once its second token has
-                // matched too.
-                if len <= rest.len() && (len == 1 || rest[1] == head.second) && (len <= 2 || rest[2..len] == part.side(head.rule, head.side)[2..]) {
-                    out.push(Application {
-                        rule: RuleId(first + head.rule),
-                        side: head.side,
-                        start: pos as u32,
-                        len: head.len,
-                    });
-                }
+        for &head in lookup.heads(t) {
+            // The bucket entry settles a side of one or two tokens; a
+            // longer one is looked up only once its second token has
+            // matched too.
+            if let Some(len) = head.matches(rest, || lookup.rules().side_of(head.rule(), head.side())) {
+                out.push(Application { rule: head.rule(), side: head.side(), start: pos as u32, len: len as u32 });
             }
         }
     }
@@ -174,16 +168,17 @@ impl ConflictGraph {
 
 /// Selects the non-conflict applicable set `A(e)` for `entity`:
 /// the applications of the greedy clique, grouped per vertex
-/// (each inner `Vec` holds the alternative rewrites of one span).
-pub fn select_non_conflict(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
-    group_non_conflict(&find_applications(entity, rules), false)
+/// (each inner `Vec` holds the alternative rewrites of one span). `lookup`
+/// is as [`find_applications`] takes it.
+pub fn select_non_conflict(entity: &[TokenId], lookup: &RuleLookup<'_>) -> Vec<Vec<Application>> {
+    group_non_conflict(&find_applications(entity, lookup), false)
 }
 
 /// Like [`select_non_conflict`] but with the *exact* maximum-weight
 /// selection (weighted interval scheduling over the span-interval graph).
 #[cfg(test)]
-fn select_non_conflict_exact(entity: &[TokenId], rules: &RuleSet) -> Vec<Vec<Application>> {
-    group_non_conflict(&find_applications(entity, rules), true)
+fn select_non_conflict_exact(entity: &[TokenId], lookup: &RuleLookup<'_>) -> Vec<Vec<Application>> {
+    group_non_conflict(&find_applications(entity, lookup), true)
 }
 
 /// Groups an already-found applicable set `Ac(e)` into `A(e)`: the clique's
@@ -201,6 +196,7 @@ pub(crate) fn group_non_conflict(apps: &[Application], exact: bool) -> Vec<Vec<A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::RuleSet;
     use aeetes_text::{Interner, Tokenizer};
 
     fn ctx() -> (Interner, Tokenizer) {
@@ -218,8 +214,8 @@ mod tests {
         rs.push_str("UQ", "University of Queensland", &t, &mut i).unwrap();
         let e1 = entity("UQ AU", &mut i, &t);
         let e2 = entity("University of Queensland AU", &mut i, &t);
-        let a1 = find_applications(&e1, &rs);
-        let a2 = find_applications(&e2, &rs);
+        let a1 = find_applications(&e1, &rs.lookup_all());
+        let a2 = find_applications(&e2, &rs.lookup_all());
         assert_eq!(a1.len(), 1);
         assert_eq!((a1[0].side, a1[0].start, a1[0].len), (Side::Lhs, 0, 1));
         assert_eq!(a2.len(), 1);
@@ -232,7 +228,7 @@ mod tests {
         let mut rs = RuleSet::new();
         rs.push_str("st", "street", &t, &mut i).unwrap();
         let e = entity("st mary st", &mut i, &t);
-        let apps = find_applications(&e, &rs);
+        let apps = find_applications(&e, &rs.lookup_all());
         assert_eq!(apps.len(), 2);
         assert_eq!(apps[0].start, 0);
         assert_eq!(apps[1].start, 2);
@@ -264,7 +260,7 @@ mod tests {
         rs.push_str("b c", "x6", &t, &mut i).unwrap(); // r6
         rs.push_str("a b c d", "x7", &t, &mut i).unwrap(); // r7
         let e = entity("a b c d", &mut i, &t);
-        let groups = select_non_conflict(&e, &rs);
+        let groups = select_non_conflict(&e, &rs.lookup_all());
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(groups.len(), 3, "three span groups chosen");
         assert_eq!(total, 5, "five rules selected, as in Example 5.2");
@@ -281,7 +277,7 @@ mod tests {
         let (mut i, t) = ctx();
         let rs = RuleSet::new();
         let e = entity("a b c", &mut i, &t);
-        assert!(select_non_conflict(&e, &rs).is_empty());
+        assert!(select_non_conflict(&e, &rs.lookup_all()).is_empty());
     }
 
     #[test]
@@ -291,7 +287,7 @@ mod tests {
         rs.push_str("ny", "new york", &t, &mut i).unwrap();
         rs.push_str("ny", "big apple", &t, &mut i).unwrap();
         let e = entity("ny marathon", &mut i, &t);
-        let groups = select_non_conflict(&e, &rs);
+        let groups = select_non_conflict(&e, &rs.lookup_all());
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 2);
     }
@@ -312,8 +308,8 @@ mod tests {
         rs.push_str("c d", "r1", &t, &mut i).unwrap();
         rs.push_str("c d", "r2", &t, &mut i).unwrap(); // span (2,4), weight 2
         let e = entity("a b c d", &mut i, &t);
-        let greedy = select_non_conflict(&e, &rs);
-        let exact = select_non_conflict_exact(&e, &rs);
+        let greedy = select_non_conflict(&e, &rs.lookup_all());
+        let exact = select_non_conflict_exact(&e, &rs.lookup_all());
         let weight = |g: &Vec<Vec<Application>>| g.iter().map(Vec::len).sum::<usize>();
         assert_eq!(weight(&greedy), 3, "greedy grabs the heavy middle vertex");
         assert_eq!(weight(&exact), 4, "exact takes the two lighter sides");
@@ -336,7 +332,7 @@ mod tests {
         rs.push_str("b c", "x6", &t, &mut i).unwrap();
         rs.push_str("a b c d", "x7", &t, &mut i).unwrap();
         let e = entity("a b c d", &mut i, &t);
-        let exact = select_non_conflict_exact(&e, &rs);
+        let exact = select_non_conflict_exact(&e, &rs.lookup_all());
         assert_eq!(exact.iter().map(Vec::len).sum::<usize>(), 5, "Example 5.2's optimum");
     }
 
@@ -346,6 +342,6 @@ mod tests {
         let mut rs = RuleSet::new();
         rs.push_str("new york city", "nyc", &t, &mut i).unwrap();
         let e = entity("new york", &mut i, &t);
-        assert!(find_applications(&e, &rs).is_empty());
+        assert!(find_applications(&e, &rs.lookup_all()).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Off-line derived-dictionary generation (`E = ⋃_{e ∈ E0} D(e)`).
 
 use crate::apply::{find_applications, group_non_conflict, Application};
-use crate::rule::{RuleId, RuleSet, Side};
+use crate::rule::{RuleId, RuleLookup, RuleSet, Side};
 use aeetes_frozen::Arena;
 use aeetes_text::{Dictionary, EntityId, TokenId};
 use std::fmt;
@@ -532,7 +532,8 @@ impl SequenceArrays {
         tok_off.push(0);
         rule_off.push(0);
         let kept: Vec<EntityId> = (0..dict.len() as u32).map(EntityId).filter(|&e| keep(e)).collect();
-        let table = derive_into(dict, rules, config, kept.iter().copied(), |variants| {
+        let lookup = rules.lookup(kept.iter().flat_map(|&e| dict.entity(e).iter().copied()));
+        let table = derive_into(dict, &lookup, config, kept.iter().copied(), |variants| {
             for d in variants.iter() {
                 origin.push(d.origin);
                 tokens.extend_from_slice(d.tokens);
@@ -685,9 +686,12 @@ impl VariantTable {
     }
 }
 
-/// Expands the `origins` of `dict` under `rules`, hands each one's variants
-/// to `each_origin` while they sit in the enumeration's buffers, and returns
-/// the table of which ids went to which origin.
+/// Expands the `origins` of `dict` under the rules of `lookup`, hands each
+/// one's variants to `each_origin` while they sit in the enumeration's
+/// buffers, and returns the table of which ids went to which origin.
+/// `lookup` must have been built for the origins' tokens
+/// ([`RuleSet::lookup`]); it is the caller's so that a build's parts can
+/// share one.
 ///
 /// Variants are enumerated in a deterministic order — the unmodified origin
 /// first, then combinations in mixed-radix order over the span groups
@@ -709,7 +713,7 @@ impl VariantTable {
 /// outside `dict`.
 pub fn derive_into(
     dict: &Dictionary,
-    rules: &RuleSet,
+    lookup: &RuleLookup<'_>,
     config: &DeriveConfig,
     origins: impl IntoIterator<Item = EntityId>,
     mut each_origin: impl FnMut(OriginVariants<'_>),
@@ -729,7 +733,7 @@ pub fn derive_into(
         let tokens = dict.entity(eid);
         stats.origins += 1;
         if !tokens.is_empty() {
-            expand_entity(tokens, rules, config, &mut scratch, &mut stats);
+            expand_entity(tokens, lookup, config, &mut scratch, &mut stats);
             for &v in &scratch.order {
                 let w = scratch.produced[v].weight;
                 if w != 1.0 && weight.is_empty() {
@@ -752,14 +756,14 @@ pub fn derive_into(
 /// Enumerates one entity's variants into the scratch — tokens and rules
 /// written straight behind those of the variants before, a sequence already
 /// there taken back out — and settles the order their ids go out in.
-fn expand_entity(tokens: &[TokenId], rules: &RuleSet, config: &DeriveConfig, scratch: &mut ExpandScratch, stats: &mut DeriveStats) {
-    let apps = find_applications(tokens, rules);
+fn expand_entity(tokens: &[TokenId], lookup: &RuleLookup<'_>, config: &DeriveConfig, scratch: &mut ExpandScratch, stats: &mut DeriveStats) {
+    let apps = find_applications(tokens, lookup);
     stats.applicable_total += apps.len();
     let groups = group_non_conflict(&apps, config.exact_selection);
     stats.selected_total += groups.iter().map(Vec::len).sum::<usize>();
     // What each selected application rewrites its span to, looked up once
     // per entity rather than once per variant that applies it.
-    let groups: Vec<Vec<Rewrite<'_>>> = groups.iter().map(|g| g.iter().map(|&app| Rewrite::of(app, rules)).collect()).collect();
+    let groups: Vec<Vec<Rewrite<'_>>> = groups.iter().map(|g| g.iter().map(|&app| Rewrite::of(app, lookup.rules())).collect()).collect();
     let mut chosen: Vec<Rewrite<'_>> = Vec::with_capacity(groups.len());
 
     // Mixed-radix enumeration: digit g ranges over 0 (skip span) ..= |groups[g]|.
@@ -1273,8 +1277,9 @@ mod tests {
         // The weighted rule arrives as a delta reaching origin 0, derived
         // over that origin alone ...
         let changed = [EntityId(0)];
-        let small = derive_into(&c.dict, &c.rules, &DeriveConfig::default(), changed, |_| {});
-        let departing = derive_into(&c.dict, &RuleSet::new(), &DeriveConfig::default(), changed, |_| {});
+        let tokens = || c.dict.entity(changed[0]).iter().copied();
+        let small = derive_into(&c.dict, &c.rules.lookup(tokens()), &DeriveConfig::default(), changed, |_| {});
+        let departing = derive_into(&c.dict, &RuleSet::new().lookup(tokens()), &DeriveConfig::default(), changed, |_| {});
         assert_eq!(small.origins(), 1, "a delta's table holds a slot per origin it derives");
         let splice = |old: &VariantTable, small: &VariantTable, departing: &DeriveStats| {
             let sides = [Slots::Whole(2), Slots::Listed(&changed[..small.origins()])];
@@ -1284,7 +1289,7 @@ mod tests {
         let spliced = splice(&unweighted, &small, departing.stats());
         assert_eq!(spliced.raw_arenas(), whole.raw_arenas());
         // ... and leaves with the origin it reached.
-        let gone = derive_into(&c.dict, &c.rules, &DeriveConfig::default(), [], |_| {});
+        let gone = derive_into(&c.dict, &c.rules.lookup([]), &DeriveConfig::default(), [], |_| {});
         let left = splice(&spliced, &gone, small.stats());
         assert_eq!(left.raw_arenas(), (&[0, 0, 1][..], &[][..]));
     }

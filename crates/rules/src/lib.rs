@@ -4,8 +4,8 @@
 //! same meaning (paper §1). This crate implements everything the framework
 //! needs to *use* such rules off-line:
 //!
-//! * [`RuleSet`] — the rule table, with fast lookup of rule sides occurring
-//!   inside an entity;
+//! * [`RuleSet`] — the rule table, and [`RuleLookup`], the lookup of rule
+//!   sides by first token one derivation builds for the tokens it holds;
 //! * applicability and conflict analysis, including the hypergraph +
 //!   greedy maximum-weight-clique selection of a non-conflict rule set
 //!   (paper §5);
@@ -42,4 +42,4 @@ pub use derive::{
     derive_into, each_distinct_token, rebased, DeriveConfig, DeriveStats, DerivedDictionary, DerivedId, DerivedRef, MergePlan, OriginVariants, Slots,
     VariantTable, Variants,
 };
-pub use rule::{Rule, RuleError, RuleId, RuleSet, Side};
+pub use rule::{Rule, RuleError, RuleId, RuleLookup, RuleSet, Side};

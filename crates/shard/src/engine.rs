@@ -210,7 +210,7 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).as_ref().map(|(g, _)| g.id())
     }
 
-    /// Serializes the current generation as the frozen (format v13) artifact
+    /// Serializes the current generation as the frozen (format v14) artifact
     /// — see [`Generation::freeze`]. The artifact carries the generation
     /// number and the built indexes, so an engine opened from it
     /// ([`ShardedEngine::from_frozen`]) continues the same generation
@@ -278,11 +278,13 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
     removed.extend_from_slice(&changed);
     removed.sort_unstable();
     let is_removed = |e: EntityId| removed.binary_search(&e).is_ok();
-    if !fresh.is_empty() {
+    let adds_rules = !fresh.is_empty();
+    if adds_rules {
+        let reach = fresh.lookup_all();
         let reached = dict
             .iter()
             .take(first_new)
-            .filter(|&(e, ent)| !is_removed(e) && !find_applications(ent.tokens, &fresh).is_empty());
+            .filter(|&(e, ent)| !is_removed(e) && !find_applications(ent.tokens, &reach).is_empty());
         changed.extend(reached.map(|(e, _)| e));
         changed.sort_unstable();
     }
@@ -295,16 +297,25 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
         // The changed origins as they derive now, and what the ones that
         // were live contributed to the statistics before — of the base and
         // of the tail, whichever held them.
-        let derive = &cur.config.derive;
-        let small = IndexDraft::derive(&dict, &rules, derive, changed.iter().copied().filter(|&e| !is_removed(e)));
-        let segment = cur.segment();
-        let departing = |in_tail: bool| {
-            let was_live = |e: &EntityId| e.idx() < first_new && cur.removed.binary_search(e).is_err() && segment.in_tail(*e) == in_tail;
-            derive_into(&cur.dict, &cur.rules, derive, changed.iter().copied().filter(was_live), |_| {})
-                .stats()
-                .clone()
+        // The sides the changed origins' tokens head, looked up for this
+        // delta alone — under the table before it too when it adds rules —
+        // and dropped once they are derived.
+        let (small, departing) = {
+            let derive = &cur.config.derive;
+            let tokens = || changed.iter().flat_map(|&e| dict.entity(e).iter().copied());
+            let lookup = rules.lookup(tokens());
+            let small = IndexDraft::derive(&dict, &lookup, derive, changed.iter().copied().filter(|&e| !is_removed(e)));
+            let before = adds_rules.then(|| cur.rules.lookup(tokens()));
+            let before = before.as_ref().unwrap_or(&lookup);
+            let segment = cur.segment();
+            let departing = |in_tail: bool| {
+                let was_live = |e: &EntityId| e.idx() < first_new && cur.removed.binary_search(e).is_err() && segment.in_tail(*e) == in_tail;
+                derive_into(&cur.dict, before, derive, changed.iter().copied().filter(was_live), |_| {})
+                    .stats()
+                    .clone()
+            };
+            (small, [departing(false), departing(true)])
         };
-        let departing = [departing(false), departing(true)];
         // Freeze existing token keys; only genuinely new tokens get keys,
         // placed after every existing one, so the base agrees with the new
         // order on every key it can ever look up; a delta admitting no token
@@ -314,6 +325,8 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
             .extend_with(small.frequencies(), &interner)
             .map_or_else(|| Arc::clone(&cur.order), Arc::new);
         let (base, tail) = splice(&cur.base, cur.tail.as_deref(), small, &changed, &departing, Arc::clone(&order), dict.len());
+        // A compaction keyed the new base by the order folded flat.
+        let order = if tail.is_none() { base.index.shared_order() } else { order };
         (order, base, tail)
     };
 
@@ -321,7 +334,7 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Adopts an opened frozen (v13) artifact: its index becomes this engine's
+    /// Adopts an opened frozen (v14) artifact: its index becomes this engine's
     /// as it is — zero derive work, zero index builds, arenas still backed by
     /// the mapped file.
     ///

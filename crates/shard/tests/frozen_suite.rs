@@ -1,4 +1,4 @@
-//! Frozen (v13) artifact suite: freeze → open → refreeze is bit-identical
+//! Frozen (v14) artifact suite: freeze → open → refreeze is bit-identical
 //! for builds of 1 and 4 parts; truncated files through the mmap path and
 //! misaligned section offsets behind a valid CRC yield a clean error, never
 //! a panic or out-of-bounds access. (The byte-level corruption walk — every

@@ -2,7 +2,8 @@
 //! table flat: across `open_frozen` + `ShardedEngine::from_frozen` on the
 //! benchmark's pubmed corpus, the engine owns no dictionary arena byte, and
 //! the heap it retains is the rule table's side tokens and offsets and the
-//! interner's lookup slots (its strings stay in the file too), with no room
+//! interner's lookup slots, 16-bit at this corpus's size (its strings stay
+//! in the file too), with no room
 //! beside them for the 975 kB dictionary copy an open used to make (2.22 MB
 //! retained then). While the rule table was decoded from META into two
 //! `Vec`s a rule and a map of per-token `Vec`s, an open retained 1.24 MB;
@@ -50,8 +51,10 @@ fn an_adopted_engine_owns_no_dictionary_arena_byte() {
     let flat = 4 * (side_tokens + 2 * rules.len() + 1);
     assert_eq!(rules.owned_bytes(), flat, "the rule table is {} rules' sides and offsets, flat", rules.len());
     // The strings stay in the mapped file too: the interner owns its slots
-    // and the one offset its owned strings would start at.
-    let slots = 4 * (2 * data.interner.len()).next_power_of_two();
+    // — 16-bit below 2^16 strings, as here, 32-bit past that — and the one
+    // offset its owned strings would start at.
+    let width = if data.interner.len() < 1 << 16 { 2 } else { 4 };
+    let slots = width * (2 * data.interner.len()).next_power_of_two();
     assert_eq!(generation.interner().owned_bytes(), slots + 4, "the interner owns its lookup slots, not its strings");
     let budget = flat + slots + BOOKKEEPING;
     assert!(

@@ -6,7 +6,7 @@
 
 use aeetes_core::{freeze_to_bytes, open_frozen_bytes, AeetesConfig, ExtractBackend, FreezeSegment, FreezeSource};
 use aeetes_index::{ClusteredIndex, GlobalOrder};
-use aeetes_rules::{DerivedDictionary, RuleSet};
+use aeetes_rules::{each_distinct_token, DerivedDictionary, RuleSet};
 use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
 use aeetes_text::{Dictionary, Document, EntityId, Interner, TokenId, Tokenizer};
 use proptest::prelude::*;
@@ -74,8 +74,16 @@ impl Rebuilt {
         self.removed.extend(delta.remove_entities.iter().map(|e| e.0));
         self.dd = DerivedDictionary::build_filtered(&self.dict, &self.rules, &self.config.derive, |e| !self.removed.contains(&e.0));
         // The live dictionary's token frequencies, as a build of it counts them.
-        let live = GlobalOrder::build(&self.dd, &self.interner);
-        if let Some(extended) = self.order.extend_with((0..).map(TokenId).zip(live.raw_parts().0.iter().copied()), &self.interner) {
+        let (mut live, mut sorted) = (Vec::new(), Vec::new());
+        for (_, d) in self.dd.iter() {
+            each_distinct_token(d.tokens, &mut sorted, |t| {
+                if live.len() <= t.idx() {
+                    live.resize(t.idx() + 1, 0);
+                }
+                live[t.idx()] += 1;
+            });
+        }
+        if let Some(extended) = self.order.extend_with((0..).map(TokenId).zip(live), &self.interner) {
             self.order = Arc::new(extended);
         }
         self.index = ClusteredIndex::build_with_order(&self.dd, Arc::clone(&self.order));

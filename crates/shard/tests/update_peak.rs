@@ -27,7 +27,6 @@ mod live_bytes;
 
 use aeetes_core::{open_frozen, AeetesConfig, ExtractBackend};
 use aeetes_datagen::{generate, Dataset, DatasetProfile};
-use aeetes_index::GlobalOrder;
 use aeetes_shard::{DictDelta, Generation, ShardedEngine};
 use aeetes_text::EntityId;
 
@@ -50,19 +49,13 @@ const PER_DELTA: usize = 16 << 10;
 /// Heap bytes `generation` retains for its tail and its appended entities:
 /// the tail's index (`bases` being the shared base's), its variant table —
 /// a prefix entry per slot, at most one per live added origin, and a weight
-/// per variant — and the tombstone list; and the global order, when a delta
-/// admitted a token into it and it no longer is `order`, the one the
-/// generations before shared (a rule can rewrite an added entity into a
-/// token no variant held before).
-fn tail_budget(generation: &Generation, bases: usize, base_variants: usize, added: usize, order: &GlobalOrder) -> usize {
+/// per variant — and the tombstone list; and the global order's overlay of
+/// the tokens deltas admitted (a rule can rewrite an added entity into a
+/// token no variant held before), beside the flat arrays it shares.
+fn tail_budget(generation: &Generation, bases: usize, base_variants: usize, added: usize) -> usize {
     let tail_index = generation.index_size_bytes() - bases;
     let tail_variants = generation.variants() - base_variants;
-    let (freq, key, untie) = generation.order().raw_parts();
-    let extended = if std::ptr::eq(generation.order(), order) {
-        0
-    } else {
-        4 * (freq.len() + key.len() + untie.len())
-    };
+    let extended = generation.order().overlay_bytes();
     generation.dictionary().owned_bytes() + tail_index + 4 * (added + 1) + 8 * tail_variants + 4 * generation.removed().len() + extended + BOOKKEEPING
 }
 
@@ -125,7 +118,7 @@ fn price_updates(name: &str, profile: DatasetProfile, harness: bool) {
         "{name}: the dictionary owns {appended} heap bytes of its {dictionary}, beyond the {} entities the deltas added",
         2 * CHURN
     );
-    let budget = tail_budget(&new, bases, base_variants, CHURN, old.order());
+    let budget = tail_budget(&new, bases, base_variants, CHURN);
     assert!(
         retained <= budget,
         "{name}: the update retains {retained} bytes, beyond {budget} bytes of appended entities, tail and bookkeeping"
@@ -183,7 +176,7 @@ fn price_updates(name: &str, profile: DatasetProfile, harness: bool) {
             (held, worst)
         });
         let (last, worst) = last;
-        let budget = tail_budget(&last, bases, base_variants, SET, shared.order());
+        let budget = tail_budget(&last, bases, base_variants, SET);
         // What the ten leave behind is the last generation's; the old
         // generation's tail and appended part (no larger than the new one's)
         // and one delta's drafts stand beside it at the peak.

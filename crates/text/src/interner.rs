@@ -1,7 +1,8 @@
 //! String interning: maps tokens to dense `u32` ids and back.
 //!
 //! Strings are stored as an artifact stores them, a UTF-8 byte arena and
-//! `u32` offsets ([`StrArena`]), and found through FNV-1a slots. An
+//! `u32` offsets ([`StrArena`]), and found through FNV-1a slots — 16-bit
+//! while a table holds fewer than 2¹⁶ strings, 32-bit past that. An
 //! artifact stores no slots: open would have to probe every string of
 //! stored ones to trust them, the same work as building them, and building
 //! them proves that no string stands under two ids.
@@ -53,6 +54,51 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A table's slots, at 16 bits while every string's `i + 1` fits in them
+/// (fewer than 2¹⁶ strings) and at 32 past that.
+#[derive(Debug, Clone)]
+enum Slots {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Slots {
+    /// `n` empty slots, wide enough for `strings` strings.
+    fn empty(n: usize, strings: usize) -> Self {
+        if strings < 1 << 16 {
+            Slots::U16(vec![0; n])
+        } else {
+            Slots::U32(vec![0; n])
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Slots::U16(slots) => slots.len(),
+            Slots::U32(slots) => slots.len(),
+        }
+    }
+
+    /// Whether a slot holds `id`.
+    fn fits(&self, id: u32) -> bool {
+        matches!(self, Slots::U32(_)) || id <= u32::from(u16::MAX)
+    }
+
+    fn set(&mut self, slot: usize, id: u32) {
+        match self {
+            Slots::U16(slots) => slots[slot] = u16::try_from(id).expect("a 16-bit table's ids fit its slots"),
+            Slots::U32(slots) => slots[slot] = id,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Slots::U16(slots) => 2 * slots.capacity(),
+            Slots::U32(slots) => 4 * slots.capacity(),
+        }
+    }
+}
+
 /// Consecutive strings and the slots that find them.
 #[derive(Debug, Clone)]
 struct Table {
@@ -61,13 +107,13 @@ struct Table {
     /// `i + 1` per slot, 0 when empty: none while the table is empty, else
     /// a power of two of them, at least twice as many as strings, so an
     /// empty slot ends every probe.
-    slots: Vec<u32>,
+    slots: Slots,
 }
 
 impl Table {
     /// No strings, continuing strings that end at byte `start`.
     fn empty_at(start: u32) -> Self {
-        Self { strings: StrArena::empty_at(start), slots: Vec::new() }
+        Self { strings: StrArena::empty_at(start), slots: Slots::U16(Vec::new()) }
     }
 
     fn len(&self) -> usize {
@@ -78,9 +124,17 @@ impl Table {
     /// the empty slot that would take it.
     #[inline]
     fn probe(&self, s: &str, hash: u64) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
+        match &self.slots {
+            Slots::U16(slots) => self.probe_in(slots, s, hash),
+            Slots::U32(slots) => self.probe_in(slots, s, hash),
+        }
+    }
+
+    #[inline]
+    fn probe_in<S: Copy + Into<u32>>(&self, slots: &[S], s: &str, hash: u64) -> Result<u32, usize> {
+        let mask = slots.len() - 1;
         let mut slot = hash as usize & mask;
-        while let Some(i) = self.slots[slot].checked_sub(1) {
+        while let Some(i) = slots[slot].into().checked_sub(1) {
             if self.strings.get(i as usize) == s {
                 return Ok(i);
             }
@@ -92,21 +146,23 @@ impl Table {
     /// The place of `s` in the table.
     #[inline]
     fn find(&self, s: &str, hash: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
+        match &self.slots {
+            Slots::U16(slots) if !slots.is_empty() => self.probe_in(slots, s, hash).ok(),
+            Slots::U32(slots) if !slots.is_empty() => self.probe_in(slots, s, hash).ok(),
+            _ => None,
         }
-        self.probe(s, hash).ok()
     }
 
-    /// New slots, at least twice as many as strings, every string filed:
-    /// of two equal strings, the second is returned with the first.
+    /// New slots, at least twice as many as strings and as wide as their
+    /// count needs, every string filed: of two equal strings, the second is
+    /// returned with the first.
     fn refile(&mut self) -> Result<(), (u32, u32)> {
-        self.slots = vec![0; (2 * self.len()).next_power_of_two().max(8)];
+        self.slots = Slots::empty((2 * self.len()).next_power_of_two().max(8), self.len());
         for i in 0..self.len() as u32 {
             let s = self.strings.get(i as usize);
             match self.probe(s, fnv1a(s.as_bytes())) {
                 Ok(j) => return Err((i, j)),
-                Err(slot) => self.slots[slot] = i + 1,
+                Err(slot) => self.slots.set(slot, i + 1),
             }
         }
         Ok(())
@@ -160,7 +216,7 @@ impl Interner {
             return Err(format!("{n} strings, the id space ends at {}", TokenId::LIMIT));
         }
         let end = strings.runs().end();
-        let mut base = Table { strings, slots: Vec::new() };
+        let mut base = Table { strings, slots: Slots::U16(Vec::new()) };
         base.refile().map_err(|(i, j)| format!("duplicate string {i} = {j}"))?;
         Ok(Self { base: Some(Arc::new(base)), own: Arc::new(Table::empty_at(end)) })
     }
@@ -205,11 +261,11 @@ impl Interner {
             own.strings.reserve_exact(s.len().max(bytes / 4), (local / 4).max(1));
         }
         own.strings.push(s);
-        if 2 * (local + 1) > own.slots.len() {
+        if 2 * (local + 1) > own.slots.len() || !own.slots.fits(local as u32 + 1) {
             own.refile().expect("interned strings are distinct");
         } else {
             let slot = own.probe(s, hash).expect_err("interned strings are distinct");
-            own.slots[slot] = local as u32 + 1;
+            own.slots.set(slot, local as u32 + 1);
         }
         TokenId(id)
     }
@@ -259,9 +315,10 @@ impl Interner {
     }
 
     /// Heap bytes this interner owns: its owned strings and every slot
-    /// table, the ones it shares with its clones included.
+    /// table, the ones it shares with its clones included — 2 bytes a slot
+    /// in a table of fewer than 2¹⁶ strings, 4 in a larger one.
     pub fn owned_bytes(&self) -> usize {
-        self.tables().map(|t| t.strings.runs().owned_bytes() + 4 * t.slots.capacity()).sum()
+        self.tables().map(|t| t.strings.runs().owned_bytes() + t.slots.bytes()).sum()
     }
 
     /// Renders a token sequence back to a space-joined string (for display

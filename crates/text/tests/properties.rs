@@ -387,13 +387,23 @@ proptest! {
     }
 }
 
+/// Bytes a slot takes in a table of `n` strings: it holds `i + 1` for
+/// string `i`, in 16 bits while that fits.
+fn slot_width(n: usize) -> usize {
+    if n < 1 << 16 {
+        2
+    } else {
+        4
+    }
+}
+
 /// Heap bytes `interner` may own for its `n` strings of `bytes` bytes: the
 /// flat arenas, a quarter of them spare, and the slots — a power of two of
 /// them at least twice the strings, none while there is no string.
 fn flat_size(bytes: usize, n: usize) -> usize {
     let slots = if n == 0 { 0 } else { (2 * n).next_power_of_two().max(8) };
     let arenas = bytes + 4 * (n + 1);
-    arenas + arenas / 4 + 4 * slots
+    arenas + arenas / 4 + slot_width(n) * slots
 }
 
 /// A heap-built interner owns at most its flat size at every length, and an
@@ -423,15 +433,48 @@ fn an_interner_owns_its_flat_size() {
     assert_eq!(interner.len() + 1, copy.len());
     let (bytes, offsets) = model.flat();
     let adopted = Interner::from_raw_arenas(frozen(&bytes), frozen(&offsets)).expect("valid arenas");
-    let slots = (2 * model.strings.len()).next_power_of_two();
-    assert_eq!(adopted.owned_bytes(), 4 * slots + 4);
-    assert_eq!(adopted.clone().owned_bytes(), 4 * slots + 4, "a clone shares the slots it counts");
+    let slots = 2 * (2 * model.strings.len()).next_power_of_two();
+    assert_eq!(adopted.owned_bytes(), slots + 4);
+    assert_eq!(adopted.clone().owned_bytes(), slots + 4, "a clone shares the slots it counts");
     // A clone that interns a new word owns that word beside the shared
     // strings, not a copy of them.
     let mut grown = adopted.clone();
     assert_eq!(grown.intern("a new word"), TokenId(model.strings.len() as u32));
     assert_eq!(first(&grown), first(&adopted), "the adopted strings are shared");
-    assert!(grown.owned_bytes() <= 4 * slots + flat_size("a new word".len(), 1));
+    assert!(grown.owned_bytes() <= slots + flat_size("a new word".len(), 1));
+}
+
+/// A table's slots are 16-bit while its strings' `i + 1` fit and 32-bit
+/// past that: at 65 534 and 65 535 strings 2 bytes a slot, at 65 536 and
+/// more 4 — interned one by one (the table widens as the string that does
+/// not fit arrives) or adopted from arenas — and every string is found at
+/// each width, across the boundary.
+#[test]
+fn interner_slots_widen_past_16_bits() {
+    let word = |i: usize| format!("w{i}");
+    let mut interned = Interner::new();
+    for n in [65_534, 65_535, 65_536, 65_537] {
+        while interned.len() < n {
+            interned.intern(&word(interned.len()));
+        }
+        let (mut bytes, mut offsets) = (Vec::new(), vec![0u32]);
+        for i in 0..n {
+            bytes.extend_from_slice(word(i).as_bytes());
+            offsets.push(bytes.len() as u32);
+        }
+        let slots = (2 * n).next_power_of_two();
+        let adopted = Interner::from_raw_arenas(frozen(&bytes), frozen(&offsets)).expect("valid arenas");
+        assert_eq!(adopted.owned_bytes(), slot_width(n) * slots + 4, "{n} adopted strings");
+        let arenas: usize = interned.arena_runs().map(|(b, o)| b.len() + 4 * o.len()).sum();
+        let own = interned.owned_bytes();
+        assert!(own >= arenas + slot_width(n) * slots, "{n} interned strings own {own} bytes");
+        assert!(own <= arenas + arenas / 4 + slot_width(n) * slots, "{n} interned strings own {own} bytes");
+        for i in (0..n).step_by(97).chain(n - 3..n) {
+            let want = Some(TokenId(i as u32));
+            assert_eq!((interned.get(&word(i)), adopted.get(&word(i))), (want, want), "{n} strings: {}", word(i));
+        }
+        assert_eq!((interned.get("absent"), adopted.get("absent")), (None, None));
+    }
 }
 
 /// A thousand deltas of 32 entities onto an adopted dictionary, each grown
